@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactlinalg import IntVec3, det3, solve_affine, DegenerateSource
+from .exactlinalg import IntVec3, det3, unimodular_map
 from .polytope import PointConfig, interior_points, size, size_exceeds
 from .invariants import (
     C21,
@@ -626,7 +626,7 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
     Every ordered pair of the eight base polytopes, every choice of
     subtetrahedron (the interior point plus three of the four vertices)
     in each, and every vertex matching of the two subtetrahedra is tried;
-    a matching survives when the solved affine map is integral and
+    a matching survives when the affine map it defines is integral and
     unimodular.  The union is six points; coinciding interior points give
     one interior point (case G), otherwise two (case H).  Acceptance is
     by triangulation emptiness, cross-checked against direct size.
@@ -647,15 +647,10 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
                     sub_s = [spts[v] for v in keep_s]
                     for sigma in itertools.permutations(range(4)):
                         examined += 1
-                        dst = [sub_s[sigma[t]] for t in range(4)]
-                        try:
-                            phi = solve_affine(sub_r, dst)
-                        except DegenerateSource:  # pragma: no cover
-                            continue
-                        if phi.det not in (1, -1) or not phi.is_integer():
+                        m = unimodular_map(sub_r, [sub_s[sigma[t]] for t in range(4)])
+                        if m is None:
                             rejected["identification is not integral unimodular"] += 1
                             continue
-                        m = phi.to_integer_map()
                         new_pt = m.apply(rpts[ex_r])
                         if new_pt in spts:
                             rejected["gluing yields fewer than six points"] += 1

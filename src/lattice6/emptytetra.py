@@ -100,10 +100,12 @@ def unimodular_with_last_row(f: Sequence[int]) -> Tuple[IntVec3, IntVec3, IntVec
     cols = (tuple(b1), tuple(b2), tuple(w))
     B = tuple(zip(*cols))  # matrix with columns b1, b2, w
     d = _mat_det(B)
-    assert d in (1, -1)
+    if d not in (1, -1):
+        raise RuntimeError(f"basis of ker {tuple(f)} plus w has determinant {d}")
     adj = _adjugate(B)
     M = tuple(tuple(v // d for v in row) for row in adj)
-    assert M[2] == tuple(f)
+    if M[2] != tuple(f):
+        raise RuntimeError(f"last row {M[2]} differs from {tuple(f)}")
     return M
 
 
@@ -163,20 +165,24 @@ def white_type(points: Sequence[Sequence[int]]) -> Optional[Tuple[int, int]]:
     c, d = apply(pts[k]), apply(pts[l])
     # translate a to the origin; now a,b at height 0 and c,d at height 1
     b, c, d = sub(b, a), sub(c, a), sub(d, a)
-    assert b[2] == 0 and c[2] == 1 and d[2] == 1
+    if (b[2], c[2], d[2]) != (0, 1, 1):
+        raise RuntimeError(f"edge heights {(b[2], c[2], d[2])}, expected (0, 1, 1)")
     # 2D unimodular move sending b to (1,0,0)
     g, x, y = _ext_gcd(b[0], b[1])
-    assert g == 1
+    if g != 1:
+        raise RuntimeError(f"edge vector {b} is not primitive")
     u2 = (x, y)
     v2 = (-b[1], b[0])
     twod = lambda p: (u2[0] * p[0] + u2[1] * p[1], v2[0] * p[0] + v2[1] * p[1], p[2])
     b, c, d = twod(b), twod(c), twod(d)
-    assert b == (1, 0, 0)
+    if b != (1, 0, 0):
+        raise RuntimeError(f"edge vector moved to {b}, expected (1, 0, 0)")
     # shear so that c becomes (0,0,1)
     shear = lambda p: (p[0] - c[0] * p[2], p[1] - c[1] * p[2], p[2])
     d = shear(d)
     p_raw, q_raw = d[0], d[1]
-    assert abs(q_raw) == q
+    if abs(q_raw) != q:
+        raise RuntimeError(f"normal form height {q_raw} differs from volume {q}")
     if q_raw < 0:
         q_raw, p_raw = -q_raw, p_raw  # negate y; x untouched
     return canonical_type(p_raw, q)

@@ -1,8 +1,11 @@
 """Exact integer/rational linear algebra for lattice point configurations.
 
-Everything here is exact: points are integer triples, determinants are
-Python ints, and affine maps solved from point correspondences carry
-Fraction entries.  No floats anywhere.
+Everything here is exact: points are integer triples and determinants are
+Python ints.  No floats anywhere.  unimodular_map finds the affine map
+fixed by four point pairs in integers, when that map is integral with
+determinant +-1 (a determinant comparison, an adjugate product and a
+divisibility test); solve_affine returns the map with Fraction entries
+whatever its determinant and serves as its reference.
 
 The basic quantity is the normalized 4x4 determinant of four lattice
 points (top row of ones, points as columns), which equals the signed
@@ -15,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 IntVec3 = Tuple[int, int, int]
 
@@ -210,3 +213,35 @@ def solve_affine(src: Sequence[Sequence[int]], dst: Sequence[Sequence[int]]) -> 
         d[0][i] - sum(mat[i][j] * s[0][j] for j in range(3)) for i in range(3)
     )
     return RationalAffineMap(mat, tr)
+
+
+def unimodular_map(src: Sequence[Sequence[int]], dst: Sequence[Sequence[int]]) -> Optional[AffineMap]:
+    """Integer affine map of determinant +-1 sending src[i] -> dst[i], or None.
+
+    Same map as solve_affine(src, dst).to_integer_map(), in integers only.
+    With S and D the matrices of difference vectors of src and dst, the
+    linear part is D @ adj(S) / det S: it has determinant +-1 iff
+    |det D| == |det S|, and integer entries iff det S divides every entry
+    of D @ adj(S); the translation d_0 - M s_0 is then integral too.  The
+    source quadruple must be affinely independent (else DegenerateSource).
+    """
+    if len(src) != 4 or len(dst) != 4:
+        raise ValueError("unimodular_map needs exactly 4 source and 4 destination points")
+    s = [check_point(p) for p in src]
+    d = [check_point(p) for p in dst]
+    S = tuple(zip(*(sub(s[i], s[0]) for i in (1, 2, 3))))  # columns s_i - s_0
+    det_s = _mat_det(S)
+    if det_s == 0:
+        raise DegenerateSource("source points are coplanar")
+    D = tuple(zip(*(sub(d[i], d[0]) for i in (1, 2, 3))))
+    if abs(_mat_det(D)) != abs(det_s):
+        return None
+    adj = _adjugate(S)
+    mat = []
+    for row in D:
+        num = tuple(row[0] * adj[0][j] + row[1] * adj[1][j] + row[2] * adj[2][j] for j in range(3))
+        if any(v % det_s for v in num):
+            return None
+        mat.append(tuple(v // det_s for v in num))
+    mat = tuple(mat)
+    return AffineMap(mat, sub(d[0], _mat_vec(mat, s[0])))

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .exactlinalg import IntVec3, _adjugate, det3, det4, dot, gcd_all, sub
 from .polytope import NotFullDimensional, PointConfig, lattice_points
@@ -96,71 +94,36 @@ class SignedCircuit:
         return (self.positive, self.negative)
 
 
-def _affine_kernel(points: Sequence[IntVec3]) -> List[List[Fraction]]:
-    """Basis of affine dependences among the given points (RREF kernel)."""
-    m = len(points)
-    rows = [[Fraction(1)] * m]
-    for c in range(3):
-        rows.append([Fraction(p[c]) for p in points])
-    pivots = []
-    r = 0
-    for c in range(m):
-        pr = next((i for i in range(r, 4) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        rows[r] = [v / piv for v in rows[r]]
-        for i in range(4):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(m) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * m
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -rows[i][fc]
-        basis.append(vec)
-    return basis
-
-
-def _primitive_signed(vec: Sequence[Fraction]) -> List[int]:
-    mult = lcm(*(f.denominator for f in vec))
-    ints = [int(f * mult) for f in vec]
-    g = gcd_all(ints)
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v != 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return ints
-
-
 def circuits(config: PointConfig) -> Tuple[SignedCircuit, ...]:
     """All circuits (minimal affine dependences) of the configuration.
 
     Returned sorted by (support, sign pattern); element labels are 0-based
-    point indices.
+    point indices.  The configuration must have affine rank 4 (else
+    NotFullDimensional).  Then every circuit extends to a 5-subset of
+    rank 4, whose only affine dependence is, by Cramer's rule, its vector
+    of signed minors (-1)^k det4(subset without its k-th point); the
+    circuit is that vector's support and signs.  Cost: C(n,4) det4 values
+    and C(n,5) sign vectors, integers only.
     """
     pts = config.points
+    dets = {
+        quad: det4(*(pts[i] for i in quad))
+        for quad in itertools.combinations(range(len(pts)), 4)
+    }
+    if not any(dets.values()):
+        raise NotFullDimensional("circuits need a full-dimensional configuration")
     found = {}
-    for m in (3, 4, 5):
-        for idxs in itertools.combinations(range(len(pts)), m):
-            basis = _affine_kernel([pts[i] for i in idxs])
-            if len(basis) != 1:
-                continue
-            vec = basis[0]
-            if any(v == 0 for v in vec):
-                continue  # dependence not supported on the whole subset
-            ints = _primitive_signed(vec)
-            pos = tuple(idxs[i] for i, v in enumerate(ints) if v > 0)
-            neg = tuple(idxs[i] for i, v in enumerate(ints) if v < 0)
-            c = SignedCircuit(pos, neg)
-            found[c.support] = c
-    return tuple(sorted(found.values(), key=lambda c: (c.support, c.key())))
+    for five in itertools.combinations(range(len(pts)), 5):
+        vec = [dets[five[:k] + five[k + 1:]] for k in range(5)]
+        vec[1], vec[3] = -vec[1], -vec[3]
+        support = tuple(i for i, v in zip(five, vec) if v)
+        if not support or support in found:
+            continue
+        lead = next(v for v in vec if v)
+        pos = tuple(i for i, v in zip(five, vec) if v * lead > 0)
+        neg = tuple(i for i, v in zip(five, vec) if v * lead < 0)
+        found[support] = SignedCircuit(pos, neg)
+    return tuple(found[s] for s in sorted(found))
 
 
 # ---------------------------------------------------------------------------
@@ -173,19 +136,18 @@ C21 = "(2,1)"
 NO_COPLANARITY = "none"
 
 
-def _coplanar(points: Sequence[IntVec3]) -> bool:
-    return all(det4(*q) == 0 for q in itertools.combinations(points, 4))
-
-
 def coplanarity_class(config: PointConfig) -> str:
     """Coarsest coplanarity present, with precedence
-    five-coplanar > (3,1) > (2,2) > (2,1) > none."""
+    five-coplanar > (3,1) > (2,2) > (2,1) > none.
+
+    Six coplanar points count as five-coplanar."""
     if len(config) != 6:
         raise WrongSize(f"need 6 points, got {len(config)}")
-    pts = config.points
-    if any(_coplanar(sub5) for sub5 in itertools.combinations(pts, 5)):
+    try:
+        circs = circuits(config)
+    except NotFullDimensional:
         return FIVE_COPLANAR
-    return coplanarity_from_circuits(circuits(config))
+    return coplanarity_from_circuits(circs)
 
 
 def coplanarity_from_circuits(circs: Sequence[SignedCircuit], n: int = 6) -> str:
@@ -272,9 +234,10 @@ def width(config: PointConfig) -> Tuple[int, IntVec3]:
                 witnesses.append(_normalize_sign(f))
         if witnesses:
             witness = min(witnesses)
-            assert gcd_all(witness) == 1
+            if gcd_all(witness) != 1:
+                raise RuntimeError(f"width witness {witness} is not primitive")
             return W, witness
-    raise AssertionError("width search failed below its own upper bound")
+    raise RuntimeError("width search failed below its own upper bound")
 
 
 # ---------------------------------------------------------------------------

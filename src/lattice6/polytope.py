@@ -1,16 +1,19 @@
 """Small lattice point configurations in Z^3 and their convex hulls.
 
 A PointConfig is an ordered tuple of 4..8 distinct lattice points.  Hulls
-are computed by brute force over point triples (fine at these sizes), all
-predicates are exact, and lattice points of the hull are enumerated by a
-bounding-box scan against the facet inequalities.
+are computed by brute force over point triples (C(n,3) candidate planes,
+each tested against n points; fine at these sizes), all predicates are
+integer-exact, vertices are read off the facets through each point, and
+lattice points of the hull are enumerated column by column over the
+bounding box, each (x, y) column's z-interval read off the facet
+inequalities (cost: box area times facets, plus the points found).  Hull
+computations need affine rank 4 and raise NotFullDimensional otherwise.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, List, Sequence, Tuple
 
 from .exactlinalg import (
@@ -121,16 +124,36 @@ def hull_facets(config: PointConfig) -> Tuple[Facet, ...]:
 
 def iter_hull_lattice_points(config: PointConfig) -> Iterator[IntVec3]:
     """Yield lattice points of conv(config), lexicographically sorted."""
-    facets = hull_facets(config)
+    yield from _scan_box(config, hull_facets(config))
+
+
+def _scan_box(config: PointConfig, facets: Sequence[Facet]) -> Iterator[IntVec3]:
+    """Bounding-box points of config on the inner side of every facet.
+
+    Column by column: for fixed (x, y) each facet a*x + b*y + c*z >= offset
+    bounds z from below (c > 0) or above (c < 0), or holds or fails for
+    the whole column (c = 0), so each column costs one pass over the
+    facets plus the points it yields.
+    """
     xs = [p[0] for p in config]
     ys = [p[1] for p in config]
     zs = [p[2] for p in config]
+    z_lo, z_hi = min(zs), max(zs)
+    rows = [(f.normal, f.offset) for f in facets]
     for x in range(min(xs), max(xs) + 1):
         for y in range(min(ys), max(ys) + 1):
-            for z in range(min(zs), max(zs) + 1):
-                p = (x, y, z)
-                if all(f.value(p) >= 0 for f in facets):
-                    yield p
+            lo, hi = z_lo, z_hi
+            for (a, b, c), offset in rows:
+                r = offset - a * x - b * y  # need c * z >= r
+                if c > 0:
+                    lo = max(lo, -(-r // c))
+                elif c < 0:
+                    hi = min(hi, r // c)
+                elif r > 0:
+                    hi = lo - 1
+                    break
+            for z in range(lo, hi + 1):
+                yield (x, y, z)
 
 
 def lattice_points(config: PointConfig) -> Tuple[IntVec3, ...]:
@@ -156,74 +179,26 @@ def size_exceeds(config: PointConfig, limit: int) -> bool:
     return False
 
 
-def _solve_barycentric(q, simplex):
-    """Affine coefficients of q over an affinely independent simplex, or None."""
-    k = len(simplex)
-    # rows: one affine-combination equation per coordinate plus sum-to-one
-    rows = [[Fraction(p[i]) for p in simplex] + [Fraction(q[i])] for i in range(3)]
-    rows.append([Fraction(1)] * k + [Fraction(1)])
-    # Gaussian elimination on a 4 x (k+1) system
-    pivot_cols = []
-    r = 0
-    for c in range(k):
-        pr = next((i for i in range(r, 4) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        rows[r] = [v / piv for v in rows[r]]
-        for i in range(4):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivot_cols.append(c)
-        r += 1
-    # inconsistent system -> q not in the affine span
-    for i in range(r, 4):
-        if rows[i][k] != 0:
-            return None
-    if r < k:
-        return None  # simplex was not affinely independent
-    coeffs = [Fraction(0)] * k
-    for i, c in enumerate(pivot_cols):
-        coeffs[c] = rows[i][k]
-    return coeffs
-
-
-def point_in_hull(q: Sequence[int], points: Sequence[Sequence[int]]) -> bool:
-    """Exact membership test q in conv(points) for small point sets.
-
-    Caratheodory over all affinely independent subsets of <= 4 points:
-    q is in the hull iff some sub-simplex contains it with nonnegative
-    barycentric coordinates.
-    """
-    q = check_point(q)
-    pts = [check_point(p) for p in points]
-    if q in pts:
-        return True
-    for k in (2, 3, 4):
-        for simplex in itertools.combinations(pts, k):
-            coeffs = _solve_barycentric(q, simplex)
-            if coeffs is not None and all(c >= 0 for c in coeffs):
-                return True
-    return False
-
-
 def vertices(config: PointConfig) -> Tuple[IntVec3, ...]:
-    """Configuration points that are vertices of conv(config), in input order."""
-    out = []
-    for i, p in enumerate(config.points):
-        others = config.points[:i] + config.points[i + 1 :]
-        if not point_in_hull(p, others):
-            out.append(p)
-    return tuple(out)
+    """Configuration points that are vertices of conv(config), in input order.
+
+    A point of a 3-polytope in the relative interior of an edge lies on
+    two facets, of a facet on one, and a vertex on at least three (whose
+    inward normals have rank 3).  So a point is a vertex iff at least
+    three hull facets pass through it.  Cost: one hull_facets call.
+    """
+    facets = hull_facets(config)
+    return tuple(
+        p for p in config.points
+        if sum(1 for f in facets if f.value(p) == 0) >= 3
+    )
 
 
 def interior_points(config: PointConfig) -> Tuple[IntVec3, ...]:
     """Lattice points strictly inside conv(config), lexicographically sorted."""
     facets = hull_facets(config)
     return tuple(
-        p for p in iter_hull_lattice_points(config)
+        p for p in _scan_box(config, facets)
         if all(f.value(p) > 0 for f in facets)
     )
 

@@ -4,6 +4,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+import fraction_oracles
 from conftest import apply_map, random_unimodular, shuffled
 from lattice6.emptytetra import standard_tetrahedron
 from lattice6.equivalence import (
@@ -114,3 +115,42 @@ def test_sibling_keys_differ(bundle):
     c2 = canonical_key(bundle.class_by_id("C.2").config())
     c3 = canonical_key(bundle.class_by_id("C.3").config())
     assert c2.vector != c3.vector
+
+
+def _with_extra_points(rng, config, k):
+    pts = list(config.points)
+    while len(pts) < len(config) + k:
+        p = tuple(rng.randrange(-3, 4) for _ in range(3))
+        if p not in pts:
+            pts.append(p)
+    return PointConfig(pts)
+
+
+@given(seed=st.integers(0, 10**6), extra=st.sampled_from([0, 1, 2]))
+@settings(max_examples=20, deadline=None)
+def test_witness_matches_per_permutation_search(seed, extra):
+    """Same witness (first valid permutation and its map) as one Fraction
+    solve per permutation, on 6-, 7- and 8-point images."""
+    from lattice6.tablesdata import load_tables
+
+    rng = random.Random(seed)
+    c = _with_extra_points(rng, rng.choice(load_tables().class_rows).config(), extra)
+    img = shuffled(rng, apply_map(random_unimodular(rng), c))
+    w = equivalence_witness(c, img)
+    assert w == fraction_oracles.equivalence_witness(c, img)
+    check_witness(c, img, w)
+
+
+def test_witness_matches_oracle_on_symmetric_and_degenerate_inputs(bundle):
+    """Many valid permutations (a cube), an independent quadruple that is
+    not 0,1,2,3 (three collinear points first), and inequivalent pairs
+    that share the multiset of volumes."""
+    rng = random.Random(3)
+    cube = PointConfig([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+    collinear = PointConfig([(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 2)])
+    pairs = [(cube, shuffled(rng, apply_map(random_unimodular(rng), cube))),
+             (collinear, shuffled(rng, apply_map(random_unimodular(rng), collinear)))]
+    pairs += [(bundle.class_by_id(x).config(), bundle.class_by_id(y).config())
+              for x, y in (("G.5", "G.12"), ("G.6", "G.9"))]
+    for a, b in pairs:
+        assert equivalence_witness(a, b) == fraction_oracles.equivalence_witness(a, b)

@@ -4,16 +4,19 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import fraction_oracles
 from conftest import random_unimodular
 from lattice6.exactlinalg import (
+    AffineMap,
     DegenerateSource,
     det3,
     det4,
     gcd_all,
     is_primitive,
     solve_affine,
+    unimodular_map,
 )
 
 points = st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9))
@@ -124,3 +127,48 @@ def test_solve_affine_detects_index_three_sublattice(bundle):
     back = solve_affine([b[i] for i in idx], [a[i] for i in idx])
     assert back.det == Fraction(1, 3)
     assert not back.is_integer()
+
+
+def _scaled(m: AffineMap, k: int) -> AffineMap:
+    """m followed by a stretch of the last coordinate by k (determinant k*det m)."""
+    (r0, r1, (a, b, c)), (t0, t1, t2) = m.matrix, m.translation
+    return AffineMap((r0, r1, (k * a, k * b, k * c)), (t0, t1, k * t2))
+
+
+@given(p1=points, p2=points, p3=points, p4=points, seed=st.integers(0, 10**6),
+       kind=st.sampled_from(["unimodular", "stretched", "arbitrary"]))
+@settings(max_examples=150)
+def test_unimodular_map_matches_solve_affine(p1, p2, p3, p4, seed, kind):
+    """Integer solver against the Fraction one on unimodular images, integer
+    maps of determinant +-2 and +-3, and arbitrary (mostly non-integral)
+    targets."""
+    src = [p1, p2, p3, p4]
+    assume(det4(*src) != 0)
+    rng = random.Random(seed)
+    m = random_unimodular(rng)
+    if kind == "stretched":
+        m = _scaled(m, rng.choice([-3, -2, 2, 3]))
+    if kind == "arbitrary":
+        dst = [tuple(rng.randrange(-9, 10) for _ in range(3)) for _ in range(4)]
+    else:
+        dst = [m.apply(p) for p in src]
+    expected = fraction_oracles.unimodular_map(src, dst)
+    assert unimodular_map(src, dst) == expected
+    if kind == "unimodular":
+        assert expected == m
+    if kind == "stretched":
+        assert expected is None
+
+
+def test_unimodular_map_rejects_index_three_sublattice(bundle):
+    a = bundle.class_by_id("B.2").config().points
+    b = bundle.class_by_id("B.14").config().points
+    idx = (0, 1, 2, 4)
+    assert unimodular_map([a[i] for i in idx], [b[i] for i in idx]) is None
+    assert unimodular_map([b[i] for i in idx], [a[i] for i in idx]) is None
+
+
+def test_unimodular_map_rejects_coplanar_source():
+    flat = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
+    with pytest.raises(DegenerateSource):
+        unimodular_map(flat, UNIT)

@@ -3,8 +3,9 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import fraction_oracles
 from conftest import apply_map, random_unimodular, shuffled
 from lattice6.invariants import (
     C21,
@@ -21,7 +22,7 @@ from lattice6.invariants import (
     volume_vector6,
     width,
 )
-from lattice6.polytope import PointConfig, interior_points
+from lattice6.polytope import NotFullDimensional, PointConfig, interior_points
 from lattice6.size5 import rep22, rep32
 
 VV_A1 = (0, 0, 2, 0, 0, 4, 0, 2, 0, -4, 0, 4, -2, -8, -2)
@@ -131,6 +132,40 @@ def test_circuit_counts(bundle):
 def test_circuit_count_matches_catalog_label(bundle):
     for row in bundle.class_rows:
         assert len(circuits(row.config())) == int(row.om_label.split(".")[0]), row.id
+
+
+def test_circuits_match_oracle_on_table_rows(bundle):
+    for row in bundle.class_rows:
+        c = row.config()
+        assert circuits(c) == fraction_oracles.circuits(c), row.id
+
+
+@given(seed=st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_circuits_match_oracle_on_unimodular_images(seed):
+    from lattice6.tablesdata import load_tables
+
+    rng = random.Random(seed)
+    c = rng.choice(load_tables().class_rows).config()
+    img = shuffled(rng, apply_map(random_unimodular(rng), c))
+    assert circuits(img) == fraction_oracles.circuits(img)
+
+
+@given(pts=st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)),
+                    min_size=4, max_size=8, unique=True))
+@settings(max_examples=60, deadline=None)
+def test_circuits_match_oracle_on_small_configurations(pts):
+    """4 to 8 points in a small box: many collinear and coplanar subsets."""
+    c = PointConfig(pts)
+    assume(c.is_full_dimensional())
+    assert circuits(c) == fraction_oracles.circuits(c)
+
+
+def test_circuits_need_full_dimension():
+    flat = PointConfig([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0), (0, 3, 0)])
+    with pytest.raises(NotFullDimensional):
+        circuits(flat)
+    assert coplanarity_class(flat) == FIVE_COPLANAR
 
 
 def test_coplanarity_classes(bundle):

@@ -1,12 +1,15 @@
 """Convex hulls, lattice point enumeration and point-configuration surgery."""
 
+import itertools
 import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import fraction_oracles
 from conftest import apply_map, random_unimodular
+from fraction_oracles import point_in_hull
 from lattice6.exactlinalg import det4
 from lattice6.polytope import (
     IndexOutOfRange,
@@ -18,7 +21,6 @@ from lattice6.polytope import (
     interior_points,
     lattice_points,
     parse_points,
-    point_in_hull,
     size,
     size_exceeds,
     vertices,
@@ -155,3 +157,48 @@ def test_hull_data_is_unimodular_invariant(seed):
     assert len(interior_points(img)) == len(interior_points(c))
     assert len(hull_facets(img)) == len(hull_facets(c))
     assert {m.apply(p) for p in lattice_points(c)} == set(lattice_points(img))
+
+
+def test_vertices_match_oracle_on_table_rows(bundle):
+    for row in bundle.class_rows:
+        c = row.config()
+        assert vertices(c) == fraction_oracles.vertices(c), row.id
+
+
+@given(pts=st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)),
+                    min_size=4, max_size=8, unique=True))
+@settings(max_examples=80, deadline=None)
+def test_vertices_match_point_in_hull_oracle(pts):
+    """Small boxes put many points on edges and facets of the hull."""
+    c = PointConfig(pts)
+    assume(c.is_full_dimensional())
+    assert vertices(c) == fraction_oracles.vertices(c)
+
+
+def _box(config):
+    lo = [min(p[i] for p in config) for i in range(3)]
+    hi = [max(p[i] for p in config) for i in range(3)]
+    return itertools.product(*(range(lo[i], hi[i] + 1) for i in range(3)))
+
+
+def test_lattice_points_match_pointwise_facet_scan(bundle):
+    """Column intervals give the same points, in the same order, as testing
+    every bounding-box point against every facet."""
+    rng = random.Random(11)
+    configs = [row.config() for row in bundle.class_rows]
+    configs += [apply_map(random_unimodular(rng, 2), c) for c in configs[::4]]
+    for c in configs:
+        facets = hull_facets(c)
+        expected = tuple(p for p in _box(c) if all(f.value(p) >= 0 for f in facets))
+        assert lattice_points(c) == expected
+        assert interior_points(c) == tuple(
+            p for p in expected if all(f.value(p) > 0 for f in facets))
+
+
+@given(pts=st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1), st.integers(-1, 2)),
+                    min_size=4, max_size=6, unique=True))
+@settings(max_examples=40, deadline=None)
+def test_lattice_points_match_point_in_hull_oracle(pts):
+    c = PointConfig(pts)
+    assume(c.is_full_dimensional())
+    assert lattice_points(c) == tuple(p for p in _box(c) if point_in_hull(p, pts))
