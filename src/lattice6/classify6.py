@@ -10,8 +10,9 @@ Each ``run_case_*`` function enumerates the candidates of one branch by
 bounded scans or embedding searches, rejects candidates with recorded
 reasons, cross-checks the triangulation-emptiness size arguments against
 direct lattice-point counts, and identifies the survivors against the
-bundled tables.  ``classify_all`` runs every branch and re-verifies
-global pairwise inequivalence.  All arithmetic is exact.
+bundled tables.  ``classify_all`` runs every branch and re-verifies each
+generated witness against its table representative.  All arithmetic is
+exact.
 """
 
 import csv
@@ -19,7 +20,6 @@ import io
 import itertools
 import json
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -118,49 +118,35 @@ class CaseReport:
 
 @lru_cache(maxsize=1)
 def _row_key_index():
+    """Table row by canonical key; the keys are complete, so two rows with
+    one key would be one class listed twice."""
     index = {}
     for row in load_tables().class_rows:
-        k = canonical_key(row.config())
-        index.setdefault(k.vector, []).append(row)
+        other = index.setdefault(canonical_key(row.config()), row)
+        if other is not row:
+            raise ClassificationError(f"{other.id} and {row.id} coincide")
     return index
 
 
-def _match_row(config: PointConfig, key=None):
+def _match_row(config: PointConfig):
     """Table row equivalent to config; raises if there is none."""
-    k = key if key is not None else canonical_key(config)
-    rows = _row_key_index().get(k.vector, [])
-    if len(rows) == 1 and not k.needs_confirmation:
-        return rows[0]
-    for row in rows:
-        if are_equivalent(config, row.config()):
-            return row
-    raise ClassificationError("generated configuration matches no table row")
+    row = _row_key_index().get(canonical_key(config))
+    if row is None:
+        raise ClassificationError("generated configuration matches no table row")
+    return row
 
 
 def _dedupe(configs: Sequence[PointConfig]) -> List[PointConfig]:
-    """First-seen representatives up to equivalence.
-
-    Canonical keys decide except for non-primitive volume vectors, where
-    an explicit equivalence confirmation is required.
-    """
+    """First-seen representatives up to equivalence."""
     seen_sets = set()
-    buckets: Dict[Tuple[int, ...], List[PointConfig]] = {}
-    order: List[PointConfig] = []
+    firsts: Dict[tuple, PointConfig] = {}
     for cfg in configs:
         fs = frozenset(cfg.points)
         if fs in seen_sets:
             continue
         seen_sets.add(fs)
-        k = canonical_key(cfg)
-        bucket = buckets.setdefault(k.vector, [])
-        if bucket:
-            if not k.needs_confirmation:
-                continue
-            if any(are_equivalent(cfg, other) for other in bucket):
-                continue
-        bucket.append(cfg)
-        order.append(cfg)
-    return order
+        firsts.setdefault(canonical_key(cfg), cfg)
+    return list(firsts.values())
 
 
 def _make_class(row, generated: PointConfig) -> PolytopeClass:
@@ -759,29 +745,25 @@ _RUNNERS = (
 )
 
 
-def run_reports(jobs: Optional[int] = None) -> List[CaseReport]:
+def run_reports() -> List[CaseReport]:
     """All eight case reports, in case order; runners are independent."""
-    if jobs is None or jobs <= 1:
-        results = [runner() for runner in _RUNNERS]
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(_RUNNERS))) as pool:
-            futures = [pool.submit(runner) for runner in _RUNNERS]
-            results = [f.result() for f in futures]
     reports: List[CaseReport] = []
-    for res in results:
+    for runner in _RUNNERS:
+        res = runner()
         reports.extend(res if isinstance(res, tuple) else (res,))
     return reports
 
 
-def classify_all(jobs: Optional[int] = None) -> Tuple[CaseReport, ...]:
+def classify_all() -> Tuple[CaseReport, ...]:
     """Run every case and re-verify the assembled classification.
 
-    Checks that the 76 classes come out in table order, that every
-    generated witness is equivalent to its table representative, and that
-    classes sharing a canonical key (possible only for non-primitive
-    volume vectors) are pairwise inequivalent.
+    Checks that the 76 classes come out in table order and that every
+    generated witness is equivalent to its table representative.  The
+    table rows are pairwise inequivalent because their canonical keys,
+    which are complete, differ: _row_key_index checks that when the case
+    runners first match against it.
     """
-    reports = tuple(run_reports(jobs))
+    reports = tuple(run_reports())
     classes = [c for r in reports for c in r.classes_found]
     rows = load_tables().class_rows
     if [c.id for c in classes] != [row.id for row in rows]:
@@ -791,10 +773,6 @@ def classify_all(jobs: Optional[int] = None) -> Tuple[CaseReport, ...]:
             cls.generated, cls.representative
         ):
             raise ClassificationError(f"{cls.id}: witness is not equivalent")
-    for bucket in _row_key_index().values():
-        for r1, r2 in itertools.combinations(bucket, 2):
-            if are_equivalent(r1.config(), r2.config()):
-                raise ClassificationError(f"{r1.id} and {r2.id} coincide")
     return reports
 
 
@@ -831,10 +809,8 @@ def identify(config: PointConfig) -> Optional[str]:
     """Table id of a configuration, or None when out of classification."""
     if size(config) != 6 or width(config)[0] < 2:
         return None
-    try:
-        return _match_row(config).id
-    except ClassificationError:
-        return None
+    row = _row_key_index().get(canonical_key(config))
+    return None if row is None else row.id
 
 
 # ---------------------------------------------------------------------------

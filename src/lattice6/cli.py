@@ -5,7 +5,6 @@ Exit codes: 0 success (or "equivalent"), 1 verification failure or
 """
 
 import argparse
-import os
 import sys
 
 from .polytope import (
@@ -143,10 +142,9 @@ def _single_case_reports(case: str):
 
 
 def cmd_classify(args) -> int:
-    jobs = args.jobs
     try:
         if args.case == "all":
-            reports = list(classify6.classify_all(jobs))
+            reports = list(classify6.classify_all())
         else:
             reports = _single_case_reports(args.case)
     except classify6.ClassificationError as exc:
@@ -272,6 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", choices=_CASE_CHOICES, default="all")
     p.add_argument("--out", help="write the classes to this path")
     p.add_argument("--format", choices=_FMT_CHOICES, default="json")
+    p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("equiv", help="test two points files for equivalence")
@@ -282,18 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("catalog", help="dump a bundled catalog")
     p.add_argument("--what", choices=("oms", "classes", "size5"), default="classes")
     p.set_defaults(func=cmd_catalog)
-
-    for sp in sub.choices.values():
-        sp.add_argument("--jobs", type=int, default=_default_jobs())
-        sp.add_argument("--verbose", action="store_true")
     return parser
-
-
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("LATTICE6_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def main(argv=None) -> int:

@@ -6,10 +6,10 @@ to relabeling: such a map is fixed by the images of one independent
 quadruple, so each injective image of it is solved once, in integers,
 and the map is checked on all points.
 
-For 6-point configurations with unimodular volume vector (gcd 1) the
-volume vector determines the class outright, which gives a fast canonical
-key; keys with gcd > 1 are flagged so callers confirm with
-are_equivalent.
+For 6-point configurations canonical_key is a complete invariant (equal
+keys iff equivalent): the minimal volume vector over relabelings, and the
+minimal Hermite normal form of the point differences over the relabelings
+that reach it (Grinis-Kasprzyk, arXiv:1301.6641; PALP, math/0204356).
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from .exactlinalg import AffineMap, det4, gcd_all, unimodular_map
+from .exactlinalg import AffineMap, det4, hermite_normal_form, sub, unimodular_map
 from .invariants import QUADS6, WrongSize, volume_vector6
 from .polytope import PointConfig, independent_quadruple
 
@@ -101,26 +101,28 @@ def are_equivalent(a: PointConfig, b: PointConfig) -> bool:
     return equivalence_witness(a, b) is not None
 
 
-class CanonicalKey(NamedTuple):
-    vector: Tuple[int, ...]
-    needs_confirmation: bool
+def canonical_key(config: PointConfig) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]:
+    """Complete invariant (best, form) of a 6-point configuration.
 
-    def as_string(self) -> str:
-        tag = "?" if self.needs_confirmation else ""
-        return ",".join(str(w) for w in self.vector) + tag
-
-
-def canonical_key(config: PointConfig) -> CanonicalKey:
-    """Lexicographically minimal volume vector over relabelings and sign.
-
-    Equal keys with needs_confirmation False certify equivalence; keys
-    with gcd > 1 only certify the vector and callers must confirm with
-    are_equivalent.
+    best is the lexicographically minimal volume vector over relabelings
+    and sign; form is the minimal row Hermite normal form of the 3x5 matrix
+    of differences p_i - p_0 over the relabelings that reach best.  A
+    unimodular map multiplies that matrix on the left by a GL_3(Z) element,
+    which the normal form undoes.  best[0] = -max|det4| != 0, so points 0-3
+    of every minimizing relabeling are independent.
     """
     if len(config) != 6:
         raise WrongSize(f"need 6 points, got {len(config)}")
     vv = volume_vector6(config)
     neg = tuple(-w for w in vv)
     signed = (vv + neg, neg + vv)
-    best = min(get(ext) for get in _relabel_table().values() for ext in signed)
-    return CanonicalKey(best, gcd_all(best) != 1)
+    table = _relabel_table()
+    vectors = [get(ext) for get in table.values() for ext in signed]
+    best = min(vectors)
+    perms = list(table)
+    pts = config.points
+    form = min(
+        hermite_normal_form(tuple(zip(*(sub(pts[j], pts[perm[0]]) for j in perm[1:]))))
+        for perm in (perms[k // 2] for k, v in enumerate(vectors) if v == best)
+    )
+    return best, form

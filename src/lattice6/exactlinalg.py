@@ -6,6 +6,8 @@ fixed by four point pairs in integers, when that map is integral with
 determinant +-1 (a determinant comparison, an adjugate product and a
 divisibility test); solve_affine returns the map with Fraction entries
 whatever its determinant and serves as its reference.
+hermite_normal_form is the normal form of an integer matrix under left
+multiplication by GL_n(Z).
 
 The basic quantity is the normalized 4x4 determinant of four lattice
 points (top row of ones, points as columns), which equals the signed
@@ -92,6 +94,41 @@ def gcd_all(values: Iterable[int]) -> int:
 def is_primitive(v: Iterable[int]) -> bool:
     """True for an integer vector whose entries have gcd 1 (never for 0)."""
     return gcd_all(v) == 1
+
+
+def hermite_normal_form(rows: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
+    """Row Hermite normal form of an integer matrix (Cohen, GTM 138, 2.4).
+
+    The unique U @ rows, U in GL_n(Z), in row echelon form with positive
+    pivots, zero rows last and entries above each pivot in [0, pivot); so
+    two matrices share it iff one is U @ the other.  Per column, Euclid's
+    algorithm on the unused rows leaves one nonzero entry, the pivot.
+    """
+    h = [list(r) for r in rows]
+    top = 0
+    for col in range(len(h[0]) if h else 0):
+        if top == len(h):
+            break
+        while True:
+            live = [i for i in range(top, len(h)) if h[i][col]]
+            if not live:
+                break
+            piv = min(live, key=lambda i: abs(h[i][col]))
+            h[top], h[piv] = h[piv], h[top]
+            if len(live) == 1:
+                break
+            for i in range(top + 1, len(h)):
+                q = h[i][col] // h[top][col]
+                h[i] = [a - q * b for a, b in zip(h[i], h[top])]
+        if not h[top][col]:
+            continue
+        if h[top][col] < 0:
+            h[top] = [-a for a in h[top]]
+        for i in range(top):
+            q = h[i][col] // h[top][col]
+            h[i] = [a - q * b for a, b in zip(h[i], h[top])]
+        top += 1
+    return tuple(tuple(r) for r in h)
 
 
 def _mat_vec(m, v):

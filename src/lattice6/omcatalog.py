@@ -296,15 +296,6 @@ def match_om(config: PointConfig) -> Tuple[OMRecord, Tuple[int, ...]]:
     return rec, perm
 
 
-def match_circuits(circs: Sequence[SignedCircuit]) -> Tuple[OMRecord, Tuple[int, ...]]:
-    """match_om for an already-computed circuit list."""
-    form, perm = canonical_circuit_form(circs)
-    rec = _catalog_index().get(form)
-    if rec is None:
-        raise NoMatch(f"circuits {form} not in catalog")
-    return rec, perm
-
-
 def export_records() -> List[dict]:
     """JSON-ready catalog: circuits use 1-based element labels."""
     out = []

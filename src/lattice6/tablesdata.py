@@ -20,7 +20,7 @@ from importlib import resources
 from typing import Dict, List, Optional, Tuple
 
 from .exactlinalg import IntVec3
-from .invariants import is_dps, signature5, volume_vector5, volume_vector6, width
+from .invariants import _functional_range, is_dps, signature5, volume_vector5, volume_vector6, width
 from .omcatalog import match_om
 from .polytope import PointConfig, Facet, hull_facets, size, vertices
 
@@ -226,11 +226,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.mismatches
-
-
-def _functional_range(f: IntVec3, pts) -> int:
-    vals = [f[0] * x + f[1] * y + f[2] * z for (x, y, z) in pts]
-    return max(vals) - min(vals)
 
 
 def validate_tables(bundle: Optional[TableBundle] = None) -> ValidationReport:

@@ -1,9 +1,14 @@
 """The case-by-case classification drivers and their reports."""
 
+import dataclasses
 import json
+import random
+import types
 
 import pytest
 
+from conftest import apply_map, random_unimodular, shuffled
+from lattice6 import classify6
 from lattice6.classify6 import (
     BadParameters,
     case_of,
@@ -116,6 +121,24 @@ def test_identify_generated_configs(case_reports, bundle):
     for r in by_case(case_reports).values():
         for cls in r.classes_found:
             assert identify(cls.generated) == cls.id
+
+
+def test_row_key_index_rejects_equivalent_rows(bundle, monkeypatch):
+    """A table row that is an image of another row has the same complete
+    key, so building the index fails instead of listing one class twice."""
+    rng = random.Random(14)
+    row = bundle.class_by_id("B.14")
+    img = shuffled(rng, apply_map(random_unimodular(rng), row.config()))
+    twin = dataclasses.replace(row, id="B.16", representative=img.points)
+    monkeypatch.setattr(classify6, "load_tables",
+                        lambda: types.SimpleNamespace(class_rows=(*bundle.class_rows, twin)))
+    classify6._row_key_index.cache_clear()
+    try:
+        with pytest.raises(classify6.ClassificationError, match="B.14 and B.16 coincide"):
+            classify6._row_key_index()
+    finally:
+        monkeypatch.undo()
+        classify6._row_key_index.cache_clear()
 
 
 def test_width1_family_members():

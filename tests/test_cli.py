@@ -7,7 +7,7 @@ import pytest
 from conftest import apply_map, random_unimodular, shuffled
 import random
 
-from lattice6.cli import build_parser, main
+from lattice6.cli import main
 from lattice6.polytope import format_points
 
 
@@ -187,9 +187,3 @@ def test_bad_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["catalog", "oms"])
     assert exc.value.code == 2
-
-
-def test_jobs_default_from_environment(monkeypatch):
-    monkeypatch.setenv("LATTICE6_JOBS", "3")
-    args = build_parser().parse_args(["classify", "--case", "A"])
-    assert args.jobs == 3

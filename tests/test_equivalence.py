@@ -12,11 +12,10 @@ from lattice6.equivalence import (
     canonical_key,
     equivalence_witness,
 )
-from lattice6.invariants import volume_vector5
+from lattice6.invariants import volume_vector5, volume_vector6
 from lattice6.polytope import PointConfig
 from lattice6.size5 import apex_config_31
-
-NEEDS_CONFIRMATION = {"A.1", "A.2", "B.14", "B.15", "C.3"}
+from lattice6.tablesdata import GCD_EXCEPTIONS
 
 
 def check_witness(a, b, witness):
@@ -95,26 +94,69 @@ def test_canonical_key_is_invariant(bundle):
 
 
 def test_table_keys_are_pairwise_distinct(bundle):
-    keys = {row.id: canonical_key(row.config()) for row in bundle.class_rows}
-    assert len({k.vector for k in keys.values()}) == 76
-    flagged = {cid for cid, k in keys.items() if k.needs_confirmation}
-    assert flagged == NEEDS_CONFIRMATION
+    keys = {canonical_key(row.config()) for row in bundle.class_rows}
+    assert len(keys) == 76
+    assert len({best for best, _ in keys}) == 76
 
 
 def test_flagged_keys_confirmed_by_search(bundle):
-    """Non-primitive volume vectors need the permutation search as tiebreaker."""
-    ids = sorted(NEEDS_CONFIRMATION)
+    """The rows whose volume vector has gcd > 1, where the vector alone is
+    not a complete invariant, have distinct keys and are pairwise
+    inequivalent by the permutation search."""
+    ids = sorted(GCD_EXCEPTIONS)
     for i, a in enumerate(ids):
+        ca = bundle.class_by_id(a).config()
         for b in ids[i + 1:]:
-            assert not are_equivalent(
-                bundle.class_by_id(a).config(), bundle.class_by_id(b).config()
-            ), (a, b)
+            cb = bundle.class_by_id(b).config()
+            assert canonical_key(ca) != canonical_key(cb), (a, b)
+            assert not are_equivalent(ca, cb), (a, b)
 
 
 def test_sibling_keys_differ(bundle):
     c2 = canonical_key(bundle.class_by_id("C.2").config())
     c3 = canonical_key(bundle.class_by_id("C.3").config())
-    assert c2.vector != c3.vector
+    assert c2 != c3
+
+
+def _halved(x):
+    """diag(1/2, 2, 1) x for x in 2Z x Z x Z.  The rational map has
+    determinant 1, so x and its image share their volume vector, but they
+    are usually not unimodularly equivalent."""
+    return PointConfig([(a // 2, 2 * b, c) for a, b, c in x.points])
+
+
+def _random_even_config(rng):
+    """Six full-dimensional points with even first coordinates."""
+    while True:
+        xs = {(2 * rng.randrange(-2, 3), rng.randrange(-2, 3), rng.randrange(-2, 3))
+              for _ in range(6)}
+        if len(xs) == 6 and any(volume_vector6(PointConfig(sorted(xs)))):
+            return PointConfig(sorted(xs))
+
+
+def test_key_equality_matches_witness_search(bundle):
+    """canonical_key is complete: equal keys exactly when equivalence_witness
+    finds a map, on relabeled unimodular images of every row, on the rows
+    whose |volume| multisets agree, and on pairs with equal volume vectors."""
+    rng = random.Random(5)
+    rows = bundle.class_rows
+    pairs = [(row.config(), shuffled(rng, apply_map(random_unimodular(rng), row.config())))
+             for row in rows]
+    pairs += [(pairs[i][0], pairs[i + 1][1]) for i in range(0, len(rows) - 1, 3)]
+    pairs += [(bundle.class_by_id(x).config(), bundle.class_by_id(y).config())
+              for x, y in (("G.5", "G.12"), ("G.6", "G.9"))]
+    example = PointConfig([(-2, -2, 2), (0, 2, -1), (0, 2, 1), (2, 0, 1), (2, 1, -2), (4, -1, 0)])
+    halved = [(x, _halved(x)) for x in [example] + [_random_even_config(rng) for _ in range(40)]]
+    halved += [(x, shuffled(rng, apply_map(random_unimodular(rng), y))) for x, y in halved[:10]]
+    for x, y in halved:
+        assert canonical_key(x)[0] == canonical_key(y)[0]
+    pairs += halved
+    outcomes = set()
+    for a, b in pairs:
+        equivalent = equivalence_witness(a, b) is not None
+        assert (canonical_key(a) == canonical_key(b)) == equivalent, (a.points, b.points)
+        outcomes.add(equivalent)
+    assert outcomes == {True, False}
 
 
 def _with_extra_points(rng, config, k):

@@ -14,6 +14,7 @@ from lattice6.exactlinalg import (
     det3,
     det4,
     gcd_all,
+    hermite_normal_form,
     is_primitive,
     solve_affine,
     unimodular_map,
@@ -172,3 +173,50 @@ def test_unimodular_map_rejects_coplanar_source():
     flat = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
     with pytest.raises(DegenerateSource):
         unimodular_map(flat, UNIT)
+
+
+def _is_hermite(h):
+    """Row echelon with positive pivots, entries above each pivot in
+    [0, pivot), zero rows last."""
+    last = -1
+    for i, row in enumerate(h):
+        nz = [j for j, v in enumerate(row) if v]
+        if not nz:
+            if any(any(r) for r in h[i:]):
+                return False
+            continue
+        j = nz[0]
+        if j <= last or row[j] <= 0:
+            return False
+        if any(not 0 <= h[k][j] < row[j] for k in range(i)):
+            return False
+        last = j
+    return True
+
+
+def test_hermite_normal_form_examples():
+    assert hermite_normal_form([[2, 4, 6], [1, 3, 5]]) == ((1, 1, 1), (0, 2, 4))
+    assert hermite_normal_form([[-3, 1], [6, 0]]) == ((3, 1), (0, 2))
+    assert hermite_normal_form([[0, 2, 4], [0, 3, 6]]) == ((0, 1, 2), (0, 0, 0))
+    assert hermite_normal_form([[0, 0], [0, 0]]) == ((0, 0), (0, 0))
+    assert hermite_normal_form([]) == ()
+
+
+def test_hermite_normal_form_is_a_normal_form():
+    """The form is Hermite, fixed by itself, unchanged by GL_3(Z) on the
+    left, and its pivots multiply to +- the input's minor on their columns."""
+    rng = random.Random(8)
+    for trial in range(200):
+        a = [[rng.randrange(-6, 7) for _ in range(5)] for _ in range(3)]
+        if trial % 5 == 0:
+            a[2] = [x + 2 * y for x, y in zip(a[0], a[1])]  # rank 2
+        h = hermite_normal_form(a)
+        assert _is_hermite(h), (a, h)
+        assert hermite_normal_form(h) == h
+        u = random_unimodular(rng).matrix
+        ua = [[sum(u[i][k] * a[k][j] for k in range(3)) for j in range(5)] for i in range(3)]
+        assert hermite_normal_form(ua) == h
+        if any(h[2]):
+            piv_cols = [next(j for j, v in enumerate(row) if v) for row in h]
+            minor = det3(*(tuple(row[j] for row in a) for j in piv_cols))
+            assert h[0][piv_cols[0]] * h[1][piv_cols[1]] * h[2][piv_cols[2]] == abs(minor)
