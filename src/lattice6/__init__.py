@@ -12,20 +12,16 @@ __version__ = "0.1.0"
 from .exactlinalg import (
     AffineMap,
     DegenerateSource,
-    RationalAffineMap,
     det4,
     gcd_all,
     is_primitive,
-    solve_affine,
 )
 
 __all__ = [
     "AffineMap",
     "DegenerateSource",
-    "RationalAffineMap",
     "det4",
     "gcd_all",
     "is_primitive",
-    "solve_affine",
     "__version__",
 ]

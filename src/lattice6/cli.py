@@ -69,8 +69,6 @@ def _om_label(config: PointConfig) -> str:
 def cmd_analyze(args) -> int:
     config = _read_config(args.points_file)
     n = len(config.points)
-    if not 4 <= n <= 8:
-        raise ValueError(f"expected 4 to 8 points, got {n}")
     nsize = size(config)
     verts = vertices(config)
     inner = interior_points(config)

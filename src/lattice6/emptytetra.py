@@ -1,7 +1,7 @@
 """Empty lattice tetrahedra and their (p, q) normal forms.
 
 A lattice tetrahedron is empty when its only lattice points are its four
-vertices.  Every empty tetrahedron is equivalent to
+vertices.  By White's theorem every empty tetrahedron is equivalent to
 T(p,q) = conv{(0,0,0), (1,0,0), (0,0,1), (p,q,1)} with q = its volume and
 gcd(p,q) = 1, and T(p,q) ~ T(p',q) iff p' = +-p^{+-1} (mod q).
 
@@ -10,103 +10,35 @@ tetrahedron is empty iff some pair of opposite edges is primitive and
 admits an integer functional constant on each edge of the pair with the
 two values differing by 1 (then every lattice point lies on one of the
 two edges).
+
+The type is read off the row Hermite normal form of the edge matrix
+(columns v_i - v_0).  Every facet of an empty tetrahedron is a unimodular
+triangle, so that form is [[1,0,a],[0,1,b],[0,0,q]] whatever the vertex
+order, and the tetrahedron is equivalent to conv{0, e1, e2, (a,b,q)}.
+There e3 has barycentric coordinates (a+b-1, -a, -b, 1)/q, which for an
+empty tetrahedron pair up as (p, -p, 1, -1)/q: the vertex with 1 pairs
+with e1 when a = 1 (mod q), leaving p = b, and otherwise with e2 or 0,
+leaving p = a.
 """
 
 from __future__ import annotations
 
-import itertools
 from math import gcd
 from typing import Optional, Sequence, Tuple
 
 from .exactlinalg import (
     IntVec3,
-    add,
     check_point,
     cross,
     det4,
     dot,
     gcd_all,
+    hermite_normal_form,
     is_primitive,
     sub,
-    _adjugate,
-    _mat_det,
 )
 
 _EDGE_PAIRS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
-
-
-def _ext_gcd(a: int, b: int) -> Tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def solve_dot_one(f: Sequence[int]) -> IntVec3:
-    """Integer w with f . w = 1 for a primitive integer vector f."""
-    f1, f2, f3 = f
-    g12, a1, a2 = _ext_gcd(f1, f2)
-    g, b1, b3 = _ext_gcd(g12, f3)
-    if g != 1:
-        raise ValueError("functional is not primitive")
-    return (b1 * a1, b1 * a2, b3)
-
-
-def _hnf_two_rows(rows):
-    """Two basis vectors of the rank-2 lattice spanned by the given rows."""
-    rows = [list(r) for r in rows if any(r)]
-    # column-style Euclid: sweep each coordinate in turn
-    basis = []
-    for col in range(3):
-        while True:
-            nz = [r for r in rows if r[col] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda r: abs(r[col]))
-            a, b = nz[0], nz[1]
-            q = b[col] // a[col]
-            for i in range(3):
-                b[i] -= q * a[i]
-            rows = [r for r in rows if any(r)]
-        nz = [r for r in rows if r[col] != 0]
-        if nz:
-            basis.append(nz[0])
-            rows = [r for r in rows if r is not nz[0]]
-    return basis
-
-
-def unimodular_with_last_row(f: Sequence[int]) -> Tuple[IntVec3, IntVec3, IntVec3]:
-    """Rows of a unimodular integer matrix whose last row is the primitive f.
-
-    Built from a vector w with f.w = 1 and a lattice basis (b1, b2) of
-    ker(f): the inverse of the column matrix [b1 b2 w] has rows
-    (g1, g2, f).
-    """
-    w = solve_dot_one(f)
-    gens = []
-    for i in range(3):
-        e = [0, 0, 0]
-        e[i] = 1
-        gens.append(tuple(e[j] - f[i] * w[j] for j in range(3)))
-    b1, b2 = _hnf_two_rows(gens)
-    cols = (tuple(b1), tuple(b2), tuple(w))
-    B = tuple(zip(*cols))  # matrix with columns b1, b2, w
-    d = _mat_det(B)
-    if d not in (1, -1):
-        raise RuntimeError(f"basis of ker {tuple(f)} plus w has determinant {d}")
-    adj = _adjugate(B)
-    M = tuple(tuple(v // d for v in row) for row in adj)
-    if M[2] != tuple(f):
-        raise RuntimeError(f"last row {M[2]} differs from {tuple(f)}")
-    return M
 
 
 def _width_one_pair(pts) -> Optional[Tuple[Tuple[int, int], Tuple[int, int], IntVec3]]:
@@ -145,47 +77,14 @@ def white_type(points: Sequence[Sequence[int]]) -> Optional[Tuple[int, int]]:
     non-empty input gives None.
     """
     pts = [check_point(p) for p in points]
-    if len(pts) != 4:
-        raise ValueError(f"need 4 points, got {len(pts)}")
-    q = abs(det4(*pts))
-    if q == 0:
+    if not is_empty_tetrahedron(pts):
         return None
-    pair = _width_one_pair(pts)
-    if pair is None:
-        return None
-    (i, j), (k, l), f = pair
-    if dot(f, sub(pts[k], pts[i])) < 0:
-        f = (-f[0], -f[1], -f[2])
-    rows = unimodular_with_last_row(f)
-
-    def apply(p):
-        return tuple(dot(rows[r], p) for r in range(3))
-
-    a, b = apply(pts[i]), apply(pts[j])
-    c, d = apply(pts[k]), apply(pts[l])
-    # translate a to the origin; now a,b at height 0 and c,d at height 1
-    b, c, d = sub(b, a), sub(c, a), sub(d, a)
-    if (b[2], c[2], d[2]) != (0, 1, 1):
-        raise RuntimeError(f"edge heights {(b[2], c[2], d[2])}, expected (0, 1, 1)")
-    # 2D unimodular move sending b to (1,0,0)
-    g, x, y = _ext_gcd(b[0], b[1])
-    if g != 1:
-        raise RuntimeError(f"edge vector {b} is not primitive")
-    u2 = (x, y)
-    v2 = (-b[1], b[0])
-    twod = lambda p: (u2[0] * p[0] + u2[1] * p[1], v2[0] * p[0] + v2[1] * p[1], p[2])
-    b, c, d = twod(b), twod(c), twod(d)
-    if b != (1, 0, 0):
-        raise RuntimeError(f"edge vector moved to {b}, expected (1, 0, 0)")
-    # shear so that c becomes (0,0,1)
-    shear = lambda p: (p[0] - c[0] * p[2], p[1] - c[1] * p[2], p[2])
-    d = shear(d)
-    p_raw, q_raw = d[0], d[1]
-    if abs(q_raw) != q:
-        raise RuntimeError(f"normal form height {q_raw} differs from volume {q}")
-    if q_raw < 0:
-        q_raw, p_raw = -q_raw, p_raw  # negate y; x untouched
-    return canonical_type(p_raw, q)
+    h = hermite_normal_form(list(zip(*(sub(v, pts[0]) for v in pts[1:]))))
+    if [row[:2] for row in h] != [(1, 0), (0, 1), (0, 0)]:
+        raise RuntimeError(f"edge matrix Hermite form {h} is not [[1,0,a],[0,1,b],[0,0,q]]")
+    a, b, q = h[0][2], h[1][2], h[2][2]
+    # 0 <= a, b < q, so a = 1 (mod q) is a == 1 for q > 1; for q = 1, a = b = 0
+    return canonical_type(b if a == 1 else a, q)
 
 
 def canonical_type(p: int, q: int) -> Tuple[int, int]:

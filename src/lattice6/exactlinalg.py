@@ -1,13 +1,11 @@
-"""Exact integer/rational linear algebra for lattice point configurations.
+"""Exact integer linear algebra for lattice point configurations.
 
 Everything here is exact: points are integer triples and determinants are
-Python ints.  No floats anywhere.  unimodular_map finds the affine map
-fixed by four point pairs in integers, when that map is integral with
-determinant +-1 (a determinant comparison, an adjugate product and a
-divisibility test); solve_affine returns the map with Fraction entries
-whatever its determinant and serves as its reference.
-hermite_normal_form is the normal form of an integer matrix under left
-multiplication by GL_n(Z).
+Python ints.  No floats and no rationals anywhere.  unimodular_map finds
+the affine map fixed by four point pairs in integers, when that map is
+integral with determinant +-1 (a determinant comparison, an adjugate
+product and a divisibility test).  hermite_normal_form is the normal form
+of an integer matrix under left multiplication by GL_n(Z).
 
 The basic quantity is the normalized 4x4 determinant of four lattice
 points (top row of ones, points as columns), which equals the signed
@@ -17,8 +15,7 @@ volume 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -175,9 +172,6 @@ class AffineMap:
     def det(self) -> int:
         return _mat_det(self.matrix)
 
-    def is_unimodular(self) -> bool:
-        return self.det in (1, -1)
-
     def apply(self, p: Sequence[int]) -> IntVec3:
         return add(_mat_vec(self.matrix, p), self.translation)
 
@@ -185,77 +179,9 @@ class AffineMap:
         return self.apply(p)
 
 
-@dataclass(frozen=True)
-class RationalAffineMap:
-    """Rational affine map x -> matrix @ x + translation, Fraction entries.
-
-    Fractions are kept in lowest terms with positive denominators (the
-    fractions module guarantees both).
-    """
-
-    matrix: Tuple[Tuple[Fraction, Fraction, Fraction], ...]
-    translation: Tuple[Fraction, Fraction, Fraction]
-
-    @property
-    def det(self) -> Fraction:
-        return _mat_det(self.matrix)
-
-    def apply(self, p: Sequence[int]) -> Tuple[Fraction, Fraction, Fraction]:
-        return tuple(
-            sum(self.matrix[i][j] * p[j] for j in range(3)) + self.translation[i]
-            for i in range(3)
-        )
-
-    def __call__(self, p):
-        return self.apply(p)
-
-    def is_integer(self) -> bool:
-        entries = [e for row in self.matrix for e in row] + list(self.translation)
-        return all(e.denominator == 1 for e in entries)
-
-    def to_integer_map(self) -> AffineMap:
-        if not self.is_integer():
-            raise ValueError("map has non-integer entries")
-        mat = tuple(tuple(int(e) for e in row) for row in self.matrix)
-        tr = tuple(int(e) for e in self.translation)
-        return AffineMap(mat, tr)
-
-
-def solve_affine(src: Sequence[Sequence[int]], dst: Sequence[Sequence[int]]) -> RationalAffineMap:
-    """Unique rational affine map sending src[i] -> dst[i] for 4 point pairs.
-
-    The source quadruple must be affinely independent; otherwise
-    DegenerateSource is raised.  The destination may be anything (the
-    solved map can be singular).
-    """
-    if len(src) != 4 or len(dst) != 4:
-        raise ValueError("solve_affine needs exactly 4 source and 4 destination points")
-    s = [check_point(p) for p in src]
-    d = [check_point(p) for p in dst]
-    S = tuple(zip(*(sub(s[i], s[0]) for i in (1, 2, 3))))  # columns s_i - s_0
-    det_s = _mat_det(S)
-    if det_s == 0:
-        raise DegenerateSource("source points are coplanar")
-    D = tuple(zip(*(sub(d[i], d[0]) for i in (1, 2, 3))))
-    adj = _adjugate(S)
-    # M = D @ S^{-1} = D @ adj(S) / det(S)
-    mat = tuple(
-        tuple(
-            Fraction(sum(D[i][k] * adj[k][j] for k in range(3)), det_s)
-            for j in range(3)
-        )
-        for i in range(3)
-    )
-    tr = tuple(
-        d[0][i] - sum(mat[i][j] * s[0][j] for j in range(3)) for i in range(3)
-    )
-    return RationalAffineMap(mat, tr)
-
-
 def unimodular_map(src: Sequence[Sequence[int]], dst: Sequence[Sequence[int]]) -> Optional[AffineMap]:
     """Integer affine map of determinant +-1 sending src[i] -> dst[i], or None.
 
-    Same map as solve_affine(src, dst).to_integer_map(), in integers only.
     With S and D the matrices of difference vectors of src and dst, the
     linear part is D @ adj(S) / det S: it has determinant +-1 iff
     |det D| == |det S|, and integer entries iff det S divides every entry

@@ -201,6 +201,12 @@ def shape_of(config: PointConfig) -> str:
 
 
 def interior_count(config: PointConfig) -> int:
+    """Configuration points strictly inside the hull.
+
+    Counts only the given points, not every interior lattice point as
+    polytope.interior_points does; the two agree when the configuration
+    is all of the polytope's lattice points, as for the 76 classes.
+    """
     facets = hull_facets(config)
     return sum(1 for p in config.points
                if all(f.value(p) > 0 for f in facets))

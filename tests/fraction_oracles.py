@@ -3,18 +3,30 @@
 The library computes circuits, vertices and equivalence witnesses in
 integers only.  These are the straightforward rational versions they
 replaced: Gaussian elimination over Fraction for affine dependences and
-barycentric coordinates, and a witness search that solves one affine map
-per permutation.  Slow, but simple enough to trust.
+barycentric coordinates, the affine map fixed by four point pairs with
+Fraction entries whatever its determinant (the reference for
+exactlinalg.unimodular_map), and a witness search that solves one affine
+map per permutation.  Slow, but simple enough to trust.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
-from lattice6.exactlinalg import AffineMap, IntVec3, check_point, gcd_all, solve_affine
+from lattice6.exactlinalg import (
+    AffineMap,
+    DegenerateSource,
+    IntVec3,
+    _adjugate,
+    _mat_det,
+    check_point,
+    gcd_all,
+    sub,
+)
 from lattice6.invariants import SignedCircuit
 from lattice6.polytope import PointConfig, independent_quadruple
 
@@ -133,6 +145,75 @@ def vertices(config: PointConfig) -> Tuple[IntVec3, ...]:
     """Points outside the hull of the others, in input order."""
     pts = config.points
     return tuple(p for i, p in enumerate(pts) if not point_in_hull(p, pts[:i] + pts[i + 1:]))
+
+
+@dataclass(frozen=True)
+class RationalAffineMap:
+    """Rational affine map x -> matrix @ x + translation, Fraction entries.
+
+    Fractions are kept in lowest terms with positive denominators (the
+    fractions module guarantees both).
+    """
+
+    matrix: Tuple[Tuple[Fraction, Fraction, Fraction], ...]
+    translation: Tuple[Fraction, Fraction, Fraction]
+
+    @property
+    def det(self) -> Fraction:
+        return _mat_det(self.matrix)
+
+    def apply(self, p: Sequence[int]) -> Tuple[Fraction, Fraction, Fraction]:
+        return tuple(
+            sum(self.matrix[i][j] * p[j] for j in range(3)) + self.translation[i]
+            for i in range(3)
+        )
+
+    def __call__(self, p):
+        return self.apply(p)
+
+    def is_integer(self) -> bool:
+        entries = [e for row in self.matrix for e in row] + list(self.translation)
+        return all(e.denominator == 1 for e in entries)
+
+    def to_integer_map(self) -> AffineMap:
+        if not self.is_integer():
+            raise ValueError("map has non-integer entries")
+        mat = tuple(tuple(int(e) for e in row) for row in self.matrix)
+        tr = tuple(int(e) for e in self.translation)
+        return AffineMap(mat, tr)
+
+
+def solve_affine(src: Sequence[Sequence[int]], dst: Sequence[Sequence[int]]) -> RationalAffineMap:
+    """Unique rational affine map sending src[i] -> dst[i] for 4 point pairs.
+
+    The source quadruple must be affinely independent; otherwise
+    DegenerateSource is raised.  The destination may be anything (the
+    solved map can be singular).
+    """
+    if len(src) != 4 or len(dst) != 4:
+        raise ValueError("solve_affine needs exactly 4 source and 4 destination points")
+    s = [check_point(p) for p in src]
+    d = [check_point(p) for p in dst]
+    S = tuple(zip(*(sub(s[i], s[0]) for i in (1, 2, 3))))  # columns s_i - s_0
+    det_s = _mat_det(S)
+    if det_s == 0:
+        raise DegenerateSource("source points are coplanar")
+    D = tuple(zip(*(sub(d[i], d[0]) for i in (1, 2, 3))))
+    adj = _adjugate(S)
+    # M = D @ S^{-1} = D @ adj(S) / det(S)
+    mat = tuple(
+        tuple(
+            Fraction(sum(D[i][k] * adj[k][j] for k in range(3)), det_s)
+            for j in range(3)
+        )
+        for i in range(3)
+    )
+    tr = tuple(
+        d[0][i] - sum(mat[i][j] * s[0][j] for j in range(3)) for i in range(3)
+    )
+    return RationalAffineMap(mat, tr)
+
+
 
 
 def unimodular_map(src, dst) -> Optional[AffineMap]:

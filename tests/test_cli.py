@@ -75,6 +75,14 @@ def test_analyze_rejects_malformed_input(tmp_path, capsys):
     assert "line 1" in err
 
 
+def test_analyze_rejects_point_count(tmp_path, capsys):
+    for k in (3, 9):
+        path = write_config(tmp_path, f"n{k}.txt", [(i, i * i, i ** 3) for i in range(k)])
+        rc = main(["analyze", path])
+        assert rc == 2
+        assert f"need 4..8 points, got {k}" in capsys.readouterr().err
+
+
 def test_analyze_missing_file(capsys):
     rc = main(["analyze", "/nonexistent/points.txt"])
     assert rc == 2

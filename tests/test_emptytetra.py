@@ -1,5 +1,6 @@
 """Empty tetrahedra: emptiness test, (p,q) types and their equivalence rule."""
 
+import itertools
 import math
 import random
 
@@ -15,7 +16,7 @@ from lattice6.emptytetra import (
     white_classes,
     white_type,
 )
-from lattice6.exactlinalg import det4
+from lattice6.exactlinalg import AffineMap, det4
 from lattice6.polytope import PointConfig, lattice_points
 
 UNIT = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
@@ -109,3 +110,22 @@ def test_white_type_is_unimodular_invariant(seed, p, q):
     img = [m.apply(x) for x in t]
     assert white_type(img) == white_type(t)
     assert types_equivalent(white_type(img), canonical_type(p % q if q > 1 else 0, q))
+
+
+def test_white_type_ignores_vertex_order():
+    """The Hermite read-off takes p from a or b depending on which facet
+    lands on the coordinate plane, so every vertex order must agree."""
+    for q in range(1, 41):
+        for p in range(q):
+            if math.gcd(p, q) != 1 and q > 1:
+                continue
+            expected = canonical_type(p, q)
+            for order in itertools.permutations(standard_tetrahedron(p, q)):
+                assert white_type(order) == expected, (order, expected)
+
+
+def test_white_type_far_coordinates():
+    """T(2,5) under the far unimodular map of the analyze benchmark."""
+    m = AffineMap(((1, -33, 58), (22, -725, 1291), (27, -835, 2407)), (100, 2000, 1000))
+    assert m.det in (1, -1)
+    assert white_type([m.apply(v) for v in standard_tetrahedron(2, 5)]) == (2, 5)
