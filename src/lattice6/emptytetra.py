@@ -27,7 +27,6 @@ from math import gcd
 from typing import Optional, Sequence, Tuple
 
 from .exactlinalg import (
-    IntVec3,
     check_point,
     cross,
     det4,
@@ -41,8 +40,8 @@ from .exactlinalg import (
 _EDGE_PAIRS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 
 
-def _width_one_pair(pts) -> Optional[Tuple[Tuple[int, int], Tuple[int, int], IntVec3]]:
-    """Opposite-edge pair with primitive edges and a width-1 functional."""
+def _has_width_one_pair(pts) -> bool:
+    """Some opposite-edge pair is primitive with a width-1 functional."""
     for (i, j), (k, l) in _EDGE_PAIRS:
         e1 = sub(pts[j], pts[i])
         e2 = sub(pts[l], pts[k])
@@ -53,9 +52,8 @@ def _width_one_pair(pts) -> Optional[Tuple[Tuple[int, int], Tuple[int, int], Int
         if g == 0:
             continue  # parallel edges: degenerate tetrahedron
         if abs(dot(n, sub(pts[k], pts[i]))) == g:
-            f = (n[0] // g, n[1] // g, n[2] // g)
-            return (i, j), (k, l), f
-    return None
+            return True
+    return False
 
 
 def is_empty_tetrahedron(points: Sequence[Sequence[int]]) -> bool:
@@ -66,7 +64,7 @@ def is_empty_tetrahedron(points: Sequence[Sequence[int]]) -> bool:
         raise ValueError(f"need 4 points, got {len(pts)}")
     if det4(*pts) == 0:
         return False
-    return _width_one_pair(pts) is not None
+    return _has_width_one_pair(pts)
 
 
 def white_type(points: Sequence[Sequence[int]]) -> Optional[Tuple[int, int]]:

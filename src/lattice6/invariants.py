@@ -82,14 +82,6 @@ class SignedCircuit:
         a, b = len(self.positive), len(self.negative)
         return (max(a, b), min(a, b))
 
-    def relabeled(self, perm: Sequence[int]) -> "SignedCircuit":
-        """Apply an element permutation (perm[i] = new label of element i)."""
-        pos = tuple(sorted(perm[i] for i in self.positive))
-        neg = tuple(sorted(perm[i] for i in self.negative))
-        if min(pos + neg) in neg:
-            pos, neg = neg, pos
-        return SignedCircuit(pos, neg)
-
     def key(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         return (self.positive, self.negative)
 

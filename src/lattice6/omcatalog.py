@@ -20,6 +20,17 @@ support-minimal nonzero ones, facets the nonnegative cocircuits.
 There are exactly 55 such oriented matroids.  Records are keyed
 "cN.MM" where N is the number of circuits and MM numbers the canonical
 circuit forms within each N.
+
+The canonical circuit form is the lex-minimal sorted list of relabeled,
+normalized circuits over all 720 permutations of the elements (the
+standard canonical-form search; Bjorner-Las Vergnas-Sturmfels-White-
+Ziegler, Oriented Matroids).  It is computed on 6-bit masks: a circuit
+is a (positive, negative) mask pair, a permutation's image of a mask is
+one table lookup, and the normalized circuit key, an int ordered as the
+tuple key, is one more, so a configuration costs 720 x #circuits
+lookups and 720 sorts of small ints.  Of the permutations reaching the minimum the
+first in itertools.permutations order wins, which fixes the relabeling
+match_om reports.
 """
 
 from __future__ import annotations
@@ -53,22 +64,69 @@ def _det2(u, v) -> int:
 # canonical forms
 
 
+def _circuit_tables():
+    """Subset image tables, pair keys and ranked subsets.
+
+    A subset of range(6) is a 6-bit mask.  Subsets are ranked in the lex
+    order of their sorted tuples, so a circuit (positive, negative) gets
+    the int key rank[positive] * 64 + rank[negative], and ints compare as
+    the tuple keys do.  The pair table holds that key at index
+    positive << 6 | negative for each pair of disjoint masks, sides
+    swapped first when the lowest element lies on the negative side.
+    images[m] holds the image mask of m under each of the 720
+    permutations, in itertools.permutations order, built from the images
+    of m's low bit and of the rest.  Sizes: 64 x 720 bytes, 4096 keys.
+    """
+    ranked = sorted(
+        (tuple(e for e in range(6) if m >> e & 1) for m in range(64))
+    )
+    rank = {sum(1 << e for e in sub): r for r, sub in enumerate(ranked)}
+    pair = [None] * 4096
+    for pos in range(64):
+        for neg in range(64):
+            if pos & neg == 0:
+                low = (pos | neg) & -(pos | neg)
+                p, n = (neg, pos) if low & neg else (pos, neg)
+                pair[pos << 6 | neg] = rank[p] * 64 + rank[n]
+    perms = list(itertools.permutations(range(6)))
+    images = [bytes(len(perms))]
+    for m in range(1, 64):
+        low = m & -m
+        if m == low:
+            e = low.bit_length() - 1
+            images.append(bytes(1 << perm[e] for perm in perms))
+        else:
+            images.append(bytes(x | y for x, y in zip(images[m ^ low], images[low])))
+    return images, pair, ranked
+
+
+_IMAGES, _PAIR_KEY, _RANKED = _circuit_tables()
+
+
 def canonical_circuit_form(
     circs: Sequence[SignedCircuit],
 ) -> Tuple[Tuple, Tuple[int, ...]]:
     """Lex-minimal relabeled circuit list and the permutation achieving it.
 
     The returned permutation maps current element labels to canonical
-    ones (perm[i] = canonical label of element i).
+    ones (perm[i] = canonical label of element i).  Of the permutations
+    reaching the minimum, it is the first in itertools.permutations
+    order.  Each circuit is a pair of 6-bit masks; its normalized key
+    under every permutation is read off the image and pair tables, so
+    the cost is 720 x #circuits lookups plus 720 sorts of #circuits
+    small ints.
     """
-    best = None
-    best_perm = None
-    for perm in itertools.permutations(range(6)):
-        key = tuple(sorted(c.relabeled(perm).key() for c in circs))
-        if best is None or key < best:
-            best = key
-            best_perm = perm
-    return best, best_perm
+    pair, images = _PAIR_KEY, _IMAGES
+    columns = []
+    for c in circs:
+        pos = sum(1 << e for e in c.positive)
+        neg = sum(1 << e for e in c.negative)
+        columns.append([pair[x << 6 | y] for x, y in zip(images[pos], images[neg])])
+    cands = [sorted(keys) for keys in zip(*columns)]
+    best = min(range(len(cands)), key=cands.__getitem__)  # first minimum
+    perm = next(itertools.islice(itertools.permutations(range(6)), best, None))
+    form = tuple((_RANKED[k >> 6], _RANKED[k & 63]) for k in cands[best])
+    return form, perm
 
 
 def _swap(ab):
@@ -122,6 +180,20 @@ def _dual_circuits(lines, loops) -> Optional[Tuple[SignedCircuit, ...]]:
     return tuple(sorted(out, key=lambda c: (c.support, c.key())))
 
 
+def _line_sequences(per_line, n_lines, total):
+    """Sequences of n_lines entries of per_line carrying total vectors,
+    in itertools.product order; every entry carries at least one."""
+    if n_lines == 0:
+        if total == 0:
+            yield ()
+        return
+    for entry in per_line:
+        rest = total - entry[0] - entry[1]
+        if rest >= n_lines - 1:
+            for tail in _line_sequences(per_line, n_lines - 1, rest):
+                yield (entry,) + tail
+
+
 def _iter_duals():
     for loops in (0, 1, 2):
         cap = 3 - loops
@@ -130,9 +202,8 @@ def _iter_duals():
             (a, s - a) for s in range(1, cap + 1) for a in range(s + 1)
         ]
         for n_lines in range(2, 7):
-            for combo in itertools.product(per_line, repeat=n_lines):
-                if sum(a + b for a, b in combo) == total:
-                    yield combo, loops
+            for combo in _line_sequences(per_line, n_lines, total):
+                yield combo, loops
 
 
 # ---------------------------------------------------------------------------

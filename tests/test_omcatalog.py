@@ -5,10 +5,13 @@ from itertools import combinations
 
 import pytest
 
+import omcatalog_oracles as oracle
 from conftest import apply_map, random_unimodular, shuffled
+from lattice6 import omcatalog
 from lattice6.exactlinalg import det4
 from lattice6.invariants import circuits, coplanarity_class, is_dps
 from lattice6.omcatalog import (
+    canonical_circuit_form,
     config_circuits,
     coplanarity_from_circuits,
     enumerate_oms,
@@ -54,18 +57,46 @@ def test_record_by_key_round_trip():
 
 
 def test_match_relabels_circuits_onto_record(bundle):
-    c = bundle.class_by_id("A.1").config()
-    rec, perm = match_om(c)
-    relabeled = sorted(
-        (tuple(sorted(perm[i] for i in circ.positive)),
-         tuple(sorted(perm[i] for i in circ.negative)))
-        for circ in config_circuits(c)
-    )
-    target = sorted(
-        (tuple(circ.positive), tuple(circ.negative)) for circ in rec.circuits
-    )
-    unsigned = lambda items: sorted(frozenset(a) | frozenset(b) for a, b in items)
-    assert unsigned(relabeled) == unsigned(target)
+    """The permutation carries the signed, normalized circuits onto the record's."""
+    for row in bundle.class_rows:
+        c = row.config()
+        rec, perm = match_om(c)
+        relabeled = sorted(
+            oracle.relabeled(circ, perm).key() for circ in config_circuits(c)
+        )
+        assert relabeled == [circ.key() for circ in rec.circuits], row.id
+
+
+def _spanning_sets(rng, count):
+    """Random 6-point sets in [0,2]^3 that span 3-space."""
+    box = [(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
+    while count:
+        pts = rng.sample(box, 6)
+        if any(det4(*q) for q in combinations(pts, 4)):
+            count -= 1
+            yield PointConfig(pts)
+
+
+def test_canonical_form_matches_oracle(bundle):
+    """Same (form, perm) as the 720-relabeling oracle, ties included."""
+    rng = random.Random(5)
+    inputs = []
+    for rec in enumerate_oms():
+        for _ in range(3):
+            perm = list(range(6))
+            rng.shuffle(perm)
+            inputs.append(tuple(oracle.relabeled(c, perm) for c in rec.circuits))
+    inputs += [circuits(row.config()) for row in bundle.class_rows]
+    inputs += [circuits(c) for c in _spanning_sets(rng, 40)]
+    for circs in inputs:
+        assert canonical_circuit_form(circs) == oracle.canonical_circuit_form(circs)
+
+
+def test_catalog_built_on_oracle_is_identical(monkeypatch):
+    assert list(omcatalog._iter_duals()) == list(oracle.iter_duals())
+    monkeypatch.setattr(omcatalog, "canonical_circuit_form", oracle.canonical_circuit_form)
+    monkeypatch.setattr(omcatalog, "_iter_duals", oracle.iter_duals)
+    assert omcatalog.enumerate_oms.__wrapped__() == enumerate_oms()
 
 
 def test_match_agrees_with_geometry(bundle):
@@ -97,13 +128,6 @@ def test_table_realizes_22_records(bundle):
 
 def test_every_small_configuration_matches():
     """Any affinely spanning 6-point set realizes a catalog record."""
-    rng = random.Random(9)
-    box = [(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
-    found = 0
-    while found < 50:
-        pts = rng.sample(box, 6)
-        if all(det4(*q) == 0 for q in combinations(pts, 4)):
-            continue
-        rec, perm = match_om(PointConfig(pts))
+    for config in _spanning_sets(random.Random(9), 50):
+        rec, perm = match_om(config)
         assert sorted(perm) == list(range(6))
-        found += 1
