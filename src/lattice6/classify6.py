@@ -13,6 +13,15 @@ direct lattice-point counts, and identifies the survivors against the
 bundled tables.  ``classify_all`` runs every branch and re-verifies each
 generated witness against its table representative.  All arithmetic is
 exact.
+
+The G/H gluing tries 24,576 vertex matchings of subtetrahedra.  A matching
+glues when an integral unimodular map realizes it, which is exactly when
+the two ordered subtetrahedra have the same edge form (row Hermite normal
+form of the edge vectors), so the loop compares precomputed forms and
+solves for the map only on equal ones.  The symmetries of the base
+polytopes make many matchings glue the same configuration; its verdict
+(coplanarity, interior points, triangulation checks) is made once per
+run_case_gh call and replayed into the counters on every repeat.
 """
 
 import csv
@@ -25,8 +34,8 @@ from functools import lru_cache
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactlinalg import IntVec3, det3, unimodular_map
-from .polytope import PointConfig, interior_points, size, size_exceeds
+from .exactlinalg import IntVec3, det3, edge_form, unimodular_map
+from .polytope import PointConfig, lattice_and_interior_points, size, size_exceeds
 from .invariants import (
     C21,
     C22,
@@ -35,6 +44,7 @@ from .invariants import (
     NO_COPLANARITY,
     circuits,
     coplanarity_class,
+    coplanarity_from_circuits,
     is_dps,
     volume_vector6,
     width,
@@ -613,63 +623,101 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
     subtetrahedron (the interior point plus three of the four vertices)
     in each, and every vertex matching of the two subtetrahedra is tried;
     a matching survives when the affine map it defines is integral and
-    unimodular.  The union is six points; coinciding interior points give
-    one interior point (case G), otherwise two (case H).  Acceptance is
-    by triangulation emptiness, cross-checked against direct size.
+    unimodular.  That holds exactly when the two ordered subtetrahedra
+    have the same edge form, so the forms are computed once per ordered
+    subtetrahedron (8 x 4 x 24) and unimodular_map runs only on equal
+    forms, to produce the map.  The union is six points; coinciding
+    interior points give one interior point (case G), otherwise two (case
+    H).  Acceptance is by triangulation emptiness, cross-checked against
+    direct size.  The base polytopes' symmetries glue the same
+    configuration many times over, so a verdict is made once per distinct
+    argument tuple of _glued_verdict (target polytope, new point, left-out
+    target vertex, glued interior point) and replayed on repeats; here the
+    first two fix the other two, and the 3,572 six-point gluings need
+    1,532 verdicts.
     """
-    rejected: Counter = Counter()
-    g_accepted: List[PointConfig] = []
-    h_accepted: List[PointConfig] = []
-    g_rejected: Counter = Counter()
-    h_rejected: Counter = Counter()
+    rejected = {"shared": Counter(), "G": Counter(), "H": Counter()}
+    accepted: Dict[str, List[PointConfig]] = {"G": [], "H": []}
     examined = 0
     reps = [cls5.representative.points for cls5 in catalog41()]
-    subsets = [(ex, [0] + [v for v in range(1, 5) if v != ex]) for ex in range(1, 5)]
-    for rpts in reps:
-        for spts in reps:
-            for ex_r, keep_r in subsets:
-                sub_r = [rpts[v] for v in keep_r]
-                for ex_s, keep_s in subsets:
-                    sub_s = [spts[v] for v in keep_s]
-                    for sigma in itertools.permutations(range(4)):
+    orders = list(itertools.permutations(range(4)))
+    # per base polytope: (left-out vertex, [(ordered subtetrahedron, edge
+    # form) per vertex order]); the first order is the identity
+    tetras = []
+    for pts in reps:
+        per_ex = []
+        for ex in range(1, 5):
+            tet = [pts[v] for v in range(5) if v != ex]
+            ordered = [[tet[t] for t in sigma] for sigma in orders]
+            per_ex.append((ex, [(dst, edge_form(dst)) for dst in ordered]))
+        tetras.append(per_ex)
+    verdicts = {}
+    for rpts, r_tetras in zip(reps, tetras):
+        for si, (spts, s_tetras) in enumerate(zip(reps, tetras)):
+            for ex_r, r_ordered in r_tetras:
+                sub_r, form_r = r_ordered[0]
+                for ex_s, ordered in s_tetras:
+                    for dst, form in ordered:
                         examined += 1
-                        m = unimodular_map(sub_r, [sub_s[sigma[t]] for t in range(4)])
-                        if m is None:
-                            rejected["identification is not integral unimodular"] += 1
+                        if form != form_r:
+                            rejected["shared"]["identification is not integral unimodular"] += 1
                             continue
+                        m = unimodular_map(sub_r, dst)
+                        if m is None:
+                            raise ClassificationError("equal edge forms but no unimodular map")
                         new_pt = m.apply(rpts[ex_r])
                         if new_pt in spts:
-                            rejected["gluing yields fewer than six points"] += 1
+                            rejected["shared"]["gluing yields fewer than six points"] += 1
                             continue
-                        cfg = PointConfig(list(spts) + [new_pt])
-                        if coplanarity_class(cfg) != NO_COPLANARITY:
-                            rejected["coplanarity present"] += 1
-                            continue
-                        inner = set(interior_points(cfg))
-                        glued_interior = m.apply(rpts[0])
-                        if inner == {spts[0]}:
-                            _glue_g(cfg, ex_s, g_accepted, g_rejected)
-                        elif inner == {spts[0], glued_interior}:
-                            _glue_h(cfg, cfg.points.index(glued_interior), ex_s,
-                                    h_accepted, h_rejected)
+                        key = (si, new_pt, ex_s, m.apply(rpts[0]))
+                        if key not in verdicts:
+                            verdicts[key] = _glued_verdict(spts, *key[1:])
+                        case, reason, cfg = verdicts[key]
+                        if reason is None:
+                            accepted[case].append(cfg)
                         else:
-                            rejected["a base vertex stopped being a vertex"] += 1
-    shared = dict(rejected)
+                            rejected[case][reason] += 1
     note = "candidate enumeration shared with the other gluing case"
-    for counter in (g_rejected, h_rejected):
-        for reason, n in shared.items():
-            counter[reason] += n
-    report_g = _finish("G", examined, g_rejected, g_accepted, (note,))
-    report_h = _finish("H", examined, h_rejected, h_accepted, (note,))
+    for case in ("G", "H"):
+        for reason, n in rejected["shared"].items():
+            rejected[case][reason] += n
+    report_g = _finish("G", examined, rejected["G"], accepted["G"], (note,))
+    report_h = _finish("H", examined, rejected["H"], accepted["H"], (note,))
     return report_g, report_h
 
 
-def _glue_g(cfg: PointConfig, ex_s: int, accepted, rejected):
+def _glued_verdict(spts, new_pt, ex_s, glued_interior):
+    """(case, rejection reason or None, configuration) of one gluing.
+
+    case is "shared" for the rejections common to G and H.  The circuits,
+    the hull's lattice points and its interior points are computed once
+    and shared by every test below.
+    """
+    cfg = PointConfig(list(spts) + [new_pt])
+    circs = circuits(cfg)
+    if coplanarity_from_circuits(circs) != NO_COPLANARITY:
+        return "shared", "coplanarity present", cfg
+    lattice, inner = lattice_and_interior_points(cfg)
+    six = len(lattice) == 6
+    inner = set(inner)
+    if inner == {spts[0]}:
+        return "G", _glue_g(cfg, circs, six, ex_s), cfg
+    if inner == {spts[0], glued_interior}:
+        int_idx = cfg.points.index(glued_interior)
+        return "H", _glue_h(cfg, circs, six, int_idx, ex_s), cfg
+    return "shared", "a base vertex stopped being a vertex", cfg
+
+
+def _glue_g(cfg: PointConfig, circs, six: bool, ex_s: int) -> Optional[str]:
     """One shared interior point: the hull is the base polytope plus one
-    tetrahedron on the quadrilateral facet swept by the new point."""
+    tetrahedron on the quadrilateral facet swept by the new point.
+
+    Returns the rejection reason, or None when accepted; six says whether
+    the hull has exactly six lattice points.
+    """
     extras = {ex_s, 5}  # deleting either leaves a signature-(4,1) subpolytope
     pair = None
-    for c in circuits(cfg):
+    for c in circs:
         if c.signature != (3, 2):
             continue
         two = set(_two_side(c))
@@ -684,15 +732,12 @@ def _glue_g(cfg: PointConfig, ex_s: int, accepted, rejected):
     skip = {0} | (pair - extras)
     cut = [cfg.points[k] for k in range(6) if k not in skip]
     ok = is_empty_tetrahedron(cut)
-    if ok != (size(cfg) == 6):
+    if ok != six:
         raise ClassificationError("G triangulation check failed")
-    if not ok:
-        rejected["cut tetrahedron is not empty"] += 1
-        return
-    accepted.append(cfg)
+    return None if ok else "cut tetrahedron is not empty"
 
 
-def _glue_h(cfg: PointConfig, int_idx: int, ex_s: int, accepted, rejected):
+def _glue_h(cfg: PointConfig, circs, six: bool, int_idx: int, ex_s: int) -> Optional[str]:
     """Two interior points: the hull decomposes into one glued copy plus
     five tetrahedra over the new point's edge to the base interior point.
 
@@ -700,8 +745,9 @@ def _glue_h(cfg: PointConfig, int_idx: int, ex_s: int, accepted, rejected):
     {base interior, new point} is one circuit's two-point side, and its
     three-point side contains the other interior point, the spare base
     vertex, and one further vertex; the remaining vertex is the last role.
+    Returns the rejection reason, or None when accepted, as _glue_g does.
     """
-    circs = [c for c in circuits(cfg) if c.signature == (3, 2)]
+    circs = [c for c in circs if c.signature == (3, 2)]
     edge = [c for c in circs if set(_two_side(c)) == {0, 5}]
     if len(edge) != 1:
         raise ClassificationError("ambiguous circuit structure in case H")
@@ -723,12 +769,9 @@ def _glue_h(cfg: PointConfig, int_idx: int, ex_s: int, accepted, rejected):
     ok = all(
         is_empty_tetrahedron([cfg.points[k] for k in quad]) for quad in quads
     )
-    if ok != (size(cfg) == 6):
+    if ok != six:
         raise ClassificationError("H triangulation check failed")
-    if not ok:
-        rejected["a triangulation tetrahedron is not empty"] += 1
-        return
-    accepted.append(cfg)
+    return None if ok else "a triangulation tetrahedron is not empty"
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,13 @@ from .polytope import (
     NotFullDimensional,
     PointConfig,
     format_points,
-    interior_points,
+    lattice_and_interior_points,
     parse_points,
-    size,
     vertices,
 )
 from .invariants import (
     coplanarity_class,
-    is_dps,
+    pair_sums_distinct,
     volume_vector5,
     volume_vector6,
     width,
@@ -69,9 +68,9 @@ def _om_label(config: PointConfig) -> str:
 def cmd_analyze(args) -> int:
     config = _read_config(args.points_file)
     n = len(config.points)
-    nsize = size(config)
+    lattice, inner = lattice_and_interior_points(config)
+    nsize = len(lattice)
     verts = vertices(config)
-    inner = interior_points(config)
     w, functional = width(config)
     class_id = classify6.identify(config) if n == 6 else None
     if class_id is not None:
@@ -92,7 +91,7 @@ def cmd_analyze(args) -> int:
     elif n == 6:
         print(f"coplanarity: {coplanarity_class(config)}")
         print("volume vector:", " ".join(map(str, volume_vector6(config))))
-    dps = is_dps(config)
+    dps = pair_sums_distinct(lattice)
     print(f"dps: {'dps' if dps else 'non-dps'}")
     if n == 6:
         try:

@@ -31,8 +31,8 @@ from .exactlinalg import (
     cross,
     det4,
     dot,
+    edge_form,
     gcd_all,
-    hermite_normal_form,
     is_primitive,
     sub,
 )
@@ -77,7 +77,7 @@ def white_type(points: Sequence[Sequence[int]]) -> Optional[Tuple[int, int]]:
     pts = [check_point(p) for p in points]
     if not is_empty_tetrahedron(pts):
         return None
-    h = hermite_normal_form(list(zip(*(sub(v, pts[0]) for v in pts[1:]))))
+    h = edge_form(pts)
     if [row[:2] for row in h] != [(1, 0), (0, 1), (0, 0)]:
         raise RuntimeError(f"edge matrix Hermite form {h} is not [[1,0,a],[0,1,b],[0,0,q]]")
     a, b, q = h[0][2], h[1][2], h[2][2]

@@ -19,7 +19,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from .exactlinalg import AffineMap, det4, hermite_normal_form, sub, unimodular_map
+from .exactlinalg import AffineMap, det4, edge_form, unimodular_map
 from .invariants import QUADS6, WrongSize, volume_vector6
 from .polytope import PointConfig, independent_quadruple
 
@@ -122,7 +122,7 @@ def canonical_key(config: PointConfig) -> Tuple[Tuple[int, ...], Tuple[Tuple[int
     perms = list(table)
     pts = config.points
     form = min(
-        hermite_normal_form(tuple(zip(*(sub(pts[j], pts[perm[0]]) for j in perm[1:]))))
+        edge_form([pts[j] for j in perm])
         for perm in (perms[k // 2] for k, v in enumerate(vectors) if v == best)
     )
     return best, form

@@ -5,7 +5,11 @@ Python ints.  No floats and no rationals anywhere.  unimodular_map finds
 the affine map fixed by four point pairs in integers, when that map is
 integral with determinant +-1 (a determinant comparison, an adjugate
 product and a divisibility test).  hermite_normal_form is the normal form
-of an integer matrix under left multiplication by GL_n(Z).
+of an integer matrix under left multiplication by GL_n(Z); edge_form
+applies it to the edge vectors of an ordered point tuple, so equal forms
+mean exactly that an integral unimodular map sends one tuple onto the
+other.  Coordinates are validated once, where points enter (check_point,
+called by PointConfig); det4 and unimodular_map trust their input.
 
 The basic quantity is the normalized 4x4 determinant of four lattice
 points (top row of ones, points as columns), which equals the signed
@@ -74,9 +78,9 @@ def det4(p1, p2, p3, p4) -> int:
 
     det of [[1,1,1,1],[p1 p2 p3 p4 as columns]]; equals det3 of the
     difference vectors, so a unimodular tetrahedron gives +-1 and four
-    coplanar points give 0.
+    coplanar points give 0.  The points are not validated here: callers
+    pass points that check_point has accepted, such as PointConfig points.
     """
-    p1 = check_point(p1)
     return det3(sub(p2, p1), sub(p3, p1), sub(p4, p1))
 
 
@@ -126,6 +130,17 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...],
             h[i] = [a - q * b for a, b in zip(h[i], h[top])]
         top += 1
     return tuple(tuple(r) for r in h)
+
+
+def edge_form(points: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
+    """Row Hermite normal form of the edge matrix (columns p_i - p_0).
+
+    An integer affine map of determinant +-1 multiplies that matrix on the
+    left by its GL_3(Z) linear part, so two ordered point tuples have the
+    same form iff such a map sends the one onto the other, point by point.
+    """
+    p0 = points[0]
+    return hermite_normal_form(tuple(zip(*(sub(p, p0) for p in points[1:]))))
 
 
 def _mat_vec(m, v):
@@ -187,16 +202,16 @@ def unimodular_map(src: Sequence[Sequence[int]], dst: Sequence[Sequence[int]]) -
     |det D| == |det S|, and integer entries iff det S divides every entry
     of D @ adj(S); the translation d_0 - M s_0 is then integral too.  The
     source quadruple must be affinely independent (else DegenerateSource).
+    The points are not validated here: callers pass points that
+    check_point has accepted, such as PointConfig points.
     """
     if len(src) != 4 or len(dst) != 4:
         raise ValueError("unimodular_map needs exactly 4 source and 4 destination points")
-    s = [check_point(p) for p in src]
-    d = [check_point(p) for p in dst]
-    S = tuple(zip(*(sub(s[i], s[0]) for i in (1, 2, 3))))  # columns s_i - s_0
+    S = tuple(zip(*(sub(src[i], src[0]) for i in (1, 2, 3))))  # columns s_i - s_0
     det_s = _mat_det(S)
     if det_s == 0:
         raise DegenerateSource("source points are coplanar")
-    D = tuple(zip(*(sub(d[i], d[0]) for i in (1, 2, 3))))
+    D = tuple(zip(*(sub(dst[i], dst[0]) for i in (1, 2, 3))))
     if abs(_mat_det(D)) != abs(det_s):
         return None
     adj = _adjugate(S)
@@ -207,4 +222,4 @@ def unimodular_map(src: Sequence[Sequence[int]], dst: Sequence[Sequence[int]]) -
             return None
         mat.append(tuple(v // det_s for v in num))
     mat = tuple(mat)
-    return AffineMap(mat, sub(d[0], _mat_vec(mat, s[0])))
+    return AffineMap(mat, sub(dst[0], _mat_vec(mat, src[0])))

@@ -242,7 +242,11 @@ def is_dps(config: PointConfig) -> bool:
     Equivalent to containing neither three collinear lattice points nor
     the vertices of a nondegenerate parallelogram.
     """
-    pts = lattice_points(config)
+    return pair_sums_distinct(lattice_points(config))
+
+
+def pair_sums_distinct(pts: Sequence[IntVec3]) -> bool:
+    """True if the sums p + q over all pairs i <= j of pts are distinct."""
     sums = set()
     for i in range(len(pts)):
         for j in range(i, len(pts)):

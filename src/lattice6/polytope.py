@@ -194,13 +194,22 @@ def vertices(config: PointConfig) -> Tuple[IntVec3, ...]:
     )
 
 
+def lattice_and_interior_points(
+    config: PointConfig,
+) -> Tuple[Tuple[IntVec3, ...], Tuple[IntVec3, ...]]:
+    """Lattice points of conv(config) and those strictly inside it.
+
+    Both lexicographically sorted, from one hull and one scan, for callers
+    that need the size and the interior points of the same hull.
+    """
+    facets = hull_facets(config)
+    points = tuple(_scan_box(config, facets))
+    return points, tuple(p for p in points if all(f.value(p) > 0 for f in facets))
+
+
 def interior_points(config: PointConfig) -> Tuple[IntVec3, ...]:
     """Lattice points strictly inside conv(config), lexicographically sorted."""
-    facets = hull_facets(config)
-    return tuple(
-        p for p in _scan_box(config, facets)
-        if all(f.value(p) > 0 for f in facets)
-    )
+    return lattice_and_interior_points(config)[1]
 
 
 def delete_point(config: PointConfig, index: int) -> PointConfig:

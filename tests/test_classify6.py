@@ -4,6 +4,7 @@ import dataclasses
 import json
 import random
 import types
+from itertools import permutations
 
 import pytest
 
@@ -19,9 +20,10 @@ from lattice6.classify6 import (
     no_octahedron_check,
     width1_family,
 )
+from lattice6.exactlinalg import edge_form, unimodular_map
 from lattice6.invariants import is_dps, volume_vector6, width
 from lattice6.polytope import PointConfig, interior_points, size, vertices
-from lattice6.size5 import rep22
+from lattice6.size5 import catalog41, rep22
 
 EXPECTED_COUNTS = {"A": 2, "B": 15, "C": 6, "D": 2, "E": 2, "F": 17, "G": 20, "H": 12}
 EXPECTED_EXAMINED = {"A": 6, "B": 5043, "C": 596, "D": 1681, "E": 192,
@@ -93,6 +95,42 @@ def test_gluing_cases_share_enumeration(case_reports):
     for reason in ("gluing yields fewer than six points", "coplanarity present",
                    "identification is not integral unimodular"):
         assert r["G"].rejected[reason] == r["H"].rejected[reason]
+
+
+def test_gluing_funnel_is_pinned(case_reports):
+    """The whole G/H candidate funnel, counter by counter: the per-candidate
+    verdicts are replayed once per repeat of a glued configuration."""
+    r = by_case(case_reports)
+    shared = {
+        "identification is not integral unimodular": 20844,
+        "gluing yields fewer than six points": 160,
+        "coplanarity present": 924,
+        "a base vertex stopped being a vertex": 1461,
+    }
+    assert r["G"].rejected == {**shared, "cut tetrahedron is not empty": 126}
+    assert r["H"].rejected == {**shared, "a triangulation tetrahedron is not empty": 260}
+    assert r["G"].candidates_examined == r["H"].candidates_examined == 24576
+
+
+def test_gluing_form_match_agrees_with_unimodular_map():
+    """Every (source subtetrahedron, ordered target subtetrahedron) pair of
+    the G/H loop: equal edge forms exactly when unimodular_map finds a map."""
+    sources = [
+        [pts[v] for v in range(5) if v != ex]
+        for pts in (cls5.representative.points for cls5 in catalog41())
+        for ex in range(1, 5)
+    ]
+    targets = [[tet[t] for t in order] for tet in sources for order in permutations(range(4))]
+    target_forms = [edge_form(dst) for dst in targets]
+    assert (len(sources), len(targets)) == (32, 768)
+    hits = 0
+    for src in sources:
+        form = edge_form(src)
+        for dst, dst_form in zip(targets, target_forms):
+            found = unimodular_map(src, dst) is not None
+            assert (dst_form == form) == found, (src, dst)
+            hits += found
+    assert hits == 24576 - 20844
 
 
 def test_case_f_splits_by_catalog_label(case_reports):

@@ -8,7 +8,8 @@ from conftest import apply_map, random_unimodular, shuffled
 import random
 
 from lattice6.cli import main
-from lattice6.polytope import format_points
+from lattice6.emptytetra import is_empty_tetrahedron, white_type
+from lattice6.polytope import PointConfig, format_points, parse_points
 
 
 def write_config(tmp_path, name, points):
@@ -81,6 +82,36 @@ def test_analyze_rejects_point_count(tmp_path, capsys):
         rc = main(["analyze", path])
         assert rc == 2
         assert f"need 4..8 points, got {k}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad, error", [
+    ((10001, 0, 0), ValueError),
+    ((0, -10001, 0), ValueError),
+    ((True, 0, 0), TypeError),
+    ((0, 0, 1.0), TypeError),
+    ((0.5, 1, 1), TypeError),
+])
+def test_raw_point_entry_points_validate_coordinates(tmp_path, capsys, bad, error):
+    """det4 and unimodular_map trust their points, so every entry point
+    that takes raw coordinates must reject |coordinate| > 10^4 and
+    non-int coordinates itself."""
+    tet = [(0, 0, 0), (1, 0, 0), (0, 1, 0), bad]
+    with pytest.raises(error):
+        PointConfig(tet)
+    with pytest.raises(error):
+        is_empty_tetrahedron(tet)
+    with pytest.raises(error):
+        white_type(tet)
+    text = format_points(tet)  # bools print as True, floats with a point
+    with pytest.raises(ValueError):
+        parse_points(text)
+    path = write_config(tmp_path, "bad.txt", tet)
+    assert main(["analyze", path]) == 2
+    assert "error:" in capsys.readouterr().err
+    # the bound itself is accepted
+    edge = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 10000)]
+    assert PointConfig(edge).points[3] == (0, 0, 10000)
+    assert parse_points(format_points(edge)) == PointConfig(edge)
 
 
 def test_analyze_missing_file(capsys):

@@ -1,5 +1,6 @@
 """Exact integer linear algebra, against the Fraction affine solve."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,11 +9,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 import fraction_oracles
 from conftest import random_unimodular
+from lattice6.emptytetra import standard_tetrahedron
 from lattice6.exactlinalg import (
     AffineMap,
     DegenerateSource,
     det3,
     det4,
+    edge_form,
     gcd_all,
     hermite_normal_form,
     is_primitive,
@@ -141,7 +144,7 @@ def _scaled(m: AffineMap, k: int) -> AffineMap:
 def test_unimodular_map_matches_solve_affine(p1, p2, p3, p4, seed, kind):
     """Integer solver against the Fraction one on unimodular images, integer
     maps of determinant +-2 and +-3, and arbitrary (mostly non-integral)
-    targets."""
+    targets; equal edge forms exactly when there is a map."""
     src = [p1, p2, p3, p4]
     assume(det4(*src) != 0)
     rng = random.Random(seed)
@@ -154,6 +157,7 @@ def test_unimodular_map_matches_solve_affine(p1, p2, p3, p4, seed, kind):
         dst = [m.apply(p) for p in src]
     expected = fraction_oracles.unimodular_map(src, dst)
     assert unimodular_map(src, dst) == expected
+    assert (edge_form(src) == edge_form(dst)) == (expected is not None)
     if kind == "unimodular":
         assert expected == m
     if kind == "stretched":
@@ -219,3 +223,15 @@ def test_hermite_normal_form_is_a_normal_form():
             piv_cols = [next(j for j, v in enumerate(row) if v) for row in h]
             minor = det3(*(tuple(row[j] for row in a) for j in piv_cols))
             assert h[0][piv_cols[0]] * h[1][piv_cols[1]] * h[2][piv_cols[2]] == abs(minor)
+
+
+def test_edge_form_separates_equal_volume_tetrahedra():
+    """T(1,5) and T(2,5) have the same volume but are not equivalent: no
+    vertex order of one matches the other's edge form."""
+    a = list(standard_tetrahedron(1, 5))
+    b = list(standard_tetrahedron(2, 5))
+    assert abs(det4(*a)) == abs(det4(*b)) == 5
+    for order in itertools.permutations(b):
+        assert unimodular_map(a, list(order)) is None
+        assert edge_form(a) != edge_form(order)
+    assert any(edge_form(a) == edge_form(order) for order in itertools.permutations(a))
