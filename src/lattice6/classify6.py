@@ -35,7 +35,7 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactlinalg import IntVec3, det3, edge_form, unimodular_map
-from .polytope import PointConfig, lattice_and_interior_points, size, size_exceeds
+from .polytope import PointConfig, lattice_and_interior_points, size
 from .invariants import (
     C21,
     C22,
@@ -239,7 +239,7 @@ def run_case_a() -> CaseReport:
             )
             cfg = PointConfig(base + [p6])
             if bad is not None:
-                if not size_exceeds(cfg, 6):
+                if size(cfg) <= 6:
                     raise ClassificationError("integer midpoint but no extra point")
                 rejected[f"midpoint of p{bad + 1}p6 is integer"] += 1
                 continue
@@ -442,7 +442,7 @@ def run_case_c() -> CaseReport:
     for a, b in itertools.product(range(1, SCAN_BOUND + 1), repeat=2):
         examined += 1
         cfg = PointConfig(_B_BASE + [(a, b, 1), (1, 2, 3)])
-        if size_exceeds(cfg, 6):
+        if size(cfg) > 6:
             rejected["extra lattice points in the convex hull"] += 1
             continue
         survivors.append((a, b))
@@ -484,7 +484,7 @@ def run_case_d() -> CaseReport:
                 raise ClassificationError(f"D candidate {(a, b)} should be width one")
             rejected["width one (functional x+z)"] += 1
             continue
-        if size_exceeds(cfg, 6):
+        if size(cfg) > 6:
             rejected["extra lattice points in the convex hull"] += 1
             continue
         survivors.append((a, b))
@@ -568,7 +568,7 @@ def run_case_f() -> CaseReport:
                 rejected["degenerate extension"] += 1
                 continue
             cfg = PointConfig(list(pts) + [r3])
-            if size_exceeds(cfg, 6):
+            if size(cfg) > 6:
                 rejected["extra lattice points in the convex hull"] += 1
                 continue
             if coplanarity_class(cfg) != C21:
@@ -848,12 +848,23 @@ def case_of(config: PointConfig) -> str:
     return "G" if interior_count(config) == 1 else "H"
 
 
-def identify(config: PointConfig) -> Optional[str]:
-    """Table id of a configuration, or None when out of classification."""
-    if size(config) != 6 or width(config)[0] < 2:
-        return None
+def in_classification(nsize: int, w: int) -> bool:
+    """identify's gate: the table covers size six and width at least two."""
+    return nsize == 6 and w >= 2
+
+
+def table_id(config: PointConfig) -> Optional[str]:
+    """Id of the table row with config's canonical key, or None; callers
+    apply in_classification first."""
     row = _row_key_index().get(canonical_key(config))
     return None if row is None else row.id
+
+
+def identify(config: PointConfig) -> Optional[str]:
+    """Table id of a configuration, or None when out of classification."""
+    if not in_classification(size(config), width(config)[0]):
+        return None
+    return table_id(config)
 
 
 # ---------------------------------------------------------------------------
@@ -988,7 +999,7 @@ def no_octahedron_check(bound: int) -> bool:
             ):
                 continue  # a prism edge pair forces coplanarity
             cfg = PointConfig(base + [(q1[0], q1[1], 1), (q2[0], q2[1], 1)])
-            if size_exceeds(cfg, 6):
+            if size(cfg) > 6:
                 continue
             if coplanarity_class(cfg) != NO_COPLANARITY:
                 continue

@@ -72,7 +72,8 @@ def cmd_analyze(args) -> int:
     nsize = len(lattice)
     verts = vertices(config)
     w, functional = width(config)
-    class_id = classify6.identify(config) if n == 6 else None
+    in_table = n == 6 and classify6.in_classification(nsize, w)
+    class_id = classify6.table_id(config) if in_table else None
     if class_id is not None:
         # show the published witness when it is one for these coordinates
         table_f = load_tables().class_by_id(class_id).functional

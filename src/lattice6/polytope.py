@@ -3,26 +3,34 @@
 A PointConfig is an ordered tuple of 4..8 distinct lattice points.  Hulls
 are computed by brute force over point triples (C(n,3) candidate planes,
 each tested against n points; fine at these sizes), all predicates are
-integer-exact, vertices are read off the facets through each point, and
-lattice points of the hull are enumerated column by column over the
-bounding box, each (x, y) column's z-interval read off the facet
-inequalities (cost: box area times facets, plus the points found).  Hull
-computations need affine rank 4 and raise NotFullDimensional otherwise.
+integer-exact, and vertices are read off the facets through each point.
+Lattice points of the hull are enumerated per tetrahedron: the hull is
+coned from its first vertex over a fan triangulation of every facet not
+through it, and a tetrahedron of normalized volume D contributes the
+points of its half-open fundamental parallelepiped (one per coset of the
+edge lattice, D in all) whose barycentric numerators sum to at most D,
+plus its three far vertices.  So the cost is the hull's normalized volume
+plus the points found, whatever the size of the coordinates; the union
+is returned lexicographically sorted.  Hull computations need affine
+rank 4 and raise NotFullDimensional otherwise.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .exactlinalg import (
     IntVec3,
+    _adjugate,
     check_point,
     cross,
+    det3,
     det4,
     dot,
     gcd_all,
+    hermite_normal_form,
     sub,
 )
 
@@ -122,61 +130,104 @@ def hull_facets(config: PointConfig) -> Tuple[Facet, ...]:
     return tuple(sorted(facets.values(), key=lambda f: (f.normal, f.offset)))
 
 
-def iter_hull_lattice_points(config: PointConfig) -> Iterator[IntVec3]:
-    """Yield lattice points of conv(config), lexicographically sorted."""
-    yield from _scan_box(config, hull_facets(config))
+def _vertices(config: PointConfig, facets: Sequence[Facet]) -> Tuple[IntVec3, ...]:
+    """Points of config on at least three of the facets, in input order."""
+    return tuple(
+        p for p in config.points
+        if sum(1 for f in facets if f.value(p) == 0) >= 3
+    )
 
 
-def _scan_box(config: PointConfig, facets: Sequence[Facet]) -> Iterator[IntVec3]:
-    """Bounding-box points of config on the inner side of every facet.
+def _cone_triangulation(
+    config: PointConfig, facets: Sequence[Facet]
+) -> List[Tuple[IntVec3, IntVec3, IntVec3, IntVec3]]:
+    """Tetrahedra (v0, a, b, c) that triangulate conv(config).
 
-    Column by column: for fixed (x, y) each facet a*x + b*y + c*z >= offset
-    bounds z from below (c > 0) or above (c < 0), or holds or fails for
-    the whole column (c = 0), so each column costs one pass over the
-    facets plus the points it yields.
+    v0 is the first vertex of config.  Every facet not through v0 is a
+    convex polygon; its boundary is walked along its edges, the ordered
+    vertex pairs (p, q) with every other vertex of the facet strictly on
+    the positive side of det3(normal, q - p, r - p), and fanned from its
+    first vertex.  Each triangle of the fans is coned from v0.
     """
-    xs = [p[0] for p in config]
-    ys = [p[1] for p in config]
-    zs = [p[2] for p in config]
-    z_lo, z_hi = min(zs), max(zs)
-    rows = [(f.normal, f.offset) for f in facets]
-    for x in range(min(xs), max(xs) + 1):
-        for y in range(min(ys), max(ys) + 1):
-            lo, hi = z_lo, z_hi
-            for (a, b, c), offset in rows:
-                r = offset - a * x - b * y  # need c * z >= r
-                if c > 0:
-                    lo = max(lo, -(-r // c))
-                elif c < 0:
-                    hi = min(hi, r // c)
-                elif r > 0:
-                    hi = lo - 1
-                    break
-            for z in range(lo, hi + 1):
-                yield (x, y, z)
+    verts = _vertices(config, facets)
+    v0 = verts[0]
+    tetrahedra = []
+    for f in facets:
+        if f.value(v0) == 0:
+            continue
+        poly = [p for p in verts if f.value(p) == 0]
+        succ = {}
+        for p, q in itertools.permutations(poly, 2):
+            pq = sub(q, p)
+            if all(det3(f.normal, pq, sub(r, p)) > 0 for r in poly if r != p and r != q):
+                succ[p] = q
+        ring = [poly[0]]
+        while len(ring) < len(poly):
+            ring.append(succ[ring[-1]])
+        tetrahedra += [(v0, ring[0], ring[i], ring[i + 1]) for i in range(1, len(ring) - 1)]
+    return tetrahedra
+
+
+def _tetrahedron_points(v0: IntVec3, a: IntVec3, b: IntVec3, c: IntVec3) -> List[IntVec3]:
+    """Lattice points of the tetrahedron conv(v0, a, b, c), unordered.
+
+    With E the edge matrix (columns a - v0, b - v0, c - v0) and D = |det E|,
+    each of the D cosets of Z^3 / E Z^3 has one point v0 + E (lambda / D)
+    in the half-open parallelepiped 0 <= lambda_i < D, where lambda is
+    sign(det E) adj(E) r mod D for any representative r; the coset
+    representatives are read off the pivots of the Hermite normal form of
+    the edge vectors.  The tetrahedron keeps the points with
+    sum(lambda) <= D, plus a, b and c (the corners lambda = D e_i).
+    Cost: D coset steps (Beck-Robins, Computing the Continuous
+    Discretely, ch. 3).
+    """
+    edges = (sub(a, v0), sub(b, v0), sub(c, v0))
+    e = tuple(zip(*edges))
+    det = det3(*edges)
+    if det == 0:
+        raise RuntimeError(f"degenerate tetrahedron {(v0, a, b, c)}")
+    d = abs(det)
+    s = 1 if det > 0 else -1
+    adj = _adjugate(e)
+    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = (
+        tuple(s * x for x in row) for row in adj
+    )
+    (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = e
+    x0, y0, z0 = v0
+    hnf = hermite_normal_form(edges)
+    points = [a, b, c]
+    for r0, r1, r2 in itertools.product(*(range(hnf[i][i]) for i in range(3))):
+        l0 = (c00 * r0 + c01 * r1 + c02 * r2) % d
+        l1 = (c10 * r0 + c11 * r1 + c12 * r2) % d
+        l2 = (c20 * r0 + c21 * r1 + c22 * r2) % d
+        if l0 + l1 + l2 <= d:
+            points.append((
+                x0 + (e00 * l0 + e01 * l1 + e02 * l2) // d,
+                y0 + (e10 * l0 + e11 * l1 + e12 * l2) // d,
+                z0 + (e20 * l0 + e21 * l1 + e22 * l2) // d,
+            ))
+    return points
+
+
+def _hull_points(config: PointConfig, facets: Sequence[Facet]) -> Tuple[IntVec3, ...]:
+    """Lattice points of conv(config), lexicographically sorted: the union
+    of the points of the tetrahedra of _cone_triangulation."""
+    points = set()
+    for tetrahedron in _cone_triangulation(config, facets):
+        points.update(_tetrahedron_points(*tetrahedron))
+    if not points.issuperset(config.points):
+        raise RuntimeError(f"triangulation of {config!r} misses configuration points")
+    return tuple(sorted(points))
 
 
 def lattice_points(config: PointConfig) -> Tuple[IntVec3, ...]:
     """All lattice points of conv(config), lexicographically sorted."""
-    return tuple(iter_hull_lattice_points(config))
+    return _hull_points(config, hull_facets(config))
 
 
 def size(config: PointConfig) -> int:
     """Number of lattice points of conv(config)."""
-    return sum(1 for _ in iter_hull_lattice_points(config))
-
-
-def size_exceeds(config: PointConfig, limit: int) -> bool:
-    """True as soon as conv(config) contains more than `limit` lattice points.
-
-    Early-exit variant of size() for rejection scans.
-    """
-    count = 0
-    for _ in iter_hull_lattice_points(config):
-        count += 1
-        if count > limit:
-            return True
-    return False
+    return len(_hull_points(config, hull_facets(config)))
 
 
 def vertices(config: PointConfig) -> Tuple[IntVec3, ...]:
@@ -187,11 +238,7 @@ def vertices(config: PointConfig) -> Tuple[IntVec3, ...]:
     inward normals have rank 3).  So a point is a vertex iff at least
     three hull facets pass through it.  Cost: one hull_facets call.
     """
-    facets = hull_facets(config)
-    return tuple(
-        p for p in config.points
-        if sum(1 for f in facets if f.value(p) == 0) >= 3
-    )
+    return _vertices(config, hull_facets(config))
 
 
 def lattice_and_interior_points(
@@ -199,11 +246,11 @@ def lattice_and_interior_points(
 ) -> Tuple[Tuple[IntVec3, ...], Tuple[IntVec3, ...]]:
     """Lattice points of conv(config) and those strictly inside it.
 
-    Both lexicographically sorted, from one hull and one scan, for callers
-    that need the size and the interior points of the same hull.
+    Both lexicographically sorted, from one hull and one enumeration, for
+    callers that need the size and the interior points of the same hull.
     """
     facets = hull_facets(config)
-    points = tuple(_scan_box(config, facets))
+    points = _hull_points(config, facets)
     return points, tuple(p for p in points if all(f.value(p) > 0 for f in facets))
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: output formats and exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -9,7 +10,9 @@ import random
 
 from lattice6.cli import main
 from lattice6.emptytetra import is_empty_tetrahedron, white_type
+from lattice6.exactlinalg import AffineMap
 from lattice6.polytope import PointConfig, format_points, parse_points
+from lattice6.size5 import rep41
 
 
 def write_config(tmp_path, name, points):
@@ -65,6 +68,43 @@ def test_analyze_width_one_hexagon(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "not in classification" in out
+
+
+#: Determinant 1 with entries up to 2407: it keeps normalized volumes but
+#: sends small polytopes to bounding boxes of 10^9 to 10^10 points.
+FAR_MAP = AffineMap(((1, -33, 58), (22, -725, 1291), (27, -835, 2407)), (100, 2000, 1000))
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("H.12", "class H.12, width 3"),
+    ("41(1,)", "size-5 class: 41(1,)"),
+    ("T(2,5)", "size 4, width 1, White type (2,5)"),
+])
+def test_analyze_far_image_finishes(tmp_path, bundle, capsys, source, expected):
+    """Enumeration cost follows normalized volume, not coordinate size."""
+    config = {
+        "H.12": bundle.class_by_id("H.12").config(),
+        "41(1,)": rep41(1),
+        "T(2,5)": PointConfig([(0, 0, 0), (1, 0, 0), (0, 0, 1), (2, 5, 1)]),
+    }[source]
+    path = write_config(tmp_path, "far.txt", apply_map(FAR_MAP, config).points)
+    start = time.perf_counter()
+    rc = main(["analyze", path])
+    elapsed = time.perf_counter() - start
+    assert rc == 0
+    assert expected in capsys.readouterr().out
+    assert elapsed < 1.0
+
+
+def test_analyze_volume_3001_tetrahedron(tmp_path, capsys):
+    path = write_config(tmp_path, "big.txt",
+                        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (3000, 3000, 3001)])
+    start = time.perf_counter()
+    rc = main(["analyze", path])
+    elapsed = time.perf_counter() - start
+    assert rc == 0
+    assert "size 1004, width 2" in capsys.readouterr().out
+    assert elapsed < 1.0
 
 
 def test_analyze_rejects_malformed_input(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import itertools
 import random
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -15,6 +16,7 @@ from lattice6.polytope import (
     IndexOutOfRange,
     NotFullDimensional,
     PointConfig,
+    _cone_triangulation,
     delete_point,
     format_points,
     hull_facets,
@@ -22,9 +24,9 @@ from lattice6.polytope import (
     lattice_points,
     parse_points,
     size,
-    size_exceeds,
     vertices,
 )
+from lattice6.tablesdata import load_tables
 
 UNIT = PointConfig([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
 
@@ -85,14 +87,6 @@ def test_facets_support_the_hull(bundle):
         evals = [sum(n * x for n, x in zip(f.normal, p)) for p in lp]
         assert all(e >= f.offset for e in evals)
         assert sum(1 for e in evals if e == f.offset) >= 3
-
-
-def test_size_exceeds_matches_size(bundle):
-    for cid in ("A.2", "F.1", "H.3"):
-        c = bundle.class_by_id(cid).config()
-        n = size(c)
-        for limit in range(3, 10):
-            assert size_exceeds(c, limit) == (n > limit)
 
 
 def test_point_in_hull():
@@ -202,3 +196,74 @@ def test_lattice_points_match_point_in_hull_oracle(pts):
     c = PointConfig(pts)
     assume(c.is_full_dimensional())
     assert lattice_points(c) == tuple(p for p in _box(c) if point_in_hull(p, pts))
+
+
+def _scan_box(config, facets):
+    """Bounding-box points of config on the inner side of every facet.
+
+    Column by column: for fixed (x, y) each facet a*x + b*y + c*z >= offset
+    bounds z from below (c > 0) or above (c < 0), or holds or fails for
+    the whole column (c = 0), so each column costs one pass over the
+    facets plus the points it yields.  Cost follows the box area, so this
+    is an oracle for small boxes only.
+    """
+    xs = [p[0] for p in config]
+    ys = [p[1] for p in config]
+    zs = [p[2] for p in config]
+    z_lo, z_hi = min(zs), max(zs)
+    rows = [(f.normal, f.offset) for f in facets]
+    for x in range(min(xs), max(xs) + 1):
+        for y in range(min(ys), max(ys) + 1):
+            lo, hi = z_lo, z_hi
+            for (a, b, c), offset in rows:
+                r = offset - a * x - b * y  # need c * z >= r
+                if c > 0:
+                    lo = max(lo, -(-r // c))
+                elif c < 0:
+                    hi = min(hi, r // c)
+                elif r > 0:
+                    hi = lo - 1
+                    break
+            for z in range(lo, hi + 1):
+                yield (x, y, z)
+
+
+def _spanning(points):
+    c = PointConfig(points)
+    assume(c.is_full_dimensional())
+    return c
+
+
+_SMALL_POINT = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2))
+_small_configs = st.lists(_SMALL_POINT, min_size=4, max_size=8, unique=True).map(_spanning)
+_row_images = st.builds(
+    lambda row, seed: apply_map(random_unimodular(random.Random(seed), 2), row.config()),
+    st.sampled_from(load_tables().class_rows), st.integers(0, 10**6))
+_white_tetrahedra = st.tuples(st.integers(0, 12), st.integers(1, 12)).filter(
+    lambda pq: gcd(*pq) == 1).map(
+    lambda pq: PointConfig([(0, 0, 0), (1, 0, 0), (0, 0, 1), (pq[0], pq[1], 1)]))
+_dilated_simplices = st.builds(
+    lambda k, pts: _spanning([tuple(k * x for x in p) for p in pts]),
+    st.integers(1, 4),
+    st.lists(st.tuples(*[st.integers(-1, 1)] * 3), min_size=4, max_size=4, unique=True))
+
+
+@given(c=st.one_of(_small_configs, _row_images, _white_tetrahedra, _dilated_simplices))
+@settings(max_examples=150, deadline=None)
+def test_enumeration_matches_box_scan_oracle(c):
+    """Points, interior points and size (values and order) equal the box
+    scan's, and coning from any other vertex triangulates the same volume
+    into the same points."""
+    facets = hull_facets(c)
+    expected = tuple(_scan_box(c, facets))
+    assert lattice_points(c) == expected
+    assert size(c) == len(expected)
+    assert interior_points(c) == tuple(
+        p for p in expected if all(f.value(p) > 0 for f in facets))
+    volume = sum(abs(det4(*t)) for t in _cone_triangulation(c, facets))
+    for v in vertices(c)[1:]:
+        recentred = PointConfig([v] + [p for p in c.points if p != v])
+        tetrahedra = _cone_triangulation(recentred, facets)
+        assert {t[0] for t in tetrahedra} == {v}
+        assert sum(abs(det4(*t)) for t in tetrahedra) == volume
+        assert lattice_points(recentred) == expected
