@@ -25,7 +25,7 @@ from .invariants import (
 from .equivalence import equivalence_witness
 from .emptytetra import white_type
 from .omcatalog import NoMatch, match_om
-from .size5 import classify5, NotSize5
+from .size5 import size5_class
 from .tablesdata import load_tables
 from . import classify6
 
@@ -104,10 +104,7 @@ def cmd_analyze(args) -> int:
         p, q = white_type(config.points)
         summary = f"size 4, width {w}, White type ({p},{q})"
     elif n == 5 and nsize == 5:
-        try:
-            print(f"size-5 class: {classify5(config).label}")
-        except NotSize5:
-            pass
+        print(f"size-5 class: {size5_class(config).label}")
     elif n == 6:
         if class_id is None:
             print("class: not in classification (width 1 or size != 6)")

@@ -32,18 +32,19 @@ def _relabel_table() -> Dict[Tuple[int, ...], Callable]:
 
     Entry q of the relabeled vector is sign * vv[index], with index the
     position of the sorted image quadruple and sign the parity of the sort.
-    The getter reads it off vv + (-vv), at index or index + 15.  Built on
-    first use: 720 x 15 entries.
+    The getter reads it off vv + (-vv), at index or index + 15, looked up
+    per ordered image quadruple.  Built on first use: 720 x 15 entries.
     """
-    table = {}
-    for perm in itertools.permutations(range(6)):
-        picks = []
-        for quad in QUADS6:
-            img = [perm[i] for i in quad]
-            odd = sum(x > y for x, y in itertools.combinations(img, 2)) % 2
-            picks.append(_QUAD_INDEX[tuple(sorted(img))] + 15 * odd)
-        table[perm] = itemgetter(*picks)
-    return table
+    pick = {
+        img: _QUAD_INDEX[tuple(sorted(img))]
+        + 15 * (sum(x > y for x, y in itertools.combinations(img, 2)) % 2)
+        for img in itertools.permutations(range(6), 4)
+    }
+    images = [itemgetter(*quad) for quad in QUADS6]
+    return {
+        perm: itemgetter(*[pick[image(perm)] for image in images])
+        for perm in itertools.permutations(range(6))
+    }
 
 
 def vv6_relabeled(vv: Sequence[int], perm: Sequence[int]) -> Tuple[int, ...]:

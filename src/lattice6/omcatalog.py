@@ -13,9 +13,13 @@ cyclic sequence of lines, each carrying (a_k, b_k) vectors on its two
 rays, plus at most one origin vector.  The circuits of the primal are the
 cocircuits of the dual — one per line, supported on the off-line
 elements, signed by side.  Everything else (vertex counts, interior
-points, coplanarities) is derived from the circuits alone: covectors are
-the sign vectors orthogonal to every circuit, cocircuits their
-support-minimal nonzero ones, facets the nonnegative cocircuits.
+points, coplanarities) is derived from the circuits alone.  A nonzero
+nonnegative sign vector, a 6-bit mask P, is a covector iff for every
+circuit (cp, cn) P & cp and P & cn are both empty or both not.  These
+covectors of an acyclic oriented matroid form its Las Vergnas face
+lattice; the support-minimal ones are the positive cocircuits, the facets
+(Bjorner et al., Oriented Matroids; Ziegler, Lectures on Polytopes, 6.4).
+An element is interior iff every facet mask contains it.
 
 There are exactly 55 such oriented matroids.  Records are keyed
 "cN.MM" where N is the number of circuits and MM numbers the canonical
@@ -103,6 +107,11 @@ def _circuit_tables():
 _IMAGES, _PAIR_KEY, _RANKED = _circuit_tables()
 
 
+def _masks(c: SignedCircuit) -> Tuple[int, int]:
+    """A circuit's (positive, negative) sides as 6-bit masks."""
+    return sum(1 << e for e in c.positive), sum(1 << e for e in c.negative)
+
+
 def canonical_circuit_form(
     circs: Sequence[SignedCircuit],
 ) -> Tuple[Tuple, Tuple[int, ...]]:
@@ -119,8 +128,7 @@ def canonical_circuit_form(
     pair, images = _PAIR_KEY, _IMAGES
     columns = []
     for c in circs:
-        pos = sum(1 << e for e in c.positive)
-        neg = sum(1 << e for e in c.negative)
+        pos, neg = _masks(c)
         columns.append([pair[x << 6 | y] for x, y in zip(images[pos], images[neg])])
     cands = [sorted(keys) for keys in zip(*columns)]
     best = min(range(len(cands)), key=cands.__getitem__)  # first minimum
@@ -210,42 +218,26 @@ def _iter_duals():
 # statistics from circuits
 
 
-def _orthogonal(x, c: SignedCircuit) -> bool:
-    prods = [x[e] for e in c.positive] + [-x[e] for e in c.negative]
-    has_pos = any(p > 0 for p in prods)
-    has_neg = any(p < 0 for p in prods)
-    return has_pos == has_neg
-
-
-def cocircuits_from_circuits(circs: Sequence[SignedCircuit]) -> Tuple[Tuple[int, ...], ...]:
-    """All cocircuits as sign vectors in {-1,0,1}^6.
-
-    Covectors are exactly the sign vectors orthogonal to every circuit;
-    cocircuits are the nonzero covectors of minimal support.  Both signs
-    of each cocircuit are returned.
-    """
+def _facet_masks(circs: Sequence[SignedCircuit]) -> Tuple[int, ...]:
+    """Supports of the positive cocircuits as 6-bit masks, ascending: the
+    support-minimal nonnegative covectors among the 63 masks, tested
+    against each circuit's (positive, negative) mask pair."""
+    sides = [_masks(c) for c in circs]
     covectors = [
-        x
-        for x in itertools.product((-1, 0, 1), repeat=6)
-        if any(x) and all(_orthogonal(x, c) for c in circs)
+        p for p in range(1, 64)
+        if all((p & cp == 0) == (p & cn == 0) for cp, cn in sides)
     ]
-    supports = {
-        x: frozenset(e for e in range(6) if x[e]) for x in covectors
-    }
-    out = []
-    for x, sup in supports.items():
-        if not any(s < sup for s in supports.values()):
-            out.append(x)
-    return tuple(sorted(out))
+    return tuple(
+        p for p in covectors if not any(q != p and q & p == q for q in covectors)
+    )
 
 
 def om_statistics(circs: Sequence[SignedCircuit]) -> Dict[str, object]:
     """Vertex count, interior count, coplanarity class, dps — from circuits.
 
     An element fails to be a vertex iff some circuit puts it alone on one
-    side (it is a convex combination of the rest); it is interior iff it
-    is nonzero in every nonnegative cocircuit (it lies on no facet
-    hyperplane).
+    side (it is a convex combination of the rest); it is interior iff
+    every facet mask contains it (it lies on no facet hyperplane).
     """
     nonvertex = set()
     for c in circs:
@@ -253,18 +245,13 @@ def om_statistics(circs: Sequence[SignedCircuit]) -> Dict[str, object]:
             nonvertex.add(c.positive[0])
         if len(c.negative) == 1:
             nonvertex.add(c.negative[0])
-    nonneg = [
-        x
-        for x in cocircuits_from_circuits(circs)
-        if all(v >= 0 for v in x)
-    ]
-    interior = [
-        e for e in range(6) if all(x[e] for x in nonneg)
-    ]
+    interior = 63
+    for p in _facet_masks(circs):
+        interior &= p
     sigs = {c.signature for c in circs}
     return {
         "nvertices": 6 - len(nonvertex),
-        "ninterior": len(interior),
+        "ninterior": bin(interior).count("1"),
         "coplanarity": coplanarity_from_circuits(circs),
         "dps": not ({(2, 1), (2, 2)} & sigs),
     }

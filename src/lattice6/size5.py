@@ -112,6 +112,11 @@ def classify5(config: PointConfig) -> Size5Class:
         raise NotSize5("configuration is not full-dimensional")
     if size(config) != 5:
         raise NotSize5("hull contains extra lattice points")
+    return size5_class(config)
+
+
+def size5_class(config: PointConfig) -> Size5Class:
+    """classify5 for a configuration that passed its gates."""
     sig = signature5(config)
     dep = volume_vector5(config)
     nonzero = sorted(abs(v) for v in dep if v)

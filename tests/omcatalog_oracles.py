@@ -1,18 +1,20 @@
 """Reference implementations for the oriented-matroid catalog, kept as test oracles.
 
-The library computes canonical circuit forms with bitmask table lookups
-and generates dual line sequences directly.  These are the versions they
-replaced: relabel every circuit as index tuples and sort, under each of
-the 720 permutations; and filter every product of per-line vector counts
-by its total.  Slow, but simple enough to trust.
+The library computes canonical circuit forms with bitmask table lookups,
+generates dual line sequences directly, and reads facets off the 63
+nonnegative sign masks.  These are the versions they replaced: relabel
+every circuit as index tuples and sort, under each of the 720
+permutations; filter every product of per-line vector counts by its
+total; and find all cocircuits among the 3^6 sign vectors orthogonal to
+every circuit.  Slow, but simple enough to trust.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-from lattice6.invariants import SignedCircuit
+from lattice6.invariants import SignedCircuit, coplanarity_from_circuits
 
 
 def relabeled(c: SignedCircuit, perm: Sequence[int]) -> SignedCircuit:
@@ -51,3 +53,63 @@ def iter_duals():
             for combo in itertools.product(per_line, repeat=n_lines):
                 if sum(a + b for a, b in combo) == total:
                     yield combo, loops
+
+
+def _orthogonal(x, c: SignedCircuit) -> bool:
+    prods = [x[e] for e in c.positive] + [-x[e] for e in c.negative]
+    has_pos = any(p > 0 for p in prods)
+    has_neg = any(p < 0 for p in prods)
+    return has_pos == has_neg
+
+
+def cocircuits_from_circuits(circs: Sequence[SignedCircuit]) -> Tuple[Tuple[int, ...], ...]:
+    """All cocircuits as sign vectors in {-1,0,1}^6.
+
+    Covectors are exactly the sign vectors orthogonal to every circuit;
+    cocircuits are the nonzero covectors of minimal support.  Both signs
+    of each cocircuit are returned.
+    """
+    covectors = [
+        x
+        for x in itertools.product((-1, 0, 1), repeat=6)
+        if any(x) and all(_orthogonal(x, c) for c in circs)
+    ]
+    supports = {
+        x: frozenset(e for e in range(6) if x[e]) for x in covectors
+    }
+    out = []
+    for x, sup in supports.items():
+        if not any(s < sup for s in supports.values()):
+            out.append(x)
+    return tuple(sorted(out))
+
+
+def om_statistics(circs: Sequence[SignedCircuit]) -> Dict[str, object]:
+    """Vertex count, interior count, coplanarity class, dps — from circuits.
+
+    An element fails to be a vertex iff some circuit puts it alone on one
+    side (it is a convex combination of the rest); it is interior iff it
+    is nonzero in every nonnegative cocircuit (it lies on no facet
+    hyperplane).
+    """
+    nonvertex = set()
+    for c in circs:
+        if len(c.positive) == 1:
+            nonvertex.add(c.positive[0])
+        if len(c.negative) == 1:
+            nonvertex.add(c.negative[0])
+    nonneg = [
+        x
+        for x in cocircuits_from_circuits(circs)
+        if all(v >= 0 for v in x)
+    ]
+    interior = [
+        e for e in range(6) if all(x[e] for x in nonneg)
+    ]
+    sigs = {c.signature for c in circs}
+    return {
+        "nvertices": 6 - len(nonvertex),
+        "ninterior": len(interior),
+        "coplanarity": coplanarity_from_circuits(circs),
+        "dps": not ({(2, 1), (2, 2)} & sigs),
+    }

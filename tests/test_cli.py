@@ -8,6 +8,7 @@ import pytest
 from conftest import apply_map, random_unimodular, shuffled
 import random
 
+from lattice6 import polytope
 from lattice6.cli import main
 from lattice6.emptytetra import is_empty_tetrahedron, white_type
 from lattice6.exactlinalg import AffineMap
@@ -58,6 +59,22 @@ def test_analyze_five_points(tmp_path, capsys):
     assert rc == 0
     assert "size-5 class:" in out
     assert "volume vector" in out
+
+
+def test_analyze_five_points_enumerates_once(tmp_path, capsys, monkeypatch):
+    """cmd_analyze has the size already, so classify5's size gate is skipped."""
+    calls = []
+    hull_points = polytope._hull_points
+
+    def counted(config, facets):
+        calls.append(config)
+        return hull_points(config, facets)
+
+    monkeypatch.setattr(polytope, "_hull_points", counted)
+    rc = main(["analyze", write_config(tmp_path, "r41.txt", rep41(1).points)])
+    assert rc == 0
+    assert "size-5 class: 41(1,)" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_analyze_width_one_hexagon(tmp_path, capsys):

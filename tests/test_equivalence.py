@@ -1,6 +1,7 @@
 """Z-equivalence witnesses and canonical keys."""
 
 import random
+from itertools import permutations
 
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +12,7 @@ from lattice6.equivalence import (
     are_equivalent,
     canonical_key,
     equivalence_witness,
+    vv6_relabeled,
 )
 from lattice6.invariants import volume_vector5, volume_vector6
 from lattice6.polytope import PointConfig
@@ -196,3 +198,14 @@ def test_witness_matches_oracle_on_symmetric_and_degenerate_inputs(bundle):
               for x, y in (("G.5", "G.12"), ("G.6", "G.9"))]
     for a, b in pairs:
         assert equivalence_witness(a, b) == fraction_oracles.equivalence_witness(a, b)
+
+
+def test_vv6_relabeled_on_distinct_entries():
+    """Every entry is told apart by its absolute value, so a wrong index or
+    sign in any of the 720 x 15 table entries shows."""
+    c = PointConfig([(-2, 2, -1), (0, 0, -2), (1, 1, -3), (0, -1, 0), (0, 1, 0), (3, 0, 0)])
+    vv = volume_vector6(c)
+    assert 0 not in vv and len({abs(w) for w in vv}) == 15
+    for perm in permutations(range(6)):
+        img = PointConfig([c.points[i] for i in perm])
+        assert vv6_relabeled(vv, perm) == volume_vector6(img), perm

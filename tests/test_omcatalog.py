@@ -19,7 +19,7 @@ from lattice6.omcatalog import (
     om_statistics,
     record_by_key,
 )
-from lattice6.polytope import PointConfig, interior_points, vertices
+from lattice6.polytope import PointConfig, hull_facets, interior_points, vertices
 
 
 def test_catalog_has_55_records():
@@ -94,20 +94,44 @@ def test_canonical_form_matches_oracle(bundle):
 
 def test_catalog_built_on_oracle_is_identical(monkeypatch):
     assert list(omcatalog._iter_duals()) == list(oracle.iter_duals())
+    records = enumerate_oms()  # built and cached before the patches
     monkeypatch.setattr(omcatalog, "canonical_circuit_form", oracle.canonical_circuit_form)
     monkeypatch.setattr(omcatalog, "_iter_duals", oracle.iter_duals)
-    assert omcatalog.enumerate_oms.__wrapped__() == enumerate_oms()
+    monkeypatch.setattr(omcatalog, "om_statistics", oracle.om_statistics)
+    assert omcatalog.enumerate_oms.__wrapped__() == records
+
+
+def test_facet_masks_match_oracle_cocircuits(bundle):
+    """The facet masks are the supports of the nonnegative cocircuits
+    among all 3^6 sign vectors."""
+    inputs = [rec.circuits for rec in enumerate_oms()]
+    inputs += [circuits(row.config()) for row in bundle.class_rows]
+    inputs += [circuits(c) for c in _spanning_sets(random.Random(11), 40)]
+    for circs in inputs:
+        supports = sorted(
+            sum(1 << e for e in range(6) if x[e])
+            for x in oracle.cocircuits_from_circuits(circs)
+            if min(x) >= 0
+        )
+        assert list(omcatalog._facet_masks(circs)) == supports, circs
 
 
 def test_match_agrees_with_geometry(bundle):
-    for cid in ("A.2", "B.6", "C.1", "D.2", "E.2", "F.10", "G.7", "H.9"):
-        c = bundle.class_by_id(cid).config()
-        rec, _ = match_om(c)
-        assert rec.coplanarity == coplanarity_class(c)
-        assert rec.nvertices == len(vertices(c))
-        assert rec.ninterior == len(interior_points(c))
-        assert rec.dps == is_dps(c)
-        assert len(rec.circuits) == len(circuits(c))
+    """The matched record's statistics against the hull of the points: all
+    76 rows, then random spanning sets, whose hulls may hold more lattice
+    points than the configuration."""
+    rows = [row.config() for row in bundle.class_rows]
+    for i, c in enumerate(rows + list(_spanning_sets(random.Random(13), 50))):
+        rec = match_om(c)[0]
+        facets = hull_facets(c)
+        inside = [p for p in c.points if all(f.value(p) > 0 for f in facets)]
+        assert rec.nvertices == len(vertices(c)), c
+        assert rec.ninterior == len(inside), c
+        assert rec.coplanarity == coplanarity_class(c), c
+        assert len(rec.circuits) == len(circuits(c)), c
+        if i < len(rows):
+            assert rec.ninterior == len(interior_points(c)), c
+            assert rec.dps == is_dps(c), c
 
 
 def test_match_is_invariant(bundle):
