@@ -138,16 +138,16 @@ def _row_key_index():
     return index
 
 
-def _match_row(config: PointConfig):
-    """Table row equivalent to config; raises if there is none."""
-    row = _row_key_index().get(canonical_key(config))
+def _match_row(key):
+    """Table row with this canonical key; raises if there is none."""
+    row = _row_key_index().get(key)
     if row is None:
         raise ClassificationError("generated configuration matches no table row")
     return row
 
 
-def _dedupe(configs: Sequence[PointConfig]) -> List[PointConfig]:
-    """First-seen representatives up to equivalence."""
+def _dedupe(configs: Sequence[PointConfig]) -> Dict[tuple, PointConfig]:
+    """First-seen representatives up to equivalence, by canonical key."""
     seen_sets = set()
     firsts: Dict[tuple, PointConfig] = {}
     for cfg in configs:
@@ -156,7 +156,7 @@ def _dedupe(configs: Sequence[PointConfig]) -> List[PointConfig]:
             continue
         seen_sets.add(fs)
         firsts.setdefault(canonical_key(cfg), cfg)
-    return list(firsts.values())
+    return firsts
 
 
 def _make_class(row, generated: PointConfig) -> PolytopeClass:
@@ -181,10 +181,11 @@ def _make_class(row, generated: PointConfig) -> PolytopeClass:
     )
 
 
-def _finish(case, examined, rejected, accepted, notes=()) -> CaseReport:
+def _finish(case, examined, rejected, firsts, notes=()) -> CaseReport:
+    """Report of one case from its _dedupe representatives."""
     classes = []
-    for cfg in _dedupe(accepted):
-        row = _match_row(cfg)
+    for key, cfg in firsts.items():
+        row = _match_row(key)
         if row.case != case:
             raise ClassificationError(f"case {case} produced table row {row.id}")
         classes.append(_make_class(row, cfg))
@@ -246,7 +247,7 @@ def run_case_a() -> CaseReport:
             if size(cfg) != 6:
                 raise ClassificationError(f"case A candidate {p6} has extra points")
             accepted.append(cfg)
-    return _finish("A", examined, rejected, accepted)
+    return _finish("A", examined, rejected, _dedupe(accepted))
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +364,7 @@ def run_case_b() -> CaseReport:
         ids[cfg] = _B_IDS.get(("iii", a, b))
     notes.append(f"subcase (3,3): {raw} raw candidates (printed list has 18)")
 
-    report = _finish("B", examined, rejected, accepted, notes)
+    report = _finish("B", examined, rejected, _dedupe(accepted), notes)
     for cls in report.classes_found:  # printed id table must agree
         if ids.get(cls.generated) != cls.id:
             raise ClassificationError(f"printed id table disagrees for {cls.id}")
@@ -452,7 +453,7 @@ def run_case_c() -> CaseReport:
     if survivors != [(1, 1)]:
         raise ClassificationError(f"C vertices subcase found {survivors}")
 
-    return _finish("C", examined, rejected, accepted)
+    return _finish("C", examined, rejected, _dedupe(accepted))
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +497,7 @@ def run_case_d() -> CaseReport:
         accepted.append(cfg)
     if survivors != [(3, 3), (3, 4), (4, 5)]:
         raise ClassificationError(f"D survivors {survivors}")
-    return _finish("D", examined, rejected, accepted)
+    return _finish("D", examined, rejected, _dedupe(accepted))
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +541,7 @@ def run_case_e() -> CaseReport:
                 rejected["tetrahedron p2p3p4p6 is not empty"] += 1
                 continue
             accepted.append(cfg)
-    return _finish("E", examined, rejected, accepted)
+    return _finish("E", examined, rejected, _dedupe(accepted))
 
 
 # ---------------------------------------------------------------------------
@@ -577,11 +578,15 @@ def run_case_f() -> CaseReport:
             group = "4.21" if i == 0 else ("4.22" if j == 0 else "4.11")
             _check_f_triangulation(pts, i, j, cfg, group)
             groups[group].append(cfg)
-    counts = tuple(len(_dedupe(groups[g])) for g in ("4.21", "4.22", "4.11"))
+    firsts = [_dedupe(groups[g]) for g in ("4.21", "4.22", "4.11")]
+    counts = tuple(map(len, firsts))
     if counts != (6, 6, 5):
         raise ClassificationError(f"F group counts {counts}")
-    accepted = groups["4.21"] + groups["4.22"] + groups["4.11"]
-    report = _finish("F", examined, rejected, accepted)
+    merged: Dict[tuple, PointConfig] = {}
+    for group in firsts:
+        for key, cfg in group.items():
+            merged.setdefault(key, cfg)
+    report = _finish("F", examined, rejected, merged)
     for cls in report.classes_found:
         circs = [c for c in circuits(cls.generated) if c.signature == (2, 1)]
         if len(circs) != 1:
@@ -681,8 +686,8 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
     for case in ("G", "H"):
         for reason, n in rejected["shared"].items():
             rejected[case][reason] += n
-    report_g = _finish("G", examined, rejected["G"], accepted["G"], (note,))
-    report_h = _finish("H", examined, rejected["H"], accepted["H"], (note,))
+    report_g = _finish("G", examined, rejected["G"], _dedupe(accepted["G"]), (note,))
+    report_h = _finish("H", examined, rejected["H"], _dedupe(accepted["H"]), (note,))
     return report_g, report_h
 
 

@@ -11,12 +11,12 @@ from .polytope import (
     NotFullDimensional,
     PointConfig,
     format_points,
-    lattice_and_interior_points,
+    hull_summary,
     parse_points,
-    vertices,
 )
 from .invariants import (
-    coplanarity_class,
+    circuits,
+    coplanarity_from_circuits,
     pair_sums_distinct,
     volume_vector5,
     volume_vector6,
@@ -24,7 +24,7 @@ from .invariants import (
 )
 from .equivalence import equivalence_witness
 from .emptytetra import white_type
-from .omcatalog import NoMatch, match_om
+from .omcatalog import NoMatch, match_circuits
 from .size5 import size5_class
 from .tablesdata import load_tables
 from . import classify6
@@ -59,8 +59,8 @@ def _read_config(path: str) -> PointConfig:
     return parse_points(text)
 
 
-def _om_label(config: PointConfig) -> str:
-    record, _ = match_om(config)
+def _om_label(circs) -> str:
+    record, _ = match_circuits(circs)
     labels = load_tables().label_candidates(record.key)
     return " or ".join(labels) if labels else "unlabeled"
 
@@ -68,9 +68,10 @@ def _om_label(config: PointConfig) -> str:
 def cmd_analyze(args) -> int:
     config = _read_config(args.points_file)
     n = len(config.points)
-    lattice, inner = lattice_and_interior_points(config)
+    lattice, inner, verts = hull_summary(config)
     nsize = len(lattice)
-    verts = vertices(config)
+    # hull_summary rejected rank < 4, so the circuits exist
+    circs = circuits(config) if n == 6 else ()
     w, functional = width(config)
     in_table = n == 6 and classify6.in_classification(nsize, w)
     class_id = classify6.table_id(config) if in_table else None
@@ -90,13 +91,13 @@ def cmd_analyze(args) -> int:
     if n == 5:
         print("volume vector:", " ".join(map(str, volume_vector5(config))))
     elif n == 6:
-        print(f"coplanarity: {coplanarity_class(config)}")
+        print(f"coplanarity: {coplanarity_from_circuits(circs)}")
         print("volume vector:", " ".join(map(str, volume_vector6(config))))
     dps = pair_sums_distinct(lattice)
     print(f"dps: {'dps' if dps else 'non-dps'}")
     if n == 6:
         try:
-            print(f"oriented matroid: {_om_label(config)}")
+            print(f"oriented matroid: {_om_label(circs)}")
         except NoMatch:
             print("oriented matroid: unmatched")
     summary = None

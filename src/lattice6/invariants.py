@@ -184,9 +184,11 @@ def width(config: PointConfig) -> Tuple[int, IntVec3]:
     pick an affinely independent quadruple of minimal |volume| with
     difference vectors d1,d2,d3, then for W = 1..U enumerate target values
     (t1,t2,t3) in [-W,W]^3, solve f . d_k = t_k for integral f, and return
-    the first level admitting a witness.  Ties among witnesses are broken
-    by normalizing the leading coefficient positive and taking the
-    lexicographically smallest.
+    the first level admitting a witness.  A functional of range W takes
+    the values (0, t1, t2, t3) on the quadruple, relative to q0, inside a
+    window of length W, so targets spread wider than W are skipped.  Ties
+    among witnesses are broken by normalizing the leading coefficient
+    positive and taking the lexicographically smallest.
     """
     pts = config.points
     best = None
@@ -216,7 +218,7 @@ def width(config: PointConfig) -> Tuple[int, IntVec3]:
     for W in range(1, U + 1):
         witnesses = []
         for t in itertools.product(range(-W, W + 1), repeat=3):
-            if t == (0, 0, 0):
+            if t == (0, 0, 0) or max(0, *t) - min(0, *t) > W:
                 continue
             if t not in cache:
                 f = solve(t)

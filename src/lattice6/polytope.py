@@ -249,7 +249,18 @@ def lattice_and_interior_points(
     Both lexicographically sorted, from one hull and one enumeration, for
     callers that need the size and the interior points of the same hull.
     """
+    return _points_and_interior(config, hull_facets(config))
+
+
+def hull_summary(
+    config: PointConfig,
+) -> Tuple[Tuple[IntVec3, ...], Tuple[IntVec3, ...], Tuple[IntVec3, ...]]:
+    """lattice_and_interior_points and vertices from one hull_facets call."""
     facets = hull_facets(config)
+    return (*_points_and_interior(config, facets), _vertices(config, facets))
+
+
+def _points_and_interior(config: PointConfig, facets: Sequence[Facet]):
     points = _hull_points(config, facets)
     return points, tuple(p for p in points if all(f.value(p) > 0 for f in facets))
 

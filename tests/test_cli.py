@@ -1,6 +1,7 @@
 """Command-line interface: output formats and exit codes."""
 
 import json
+import sys
 import time
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from conftest import apply_map, random_unimodular, shuffled
 import random
 
-from lattice6 import polytope
+from lattice6 import classify6, invariants, polytope
 from lattice6.cli import main
 from lattice6.emptytetra import is_empty_tetrahedron, white_type
 from lattice6.exactlinalg import AffineMap
@@ -75,6 +76,27 @@ def test_analyze_five_points_enumerates_once(tmp_path, capsys, monkeypatch):
     assert rc == 0
     assert "size-5 class: 41(1,)" in capsys.readouterr().out
     assert len(calls) == 1
+
+
+def test_analyze_six_points_computes_circuits_and_facets_once(tmp_path, bundle, capsys, monkeypatch):
+    """One circuits call and one hull_facets call per six-point analyze,
+    wherever the lattice6 modules look the two functions up."""
+    classify6._row_key_index()  # built with the tables, before counting
+    calls = {}
+    for fn in (invariants.circuits, polytope.hull_facets):
+        def counted(*args, _fn=fn):
+            calls[_fn.__name__] = calls.get(_fn.__name__, 0) + 1
+            return _fn(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("lattice6"):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, counted)
+    rc = main(["analyze", rep_file(tmp_path, bundle, "H.7")])
+    assert rc == 0
+    assert "class: H.7" in capsys.readouterr().out
+    assert calls == {"circuits": 1, "hull_facets": 1}
 
 
 def test_analyze_width_one_hexagon(tmp_path, capsys):

@@ -5,6 +5,7 @@ from itertools import permutations
 
 from hypothesis import given, settings, strategies as st
 
+import equivalence_oracles
 import fraction_oracles
 from conftest import apply_map, random_unimodular, shuffled
 from lattice6.emptytetra import standard_tetrahedron
@@ -14,7 +15,7 @@ from lattice6.equivalence import (
     equivalence_witness,
     vv6_relabeled,
 )
-from lattice6.invariants import volume_vector5, volume_vector6
+from lattice6.invariants import QUADS6, volume_vector5, volume_vector6
 from lattice6.polytope import PointConfig
 from lattice6.size5 import apex_config_31
 from lattice6.tablesdata import GCD_EXCEPTIONS
@@ -209,3 +210,62 @@ def test_vv6_relabeled_on_distinct_entries():
     for perm in permutations(range(6)):
         img = PointConfig([c.points[i] for i in perm])
         assert vv6_relabeled(vv, perm) == volume_vector6(img), perm
+
+
+def _spanning_sets(rng, count):
+    """Random 6-point sets in [-2,2]^3 that span 3-space."""
+    while count:
+        pts = sorted({tuple(rng.randrange(-2, 3) for _ in range(3)) for _ in range(6)})
+        if len(pts) == 6 and any(volume_vector6(PointConfig(pts))):
+            count -= 1
+            yield PointConfig(pts)
+
+
+#: Two quadruples reach max|vv| = 48, and only the second one's
+#: relabelings reach the minimal vector.
+SECOND_QUAD_WINS = PointConfig(
+    [(-2, -2, -2), (-2, -2, 0), (-1, -2, 2), (-1, 1, -1), (2, -2, -2), (2, 1, -2)]
+)
+
+#: Six to twelve of the 15 |volumes| tie at the maximum: the octahedron
+#: (12), sets from [-1,1]^3 with 12, 9, 8 and 6, and a relabeled
+#: unimodular image of the octahedron.
+HIGH_TIE = [
+    PointConfig([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]),
+    PointConfig([(-1, -1, 0), (-1, -1, 1), (-1, 0, 0), (-1, 0, 1), (1, 0, 1), (1, 1, 1)]),
+    PointConfig([(-1, -1, 0), (-1, 0, -1), (0, -1, 0), (0, -1, 1), (0, 1, -1), (0, 1, 0)]),
+    PointConfig([(-1, 0, -1), (-1, 0, 1), (-1, 1, 0), (0, 0, 1), (1, 0, -1), (1, 1, 0)]),
+    PointConfig([(0, 0, -1), (0, 0, 1), (0, 1, -1), (1, -1, 1), (1, 1, -1), (1, 1, 1)]),
+    PointConfig([(1, 1, 2), (1, -1, 2), (-1, -1, 1), (3, 1, 3), (0, 0, 1), (2, 0, 3)]),
+]
+
+
+def _first_quad_minimum(config):
+    """Least relabeled vector over the relabelings that send the first
+    quadruple of maximal |volume| to labels 0-3."""
+    vv = volume_vector6(config)
+    top = max(map(abs, vv))
+    quad = next(q for q, w in zip(QUADS6, vv) if abs(w) == top)
+    rest = tuple(e for e in range(6) if e not in quad)
+    return min(
+        min(v, tuple(-w for w in v))
+        for head in permutations(quad)
+        for tail in permutations(rest)
+        for v in [vv6_relabeled(vv, head + tail)]
+    )
+
+
+def test_canonical_key_matches_full_search(bundle):
+    """The pruned search returns the 720-relabeling oracle's key on the rows,
+    relabeled unimodular images of them, random spanning sets, inputs with
+    many tied |volumes| and one whose minimum needs a later tied quadruple."""
+    rng = random.Random(13)
+    rows = [row.config() for row in bundle.class_rows]
+    inputs = rows + [shuffled(rng, apply_map(random_unimodular(rng), c)) for c in rows]
+    inputs += list(_spanning_sets(rng, 120)) + HIGH_TIE + [SECOND_QUAD_WINS]
+    for c in HIGH_TIE:
+        vv = volume_vector6(c)
+        assert sum(abs(w) == max(map(abs, vv)) for w in vv) >= 6, c.points
+    assert _first_quad_minimum(SECOND_QUAD_WINS) > canonical_key(SECOND_QUAD_WINS)[0]
+    for c in inputs:
+        assert canonical_key(c) == equivalence_oracles.canonical_key(c), c.points

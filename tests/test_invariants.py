@@ -1,5 +1,6 @@
 """Volume vectors, width, circuits, coplanarity classes and the dps test."""
 
+import itertools
 import random
 
 import pytest
@@ -22,7 +23,13 @@ from lattice6.invariants import (
     volume_vector6,
     width,
 )
-from lattice6.polytope import NotFullDimensional, PointConfig, interior_points
+from lattice6.exactlinalg import det3, sub
+from lattice6.polytope import (
+    NotFullDimensional,
+    PointConfig,
+    independent_quadruple,
+    interior_points,
+)
 from lattice6.size5 import rep22, rep32
 
 VV_A1 = (0, 0, 2, 0, 0, 4, 0, 2, 0, -4, 0, 4, -2, -8, -2)
@@ -95,6 +102,47 @@ def test_table_functional_achieves_table_width(bundle):
         vals = [sum(a * b for a, b in zip(row.functional, p)) for p in c.points]
         assert max(vals) - min(vals) == row.width, row.id
         assert width(c)[0] == row.width, row.id
+
+
+def _width_all_targets(config):
+    """Width and witness by the unpruned search.  On the differences d_k
+    from the first point of any independent quadruple, a functional of
+    range W takes values in [-W, W]; so solving d_k . f = t_k for every
+    t in [-W, W]^3 finds all of them, and the witness is the least one
+    with its leading coefficient made positive."""
+    pts = config.points
+    q = [pts[i] for i in independent_quadruple(config)]
+    d = [sub(p, q[0]) for p in q[1:]]
+    D = det3(*d)
+    for W in itertools.count(1):
+        found = []
+        for t in itertools.product(range(-W, W + 1), repeat=3):
+            # Cramer's rule: column i of the rows d_k replaced by t
+            num = [det3(*(r[:i] + (tk,) + r[i + 1:] for r, tk in zip(d, t))) for i in range(3)]
+            if t == (0, 0, 0) or any(v % D for v in num):
+                continue
+            f = tuple(v // D for v in num)
+            values = [sum(a * b for a, b in zip(f, p)) for p in pts]
+            if max(values) - min(values) == W:
+                found.append(f if next(v for v in f if v) > 0 else tuple(-v for v in f))
+        if found:
+            return W, min(found)
+
+
+def test_width_matches_all_target_search(bundle):
+    """Skipping the targets spread wider than W keeps the width and the
+    witness: the rows, unimodular images of them, and random 4-8 point
+    sets."""
+    rng = random.Random(17)
+    rows = [row.config() for row in bundle.class_rows]
+    randoms = []
+    while len(randoms) < 80:
+        pts = list({tuple(rng.randrange(-3, 4) for _ in range(3)) for _ in range(rng.randrange(4, 9))})
+        if len(pts) >= 4 and PointConfig(pts).is_full_dimensional():
+            randoms.append(PointConfig(pts))
+    images = [shuffled(rng, apply_map(random_unimodular(rng), c)) for c in rows[::4]]
+    for c in rows + images + randoms:
+        assert width(c) == _width_all_targets(c), c.points
 
 
 def test_interior_point_forces_width_two(bundle):

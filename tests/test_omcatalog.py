@@ -9,7 +9,7 @@ import omcatalog_oracles as oracle
 from conftest import apply_map, random_unimodular, shuffled
 from lattice6 import omcatalog
 from lattice6.exactlinalg import det4
-from lattice6.invariants import circuits, coplanarity_class, is_dps
+from lattice6.invariants import SignedCircuit, circuits, coplanarity_class, is_dps
 from lattice6.omcatalog import (
     canonical_circuit_form,
     config_circuits,
@@ -77,19 +77,49 @@ def _spanning_sets(rng, count):
             yield PointConfig(pts)
 
 
+#: Record c4.20 relabeled by (5, 3, 2, 0, 1, 4), spelled out so that it
+#: does not depend on the catalog.  It reaches the minimal form only with
+#: the negative side of one of its two (2,2)-circuits sent to labels 0, 1.
+C420_RELABELED = (
+    SignedCircuit((0, 2), (3, 5)),
+    SignedCircuit((1, 2, 4), (3, 5)),
+    SignedCircuit((0, 3, 5), (1, 4)),
+    SignedCircuit((0, 2), (1, 4)),
+)
+
+
+def _least_side_sizes(circs):
+    """Least (smaller side, larger side) sizes over the circuits."""
+    return min(tuple(sorted((len(c.positive), len(c.negative)))) for c in circs)
+
+
 def test_canonical_form_matches_oracle(bundle):
-    """Same (form, perm) as the 720-relabeling oracle, ties included."""
+    """Same (form, perm) as the 720-relabeling oracle, ties included.
+
+    The records whose least circuit has two equal sides get twelve
+    relabelings each: some reach the minimum only with the circuit's
+    negative side sent to labels 0 and 1, as C420_RELABELED does.
+    """
     rng = random.Random(5)
     inputs = []
     for rec in enumerate_oms():
-        for _ in range(3):
+        s, t = _least_side_sizes(rec.circuits)
+        for _ in range(12 if s == t else 3):
             perm = list(range(6))
             rng.shuffle(perm)
             inputs.append(tuple(oracle.relabeled(c, perm) for c in rec.circuits))
+    inputs.append(C420_RELABELED)
     inputs += [circuits(row.config()) for row in bundle.class_rows]
     inputs += [circuits(c) for c in _spanning_sets(rng, 40)]
     for circs in inputs:
         assert canonical_circuit_form(circs) == oracle.canonical_circuit_form(circs)
+
+
+def test_candidate_relabelings_per_record():
+    """The bound the module docstring states: at most 96 of the 720."""
+    counts = [len(omcatalog._first_key_relabelings([omcatalog._masks(c) for c in rec.circuits]))
+              for rec in enumerate_oms()]
+    assert max(counts) == 96
 
 
 def test_catalog_built_on_oracle_is_identical(monkeypatch):
