@@ -34,7 +34,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactlinalg import IntVec3, det3, edge_form, unimodular_map
+from .exactlinalg import IntVec3, det4, edge_form, unimodular_map
 from .polytope import PointConfig, lattice_and_interior_points, size
 from .invariants import (
     C21,
@@ -426,7 +426,7 @@ def run_case_c() -> CaseReport:
             if rec.key != key54[0]:
                 rejected["oriented matroid is not 5.4"] += 1
                 continue
-            vol = abs(det3(*(tuple(q[t] - p1[t] for t in range(3)) for q in (p2, p3, p5))))
+            vol = abs(det4(p1, p2, p3, p5))
             if vol not in (1, 3):
                 rejected["subtetrahedron p1p2p3p5 volume is not 1 or 3"] += 1
                 continue
@@ -837,12 +837,7 @@ def case_of(config: PointConfig) -> str:
                 continue
             others = [i for i in range(6) if i not in circ.support]
             base, u, v = (config.points[i] for i in circ.support[:3])
-            du = tuple(u[t] - base[t] for t in range(3))
-            dv = tuple(v[t] - base[t] for t in range(3))
-            h = [
-                det3(du, dv, tuple(config.points[i][t] - base[t] for t in range(3)))
-                for i in others
-            ]
+            h = [det4(base, u, v, config.points[i]) for i in others]
             if h[0] * h[1] < 0:
                 opposite = True
         if cls == C31:

@@ -74,10 +74,9 @@ def white_type(points: Sequence[Sequence[int]]) -> Optional[Tuple[int, int]]:
     min{p, q-p, p^{-1} mod q, q - (p^{-1} mod q)}.  Degenerate or
     non-empty input gives None.
     """
-    pts = [check_point(p) for p in points]
-    if not is_empty_tetrahedron(pts):
+    if not is_empty_tetrahedron(points):
         return None
-    h = edge_form(pts)
+    h = edge_form(points)
     if [row[:2] for row in h] != [(1, 0), (0, 1), (0, 0)]:
         raise RuntimeError(f"edge matrix Hermite form {h} is not [[1,0,a],[0,1,b],[0,0,q]]")
     a, b, q = h[0][2], h[1][2], h[2][2]

@@ -1,72 +1,92 @@
 """Unimodular (Z-) equivalence of lattice point configurations.
 
 Two configurations are equivalent when an integer affine map with
-determinant +-1 sends one point set onto the other.  The search works up
-to relabeling: such a map is fixed by the images of one independent
-quadruple, so each injective image of it is solved once, in integers,
-and the map is checked on all points.
+determinant +-1 sends one point set onto the other.  canonical_key is a
+normal form of 4..8 points (equal keys iff equivalent), after
+Grinis-Kasprzyk (arXiv:1301.6641) and PALP (math/0204356).
 
-For 6-point configurations canonical_key is a complete invariant (equal
-keys iff equivalent): the minimal volume vector over relabelings, and the
-minimal Hermite normal form of the point differences over the relabelings
-that reach it (Grinis-Kasprzyk, arXiv:1301.6641; PALP, math/0204356).
-Entry 0 of a relabeled vector is +-vv[q] for the image q of labels 0-3,
-and the sign is free, so the minimal vector starts with -max|vv|.  Only
-the relabelings sending a quadruple of maximal |volume| onto labels 0-3
-can reach it: 48 per such quadruple, each with one vector of the right
-sign.  The worst case, all 15 |volumes| tied, builds 720 vectors; the
-full search built 1,440.
+An equivalence permutes the ordered quadruples of maximal |det4| = V
+among themselves.  For one such quadruple (q0..q3), every point p has
+barycentric coordinates lambda / V with integer lambda (V e_i at q_i),
+which no affine bijection changes; and the edge matrix E (columns
+q_i - q0) has a row Hermite normal form H, which a map changes exactly
+when it is not unimodular.  If two ordered quadruples share the sorted
+table of (lambda_1, lambda_2, lambda_3) over all points and H, the affine
+map between them is unimodular and carries one point set onto the other.
+So the key is the least (table, H) over those quadruples.  The tables of
+the 24 orders of one quadruple permute the columns of one table, so a
+3x3 Hermite form is taken only for the orders whose table is least.
+The orders that reach the key are the images of any one of them under
+the symmetries of the configuration, so the witnesses of an equivalence
+a -> b are the maps from a's first such order onto each of b's.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-from .exactlinalg import AffineMap, det4, edge_form, unimodular_map
-from .invariants import QUADS6, WrongSize, volume_vector6
-from .polytope import PointConfig, independent_quadruple
+from .exactlinalg import (
+    AffineMap,
+    IntVec3,
+    _adjugate,
+    _mat_det,
+    _mat_vec,
+    det4,
+    edge_form,
+    sub,
+    unimodular_map,
+)
+from .polytope import NotFullDimensional, PointConfig
 
-_QUAD_INDEX = {q: i for i, q in enumerate(QUADS6)}
+Key = Tuple[Tuple[IntVec3, ...], Tuple[IntVec3, IntVec3, IntVec3]]
+
+#: Per order of a quadruple's labels 0-3, the getter of its last three
+#: barycentric numerators.
+_ORDERS = [(order, itemgetter(*order[1:])) for order in itertools.permutations(range(4))]
 
 
-@lru_cache(maxsize=None)
-def _relabel_table() -> Dict[Tuple[int, ...], Callable]:
-    """Per permutation of range(6), a getter of the relabeled volume vector.
-
-    Entry q of the relabeled vector is sign * vv[index], with index the
-    position of the sorted image quadruple and sign the parity of the sort.
-    The getter reads it off vv + (-vv), at index or index + 15, looked up
-    per ordered image quadruple.  Built on first use: 720 x 15 entries.
-    """
-    pick = {
-        img: _QUAD_INDEX[tuple(sorted(img))]
-        + 15 * (sum(x > y for x, y in itertools.combinations(img, 2)) % 2)
-        for img in itertools.permutations(range(6), 4)
+def _normal_form(config: PointConfig) -> Tuple[Key, List[Tuple[int, ...]]]:
+    """canonical_key of config and the ordered index quadruples reaching it."""
+    pts = config.points
+    vols = {
+        quad: abs(det4(*(pts[i] for i in quad)))
+        for quad in itertools.combinations(range(len(pts)), 4)
     }
-    images = [itemgetter(*quad) for quad in QUADS6]
-    return {
-        perm: itemgetter(*[pick[image(perm)] for image in images])
-        for perm in itertools.permutations(range(6))
+    top = max(vols.values())
+    if top == 0:
+        raise NotFullDimensional("configuration spans no 3-dimensional volume")
+    tables = {}
+    for quad, vol in vols.items():
+        if vol != top:
+            continue
+        q0 = pts[quad[0]]
+        e = tuple(zip(*(sub(pts[i], q0) for i in quad[1:])))
+        adj = _adjugate(e)
+        if _mat_det(e) < 0:
+            adj = tuple(tuple(-x for x in row) for row in adj)
+        coords = []
+        for p in pts:
+            l1, l2, l3 = _mat_vec(adj, sub(p, q0))
+            coords.append((top - l1 - l2 - l3, l1, l2, l3))
+        for order, last3 in _ORDERS:
+            tables[tuple(quad[i] for i in order)] = tuple(sorted(map(last3, coords)))
+    least = min(tables.values())
+    forms = {
+        order: edge_form([pts[i] for i in order])
+        for order, table in tables.items() if table == least
     }
+    h = min(forms.values())
+    return (least, h), [order for order, form in forms.items() if form == h]
 
 
-def vv6_relabeled(vv: Sequence[int], perm: Sequence[int]) -> Tuple[int, ...]:
-    """Volume vector of the relabeled configuration i -> perm[i].
+def canonical_key(config: PointConfig) -> Key:
+    """Complete invariant (table, H) of 4..8 points; see the module docstring.
 
-    Each entry is looked up from the original vector with the sign of the
-    permutation that sorts the image quadruple.
+    Raises NotFullDimensional for a configuration of affine rank < 4.
     """
-    vv = tuple(vv)
-    return _relabel_table()[tuple(perm)](vv + tuple(-w for w in vv))
-
-
-def _abs_multiset(config: PointConfig) -> Tuple[int, ...]:
-    return tuple(
-        sorted(abs(det4(*q)) for q in itertools.combinations(config.points, 4))
-    )
+    return _normal_form(config)[0]
 
 
 def equivalence_witness(
@@ -76,71 +96,24 @@ def equivalence_witness(
 
     Returns None when the configurations are not equivalent.  The witness
     is the lexicographically first valid permutation; determinant -1 maps
-    count as equivalences.  A map is fixed by the images of the
-    independent quadruple of a, so one integer solve per injective image
-    (n!/(n-4)!, 1680 for n = 8) decides every permutation sharing it.
+    count as equivalences.  Every witness sends a's first key order onto
+    one of b's, so one integer solve per key order of b lists them all.
     """
-    n = len(a)
-    if len(b) != n:
+    if len(a) != len(b):
         return None
-    if _abs_multiset(a) != _abs_multiset(b):
+    key_a, orders_a = _normal_form(a)
+    key_b, orders_b = _normal_form(b)
+    if key_a != key_b:
         return None
-    quad = independent_quadruple(a)
-    src = [a[i] for i in quad]
+    src = [a[i] for i in orders_a[0]]
     where = {p: j for j, p in enumerate(b.points)}
-    # independent_quadruple is the greedy (lexicographically first) basis:
-    # a point it skips lies in the affine span of the quad points before
-    # it.  So a map's permutation prefix follows from its image prefix, and
-    # the first valid image in lexicographic order gives the first valid
-    # permutation.
-    for img in itertools.permutations(range(n), 4):
-        m = unimodular_map(src, [b[j] for j in img])
-        if m is None:
-            continue
-        perm = tuple(where.get(m.apply(p)) for p in a.points)
-        if None not in perm:
-            return perm, m
-    return None
+    witnesses = []
+    for order in orders_b:
+        m = unimodular_map(src, [b[j] for j in order])
+        witnesses.append((tuple(where[m.apply(p)] for p in a.points), m))
+    return min(witnesses, key=itemgetter(0))
 
 
 def are_equivalent(a: PointConfig, b: PointConfig) -> bool:
     """True when an integer affine map of determinant +-1 sends a onto b."""
-    return equivalence_witness(a, b) is not None
-
-
-def canonical_key(config: PointConfig) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]:
-    """Complete invariant (best, form) of a 6-point configuration.
-
-    best is the lexicographically minimal volume vector over relabelings
-    and sign; form is the minimal row Hermite normal form of the 3x5 matrix
-    of differences p_i - p_0 over the relabelings that reach best.  A
-    unimodular map multiplies that matrix on the left by a GL_3(Z) element,
-    which the normal form undoes.  Entry 0 of a relabeled vector is
-    +-vv[q], q the image of labels 0-3, so best[0] = -max|vv| != 0: only
-    the 48 relabelings per quadruple q with |vv[q]| = max|vv| can reach
-    best, and points 0-3 of each of them are independent.
-    """
-    if len(config) != 6:
-        raise WrongSize(f"need 6 points, got {len(config)}")
-    vv = volume_vector6(config)
-    top = max(map(abs, vv))
-    neg = tuple(-w for w in vv)
-    signed = (vv + neg, neg + vv)
-    table = _relabel_table()
-    vectors = {}
-    for quad, w in zip(QUADS6, vv):
-        if abs(w) != top:
-            continue
-        rest = [e for e in range(6) if e not in quad]
-        for head in itertools.permutations(quad):
-            for tail in itertools.permutations(rest):
-                perm = head + tail
-                v = table[perm](signed[0])
-                vectors[perm] = v if v[0] < 0 else table[perm](signed[1])
-    best = min(vectors.values())
-    pts = config.points
-    form = min(
-        edge_form([pts[j] for j in perm])
-        for perm, v in vectors.items() if v == best
-    )
-    return best, form
+    return len(a) == len(b) and canonical_key(a) == canonical_key(b)

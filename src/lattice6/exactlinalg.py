@@ -5,11 +5,12 @@ Python ints.  No floats and no rationals anywhere.  unimodular_map finds
 the affine map fixed by four point pairs in integers, when that map is
 integral with determinant +-1 (a determinant comparison, an adjugate
 product and a divisibility test).  hermite_normal_form is the normal form
-of an integer matrix under left multiplication by GL_n(Z); edge_form
-applies it to the edge vectors of an ordered point tuple, so equal forms
-mean exactly that an integral unimodular map sends one tuple onto the
-other.  Coordinates are validated once, where points enter (check_point,
-called by PointConfig); det4 and unimodular_map trust their input.
+of a 3x3 integer matrix, of any rank, under left multiplication by
+GL_3(Z); edge_form applies it to the edge vectors of an ordered point
+quadruple, so equal forms mean exactly that an integral unimodular map
+sends one quadruple onto the other.  Coordinates are validated once,
+where points enter (check_point, called by PointConfig); det4 and
+unimodular_map trust their input.
 
 The basic quantity is the normalized 4x4 determinant of four lattice
 points (top row of ones, points as columns), which equals the signed
@@ -97,43 +98,58 @@ def is_primitive(v: Iterable[int]) -> bool:
     return gcd_all(v) == 1
 
 
-def hermite_normal_form(rows: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
-    """Row Hermite normal form of an integer matrix (Cohen, GTM 138, 2.4).
+def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) >= 0 and x a + y b = g."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
 
-    The unique U @ rows, U in GL_n(Z), in row echelon form with positive
+
+def hermite_normal_form(rows: Sequence[Sequence[int]]) -> Tuple[IntVec3, IntVec3, IntVec3]:
+    """Row Hermite normal form of a 3x3 integer matrix of any rank.
+
+    The unique U @ rows, U in GL_3(Z), in row echelon form with positive
     pivots, zero rows last and entries above each pivot in [0, pivot); so
-    two matrices share it iff one is U @ the other.  Per column, Euclid's
-    algorithm on the unused rows leaves one nonzero entry, the pivot.
+    two matrices share it iff one is U @ the other.  Per column, each row
+    below the pivot row is cleared against it by the unimodular 2x2 step
+    of the extended gcd of their entries (Cohen, GTM 138, 2.4).
     """
-    h = [list(r) for r in rows]
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
+    h = [(a0, a1, a2), (b0, b1, b2), (c0, c1, c2)]
     top = 0
-    for col in range(len(h[0]) if h else 0):
-        if top == len(h):
-            break
-        while True:
-            live = [i for i in range(top, len(h)) if h[i][col]]
-            if not live:
-                break
-            piv = min(live, key=lambda i: abs(h[i][col]))
-            h[top], h[piv] = h[piv], h[top]
-            if len(live) == 1:
-                break
-            for i in range(top + 1, len(h)):
-                q = h[i][col] // h[top][col]
-                h[i] = [a - q * b for a, b in zip(h[i], h[top])]
-        if not h[top][col]:
+    for col in range(3):
+        t = h[top]
+        for i in range(top + 1, 3):
+            r = h[i]
+            v = r[col]
+            if v:
+                g, x, y = _xgcd(t[col], v)
+                u, v = t[col] // g, v // g
+                h[i] = (u * r[0] - v * t[0], u * r[1] - v * t[1], u * r[2] - v * t[2])
+                t = (x * t[0] + y * r[0], x * t[1] + y * r[1], x * t[2] + y * r[2])
+        p = t[col]
+        if not p:
             continue
-        if h[top][col] < 0:
-            h[top] = [-a for a in h[top]]
+        if p < 0:
+            t, p = (-t[0], -t[1], -t[2]), -p
+        h[top] = t
         for i in range(top):
-            q = h[i][col] // h[top][col]
-            h[i] = [a - q * b for a, b in zip(h[i], h[top])]
+            r = h[i]
+            q = r[col] // p
+            h[i] = (r[0] - q * t[0], r[1] - q * t[1], r[2] - q * t[2])
         top += 1
-    return tuple(tuple(r) for r in h)
+        if top == 3:
+            break
+    return tuple(h)
 
 
-def edge_form(points: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
-    """Row Hermite normal form of the edge matrix (columns p_i - p_0).
+def edge_form(points: Sequence[Sequence[int]]) -> Tuple[IntVec3, IntVec3, IntVec3]:
+    """Row Hermite normal form of the edge matrix (columns p_i - p_0) of
+    four points.
 
     An integer affine map of determinant +-1 multiplies that matrix on the
     left by its GL_3(Z) linear part, so two ordered point tuples have the

@@ -18,6 +18,7 @@ rank 4 and raise NotFullDimensional otherwise.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -33,6 +34,9 @@ from .exactlinalg import (
     hermite_normal_form,
     sub,
 )
+
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 class NotFullDimensional(ValueError):
@@ -93,14 +97,6 @@ class PointConfig:
         return any(
             det4(*quad) != 0 for quad in itertools.combinations(self.points, 4)
         )
-
-
-def independent_quadruple(config: PointConfig) -> Tuple[int, int, int, int]:
-    """First (lexicographic) affinely independent index quadruple."""
-    for quad in itertools.combinations(range(len(config)), 4):
-        if det4(*(config[i] for i in quad)) != 0:
-            return quad
-    raise NotFullDimensional("all quadruples are coplanar")
 
 
 def hull_facets(config: PointConfig) -> Tuple[Facet, ...]:
@@ -281,7 +277,7 @@ def parse_points(text: str) -> PointConfig:
     """Parse a points file: one 'x y z' triple per line.
 
     Blank lines and lines starting with '#' are ignored; coordinates are
-    signed decimal integers.
+    signed decimal integers in ASCII digits ([+-]?[0-9]+).
     """
     pts: List[IntVec3] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -291,10 +287,10 @@ def parse_points(text: str) -> PointConfig:
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected 3 coordinates, got {len(parts)}")
-        try:
-            pts.append(tuple(int(s) for s in parts))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
+        for part in parts:
+            if not _INTEGER.fullmatch(part):
+                raise ValueError(f"line {lineno}: not a decimal integer: {part!r}")
+        pts.append(tuple(int(s) for s in parts))
     return PointConfig(pts)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Tuple
 
-from .equivalence import are_equivalent
+from .equivalence import canonical_key
 from .invariants import signature5, volume_vector5
 from .polytope import PointConfig, size
 
@@ -117,13 +117,14 @@ def classify5(config: PointConfig) -> Size5Class:
 
 def size5_class(config: PointConfig) -> Size5Class:
     """classify5 for a configuration that passed its gates."""
+    key = canonical_key(config)
     sig = signature5(config)
     dep = volume_vector5(config)
     nonzero = sorted(abs(v) for v in dep if v)
 
     if sig == (2, 2):
         cls = Size5Class("22", (), rep22(), (-1, 1, 1, -1, 0), 1)
-        if not are_equivalent(config, cls.representative):
+        if canonical_key(cls.representative) != key:
             raise AssertionError("(2,2) configuration missed its unique class")
         return cls
 
@@ -133,7 +134,7 @@ def size5_class(config: PointConfig) -> Size5Class:
             if q > 1 and gcd(p, q) != 1:
                 continue
             rep = rep21(p, q)
-            if are_equivalent(config, rep):
+            if canonical_key(rep) == key:
                 return Size5Class("21", (p, q), rep, (-2 * q, q, 0, q, 0), 1)
         raise AssertionError(f"(2,1) configuration missed all classes for q={q}")
 
@@ -144,7 +145,7 @@ def size5_class(config: PointConfig) -> Size5Class:
             if gcd(a, b) != 1:
                 continue
             rep = rep32(a, b)
-            if are_equivalent(config, rep):
+            if canonical_key(rep) == key:
                 return Size5Class("32", (a, b), rep, (-a - b, a, b, 1, -1), 1)
         raise AssertionError(f"(3,2) configuration missed all classes of volume {vol}")
 
@@ -155,7 +156,7 @@ def size5_class(config: PointConfig) -> Size5Class:
             cls = Size5Class("31w2", (), rep31_volume9(), (-9, 3, 3, 3, 0), 2)
         else:
             raise AssertionError(f"unexpected (3,1) dependence {dep}")
-        if not are_equivalent(config, cls.representative):
+        if canonical_key(cls.representative) != key:
             raise AssertionError("(3,1) configuration missed its class")
         return cls
 
@@ -164,7 +165,7 @@ def size5_class(config: PointConfig) -> Size5Class:
         for cls in catalog41():
             if sorted(abs(v) for v in cls.dependence) != mine:
                 continue
-            if are_equivalent(config, cls.representative):
+            if canonical_key(cls.representative) == key:
                 return cls
         raise AssertionError(f"(4,1) configuration missed all 8 classes: {dep}")
 

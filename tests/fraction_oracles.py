@@ -5,8 +5,8 @@ integers only.  These are the straightforward rational versions they
 replaced: Gaussian elimination over Fraction for affine dependences and
 barycentric coordinates, the affine map fixed by four point pairs with
 Fraction entries whatever its determinant (the reference for
-exactlinalg.unimodular_map), and a witness search that solves one affine
-map per permutation.  Slow, but simple enough to trust.
+exactlinalg.unimodular_map), and a witness search that tries every
+permutation in lexicographic order.  Slow, but simple enough to trust.
 """
 
 from __future__ import annotations
@@ -24,11 +24,12 @@ from lattice6.exactlinalg import (
     _adjugate,
     _mat_det,
     check_point,
+    det4,
     gcd_all,
     sub,
 )
 from lattice6.invariants import SignedCircuit
-from lattice6.polytope import PointConfig, independent_quadruple
+from lattice6.polytope import NotFullDimensional, PointConfig
 
 
 def _affine_kernel(points: Sequence[IntVec3]) -> List[List[Fraction]]:
@@ -224,16 +225,30 @@ def unimodular_map(src, dst) -> Optional[AffineMap]:
     return phi.to_integer_map()
 
 
+def independent_quadruple(config: PointConfig) -> Tuple[int, int, int, int]:
+    """First (lexicographic) affinely independent index quadruple."""
+    for quad in itertools.combinations(range(len(config)), 4):
+        if det4(*(config[i] for i in quad)) != 0:
+            return quad
+    raise NotFullDimensional("all quadruples are coplanar")
+
+
 def equivalence_witness(a: PointConfig, b: PointConfig):
     """First permutation in lexicographic order whose solved map is an
-    integral unimodular map of a onto b, with that map; None if none is."""
+    integral unimodular map of a onto b, with that map; None if none is.
+    The map is solved once per image of the independent quadruple and
+    reused by the permutations that share it."""
     n = len(a)
     if len(b) != n:
         return None
     quad = independent_quadruple(a)
     src = [a[i] for i in quad]
+    maps = {}
     for perm in itertools.permutations(range(n)):
-        m = unimodular_map(src, [b[perm[i]] for i in quad])
+        image = tuple(perm[i] for i in quad)
+        if image not in maps:
+            maps[image] = unimodular_map(src, [b[j] for j in image])
+        m = maps[image]
         if m is not None and all(m.apply(a[i]) == b[perm[i]] for i in range(n)):
             return perm, m
     return None

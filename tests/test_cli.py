@@ -1,5 +1,6 @@
 """Command-line interface: output formats and exit codes."""
 
+import hashlib
 import json
 import sys
 import time
@@ -274,6 +275,86 @@ def test_equiv_size_mismatch_is_usage_error(tmp_path, bundle, capsys):
     rc = main(["equiv", fa, fb])
     assert rc == 2
     assert capsys.readouterr().err
+
+
+SQUARE = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
+UNIT_TETRAHEDRON = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+@pytest.mark.parametrize("first, second", [
+    (SQUARE, UNIT_TETRAHEDRON), (UNIT_TETRAHEDRON, SQUARE), (SQUARE, SQUARE),
+], ids=["square-tetrahedron", "tetrahedron-square", "square-square"])
+def test_equiv_coplanar_input_is_usage_error(tmp_path, capsys, first, second):
+    """A coplanar input is an input error in either position, as in analyze."""
+    fa = write_config(tmp_path, "a.txt", first)
+    fb = write_config(tmp_path, "b.txt", second)
+    assert main(["equiv", fa, fb]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: configuration spans no 3-dimensional volume\n"
+
+
+#: equiv stdout recorded before the witness search became a normal-form
+#: comparison: the cube against a relabeled unimodular image (48
+#: witnesses), H.7 against one, and the benchmark's 8-point pair (G.3 plus
+#: the points p1+p2-p3 and p2+p4-p5, against an image relabeled by the
+#: permutation of rank 8!/4).
+EQUIV_PINNED = [
+    (
+        [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)],
+        [(3, 2, -4), (3, 2, -3), (3, 3, -1), (2, 5, 5), (2, 4, 2), (2, 5, 6), (2, 4, 3), (3, 3, 0)],
+        "equivalent\npermutation: 1 2 3 8 5 7 4 6\nmatrix: -1 0 0\nmatrix: 2 1 0\n"
+        "matrix: 6 3 1\ntranslation: 3 2 -4\ndeterminant: -1\n",
+    ),
+    (
+        [(0, 0, 0), (0, 0, 1), (1, 0, 0), (-1, -2, -1), (1, 3, 1), (-4, -7, -5)],
+        [(2, 3, 5), (-1, 4, 3), (1, 3, 5), (-2, 2, 5), (5, 2, 8), (-2, 8, -2)],
+        "equivalent\npermutation: 3 4 1 2 5 6\nmatrix: 1 2 -3\nmatrix: 0 0 -1\n"
+        "matrix: 0 1 0\ntranslation: 1 3 5\ndeterminant: 1\n",
+    ),
+    (
+        [(0, 0, 0), (-1, -1, -1), (1, 2, 1), (0, 0, 1), (1, 0, 0), (1, -1, 0), (-2, -3, -2),
+         (-2, -1, 0)],
+        [(-1, 3, 3), (1, -7, 0), (0, 0, 2), (0, 1, 2), (1, 0, 2), (1, 4, 3), (-2, 10, 5),
+         (-2, 4, 3)],
+        "equivalent\npermutation: 3 1 2 4 5 6 7 8\nmatrix: 1 0 0\nmatrix: 0 -4 1\n"
+        "matrix: 0 -1 0\ntranslation: 0 0 2\ndeterminant: 1\n",
+    ),
+]
+
+
+def test_equiv_stdout_is_pinned(tmp_path, capsys):
+    for a, b, expected in EQUIV_PINNED:
+        fa = write_config(tmp_path, "a.txt", a)
+        fb = write_config(tmp_path, "b.txt", b)
+        assert main(["equiv", fa, fb]) == 0
+        assert capsys.readouterr().out == expected
+
+
+#: sha256 of the outputs that a refactor must leave byte-identical:
+#: `classify --case all --verbose` stdout and the --out JSON and CSV.
+CLASSIFY_DIGESTS = {
+    "verbose stdout": "1dc8b0f35299a65f6adaff4e341e0d01f4215d99f297f47f8a860c7e80c56797",
+    "json": "40fee2e86db605c6d3f56e0beb2c1f2e70f0e1cb8f6025b936917437be7cb734",
+    "csv": "a7c6cff34f35df9ece31d8bc4bbdc61b9448b7af164d067d1beb351d092f3323",
+}
+
+
+def test_classify_outputs_match_recorded_digests(tmp_path, capsys, monkeypatch, case_reports):
+    """The three runs share the case_reports fixture's classification;
+    each still runs classify_all's verification."""
+    reports, _ = case_reports
+    monkeypatch.setattr(classify6, "run_reports", lambda: list(reports))
+    assert main(["classify", "--case", "all", "--verbose"]) == 0
+    outputs = {"verbose stdout": capsys.readouterr().out.encode()}
+    for fmt in ("json", "csv"):
+        target = tmp_path / f"classes.{fmt}"
+        assert main(["classify", "--case", "all", "--out", str(target), "--format", fmt]) == 0
+        capsys.readouterr()
+        outputs[fmt] = target.read_bytes()
+    differ = [name for name, data in outputs.items()
+              if hashlib.sha256(data).hexdigest() != CLASSIFY_DIGESTS[name]]
+    assert not differ, f"differs from the recorded output: {', '.join(differ)}"
 
 
 def test_catalog_oms(capsys):

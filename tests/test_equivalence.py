@@ -1,23 +1,23 @@
 """Z-equivalence witnesses and canonical keys."""
 
+import itertools
 import random
-from itertools import permutations
 
 from hypothesis import given, settings, strategies as st
 
-import equivalence_oracles
 import fraction_oracles
 from conftest import apply_map, random_unimodular, shuffled
 from lattice6.emptytetra import standard_tetrahedron
 from lattice6.equivalence import (
+    _normal_form,
     are_equivalent,
     canonical_key,
     equivalence_witness,
-    vv6_relabeled,
 )
-from lattice6.invariants import QUADS6, volume_vector5, volume_vector6
+from lattice6.exactlinalg import det4
+from lattice6.invariants import volume_vector5, volume_vector6
 from lattice6.polytope import PointConfig
-from lattice6.size5 import apex_config_31
+from lattice6.size5 import apex_config_31, rep32, rep41
 from lattice6.tablesdata import GCD_EXCEPTIONS
 
 
@@ -99,20 +99,19 @@ def test_canonical_key_is_invariant(bundle):
 def test_table_keys_are_pairwise_distinct(bundle):
     keys = {canonical_key(row.config()) for row in bundle.class_rows}
     assert len(keys) == 76
-    assert len({best for best, _ in keys}) == 76
 
 
 def test_flagged_keys_confirmed_by_search(bundle):
     """The rows whose volume vector has gcd > 1, where the vector alone is
     not a complete invariant, have distinct keys and are pairwise
-    inequivalent by the permutation search."""
+    inequivalent by the per-permutation search."""
     ids = sorted(GCD_EXCEPTIONS)
     for i, a in enumerate(ids):
         ca = bundle.class_by_id(a).config()
         for b in ids[i + 1:]:
             cb = bundle.class_by_id(b).config()
             assert canonical_key(ca) != canonical_key(cb), (a, b)
-            assert not are_equivalent(ca, cb), (a, b)
+            assert fraction_oracles.equivalence_witness(ca, cb) is None, (a, b)
 
 
 def test_sibling_keys_differ(bundle):
@@ -137,94 +136,10 @@ def _random_even_config(rng):
             return PointConfig(sorted(xs))
 
 
-def test_key_equality_matches_witness_search(bundle):
-    """canonical_key is complete: equal keys exactly when equivalence_witness
-    finds a map, on relabeled unimodular images of every row, on the rows
-    whose |volume| multisets agree, and on pairs with equal volume vectors."""
-    rng = random.Random(5)
-    rows = bundle.class_rows
-    pairs = [(row.config(), shuffled(rng, apply_map(random_unimodular(rng), row.config())))
-             for row in rows]
-    pairs += [(pairs[i][0], pairs[i + 1][1]) for i in range(0, len(rows) - 1, 3)]
-    pairs += [(bundle.class_by_id(x).config(), bundle.class_by_id(y).config())
-              for x, y in (("G.5", "G.12"), ("G.6", "G.9"))]
-    example = PointConfig([(-2, -2, 2), (0, 2, -1), (0, 2, 1), (2, 0, 1), (2, 1, -2), (4, -1, 0)])
-    halved = [(x, _halved(x)) for x in [example] + [_random_even_config(rng) for _ in range(40)]]
-    halved += [(x, shuffled(rng, apply_map(random_unimodular(rng), y))) for x, y in halved[:10]]
-    for x, y in halved:
-        assert canonical_key(x)[0] == canonical_key(y)[0]
-    pairs += halved
-    outcomes = set()
-    for a, b in pairs:
-        equivalent = equivalence_witness(a, b) is not None
-        assert (canonical_key(a) == canonical_key(b)) == equivalent, (a.points, b.points)
-        outcomes.add(equivalent)
-    assert outcomes == {True, False}
-
-
-def _with_extra_points(rng, config, k):
-    pts = list(config.points)
-    while len(pts) < len(config) + k:
-        p = tuple(rng.randrange(-3, 4) for _ in range(3))
-        if p not in pts:
-            pts.append(p)
-    return PointConfig(pts)
-
-
-@given(seed=st.integers(0, 10**6), extra=st.sampled_from([0, 1, 2]))
-@settings(max_examples=20, deadline=None)
-def test_witness_matches_per_permutation_search(seed, extra):
-    """Same witness (first valid permutation and its map) as one Fraction
-    solve per permutation, on 6-, 7- and 8-point images."""
-    from lattice6.tablesdata import load_tables
-
-    rng = random.Random(seed)
-    c = _with_extra_points(rng, rng.choice(load_tables().class_rows).config(), extra)
-    img = shuffled(rng, apply_map(random_unimodular(rng), c))
-    w = equivalence_witness(c, img)
-    assert w == fraction_oracles.equivalence_witness(c, img)
-    check_witness(c, img, w)
-
-
-def test_witness_matches_oracle_on_symmetric_and_degenerate_inputs(bundle):
-    """Many valid permutations (a cube), an independent quadruple that is
-    not 0,1,2,3 (three collinear points first), and inequivalent pairs
-    that share the multiset of volumes."""
-    rng = random.Random(3)
-    cube = PointConfig([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
-    collinear = PointConfig([(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 2)])
-    pairs = [(cube, shuffled(rng, apply_map(random_unimodular(rng), cube))),
-             (collinear, shuffled(rng, apply_map(random_unimodular(rng), collinear)))]
-    pairs += [(bundle.class_by_id(x).config(), bundle.class_by_id(y).config())
-              for x, y in (("G.5", "G.12"), ("G.6", "G.9"))]
-    for a, b in pairs:
-        assert equivalence_witness(a, b) == fraction_oracles.equivalence_witness(a, b)
-
-
-def test_vv6_relabeled_on_distinct_entries():
-    """Every entry is told apart by its absolute value, so a wrong index or
-    sign in any of the 720 x 15 table entries shows."""
-    c = PointConfig([(-2, 2, -1), (0, 0, -2), (1, 1, -3), (0, -1, 0), (0, 1, 0), (3, 0, 0)])
-    vv = volume_vector6(c)
-    assert 0 not in vv and len({abs(w) for w in vv}) == 15
-    for perm in permutations(range(6)):
-        img = PointConfig([c.points[i] for i in perm])
-        assert vv6_relabeled(vv, perm) == volume_vector6(img), perm
-
-
-def _spanning_sets(rng, count):
-    """Random 6-point sets in [-2,2]^3 that span 3-space."""
-    while count:
-        pts = sorted({tuple(rng.randrange(-2, 3) for _ in range(3)) for _ in range(6)})
-        if len(pts) == 6 and any(volume_vector6(PointConfig(pts))):
-            count -= 1
-            yield PointConfig(pts)
-
-
-#: Two quadruples reach max|vv| = 48, and only the second one's
-#: relabelings reach the minimal vector.
+#: The maximal |det4| = 18 is reached by two quadruples, and the key only
+#: through orders of the second one.
 SECOND_QUAD_WINS = PointConfig(
-    [(-2, -2, -2), (-2, -2, 0), (-1, -2, 2), (-1, 1, -1), (2, -2, -2), (2, 1, -2)]
+    [(-2, 0, 2), (-1, -1, 2), (0, -2, 2), (0, 1, 2), (2, -1, -1), (2, 0, -1)]
 )
 
 #: Six to twelve of the 15 |volumes| tie at the maximum: the octahedron
@@ -239,33 +154,87 @@ HIGH_TIE = [
     PointConfig([(1, 1, 2), (1, -1, 2), (-1, -1, 1), (3, 1, 3), (0, 0, 1), (2, 0, 3)]),
 ]
 
+CUBE = PointConfig([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+LIFTED_CUBE = PointConfig(CUBE.points[:7] + ((1, 1, 2),))
 
-def _first_quad_minimum(config):
-    """Least relabeled vector over the relabelings that send the first
-    quadruple of maximal |volume| to labels 0-3."""
-    vv = volume_vector6(config)
-    top = max(map(abs, vv))
-    quad = next(q for q, w in zip(QUADS6, vv) if abs(w) == top)
-    rest = tuple(e for e in range(6) if e not in quad)
-    return min(
-        min(v, tuple(-w for w in v))
-        for head in permutations(quad)
-        for tail in permutations(rest)
-        for v in [vv6_relabeled(vv, head + tail)]
-    )
+#: Three collinear points first: the first independent quadruple is not 0-3.
+COLLINEAR_FIRST = PointConfig([(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 2)])
 
 
-def test_canonical_key_matches_full_search(bundle):
-    """The pruned search returns the 720-relabeling oracle's key on the rows,
-    relabeled unimodular images of them, random spanning sets, inputs with
-    many tied |volumes| and one whose minimum needs a later tied quadruple."""
-    rng = random.Random(13)
+def _with_extra_points(rng, config, k):
+    pts = list(config.points)
+    while len(pts) < len(config) + k:
+        p = tuple(rng.randrange(-3, 4) for _ in range(3))
+        if p not in pts:
+            pts.append(p)
+    return PointConfig(pts)
+
+
+def _image(rng, config):
+    return shuffled(rng, apply_map(random_unimodular(rng), config))
+
+
+def _abs_volumes(config):
+    return sorted(abs(det4(*q)) for q in itertools.combinations(config.points, 4))
+
+
+def test_key_equality_matches_witness_search(bundle):
+    """canonical_key is complete and equivalence_witness finds the first
+    valid permutation: on every pair, the keys agree exactly when the
+    Fraction per-permutation search finds a map, and the two witnesses
+    are equal.  The pairs have 4 to 8 points: relabeled unimodular images
+    (the cube has 48 witnesses), table rows whose |volume| multisets
+    agree, inputs with many tied maximal |volumes| (HIGH_TIE has six or
+    more, SECOND_QUAD_WINS reaches its key only through the second of its
+    two) and pairs with equal volume vectors."""
+    rng = random.Random(5)
     rows = [row.config() for row in bundle.class_rows]
-    inputs = rows + [shuffled(rng, apply_map(random_unimodular(rng), c)) for c in rows]
-    inputs += list(_spanning_sets(rng, 120)) + HIGH_TIE + [SECOND_QUAD_WINS]
+    pairs = [(c, _image(rng, c)) for c in rows]
+    pairs += [(pairs[i][0], pairs[i + 1][1]) for i in range(0, len(pairs) - 1, 3)]
+    pairs += [(bundle.class_by_id(x).config(), bundle.class_by_id(y).config())
+              for x, y in (("G.5", "G.12"), ("G.6", "G.9"))]
+    example = PointConfig([(-2, -2, 2), (0, 2, -1), (0, 2, 1), (2, 0, 1), (2, 1, -2), (4, -1, 0)])
+    halved = [(x, _halved(x)) for x in [example] + [_random_even_config(rng) for _ in range(40)]]
+    halved += [(x, _image(rng, y)) for x, y in halved[:10]]
+    for x, y in halved:
+        assert _abs_volumes(x) == _abs_volumes(y)
+    pairs += halved
+    tied = HIGH_TIE + [SECOND_QUAD_WINS]
     for c in HIGH_TIE:
-        vv = volume_vector6(c)
-        assert sum(abs(w) == max(map(abs, vv)) for w in vv) >= 6, c.points
-    assert _first_quad_minimum(SECOND_QUAD_WINS) > canonical_key(SECOND_QUAD_WINS)[0]
-    for c in inputs:
-        assert canonical_key(c) == equivalence_oracles.canonical_key(c), c.points
+        assert _abs_volumes(c)[-6] == _abs_volumes(c)[-1], c.points
+    pts = SECOND_QUAD_WINS.points
+    top = [q for q in itertools.combinations(range(6), 4)
+           if abs(det4(*(pts[i] for i in q))) == _abs_volumes(SECOND_QUAD_WINS)[-1]]
+    assert len(top) == 2
+    assert {tuple(sorted(order)) for order in _normal_form(SECOND_QUAD_WINS)[1]} == {top[1]}
+    pairs += [(c, _image(rng, c)) for c in tied + [COLLINEAR_FIRST]] + list(zip(tied, tied[1:]))
+    tetrahedra = [PointConfig(standard_tetrahedron(p, q)) for p, q in ((2, 7), (4, 7), (1, 5), (2, 5))]
+    pairs += [(tetrahedra[0], tetrahedra[1]), (tetrahedra[2], tetrahedra[3]),
+              (tetrahedra[3], _image(rng, tetrahedra[3]))]
+    pairs += [(apex_config_31(1, 2), apex_config_31(0, 0)), (rep32(2, 5), rep32(1, 6)),
+              (rep41(4), _image(rng, rep41(4))), (rep41(4), rep41(5))]
+    seven = [_with_extra_points(rng, c, 1) for c in (rows[3], rows[40], COLLINEAR_FIRST)]
+    pairs += [(c, _image(rng, c)) for c in seven] + [(seven[0], seven[1])]
+    pairs += [(CUBE, _image(rng, CUBE)), (CUBE, _image(rng, CUBE)), (CUBE, LIFTED_CUBE)]
+    outcomes = set()
+    for a, b in pairs:
+        expected = fraction_oracles.equivalence_witness(a, b)
+        assert (canonical_key(a) == canonical_key(b)) == (expected is not None), (a, b)
+        assert equivalence_witness(a, b) == expected, (a, b)
+        outcomes.add((len(a), expected is not None))
+    assert outcomes == {(n, e) for n in range(4, 9) for e in (True, False)}
+
+
+@given(seed=st.integers(0, 10**6), extra=st.sampled_from([0, 1, 2]))
+@settings(max_examples=20, deadline=None)
+def test_witness_matches_per_permutation_search(seed, extra):
+    """Same witness (first valid permutation and its map) as the Fraction
+    per-permutation search, on 6-, 7- and 8-point images."""
+    from lattice6.tablesdata import load_tables
+
+    rng = random.Random(seed)
+    c = _with_extra_points(rng, rng.choice(load_tables().class_rows).config(), extra)
+    img = shuffled(rng, apply_map(random_unimodular(rng), c))
+    w = equivalence_witness(c, img)
+    assert w == fraction_oracles.equivalence_witness(c, img)
+    check_witness(c, img, w)

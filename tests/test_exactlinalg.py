@@ -197,32 +197,84 @@ def _is_hermite(h):
     return True
 
 
+def generic_hermite_normal_form(rows):
+    """Row Hermite normal form of an integer matrix of any shape (Cohen,
+    GTM 138, 2.4), the reference for the library's 3x3 version.
+
+    Per column, Euclid's algorithm on the unused rows leaves one nonzero
+    entry, the pivot, which is made positive and reduces the rows above.
+    """
+    h = [list(r) for r in rows]
+    top = 0
+    for col in range(len(h[0]) if h else 0):
+        if top == len(h):
+            break
+        while True:
+            live = [i for i in range(top, len(h)) if h[i][col]]
+            if not live:
+                break
+            piv = min(live, key=lambda i: abs(h[i][col]))
+            h[top], h[piv] = h[piv], h[top]
+            if len(live) == 1:
+                break
+            for i in range(top + 1, len(h)):
+                q = h[i][col] // h[top][col]
+                h[i] = [a - q * b for a, b in zip(h[i], h[top])]
+        if not h[top][col]:
+            continue
+        if h[top][col] < 0:
+            h[top] = [-a for a in h[top]]
+        for i in range(top):
+            q = h[i][col] // h[top][col]
+            h[i] = [a - q * b for a, b in zip(h[i], h[top])]
+        top += 1
+    return tuple(tuple(r) for r in h)
+
+
 def test_hermite_normal_form_examples():
-    assert hermite_normal_form([[2, 4, 6], [1, 3, 5]]) == ((1, 1, 1), (0, 2, 4))
-    assert hermite_normal_form([[-3, 1], [6, 0]]) == ((3, 1), (0, 2))
-    assert hermite_normal_form([[0, 2, 4], [0, 3, 6]]) == ((0, 1, 2), (0, 0, 0))
-    assert hermite_normal_form([[0, 0], [0, 0]]) == ((0, 0), (0, 0))
-    assert hermite_normal_form([]) == ()
+    hnf = generic_hermite_normal_form
+    assert hnf([[2, 4, 6], [1, 3, 5]]) == ((1, 1, 1), (0, 2, 4))
+    assert hnf([[-3, 1], [6, 0]]) == ((3, 1), (0, 2))
+    assert hnf([[0, 2, 4], [0, 3, 6]]) == ((0, 1, 2), (0, 0, 0))
+    assert hnf([[0, 0], [0, 0]]) == ((0, 0), (0, 0))
+    assert hnf([]) == ()
+    assert hermite_normal_form([[0, 2, 4], [0, 3, 6], [0, 0, 0]]) == (
+        (0, 1, 2), (0, 0, 0), (0, 0, 0))
+    assert hermite_normal_form([[0, 0, 0]] * 3) == ((0, 0, 0),) * 3
+
+
+def _random_matrix(rng, rank):
+    """Random 3x3 integer matrix of rank at most rank."""
+    bound = rng.choice([1, 2, 6, 30])
+    a = [[rng.randrange(-bound, bound + 1) for _ in range(3)] for _ in range(rank)]
+    for _ in range(3 - rank):
+        a.append([sum(rng.randrange(-3, 4) * r[j] for r in a) for j in range(3)])
+    rng.shuffle(a)
+    return a
 
 
 def test_hermite_normal_form_is_a_normal_form():
     """The form is Hermite, fixed by itself, unchanged by GL_3(Z) on the
-    left, and its pivots multiply to +- the input's minor on their columns."""
+    left, and its pivots multiply to +- the determinant."""
     rng = random.Random(8)
-    for trial in range(200):
-        a = [[rng.randrange(-6, 7) for _ in range(5)] for _ in range(3)]
-        if trial % 5 == 0:
-            a[2] = [x + 2 * y for x, y in zip(a[0], a[1])]  # rank 2
+    for trial in range(300):
+        a = _random_matrix(rng, 3 - trial % 3)
         h = hermite_normal_form(a)
         assert _is_hermite(h), (a, h)
         assert hermite_normal_form(h) == h
         u = random_unimodular(rng).matrix
-        ua = [[sum(u[i][k] * a[k][j] for k in range(3)) for j in range(5)] for i in range(3)]
+        ua = [[sum(u[i][k] * a[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
         assert hermite_normal_form(ua) == h
-        if any(h[2]):
-            piv_cols = [next(j for j, v in enumerate(row) if v) for row in h]
-            minor = det3(*(tuple(row[j] for row in a) for j in piv_cols))
-            assert h[0][piv_cols[0]] * h[1][piv_cols[1]] * h[2][piv_cols[2]] == abs(minor)
+        assert h[0][0] * h[1][1] * h[2][2] == abs(det3(*a))
+
+
+def test_hermite_normal_form_matches_generic_oracle():
+    """The 3x3 form equals the generic one on random matrices of rank 3,
+    2, 1 and 0, with small and large entries."""
+    rng = random.Random(21)
+    for trial in range(2000):
+        a = _random_matrix(rng, trial % 4)
+        assert hermite_normal_form(a) == generic_hermite_normal_form(a), a
 
 
 def test_edge_form_separates_equal_volume_tetrahedra():

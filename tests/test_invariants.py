@@ -24,12 +24,7 @@ from lattice6.invariants import (
     width,
 )
 from lattice6.exactlinalg import det3, sub
-from lattice6.polytope import (
-    NotFullDimensional,
-    PointConfig,
-    independent_quadruple,
-    interior_points,
-)
+from lattice6.polytope import NotFullDimensional, PointConfig, interior_points
 from lattice6.size5 import rep22, rep32
 
 VV_A1 = (0, 0, 2, 0, 0, 4, 0, 2, 0, -4, 0, 4, -2, -8, -2)
@@ -111,7 +106,7 @@ def _width_all_targets(config):
     t in [-W, W]^3 finds all of them, and the witness is the least one
     with its leading coefficient made positive."""
     pts = config.points
-    q = [pts[i] for i in independent_quadruple(config)]
+    q = [pts[i] for i in fraction_oracles.independent_quadruple(config)]
     d = [sub(p, q[0]) for p in q[1:]]
     D = det3(*d)
     for W in itertools.count(1):

@@ -129,6 +129,11 @@ def test_parse_points_reports_line_numbers():
         parse_points("0 0 0\n1 0\n")
     with pytest.raises(ValueError, match="line 3"):
         parse_points("0 0 0\n1 0 0\n0 x 0\n")
+    # int() reads these as 10 and 1; the format is ASCII decimal digits
+    with pytest.raises(ValueError, match="line 2"):
+        parse_points("0 0 0\n1_0 0 0\n0 1 0\n0 0 1\n")
+    with pytest.raises(ValueError, match="line 4"):
+        parse_points("0 0 0\n1 0 0\n0 1 0\n0 0 \u0661\n")
 
 
 def test_parse_points_skips_comments_and_blanks():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import apply_map, random_unimodular, shuffled
+from lattice6.equivalence import are_equivalent
 from lattice6.polytope import PointConfig, interior_points, size
 from lattice6.size5 import (
     NotSize5,
@@ -13,7 +14,6 @@ from lattice6.size5 import (
     admissible_apex_31,
     apex_config_21,
     apex_config_31,
-    are_equivalent,
     catalog41,
     classify5,
     rep21,
