@@ -14,7 +14,7 @@ from lattice6.equivalence import (
     canonical_key,
     equivalence_witness,
 )
-from lattice6.exactlinalg import det4
+from lattice6.exactlinalg import det4, edge_form
 from lattice6.invariants import volume_vector5, volume_vector6
 from lattice6.polytope import PointConfig
 from lattice6.size5 import apex_config_31, rep32, rep41
@@ -186,7 +186,8 @@ def test_key_equality_matches_witness_search(bundle):
     (the cube has 48 witnesses), table rows whose |volume| multisets
     agree, inputs with many tied maximal |volumes| (HIGH_TIE has six or
     more, SECOND_QUAD_WINS reaches its key only through the second of its
-    two) and pairs with equal volume vectors."""
+    two; both are checked in test_canonical_key_matches_full_search) and
+    pairs with equal volume vectors."""
     rng = random.Random(5)
     rows = [row.config() for row in bundle.class_rows]
     pairs = [(c, _image(rng, c)) for c in rows]
@@ -200,13 +201,6 @@ def test_key_equality_matches_witness_search(bundle):
         assert _abs_volumes(x) == _abs_volumes(y)
     pairs += halved
     tied = HIGH_TIE + [SECOND_QUAD_WINS]
-    for c in HIGH_TIE:
-        assert _abs_volumes(c)[-6] == _abs_volumes(c)[-1], c.points
-    pts = SECOND_QUAD_WINS.points
-    top = [q for q in itertools.combinations(range(6), 4)
-           if abs(det4(*(pts[i] for i in q))) == _abs_volumes(SECOND_QUAD_WINS)[-1]]
-    assert len(top) == 2
-    assert {tuple(sorted(order)) for order in _normal_form(SECOND_QUAD_WINS)[1]} == {top[1]}
     pairs += [(c, _image(rng, c)) for c in tied + [COLLINEAR_FIRST]] + list(zip(tied, tied[1:]))
     tetrahedra = [PointConfig(standard_tetrahedron(p, q)) for p, q in ((2, 7), (4, 7), (1, 5), (2, 5))]
     pairs += [(tetrahedra[0], tetrahedra[1]), (tetrahedra[2], tetrahedra[3]),
@@ -238,3 +232,68 @@ def test_witness_matches_per_permutation_search(seed, extra):
     w = equivalence_witness(c, img)
     assert w == fraction_oracles.equivalence_witness(c, img)
     check_witness(c, img, w)
+
+
+def test_witness_matches_oracle_on_symmetric_and_degenerate_inputs(bundle):
+    """Many valid permutations (a cube), an independent quadruple that is
+    not 0,1,2,3 (three collinear points first), and inequivalent pairs
+    that share the multiset of volumes."""
+    rng = random.Random(3)
+    pairs = [(CUBE, _image(rng, CUBE)), (COLLINEAR_FIRST, _image(rng, COLLINEAR_FIRST))]
+    pairs += [(bundle.class_by_id(x).config(), bundle.class_by_id(y).config())
+              for x, y in (("G.5", "G.12"), ("G.6", "G.9"))]
+    for a, b in pairs:
+        assert equivalence_witness(a, b) == fraction_oracles.equivalence_witness(a, b)
+
+
+def _spanning_sets(rng, count, size=6):
+    """Random sets of size points in [-2,2]^3 that span 3-space."""
+    while count:
+        pts = sorted({tuple(rng.randrange(-2, 3) for _ in range(3)) for _ in range(size)})
+        if len(pts) == size and _abs_volumes(PointConfig(pts))[-1]:
+            count -= 1
+            yield PointConfig(pts)
+
+
+def _full_search_normal_form(config):
+    """The key and its orders by brute force: (table, H) for every ordered
+    quadruple of maximal |volume|, with Fraction barycentric coordinates."""
+    pts = config.points
+    top = _abs_volumes(config)[-1]
+    forms = {}
+    for quad in itertools.combinations(range(len(pts)), 4):
+        simplex = [pts[i] for i in quad]
+        if abs(det4(*simplex)) != top:
+            continue
+        coords = [[c * top for c in fraction_oracles._solve_barycentric(p, simplex)] for p in pts]
+        assert all(c.denominator == 1 for row in coords for c in row), (config.points, quad)
+        for order in itertools.permutations(range(4)):
+            table = sorted(tuple(int(row[i]) for i in order[1:]) for row in coords)
+            labels = tuple(quad[i] for i in order)
+            forms[labels] = (tuple(table), edge_form([pts[i] for i in labels]))
+    key = min(forms.values())
+    return key, sorted(order for order, form in forms.items() if form == key)
+
+
+def test_canonical_key_matches_full_search(bundle):
+    """The pruned search (a Hermite form only for the orders whose table is
+    least) returns the full search's key and key orders on the rows,
+    relabeled unimodular images of them, random spanning sets of 6 to 8
+    points, inputs with many tied |volumes| and one whose key needs the
+    later of two tied quadruples."""
+    rng = random.Random(13)
+    rows = [row.config() for row in bundle.class_rows]
+    inputs = rows + [_image(rng, c) for c in rows]
+    for size, count in ((6, 120), (7, 20), (8, 10)):
+        inputs += list(_spanning_sets(rng, count, size))
+    inputs += HIGH_TIE + [SECOND_QUAD_WINS, COLLINEAR_FIRST, CUBE, LIFTED_CUBE]
+    for c in HIGH_TIE:
+        assert _abs_volumes(c)[-6] == _abs_volumes(c)[-1], c.points
+    pts = SECOND_QUAD_WINS.points
+    top = [q for q in itertools.combinations(range(6), 4)
+           if abs(det4(*(pts[i] for i in q))) == _abs_volumes(SECOND_QUAD_WINS)[-1]]
+    assert len(top) == 2
+    assert {tuple(sorted(order)) for order in _normal_form(SECOND_QUAD_WINS)[1]} == {top[1]}
+    for c in inputs:
+        key, orders = _normal_form(c)
+        assert (key, sorted(orders)) == _full_search_normal_form(c), c.points
