@@ -31,7 +31,6 @@ from .exactlinalg import (
     AffineMap,
     IntVec3,
     _adjugate,
-    _mat_det,
     _mat_vec,
     det4,
     edge_form,
@@ -51,20 +50,20 @@ def _normal_form(config: PointConfig) -> Tuple[Key, List[Tuple[int, ...]]]:
     """canonical_key of config and the ordered index quadruples reaching it."""
     pts = config.points
     vols = {
-        quad: abs(det4(*(pts[i] for i in quad)))
+        quad: det4(*(pts[i] for i in quad))
         for quad in itertools.combinations(range(len(pts)), 4)
     }
-    top = max(vols.values())
+    top = max(map(abs, vols.values()))
     if top == 0:
         raise NotFullDimensional("configuration spans no 3-dimensional volume")
     tables = {}
     for quad, vol in vols.items():
-        if vol != top:
+        if abs(vol) != top:
             continue
         q0 = pts[quad[0]]
         e = tuple(zip(*(sub(pts[i], q0) for i in quad[1:])))
         adj = _adjugate(e)
-        if _mat_det(e) < 0:
+        if vol < 0:
             adj = tuple(tuple(-x for x in row) for row in adj)
         coords = []
         for p in pts:
@@ -98,6 +97,8 @@ def equivalence_witness(
     is the lexicographically first valid permutation; determinant -1 maps
     count as equivalences.  Every witness sends a's first key order onto
     one of b's, so one integer solve per key order of b lists them all.
+    Each map is checked to be unimodular and to send a onto b, so equal
+    keys alone never yield a witness.
     """
     if len(a) != len(b):
         return None
@@ -110,8 +111,12 @@ def equivalence_witness(
     witnesses = []
     for order in orders_b:
         m = unimodular_map(src, [b[j] for j in order])
-        witnesses.append((tuple(where[m.apply(p)] for p in a.points), m))
-    return min(witnesses, key=itemgetter(0))
+        if m is None:
+            continue
+        perm = tuple(where.get(m.apply(p)) for p in a.points)
+        if None not in perm:
+            witnesses.append((perm, m))
+    return min(witnesses, key=itemgetter(0), default=None)
 
 
 def are_equivalent(a: PointConfig, b: PointConfig) -> bool:

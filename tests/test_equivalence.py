@@ -15,7 +15,7 @@ from lattice6.equivalence import (
     equivalence_witness,
 )
 from lattice6.exactlinalg import det4, edge_form
-from lattice6.invariants import volume_vector5, volume_vector6
+from lattice6.invariants import QUADS6, volume_vector5, volume_vector6
 from lattice6.polytope import PointConfig
 from lattice6.size5 import apex_config_31, rep32, rep41
 from lattice6.tablesdata import GCD_EXCEPTIONS
@@ -87,6 +87,20 @@ def test_random_images_are_equivalent(seed):
     check_witness(c, img, w)
 
 
+def test_witness_is_checked_not_read_off_the_key(monkeypatch):
+    """With every key made equal, equivalence_witness still returns None
+    when the map between key orders is not unimodular or does not send a
+    onto b."""
+    import lattice6.equivalence as equivalence
+
+    monkeypatch.setattr(equivalence, "_normal_form", lambda c: ((), [(0, 1, 2, 3)]))
+    tet = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert equivalence_witness(PointConfig(tet), PointConfig(tet[:3] + [(1, 1, 2)])) is None
+    a = PointConfig(tet + [(1, 1, 1)])
+    assert equivalence_witness(a, PointConfig(tet + [(2, 2, 2)])) is None
+    assert equivalence_witness(a, a)[0] == (0, 1, 2, 3, 4)
+
+
 def test_canonical_key_is_invariant(bundle):
     rng = random.Random(11)
     for cid in ("A.1", "C.3", "G.20"):
@@ -96,9 +110,32 @@ def test_canonical_key_is_invariant(bundle):
         assert canonical_key(img) == key
 
 
+def _min_volume_vector(config):
+    """Least signed volume vector of six points over the 720 relabelings
+    and their negations, so a unimodular invariant of the configuration."""
+    pts = config.points
+    det = {q: det4(*(pts[i] for i in q)) for q in itertools.permutations(range(6), 4)}
+    vectors = []
+    for perm in itertools.permutations(range(6)):
+        vv = tuple(det[tuple(perm[i] for i in q)] for q in QUADS6)
+        vectors += [vv, tuple(-w for w in vv)]
+    return min(vectors)
+
+
+def test_min_volume_vector_is_invariant(bundle):
+    rng = random.Random(3)
+    for cid in ("B.9", "G.17"):
+        c = bundle.class_by_id(cid).config()
+        img = shuffled(rng, apply_map(random_unimodular(rng), c))
+        assert _min_volume_vector(c) == _min_volume_vector(img)
+
+
 def test_table_keys_are_pairwise_distinct(bundle):
+    """The 76 rows have distinct keys, and already distinct minimal
+    volume vectors."""
     keys = {canonical_key(row.config()) for row in bundle.class_rows}
     assert len(keys) == 76
+    assert len({_min_volume_vector(row.config()) for row in bundle.class_rows}) == 76
 
 
 def test_flagged_keys_confirmed_by_search(bundle):
@@ -198,7 +235,7 @@ def test_key_equality_matches_witness_search(bundle):
     halved = [(x, _halved(x)) for x in [example] + [_random_even_config(rng) for _ in range(40)]]
     halved += [(x, _image(rng, y)) for x, y in halved[:10]]
     for x, y in halved:
-        assert _abs_volumes(x) == _abs_volumes(y)
+        assert _min_volume_vector(x) == _min_volume_vector(y)
     pairs += halved
     tied = HIGH_TIE + [SECOND_QUAD_WINS]
     pairs += [(c, _image(rng, c)) for c in tied + [COLLINEAR_FIRST]] + list(zip(tied, tied[1:]))
