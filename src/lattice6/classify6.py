@@ -14,13 +14,15 @@ bundled tables.  ``classify_all`` runs every branch and re-verifies each
 generated witness against its table representative.  All arithmetic is
 exact.
 
-The G/H gluing tries 24,576 vertex matchings of subtetrahedra.  A matching
-glues when an integral unimodular map realizes it, which is exactly when
-the two ordered subtetrahedra have the same edge form (row Hermite normal
-form of the edge vectors), so the loop compares precomputed forms and
-solves for the map only on equal ones.  The symmetries of the base
-polytopes make many matchings glue the same configuration; its verdict
-(coplanarity, interior points, triangulation checks) is made once per
+The G/H gluing examines 24,576 vertex matchings of subtetrahedra.  A
+matching glues when an integral unimodular map realizes it, which is
+exactly when the two ordered subtetrahedra have the same edge form (row
+Hermite normal form of the edge vectors), so a dict from edge form to
+ordered subtetrahedra yields the 3,732 hits directly, and the map is
+solved only for them.  The symmetries of the base polytopes make many
+matchings glue the same configuration up to a symmetry: the 1,532
+distinct verdict keys fall into 754 orbits.  A verdict (coplanarity,
+interior points, triangulation checks) is made once per orbit in each
 run_case_gh call and replayed into the counters on every repeat.
 """
 
@@ -34,7 +36,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactlinalg import IntVec3, det4, edge_form, unimodular_map
+from .exactlinalg import AffineMap, IntVec3, det4, edge_form, unimodular_map
 from .polytope import PointConfig, lattice_and_interior_points, size
 from .invariants import (
     C21,
@@ -49,7 +51,7 @@ from .invariants import (
     volume_vector6,
     width,
 )
-from .equivalence import canonical_key, equivalence_witness
+from .equivalence import _normal_form, canonical_key, equivalence_witness
 from .emptytetra import is_empty_tetrahedron
 from .size5 import admissible_apex_31, catalog41
 from .omcatalog import enumerate_oms, match_om
@@ -621,67 +623,94 @@ def _two_side(circ):
     return None
 
 
+def _base_automorphisms(base: PointConfig) -> List[AffineMap]:
+    """Integer unimodular maps of a signature-(4,1) base onto itself, one
+    per key order of its normal form (they match one to one), each checked
+    to permute the points and to fix the interior point base[0]."""
+    _, orders = _normal_form(base)
+    pts = base.points
+    src = [pts[i] for i in orders[0]]
+    autos = []
+    for order in orders:
+        g = unimodular_map(src, [pts[i] for i in order])
+        if g is None or g.apply(pts[0]) != pts[0] or {g.apply(p) for p in pts} != set(pts):
+            raise ClassificationError("a key order gives no symmetry of its base polytope")
+        autos.append(g)
+    return autos
+
+
 def run_case_gh() -> Tuple[CaseReport, CaseReport]:
     """Glue two signature-(4,1) polytopes along empty subtetrahedra.
 
     Every ordered pair of the eight base polytopes, every choice of
     subtetrahedron (the interior point plus three of the four vertices)
-    in each, and every vertex matching of the two subtetrahedra is tried;
-    a matching survives when the affine map it defines is integral and
-    unimodular.  That holds exactly when the two ordered subtetrahedra
-    have the same edge form, so the forms are computed once per ordered
-    subtetrahedron (8 x 4 x 24) and unimodular_map runs only on equal
-    forms, to produce the map.  The union is six points; coinciding
-    interior points give one interior point (case G), otherwise two (case
-    H).  Acceptance is by triangulation emptiness, cross-checked against
-    direct size.  The base polytopes' symmetries glue the same
-    configuration many times over, so a verdict is made once per distinct
-    argument tuple of _glued_verdict (target polytope, new point, left-out
-    target vertex, glued interior point) and replayed on repeats; here the
-    first two fix the other two, and the 3,572 six-point gluings need
-    1,532 verdicts.
+    in each, and every vertex matching of the two subtetrahedra is
+    examined; a matching survives when the affine map it defines is
+    integral and unimodular.  That holds exactly when the two ordered
+    subtetrahedra have the same edge form, so each target base's ordered
+    subtetrahedra (4 x 24) are filed in a dict by edge form, and only the
+    3,732 hits among the 24,576 matchings are visited, in enumeration
+    order; unimodular_map runs on them to produce the map.  The union is
+    six points; coinciding interior points give one interior point (case
+    G), otherwise two (case H).  Acceptance is by triangulation
+    emptiness, cross-checked against direct size.
+
+    The 3,572 six-point gluings have 1,532 distinct verdict keys (target
+    polytope, new point, left-out target vertex, glued interior point).
+    A symmetry g of the target fixes its interior point and maps a key to
+    one with the same (case, reason), since every test of _glued_verdict
+    is invariant or follows the relabeling.  So the first key of each
+    orbit gets a verdict, which is stored under all its images: 754
+    verdicts.  The symmetries are computed per call, and each gluing
+    still contributes its own configuration.
     """
     rejected = {"shared": Counter(), "G": Counter(), "H": Counter()}
     accepted: Dict[str, List[PointConfig]] = {"G": [], "H": []}
-    examined = 0
-    reps = [cls5.representative.points for cls5 in catalog41()]
+    bases = [cls5.representative for cls5 in catalog41()]
+    reps = [base.points for base in bases]
+    autos = [_base_automorphisms(base) for base in bases]
     orders = list(itertools.permutations(range(4)))
-    # per base polytope: (left-out vertex, [(ordered subtetrahedron, edge
-    # form) per vertex order]); the first order is the identity
-    tetras = []
+    # per base polytope: its subtetrahedra (left-out vertex, vertices in
+    # label order, edge form), and its ordered subtetrahedra by edge form
+    sources, targets = [], []
     for pts in reps:
-        per_ex = []
+        subs, by_form = [], {}
         for ex in range(1, 5):
             tet = [pts[v] for v in range(5) if v != ex]
-            ordered = [[tet[t] for t in sigma] for sigma in orders]
-            per_ex.append((ex, [(dst, edge_form(dst)) for dst in ordered]))
-        tetras.append(per_ex)
+            subs.append((ex, tet, edge_form(tet)))
+            for sigma in orders:
+                dst = [tet[t] for t in sigma]
+                by_form.setdefault(edge_form(dst), []).append((ex, dst))
+        sources.append(subs)
+        targets.append(by_form)
+    examined = (4 * len(reps)) ** 2 * len(orders)
+    hits = 0
     verdicts = {}
-    for rpts, r_tetras in zip(reps, tetras):
-        for si, (spts, s_tetras) in enumerate(zip(reps, tetras)):
-            for ex_r, r_ordered in r_tetras:
-                sub_r, form_r = r_ordered[0]
-                for ex_s, ordered in s_tetras:
-                    for dst, form in ordered:
-                        examined += 1
-                        if form != form_r:
-                            rejected["shared"]["identification is not integral unimodular"] += 1
-                            continue
-                        m = unimodular_map(sub_r, dst)
-                        if m is None:
-                            raise ClassificationError("equal edge forms but no unimodular map")
-                        new_pt = m.apply(rpts[ex_r])
-                        if new_pt in spts:
-                            rejected["shared"]["gluing yields fewer than six points"] += 1
-                            continue
-                        key = (si, new_pt, ex_s, m.apply(rpts[0]))
-                        if key not in verdicts:
-                            verdicts[key] = _glued_verdict(spts, *key[1:])
-                        case, reason, cfg = verdicts[key]
-                        if reason is None:
-                            accepted[case].append(cfg)
-                        else:
-                            rejected[case][reason] += 1
+    for rpts, subs in zip(reps, sources):
+        for si, (spts, by_form) in enumerate(zip(reps, targets)):
+            for ex_r, sub_r, form_r in subs:
+                for ex_s, dst in by_form.get(form_r, ()):
+                    hits += 1
+                    m = unimodular_map(sub_r, dst)
+                    if m is None:
+                        raise ClassificationError("equal edge forms but no unimodular map")
+                    new_pt = m.apply(rpts[ex_r])
+                    if new_pt in spts:
+                        rejected["shared"]["gluing yields fewer than six points"] += 1
+                        continue
+                    glued = m.apply(rpts[0])
+                    key = (si, new_pt, ex_s, glued)
+                    if key not in verdicts:
+                        verdict = _glued_verdict(spts, new_pt, ex_s, glued)
+                        for g in autos[si]:
+                            ex_g = spts.index(g.apply(spts[ex_s]))
+                            verdicts[si, g.apply(new_pt), ex_g, g.apply(glued)] = verdict
+                    case, reason = verdicts[key]
+                    if reason is None:
+                        accepted[case].append(PointConfig(list(spts) + [new_pt]))
+                    else:
+                        rejected[case][reason] += 1
+    rejected["shared"]["identification is not integral unimodular"] = examined - hits
     note = "candidate enumeration shared with the other gluing case"
     for case in ("G", "H"):
         for reason, n in rejected["shared"].items():
@@ -692,7 +721,7 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
 
 
 def _glued_verdict(spts, new_pt, ex_s, glued_interior):
-    """(case, rejection reason or None, configuration) of one gluing.
+    """(case, rejection reason or None) of one gluing.
 
     case is "shared" for the rejections common to G and H.  The circuits,
     the hull's lattice points and its interior points are computed once
@@ -701,16 +730,16 @@ def _glued_verdict(spts, new_pt, ex_s, glued_interior):
     cfg = PointConfig(list(spts) + [new_pt])
     circs = circuits(cfg)
     if coplanarity_from_circuits(circs) != NO_COPLANARITY:
-        return "shared", "coplanarity present", cfg
+        return "shared", "coplanarity present"
     lattice, inner = lattice_and_interior_points(cfg)
     six = len(lattice) == 6
     inner = set(inner)
     if inner == {spts[0]}:
-        return "G", _glue_g(cfg, circs, six, ex_s), cfg
+        return "G", _glue_g(cfg, circs, six, ex_s)
     if inner == {spts[0], glued_interior}:
         int_idx = cfg.points.index(glued_interior)
-        return "H", _glue_h(cfg, circs, six, int_idx, ex_s), cfg
-    return "shared", "a base vertex stopped being a vertex", cfg
+        return "H", _glue_h(cfg, circs, six, int_idx, ex_s)
+    return "shared", "a base vertex stopped being a vertex"
 
 
 def _glue_g(cfg: PointConfig, circs, six: bool, ex_s: int) -> Optional[str]:

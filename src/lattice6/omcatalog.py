@@ -411,27 +411,3 @@ def match_circuits(circs: Sequence[SignedCircuit]) -> Tuple[OMRecord, Tuple[int,
         raise NoMatch(f"circuits {form} not in catalog")
     return rec, perm
 
-
-def export_records() -> List[dict]:
-    """JSON-ready catalog: circuits use 1-based element labels."""
-    out = []
-    for rec in enumerate_oms():
-        out.append(
-            {
-                "key": rec.key,
-                "n_circuits": rec.n_circuits,
-                "circuits": [
-                    {
-                        "positive": [e + 1 for e in c.positive],
-                        "negative": [e + 1 for e in c.negative],
-                    }
-                    for c in rec.circuits
-                ],
-                "nvertices": rec.nvertices,
-                "ninterior": rec.ninterior,
-                "coplanarity": rec.coplanarity,
-                "dps": rec.dps,
-                "uniform": rec.uniform,
-            }
-        )
-    return out

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import random
 import types
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -20,7 +21,7 @@ from lattice6.classify6 import (
     no_octahedron_check,
     width1_family,
 )
-from lattice6.exactlinalg import edge_form, unimodular_map
+from lattice6.exactlinalg import AffineMap, edge_form, unimodular_map
 from lattice6.invariants import is_dps, volume_vector6, width
 from lattice6.polytope import PointConfig, interior_points, size, vertices
 from lattice6.size5 import catalog41, rep22
@@ -131,6 +132,146 @@ def test_gluing_form_match_agrees_with_unimodular_map():
             assert (dst_form == form) == found, (src, dst)
             hits += found
     assert hits == 24576 - 20844
+
+
+def _literal_case_gh():
+    """Oracle for run_case_gh: the G/H loop before the orbit cache, which
+    compares the edge forms of all 24,576 matchings and makes one verdict
+    per distinct literal key.  Returns the two reports and the accepted
+    configurations per case, in order."""
+    rejected = {"shared": Counter(), "G": Counter(), "H": Counter()}
+    accepted = {"G": [], "H": []}
+    examined = 0
+    reps = [cls5.representative.points for cls5 in catalog41()]
+    orders = list(permutations(range(4)))
+    tetras = []
+    for pts in reps:
+        per_ex = []
+        for ex in range(1, 5):
+            tet = [pts[v] for v in range(5) if v != ex]
+            ordered = [[tet[t] for t in sigma] for sigma in orders]
+            per_ex.append((ex, [(dst, edge_form(dst)) for dst in ordered]))
+        tetras.append(per_ex)
+    verdicts = {}
+    for rpts, r_tetras in zip(reps, tetras):
+        for si, (spts, s_tetras) in enumerate(zip(reps, tetras)):
+            for ex_r, r_ordered in r_tetras:
+                sub_r, form_r = r_ordered[0]
+                for ex_s, ordered in s_tetras:
+                    for dst, form in ordered:
+                        examined += 1
+                        if form != form_r:
+                            rejected["shared"]["identification is not integral unimodular"] += 1
+                            continue
+                        m = unimodular_map(sub_r, dst)
+                        new_pt = m.apply(rpts[ex_r])
+                        if new_pt in spts:
+                            rejected["shared"]["gluing yields fewer than six points"] += 1
+                            continue
+                        key = (si, new_pt, ex_s, m.apply(rpts[0]))
+                        if key not in verdicts:
+                            cfg = PointConfig(list(spts) + [new_pt])
+                            verdicts[key] = (*classify6._glued_verdict(spts, *key[1:]), cfg)
+                        case, reason, cfg = verdicts[key]
+                        if reason is None:
+                            accepted[case].append(cfg)
+                        else:
+                            rejected[case][reason] += 1
+    note = "candidate enumeration shared with the other gluing case"
+    for case in ("G", "H"):
+        for reason, n in rejected["shared"].items():
+            rejected[case][reason] += n
+    reports = tuple(
+        classify6._finish(case, examined, rejected[case], classify6._dedupe(accepted[case]), (note,))
+        for case in ("G", "H")
+    )
+    return reports, accepted
+
+
+def _counting_verdicts(monkeypatch):
+    """Wrap classify6._glued_verdict; the returned list counts its calls."""
+    calls = []
+    verdict = classify6._glued_verdict
+
+    def counted(*args):
+        calls.append(args)
+        return verdict(*args)
+
+    monkeypatch.setattr(classify6, "_glued_verdict", counted)
+    return calls
+
+
+def _brute_force_symmetries(pts):
+    """Point permutations of five points that an integer unimodular map
+    realizes, by trying all 120."""
+    found = set()
+    for perm in permutations(range(5)):
+        m = unimodular_map(pts[1:], [pts[perm[i]] for i in range(1, 5)])
+        if m is not None and all(m.apply(p) == pts[perm[i]] for i, p in enumerate(pts)):
+            found.add(perm)
+    return found
+
+
+def test_base_automorphisms_match_brute_force():
+    """The symmetries read off each (4,1) base's key orders are exactly
+    those a search over all point permutations finds."""
+    counts = []
+    for cls5 in catalog41():
+        pts = cls5.representative.points
+        autos = classify6._base_automorphisms(cls5.representative)
+        perms = {tuple(pts.index(g.apply(p)) for p in pts) for g in autos}
+        assert len(perms) == len(autos)
+        assert perms == _brute_force_symmetries(pts), cls5
+        counts.append(len(autos))
+    assert counts == [24, 6, 2, 1, 1, 1, 1, 4]
+
+
+@pytest.mark.parametrize("bad_map", [
+    None,  # the key order is not an image of the first one
+    AffineMap(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (1, 0, 0)),  # moves the interior point
+    AffineMap(((1, 1, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 0)),  # fixes it, moves a vertex off
+])
+def test_base_automorphisms_are_checked(monkeypatch, bad_map):
+    """A key order whose map is no symmetry of the base raises instead of
+    being used."""
+    monkeypatch.setattr(classify6, "unimodular_map", lambda src, dst: bad_map)
+    with pytest.raises(classify6.ClassificationError, match="no symmetry"):
+        classify6._base_automorphisms(catalog41()[0].representative)
+
+
+def test_orbit_verdicts_match_literal_oracle(monkeypatch):
+    """run_case_gh gives the literal-keyed loop's reports and accepted
+    configurations, in order; the oracle makes a verdict, with its
+    triangulation cross-checks, on each of the 1,532 distinct keys."""
+    calls = _counting_verdicts(monkeypatch)
+    (oracle_g, oracle_h), oracle_accepted = _literal_case_gh()
+    assert len(calls) == 1532
+    accepted = []
+    dedupe = classify6._dedupe
+
+    def recorded(configs):
+        accepted.append(list(configs))
+        return dedupe(configs)
+
+    monkeypatch.setattr(classify6, "_dedupe", recorded)
+    report_g, report_h = classify6.run_case_gh()
+    assert len(calls) == 1532 + 754
+    assert accepted == [oracle_accepted["G"], oracle_accepted["H"]]
+    for report, oracle in ((report_g, oracle_g), (report_h, oracle_h)):
+        assert report.rejected == oracle.rejected
+        assert report.candidates_examined == oracle.candidates_examined
+        assert report == oracle
+
+
+def test_orbit_verdict_count_and_no_carry_over(monkeypatch, case_reports):
+    """754 verdicts on every call: nothing decided in one run_case_gh call
+    is reused by the next."""
+    calls = _counting_verdicts(monkeypatch)
+    first = classify6.run_case_gh()
+    assert len(calls) == 754
+    second = classify6.run_case_gh()
+    assert len(calls) == 2 * 754
+    assert first == second == tuple(by_case(case_reports)[c] for c in "GH")
 
 
 def test_case_f_splits_by_catalog_label(case_reports):
