@@ -18,8 +18,9 @@ The G/H gluing examines 24,576 vertex matchings of subtetrahedra.  A
 matching glues when an integral unimodular map realizes it, which is
 exactly when the two ordered subtetrahedra have the same edge form (row
 Hermite normal form of the edge vectors), so a dict from edge form to
-ordered subtetrahedra yields the 3,732 hits directly, and the map is
-solved only for them.  The symmetries of the base polytopes make many
+ordered subtetrahedra yields the 3,732 hits directly; an affine map keeps
+barycentric coordinates, so each hit's glued point is placed without
+solving the map.  The symmetries of the base polytopes make many
 matchings glue the same configuration up to a symmetry: the 1,532
 distinct verdict keys fall into 754 orbits.  A verdict (coplanarity,
 interior points, triangulation checks) is made once per orbit in each
@@ -650,9 +651,11 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
     subtetrahedra have the same edge form, so each target base's ordered
     subtetrahedra (4 x 24) are filed in a dict by edge form, and only the
     3,732 hits among the 24,576 matchings are visited, in enumeration
-    order; unimodular_map runs on them to produce the map.  The union is
-    six points; coinciding interior points give one interior point (case
-    G), otherwise two (case H).  Acceptance is by triangulation
+    order.  No map is solved: a hit's map sends the source's interior
+    point to the target's first point, and its left-out vertex to the
+    _barycentric_image of that vertex's numerators over the target.  The
+    union is six points; coinciding interior points give one interior
+    point (case G), otherwise two (case H).  Acceptance is by triangulation
     emptiness, cross-checked against direct size.
 
     The 3,572 six-point gluings have 1,532 distinct verdict keys (target
@@ -670,14 +673,15 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
     reps = [base.points for base in bases]
     autos = [_base_automorphisms(base) for base in bases]
     orders = list(itertools.permutations(range(4)))
-    # per base polytope: its subtetrahedra (left-out vertex, vertices in
-    # label order, edge form), and its ordered subtetrahedra by edge form
+    # per base polytope: its subtetrahedra (left-out vertex's barycentric
+    # numerators, volume, edge form), and its ordered ones by edge form
     sources, targets = [], []
     for pts in reps:
         subs, by_form = [], {}
         for ex in range(1, 5):
             tet = [pts[v] for v in range(5) if v != ex]
-            subs.append((ex, tet, edge_form(tet)))
+            weights = [det4(*tet[:t], pts[ex], *tet[t + 1:]) for t in range(4)]
+            subs.append((weights, det4(*tet), edge_form(tet)))
             for sigma in orders:
                 dst = [tet[t] for t in sigma]
                 by_form.setdefault(edge_form(dst), []).append((ex, dst))
@@ -686,19 +690,16 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
     examined = (4 * len(reps)) ** 2 * len(orders)
     hits = 0
     verdicts = {}
-    for rpts, subs in zip(reps, sources):
+    for subs in sources:
         for si, (spts, by_form) in enumerate(zip(reps, targets)):
-            for ex_r, sub_r, form_r in subs:
+            for weights, vol, form_r in subs:
                 for ex_s, dst in by_form.get(form_r, ()):
                     hits += 1
-                    m = unimodular_map(sub_r, dst)
-                    if m is None:
-                        raise ClassificationError("equal edge forms but no unimodular map")
-                    new_pt = m.apply(rpts[ex_r])
+                    new_pt = _barycentric_image(weights, vol, dst)
                     if new_pt in spts:
                         rejected["shared"]["gluing yields fewer than six points"] += 1
                         continue
-                    glued = m.apply(rpts[0])
+                    glued = dst[0]
                     key = (si, new_pt, ex_s, glued)
                     if key not in verdicts:
                         verdict = _glued_verdict(spts, new_pt, ex_s, glued)
@@ -718,6 +719,23 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
     report_g = _finish("G", examined, rejected["G"], _dedupe(accepted["G"]), (note,))
     report_h = _finish("H", examined, rejected["H"], _dedupe(accepted["H"]), (note,))
     return report_g, report_h
+
+
+def _barycentric_image(weights, vol: int, dst) -> IntVec3:
+    """sum(weights[t] * dst[t]) / vol: the image of the point of barycentric
+    numerators weights over a source tetrahedron of signed volume vol under
+    the affine map onto dst.  That map is unimodular and integral only if dst
+    has volume +-vol and the image is integral; else ClassificationError."""
+    if abs(det4(*dst)) != abs(vol):
+        raise ClassificationError("glued subtetrahedra have different volumes")
+    w0, w1, w2, w3 = weights
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2), (d0, d1, d2) = dst
+    x = w0 * a0 + w1 * b0 + w2 * c0 + w3 * d0
+    y = w0 * a1 + w1 * b1 + w2 * c1 + w3 * d1
+    z = w0 * a2 + w1 * b2 + w2 * c2 + w3 * d2
+    if x % vol or y % vol or z % vol:
+        raise ClassificationError("glued point is not a lattice point")
+    return (x // vol, y // vol, z // vol)
 
 
 def _glued_verdict(spts, new_pt, ex_s, glued_interior):

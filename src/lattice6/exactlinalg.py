@@ -15,7 +15,8 @@ unimodular_map trust their input.
 The basic quantity is the normalized 4x4 determinant of four lattice
 points (top row of ones, points as columns), which equals the signed
 volume of their tetrahedron normalized so that a unimodular simplex has
-volume 1.
+volume 1.  det3, det4 and _mat_vec are closed-form expressions: the hot
+loops call them tens of thousands of times per classification.
 """
 
 from __future__ import annotations
@@ -71,7 +72,10 @@ def cross(u: Sequence[int], v: Sequence[int]) -> IntVec3:
 
 def det3(u: Sequence[int], v: Sequence[int], w: Sequence[int]) -> int:
     """Determinant of the 3x3 matrix with columns u, v, w."""
-    return dot(u, cross(v, w))
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    w0, w1, w2 = w
+    return u0 * (v1 * w2 - v2 * w1) + u1 * (v2 * w0 - v0 * w2) + u2 * (v0 * w1 - v1 * w0)
 
 
 def det4(p1, p2, p3, p4) -> int:
@@ -82,7 +86,11 @@ def det4(p1, p2, p3, p4) -> int:
     coplanar points give 0.  The points are not validated here: callers
     pass points that check_point has accepted, such as PointConfig points.
     """
-    return det3(sub(p2, p1), sub(p3, p1), sub(p4, p1))
+    x, y, z = p1
+    u0, u1, u2 = p2[0] - x, p2[1] - y, p2[2] - z
+    v0, v1, v2 = p3[0] - x, p3[1] - y, p3[2] - z
+    w0, w1, w2 = p4[0] - x, p4[1] - y, p4[2] - z
+    return u0 * (v1 * w2 - v2 * w1) + u1 * (v2 * w0 - v0 * w2) + u2 * (v0 * w1 - v1 * w0)
 
 
 def gcd_all(values: Iterable[int]) -> int:
@@ -160,7 +168,10 @@ def edge_form(points: Sequence[Sequence[int]]) -> Tuple[IntVec3, IntVec3, IntVec
 
 
 def _mat_vec(m, v):
-    return tuple(sum(m[i][j] * v[j] for j in range(3)) for i in range(3))
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
+    x, y, z = v
+    return (m00 * x + m01 * y + m02 * z, m10 * x + m11 * y + m12 * z,
+            m20 * x + m21 * y + m22 * z)
 
 
 def _mat_det(m):

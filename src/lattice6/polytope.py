@@ -1,9 +1,10 @@
 """Small lattice point configurations in Z^3 and their convex hulls.
 
 A PointConfig is an ordered tuple of 4..8 distinct lattice points.  Hulls
-are computed by brute force over point triples (C(n,3) candidate planes,
-each tested against n points; fine at these sizes), all predicates are
-integer-exact, and vertices are read off the facets through each point.
+are computed in one pass over the point triples (C(n,3) candidate planes;
+fine at these sizes), which also decides full dimensionality; all
+predicates are integer-exact, and vertices are read off the facets
+through each point.
 Lattice points of the hull are enumerated per tetrahedron: the hull is
 coned from its first vertex over a fan triangulation of every facet not
 through it, and a tetrahedron of normalized volume D contributes the
@@ -20,17 +21,16 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from math import gcd
 from typing import List, Sequence, Tuple
 
 from .exactlinalg import (
     IntVec3,
     _adjugate,
     check_point,
-    cross,
     det3,
     det4,
     dot,
-    gcd_all,
     hermite_normal_form,
     sub,
 )
@@ -102,35 +102,45 @@ class PointConfig:
 def hull_facets(config: PointConfig) -> Tuple[Facet, ...]:
     """Facets of conv(config) as primitive inward normals with offsets.
 
-    Brute force: every point triple spans a candidate plane; keep it when
-    all points lie (weakly) on one side.  Raises NotFullDimensional for
-    configurations of affine rank < 4.
+    One pass over the point triples: each spans a plane, which is a facet
+    when no two points lie strictly on opposite sides of it (the scan stops
+    at the first such pair; only facets are reduced by the gcd).  The
+    points span 3-space iff one lies off some triple's plane; otherwise
+    NotFullDimensional is raised.
     """
     pts = config.points
-    if not config.is_full_dimensional():
+    full, facets = False, set()
+    for (ax, ay, az), (bx, by, bz), (cx, cy, cz) in itertools.combinations(pts, 3):
+        ux, uy, uz = bx - ax, by - ay, bz - az
+        vx, vy, vz = cx - ax, cy - ay, cz - az
+        nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+        base = nx * ax + ny * ay + nz * az
+        pos = neg = False
+        for x, y, z in pts:
+            v = nx * x + ny * y + nz * z - base
+            pos = pos or v > 0
+            neg = neg or v < 0
+            if pos and neg:
+                break
+        full = full or pos or neg
+        if pos != neg:
+            g = gcd(gcd(nx, ny), nz) * (-1 if neg else 1)
+            facets.add(((nx // g, ny // g, nz // g), base // g))
+    if not full:
         raise NotFullDimensional("configuration spans no 3-dimensional volume")
-    facets = {}
-    for a, b, c in itertools.combinations(pts, 3):
-        n = cross(sub(b, a), sub(c, a))
-        if n == (0, 0, 0):
-            continue
-        g = gcd_all(n)
-        n = (n[0] // g, n[1] // g, n[2] // g)
-        base = dot(n, a)
-        values = [dot(n, p) - base for p in pts]
-        if all(v >= 0 for v in values):
-            facets[(n, base)] = Facet(n, base)
-        elif all(v <= 0 for v in values):
-            m = (-n[0], -n[1], -n[2])
-            facets[(m, -base)] = Facet(m, -base)
-    return tuple(sorted(facets.values(), key=lambda f: (f.normal, f.offset)))
+    return tuple(Facet(n, offset) for n, offset in sorted(facets))
+
+
+def _planes(facets: Sequence[Facet]) -> List[Tuple[int, int, int, int]]:
+    return [(*f.normal, f.offset) for f in facets]
 
 
 def _vertices(config: PointConfig, facets: Sequence[Facet]) -> Tuple[IntVec3, ...]:
     """Points of config on at least three of the facets, in input order."""
+    planes = _planes(facets)
     return tuple(
         p for p in config.points
-        if sum(1 for f in facets if f.value(p) == 0) >= 3
+        if sum(a * p[0] + b * p[1] + c * p[2] == o for a, b, c, o in planes) >= 3
     )
 
 
@@ -140,22 +150,25 @@ def _cone_triangulation(
     """Tetrahedra (v0, a, b, c) that triangulate conv(config).
 
     v0 is the first vertex of config.  Every facet not through v0 is a
-    convex polygon; its boundary is walked along its edges, the ordered
-    vertex pairs (p, q) with every other vertex of the facet strictly on
-    the positive side of det3(normal, q - p, r - p), and fanned from its
-    first vertex.  Each triangle of the fans is coned from v0.
+    convex polygon; unless it is a triangle, its boundary is walked along
+    its edges, the ordered vertex pairs (p, q) with every other vertex of
+    the facet strictly on the positive side of det3(normal, q - p, r - p),
+    and fanned from its first vertex.  Each triangle is coned from v0.
     """
     verts = _vertices(config, facets)
     v0 = verts[0]
     tetrahedra = []
-    for f in facets:
-        if f.value(v0) == 0:
+    for a, b, c, o in _planes(facets):
+        if a * v0[0] + b * v0[1] + c * v0[2] == o:
             continue
-        poly = [p for p in verts if f.value(p) == 0]
+        poly = [p for p in verts if a * p[0] + b * p[1] + c * p[2] == o]
+        if len(poly) == 3:
+            tetrahedra.append((v0, *poly))
+            continue
         succ = {}
         for p, q in itertools.permutations(poly, 2):
             pq = sub(q, p)
-            if all(det3(f.normal, pq, sub(r, p)) > 0 for r in poly if r != p and r != q):
+            if all(det3((a, b, c), pq, sub(r, p)) > 0 for r in poly if r != p and r != q):
                 succ[p] = q
         ring = [poly[0]]
         while len(ring) < len(poly):
@@ -258,7 +271,9 @@ def hull_summary(
 
 def _points_and_interior(config: PointConfig, facets: Sequence[Facet]):
     points = _hull_points(config, facets)
-    return points, tuple(p for p in points if all(f.value(p) > 0 for f in facets))
+    planes = _planes(facets)
+    return points, tuple(
+        p for p in points if all(a * p[0] + b * p[1] + c * p[2] > o for a, b, c, o in planes))
 
 
 def interior_points(config: PointConfig) -> Tuple[IntVec3, ...]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import time
 
 import pytest
@@ -39,6 +40,26 @@ def shuffled(rng: random.Random, config: PointConfig) -> PointConfig:
     pts = list(config.points)
     rng.shuffle(pts)
     return PointConfig(pts)
+
+
+def count_calls(monkeypatch, *functions) -> dict:
+    """Wrap each function wherever a lattice6 module looks it up.
+
+    Returns a dict from function name to call count, filled as calls
+    happen; the wrappers are undone with the monkeypatch fixture.
+    """
+    calls = {fn.__name__: 0 for fn in functions}
+    for fn in functions:
+        def counted(*args, _fn=fn):
+            calls[_fn.__name__] += 1
+            return _fn(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("lattice6"):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ from itertools import permutations
 
 import pytest
 
-from conftest import apply_map, random_unimodular, shuffled
+from conftest import apply_map, count_calls, random_unimodular, shuffled
 from lattice6 import classify6
 from lattice6.classify6 import (
     BadParameters,
@@ -21,9 +21,9 @@ from lattice6.classify6 import (
     no_octahedron_check,
     width1_family,
 )
-from lattice6.exactlinalg import AffineMap, edge_form, unimodular_map
+from lattice6.exactlinalg import AffineMap, det4, edge_form, unimodular_map
 from lattice6.invariants import is_dps, volume_vector6, width
-from lattice6.polytope import PointConfig, interior_points, size, vertices
+from lattice6.polytope import PointConfig, hull_facets, interior_points, size, vertices
 from lattice6.size5 import catalog41, rep22
 
 EXPECTED_COUNTS = {"A": 2, "B": 15, "C": 6, "D": 2, "E": 2, "F": 17, "G": 20, "H": 12}
@@ -115,23 +115,56 @@ def test_gluing_funnel_is_pinned(case_reports):
 
 def test_gluing_form_match_agrees_with_unimodular_map():
     """Every (source subtetrahedron, ordered target subtetrahedron) pair of
-    the G/H loop: equal edge forms exactly when unimodular_map finds a map."""
+    the G/H loop: equal edge forms exactly when unimodular_map finds a map,
+    and on each hit the barycentric image of the left-out vertex and the
+    target's first point are that map's images of the left-out vertex and
+    of the interior point."""
     sources = [
-        [pts[v] for v in range(5) if v != ex]
+        (pts[0], pts[ex], [pts[v] for v in range(5) if v != ex])
         for pts in (cls5.representative.points for cls5 in catalog41())
         for ex in range(1, 5)
     ]
-    targets = [[tet[t] for t in order] for tet in sources for order in permutations(range(4))]
+    targets = [[tet[t] for t in order] for *_, tet in sources for order in permutations(range(4))]
     target_forms = [edge_form(dst) for dst in targets]
     assert (len(sources), len(targets)) == (32, 768)
     hits = 0
-    for src in sources:
+    for interior, left_out, src in sources:
         form = edge_form(src)
+        weights = [det4(*src[:t], left_out, *src[t + 1:]) for t in range(4)]
         for dst, dst_form in zip(targets, target_forms):
-            found = unimodular_map(src, dst) is not None
-            assert (dst_form == form) == found, (src, dst)
-            hits += found
-    assert hits == 24576 - 20844
+            m = unimodular_map(src, dst)
+            assert (dst_form == form) == (m is not None), (src, dst)
+            if m is not None:
+                hits += 1
+                assert classify6._barycentric_image(weights, det4(*src), dst) == m.apply(left_out)
+                assert dst[0] == m.apply(interior)
+    assert hits == 24576 - 20844 == 3732
+
+
+#: A tetrahedron of volume 2 with the midpoint of its edge s0 s1 (weights
+#: 1, 1, 0, 0 over volume 2).
+_SRC2 = [(0, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+def test_barycentric_image_places_the_midpoint():
+    dst = [(0, 0, 0), (0, 0, 2), (1, 0, 0), (0, 1, 0)]
+    for order in ((0, 1, 2, 3), (1, 0, 2, 3)):  # volume 2, then -2
+        src = [_SRC2[t] for t in order]
+        weights = [det4(*src[:t], (1, 0, 0), *src[t + 1:]) for t in range(4)]
+        image = classify6._barycentric_image(weights, det4(*src), [dst[t] for t in order])
+        assert image == (0, 0, 1)
+
+
+@pytest.mark.parametrize("dst, message", [
+    # volume 2, but the edge s0 s1 goes to a primitive edge: its midpoint
+    # (1/2, 0, 0) is not a lattice point, so no integral map exists
+    ([(0, 0, 0), (1, 0, 0), (0, 2, 0), (0, 0, 1)], "not a lattice point"),
+    # volume 1: no unimodular map from a volume-2 tetrahedron
+    ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], "different volumes"),
+])
+def test_barycentric_image_is_checked(dst, message):
+    with pytest.raises(classify6.ClassificationError, match=message):
+        classify6._barycentric_image([1, 1, 0, 0], 2, dst)
 
 
 def _literal_case_gh():
@@ -272,6 +305,14 @@ def test_orbit_verdict_count_and_no_carry_over(monkeypatch, case_reports):
     second = classify6.run_case_gh()
     assert len(calls) == 2 * 754
     assert first == second == tuple(by_case(case_reports)[c] for c in "GH")
+
+
+def test_classify_all_work_is_pinned(monkeypatch, case_reports):
+    """One warm classify_all: 40 automorphism maps plus 168 witness solves,
+    1,590 hull computations and 754 gluing verdicts."""
+    calls = count_calls(monkeypatch, unimodular_map, hull_facets, classify6._glued_verdict)
+    classify6.classify_all()
+    assert calls == {"unimodular_map": 208, "hull_facets": 1590, "_glued_verdict": 754}
 
 
 def test_case_f_splits_by_catalog_label(case_reports):

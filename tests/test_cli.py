@@ -2,14 +2,18 @@
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from conftest import apply_map, random_unimodular, shuffled
+from conftest import apply_map, count_calls, random_unimodular, shuffled
 import random
 
+import lattice6
 from lattice6 import classify6, invariants, polytope
 from lattice6.cli import main
 from lattice6.emptytetra import is_empty_tetrahedron, white_type
@@ -83,21 +87,26 @@ def test_analyze_six_points_computes_circuits_and_facets_once(tmp_path, bundle, 
     """One circuits call and one hull_facets call per six-point analyze,
     wherever the lattice6 modules look the two functions up."""
     classify6._row_key_index()  # built with the tables, before counting
-    calls = {}
-    for fn in (invariants.circuits, polytope.hull_facets):
-        def counted(*args, _fn=fn):
-            calls[_fn.__name__] = calls.get(_fn.__name__, 0) + 1
-            return _fn(*args)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("lattice6"):
-                for attr, value in list(vars(module).items()):
-                    if value is fn:
-                        monkeypatch.setattr(module, attr, counted)
+    calls = count_calls(monkeypatch, invariants.circuits, polytope.hull_facets)
     rc = main(["analyze", rep_file(tmp_path, bundle, "H.7")])
     assert rc == 0
     assert "class: H.7" in capsys.readouterr().out
     assert calls == {"circuits": 1, "hull_facets": 1}
+
+
+@pytest.mark.parametrize("cid", ["H.12", None])
+def test_python_m_lattice6_matches_main(tmp_path, bundle, capsys, cid):
+    """python -m lattice6 analyze prints what main prints and exits with
+    its code, on a classified polytope and on a missing file."""
+    path = rep_file(tmp_path, bundle, cid) if cid else str(tmp_path / "missing.txt")
+    rc = main(["analyze", path])
+    out = capsys.readouterr().out
+    paths = [str(Path(lattice6.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.run([sys.executable, "-m", "lattice6", "analyze", path],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.stdout, proc.returncode) == (out, rc)
+    assert rc == (0 if cid else 2)
 
 
 def test_analyze_width_one_hexagon(tmp_path, capsys):

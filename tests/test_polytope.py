@@ -11,8 +11,9 @@ from hypothesis import assume, given, settings, strategies as st
 import fraction_oracles
 from conftest import apply_map, random_unimodular
 from fraction_oracles import point_in_hull
-from lattice6.exactlinalg import det4
+from lattice6.exactlinalg import cross, det4, dot, gcd_all, sub
 from lattice6.polytope import (
+    Facet,
     IndexOutOfRange,
     NotFullDimensional,
     PointConfig,
@@ -87,6 +88,79 @@ def test_facets_support_the_hull(bundle):
         evals = [sum(n * x for n, x in zip(f.normal, p)) for p in lp]
         assert all(e >= f.offset for e in evals)
         assert sum(1 for e in evals if e == f.offset) >= 3
+
+
+def _brute_force_hull_facets(config):
+    """Oracle for hull_facets: a C(n,4) determinant pass decides full
+    dimensionality, then every point triple spans a plane, reduced by the
+    gcd of its normal, and is kept when all points lie weakly on one side."""
+    pts = config.points
+    if not any(det4(*quad) != 0 for quad in combinations(pts, 4)):
+        raise NotFullDimensional("configuration spans no 3-dimensional volume")
+    facets = {}
+    for a, b, c in combinations(pts, 3):
+        n = cross(sub(b, a), sub(c, a))
+        if n == (0, 0, 0):
+            continue
+        g = gcd_all(n)
+        n = (n[0] // g, n[1] // g, n[2] // g)
+        base = dot(n, a)
+        values = [dot(n, p) - base for p in pts]
+        if all(v >= 0 for v in values):
+            facets[(n, base)] = Facet(n, base)
+        elif all(v <= 0 for v in values):
+            m = (-n[0], -n[1], -n[2])
+            facets[(m, -base)] = Facet(m, -base)
+    return tuple(sorted(facets.values(), key=lambda f: (f.normal, f.offset)))
+
+
+def _hull_or_flat(hull, config):
+    try:
+        return hull(config)
+    except NotFullDimensional:
+        return NotFullDimensional
+
+
+@st.composite
+def _box_configs(draw):
+    """4..8 distinct points of a box with sides 0..3, some of them flat or
+    thin, so coplanar and collinear sets are common."""
+    box = draw(st.tuples(*[st.integers(0, 3)] * 3).filter(
+        lambda s: (s[0] + 1) * (s[1] + 1) * (s[2] + 1) >= 4))
+    cells = list(itertools.product(*(range(k + 1) for k in box)))
+    return PointConfig(draw(st.lists(st.sampled_from(cells), min_size=4,
+                                     max_size=min(8, len(cells)), unique=True)))
+
+
+@st.composite
+def _far_images(draw):
+    """Unimodular images of box configurations, translated so that the
+    coordinates reach up to 10^4."""
+    c = draw(_box_configs())
+    m = random_unimodular(random.Random(draw(st.integers(0, 10**6))), 0)
+    pts = [m.apply(p) for p in c.points]
+    lo = [-10**4 - min(p[i] for p in pts) for i in range(3)]
+    hi = [10**4 - max(p[i] for p in pts) for i in range(3)]
+    assume(all(l <= h for l, h in zip(lo, hi)))
+    t = [draw(st.integers(l, h)) for l, h in zip(lo, hi)]
+    return PointConfig([tuple(x + d for x, d in zip(p, t)) for p in pts])
+
+
+@given(c=st.one_of(_box_configs(), _far_images()))
+@settings(max_examples=300, deadline=None)
+def test_hull_facets_match_brute_force_oracle(c):
+    """Equal facet tuples, or NotFullDimensional from both."""
+    assert _hull_or_flat(hull_facets, c) == _hull_or_flat(_brute_force_hull_facets, c)
+
+
+@pytest.mark.parametrize("points", [
+    [(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)],  # collinear
+    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 5, 0)],  # coplanar
+])
+def test_hull_facets_reject_flat_configurations(points):
+    for hull in (hull_facets, _brute_force_hull_facets):
+        with pytest.raises(NotFullDimensional):
+            hull(PointConfig(points))
 
 
 def test_point_in_hull():
