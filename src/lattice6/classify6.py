@@ -757,7 +757,7 @@ def _glued_verdict(spts, new_pt, ex_s, glued_interior):
     if inner == {spts[0], glued_interior}:
         int_idx = cfg.points.index(glued_interior)
         return "H", _glue_h(cfg, circs, six, int_idx, ex_s)
-    return "shared", "a base vertex stopped being a vertex"
+    return "shared", "extra interior lattice point"
 
 
 def _glue_g(cfg: PointConfig, circs, six: bool, ex_s: int) -> Optional[str]:

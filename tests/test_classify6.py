@@ -106,7 +106,7 @@ def test_gluing_funnel_is_pinned(case_reports):
         "identification is not integral unimodular": 20844,
         "gluing yields fewer than six points": 160,
         "coplanarity present": 924,
-        "a base vertex stopped being a vertex": 1461,
+        "extra interior lattice point": 1461,
     }
     assert r["G"].rejected == {**shared, "cut tetrahedron is not empty": 126}
     assert r["H"].rejected == {**shared, "a triangulation tetrahedron is not empty": 260}

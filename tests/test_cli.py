@@ -343,7 +343,7 @@ def test_equiv_stdout_is_pinned(tmp_path, capsys):
 #: sha256 of the outputs that a refactor must leave byte-identical:
 #: `classify --case all --verbose` stdout and the --out JSON and CSV.
 CLASSIFY_DIGESTS = {
-    "verbose stdout": "1dc8b0f35299a65f6adaff4e341e0d01f4215d99f297f47f8a860c7e80c56797",
+    "verbose stdout": "db2d335acaa7fc1e254308aa7831d14b7ce6f46603c65ec1df49b4637cdb43f7",
     "json": "40fee2e86db605c6d3f56e0beb2c1f2e70f0e1cb8f6025b936917437be7cb734",
     "csv": "a7c6cff34f35df9ece31d8bc4bbdc61b9448b7af164d067d1beb351d092f3323",
 }
