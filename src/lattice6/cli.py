@@ -61,8 +61,7 @@ def _read_config(path: str) -> PointConfig:
 
 def _om_label(circs) -> str:
     record, _ = match_circuits(circs)
-    labels = load_tables().label_candidates(record.key)
-    return " or ".join(labels) if labels else "unlabeled"
+    return " or ".join(load_tables().label_candidates(record.key))
 
 
 def cmd_analyze(args) -> int:

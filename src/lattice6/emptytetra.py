@@ -99,6 +99,8 @@ def canonical_type(p: int, q: int) -> Tuple[int, int]:
 
 def type_orbit(p: int, q: int) -> frozenset:
     """Residues +-p^{+-1} (mod q) that describe the same tetrahedron."""
+    if q < 1:
+        raise ValueError("q must be positive")
     p %= q
     if q == 1:
         return frozenset({0})
@@ -112,7 +114,8 @@ def types_equivalent(t1: Tuple[int, int], t2: Tuple[int, int]) -> bool:
     p2, q2 = t2
     if q1 != q2:
         return False
-    return p2 % q1 in type_orbit(p1, q1)
+    orbit = type_orbit(p1, q1)  # first: it rejects q < 1 before p2 % q2 divides
+    return p2 % q2 in orbit
 
 
 def standard_tetrahedron(p: int, q: int):

@@ -11,19 +11,23 @@ indexed by the signature of its unique affine dependence:
   (4,1)  eight sporadic classes, all width 2
 
 The eight (4,1) representatives all have their first point as the unique
-interior lattice point.  The two admissibility predicates decide when an
-apex over a standard circuit base closes up without extra lattice points;
-they are the arithmetic engine of the height-forcing arguments used by
-the size-6 classification.
+interior lattice point.  size5_class reads the family parameters off the
+volume vector (and one edge form) and looks the eleven sporadic classes up
+by canonical key, so it builds no representative.  The two admissibility
+predicates decide when an apex over a standard circuit base closes up
+without extra lattice points; they are the arithmetic engine of the
+height-forcing arguments used by the size-6 classification.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .equivalence import canonical_key
+from .exactlinalg import edge_form
 from .invariants import signature5, volume_vector5
 from .polytope import PointConfig, size
 
@@ -32,19 +36,26 @@ class NotSize5(ValueError):
     """Raised when the hull does not have exactly five lattice points."""
 
 
+class UnknownSize5Class(RuntimeError):
+    """Raised when a configuration that passed the gates fits no class."""
+
+
 @dataclass(frozen=True)
 class Size5Class:
     kind: str                      # "22" | "21" | "32" | "31u" | "31w2" | "41"
-    params: Tuple[int, ...]        # family parameters, () for sporadic rows
-    representative: PointConfig
+    params: Tuple[int, ...]        # family parameters, (k,) for the k-th (4,1) row
     dependence: Tuple[int, ...]    # affine dependence coefficients, table sign
     width: int
 
     @property
     def label(self) -> str:
-        if self.params:
-            return f"{self.kind}{self.params}"
-        return self.kind
+        return f"{self.kind}{self.params}" if self.params else self.kind
+
+    @property
+    def representative(self) -> PointConfig:
+        """Built on request: it carries a family's q or b as a coordinate,
+        so past the coordinate bound it raises the bound's ValueError."""
+        return _REPRESENTATIVES[self.kind](*self.params)
 
 
 def rep22() -> PointConfig:
@@ -92,12 +103,21 @@ def rep41(k: int) -> PointConfig:
     return PointConfig([(0, 0, 0), (1, 0, 0), (0, 0, 1), p4, p5])
 
 
+_REPRESENTATIVES = {"22": rep22, "21": rep21, "32": rep32, "31u": rep31_unimodular,
+                    "31w2": rep31_volume9, "41": rep41}
+
+
 def catalog41() -> Tuple[Size5Class, ...]:
     """The eight sporadic (4,1) classes."""
-    return tuple(
-        Size5Class("41", (k,), rep41(k), _ROWS41[k - 1][0], 2)
-        for k in range(1, 9)
-    )
+    return tuple(Size5Class("41", (k,), row[0], 2) for k, row in enumerate(_ROWS41, 1))
+
+
+@lru_cache(maxsize=1)
+def _sporadic_index() -> dict:
+    """The eleven sporadic classes by the canonical key of their representative."""
+    fixed = (Size5Class("22", (), (-1, 1, 1, -1, 0), 1), Size5Class("31u", (), (-3, 1, 1, 1, 0), 1),
+             Size5Class("31w2", (), (-9, 3, 3, 3, 0), 2))
+    return {canonical_key(cls.representative): cls for cls in fixed + catalog41()}
 
 
 def classify5(config: PointConfig) -> Size5Class:
@@ -116,60 +136,39 @@ def classify5(config: PointConfig) -> Size5Class:
 
 
 def size5_class(config: PointConfig) -> Size5Class:
-    """classify5 for a configuration that passed its gates."""
-    key = canonical_key(config)
+    """classify5 for a configuration that passed its gates.
+
+    (2,1): the dependence is +-(-2q, q, q, 0, 0), so A (entry 2q) is the
+    midpoint of B and E (entries q).  When (A, B, C, D) has the edge form
+    [[1,0,x],[0,1,1 mod q],[0,0,q]] of (o, e1, e3, (x,q,1)), a unimodular
+    map sends it there and E to -e1; (X,Y,Z) -> (Y-X,Y,Z) swaps e1 and -e1
+    and sends x to q - x.  (3,2): sorted |entries| (1, 1, a, b, a+b) force
+    the dependence +-(-a-b, a, b, 1, -1), the pair balancing the triple.
+    The tetrahedron without E (entry -1) is unimodular, and mapping its
+    points of entries -a-b, a, b, 1 to o, e1, e2, e3 sends E to (a, b, 1).
+    Other shapes, and sporadic keys outside the index, raise
+    UnknownSize5Class.
+    """
     sig = signature5(config)
     dep = volume_vector5(config)
-    nonzero = sorted(abs(v) for v in dep if v)
-
-    if sig == (2, 2):
-        cls = Size5Class("22", (), rep22(), (-1, 1, 1, -1, 0), 1)
-        if canonical_key(cls.representative) != key:
-            raise AssertionError("(2,2) configuration missed its unique class")
-        return cls
-
     if sig == (2, 1):
-        q = nonzero[0]
-        for p in range(0, q // 2 + 1):
-            if q > 1 and gcd(p, q) != 1:
-                continue
-            rep = rep21(p, q)
-            if canonical_key(rep) == key:
-                return Size5Class("21", (p, q), rep, (-2 * q, q, 0, q, 0), 1)
-        raise AssertionError(f"(2,1) configuration missed all classes for q={q}")
-
-    if sig == (3, 2):
-        vol = nonzero[-1]
-        for a in range(1, vol // 2 + 1):
-            b = vol - a
-            if gcd(a, b) != 1:
-                continue
-            rep = rep32(a, b)
-            if canonical_key(rep) == key:
-                return Size5Class("32", (a, b), rep, (-a - b, a, b, 1, -1), 1)
-        raise AssertionError(f"(3,2) configuration missed all classes of volume {vol}")
-
-    if sig == (3, 1):
-        if nonzero[-1] == 3:
-            cls = Size5Class("31u", (), rep31_unimodular(), (-3, 1, 1, 1, 0), 1)
-        elif nonzero[-1] == 9:
-            cls = Size5Class("31w2", (), rep31_volume9(), (-9, 3, 3, 3, 0), 2)
-        else:
-            raise AssertionError(f"unexpected (3,1) dependence {dep}")
-        if canonical_key(cls.representative) != key:
-            raise AssertionError("(3,1) configuration missed its class")
-        return cls
-
-    if sig == (4, 1):
-        mine = sorted(abs(v) for v in dep)
-        for cls in catalog41():
-            if sorted(abs(v) for v in cls.dependence) != mine:
-                continue
-            if canonical_key(cls.representative) == key:
-                return cls
-        raise AssertionError(f"(4,1) configuration missed all 8 classes: {dep}")
-
-    raise AssertionError(f"impossible signature {sig}")
+        nonzero = sorted(abs(v) for v in dep if v)
+        q = nonzero[-1] // 2
+        if nonzero == [q, q, 2 * q]:
+            a, b, _, c, d = sorted(range(5), key=lambda i: -abs(dep[i]))
+            h = edge_form([config[i] for i in (a, b, c, d)])
+            x = h[0][2]
+            if h == ((1, 0, x), (0, 1, 1 % q), (0, 0, q)):
+                return Size5Class("21", (min(x, q - x), q), (-2 * q, q, 0, q, 0), 1)
+    elif sig == (3, 2):
+        one, other_one, a, b, total = sorted(map(abs, dep))
+        if (one, other_one, a + b) == (1, 1, total):
+            return Size5Class("32", (a, b), (-a - b, a, b, 1, -1), 1)
+    else:
+        cls = _sporadic_index().get(canonical_key(config))
+        if cls is not None:
+            return cls
+    raise UnknownSize5Class(f"signature {sig}, volume vector {dep} fit no class")
 
 
 # ---------------------------------------------------------------------------

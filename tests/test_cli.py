@@ -14,12 +14,12 @@ from conftest import apply_map, count_calls, random_unimodular, shuffled
 import random
 
 import lattice6
-from lattice6 import classify6, invariants, polytope
+from lattice6 import classify6, equivalence, invariants, polytope, size5
 from lattice6.cli import main
 from lattice6.emptytetra import is_empty_tetrahedron, white_type
 from lattice6.exactlinalg import AffineMap
 from lattice6.polytope import PointConfig, format_points, parse_points
-from lattice6.size5 import rep41
+from lattice6.size5 import rep21, rep32, rep41
 
 
 def write_config(tmp_path, name, points):
@@ -143,6 +143,36 @@ def test_analyze_far_image_finishes(tmp_path, bundle, capsys, source, expected):
     assert rc == 0
     assert expected in capsys.readouterr().out
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("points, expected", [
+    ([(0, 0, 0), (300, 301, 0), (-300, -301, 0), (0, 0, 1), (1, 301, 1)],
+     "size-5 class: 21(300, 89999)"),
+    ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (10000, 9999, 1)],
+     "size-5 class: 32(9999, 10000)"),
+])
+def test_analyze_large_family_parameters(tmp_path, capsys, points, expected):
+    """Large family parameters are read off the invariants: no candidate
+    representative is built, and some would leave the coordinate bound."""
+    path = write_config(tmp_path, "family.txt", points)
+    start = time.perf_counter()
+    rc = main(["analyze", path])
+    elapsed = time.perf_counter() - start
+    assert rc == 0
+    assert expected in capsys.readouterr().out
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("config, normal_forms", [
+    (rep21(2, 5), 0), (rep32(2, 3), 0), (rep41(1), 1),
+])
+def test_analyze_five_points_normal_forms(tmp_path, capsys, monkeypatch, config, normal_forms):
+    """Family parameters take no canonical key; a sporadic class takes one."""
+    size5._sporadic_index()  # built once, before counting
+    calls = count_calls(monkeypatch, equivalence._normal_form)
+    assert main(["analyze", write_config(tmp_path, "p5.txt", config.points)]) == 0
+    assert "size-5 class:" in capsys.readouterr().out
+    assert calls == {"_normal_form": normal_forms}
 
 
 def test_analyze_volume_3001_tetrahedron(tmp_path, capsys):

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_unimodular
@@ -72,6 +73,9 @@ def test_types_equivalent():
 def test_type_orbit():
     assert type_orbit(2, 7) == frozenset({2, 3, 4, 5})
     assert type_orbit(1, 5) == frozenset({1, 4})
+    for call in (lambda: type_orbit(1, 0), lambda: types_equivalent((1, 0), (1, 0))):
+        with pytest.raises(ValueError, match="q must be positive"):
+            call()
 
 
 def test_orbit_counting_matches_direct_enumeration():

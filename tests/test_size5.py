@@ -1,15 +1,19 @@
 """The size-5 classification and the two apex admissibility predicates."""
 
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import apply_map, random_unimodular, shuffled
 from lattice6.equivalence import are_equivalent
+from lattice6.exactlinalg import unimodular_map
+from lattice6.invariants import signature5
 from lattice6.polytope import PointConfig, interior_points, size
 from lattice6.size5 import (
     NotSize5,
+    UnknownSize5Class,
     admissible_apex_21,
     admissible_apex_31,
     apex_config_21,
@@ -22,7 +26,19 @@ from lattice6.size5 import (
     rep31_volume9,
     rep32,
     rep41,
+    size5_class,
 )
+from size5_oracles import search_family_params
+
+
+def _image(rng, config):
+    """A relabeled unimodular image, redrawn until it is within the
+    coordinate bound."""
+    while True:
+        try:
+            return shuffled(rng, apply_map(random_unimodular(rng), config))
+        except ValueError:
+            continue
 
 
 def test_classify5_apex_over_triangle():
@@ -125,11 +141,63 @@ def test_admissible_apex_21_matches_size_oracle():
 
 
 @given(seed=st.integers(0, 10**6))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_classify5_is_constant_on_equivalence_classes(seed):
     rng = random.Random(seed)
-    base = rng.choice([rep22(), rep31_volume9(), rep41(rng.randrange(1, 9)),
-                       rep32(1, 2), rep21(2, 5)])
-    img = shuffled(rng, apply_map(random_unimodular(rng), base))
-    a, b = classify5(base), classify5(img)
-    assert (a.kind, a.params) == (b.kind, b.params)
+    q = rng.randrange(1, 120)
+    p = rng.choice([p for p in range(q // 2 + 1) if q == 1 or gcd(p, q) == 1])
+    s = rng.randrange(2, 120)
+    a = rng.choice([a for a in range(1, s // 2 + 1) if gcd(a, s - a) == 1])
+    base = rng.choice([rep22(), rep31_unimodular(), rep31_volume9(),
+                       rep41(rng.randrange(1, 9)), rep32(a, s - a), rep21(p, q)])
+    img = _image(rng, base)
+    cls, cls_img = classify5(base), classify5(img)
+    assert (cls.kind, cls.params) == (cls_img.kind, cls_img.params)
+    assert cls.representative == base
+
+
+def test_family_read_off_matches_search_oracle():
+    """Every (2,1)(p, q) with q <= 60 and (3,2)(a, b) with a + b <= 80, as
+    a relabeled unimodular image: the parameters read off the invariants
+    are the ones the key search finds."""
+    rng = random.Random(5)
+    family = [("21", (p, q)) for q in range(1, 61) for p in range(q // 2 + 1)
+              if q == 1 or gcd(p, q) == 1]
+    family += [("32", (a, s - a)) for s in range(2, 81) for a in range(1, s // 2 + 1)
+               if gcd(a, s - a) == 1]
+    assert len(family) == 552 + 983
+    for kind, params in family:
+        img = _image(rng, rep21(*params) if kind == "21" else rep32(*params))
+        cls = size5_class(img)
+        assert (cls.kind, cls.params) == (kind, params) == (kind, search_family_params(img))
+
+
+def test_large_family_parameters():
+    """The parameters are named without building the representative:
+    rep21(300, 89999) is past the bound and fails only when asked for."""
+    c21 = PointConfig([(0, 0, 0), (300, 301, 0), (-300, -301, 0), (0, 0, 1), (1, 301, 1)])
+    c32 = PointConfig([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (10000, 9999, 1)])
+    assert size5_class(c21).label == "21(300, 89999)"
+    assert size5_class(c32).label == "32(9999, 10000)"
+    with pytest.raises(ValueError, match="exceeds bound"):
+        size5_class(c21).representative
+    assert are_equivalent(size5_class(c32).representative, c32)
+    # an independent check of the (2,1) reading: a map onto rep21's raw points
+    m = unimodular_map([c21[i] for i in (0, 1, 3, 4)],
+                       [(0, 0, 0), (1, 0, 0), (0, 0, 1), (300, 89999, 1)])
+    assert m is not None and m.apply(c21[2]) == (-1, 0, 0)
+
+
+def test_size5_class_rejects_invariants_of_no_class():
+    """Configurations with extra lattice points, past the gates: each
+    family's shape check and the sporadic lookup raise."""
+    not21 = apex_config_21(0, 0, 2)  # edge form [[1,0,0],[0,1,0],[0,0,2]]
+    # entries (-3, 1, 2, 0, 0): not (2q, q, q), though a unimodular quadruple
+    not21_shape = PointConfig([(0, 0, 0), (2, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 1, 0)])
+    not32 = PointConfig([(0, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    not31 = apex_config_31(0, 0)
+    for config, sig in ((not21, (2, 1)), (not21_shape, (2, 1)), (not32, (3, 2)),
+                        (not31, (3, 1))):
+        assert signature5(config) == sig and size(config) > 5
+        with pytest.raises(UnknownSize5Class):
+            size5_class(config)
