@@ -17,6 +17,7 @@ from .polytope import (
 from .invariants import (
     circuits,
     coplanarity_from_circuits,
+    functional_range,
     pair_sums_distinct,
     volume_vector5,
     volume_vector6,
@@ -77,8 +78,7 @@ def cmd_analyze(args) -> int:
     if class_id is not None:
         # show the published witness when it is one for these coordinates
         table_f = load_tables().class_by_id(class_id).functional
-        values = [sum(c * x for c, x in zip(table_f, p)) for p in config.points]
-        if max(values) - min(values) == w:
+        if functional_range(table_f, config.points) == w:
             functional = table_f
     fstr = _functional_str(functional)
     print(f"points: {n}")
@@ -121,19 +121,9 @@ def cmd_analyze(args) -> int:
 
 
 def _single_case_reports(case: str):
-    if case in ("G", "H"):
-        # the gluing enumeration produces both cases in one pass
-        rg, rh = classify6.run_case_gh()
-        return [rg if case == "G" else rh]
-    runner = {
-        "A": classify6.run_case_a,
-        "B": classify6.run_case_b,
-        "C": classify6.run_case_c,
-        "D": classify6.run_case_d,
-        "E": classify6.run_case_e,
-        "F": classify6.run_case_f,
-    }[case]
-    return [runner()]
+    # one runner per case A-F, then one gluing pass that reports G and H
+    res = classify6._RUNNERS[min("ABCDEFGH".index(case), 6)]()
+    return [r for r in (res if isinstance(res, tuple) else (res,)) if r.case == case]
 
 
 def cmd_classify(args) -> int:

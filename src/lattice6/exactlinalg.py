@@ -174,14 +174,6 @@ def _mat_vec(m, v):
             m20 * x + m21 * y + m22 * z)
 
 
-def _mat_det(m):
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
 def _adjugate(m):
     """Adjugate of a 3x3 matrix, so that m @ adj(m) == det(m) * I."""
     return (
@@ -212,7 +204,7 @@ class AffineMap:
 
     @property
     def det(self) -> int:
-        return _mat_det(self.matrix)
+        return det3(*self.matrix)
 
     def apply(self, p: Sequence[int]) -> IntVec3:
         return add(_mat_vec(self.matrix, p), self.translation)
@@ -235,11 +227,11 @@ def unimodular_map(src: Sequence[Sequence[int]], dst: Sequence[Sequence[int]]) -
     if len(src) != 4 or len(dst) != 4:
         raise ValueError("unimodular_map needs exactly 4 source and 4 destination points")
     S = tuple(zip(*(sub(src[i], src[0]) for i in (1, 2, 3))))  # columns s_i - s_0
-    det_s = _mat_det(S)
+    det_s = det3(*S)
     if det_s == 0:
         raise DegenerateSource("source points are coplanar")
     D = tuple(zip(*(sub(dst[i], dst[0]) for i in (1, 2, 3))))
-    if abs(_mat_det(D)) != abs(det_s):
+    if abs(det3(*D)) != abs(det_s):
         return None
     adj = _adjugate(S)
     mat = []

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
-from .exactlinalg import IntVec3, _adjugate, det3, det4, dot, gcd_all, sub
+from .exactlinalg import IntVec3, _adjugate, _mat_vec, det3, det4, dot, gcd_all, sub
 from .polytope import NotFullDimensional, PointConfig, lattice_points
 
 
@@ -142,7 +142,7 @@ def coplanarity_class(config: PointConfig) -> str:
     return coplanarity_from_circuits(circs)
 
 
-def coplanarity_from_circuits(circs: Sequence[SignedCircuit], n: int = 6) -> str:
+def coplanarity_from_circuits(circs: Sequence[SignedCircuit]) -> str:
     """Coplanarity class of a 6-element configuration from its circuits.
 
     An element missing from every circuit means the other five span only a
@@ -151,7 +151,7 @@ def coplanarity_from_circuits(circs: Sequence[SignedCircuit], n: int = 6) -> str
     covered = set()
     for c in circs:
         covered.update(c.support)
-    if len(covered) < n:
+    if len(covered) < 6:
         return FIVE_COPLANAR
     sigs = {c.signature for c in circs}
     if (3, 1) in sigs:
@@ -167,7 +167,8 @@ def coplanarity_from_circuits(circs: Sequence[SignedCircuit], n: int = 6) -> str
 # width
 
 
-def _functional_range(f: IntVec3, pts: Sequence[IntVec3]) -> int:
+def functional_range(f: IntVec3, pts: Sequence[IntVec3]) -> int:
+    """max - min of the functional f over the points."""
     values = [dot(f, p) for p in pts]
     return max(values) - min(values)
 
@@ -177,61 +178,53 @@ def _normalize_sign(f: IntVec3) -> IntVec3:
     return f if lead >= 0 else (-f[0], -f[1], -f[2])
 
 
+def _shell(s: int) -> Iterator[IntVec3]:
+    """Each t in Z^3 with max(0, t) - min(0, t) == s >= 1, once: per (t1, t2),
+    t3 fills [min(0, t1, t2), max(0, t1, t2)] when that is s long, else
+    takes the two values that stretch it to length s."""
+    for t1 in range(-s, s + 1):
+        for t2 in range(-s, s + 1):
+            lo, hi = min(0, t1, t2), max(0, t1, t2)
+            if hi - lo == s:
+                for t3 in range(lo, hi + 1):
+                    yield t1, t2, t3
+            elif hi - lo < s:
+                yield t1, t2, lo + s
+                yield t1, t2, hi - s
+
+
 def width(config: PointConfig) -> Tuple[int, IntVec3]:
     """Lattice width and a primitive witness functional.
 
-    Search: seed an upper bound U with the best coordinate functional,
-    pick an affinely independent quadruple of minimal |volume| with
-    difference vectors d1,d2,d3, then for W = 1..U enumerate target values
-    (t1,t2,t3) in [-W,W]^3, solve f . d_k = t_k for integral f, and return
-    the first level admitting a witness.  A functional of range W takes
-    the values (0, t1, t2, t3) on the quadruple, relative to q0, inside a
-    window of length W, so targets spread wider than W are skipped.  Ties
-    among witnesses are broken by normalizing the leading coefficient
-    positive and taking the lexicographically smallest.
+    With d_k = q_k - q0 on a quadruple of maximal |volume| D, a functional
+    f is fixed by its targets t_k = f . d_k, as f = adj(d) t / D.  One of
+    range W takes the values (0, t1, t2, t3) within W of each other, so one
+    pass over the targets in shells of spread s = 1, 2, ... has met every
+    functional of the least range once s passes it.  The witness is the
+    least of them, sign-normalized (leading coefficient positive).
     """
     pts = config.points
-    best = None
-    for quad in itertools.combinations(range(len(pts)), 4):
-        d = abs(det4(*(pts[i] for i in quad)))
-        if d != 0 and (best is None or d < best[0]):
-            best = (d, quad)
-    if best is None:
+    quad = max(itertools.combinations(pts, 4), key=lambda q: abs(det4(*q)))
+    rows = tuple(sub(p, quad[0]) for p in quad[1:])
+    D = det3(*rows)
+    if D == 0:
         raise NotFullDimensional("width needs a full-dimensional configuration")
-    U = min(
-        _functional_range(f, pts) for f in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    )
-    q = [pts[i] for i in best[1]]
-    d1, d2, d3 = sub(q[1], q[0]), sub(q[2], q[0]), sub(q[3], q[0])
-    M = tuple(zip(d1, d2, d3))  # columns d1,d2,d3
-    D = det3(d1, d2, d3)
-    adjT = tuple(zip(*_adjugate(M)))
-    cache = {}
-
-    def solve(t):
-        # f with f . d_k = t_k, or None if not integral
-        num = tuple(sum(adjT[i][j] * t[j] for j in range(3)) for i in range(3))
-        if any(v % D for v in num):
-            return None
-        return tuple(v // D for v in num)
-
-    for W in range(1, U + 1):
-        witnesses = []
-        for t in itertools.product(range(-W, W + 1), repeat=3):
-            if t == (0, 0, 0) or max(0, *t) - min(0, *t) > W:
+    adj = _adjugate(rows)
+    best = None
+    for s in itertools.count(1):
+        if best is not None and s > best[0]:
+            break
+        for t in _shell(s):
+            x, y, z = _mat_vec(adj, t)
+            if x % D or y % D or z % D:
                 continue
-            if t not in cache:
-                f = solve(t)
-                cache[t] = (f, _functional_range(f, pts) if f else None)
-            f, wf = cache[t]
-            if f is not None and wf == W:
-                witnesses.append(_normalize_sign(f))
-        if witnesses:
-            witness = min(witnesses)
-            if gcd_all(witness) != 1:
-                raise RuntimeError(f"width witness {witness} is not primitive")
-            return W, witness
-    raise RuntimeError("width search failed below its own upper bound")
+            f = _normalize_sign((x // D, y // D, z // D))
+            candidate = (functional_range(f, pts), f)
+            if best is None or candidate < best:
+                best = candidate
+    if gcd_all(best[1]) != 1:
+        raise RuntimeError(f"width witness {best[1]} is not primitive")
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -332,14 +332,6 @@ class OMRecord:
     def uniform(self) -> bool:
         return all(len(c.support) == 5 for c in self.circuits)
 
-    def statistics(self):
-        return {
-            "nvertices": self.nvertices,
-            "ninterior": self.ninterior,
-            "coplanarity": self.coplanarity,
-            "dps": self.dps,
-        }
-
 
 @lru_cache(maxsize=1)
 def enumerate_oms() -> Tuple[OMRecord, ...]:

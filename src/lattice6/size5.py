@@ -13,10 +13,9 @@ indexed by the signature of its unique affine dependence:
 The eight (4,1) representatives all have their first point as the unique
 interior lattice point.  size5_class reads the family parameters off the
 volume vector (and one edge form) and looks the eleven sporadic classes up
-by canonical key, so it builds no representative.  The two admissibility
-predicates decide when an apex over a standard circuit base closes up
-without extra lattice points; they are the arithmetic engine of the
-height-forcing arguments used by the size-6 classification.
+by canonical key, so it builds no representative.  admissible_apex_31
+decides when an apex over the (3,1) circuit base closes up without extra
+lattice points; classify6's case B uses it to reject apex candidates.
 """
 
 from __future__ import annotations
@@ -181,19 +180,6 @@ def admissible_apex_31(a: int, b: int) -> bool:
     return (a % 3, b % 3) in ((1, 2), (2, 1))
 
 
-def admissible_apex_21(a: int, b: int, q: int) -> bool:
-    """Apex (a,b,q) over the collinear base {o, e2, -e2} with fourth point
-    e1 traps no extra lattice points iff a = 1 (mod q) and gcd(b,q) = 1."""
-    if q < 1:
-        raise ValueError("q must be positive")
-    return a % q == 1 % q and gcd(b, q) == 1
-
-
 def apex_config_31(a: int, b: int) -> PointConfig:
     """The five-point configuration tested by admissible_apex_31."""
     return PointConfig([(0, 0, 0), (1, 0, 0), (0, 1, 0), (-1, -1, 0), (a, b, 3)])
-
-
-def apex_config_21(a: int, b: int, q: int) -> PointConfig:
-    """The five-point configuration tested by admissible_apex_21."""
-    return PointConfig([(0, 0, 0), (0, 1, 0), (0, -1, 0), (1, 0, 0), (a, b, q)])

@@ -20,7 +20,7 @@ from importlib import resources
 from typing import Dict, List, Optional, Tuple
 
 from .exactlinalg import IntVec3
-from .invariants import _functional_range, is_dps, signature5, volume_vector5, volume_vector6, width
+from .invariants import functional_range, is_dps, signature5, volume_vector5, volume_vector6, width
 from .omcatalog import match_om
 from .polytope import PointConfig, Facet, hull_facets, size, vertices
 
@@ -269,7 +269,7 @@ def validate_tables(bundle: Optional[TableBundle] = None) -> ValidationReport:
         w, _ = width(config)
         if w != row.width:
             bad.append(f"{row.id}: recomputed width {w} != {row.width}")
-        if _functional_range(row.functional, row.representative) != row.width:
+        if functional_range(row.functional, row.representative) != row.width:
             bad.append(f"{row.id}: functional is not a width witness")
         if is_dps(config) != row.dps:
             bad.append(f"{row.id}: dps flag mismatch")

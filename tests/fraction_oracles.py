@@ -22,8 +22,8 @@ from lattice6.exactlinalg import (
     DegenerateSource,
     IntVec3,
     _adjugate,
-    _mat_det,
     check_point,
+    det3,
     det4,
     gcd_all,
     sub,
@@ -161,7 +161,7 @@ class RationalAffineMap:
 
     @property
     def det(self) -> Fraction:
-        return _mat_det(self.matrix)
+        return det3(*self.matrix)
 
     def apply(self, p: Sequence[int]) -> Tuple[Fraction, Fraction, Fraction]:
         return tuple(
@@ -196,7 +196,7 @@ def solve_affine(src: Sequence[Sequence[int]], dst: Sequence[Sequence[int]]) -> 
     s = [check_point(p) for p in src]
     d = [check_point(p) for p in dst]
     S = tuple(zip(*(sub(s[i], s[0]) for i in (1, 2, 3))))  # columns s_i - s_0
-    det_s = _mat_det(S)
+    det_s = det3(*S)
     if det_s == 0:
         raise DegenerateSource("source points are coplanar")
     D = tuple(zip(*(sub(d[i], d[0]) for i in (1, 2, 3))))

@@ -31,9 +31,7 @@ from lattice6.invariants import (
 from lattice6.omcatalog import enumerate_oms, match_om, record_by_key
 from lattice6.polytope import PointConfig, interior_points, lattice_points, size, vertices
 from lattice6.size5 import (
-    admissible_apex_21,
     admissible_apex_31,
-    apex_config_21,
     apex_config_31,
     classify5,
     rep21,
@@ -159,10 +157,6 @@ def test_size5_classification_and_admissibility(bundle):
     for a in range(-6, 7):
         for b in range(-6, 7):
             assert admissible_apex_31(a, b) == (size(apex_config_31(a, b)) == 5)
-    for q in range(1, 6):
-        for a in range(-q, q + 1):
-            for b in range(-q, q + 1):
-                assert admissible_apex_21(a, b, q) == (size(apex_config_21(a, b, q)) == 5)
 
 
 def test_width_one_configurations_exist_but_no_sixth_point_extends_octahedron():

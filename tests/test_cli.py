@@ -186,6 +186,18 @@ def test_analyze_volume_3001_tetrahedron(tmp_path, capsys):
     assert elapsed < 1.0
 
 
+def test_analyze_wide_simplex(tmp_path, capsys):
+    """Width costs one pass over the targets of spread up to the width."""
+    path = write_config(tmp_path, "wide.txt",
+                        [(0, 0, 0), (60, 0, 0), (0, 60, 0), (0, 0, 60), (1, 1, 1)])
+    start = time.perf_counter()
+    rc = main(["analyze", path])
+    elapsed = time.perf_counter() - start
+    assert rc == 0
+    assert "width: 60" in capsys.readouterr().out
+    assert elapsed < 5.0
+
+
 def test_analyze_rejects_malformed_input(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("1 2\n")

@@ -15,6 +15,7 @@ from lattice6.invariants import (
     FIVE_COPLANAR,
     NO_COPLANARITY,
     WrongSize,
+    _shell,
     circuits,
     coplanarity_class,
     is_dps,
@@ -23,7 +24,7 @@ from lattice6.invariants import (
     volume_vector6,
     width,
 )
-from lattice6.exactlinalg import det3, sub
+from lattice6.exactlinalg import COORD_BOUND, det3, dot, sub
 from lattice6.polytope import NotFullDimensional, PointConfig, interior_points
 from lattice6.size5 import rep22, rep32
 
@@ -124,20 +125,47 @@ def _width_all_targets(config):
             return W, min(found)
 
 
+def _far_image(rng, config):
+    """A relabeled unimodular image of config, translated so that its
+    largest coordinates lie just under the bound 10^4."""
+    while True:
+        linear = random_unimodular(rng).matrix
+        pts = [tuple(dot(row, p) for row in linear) for p in config.points]
+        shift = [COORD_BOUND - 1 - max(p[i] for p in pts) for i in range(3)]
+        far = [tuple(c + d for c, d in zip(p, shift)) for p in pts]
+        if all(abs(c) <= COORD_BOUND for p in far for c in p):
+            return shuffled(rng, PointConfig(far))
+
+
 def test_width_matches_all_target_search(bundle):
-    """Skipping the targets spread wider than W keeps the width and the
-    witness: the rows, unimodular images of them, and random 4-8 point
+    """The pass over spread shells keeps the width and the witness of the
+    unpruned search: the rows, k times the standard simplex plus (1,1,1)
+    for k = 4..8 (width k, so many shells), unimodular images of both,
+    near the origin and near the coordinate bound, and random 4-8 point
     sets."""
     rng = random.Random(17)
     rows = [row.config() for row in bundle.class_rows]
+    simplices = [PointConfig([(0, 0, 0), (k, 0, 0), (0, k, 0), (0, 0, k), (1, 1, 1)])
+                 for k in range(4, 9)]
     randoms = []
     while len(randoms) < 80:
         pts = list({tuple(rng.randrange(-3, 4) for _ in range(3)) for _ in range(rng.randrange(4, 9))})
         if len(pts) >= 4 and PointConfig(pts).is_full_dimensional():
             randoms.append(PointConfig(pts))
-    images = [shuffled(rng, apply_map(random_unimodular(rng), c)) for c in rows[::4]]
-    for c in rows + images + randoms:
+    images = [shuffled(rng, apply_map(random_unimodular(rng), c)) for c in rows[::4] + simplices]
+    far = [_far_image(rng, c) for c in rows[::8] + simplices]
+    for c in rows + simplices + images + far + randoms:
         assert width(c) == _width_all_targets(c), c.points
+    assert [width(c)[0] for c in simplices] == [4, 5, 6, 7, 8]
+
+
+@pytest.mark.parametrize("s", range(1, 9))
+def test_shell_is_the_targets_of_one_spread(s):
+    cube = itertools.product(range(-s, s + 1), repeat=3)
+    expected = sorted(t for t in cube if max(0, *t) - min(0, *t) == s)
+    got = list(_shell(s))
+    assert len(set(got)) == len(got)
+    assert sorted(got) == expected
 
 
 def test_interior_point_forces_width_two(bundle):

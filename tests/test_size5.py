@@ -1,4 +1,4 @@
-"""The size-5 classification and the two apex admissibility predicates."""
+"""The size-5 classification and the (3,1) apex admissibility predicate."""
 
 import random
 from math import gcd
@@ -14,9 +14,7 @@ from lattice6.polytope import PointConfig, interior_points, size
 from lattice6.size5 import (
     NotSize5,
     UnknownSize5Class,
-    admissible_apex_21,
     admissible_apex_31,
-    apex_config_21,
     apex_config_31,
     catalog41,
     classify5,
@@ -132,14 +130,6 @@ def test_admissible_apex_31_matches_size_oracle():
             assert admissible_apex_31(a, b) == (size(cfg) == 5), (a, b)
 
 
-def test_admissible_apex_21_matches_size_oracle():
-    for q in range(1, 6):
-        for a in range(-q, q + 1):
-            for b in range(-q, q + 1):
-                cfg = apex_config_21(a, b, q)
-                assert admissible_apex_21(a, b, q) == (size(cfg) == 5), (a, b, q)
-
-
 @given(seed=st.integers(0, 10**6))
 @settings(max_examples=60, deadline=None)
 def test_classify5_is_constant_on_equivalence_classes(seed):
@@ -191,7 +181,7 @@ def test_large_family_parameters():
 def test_size5_class_rejects_invariants_of_no_class():
     """Configurations with extra lattice points, past the gates: each
     family's shape check and the sporadic lookup raise."""
-    not21 = apex_config_21(0, 0, 2)  # edge form [[1,0,0],[0,1,0],[0,0,2]]
+    not21 = PointConfig([(0, 0, 0), (0, 1, 0), (0, -1, 0), (1, 0, 0), (0, 0, 2)])
     # entries (-3, 1, 2, 0, 0): not (2q, q, q), though a unimodular quadruple
     not21_shape = PointConfig([(0, 0, 0), (2, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 1, 0)])
     not32 = PointConfig([(0, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
