@@ -14,6 +14,11 @@ bundled tables.  ``classify_all`` runs every branch and re-verifies each
 generated witness against its table representative.  All arithmetic is
 exact.
 
+The runners share two steps: _embeddings41, the one search over the 8 x 4!
+embeddings of the signature-(4,1) bases (case C's interior subcase and case
+E), and _cross_check, the one comparison of a triangulation's size argument
+with the hull count (B.ii, B.iii, the three C subcases, E, F, G and H).
+
 The G/H gluing examines 24,576 vertex matchings of subtetrahedra.  A
 matching glues when an integral unimodular map realizes it, which is
 exactly when the two ordered subtetrahedra have the same edge form (row
@@ -70,6 +75,7 @@ __all__ = [
     "run_case_e",
     "run_case_f",
     "run_case_gh",
+    "run_case",
     "run_reports",
     "classify_all",
     "case_of",
@@ -200,17 +206,52 @@ def _finish(case, examined, rejected, firsts, notes=()) -> CaseReport:
     return CaseReport(case, examined, tuple(classes), dict(rejected), tuple(notes))
 
 
-def _tetra(points: Sequence[IntVec3], quad: Sequence[int]) -> List[IntVec3]:
-    return [points[i - 1] for i in quad]  # 1-based labels, as in the tables
+def _cross_check(six: bool, points: Sequence[IntVec3], quads, site: str, at: str = "") -> bool:
+    """six, once it agrees with the case's size argument.
 
-
-def _empty(points, quad) -> bool:
-    return is_empty_tetrahedron(_tetra(points, quad))
+    six says whether the hull has exactly six lattice points; the argument
+    says that it does exactly when every tetrahedron of quads (1-based
+    labels into points, as in the tables) is empty.  Raises
+    ClassificationError "<site> triangulation check failed<at>" when the
+    two disagree.
+    """
+    empty = all(is_empty_tetrahedron([points[i - 1] for i in quad]) for quad in quads)
+    if empty != six:
+        raise ClassificationError(f"{site} triangulation check failed{at}")
+    return six
 
 
 def _scan_box(bound: int = SCAN_BOUND):
     rng = range(-bound, bound + 1)
     return itertools.product(rng, rng)
+
+
+def _embeddings41(cell: str, coeffs, rejected: Counter):
+    """Embeddings of the catalog41() bases with the oriented matroid cell.
+
+    Each base's interior point becomes p5 and its vertices p1, p2, p3, p6
+    in every order, and p4 = c1 p1 + c2 p2 + c3 p3 for coeffs (c1, c2, c3).
+    Yields the configurations p1..p6 whose oriented matroid is the grid
+    cell's, in enumeration order; the others are counted in rejected as a
+    "degenerate embedding" (two points coincide) or by their matroid.
+    """
+    keys = load_tables().key_candidates(cell)
+    if len(keys) != 1:
+        raise ClassificationError(f"cell {cell} is not pinned uniquely")
+    c1, c2, c3 = coeffs
+    for cls5 in catalog41():
+        pts = cls5.representative.points
+        for p1, p2, p3, p6 in itertools.permutations(pts[1:]):
+            p4 = tuple(c1 * p1[t] + c2 * p2[t] + c3 * p3[t] for t in range(3))
+            points = [p1, p2, p3, p4, pts[0], p6]
+            if len(set(points)) != 6:
+                rejected["degenerate embedding"] += 1
+                continue
+            cfg = PointConfig(points)
+            if match_om(cfg)[0].key != keys[0]:
+                rejected[f"oriented matroid is not {cell}"] += 1
+                continue
+            yield cfg
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +370,8 @@ def run_case_b() -> CaseReport:
         cfg = PointConfig(_B_BASE + [(0, 0, 1), (a, b, -3)])
         tetras = _B_TETRAS.get(("ii", a, b))
         ok = size(cfg) == 6
-        if tetras is not None and ok != all(_empty(cfg.points, t) for t in tetras):
-            raise ClassificationError(f"B.ii triangulation check failed at {(a, b)}")
+        if tetras is not None:
+            _cross_check(ok, cfg.points, tetras, "B.ii", f" at {(a, b)}")
         if not ok:
             rejected["a triangulation tetrahedron is not empty"] += 1
             continue
@@ -358,8 +399,8 @@ def run_case_b() -> CaseReport:
         cfg = PointConfig(_B_BASE + [(1, 2, 3), (a, b, -3)])
         tetras = _B_TETRAS.get(("iii", a, b))
         ok = size(cfg) == 6
-        if tetras is not None and ok != all(_empty(cfg.points, t) for t in tetras):
-            raise ClassificationError(f"B.iii triangulation check failed at {(a, b)}")
+        if tetras is not None:
+            _cross_check(ok, cfg.points, tetras, "B.iii", f" at {(a, b)}")
         if not ok:
             rejected["a triangulation tetrahedron is not empty"] += 1
             continue
@@ -388,7 +429,6 @@ def run_case_c() -> CaseReport:
     rejected: Counter = Counter()
     accepted = []
     examined = 0
-    bundle = load_tables()
 
     # p5 along an edge: p6 = 2 p5 - p2 or 2 p5 - p1, p5 at height 1 or 3
     edge_candidates = (
@@ -400,46 +440,26 @@ def run_case_c() -> CaseReport:
     for p5, p6, tetras in edge_candidates:
         examined += 1
         cfg = PointConfig(_B_BASE + [p5, p6])
-        failing = [t for t in tetras if not _empty(cfg.points, t)]
-        if (size(cfg) == 6) != (not failing):
-            raise ClassificationError(f"C edge triangulation check failed at {p6}")
-        if failing:
-            label = "".join(str(i) for i in failing[0])
-            rejected[f"T{label} is not empty"] += 1
+        if not _cross_check(size(cfg) == 6, cfg.points, tetras, "C edge", f" at {p6}"):
+            first = next(
+                t for t in tetras if not is_empty_tetrahedron([cfg.points[i - 1] for i in t])
+            )
+            rejected[f"T{''.join(map(str, first))} is not empty"] += 1
             continue
         accepted.append(cfg)
 
     # p5 interior: remove p4 and embed the rest as a size-5 signature-(4,1)
     # polytope, with p5 in the interior-point role and p4 = 3 p1 - p2 - p3
-    key54 = bundle.key_candidates("5.4")
-    if len(key54) != 1:
-        raise ClassificationError("cell 5.4 is not pinned uniquely")
-    for cls5 in catalog41():
-        pts = cls5.representative.points
-        p5 = pts[0]
-        for p1, p2, p3, p6 in itertools.permutations(pts[1:]):
-            examined += 1
-            p4 = tuple(3 * p1[t] - p2[t] - p3[t] for t in range(3))
-            points = [p1, p2, p3, p4, p5, p6]
-            if len(set(points)) != 6:
-                rejected["degenerate embedding"] += 1
-                continue
-            cfg = PointConfig(points)
-            rec, _ = match_om(cfg)
-            if rec.key != key54[0]:
-                rejected["oriented matroid is not 5.4"] += 1
-                continue
-            vol = abs(det4(p1, p2, p3, p5))
-            if vol not in (1, 3):
-                rejected["subtetrahedron p1p2p3p5 volume is not 1 or 3"] += 1
-                continue
-            ok = _empty(points, (1, 2, 4, 6)) and _empty(points, (1, 3, 4, 6))
-            if ok != (size(cfg) == 6):
-                raise ClassificationError("C interior triangulation check failed")
-            if not ok:
-                rejected["a triangulation tetrahedron is not empty"] += 1
-                continue
-            accepted.append(cfg)
+    examined += 24 * len(catalog41())
+    for cfg in _embeddings41("5.4", (3, -1, -1), rejected):
+        p1, p2, p3, _, p5, _ = cfg.points
+        if abs(det4(p1, p2, p3, p5)) not in (1, 3):
+            rejected["subtetrahedron p1p2p3p5 volume is not 1 or 3"] += 1
+            continue
+        if not _cross_check(size(cfg) == 6, cfg.points, ((1, 2, 4, 6), (1, 3, 4, 6)), "C interior"):
+            rejected["a triangulation tetrahedron is not empty"] += 1
+            continue
+        accepted.append(cfg)
 
     # both vertices: p6 = (1,2,3) at distance 3, p5 = (a,b,1) at distance 1
     survivors = []
@@ -449,9 +469,8 @@ def run_case_c() -> CaseReport:
         if size(cfg) > 6:
             rejected["extra lattice points in the convex hull"] += 1
             continue
-        survivors.append((a, b))
-        if not _empty(cfg.points, (2, 3, 5, 6)):
-            raise ClassificationError("C vertices triangulation check failed")
+        survivors.append((a, b))  # size 6: the hull holds the six points
+        _cross_check(True, cfg.points, ((2, 3, 5, 6),), "C vertices")
         accepted.append(cfg)
     if survivors != [(1, 1)]:
         raise ClassificationError(f"C vertices subcase found {survivors}")
@@ -518,33 +537,12 @@ def run_case_e() -> CaseReport:
     """
     rejected: Counter = Counter()
     accepted = []
-    examined = 0
-    key55 = load_tables().key_candidates("5.5")
-    if len(key55) != 1:
-        raise ClassificationError("cell 5.5 is not pinned uniquely")
-    for cls5 in catalog41():
-        pts = cls5.representative.points
-        p5 = pts[0]
-        for p1, p2, p3, p6 in itertools.permutations(pts[1:]):
-            examined += 1
-            p4 = tuple(p2[t] + p3[t] - p1[t] for t in range(3))
-            points = [p1, p2, p3, p4, p5, p6]
-            if len(set(points)) != 6:
-                rejected["degenerate embedding"] += 1
-                continue
-            cfg = PointConfig(points)
-            rec, _ = match_om(cfg)
-            if rec.key != key55[0]:
-                rejected["oriented matroid is not 5.5"] += 1
-                continue
-            ok = _empty(points, (2, 3, 4, 6))
-            if ok != (size(cfg) == 6):
-                raise ClassificationError("E triangulation check failed")
-            if not ok:
-                rejected["tetrahedron p2p3p4p6 is not empty"] += 1
-                continue
-            accepted.append(cfg)
-    return _finish("E", examined, rejected, _dedupe(accepted))
+    for cfg in _embeddings41("5.5", (-1, 1, 1), rejected):
+        if not _cross_check(size(cfg) == 6, cfg.points, ((2, 3, 4, 6),), "E"):
+            rejected["tetrahedron p2p3p4p6 is not empty"] += 1
+            continue
+        accepted.append(cfg)
+    return _finish("E", 24 * len(catalog41()), rejected, _dedupe(accepted))
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +577,7 @@ def run_case_f() -> CaseReport:
                 rejected["additional coplanarity"] += 1
                 continue
             group = "4.21" if i == 0 else ("4.22" if j == 0 else "4.11")
-            _check_f_triangulation(pts, i, j, cfg, group)
+            _check_f_triangulation(i, j, cfg, group)
             groups[group].append(cfg)
     firsts = [_dedupe(groups[g]) for g in ("4.21", "4.22", "4.11")]
     counts = tuple(map(len, firsts))
@@ -597,19 +595,17 @@ def run_case_f() -> CaseReport:
     return report
 
 
-def _check_f_triangulation(pts, i, j, cfg, group):
+def _check_f_triangulation(i, j, cfg, group):
     """Size 6 must coincide with emptiness of the group's triangulation."""
-    others = [pts[k] for k in range(1, 5) if k not in (i, j)]
-    r2, r3 = pts[j], cfg.points[5]
+    others = [k + 1 for k in range(1, 5) if k not in (i, j)]  # 1-based labels
+    r2, r3 = j + 1, 6
     if group == "4.21":
-        tetras = [[v, w, r2, r3] for v, w in itertools.combinations(others, 2)]
+        tetras = [(v, w, r2, r3) for v, w in itertools.combinations(others, 2)]
     elif group == "4.22":
-        tetras = [others + [r3]]
+        tetras = [(*others, r3)]
     else:
-        tetras = [[others[0], others[1], r2, r3]]
-    ok = all(is_empty_tetrahedron(t) for t in tetras)
-    if ok != (size(cfg) == 6):
-        raise ClassificationError(f"F triangulation check failed in group {group}")
+        tetras = [(*others, r2, r3)]
+    _cross_check(size(cfg) == 6, cfg.points, tetras, "F", f" in group {group}")
 
 
 # ---------------------------------------------------------------------------
@@ -782,11 +778,8 @@ def _glue_g(cfg: PointConfig, circs, six: bool, ex_s: int) -> Optional[str]:
     if pair is None or len(pair - extras) != 1:
         raise ClassificationError("no usable circuit in case G")
     skip = {0} | (pair - extras)
-    cut = [cfg.points[k] for k in range(6) if k not in skip]
-    ok = is_empty_tetrahedron(cut)
-    if ok != six:
-        raise ClassificationError("G triangulation check failed")
-    return None if ok else "cut tetrahedron is not empty"
+    cut = tuple(k + 1 for k in range(6) if k not in skip)  # 1-based labels
+    return None if _cross_check(six, cfg.points, (cut,), "G") else "cut tetrahedron is not empty"
 
 
 def _glue_h(cfg: PointConfig, circs, six: bool, int_idx: int, ex_s: int) -> Optional[str]:
@@ -818,12 +811,10 @@ def _glue_h(cfg: PointConfig, circs, six: bool, int_idx: int, ex_s: int) -> Opti
         (across, 0, 5, ex_s),
         (last, 0, 5, ex_s),
     )
-    ok = all(
-        is_empty_tetrahedron([cfg.points[k] for k in quad]) for quad in quads
-    )
-    if ok != six:
-        raise ClassificationError("H triangulation check failed")
-    return None if ok else "a triangulation tetrahedron is not empty"
+    labels = [[k + 1 for k in quad] for quad in quads]  # 1-based, as _cross_check takes
+    if _cross_check(six, cfg.points, labels, "H"):
+        return None
+    return "a triangulation tetrahedron is not empty"
 
 
 # ---------------------------------------------------------------------------
@@ -840,13 +831,24 @@ _RUNNERS = (
 )
 
 
+def _reports(runner) -> Tuple[CaseReport, ...]:
+    """A runner's reports as a tuple: run_case_gh returns G's and H's."""
+    res = runner()
+    return res if isinstance(res, tuple) else (res,)
+
+
 def run_reports() -> List[CaseReport]:
     """All eight case reports, in case order; runners are independent."""
-    reports: List[CaseReport] = []
-    for runner in _RUNNERS:
-        res = runner()
-        reports.extend(res if isinstance(res, tuple) else (res,))
-    return reports
+    return [report for runner in _RUNNERS for report in _reports(runner)]
+
+
+def run_case(case: str) -> CaseReport:
+    """The report of one case A-H from its runner alone; G and H come from
+    the one gluing pass, run_case_gh.  Raises ValueError for other letters."""
+    if case not in tuple("ABCDEFGH"):
+        raise ValueError(f"unknown case {case!r}")
+    runner = _RUNNERS[min("ABCDEFGH".index(case), 6)]
+    return next(r for r in _reports(runner) if r.case == case)
 
 
 def classify_all() -> Tuple[CaseReport, ...]:

@@ -120,18 +120,12 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _single_case_reports(case: str):
-    # one runner per case A-F, then one gluing pass that reports G and H
-    res = classify6._RUNNERS[min("ABCDEFGH".index(case), 6)]()
-    return [r for r in (res if isinstance(res, tuple) else (res,)) if r.case == case]
-
-
 def cmd_classify(args) -> int:
     try:
         if args.case == "all":
             reports = list(classify6.classify_all())
         else:
-            reports = _single_case_reports(args.case)
+            reports = [classify6.run_case(args.case)]
     except classify6.ClassificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1

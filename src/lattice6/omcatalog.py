@@ -357,17 +357,7 @@ def enumerate_oms() -> Tuple[OMRecord, ...]:
         grouped.setdefault(len(circs), []).append(circs)
     for n in sorted(grouped):
         for m, circs in enumerate(grouped[n], 1):
-            stats = om_statistics(circs)
-            records.append(
-                OMRecord(
-                    key=f"c{n}.{m:02d}",
-                    circuits=circs,
-                    nvertices=stats["nvertices"],
-                    ninterior=stats["ninterior"],
-                    coplanarity=stats["coplanarity"],
-                    dps=stats["dps"],
-                )
-            )
+            records.append(OMRecord(key=f"c{n}.{m:02d}", circuits=circs, **om_statistics(circs)))
     return tuple(records)
 
 

@@ -10,10 +10,11 @@ indexed by the signature of its unique affine dependence:
          class with dependence (-9,3,3,3,0) (width 2)
   (4,1)  eight sporadic classes, all width 2
 
-The eight (4,1) representatives all have their first point as the unique
-interior lattice point.  size5_class reads the family parameters off the
-volume vector (and one edge form) and looks the eleven sporadic classes up
-by canonical key, so it builds no representative.  admissible_apex_31
+The eleven sporadic classes are the concrete rows of data/size5.json;
+each (4,1) representative has its first point as the unique interior
+lattice point.  size5_class reads the family parameters off the volume
+vector (and one edge form) and looks the sporadic classes up by
+canonical key, so it builds no representative.  admissible_apex_31
 decides when an apex over the (3,1) circuit base closes up without extra
 lattice points; classify6's case B uses it to reject apex candidates.
 """
@@ -29,6 +30,7 @@ from .equivalence import canonical_key
 from .exactlinalg import edge_form
 from .invariants import signature5, volume_vector5
 from .polytope import PointConfig, size
+from .tablesdata import load_tables
 
 
 class NotSize5(ValueError):
@@ -54,11 +56,31 @@ class Size5Class:
     def representative(self) -> PointConfig:
         """Built on request: it carries a family's q or b as a coordinate,
         so past the coordinate bound it raises the bound's ValueError."""
-        return _REPRESENTATIVES[self.kind](*self.params)
+        if self.kind in ("21", "32"):
+            return (rep21 if self.kind == "21" else rep32)(*self.params)
+        return _sporadic()[self.kind, self.params][1]
+
+
+#: Kind of each sporadic row of data/size5.json, by (signature, width).
+_KINDS = {((2, 2), 1): "22", ((3, 1), 1): "31u", ((3, 1), 2): "31w2", ((4, 1), 2): "41"}
+
+
+@lru_cache(maxsize=1)
+def _sporadic() -> dict:
+    """(class, representative) of each sporadic row of data/size5.json, in
+    table order, by (kind, params); the k-th (4,1) row has params (k,)."""
+    out = {}
+    for row in load_tables().size5_rows:
+        kind = _KINDS.get((tuple(row["signature"]), row["width"]))
+        if kind is not None:  # the other rows are the (2,1) and (3,2) families
+            params = (sum(k == "41" for k, _ in out) + 1,) if kind == "41" else ()
+            cls = Size5Class(kind, params, tuple(row["volume_vector"]), row["width"])
+            out[kind, params] = (cls, PointConfig(row["representative"]))
+    return out
 
 
 def rep22() -> PointConfig:
-    return PointConfig([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
+    return _sporadic()["22", ()][1]
 
 
 def rep21(p: int, q: int) -> PointConfig:
@@ -74,49 +96,27 @@ def rep32(a: int, b: int) -> PointConfig:
 
 
 def rep31_unimodular() -> PointConfig:
-    return PointConfig([(0, 0, 0), (1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1)])
+    return _sporadic()["31u", ()][1]
 
 
 def rep31_volume9() -> PointConfig:
-    return PointConfig([(0, 0, 0), (1, 0, 0), (0, 1, 0), (-1, -1, 0), (1, 2, 3)])
-
-
-#: The eight (4,1) classes: (dependence coefficients, last two points).
-#: Every representative starts (0,0,0), (1,0,0), (0,0,1); the first point
-#: is the interior point.
-_ROWS41 = (
-    ((-4, 1, 1, 1, 1), (1, 1, 1), (-2, -1, -2)),
-    ((-5, 1, 1, 1, 2), (1, 2, 1), (-1, -1, -1)),
-    ((-7, 1, 1, 2, 3), (1, 3, 1), (-1, -2, -1)),
-    ((-11, 1, 3, 2, 5), (2, 5, 1), (-1, -2, -1)),
-    ((-13, 3, 4, 1, 5), (2, 5, 1), (-1, -1, -1)),
-    ((-17, 3, 5, 2, 7), (2, 7, 1), (-1, -2, -1)),
-    ((-19, 5, 4, 3, 7), (3, 7, 1), (-2, -3, -1)),
-    ((-20, 5, 5, 5, 5), (2, 5, 1), (-3, -5, -2)),
-)
+    return _sporadic()["31w2", ()][1]
 
 
 def rep41(k: int) -> PointConfig:
     """Representative of the k-th (4,1) class, k = 1..8."""
-    dep, p4, p5 = _ROWS41[k - 1]
-    return PointConfig([(0, 0, 0), (1, 0, 0), (0, 0, 1), p4, p5])
-
-
-_REPRESENTATIVES = {"22": rep22, "21": rep21, "32": rep32, "31u": rep31_unimodular,
-                    "31w2": rep31_volume9, "41": rep41}
+    return _sporadic()["41", (k,)][1]
 
 
 def catalog41() -> Tuple[Size5Class, ...]:
     """The eight sporadic (4,1) classes."""
-    return tuple(Size5Class("41", (k,), row[0], 2) for k, row in enumerate(_ROWS41, 1))
+    return tuple(cls for cls, _ in _sporadic().values() if cls.kind == "41")
 
 
 @lru_cache(maxsize=1)
 def _sporadic_index() -> dict:
     """The eleven sporadic classes by the canonical key of their representative."""
-    fixed = (Size5Class("22", (), (-1, 1, 1, -1, 0), 1), Size5Class("31u", (), (-3, 1, 1, 1, 0), 1),
-             Size5Class("31w2", (), (-9, 3, 3, 3, 0), 2))
-    return {canonical_key(cls.representative): cls for cls in fixed + catalog41()}
+    return {canonical_key(rep): cls for cls, rep in _sporadic().values()}
 
 
 def classify5(config: PointConfig) -> Size5Class:

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 from .exactlinalg import IntVec3
 from .invariants import functional_range, is_dps, signature5, volume_vector5, volume_vector6, width
 from .omcatalog import match_om
-from .polytope import PointConfig, Facet, hull_facets, size, vertices
+from .polytope import PointConfig, hull_facets, size, vertices
 
 GCD_EXCEPTIONS = {"A.1": 2, "A.2": 2, "B.14": 3, "B.15": 3, "C.3": 3}
 

@@ -21,6 +21,7 @@ from lattice6.classify6 import (
     no_octahedron_check,
     width1_family,
 )
+from lattice6.emptytetra import is_empty_tetrahedron
 from lattice6.exactlinalg import AffineMap, det4, edge_form, unimodular_map
 from lattice6.invariants import is_dps, volume_vector6, width
 from lattice6.polytope import PointConfig, hull_facets, interior_points, size, vertices
@@ -313,6 +314,69 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     calls = count_calls(monkeypatch, unimodular_map, hull_facets, classify6._glued_verdict)
     classify6.classify_all()
     assert calls == {"unimodular_map": 208, "hull_facets": 1590, "_glued_verdict": 754}
+
+
+#: The nine size-argument cross-check sites: runner, and the message its
+#: first disagreement raises.
+CROSS_CHECK_SITES = {
+    "B.ii": ("run_case_b", "B.ii triangulation check failed at (1, 2)"),
+    "B.iii": ("run_case_b", "B.iii triangulation check failed at (-1, -2)"),
+    "C edge": ("run_case_c", "C edge triangulation check failed at (-1, 0, 2)"),
+    "C interior": ("run_case_c", "C interior triangulation check failed"),
+    "C vertices": ("run_case_c", "C vertices triangulation check failed"),
+    "E": ("run_case_e", "E triangulation check failed"),
+    "F": ("run_case_f", "F triangulation check failed in group 4.21"),
+    "G": ("run_case_gh", "G triangulation check failed"),
+    "H": ("run_case_gh", "H triangulation check failed"),
+}
+
+
+def test_classify_all_cross_checks_at_all_nine_sites(monkeypatch):
+    sites = set()
+    check = classify6._cross_check
+
+    def recorded(six, points, quads, site, at=""):
+        sites.add(site)
+        return check(six, points, quads, site, at)
+
+    monkeypatch.setattr(classify6, "_cross_check", recorded)
+    classify6.classify_all()
+    assert set(sites) == set(CROSS_CHECK_SITES)
+
+
+@pytest.mark.parametrize("site", sorted(CROSS_CHECK_SITES))
+def test_cross_check_site_raises_on_disagreement(monkeypatch, site):
+    """A hull count that disagrees with the triangulation at one site
+    raises that site's message."""
+    runner, message = CROSS_CHECK_SITES[site]
+    check = classify6._cross_check
+
+    def flipped(six, points, quads, at_site, at=""):
+        return check(six != (at_site == site), points, quads, at_site, at)
+
+    monkeypatch.setattr(classify6, "_cross_check", flipped)
+    with pytest.raises(classify6.ClassificationError) as err:
+        getattr(classify6, runner)()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("runner", ["run_case_b", "run_case_c", "run_case_e", "run_case_f",
+                                    "run_case_gh"])
+def test_inverted_emptiness_fails_the_cross_checks(monkeypatch, runner):
+    def inverted(points):
+        return not is_empty_tetrahedron(points)
+
+    monkeypatch.setattr(classify6, "is_empty_tetrahedron", inverted)
+    with pytest.raises(classify6.ClassificationError, match="triangulation check failed"):
+        getattr(classify6, runner)()
+
+
+def test_run_case_reports_one_case(case_reports):
+    for case, report in by_case(case_reports).items():
+        assert classify6.run_case(case) == report
+    for bad in ("", "I", "GH", "all"):
+        with pytest.raises(ValueError):
+            classify6.run_case(bad)
 
 
 def test_case_f_splits_by_catalog_label(case_reports):
