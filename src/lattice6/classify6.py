@@ -46,9 +46,7 @@ from .exactlinalg import AffineMap, IntVec3, det4, edge_form, unimodular_map
 from .polytope import PointConfig, lattice_and_interior_points, size
 from .invariants import (
     C21,
-    C22,
     C31,
-    FIVE_COPLANAR,
     NO_COPLANARITY,
     circuits,
     coplanarity_class,
@@ -60,8 +58,8 @@ from .invariants import (
 from .equivalence import _normal_form, canonical_key, equivalence_witness
 from .emptytetra import is_empty_tetrahedron
 from .size5 import admissible_apex_31, catalog41
-from .omcatalog import enumerate_oms, match_om
-from .tablesdata import interior_count, load_tables
+from .omcatalog import match_om
+from .tablesdata import load_tables
 
 __all__ = [
     "BadParameters",
@@ -78,12 +76,10 @@ __all__ = [
     "run_case",
     "run_reports",
     "classify_all",
-    "case_of",
+    "identify",
     "width1_family",
-    "no_octahedron_check",
     "export_json",
     "export_csv",
-    "import_json",
 ]
 
 #: Bound for the integer scans that replace figure-derived candidate lists.
@@ -875,30 +871,6 @@ def classify_all() -> Tuple[CaseReport, ...]:
     return reports
 
 
-def case_of(config: PointConfig) -> str:
-    """Case letter A-H from the coplanarity pattern of six points."""
-    cls = coplanarity_class(config)
-    if cls == FIVE_COPLANAR:
-        return "A"
-    if cls in (C31, C22):
-        sig = (3, 1) if cls == C31 else (2, 2)
-        opposite = False
-        for circ in circuits(config):
-            if circ.signature != sig:
-                continue
-            others = [i for i in range(6) if i not in circ.support]
-            base, u, v = (config.points[i] for i in circ.support[:3])
-            h = [det4(base, u, v, config.points[i]) for i in others]
-            if h[0] * h[1] < 0:
-                opposite = True
-        if cls == C31:
-            return "B" if opposite else "C"
-        return "D" if opposite else "E"
-    if cls == C21:
-        return "F"
-    return "G" if interior_count(config) == 1 else "H"
-
-
 def in_classification(nsize: int, w: int) -> bool:
     """identify's gate: the table covers size six and width at least two."""
     return nsize == 6 and w >= 2
@@ -1003,63 +975,6 @@ def width1_family(name: str, params: Sequence[int] = ()) -> PointConfig:
 
 
 # ---------------------------------------------------------------------------
-# octahedral exclusion
-
-
-@lru_cache(maxsize=1)
-def _v6i0_keys():
-    """(octahedral key, hexagonal-family key): the two uniform vertex-only
-    oriented matroids, told apart by which one the width-one prisms hit."""
-    hex_key = match_om(width1_family("(3,3)/6.4", (1, 1, 2, 3)))[0].key
-    rest = [
-        r.key
-        for r in enumerate_oms()
-        if r.uniform and r.nvertices == 6 and r.ninterior == 0 and r.key != hex_key
-    ]
-    if len(rest) != 1:
-        raise ClassificationError("vertex-only uniform cell is not a pair")
-    return rest[0], hex_key
-
-
-def _parallel(u, v):
-    return u[0] * v[1] == u[1] * v[0]
-
-
-def no_octahedron_check(bound: int) -> bool:
-    """True when no width-one six-point configuration is octahedral.
-
-    A width-one octahedral configuration would split three-and-three
-    across two consecutive levels, with both triangles empty; modulo
-    normalization the bottom triangle is unit and the top one is spanned
-    by a unimodular pair scanned over [-bound, bound]^2.  Any hit on the
-    octahedral oriented matroid disproves the claim.
-    """
-    if bound < 2:
-        raise BadParameters("bound must be at least 2")
-    octa_key, _ = _v6i0_keys()
-    base = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    tri_dirs = ((1, 0), (0, 1), (1, -1))
-    for q1 in _scan_box(bound):
-        for q2 in _scan_box(bound):
-            det = q1[0] * q2[1] - q1[1] * q2[0]
-            if det not in (1, -1):
-                continue
-            d12 = (q1[0] - q2[0], q1[1] - q2[1])
-            if any(
-                _parallel(d, t) for d in (q1, q2, d12) for t in tri_dirs
-            ):
-                continue  # a prism edge pair forces coplanarity
-            cfg = PointConfig(base + [(q1[0], q1[1], 1), (q2[0], q2[1], 1)])
-            if size(cfg) > 6:
-                continue
-            if coplanarity_class(cfg) != NO_COPLANARITY:
-                continue
-            if match_om(cfg)[0].key == octa_key:
-                return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # serialization
 
 _CSV_COLUMNS = (
@@ -1087,23 +1002,6 @@ def export_json(classes: Sequence[PolytopeClass]) -> str:
         for c in classes
     ]
     return json.dumps(payload, indent=2) + "\n"
-
-
-def import_json(text: str) -> List[PolytopeClass]:
-    classes = []
-    for row in json.loads(text):
-        classes.append(
-            PolytopeClass(
-                id=row["id"],
-                om_label=row["om_label"],
-                volume_vector=tuple(row["volume_vector"]),
-                width=row["width"],
-                functional=tuple(row["functional"]),
-                representative=PointConfig([tuple(p) for p in row["representative"]]),
-                dps=row["dps"],
-            )
-        )
-    return classes
 
 
 def export_csv(classes: Sequence[PolytopeClass]) -> str:

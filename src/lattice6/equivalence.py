@@ -117,8 +117,3 @@ def equivalence_witness(
         if None not in perm:
             witnesses.append((perm, m))
     return min(witnesses, key=itemgetter(0), default=None)
-
-
-def are_equivalent(a: PointConfig, b: PointConfig) -> bool:
-    """True when an integer affine map of determinant +-1 sends a onto b."""
-    return len(a) == len(b) and canonical_key(a) == canonical_key(b)

@@ -324,14 +324,6 @@ class OMRecord:
     coplanarity: str
     dps: bool
 
-    @property
-    def n_circuits(self) -> int:
-        return len(self.circuits)
-
-    @property
-    def uniform(self) -> bool:
-        return all(len(c.support) == 5 for c in self.circuits)
-
 
 @lru_cache(maxsize=1)
 def enumerate_oms() -> Tuple[OMRecord, ...]:
@@ -366,13 +358,6 @@ def _catalog_index() -> Dict[Tuple, OMRecord]:
     return {
         tuple(c.key() for c in rec.circuits): rec for rec in enumerate_oms()
     }
-
-
-def record_by_key(key: str) -> OMRecord:
-    for rec in enumerate_oms():
-        if rec.key == key:
-            return rec
-    raise KeyError(key)
 
 
 def match_om(config: PointConfig) -> Tuple[OMRecord, Tuple[int, ...]]:

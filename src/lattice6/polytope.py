@@ -43,10 +43,6 @@ class NotFullDimensional(ValueError):
     """Raised when an operation needs a full-dimensional configuration."""
 
 
-class IndexOutOfRange(IndexError):
-    """Raised by delete_point for a bad point index."""
-
-
 @dataclass(frozen=True)
 class Facet:
     """Supporting hyperplane of the hull: normal . x >= offset for all points.
@@ -136,7 +132,13 @@ def _planes(facets: Sequence[Facet]) -> List[Tuple[int, int, int, int]]:
 
 
 def _vertices(config: PointConfig, facets: Sequence[Facet]) -> Tuple[IntVec3, ...]:
-    """Points of config on at least three of the facets, in input order."""
+    """Configuration points that are vertices of conv(config), in input order.
+
+    A point of a 3-polytope in the relative interior of an edge lies on
+    two facets, of a facet on one, and a vertex on at least three (whose
+    inward normals have rank 3).  So a point is a vertex iff at least
+    three of the hull's facets pass through it.
+    """
     planes = _planes(facets)
     return tuple(
         p for p in config.points
@@ -239,17 +241,6 @@ def size(config: PointConfig) -> int:
     return len(_hull_points(config, hull_facets(config)))
 
 
-def vertices(config: PointConfig) -> Tuple[IntVec3, ...]:
-    """Configuration points that are vertices of conv(config), in input order.
-
-    A point of a 3-polytope in the relative interior of an edge lies on
-    two facets, of a facet on one, and a vertex on at least three (whose
-    inward normals have rank 3).  So a point is a vertex iff at least
-    three hull facets pass through it.  Cost: one hull_facets call.
-    """
-    return _vertices(config, hull_facets(config))
-
-
 def lattice_and_interior_points(
     config: PointConfig,
 ) -> Tuple[Tuple[IntVec3, ...], Tuple[IntVec3, ...]]:
@@ -264,7 +255,8 @@ def lattice_and_interior_points(
 def hull_summary(
     config: PointConfig,
 ) -> Tuple[Tuple[IntVec3, ...], Tuple[IntVec3, ...], Tuple[IntVec3, ...]]:
-    """lattice_and_interior_points and vertices from one hull_facets call."""
+    """lattice_and_interior_points and the vertices (_vertices) from one
+    hull_facets call."""
     facets = hull_facets(config)
     return (*_points_and_interior(config, facets), _vertices(config, facets))
 
@@ -274,18 +266,6 @@ def _points_and_interior(config: PointConfig, facets: Sequence[Facet]):
     planes = _planes(facets)
     return points, tuple(
         p for p in points if all(a * p[0] + b * p[1] + c * p[2] > o for a, b, c, o in planes))
-
-
-def interior_points(config: PointConfig) -> Tuple[IntVec3, ...]:
-    """Lattice points strictly inside conv(config), lexicographically sorted."""
-    return lattice_and_interior_points(config)[1]
-
-
-def delete_point(config: PointConfig, index: int) -> PointConfig:
-    """Configuration with the index-th point removed."""
-    if not 0 <= index < len(config):
-        raise IndexOutOfRange(f"point index {index} out of range")
-    return PointConfig(config.points[:index] + config.points[index + 1 :])
 
 
 def parse_points(text: str) -> PointConfig:

@@ -79,10 +79,6 @@ def _sporadic() -> dict:
     return out
 
 
-def rep22() -> PointConfig:
-    return _sporadic()["22", ()][1]
-
-
 def rep21(p: int, q: int) -> PointConfig:
     if not (q >= 1 and 0 <= p <= q // 2 and (q == 1 or gcd(p, q) == 1)):
         raise ValueError(f"bad (2,1) parameters p={p}, q={q}")
@@ -93,19 +89,6 @@ def rep32(a: int, b: int) -> PointConfig:
     if not (0 < a <= b and gcd(a, b) == 1):
         raise ValueError(f"bad (3,2) parameters a={a}, b={b}")
     return PointConfig([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (a, b, 1)])
-
-
-def rep31_unimodular() -> PointConfig:
-    return _sporadic()["31u", ()][1]
-
-
-def rep31_volume9() -> PointConfig:
-    return _sporadic()["31w2", ()][1]
-
-
-def rep41(k: int) -> PointConfig:
-    """Representative of the k-th (4,1) class, k = 1..8."""
-    return _sporadic()["41", (k,)][1]
 
 
 def catalog41() -> Tuple[Size5Class, ...]:
@@ -171,15 +154,10 @@ def size5_class(config: PointConfig) -> Size5Class:
 
 
 # ---------------------------------------------------------------------------
-# apex admissibility predicates
+# apex admissibility predicate
 
 
 def admissible_apex_31(a: int, b: int) -> bool:
     """Apex (a,b,3) over conv{o, e1, e2, -e1-e2} traps no extra lattice
     points iff a = -b = +-1 (mod 3)."""
     return (a % 3, b % 3) in ((1, 2), (2, 1))
-
-
-def apex_config_31(a: int, b: int) -> PointConfig:
-    """The five-point configuration tested by admissible_apex_31."""
-    return PointConfig([(0, 0, 0), (1, 0, 0), (0, 1, 0), (-1, -1, 0), (a, b, 3)])

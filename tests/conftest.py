@@ -36,6 +36,19 @@ def apply_map(m: AffineMap, config: PointConfig) -> PointConfig:
     return PointConfig([m.apply(p) for p in config.points])
 
 
+#: The (3,1) base conv{o, e1, e2, -e1-e2} of the apex configurations
+#: that size5.admissible_apex_31 decides.
+APEX31_BASE = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (-1, -1, 0)]
+
+
+def sporadic5(signature, width: int) -> PointConfig:
+    """Representative of the sporadic size-5 row ((2, 2), 1), ((3, 1), 1) or
+    ((3, 1), 2); the eight (4,1) rows are size5.catalog41()."""
+    (row,) = [r for r in load_tables().size5_rows
+              if tuple(r["signature"]) == signature and r["width"] == width]
+    return PointConfig(row["representative"])
+
+
 def shuffled(rng: random.Random, config: PointConfig) -> PointConfig:
     pts = list(config.points)
     rng.shuffle(pts)

@@ -11,15 +11,8 @@ import random
 import time
 
 from lattice6 import classify6
-from lattice6.emptytetra import (
-    canonical_type,
-    is_empty_tetrahedron,
-    standard_tetrahedron,
-    type_orbit,
-    white_classes,
-    white_type,
-)
-from lattice6.equivalence import are_equivalent, canonical_key
+from lattice6.emptytetra import canonical_type, is_empty_tetrahedron, white_type
+from lattice6.equivalence import canonical_key
 from lattice6.exactlinalg import det4, is_primitive
 from lattice6.invariants import (
     circuits,
@@ -28,18 +21,13 @@ from lattice6.invariants import (
     volume_vector6,
     width,
 )
-from lattice6.omcatalog import enumerate_oms, match_om, record_by_key
-from lattice6.polytope import PointConfig, interior_points, lattice_points, size, vertices
-from lattice6.size5 import (
-    admissible_apex_31,
-    apex_config_31,
-    classify5,
-    rep21,
-    rep32,
-)
-from lattice6.tablesdata import GCD_EXCEPTIONS, result2_histogram, validate_tables
+from lattice6.omcatalog import enumerate_oms, match_om
+from lattice6.polytope import PointConfig, hull_summary, lattice_points, size
+from lattice6.size5 import admissible_apex_31, classify5, rep21, rep32
 
-from conftest import random_unimodular
+from conftest import APEX31_BASE, random_unimodular
+from emptytetra_oracles import standard_tetrahedron, type_orbit, white_classes
+from table_checks import GCD_EXCEPTIONS, no_octahedron_check, result2_histogram, validate_tables
 
 
 def test_classification_regenerates_all_76_classes(case_reports, bundle):
@@ -58,7 +46,7 @@ def test_classification_regenerates_all_76_classes(case_reports, bundle):
     assert sum(1 for cls in classes if cls.dps) == 45
     for cls in classes:
         row = bundle.class_by_id(cls.id)
-        assert are_equivalent(cls.generated, row.config()), cls.id
+        assert canonical_key(cls.generated) == canonical_key(row.config()), cls.id
 
 
 def test_bundled_tables_are_internally_consistent(bundle):
@@ -81,8 +69,9 @@ def test_oriented_matroid_catalog_is_complete(bundle):
         and all(len(c.positive) + len(c.negative) == 5 for c in r.circuits)
     ]
     assert len(uniform) == 4
+    by_key = {r.key: r for r in records}
     for cell in bundle.om_cells:
-        candidates = [record_by_key(k) for k in bundle.key_candidates(cell.label)]
+        candidates = [by_key[k] for k in bundle.key_candidates(cell.label)]
         assert any(
             r.coplanarity == cell.coplanarity and r.nvertices == cell.vertices
             and r.ninterior == cell.interior and len(r.circuits) == cell.n_circuits
@@ -151,22 +140,25 @@ def test_size5_classification_and_admissibility(bundle):
             cls = classify5(c)
             assert cls.kind.startswith(kind)  # "31" splits into "31u"/"31w2"
             assert cls.width == row["width"]
-            assert are_equivalent(cls.representative, c)
+            assert canonical_key(cls.representative) == canonical_key(c)
         rows_checked += 1
     assert rows_checked == 13
     for a in range(-6, 7):
         for b in range(-6, 7):
-            assert admissible_apex_31(a, b) == (size(apex_config_31(a, b)) == 5)
+            apex = PointConfig(APEX31_BASE + [(a, b, 3)])
+            assert admissible_apex_31(a, b) == (size(apex) == 5)
 
 
 def test_width_one_configurations_exist_but_no_sixth_point_extends_octahedron():
+    """A width-one configuration with six vertices exists; no width-one 3+3
+    configuration up to coordinate 8 has the octahedral oriented matroid."""
     start = time.monotonic()
     hexa = classify6.width1_family("(3,3)/6.4", (1, 2, 1, 3))
     assert size(hexa) == 6
     assert width(hexa)[0] == 1
-    assert len(vertices(hexa)) == 6
-    assert interior_points(hexa) == ()
-    assert classify6.no_octahedron_check(8)
+    assert len(hull_summary(hexa)[2]) == 6
+    assert hull_summary(hexa)[1] == ()
+    assert no_octahedron_check(8)
     assert time.monotonic() - start < 120
 
 

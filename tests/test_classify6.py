@@ -9,23 +9,21 @@ from itertools import permutations
 
 import pytest
 
-from conftest import apply_map, count_calls, random_unimodular, shuffled
+from conftest import apply_map, count_calls, random_unimodular, shuffled, sporadic5
 from lattice6 import classify6
 from lattice6.classify6 import (
     BadParameters,
-    case_of,
     export_csv,
     export_json,
     identify,
-    import_json,
-    no_octahedron_check,
     width1_family,
 )
 from lattice6.emptytetra import is_empty_tetrahedron
 from lattice6.exactlinalg import AffineMap, det4, edge_form, unimodular_map
 from lattice6.invariants import is_dps, volume_vector6, width
-from lattice6.polytope import PointConfig, hull_facets, interior_points, size, vertices
-from lattice6.size5 import catalog41, rep22
+from lattice6.polytope import PointConfig, hull_facets, size
+from lattice6.size5 import catalog41
+from table_checks import no_octahedron_check
 
 EXPECTED_COUNTS = {"A": 2, "B": 15, "C": 6, "D": 2, "E": 2, "F": 17, "G": 20, "H": 12}
 EXPECTED_EXAMINED = {"A": 6, "B": 5043, "C": 596, "D": 1681, "E": 192,
@@ -388,17 +386,12 @@ def test_case_f_splits_by_catalog_label(case_reports):
     assert sorted(groups.values(), reverse=True) == [6, 6, 5]
 
 
-def test_case_of_matches_table(bundle):
-    for row in bundle.class_rows:
-        assert case_of(row.config()) == row.case, row.id
-
-
 def test_identify(bundle):
     assert identify(bundle.class_by_id("A.1").config()) == "A.1"
     assert identify(bundle.class_by_id("H.12").config()) == "H.12"
     # width one: outside the classification
     assert identify(width1_family("(3,3)/6.4", (1, 1, 2, 3))) is None
-    assert identify(rep22()) is None
+    assert identify(sporadic5((2, 2), 1)) is None
 
 
 def test_identify_generated_configs(case_reports, bundle):
@@ -480,15 +473,16 @@ def test_no_octahedron_smoke():
 
 def test_export_import_json_round_trip(case_reports):
     classes = by_case(case_reports)["A"].classes_found
-    text = export_json(classes)
-    parsed = json.loads(text)
+    parsed = json.loads(export_json(classes))
     assert [p["id"] for p in parsed] == ["A.1", "A.2"]
-    back = import_json(text)
-    for orig, copy in zip(classes, back):
-        assert copy.id == orig.id
-        assert copy.volume_vector == orig.volume_vector
-        assert copy.representative.points == orig.representative.points
-        assert copy.generated is None
+    for orig, copy in zip(classes, parsed):
+        assert copy["id"] == orig.id
+        assert copy["om_label"] == orig.om_label
+        assert tuple(copy["volume_vector"]) == orig.volume_vector
+        assert copy["width"] == orig.width
+        assert tuple(copy["functional"]) == orig.functional
+        assert PointConfig(copy["representative"]).points == orig.representative.points
+        assert copy["dps"] == orig.dps
 
 
 def test_export_csv_shape(case_reports):

@@ -19,7 +19,7 @@ from lattice6.cli import main
 from lattice6.emptytetra import is_empty_tetrahedron, white_type
 from lattice6.exactlinalg import AffineMap
 from lattice6.polytope import PointConfig, format_points, parse_points
-from lattice6.size5 import rep21, rep32, rep41
+from lattice6.size5 import catalog41, rep21, rep32
 
 
 def write_config(tmp_path, name, points):
@@ -77,7 +77,7 @@ def test_analyze_five_points_enumerates_once(tmp_path, capsys, monkeypatch):
         return hull_points(config, facets)
 
     monkeypatch.setattr(polytope, "_hull_points", counted)
-    rc = main(["analyze", write_config(tmp_path, "r41.txt", rep41(1).points)])
+    rc = main(["analyze", write_config(tmp_path, "r41.txt", catalog41()[0].representative.points)])
     assert rc == 0
     assert "size-5 class: 41(1,)" in capsys.readouterr().out
     assert len(calls) == 1
@@ -133,7 +133,7 @@ def test_analyze_far_image_finishes(tmp_path, bundle, capsys, source, expected):
     """Enumeration cost follows normalized volume, not coordinate size."""
     config = {
         "H.12": bundle.class_by_id("H.12").config(),
-        "41(1,)": rep41(1),
+        "41(1,)": catalog41()[0].representative,
         "T(2,5)": PointConfig([(0, 0, 0), (1, 0, 0), (0, 0, 1), (2, 5, 1)]),
     }[source]
     path = write_config(tmp_path, "far.txt", apply_map(FAR_MAP, config).points)
@@ -164,7 +164,7 @@ def test_analyze_large_family_parameters(tmp_path, capsys, points, expected):
 
 
 @pytest.mark.parametrize("config, normal_forms", [
-    (rep21(2, 5), 0), (rep32(2, 3), 0), (rep41(1), 1),
+    (rep21(2, 5), 0), (rep32(2, 3), 0), (catalog41()[0].representative, 1),
 ])
 def test_analyze_five_points_normal_forms(tmp_path, capsys, monkeypatch, config, normal_forms):
     """Family parameters take no canonical key; a sporadic class takes one."""
@@ -303,7 +303,7 @@ def test_equiv_reports_witness(tmp_path, bundle, capsys):
 
 
 def test_equiv_white_tetrahedra(tmp_path, capsys):
-    from lattice6.emptytetra import standard_tetrahedron
+    from emptytetra_oracles import standard_tetrahedron
     fa = write_config(tmp_path, "t27.txt", standard_tetrahedron(2, 7))
     fb = write_config(tmp_path, "t47.txt", standard_tetrahedron(4, 7))
     rc = main(["equiv", fa, fb])

@@ -8,15 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_unimodular
-from lattice6.emptytetra import (
-    canonical_type,
-    is_empty_tetrahedron,
-    standard_tetrahedron,
-    type_orbit,
-    types_equivalent,
-    white_classes,
-    white_type,
-)
+from emptytetra_oracles import standard_tetrahedron, type_orbit, types_equivalent, white_classes
+from lattice6.emptytetra import canonical_type, is_empty_tetrahedron, white_type
 from lattice6.exactlinalg import AffineMap, det4
 from lattice6.polytope import PointConfig, lattice_points
 

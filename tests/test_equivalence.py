@@ -6,19 +6,14 @@ import random
 from hypothesis import given, settings, strategies as st
 
 import fraction_oracles
-from conftest import apply_map, random_unimodular, shuffled
-from lattice6.emptytetra import standard_tetrahedron
-from lattice6.equivalence import (
-    _normal_form,
-    are_equivalent,
-    canonical_key,
-    equivalence_witness,
-)
+from conftest import APEX31_BASE, apply_map, random_unimodular, shuffled
+from emptytetra_oracles import standard_tetrahedron
+from lattice6.equivalence import _normal_form, canonical_key, equivalence_witness
 from lattice6.exactlinalg import det4, edge_form
 from lattice6.invariants import QUADS6, volume_vector5, volume_vector6
 from lattice6.polytope import PointConfig
-from lattice6.size5 import apex_config_31, rep32, rep41
-from lattice6.tablesdata import GCD_EXCEPTIONS
+from lattice6.size5 import catalog41, rep32
+from table_checks import GCD_EXCEPTIONS
 
 
 def check_witness(a, b, witness):
@@ -48,7 +43,7 @@ def test_distinct_classes_are_inequivalent(bundle):
     b3 = bundle.class_by_id("B.3").config()
     b4 = bundle.class_by_id("B.4").config()
     assert equivalence_witness(b3, b4) is None
-    assert not are_equivalent(b3, b4)
+    assert canonical_key(b3) != canonical_key(b4)
 
 
 def test_white_tetrahedra_with_inverse_parameters():
@@ -62,15 +57,16 @@ def test_white_tetrahedra_with_inverse_parameters():
 def test_mismatched_sizes_are_inequivalent(bundle):
     c = bundle.class_by_id("A.1").config()
     assert equivalence_witness(c, PointConfig(c.points[:5])) is None
-    assert not are_equivalent(c, PointConfig(c.points[:5]))
+    # A.1's first five points are coplanar, so the last five carry a key
+    assert canonical_key(c) != canonical_key(PointConfig(c.points[1:]))
 
 
 def test_equal_volume_vectors_do_not_imply_equivalence():
     """Five-point exception: same volume vector, different polytopes."""
-    a = apex_config_31(1, 2)
-    b = apex_config_31(0, 0)
+    a = PointConfig(APEX31_BASE + [(1, 2, 3)])
+    b = PointConfig(APEX31_BASE + [(0, 0, 3)])
     assert volume_vector5(a) == volume_vector5(b)
-    assert not are_equivalent(a, b)
+    assert canonical_key(a) != canonical_key(b)
 
 
 @given(seed=st.integers(0, 10**6))
@@ -234,8 +230,10 @@ def test_key_equality_matches_witness_search(bundle):
     tetrahedra = [PointConfig(standard_tetrahedron(p, q)) for p, q in ((2, 7), (4, 7), (1, 5), (2, 5))]
     pairs += [(tetrahedra[0], tetrahedra[1]), (tetrahedra[2], tetrahedra[3]),
               (tetrahedra[3], _image(rng, tetrahedra[3]))]
-    pairs += [(apex_config_31(1, 2), apex_config_31(0, 0)), (rep32(2, 5), rep32(1, 6)),
-              (rep41(4), _image(rng, rep41(4))), (rep41(4), rep41(5))]
+    sporadic41 = [cls.representative for cls in catalog41()]
+    pairs += [(PointConfig(APEX31_BASE + [(1, 2, 3)]), PointConfig(APEX31_BASE + [(0, 0, 3)])),
+              (rep32(2, 5), rep32(1, 6)),
+              (sporadic41[3], _image(rng, sporadic41[3])), (sporadic41[3], sporadic41[4])]
     seven = [_with_extra_points(rng, c, 1) for c in (rows[3], rows[40], COLLINEAR_FIRST)]
     pairs += [(c, _image(rng, c)) for c in seven] + [(seven[0], seven[1])]
     pairs += [(CUBE, _image(rng, CUBE)), (CUBE, _image(rng, CUBE)), (CUBE, LIFTED_CUBE)]

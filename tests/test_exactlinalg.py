@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import fraction_oracles
 from conftest import random_unimodular
-from lattice6.emptytetra import standard_tetrahedron
+from emptytetra_oracles import standard_tetrahedron
 from lattice6.exactlinalg import (
     AffineMap,
     DegenerateSource,

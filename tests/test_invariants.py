@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import fraction_oracles
-from conftest import apply_map, random_unimodular, shuffled
+from conftest import apply_map, random_unimodular, shuffled, sporadic5
 from lattice6.invariants import (
     C21,
     C22,
@@ -25,8 +25,8 @@ from lattice6.invariants import (
     width,
 )
 from lattice6.exactlinalg import COORD_BOUND, det3, dot, sub
-from lattice6.polytope import NotFullDimensional, PointConfig, interior_points
-from lattice6.size5 import rep22, rep32
+from lattice6.polytope import NotFullDimensional, PointConfig, lattice_and_interior_points
+from lattice6.size5 import rep32
 
 VV_A1 = (0, 0, 2, 0, 0, 4, 0, 2, 0, -4, 0, 4, -2, -8, -2)
 VV_H12 = (-5, 2, -11, -3, -1, 7, 1, 2, -3, 1, 11, -3, -23, -4, 5)
@@ -51,7 +51,7 @@ def test_first_entry_vanishes_iff_first_quadruple_coplanar():
 
 
 def test_volume_vector5_example():
-    assert volume_vector5(rep22()) == (-1, 1, 1, -1, 0)
+    assert volume_vector5(sporadic5((2, 2), 1)) == (-1, 1, 1, -1, 0)
 
 
 def test_volume_vector5_parametric_row():
@@ -78,7 +78,7 @@ def test_volume_vector5_entries_sum_to_zero(pts):
 
 def test_signature5():
     assert signature5(rep32(2, 3)) == (3, 2)
-    assert signature5(rep22()) == (2, 2)
+    assert signature5(sporadic5((2, 2), 1)) == (2, 2)
 
 
 def test_width_examples(bundle):
@@ -171,7 +171,7 @@ def test_shell_is_the_targets_of_one_spread(s):
 def test_interior_point_forces_width_two(bundle):
     for row in bundle.class_rows:
         c = row.config()
-        if interior_points(c):
+        if lattice_and_interior_points(c)[1]:
             assert width(c)[0] >= 2, row.id
 
 
@@ -251,7 +251,7 @@ def test_coplanarity_classes(bundle):
 
 def test_coplanarity_requires_six_points():
     with pytest.raises(WrongSize):
-        coplanarity_class(rep22())
+        coplanarity_class(sporadic5((2, 2), 1))
 
 
 @given(seed=st.integers(0, 10**6))

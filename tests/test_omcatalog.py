@@ -3,8 +3,6 @@
 import random
 from itertools import combinations
 
-import pytest
-
 import omcatalog_oracles as oracle
 from conftest import apply_map, random_unimodular, shuffled
 from lattice6 import omcatalog
@@ -17,9 +15,8 @@ from lattice6.omcatalog import (
     enumerate_oms,
     match_om,
     om_statistics,
-    record_by_key,
 )
-from lattice6.polytope import PointConfig, hull_facets, interior_points, vertices
+from lattice6.polytope import PointConfig, hull_facets, hull_summary
 
 
 def test_catalog_has_55_records():
@@ -47,13 +44,6 @@ def test_record_statistics_are_self_consistent():
         assert stats["dps"] == r.dps
         assert 4 <= r.nvertices <= 6
         assert 0 <= r.ninterior <= 2
-
-
-def test_record_by_key_round_trip():
-    for r in enumerate_oms():
-        assert record_by_key(r.key) is r
-    with pytest.raises(KeyError):
-        record_by_key("no-such-key")
 
 
 def test_match_relabels_circuits_onto_record(bundle):
@@ -155,12 +145,12 @@ def test_match_agrees_with_geometry(bundle):
         rec = match_om(c)[0]
         facets = hull_facets(c)
         inside = [p for p in c.points if all(f.value(p) > 0 for f in facets)]
-        assert rec.nvertices == len(vertices(c)), c
+        assert rec.nvertices == len(hull_summary(c)[2]), c
         assert rec.ninterior == len(inside), c
         assert rec.coplanarity == coplanarity_class(c), c
         assert len(rec.circuits) == len(circuits(c)), c
         if i < len(rows):
-            assert rec.ninterior == len(interior_points(c)), c
+            assert rec.ninterior == len(hull_summary(c)[1]), c
             assert rec.dps == is_dps(c), c
 
 

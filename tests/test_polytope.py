@@ -14,18 +14,16 @@ from fraction_oracles import point_in_hull
 from lattice6.exactlinalg import cross, det4, dot, gcd_all, sub
 from lattice6.polytope import (
     Facet,
-    IndexOutOfRange,
     NotFullDimensional,
     PointConfig,
     _cone_triangulation,
-    delete_point,
     format_points,
     hull_facets,
-    interior_points,
+    hull_summary,
+    lattice_and_interior_points,
     lattice_points,
     parse_points,
     size,
-    vertices,
 )
 from lattice6.tablesdata import load_tables
 
@@ -35,15 +33,15 @@ UNIT = PointConfig([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
 def test_unit_tetrahedron():
     assert size(UNIT) == 4
     assert len(hull_facets(UNIT)) == 4
-    assert set(vertices(UNIT)) == set(UNIT.points)
-    assert interior_points(UNIT) == ()
+    assert set(hull_summary(UNIT)[2]) == set(UNIT.points)
+    assert lattice_and_interior_points(UNIT)[1] == ()
 
 
 def test_dilated_simplex_has_ten_points():
     c = PointConfig([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)])
     assert size(c) == 10
-    assert len(vertices(c)) == 4
-    assert interior_points(c) == ()
+    assert len(hull_summary(c)[2]) == 4
+    assert lattice_and_interior_points(c)[1] == ()
 
 
 def test_lattice_points_sorted_and_exact():
@@ -57,23 +55,25 @@ def test_six_point_representative_is_its_own_hull(bundle):
     a1 = bundle.class_by_id("A.1").config()
     assert size(a1) == 6
     assert set(lattice_points(a1)) == set(a1.points)
+    # A-case representatives keep their five coplanar points first.
+    assert all(det4(*[a1.points[i] for i in q]) == 0 for q in combinations(range(5), 4))
 
 
 def test_vertex_and_interior_counts(bundle):
     g1 = bundle.class_by_id("G.1").config()
-    assert len(vertices(g1)) == 5
-    assert len(interior_points(g1)) == 1
+    assert len(hull_summary(g1)[2]) == 5
+    assert len(lattice_and_interior_points(g1)[1]) == 1
     h12 = bundle.class_by_id("H.12").config()
-    assert len(vertices(h12)) == 4
-    assert len(interior_points(h12)) == 2
+    assert len(hull_summary(h12)[2]) == 4
+    assert len(lattice_and_interior_points(h12)[1]) == 2
 
 
 def test_hull_points_partition(bundle):
     for cid in ("A.1", "B.7", "C.3", "D.1", "E.2", "F.9", "G.14", "H.12"):
         c = bundle.class_by_id(cid).config()
         lp = set(lattice_points(c))
-        vs = set(vertices(c))
-        inner = set(interior_points(c))
+        vs = set(hull_summary(c)[2])
+        inner = set(lattice_and_interior_points(c)[1])
         assert vs <= lp
         assert inner <= lp
         assert not vs & inner
@@ -171,22 +171,6 @@ def test_point_in_hull():
     assert not point_in_hull((-1, 0, 0), pts)
 
 
-def test_delete_point_preserves_order(bundle):
-    a1 = bundle.class_by_id("A.1").config()
-    d = delete_point(a1, 5)
-    assert d.points == a1.points[:5]
-    # A-case representatives keep their five coplanar points first.
-    assert all(det4(*[d.points[i] for i in q]) == 0 for q in combinations(range(5), 4))
-
-
-def test_delete_point_bad_index(bundle):
-    a1 = bundle.class_by_id("A.1").config()
-    with pytest.raises(IndexOutOfRange):
-        delete_point(a1, 6)
-    with pytest.raises(IndexOutOfRange):
-        delete_point(a1, -7)
-
-
 def test_planar_input_is_rejected():
     flat = PointConfig([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
     with pytest.raises(NotFullDimensional):
@@ -226,8 +210,8 @@ def test_hull_data_is_unimodular_invariant(seed):
     m = random_unimodular(rng)
     img = apply_map(m, c)
     assert size(img) == size(c)
-    assert len(vertices(img)) == len(vertices(c))
-    assert len(interior_points(img)) == len(interior_points(c))
+    assert len(hull_summary(img)[2]) == len(hull_summary(c)[2])
+    assert len(lattice_and_interior_points(img)[1]) == len(lattice_and_interior_points(c)[1])
     assert len(hull_facets(img)) == len(hull_facets(c))
     assert {m.apply(p) for p in lattice_points(c)} == set(lattice_points(img))
 
@@ -235,7 +219,7 @@ def test_hull_data_is_unimodular_invariant(seed):
 def test_vertices_match_oracle_on_table_rows(bundle):
     for row in bundle.class_rows:
         c = row.config()
-        assert vertices(c) == fraction_oracles.vertices(c), row.id
+        assert hull_summary(c)[2] == fraction_oracles.vertices(c), row.id
 
 
 @given(pts=st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)),
@@ -245,7 +229,7 @@ def test_vertices_match_point_in_hull_oracle(pts):
     """Small boxes put many points on edges and facets of the hull."""
     c = PointConfig(pts)
     assume(c.is_full_dimensional())
-    assert vertices(c) == fraction_oracles.vertices(c)
+    assert hull_summary(c)[2] == fraction_oracles.vertices(c)
 
 
 def _box(config):
@@ -264,7 +248,7 @@ def test_lattice_points_match_pointwise_facet_scan(bundle):
         facets = hull_facets(c)
         expected = tuple(p for p in _box(c) if all(f.value(p) >= 0 for f in facets))
         assert lattice_points(c) == expected
-        assert interior_points(c) == tuple(
+        assert lattice_and_interior_points(c)[1] == tuple(
             p for p in expected if all(f.value(p) > 0 for f in facets))
 
 
@@ -337,10 +321,10 @@ def test_enumeration_matches_box_scan_oracle(c):
     expected = tuple(_scan_box(c, facets))
     assert lattice_points(c) == expected
     assert size(c) == len(expected)
-    assert interior_points(c) == tuple(
+    assert lattice_and_interior_points(c)[1] == tuple(
         p for p in expected if all(f.value(p) > 0 for f in facets))
     volume = sum(abs(det4(*t)) for t in _cone_triangulation(c, facets))
-    for v in vertices(c)[1:]:
+    for v in hull_summary(c)[2][1:]:
         recentred = PointConfig([v] + [p for p in c.points if p != v])
         tetrahedra = _cone_triangulation(recentred, facets)
         assert {t[0] for t in tetrahedra} == {v}

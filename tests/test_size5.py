@@ -6,24 +6,19 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import apply_map, random_unimodular, shuffled
-from lattice6.equivalence import are_equivalent
+from conftest import APEX31_BASE, apply_map, random_unimodular, shuffled, sporadic5
+from lattice6.equivalence import canonical_key
 from lattice6.exactlinalg import unimodular_map
 from lattice6.invariants import signature5
-from lattice6.polytope import PointConfig, interior_points, size
+from lattice6.polytope import PointConfig, lattice_and_interior_points, size
 from lattice6.size5 import (
     NotSize5,
     UnknownSize5Class,
     admissible_apex_31,
-    apex_config_31,
     catalog41,
     classify5,
     rep21,
-    rep22,
-    rep31_unimodular,
-    rep31_volume9,
     rep32,
-    rep41,
     size5_class,
 )
 from size5_oracles import search_family_params
@@ -44,7 +39,7 @@ def test_classify5_apex_over_triangle():
     cls = classify5(c)
     assert cls.kind == "32"
     assert cls.params == (2, 3)
-    assert are_equivalent(cls.representative, c)
+    assert canonical_key(cls.representative) == canonical_key(c)
 
 
 def test_classify5_big_tetrahedron_with_interior_point():
@@ -52,24 +47,24 @@ def test_classify5_big_tetrahedron_with_interior_point():
     cls = classify5(c)
     assert cls.kind == "41"
     assert cls.width == 2
-    assert are_equivalent(cls.representative, c)
+    assert canonical_key(cls.representative) == canonical_key(c)
 
 
 def test_classify5_square_pyramid():
-    cls = classify5(rep22())
+    cls = classify5(sporadic5((2, 2), 1))
     assert cls.kind == "22"
     assert cls.width == 1
 
 
 def test_fixed_representatives_self_classify():
     for rep, kind, w in (
-        (rep22(), "22", 1),
-        (rep31_unimodular(), "31u", 1),
-        (rep31_volume9(), "31w2", 2),
+        (sporadic5((2, 2), 1), "22", 1),
+        (sporadic5((3, 1), 1), "31u", 1),
+        (sporadic5((3, 1), 2), "31w2", 2),
     ):
         cls = classify5(rep)
         assert (cls.kind, cls.width) == (kind, w)
-        assert are_equivalent(cls.representative, rep)
+        assert canonical_key(cls.representative) == canonical_key(rep)
 
 
 def test_parametric_representatives_self_classify():
@@ -90,25 +85,26 @@ def test_catalog41_contents():
         assert cls.kind == "41"
         assert cls.width == 2
         assert size(cls.representative) == 5
-        assert interior_points(cls.representative) == (cls.representative.points[0],)
+        assert lattice_and_interior_points(cls.representative)[1] == (cls.representative.points[0],)
 
 
 def test_catalog41_classes_are_distinct():
     cat = catalog41()
     for i, a in enumerate(cat):
         for b in cat[i + 1:]:
-            assert not are_equivalent(a.representative, b.representative)
+            assert canonical_key(a.representative) != canonical_key(b.representative)
 
 
 def test_rep41_round_trip():
     for k in range(1, 9):
-        cls = classify5(rep41(k))
+        cls = classify5(catalog41()[k - 1].representative)
         assert cls.kind == "41"
         assert cls.params == (k,)
 
 
 def test_dependence_is_an_affine_relation():
-    for rep in (rep22(), rep31_volume9(), rep41(3), rep32(2, 3)):
+    for rep in (sporadic5((2, 2), 1), sporadic5((3, 1), 2), catalog41()[2].representative,
+                rep32(2, 3)):
         cls = classify5(rep)
         dep = cls.dependence
         pts = cls.representative.points
@@ -120,13 +116,14 @@ def test_classify5_rejects_wrong_sizes(bundle):
     with pytest.raises(NotSize5):
         classify5(bundle.class_by_id("A.1").config())
     with pytest.raises(NotSize5):
-        classify5(apex_config_31(0, 0))  # hull picks up extra points
+        # hull picks up extra points
+        classify5(PointConfig(APEX31_BASE + [(0, 0, 3)]))
 
 
 def test_admissible_apex_31_matches_size_oracle():
     for a in range(-6, 7):
         for b in range(-6, 7):
-            cfg = apex_config_31(a, b)
+            cfg = PointConfig(APEX31_BASE + [(a, b, 3)])
             assert admissible_apex_31(a, b) == (size(cfg) == 5), (a, b)
 
 
@@ -138,8 +135,8 @@ def test_classify5_is_constant_on_equivalence_classes(seed):
     p = rng.choice([p for p in range(q // 2 + 1) if q == 1 or gcd(p, q) == 1])
     s = rng.randrange(2, 120)
     a = rng.choice([a for a in range(1, s // 2 + 1) if gcd(a, s - a) == 1])
-    base = rng.choice([rep22(), rep31_unimodular(), rep31_volume9(),
-                       rep41(rng.randrange(1, 9)), rep32(a, s - a), rep21(p, q)])
+    base = rng.choice([sporadic5((2, 2), 1), sporadic5((3, 1), 1), sporadic5((3, 1), 2),
+                       rng.choice(catalog41()).representative, rep32(a, s - a), rep21(p, q)])
     img = _image(rng, base)
     cls, cls_img = classify5(base), classify5(img)
     assert (cls.kind, cls.params) == (cls_img.kind, cls_img.params)
@@ -171,7 +168,7 @@ def test_large_family_parameters():
     assert size5_class(c32).label == "32(9999, 10000)"
     with pytest.raises(ValueError, match="exceeds bound"):
         size5_class(c21).representative
-    assert are_equivalent(size5_class(c32).representative, c32)
+    assert canonical_key(size5_class(c32).representative) == canonical_key(c32)
     # an independent check of the (2,1) reading: a map onto rep21's raw points
     m = unimodular_map([c21[i] for i in (0, 1, 3, 4)],
                        [(0, 0, 0), (1, 0, 0), (0, 0, 1), (300, 89999, 1)])
@@ -185,7 +182,7 @@ def test_size5_class_rejects_invariants_of_no_class():
     # entries (-3, 1, 2, 0, 0): not (2q, q, q), though a unimodular quadruple
     not21_shape = PointConfig([(0, 0, 0), (2, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 1, 0)])
     not32 = PointConfig([(0, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
-    not31 = apex_config_31(0, 0)
+    not31 = PointConfig(APEX31_BASE + [(0, 0, 3)])
     for config, sig in ((not21, (2, 1)), (not21_shape, (2, 1)), (not32, (3, 2)),
                         (not31, (3, 1))):
         assert signature5(config) == sig and size(config) > 5

@@ -1,5 +1,5 @@
 """Source rules of the library: explicit exceptions, Fraction only in tests,
-and no unused imports.
+no unused imports, and no top-level name that only tests reach.
 
 An ``assert`` disappears under ``python -O``, so invariants raise instead,
 and they raise a named exception rather than ``AssertionError``.
@@ -7,6 +7,9 @@ Fraction arithmetic lives in tests/fraction_oracles.py as a reference;
 the library computes in integers only.  A name a module imports and never
 uses is dead weight; ``from __future__`` imports and names the module
 re-exports through ``__all__`` (as ``__init__.py`` does) are exempt.
+A top-level name that no library module reads (``__all__`` aside) serves
+no command: it goes, or moves into tests/ as a check or an oracle.
+Dunders are exempt, and UNREAD_ALLOWED keeps a few public entry points.
 """
 
 import ast
@@ -15,6 +18,13 @@ from pathlib import Path
 import lattice6
 
 SOURCES = sorted(Path(lattice6.__file__).parent.glob("*.py"))
+
+#: Top-level names kept in the library although no library module reads them.
+UNREAD_ALLOWED = {
+    "classify6.identify": "the table lookup of one configuration; the README example calls it",
+    "size5.classify5": "the size-5 entry point with its size and dimension gates",
+    "classify6.width1_family": "the width-one constructors; the width-one identification will call them",
+}
 
 
 def _raised_name(exc):
@@ -90,3 +100,75 @@ def test_unused_import_is_a_violation(tmp_path):
                     "    return system.argv\n", encoding="utf-8")
     assert list(_unused_imports(path)) == ["sample.py:2: imports os and never uses it",
                                            "sample.py:4: imports Dict and never uses it"]
+
+
+def _defined_names(stmt):
+    """Names a top-level statement defines, dunders excluded."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+    else:
+        names = []
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def _unread_definitions(paths):
+    """Top-level names of the modules in paths that none of them reads.
+
+    Module m reads its own name n as a bare n outside n's definition;
+    another module reads it by ``from .m import n`` or, after
+    ``from . import m``, as ``m.n`` (so ``cell.n`` does not count).
+    """
+    defined, read = {}, set()
+    for path in paths:
+        mod, tree = path.stem, ast.parse(path.read_text(encoding="utf-8"), str(path))
+        own, modules = {}, {}
+        for stmt in tree.body:
+            for name in _defined_names(stmt):
+                defined[mod, name] = stmt.lineno
+                own.update((id(node), name) for node in ast.walk(stmt))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                if own.get(id(node)) != node.id:
+                    read.add((mod, node.id))
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                for a in node.names:
+                    if node.module:
+                        read.add((node.module, a.name))
+                    else:
+                        modules[a.asname or a.name] = a.name
+        read.update((modules[node.value.id], node.attr) for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules)
+    for (mod, name), lineno in sorted(defined.items(), key=lambda item: (item[0][0], item[1])):
+        if (mod, name) not in read:
+            yield f"{mod}.py:{lineno}: defines {name} and no library module reads it"
+
+
+def test_library_defines_nothing_only_tests_read():
+    """Every top-level name is read in the library or allowlisted, and
+    every allowlisted name is still unread."""
+    unread = {}
+    for v in _unread_definitions(SOURCES):
+        where, _, name = v.split()[:3]  # "classify6.py:12:", "defines", name
+        unread[f"{where.split('.')[0]}.{name}"] = v
+    assert sorted(unread) == sorted(UNREAD_ALLOWED), "\n".join(unread.values())
+
+
+def test_unread_definition_is_a_violation(tmp_path):
+    (tmp_path / "shapes.py").write_text(
+        "__version__ = '1'\nLIMIT = 3\n"
+        "def area(x):\n    return area(x - 1) if x > LIMIT else x\n"
+        "def countdown(x):\n    return countdown(x - 1) if x else 0\n"
+        "def volume(x):\n    return x\n"
+        "class Cell:\n    vertices = 4\n", encoding="utf-8")
+    (tmp_path / "cli.py").write_text(
+        "from .shapes import Cell\nfrom . import shapes\n"
+        "def main(cell: Cell):\n    return shapes.area(cell.vertices) + cell.volume\n",
+        encoding="utf-8")
+    assert list(_unread_definitions(sorted(tmp_path.glob("*.py")))) == [
+        "cli.py:3: defines main and no library module reads it",
+        "shapes.py:5: defines countdown and no library module reads it",
+        "shapes.py:7: defines volume and no library module reads it"]

@@ -1,14 +1,21 @@
 """Bundled classification tables: integrity checks and cross-statistics."""
 
+import hashlib
+import json
+import shutil
+import types
+from pathlib import Path
+
 import pytest
 
+from lattice6 import tablesdata
 from lattice6.exactlinalg import gcd_all
-from lattice6.omcatalog import record_by_key
-from lattice6.polytope import interior_points, size, vertices
-from lattice6.tablesdata import (
+from lattice6.omcatalog import enumerate_oms
+from lattice6.polytope import hull_summary, size
+from lattice6.tablesdata import CorruptData, load_tables
+from table_checks import (
     GCD_EXCEPTIONS,
     interior_count,
-    load_tables,
     result2_histogram,
     shape_of,
     validate_tables,
@@ -30,6 +37,7 @@ def test_validation_is_clean(bundle):
     assert report.mismatches == ()
     assert report.rows_checked >= 76
     assert report.om_groups == 22
+    assert report.notes == ("headline count table deviates from grid in: (2,1), (2,2)",)
 
 
 def test_volume_vector_gcds(bundle):
@@ -76,7 +84,7 @@ def test_lookup_helpers(bundle):
     assert row.id == "F.3" and row.case == "F"
     with pytest.raises(KeyError):
         bundle.class_by_id("F.99")
-    cell = bundle.cell_by_label(row.om_label)
+    cell = {c.label: c for c in bundle.om_cells}[row.om_label]
     assert cell.label == row.om_label
     assert cell.realized
 
@@ -123,10 +131,11 @@ def test_width_one_labels(bundle):
 
 
 def test_cells_match_catalog_records(bundle):
+    by_key = {r.key: r for r in enumerate_oms()}
     for cell in bundle.om_cells:
         keys = bundle.key_candidates(cell.label)
         assert keys
-        candidates = [record_by_key(key) for key in keys]
+        candidates = [by_key[k] for k in keys]
         assert any(
             r.coplanarity == cell.coplanarity
             and r.nvertices == cell.vertices
@@ -138,9 +147,43 @@ def test_cells_match_catalog_records(bundle):
 
 
 def test_representatives_have_advertised_shape(bundle):
+    cells = {cell.label: cell for cell in bundle.om_cells}
     for row in bundle.class_rows[:10]:
         c = row.config()
         assert size(c) == 6
-        cell = bundle.cell_by_label(row.om_label)
-        assert len(vertices(c)) == cell.vertices
-        assert len(interior_points(c)) == cell.interior
+        cell = cells[row.om_label]
+        assert len(hull_summary(c)[2]) == cell.vertices
+        assert len(hull_summary(c)[1]) == cell.interior
+
+
+def _rechecksum(path, edit):
+    """Apply edit to a resource's payload and store it with a matching sha256."""
+    blob = json.loads(path.read_text())
+    edit(blob["payload"])
+    blob["sha256"] = hashlib.sha256(tablesdata._canonical(blob["payload"]).encode()).hexdigest()
+    path.write_text(json.dumps(blob))
+
+
+#: CorruptData message: (resource, how its file is tampered with).
+TAMPERINGS = {
+    "checksum mismatch": ("om_cells", lambda p: p.write_text(p.read_text().replace("true", "false", 1))),
+    "invalid JSON": ("classes76", lambda p: p.write_text('{"sha256": ')),
+    "unexpected resource layout": ("size5", lambda p: p.write_text('{"payload": {}}')),
+    "resource missing": ("width1_families", Path.unlink),
+    "expected 76 distinct rows": ("classes76", lambda p: _rechecksum(p, lambda pl: pl["classes"].pop())),
+}
+
+
+@pytest.mark.parametrize("message", sorted(TAMPERINGS))
+def test_load_tables_rejects_corrupt_resource(tmp_path, monkeypatch, message):
+    """Each CorruptData check of load_tables, on a tampered copy of data/."""
+    name, tamper = TAMPERINGS[message]
+    shutil.copytree(Path(tablesdata.__file__).parent / "data", tmp_path / "data")
+    tamper(tmp_path / "data" / f"{name}.json")
+    monkeypatch.setattr(tablesdata, "resources", types.SimpleNamespace(files=lambda _: tmp_path))
+    load_tables.cache_clear()
+    try:
+        with pytest.raises(CorruptData, match=f"^{name}: {message}"):
+            load_tables()
+    finally:
+        load_tables.cache_clear()
