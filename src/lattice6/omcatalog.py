@@ -42,6 +42,19 @@ which stays the worst case.  A configuration costs #candidates x
 permutations reaching the minimum the first in itertools.permutations
 order, the lexicographically least, wins, which fixes the relabeling
 match_om reports.
+
+Whether a configuration has one given record needs no canonical form.
+The chirotope of six points is the tuple of det4 signs over the 15
+quadruples of combinations(range(6), 4).  A rank-4 oriented matroid is
+fixed by its chirotope up to a global sign (Bjorner et al., Oriented
+Matroids, ch. 3): the circuits are read off the signs, and the signs off
+the circuits.  So two configurations share a record exactly when some
+relabeling sends the chirotope of one to plus or minus that of the
+other, and chirotope_orbit, taken over all 720 relabelings of one
+realization with both signs, holds exactly the chirotopes of the
+configurations with the realization's record.  Membership costs 15
+determinants and one set lookup.  match_om stays the general path, for
+any configuration and any record.
 """
 
 from __future__ import annotations
@@ -49,8 +62,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from .exactlinalg import IntVec3, det4
 from .invariants import (
     SignedCircuit,
     circuits as config_circuits,
@@ -378,3 +392,30 @@ def match_circuits(circs: Sequence[SignedCircuit]) -> Tuple[OMRecord, Tuple[int,
         raise NoMatch(f"circuits {form} not in catalog")
     return rec, perm
 
+
+# ---------------------------------------------------------------------------
+# chirotopes
+
+_QUADS = tuple(itertools.combinations(range(6), 4))
+
+
+def chirotope(points: Sequence[IntVec3]) -> Tuple[int, ...]:
+    """Signs (-1, 0 or 1) of det4 over the 15 quadruples of six checked
+    points, in itertools.combinations order."""
+    out = []
+    for i, j, k, m in _QUADS:
+        d = det4(points[i], points[j], points[k], points[m])
+        out.append((d > 0) - (d < 0))
+    return tuple(out)
+
+
+def chirotope_orbit(points: Sequence[IntVec3]) -> FrozenSet[Tuple[int, ...]]:
+    """The chirotopes of all 720 relabelings of six points, each with both
+    global signs: exactly the chirotopes of the six-point configurations
+    whose oriented matroid is the points' one (see the module docstring)."""
+    orbit = set()
+    for relabeled in itertools.permutations(points):
+        chi = chirotope(relabeled)
+        orbit.add(chi)
+        orbit.add(tuple(-s for s in chi))
+    return frozenset(orbit)

@@ -64,7 +64,18 @@ class PointConfig:
     __slots__ = ("points",)
 
     def __init__(self, points: Sequence[Sequence[int]]):
-        pts = tuple(check_point(p) for p in points)
+        self._set_points(tuple(check_point(p) for p in points))
+
+    @classmethod
+    def _of_checked(cls, points: Sequence[IntVec3]) -> "PointConfig":
+        """A configuration of points that check_point has already accepted,
+        such as the points of other configurations: only the count and
+        distinctness are checked."""
+        cfg = object.__new__(cls)
+        cfg._set_points(tuple(points))
+        return cfg
+
+    def _set_points(self, pts: Tuple[IntVec3, ...]) -> None:
         if not 4 <= len(pts) <= 8:
             raise ValueError(f"need 4..8 points, got {len(pts)}")
         if len(set(pts)) != len(pts):

@@ -27,7 +27,7 @@ from lattice6.size5 import admissible_apex_31, classify5, rep21, rep32
 
 from conftest import APEX31_BASE, random_unimodular
 from emptytetra_oracles import standard_tetrahedron, type_orbit, white_classes
-from table_checks import GCD_EXCEPTIONS, no_octahedron_check, result2_histogram, validate_tables
+from table_checks import GCD_EXCEPTIONS, no_octahedron_check, validate_tables
 
 
 def test_classification_regenerates_all_76_classes(case_reports, bundle):
@@ -182,16 +182,3 @@ def test_invariants_survive_relabeling_and_unimodular_maps(bundle):
         if m.det == -1:
             expected = tuple(-x for x in expected)
         assert volume_vector6(img) == expected
-
-
-def test_vertex_interior_histogram(bundle):
-    configs = [row.config() for row in bundle.class_rows]
-    assert result2_histogram(configs) == {
-        "tetrahedron, 2 interior": 23,
-        "tetrahedron, 1 interior": 11,
-        "tetrahedron, 0 interior": 2,
-        "square pyramid, 1 interior": 3,
-        "bipyramid, 1 interior": 35,
-        "square pyramid, 0 interior": 1,
-        "bipyramid, 0 interior": 1,
-    }

@@ -19,8 +19,16 @@ from lattice6.classify6 import (
     width1_family,
 )
 from lattice6.emptytetra import is_empty_tetrahedron
-from lattice6.exactlinalg import AffineMap, det4, edge_form, unimodular_map
+from lattice6.exactlinalg import (
+    COORD_BOUND,
+    AffineMap,
+    check_point,
+    det4,
+    edge_form,
+    unimodular_map,
+)
 from lattice6.invariants import is_dps, volume_vector6, width
+from lattice6.omcatalog import chirotope, enumerate_oms, match_om
 from lattice6.polytope import PointConfig, hull_facets, size
 from lattice6.size5 import catalog41
 from table_checks import no_octahedron_check
@@ -308,10 +316,110 @@ def test_orbit_verdict_count_and_no_carry_over(monkeypatch, case_reports):
 
 def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     """One warm classify_all: 40 automorphism maps plus 168 witness solves,
-    1,590 hull computations and 754 gluing verdicts."""
-    calls = count_calls(monkeypatch, unimodular_map, hull_facets, classify6._glued_verdict)
+    1,590 hull computations, 754 gluing verdicts, one match_om per class
+    (cases C and E test their embeddings by chirotope), and 7,605
+    check_point calls: configurations built from checked points check only
+    the point they add (18,100 calls when every point was checked again)."""
+    for cell in ("5.4", "5.5"):  # warm: the orbits are built once per process
+        classify6._cell_orbit(cell)
+    calls = count_calls(monkeypatch, unimodular_map, hull_facets, classify6._glued_verdict,
+                        match_om, check_point)
     classify6.classify_all()
-    assert calls == {"unimodular_map": 208, "hull_facets": 1590, "_glued_verdict": 754}
+    assert calls == {"unimodular_map": 208, "hull_facets": 1590, "_glued_verdict": 754,
+                     "match_om": 76, "check_point": 7605}
+
+
+#: The two (4,1) embedding searches: case, oriented matroid cell, and the
+#: coefficients of p4 = c1 p1 + c2 p2 + c3 p3.
+EMBEDDING_SEARCHES = (("C", "5.4", (3, -1, -1)), ("E", "5.5", (-1, 1, 1)))
+
+
+def _embeddings(coeffs):
+    """The 8 x 24 embeddings p1..p6 of one search, as _embeddings41 lists them."""
+    c1, c2, c3 = coeffs
+    for cls5 in catalog41():
+        pts = cls5.representative.points
+        for p1, p2, p3, p6 in permutations(pts[1:]):
+            p4 = tuple(c1 * p1[t] + c2 * p2[t] + c3 * p3[t] for t in range(3))
+            yield (p1, p2, p3, p4, pts[0], p6)
+
+
+def test_cell_orbits_match_the_catalog_on_every_embedding(bundle):
+    """On all 384 embeddings of cases C and E (none degenerate), the
+    chirotope lookup against either cell's orbit agrees with the match_om
+    oracle; 128 embeddings of each search have its own cell, none the
+    other's."""
+    keys = {cell: bundle.key_candidates(cell)[0] for _, cell, _ in EMBEDDING_SEARCHES}
+    hits = Counter()
+    for case, _, coeffs in EMBEDDING_SEARCHES:
+        for points in _embeddings(coeffs):
+            key = match_om(PointConfig(points))[0].key
+            for cell, cell_key in keys.items():
+                found = chirotope(points) in classify6._cell_orbit(cell)
+                assert found == (key == cell_key), (cell, points)
+                hits[case, cell] += found
+            hits[case] += 1
+    assert hits == {"C": 192, "E": 192, ("C", "5.4"): 128, ("C", "5.5"): 0,
+                    ("E", "5.4"): 0, ("E", "5.5"): 128}
+
+
+def test_cell_orbits_match_the_catalog_on_row_images(bundle):
+    """On a relabeled unimodular image of every table row and on its
+    mirror image, the lookup against the 5.4 and 5.5 orbits agrees with
+    match_om; the rows of those cells are the hits."""
+    rng = random.Random(17)
+    keys = {cell: bundle.key_candidates(cell)[0] for _, cell, _ in EMBEDDING_SEARCHES}
+    hits = []
+    for row in bundle.class_rows:
+        img = shuffled(rng, apply_map(random_unimodular(rng), row.config()))
+        mirror = PointConfig([(-x, y, z) for x, y, z in img.points])
+        for cfg in (img, mirror):
+            key = match_om(cfg)[0].key
+            for cell, cell_key in keys.items():
+                found = chirotope(cfg.points) in classify6._cell_orbit(cell)
+                assert found == (key == cell_key), (row.id, cell)
+                if found:
+                    hits.append((row.id, cell))
+    assert hits == [(rid, cell) for rid, cell in (("C.4", "5.4"), ("C.5", "5.4"),
+                                                  ("E.1", "5.5"), ("E.2", "5.5"))
+                    for _ in range(2)]
+
+
+def test_cell_orbit_sizes():
+    """720 relabelings times two signs: 5.4 has no relabeling that flips
+    the sign, 5.5 has one for every chirotope."""
+    assert len(classify6._cell_orbit("5.4")) == 1440
+    assert len(classify6._cell_orbit("5.5")) == 720
+    assert {len(chi) for cell in ("5.4", "5.5") for chi in classify6._cell_orbit(cell)} == {15}
+
+
+def test_cell_orbit_checks_its_realization(monkeypatch):
+    """A realization row whose catalog record is not the cell's raises
+    instead of seeding the orbit."""
+    wrong = next(rec for rec in enumerate_oms() if rec.key != "c5.06")
+    monkeypatch.setattr(classify6, "match_om", lambda cfg: (wrong, tuple(range(6))))
+    classify6._cell_orbit.cache_clear()
+    with pytest.raises(classify6.ClassificationError, match="C.4 has oriented matroid"):
+        classify6._cell_orbit("5.4")
+
+
+@pytest.mark.parametrize("accept_all", [False, True])
+def test_glued_points_are_bound_checked(monkeypatch, accept_all):
+    """A glued point past the coordinate bound raises from run_case_gh,
+    both where the verdict is made and where an accepted gluing's
+    configuration is rebuilt for a replayed verdict."""
+    far = (COORD_BOUND + 1, 0, 0)
+    monkeypatch.setattr(classify6, "_barycentric_image", lambda weights, vol, dst: far)
+    if accept_all:
+        monkeypatch.setattr(classify6, "_glued_verdict", lambda *args: ("G", None))
+    with pytest.raises(ValueError, match="exceeds bound"):
+        classify6.run_case_gh()
+
+
+def test_embedded_points_are_bound_checked():
+    """p4 past the coordinate bound raises from the embedding search."""
+    with pytest.raises(ValueError, match="exceeds bound"):
+        list(classify6._embeddings41("5.4", (COORD_BOUND + 1, 0, 0), Counter()))
 
 
 #: The nine size-argument cross-check sites: runner, and the message its

@@ -194,6 +194,22 @@ def test_parse_points_reports_line_numbers():
         parse_points("0 0 0\n1 0 0\n0 1 0\n0 0 \u0661\n")
 
 
+@pytest.mark.parametrize("points", [
+    list(UNIT.points) + [(1, 0, 0)],  # a repeated point
+    list(UNIT.points)[:3],
+    list(UNIT.points) + [(x, 1, 1) for x in range(5)],  # nine points
+])
+def test_constructors_check_count_and_distinctness(points):
+    """PointConfig, parse_points and the constructor for checked points all
+    reject repeated points and fewer than 4 or more than 8 points.  The
+    coordinate checks of the public constructors are
+    test_cli.py::test_raw_point_entry_points_validate_coordinates."""
+    for build in (PointConfig, PointConfig._of_checked,
+                  lambda pts: parse_points(format_points(pts))):
+        with pytest.raises(ValueError):
+            build(points)
+
+
 def test_parse_points_skips_comments_and_blanks():
     text = "# tetrahedron\n0 0 0\n\n1 0 0\n0 1 0\n0 0 1\n"
     assert parse_points(text).points == UNIT.points

@@ -50,12 +50,6 @@ def test_classify5_big_tetrahedron_with_interior_point():
     assert canonical_key(cls.representative) == canonical_key(c)
 
 
-def test_classify5_square_pyramid():
-    cls = classify5(sporadic5((2, 2), 1))
-    assert cls.kind == "22"
-    assert cls.width == 1
-
-
 def test_fixed_representatives_self_classify():
     for rep, kind, w in (
         (sporadic5((2, 2), 1), "22", 1),
