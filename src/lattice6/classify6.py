@@ -52,11 +52,12 @@ from .invariants import (
     coplanarity_class,
     coplanarity_from_circuits,
     is_dps,
+    volume_vector5,
     volume_vector6,
     width,
 )
 from .equivalence import _normal_form, canonical_key, equivalence_witness
-from .emptytetra import is_empty_tetrahedron
+from .emptytetra import _is_empty
 from .size5 import admissible_apex_31, catalog41
 from .omcatalog import chirotope, chirotope_orbit, match_om
 from .tablesdata import load_tables
@@ -211,14 +212,14 @@ def _cross_check(six: bool, points: Sequence[IntVec3], quads, site: str, at: str
     ClassificationError "<site> triangulation check failed<at>" when the
     two disagree.
     """
-    empty = all(is_empty_tetrahedron([points[i - 1] for i in quad]) for quad in quads)
+    empty = all(_is_empty([points[i - 1] for i in quad]) for quad in quads)
     if empty != six:
         raise ClassificationError(f"{site} triangulation check failed{at}")
     return six
 
 
-def _scan_box(bound: int = SCAN_BOUND):
-    rng = range(-bound, bound + 1)
+def _scan_box():
+    rng = range(-SCAN_BOUND, SCAN_BOUND + 1)
     return itertools.product(rng, rng)
 
 
@@ -337,95 +338,75 @@ _B_TETRAS = {
 }
 
 
-def _in_b_region(x2, y2) -> bool:
-    # the cone 0 <= x <= y clipped by x < 1 and y < 3x + 2, in half-units
-    return 0 <= x2 <= y2 and x2 < 2 and y2 < 3 * x2 + 4
+def _in_strip(x, y, d) -> bool:
+    """0 <= x < 1 and 0 <= y < 3x + 2 for the point (x, y) / d."""
+    return 0 <= x < d and 0 <= y < 3 * x + 2 * d
+
+
+#: Per subcase: the tag of its _B_IDS/_B_TETRAS keys, p5, the height h of
+#: p6 = (a, b, h), the test that the edge p5p6 crosses the circuit plane
+#: inside the normalized region, the filters run before the hull as
+#: (test, rejection reason), the rejection reason for a hull with extra
+#: lattice points (None where the region leaves none, so that one is an
+#: error), and the length of the printed candidate list.
+_B_SUBCASES = (
+    # (1,1): crossing (a, b) / 2, in the cone 0 <= x <= y
+    ("i", (0, 0, 1), -1, lambda a, b: a <= b and _in_strip(a, b, 2), (), None, 10),
+    # (1,3): crossing (a, b) / 4, in the cone 0 <= x <= y
+    ("ii", (0, 0, 1), -3, lambda a, b: a <= b and _in_strip(a, b, 4),
+     ((admissible_apex_31, "apex residues are not +-1 mod 3"),
+      (lambda a, b: gcd(gcd(a, b), 4) == 1, "edge p5p6 is not primitive")),
+     "a triangulation tetrahedron is not empty", 44),
+    # (3,3): crossing (a + 1, b + 2) / 2, either way round
+    ("iii", (1, 2, 3), -3,
+     lambda a, b: _in_strip(a + 1, b + 2, 2) or _in_strip(b + 2, a + 1, 2),
+     ((admissible_apex_31, "apex residues are not +-1 mod 3"),
+      (lambda a, b: gcd(gcd(a - 1, b - 2), 6) % 3 != 0,
+       "edge p5p6 has lattice points at heights +-1")),
+     "a triangulation tetrahedron is not empty", 18),
+)
 
 
 def run_case_b() -> CaseReport:
     """(3,1)-circuit with p5, p6 on opposite sides of its plane.
 
     Both off-plane points sit at lattice distance 1 or 3, giving three
-    subcases (1,1), (1,3) and (3,3).  Each scans the apex over a box and
-    keeps candidates whose edge p5p6 crosses the circuit plane inside the
-    printed region; distance-3 apexes must also satisfy the residue
-    condition a = -b = +-1 (mod 3) and a primitivity constraint.
+    subcases (1,1), (1,3) and (3,3) (_B_SUBCASES).  Each scans the apex
+    over a box and keeps candidates whose edge p5p6 crosses the circuit
+    plane inside the printed region; distance-3 apexes must also satisfy
+    the residue condition a = -b = +-1 (mod 3) and a primitivity
+    constraint.
     """
     rejected: Counter = Counter()
     accepted = []
     notes = []
     examined = 0
     ids = {}
-
-    # subcase (1,1): p5 = (0,0,1), p6 = (a,b,-1); midpoint (a/2, b/2)
-    raw = 0
-    for a, b in _scan_box():
-        examined += 1
-        if not _in_b_region(a, b):
-            rejected["intersection point outside the normalized region"] += 1
-            continue
-        raw += 1
-        cfg = PointConfig(_B_BASE + [(0, 0, 1), (a, b, -1)])
-        if size(cfg) != 6:
-            raise ClassificationError(f"B.i candidate {(a, b)} has extra points")
-        accepted.append(cfg)
-        ids[cfg] = _B_IDS.get(("i", a, b))
-    notes.append(f"subcase (1,1): {raw} raw candidates (printed list has 10)")
-
-    # subcase (1,3): p5 = (0,0,1), p6 = (a,b,-3); intersection (a/4, b/4)
-    raw = 0
-    for a, b in _scan_box():
-        examined += 1
-        if not (0 <= a <= b and a < 4 and b < 3 * a + 8):
-            rejected["intersection point outside the normalized region"] += 1
-            continue
-        raw += 1
-        if not admissible_apex_31(a, b):
-            rejected["apex residues are not +-1 mod 3"] += 1
-            continue
-        if gcd(gcd(a, b), 4) != 1:
-            rejected["edge p5p6 is not primitive"] += 1
-            continue
-        cfg = PointConfig(_B_BASE + [(0, 0, 1), (a, b, -3)])
-        tetras = _B_TETRAS.get(("ii", a, b))
-        ok = size(cfg) == 6
-        if tetras is not None:
-            _cross_check(ok, cfg.points, tetras, "B.ii", f" at {(a, b)}")
-        if not ok:
-            rejected["a triangulation tetrahedron is not empty"] += 1
-            continue
-        accepted.append(cfg)
-        ids[cfg] = _B_IDS.get(("ii", a, b))
-    notes.append(f"subcase (1,3): {raw} raw candidates (printed list has 44)")
-
-    # subcase (3,3): p5 = (1,2,3), p6 = (a,b,-3); crossing ((a+1)/2, (b+2)/2)
-    raw = 0
-    for a, b in _scan_box():
-        examined += 1
-        ap, bp = a + 1, b + 2
-        in1 = 0 <= ap < 2 and 0 <= bp < 3 * ap + 4
-        in2 = 0 <= bp < 2 and 0 <= ap < 3 * bp + 4
-        if not (in1 or in2):
-            rejected["intersection point outside the normalized region"] += 1
-            continue
-        raw += 1
-        if not admissible_apex_31(a, b):
-            rejected["apex residues are not +-1 mod 3"] += 1
-            continue
-        if gcd(gcd(a - 1, b - 2), 6) % 3 == 0:
-            rejected["edge p5p6 has lattice points at heights +-1"] += 1
-            continue
-        cfg = PointConfig(_B_BASE + [(1, 2, 3), (a, b, -3)])
-        tetras = _B_TETRAS.get(("iii", a, b))
-        ok = size(cfg) == 6
-        if tetras is not None:
-            _cross_check(ok, cfg.points, tetras, "B.iii", f" at {(a, b)}")
-        if not ok:
-            rejected["a triangulation tetrahedron is not empty"] += 1
-            continue
-        accepted.append(cfg)
-        ids[cfg] = _B_IDS.get(("iii", a, b))
-    notes.append(f"subcase (3,3): {raw} raw candidates (printed list has 18)")
+    for tag, p5, h6, region, filters, extra_points, printed in _B_SUBCASES:
+        raw = 0
+        for a, b in _scan_box():
+            examined += 1
+            if not region(a, b):
+                rejected["intersection point outside the normalized region"] += 1
+                continue
+            raw += 1
+            reason = next((reason for test, reason in filters if not test(a, b)), None)
+            if reason is not None:
+                rejected[reason] += 1
+                continue
+            cfg = PointConfig(_B_BASE + [p5, (a, b, h6)])
+            tetras = _B_TETRAS.get((tag, a, b))
+            ok = size(cfg) == 6
+            if tetras is not None:
+                _cross_check(ok, cfg.points, tetras, f"B.{tag}", f" at {(a, b)}")
+            if not ok:
+                if extra_points is None:
+                    raise ClassificationError(f"B.{tag} candidate {(a, b)} has extra points")
+                rejected[extra_points] += 1
+                continue
+            accepted.append(cfg)
+            ids[cfg] = _B_IDS.get((tag, a, b))
+        notes.append(f"subcase ({p5[2]},{-h6}): {raw} raw candidates (printed list has {printed})")
 
     report = _finish("B", examined, rejected, _dedupe(accepted), notes)
     for cls in report.classes_found:  # printed id table must agree
@@ -461,7 +442,7 @@ def run_case_c() -> CaseReport:
         cfg = PointConfig(_B_BASE + [p5, p6])
         if not _cross_check(size(cfg) == 6, cfg.points, tetras, "C edge", f" at {p6}"):
             first = next(
-                t for t in tetras if not is_empty_tetrahedron([cfg.points[i - 1] for i in t])
+                t for t in tetras if not _is_empty([cfg.points[i - 1] for i in t])
             )
             rejected[f"T{''.join(map(str, first))} is not empty"] += 1
             continue
@@ -689,14 +670,16 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
     autos = [_base_automorphisms(base) for base in bases]
     orders = list(itertools.permutations(range(4)))
     # per base polytope: its subtetrahedra (left-out vertex's barycentric
-    # numerators, volume, edge form), and its ordered ones by edge form
+    # numerators and their denominator, edge form), and its ordered ones by
+    # edge form.  With v the affine dependence volume_vector5 of the base,
+    # the left-out vertex is sum_k (-v_k / v_ex) p_k over the others.
     sources, targets = [], []
-    for pts in reps:
+    for pts, base in zip(reps, bases):
+        v = volume_vector5(base)
         subs, by_form = [], {}
         for ex in range(1, 5):
-            tet = [pts[v] for v in range(5) if v != ex]
-            weights = [det4(*tet[:t], pts[ex], *tet[t + 1:]) for t in range(4)]
-            subs.append((weights, det4(*tet), edge_form(tet)))
+            tet = [pts[k] for k in range(5) if k != ex]
+            subs.append(([-v[k] for k in range(5) if k != ex], v[ex], edge_form(tet)))
             for sigma in orders:
                 dst = [tet[t] for t in sigma]
                 by_form.setdefault(edge_form(dst), []).append((ex, dst))
@@ -739,8 +722,8 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
 
 def _barycentric_image(weights, vol: int, dst) -> IntVec3:
     """sum(weights[t] * dst[t]) / vol: the image of the point of barycentric
-    numerators weights over a source tetrahedron of signed volume vol under
-    the affine map onto dst.  That map is unimodular and integral only if dst
+    numerators weights over a source tetrahedron of volume +-vol under the
+    affine map onto dst.  That map is unimodular and integral only if dst
     has volume +-vol and the image is integral; else ClassificationError."""
     if abs(det4(*dst)) != abs(vol):
         raise ClassificationError("glued subtetrahedra have different volumes")

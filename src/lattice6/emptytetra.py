@@ -40,8 +40,12 @@ from .exactlinalg import (
 _EDGE_PAIRS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 
 
-def _has_width_one_pair(pts) -> bool:
-    """Some opposite-edge pair is primitive with a width-1 functional."""
+def _is_empty(pts) -> bool:
+    """is_empty_tetrahedron of four points that check_point has accepted:
+    nondegenerate, and some opposite-edge pair is primitive with a
+    width-1 functional."""
+    if det4(*pts) == 0:
+        return False
     for (i, j), (k, l) in _EDGE_PAIRS:
         e1 = sub(pts[j], pts[i])
         e2 = sub(pts[l], pts[k])
@@ -62,9 +66,7 @@ def is_empty_tetrahedron(points: Sequence[Sequence[int]]) -> bool:
     pts = [check_point(p) for p in points]
     if len(pts) != 4:
         raise ValueError(f"need 4 points, got {len(pts)}")
-    if det4(*pts) == 0:
-        return False
-    return _has_width_one_pair(pts)
+    return _is_empty(pts)
 
 
 def white_type(points: Sequence[Sequence[int]]) -> Optional[Tuple[int, int]]:

@@ -32,8 +32,8 @@ from .exactlinalg import (
     IntVec3,
     _adjugate,
     _mat_vec,
-    det4,
     edge_form,
+    quad_volumes,
     sub,
     unimodular_map,
 )
@@ -49,10 +49,7 @@ _ORDERS = [(order, itemgetter(*order[1:])) for order in itertools.permutations(r
 def _normal_form(config: PointConfig) -> Tuple[Key, List[Tuple[int, ...]]]:
     """canonical_key of config and the ordered index quadruples reaching it."""
     pts = config.points
-    vols = {
-        quad: det4(*(pts[i] for i in quad))
-        for quad in itertools.combinations(range(len(pts)), 4)
-    }
+    vols = quad_volumes(pts)
     top = max(map(abs, vols.values()))
     if top == 0:
         raise NotFullDimensional("configuration spans no 3-dimensional volume")

@@ -17,13 +17,17 @@ points (top row of ones, points as columns), which equals the signed
 volume of their tetrahedron normalized so that a unimodular simplex has
 volume 1.  det3, det4 and _mat_vec are closed-form expressions: the hot
 loops call them tens of thousands of times per classification.
+quad_volumes is the one loop of det4 over the index quadruples of a
+configuration; volume vectors, chirotopes, circuits, the width's base
+quadruple and the equivalence normal form all read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 IntVec3 = Tuple[int, int, int]
 
@@ -91,6 +95,15 @@ def det4(p1, p2, p3, p4) -> int:
     v0, v1, v2 = p3[0] - x, p3[1] - y, p3[2] - z
     w0, w1, w2 = p4[0] - x, p4[1] - y, p4[2] - z
     return u0 * (v1 * w2 - v2 * w1) + u1 * (v2 * w0 - v0 * w2) + u2 * (v0 * w1 - v1 * w0)
+
+
+def quad_volumes(points: Sequence[IntVec3]) -> Dict[Tuple[int, int, int, int], int]:
+    """det4 of every index quadruple (i, j, k, l), i < j < k < l, of the
+    points, keyed in itertools.combinations(range(n), 4) order."""
+    return {
+        (i, j, k, l): det4(points[i], points[j], points[k], points[l])
+        for i, j, k, l in combinations(range(len(points)), 4)
+    }
 
 
 def gcd_all(values: Iterable[int]) -> int:

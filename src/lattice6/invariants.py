@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Tuple
 
-from .exactlinalg import IntVec3, _adjugate, _mat_vec, det3, det4, dot, gcd_all, sub
+from .exactlinalg import IntVec3, _adjugate, _mat_vec, dot, gcd_all, quad_volumes, sub
 from .polytope import NotFullDimensional, PointConfig, lattice_points
 
 
@@ -19,19 +19,11 @@ class WrongSize(ValueError):
     """Raised when an invariant needs a configuration of a specific size."""
 
 
-#: Index quadruples of the 15-entry volume vector of a 6-point
-#: configuration, in lexicographic order.
-QUADS6: Tuple[Tuple[int, int, int, int], ...] = tuple(
-    itertools.combinations(range(6), 4)
-)
-
-
 def volume_vector6(config: PointConfig) -> Tuple[int, ...]:
     """15-entry volume vector (w_1234, w_1235, ..., w_3456), lex order."""
     if len(config) != 6:
         raise WrongSize(f"need 6 points, got {len(config)}")
-    p = config.points
-    return tuple(det4(p[i], p[j], p[k], p[l]) for i, j, k, l in QUADS6)
+    return tuple(quad_volumes(config.points).values())
 
 
 def volume_vector5(config: PointConfig) -> Tuple[int, ...]:
@@ -42,12 +34,8 @@ def volume_vector5(config: PointConfig) -> Tuple[int, ...]:
     """
     if len(config) != 5:
         raise WrongSize(f"need 5 points, got {len(config)}")
-    p = config.points
-    out = []
-    for k in range(5):
-        rest = [p[i] for i in range(5) if i != k]
-        out.append((-1) ** k * det4(*rest))
-    return tuple(out)
+    w = tuple(quad_volumes(config.points).values())  # w_1234, w_1235, ..., w_2345
+    return (w[4], -w[3], w[2], -w[1], w[0])
 
 
 def signature5(config: PointConfig) -> Tuple[int, int]:
@@ -98,10 +86,7 @@ def circuits(config: PointConfig) -> Tuple[SignedCircuit, ...]:
     and C(n,5) sign vectors, integers only.
     """
     pts = config.points
-    dets = {
-        quad: det4(*(pts[i] for i in quad))
-        for quad in itertools.combinations(range(len(pts)), 4)
-    }
+    dets = quad_volumes(pts)
     if not any(dets.values()):
         raise NotFullDimensional("circuits need a full-dimensional configuration")
     found = {}
@@ -204,9 +189,10 @@ def width(config: PointConfig) -> Tuple[int, IntVec3]:
     least of them, sign-normalized (leading coefficient positive).
     """
     pts = config.points
-    quad = max(itertools.combinations(pts, 4), key=lambda q: abs(det4(*q)))
-    rows = tuple(sub(p, quad[0]) for p in quad[1:])
-    D = det3(*rows)
+    vols = quad_volumes(pts)
+    quad = max(vols, key=lambda q: abs(vols[q]))
+    rows = tuple(sub(pts[i], pts[quad[0]]) for i in quad[1:])
+    D = vols[quad]
     if D == 0:
         raise NotFullDimensional("width needs a full-dimensional configuration")
     adj = _adjugate(rows)

@@ -12,14 +12,11 @@ Enumerating those configurations is elementary: a configuration is a
 cyclic sequence of lines, each carrying (a_k, b_k) vectors on its two
 rays, plus at most one origin vector.  The circuits of the primal are the
 cocircuits of the dual — one per line, supported on the off-line
-elements, signed by side.  Everything else (vertex counts, interior
-points, coplanarities) is derived from the circuits alone.  A nonzero
-nonnegative sign vector, a 6-bit mask P, is a covector iff for every
-circuit (cp, cn) P & cp and P & cn are both empty or both not.  These
-covectors of an acyclic oriented matroid form its Las Vergnas face
-lattice; the support-minimal ones are the positive cocircuits, the facets
-(Bjorner et al., Oriented Matroids; Ziegler, Lectures on Polytopes, 6.4).
-An element is interior iff every facet mask contains it.
+elements, signed by side.  A record keeps its key and its canonical
+circuits only.  Vertex counts, interior points, coplanarities and the
+dps property follow from the circuits, through the positive cocircuits
+(the facets); tests/omcatalog_oracles.py derives them that way to check
+the bundled grid of cells, which is what the commands print.
 
 There are exactly 55 such oriented matroids.  Records are keyed
 "cN.MM" where N is the number of circuits and MM numbers the canonical
@@ -64,12 +61,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .exactlinalg import IntVec3, det4
-from .invariants import (
-    SignedCircuit,
-    circuits as config_circuits,
-    coplanarity_from_circuits,
-)
+from .exactlinalg import IntVec3, quad_volumes
+from .invariants import SignedCircuit, circuits as config_circuits
 from .polytope import PointConfig
 
 
@@ -283,49 +276,6 @@ def _iter_duals():
 
 
 # ---------------------------------------------------------------------------
-# statistics from circuits
-
-
-def _facet_masks(circs: Sequence[SignedCircuit]) -> Tuple[int, ...]:
-    """Supports of the positive cocircuits as 6-bit masks, ascending: the
-    support-minimal nonnegative covectors among the 63 masks, tested
-    against each circuit's (positive, negative) mask pair."""
-    sides = [_masks(c) for c in circs]
-    covectors = [
-        p for p in range(1, 64)
-        if all((p & cp == 0) == (p & cn == 0) for cp, cn in sides)
-    ]
-    return tuple(
-        p for p in covectors if not any(q != p and q & p == q for q in covectors)
-    )
-
-
-def om_statistics(circs: Sequence[SignedCircuit]) -> Dict[str, object]:
-    """Vertex count, interior count, coplanarity class, dps — from circuits.
-
-    An element fails to be a vertex iff some circuit puts it alone on one
-    side (it is a convex combination of the rest); it is interior iff
-    every facet mask contains it (it lies on no facet hyperplane).
-    """
-    nonvertex = set()
-    for c in circs:
-        if len(c.positive) == 1:
-            nonvertex.add(c.positive[0])
-        if len(c.negative) == 1:
-            nonvertex.add(c.negative[0])
-    interior = 63
-    for p in _facet_masks(circs):
-        interior &= p
-    sigs = {c.signature for c in circs}
-    return {
-        "nvertices": 6 - len(nonvertex),
-        "ninterior": bin(interior).count("1"),
-        "coplanarity": coplanarity_from_circuits(circs),
-        "dps": not ({(2, 1), (2, 2)} & sigs),
-    }
-
-
-# ---------------------------------------------------------------------------
 # records
 
 
@@ -333,10 +283,6 @@ def om_statistics(circs: Sequence[SignedCircuit]) -> Dict[str, object]:
 class OMRecord:
     key: str
     circuits: Tuple[SignedCircuit, ...]  # canonical form, elements 0..5
-    nvertices: int
-    ninterior: int
-    coplanarity: str
-    dps: bool
 
 
 @lru_cache(maxsize=1)
@@ -363,7 +309,7 @@ def enumerate_oms() -> Tuple[OMRecord, ...]:
         grouped.setdefault(len(circs), []).append(circs)
     for n in sorted(grouped):
         for m, circs in enumerate(grouped[n], 1):
-            records.append(OMRecord(key=f"c{n}.{m:02d}", circuits=circs, **om_statistics(circs)))
+            records.append(OMRecord(key=f"c{n}.{m:02d}", circuits=circs))
     return tuple(records)
 
 
@@ -396,17 +342,10 @@ def match_circuits(circs: Sequence[SignedCircuit]) -> Tuple[OMRecord, Tuple[int,
 # ---------------------------------------------------------------------------
 # chirotopes
 
-_QUADS = tuple(itertools.combinations(range(6), 4))
-
 
 def chirotope(points: Sequence[IntVec3]) -> Tuple[int, ...]:
-    """Signs (-1, 0 or 1) of det4 over the 15 quadruples of six checked
-    points, in itertools.combinations order."""
-    out = []
-    for i, j, k, m in _QUADS:
-        d = det4(points[i], points[j], points[k], points[m])
-        out.append((d > 0) - (d < 0))
-    return tuple(out)
+    """Signs (-1, 0 or 1) of the quad_volumes of six checked points."""
+    return tuple([(d > 0) - (d < 0) for d in quad_volumes(points).values()])
 
 
 def chirotope_orbit(points: Sequence[IntVec3]) -> FrozenSet[Tuple[int, ...]]:

@@ -29,9 +29,9 @@ from .exactlinalg import (
     _adjugate,
     check_point,
     det3,
-    det4,
     dot,
     hermite_normal_form,
+    quad_volumes,
     sub,
 )
 
@@ -101,9 +101,7 @@ class PointConfig:
         return f"PointConfig({list(self.points)!r})"
 
     def is_full_dimensional(self) -> bool:
-        return any(
-            det4(*quad) != 0 for quad in itertools.combinations(self.points, 4)
-        )
+        return any(quad_volumes(self.points).values())
 
 
 def hull_facets(config: PointConfig) -> Tuple[Facet, ...]:

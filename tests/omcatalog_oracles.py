@@ -1,20 +1,24 @@
 """Reference implementations for the oriented-matroid catalog, kept as test oracles.
 
-The library computes canonical circuit forms with bitmask table lookups,
-generates dual line sequences directly, and reads facets off the 63
-nonnegative sign masks.  These are the versions they replaced: relabel
-every circuit as index tuples and sort, under each of the 720
-permutations; filter every product of per-line vector counts by its
-total; and find all cocircuits among the 3^6 sign vectors orthogonal to
-every circuit.  Slow, but simple enough to trust.
+The library computes canonical circuit forms with bitmask table lookups
+and generates dual line sequences directly.  These are the versions they
+replaced: relabel every circuit as index tuples and sort, under each of
+the 720 permutations; and filter every product of per-line vector counts
+by its total.  A record's vertex, interior, coplanarity and dps
+statistics are read off its circuits here, through all cocircuits among
+the 3^6 sign vectors orthogonal to every circuit; the library keeps no
+statistics, and the tests compare these with the bundled grid of cells.
+Slow, but simple enough to trust.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Dict, Sequence, Tuple
 
 from lattice6.invariants import SignedCircuit, coplanarity_from_circuits
+from lattice6.omcatalog import enumerate_oms
 
 
 def relabeled(c: SignedCircuit, perm: Sequence[int]) -> SignedCircuit:
@@ -113,3 +117,9 @@ def om_statistics(circs: Sequence[SignedCircuit]) -> Dict[str, object]:
         "coplanarity": coplanarity_from_circuits(circs),
         "dps": not ({(2, 1), (2, 2)} & sigs),
     }
+
+
+@lru_cache(maxsize=1)
+def record_statistics() -> Dict[str, Dict[str, object]]:
+    """om_statistics of every catalog record, by key, computed once."""
+    return {rec.key: om_statistics(rec.circuits) for rec in enumerate_oms()}

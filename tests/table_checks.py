@@ -27,6 +27,7 @@ from lattice6.invariants import (
 from lattice6.omcatalog import enumerate_oms, match_om
 from lattice6.polytope import PointConfig, hull_facets, hull_summary, size
 from lattice6.tablesdata import TableBundle
+from omcatalog_oracles import record_statistics
 
 GCD_EXCEPTIONS = {"A.1": 2, "A.2": 2, "B.14": 3, "B.15": 3, "C.3": 3}
 
@@ -197,9 +198,11 @@ def _v6i0_keys():
     """(octahedral key, hexagonal-family key): the two uniform vertex-only
     oriented matroids, told apart by which one the width-one prisms hit."""
     hex_key = match_om(width1_family("(3,3)/6.4", (1, 1, 2, 3)))[0].key
+    stats = record_statistics()
     rest = [r.key for r in enumerate_oms()
             if all(len(c.support) == 5 for c in r.circuits)  # uniform
-            and r.nvertices == 6 and r.ninterior == 0 and r.key != hex_key]
+            and stats[r.key]["nvertices"] == 6 and stats[r.key]["ninterior"] == 0
+            and r.key != hex_key]
     if len(rest) != 1:
         raise ClassificationError("vertex-only uniform cell is not a pair")
     return rest[0], hex_key

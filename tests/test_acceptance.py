@@ -27,6 +27,7 @@ from lattice6.size5 import admissible_apex_31, classify5, rep21, rep32
 
 from conftest import APEX31_BASE, random_unimodular
 from emptytetra_oracles import standard_tetrahedron, type_orbit, white_classes
+from omcatalog_oracles import record_statistics
 from table_checks import GCD_EXCEPTIONS, no_octahedron_check, validate_tables
 
 
@@ -70,12 +71,14 @@ def test_oriented_matroid_catalog_is_complete(bundle):
     ]
     assert len(uniform) == 4
     by_key = {r.key: r for r in records}
+    stats = record_statistics()
     for cell in bundle.om_cells:
-        candidates = [by_key[k] for k in bundle.key_candidates(cell.label)]
         assert any(
-            r.coplanarity == cell.coplanarity and r.nvertices == cell.vertices
-            and r.ninterior == cell.interior and len(r.circuits) == cell.n_circuits
-            for r in candidates
+            stats[k]["coplanarity"] == cell.coplanarity
+            and stats[k]["nvertices"] == cell.vertices
+            and stats[k]["ninterior"] == cell.interior
+            and len(by_key[k].circuits) == cell.n_circuits
+            for k in bundle.key_candidates(cell.label)
         ), cell.label
     realized = {match_om(row.config())[0].key for row in bundle.class_rows}
     assert len(realized) == 22

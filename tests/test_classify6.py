@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import re
 import types
 from collections import Counter
 from itertools import permutations
@@ -18,7 +19,7 @@ from lattice6.classify6 import (
     identify,
     width1_family,
 )
-from lattice6.emptytetra import is_empty_tetrahedron
+from lattice6.emptytetra import _is_empty
 from lattice6.exactlinalg import (
     COORD_BOUND,
     AffineMap,
@@ -317,16 +318,18 @@ def test_orbit_verdict_count_and_no_carry_over(monkeypatch, case_reports):
 def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     """One warm classify_all: 40 automorphism maps plus 168 witness solves,
     1,590 hull computations, 754 gluing verdicts, one match_om per class
-    (cases C and E test their embeddings by chirotope), and 7,605
+    (cases C and E test their embeddings by chirotope), and 5,465
     check_point calls: configurations built from checked points check only
-    the point they add (18,100 calls when every point was checked again)."""
+    the point they add, and the triangulation checks test the emptiness of
+    those points without checking them again (18,100 calls when every
+    point was checked again)."""
     for cell in ("5.4", "5.5"):  # warm: the orbits are built once per process
         classify6._cell_orbit(cell)
     calls = count_calls(monkeypatch, unimodular_map, hull_facets, classify6._glued_verdict,
                         match_om, check_point)
     classify6.classify_all()
     assert calls == {"unimodular_map": 208, "hull_facets": 1590, "_glued_verdict": 754,
-                     "match_om": 76, "check_point": 7605}
+                     "match_om": 76, "check_point": 5465}
 
 
 #: The two (4,1) embedding searches: case, oriented matroid cell, and the
@@ -466,13 +469,22 @@ def test_cross_check_site_raises_on_disagreement(monkeypatch, site):
     assert str(err.value) == message
 
 
+def test_case_b_11_hull_with_extra_points_raises(monkeypatch):
+    """Subcase (1,1) has no rejection for extra lattice points: its region
+    leaves none, so a larger hull there is an error, not a rejection."""
+    monkeypatch.setattr(classify6, "size", lambda cfg: 7)
+    with pytest.raises(classify6.ClassificationError,
+                       match=re.escape("B.i candidate (0, 0) has extra points")):
+        classify6.run_case_b()
+
+
 @pytest.mark.parametrize("runner", ["run_case_b", "run_case_c", "run_case_e", "run_case_f",
                                     "run_case_gh"])
 def test_inverted_emptiness_fails_the_cross_checks(monkeypatch, runner):
     def inverted(points):
-        return not is_empty_tetrahedron(points)
+        return not _is_empty(points)
 
-    monkeypatch.setattr(classify6, "is_empty_tetrahedron", inverted)
+    monkeypatch.setattr(classify6, "_is_empty", inverted)
     with pytest.raises(classify6.ClassificationError, match="triangulation check failed"):
         getattr(classify6, runner)()
 

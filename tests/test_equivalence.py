@@ -10,7 +10,7 @@ from conftest import APEX31_BASE, apply_map, random_unimodular, shuffled
 from emptytetra_oracles import standard_tetrahedron
 from lattice6.equivalence import _normal_form, canonical_key, equivalence_witness
 from lattice6.exactlinalg import det4, edge_form
-from lattice6.invariants import QUADS6, volume_vector5, volume_vector6
+from lattice6.invariants import volume_vector5, volume_vector6
 from lattice6.polytope import PointConfig
 from lattice6.size5 import catalog41, rep32
 from table_checks import GCD_EXCEPTIONS
@@ -104,6 +104,10 @@ def test_canonical_key_is_invariant(bundle):
         key = canonical_key(c)
         img = shuffled(rng, apply_map(random_unimodular(rng), c))
         assert canonical_key(img) == key
+
+
+#: The 15 index quadruples of a six-point volume vector, in its order.
+QUADS6 = tuple(itertools.combinations(range(6), 4))
 
 
 def _min_volume_vector(config):

@@ -19,6 +19,7 @@ from lattice6.exactlinalg import (
     gcd_all,
     hermite_normal_form,
     is_primitive,
+    quad_volumes,
     unimodular_map,
 )
 
@@ -64,6 +65,21 @@ def test_det4_multiplies_by_map_determinant(p1, p2, p3, p4, seed):
     assert m.det in (1, -1)
     imgs = [m.apply(p) for p in (p1, p2, p3, p4)]
     assert det4(*imgs) == m.det * det4(p1, p2, p3, p4)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_quad_volumes_lists_every_quadruple_in_order(n):
+    """Keys in combinations(range(n), 4) order, each valued det4 of its
+    points; all 0 for coplanar points."""
+    rng = random.Random(n)
+    spread = [tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(n)]
+    coplanar = [(x, y, 2 * x - y + 5) for x, y, _ in spread]
+    for pts in (spread, coplanar):
+        vols = quad_volumes(pts)
+        assert list(vols) == list(itertools.combinations(range(n), 4))
+        assert all(v == det4(*(pts[i] for i in q)) for q, v in vols.items())
+    assert any(quad_volumes(spread).values())
+    assert not any(quad_volumes(coplanar).values())
 
 
 def test_gcd_all():

@@ -8,14 +8,7 @@ from conftest import apply_map, random_unimodular, shuffled
 from lattice6 import omcatalog
 from lattice6.exactlinalg import det4
 from lattice6.invariants import SignedCircuit, circuits, coplanarity_class, is_dps
-from lattice6.omcatalog import (
-    canonical_circuit_form,
-    config_circuits,
-    coplanarity_from_circuits,
-    enumerate_oms,
-    match_om,
-    om_statistics,
-)
+from lattice6.omcatalog import canonical_circuit_form, enumerate_oms, match_om
 from lattice6.polytope import PointConfig, hull_facets, hull_summary
 
 
@@ -35,15 +28,15 @@ def test_four_uniform_records():
 
 
 def test_record_statistics_are_self_consistent():
+    """The oracle's statistics of every record are those of six points in
+    3-space: 4..6 vertices, at most two interior points."""
+    stats = oracle.record_statistics()
+    assert sorted(stats) == sorted(r.key for r in enumerate_oms())
     for r in enumerate_oms():
-        assert coplanarity_from_circuits(r.circuits) == r.coplanarity
-        stats = om_statistics(r.circuits)
-        assert stats["nvertices"] == r.nvertices
-        assert stats["ninterior"] == r.ninterior
-        assert stats["coplanarity"] == r.coplanarity
-        assert stats["dps"] == r.dps
-        assert 4 <= r.nvertices <= 6
-        assert 0 <= r.ninterior <= 2
+        s = stats[r.key]
+        assert 4 <= s["nvertices"] <= 6
+        assert 0 <= s["ninterior"] <= 2
+        assert s["nvertices"] + s["ninterior"] <= 6
 
 
 def test_match_relabels_circuits_onto_record(bundle):
@@ -52,7 +45,7 @@ def test_match_relabels_circuits_onto_record(bundle):
         c = row.config()
         rec, perm = match_om(c)
         relabeled = sorted(
-            oracle.relabeled(circ, perm).key() for circ in config_circuits(c)
+            oracle.relabeled(circ, perm).key() for circ in circuits(c)
         )
         assert relabeled == [circ.key() for circ in rec.circuits], row.id
 
@@ -117,41 +110,26 @@ def test_catalog_built_on_oracle_is_identical(monkeypatch):
     records = enumerate_oms()  # built and cached before the patches
     monkeypatch.setattr(omcatalog, "canonical_circuit_form", oracle.canonical_circuit_form)
     monkeypatch.setattr(omcatalog, "_iter_duals", oracle.iter_duals)
-    monkeypatch.setattr(omcatalog, "om_statistics", oracle.om_statistics)
     assert omcatalog.enumerate_oms.__wrapped__() == records
 
 
-def test_facet_masks_match_oracle_cocircuits(bundle):
-    """The facet masks are the supports of the nonnegative cocircuits
-    among all 3^6 sign vectors."""
-    inputs = [rec.circuits for rec in enumerate_oms()]
-    inputs += [circuits(row.config()) for row in bundle.class_rows]
-    inputs += [circuits(c) for c in _spanning_sets(random.Random(11), 40)]
-    for circs in inputs:
-        supports = sorted(
-            sum(1 << e for e in range(6) if x[e])
-            for x in oracle.cocircuits_from_circuits(circs)
-            if min(x) >= 0
-        )
-        assert list(omcatalog._facet_masks(circs)) == supports, circs
-
-
 def test_match_agrees_with_geometry(bundle):
-    """The matched record's statistics against the hull of the points: all
-    76 rows, then random spanning sets, whose hulls may hold more lattice
-    points than the configuration."""
+    """The oracle's statistics of the matched record against the hull of
+    the points: all 76 rows, then random spanning sets, whose hulls may
+    hold more lattice points than the configuration."""
     rows = [row.config() for row in bundle.class_rows]
     for i, c in enumerate(rows + list(_spanning_sets(random.Random(13), 50))):
         rec = match_om(c)[0]
+        stats = oracle.record_statistics()[rec.key]
         facets = hull_facets(c)
         inside = [p for p in c.points if all(f.value(p) > 0 for f in facets)]
-        assert rec.nvertices == len(hull_summary(c)[2]), c
-        assert rec.ninterior == len(inside), c
-        assert rec.coplanarity == coplanarity_class(c), c
+        assert stats["nvertices"] == len(hull_summary(c)[2]), c
+        assert stats["ninterior"] == len(inside), c
+        assert stats["coplanarity"] == coplanarity_class(c), c
         assert len(rec.circuits) == len(circuits(c)), c
         if i < len(rows):
-            assert rec.ninterior == len(hull_summary(c)[1]), c
-            assert rec.dps == is_dps(c), c
+            assert stats["ninterior"] == len(hull_summary(c)[1]), c
+            assert stats["dps"] == is_dps(c), c
 
 
 def test_match_is_invariant(bundle):

@@ -10,6 +10,9 @@ re-exports through ``__all__`` (as ``__init__.py`` does) are exempt.
 A top-level name that no library module reads (``__all__`` aside) serves
 no command: it goes, or moves into tests/ as a check or an oracle.
 Dunders are exempt, and UNREAD_ALLOWED keeps a few public entry points.
+The same holds for the fields, methods and properties of library
+classes: a member whose name no library module reads as an attribute
+goes, unless MEMBER_UNREAD_ALLOWED keeps it.
 """
 
 import ast
@@ -24,6 +27,15 @@ UNREAD_ALLOWED = {
     "classify6.identify": "the table lookup of one configuration; the README example calls it",
     "size5.classify5": "the size-5 entry point with its size and dimension gates",
     "classify6.width1_family": "the width-one constructors; the width-one identification will call them",
+}
+
+#: Class members kept in the library although no library module reads them.
+MEMBER_UNREAD_ALLOWED = {
+    "polytope.Facet.value": "the facet inequality of a hull_facets result, as the Facet docstring states it",
+    "size5.Size5Class.dependence": "the affine dependence column of the size-5 table, carried with its class",
+    "tablesdata.TableBundle.result_counts": "a bundled table; the table checks compare the classification with it",
+    "tablesdata.TableBundle.never_realized": "a bundled column of the oriented-matroid grid, checked against the rows",
+    "tablesdata.TableBundle.howe_width_one": "a bundled column of the oriented-matroid grid, checked against the rows",
 }
 
 
@@ -172,3 +184,47 @@ def test_unread_definition_is_a_violation(tmp_path):
         "cli.py:3: defines main and no library module reads it",
         "shapes.py:5: defines countdown and no library module reads it",
         "shapes.py:7: defines volume and no library module reads it"]
+
+
+def _unread_members(paths):
+    """Fields, methods and properties of the top-level classes of the
+    modules in paths whose name none of them reads as an attribute
+    (``x.name`` in a load), dunders excluded."""
+    members, read = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                members += [(path.stem, cls.name, name, stmt.lineno)
+                            for stmt in cls.body for name in _defined_names(stmt)]
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    for mod, cls, name, lineno in members:
+        if name not in read:
+            yield f"{mod}.py:{lineno}: {cls}.{name} is read by no library module"
+
+
+def test_library_classes_have_no_member_only_tests_read():
+    """Every class member is read in the library or allowlisted, and every
+    allowlisted member is still unread."""
+    unread = {}
+    for v in _unread_members(SOURCES):
+        where, member = v.split()[:2]  # "polytope.py:12:", "Facet.value"
+        unread[f"{where.split('.')[0]}.{member}"] = v
+    assert sorted(unread) == sorted(MEMBER_UNREAD_ALLOWED), "\n".join(unread.values())
+
+
+def test_unread_member_is_a_violation(tmp_path):
+    (tmp_path / "shapes.py").write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass\nclass Cell:\n    __slots__ = ()\n    size: int\n    spare: int = 0\n"
+        "    def area(self):\n        return self.size\n"
+        "    @property\n    def volume(self):\n        return 0\n"
+        "    def __len__(self):\n        return 1\n", encoding="utf-8")
+    (tmp_path / "cli.py").write_text(
+        "from .shapes import Cell\n"
+        "def main(cell: Cell):\n    cell.spare = 1\n    return cell.area()\n",
+        encoding="utf-8")
+    assert list(_unread_members(sorted(tmp_path.glob("*.py")))) == [
+        "shapes.py:6: Cell.spare is read by no library module",
+        "shapes.py:10: Cell.volume is read by no library module"]

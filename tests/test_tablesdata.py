@@ -13,6 +13,7 @@ from lattice6.exactlinalg import gcd_all
 from lattice6.omcatalog import enumerate_oms
 from lattice6.polytope import hull_summary, size
 from lattice6.tablesdata import CorruptData, load_tables
+from omcatalog_oracles import record_statistics
 from table_checks import (
     GCD_EXCEPTIONS,
     interior_count,
@@ -131,18 +132,20 @@ def test_width_one_labels(bundle):
 
 
 def test_cells_match_catalog_records(bundle):
+    """Each cell has a candidate record whose oracle statistics and
+    circuit count are the cell's."""
     by_key = {r.key: r for r in enumerate_oms()}
+    stats = record_statistics()
     for cell in bundle.om_cells:
         keys = bundle.key_candidates(cell.label)
         assert keys
-        candidates = [by_key[k] for k in keys]
         assert any(
-            r.coplanarity == cell.coplanarity
-            and r.nvertices == cell.vertices
-            and r.ninterior == cell.interior
-            and len(r.circuits) == cell.n_circuits
-            and r.dps == cell.dps
-            for r in candidates
+            stats[k]["coplanarity"] == cell.coplanarity
+            and stats[k]["nvertices"] == cell.vertices
+            and stats[k]["ninterior"] == cell.interior
+            and len(by_key[k].circuits) == cell.n_circuits
+            and stats[k]["dps"] == cell.dps
+            for k in keys
         ), cell.label
 
 
