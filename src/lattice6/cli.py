@@ -61,7 +61,7 @@ def _read_config(path: str) -> PointConfig:
 
 
 def _om_label(circs) -> str:
-    record, _ = match_circuits(circs)
+    record = match_circuits(circs)
     return " or ".join(load_tables().label_candidates(record.key))
 
 

@@ -35,10 +35,7 @@ onto {0..s-1} and its other side onto {s..s+t-1} (either side first when
 s == t).  Only those relabelings can reach the minimum, so only they are
 tried: at most 96 for the 55 records, against 720 for a full search,
 which stays the worst case.  A configuration costs #candidates x
-#circuits lookups and #candidates sorts of small ints.  Of the
-permutations reaching the minimum the first in itertools.permutations
-order, the lexicographically least, wins, which fixes the relabeling
-match_om reports.
+#circuits lookups and #candidates sorts of small ints.
 
 Whether a configuration has one given record needs no canonical form.
 The chirotope of six points is the tuple of det4 signs over the 15
@@ -59,7 +56,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .exactlinalg import IntVec3, quad_volumes
 from .invariants import SignedCircuit, circuits as config_circuits
@@ -137,9 +134,9 @@ def _perm_index(perm: Sequence[int]) -> int:
     return k
 
 
-def _first_key_relabelings(sides: Sequence[Tuple[int, int]]) -> List[Tuple[int, ...]]:
-    """The relabelings whose smallest circuit key is the least achievable,
-    ascending: only they can reach the minimal form.
+def _first_key_relabelings(sides: Sequence[Tuple[int, int]]) -> Set[Tuple[int, ...]]:
+    """The relabelings whose smallest circuit key is the least achievable:
+    only they can reach the minimal form.
 
     A relabeled circuit's key starts with the rank of the side holding the
     lowest element, and the least rank of an s-subset is that of
@@ -167,18 +164,13 @@ def _first_key_relabelings(sides: Sequence[Tuple[int, int]]) -> List[Tuple[int, 
                 for e, v in zip(order, head + mid + tail):
                     perm[e] = v
                 perms.add(tuple(perm))
-    return sorted(perms)
+    return perms
 
 
-def canonical_circuit_form(
-    circs: Sequence[SignedCircuit],
-) -> Tuple[Tuple, Tuple[int, ...]]:
-    """Lex-minimal relabeled circuit list and the permutation achieving it.
+def canonical_circuit_form(circs: Sequence[SignedCircuit]) -> Tuple:
+    """Lex-minimal relabeled circuit list, as (positive, negative) pairs.
 
-    The returned permutation maps current element labels to canonical
-    ones (perm[i] = canonical label of element i).  Of the permutations
-    reaching the minimum, it is the first in itertools.permutations
-    order.  Only the relabelings of _first_key_relabelings are tried.
+    Only the relabelings of _first_key_relabelings are tried.
     Each circuit is a pair of 6-bit masks; its normalized key under a
     relabeling is read off the image and pair tables, so the cost is
     #candidates x #circuits lookups plus #candidates sorts of #circuits
@@ -186,16 +178,13 @@ def canonical_circuit_form(
     """
     pair, images = _PAIR_KEY, _IMAGES
     sides = [_masks(c) for c in circs]
-    perms = _first_key_relabelings(sides)
-    ranks = [_perm_index(perm) for perm in perms]
+    ranks = [_perm_index(perm) for perm in _first_key_relabelings(sides)]
     columns = []
     for pos, neg in sides:
         ip, ineg = images[pos], images[neg]
         columns.append([pair[ip[k] << 6 | ineg[k]] for k in ranks])
-    cands = [sorted(keys) for keys in zip(*columns)]
-    best = min(range(len(cands)), key=cands.__getitem__)  # first minimum
-    form = tuple((_RANKED[k >> 6], _RANKED[k & 63]) for k in cands[best])
-    return form, perms[best]
+    best = min(sorted(keys) for keys in zip(*columns))
+    return tuple((_RANKED[k >> 6], _RANKED[k & 63]) for k in best)
 
 
 def _swap(ab):
@@ -297,7 +286,7 @@ def enumerate_oms() -> Tuple[OMRecord, ...]:
                 by_dual[key] = circs
     canon = {}
     for circs in by_dual.values():
-        form, _ = canonical_circuit_form(circs)
+        form = canonical_circuit_form(circs)
         if form not in canon:
             canon[form] = tuple(
                 SignedCircuit(pos, neg) for pos, neg in form
@@ -320,23 +309,22 @@ def _catalog_index() -> Dict[Tuple, OMRecord]:
     }
 
 
-def match_om(config: PointConfig) -> Tuple[OMRecord, Tuple[int, ...]]:
-    """Catalog record of a 6-point configuration plus the relabeling.
+def match_om(config: PointConfig) -> OMRecord:
+    """Catalog record of a 6-point configuration.
 
-    The permutation maps configuration indices to the record's canonical
-    element labels.  Raises NoMatch if the circuits match no record,
-    which would mean the catalog itself is incomplete.
+    Raises NoMatch if the circuits match no record, which would mean the
+    catalog itself is incomplete.
     """
     return match_circuits(config_circuits(config))
 
 
-def match_circuits(circs: Sequence[SignedCircuit]) -> Tuple[OMRecord, Tuple[int, ...]]:
+def match_circuits(circs: Sequence[SignedCircuit]) -> OMRecord:
     """match_om for a configuration whose circuits are already computed."""
-    form, perm = canonical_circuit_form(circs)
+    form = canonical_circuit_form(circs)
     rec = _catalog_index().get(form)
     if rec is None:
         raise NoMatch(f"circuits {form} not in catalog")
-    return rec, perm
+    return rec
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 A PointConfig is an ordered tuple of 4..8 distinct lattice points.  Hulls
 are computed in one pass over the point triples (C(n,3) candidate planes;
-fine at these sizes), which also decides full dimensionality; all
-predicates are integer-exact, and vertices are read off the facets
-through each point.
+fine at these sizes), which also decides full dimensionality.  A facet is
+a plane tuple (a, b, c, o), all predicates are integer-exact, and the
+vertices are read off the facets through each point, once per hull.
 Lattice points of the hull are enumerated per tetrahedron: the hull is
 coned from its first vertex over a fan triangulation of every facet not
 through it, and a tetrahedron of normalized volume D contributes the
@@ -12,7 +12,9 @@ points of its half-open fundamental parallelepiped (one per coset of the
 edge lattice, D in all) whose barycentric numerators sum to at most D,
 plus its three far vertices.  So the cost is the hull's normalized volume
 plus the points found, whatever the size of the coordinates; the union
-is returned lexicographically sorted.  Hull computations need affine
+is returned lexicographically sorted.  lattice_points, size and
+hull_summary (which adds the interior points and the vertices) are the
+entry points to that one enumeration.  Hull computations need affine
 rank 4 and raise NotFullDimensional otherwise.
 """
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from functools import cmp_to_key
 from math import gcd
 from typing import List, Sequence, Tuple
 
@@ -29,7 +31,6 @@ from .exactlinalg import (
     _adjugate,
     check_point,
     det3,
-    dot,
     hermite_normal_form,
     quad_volumes,
     sub,
@@ -38,24 +39,12 @@ from .exactlinalg import (
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
+#: A facet plane (a, b, c, o): a x + b y + c z >= o on the hull.
+Plane = Tuple[int, int, int, int]
+
 
 class NotFullDimensional(ValueError):
     """Raised when an operation needs a full-dimensional configuration."""
-
-
-@dataclass(frozen=True)
-class Facet:
-    """Supporting hyperplane of the hull: normal . x >= offset for all points.
-
-    The normal is the primitive inward normal; at least 3 configuration
-    points satisfy equality.
-    """
-
-    normal: IntVec3
-    offset: int
-
-    def value(self, p: Sequence[int]) -> int:
-        return dot(self.normal, p) - self.offset
 
 
 class PointConfig:
@@ -104,8 +93,10 @@ class PointConfig:
         return any(quad_volumes(self.points).values())
 
 
-def hull_facets(config: PointConfig) -> Tuple[Facet, ...]:
-    """Facets of conv(config) as primitive inward normals with offsets.
+def hull_facets(config: PointConfig) -> Tuple[Plane, ...]:
+    """Facets of conv(config) as sorted planes (a, b, c, o): the primitive
+    inward normal (a, b, c) and the offset o, so that a x + b y + c z >= o
+    on the hull, with equality on at least three configuration points.
 
     One pass over the point triples: each spans a plane, which is a facet
     when no two points lie strictly on opposite sides of it (the scan stops
@@ -130,17 +121,13 @@ def hull_facets(config: PointConfig) -> Tuple[Facet, ...]:
         full = full or pos or neg
         if pos != neg:
             g = gcd(gcd(nx, ny), nz) * (-1 if neg else 1)
-            facets.add(((nx // g, ny // g, nz // g), base // g))
+            facets.add((nx // g, ny // g, nz // g, base // g))
     if not full:
         raise NotFullDimensional("configuration spans no 3-dimensional volume")
-    return tuple(Facet(n, offset) for n, offset in sorted(facets))
+    return tuple(sorted(facets))
 
 
-def _planes(facets: Sequence[Facet]) -> List[Tuple[int, int, int, int]]:
-    return [(*f.normal, f.offset) for f in facets]
-
-
-def _vertices(config: PointConfig, facets: Sequence[Facet]) -> Tuple[IntVec3, ...]:
+def _vertices(config: PointConfig, planes: Sequence[Plane]) -> Tuple[IntVec3, ...]:
     """Configuration points that are vertices of conv(config), in input order.
 
     A point of a 3-polytope in the relative interior of an edge lies on
@@ -148,7 +135,6 @@ def _vertices(config: PointConfig, facets: Sequence[Facet]) -> Tuple[IntVec3, ..
     inward normals have rank 3).  So a point is a vertex iff at least
     three of the hull's facets pass through it.
     """
-    planes = _planes(facets)
     return tuple(
         p for p in config.points
         if sum(a * p[0] + b * p[1] + c * p[2] == o for a, b, c, o in planes) >= 3
@@ -156,35 +142,29 @@ def _vertices(config: PointConfig, facets: Sequence[Facet]) -> Tuple[IntVec3, ..
 
 
 def _cone_triangulation(
-    config: PointConfig, facets: Sequence[Facet]
+    verts: Sequence[IntVec3], planes: Sequence[Plane]
 ) -> List[Tuple[IntVec3, IntVec3, IntVec3, IntVec3]]:
-    """Tetrahedra (v0, a, b, c) that triangulate conv(config).
+    """Tetrahedra (v0, p0, q, r) that triangulate the hull with vertices
+    verts and facets planes.
 
-    v0 is the first vertex of config.  Every facet not through v0 is a
-    convex polygon; unless it is a triangle, its boundary is walked along
-    its edges, the ordered vertex pairs (p, q) with every other vertex of
-    the facet strictly on the positive side of det3(normal, q - p, r - p),
-    and fanned from its first vertex.  Each triangle is coned from v0.
+    v0 is verts[0].  Every facet not through v0 is a convex polygon; it is
+    fanned from its first vertex p0 into triangles (p0, q, r) and each is
+    coned from v0.  A polygon with more than three vertices is first
+    sorted by angle around p0: q precedes r when det3(normal, q - p0,
+    r - p0) > 0.  That is a total order because p0 is a vertex of the
+    polygon, so every other vertex lies within an angle below pi at p0
+    and no two of them are collinear with it.
     """
-    verts = _vertices(config, facets)
     v0 = verts[0]
     tetrahedra = []
-    for a, b, c, o in _planes(facets):
+    for a, b, c, o in planes:
         if a * v0[0] + b * v0[1] + c * v0[2] == o:
             continue
-        poly = [p for p in verts if a * p[0] + b * p[1] + c * p[2] == o]
-        if len(poly) == 3:
-            tetrahedra.append((v0, *poly))
-            continue
-        succ = {}
-        for p, q in itertools.permutations(poly, 2):
-            pq = sub(q, p)
-            if all(det3((a, b, c), pq, sub(r, p)) > 0 for r in poly if r != p and r != q):
-                succ[p] = q
-        ring = [poly[0]]
-        while len(ring) < len(poly):
-            ring.append(succ[ring[-1]])
-        tetrahedra += [(v0, ring[0], ring[i], ring[i + 1]) for i in range(1, len(ring) - 1)]
+        p0, *ring = [p for p in verts if a * p[0] + b * p[1] + c * p[2] == o]
+        if len(ring) > 2:
+            normal = (a, b, c)
+            ring.sort(key=cmp_to_key(lambda q, r: det3(normal, sub(r, p0), sub(q, p0))))
+        tetrahedra += [(v0, p0, ring[i], ring[i + 1]) for i in range(len(ring) - 1)]
     return tetrahedra
 
 
@@ -229,11 +209,13 @@ def _tetrahedron_points(v0: IntVec3, a: IntVec3, b: IntVec3, c: IntVec3) -> List
     return points
 
 
-def _hull_points(config: PointConfig, facets: Sequence[Facet]) -> Tuple[IntVec3, ...]:
+def _hull_points(
+    config: PointConfig, planes: Sequence[Plane], verts: Sequence[IntVec3]
+) -> Tuple[IntVec3, ...]:
     """Lattice points of conv(config), lexicographically sorted: the union
     of the points of the tetrahedra of _cone_triangulation."""
     points = set()
-    for tetrahedron in _cone_triangulation(config, facets):
+    for tetrahedron in _cone_triangulation(verts, planes):
         points.update(_tetrahedron_points(*tetrahedron))
     if not points.issuperset(config.points):
         raise RuntimeError(f"triangulation of {config!r} misses configuration points")
@@ -242,39 +224,28 @@ def _hull_points(config: PointConfig, facets: Sequence[Facet]) -> Tuple[IntVec3,
 
 def lattice_points(config: PointConfig) -> Tuple[IntVec3, ...]:
     """All lattice points of conv(config), lexicographically sorted."""
-    return _hull_points(config, hull_facets(config))
+    planes = hull_facets(config)
+    return _hull_points(config, planes, _vertices(config, planes))
 
 
 def size(config: PointConfig) -> int:
     """Number of lattice points of conv(config)."""
-    return len(_hull_points(config, hull_facets(config)))
-
-
-def lattice_and_interior_points(
-    config: PointConfig,
-) -> Tuple[Tuple[IntVec3, ...], Tuple[IntVec3, ...]]:
-    """Lattice points of conv(config) and those strictly inside it.
-
-    Both lexicographically sorted, from one hull and one enumeration, for
-    callers that need the size and the interior points of the same hull.
-    """
-    return _points_and_interior(config, hull_facets(config))
+    planes = hull_facets(config)
+    return len(_hull_points(config, planes, _vertices(config, planes)))
 
 
 def hull_summary(
     config: PointConfig,
 ) -> Tuple[Tuple[IntVec3, ...], Tuple[IntVec3, ...], Tuple[IntVec3, ...]]:
-    """lattice_and_interior_points and the vertices (_vertices) from one
-    hull_facets call."""
-    facets = hull_facets(config)
-    return (*_points_and_interior(config, facets), _vertices(config, facets))
-
-
-def _points_and_interior(config: PointConfig, facets: Sequence[Facet]):
-    points = _hull_points(config, facets)
-    planes = _planes(facets)
-    return points, tuple(
+    """The lattice points of conv(config), those strictly inside it (both
+    lexicographically sorted) and its vertices (_vertices), from one
+    hull_facets call and one _vertices pass."""
+    planes = hull_facets(config)
+    verts = _vertices(config, planes)
+    points = _hull_points(config, planes, verts)
+    inner = tuple(
         p for p in points if all(a * p[0] + b * p[1] + c * p[2] > o for a, b, c, o in planes))
+    return points, inner, verts
 
 
 def parse_points(text: str) -> PointConfig:

@@ -31,18 +31,10 @@ def relabeled(c: SignedCircuit, perm: Sequence[int]) -> SignedCircuit:
     return SignedCircuit(pos, neg)
 
 
-def canonical_circuit_form(
-    circs: Sequence[SignedCircuit],
-) -> Tuple[Tuple, Tuple[int, ...]]:
-    """Lex-minimal relabeled circuit list and the first permutation achieving it."""
-    best = None
-    best_perm = None
-    for perm in itertools.permutations(range(6)):
-        key = tuple(sorted(relabeled(c, perm).key() for c in circs))
-        if best is None or key < best:
-            best = key
-            best_perm = perm
-    return best, best_perm
+def canonical_circuit_form(circs: Sequence[SignedCircuit]) -> Tuple:
+    """Lex-minimal relabeled circuit list over all 720 permutations."""
+    return min(tuple(sorted(relabeled(c, perm).key() for c in circs))
+               for perm in itertools.permutations(range(6)))
 
 
 def iter_duals():

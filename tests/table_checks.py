@@ -14,6 +14,7 @@ from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from lattice6.classify6 import BadParameters, ClassificationError, width1_family
+from lattice6.exactlinalg import dot
 from lattice6.invariants import (
     NO_COPLANARITY,
     coplanarity_class,
@@ -45,8 +46,8 @@ def shape_of(config: PointConfig) -> str:
         return "tetrahedron"
     if len(verts) != 5:
         raise ValueError(f"unexpected vertex count {len(verts)}")
-    for facet in hull_facets(config):
-        on = sum(1 for p in config.points if facet.value(p) == 0)
+    for *normal, offset in hull_facets(config):
+        on = sum(1 for p in config.points if dot(normal, p) == offset)
         if on == 4:
             return "square pyramid"
     return "bipyramid"
@@ -56,12 +57,12 @@ def interior_count(config: PointConfig) -> int:
     """Configuration points strictly inside the hull.
 
     Counts only the given points, not every interior lattice point as
-    lattice_and_interior_points does; the two agree when the configuration
+    hull_summary does; the two agree when the configuration
     is all of the polytope's lattice points, as for the 76 classes.
     """
     facets = hull_facets(config)
     return sum(1 for p in config.points
-               if all(f.value(p) > 0 for f in facets))
+               if all(dot(f[:3], p) > f[3] for f in facets))
 
 
 def result2_histogram(configs) -> Dict[str, int]:
@@ -119,7 +120,7 @@ def validate_tables(bundle: TableBundle) -> ValidationReport:
             bad.append(f"{row.id}: functional is not a width witness")
         if is_dps(config) != row.dps:
             bad.append(f"{row.id}: dps flag mismatch")
-        record, _ = match_om(config)
+        record = match_om(config)
         keys_by_label.setdefault(row.om_label, set()).add(record.key)
         if bundle.key_candidates(row.om_label) != (record.key,):
             bad.append(f"{row.id}: matched {record.key}, label map disagrees")
@@ -197,7 +198,7 @@ def validate_tables(bundle: TableBundle) -> ValidationReport:
 def _v6i0_keys():
     """(octahedral key, hexagonal-family key): the two uniform vertex-only
     oriented matroids, told apart by which one the width-one prisms hit."""
-    hex_key = match_om(width1_family("(3,3)/6.4", (1, 1, 2, 3)))[0].key
+    hex_key = match_om(width1_family("(3,3)/6.4", (1, 1, 2, 3))).key
     stats = record_statistics()
     rest = [r.key for r in enumerate_oms()
             if all(len(c.support) == 5 for c in r.circuits)  # uniform
@@ -240,6 +241,6 @@ def no_octahedron_check(bound: int) -> bool:
                 continue
             if coplanarity_class(cfg) != NO_COPLANARITY:
                 continue
-            if match_om(cfg)[0].key == octa_key:
+            if match_om(cfg).key == octa_key:
                 return False
     return True

@@ -80,7 +80,7 @@ def test_oriented_matroid_catalog_is_complete(bundle):
             and len(by_key[k].circuits) == cell.n_circuits
             for k in bundle.key_candidates(cell.label)
         ), cell.label
-    realized = {match_om(row.config())[0].key for row in bundle.class_rows}
+    realized = {match_om(row.config()).key for row in bundle.class_rows}
     assert len(realized) == 22
     assert time.monotonic() - start < 60
 

@@ -317,7 +317,7 @@ def test_orbit_verdict_count_and_no_carry_over(monkeypatch, case_reports):
 
 def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     """One warm classify_all: 40 automorphism maps plus 168 witness solves,
-    1,590 hull computations, 754 gluing verdicts, one match_om per class
+    1,541 hull computations, 754 gluing verdicts, one match_om per class
     (cases C and E test their embeddings by chirotope), and 5,465
     check_point calls: configurations built from checked points check only
     the point they add, and the triangulation checks test the emptiness of
@@ -328,7 +328,7 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     calls = count_calls(monkeypatch, unimodular_map, hull_facets, classify6._glued_verdict,
                         match_om, check_point)
     classify6.classify_all()
-    assert calls == {"unimodular_map": 208, "hull_facets": 1590, "_glued_verdict": 754,
+    assert calls == {"unimodular_map": 208, "hull_facets": 1541, "_glued_verdict": 754,
                      "match_om": 76, "check_point": 5465}
 
 
@@ -356,7 +356,7 @@ def test_cell_orbits_match_the_catalog_on_every_embedding(bundle):
     hits = Counter()
     for case, _, coeffs in EMBEDDING_SEARCHES:
         for points in _embeddings(coeffs):
-            key = match_om(PointConfig(points))[0].key
+            key = match_om(PointConfig(points)).key
             for cell, cell_key in keys.items():
                 found = chirotope(points) in classify6._cell_orbit(cell)
                 assert found == (key == cell_key), (cell, points)
@@ -377,7 +377,7 @@ def test_cell_orbits_match_the_catalog_on_row_images(bundle):
         img = shuffled(rng, apply_map(random_unimodular(rng), row.config()))
         mirror = PointConfig([(-x, y, z) for x, y, z in img.points])
         for cfg in (img, mirror):
-            key = match_om(cfg)[0].key
+            key = match_om(cfg).key
             for cell, cell_key in keys.items():
                 found = chirotope(cfg.points) in classify6._cell_orbit(cell)
                 assert found == (key == cell_key), (row.id, cell)
@@ -400,7 +400,7 @@ def test_cell_orbit_checks_its_realization(monkeypatch):
     """A realization row whose catalog record is not the cell's raises
     instead of seeding the orbit."""
     wrong = next(rec for rec in enumerate_oms() if rec.key != "c5.06")
-    monkeypatch.setattr(classify6, "match_om", lambda cfg: (wrong, tuple(range(6))))
+    monkeypatch.setattr(classify6, "match_om", lambda cfg: wrong)
     classify6._cell_orbit.cache_clear()
     with pytest.raises(classify6.ClassificationError, match="C.4 has oriented matroid"):
         classify6._cell_orbit("5.4")

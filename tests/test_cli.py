@@ -72,9 +72,9 @@ def test_analyze_five_points_enumerates_once(tmp_path, capsys, monkeypatch):
     calls = []
     hull_points = polytope._hull_points
 
-    def counted(config, facets):
-        calls.append(config)
-        return hull_points(config, facets)
+    def counted(*args):
+        calls.append(args)
+        return hull_points(*args)
 
     monkeypatch.setattr(polytope, "_hull_points", counted)
     rc = main(["analyze", write_config(tmp_path, "r41.txt", catalog41()[0].representative.points)])

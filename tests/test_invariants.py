@@ -25,7 +25,7 @@ from lattice6.invariants import (
     width,
 )
 from lattice6.exactlinalg import COORD_BOUND, det3, dot, sub
-from lattice6.polytope import NotFullDimensional, PointConfig, lattice_and_interior_points
+from lattice6.polytope import NotFullDimensional, PointConfig, hull_summary
 from lattice6.size5 import rep32
 
 VV_A1 = (0, 0, 2, 0, 0, 4, 0, 2, 0, -4, 0, 4, -2, -8, -2)
@@ -171,7 +171,7 @@ def test_shell_is_the_targets_of_one_spread(s):
 def test_interior_point_forces_width_two(bundle):
     for row in bundle.class_rows:
         c = row.config()
-        if lattice_and_interior_points(c)[1]:
+        if hull_summary(c)[1]:
             assert width(c)[0] >= 2, row.id
 
 

@@ -6,7 +6,7 @@ from itertools import combinations
 import omcatalog_oracles as oracle
 from conftest import apply_map, random_unimodular, shuffled
 from lattice6 import omcatalog
-from lattice6.exactlinalg import det4
+from lattice6.exactlinalg import det4, dot
 from lattice6.invariants import SignedCircuit, circuits, coplanarity_class, is_dps
 from lattice6.omcatalog import canonical_circuit_form, enumerate_oms, match_om
 from lattice6.polytope import PointConfig, hull_facets, hull_summary
@@ -39,17 +39,6 @@ def test_record_statistics_are_self_consistent():
         assert s["nvertices"] + s["ninterior"] <= 6
 
 
-def test_match_relabels_circuits_onto_record(bundle):
-    """The permutation carries the signed, normalized circuits onto the record's."""
-    for row in bundle.class_rows:
-        c = row.config()
-        rec, perm = match_om(c)
-        relabeled = sorted(
-            oracle.relabeled(circ, perm).key() for circ in circuits(c)
-        )
-        assert relabeled == [circ.key() for circ in rec.circuits], row.id
-
-
 def _spanning_sets(rng, count):
     """Random 6-point sets in [0,2]^3 that span 3-space."""
     box = [(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
@@ -77,7 +66,7 @@ def _least_side_sizes(circs):
 
 
 def test_canonical_form_matches_oracle(bundle):
-    """Same (form, perm) as the 720-relabeling oracle, ties included.
+    """Same form as the 720-relabeling oracle.
 
     The records whose least circuit has two equal sides get twelve
     relabelings each: some reach the minimum only with the circuit's
@@ -119,10 +108,10 @@ def test_match_agrees_with_geometry(bundle):
     hold more lattice points than the configuration."""
     rows = [row.config() for row in bundle.class_rows]
     for i, c in enumerate(rows + list(_spanning_sets(random.Random(13), 50))):
-        rec = match_om(c)[0]
+        rec = match_om(c)
         stats = oracle.record_statistics()[rec.key]
         facets = hull_facets(c)
-        inside = [p for p in c.points if all(f.value(p) > 0 for f in facets)]
+        inside = [p for p in c.points if all(dot(f[:3], p) > f[3] for f in facets)]
         assert stats["nvertices"] == len(hull_summary(c)[2]), c
         assert stats["ninterior"] == len(inside), c
         assert stats["coplanarity"] == coplanarity_class(c), c
@@ -136,13 +125,13 @@ def test_match_is_invariant(bundle):
     rng = random.Random(3)
     for cid in ("A.1", "F.4", "G.19"):
         c = bundle.class_by_id(cid).config()
-        key = match_om(c)[0].key
+        key = match_om(c).key
         img = shuffled(rng, apply_map(random_unimodular(rng), c))
-        assert match_om(img)[0].key == key
+        assert match_om(img).key == key
 
 
 def test_table_realizes_22_records(bundle):
-    realized = {match_om(row.config())[0].key for row in bundle.class_rows}
+    realized = {match_om(row.config()).key for row in bundle.class_rows}
     assert len(realized) == 22
     flagged = {cell.label for cell in bundle.om_cells if cell.realized}
     assert flagged == {row.om_label for row in bundle.class_rows}
@@ -151,5 +140,4 @@ def test_table_realizes_22_records(bundle):
 def test_every_small_configuration_matches():
     """Any affinely spanning 6-point set realizes a catalog record."""
     for config in _spanning_sets(random.Random(9), 50):
-        rec, perm = match_om(config)
-        assert sorted(perm) == list(range(6))
+        assert match_om(config) in enumerate_oms()

@@ -12,15 +12,15 @@ import fraction_oracles
 from conftest import apply_map, random_unimodular
 from fraction_oracles import point_in_hull
 from lattice6.exactlinalg import cross, det4, dot, gcd_all, sub
+from lattice6 import polytope
 from lattice6.polytope import (
-    Facet,
     NotFullDimensional,
     PointConfig,
     _cone_triangulation,
+    _vertices,
     format_points,
     hull_facets,
     hull_summary,
-    lattice_and_interior_points,
     lattice_points,
     parse_points,
     size,
@@ -34,14 +34,14 @@ def test_unit_tetrahedron():
     assert size(UNIT) == 4
     assert len(hull_facets(UNIT)) == 4
     assert set(hull_summary(UNIT)[2]) == set(UNIT.points)
-    assert lattice_and_interior_points(UNIT)[1] == ()
+    assert hull_summary(UNIT)[1] == ()
 
 
 def test_dilated_simplex_has_ten_points():
     c = PointConfig([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)])
     assert size(c) == 10
     assert len(hull_summary(c)[2]) == 4
-    assert lattice_and_interior_points(c)[1] == ()
+    assert hull_summary(c)[1] == ()
 
 
 def test_lattice_points_sorted_and_exact():
@@ -62,10 +62,10 @@ def test_six_point_representative_is_its_own_hull(bundle):
 def test_vertex_and_interior_counts(bundle):
     g1 = bundle.class_by_id("G.1").config()
     assert len(hull_summary(g1)[2]) == 5
-    assert len(lattice_and_interior_points(g1)[1]) == 1
+    assert len(hull_summary(g1)[1]) == 1
     h12 = bundle.class_by_id("H.12").config()
     assert len(hull_summary(h12)[2]) == 4
-    assert len(lattice_and_interior_points(h12)[1]) == 2
+    assert len(hull_summary(h12)[1]) == 2
 
 
 def test_hull_points_partition(bundle):
@@ -73,7 +73,7 @@ def test_hull_points_partition(bundle):
         c = bundle.class_by_id(cid).config()
         lp = set(lattice_points(c))
         vs = set(hull_summary(c)[2])
-        inner = set(lattice_and_interior_points(c)[1])
+        inner = set(hull_summary(c)[1])
         assert vs <= lp
         assert inner <= lp
         assert not vs & inner
@@ -81,13 +81,30 @@ def test_hull_points_partition(bundle):
 
 
 def test_facets_support_the_hull(bundle):
-    """Facets are inner descriptions: normal*x >= offset with equality on the face."""
+    """Facets are inner descriptions: a x + b y + c z >= o with equality on the face."""
     c = bundle.class_by_id("D.1").config()
     lp = lattice_points(c)
-    for f in hull_facets(c):
-        evals = [sum(n * x for n, x in zip(f.normal, p)) for p in lp]
-        assert all(e >= f.offset for e in evals)
-        assert sum(1 for e in evals if e == f.offset) >= 3
+    for *normal, offset in hull_facets(c):
+        evals = [sum(n * x for n, x in zip(normal, p)) for p in lp]
+        assert all(e >= offset for e in evals)
+        assert sum(1 for e in evals if e == offset) >= 3
+
+
+def test_hull_summary_runs_one_vertex_pass(monkeypatch):
+    """hull_summary computes the vertices once and hands them to the
+    enumeration, which does not compute them again."""
+    calls = []
+    vertices = polytope._vertices
+
+    def counted(*args):
+        calls.append(args)
+        return vertices(*args)
+
+    monkeypatch.setattr(polytope, "_vertices", counted)
+    c = PointConfig([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, -1)])
+    points, inner, verts = hull_summary(c)
+    assert len(calls) == 1
+    assert verts == c.points and len(points) == 11 and inner == ()
 
 
 def _brute_force_hull_facets(config):
@@ -97,7 +114,7 @@ def _brute_force_hull_facets(config):
     pts = config.points
     if not any(det4(*quad) != 0 for quad in combinations(pts, 4)):
         raise NotFullDimensional("configuration spans no 3-dimensional volume")
-    facets = {}
+    facets = set()
     for a, b, c in combinations(pts, 3):
         n = cross(sub(b, a), sub(c, a))
         if n == (0, 0, 0):
@@ -107,11 +124,10 @@ def _brute_force_hull_facets(config):
         base = dot(n, a)
         values = [dot(n, p) - base for p in pts]
         if all(v >= 0 for v in values):
-            facets[(n, base)] = Facet(n, base)
+            facets.add((*n, base))
         elif all(v <= 0 for v in values):
-            m = (-n[0], -n[1], -n[2])
-            facets[(m, -base)] = Facet(m, -base)
-    return tuple(sorted(facets.values(), key=lambda f: (f.normal, f.offset)))
+            facets.add((-n[0], -n[1], -n[2], -base))
+    return tuple(sorted(facets))
 
 
 def _hull_or_flat(hull, config):
@@ -227,7 +243,7 @@ def test_hull_data_is_unimodular_invariant(seed):
     img = apply_map(m, c)
     assert size(img) == size(c)
     assert len(hull_summary(img)[2]) == len(hull_summary(c)[2])
-    assert len(lattice_and_interior_points(img)[1]) == len(lattice_and_interior_points(c)[1])
+    assert len(hull_summary(img)[1]) == len(hull_summary(c)[1])
     assert len(hull_facets(img)) == len(hull_facets(c))
     assert {m.apply(p) for p in lattice_points(c)} == set(lattice_points(img))
 
@@ -262,10 +278,10 @@ def test_lattice_points_match_pointwise_facet_scan(bundle):
     configs += [apply_map(random_unimodular(rng, 2), c) for c in configs[::4]]
     for c in configs:
         facets = hull_facets(c)
-        expected = tuple(p for p in _box(c) if all(f.value(p) >= 0 for f in facets))
+        expected = tuple(p for p in _box(c) if all(dot(f[:3], p) >= f[3] for f in facets))
         assert lattice_points(c) == expected
-        assert lattice_and_interior_points(c)[1] == tuple(
-            p for p in expected if all(f.value(p) > 0 for f in facets))
+        assert hull_summary(c)[1] == tuple(
+            p for p in expected if all(dot(f[:3], p) > f[3] for f in facets))
 
 
 @given(pts=st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1), st.integers(-1, 2)),
@@ -290,11 +306,10 @@ def _scan_box(config, facets):
     ys = [p[1] for p in config]
     zs = [p[2] for p in config]
     z_lo, z_hi = min(zs), max(zs)
-    rows = [(f.normal, f.offset) for f in facets]
     for x in range(min(xs), max(xs) + 1):
         for y in range(min(ys), max(ys) + 1):
             lo, hi = z_lo, z_hi
-            for (a, b, c), offset in rows:
+            for a, b, c, offset in facets:
                 r = offset - a * x - b * y  # need c * z >= r
                 if c > 0:
                     lo = max(lo, -(-r // c))
@@ -337,12 +352,13 @@ def test_enumeration_matches_box_scan_oracle(c):
     expected = tuple(_scan_box(c, facets))
     assert lattice_points(c) == expected
     assert size(c) == len(expected)
-    assert lattice_and_interior_points(c)[1] == tuple(
-        p for p in expected if all(f.value(p) > 0 for f in facets))
-    volume = sum(abs(det4(*t)) for t in _cone_triangulation(c, facets))
-    for v in hull_summary(c)[2][1:]:
+    assert hull_summary(c)[1] == tuple(
+        p for p in expected if all(dot(f[:3], p) > f[3] for f in facets))
+    verts = hull_summary(c)[2]
+    volume = sum(abs(det4(*t)) for t in _cone_triangulation(verts, facets))
+    for v in verts[1:]:
         recentred = PointConfig([v] + [p for p in c.points if p != v])
-        tetrahedra = _cone_triangulation(recentred, facets)
+        tetrahedra = _cone_triangulation(_vertices(recentred, facets), facets)
         assert {t[0] for t in tetrahedra} == {v}
         assert sum(abs(det4(*t)) for t in tetrahedra) == volume
         assert lattice_points(recentred) == expected

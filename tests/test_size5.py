@@ -10,7 +10,7 @@ from conftest import APEX31_BASE, apply_map, random_unimodular, shuffled, sporad
 from lattice6.equivalence import canonical_key
 from lattice6.exactlinalg import unimodular_map
 from lattice6.invariants import signature5
-from lattice6.polytope import PointConfig, lattice_and_interior_points, size
+from lattice6.polytope import PointConfig, hull_summary, size
 from lattice6.size5 import (
     NotSize5,
     UnknownSize5Class,
@@ -79,7 +79,7 @@ def test_catalog41_contents():
         assert cls.kind == "41"
         assert cls.width == 2
         assert size(cls.representative) == 5
-        assert lattice_and_interior_points(cls.representative)[1] == (cls.representative.points[0],)
+        assert hull_summary(cls.representative)[1] == (cls.representative.points[0],)
 
 
 def test_catalog41_classes_are_distinct():

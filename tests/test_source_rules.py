@@ -31,7 +31,6 @@ UNREAD_ALLOWED = {
 
 #: Class members kept in the library although no library module reads them.
 MEMBER_UNREAD_ALLOWED = {
-    "polytope.Facet.value": "the facet inequality of a hull_facets result, as the Facet docstring states it",
     "size5.Size5Class.dependence": "the affine dependence column of the size-5 table, carried with its class",
     "tablesdata.TableBundle.result_counts": "a bundled table; the table checks compare the classification with it",
     "tablesdata.TableBundle.never_realized": "a bundled column of the oriented-matroid grid, checked against the rows",
@@ -209,7 +208,7 @@ def test_library_classes_have_no_member_only_tests_read():
     allowlisted member is still unread."""
     unread = {}
     for v in _unread_members(SOURCES):
-        where, member = v.split()[:2]  # "polytope.py:12:", "Facet.value"
+        where, member = v.split()[:2]  # "size5.py:48:", "Size5Class.dependence"
         unread[f"{where.split('.')[0]}.{member}"] = v
     assert sorted(unread) == sorted(MEMBER_UNREAD_ALLOWED), "\n".join(unread.values())
 
