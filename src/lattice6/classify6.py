@@ -14,10 +14,15 @@ bundled tables.  ``classify_all`` runs every branch and re-verifies each
 generated witness against its table representative.  All arithmetic is
 exact.
 
-The runners share two steps: _embeddings41, the one search over the 8 x 4!
-embeddings of the signature-(4,1) bases (case C's interior subcase and case
-E), and _cross_check, the one comparison of a triangulation's size argument
-with the hull count (B.ii, B.iii, the three C subcases, E, F, G and H).
+The runners share three steps: _embeddings41, the one search over the
+8 x 4! embeddings of the signature-(4,1) bases (case C's interior subcase
+and case E); _cross_check, the one comparison of a triangulation's size
+argument with the hull count (B.ii, B.iii, the three C subcases, E, F, G
+and H); and _caps, the cap rule for a one-point extension of a polytope
+with empty triangular facets (case C's "both vertices" subcase and case
+F).  At those two sites a candidate whose cap tetrahedra are not all
+empty is rejected without a hull, so the hull count cross-checks the
+argument on the other candidates only.
 
 The G/H gluing examines 24,576 vertex matchings of subtetrahedra.  A
 matching glues when an integral unimodular map realizes it, which is
@@ -42,21 +47,27 @@ from functools import lru_cache
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactlinalg import AffineMap, IntVec3, check_point, det4, edge_form, unimodular_map
+from .exactlinalg import (
+    AffineMap,
+    IntVec3,
+    check_point,
+    det4,
+    edge_form,
+    quad_volumes,
+    unimodular_map,
+)
 from .polytope import PointConfig, hull_summary, size
 from .invariants import (
     C21,
     C31,
-    NO_COPLANARITY,
     circuits,
     coplanarity_class,
-    coplanarity_from_circuits,
     is_dps,
     volume_vector5,
     volume_vector6,
     width,
 )
-from .equivalence import _normal_form, canonical_key, equivalence_witness
+from .equivalence import _normal_form, _witnesses, canonical_key
 from .emptytetra import _is_empty
 from .size5 import admissible_apex_31, catalog41
 from .omcatalog import chirotope, chirotope_orbit, match_om
@@ -134,11 +145,13 @@ class CaseReport:
 
 @lru_cache(maxsize=1)
 def _row_key_index():
-    """Table row by canonical key; the keys are complete, so two rows with
-    one key would be one class listed twice."""
+    """Table row and the key orders of its points (_normal_form), by
+    canonical key; the keys are complete, so two rows with one key would
+    be one class listed twice."""
     index = {}
     for row in load_tables().class_rows:
-        other = index.setdefault(canonical_key(row.config()), row)
+        key, orders = _normal_form(row.config())
+        other, _ = index.setdefault(key, (row, orders))
         if other is not row:
             raise ClassificationError(f"{other.id} and {row.id} coincide")
     return index
@@ -146,7 +159,7 @@ def _row_key_index():
 
 def _match_row(key):
     """Table row with this canonical key; raises if there is none."""
-    row = _row_key_index().get(key)
+    row, _ = _row_key_index().get(key, (None, None))
     if row is None:
         raise ClassificationError("generated configuration matches no table row")
     return row
@@ -216,6 +229,33 @@ def _cross_check(six: bool, points: Sequence[IntVec3], quads, site: str, at: str
     if empty != six:
         raise ClassificationError(f"{site} triangulation check failed{at}")
     return six
+
+
+def _caps(
+    points: Sequence[IntVec3], facets, inner: int, new: int
+) -> Optional[Tuple[Tuple[int, ...], ...]]:
+    """The cap tetrahedra of a one-point extension, or None when one of
+    them holds a lattice point besides its vertices.
+
+    P is the polytope on the points other than p = points[new - 1] (1-based
+    labels, as _cross_check takes), and its lattice points are all among
+    them.  facets lists, as label triples, the facets of P that p can see;
+    each must be an empty triangle, and points[inner - 1] must lie strictly
+    on P's side of each.  Then conv(P + p) is P plus the tetrahedra
+    conv(F + p) over the listed F that p strictly sees, so the hull has no
+    further lattice point exactly when each of those is empty.  Returns
+    their label quadruples in that case, as the size argument for
+    _cross_check.
+    """
+    p, q = points[new - 1], points[inner - 1]
+    caps = []
+    for tri in facets:
+        corners = [points[i - 1] for i in tri]
+        if det4(*corners, p) * det4(*corners, q) < 0:
+            if not _is_empty(corners + [p]):
+                return None
+            caps.append((*tri, new))
+    return tuple(caps)
 
 
 def _scan_box():
@@ -419,12 +459,22 @@ def run_case_b() -> CaseReport:
 # case C: (3,1)-circuit, remaining points on the same side
 
 
+#: The side facets of conv(_B_BASE + p6) for p6 = (1, 2, 3), as labels of
+#: p1..p6: empty triangles, and p1 = (0, 0, 0) lies strictly inside each.
+_C_SIDES = ((2, 3, 6), (3, 4, 6), (4, 2, 6))
+
+
 def run_case_c() -> CaseReport:
     """(3,1)-circuit with p5, p6 on the same side (p5 no higher than p6).
 
     Three subcases: p5 on an edge p_ip6 (four explicit candidates), p5
     interior to the tetrahedron T1236 (a (4,1)-extension search), and
-    both p5, p6 vertices (a bounded plane scan at height 1).
+    both p5, p6 vertices (a bounded plane scan at height 1).  In the last,
+    conv(_B_BASE + p6) holds only its five points, and p5 at height 1
+    cannot see its base facet, so the cap tetrahedra over the side facets
+    p5 sees decide the hull (_caps): a candidate with a nonempty one is
+    rejected without a hull, and the hull of each other candidate is
+    counted and must have six points.
     """
     rejected: Counter = Counter()
     accepted = []
@@ -466,11 +516,12 @@ def run_case_c() -> CaseReport:
     for a, b in itertools.product(range(1, SCAN_BOUND + 1), repeat=2):
         examined += 1
         cfg = PointConfig(_B_BASE + [(a, b, 1), (1, 2, 3)])
-        if size(cfg) > 6:
+        caps = _caps(cfg.points, _C_SIDES, 1, 5)
+        if caps is None:
             rejected["extra lattice points in the convex hull"] += 1
             continue
-        survivors.append((a, b))  # size 6: the hull holds the six points
-        _cross_check(True, cfg.points, ((2, 3, 5, 6),), "C vertices")
+        _cross_check(size(cfg) == 6, cfg.points, caps, "C vertices")
+        survivors.append((a, b))
         accepted.append(cfg)
     if survivors != [(1, 1)]:
         raise ClassificationError(f"C vertices subcase found {survivors}")
@@ -555,11 +606,16 @@ def run_case_f() -> CaseReport:
     Ordered point pairs (r1, r2) of each of the eight base polytopes fall
     into three oriented-matroid groups: r1 interior (4.21), r2 interior
     (4.22), both vertices (4.11).  Survivors keep size 6 and have the
-    (2,1)-circuit as their only coplanarity.
+    (2,1)-circuit as their only coplanarity.  The base is a tetrahedron
+    whose four facets are empty triangles around its interior point, so
+    the cap tetrahedra over the facets r3 sees decide the hull (_caps): a
+    candidate with a nonempty one is rejected without a hull, and the hull
+    of each other candidate is counted and must have six points.
     """
     rejected: Counter = Counter()
     groups: Dict[str, List[PointConfig]] = {"4.21": [], "4.22": [], "4.11": []}
     examined = 0
+    facets = tuple(itertools.combinations(range(2, 6), 3))
     for cls5 in catalog41():
         pts = cls5.representative.points
         for i, j in itertools.permutations(range(5), 2):
@@ -570,14 +626,15 @@ def run_case_f() -> CaseReport:
                 rejected["degenerate extension"] += 1
                 continue
             cfg = PointConfig._of_checked(pts + (check_point(r3),))
-            if size(cfg) > 6:
+            caps = _caps(cfg.points, facets, 1, 6)
+            if caps is None:
                 rejected["extra lattice points in the convex hull"] += 1
                 continue
+            group = "4.21" if i == 0 else ("4.22" if j == 0 else "4.11")
+            _cross_check(size(cfg) == 6, cfg.points, caps, "F", f" in group {group}")
             if coplanarity_class(cfg) != C21:
                 rejected["additional coplanarity"] += 1
                 continue
-            group = "4.21" if i == 0 else ("4.22" if j == 0 else "4.11")
-            _check_f_triangulation(i, j, cfg, group)
             groups[group].append(cfg)
     firsts = [_dedupe(groups[g]) for g in ("4.21", "4.22", "4.11")]
     counts = tuple(map(len, firsts))
@@ -593,19 +650,6 @@ def run_case_f() -> CaseReport:
         if len(circs) != 1:
             raise ClassificationError(f"{cls.id}: expected exactly one (2,1)-circuit")
     return report
-
-
-def _check_f_triangulation(i, j, cfg, group):
-    """A survivor has size 6, so the group's triangulation must be empty."""
-    others = [k + 1 for k in range(1, 5) if k not in (i, j)]  # 1-based labels
-    r2, r3 = j + 1, 6
-    if group == "4.21":
-        tetras = [(v, w, r2, r3) for v, w in itertools.combinations(others, 2)]
-    elif group == "4.22":
-        tetras = [(*others, r3)]
-    else:
-        tetras = [(*others, r2, r3)]
-    _cross_check(True, cfg.points, tetras, "F", f" in group {group}")
 
 
 # ---------------------------------------------------------------------------
@@ -740,26 +784,28 @@ def _barycentric_image(weights, vol: int, dst) -> IntVec3:
 def _glued_verdict(spts, new_pt, ex_s, glued_interior):
     """(case, rejection reason or None) of one gluing.
 
-    case is "shared" for the rejections common to G and H.  The circuits,
-    the hull's lattice points and its interior points are computed once
-    and shared by every test below.
+    case is "shared" for the rejections common to G and H.  The points
+    contain a full-dimensional base, so some four of them are coplanar
+    (some circuit has at most four points) exactly when one of the 15
+    quadruple volumes is 0.  The hull's lattice points and its interior
+    points are computed once and shared by the tests below; the circuits
+    are computed only by _glue_g and _glue_h.
     """
     cfg = PointConfig._of_checked(spts + (check_point(new_pt),))
-    circs = circuits(cfg)
-    if coplanarity_from_circuits(circs) != NO_COPLANARITY:
+    if 0 in quad_volumes(cfg.points).values():
         return "shared", "coplanarity present"
     lattice, inner, _ = hull_summary(cfg)
     six = len(lattice) == 6
     inner = set(inner)
     if inner == {spts[0]}:
-        return "G", _glue_g(cfg, circs, six, ex_s)
+        return "G", _glue_g(cfg, six, ex_s)
     if inner == {spts[0], glued_interior}:
         int_idx = cfg.points.index(glued_interior)
-        return "H", _glue_h(cfg, circs, six, int_idx, ex_s)
+        return "H", _glue_h(cfg, six, int_idx, ex_s)
     return "shared", "extra interior lattice point"
 
 
-def _glue_g(cfg: PointConfig, circs, six: bool, ex_s: int) -> Optional[str]:
+def _glue_g(cfg: PointConfig, six: bool, ex_s: int) -> Optional[str]:
     """One shared interior point: the hull is the base polytope plus one
     tetrahedron on the quadrilateral facet swept by the new point.
 
@@ -768,7 +814,7 @@ def _glue_g(cfg: PointConfig, circs, six: bool, ex_s: int) -> Optional[str]:
     """
     extras = {ex_s, 5}  # deleting either leaves a signature-(4,1) subpolytope
     pair = None
-    for c in circs:
+    for c in circuits(cfg):
         if c.signature != (3, 2):
             continue
         two = set(_two_side(c))
@@ -785,7 +831,7 @@ def _glue_g(cfg: PointConfig, circs, six: bool, ex_s: int) -> Optional[str]:
     return None if _cross_check(six, cfg.points, (cut,), "G") else "cut tetrahedron is not empty"
 
 
-def _glue_h(cfg: PointConfig, circs, six: bool, int_idx: int, ex_s: int) -> Optional[str]:
+def _glue_h(cfg: PointConfig, six: bool, int_idx: int, ex_s: int) -> Optional[str]:
     """Two interior points: the hull decomposes into one glued copy plus
     five tetrahedra over the new point's edge to the base interior point.
 
@@ -795,7 +841,7 @@ def _glue_h(cfg: PointConfig, circs, six: bool, int_idx: int, ex_s: int) -> Opti
     vertex, and one further vertex; the remaining vertex is the last role.
     Returns the rejection reason, or None when accepted, as _glue_g does.
     """
-    circs = [c for c in circs if c.signature == (3, 2)]
+    circs = [c for c in circuits(cfg) if c.signature == (3, 2)]
     edge = [c for c in circs if set(_two_side(c)) == {0, 5}]
     if len(edge) != 1:
         raise ClassificationError("ambiguous circuit structure in case H")
@@ -860,10 +906,14 @@ def classify_all() -> Tuple[CaseReport, ...]:
     Checks that the 76 classes come out in table order and that an
     integer unimodular map, built and checked point by point, sends every
     generated configuration onto its table representative; the case
-    runners matched them by canonical key alone.  The table rows are
-    pairwise inequivalent because their canonical keys, which are
-    complete, differ: _row_key_index checks that when the case runners
-    first match against it.
+    runners matched them by canonical key alone.  The generated
+    configuration's key orders come from a fresh _normal_form, the row's
+    from _row_key_index, and the first map of equivalence_witness's loop
+    (_witnesses) that is unimodular and carries the generated points onto
+    the row's points is the check.  The table rows are pairwise
+    inequivalent because their canonical keys, which are complete, differ:
+    _row_key_index checks that when the case runners first match against
+    it.
     """
     reports = tuple(run_reports())
     classes = [c for r in reports for c in r.classes_found]
@@ -871,8 +921,12 @@ def classify_all() -> Tuple[CaseReport, ...]:
     if [c.id for c in classes] != [row.id for row in rows]:
         raise ClassificationError("assembled classification does not match tables")
     for cls in classes:
-        if cls.generated is None or equivalence_witness(
-            cls.generated, cls.representative
+        if cls.generated is None:
+            raise ClassificationError(f"{cls.id}: no generated configuration")
+        key, orders = _normal_form(cls.generated)
+        row, row_orders = _row_key_index().get(key, (None, ()))
+        if row is None or row.id != cls.id or next(
+            _witnesses(cls.generated, orders[0], cls.representative, row_orders), None
         ) is None:
             raise ClassificationError(f"{cls.id}: witness is not equivalent")
     return reports
@@ -886,7 +940,7 @@ def in_classification(nsize: int, w: int) -> bool:
 def table_id(config: PointConfig) -> Optional[str]:
     """Id of the table row with config's canonical key, or None; callers
     apply in_classification first."""
-    row = _row_key_index().get(canonical_key(config))
+    row, _ = _row_key_index().get(canonical_key(config), (None, None))
     return None if row is None else row.id
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from operator import itemgetter
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .exactlinalg import (
     AffineMap,
@@ -103,14 +103,22 @@ def equivalence_witness(
     key_b, orders_b = _normal_form(b)
     if key_a != key_b:
         return None
-    src = [a[i] for i in orders_a[0]]
+    return min(_witnesses(a, orders_a[0], b, orders_b), key=itemgetter(0), default=None)
+
+
+def _witnesses(
+    a: PointConfig, order_a: Tuple[int, ...], b: PointConfig, orders_b: List[Tuple[int, ...]]
+) -> Iterator[Tuple[Tuple[int, ...], AffineMap]]:
+    """The witnesses (perm, map) of a -> b, at most one per order of
+    orders_b, in that order: map is unimodular_map's integral unimodular
+    map from a's points in order_a onto b's in the order, kept when it
+    sends every point of a onto one of b, map(a[i]) = b[perm[i]]."""
+    src = [a[i] for i in order_a]
     where = {p: j for j, p in enumerate(b.points)}
-    witnesses = []
     for order in orders_b:
         m = unimodular_map(src, [b[j] for j in order])
         if m is None:
             continue
         perm = tuple(where.get(m.apply(p)) for p in a.points)
         if None not in perm:
-            witnesses.append((perm, m))
-    return min(witnesses, key=itemgetter(0), default=None)
+            yield perm, m

@@ -46,7 +46,10 @@ the circuits.  So two configurations share a record exactly when some
 relabeling sends the chirotope of one to plus or minus that of the
 other, and chirotope_orbit, taken over all 720 relabelings of one
 realization with both signs, holds exactly the chirotopes of the
-configurations with the realization's record.  Membership costs 15
+configurations with the realization's record.  A relabeling only
+permutes the 15 quadruple volumes and flips the signs of some, so the
+orbit is read off the realization's one chirotope, by one index table
+per relabeling built once per process.  Membership costs 15
 determinants and one set lookup.  match_om stays the general path, for
 any configuration and any record.
 """
@@ -56,6 +59,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .exactlinalg import IntVec3, quad_volumes
@@ -339,10 +343,32 @@ def chirotope(points: Sequence[IntVec3]) -> Tuple[int, ...]:
 def chirotope_orbit(points: Sequence[IntVec3]) -> FrozenSet[Tuple[int, ...]]:
     """The chirotopes of all 720 relabelings of six points, each with both
     global signs: exactly the chirotopes of the six-point configurations
-    whose oriented matroid is the points' one (see the module docstring)."""
-    orbit = set()
-    for relabeled in itertools.permutations(points):
-        chi = chirotope(relabeled)
-        orbit.add(chi)
-        orbit.add(tuple(-s for s in chi))
-    return frozenset(orbit)
+    whose oriented matroid is the points' one (see the module docstring).
+    They are read off the points' one chirotope (_relabeling_getters)."""
+    chi = chirotope(points)
+    flipped = tuple(-s for s in chi)
+    sources = (chi + flipped, flipped + chi)
+    return frozenset(get(signs) for get in _relabeling_getters() for signs in sources)
+
+
+@lru_cache(maxsize=1)
+def _relabeling_getters() -> List[itemgetter]:
+    """Per relabeling k -> points[perm[k]] of six points, in
+    itertools.permutations order, the getter of its chirotope from a
+    chirotope chi followed by -chi.
+
+    The relabeling sends the quadruple (i, j, k, l) to the points
+    perm[i], perm[j], perm[k], perm[l], whose det4 is that of their sorted
+    quadruple times the sign of the sort: entry q of chi when the sort is
+    even, entry q of -chi (index q + 15) when it is odd.
+    """
+    quads = list(itertools.combinations(range(6), 4))
+    where = {}
+    for q, quad in enumerate(quads):
+        for order in itertools.permutations(range(4)):
+            odd = sum(a > b for a, b in itertools.combinations(order, 2)) % 2
+            where[tuple(quad[t] for t in order)] = q + 15 * odd
+    return [
+        itemgetter(*[where[perm[i], perm[j], perm[k], perm[l]] for i, j, k, l in quads])
+        for perm in itertools.permutations(range(6))
+    ]

@@ -3,11 +3,12 @@
 The library computes canonical circuit forms with bitmask table lookups
 and generates dual line sequences directly.  These are the versions they
 replaced: relabel every circuit as index tuples and sort, under each of
-the 720 permutations; and filter every product of per-line vector counts
-by its total.  A record's vertex, interior, coplanarity and dps
-statistics are read off its circuits here, through all cocircuits among
-the 3^6 sign vectors orthogonal to every circuit; the library keeps no
-statistics, and the tests compare these with the bundled grid of cells.
+the 720 permutations; compute one chirotope per relabeling for an orbit;
+and filter every product of per-line vector counts by its total.  A
+record's vertex, interior, coplanarity and dps statistics are read off
+its circuits here, through all cocircuits among the 3^6 sign vectors
+orthogonal to every circuit; the library keeps no statistics, and the
+tests compare these with the bundled grid of cells.
 Slow, but simple enough to trust.
 """
 
@@ -18,7 +19,7 @@ from functools import lru_cache
 from typing import Dict, Sequence, Tuple
 
 from lattice6.invariants import SignedCircuit, coplanarity_from_circuits
-from lattice6.omcatalog import enumerate_oms
+from lattice6.omcatalog import chirotope, enumerate_oms
 
 
 def relabeled(c: SignedCircuit, perm: Sequence[int]) -> SignedCircuit:
@@ -35,6 +36,17 @@ def canonical_circuit_form(circs: Sequence[SignedCircuit]) -> Tuple:
     """Lex-minimal relabeled circuit list over all 720 permutations."""
     return min(tuple(sorted(relabeled(c, perm).key() for c in circs))
                for perm in itertools.permutations(range(6)))
+
+
+def chirotope_orbit(points):
+    """The chirotopes of all 720 relabelings of six points with both
+    global signs, one chirotope computed per relabeling."""
+    orbit = set()
+    for relabeled in itertools.permutations(points):
+        chi = chirotope(relabeled)
+        orbit.add(chi)
+        orbit.add(tuple(-s for s in chi))
+    return frozenset(orbit)
 
 
 def iter_duals():

@@ -6,12 +6,12 @@ import random
 import re
 import types
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
 from conftest import apply_map, count_calls, random_unimodular, shuffled, sporadic5
-from lattice6 import classify6
+from lattice6 import classify6, equivalence
 from lattice6.classify6 import (
     BadParameters,
     export_csv,
@@ -20,17 +20,26 @@ from lattice6.classify6 import (
     width1_family,
 )
 from lattice6.emptytetra import _is_empty
+from lattice6.equivalence import _normal_form
 from lattice6.exactlinalg import (
     COORD_BOUND,
     AffineMap,
     check_point,
     det4,
     edge_form,
+    quad_volumes,
     unimodular_map,
 )
-from lattice6.invariants import is_dps, volume_vector6, width
+from lattice6.invariants import (
+    NO_COPLANARITY,
+    circuits,
+    coplanarity_from_circuits,
+    is_dps,
+    volume_vector6,
+    width,
+)
 from lattice6.omcatalog import chirotope, enumerate_oms, match_om
-from lattice6.polytope import PointConfig, hull_facets, size
+from lattice6.polytope import PointConfig, hull_facets, lattice_points, size
 from lattice6.size5 import catalog41
 from table_checks import no_octahedron_check
 
@@ -316,20 +325,36 @@ def test_orbit_verdict_count_and_no_carry_over(monkeypatch, case_reports):
 
 
 def test_classify_all_work_is_pinned(monkeypatch, case_reports):
-    """One warm classify_all: 40 automorphism maps plus 168 witness solves,
-    1,541 hull computations, 754 gluing verdicts, one match_om per class
-    (cases C and E test their embeddings by chirotope), and 5,465
-    check_point calls: configurations built from checked points check only
-    the point they add, and the triangulation checks test the emptiness of
-    those points without checking them again (18,100 calls when every
-    point was checked again)."""
+    """One warm classify_all: 40 automorphism maps plus one witness map per
+    class (the check stops at the first), 1,031 hull computations (cases C
+    and F count only the hulls their cap rule keeps), 754 gluing verdicts,
+    265 circuit computations (a verdict computes them only when it reaches
+    _glue_g or _glue_h), 397 normal forms (the rows' key orders come from
+    _row_key_index), one match_om per class (cases C and E test their
+    embeddings by chirotope), and 5,465 check_point calls: configurations
+    built from checked points check only the point they add, and the
+    triangulation checks test the emptiness of those points without
+    checking them again (18,100 calls when every point was checked
+    again)."""
     for cell in ("5.4", "5.5"):  # warm: the orbits are built once per process
         classify6._cell_orbit(cell)
+    classify6._row_key_index()
     calls = count_calls(monkeypatch, unimodular_map, hull_facets, classify6._glued_verdict,
-                        match_om, check_point)
+                        match_om, check_point, circuits, _normal_form)
     classify6.classify_all()
-    assert calls == {"unimodular_map": 208, "hull_facets": 1541, "_glued_verdict": 754,
-                     "match_om": 76, "check_point": 5465}
+    assert calls == {"unimodular_map": 116, "hull_facets": 1031, "_glued_verdict": 754,
+                     "match_om": 76, "check_point": 5465, "circuits": 265,
+                     "_normal_form": 397}
+
+
+def test_classify_all_checks_each_witness_map(monkeypatch):
+    """A map from the witness loop that does not carry the generated
+    points onto the row's points fails the verification, although every
+    key matched."""
+    shift = AffineMap(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (1, 0, 0))
+    monkeypatch.setattr(equivalence, "unimodular_map", lambda src, dst: shift)
+    with pytest.raises(classify6.ClassificationError, match="A.1: witness is not equivalent"):
+        classify6.classify_all()
 
 
 #: The two (4,1) embedding searches: case, oriented matroid cell, and the
@@ -487,6 +512,130 @@ def test_inverted_emptiness_fails_the_cross_checks(monkeypatch, runner):
     monkeypatch.setattr(classify6, "_is_empty", inverted)
     with pytest.raises(classify6.ClassificationError, match="triangulation check failed"):
         getattr(classify6, runner)()
+
+
+def test_case_c_cap_base_has_empty_side_facets():
+    """What case C's cap rule relies on: conv(_B_BASE + p6) holds only its
+    five points; its facets are the three _C_SIDES and the base plane
+    z = 0, which p5 at height 1 cannot see; each side facet holds no
+    lattice point besides its corners; and p1 lies strictly inside each."""
+    base = PointConfig(classify6._B_BASE + [(1, 2, 3)])
+    assert size(base) == 5
+    labelled = classify6._B_BASE + [None, (1, 2, 3)]  # p1..p6, without p5
+    sides = [[labelled[i - 1] for i in tri] for tri in classify6._C_SIDES]
+    facets = hull_facets(base)
+    assert len(facets) == 4 and (0, 0, 1, 0) in facets
+    for tri in sides:
+        assert sum(all(a * x + b * y + c * z == o for x, y, z in tri)
+                   for a, b, c, o in facets) == 1
+        assert sorted(p for p in lattice_points(base) if det4(*tri, p) == 0) == sorted(tri)
+        assert det4(*tri, labelled[0]) != 0
+
+
+def test_cap_rule_matches_size_on_case_c():
+    """On all 400 "both vertices" candidates the cap rule keeps exactly
+    the hulls of six points: only (1, 1), whose one cap is T2356."""
+    kept = []
+    for a in range(1, classify6.SCAN_BOUND + 1):
+        for b in range(1, classify6.SCAN_BOUND + 1):
+            points = tuple(classify6._B_BASE + [(a, b, 1), (1, 2, 3)])
+            caps = classify6._caps(points, classify6._C_SIDES, 1, 5)
+            assert (caps is not None) == (size(PointConfig(points)) == 6), (a, b)
+            if caps is not None:
+                kept.append(((a, b), caps))
+    assert kept == [((1, 1), ((2, 3, 6, 5),))]
+
+
+def _f_group_triangulation(i, j):
+    """The printed triangulation of a case-F survivor r3 = 2 r2 - r1 with
+    r1, r2 the base's points i, j, as 1-based label quadruples."""
+    others = [k + 1 for k in range(1, 5) if k not in (i, j)]
+    r2, r3 = j + 1, 6
+    if i == 0:  # 4.21
+        return [(v, w, r2, r3) for v, w in combinations(others, 2)]
+    if j == 0:  # 4.22
+        return [(*others, r3)]
+    return [(*others, r2, r3)]  # 4.11
+
+
+def test_cap_rule_matches_size_on_case_f():
+    """On all 160 candidates of case F the cap rule keeps exactly the
+    hulls of six points, 49 of them, and their caps are the tetrahedra of
+    the group's printed triangulation."""
+    facets = tuple(combinations(range(2, 6), 3))
+    kept = 0
+    for cls5 in catalog41():
+        pts = cls5.representative.points
+        for i, j in permutations(range(5), 2):
+            r3 = tuple(2 * pts[j][t] - pts[i][t] for t in range(3))
+            points = pts + (r3,)
+            caps = classify6._caps(points, facets, 1, 6)
+            assert (caps is not None) == (size(PointConfig(points)) == 6), points
+            if caps is not None:
+                kept += 1
+                assert sorted(map(sorted, caps)) == sorted(map(sorted, _f_group_triangulation(i, j)))
+    assert kept == 49
+
+
+def test_cap_rule_matches_size_on_base_extensions():
+    """Seeded one-point extensions of the eight (4,1) bases, random points
+    of a box and points on each facet plane outside the facet (seen, but
+    not strictly): the cap rule keeps exactly the hulls of six points."""
+    rng = random.Random(20)
+    facets = tuple(combinations(range(2, 6), 3))
+    kept = on_plane = 0
+    for cls5 in catalog41():
+        pts = cls5.representative.points
+        extra = [tuple(rng.randint(-6, 6) for _ in range(3)) for _ in range(120)]
+        for tri in facets:
+            a, b, c = (pts[k - 1] for k in tri)
+            for s, t in ((-1, 0), (0, -1), (2, -1), (-1, 2), (-1, -1), (2, 2), (3, -1)):
+                extra.append(tuple(a[k] + s * (b[k] - a[k]) + t * (c[k] - a[k]) for k in range(3)))
+        for p in extra:
+            if p in pts:
+                continue
+            points = pts + (p,)
+            on_plane += any(det4(*(pts[k - 1] for k in tri), p) == 0 for tri in facets)
+            caps = classify6._caps(points, facets, 1, 6)
+            assert (caps is not None) == (size(PointConfig(points)) == 6), points
+            kept += caps is not None
+    assert kept > 0 and on_plane >= 8 * 4 * 7
+
+
+def test_quad_volume_coplanarity_matches_circuits(monkeypatch):
+    """The gluing verdict's coplanarity test, a zero among the 15 quadruple
+    volumes, says what the circuits say on all 754 verdict configurations
+    (the verdict rejects exactly those for coplanarity), and the two tests
+    agree on seeded full-dimensional six-point sets of a small box."""
+    verdict = classify6._glued_verdict
+    verdicts = []
+
+    def recorded(*args):
+        verdicts.append((args, verdict(*args)))
+        return verdicts[-1][1]
+
+    monkeypatch.setattr(classify6, "_glued_verdict", recorded)
+    classify6.run_case_gh()
+    assert len(verdicts) == 754
+    coplanar = 0
+    for (spts, new_pt, *_), (_, reason) in verdicts:
+        cfg = PointConfig(spts + (new_pt,))
+        expected = coplanarity_from_circuits(circuits(cfg)) != NO_COPLANARITY
+        assert (reason == "coplanarity present") == expected
+        assert (0 in quad_volumes(cfg.points).values()) == expected
+        coplanar += expected
+    assert 0 < coplanar < 754
+    rng = random.Random(21)
+    seen = Counter()
+    while sum(seen.values()) < 600:
+        points = {tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(6)}
+        cfg = PointConfig(sorted(points)) if len(points) == 6 else None
+        if cfg is None or not cfg.is_full_dimensional():
+            continue
+        expected = coplanarity_from_circuits(circuits(cfg)) != NO_COPLANARITY
+        assert (0 in quad_volumes(cfg.points).values()) == expected, cfg
+        seen[expected] += 1
+    assert min(seen.values()) > 50
 
 
 def test_run_case_reports_one_case(case_reports):

@@ -94,6 +94,17 @@ def test_candidate_relabelings_per_record():
     assert max(counts) == 96
 
 
+def test_chirotope_orbit_matches_oracle(bundle):
+    """The orbit read off one chirotope equals the one computed per
+    relabeling, on C.4 and E.1 (the realizations of cells 5.4 and 5.5)
+    and on their mirror images."""
+    for rid in ("C.4", "E.1"):
+        points = bundle.class_by_id(rid).config().points
+        mirror = tuple((-x, y, z) for x, y, z in points)
+        for pts in (points, mirror):
+            assert omcatalog.chirotope_orbit(pts) == oracle.chirotope_orbit(pts), rid
+
+
 def test_catalog_built_on_oracle_is_identical(monkeypatch):
     assert list(omcatalog._iter_duals()) == list(oracle.iter_duals())
     records = enumerate_oms()  # built and cached before the patches
