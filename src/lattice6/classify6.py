@@ -10,8 +10,10 @@ Each ``run_case_*`` function enumerates the candidates of one branch by
 bounded scans or embedding searches, rejects candidates with recorded
 reasons, cross-checks the triangulation-emptiness size arguments against
 direct lattice-point counts, and identifies the survivors against the
-bundled tables.  ``classify_all`` runs every branch and re-verifies each
-generated witness against its table representative.  All arithmetic is
+bundled tables: one normal form per distinct survivor (_dedupe) names its
+table row, and an integer unimodular map, checked point by point, carries
+its points onto the row's (_finish).  ``classify_all`` runs every branch
+and checks that the classes come out in table order.  All arithmetic is
 exact.
 
 The runners share three steps: _embeddings41, the one search over the
@@ -54,7 +56,6 @@ from .exactlinalg import (
     det4,
     edge_form,
     quad_volumes,
-    unimodular_map,
 )
 from .polytope import PointConfig, hull_summary, size
 from .invariants import (
@@ -123,11 +124,7 @@ class PolytopeClass:
     functional: IntVec3
     representative: PointConfig
     dps: bool
-    generated: Optional[PointConfig] = None
-
-    @property
-    def case(self) -> str:
-        return self.id.split(".")[0]
+    generated: PointConfig
 
 
 @dataclass(frozen=True)
@@ -157,29 +154,23 @@ def _row_key_index():
     return index
 
 
-def _match_row(key):
-    """Table row with this canonical key; raises if there is none."""
-    row, _ = _row_key_index().get(key, (None, None))
-    if row is None:
-        raise ClassificationError("generated configuration matches no table row")
-    return row
-
-
-def _dedupe(configs: Sequence[PointConfig]) -> Dict[tuple, PointConfig]:
-    """First-seen representatives up to equivalence, by canonical key."""
+def _dedupe(configs: Sequence[PointConfig]) -> Dict[tuple, tuple]:
+    """First-seen representatives up to equivalence, by canonical key, each
+    with the key orders of its points: (config, orders) from one
+    _normal_form per distinct point set."""
     seen_sets = set()
-    firsts: Dict[tuple, PointConfig] = {}
+    firsts: Dict[tuple, tuple] = {}
     for cfg in configs:
         fs = frozenset(cfg.points)
         if fs in seen_sets:
             continue
         seen_sets.add(fs)
-        firsts.setdefault(canonical_key(cfg), cfg)
+        key, orders = _normal_form(cfg)
+        firsts.setdefault(key, (cfg, orders))
     return firsts
 
 
-def _make_class(row, generated: PointConfig) -> PolytopeClass:
-    rep = row.config()
+def _make_class(row, rep: PointConfig, generated: PointConfig) -> PolytopeClass:
     w, _ = width(generated)
     if w != row.width:
         raise ClassificationError(f"{row.id}: generated width {w} != table {row.width}")
@@ -201,13 +192,28 @@ def _make_class(row, generated: PointConfig) -> PolytopeClass:
 
 
 def _finish(case, examined, rejected, firsts, notes=()) -> CaseReport:
-    """Report of one case from its _dedupe representatives."""
+    """Report of one case from its _dedupe representatives.
+
+    Each representative's key must name a row of this case in
+    _row_key_index, and _witnesses, from the representative's first key
+    order onto the row's key orders, must give a unimodular map that
+    carries its points onto the row's points; the first such map is the
+    check, so equal keys alone identify nothing.  The rows are pairwise
+    inequivalent: _row_key_index checks that their complete keys differ.
+    The classes found must be exactly the case's rows.
+    """
+    index = _row_key_index()
     classes = []
-    for key, cfg in firsts.items():
-        row = _match_row(key)
+    for key, (cfg, orders) in firsts.items():
+        row, row_orders = index.get(key, (None, None))
+        if row is None:
+            raise ClassificationError("generated configuration matches no table row")
         if row.case != case:
             raise ClassificationError(f"case {case} produced table row {row.id}")
-        classes.append(_make_class(row, cfg))
+        rep = row.config()
+        if next(_witnesses(cfg, orders[0], rep, row_orders), None) is None:
+            raise ClassificationError(f"{row.id}: witness is not equivalent")
+        classes.append(_make_class(row, rep, cfg))
     classes.sort(key=lambda c: int(c.id.split(".")[1]))
     found = [c.id for c in classes]
     expected = [r.id for r in load_tables().class_rows if r.case == case]
@@ -640,10 +646,10 @@ def run_case_f() -> CaseReport:
     counts = tuple(map(len, firsts))
     if counts != (6, 6, 5):
         raise ClassificationError(f"F group counts {counts}")
-    merged: Dict[tuple, PointConfig] = {}
+    merged: Dict[tuple, tuple] = {}
     for group in firsts:
-        for key, cfg in group.items():
-            merged.setdefault(key, cfg)
+        for key, first in group.items():
+            merged.setdefault(key, first)
     report = _finish("F", examined, rejected, merged)
     for cls in report.classes_found:
         circs = [c for c in circuits(cls.generated) if c.signature == (2, 1)]
@@ -664,19 +670,16 @@ def _two_side(circ):
     return None
 
 
-def _base_automorphisms(base: PointConfig) -> List[AffineMap]:
-    """Integer unimodular maps of a signature-(4,1) base onto itself, one
-    per key order of its normal form (they match one to one), each checked
-    to permute the points and to fix the interior point base[0]."""
+def _base_automorphisms(base: PointConfig) -> List[Tuple[Tuple[int, ...], AffineMap]]:
+    """The symmetries (perm, map) of a signature-(4,1) base: the witnesses
+    base -> base of _witnesses, one per key order of its normal form (they
+    match one to one), with map(base[i]) = base[perm[i]].  Raises
+    ClassificationError unless every key order gives one that fixes the
+    interior point base[0]."""
     _, orders = _normal_form(base)
-    pts = base.points
-    src = [pts[i] for i in orders[0]]
-    autos = []
-    for order in orders:
-        g = unimodular_map(src, [pts[i] for i in order])
-        if g is None or g.apply(pts[0]) != pts[0] or {g.apply(p) for p in pts} != set(pts):
-            raise ClassificationError("a key order gives no symmetry of its base polytope")
-        autos.append(g)
+    autos = [(perm, g) for perm, g in _witnesses(base, orders[0], base, orders) if perm[0] == 0]
+    if len(autos) != len(orders):
+        raise ClassificationError("a key order gives no symmetry of its base polytope")
     return autos
 
 
@@ -745,9 +748,8 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
                     key = (si, new_pt, ex_s, glued)
                     if key not in verdicts:
                         verdict = _glued_verdict(spts, new_pt, ex_s, glued)
-                        for g in autos[si]:
-                            ex_g = spts.index(g.apply(spts[ex_s]))
-                            verdicts[si, g.apply(new_pt), ex_g, g.apply(glued)] = verdict
+                        for perm, g in autos[si]:
+                            verdicts[si, g.apply(new_pt), perm[ex_s], g.apply(glued)] = verdict
                     case, reason = verdicts[key]
                     if reason is None:
                         cfg = PointConfig._of_checked(spts + (check_point(new_pt),))
@@ -901,34 +903,12 @@ def run_case(case: str) -> CaseReport:
 
 
 def classify_all() -> Tuple[CaseReport, ...]:
-    """Run every case and re-verify the assembled classification.
-
-    Checks that the 76 classes come out in table order and that an
-    integer unimodular map, built and checked point by point, sends every
-    generated configuration onto its table representative; the case
-    runners matched them by canonical key alone.  The generated
-    configuration's key orders come from a fresh _normal_form, the row's
-    from _row_key_index, and the first map of equivalence_witness's loop
-    (_witnesses) that is unimodular and carries the generated points onto
-    the row's points is the check.  The table rows are pairwise
-    inequivalent because their canonical keys, which are complete, differ:
-    _row_key_index checks that when the case runners first match against
-    it.
-    """
+    """Run every case and check that the 76 classes come out in table
+    order; each runner has checked its classes' witness maps (_finish)."""
     reports = tuple(run_reports())
-    classes = [c for r in reports for c in r.classes_found]
-    rows = load_tables().class_rows
-    if [c.id for c in classes] != [row.id for row in rows]:
+    found = [c.id for r in reports for c in r.classes_found]
+    if found != [row.id for row in load_tables().class_rows]:
         raise ClassificationError("assembled classification does not match tables")
-    for cls in classes:
-        if cls.generated is None:
-            raise ClassificationError(f"{cls.id}: no generated configuration")
-        key, orders = _normal_form(cls.generated)
-        row, row_orders = _row_key_index().get(key, (None, ()))
-        if row is None or row.id != cls.id or next(
-            _witnesses(cls.generated, orders[0], cls.representative, row_orders), None
-        ) is None:
-            raise ClassificationError(f"{cls.id}: witness is not equivalent")
     return reports
 
 

@@ -112,7 +112,9 @@ def _witnesses(
     """The witnesses (perm, map) of a -> b, at most one per order of
     orders_b, in that order: map is unimodular_map's integral unimodular
     map from a's points in order_a onto b's in the order, kept when it
-    sends every point of a onto one of b, map(a[i]) = b[perm[i]]."""
+    sends every point of a onto one of b, map(a[i]) = b[perm[i]].  With
+    b = a and a's key orders, it lists the automorphisms a -> a, one per
+    key order.  This is the only place where key orders become maps."""
     src = [a[i] for i in order_a]
     where = {p: j for j, p in enumerate(b.points)}
     for order in orders_b:

@@ -4,10 +4,12 @@ The package ships its ground truth as checksummed JSON resources under
 ``data/``: the 76 classes of size-6 width>1 polytopes, the size-5 catalog,
 the 55-entry oriented-matroid cell grid, the width-one families, the label
 map from grid labels to catalog record keys, and the expected count tables.
-`load_tables` parses and checksums them and checks their shape (row
-counts, distinct ids, a label map covering the grid), raising CorruptData
-otherwise.  Recomputing the derivable columns from the stored
-representatives is a test (tests/table_checks.py), not a library step.
+`load_tables` parses and checksums the ones the library reads and checks
+their shape (row counts, distinct ids, a label map covering the grid),
+raising CorruptData otherwise.  The count tables, the grid's
+never-realized and Howe width-one columns, and the derivable columns of
+the stored representatives are read and recomputed by tests
+(tests/table_checks.py), not by a library step.
 """
 
 from __future__ import annotations
@@ -66,12 +68,9 @@ class TableBundle:
     size5_rows: Tuple[dict, ...]
     class_rows: Tuple[ClassRow, ...]
     om_cells: Tuple[OMCell, ...]
-    result_counts: dict
     width1_families: dict
     om_label_map: Dict[str, str]
     ambiguous_labels: Tuple[dict, ...]
-    never_realized: frozenset
-    howe_width_one: frozenset
 
     def class_by_id(self, cid: str) -> ClassRow:
         for row in self.class_rows:
@@ -132,7 +131,6 @@ def load_tables() -> TableBundle:
     labels = _load_resource("om_labels")
     size5 = _load_resource("size5")["rows"]
     families = _load_resource("width1_families")
-    counts = _load_resource("result_counts")
 
     class_rows = []
     for row in classes:
@@ -161,10 +159,7 @@ def load_tables() -> TableBundle:
         size5_rows=tuple(size5),
         class_rows=tuple(class_rows),
         om_cells=om_cells,
-        result_counts=counts,
         width1_families=families,
         om_label_map=label_map,
         ambiguous_labels=ambiguous,
-        never_realized=frozenset(cells["never_realized"]),
-        howe_width_one=frozenset(cells["howe_width_one"]),
     )

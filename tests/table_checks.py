@@ -27,7 +27,7 @@ from lattice6.invariants import (
 )
 from lattice6.omcatalog import enumerate_oms, match_om
 from lattice6.polytope import PointConfig, hull_facets, hull_summary, size
-from lattice6.tablesdata import TableBundle
+from lattice6.tablesdata import TableBundle, _load_resource
 from omcatalog_oracles import record_statistics
 
 GCD_EXCEPTIONS = {"A.1": 2, "A.2": 2, "B.14": 3, "B.15": 3, "C.3": 3}
@@ -150,7 +150,7 @@ def validate_tables(bundle: TableBundle) -> ValidationReport:
         if width(config)[0] != row["width"]:
             bad.append(f"size5 {stored}: width mismatch")
 
-    counts = bundle.result_counts
+    counts = _load_resource("result_counts")
     per_case: Dict[str, int] = {}
     for row in bundle.class_rows:
         per_case[row.case] = per_case.get(row.case, 0) + 1

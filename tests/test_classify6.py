@@ -264,12 +264,15 @@ def _brute_force_symmetries(pts):
 
 def test_base_automorphisms_match_brute_force():
     """The symmetries read off each (4,1) base's key orders are exactly
-    those a search over all point permutations finds."""
+    those a search over all point permutations finds, each permutation
+    the one its map realizes."""
     counts = []
     for cls5 in catalog41():
         pts = cls5.representative.points
         autos = classify6._base_automorphisms(cls5.representative)
-        perms = {tuple(pts.index(g.apply(p)) for p in pts) for g in autos}
+        for perm, g in autos:
+            assert perm == tuple(pts.index(g.apply(p)) for p in pts)
+        perms = {perm for perm, _ in autos}
         assert len(perms) == len(autos)
         assert perms == _brute_force_symmetries(pts), cls5
         counts.append(len(autos))
@@ -284,9 +287,17 @@ def test_base_automorphisms_match_brute_force():
 def test_base_automorphisms_are_checked(monkeypatch, bad_map):
     """A key order whose map is no symmetry of the base raises instead of
     being used."""
-    monkeypatch.setattr(classify6, "unimodular_map", lambda src, dst: bad_map)
+    monkeypatch.setattr(equivalence, "unimodular_map", lambda src, dst: bad_map)
     with pytest.raises(classify6.ClassificationError, match="no symmetry"):
         classify6._base_automorphisms(catalog41()[0].representative)
+
+
+def test_base_automorphisms_fix_the_first_point():
+    """Only symmetries that fix base[0] count: listed with a vertex first,
+    the base with 24 symmetries has 6 that fix it, and raises."""
+    pts = catalog41()[0].representative.points
+    with pytest.raises(classify6.ClassificationError, match="no symmetry"):
+        classify6._base_automorphisms(PointConfig(pts[1:] + pts[:1]))
 
 
 def test_orbit_verdicts_match_literal_oracle(monkeypatch):
@@ -329,8 +340,10 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     class (the check stops at the first), 1,031 hull computations (cases C
     and F count only the hulls their cap rule keeps), 754 gluing verdicts,
     265 circuit computations (a verdict computes them only when it reaches
-    _glue_g or _glue_h), 397 normal forms (the rows' key orders come from
-    _row_key_index), one match_om per class (cases C and E test their
+    _glue_g or _glue_h), 321 normal forms (one per distinct point set in
+    _dedupe, whose key orders the witness check reuses, and one per base
+    for its symmetries; the rows' key orders come from _row_key_index),
+    one match_om per class (cases C and E test their
     embeddings by chirotope), and 5,465 check_point calls: configurations
     built from checked points check only the point they add, and the
     triangulation checks test the emptiness of those points without
@@ -344,17 +357,19 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     classify6.classify_all()
     assert calls == {"unimodular_map": 116, "hull_facets": 1031, "_glued_verdict": 754,
                      "match_om": 76, "check_point": 5465, "circuits": 265,
-                     "_normal_form": 397}
+                     "_normal_form": 321}
 
 
-def test_classify_all_checks_each_witness_map(monkeypatch):
+@pytest.mark.parametrize("classify", [classify6.classify_all, lambda: classify6.run_case("A")],
+                         ids=["classify_all", "run_case"])
+def test_classify_all_checks_each_witness_map(monkeypatch, classify):
     """A map from the witness loop that does not carry the generated
     points onto the row's points fails the verification, although every
-    key matched."""
+    key matched; a single case checks its classes as the full run does."""
     shift = AffineMap(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (1, 0, 0))
     monkeypatch.setattr(equivalence, "unimodular_map", lambda src, dst: shift)
     with pytest.raises(classify6.ClassificationError, match="A.1: witness is not equivalent"):
-        classify6.classify_all()
+        classify()
 
 
 #: The two (4,1) embedding searches: case, oriented matroid cell, and the

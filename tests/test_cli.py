@@ -267,6 +267,18 @@ def test_classify_verbose_shows_rejections(capsys):
     assert "midpoint of p2p6 is integer" in out
 
 
+def test_classify_single_case_checks_witness_maps(capsys, monkeypatch):
+    """A single case checks its classes' witness maps: a map that does not
+    carry the generated points onto the row's fails the run."""
+    shift = AffineMap(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (1, 0, 0))
+    monkeypatch.setattr(equivalence, "unimodular_map", lambda src, dst: shift)
+    rc = main(["classify", "--case", "A"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "verification failed: A.1: witness is not equivalent" in captured.err
+
+
 def test_classify_writes_json(tmp_path, capsys):
     target = tmp_path / "b.json"
     rc = main(["classify", "--case", "B", "--out", str(target)])

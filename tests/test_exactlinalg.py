@@ -5,12 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import fraction_oracles
 from conftest import random_unimodular
 from emptytetra_oracles import standard_tetrahedron
 from lattice6.exactlinalg import (
+    COORD_BOUND,
     AffineMap,
     DegenerateSource,
     det3,
@@ -157,10 +158,13 @@ def _scaled(m: AffineMap, k: int) -> AffineMap:
 @given(p1=points, p2=points, p3=points, p4=points, seed=st.integers(0, 10**6),
        kind=st.sampled_from(["unimodular", "stretched", "arbitrary"]))
 @settings(max_examples=150)
+@example(p1=(0, 0, 0), p2=(0, 0, 1), p3=(0, 1, 0), p4=(1, 9, 2), seed=4843, kind="stretched")
 def test_unimodular_map_matches_solve_affine(p1, p2, p3, p4, seed, kind):
     """Integer solver against the Fraction one on unimodular images, integer
     maps of determinant +-2 and +-3, and arbitrary (mostly non-integral)
-    targets; equal edge forms exactly when there is a map."""
+    targets; equal edge forms exactly when there is a map.  Both solvers
+    take points within the coordinate bound only, and a stretched image
+    can leave it (a coordinate of -10071 in the example)."""
     src = [p1, p2, p3, p4]
     assume(det4(*src) != 0)
     rng = random.Random(seed)
@@ -171,6 +175,7 @@ def test_unimodular_map_matches_solve_affine(p1, p2, p3, p4, seed, kind):
         dst = [tuple(rng.randrange(-9, 10) for _ in range(3)) for _ in range(4)]
     else:
         dst = [m.apply(p) for p in src]
+    assume(all(abs(c) <= COORD_BOUND for p in dst for c in p))
     expected = fraction_oracles.unimodular_map(src, dst)
     assert unimodular_map(src, dst) == expected
     assert (edge_form(src) == edge_form(dst)) == (expected is not None)

@@ -12,7 +12,9 @@ no command: it goes, or moves into tests/ as a check or an oracle.
 Dunders are exempt, and UNREAD_ALLOWED keeps a few public entry points.
 The same holds for the fields, methods and properties of library
 classes: a member whose name no library module reads as an attribute
-goes, unless MEMBER_UNREAD_ALLOWED keeps it.
+goes, unless MEMBER_UNREAD_ALLOWED keeps it.  Key orders become
+unimodular maps in one place: equivalence.py is the only module that
+calls unimodular_map.
 """
 
 import ast
@@ -32,9 +34,6 @@ UNREAD_ALLOWED = {
 #: Class members kept in the library although no library module reads them.
 MEMBER_UNREAD_ALLOWED = {
     "size5.Size5Class.dependence": "the affine dependence column of the size-5 table, carried with its class",
-    "tablesdata.TableBundle.result_counts": "a bundled table; the table checks compare the classification with it",
-    "tablesdata.TableBundle.never_realized": "a bundled column of the oriented-matroid grid, checked against the rows",
-    "tablesdata.TableBundle.howe_width_one": "a bundled column of the oriented-matroid grid, checked against the rows",
 }
 
 
@@ -227,3 +226,27 @@ def test_unread_member_is_a_violation(tmp_path):
     assert list(_unread_members(sorted(tmp_path.glob("*.py")))) == [
         "shapes.py:6: Cell.spare is read by no library module",
         "shapes.py:10: Cell.volume is read by no library module"]
+
+
+def _map_solves(path):
+    """Calls of unimodular_map, as a bare name or an attribute, in path."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "unimodular_map":
+                yield f"{path.name}:{node.lineno}: calls unimodular_map"
+
+
+def test_only_equivalence_solves_unimodular_maps():
+    found = [v for path in SOURCES if path.name != "equivalence.py" for v in _map_solves(path)]
+    assert not found, "\n".join(found)
+
+
+def test_unimodular_map_call_is_a_violation(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("from . import exactlinalg\nfrom .exactlinalg import unimodular_map\n"
+                    "def f(a, b):\n    return unimodular_map(a, b) or exactlinalg.unimodular_map(b, a)\n",
+                    encoding="utf-8")
+    assert list(_map_solves(path)) == ["sample.py:4: calls unimodular_map",
+                                       "sample.py:4: calls unimodular_map"]

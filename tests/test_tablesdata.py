@@ -56,8 +56,14 @@ def test_row_counts(bundle):
     assert len(bundle.om_cells) == 55
 
 
-def test_result_counts(bundle):
-    rc = bundle.result_counts
+def _grid_column(name):
+    """A label column of the oriented-matroid grid resource that only the
+    tests read, loaded with its checksum check."""
+    return frozenset(tablesdata._load_resource("om_cells")[name])
+
+
+def test_result_counts():
+    rc = tablesdata._load_resource("result_counts")
     assert rc["per_case"] == {"A": 2, "B": 15, "C": 6, "D": 2, "E": 2,
                               "F": 17, "G": 20, "H": 12}
     assert sum(rc["per_case"].values()) == 76
@@ -107,11 +113,12 @@ def test_unambiguous_label_resolves_to_one_key(bundle):
 
 
 def test_never_realized_labels(bundle):
-    assert len(bundle.never_realized) == 6
+    never_realized = _grid_column("never_realized")
+    assert len(never_realized) == 6
     realized = {row.om_label for row in bundle.class_rows}
-    assert not bundle.never_realized & realized
+    assert not never_realized & realized
     for cell in bundle.om_cells:
-        if cell.label in bundle.never_realized:
+        if cell.label in never_realized:
             assert not cell.realized
 
 
@@ -124,8 +131,9 @@ def test_width_one_labels(bundle):
     covered |= {f["family_id"].split("/")[1] for f in fams["families"]}
     assert width_one == covered
     assert len(width_one) == 20
-    assert len(bundle.howe_width_one) == 12
-    assert bundle.howe_width_one - width_one == bundle.never_realized
+    howe_width_one = _grid_column("howe_width_one")
+    assert len(howe_width_one) == 12
+    assert howe_width_one - width_one == _grid_column("never_realized")
     realized = {row.om_label for row in bundle.class_rows}
     for cell in bundle.om_cells:
         assert cell.realized == (cell.label in realized)
