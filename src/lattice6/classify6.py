@@ -55,7 +55,6 @@ from .exactlinalg import (
     check_point,
     det4,
     edge_form,
-    quad_volumes,
 )
 from .polytope import PointConfig, hull_summary, size
 from .invariants import (
@@ -791,10 +790,10 @@ def _glued_verdict(spts, new_pt, ex_s, glued_interior):
     (some circuit has at most four points) exactly when one of the 15
     quadruple volumes is 0.  The hull's lattice points and its interior
     points are computed once and shared by the tests below; the circuits
-    are computed only by _glue_g and _glue_h.
+    are computed only by _glue_g and _glue_h, from the same cfg.volumes().
     """
     cfg = PointConfig._of_checked(spts + (check_point(new_pt),))
-    if 0 in quad_volumes(cfg.points).values():
+    if 0 in cfg.volumes().values():
         return "shared", "coplanarity present"
     lattice, inner, _ = hull_summary(cfg)
     six = len(lattice) == 6

@@ -2,10 +2,18 @@
 
 Exit codes: 0 success (or "equivalent"), 1 verification failure or
 "inequivalent", 2 usage and input errors.
+
+A process builds its argument parser once: build_parser is cached and
+first called by main, not at import.  parse_args makes a fresh Namespace
+on each call and leaves the parser unchanged, so every main call parses
+as a fresh parser would.  analyze of a six-point input that is a table
+row prints the row's oriented-matroid label, a class invariant; only an
+input outside the table pays for the canonical circuit form.
 """
 
 import argparse
 import sys
+from functools import lru_cache
 
 from .polytope import (
     NotFullDimensional,
@@ -75,11 +83,10 @@ def cmd_analyze(args) -> int:
     w, functional = width(config)
     in_table = n == 6 and classify6.in_classification(nsize, w)
     class_id = classify6.table_id(config) if in_table else None
-    if class_id is not None:
-        # show the published witness when it is one for these coordinates
-        table_f = load_tables().class_by_id(class_id).functional
-        if functional_range(table_f, config.points) == w:
-            functional = table_f
+    row = None if class_id is None else load_tables().class_by_id(class_id)
+    # show the published witness when it is one for these coordinates
+    if row is not None and functional_range(row.functional, config.points) == w:
+        functional = row.functional
     fstr = _functional_str(functional)
     print(f"points: {n}")
     print(f"size: {nsize}")
@@ -94,7 +101,9 @@ def cmd_analyze(args) -> int:
         print("volume vector:", " ".join(map(str, volume_vector6(config))))
     dps = pair_sums_distinct(lattice)
     print(f"dps: {'dps' if dps else 'non-dps'}")
-    if n == 6:
+    if row is not None:
+        print(f"oriented matroid: {row.om_label}")
+    elif n == 6:
         try:
             print(f"oriented matroid: {_om_label(circs)}")
         except NoMatch:
@@ -233,6 +242,7 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lattice6",

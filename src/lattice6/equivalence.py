@@ -33,7 +33,6 @@ from .exactlinalg import (
     _adjugate,
     _mat_vec,
     edge_form,
-    quad_volumes,
     sub,
     unimodular_map,
 )
@@ -49,7 +48,7 @@ _ORDERS = [(order, itemgetter(*order[1:])) for order in itertools.permutations(r
 def _normal_form(config: PointConfig) -> Tuple[Key, List[Tuple[int, ...]]]:
     """canonical_key of config and the ordered index quadruples reaching it."""
     pts = config.points
-    vols = quad_volumes(pts)
+    vols = config.volumes()
     top = max(map(abs, vols.values()))
     if top == 0:
         raise NotFullDimensional("configuration spans no 3-dimensional volume")

@@ -25,6 +25,7 @@ quadruple and the equivalence normal form all read it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from typing import Dict, Iterable, Optional, Sequence, Tuple
@@ -97,13 +98,20 @@ def det4(p1, p2, p3, p4) -> int:
     return u0 * (v1 * w2 - v2 * w1) + u1 * (v2 * w0 - v0 * w2) + u2 * (v0 * w1 - v1 * w0)
 
 
+@lru_cache(maxsize=None)
+def _quadruples(n: int) -> Tuple[Tuple[int, int, int, int], ...]:
+    """combinations(range(n), 4), built once per point count n."""
+    return tuple(combinations(range(n), 4))
+
+
 def quad_volumes(points: Sequence[IntVec3]) -> Dict[Tuple[int, int, int, int], int]:
     """det4 of every index quadruple (i, j, k, l), i < j < k < l, of the
-    points, keyed in itertools.combinations(range(n), 4) order."""
-    return {
-        (i, j, k, l): det4(points[i], points[j], points[k], points[l])
-        for i, j, k, l in combinations(range(len(points)), 4)
-    }
+    points, keyed in itertools.combinations(range(n), 4) order.  Results
+    for n points share their key tuples (_quadruples), so the volumes a
+    PointConfig keeps cost a dict and its values."""
+    quads = _quadruples(len(points))
+    return dict(zip(quads, [det4(points[i], points[j], points[k], points[l])
+                            for i, j, k, l in quads]))
 
 
 def gcd_all(values: Iterable[int]) -> int:

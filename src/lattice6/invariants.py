@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Tuple
 
-from .exactlinalg import IntVec3, _adjugate, _mat_vec, dot, gcd_all, quad_volumes, sub
+from .exactlinalg import IntVec3, _adjugate, _mat_vec, dot, gcd_all, sub
 from .polytope import NotFullDimensional, PointConfig, lattice_points
 
 
@@ -23,7 +23,7 @@ def volume_vector6(config: PointConfig) -> Tuple[int, ...]:
     """15-entry volume vector (w_1234, w_1235, ..., w_3456), lex order."""
     if len(config) != 6:
         raise WrongSize(f"need 6 points, got {len(config)}")
-    return tuple(quad_volumes(config.points).values())
+    return tuple(config.volumes().values())
 
 
 def volume_vector5(config: PointConfig) -> Tuple[int, ...]:
@@ -34,7 +34,7 @@ def volume_vector5(config: PointConfig) -> Tuple[int, ...]:
     """
     if len(config) != 5:
         raise WrongSize(f"need 5 points, got {len(config)}")
-    w = tuple(quad_volumes(config.points).values())  # w_1234, w_1235, ..., w_2345
+    w = tuple(config.volumes().values())  # w_1234, w_1235, ..., w_2345
     return (w[4], -w[3], w[2], -w[1], w[0])
 
 
@@ -82,11 +82,11 @@ def circuits(config: PointConfig) -> Tuple[SignedCircuit, ...]:
     NotFullDimensional).  Then every circuit extends to a 5-subset of
     rank 4, whose only affine dependence is, by Cramer's rule, its vector
     of signed minors (-1)^k det4(subset without its k-th point); the
-    circuit is that vector's support and signs.  Cost: C(n,4) det4 values
-    and C(n,5) sign vectors, integers only.
+    circuit is that vector's support and signs.  Cost: the C(n,4) det4
+    values of config.volumes() and C(n,5) sign vectors, integers only.
     """
     pts = config.points
-    dets = quad_volumes(pts)
+    dets = config.volumes()
     if not any(dets.values()):
         raise NotFullDimensional("circuits need a full-dimensional configuration")
     found = {}
@@ -189,7 +189,7 @@ def width(config: PointConfig) -> Tuple[int, IntVec3]:
     least of them, sign-normalized (leading coefficient positive).
     """
     pts = config.points
-    vols = quad_volumes(pts)
+    vols = config.volumes()
     quad = max(vols, key=lambda q: abs(vols[q]))
     rows = tuple(sub(pts[i], pts[quad[0]]) for i in quad[1:])
     D = vols[quad]

@@ -24,7 +24,8 @@ import itertools
 import re
 from functools import cmp_to_key
 from math import gcd
-from typing import List, Sequence, Tuple
+from types import MappingProxyType
+from typing import List, Mapping, Sequence, Tuple
 
 from .exactlinalg import (
     IntVec3,
@@ -48,9 +49,15 @@ class NotFullDimensional(ValueError):
 
 
 class PointConfig:
-    """Ordered configuration of 4..8 distinct lattice points."""
+    """Ordered configuration of 4..8 distinct lattice points.
 
-    __slots__ = ("points",)
+    volumes() is quad_volumes of the points, computed on its first call
+    and kept in the configuration as a read-only view, so that the
+    circuits, volume vectors, width and normal form of one configuration
+    share one det4 pass.
+    """
+
+    __slots__ = ("points", "_volumes")
 
     def __init__(self, points: Sequence[Sequence[int]]):
         self._set_points(tuple(check_point(p) for p in points))
@@ -70,6 +77,7 @@ class PointConfig:
         if len(set(pts)) != len(pts):
             raise ValueError("points must be distinct")
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_volumes", None)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -89,8 +97,14 @@ class PointConfig:
     def __repr__(self):
         return f"PointConfig({list(self.points)!r})"
 
+    def volumes(self) -> Mapping[Tuple[int, int, int, int], int]:
+        """quad_volumes(self.points), computed once per configuration."""
+        if self._volumes is None:
+            self._volumes = MappingProxyType(quad_volumes(self.points))
+        return self._volumes
+
     def is_full_dimensional(self) -> bool:
-        return any(quad_volumes(self.points).values())
+        return any(self.volumes().values())
 
 
 def hull_facets(config: PointConfig) -> Tuple[Plane, ...]:

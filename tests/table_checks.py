@@ -124,6 +124,11 @@ def validate_tables(bundle: TableBundle) -> ValidationReport:
         keys_by_label.setdefault(row.om_label, set()).add(record.key)
         if bundle.key_candidates(row.om_label) != (record.key,):
             bad.append(f"{row.id}: matched {record.key}, label map disagrees")
+        # analyze prints row.om_label for an identified input: the record's
+        # labels must name that row's label alone
+        if bundle.label_candidates(record.key) != (row.om_label,):
+            bad.append(f"{row.id}: {record.key} carries labels "
+                       f"{bundle.label_candidates(record.key)}, not only {row.om_label}")
 
     for label, keys in keys_by_label.items():
         if len(keys) != 1:

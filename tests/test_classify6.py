@@ -348,16 +348,31 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     built from checked points check only the point they add, and the
     triangulation checks test the emptiness of those points without
     checking them again (18,100 calls when every point was checked
-    again)."""
+    again).  quad_volumes runs 1,550 times, once per configuration whose
+    volumes are read (PointConfig.volumes) and once per chirotope: 754
+    verdicts (the G/H circuits reuse them), 384 embedding chirotopes,
+    262 normal forms of survivors no earlier step measured, 76 table
+    representatives' volume vectors, 52 circuits and 22 widths (1,906
+    calls when each reader computed its own)."""
     for cell in ("5.4", "5.5"):  # warm: the orbits are built once per process
         classify6._cell_orbit(cell)
     classify6._row_key_index()
     calls = count_calls(monkeypatch, unimodular_map, hull_facets, classify6._glued_verdict,
-                        match_om, check_point, circuits, _normal_form)
+                        match_om, check_point, circuits, _normal_form, quad_volumes)
     classify6.classify_all()
     assert calls == {"unimodular_map": 116, "hull_facets": 1031, "_glued_verdict": 754,
                      "match_om": 76, "check_point": 5465, "circuits": 265,
-                     "_normal_form": 321}
+                     "_normal_form": 321, "quad_volumes": 1550}
+
+
+def test_finish_rejects_a_row_of_another_case(bundle):
+    """A representative whose key names a row of another case fails the
+    case check, before its witness map or the case's row list is looked at."""
+    row = next(r for r in bundle.class_rows if r.case == "B")
+    firsts = classify6._dedupe([row.config()])
+    with pytest.raises(classify6.ClassificationError,
+                       match=rf"^case A produced table row {re.escape(row.id)}$"):
+        classify6._finish("A", 1, Counter(), firsts)
 
 
 @pytest.mark.parametrize("classify", [classify6.classify_all, lambda: classify6.run_case("A")],

@@ -14,10 +14,12 @@ from conftest import apply_map, count_calls, random_unimodular, shuffled
 import random
 
 import lattice6
-from lattice6 import classify6, equivalence, invariants, polytope, size5
-from lattice6.cli import main
+from lattice6 import classify6, cli, equivalence, invariants, omcatalog, polytope, size5
+from lattice6.classify6 import width1_family
+from lattice6.cli import _om_label, main
 from lattice6.emptytetra import is_empty_tetrahedron, white_type
-from lattice6.exactlinalg import AffineMap
+from lattice6.exactlinalg import AffineMap, quad_volumes
+from lattice6.invariants import circuits
 from lattice6.polytope import PointConfig, format_points, parse_points
 from lattice6.size5 import catalog41, rep21, rep32
 
@@ -84,14 +86,66 @@ def test_analyze_five_points_enumerates_once(tmp_path, capsys, monkeypatch):
 
 
 def test_analyze_six_points_computes_circuits_and_facets_once(tmp_path, bundle, capsys, monkeypatch):
-    """One circuits call and one hull_facets call per six-point analyze,
-    wherever the lattice6 modules look the two functions up."""
+    """One circuits call, one hull_facets call and one quad_volumes call
+    per six-point analyze, wherever the lattice6 modules look the
+    functions up: the circuits, volume vector, width and normal form read
+    the configuration's one PointConfig.volumes().  The input is a table
+    row, so its oriented-matroid label, a class invariant, is read off
+    the row without a canonical circuit form."""
     classify6._row_key_index()  # built with the tables, before counting
-    calls = count_calls(monkeypatch, invariants.circuits, polytope.hull_facets)
+    calls = count_calls(monkeypatch, invariants.circuits, polytope.hull_facets, quad_volumes,
+                        omcatalog.canonical_circuit_form)
     rc = main(["analyze", rep_file(tmp_path, bundle, "H.7")])
     assert rc == 0
-    assert "class: H.7" in capsys.readouterr().out
-    assert calls == {"circuits": 1, "hull_facets": 1}
+    out = capsys.readouterr().out
+    assert "class: H.7" in out
+    assert f"oriented matroid: {bundle.class_by_id('H.7').om_label}\n" in out
+    assert calls == {"circuits": 1, "hull_facets": 1, "quad_volumes": 1,
+                     "canonical_circuit_form": 0}
+
+
+def _python(args):
+    """A python process with args, importing this lattice6."""
+    paths = [str(Path(lattice6.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=60)
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of one main call; a usage error's
+    SystemExit gives its code."""
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    out = capsys.readouterr()
+    return rc, out.out, out.err
+
+
+def test_parser_is_built_once_and_reused(tmp_path, bundle, capsys, monkeypatch):
+    """main parses with one cached parser, built on the first call and not
+    at import; after analyze, a usage error and equiv, each call prints
+    and exits as with a freshly built parser."""
+    proc = _python(["-c", "import lattice6.cli as c; print(c.build_parser.cache_info().currsize)"])
+    assert proc.stdout == "0\n"
+    assert cli.build_parser() is cli.build_parser()
+    rng = random.Random(7)
+    h12 = bundle.class_by_id("H.12").config()
+    image = shuffled(rng, apply_map(random_unimodular(rng), h12))
+    hexagon = width1_family("(3,3)/6.4", (1, 1, 2, 3))
+    argvs = [
+        ["analyze", rep_file(tmp_path, bundle, "H.12")],
+        ["classify", "--case", "Z"],
+        ["equiv", rep_file(tmp_path, bundle, "H.12"), write_config(tmp_path, "img.txt", image.points)],
+        ["analyze", write_config(tmp_path, "hex.txt", hexagon.points)],
+    ]
+    reused = [_outcome(argv, capsys) for argv in argvs]
+    assert [rc for rc, _, _ in reused] == [0, 2, 0, 0]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    fresh = [_outcome(argv, capsys) for argv in argvs]
+    assert reused == fresh
 
 
 @pytest.mark.parametrize("cid", ["H.12", None])
@@ -101,22 +155,24 @@ def test_python_m_lattice6_matches_main(tmp_path, bundle, capsys, cid):
     path = rep_file(tmp_path, bundle, cid) if cid else str(tmp_path / "missing.txt")
     rc = main(["analyze", path])
     out = capsys.readouterr().out
-    paths = [str(Path(lattice6.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    proc = subprocess.run([sys.executable, "-m", "lattice6", "analyze", path],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = _python(["-m", "lattice6", "analyze", path])
     assert (proc.stdout, proc.returncode) == (out, rc)
     assert rc == (0 if cid else 2)
 
 
-def test_analyze_width_one_hexagon(tmp_path, capsys):
-    from lattice6.classify6 import width1_family
+def test_analyze_width_one_hexagon(tmp_path, capsys, monkeypatch):
+    """An input outside the table gets its oriented-matroid label from one
+    canonical circuit form of its circuits."""
     c = width1_family("(3,3)/6.4", (1, 1, 2, 3))
+    label = _om_label(circuits(c))  # also builds the catalog before counting
     path = write_config(tmp_path, "hex.txt", c.points)
+    calls = count_calls(monkeypatch, omcatalog.canonical_circuit_form)
     rc = main(["analyze", path])
     out = capsys.readouterr().out
     assert rc == 0
     assert "not in classification" in out
+    assert f"oriented matroid: {label}\n" in out
+    assert calls == {"canonical_circuit_form": 1}
 
 
 #: Determinant 1 with entries up to 2407: it keeps normalized volumes but

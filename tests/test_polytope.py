@@ -9,9 +9,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import fraction_oracles
-from conftest import apply_map, random_unimodular
+from conftest import apply_map, count_calls, random_unimodular
 from fraction_oracles import point_in_hull
-from lattice6.exactlinalg import cross, det4, dot, gcd_all, sub
+from lattice6.exactlinalg import cross, det4, dot, gcd_all, quad_volumes, sub
 from lattice6 import polytope
 from lattice6.polytope import (
     NotFullDimensional,
@@ -35,6 +35,20 @@ def test_unit_tetrahedron():
     assert len(hull_facets(UNIT)) == 4
     assert set(hull_summary(UNIT)[2]) == set(UNIT.points)
     assert hull_summary(UNIT)[1] == ()
+
+
+def test_volumes_are_computed_once_and_read_only(bundle, monkeypatch):
+    """PointConfig.volumes() is quad_volumes of the points, computed on the
+    first call and kept; the view refuses writes, so no reader can change
+    what the others read."""
+    c = bundle.class_by_id("H.12").config()
+    expected = quad_volumes(c.points)
+    calls = count_calls(monkeypatch, quad_volumes)
+    vols = c.volumes()
+    assert vols is c.volumes() and vols == expected
+    assert calls == {"quad_volumes": 1}
+    with pytest.raises(TypeError):
+        vols[0, 1, 2, 3] = 0
 
 
 def test_dilated_simplex_has_ten_points():

@@ -14,7 +14,9 @@ The same holds for the fields, methods and properties of library
 classes: a member whose name no library module reads as an attribute
 goes, unless MEMBER_UNREAD_ALLOWED keeps it.  Key orders become
 unimodular maps in one place: equivalence.py is the only module that
-calls unimodular_map.
+calls unimodular_map.  A configuration's quadruple volumes are computed
+once, by PointConfig.volumes(): outside the PointConfig class, no call
+quad_volumes(<expr>.points), nor one on a name assigned from <expr>.points.
 """
 
 import ast
@@ -250,3 +252,52 @@ def test_unimodular_map_call_is_a_violation(tmp_path):
                     encoding="utf-8")
     assert list(_map_solves(path)) == ["sample.py:4: calls unimodular_map",
                                        "sample.py:4: calls unimodular_map"]
+
+
+def _volume_passes(path):
+    """Calls of quad_volumes, as a bare name or an attribute, outside the
+    PointConfig class in path whose argument is <expr>.points or a name
+    that the enclosing function assigns from <expr>.points."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    inside = {id(node) for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and cls.name == "PointConfig"
+              for node in ast.walk(cls)}
+    found = {}
+    for fn in ast.walk(tree):
+        if id(fn) in inside or not isinstance(fn, ast.FunctionDef):
+            continue
+        aliases = {t.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                   and isinstance(node.value, ast.Attribute) and node.value.attr == "points"
+                   for t in node.targets if isinstance(t, ast.Name)}
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call) or not node.args:
+                continue
+            func, arg = node.func, node.args[0]
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "quad_volumes" and (
+                    (isinstance(arg, ast.Attribute) and arg.attr == "points")
+                    or (isinstance(arg, ast.Name) and arg.id in aliases)):
+                found[id(node)] = (node.lineno, f"{path.name}:{node.lineno}: "
+                                                "calls quad_volumes on .points")
+    return [message for _, message in sorted(found.values())]
+
+
+def test_only_point_config_computes_its_volumes():
+    found = [v for path in SOURCES for v in _volume_passes(path)]
+    assert not found, "\n".join(found)
+
+
+def test_quad_volumes_of_config_points_is_a_violation(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("from . import exactlinalg\nfrom .exactlinalg import quad_volumes\n"
+                    "class PointConfig:\n    def volumes(self):\n"
+                    "        return quad_volumes(self.points)\n"
+                    "def chirotope(points):\n    return quad_volumes(points)\n"
+                    "def width(config):\n    return quad_volumes(config.points)\n"
+                    "def circuits(cfg):\n    return exactlinalg.quad_volumes(cfg.points)\n"
+                    "def normal_form(config):\n    pts = config.points\n"
+                    "    return quad_volumes(pts)\n",
+                    encoding="utf-8")
+    assert _volume_passes(path) == ["sample.py:9: calls quad_volumes on .points",
+                                    "sample.py:11: calls quad_volumes on .points",
+                                    "sample.py:14: calls quad_volumes on .points"]
