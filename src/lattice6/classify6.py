@@ -32,11 +32,13 @@ exactly when the two ordered subtetrahedra have the same edge form (row
 Hermite normal form of the edge vectors), so a dict from edge form to
 ordered subtetrahedra yields the 3,732 hits directly; an affine map keeps
 barycentric coordinates, so each hit's glued point is placed without
-solving the map.  The symmetries of the base polytopes make many
-matchings glue the same configuration up to a symmetry: the 1,532
-distinct verdict keys fall into 754 orbits.  A verdict (coplanarity,
-interior points, triangulation checks) is made once per orbit in each
-run_case_gh call and replayed into the counters on every repeat.
+solving the map.  The symmetries of the base polytopes, and the swap of
+a gluing's source and target, make many matchings glue the same
+configuration up to a unimodular map: the 1,532 distinct verdict keys
+fall into 426 gluing groups.  A verdict (coplanarity, interior points,
+triangulation checks) is made once per group in each run_case_gh call
+and replayed into the counters on every repeat; an accepted group
+contributes one configuration to identify.
 """
 
 import csv
@@ -702,12 +704,25 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
 
     The 3,572 six-point gluings have 1,532 distinct verdict keys (target
     polytope, new point, left-out target vertex, glued interior point).
-    A symmetry g of the target fixes its interior point and maps a key to
-    one with the same (case, reason), since every test of _glued_verdict
-    is invariant or follows the relabeling.  So the first key of each
-    orbit gets a verdict, which is stored under all its images: 754
-    verdicts.  The symmetries are computed per call, and each gluing
-    still contributes its own configuration.
+    A verdict depends only on whether some four points are coplanar,
+    whether the interior lattice points are {base interior}, {both
+    interior points} or another set, and whether the hull has six lattice
+    points (_cross_check ties the G and H reasons to that), and each of
+    these is kept by a unimodular map that carries the two interior
+    points onto each other's roles.  Two kinds of map give a key the same
+    verdict: a symmetry of the target, which fixes its interior point
+    and relabels the key; and the inverse of the gluing map, which
+    carries the configuration onto the reverse gluing (_swap_key: the
+    target's left-out vertex glued onto the source base), with the
+    interior points swapped.  So the first key of each gluing group, its
+    images under the target's symmetries and those of its reverse key
+    under the source's, gets a verdict, which is stored under the whole
+    group: 426 verdicts.  The first hit of a group is the one that makes
+    its verdict, and only its configuration is kept when the verdict
+    accepts.  The gluings of a group are equivalent, so the first gluing
+    of each class is the first of its group, and _dedupe identifies 32
+    configurations, the first of each class in enumeration order.  The
+    symmetries and verdicts are computed per call.
     """
     rejected = {"shared": Counter(), "G": Counter(), "H": Counter()}
     accepted: Dict[str, List[PointConfig]] = {"G": [], "H": []}
@@ -716,16 +731,17 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
     autos = [_base_automorphisms(base) for base in bases]
     orders = list(itertools.permutations(range(4)))
     # per base polytope: its subtetrahedra (left-out vertex's barycentric
-    # numerators and their denominator, edge form), and its ordered ones by
-    # edge form.  With v the affine dependence volume_vector5 of the base,
-    # the left-out vertex is sum_k (-v_k / v_ex) p_k over the others.
+    # numerators and their denominator, edge form, the points in base
+    # order), and its ordered ones by edge form.  With v the affine
+    # dependence volume_vector5 of the base, the left-out vertex is
+    # sum_k (-v_k / v_ex) p_k over the others.
     sources, targets = [], []
     for pts, base in zip(reps, bases):
         v = volume_vector5(base)
         subs, by_form = [], {}
         for ex in range(1, 5):
             tet = [pts[k] for k in range(5) if k != ex]
-            subs.append(([-v[k] for k in range(5) if k != ex], v[ex], edge_form(tet)))
+            subs.append(([-v[k] for k in range(5) if k != ex], v[ex], edge_form(tet), tet))
             for sigma in orders:
                 dst = [tet[t] for t in sigma]
                 by_form.setdefault(edge_form(dst), []).append((ex, dst))
@@ -734,26 +750,28 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
     examined = (4 * len(reps)) ** 2 * len(orders)
     hits = 0
     verdicts = {}
-    for subs in sources:
+    for sb, subs in enumerate(sources):
         for si, (spts, by_form) in enumerate(zip(reps, targets)):
-            for weights, vol, form_r in subs:
+            for ex, (weights, vol, form_r, _) in enumerate(subs, 1):
                 for ex_s, dst in by_form.get(form_r, ()):
                     hits += 1
                     new_pt = _barycentric_image(weights, vol, dst)
                     if new_pt in spts:
                         rejected["shared"]["gluing yields fewer than six points"] += 1
                         continue
-                    glued = dst[0]
-                    key = (si, new_pt, ex_s, glued)
-                    if key not in verdicts:
-                        verdict = _glued_verdict(spts, new_pt, ex_s, glued)
-                        for perm, g in autos[si]:
-                            verdicts[si, g.apply(new_pt), perm[ex_s], g.apply(glued)] = verdict
-                    case, reason = verdicts[key]
-                    if reason is None:
+                    key = (si, new_pt, ex_s, dst[0])
+                    verdict = verdicts.get(key)
+                    if verdict is None:
                         cfg = PointConfig._of_checked(spts + (check_point(new_pt),))
-                        accepted[case].append(cfg)
-                    else:
+                        verdict = _glued_verdict(cfg, ex_s, dst[0])
+                        swap = _swap_key(sources, sb, ex, si, ex_s, dst)
+                        for base, pt, left, glued in (key, swap):
+                            for perm, g in autos[base]:
+                                verdicts[base, g.apply(pt), perm[left], g.apply(glued)] = verdict
+                        if verdict[1] is None:
+                            accepted[verdict[0]].append(cfg)
+                    case, reason = verdict
+                    if reason is not None:
                         rejected[case][reason] += 1
     rejected["shared"]["identification is not integral unimodular"] = examined - hits
     note = "candidate enumeration shared with the other gluing case"
@@ -763,6 +781,23 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
     report_g = _finish("G", examined, rejected["G"], _dedupe(accepted["G"]), (note,))
     report_h = _finish("H", examined, rejected["H"], _dedupe(accepted["H"]), (note,))
     return report_g, report_h
+
+
+def _swap_key(sources, sb, ex, si, ex_s, dst) -> tuple:
+    """Verdict key of the reverse of a gluing: base si's vertex ex_s glued
+    onto base sb.
+
+    The gluing's map sends sb's subtetrahedron without vertex ex, in base
+    order, onto dst, an ordering of si's subtetrahedron without ex_s; its
+    inverse sends si's subtetrahedron back, so the reverse gluing's new
+    point is the _barycentric_image of ex_s's numerators over those
+    images, and its glued interior point is the image of si's interior
+    point.  sources holds run_case_gh's subtetrahedra per base.
+    """
+    src = sources[sb][ex - 1][3]
+    weights, vol, _, tet = sources[si][ex_s - 1]
+    back = [src[dst.index(p)] for p in tet]
+    return sb, _barycentric_image(weights, vol, back), ex, back[0]
 
 
 def _barycentric_image(weights, vol: int, dst) -> IntVec3:
@@ -782,8 +817,9 @@ def _barycentric_image(weights, vol: int, dst) -> IntVec3:
     return (x // vol, y // vol, z // vol)
 
 
-def _glued_verdict(spts, new_pt, ex_s, glued_interior):
-    """(case, rejection reason or None) of one gluing.
+def _glued_verdict(cfg: PointConfig, ex_s: int, glued_interior: IntVec3):
+    """(case, rejection reason or None) of one gluing: cfg is the target
+    base's five points followed by the new point.
 
     case is "shared" for the rejections common to G and H.  The points
     contain a full-dimensional base, so some four of them are coplanar
@@ -792,15 +828,14 @@ def _glued_verdict(spts, new_pt, ex_s, glued_interior):
     points are computed once and shared by the tests below; the circuits
     are computed only by _glue_g and _glue_h, from the same cfg.volumes().
     """
-    cfg = PointConfig._of_checked(spts + (check_point(new_pt),))
     if 0 in cfg.volumes().values():
         return "shared", "coplanarity present"
     lattice, inner, _ = hull_summary(cfg)
     six = len(lattice) == 6
     inner = set(inner)
-    if inner == {spts[0]}:
+    if inner == {cfg.points[0]}:
         return "G", _glue_g(cfg, six, ex_s)
-    if inner == {spts[0], glued_interior}:
+    if inner == {cfg.points[0], glued_interior}:
         int_idx = cfg.points.index(glued_interior)
         return "H", _glue_h(cfg, six, int_idx, ex_s)
     return "shared", "extra interior lattice point"

@@ -184,11 +184,17 @@ def test_barycentric_image_is_checked(dst, message):
         classify6._barycentric_image([1, 1, 0, 0], 2, dst)
 
 
-def _literal_case_gh():
-    """Oracle for run_case_gh: the G/H loop before the orbit cache, which
-    compares the edge forms of all 24,576 matchings and makes one verdict
-    per distinct literal key.  Returns the two reports and the accepted
-    configurations per case, in order."""
+@pytest.fixture(scope="module")
+def literal_gh():
+    """Oracle for run_case_gh: the G/H loop before the verdict cache, which
+    compares the edge forms of all 24,576 matchings, solves each hit's map
+    and makes one verdict per distinct literal key.  Built once per module.
+
+    Holds the two reports, the accepted configurations per case in order,
+    the verdicts by key as (case, reason, configuration), one
+    _glued_verdict call each, and each key's first hit as (source base, its
+    left-out vertex, target base, its left-out vertex, ordered target
+    subtetrahedron, source subtetrahedron in base order)."""
     rejected = {"shared": Counter(), "G": Counter(), "H": Counter()}
     accepted = {"G": [], "H": []}
     examined = 0
@@ -202,8 +208,8 @@ def _literal_case_gh():
             ordered = [[tet[t] for t in sigma] for sigma in orders]
             per_ex.append((ex, [(dst, edge_form(dst)) for dst in ordered]))
         tetras.append(per_ex)
-    verdicts = {}
-    for rpts, r_tetras in zip(reps, tetras):
+    verdicts, first_hits = {}, {}
+    for rb, (rpts, r_tetras) in enumerate(zip(reps, tetras)):
         for si, (spts, s_tetras) in enumerate(zip(reps, tetras)):
             for ex_r, r_ordered in r_tetras:
                 sub_r, form_r = r_ordered[0]
@@ -221,7 +227,8 @@ def _literal_case_gh():
                         key = (si, new_pt, ex_s, m.apply(rpts[0]))
                         if key not in verdicts:
                             cfg = PointConfig(list(spts) + [new_pt])
-                            verdicts[key] = (*classify6._glued_verdict(spts, *key[1:]), cfg)
+                            verdicts[key] = (*classify6._glued_verdict(cfg, *key[2:]), cfg)
+                            first_hits[key] = (rb, ex_r, si, ex_s, dst, sub_r)
                         case, reason, cfg = verdicts[key]
                         if reason is None:
                             accepted[case].append(cfg)
@@ -235,7 +242,8 @@ def _literal_case_gh():
         classify6._finish(case, examined, rejected[case], classify6._dedupe(accepted[case]), (note,))
         for case in ("G", "H")
     )
-    return reports, accepted
+    return types.SimpleNamespace(reports=reports, accepted=accepted, verdicts=verdicts,
+                                 first_hits=first_hits, reps=reps)
 
 
 def _counting_verdicts(monkeypatch):
@@ -300,13 +308,19 @@ def test_base_automorphisms_fix_the_first_point():
         classify6._base_automorphisms(PointConfig(pts[1:] + pts[:1]))
 
 
-def test_orbit_verdicts_match_literal_oracle(monkeypatch):
-    """run_case_gh gives the literal-keyed loop's reports and accepted
-    configurations, in order; the oracle makes a verdict, with its
-    triangulation cross-checks, on each of the 1,532 distinct keys."""
+def _is_subsequence(part, whole) -> bool:
+    rest = iter(whole)
+    return all(any(x == y for y in rest) for x in part)
+
+
+def test_orbit_verdicts_match_literal_oracle(monkeypatch, literal_gh):
+    """run_case_gh gives the literal-keyed loop's reports; the oracle makes
+    a verdict, with its triangulation cross-checks, on each of the 1,532
+    distinct keys, run_case_gh on 426.  Each accepted list is the oracle's
+    with the repeats of a gluing group left out, in order, and identifies
+    the same first-seen configurations under the same keys."""
+    assert len(literal_gh.verdicts) == 1532
     calls = _counting_verdicts(monkeypatch)
-    (oracle_g, oracle_h), oracle_accepted = _literal_case_gh()
-    assert len(calls) == 1532
     accepted = []
     dedupe = classify6._dedupe
 
@@ -316,53 +330,89 @@ def test_orbit_verdicts_match_literal_oracle(monkeypatch):
 
     monkeypatch.setattr(classify6, "_dedupe", recorded)
     report_g, report_h = classify6.run_case_gh()
-    assert len(calls) == 1532 + 754
-    assert accepted == [oracle_accepted["G"], oracle_accepted["H"]]
-    for report, oracle in ((report_g, oracle_g), (report_h, oracle_h)):
+    assert len(calls) == 426
+    assert [len(configs) for configs in accepted] == [20, 12]
+    for configs, case in zip(accepted, "GH"):
+        oracle = literal_gh.accepted[case]
+        assert _is_subsequence(configs, oracle), case
+        assert list(dedupe(configs).items()) == list(dedupe(oracle).items()), case
+    for report, oracle in zip((report_g, report_h), literal_gh.reports):
         assert report.rejected == oracle.rejected
         assert report.candidates_examined == oracle.candidates_examined
         assert report == oracle
 
 
+def test_swap_keys_match_inverse_gluing_oracle(monkeypatch, literal_gh):
+    """The key run_case_gh stores for the reverse of a gluing is the one
+    the solved inverse map gives: the images of the target's left-out
+    vertex and of its interior point, over the source base with its
+    left-out vertex.  Checked on the first hit of each of the 1,532
+    distinct keys, whose reverse key is a distinct key with the same
+    _glued_verdict, and on every swap run_case_gh computes (one per
+    verdict)."""
+    swaps = []
+    swap_key = classify6._swap_key
+
+    def recorded(*args):
+        swaps.append((args, swap_key(*args)))
+        return swaps[-1][1]
+
+    monkeypatch.setattr(classify6, "_swap_key", recorded)
+    classify6.run_case_gh()
+    assert len(swaps) == 426
+    sources = swaps[0][0][0]
+    reps, verdicts = literal_gh.reps, literal_gh.verdicts
+    expected = {}
+    for key, (rb, ex_r, si, ex_s, dst, sub_r) in literal_gh.first_hits.items():
+        inverse = unimodular_map(dst, sub_r)
+        assert inverse is not None
+        swap = (rb, inverse.apply(reps[si][ex_s]), ex_r, inverse.apply(reps[si][0]))
+        assert swap_key(sources, rb, ex_r, si, ex_s, dst) == swap
+        assert verdicts[swap][:2] == verdicts[key][:2], key
+        expected[rb, ex_r, si, ex_s, tuple(dst)] = swap
+    for (_, *hit, dst), swap in swaps:
+        assert expected.get((*hit, tuple(dst))) == swap
+
+
 def test_orbit_verdict_count_and_no_carry_over(monkeypatch, case_reports):
-    """754 verdicts on every call: nothing decided in one run_case_gh call
+    """426 verdicts on every call: nothing decided in one run_case_gh call
     is reused by the next."""
     calls = _counting_verdicts(monkeypatch)
     first = classify6.run_case_gh()
-    assert len(calls) == 754
+    assert len(calls) == 426
     second = classify6.run_case_gh()
-    assert len(calls) == 2 * 754
+    assert len(calls) == 2 * 426
     assert first == second == tuple(by_case(case_reports)[c] for c in "GH")
 
 
 def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     """One warm classify_all: 40 automorphism maps plus one witness map per
-    class (the check stops at the first), 1,031 hull computations (cases C
-    and F count only the hulls their cap rule keeps), 754 gluing verdicts,
-    265 circuit computations (a verdict computes them only when it reaches
-    _glue_g or _glue_h), 321 normal forms (one per distinct point set in
-    _dedupe, whose key orders the witness check reuses, and one per base
-    for its symmetries; the rows' key orders come from _row_key_index),
-    one match_om per class (cases C and E test their
-    embeddings by chirotope), and 5,465 check_point calls: configurations
-    built from checked points check only the point they add, and the
-    triangulation checks test the emptiness of those points without
-    checking them again (18,100 calls when every point was checked
-    again).  quad_volumes runs 1,550 times, once per configuration whose
-    volumes are read (PointConfig.volumes) and once per chirotope: 754
-    verdicts (the G/H circuits reuse them), 384 embedding chirotopes,
-    262 normal forms of survivors no earlier step measured, 76 table
-    representatives' volume vectors, 52 circuits and 22 widths (1,906
-    calls when each reader computed its own)."""
+    class (the check stops at the first), 728 hull computations (cases C
+    and F count only the hulls their cap rule keeps), 426 gluing verdicts,
+    206 circuit computations (a verdict computes them only when it reaches
+    _glue_g or _glue_h), 129 normal forms (one per distinct point set in
+    _dedupe, which for G and H is one per class, whose key orders the
+    witness check reuses, and one per base for its symmetries; the rows'
+    key orders come from _row_key_index), one match_om per class (cases C
+    and E test their embeddings by chirotope), and 4,336 check_point
+    calls: configurations built from checked points check only the point
+    they add, and the triangulation checks test the emptiness of those
+    points without checking them again.  quad_volumes runs 998 times,
+    once per configuration whose volumes are read (PointConfig.volumes)
+    and once per chirotope: 426 verdicts (the G/H circuits, and the
+    normal forms of the accepted verdicts' configurations, reuse them),
+    384 embedding chirotopes, 38 normal forms of survivors no earlier step
+    measured, 76 table representatives' volume vectors, 52 circuits and
+    22 widths."""
     for cell in ("5.4", "5.5"):  # warm: the orbits are built once per process
         classify6._cell_orbit(cell)
     classify6._row_key_index()
     calls = count_calls(monkeypatch, unimodular_map, hull_facets, classify6._glued_verdict,
                         match_om, check_point, circuits, _normal_form, quad_volumes)
     classify6.classify_all()
-    assert calls == {"unimodular_map": 116, "hull_facets": 1031, "_glued_verdict": 754,
-                     "match_om": 76, "check_point": 5465, "circuits": 265,
-                     "_normal_form": 321, "quad_volumes": 1550}
+    assert calls == {"unimodular_map": 116, "hull_facets": 728, "_glued_verdict": 426,
+                     "match_om": 76, "check_point": 4336, "circuits": 206,
+                     "_normal_form": 129, "quad_volumes": 998}
 
 
 def test_finish_rejects_a_row_of_another_case(bundle):
@@ -464,8 +514,8 @@ def test_cell_orbit_checks_its_realization(monkeypatch):
 @pytest.mark.parametrize("accept_all", [False, True])
 def test_glued_points_are_bound_checked(monkeypatch, accept_all):
     """A glued point past the coordinate bound raises from run_case_gh,
-    both where the verdict is made and where an accepted gluing's
-    configuration is rebuilt for a replayed verdict."""
+    where its configuration is built before the verdict, also when the
+    verdict would accept it."""
     far = (COORD_BOUND + 1, 0, 0)
     monkeypatch.setattr(classify6, "_barycentric_image", lambda weights, vol, dst: far)
     if accept_all:
@@ -632,29 +682,22 @@ def test_cap_rule_matches_size_on_base_extensions():
     assert kept > 0 and on_plane >= 8 * 4 * 7
 
 
-def test_quad_volume_coplanarity_matches_circuits(monkeypatch):
+def test_quad_volume_coplanarity_matches_circuits(literal_gh):
     """The gluing verdict's coplanarity test, a zero among the 15 quadruple
-    volumes, says what the circuits say on all 754 verdict configurations
-    (the verdict rejects exactly those for coplanarity), and the two tests
-    agree on seeded full-dimensional six-point sets of a small box."""
-    verdict = classify6._glued_verdict
-    verdicts = []
-
-    def recorded(*args):
-        verdicts.append((args, verdict(*args)))
-        return verdicts[-1][1]
-
-    monkeypatch.setattr(classify6, "_glued_verdict", recorded)
-    classify6.run_case_gh()
-    assert len(verdicts) == 754
+    volumes, says what the circuits say on all 1,532 verdict configurations
+    of the literal-keyed loop (the verdict rejects exactly those for
+    coplanarity), and the two tests agree on seeded full-dimensional
+    six-point sets of a small box."""
+    verdicts = literal_gh.verdicts
+    assert len(verdicts) == 1532
     coplanar = 0
-    for (spts, new_pt, *_), (_, reason) in verdicts:
-        cfg = PointConfig(spts + (new_pt,))
+    for _, reason, glued in verdicts.values():
+        cfg = PointConfig(glued.points)
         expected = coplanarity_from_circuits(circuits(cfg)) != NO_COPLANARITY
         assert (reason == "coplanarity present") == expected
         assert (0 in quad_volumes(cfg.points).values()) == expected
         coplanar += expected
-    assert 0 < coplanar < 754
+    assert 0 < coplanar < 1532
     rng = random.Random(21)
     seen = Counter()
     while sum(seen.values()) < 600:
