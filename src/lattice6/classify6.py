@@ -21,10 +21,13 @@ The runners share three steps: _embeddings41, the one search over the
 and case E); _cross_check, the one comparison of a triangulation's size
 argument with the hull count (B.ii, B.iii, the three C subcases, E, F, G
 and H); and _caps, the cap rule for a one-point extension of a polytope
-with empty triangular facets (case C's "both vertices" subcase and case
-F).  At those two sites a candidate whose cap tetrahedra are not all
-empty is rejected without a hull, so the hull count cross-checks the
-argument on the other candidates only.
+with empty triangular facets, which is the size argument of case C's
+"both vertices" subcase and of cases F, G and H (a case F candidate and
+a glued G/H configuration are both a (4,1) base plus one point, with the
+facets _BASE41_FACETS).  In C and F a candidate whose cap tetrahedra are
+not all empty is rejected without a hull, so the hull count cross-checks
+the argument on the other candidates only; in G and H the hull decides
+every verdict and the caps are cross-checked against it.
 
 The G/H gluing examines 24,576 vertex matchings of subtetrahedra.  A
 matching glues when an integral unimodular map realizes it, which is
@@ -36,9 +39,9 @@ solving the map.  The symmetries of the base polytopes, and the swap of
 a gluing's source and target, make many matchings glue the same
 configuration up to a unimodular map: the 1,532 distinct verdict keys
 fall into 426 gluing groups.  A verdict (coplanarity, interior points,
-triangulation checks) is made once per group in each run_case_gh call
-and replayed into the counters on every repeat; an accepted group
-contributes one configuration to identify.
+hull size with its cap cross-check) is made once per group in each
+run_case_gh call and replayed into the counters on every repeat; an
+accepted group contributes one configuration to identify.
 """
 
 import csv
@@ -223,46 +226,50 @@ def _finish(case, examined, rejected, firsts, notes=()) -> CaseReport:
     return CaseReport(case, examined, tuple(classes), dict(rejected), tuple(notes))
 
 
+def _all_empty(points: Sequence[IntVec3], quads) -> bool:
+    """Whether every tetrahedron of quads (1-based labels into points, as
+    in the tables) holds no lattice point besides its vertices."""
+    return all(_is_empty([points[i - 1] for i in quad]) for quad in quads)
+
+
 def _cross_check(six: bool, points: Sequence[IntVec3], quads, site: str, at: str = "") -> bool:
     """six, once it agrees with the case's size argument.
 
     six says whether the hull has exactly six lattice points; the argument
-    says that it does exactly when every tetrahedron of quads (1-based
-    labels into points, as in the tables) is empty.  Raises
-    ClassificationError "<site> triangulation check failed<at>" when the
-    two disagree.
+    says that it does exactly when every tetrahedron of quads is empty
+    (_all_empty).  Raises ClassificationError "<site> triangulation check
+    failed<at>" when the two disagree.
     """
-    empty = all(_is_empty([points[i - 1] for i in quad]) for quad in quads)
-    if empty != six:
+    if _all_empty(points, quads) != six:
         raise ClassificationError(f"{site} triangulation check failed{at}")
     return six
 
 
-def _caps(
-    points: Sequence[IntVec3], facets, inner: int, new: int
-) -> Optional[Tuple[Tuple[int, ...], ...]]:
-    """The cap tetrahedra of a one-point extension, or None when one of
-    them holds a lattice point besides its vertices.
+def _caps(points: Sequence[IntVec3], facets, inner: int, new: int) -> Tuple[Tuple[int, ...], ...]:
+    """The label quadruples of the cap tetrahedra of a one-point extension.
 
     P is the polytope on the points other than p = points[new - 1] (1-based
     labels, as _cross_check takes), and its lattice points are all among
     them.  facets lists, as label triples, the facets of P that p can see;
     each must be an empty triangle, and points[inner - 1] must lie strictly
-    on P's side of each.  Then conv(P + p) is P plus the tetrahedra
-    conv(F + p) over the listed F that p strictly sees, so the hull has no
-    further lattice point exactly when each of those is empty.  Returns
-    their label quadruples in that case, as the size argument for
-    _cross_check.
+    on P's side of each.  Then conv(P + p) is P plus the caps conv(F + p)
+    over the listed F that p strictly sees, so the hull has no further
+    lattice point exactly when each cap is empty (_all_empty): the caps
+    are the size argument for _cross_check.
     """
     p, q = points[new - 1], points[inner - 1]
     caps = []
     for tri in facets:
         corners = [points[i - 1] for i in tri]
         if det4(*corners, p) * det4(*corners, q) < 0:
-            if not _is_empty(corners + [p]):
-                return None
             caps.append((*tri, new))
     return tuple(caps)
+
+
+#: The facets of a catalog41() base, as label triples of its vertices
+#: p2..p5: empty triangles, with its interior point p1 strictly inside
+#: each.  The cap facets of cases F, G and H.
+_BASE41_FACETS = tuple(itertools.combinations(range(2, 6), 3))
 
 
 def _scan_box():
@@ -524,7 +531,7 @@ def run_case_c() -> CaseReport:
         examined += 1
         cfg = PointConfig(_B_BASE + [(a, b, 1), (1, 2, 3)])
         caps = _caps(cfg.points, _C_SIDES, 1, 5)
-        if caps is None:
+        if not _all_empty(cfg.points, caps):
             rejected["extra lattice points in the convex hull"] += 1
             continue
         _cross_check(size(cfg) == 6, cfg.points, caps, "C vertices")
@@ -622,7 +629,6 @@ def run_case_f() -> CaseReport:
     rejected: Counter = Counter()
     groups: Dict[str, List[PointConfig]] = {"4.21": [], "4.22": [], "4.11": []}
     examined = 0
-    facets = tuple(itertools.combinations(range(2, 6), 3))
     for cls5 in catalog41():
         pts = cls5.representative.points
         for i, j in itertools.permutations(range(5), 2):
@@ -633,8 +639,8 @@ def run_case_f() -> CaseReport:
                 rejected["degenerate extension"] += 1
                 continue
             cfg = PointConfig._of_checked(pts + (check_point(r3),))
-            caps = _caps(cfg.points, facets, 1, 6)
-            if caps is None:
+            caps = _caps(cfg.points, _BASE41_FACETS, 1, 6)
+            if not _all_empty(cfg.points, caps):
                 rejected["extra lattice points in the convex hull"] += 1
                 continue
             group = "4.21" if i == 0 else ("4.22" if j == 0 else "4.11")
@@ -661,14 +667,6 @@ def run_case_f() -> CaseReport:
 
 # ---------------------------------------------------------------------------
 # cases G and H: no coplanarity, glued from two signature-(4,1) polytopes
-
-
-def _two_side(circ):
-    if len(circ.positive) == 2:
-        return circ.positive
-    if len(circ.negative) == 2:
-        return circ.negative
-    return None
 
 
 def _base_automorphisms(base: PointConfig) -> List[Tuple[Tuple[int, ...], AffineMap]]:
@@ -699,8 +697,10 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
     point to the target's first point, and its left-out vertex to the
     _barycentric_image of that vertex's numerators over the target.  The
     union is six points; coinciding interior points give one interior
-    point (case G), otherwise two (case H).  Acceptance is by triangulation
-    emptiness, cross-checked against direct size.
+    point (case G), otherwise two (case H).  A gluing is accepted when its
+    hull has six lattice points; the configuration is the target base
+    plus one point, so case F's cap rule (_caps over _BASE41_FACETS) is
+    the size argument cross-checked against that count (_glued_verdict).
 
     The 3,572 six-point gluings have 1,532 distinct verdict keys (target
     polytope, new point, left-out target vertex, glued interior point).
@@ -763,7 +763,7 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
                     verdict = verdicts.get(key)
                     if verdict is None:
                         cfg = PointConfig._of_checked(spts + (check_point(new_pt),))
-                        verdict = _glued_verdict(cfg, ex_s, dst[0])
+                        verdict = _glued_verdict(cfg, dst[0])
                         swap = _swap_key(sources, sb, ex, si, ex_s, dst)
                         for base, pt, left, glued in (key, swap):
                             for perm, g in autos[base]:
@@ -817,16 +817,20 @@ def _barycentric_image(weights, vol: int, dst) -> IntVec3:
     return (x // vol, y // vol, z // vol)
 
 
-def _glued_verdict(cfg: PointConfig, ex_s: int, glued_interior: IntVec3):
+def _glued_verdict(cfg: PointConfig, glued_interior: IntVec3):
     """(case, rejection reason or None) of one gluing: cfg is the target
-    base's five points followed by the new point.
+    base's five points followed by the new point, and glued_interior is
+    the point the source's interior point lands on.
 
     case is "shared" for the rejections common to G and H.  The points
     contain a full-dimensional base, so some four of them are coplanar
     (some circuit has at most four points) exactly when one of the 15
-    quadruple volumes is 0.  The hull's lattice points and its interior
-    points are computed once and shared by the tests below; the circuits
-    are computed only by _glue_g and _glue_h, from the same cfg.volumes().
+    quadruple volumes is 0.  Otherwise the hull decides: its interior
+    lattice points are {base interior} in case G and {base interior,
+    glued interior} in case H, and the gluing is accepted when it has six
+    lattice points.  cfg is a (4,1) base plus one point, as in case F, so
+    the caps over the base facets the new point sees (_caps) are the size
+    argument that _cross_check compares with the hull count.
     """
     if 0 in cfg.volumes().values():
         return "shared", "coplanarity present"
@@ -834,72 +838,13 @@ def _glued_verdict(cfg: PointConfig, ex_s: int, glued_interior: IntVec3):
     six = len(lattice) == 6
     inner = set(inner)
     if inner == {cfg.points[0]}:
-        return "G", _glue_g(cfg, six, ex_s)
-    if inner == {cfg.points[0], glued_interior}:
-        int_idx = cfg.points.index(glued_interior)
-        return "H", _glue_h(cfg, six, int_idx, ex_s)
-    return "shared", "extra interior lattice point"
-
-
-def _glue_g(cfg: PointConfig, six: bool, ex_s: int) -> Optional[str]:
-    """One shared interior point: the hull is the base polytope plus one
-    tetrahedron on the quadrilateral facet swept by the new point.
-
-    Returns the rejection reason, or None when accepted; six says whether
-    the hull has exactly six lattice points.
-    """
-    extras = {ex_s, 5}  # deleting either leaves a signature-(4,1) subpolytope
-    pair = None
-    for c in circuits(cfg):
-        if c.signature != (3, 2):
-            continue
-        two = set(_two_side(c))
-        if 0 in two:  # the interior point is cfg.points[0] here
-            continue
-        if pair is None:
-            pair = two
-        elif pair != two:
-            raise ClassificationError("ambiguous circuit structure in case G")
-    if pair is None or len(pair - extras) != 1:
-        raise ClassificationError("no usable circuit in case G")
-    skip = {0} | (pair - extras)
-    cut = tuple(k + 1 for k in range(6) if k not in skip)  # 1-based labels
-    return None if _cross_check(six, cfg.points, (cut,), "G") else "cut tetrahedron is not empty"
-
-
-def _glue_h(cfg: PointConfig, six: bool, int_idx: int, ex_s: int) -> Optional[str]:
-    """Two interior points: the hull decomposes into one glued copy plus
-    five tetrahedra over the new point's edge to the base interior point.
-
-    Point roles are read off the two three-to-two circuits: the edge
-    {base interior, new point} is one circuit's two-point side, and its
-    three-point side contains the other interior point, the spare base
-    vertex, and one further vertex; the remaining vertex is the last role.
-    Returns the rejection reason, or None when accepted, as _glue_g does.
-    """
-    circs = [c for c in circuits(cfg) if c.signature == (3, 2)]
-    edge = [c for c in circs if set(_two_side(c)) == {0, 5}]
-    if len(edge) != 1:
-        raise ClassificationError("ambiguous circuit structure in case H")
-    three = set(edge[0].support) - {0, 5}
-    rest = three - {int_idx, ex_s}
-    if len(rest) != 1 or not three >= {int_idx, ex_s}:
-        raise ClassificationError("unexpected circuit support in case H")
-    across = rest.pop()
-    last = (set(range(6)) - {0, 5, int_idx, ex_s, across}).pop()
-    if not any(set(_two_side(c)) == {int_idx, ex_s} for c in circs):
-        raise ClassificationError("missing counterpart circuit in case H")
-    quads = (
-        (int_idx, across, 5, ex_s),
-        (int_idx, last, 5, ex_s),
-        (int_idx, 0, 5, ex_s),
-        (across, 0, 5, ex_s),
-        (last, 0, 5, ex_s),
-    )
-    labels = [[k + 1 for k in quad] for quad in quads]  # 1-based, as _cross_check takes
-    if _cross_check(six, cfg.points, labels, "H"):
-        return None
-    return "a triangulation tetrahedron is not empty"
+        case, reason = "G", "cut tetrahedron is not empty"
+    elif inner == {cfg.points[0], glued_interior}:
+        case, reason = "H", "a triangulation tetrahedron is not empty"
+    else:
+        return "shared", "extra interior lattice point"
+    caps = _caps(cfg.points, _BASE41_FACETS, 1, 6)
+    return case, None if _cross_check(six, cfg.points, caps, case) else reason
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ import sys
 from functools import lru_cache
 
 from .polytope import (
-    NotFullDimensional,
     PointConfig,
     format_points,
     hull_summary,
@@ -278,7 +277,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, NotFullDimensional, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -244,8 +244,7 @@ def lattice_points(config: PointConfig) -> Tuple[IntVec3, ...]:
 
 def size(config: PointConfig) -> int:
     """Number of lattice points of conv(config)."""
-    planes = hull_facets(config)
-    return len(_hull_points(config, planes, _vertices(config, planes)))
+    return len(lattice_points(config))
 
 
 def hull_summary(

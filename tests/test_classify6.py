@@ -227,7 +227,7 @@ def literal_gh():
                         key = (si, new_pt, ex_s, m.apply(rpts[0]))
                         if key not in verdicts:
                             cfg = PointConfig(list(spts) + [new_pt])
-                            verdicts[key] = (*classify6._glued_verdict(cfg, *key[2:]), cfg)
+                            verdicts[key] = (*classify6._glued_verdict(cfg, key[3]), cfg)
                             first_hits[key] = (rb, ex_r, si, ex_s, dst, sub_r)
                         case, reason, cfg = verdicts[key]
                         if reason is None:
@@ -389,30 +389,32 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     """One warm classify_all: 40 automorphism maps plus one witness map per
     class (the check stops at the first), 728 hull computations (cases C
     and F count only the hulls their cap rule keeps), 426 gluing verdicts,
-    206 circuit computations (a verdict computes them only when it reaches
-    _glue_g or _glue_h), 129 normal forms (one per distinct point set in
-    _dedupe, which for G and H is one per class, whose key orders the
-    witness check reuses, and one per base for its symmetries; the rows'
-    key orders come from _row_key_index), one match_om per class (cases C
-    and E test their embeddings by chirotope), and 4,336 check_point
-    calls: configurations built from checked points check only the point
-    they add, and the triangulation checks test the emptiness of those
-    points without checking them again.  quad_volumes runs 998 times,
-    once per configuration whose volumes are read (PointConfig.volumes)
-    and once per chirotope: 426 verdicts (the G/H circuits, and the
-    normal forms of the accepted verdicts' configurations, reuse them),
-    384 embedding chirotopes, 38 normal forms of survivors no earlier step
-    measured, 76 table representatives' volume vectors, 52 circuits and
-    22 widths."""
+    145 circuit computations (no gluing verdict computes any: its size
+    argument is the cap rule), 1,010 emptiness tests of tetrahedra (the
+    size arguments' tetrahedra, and cases C and F test their caps once
+    before the hull and again in the cross-check), 129 normal forms (one
+    per distinct point set in _dedupe, which for G and H is one per
+    class, whose key orders the witness check reuses, and one per base
+    for its symmetries; the rows' key orders come from _row_key_index),
+    one match_om per class (cases C and E test their embeddings by
+    chirotope), and 4,336 check_point calls: configurations built from
+    checked points check only the point they add, and the triangulation
+    checks test the emptiness of those points without checking them
+    again.  quad_volumes runs 998 times, once per configuration whose
+    volumes are read (PointConfig.volumes) and once per chirotope: 426
+    verdicts (the normal forms of the accepted verdicts' configurations
+    reuse them), 384 embedding chirotopes, 38 normal forms of survivors
+    no earlier step measured, 76 table representatives' volume vectors,
+    52 circuits and 22 widths."""
     for cell in ("5.4", "5.5"):  # warm: the orbits are built once per process
         classify6._cell_orbit(cell)
     classify6._row_key_index()
     calls = count_calls(monkeypatch, unimodular_map, hull_facets, classify6._glued_verdict,
-                        match_om, check_point, circuits, _normal_form, quad_volumes)
+                        match_om, check_point, circuits, _normal_form, quad_volumes, _is_empty)
     classify6.classify_all()
     assert calls == {"unimodular_map": 116, "hull_facets": 728, "_glued_verdict": 426,
-                     "match_om": 76, "check_point": 4336, "circuits": 206,
-                     "_normal_form": 129, "quad_volumes": 998}
+                     "match_om": 76, "check_point": 4336, "circuits": 145,
+                     "_normal_form": 129, "quad_volumes": 998, "_is_empty": 1010}
 
 
 def test_finish_rejects_a_row_of_another_case(bundle):
@@ -594,6 +596,13 @@ def test_inverted_emptiness_fails_the_cross_checks(monkeypatch, runner):
         getattr(classify6, runner)()
 
 
+def _cap_rule(points, facets, inner, new):
+    """The caps classify6._caps lists when all of them are empty, else
+    None: what the cap rule keeps."""
+    caps = classify6._caps(points, facets, inner, new)
+    return caps if classify6._all_empty(points, caps) else None
+
+
 def test_case_c_cap_base_has_empty_side_facets():
     """What case C's cap rule relies on: conv(_B_BASE + p6) holds only its
     five points; its facets are the three _C_SIDES and the base plane
@@ -612,6 +621,28 @@ def test_case_c_cap_base_has_empty_side_facets():
         assert det4(*tri, labelled[0]) != 0
 
 
+def test_base41_facets_are_empty_around_the_interior_point():
+    """What the cap rule of cases F, G and H relies on, on each of the
+    eight (4,1) bases: it holds only its five points; its hull facets are
+    exactly the four _BASE41_FACETS, label triples of its vertices p2..p5;
+    each holds no lattice point besides its corners; and the interior
+    point p1 lies strictly inside each."""
+    for cls5 in catalog41():
+        base = cls5.representative
+        pts = base.points
+        assert size(base) == 5
+        facets = hull_facets(base)
+        planes = set()
+        for tri in classify6._BASE41_FACETS:
+            corners = [pts[i - 1] for i in tri]
+            (plane,) = [(a, b, c, o) for a, b, c, o in facets
+                        if all(a * x + b * y + c * z == o for x, y, z in corners)]
+            planes.add(plane)
+            assert sorted(p for p in lattice_points(base) if det4(*corners, p) == 0) == sorted(corners)
+            assert det4(*corners, pts[0]) != 0
+        assert planes == set(facets) and len(facets) == 4, cls5
+
+
 def test_cap_rule_matches_size_on_case_c():
     """On all 400 "both vertices" candidates the cap rule keeps exactly
     the hulls of six points: only (1, 1), whose one cap is T2356."""
@@ -619,7 +650,7 @@ def test_cap_rule_matches_size_on_case_c():
     for a in range(1, classify6.SCAN_BOUND + 1):
         for b in range(1, classify6.SCAN_BOUND + 1):
             points = tuple(classify6._B_BASE + [(a, b, 1), (1, 2, 3)])
-            caps = classify6._caps(points, classify6._C_SIDES, 1, 5)
+            caps = _cap_rule(points, classify6._C_SIDES, 1, 5)
             assert (caps is not None) == (size(PointConfig(points)) == 6), (a, b)
             if caps is not None:
                 kept.append(((a, b), caps))
@@ -649,7 +680,7 @@ def test_cap_rule_matches_size_on_case_f():
         for i, j in permutations(range(5), 2):
             r3 = tuple(2 * pts[j][t] - pts[i][t] for t in range(3))
             points = pts + (r3,)
-            caps = classify6._caps(points, facets, 1, 6)
+            caps = _cap_rule(points, facets, 1, 6)
             assert (caps is not None) == (size(PointConfig(points)) == 6), points
             if caps is not None:
                 kept += 1
@@ -676,10 +707,75 @@ def test_cap_rule_matches_size_on_base_extensions():
                 continue
             points = pts + (p,)
             on_plane += any(det4(*(pts[k - 1] for k in tri), p) == 0 for tri in facets)
-            caps = classify6._caps(points, facets, 1, 6)
+            caps = _cap_rule(points, facets, 1, 6)
             assert (caps is not None) == (size(PointConfig(points)) == 6), points
             kept += caps is not None
     assert kept > 0 and on_plane >= 8 * 4 * 7
+
+
+def _two_side(circ):
+    """The two-point side of a (3,2)-circuit, as point indices."""
+    return set(circ.positive if len(circ.positive) == 2 else circ.negative)
+
+
+def _gh_printed_triangulation(cfg, case, ex_s, glued_interior):
+    """The printed size argument of a glued configuration of case G or H,
+    as 1-based label quadruples, with the point roles read off its
+    (3,2)-circuits.  cfg is the target base's five points, interior point
+    first, followed by the new point; ex_s is the target vertex left out
+    of the gluing, and glued_interior the source's interior point.
+
+    G: the hull is the base plus one cut tetrahedron on the quadrilateral
+    facet the new point sweeps.  The circuits whose two-point side leaves
+    out the interior point all share one such side; the cut tetrahedron
+    leaves out the interior point and the point of that side other than
+    ex_s and the new point.  H: one glued copy plus five tetrahedra over
+    the edge from the base interior point to the new point.  That edge is
+    one circuit's two-point side; its three-point side holds the glued
+    interior point, ex_s and one further vertex, and the other two-point
+    side {glued interior, ex_s} is a circuit's too.
+    """
+    circs = [c for c in circuits(cfg) if c.signature == (3, 2)]
+    if case == "G":
+        pairs = {frozenset(_two_side(c)) for c in circs if 0 not in _two_side(c)}
+        assert len(pairs) == 1, "ambiguous circuit structure in case G"
+        rest = set(pairs.pop()) - {ex_s, 5}
+        assert len(rest) == 1, "no usable circuit in case G"
+        return [tuple(k + 1 for k in range(6) if k not in {0} | rest)]
+    glued = cfg.points.index(glued_interior)
+    edge = [c for c in circs if _two_side(c) == {0, 5}]
+    assert len(edge) == 1, "ambiguous circuit structure in case H"
+    three = set(edge[0].support) - {0, 5}
+    assert three >= {glued, ex_s}, "unexpected circuit support in case H"
+    (across,) = three - {glued, ex_s}
+    (last,) = set(range(6)) - {0, 5, glued, ex_s, across}
+    assert any(_two_side(c) == {glued, ex_s} for c in circs), "missing counterpart circuit in case H"
+    quads = ((glued, across), (glued, last), (glued, 0), (across, 0), (last, 0))
+    return [(a + 1, b + 1, 6, ex_s + 1) for a, b in quads]
+
+
+def test_gh_cap_rule_matches_printed_triangulations(literal_gh):
+    """On every verdict of the literal-keyed loop that reaches case G or
+    H, the printed triangulation, the cap rule and the hull agree on
+    whether the gluing has six lattice points, and the verdict accepts
+    exactly those.  G's cut tetrahedron is its one cap where the new point
+    sees one base facet; where it sees two, the cut tetrahedron is no cap.
+    H's new point always sees three base facets."""
+    seen = Counter()
+    for (_, _, ex_s, glued), (case, reason, cfg) in literal_gh.verdicts.items():
+        if case == "shared":
+            continue
+        printed = _gh_printed_triangulation(cfg, case, ex_s, glued)
+        caps = classify6._caps(cfg.points, classify6._BASE41_FACETS, 1, 6)
+        six = size(cfg) == 6
+        assert classify6._all_empty(cfg.points, printed) == six, (case, cfg)
+        assert classify6._all_empty(cfg.points, caps) == six, (case, cfg)
+        assert (reason is None) == six
+        if case == "G":
+            assert (set(printed[0]) in map(set, caps)) == (len(caps) == 1), cfg
+        seen[case, len(caps), six] += 1
+    assert seen == {("G", 1, True): 25, ("G", 1, False): 21, ("G", 2, True): 98,
+                    ("G", 2, False): 47, ("H", 3, True): 106, ("H", 3, False): 114}
 
 
 def test_quad_volume_coplanarity_matches_circuits(literal_gh):
