@@ -18,16 +18,19 @@ exact.
 
 The runners share three steps: _embeddings41, the one search over the
 8 x 4! embeddings of the signature-(4,1) bases (case C's interior subcase
-and case E); _cross_check, the one comparison of a triangulation's size
-argument with the hull count (B.ii, B.iii, the three C subcases, E, F, G
-and H); and _caps, the cap rule for a one-point extension of a polytope
-with empty triangular facets, which is the size argument of case C's
-"both vertices" subcase and of cases F, G and H (a case F candidate and
-a glued G/H configuration are both a (4,1) base plus one point, with the
-facets _BASE41_FACETS).  In C and F a candidate whose cap tetrahedra are
-not all empty is rejected without a hull, so the hull count cross-checks
-the argument on the other candidates only; in G and H the hull decides
-every verdict and the caps are cross-checked against it.
+and case E); _cross_check, the one comparison of a size argument's
+outcome with the hull count (B.ii, B.iii, the three C subcases, E, F, G
+and H), where each site evaluates its argument once per candidate; and
+_caps, the cap rule for a one-point extension of a polytope with empty
+triangular facets.  Every candidate of case C's interior subcase and of
+cases E, F, G and H is a (4,1) base plus one point, so the caps over the
+base's facets are its size argument (_EMBEDDED41_FACETS in the embedding
+searches, _BASE41_FACETS in F, G and H); case C's "both vertices"
+subcase uses the caps over _C_SIDES.  In C, E and F, _six_by_caps
+rejects a candidate with a non-empty cap without a hull and counts the
+hull of each other candidate once, to cross-check the argument; in G
+and H the hull decides every verdict and the caps are cross-checked
+against it.
 
 The G/H gluing examines 24,576 vertex matchings of subtetrahedra.  A
 matching glues when an integral unimodular map realizes it, which is
@@ -67,7 +70,8 @@ from .invariants import (
     C31,
     circuits,
     coplanarity_class,
-    is_dps,
+    coplanarity_from_circuits,
+    pair_sums_distinct,
     volume_vector5,
     volume_vector6,
     width,
@@ -175,13 +179,20 @@ def _dedupe(configs: Sequence[PointConfig]) -> Dict[tuple, tuple]:
 
 
 def _make_class(row, rep: PointConfig, generated: PointConfig) -> PolytopeClass:
+    """The class of a table row, after checking the row's width, oriented
+    matroid and dps flag on the generated configuration.
+
+    Every runner has counted the hull of generated at exactly six lattice
+    points, its own points, so the dps flag is read off those points
+    (pair_sums_distinct) without a second hull.
+    """
     w, _ = width(generated)
     if w != row.width:
         raise ClassificationError(f"{row.id}: generated width {w} != table {row.width}")
     rec = match_om(generated)
     if row.om_label not in load_tables().label_candidates(rec.key):
         raise ClassificationError(f"{row.id}: oriented matroid mismatch ({rec.key})")
-    if is_dps(generated) != row.dps:
+    if pair_sums_distinct(generated.points) != row.dps:
         raise ClassificationError(f"{row.id}: dps flag mismatch")
     return PolytopeClass(
         id=row.id,
@@ -232,15 +243,16 @@ def _all_empty(points: Sequence[IntVec3], quads) -> bool:
     return all(_is_empty([points[i - 1] for i in quad]) for quad in quads)
 
 
-def _cross_check(six: bool, points: Sequence[IntVec3], quads, site: str, at: str = "") -> bool:
+def _cross_check(six: bool, argued: bool, site: str, at: str = "") -> bool:
     """six, once it agrees with the case's size argument.
 
-    six says whether the hull has exactly six lattice points; the argument
-    says that it does exactly when every tetrahedron of quads is empty
-    (_all_empty).  Raises ClassificationError "<site> triangulation check
-    failed<at>" when the two disagree.
+    six says whether the hull has exactly six lattice points, and argued
+    is the outcome of the size argument at that site: every tetrahedron
+    of a triangulation or of the caps (_caps) is empty (_all_empty).
+    Raises ClassificationError "<site> triangulation check failed<at>"
+    when the two disagree.
     """
-    if _all_empty(points, quads) != six:
+    if argued != six:
         raise ClassificationError(f"{site} triangulation check failed{at}")
     return six
 
@@ -249,13 +261,13 @@ def _caps(points: Sequence[IntVec3], facets, inner: int, new: int) -> Tuple[Tupl
     """The label quadruples of the cap tetrahedra of a one-point extension.
 
     P is the polytope on the points other than p = points[new - 1] (1-based
-    labels, as _cross_check takes), and its lattice points are all among
+    labels, as _all_empty takes), and its lattice points are all among
     them.  facets lists, as label triples, the facets of P that p can see;
     each must be an empty triangle, and points[inner - 1] must lie strictly
     on P's side of each.  Then conv(P + p) is P plus the caps conv(F + p)
     over the listed F that p strictly sees, so the hull has no further
     lattice point exactly when each cap is empty (_all_empty): the caps
-    are the size argument for _cross_check.
+    are the size argument of _six_by_caps.
     """
     p, q = points[new - 1], points[inner - 1]
     caps = []
@@ -266,10 +278,26 @@ def _caps(points: Sequence[IntVec3], facets, inner: int, new: int) -> Tuple[Tupl
     return tuple(caps)
 
 
+def _six_by_caps(cfg: PointConfig, facets, inner: int, new: int, site: str, at: str = "") -> bool:
+    """Whether the hull of cfg, a one-point extension as _caps takes it, has
+    exactly six lattice points, decided by the cap rule: False, with no
+    hull, when some cap is not empty; else the hull is counted once and
+    must have six points (_cross_check)."""
+    if not _all_empty(cfg.points, _caps(cfg.points, facets, inner, new)):
+        return False
+    return _cross_check(size(cfg) == 6, True, site, at)
+
+
 #: The facets of a catalog41() base, as label triples of its vertices
 #: p2..p5: empty triangles, with its interior point p1 strictly inside
 #: each.  The cap facets of cases F, G and H.
 _BASE41_FACETS = tuple(itertools.combinations(range(2, 6), 3))
+
+#: The same facets in an _embeddings41 configuration, where the base's
+#: vertices are p1, p2, p3, p6 around its interior point p5.  The cap
+#: facets of case C's interior subcase and of case E, whose new point is
+#: p4; p4 lies in the plane of p1, p2, p3, so that facet is never a cap.
+_EMBEDDED41_FACETS = tuple(itertools.combinations((1, 2, 3, 6), 3))
 
 
 def _scan_box():
@@ -452,7 +480,7 @@ def run_case_b() -> CaseReport:
             tetras = _B_TETRAS.get((tag, a, b))
             ok = size(cfg) == 6
             if tetras is not None:
-                _cross_check(ok, cfg.points, tetras, f"B.{tag}", f" at {(a, b)}")
+                _cross_check(ok, _all_empty(cfg.points, tetras), f"B.{tag}", f" at {(a, b)}")
             if not ok:
                 if extra_points is None:
                     raise ClassificationError(f"B.{tag} candidate {(a, b)} has extra points")
@@ -483,12 +511,14 @@ def run_case_c() -> CaseReport:
 
     Three subcases: p5 on an edge p_ip6 (four explicit candidates), p5
     interior to the tetrahedron T1236 (a (4,1)-extension search), and
-    both p5, p6 vertices (a bounded plane scan at height 1).  In the last,
-    conv(_B_BASE + p6) holds only its five points, and p5 at height 1
-    cannot see its base facet, so the cap tetrahedra over the side facets
-    p5 sees decide the hull (_caps): a candidate with a nonempty one is
-    rejected without a hull, and the hull of each other candidate is
-    counted and must have six points.
+    both p5, p6 vertices (a bounded plane scan at height 1).  In the
+    second, p4 extends the (4,1) base on p1, p2, p3, p5, p6, and its caps
+    over _EMBEDDED41_FACETS, the printed T1246 and T1346, decide the hull.
+    In the last, conv(_B_BASE + p6) holds only its five points, and p5 at
+    height 1 cannot see its base facet, so the cap tetrahedra over the
+    side facets p5 sees decide the hull.  Both use _six_by_caps: a
+    candidate with a nonempty cap is rejected without a hull, and the
+    hull of each other candidate is counted and must have six points.
     """
     rejected: Counter = Counter()
     accepted = []
@@ -504,10 +534,8 @@ def run_case_c() -> CaseReport:
     for p5, p6, tetras in edge_candidates:
         examined += 1
         cfg = PointConfig(_B_BASE + [p5, p6])
-        if not _cross_check(size(cfg) == 6, cfg.points, tetras, "C edge", f" at {p6}"):
-            first = next(
-                t for t in tetras if not _is_empty([cfg.points[i - 1] for i in t])
-            )
+        first = next((t for t in tetras if not _is_empty([cfg.points[i - 1] for i in t])), None)
+        if not _cross_check(size(cfg) == 6, first is None, "C edge", f" at {p6}"):
             rejected[f"T{''.join(map(str, first))} is not empty"] += 1
             continue
         accepted.append(cfg)
@@ -520,7 +548,7 @@ def run_case_c() -> CaseReport:
         if abs(det4(p1, p2, p3, p5)) not in (1, 3):
             rejected["subtetrahedron p1p2p3p5 volume is not 1 or 3"] += 1
             continue
-        if not _cross_check(size(cfg) == 6, cfg.points, ((1, 2, 4, 6), (1, 3, 4, 6)), "C interior"):
+        if not _six_by_caps(cfg, _EMBEDDED41_FACETS, 5, 4, "C interior"):
             rejected["a triangulation tetrahedron is not empty"] += 1
             continue
         accepted.append(cfg)
@@ -530,11 +558,9 @@ def run_case_c() -> CaseReport:
     for a, b in itertools.product(range(1, SCAN_BOUND + 1), repeat=2):
         examined += 1
         cfg = PointConfig(_B_BASE + [(a, b, 1), (1, 2, 3)])
-        caps = _caps(cfg.points, _C_SIDES, 1, 5)
-        if not _all_empty(cfg.points, caps):
+        if not _six_by_caps(cfg, _C_SIDES, 1, 5, "C vertices"):
             rejected["extra lattice points in the convex hull"] += 1
             continue
-        _cross_check(size(cfg) == 6, cfg.points, caps, "C vertices")
         survivors.append((a, b))
         accepted.append(cfg)
     if survivors != [(1, 1)]:
@@ -598,12 +624,14 @@ def run_case_e() -> CaseReport:
     polytope on {p1, p2, p3, p5, p6}, and p4 = p2 + p3 - p1 completes the
     unit parallelogram.  All 8 x 4! embeddings are tried; survivors carry
     the oriented matroid 5.5, whose relabeling symmetry (12)(34) is
-    absorbed by the label-free deduplication.
+    absorbed by the label-free deduplication.  p4 extends the (4,1) base,
+    and its one cap over _EMBEDDED41_FACETS, the printed T2346, decides
+    the hull (_six_by_caps).
     """
     rejected: Counter = Counter()
     accepted = []
     for cfg in _embeddings41("5.5", (-1, 1, 1), rejected):
-        if not _cross_check(size(cfg) == 6, cfg.points, ((2, 3, 4, 6),), "E"):
+        if not _six_by_caps(cfg, _EMBEDDED41_FACETS, 5, 4, "E"):
             rejected["tetrahedron p2p3p4p6 is not empty"] += 1
             continue
         accepted.append(cfg)
@@ -622,9 +650,11 @@ def run_case_f() -> CaseReport:
     (4.22), both vertices (4.11).  Survivors keep size 6 and have the
     (2,1)-circuit as their only coplanarity.  The base is a tetrahedron
     whose four facets are empty triangles around its interior point, so
-    the cap tetrahedra over the facets r3 sees decide the hull (_caps): a
-    candidate with a nonempty one is rejected without a hull, and the hull
-    of each other candidate is counted and must have six points.
+    the cap tetrahedra over the facets r3 sees decide the hull
+    (_six_by_caps): a candidate with a nonempty one is rejected without a
+    hull, and the hull of each other candidate is counted and must have
+    six points.  Each survivor's circuits, read once for the coplanarity
+    test, must hold exactly one (2,1)-circuit.
     """
     rejected: Counter = Counter()
     groups: Dict[str, List[PointConfig]] = {"4.21": [], "4.22": [], "4.11": []}
@@ -639,15 +669,16 @@ def run_case_f() -> CaseReport:
                 rejected["degenerate extension"] += 1
                 continue
             cfg = PointConfig._of_checked(pts + (check_point(r3),))
-            caps = _caps(cfg.points, _BASE41_FACETS, 1, 6)
-            if not _all_empty(cfg.points, caps):
+            group = "4.21" if i == 0 else ("4.22" if j == 0 else "4.11")
+            if not _six_by_caps(cfg, _BASE41_FACETS, 1, 6, "F", f" in group {group}"):
                 rejected["extra lattice points in the convex hull"] += 1
                 continue
-            group = "4.21" if i == 0 else ("4.22" if j == 0 else "4.11")
-            _cross_check(size(cfg) == 6, cfg.points, caps, "F", f" in group {group}")
-            if coplanarity_class(cfg) != C21:
+            circs = circuits(cfg)
+            if coplanarity_from_circuits(circs) != C21:
                 rejected["additional coplanarity"] += 1
                 continue
+            if sum(c.signature == (2, 1) for c in circs) != 1:
+                raise ClassificationError(f"F candidate {r3}: expected exactly one (2,1)-circuit")
             groups[group].append(cfg)
     firsts = [_dedupe(groups[g]) for g in ("4.21", "4.22", "4.11")]
     counts = tuple(map(len, firsts))
@@ -657,12 +688,7 @@ def run_case_f() -> CaseReport:
     for group in firsts:
         for key, first in group.items():
             merged.setdefault(key, first)
-    report = _finish("F", examined, rejected, merged)
-    for cls in report.classes_found:
-        circs = [c for c in circuits(cls.generated) if c.signature == (2, 1)]
-        if len(circs) != 1:
-            raise ClassificationError(f"{cls.id}: expected exactly one (2,1)-circuit")
-    return report
+    return _finish("F", examined, rejected, merged)
 
 
 # ---------------------------------------------------------------------------
@@ -844,7 +870,7 @@ def _glued_verdict(cfg: PointConfig, glued_interior: IntVec3):
     else:
         return "shared", "extra interior lattice point"
     caps = _caps(cfg.points, _BASE41_FACETS, 1, 6)
-    return case, None if _cross_check(six, cfg.points, caps, case) else reason
+    return case, None if _cross_check(six, _all_empty(cfg.points, caps), case) else reason
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Volume vectors (ordered tuples of normalized 4x4 determinants), circuit
 sign patterns, coplanarity classes, lattice width with an explicit witness
-functional, and the distinct-pair-sums property.  All exact.
+functional, and the distinct-pair-sums test of a list of lattice points.
+All exact.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence, Tuple
 
 from .exactlinalg import IntVec3, _adjugate, _mat_vec, dot, gcd_all, sub
-from .polytope import NotFullDimensional, PointConfig, lattice_points
+from .polytope import NotFullDimensional, PointConfig
 
 
 class WrongSize(ValueError):
@@ -215,15 +216,6 @@ def width(config: PointConfig) -> Tuple[int, IntVec3]:
 
 # ---------------------------------------------------------------------------
 # distinct pair sums
-
-
-def is_dps(config: PointConfig) -> bool:
-    """True if all pairwise sums of hull lattice points are distinct.
-
-    Equivalent to containing neither three collinear lattice points nor
-    the vertices of a nondegenerate parallelogram.
-    """
-    return pair_sums_distinct(lattice_points(config))
 
 
 def pair_sums_distinct(pts: Sequence[IntVec3]) -> bool:

@@ -19,14 +19,14 @@ from lattice6.invariants import (
     NO_COPLANARITY,
     coplanarity_class,
     functional_range,
-    is_dps,
+    pair_sums_distinct,
     signature5,
     volume_vector5,
     volume_vector6,
     width,
 )
 from lattice6.omcatalog import enumerate_oms, match_om
-from lattice6.polytope import PointConfig, hull_facets, hull_summary, size
+from lattice6.polytope import PointConfig, hull_facets, hull_summary, lattice_points, size
 from lattice6.tablesdata import TableBundle, _load_resource
 from omcatalog_oracles import record_statistics
 
@@ -118,7 +118,7 @@ def validate_tables(bundle: TableBundle) -> ValidationReport:
             bad.append(f"{row.id}: recomputed width {w} != {row.width}")
         if functional_range(row.functional, row.representative) != row.width:
             bad.append(f"{row.id}: functional is not a width witness")
-        if is_dps(config) != row.dps:
+        if pair_sums_distinct(lattice_points(config)) != row.dps:
             bad.append(f"{row.id}: dps flag mismatch")
         record = match_om(config)
         keys_by_label.setdefault(row.om_label, set()).add(record.key)

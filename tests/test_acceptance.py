@@ -17,7 +17,7 @@ from lattice6.exactlinalg import det4, is_primitive
 from lattice6.invariants import (
     circuits,
     coplanarity_class,
-    is_dps,
+    pair_sums_distinct,
     volume_vector6,
     width,
 )
@@ -177,7 +177,7 @@ def test_invariants_survive_relabeling_and_unimodular_maps(bundle):
         img = PointConfig([m.apply(c.points[i]) for i in perm])
         assert size(img) == 6
         assert width(img)[0] == row.width
-        assert is_dps(img) == row.dps
+        assert pair_sums_distinct(lattice_points(img)) == row.dps
         assert coplanarity_class(img) == coplanarity_class(c)
         assert len(circuits(img)) == len(circuits(c))
         assert canonical_key(img) == canonical_key(c)

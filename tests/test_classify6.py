@@ -34,7 +34,7 @@ from lattice6.invariants import (
     NO_COPLANARITY,
     circuits,
     coplanarity_from_circuits,
-    is_dps,
+    pair_sums_distinct,
     volume_vector6,
     width,
 )
@@ -387,12 +387,14 @@ def test_orbit_verdict_count_and_no_carry_over(monkeypatch, case_reports):
 
 def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     """One warm classify_all: 40 automorphism maps plus one witness map per
-    class (the check stops at the first), 728 hull computations (cases C
-    and F count only the hulls their cap rule keeps), 426 gluing verdicts,
-    145 circuit computations (no gluing verdict computes any: its size
-    argument is the cap rule), 1,010 emptiness tests of tetrahedra (the
-    size arguments' tetrahedra, and cases C and F test their caps once
-    before the hull and again in the cross-check), 129 normal forms (one
+    class (the check stops at the first), 492 hull computations (the C
+    interior, C vertices, E and F sites count only the hulls their cap
+    rule keeps, and _make_class reads the dps flag off the six points),
+    426 gluing verdicts, 128 circuit computations (no gluing verdict
+    computes any: its size argument is the cap rule; case F checks its
+    one (2,1)-circuit on the circuits of its coplanarity test), 935
+    emptiness tests of tetrahedra (each site evaluates its size argument
+    once), 129 normal forms (one
     per distinct point set in _dedupe, which for G and H is one per
     class, whose key orders the witness check reuses, and one per base
     for its symmetries; the rows' key orders come from _row_key_index),
@@ -412,9 +414,9 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     calls = count_calls(monkeypatch, unimodular_map, hull_facets, classify6._glued_verdict,
                         match_om, check_point, circuits, _normal_form, quad_volumes, _is_empty)
     classify6.classify_all()
-    assert calls == {"unimodular_map": 116, "hull_facets": 728, "_glued_verdict": 426,
-                     "match_om": 76, "check_point": 4336, "circuits": 145,
-                     "_normal_form": 129, "quad_volumes": 998, "_is_empty": 1010}
+    assert calls == {"unimodular_map": 116, "hull_facets": 492, "_glued_verdict": 426,
+                     "match_om": 76, "check_point": 4336, "circuits": 128,
+                     "_normal_form": 129, "quad_volumes": 998, "_is_empty": 935}
 
 
 def test_finish_rejects_a_row_of_another_case(bundle):
@@ -425,6 +427,25 @@ def test_finish_rejects_a_row_of_another_case(bundle):
     with pytest.raises(classify6.ClassificationError,
                        match=rf"^case A produced table row {re.escape(row.id)}$"):
         classify6._finish("A", 1, Counter(), firsts)
+
+
+def test_make_class_checks_the_dps_flag(bundle):
+    """A row whose dps flag disagrees with the generated configuration's
+    pair sums fails _make_class, after its width and oriented matroid
+    have matched."""
+    row = bundle.class_by_id("G.1")
+    flipped = dataclasses.replace(row, dps=not row.dps)
+    with pytest.raises(classify6.ClassificationError, match=r"^G\.1: dps flag mismatch$"):
+        classify6._make_class(flipped, row.config(), row.config())
+
+
+def test_generated_configurations_are_their_own_lattice_points(case_reports):
+    """What _make_class's dps check relies on: the lattice points of each
+    of the 76 generated configurations are exactly its six points."""
+    generated = [cls.generated for r in by_case(case_reports).values() for cls in r.classes_found]
+    assert len(generated) == 76
+    for g in generated:
+        assert lattice_points(g) == tuple(sorted(g.points)), g
 
 
 @pytest.mark.parametrize("classify", [classify6.classify_all, lambda: classify6.run_case("A")],
@@ -442,6 +463,11 @@ def test_classify_all_checks_each_witness_map(monkeypatch, classify):
 #: The two (4,1) embedding searches: case, oriented matroid cell, and the
 #: coefficients of p4 = c1 p1 + c2 p2 + c3 p3.
 EMBEDDING_SEARCHES = (("C", "5.4", (3, -1, -1)), ("E", "5.5", (-1, 1, 1)))
+
+#: The printed size argument of each search's candidates: the tetrahedra,
+#: as label quadruples of p1..p6, that triangulate the hull beyond the
+#: (4,1) base on p1, p2, p3, p5, p6.
+PRINTED_TRIANGULATIONS = {"C": ((1, 2, 4, 6), (1, 3, 4, 6)), "E": ((2, 3, 4, 6),)}
 
 
 def _embeddings(coeffs):
@@ -493,6 +519,23 @@ def test_cell_orbits_match_the_catalog_on_row_images(bundle):
     assert hits == [(rid, cell) for rid, cell in (("C.4", "5.4"), ("C.5", "5.4"),
                                                   ("E.1", "5.5"), ("E.2", "5.5"))
                     for _ in range(2)]
+
+
+def test_embedded41_caps_are_the_printed_triangulations():
+    """On each of the 128 embeddings of either search that have its cell,
+    the caps over _EMBEDDED41_FACETS are the printed triangulation's
+    tetrahedra, and the cap rule keeps exactly the hulls of six points,
+    16 in either search."""
+    seen = Counter()
+    for case, cell, coeffs in EMBEDDING_SEARCHES:
+        printed = sorted(map(sorted, PRINTED_TRIANGULATIONS[case]))
+        for cfg in classify6._embeddings41(cell, coeffs, Counter()):
+            caps = classify6._caps(cfg.points, classify6._EMBEDDED41_FACETS, 5, 4)
+            assert sorted(map(sorted, caps)) == printed, (case, cfg)
+            six = size(cfg) == 6
+            assert classify6._all_empty(cfg.points, caps) == six, (case, cfg)
+            seen[case, six] += 1
+    assert seen == {("C", True): 16, ("C", False): 112, ("E", True): 16, ("E", False): 112}
 
 
 def test_cell_orbit_sizes():
@@ -551,9 +594,9 @@ def test_classify_all_cross_checks_at_all_nine_sites(monkeypatch):
     sites = set()
     check = classify6._cross_check
 
-    def recorded(six, points, quads, site, at=""):
+    def recorded(six, argued, site, at=""):
         sites.add(site)
-        return check(six, points, quads, site, at)
+        return check(six, argued, site, at)
 
     monkeypatch.setattr(classify6, "_cross_check", recorded)
     classify6.classify_all()
@@ -567,8 +610,8 @@ def test_cross_check_site_raises_on_disagreement(monkeypatch, site):
     runner, message = CROSS_CHECK_SITES[site]
     check = classify6._cross_check
 
-    def flipped(six, points, quads, at_site, at=""):
-        return check(six != (at_site == site), points, quads, at_site, at)
+    def flipped(six, argued, at_site, at=""):
+        return check(six != (at_site == site), argued, at_site, at)
 
     monkeypatch.setattr(classify6, "_cross_check", flipped)
     with pytest.raises(classify6.ClassificationError) as err:
@@ -815,6 +858,19 @@ def test_run_case_reports_one_case(case_reports):
             classify6.run_case(bad)
 
 
+def test_case_f_checks_its_one_21_circuit(monkeypatch):
+    """A case F survivor whose circuits hold a second (2,1)-circuit, here
+    the first one listed twice, fails the run."""
+    def doubled(cfg):
+        circs = circuits(cfg)
+        return circs + tuple(c for c in circs if c.signature == (2, 1))
+
+    monkeypatch.setattr(classify6, "circuits", doubled)
+    with pytest.raises(classify6.ClassificationError,
+                       match=re.escape("expected exactly one (2,1)-circuit")):
+        classify6.run_case_f()
+
+
 def test_case_f_splits_by_catalog_label(case_reports):
     found = by_case(case_reports)["F"].classes_found
     groups = {}
@@ -861,7 +917,7 @@ def test_width1_family_members():
     assert size(c) == 6
     assert width(c)[0] == 1
     c = width1_family("(4,2)/5.6", (3, 1))
-    assert size(c) == 6 and width(c)[0] == 1 and is_dps(c)
+    assert size(c) == 6 and width(c)[0] == 1 and pair_sums_distinct(lattice_points(c))
     c = width1_family("(5,1)/3.2")
     assert size(c) == 6 and width(c)[0] == 1
 

@@ -18,14 +18,14 @@ from lattice6.invariants import (
     _shell,
     circuits,
     coplanarity_class,
-    is_dps,
+    pair_sums_distinct,
     signature5,
     volume_vector5,
     volume_vector6,
     width,
 )
 from lattice6.exactlinalg import COORD_BOUND, det3, dot, sub
-from lattice6.polytope import NotFullDimensional, PointConfig, hull_summary
+from lattice6.polytope import NotFullDimensional, PointConfig, hull_summary, lattice_points
 from lattice6.size5 import rep32
 
 VV_A1 = (0, 0, 2, 0, 0, 4, 0, 2, 0, -4, 0, 4, -2, -8, -2)
@@ -176,8 +176,8 @@ def test_interior_point_forces_width_two(bundle):
 
 
 def test_is_dps(bundle):
-    assert not is_dps(bundle.class_by_id("A.1").config())
-    assert is_dps(bundle.class_by_id("G.1").config())
+    assert not pair_sums_distinct(lattice_points(bundle.class_by_id("A.1").config()))
+    assert pair_sums_distinct(lattice_points(bundle.class_by_id("G.1").config()))
 
 
 def test_dps_iff_no_proper_coplanarity(bundle):
@@ -189,7 +189,7 @@ def test_dps_iff_no_proper_coplanarity(bundle):
             for circ in circuits(c)
         }
         bad = any(sorted(k) in ([1, 2], [2, 2]) for k in kinds)
-        assert is_dps(c) == (not bad), row.id
+        assert pair_sums_distinct(lattice_points(c)) == (not bad), row.id
 
 
 def test_circuit_counts(bundle):
@@ -279,5 +279,5 @@ def test_width_and_dps_are_invariants(seed):
     row = rng.choice(load_tables().class_rows)
     c = shuffled(rng, apply_map(random_unimodular(rng), row.config()))
     assert width(c)[0] == row.width
-    assert is_dps(c) == row.dps
+    assert pair_sums_distinct(lattice_points(c)) == row.dps
     assert coplanarity_class(c) == coplanarity_class(row.config())

@@ -7,9 +7,9 @@ import omcatalog_oracles as oracle
 from conftest import apply_map, random_unimodular, shuffled
 from lattice6 import omcatalog
 from lattice6.exactlinalg import det4, dot
-from lattice6.invariants import SignedCircuit, circuits, coplanarity_class, is_dps
+from lattice6.invariants import SignedCircuit, circuits, coplanarity_class, pair_sums_distinct
 from lattice6.omcatalog import canonical_circuit_form, enumerate_oms, match_om
-from lattice6.polytope import PointConfig, hull_facets, hull_summary
+from lattice6.polytope import PointConfig, hull_facets, hull_summary, lattice_points
 
 
 def test_catalog_has_55_records():
@@ -129,7 +129,7 @@ def test_match_agrees_with_geometry(bundle):
         assert len(rec.circuits) == len(circuits(c)), c
         if i < len(rows):
             assert stats["ninterior"] == len(hull_summary(c)[1]), c
-            assert stats["dps"] == is_dps(c), c
+            assert stats["dps"] == pair_sums_distinct(lattice_points(c)), c
 
 
 def test_match_is_invariant(bundle):
