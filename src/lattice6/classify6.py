@@ -12,9 +12,12 @@ reasons, cross-checks the triangulation-emptiness size arguments against
 direct lattice-point counts, and identifies the survivors against the
 bundled tables: one normal form per distinct survivor (_dedupe) names its
 table row, and an integer unimodular map, checked point by point, carries
-its points onto the row's (_finish).  ``classify_all`` runs every branch
-and checks that the classes come out in table order.  All arithmetic is
-exact.
+its points onto the row's (_finish).  A class is that row: its width,
+oriented matroid label and dps flag are invariant under the map, so they
+are read from the row, and tests/table_checks.py checks once per data
+file that each row's columns hold for its points.  ``classify_all`` runs
+every branch and checks that the classes come out in table order.  All
+arithmetic is exact.
 
 The runners share three steps: _embeddings41, the one search over the
 8 x 4! embeddings of the signature-(4,1) bases (case C's interior subcase
@@ -71,7 +74,6 @@ from .invariants import (
     circuits,
     coplanarity_class,
     coplanarity_from_circuits,
-    pair_sums_distinct,
     volume_vector5,
     volume_vector6,
     width,
@@ -79,7 +81,7 @@ from .invariants import (
 from .equivalence import _normal_form, _witnesses, canonical_key
 from .emptytetra import _is_empty
 from .size5 import admissible_apex_31, catalog41
-from .omcatalog import chirotope, chirotope_orbit, match_om
+from .omcatalog import chirotope, chirotope_orbit
 from .tablesdata import load_tables
 
 __all__ = [
@@ -150,13 +152,15 @@ class CaseReport:
 
 @lru_cache(maxsize=1)
 def _row_key_index():
-    """Table row and the key orders of its points (_normal_form), by
-    canonical key; the keys are complete, so two rows with one key would
-    be one class listed twice."""
+    """(row, config, orders) by canonical key: each table row with the
+    configuration of its points, whose volumes its _normal_form has
+    computed, and their key orders.  The keys are complete, so two rows
+    with one key would be one class listed twice."""
     index = {}
     for row in load_tables().class_rows:
-        key, orders = _normal_form(row.config())
-        other, _ = index.setdefault(key, (row, orders))
+        cfg = row.config()
+        key, orders = _normal_form(cfg)
+        other, _, _ = index.setdefault(key, (row, cfg, orders))
         if other is not row:
             raise ClassificationError(f"{other.id} and {row.id} coincide")
     return index
@@ -179,21 +183,17 @@ def _dedupe(configs: Sequence[PointConfig]) -> Dict[tuple, tuple]:
 
 
 def _make_class(row, rep: PointConfig, generated: PointConfig) -> PolytopeClass:
-    """The class of a table row, after checking the row's width, oriented
-    matroid and dps flag on the generated configuration.
+    """The class of a table row, with the row's width, oriented matroid
+    and dps flag, and the volume vector computed from rep, the row's
+    points.
 
-    Every runner has counted the hull of generated at exactly six lattice
-    points, its own points, so the dps flag is read off those points
-    (pair_sums_distinct) without a second hull.
+    _finish has checked a unimodular map from generated onto rep, and
+    width, the oriented matroid up to sign and the dps property are
+    invariant under such a map, so the columns hold for generated exactly
+    when they hold for the row's own points.  tests/table_checks.py
+    (validate_tables) checks that on every row, and a test compares them
+    with the generated configurations.
     """
-    w, _ = width(generated)
-    if w != row.width:
-        raise ClassificationError(f"{row.id}: generated width {w} != table {row.width}")
-    rec = match_om(generated)
-    if row.om_label not in load_tables().label_candidates(rec.key):
-        raise ClassificationError(f"{row.id}: oriented matroid mismatch ({rec.key})")
-    if pair_sums_distinct(generated.points) != row.dps:
-        raise ClassificationError(f"{row.id}: dps flag mismatch")
     return PolytopeClass(
         id=row.id,
         om_label=row.om_label,
@@ -213,19 +213,19 @@ def _finish(case, examined, rejected, firsts, notes=()) -> CaseReport:
     _row_key_index, and _witnesses, from the representative's first key
     order onto the row's key orders, must give a unimodular map that
     carries its points onto the row's points; the first such map is the
-    check, so equal keys alone identify nothing.  The rows are pairwise
-    inequivalent: _row_key_index checks that their complete keys differ.
-    The classes found must be exactly the case's rows.
+    check, so equal keys alone identify nothing.  The row's configuration
+    is the index's, so its volumes are not computed again.  The rows are
+    pairwise inequivalent: _row_key_index checks that their complete keys
+    differ.  The classes found must be exactly the case's rows.
     """
     index = _row_key_index()
     classes = []
     for key, (cfg, orders) in firsts.items():
-        row, row_orders = index.get(key, (None, None))
+        row, rep, row_orders = index.get(key, (None, None, None))
         if row is None:
             raise ClassificationError("generated configuration matches no table row")
         if row.case != case:
             raise ClassificationError(f"case {case} produced table row {row.id}")
-        rep = row.config()
         if next(_witnesses(cfg, orders[0], rep, row_orders), None) is None:
             raise ClassificationError(f"{row.id}: witness is not equivalent")
         classes.append(_make_class(row, rep, cfg))
@@ -308,19 +308,13 @@ def _scan_box():
 @lru_cache(maxsize=None)
 def _cell_orbit(cell: str):
     """chirotope_orbit of the oriented matroid cell, built on first use from
-    the first table row labelled cell, once match_om has confirmed that the
-    row has the cell's pinned record."""
-    keys = load_tables().key_candidates(cell)
-    if len(keys) != 1:
-        raise ClassificationError(f"cell {cell} is not pinned uniquely")
+    the points of the first table row labelled cell.  That every row
+    labelled cell has the cell's one catalog record is a check of the
+    tables (validate_tables), not of each run."""
     row = next((r for r in load_tables().class_rows if r.om_label == cell), None)
     if row is None:
         raise ClassificationError(f"no table row realizes cell {cell}")
-    cfg = row.config()
-    rec = match_om(cfg)
-    if rec.key != keys[0]:
-        raise ClassificationError(f"{row.id} has oriented matroid {rec.key}, not {cell}")
-    return chirotope_orbit(cfg.points)
+    return chirotope_orbit(row.config().points)
 
 
 def _embeddings41(cell: str, coeffs, rejected: Counter):
@@ -336,8 +330,9 @@ def _embeddings41(cell: str, coeffs, rejected: Counter):
     chirotope lies in the cell's orbit (_cell_orbit): the chirotope fixes
     the oriented matroid up to a global sign, and the orbit holds every
     relabeling with both signs, so the test is complete.  It agrees with
-    match_om on all 384 embeddings of cases C and E, and costs 15
-    determinants instead of circuits and a canonical circuit form.
+    the catalog record of each of the 384 embeddings of cases C and E
+    (match_om in tests/omcatalog_oracles.py), and costs 15 determinants
+    instead of circuits and a canonical circuit form.
     """
     orbit = _cell_orbit(cell)
     c1, c2, c3 = coeffs
@@ -925,7 +920,7 @@ def in_classification(nsize: int, w: int) -> bool:
 def table_id(config: PointConfig) -> Optional[str]:
     """Id of the table row with config's canonical key, or None; callers
     apply in_classification first."""
-    row, _ = _row_key_index().get(canonical_key(config), (None, None))
+    row, _, _ = _row_key_index().get(canonical_key(config), (None, None, None))
     return None if row is None else row.id
 
 

@@ -50,8 +50,8 @@ configurations with the realization's record.  A relabeling only
 permutes the 15 quadruple volumes and flips the signs of some, so the
 orbit is read off the realization's one chirotope, by one index table
 per relabeling built once per process.  Membership costs 15
-determinants and one set lookup.  match_om stays the general path, for
-any configuration and any record.
+determinants and one set lookup.  match_circuits stays the general path,
+for any configuration and any record.
 """
 
 from __future__ import annotations
@@ -63,8 +63,7 @@ from operator import itemgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .exactlinalg import IntVec3, quad_volumes
-from .invariants import SignedCircuit, circuits as config_circuits
-from .polytope import PointConfig
+from .invariants import SignedCircuit
 
 
 class NoMatch(Exception):
@@ -83,8 +82,11 @@ def _det2(u, v) -> int:
 # canonical forms
 
 
+@lru_cache(maxsize=1)
 def _circuit_tables():
-    """Subset image tables, pair keys and ranked subsets.
+    """Subset image tables, pair keys and ranked subsets, built on first
+    use: a process that never takes a canonical circuit form (classify,
+    or analyze of a table row) never pays for them.
 
     A subset of range(6) is a 6-bit mask.  Subsets are ranked in the lex
     order of their sorted tuples, so a circuit (positive, negative) gets
@@ -117,9 +119,6 @@ def _circuit_tables():
         else:
             images.append(bytes(x | y for x, y in zip(images[m ^ low], images[low])))
     return images, pair, ranked
-
-
-_IMAGES, _PAIR_KEY, _RANKED = _circuit_tables()
 
 
 def _masks(c: SignedCircuit) -> Tuple[int, int]:
@@ -180,7 +179,7 @@ def canonical_circuit_form(circs: Sequence[SignedCircuit]) -> Tuple:
     #candidates x #circuits lookups plus #candidates sorts of #circuits
     small ints, at most 720 of each.
     """
-    pair, images = _PAIR_KEY, _IMAGES
+    images, pair, ranked = _circuit_tables()
     sides = [_masks(c) for c in circs]
     ranks = [_perm_index(perm) for perm in _first_key_relabelings(sides)]
     columns = []
@@ -188,7 +187,7 @@ def canonical_circuit_form(circs: Sequence[SignedCircuit]) -> Tuple:
         ip, ineg = images[pos], images[neg]
         columns.append([pair[ip[k] << 6 | ineg[k]] for k in ranks])
     best = min(sorted(keys) for keys in zip(*columns))
-    return tuple((_RANKED[k >> 6], _RANKED[k & 63]) for k in best)
+    return tuple((ranked[k >> 6], ranked[k & 63]) for k in best)
 
 
 def _swap(ab):
@@ -313,17 +312,12 @@ def _catalog_index() -> Dict[Tuple, OMRecord]:
     }
 
 
-def match_om(config: PointConfig) -> OMRecord:
-    """Catalog record of a 6-point configuration.
+def match_circuits(circs: Sequence[SignedCircuit]) -> OMRecord:
+    """Catalog record of a 6-point configuration, from its circuits.
 
     Raises NoMatch if the circuits match no record, which would mean the
     catalog itself is incomplete.
     """
-    return match_circuits(config_circuits(config))
-
-
-def match_circuits(circs: Sequence[SignedCircuit]) -> OMRecord:
-    """match_om for a configuration whose circuits are already computed."""
     form = canonical_circuit_form(circs)
     rec = _catalog_index().get(form)
     if rec is None:

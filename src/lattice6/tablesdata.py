@@ -78,15 +78,6 @@ class TableBundle:
                 return row
         raise KeyError(cid)
 
-    def key_candidates(self, label: str) -> Tuple[str, ...]:
-        """Catalog record keys a grid label may denote (two when ambiguous)."""
-        if label in self.om_label_map:
-            return (self.om_label_map[label],)
-        for pair in self.ambiguous_labels:
-            if label in pair["labels"]:
-                return tuple(pair["keys"])
-        raise KeyError(label)
-
     def label_candidates(self, key: str) -> Tuple[str, ...]:
         """Grid labels a catalog record key may carry (two when ambiguous)."""
         hits = tuple(l for l, k in self.om_label_map.items() if k == key)

@@ -8,7 +8,9 @@ and filter every product of per-line vector counts by its total.  A
 record's vertex, interior, coplanarity and dps statistics are read off
 its circuits here, through all cocircuits among the 3^6 sign vectors
 orthogonal to every circuit; the library keeps no statistics, and the
-tests compare these with the bundled grid of cells.
+tests compare these with the bundled grid of cells.  match_om gives the
+catalog record of one configuration: the library reads a table row's
+oriented matroid off its label, and the tests check the labels with it.
 Slow, but simple enough to trust.
 """
 
@@ -18,8 +20,14 @@ import itertools
 from functools import lru_cache
 from typing import Dict, Sequence, Tuple
 
-from lattice6.invariants import SignedCircuit, coplanarity_from_circuits
-from lattice6.omcatalog import chirotope, enumerate_oms
+from lattice6.invariants import SignedCircuit, circuits, coplanarity_from_circuits
+from lattice6.omcatalog import OMRecord, chirotope, enumerate_oms, match_circuits
+from lattice6.polytope import PointConfig
+
+
+def match_om(config: PointConfig) -> OMRecord:
+    """Catalog record of a 6-point configuration, from its circuits."""
+    return match_circuits(circuits(config))
 
 
 def relabeled(c: SignedCircuit, perm: Sequence[int]) -> SignedCircuit:

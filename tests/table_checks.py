@@ -25,10 +25,10 @@ from lattice6.invariants import (
     volume_vector6,
     width,
 )
-from lattice6.omcatalog import enumerate_oms, match_om
+from lattice6.omcatalog import enumerate_oms
 from lattice6.polytope import PointConfig, hull_facets, hull_summary, lattice_points, size
 from lattice6.tablesdata import TableBundle, _load_resource
-from omcatalog_oracles import record_statistics
+from omcatalog_oracles import match_om, record_statistics
 
 GCD_EXCEPTIONS = {"A.1": 2, "A.2": 2, "B.14": 3, "B.15": 3, "C.3": 3}
 
@@ -72,6 +72,17 @@ def result2_histogram(configs) -> Dict[str, int]:
         key = f"{shape_of(config)}, {interior_count(config)} interior"
         hist[key] = hist.get(key, 0) + 1
     return hist
+
+
+def key_candidates(bundle: TableBundle, label: str) -> Tuple[str, ...]:
+    """Catalog record keys a grid label may denote (two when ambiguous):
+    the inverse of bundle.label_candidates, which the library reads."""
+    if label in bundle.om_label_map:
+        return (bundle.om_label_map[label],)
+    for pair in bundle.ambiguous_labels:
+        if label in pair["labels"]:
+            return tuple(pair["keys"])
+    raise KeyError(label)
 
 
 @dataclass(frozen=True)
@@ -122,7 +133,7 @@ def validate_tables(bundle: TableBundle) -> ValidationReport:
             bad.append(f"{row.id}: dps flag mismatch")
         record = match_om(config)
         keys_by_label.setdefault(row.om_label, set()).add(record.key)
-        if bundle.key_candidates(row.om_label) != (record.key,):
+        if key_candidates(bundle, row.om_label) != (record.key,):
             bad.append(f"{row.id}: matched {record.key}, label map disagrees")
         # analyze prints row.om_label for an identified input: the record's
         # labels must name that row's label alone

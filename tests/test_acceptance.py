@@ -21,14 +21,14 @@ from lattice6.invariants import (
     volume_vector6,
     width,
 )
-from lattice6.omcatalog import enumerate_oms, match_om
+from lattice6.omcatalog import enumerate_oms
 from lattice6.polytope import PointConfig, hull_summary, lattice_points, size
 from lattice6.size5 import admissible_apex_31, classify5, rep21, rep32
 
 from conftest import APEX31_BASE, random_unimodular
 from emptytetra_oracles import standard_tetrahedron, type_orbit, white_classes
-from omcatalog_oracles import record_statistics
-from table_checks import GCD_EXCEPTIONS, no_octahedron_check, validate_tables
+from omcatalog_oracles import match_om, record_statistics
+from table_checks import GCD_EXCEPTIONS, key_candidates, no_octahedron_check, validate_tables
 
 
 def test_classification_regenerates_all_76_classes(case_reports, bundle):
@@ -78,7 +78,7 @@ def test_oriented_matroid_catalog_is_complete(bundle):
             and stats[k]["nvertices"] == cell.vertices
             and stats[k]["ninterior"] == cell.interior
             and len(by_key[k].circuits) == cell.n_circuits
-            for k in bundle.key_candidates(cell.label)
+            for k in key_candidates(bundle, cell.label)
         ), cell.label
     realized = {match_om(row.config()).key for row in bundle.class_rows}
     assert len(realized) == 22

@@ -38,10 +38,11 @@ from lattice6.invariants import (
     volume_vector6,
     width,
 )
-from lattice6.omcatalog import chirotope, enumerate_oms, match_om
+from lattice6.omcatalog import chirotope, match_circuits
 from lattice6.polytope import PointConfig, hull_facets, lattice_points, size
 from lattice6.size5 import catalog41
-from table_checks import no_octahedron_check
+from omcatalog_oracles import match_om
+from table_checks import key_candidates, no_octahedron_check
 
 EXPECTED_COUNTS = {"A": 2, "B": 15, "C": 6, "D": 2, "E": 2, "F": 17, "G": 20, "H": 12}
 EXPECTED_EXAMINED = {"A": 6, "B": 5043, "C": 596, "D": 1681, "E": 192,
@@ -389,34 +390,35 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     """One warm classify_all: 40 automorphism maps plus one witness map per
     class (the check stops at the first), 492 hull computations (the C
     interior, C vertices, E and F sites count only the hulls their cap
-    rule keeps, and _make_class reads the dps flag off the six points),
-    426 gluing verdicts, 128 circuit computations (no gluing verdict
-    computes any: its size argument is the cap rule; case F checks its
-    one (2,1)-circuit on the circuits of its coplanarity test), 935
+    rule keeps), 426 gluing verdicts, 52 circuit computations (no gluing
+    verdict computes any: its size argument is the cap rule; case F checks
+    its one (2,1)-circuit on the circuits of its coplanarity test), 935
     emptiness tests of tetrahedra (each site evaluates its size argument
-    once), 129 normal forms (one
-    per distinct point set in _dedupe, which for G and H is one per
-    class, whose key orders the witness check reuses, and one per base
-    for its symmetries; the rows' key orders come from _row_key_index),
-    one match_om per class (cases C and E test their embeddings by
-    chirotope), and 4,336 check_point calls: configurations built from
-    checked points check only the point they add, and the triangulation
+    once), 129 normal forms (one per distinct point set in _dedupe, which
+    for G and H is one per class, whose key orders the witness check
+    reuses, and one per base for its symmetries; the rows' key orders come
+    from _row_key_index), no catalog match (a class takes its oriented
+    matroid from its row, and cases C and E test their embeddings by
+    chirotope), and 3,880 check_point calls: configurations built from
+    checked points check only the point they add, the triangulation
     checks test the emptiness of those points without checking them
-    again.  quad_volumes runs 998 times, once per configuration whose
-    volumes are read (PointConfig.volumes) and once per chirotope: 426
-    verdicts (the normal forms of the accepted verdicts' configurations
-    reuse them), 384 embedding chirotopes, 38 normal forms of survivors
-    no earlier step measured, 76 table representatives' volume vectors,
-    52 circuits and 22 widths."""
+    again, and the rows' configurations come from _row_key_index.
+    quad_volumes runs 922 times, once per configuration whose volumes are
+    read (PointConfig.volumes) and once per chirotope: 426 verdicts (the
+    normal forms of the accepted verdicts' configurations reuse them), 384
+    embedding chirotopes, 38 normal forms of survivors no earlier step
+    measured, 52 circuits and 22 widths of case D; the rows' volume
+    vectors reuse the volumes of their normal forms."""
     for cell in ("5.4", "5.5"):  # warm: the orbits are built once per process
         classify6._cell_orbit(cell)
     classify6._row_key_index()
     calls = count_calls(monkeypatch, unimodular_map, hull_facets, classify6._glued_verdict,
-                        match_om, check_point, circuits, _normal_form, quad_volumes, _is_empty)
+                        match_circuits, check_point, circuits, _normal_form, quad_volumes,
+                        _is_empty)
     classify6.classify_all()
     assert calls == {"unimodular_map": 116, "hull_facets": 492, "_glued_verdict": 426,
-                     "match_om": 76, "check_point": 4336, "circuits": 128,
-                     "_normal_form": 129, "quad_volumes": 998, "_is_empty": 935}
+                     "match_circuits": 0, "check_point": 3880, "circuits": 52,
+                     "_normal_form": 129, "quad_volumes": 922, "_is_empty": 935}
 
 
 def test_finish_rejects_a_row_of_another_case(bundle):
@@ -429,23 +431,29 @@ def test_finish_rejects_a_row_of_another_case(bundle):
         classify6._finish("A", 1, Counter(), firsts)
 
 
-def test_make_class_checks_the_dps_flag(bundle):
-    """A row whose dps flag disagrees with the generated configuration's
-    pair sums fails _make_class, after its width and oriented matroid
-    have matched."""
-    row = bundle.class_by_id("G.1")
-    flipped = dataclasses.replace(row, dps=not row.dps)
-    with pytest.raises(classify6.ClassificationError, match=r"^G\.1: dps flag mismatch$"):
-        classify6._make_class(flipped, row.config(), row.config())
-
-
 def test_generated_configurations_are_their_own_lattice_points(case_reports):
-    """What _make_class's dps check relies on: the lattice points of each
-    of the 76 generated configurations are exactly its six points."""
+    """What the columns test below relies on to read the dps flag off the
+    points: the lattice points of each of the 76 generated configurations
+    are exactly its six points."""
     generated = [cls.generated for r in by_case(case_reports).values() for cls in r.classes_found]
     assert len(generated) == 76
     for g in generated:
         assert lattice_points(g) == tuple(sorted(g.points)), g
+
+
+def test_generated_configurations_have_their_rows_columns(case_reports, bundle):
+    """The oracle of _make_class, which takes these columns from the row:
+    on each of the 76 generated configurations, the width, the catalog
+    record (match_om) and the dps flag (pair sums of its six points) are
+    the row's columns."""
+    classes = [cls for r in by_case(case_reports).values() for cls in r.classes_found]
+    assert len(classes) == 76
+    for cls in classes:
+        row = bundle.class_by_id(cls.id)
+        g = cls.generated
+        assert width(g)[0] == row.width, cls.id
+        assert key_candidates(bundle, row.om_label) == (match_om(g).key,), cls.id
+        assert pair_sums_distinct(g.points) == row.dps, cls.id
 
 
 @pytest.mark.parametrize("classify", [classify6.classify_all, lambda: classify6.run_case("A")],
@@ -485,7 +493,7 @@ def test_cell_orbits_match_the_catalog_on_every_embedding(bundle):
     chirotope lookup against either cell's orbit agrees with the match_om
     oracle; 128 embeddings of each search have its own cell, none the
     other's."""
-    keys = {cell: bundle.key_candidates(cell)[0] for _, cell, _ in EMBEDDING_SEARCHES}
+    keys = {cell: key_candidates(bundle, cell)[0] for _, cell, _ in EMBEDDING_SEARCHES}
     hits = Counter()
     for case, _, coeffs in EMBEDDING_SEARCHES:
         for points in _embeddings(coeffs):
@@ -504,7 +512,7 @@ def test_cell_orbits_match_the_catalog_on_row_images(bundle):
     mirror image, the lookup against the 5.4 and 5.5 orbits agrees with
     match_om; the rows of those cells are the hits."""
     rng = random.Random(17)
-    keys = {cell: bundle.key_candidates(cell)[0] for _, cell, _ in EMBEDDING_SEARCHES}
+    keys = {cell: key_candidates(bundle, cell)[0] for _, cell, _ in EMBEDDING_SEARCHES}
     hits = []
     for row in bundle.class_rows:
         img = shuffled(rng, apply_map(random_unimodular(rng), row.config()))
@@ -544,16 +552,6 @@ def test_cell_orbit_sizes():
     assert len(classify6._cell_orbit("5.4")) == 1440
     assert len(classify6._cell_orbit("5.5")) == 720
     assert {len(chi) for cell in ("5.4", "5.5") for chi in classify6._cell_orbit(cell)} == {15}
-
-
-def test_cell_orbit_checks_its_realization(monkeypatch):
-    """A realization row whose catalog record is not the cell's raises
-    instead of seeding the orbit."""
-    wrong = next(rec for rec in enumerate_oms() if rec.key != "c5.06")
-    monkeypatch.setattr(classify6, "match_om", lambda cfg: wrong)
-    classify6._cell_orbit.cache_clear()
-    with pytest.raises(classify6.ClassificationError, match="C.4 has oriented matroid"):
-        classify6._cell_orbit("5.4")
 
 
 @pytest.mark.parametrize("accept_all", [False, True])
@@ -684,6 +682,19 @@ def test_base41_facets_are_empty_around_the_interior_point():
             assert sorted(p for p in lattice_points(base) if det4(*corners, p) == 0) == sorted(corners)
             assert det4(*corners, pts[0]) != 0
         assert planes == set(facets) and len(facets) == 4, cls5
+
+
+def test_embedded41_facets_are_the_base_facets():
+    """What the cap rule of the embedding searches relies on: on every
+    embedding of either search, the hull facets of the (4,1) base on p1,
+    p2, p3, p5, p6, as label triples, are exactly _EMBEDDED41_FACETS."""
+    labels = (1, 2, 3, 5, 6)
+    for _, _, coeffs in EMBEDDING_SEARCHES:
+        for points in _embeddings(coeffs):
+            base = [points[i - 1] for i in labels]
+            triples = {tuple(i for i, p in zip(labels, base) if a * p[0] + b * p[1] + c * p[2] == o)
+                       for a, b, c, o in hull_facets(PointConfig(base))}
+            assert triples == set(classify6._EMBEDDED41_FACETS), points
 
 
 def test_cap_rule_matches_size_on_case_c():

@@ -148,6 +148,17 @@ def test_parser_is_built_once_and_reused(tmp_path, bundle, capsys, monkeypatch):
     assert reused == fresh
 
 
+def test_classify_process_builds_no_oriented_matroid_catalog():
+    """A fresh process that runs classify_all never builds the catalog of
+    oriented matroids nor the circuit tables of its canonical forms: each
+    class takes its oriented matroid from its table row."""
+    code = ("from lattice6 import classify6, omcatalog; classify6.classify_all(); "
+            "print(omcatalog.enumerate_oms.cache_info().currsize, "
+            "omcatalog._circuit_tables.cache_info().currsize)")
+    proc = _python(["-c", code])
+    assert (proc.stdout, proc.stderr, proc.returncode) == ("0 0\n", "", 0)
+
+
 @pytest.mark.parametrize("cid", ["H.12", None])
 def test_python_m_lattice6_matches_main(tmp_path, bundle, capsys, cid):
     """python -m lattice6 analyze prints what main prints and exits with

@@ -1,5 +1,6 @@
 """Bundled classification tables: integrity checks and cross-statistics."""
 
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -17,6 +18,7 @@ from omcatalog_oracles import record_statistics
 from table_checks import (
     GCD_EXCEPTIONS,
     interior_count,
+    key_candidates,
     result2_histogram,
     shape_of,
     validate_tables,
@@ -39,6 +41,26 @@ def test_validation_is_clean(bundle):
     assert report.rows_checked >= 76
     assert report.om_groups == 22
     assert report.notes == ("headline count table deviates from grid in: (2,1), (2,2)",)
+
+
+@pytest.mark.parametrize("column, value, mismatches", [
+    ("dps", False, ("G.1: dps flag mismatch", "dps count mismatch")),
+    ("width", 3, ("G.1: recomputed width 2 != 3", "G.1: functional is not a width witness",
+                  "width histogram {'2': 73, '3': 3}")),
+    ("om_label", "6.1", ("G.1: matched c6.02, label map disagrees",
+                         "G.1: c6.02 carries labels ('6.2',), not only 6.1",
+                         "label 6.1: rows match distinct records ['c6.01', 'c6.02']")),
+])
+def test_validation_catches_a_changed_column(bundle, column, value, mismatches):
+    """classify takes each class's width, oriented matroid label and dps
+    flag from its row, so these checks are what catch a row whose column
+    disagrees with its points: one changed column of G.1 (width 2,
+    label 6.2, dps) gives its own mismatches."""
+    row = bundle.class_by_id("G.1")
+    changed = dataclasses.replace(row, **{column: value})
+    rows = tuple(changed if r is row else r for r in bundle.class_rows)
+    report = validate_tables(dataclasses.replace(bundle, class_rows=rows))
+    assert report.mismatches == mismatches
 
 
 def test_volume_vector_gcds(bundle):
@@ -103,11 +125,11 @@ def test_ambiguous_labels(bundle):
         for key in pair["keys"]:
             assert set(bundle.label_candidates(key)) == set(pair["labels"])
         for label in pair["labels"]:
-            assert set(bundle.key_candidates(label)) == set(pair["keys"])
+            assert set(key_candidates(bundle, label)) == set(pair["keys"])
 
 
 def test_unambiguous_label_resolves_to_one_key(bundle):
-    keys = bundle.key_candidates("3.2")
+    keys = key_candidates(bundle, "3.2")
     assert len(keys) == 1
     assert bundle.label_candidates(keys[0]) == ("3.2",)
 
@@ -145,7 +167,7 @@ def test_cells_match_catalog_records(bundle):
     by_key = {r.key: r for r in enumerate_oms()}
     stats = record_statistics()
     for cell in bundle.om_cells:
-        keys = bundle.key_candidates(cell.label)
+        keys = key_candidates(bundle, cell.label)
         assert keys
         assert any(
             stats[k]["coplanarity"] == cell.coplanarity
