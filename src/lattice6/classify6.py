@@ -19,9 +19,12 @@ file that each row's columns hold for its points.  ``classify_all`` runs
 every branch and checks that the classes come out in table order.  All
 arithmetic is exact.
 
-The runners share three steps: _embeddings41, the one search over the
-8 x 4! embeddings of the signature-(4,1) bases (case C's interior subcase
-and case E); _cross_check, the one comparison of a size argument's
+The runners share four steps: _Funnel, the one record of a case's
+candidates examined, rejections by reason and survivors, which reports
+through _finish; _embeddings41, the one search over the 8 x 4!
+embeddings of the signature-(4,1) bases (case C's interior subcase and
+case E), which counts each embedding in its caller's _Funnel;
+_cross_check, the one comparison of a size argument's
 outcome with the hull count (B.ii, B.iii, the three C subcases, E, F, G
 and H), where each site evaluates its argument once per candidate; and
 _caps, the cap rule for a one-point extension of a polytope with empty
@@ -46,8 +49,8 @@ a gluing's source and target, make many matchings glue the same
 configuration up to a unimodular map: the 1,532 distinct verdict keys
 fall into 426 gluing groups.  A verdict (coplanarity, interior points,
 hull size with its cap cross-check) is made once per group in each
-run_case_gh call and replayed into the counters on every repeat; an
-accepted group contributes one configuration to identify.
+run_case_gh call and replayed into the G and H funnels on every repeat;
+an accepted group contributes one configuration to identify.
 """
 
 import csv
@@ -207,7 +210,8 @@ def _make_class(row, rep: PointConfig, generated: PointConfig) -> PolytopeClass:
 
 
 def _finish(case, examined, rejected, firsts, notes=()) -> CaseReport:
-    """Report of one case from its _dedupe representatives.
+    """Report of one case from its _dedupe representatives; the runners
+    reach it through _Funnel.report.
 
     Each representative's key must name a row of this case in
     _row_key_index, and _witnesses, from the representative's first key
@@ -235,6 +239,28 @@ def _finish(case, examined, rejected, firsts, notes=()) -> CaseReport:
     if found != expected:
         raise ClassificationError(f"case {case}: found {found}, expected {expected}")
     return CaseReport(case, examined, tuple(classes), dict(rejected), tuple(notes))
+
+
+class _Funnel:
+    """The funnel of one case: how many candidates it examined, its
+    rejections counted by reason, and the configurations it accepted, in
+    order.  Every runner counts, rejects and accepts here and reports
+    through report."""
+
+    def __init__(self, case: str):
+        self.case = case
+        self.examined = 0
+        self.rejected: Counter = Counter()
+        self.accepted: List[PointConfig] = []
+
+    def reject(self, reason: str, count: int = 1) -> None:
+        self.rejected[reason] += count
+
+    def report(self, notes=(), firsts=None) -> CaseReport:
+        """_finish on the record, with the _dedupe representatives of the
+        accepted configurations unless firsts gives them."""
+        firsts = _dedupe(self.accepted) if firsts is None else firsts
+        return _finish(self.case, self.examined, self.rejected, firsts, notes)
 
 
 def _all_empty(points: Sequence[IntVec3], quads) -> bool:
@@ -317,14 +343,15 @@ def _cell_orbit(cell: str):
     return chirotope_orbit(row.config().points)
 
 
-def _embeddings41(cell: str, coeffs, rejected: Counter):
+def _embeddings41(cell: str, coeffs, funnel: _Funnel):
     """Embeddings of the catalog41() bases with the oriented matroid cell.
 
     Each base's interior point becomes p5 and its vertices p1, p2, p3, p6
     in every order, and p4 = c1 p1 + c2 p2 + c3 p3 for coeffs (c1, c2, c3).
-    Yields the configurations p1..p6 whose oriented matroid is the grid
-    cell's, in enumeration order; the others are counted in rejected as a
-    "degenerate embedding" (two points coincide) or by their matroid.
+    Each of the 8 x 4! embeddings counts as examined in funnel.  Yields
+    the configurations p1..p6 whose oriented matroid is the grid cell's,
+    in enumeration order; funnel rejects the others as a "degenerate
+    embedding" (two points coincide) or by their matroid.
 
     An embedding has the cell's oriented matroid exactly when its
     chirotope lies in the cell's orbit (_cell_orbit): the chirotope fixes
@@ -339,14 +366,15 @@ def _embeddings41(cell: str, coeffs, rejected: Counter):
     for cls5 in catalog41():
         pts = cls5.representative.points
         for p1, p2, p3, p6 in itertools.permutations(pts[1:]):
+            funnel.examined += 1
             p4 = tuple(c1 * p1[t] + c2 * p2[t] + c3 * p3[t] for t in range(3))
             points = (p1, p2, p3, p4, pts[0], p6)
             if len(set(points)) != 6:
-                rejected["degenerate embedding"] += 1
+                funnel.reject("degenerate embedding")
                 continue
             check_point(p4)
             if chirotope(points) not in orbit:
-                rejected[f"oriented matroid is not {cell}"] += 1
+                funnel.reject(f"oriented matroid is not {cell}")
                 continue
             yield PointConfig._of_checked(points)
 
@@ -364,13 +392,11 @@ def run_case_a() -> CaseReport:
     midpoint, i.e. a seventh lattice point.
     """
     shapes = {1: (0, 0), 2: (1, 1), 5: (0, -1)}  # polygon id -> (c, d)
-    rejected: Counter = Counter()
-    accepted = []
-    examined = 0
+    funnel = _Funnel("A")
     for _, (c, d) in sorted(shapes.items()):
         base = [(0, 0, 0), (1, c, 0), (0, 1, 0), (-1, d, 0), (0, 2, 0)]
         for p6 in ((1, 0, 2), (1, 1, 2)):
-            examined += 1
+            funnel.examined += 1
             bad = next(
                 (
                     i
@@ -383,12 +409,12 @@ def run_case_a() -> CaseReport:
             if bad is not None:
                 if size(cfg) <= 6:
                     raise ClassificationError("integer midpoint but no extra point")
-                rejected[f"midpoint of p{bad + 1}p6 is integer"] += 1
+                funnel.reject(f"midpoint of p{bad + 1}p6 is integer")
                 continue
             if size(cfg) != 6:
                 raise ClassificationError(f"case A candidate {p6} has extra points")
-            accepted.append(cfg)
-    return _finish("A", examined, rejected, _dedupe(accepted))
+            funnel.accepted.append(cfg)
+    return funnel.report()
 
 
 # ---------------------------------------------------------------------------
@@ -454,22 +480,20 @@ def run_case_b() -> CaseReport:
     the residue condition a = -b = +-1 (mod 3) and a primitivity
     constraint.
     """
-    rejected: Counter = Counter()
-    accepted = []
+    funnel = _Funnel("B")
     notes = []
-    examined = 0
     ids = {}
     for tag, p5, h6, region, filters, extra_points, printed in _B_SUBCASES:
         raw = 0
         for a, b in _scan_box():
-            examined += 1
+            funnel.examined += 1
             if not region(a, b):
-                rejected["intersection point outside the normalized region"] += 1
+                funnel.reject("intersection point outside the normalized region")
                 continue
             raw += 1
             reason = next((reason for test, reason in filters if not test(a, b)), None)
             if reason is not None:
-                rejected[reason] += 1
+                funnel.reject(reason)
                 continue
             cfg = PointConfig(_B_BASE + [p5, (a, b, h6)])
             tetras = _B_TETRAS.get((tag, a, b))
@@ -479,13 +503,13 @@ def run_case_b() -> CaseReport:
             if not ok:
                 if extra_points is None:
                     raise ClassificationError(f"B.{tag} candidate {(a, b)} has extra points")
-                rejected[extra_points] += 1
+                funnel.reject(extra_points)
                 continue
-            accepted.append(cfg)
+            funnel.accepted.append(cfg)
             ids[cfg] = _B_IDS.get((tag, a, b))
         notes.append(f"subcase ({p5[2]},{-h6}): {raw} raw candidates (printed list has {printed})")
 
-    report = _finish("B", examined, rejected, _dedupe(accepted), notes)
+    report = funnel.report(notes)
     for cls in report.classes_found:  # printed id table must agree
         if ids.get(cls.generated) != cls.id:
             raise ClassificationError(f"printed id table disagrees for {cls.id}")
@@ -515,9 +539,7 @@ def run_case_c() -> CaseReport:
     candidate with a nonempty cap is rejected without a hull, and the
     hull of each other candidate is counted and must have six points.
     """
-    rejected: Counter = Counter()
-    accepted = []
-    examined = 0
+    funnel = _Funnel("C")
 
     # p5 along an edge: p6 = 2 p5 - p2 or 2 p5 - p1, p5 at height 1 or 3
     edge_candidates = (
@@ -527,41 +549,40 @@ def run_case_c() -> CaseReport:
         ((1, 2, 3), (2, 4, 6), ((2, 3, 5, 6), (2, 4, 5, 6), (3, 4, 5, 6))),
     )
     for p5, p6, tetras in edge_candidates:
-        examined += 1
+        funnel.examined += 1
         cfg = PointConfig(_B_BASE + [p5, p6])
         first = next((t for t in tetras if not _is_empty([cfg.points[i - 1] for i in t])), None)
         if not _cross_check(size(cfg) == 6, first is None, "C edge", f" at {p6}"):
-            rejected[f"T{''.join(map(str, first))} is not empty"] += 1
+            funnel.reject(f"T{''.join(map(str, first))} is not empty")
             continue
-        accepted.append(cfg)
+        funnel.accepted.append(cfg)
 
     # p5 interior: remove p4 and embed the rest as a size-5 signature-(4,1)
     # polytope, with p5 in the interior-point role and p4 = 3 p1 - p2 - p3
-    examined += 24 * len(catalog41())
-    for cfg in _embeddings41("5.4", (3, -1, -1), rejected):
+    for cfg in _embeddings41("5.4", (3, -1, -1), funnel):
         p1, p2, p3, _, p5, _ = cfg.points
         if abs(det4(p1, p2, p3, p5)) not in (1, 3):
-            rejected["subtetrahedron p1p2p3p5 volume is not 1 or 3"] += 1
+            funnel.reject("subtetrahedron p1p2p3p5 volume is not 1 or 3")
             continue
         if not _six_by_caps(cfg, _EMBEDDED41_FACETS, 5, 4, "C interior"):
-            rejected["a triangulation tetrahedron is not empty"] += 1
+            funnel.reject("a triangulation tetrahedron is not empty")
             continue
-        accepted.append(cfg)
+        funnel.accepted.append(cfg)
 
     # both vertices: p6 = (1,2,3) at distance 3, p5 = (a,b,1) at distance 1
     survivors = []
     for a, b in itertools.product(range(1, SCAN_BOUND + 1), repeat=2):
-        examined += 1
+        funnel.examined += 1
         cfg = PointConfig(_B_BASE + [(a, b, 1), (1, 2, 3)])
         if not _six_by_caps(cfg, _C_SIDES, 1, 5, "C vertices"):
-            rejected["extra lattice points in the convex hull"] += 1
+            funnel.reject("extra lattice points in the convex hull")
             continue
         survivors.append((a, b))
-        accepted.append(cfg)
+        funnel.accepted.append(cfg)
     if survivors != [(1, 1)]:
         raise ClassificationError(f"C vertices subcase found {survivors}")
 
-    return _finish("C", examined, rejected, _dedupe(accepted))
+    return funnel.report()
 
 
 # ---------------------------------------------------------------------------
@@ -578,34 +599,32 @@ def run_case_d() -> CaseReport:
     width one, and the survivor (3,3) re-routes to case B via its
     (3,1)-circuit.
     """
-    rejected: Counter = Counter()
-    accepted = []
-    examined = 0
+    funnel = _Funnel("D")
     survivors = []
     for a, b in _scan_box():
-        examined += 1
+        funnel.examined += 1
         if not (1 <= a <= b and (a < 2 or b < a + 2)):
-            rejected["intersection point outside the normalized region"] += 1
+            funnel.reject("intersection point outside the normalized region")
             continue
         cfg = PointConfig(_D_BASE + [(0, 0, 1), (a, b, -1)])
         if a in (1, 2):
             if width(cfg)[0] != 1:
                 raise ClassificationError(f"D candidate {(a, b)} should be width one")
-            rejected["width one (functional x+z)"] += 1
+            funnel.reject("width one (functional x+z)")
             continue
         if size(cfg) > 6:
-            rejected["extra lattice points in the convex hull"] += 1
+            funnel.reject("extra lattice points in the convex hull")
             continue
         survivors.append((a, b))
         if coplanarity_class(cfg) == C31:
             if (a, b) != (3, 3):
                 raise ClassificationError(f"unexpected (3,1)-circuit at {(a, b)}")
-            rejected["contains a (3,1) circuit"] += 1
+            funnel.reject("contains a (3,1) circuit")
             continue
-        accepted.append(cfg)
+        funnel.accepted.append(cfg)
     if survivors != [(3, 3), (3, 4), (4, 5)]:
         raise ClassificationError(f"D survivors {survivors}")
-    return _finish("D", examined, rejected, _dedupe(accepted))
+    return funnel.report()
 
 
 # ---------------------------------------------------------------------------
@@ -623,14 +642,13 @@ def run_case_e() -> CaseReport:
     and its one cap over _EMBEDDED41_FACETS, the printed T2346, decides
     the hull (_six_by_caps).
     """
-    rejected: Counter = Counter()
-    accepted = []
-    for cfg in _embeddings41("5.5", (-1, 1, 1), rejected):
+    funnel = _Funnel("E")
+    for cfg in _embeddings41("5.5", (-1, 1, 1), funnel):
         if not _six_by_caps(cfg, _EMBEDDED41_FACETS, 5, 4, "E"):
-            rejected["tetrahedron p2p3p4p6 is not empty"] += 1
+            funnel.reject("tetrahedron p2p3p4p6 is not empty")
             continue
-        accepted.append(cfg)
-    return _finish("E", 24 * len(catalog41()), rejected, _dedupe(accepted))
+        funnel.accepted.append(cfg)
+    return funnel.report()
 
 
 # ---------------------------------------------------------------------------
@@ -651,26 +669,25 @@ def run_case_f() -> CaseReport:
     six points.  Each survivor's circuits, read once for the coplanarity
     test, must hold exactly one (2,1)-circuit.
     """
-    rejected: Counter = Counter()
+    funnel = _Funnel("F")
     groups: Dict[str, List[PointConfig]] = {"4.21": [], "4.22": [], "4.11": []}
-    examined = 0
     for cls5 in catalog41():
         pts = cls5.representative.points
         for i, j in itertools.permutations(range(5), 2):
-            examined += 1
+            funnel.examined += 1
             r1, r2 = pts[i], pts[j]
             r3 = tuple(2 * r2[t] - r1[t] for t in range(3))
             if r3 in pts:
-                rejected["degenerate extension"] += 1
+                funnel.reject("degenerate extension")
                 continue
             cfg = PointConfig._of_checked(pts + (check_point(r3),))
             group = "4.21" if i == 0 else ("4.22" if j == 0 else "4.11")
             if not _six_by_caps(cfg, _BASE41_FACETS, 1, 6, "F", f" in group {group}"):
-                rejected["extra lattice points in the convex hull"] += 1
+                funnel.reject("extra lattice points in the convex hull")
                 continue
             circs = circuits(cfg)
             if coplanarity_from_circuits(circs) != C21:
-                rejected["additional coplanarity"] += 1
+                funnel.reject("additional coplanarity")
                 continue
             if sum(c.signature == (2, 1) for c in circs) != 1:
                 raise ClassificationError(f"F candidate {r3}: expected exactly one (2,1)-circuit")
@@ -683,7 +700,7 @@ def run_case_f() -> CaseReport:
     for group in firsts:
         for key, first in group.items():
             merged.setdefault(key, first)
-    return _finish("F", examined, rejected, merged)
+    return funnel.report(firsts=merged)
 
 
 # ---------------------------------------------------------------------------
@@ -744,9 +761,15 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
     of each class is the first of its group, and _dedupe identifies 32
     configurations, the first of each class in enumeration order.  The
     symmetries and verdicts are computed per call.
+
+    Every matching counts as examined in both the G and the H funnel.  A
+    rejection common to both cases (verdict case "shared", or a gluing of
+    fewer than six points) goes to both funnels where it is made, and a G
+    or H rejection to its own; the matchings that are not integral
+    unimodular, which the loop never visits, go to both after it.
     """
-    rejected = {"shared": Counter(), "G": Counter(), "H": Counter()}
-    accepted: Dict[str, List[PointConfig]] = {"G": [], "H": []}
+    funnel_g, funnel_h = _Funnel("G"), _Funnel("H")
+    funnels = {"G": (funnel_g,), "H": (funnel_h,), "shared": (funnel_g, funnel_h)}
     bases = [cls5.representative for cls5 in catalog41()]
     reps = [base.points for base in bases]
     autos = [_base_automorphisms(base) for base in bases]
@@ -768,7 +791,7 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
                 by_form.setdefault(edge_form(dst), []).append((ex, dst))
         sources.append(subs)
         targets.append(by_form)
-    examined = (4 * len(reps)) ** 2 * len(orders)
+    funnel_g.examined = funnel_h.examined = (4 * len(reps)) ** 2 * len(orders)
     hits = 0
     verdicts = {}
     for sb, subs in enumerate(sources):
@@ -778,7 +801,8 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
                     hits += 1
                     new_pt = _barycentric_image(weights, vol, dst)
                     if new_pt in spts:
-                        rejected["shared"]["gluing yields fewer than six points"] += 1
+                        for funnel in funnels["shared"]:
+                            funnel.reject("gluing yields fewer than six points")
                         continue
                     key = (si, new_pt, ex_s, dst[0])
                     verdict = verdicts.get(key)
@@ -790,18 +814,15 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
                             for perm, g in autos[base]:
                                 verdicts[base, g.apply(pt), perm[left], g.apply(glued)] = verdict
                         if verdict[1] is None:
-                            accepted[verdict[0]].append(cfg)
+                            funnels[verdict[0]][0].accepted.append(cfg)
                     case, reason = verdict
                     if reason is not None:
-                        rejected[case][reason] += 1
-    rejected["shared"]["identification is not integral unimodular"] = examined - hits
+                        for funnel in funnels[case]:
+                            funnel.reject(reason)
     note = "candidate enumeration shared with the other gluing case"
-    for case in ("G", "H"):
-        for reason, n in rejected["shared"].items():
-            rejected[case][reason] += n
-    report_g = _finish("G", examined, rejected["G"], _dedupe(accepted["G"]), (note,))
-    report_h = _finish("H", examined, rejected["H"], _dedupe(accepted["H"]), (note,))
-    return report_g, report_h
+    for funnel in funnels["shared"]:
+        funnel.reject("identification is not integral unimodular", funnel.examined - hits)
+    return funnel_g.report((note,)), funnel_h.report((note,))
 
 
 def _swap_key(sources, sb, ex, si, ex_s, dst) -> tuple:

@@ -17,6 +17,8 @@ unimodular maps in one place: equivalence.py is the only module that
 calls unimodular_map.  A configuration's quadruple volumes are computed
 once, by PointConfig.volumes(): outside the PointConfig class, no call
 quad_volumes(<expr>.points), nor one on a name assigned from <expr>.points.
+A case's candidates, rejections and survivors are kept in one record: in
+classify6.py, a Counter is constructed only inside the _Funnel class.
 """
 
 import ast
@@ -301,3 +303,34 @@ def test_quad_volumes_of_config_points_is_a_violation(tmp_path):
     assert _volume_passes(path) == ["sample.py:9: calls quad_volumes on .points",
                                     "sample.py:11: calls quad_volumes on .points",
                                     "sample.py:14: calls quad_volumes on .points"]
+
+
+def _counters_outside(path, owner):
+    """Calls of Counter, as a bare name or an attribute, outside the class
+    owner in path."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    inside = {id(node) for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and cls.name == owner
+              for node in ast.walk(cls)}
+    lines = sorted(node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and id(node) not in inside
+                   and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "Counter")
+    return [f"{path.name}:{lineno}: constructs a Counter outside {owner}" for lineno in lines]
+
+
+def test_only_the_funnel_counts_in_classify6():
+    path = next(path for path in SOURCES if path.name == "classify6.py")
+    found = _counters_outside(path, "_Funnel")
+    assert not found, "\n".join(found)
+
+
+def test_counter_outside_the_funnel_is_a_violation(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("import collections\nfrom collections import Counter\n"
+                    "class _Funnel:\n    def __init__(self):\n        self.rejected = Counter()\n"
+                    "def run():\n    rejected: Counter = Counter()\n"
+                    "    return rejected, collections.Counter()\n",
+                    encoding="utf-8")
+    assert _counters_outside(path, "_Funnel") == [
+        "sample.py:7: constructs a Counter outside _Funnel",
+        "sample.py:8: constructs a Counter outside _Funnel"]
