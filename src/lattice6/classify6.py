@@ -58,7 +58,7 @@ import io
 import itertools
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -85,7 +85,7 @@ from .equivalence import _normal_form, _witnesses, canonical_key
 from .emptytetra import _is_empty
 from .size5 import admissible_apex_31, catalog41
 from .omcatalog import chirotope, chirotope_orbit
-from .tablesdata import load_tables
+from .tablesdata import ClassRow, load_tables
 
 __all__ = [
     "BadParameters",
@@ -185,30 +185,6 @@ def _dedupe(configs: Sequence[PointConfig]) -> Dict[tuple, tuple]:
     return firsts
 
 
-def _make_class(row, rep: PointConfig, generated: PointConfig) -> PolytopeClass:
-    """The class of a table row, with the row's width, oriented matroid
-    and dps flag, and the volume vector computed from rep, the row's
-    points.
-
-    _finish has checked a unimodular map from generated onto rep, and
-    width, the oriented matroid up to sign and the dps property are
-    invariant under such a map, so the columns hold for generated exactly
-    when they hold for the row's own points.  tests/table_checks.py
-    (validate_tables) checks that on every row, and a test compares them
-    with the generated configurations.
-    """
-    return PolytopeClass(
-        id=row.id,
-        om_label=row.om_label,
-        volume_vector=volume_vector6(rep),
-        width=row.width,
-        functional=row.functional,
-        representative=rep,
-        dps=row.dps,
-        generated=generated,
-    )
-
-
 def _finish(case, examined, rejected, firsts, notes=()) -> CaseReport:
     """Report of one case from its _dedupe representatives; the runners
     reach it through _Funnel.report.
@@ -217,10 +193,15 @@ def _finish(case, examined, rejected, firsts, notes=()) -> CaseReport:
     _row_key_index, and _witnesses, from the representative's first key
     order onto the row's key orders, must give a unimodular map that
     carries its points onto the row's points; the first such map is the
-    check, so equal keys alone identify nothing.  The row's configuration
-    is the index's, so its volumes are not computed again.  The rows are
-    pairwise inequivalent: _row_key_index checks that their complete keys
-    differ.  The classes found must be exactly the case's rows.
+    check, so equal keys alone identify nothing.  The class is then the
+    row: width, oriented matroid up to sign and dps are invariant under
+    that map, so they are the row's columns (tests/table_checks.py checks
+    them on every row's points, and a test on the generated
+    configurations).  Only the volume vector is computed, from the index's
+    configuration of the row, whose volumes are not computed again.  The
+    rows are pairwise inequivalent: _row_key_index checks that their
+    complete keys differ.  The classes found must be exactly the case's
+    rows.
     """
     index = _row_key_index()
     classes = []
@@ -232,7 +213,8 @@ def _finish(case, examined, rejected, firsts, notes=()) -> CaseReport:
             raise ClassificationError(f"case {case} produced table row {row.id}")
         if next(_witnesses(cfg, orders[0], rep, row_orders), None) is None:
             raise ClassificationError(f"{row.id}: witness is not equivalent")
-        classes.append(_make_class(row, rep, cfg))
+        classes.append(PolytopeClass(row.id, row.om_label, volume_vector6(rep), row.width,
+                                     row.functional, rep, row.dps, generated=cfg))
     classes.sort(key=lambda c: int(c.id.split(".")[1]))
     found = [c.id for c in classes]
     expected = [r.id for r in load_tables().class_rows if r.case == case]
@@ -1039,47 +1021,34 @@ def width1_family(name: str, params: Sequence[int] = ()) -> PointConfig:
 # ---------------------------------------------------------------------------
 # serialization
 
-_CSV_COLUMNS = (
-    "id",
-    "om_label",
-    "volume_vector",
-    "width",
-    "functional",
-    "representative",
-    "dps",
-)
+#: The exported columns, in the order of the data rows' fields.
+_COLUMNS = tuple(f.name for f in fields(ClassRow))
+
+
+def _column_values(c: PolytopeClass) -> tuple:
+    """c's exported values, in _COLUMNS order; the representative as its
+    points."""
+    return (c.id, c.om_label, c.volume_vector, c.width, c.functional, c.representative.points,
+            c.dps)
+
+
+def _csv_cell(value):
+    """A column value as CSV text: vectors space-separated, points x,y,z
+    joined by "; ", and the dps flag as 0 or 1."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, tuple) and isinstance(value[0], tuple):
+        return "; ".join(",".join(map(str, p)) for p in value)
+    return " ".join(map(str, value)) if isinstance(value, tuple) else value
 
 
 def export_json(classes: Sequence[PolytopeClass]) -> str:
-    payload = [
-        {
-            "id": c.id,
-            "om_label": c.om_label,
-            "volume_vector": list(c.volume_vector),
-            "width": c.width,
-            "functional": list(c.functional),
-            "representative": [list(p) for p in c.representative.points],
-            "dps": c.dps,
-        }
-        for c in classes
-    ]
+    payload = [dict(zip(_COLUMNS, _column_values(c))) for c in classes]
     return json.dumps(payload, indent=2) + "\n"
 
 
 def export_csv(classes: Sequence[PolytopeClass]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(_CSV_COLUMNS)
-    for c in classes:
-        writer.writerow(
-            [
-                c.id,
-                c.om_label,
-                " ".join(map(str, c.volume_vector)),
-                c.width,
-                " ".join(map(str, c.functional)),
-                "; ".join(",".join(map(str, p)) for p in c.representative.points),
-                int(c.dps),
-            ]
-        )
+    rows = ([_csv_cell(v) for v in _column_values(c)] for c in classes)
+    csv.writer(buf).writerows([_COLUMNS, *rows])
     return buf.getvalue()

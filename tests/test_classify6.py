@@ -431,6 +431,35 @@ def test_finish_rejects_a_row_of_another_case(bundle):
         classify6._finish("A", 1, Counter(), firsts)
 
 
+def test_finish_rejects_a_configuration_outside_the_table():
+    """A six-point configuration of width one has no row, so its key names
+    none and _finish fails before looking for a witness."""
+    firsts = classify6._dedupe([width1_family("(5,1)/3.2")])
+    with pytest.raises(classify6.ClassificationError,
+                       match="^generated configuration matches no table row$"):
+        classify6._finish("A", 1, Counter(), firsts)
+
+
+def test_finish_rejects_a_case_with_missing_rows(bundle):
+    """Every representative identifies, but the case lists a row none of
+    them reaches, so the found ids differ from the case's rows."""
+    firsts = classify6._dedupe([bundle.class_by_id("A.1").config()])
+    with pytest.raises(classify6.ClassificationError,
+                       match=re.escape("case A: found ['A.1'], expected ['A.1', 'A.2']")):
+        classify6._finish("A", 1, Counter(), firsts)
+
+
+def test_classify_all_checks_the_case_order(monkeypatch, case_reports):
+    """Reports that each pass their own case's check but come out in the
+    wrong order fail the assembled comparison with the table."""
+    reports = list(case_reports[0])
+    reports[0], reports[1] = reports[1], reports[0]
+    monkeypatch.setattr(classify6, "run_reports", lambda: list(reports))
+    with pytest.raises(classify6.ClassificationError,
+                       match="^assembled classification does not match tables$"):
+        classify6.classify_all()
+
+
 def test_generated_configurations_are_their_own_lattice_points(case_reports):
     """What the columns test below relies on to read the dps flag off the
     points: the lattice points of each of the 76 generated configurations
@@ -442,7 +471,7 @@ def test_generated_configurations_are_their_own_lattice_points(case_reports):
 
 
 def test_generated_configurations_have_their_rows_columns(case_reports, bundle):
-    """The oracle of _make_class, which takes these columns from the row:
+    """The oracle of _finish, which takes these columns from the row:
     on each of the 76 generated configurations, the width, the catalog
     record (match_om) and the dps flag (pair sums of its six points) are
     the row's columns."""

@@ -1,6 +1,7 @@
 """Command-line interface: output formats and exit codes."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -42,6 +43,17 @@ def test_analyze_classified_polytope(tmp_path, bundle, capsys):
     assert "size: 6" in out
     assert "width: 2" in out
     assert "class A.1, width 2, functional z, non-dps" in out
+
+
+def test_analyze_reads_points_from_stdin(tmp_path, bundle, capsys, monkeypatch):
+    """`analyze -` reads the points from stdin and prints exactly what
+    analyze of the same points in a file prints."""
+    path = rep_file(tmp_path, bundle, "F.7")
+    assert main(["analyze", path]) == 0
+    from_file = capsys.readouterr().out
+    monkeypatch.setattr(sys, "stdin", io.StringIO(Path(path).read_text()))
+    assert main(["analyze", "-"]) == 0
+    assert capsys.readouterr().out == from_file
 
 
 def test_analyze_width_three_class(tmp_path, bundle, capsys):

@@ -204,6 +204,11 @@ TAMPERINGS = {
     "unexpected resource layout": ("size5", lambda p: p.write_text('{"payload": {}}')),
     "resource missing": ("width1_families", Path.unlink),
     "expected 76 distinct rows": ("classes76", lambda p: _rechecksum(p, lambda pl: pl["classes"].pop())),
+    "bad row A.1": ("classes76",
+                    lambda p: _rechecksum(p, lambda pl: pl["classes"][0]["representative"].pop())),
+    "expected 55 rows": ("om_cells", lambda p: _rechecksum(p, lambda pl: pl["cells"].pop())),
+    "map does not cover the grid": ("om_labels",
+                                    lambda p: _rechecksum(p, lambda pl: pl["map"].pop("2.1"))),
 }
 
 
