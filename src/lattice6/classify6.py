@@ -24,19 +24,20 @@ candidates examined, rejections by reason and survivors, which reports
 through _finish; _embeddings41, the one search over the 8 x 4!
 embeddings of the signature-(4,1) bases (case C's interior subcase and
 case E), which counts each embedding in its caller's _Funnel;
-_cross_check, the one comparison of a size argument's
-outcome with the hull count (B.ii, B.iii, the three C subcases, E, F, G
-and H), where each site evaluates its argument once per candidate; and
-_caps, the cap rule for a one-point extension of a polytope with empty
-triangular facets.  Every candidate of case C's interior subcase and of
-cases E, F, G and H is a (4,1) base plus one point, so the caps over the
-base's facets are its size argument (_EMBEDDED41_FACETS in the embedding
-searches, _BASE41_FACETS in F, G and H); case C's "both vertices"
-subcase uses the caps over _C_SIDES.  In C, E and F, _six_by_caps
-rejects a candidate with a non-empty cap without a hull and counts the
-hull of each other candidate once, to cross-check the argument; in G
-and H the hull decides every verdict and the caps are cross-checked
-against it.
+_cross_check, the one comparison of a size argument's outcome with the
+hull count (B.i, B.ii, B.iii, the three C subcases, D, E, F, G and H),
+where each site evaluates its argument once per candidate; and _caps,
+the cap rule for a one-point extension of a polytope whose boundary a
+facet table lists as empty triangles.  Every candidate of cases B to H
+is such an extension: of the (3,1) pyramid over _B_BASE
+(_PYRAMID31_FACETS: B and C's edge and "both vertices" subcases), of D's
+square pyramid (_D_FACETS) or of a (4,1) base (_EMBEDDED41_FACETS in the
+embedding searches, _BASE41_FACETS in F, G and H), so the caps are its
+size argument.  In B to F, _six_by_caps rejects a candidate with a
+non-empty cap without a hull and counts the hull of each other
+candidate once, to cross-check the argument; in G and H the hull decides
+every verdict and the caps are cross-checked against it.  Only case A,
+whose five coplanar points have no caps, counts its hulls directly.
 
 The G/H gluing examines 24,576 vertex matchings of subtetrahedra.  A
 matching glues when an integral unimodular map realizes it, which is
@@ -255,57 +256,59 @@ def _cross_check(six: bool, argued: bool, site: str, at: str = "") -> bool:
     """six, once it agrees with the case's size argument.
 
     six says whether the hull has exactly six lattice points, and argued
-    is the outcome of the size argument at that site: every tetrahedron
-    of a triangulation or of the caps (_caps) is empty (_all_empty).
-    Raises ClassificationError "<site> triangulation check failed<at>"
-    when the two disagree.
+    is the outcome of the size argument at that site: every cap (_caps)
+    is empty (_all_empty).  Raises ClassificationError "<site>
+    triangulation check failed<at>" when the two disagree.
     """
     if argued != six:
         raise ClassificationError(f"{site} triangulation check failed{at}")
     return six
 
 
-def _caps(points: Sequence[IntVec3], facets, inner: int, new: int) -> Tuple[Tuple[int, ...], ...]:
+def _caps(points: Sequence[IntVec3], facets, new: int) -> Tuple[Tuple[int, ...], ...]:
     """The label quadruples of the cap tetrahedra of a one-point extension.
 
     P is the polytope on the points other than p = points[new - 1] (1-based
     labels, as _all_empty takes), and its lattice points are all among
-    them.  facets lists, as label triples, the facets of P that p can see;
-    each must be an empty triangle, and points[inner - 1] must lie strictly
-    on P's side of each.  Then conv(P + p) is P plus the caps conv(F + p)
-    over the listed F that p strictly sees, so the hull has no further
-    lattice point exactly when each cap is empty (_all_empty): the caps
-    are the size argument of _six_by_caps.
+    them.  facets covers the boundary of P that p can see, as label
+    quadruples (a, b, c, ref): an empty triangle abc on a facet of P, and
+    a label ref of P off that facet's plane, so strictly on P's side of
+    it.  p strictly sees abc when det4(a, b, c, p) and det4(a, b, c, ref)
+    have opposite signs.  Then conv(P + p) is P plus the caps
+    conv(abc + p) over the triangles p strictly sees, so the hull has no
+    further lattice point exactly when each cap is empty (_all_empty): the
+    caps are the size argument of _six_by_caps.
     """
-    p, q = points[new - 1], points[inner - 1]
+    p = points[new - 1]
     caps = []
-    for tri in facets:
-        corners = [points[i - 1] for i in tri]
-        if det4(*corners, p) * det4(*corners, q) < 0:
-            caps.append((*tri, new))
+    for a, b, c, ref in facets:
+        corners = (points[a - 1], points[b - 1], points[c - 1])
+        if det4(*corners, p) * det4(*corners, points[ref - 1]) < 0:
+            caps.append((a, b, c, new))
     return tuple(caps)
 
 
-def _six_by_caps(cfg: PointConfig, facets, inner: int, new: int, site: str, at: str = "") -> bool:
+def _six_by_caps(cfg: PointConfig, facets, new: int, site: str, at: str = "") -> bool:
     """Whether the hull of cfg, a one-point extension as _caps takes it, has
     exactly six lattice points, decided by the cap rule: False, with no
     hull, when some cap is not empty; else the hull is counted once and
-    must have six points (_cross_check)."""
-    if not _all_empty(cfg.points, _caps(cfg.points, facets, inner, new)):
+    must have six points (_cross_check).  Cases B to F decide size here;
+    G and H cross-check their hull count with the caps (_glued_verdict)."""
+    if not _all_empty(cfg.points, _caps(cfg.points, facets, new)):
         return False
     return _cross_check(size(cfg) == 6, True, site, at)
 
 
-#: The facets of a catalog41() base, as label triples of its vertices
-#: p2..p5: empty triangles, with its interior point p1 strictly inside
-#: each.  The cap facets of cases F, G and H.
-_BASE41_FACETS = tuple(itertools.combinations(range(2, 6), 3))
+#: The facets of a catalog41() base, as _caps takes them: empty triangles
+#: on its vertices p2..p5, each with the interior point p1 as ref.  The
+#: cap facets of cases F, G and H.
+_BASE41_FACETS = tuple((*tri, 1) for tri in itertools.combinations(range(2, 6), 3))
 
 #: The same facets in an _embeddings41 configuration, where the base's
 #: vertices are p1, p2, p3, p6 around its interior point p5.  The cap
 #: facets of case C's interior subcase and of case E, whose new point is
 #: p4; p4 lies in the plane of p1, p2, p3, so that facet is never a cap.
-_EMBEDDED41_FACETS = tuple(itertools.combinations((1, 2, 3, 6), 3))
+_EMBEDDED41_FACETS = tuple((*tri, 5) for tri in itertools.combinations((1, 2, 3, 6), 3))
 
 
 def _scan_box():
@@ -414,12 +417,15 @@ _B_IDS = {
     ("iii", -1, 1): "B.14", ("iii", -1, -2): "B.15",
 }
 
-#: triangulation tetrahedra (beyond the two 5-point subpolytopes) per survivor
-_B_TETRAS = {
-    ("ii", 1, 2): (), ("ii", 1, 5): ((2, 3, 5, 6),), ("ii", 2, 7): ((2, 3, 5, 6),),
-    ("ii", 1, 8): ((2, 3, 5, 6), (3, 4, 5, 6)),
-    ("ii", 2, 13): ((2, 3, 5, 6), (3, 4, 5, 6)),
-    ("iii", -1, -2): (), ("iii", -1, 1): ((2, 3, 5, 6), (3, 4, 5, 6)),
+#: The boundary of the (3,1) pyramid conv(_B_BASE + apex) by the apex's
+#: label, as _caps takes it: the base triangle p2p3p4 split around its
+#: interior point p1, with the apex as ref, and the three side triangles,
+#: with p1 as ref.  Cases B and C's edge subcase extend the pyramid with
+#: apex p5 by p6; C's "both vertices" subcase the one with apex p6 by p5.
+_PYRAMID31_FACETS = {
+    apex: ((1, 2, 3, apex), (1, 3, 4, apex), (1, 4, 2, apex),
+           (2, 3, apex, 1), (3, 4, apex, 1), (2, 4, apex, 1))
+    for apex in (5, 6)
 }
 
 
@@ -428,12 +434,12 @@ def _in_strip(x, y, d) -> bool:
     return 0 <= x < d and 0 <= y < 3 * x + 2 * d
 
 
-#: Per subcase: the tag of its _B_IDS/_B_TETRAS keys, p5, the height h of
+#: Per subcase: the tag of its _B_IDS keys, p5, the height h of
 #: p6 = (a, b, h), the test that the edge p5p6 crosses the circuit plane
-#: inside the normalized region, the filters run before the hull as
-#: (test, rejection reason), the rejection reason for a hull with extra
-#: lattice points (None where the region leaves none, so that one is an
-#: error), and the length of the printed candidate list.
+#: inside the normalized region, the filters run before the cap rule as
+#: (test, rejection reason), the rejection reason for a non-empty cap
+#: (None where the region leaves none, so that one is an error), and the
+#: length of the printed candidate list.
 _B_SUBCASES = (
     # (1,1): crossing (a, b) / 2, in the cone 0 <= x <= y
     ("i", (0, 0, 1), -1, lambda a, b: a <= b and _in_strip(a, b, 2), (), None, 10),
@@ -460,7 +466,10 @@ def run_case_b() -> CaseReport:
     over a box and keeps candidates whose edge p5p6 crosses the circuit
     plane inside the printed region; distance-3 apexes must also satisfy
     the residue condition a = -b = +-1 (mod 3) and a primitivity
-    constraint.
+    constraint.  p6 extends the pyramid conv(_B_BASE + p5), and the caps
+    over the _PYRAMID31_FACETS it sees decide the hull (_six_by_caps):
+    beyond the base split, they are the printed triangulation, which
+    tests/test_classify6.py keeps as their oracle.
     """
     funnel = _Funnel("B")
     notes = []
@@ -478,11 +487,7 @@ def run_case_b() -> CaseReport:
                 funnel.reject(reason)
                 continue
             cfg = PointConfig(_B_BASE + [p5, (a, b, h6)])
-            tetras = _B_TETRAS.get((tag, a, b))
-            ok = size(cfg) == 6
-            if tetras is not None:
-                _cross_check(ok, _all_empty(cfg.points, tetras), f"B.{tag}", f" at {(a, b)}")
-            if not ok:
+            if not _six_by_caps(cfg, _PYRAMID31_FACETS[5], 6, f"B.{tag}", f" at {(a, b)}"):
                 if extra_points is None:
                     raise ClassificationError(f"B.{tag} candidate {(a, b)} has extra points")
                 funnel.reject(extra_points)
@@ -502,40 +507,34 @@ def run_case_b() -> CaseReport:
 # case C: (3,1)-circuit, remaining points on the same side
 
 
-#: The side facets of conv(_B_BASE + p6) for p6 = (1, 2, 3), as labels of
-#: p1..p6: empty triangles, and p1 = (0, 0, 0) lies strictly inside each.
-_C_SIDES = ((2, 3, 6), (3, 4, 6), (4, 2, 6))
-
-
 def run_case_c() -> CaseReport:
     """(3,1)-circuit with p5, p6 on the same side (p5 no higher than p6).
 
     Three subcases: p5 on an edge p_ip6 (four explicit candidates), p5
     interior to the tetrahedron T1236 (a (4,1)-extension search), and
     both p5, p6 vertices (a bounded plane scan at height 1).  In the
-    second, p4 extends the (4,1) base on p1, p2, p3, p5, p6, and its caps
-    over _EMBEDDED41_FACETS, the printed T1246 and T1346, decide the hull.
-    In the last, conv(_B_BASE + p6) holds only its five points, and p5 at
-    height 1 cannot see its base facet, so the cap tetrahedra over the
-    side facets p5 sees decide the hull.  Both use _six_by_caps: a
-    candidate with a nonempty cap is rejected without a hull, and the
-    hull of each other candidate is counted and must have six points.
+    first, p6 extends the pyramid conv(_B_BASE + p5), and its caps over
+    _PYRAMID31_FACETS, the printed tetrahedra, decide the hull; a
+    rejection names the first cap that is not empty.  In the second, p4
+    extends the (4,1) base on p1, p2, p3, p5, p6, and its caps over
+    _EMBEDDED41_FACETS, the printed T1246 and T1346, decide the hull.  In
+    the last, p5 at height 1 extends the pyramid conv(_B_BASE + p6) and
+    sees only its side facets, so the caps over those decide the hull.
+    All three use _six_by_caps: a candidate with a nonempty cap is
+    rejected without a hull, and the hull of each other candidate is
+    counted and must have six points.
     """
     funnel = _Funnel("C")
 
     # p5 along an edge: p6 = 2 p5 - p2 or 2 p5 - p1, p5 at height 1 or 3
-    edge_candidates = (
-        ((0, 0, 1), (-1, 0, 2), ((3, 4, 5, 6),)),
-        ((1, 2, 3), (1, 4, 6), ((3, 4, 5, 6),)),
-        ((0, 0, 1), (0, 0, 2), ((2, 3, 5, 6), (2, 4, 5, 6), (3, 4, 5, 6))),
-        ((1, 2, 3), (2, 4, 6), ((2, 3, 5, 6), (2, 4, 5, 6), (3, 4, 5, 6))),
-    )
-    for p5, p6, tetras in edge_candidates:
+    facets = _PYRAMID31_FACETS[5]
+    for p5, p6 in (((0, 0, 1), (-1, 0, 2)), ((1, 2, 3), (1, 4, 6)),
+                   ((0, 0, 1), (0, 0, 2)), ((1, 2, 3), (2, 4, 6))):
         funnel.examined += 1
         cfg = PointConfig(_B_BASE + [p5, p6])
-        first = next((t for t in tetras if not _is_empty([cfg.points[i - 1] for i in t])), None)
-        if not _cross_check(size(cfg) == 6, first is None, "C edge", f" at {p6}"):
-            funnel.reject(f"T{''.join(map(str, first))} is not empty")
+        if not _six_by_caps(cfg, facets, 6, "C edge", f" at {p6}"):
+            full = next(t for t in _caps(cfg.points, facets, 6) if not _all_empty(cfg.points, (t,)))
+            funnel.reject(f"T{''.join(map(str, full))} is not empty")
             continue
         funnel.accepted.append(cfg)
 
@@ -546,7 +545,7 @@ def run_case_c() -> CaseReport:
         if abs(det4(p1, p2, p3, p5)) not in (1, 3):
             funnel.reject("subtetrahedron p1p2p3p5 volume is not 1 or 3")
             continue
-        if not _six_by_caps(cfg, _EMBEDDED41_FACETS, 5, 4, "C interior"):
+        if not _six_by_caps(cfg, _EMBEDDED41_FACETS, 4, "C interior"):
             funnel.reject("a triangulation tetrahedron is not empty")
             continue
         funnel.accepted.append(cfg)
@@ -556,7 +555,7 @@ def run_case_c() -> CaseReport:
     for a, b in itertools.product(range(1, SCAN_BOUND + 1), repeat=2):
         funnel.examined += 1
         cfg = PointConfig(_B_BASE + [(a, b, 1), (1, 2, 3)])
-        if not _six_by_caps(cfg, _C_SIDES, 1, 5, "C vertices"):
+        if not _six_by_caps(cfg, _PYRAMID31_FACETS[6], 5, "C vertices"):
             funnel.reject("extra lattice points in the convex hull")
             continue
         survivors.append((a, b))
@@ -572,6 +571,11 @@ def run_case_c() -> CaseReport:
 
 _D_BASE = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
 
+#: The boundary of the square pyramid conv(_D_BASE + p5), p5 = (0, 0, 1),
+#: as _caps takes it: the base square split along p1p4, with p5 as ref,
+#: and the four side triangles, each with a base vertex off its plane.
+_D_FACETS = ((1, 2, 4, 5), (1, 4, 3, 5), (1, 2, 5, 4), (2, 4, 5, 1), (4, 3, 5, 1), (3, 1, 5, 2))
+
 
 def run_case_d() -> CaseReport:
     """(2,2)-circuit with p5 = (0,0,1) and p6 = (a,b,-1) on opposite sides.
@@ -579,7 +583,9 @@ def run_case_d() -> CaseReport:
     The midpoint (a/2, b/2) is normalized into the cone 1/2 <= x <= y with
     the strip condition x < 1 or y < x + 1; apexes with a in {1, 2} give
     width one, and the survivor (3,3) re-routes to case B via its
-    (3,1)-circuit.
+    (3,1)-circuit.  p6 extends the pyramid conv(_D_BASE + p5), and the
+    caps over the _D_FACETS it sees decide the hull of every other
+    candidate (_six_by_caps).
     """
     funnel = _Funnel("D")
     survivors = []
@@ -594,7 +600,7 @@ def run_case_d() -> CaseReport:
                 raise ClassificationError(f"D candidate {(a, b)} should be width one")
             funnel.reject("width one (functional x+z)")
             continue
-        if size(cfg) > 6:
+        if not _six_by_caps(cfg, _D_FACETS, 6, "D", f" at {(a, b)}"):
             funnel.reject("extra lattice points in the convex hull")
             continue
         survivors.append((a, b))
@@ -626,7 +632,7 @@ def run_case_e() -> CaseReport:
     """
     funnel = _Funnel("E")
     for cfg in _embeddings41("5.5", (-1, 1, 1), funnel):
-        if not _six_by_caps(cfg, _EMBEDDED41_FACETS, 5, 4, "E"):
+        if not _six_by_caps(cfg, _EMBEDDED41_FACETS, 4, "E"):
             funnel.reject("tetrahedron p2p3p4p6 is not empty")
             continue
         funnel.accepted.append(cfg)
@@ -664,7 +670,7 @@ def run_case_f() -> CaseReport:
                 continue
             cfg = PointConfig._of_checked(pts + (check_point(r3),))
             group = "4.21" if i == 0 else ("4.22" if j == 0 else "4.11")
-            if not _six_by_caps(cfg, _BASE41_FACETS, 1, 6, "F", f" in group {group}"):
+            if not _six_by_caps(cfg, _BASE41_FACETS, 6, "F", f" in group {group}"):
                 funnel.reject("extra lattice points in the convex hull")
                 continue
             circs = circuits(cfg)
@@ -867,7 +873,7 @@ def _glued_verdict(cfg: PointConfig, glued_interior: IntVec3):
         case, reason = "H", "a triangulation tetrahedron is not empty"
     else:
         return "shared", "extra interior lattice point"
-    caps = _caps(cfg.points, _BASE41_FACETS, 1, 6)
+    caps = _caps(cfg.points, _BASE41_FACETS, 6)
     return case, None if _cross_check(six, _all_empty(cfg.points, caps), case) else reason
 
 

@@ -1,7 +1,9 @@
 """Command-line front end: analyze, classify, equiv, catalog.
 
 Exit codes: 0 success (or "equivalent"), 1 verification failure or
-"inequivalent", 2 usage and input errors.
+"inequivalent", 2 usage and input errors.  main maps a verification
+failure, a failed check of the classification or corrupt bundled data,
+to "verification failed: <message>" on stderr, whatever the command.
 
 A process builds its argument parser once: build_parser is cached and
 first called by main, not at import.  parse_args makes a fresh Namespace
@@ -34,7 +36,7 @@ from .equivalence import equivalence_witness
 from .emptytetra import white_type
 from .omcatalog import NoMatch, match_circuits
 from .size5 import size5_class
-from .tablesdata import load_tables
+from .tablesdata import CorruptData, load_tables
 from . import classify6
 
 _FMT_CHOICES = ("json", "csv")
@@ -129,14 +131,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    try:
-        if args.case == "all":
-            reports = list(classify6.classify_all())
-        else:
-            reports = [classify6.run_case(args.case)]
-    except classify6.ClassificationError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 1
+    if args.case == "all":
+        reports = list(classify6.classify_all())
+    else:
+        reports = [classify6.run_case(args.case)]
     classes = [c for r in reports for c in r.classes_found]
     for r in reports:
         print(
@@ -277,6 +275,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (CorruptData, classify6.ClassificationError) as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -388,13 +388,15 @@ def test_orbit_verdict_count_and_no_carry_over(monkeypatch, case_reports):
 
 def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     """One warm classify_all: 40 automorphism maps plus one witness map per
-    class (the check stops at the first), 492 hull computations (the C
-    interior, C vertices, E and F sites count only the hulls their cap
-    rule keeps), 426 gluing verdicts, 52 circuit computations (no gluing
+    class (the check stops at the first), 457 hull computations (
+    the B, C, D, E and F sites count only the hulls their cap rule keeps:
+    B's two rejections, C's edge rejection and D's 32 rejections count
+    none), 426 gluing verdicts, 52 circuit computations (no gluing
     verdict computes any: its size argument is the cap rule; case F checks
-    its one (2,1)-circuit on the circuits of its coplanarity test), 935
+    its one (2,1)-circuit on the circuits of its coplanarity test), 1,109
     emptiness tests of tetrahedra (each site evaluates its size argument
-    once), 129 normal forms (one per distinct point set in _dedupe, which
+    once; C's one rejected edge candidate tests its cap again, to name
+    it), 129 normal forms (one per distinct point set in _dedupe, which
     for G and H is one per class, whose key orders the witness check
     reuses, and one per base for its symmetries; the rows' key orders come
     from _row_key_index), no catalog match (a class takes its oriented
@@ -416,9 +418,9 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
                         match_circuits, check_point, circuits, _normal_form, quad_volumes,
                         _is_empty)
     classify6.classify_all()
-    assert calls == {"unimodular_map": 116, "hull_facets": 492, "_glued_verdict": 426,
+    assert calls == {"unimodular_map": 116, "hull_facets": 457, "_glued_verdict": 426,
                      "match_circuits": 0, "check_point": 3880, "circuits": 52,
-                     "_normal_form": 129, "quad_volumes": 922, "_is_empty": 935}
+                     "_normal_form": 129, "quad_volumes": 922, "_is_empty": 1109}
 
 
 def test_finish_rejects_a_row_of_another_case(bundle):
@@ -569,7 +571,7 @@ def test_embedded41_caps_are_the_printed_triangulations():
         printed = sorted(map(sorted, PRINTED_TRIANGULATIONS[case]))
         funnel = classify6._Funnel(case)
         for cfg in classify6._embeddings41(cell, coeffs, funnel):
-            caps = classify6._caps(cfg.points, classify6._EMBEDDED41_FACETS, 5, 4)
+            caps = classify6._caps(cfg.points, classify6._EMBEDDED41_FACETS, 4)
             assert sorted(map(sorted, caps)) == printed, (case, cfg)
             six = size(cfg) == 6
             assert classify6._all_empty(cfg.points, caps) == six, (case, cfg)
@@ -605,14 +607,16 @@ def test_embedded_points_are_bound_checked():
         list(classify6._embeddings41("5.4", (COORD_BOUND + 1, 0, 0), classify6._Funnel("C")))
 
 
-#: The nine size-argument cross-check sites: runner, and the message its
+#: The eleven size-argument cross-check sites: runner, and the message its
 #: first disagreement raises.
 CROSS_CHECK_SITES = {
+    "B.i": ("run_case_b", "B.i triangulation check failed at (0, 0)"),
     "B.ii": ("run_case_b", "B.ii triangulation check failed at (1, 2)"),
     "B.iii": ("run_case_b", "B.iii triangulation check failed at (-1, -2)"),
     "C edge": ("run_case_c", "C edge triangulation check failed at (-1, 0, 2)"),
     "C interior": ("run_case_c", "C interior triangulation check failed"),
     "C vertices": ("run_case_c", "C vertices triangulation check failed"),
+    "D": ("run_case_d", "D triangulation check failed at (3, 3)"),
     "E": ("run_case_e", "E triangulation check failed"),
     "F": ("run_case_f", "F triangulation check failed in group 4.21"),
     "G": ("run_case_gh", "G triangulation check failed"),
@@ -620,7 +624,7 @@ CROSS_CHECK_SITES = {
 }
 
 
-def test_classify_all_cross_checks_at_all_nine_sites(monkeypatch):
+def test_classify_all_cross_checks_at_every_site(monkeypatch):
     sites = set()
     check = classify6._cross_check
 
@@ -651,82 +655,168 @@ def test_cross_check_site_raises_on_disagreement(monkeypatch, site):
 
 def test_case_b_11_hull_with_extra_points_raises(monkeypatch):
     """Subcase (1,1) has no rejection for extra lattice points: its region
-    leaves none, so a larger hull there is an error, not a rejection."""
-    monkeypatch.setattr(classify6, "size", lambda cfg: 7)
+    leaves none, so a non-empty cap there is an error, not a rejection.
+    Every cap of its first candidate, p6 = (0, 0, -1), is made non-empty."""
+    monkeypatch.setattr(classify6, "_is_empty", lambda points: (0, 0, -1) not in points)
     with pytest.raises(classify6.ClassificationError,
                        match=re.escape("B.i candidate (0, 0) has extra points")):
         classify6.run_case_b()
 
 
-@pytest.mark.parametrize("runner", ["run_case_b", "run_case_c", "run_case_e", "run_case_f",
-                                    "run_case_gh"])
+#: The error of each runner when every emptiness test is inverted.  A cap
+#: that is empty is then rejected before any hull is counted, so B and D,
+#: whose first caps are empty, end in their own checks; the others reach
+#: a cross-check with a non-empty cap first.
+INVERTED_EMPTINESS = {
+    "run_case_b": "B.i candidate (0, 0) has extra points",
+    "run_case_c": "C edge triangulation check failed at (1, 4, 6)",
+    "run_case_d": "D survivors []",
+    "run_case_e": "E triangulation check failed",
+    "run_case_f": "F triangulation check failed in group 4.11",
+    "run_case_gh": "H triangulation check failed",
+}
+
+
+@pytest.mark.parametrize("runner", sorted(INVERTED_EMPTINESS))
 def test_inverted_emptiness_fails_the_cross_checks(monkeypatch, runner):
     def inverted(points):
         return not _is_empty(points)
 
     monkeypatch.setattr(classify6, "_is_empty", inverted)
-    with pytest.raises(classify6.ClassificationError, match="triangulation check failed"):
+    with pytest.raises(classify6.ClassificationError) as err:
         getattr(classify6, runner)()
+    assert str(err.value) == INVERTED_EMPTINESS[runner]
 
 
-def _cap_rule(points, facets, inner, new):
+def _cap_rule(points, facets, new):
     """The caps classify6._caps lists when all of them are empty, else
     None: what the cap rule keeps."""
-    caps = classify6._caps(points, facets, inner, new)
+    caps = classify6._caps(points, facets, new)
     return caps if classify6._all_empty(points, caps) else None
 
 
-def test_case_c_cap_base_has_empty_side_facets():
-    """What case C's cap rule relies on: conv(_B_BASE + p6) holds only its
-    five points; its facets are the three _C_SIDES and the base plane
-    z = 0, which p5 at height 1 cannot see; each side facet holds no
-    lattice point besides its corners; and p1 lies strictly inside each."""
-    base = PointConfig(classify6._B_BASE + [(1, 2, 3)])
-    assert size(base) == 5
-    labelled = classify6._B_BASE + [None, (1, 2, 3)]  # p1..p6, without p5
-    sides = [[labelled[i - 1] for i in tri] for tri in classify6._C_SIDES]
-    facets = hull_facets(base)
-    assert len(facets) == 4 and (0, 0, 1, 0) in facets
-    for tri in sides:
-        assert sum(all(a * x + b * y + c * z == o for x, y, z in tri)
-                   for a, b, c, o in facets) == 1
-        assert sorted(p for p in lattice_points(base) if det4(*tri, p) == 0) == sorted(tri)
-        assert det4(*tri, labelled[0]) != 0
+def _value(plane, p):
+    a, b, c, o = plane
+    return a * p[0] + b * p[1] + c * p[2] - o
+
+
+def _edges(corners):
+    """The edges (u, v) of a triangle, each with its opposite corner w."""
+    c0, c1, c2 = corners
+    return ((c0, c1, c2), (c1, c2, c0), (c2, c0, c1))
+
+
+def _in_triangle(corners, p, q):
+    """Whether p lies in the triangle corners; q is a point off its plane,
+    so det4(u, v, q, p) has the sign of p's side of the edge line uv."""
+    return det4(*corners, p) == 0 and all(det4(u, v, q, p) * det4(u, v, q, w) >= 0
+                                          for u, v, w in _edges(corners))
+
+
+def _separated(first, second, q):
+    """Whether an edge line of the triangle first weakly separates it from
+    the triangle second on the same plane; q is a point off that plane."""
+    return any(all(det4(u, v, q, x) * det4(u, v, q, w) <= 0 for x in second)
+               for u, v, w in _edges(first))
+
+
+def _check_facet_table(labelled, facets):
+    """What _caps needs of a facet table, on the polytope P of the points
+    labelled (label -> point): P holds no other lattice point; each
+    triangle lies on a hull facet of P and holds no lattice point besides
+    its corners; each ref is a point of P strictly on P's side of that
+    facet; and the triangles on each facet's plane cover the facet.
+
+    Cover: the triangles on a plane have pairwise disjoint interiors (an
+    edge line of one weakly separates them, which two convex polygons
+    with disjoint interiors always admit), and each of their edges lies
+    on a second facet, so on the facet's boundary, or is the edge of
+    exactly one other triangle on the plane.  Their union then has no
+    boundary inside the facet, so it is the facet."""
+    points = list(labelled.values())
+    assert lattice_points(PointConfig(points)) == tuple(sorted(points))
+    planes = hull_facets(PointConfig(points))
+    on_plane = {plane: [] for plane in planes}
+    for *tri, ref in facets:
+        corners = [labelled[i] for i in tri]
+        (plane,) = [pl for pl in planes if all(_value(pl, p) == 0 for p in corners)]
+        q = labelled[ref]
+        assert _value(plane, q) > 0, (tri, ref)
+        assert sorted(p for p in points if _in_triangle(corners, p, q)) == sorted(corners), tri
+        on_plane[plane].append((tri, corners, q))
+    for plane, tris in on_plane.items():
+        assert tris, plane
+        for (t1, c1, q), (t2, c2, _) in combinations(tris, 2):
+            assert _separated(c1, c2, q) or _separated(c2, c1, q), (t1, t2)
+        edges = Counter(frozenset(e) for tri, _, _ in tris for e in combinations(tri, 2))
+        for edge, count in edges.items():
+            ends = [labelled[i] for i in edge]
+            on_boundary = any(pl != plane and all(_value(pl, p) == 0 for p in ends)
+                              for pl in planes)
+            assert count == (1 if on_boundary else 2), (plane, sorted(edge))
 
 
 def test_base41_facets_are_empty_around_the_interior_point():
     """What the cap rule of cases F, G and H relies on, on each of the
-    eight (4,1) bases: it holds only its five points; its hull facets are
-    exactly the four _BASE41_FACETS, label triples of its vertices p2..p5;
-    each holds no lattice point besides its corners; and the interior
-    point p1 lies strictly inside each."""
+    eight (4,1) bases (_check_facet_table): the four _BASE41_FACETS, empty
+    triangles on its vertices p2..p5, cover its boundary, and their ref,
+    the interior point p1, lies strictly inside each."""
+    assert {ref for *_, ref in classify6._BASE41_FACETS} == {1}
     for cls5 in catalog41():
-        base = cls5.representative
-        pts = base.points
-        assert size(base) == 5
-        facets = hull_facets(base)
-        planes = set()
-        for tri in classify6._BASE41_FACETS:
-            corners = [pts[i - 1] for i in tri]
-            (plane,) = [(a, b, c, o) for a, b, c, o in facets
-                        if all(a * x + b * y + c * z == o for x, y, z in corners)]
-            planes.add(plane)
-            assert sorted(p for p in lattice_points(base) if det4(*corners, p) == 0) == sorted(corners)
-            assert det4(*corners, pts[0]) != 0
-        assert planes == set(facets) and len(facets) == 4, cls5
+        _check_facet_table(dict(enumerate(cls5.representative.points, 1)), classify6._BASE41_FACETS)
 
 
 def test_embedded41_facets_are_the_base_facets():
     """What the cap rule of the embedding searches relies on: on every
-    embedding of either search, the hull facets of the (4,1) base on p1,
-    p2, p3, p5, p6, as label triples, are exactly _EMBEDDED41_FACETS."""
-    labels = (1, 2, 3, 5, 6)
+    embedding of either search, _EMBEDDED41_FACETS covers the boundary of
+    the (4,1) base on p1, p2, p3, p5, p6 (_check_facet_table), with the
+    interior point p5 as every ref."""
+    assert {ref for *_, ref in classify6._EMBEDDED41_FACETS} == {5}
     for _, _, coeffs in EMBEDDING_SEARCHES:
         for points in _embeddings(coeffs):
-            base = [points[i - 1] for i in labels]
-            triples = {tuple(i for i, p in zip(labels, base) if a * p[0] + b * p[1] + c * p[2] == o)
-                       for a, b, c, o in hull_facets(PointConfig(base))}
-            assert triples == set(classify6._EMBEDDED41_FACETS), points
+            _check_facet_table({i: points[i - 1] for i in (1, 2, 3, 5, 6)},
+                               classify6._EMBEDDED41_FACETS)
+
+
+B_LABELS = dict(enumerate(classify6._B_BASE, 1))
+
+#: The pyramids that cases B, C and D extend by one point: their labelled
+#: points and their facet table.  B and C's edge subcase put p5 at (0, 0, 1)
+#: or (1, 2, 3); C's "both vertices" subcase puts p6 at (1, 2, 3).
+PYRAMIDS = {
+    "B-i-ii-C-edge": ({**B_LABELS, 5: (0, 0, 1)}, classify6._PYRAMID31_FACETS[5]),
+    "B-iii-C-edge": ({**B_LABELS, 5: (1, 2, 3)}, classify6._PYRAMID31_FACETS[5]),
+    "C-vertices": ({**B_LABELS, 6: (1, 2, 3)}, classify6._PYRAMID31_FACETS[6]),
+    "D": ({**dict(enumerate(classify6._D_BASE, 1)), 5: (0, 0, 1)}, classify6._D_FACETS),
+}
+
+
+@pytest.mark.parametrize("pyramid", sorted(PYRAMIDS))
+def test_pyramid_facets_cover_the_boundary(pyramid):
+    """What the cap rule of cases B, C and D relies on: each pyramid holds
+    only its five points, and its table's triangles are empty and cover
+    its boundary, each with a ref strictly inside (_check_facet_table)."""
+    _check_facet_table(*PYRAMIDS[pyramid])
+
+
+#: Tampered copies of D's facet table, each with the failure it raises:
+#: a base triangle left out (a free interior edge p1p4), one listed twice
+#: (an overlap), and a ref in its triangle's plane.
+BAD_FACET_TABLES = {
+    "gap": (classify6._D_FACETS[1:], r"\(0, 0, 1, 0\), \[1, 4\]"),
+    "overlap": (classify6._D_FACETS[:1] + classify6._D_FACETS, r"\[1, 2, 4\], \[1, 2, 4\]"),
+    "ref in plane": (((1, 2, 4, 3),) + classify6._D_FACETS[1:], r"\[1, 2, 4\], 3"),
+}
+
+
+@pytest.mark.parametrize("tampering", sorted(BAD_FACET_TABLES))
+def test_facet_table_check_rejects_a_bad_table(tampering):
+    """_check_facet_table fails each tampered copy of D's table, which
+    itself passes (test_pyramid_facets_cover_the_boundary)."""
+    labelled, _ = PYRAMIDS["D"]
+    table, message = BAD_FACET_TABLES[tampering]
+    with pytest.raises(AssertionError, match=message):
+        _check_facet_table(labelled, table)
 
 
 def test_cap_rule_matches_size_on_case_c():
@@ -736,11 +826,86 @@ def test_cap_rule_matches_size_on_case_c():
     for a in range(1, classify6.SCAN_BOUND + 1):
         for b in range(1, classify6.SCAN_BOUND + 1):
             points = tuple(classify6._B_BASE + [(a, b, 1), (1, 2, 3)])
-            caps = _cap_rule(points, classify6._C_SIDES, 1, 5)
+            caps = _cap_rule(points, classify6._PYRAMID31_FACETS[6], 5)
             assert (caps is not None) == (size(PointConfig(points)) == 6), (a, b)
             if caps is not None:
                 kept.append(((a, b), caps))
     assert kept == [((1, 1), ((2, 3, 6, 5),))]
+
+
+#: The printed triangulation tetrahedra of seven of case B's candidates,
+#: beyond the two 5-point subpolytopes, by (subcase, a, b); (ii, 2, 7) and
+#: (ii, 2, 13) are the two with one that is not empty.
+B_PRINTED_TETRAS = {
+    ("ii", 1, 2): (), ("ii", 1, 5): ((2, 3, 5, 6),), ("ii", 2, 7): ((2, 3, 5, 6),),
+    ("ii", 1, 8): ((2, 3, 5, 6), (3, 4, 5, 6)),
+    ("ii", 2, 13): ((2, 3, 5, 6), (3, 4, 5, 6)),
+    ("iii", -1, -2): (), ("iii", -1, 1): ((2, 3, 5, 6), (3, 4, 5, 6)),
+}
+
+
+def test_case_b_caps_are_the_printed_triangulations():
+    """On each of case B's 18 candidates past its region and filters, p6
+    sees the whole base, and the cap rule keeps exactly the hulls of six
+    points, 16 of them; at the 7 printed candidates, the caps beyond the
+    base split are the printed tetrahedra."""
+    base_split = ((1, 2, 3, 6), (1, 3, 4, 6), (1, 4, 2, 6))
+    seen, kept, printed = 0, 0, set()
+    for tag, p5, h6, region, filters, _, _ in classify6._B_SUBCASES:
+        for a, b in classify6._scan_box():
+            if not region(a, b) or not all(test(a, b) for test, _ in filters):
+                continue
+            points = tuple(classify6._B_BASE + [p5, (a, b, h6)])
+            caps = classify6._caps(points, classify6._PYRAMID31_FACETS[5], 6)
+            assert caps[:3] == base_split, (tag, a, b)
+            six = classify6._all_empty(points, caps)
+            assert six == (size(PointConfig(points)) == 6), (tag, a, b)
+            seen, kept = seen + 1, kept + six
+            if (tag, a, b) in B_PRINTED_TETRAS:
+                assert caps[3:] == B_PRINTED_TETRAS[tag, a, b], (tag, a, b)
+                printed.add((tag, a, b))
+    assert (seen, kept) == (18, 16) and printed == set(B_PRINTED_TETRAS)
+
+
+#: Case C's edge candidates, p5 and p6 = 2 p5 - p2 or 2 p5 - p1, with the
+#: printed tetrahedra of their hulls beyond the pyramid conv(_B_BASE + p5).
+C_EDGE_PRINTED = (
+    ((0, 0, 1), (-1, 0, 2), ((3, 4, 5, 6),)),
+    ((1, 2, 3), (1, 4, 6), ((3, 4, 5, 6),)),
+    ((0, 0, 1), (0, 0, 2), ((2, 3, 5, 6), (2, 4, 5, 6), (3, 4, 5, 6))),
+    ((1, 2, 3), (2, 4, 6), ((2, 3, 5, 6), (2, 4, 5, 6), (3, 4, 5, 6))),
+)
+
+
+def test_case_c_edge_caps_are_the_printed_tetrahedra():
+    """The caps of each of C's four edge candidates are its printed
+    tetrahedra, as label sets, and the cap rule keeps exactly the hulls
+    of six points: all but p6 = (1, 4, 6), whose T3456 is not empty."""
+    kept = []
+    for p5, p6, printed in C_EDGE_PRINTED:
+        points = tuple(classify6._B_BASE + [p5, p6])
+        caps = classify6._caps(points, classify6._PYRAMID31_FACETS[5], 6)
+        assert sorted(map(sorted, caps)) == sorted(map(sorted, printed)), p6
+        six = classify6._all_empty(points, caps)
+        assert six == (size(PointConfig(points)) == 6), p6
+        kept += [p6] if six else []
+    assert kept == [(-1, 0, 2), (0, 0, 2), (2, 4, 6)]
+
+
+def test_cap_rule_matches_size_on_case_d():
+    """On case D's 35 region candidates with a >= 3, those whose width the
+    runner does not reject, the cap rule keeps exactly the hulls of six
+    points: (3, 3), (3, 4) and (4, 5)."""
+    seen, kept = 0, []
+    for a, b in classify6._scan_box():
+        if not (3 <= a <= b and b < a + 2):
+            continue
+        seen += 1
+        points = tuple(classify6._D_BASE + [(0, 0, 1), (a, b, -1)])
+        caps = _cap_rule(points, classify6._D_FACETS, 6)
+        assert (caps is not None) == (size(PointConfig(points)) == 6), (a, b)
+        kept += [(a, b)] if caps is not None else []
+    assert seen == 35 and kept == [(3, 3), (3, 4), (4, 5)]
 
 
 def _f_group_triangulation(i, j):
@@ -759,14 +924,14 @@ def test_cap_rule_matches_size_on_case_f():
     """On all 160 candidates of case F the cap rule keeps exactly the
     hulls of six points, 49 of them, and their caps are the tetrahedra of
     the group's printed triangulation."""
-    facets = tuple(combinations(range(2, 6), 3))
+    facets = tuple((*tri, 1) for tri in combinations(range(2, 6), 3))
     kept = 0
     for cls5 in catalog41():
         pts = cls5.representative.points
         for i, j in permutations(range(5), 2):
             r3 = tuple(2 * pts[j][t] - pts[i][t] for t in range(3))
             points = pts + (r3,)
-            caps = _cap_rule(points, facets, 1, 6)
+            caps = _cap_rule(points, facets, 6)
             assert (caps is not None) == (size(PointConfig(points)) == 6), points
             if caps is not None:
                 kept += 1
@@ -779,21 +944,21 @@ def test_cap_rule_matches_size_on_base_extensions():
     of a box and points on each facet plane outside the facet (seen, but
     not strictly): the cap rule keeps exactly the hulls of six points."""
     rng = random.Random(20)
-    facets = tuple(combinations(range(2, 6), 3))
+    facets = tuple((*tri, 1) for tri in combinations(range(2, 6), 3))
     kept = on_plane = 0
     for cls5 in catalog41():
         pts = cls5.representative.points
         extra = [tuple(rng.randint(-6, 6) for _ in range(3)) for _ in range(120)]
         for tri in facets:
-            a, b, c = (pts[k - 1] for k in tri)
+            a, b, c = (pts[k - 1] for k in tri[:3])
             for s, t in ((-1, 0), (0, -1), (2, -1), (-1, 2), (-1, -1), (2, 2), (3, -1)):
                 extra.append(tuple(a[k] + s * (b[k] - a[k]) + t * (c[k] - a[k]) for k in range(3)))
         for p in extra:
             if p in pts:
                 continue
             points = pts + (p,)
-            on_plane += any(det4(*(pts[k - 1] for k in tri), p) == 0 for tri in facets)
-            caps = _cap_rule(points, facets, 1, 6)
+            on_plane += any(det4(*(pts[k - 1] for k in tri[:3]), p) == 0 for tri in facets)
+            caps = _cap_rule(points, facets, 6)
             assert (caps is not None) == (size(PointConfig(points)) == 6), points
             kept += caps is not None
     assert kept > 0 and on_plane >= 8 * 4 * 7
@@ -852,7 +1017,7 @@ def test_gh_cap_rule_matches_printed_triangulations(literal_gh):
         if case == "shared":
             continue
         printed = _gh_printed_triangulation(cfg, case, ex_s, glued)
-        caps = classify6._caps(cfg.points, classify6._BASE41_FACETS, 1, 6)
+        caps = classify6._caps(cfg.points, classify6._BASE41_FACETS, 6)
         six = size(cfg) == 6
         assert classify6._all_empty(cfg.points, printed) == six, (case, cfg)
         assert classify6._all_empty(cfg.points, caps) == six, (case, cfg)

@@ -15,7 +15,7 @@ from conftest import apply_map, count_calls, random_unimodular, shuffled
 import random
 
 import lattice6
-from lattice6 import classify6, cli, equivalence, invariants, omcatalog, polytope, size5
+from lattice6 import classify6, cli, equivalence, invariants, omcatalog, polytope, size5, tablesdata
 from lattice6.classify6 import width1_family
 from lattice6.cli import _om_label, main
 from lattice6.emptytetra import is_empty_tetrahedron, white_type
@@ -356,6 +356,25 @@ def test_classify_single_case_checks_witness_maps(capsys, monkeypatch):
     assert rc == 1
     assert captured.out == ""
     assert "verification failed: A.1: witness is not equivalent" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["catalog"], ["classify", "--case", "A"]],
+                         ids=["catalog", "classify"])
+def test_corrupt_bundled_data_is_a_verification_failure(capsys, monkeypatch, argv):
+    """CorruptData from load_tables fails any command the way a failed
+    check does: one line on stderr and exit code 1, not a traceback."""
+    def corrupt(name):
+        raise tablesdata.CorruptData(f"{name}: checksum mismatch")
+
+    monkeypatch.setattr(tablesdata, "_load_resource", corrupt)
+    tablesdata.load_tables.cache_clear()
+    try:
+        rc = main(argv)
+    finally:
+        tablesdata.load_tables.cache_clear()
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (1, "")
+    assert captured.err == "verification failed: classes76: checksum mismatch\n"
 
 
 def test_classify_writes_json(tmp_path, capsys):

@@ -19,6 +19,8 @@ once, by PointConfig.volumes(): outside the PointConfig class, no call
 quad_volumes(<expr>.points), nor one on a name assigned from <expr>.points.
 A case's candidates, rejections and survivors are kept in one record: in
 classify6.py, a Counter is constructed only inside the _Funnel class.
+A case decides "exactly six lattice points" by one size argument: in
+classify6.py, size and hull_summary are called only from HULL_COUNTERS.
 """
 
 import ast
@@ -334,3 +336,51 @@ def test_counter_outside_the_funnel_is_a_violation(tmp_path):
     assert _counters_outside(path, "_Funnel") == [
         "sample.py:7: constructs a Counter outside _Funnel",
         "sample.py:8: constructs a Counter outside _Funnel"]
+
+
+#: The functions of classify6.py that may count the lattice points of a
+#: hull, each with the reason: the size arguments of the cases, and the two
+#: functions that count the hull of a configuration no case runner built.
+HULL_COUNTERS = {
+    "_six_by_caps": "the cap rule's cross-check of cases B-F",
+    "_glued_verdict": "the G/H interior points, checked against the caps",
+    "run_case_a": "the midpoint rule's check; a planar base has no caps",
+    "width1_family": "the construction check of a width-one family member",
+    "identify": "the size gate of a table lookup on any configuration",
+}
+
+
+def _hull_counts_outside(path, allowed):
+    """Calls of size or hull_summary, as a bare name or an attribute, in
+    path outside the top-level functions named in allowed."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    inside = {id(node) for fn in tree.body
+              if isinstance(fn, ast.FunctionDef) and fn.name in allowed
+              for node in ast.walk(fn)}
+    calls = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in inside:
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in ("size", "hull_summary"):
+                calls.append((node.lineno, name))
+    return [f"{path.name}:{lineno}: calls {name} outside the size arguments"
+            for lineno, name in sorted(calls)]
+
+
+def test_only_the_size_arguments_count_hulls_in_classify6():
+    path = next(path for path in SOURCES if path.name == "classify6.py")
+    found = _hull_counts_outside(path, HULL_COUNTERS)
+    assert not found, "\n".join(found)
+
+
+def test_hull_count_outside_the_size_arguments_is_a_violation(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("from . import polytope\nfrom .polytope import hull_summary, size\n"
+                    "def _six_by_caps(cfg):\n    return size(cfg) == 6\n"
+                    "def run_case_d(cfg):\n    if size(cfg) > 6:\n        return None\n"
+                    "    return hull_summary(cfg), polytope.size(cfg)\n",
+                    encoding="utf-8")
+    assert _hull_counts_outside(path, HULL_COUNTERS) == [
+        "sample.py:6: calls size outside the size arguments",
+        "sample.py:8: calls hull_summary outside the size arguments",
+        "sample.py:8: calls size outside the size arguments"]
