@@ -10,32 +10,40 @@ on every line, which is what keeps the six primal points distinct).
 
 Enumerating those configurations is elementary: a configuration is a
 cyclic sequence of lines, each carrying (a_k, b_k) vectors on its two
-rays, plus at most one origin vector.  The circuits of the primal are the
-cocircuits of the dual — one per line, supported on the off-line
-elements, signed by side.  A record keeps its key and its canonical
-circuits only.  Vertex counts, interior points, coplanarities and the
-dps property follow from the circuits, through the positive cocircuits
-(the facets); tests/omcatalog_oracles.py derives them that way to check
-the bundled grid of cells, which is what the commands print.
+rays, plus at most two origin vectors.  The circuits of the primal are
+the cocircuits of the dual — one per line, supported on the off-line
+elements, signed by side.  No vector needs coordinates: the lines are
+met in increasing angle over a half-turn, so which side of line k a
+vector lies on is read off its ray and whether its line comes before or
+after k.  The circuits depend only on the sequence up to rotation and
+reflection (the canonical dual), so they are computed once per
+canonical dual, and each totally cyclic one gives one canonical circuit
+form.  A record keeps its key and its canonical circuits only.  Vertex
+counts, interior points, coplanarities and the dps property follow from
+the circuits, through the positive cocircuits (the facets);
+tests/omcatalog_oracles.py derives them that way to check the bundled
+grid of cells, which is what the commands print.
 
 There are exactly 55 such oriented matroids.  Records are keyed
 "cN.MM" where N is the number of circuits and MM numbers the canonical
-circuit forms within each N.
+circuit forms within each N, in the order of one sort of the forms on
+(circuit count, form).
 
 The canonical circuit form is the lex-minimal sorted list of relabeled,
 normalized circuits over all 720 permutations of the elements (the
 standard canonical-form search; Bjorner-Las Vergnas-Sturmfels-White-
 Ziegler, Oriented Matroids).  It is computed on 6-bit masks: a circuit
-is a (positive, negative) mask pair, a permutation's image of a mask is
-one table lookup, and the normalized circuit key, an int ordered as the
-tuple key, is one more.  A sorted key list starts with its least key,
-and the least key any relabeling can make comes from a circuit with the
-least (smaller side, larger side) sizes (s, t), its smaller side sent
-onto {0..s-1} and its other side onto {s..s+t-1} (either side first when
-s == t).  Only those relabelings can reach the minimum, so only they are
-tried: at most 96 for the 55 records, against 720 for a full search,
-which stays the worst case.  A configuration costs #candidates x
-#circuits lookups and #candidates sorts of small ints.
+is a (positive, negative) mask pair, a permutation's place in the image
+tables is one dict lookup, its image of a mask one table lookup, and
+the normalized circuit key, an int ordered as the tuple key, one more.
+A sorted key list starts with its least key, and the least key any
+relabeling can make comes from a circuit with the least (smaller side,
+larger side) sizes (s, t), its smaller side sent onto {0..s-1} and its
+other side onto {s..s+t-1} (either side first when s == t).  Only those
+relabelings can reach the minimum, so only they are tried: at most 96
+for the 55 records, against 720 for a full search, which stays the
+worst case.  A configuration costs #candidates x #circuits lookups and
+#candidates sorts of small ints.
 
 Whether a configuration has one given record needs no canonical form.
 The chirotope of six points is the tuple of det4 signs over the 15
@@ -70,14 +78,6 @@ class NoMatch(Exception):
     """A configuration's circuits match no catalog record (catalog bug)."""
 
 
-# strictly increasing angles in [0, 135°]; only the order matters
-_DIRS = ((1, 0), (3, 1), (1, 1), (1, 3), (0, 1), (-1, 1))
-
-
-def _det2(u, v) -> int:
-    return u[0] * v[1] - u[1] * v[0]
-
-
 # ---------------------------------------------------------------------------
 # canonical forms
 
@@ -96,7 +96,9 @@ def _circuit_tables():
     swapped first when the lowest element lies on the negative side.
     images[m] holds the image mask of m under each of the 720
     permutations, in itertools.permutations order, built from the images
-    of m's low bit and of the rest.  Sizes: 64 x 720 bytes, 4096 keys.
+    of m's low bit and of the rest; index maps each permutation, a tuple,
+    to its place in that order.  Sizes: 64 x 720 bytes, 4096 keys, 720
+    index entries.
     """
     ranked = sorted(
         (tuple(e for e in range(6) if m >> e & 1) for m in range(64))
@@ -110,6 +112,7 @@ def _circuit_tables():
                 p, n = (neg, pos) if low & neg else (pos, neg)
                 pair[pos << 6 | neg] = rank[p] * 64 + rank[n]
     perms = list(itertools.permutations(range(6)))
+    index = {perm: k for k, perm in enumerate(perms)}
     images = [bytes(len(perms))]
     for m in range(1, 64):
         low = m & -m
@@ -118,23 +121,12 @@ def _circuit_tables():
             images.append(bytes(1 << perm[e] for perm in perms))
         else:
             images.append(bytes(x | y for x, y in zip(images[m ^ low], images[low])))
-    return images, pair, ranked
+    return images, pair, ranked, index
 
 
 def _masks(c: SignedCircuit) -> Tuple[int, int]:
     """A circuit's (positive, negative) sides as 6-bit masks."""
     return sum(1 << e for e in c.positive), sum(1 << e for e in c.negative)
-
-
-def _perm_index(perm: Sequence[int]) -> int:
-    """Position of a permutation of range(6) in itertools.permutations order."""
-    k = 0
-    unused = [0, 1, 2, 3, 4, 5]
-    for v in perm:
-        j = unused.index(v)  # the unused labels below v
-        k = k * len(unused) + j
-        del unused[j]
-    return k
 
 
 def _first_key_relabelings(sides: Sequence[Tuple[int, int]]) -> Set[Tuple[int, ...]]:
@@ -179,9 +171,9 @@ def canonical_circuit_form(circs: Sequence[SignedCircuit]) -> Tuple:
     #candidates x #circuits lookups plus #candidates sorts of #circuits
     small ints, at most 720 of each.
     """
-    images, pair, ranked = _circuit_tables()
+    images, pair, ranked, index = _circuit_tables()
     sides = [_masks(c) for c in circs]
-    ranks = [_perm_index(perm) for perm in _first_key_relabelings(sides)]
+    ranks = [index[perm] for perm in _first_key_relabelings(sides)]
     columns = []
     for pos, neg in sides:
         ip, ineg = images[pos], images[neg]
@@ -216,23 +208,24 @@ def _canonical_dual(lines, loops):
 # dual enumeration
 
 
-def _dual_circuits(lines, loops) -> Optional[Tuple[SignedCircuit, ...]]:
-    """Primal circuits of the configuration described by a dual, or None
-    if the dual is not totally cyclic."""
-    vectors = []  # (line index, ray sign) per element; None for loops
-    for k, (a, b) in enumerate(lines):
-        vectors.extend([(k, 1)] * a)
-        vectors.extend([(k, -1)] * b)
-    vectors.extend([None] * loops)
+def _dual_circuits(lines) -> Optional[Tuple[SignedCircuit, ...]]:
+    """Primal circuits of the configuration described by a dual's line
+    sequence, or None if the dual is not totally cyclic.
+
+    The elements on the lines are numbered in line order, positive ray
+    first; the origin vectors (loops) come last and lie in no circuit.
+    The lines are met in increasing angle over a half-turn, so a vector
+    on line j lies on the positive side of line k != j exactly when it
+    points along its line's positive ray and j > k, or along the negative
+    ray and j < k.
+    """
+    rays = [(j, sign) for j, (a, b) in enumerate(lines) for sign in (1,) * a + (-1,) * b]
     out = []
     for k in range(len(lines)):
-        d_k = _DIRS[k]
         pos, neg = [], []
-        for e, v in enumerate(vectors):
-            if v is None or v[0] == k:
-                continue
-            side = v[1] * _det2(d_k, _DIRS[v[0]])
-            (pos if side > 0 else neg).append(e)
+        for e, (j, sign) in enumerate(rays):
+            if j != k:
+                (pos if (j > k) == (sign > 0) else neg).append(e)
         if not pos or not neg:
             return None  # a closed halfplane contains every vector
         if min(pos + neg) in neg:
@@ -279,30 +272,25 @@ class OMRecord:
 
 @lru_cache(maxsize=1)
 def enumerate_oms() -> Tuple[OMRecord, ...]:
-    """All 55 oriented matroids, sorted by (circuit count, canonical form)."""
+    """All 55 oriented matroids, sorted by (circuit count, canonical form).
+
+    The line sequences come up to rotation and reflection: each canonical
+    dual's circuits are computed once, None for the duals that are not
+    totally cyclic, and each totally cyclic one gives one canonical
+    circuit form.  Record cN.MM is the MM-th form with N circuits.
+    """
     by_dual = {}
     for lines, loops in _iter_duals():
         key = _canonical_dual(lines, loops)
         if key not in by_dual:
-            circs = _dual_circuits(lines, loops)
-            if circs is not None:
-                by_dual[key] = circs
-    canon = {}
-    for circs in by_dual.values():
-        form = canonical_circuit_form(circs)
-        if form not in canon:
-            canon[form] = tuple(
-                SignedCircuit(pos, neg) for pos, neg in form
-            )
-    records = []
-    grouped: Dict[int, List] = {}
-    for form in sorted(canon):
-        circs = canon[form]
-        grouped.setdefault(len(circs), []).append(circs)
-    for n in sorted(grouped):
-        for m, circs in enumerate(grouped[n], 1):
-            records.append(OMRecord(key=f"c{n}.{m:02d}", circuits=circs))
-    return tuple(records)
+            by_dual[key] = _dual_circuits(lines)
+    forms = sorted({canonical_circuit_form(circs) for circs in by_dual.values() if circs},
+                   key=lambda form: (len(form), form))
+    return tuple(
+        OMRecord(key=f"c{n}.{m:02d}", circuits=tuple(SignedCircuit(pos, neg) for pos, neg in form))
+        for n, group in itertools.groupby(forms, key=len)
+        for m, form in enumerate(group, 1)
+    )
 
 
 @lru_cache(maxsize=1)

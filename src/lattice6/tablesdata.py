@@ -5,18 +5,19 @@ The package ships its ground truth as checksummed JSON resources under
 the 55-entry oriented-matroid cell grid, the width-one families, the label
 map from grid labels to catalog record keys, and the expected count tables.
 `load_tables` parses and checksums the ones the library reads and checks
-their shape (row counts, distinct ids, a label map covering the grid),
-raising CorruptData otherwise.  The count tables, the grid's
-never-realized and Howe width-one columns, and the derivable columns of
-the stored representatives are read and recomputed by tests
-(tests/table_checks.py), not by a library step.
+their shape (row counts, distinct ids, the keys of every class row,
+size-5 row and grid cell, 3-vectors, a label map covering the grid),
+raising CorruptData, which names the resource, otherwise.  The count
+tables, the grid's never-realized and Howe width-one columns, and the
+derivable columns of the stored representatives are read and recomputed
+by tests (tests/table_checks.py), not by a library step.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from importlib import resources
 from typing import Dict, Tuple
@@ -110,7 +111,28 @@ def _load_resource(name: str):
     return blob["payload"]
 
 
-def _vec(seq) -> IntVec3:
+#: The keys of a class row and of a grid cell: their fields.
+_CLASS_KEYS = {f.name for f in fields(ClassRow)}
+_CELL_KEYS = {f.name for f in fields(OMCell)}
+#: The keys of a concrete size-5 row, all of which size5 reads, and of a
+#: family row; a row is concrete when it has a representative.
+_SIZE5_KEYS = {"signature", "width", "volume_vector", "representative"}
+_FAMILY_KEYS = {"signature", "width", "volume_vector_formula", "representative_formula",
+                "constraints"}
+
+
+def _check_keys(what: str, row: dict, keys: set) -> None:
+    """Raise CorruptData naming what unless row has exactly the keys."""
+    missing, extra = sorted(keys - set(row)), sorted(set(row) - keys)
+    if missing:
+        raise CorruptData(f"{what} lacks {', '.join(missing)}")
+    if extra:
+        raise CorruptData(f"{what} has unexpected {', '.join(extra)}")
+
+
+def _vec(seq, where: str) -> IntVec3:
+    if len(seq) != 3:
+        raise CorruptData(f"{where}: {len(seq)} coordinates")
     x, y, z = seq
     return (int(x), int(y), int(z))
 
@@ -125,17 +147,23 @@ def load_tables() -> TableBundle:
 
     class_rows = []
     for row in classes:
-        pts = tuple(_vec(p) for p in row["representative"])
+        _check_keys(f"classes76: row {row.get('id')}", row, _CLASS_KEYS)
+        where = f"classes76: bad row {row['id']}"
+        pts = tuple(_vec(p, where) for p in row["representative"])
         if len(pts) != 6 or len(row["volume_vector"]) != 15:
-            raise CorruptData(f"classes76: bad row {row.get('id')}")
-        class_rows.append(ClassRow(
-            id=row["id"], om_label=row["om_label"],
-            volume_vector=tuple(row["volume_vector"]), width=row["width"],
-            functional=_vec(row["functional"]), representative=pts,
-            dps=row["dps"]))
+            raise CorruptData(where)
+        class_rows.append(ClassRow(**{
+            **row, "volume_vector": tuple(row["volume_vector"]),
+            "functional": _vec(row["functional"], where), "representative": pts}))
     if len(class_rows) != 76 or len({r.id for r in class_rows}) != 76:
         raise CorruptData("classes76: expected 76 distinct rows")
 
+    for k, row in enumerate(size5, 1):
+        keys = _SIZE5_KEYS if "representative" in row else _FAMILY_KEYS
+        _check_keys(f"size5: row {k}", row, keys)
+
+    for cell in cells["cells"]:
+        _check_keys(f"om_cells: cell {cell.get('label')}", cell, _CELL_KEYS)
     om_cells = tuple(OMCell(**cell) for cell in cells["cells"])
     if len(om_cells) != 55:
         raise CorruptData("om_cells: expected 55 rows")

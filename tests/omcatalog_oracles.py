@@ -4,7 +4,8 @@ The library computes canonical circuit forms with bitmask table lookups
 and generates dual line sequences directly.  These are the versions they
 replaced: relabel every circuit as index tuples and sort, under each of
 the 720 permutations; compute one chirotope per relabeling for an orbit;
-and filter every product of per-line vector counts by its total.  A
+filter every product of per-line vector counts by its total; and sign a
+dual's circuits by 2x2 determinants against one direction per line.  A
 record's vertex, interior, coplanarity and dps statistics are read off
 its circuits here, through all cocircuits among the 3^6 sign vectors
 orthogonal to every circuit; the library keeps no statistics, and the
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from lattice6.invariants import SignedCircuit, circuits, coplanarity_from_circuits
 from lattice6.omcatalog import OMRecord, chirotope, enumerate_oms, match_circuits
@@ -69,6 +70,41 @@ def iter_duals():
             for combo in itertools.product(per_line, repeat=n_lines):
                 if sum(a + b for a, b in combo) == total:
                     yield combo, loops
+
+
+# strictly increasing angles in [0, 135°]; only the order matters
+DIRS = ((1, 0), (3, 1), (1, 1), (1, 3), (0, 1), (-1, 1))
+
+
+def _det2(u, v) -> int:
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def dual_circuits(lines) -> Optional[Tuple[SignedCircuit, ...]]:
+    """Primal circuits of the configuration described by a dual's line
+    sequence, or None if the dual is not totally cyclic: line k gets
+    direction DIRS[k], and an element's side of line k is the sign of the
+    determinant of that direction and its own vector.  Origin vectors
+    come after the line vectors and lie in no circuit."""
+    vectors = []  # (line index, ray sign) per element
+    for k, (a, b) in enumerate(lines):
+        vectors.extend([(k, 1)] * a)
+        vectors.extend([(k, -1)] * b)
+    out = []
+    for k in range(len(lines)):
+        d_k = DIRS[k]
+        pos, neg = [], []
+        for e, (j, sign) in enumerate(vectors):
+            if j == k:
+                continue
+            side = sign * _det2(d_k, DIRS[j])
+            (pos if side > 0 else neg).append(e)
+        if not pos or not neg:
+            return None  # a closed halfplane contains every vector
+        if min(pos + neg) in neg:
+            pos, neg = neg, pos
+        out.append(SignedCircuit(tuple(pos), tuple(neg)))
+    return tuple(sorted(out, key=lambda c: (c.support, c.key())))
 
 
 def _orthogonal(x, c: SignedCircuit) -> bool:

@@ -547,3 +547,29 @@ def test_bad_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["catalog", "oms"])
     assert exc.value.code == 2
+
+
+#: One member of each width-one family, by family id.
+WIDTH_ONE_MEMBERS = {
+    "(4,2)/4.1": (1, 0), "(4,2)/5.6": (3, 1), "(4,2)/5.8": (2, 1), "(4,2)/4.15": (2, 1),
+    "(4,2)/4.9": (2, 1), "(3,3)/2.1": (1, 0), "(3,3)/4.15": (1, 1), "(3,3)/5.8": (2,),
+    "(3,3)/5.15": (4,), "(3,3)/6.4": (1, 1, 2, 3),
+}
+
+
+def test_analyze_names_width_one_oriented_matroids(tmp_path, bundle, capsys):
+    """analyze names the bundled label of each width-one single and of one
+    member of each width-one family, alone or in an "a or b" pair: the
+    catalog's record keys agree with the label map on the 20 width-one
+    oriented matroids."""
+    fams = bundle.width1_families
+    inputs = [(f"{s['table']}/{s['om_label']}", (), s["om_label"]) for s in fams["singles"]]
+    inputs += [(f["family_id"], WIDTH_ONE_MEMBERS[f["family_id"]], f["om_label"])
+               for f in fams["families"]]
+    assert (len(inputs), len({label for _, _, label in inputs})) == (27, 20)
+    for name, params, label in inputs:
+        path = write_config(tmp_path, "width1.txt", width1_family(name, params).points)
+        assert main(["analyze", path]) == 0
+        (named,) = [line.split(": ", 1)[1] for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("oriented matroid: ")]
+        assert label in named.split(" or "), (name, params, named)

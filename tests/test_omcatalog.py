@@ -4,7 +4,7 @@ import random
 from itertools import combinations
 
 import omcatalog_oracles as oracle
-from conftest import apply_map, random_unimodular, shuffled
+from conftest import apply_map, count_calls, random_unimodular, shuffled
 from lattice6 import omcatalog
 from lattice6.exactlinalg import det4, dot
 from lattice6.invariants import SignedCircuit, circuits, coplanarity_class, pair_sums_distinct
@@ -106,12 +106,31 @@ def test_chirotope_orbit_matches_oracle(bundle):
             assert omcatalog.chirotope_orbit(pts) == oracle.chirotope_orbit(pts), rid
 
 
+def test_dual_circuits_match_determinant_oracle():
+    """Sides read off the line order and the ray sign are those of the
+    determinants against increasing directions, on every line sequence;
+    376 of the 1,033 sequences are not totally cyclic."""
+    duals = list(omcatalog._iter_duals())
+    got = [omcatalog._dual_circuits(lines) for lines, _ in duals]
+    assert got == [oracle.dual_circuits(lines) for lines, _ in duals]
+    assert (len(duals), got.count(None)) == (1033, 376)
+
+
 def test_catalog_built_on_oracle_is_identical(monkeypatch):
     assert list(omcatalog._iter_duals()) == list(oracle.iter_duals())
     records = enumerate_oms()  # built and cached before the patches
     monkeypatch.setattr(omcatalog, "canonical_circuit_form", oracle.canonical_circuit_form)
     monkeypatch.setattr(omcatalog, "_iter_duals", oracle.iter_duals)
+    monkeypatch.setattr(omcatalog, "_dual_circuits", oracle.dual_circuits)
     assert omcatalog.enumerate_oms.__wrapped__() == records
+
+
+def test_catalog_build_takes_each_canonical_dual_once(monkeypatch):
+    """One circuit computation per canonical dual (87, of which 32 are not
+    totally cyclic) and one canonical circuit form per record."""
+    calls = count_calls(monkeypatch, omcatalog._dual_circuits, omcatalog.canonical_circuit_form)
+    assert len(omcatalog.enumerate_oms.__wrapped__()) == 55
+    assert calls == {"_dual_circuits": 87, "canonical_circuit_form": 55}
 
 
 def test_match_agrees_with_geometry(bundle):

@@ -209,6 +209,16 @@ TAMPERINGS = {
     "expected 55 rows": ("om_cells", lambda p: _rechecksum(p, lambda pl: pl["cells"].pop())),
     "map does not cover the grid": ("om_labels",
                                     lambda p: _rechecksum(p, lambda pl: pl["map"].pop("2.1"))),
+    "row A.1 lacks dps": ("classes76",
+                          lambda p: _rechecksum(p, lambda pl: pl["classes"][0].pop("dps"))),
+    "bad row A.1: 2 coordinates": ("classes76",
+                                   lambda p: _rechecksum(p, lambda pl: pl["classes"][0]["functional"].pop())),
+    "cell 2.1 has unexpected note": ("om_cells",
+                                     lambda p: _rechecksum(p, lambda pl: pl["cells"][0].update(note=""))),
+    "row 1 lacks signature": ("size5",
+                              lambda p: _rechecksum(p, lambda pl: pl["rows"][0].pop("signature"))),
+    "row 2 lacks constraints": ("size5",
+                                lambda p: _rechecksum(p, lambda pl: pl["rows"][1].pop("constraints"))),
 }
 
 
