@@ -35,9 +35,11 @@ square pyramid (_D_FACETS) or of a (4,1) base (_EMBEDDED41_FACETS in the
 embedding searches, _BASE41_FACETS in F, G and H), so the caps are its
 size argument.  In B to F, _six_by_caps rejects a candidate with a
 non-empty cap without a hull and counts the hull of each other
-candidate once, to cross-check the argument; in G and H the hull decides
-every verdict and the caps are cross-checked against it.  Only case A,
-whose five coplanar points have no caps, counts its hulls directly.
+candidate once, to cross-check the argument; in G and H a cap with a
+lattice point strictly inside rejects without a hull, the hull decides
+the other verdicts and the caps are cross-checked against it.  Only
+case A, whose five coplanar points have no caps, counts its hulls
+directly.
 
 The G/H gluing examines 24,576 vertex matchings of subtetrahedra.  A
 matching glues when an integral unimodular map realizes it, which is
@@ -71,7 +73,7 @@ from .exactlinalg import (
     det4,
     edge_form,
 )
-from .polytope import PointConfig, hull_summary, size
+from .polytope import PointConfig, _has_interior_point, hull_summary, size
 from .invariants import (
     C21,
     C31,
@@ -725,8 +727,11 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
     union is six points; coinciding interior points give one interior
     point (case G), otherwise two (case H).  A gluing is accepted when its
     hull has six lattice points; the configuration is the target base
-    plus one point, so case F's cap rule (_caps over _BASE41_FACETS) is
-    the size argument cross-checked against that count (_glued_verdict).
+    plus one point, so its caps are case F's (_caps over _BASE41_FACETS).
+    A cap with a lattice point strictly inside rejects the gluing for an
+    extra interior point without a hull (286 of the 426 verdicts); on the
+    others the caps are the size argument cross-checked against the hull
+    count (_glued_verdict).
 
     The 3,572 six-point gluings have 1,532 distinct verdict keys (target
     polytope, new point, left-out target vertex, glued interior point).
@@ -855,26 +860,35 @@ def _glued_verdict(cfg: PointConfig, glued_interior: IntVec3):
     case is "shared" for the rejections common to G and H.  The points
     contain a full-dimensional base, so some four of them are coplanar
     (some circuit has at most four points) exactly when one of the 15
-    quadruple volumes is 0.  Otherwise the hull decides: its interior
-    lattice points are {base interior} in case G and {base interior,
-    glued interior} in case H, and the gluing is accepted when it has six
-    lattice points.  cfg is a (4,1) base plus one point, as in case F, so
-    the caps over the base facets the new point sees (_caps) are the size
-    argument that _cross_check compares with the hull count.
+    quadruple volumes is 0.  cfg is a (4,1) base plus one point, as in
+    case F, so its hull is the base plus the caps over the base facets
+    the new point sees (_caps).  A lattice point strictly inside a cap
+    (_has_interior_point) is strictly inside the hull and is no point of
+    cfg (the cap's vertices are its corners, and the other two points
+    lie on the base's side of its facet), so it is an interior point
+    other than the base interior and the glued interior: the verdict is
+    "extra interior lattice point" with no hull.  Otherwise the hull
+    decides: its interior lattice points are {base interior} in case G
+    and {base interior, glued interior} in case H, and the gluing is
+    accepted when it has six lattice points, which _cross_check compares
+    with the caps' emptiness, the size argument.
     """
     if 0 in cfg.volumes().values():
         return "shared", "coplanarity present"
+    pts = cfg.points
+    caps = _caps(pts, _BASE41_FACETS, 6)
+    if any(_has_interior_point(*(pts[i - 1] for i in cap)) for cap in caps):
+        return "shared", "extra interior lattice point"
     lattice, inner, _ = hull_summary(cfg)
     six = len(lattice) == 6
     inner = set(inner)
-    if inner == {cfg.points[0]}:
+    if inner == {pts[0]}:
         case, reason = "G", "cut tetrahedron is not empty"
-    elif inner == {cfg.points[0], glued_interior}:
+    elif inner == {pts[0], glued_interior}:
         case, reason = "H", "a triangulation tetrahedron is not empty"
     else:
         return "shared", "extra interior lattice point"
-    caps = _caps(cfg.points, _BASE41_FACETS, 6)
-    return case, None if _cross_check(six, _all_empty(cfg.points, caps), case) else reason
+    return case, None if _cross_check(six, _all_empty(pts, caps), case) else reason
 
 
 # ---------------------------------------------------------------------------

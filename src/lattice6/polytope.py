@@ -14,8 +14,10 @@ plus its three far vertices.  So the cost is the hull's normalized volume
 plus the points found, whatever the size of the coordinates; the union
 is returned lexicographically sorted.  lattice_points, size and
 hull_summary (which adds the interior points and the vertices) are the
-entry points to that one enumeration.  Hull computations need affine
-rank 4 and raise NotFullDimensional otherwise.
+entry points to that one enumeration; _has_interior_point walks the same
+cosets of one tetrahedron (_cosets) for a point strictly inside it.
+Hull computations need affine rank 4 and raise NotFullDimensional
+otherwise.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .exactlinalg import (
     _adjugate,
     check_point,
     det3,
+    det4,
     hermite_normal_form,
     quad_volumes,
     sub,
@@ -182,35 +185,42 @@ def _cone_triangulation(
     return tetrahedra
 
 
-def _tetrahedron_points(v0: IntVec3, a: IntVec3, b: IntVec3, c: IntVec3) -> List[IntVec3]:
-    """Lattice points of the tetrahedron conv(v0, a, b, c), unordered.
+def _cosets(v0: IntVec3, a: IntVec3, b: IntVec3, c: IntVec3):
+    """The coset set-up of the tetrahedron conv(v0, a, b, c): (D, E, L,
+    pivots) with E the edge matrix (columns a - v0, b - v0, c - v0),
+    D = |det E|, L = sign(det E) adj(E), and pivots the ranges of the
+    diagonal of the Hermite normal form of the edge vectors.
 
-    With E the edge matrix (columns a - v0, b - v0, c - v0) and D = |det E|,
-    each of the D cosets of Z^3 / E Z^3 has one point v0 + E (lambda / D)
-    in the half-open parallelepiped 0 <= lambda_i < D, where lambda is
-    sign(det E) adj(E) r mod D for any representative r; the coset
-    representatives are read off the pivots of the Hermite normal form of
-    the edge vectors.  The tetrahedron keeps the points with
-    sum(lambda) <= D, plus a, b and c (the corners lambda = D e_i).
-    Cost: D coset steps (Beck-Robins, Computing the Continuous
-    Discretely, ch. 3).
+    Their product runs over one representative r of each of the D cosets
+    of Z^3 / E Z^3, and lambda = L r mod D places the coset's point
+    v0 + E (lambda / D) in the half-open parallelepiped 0 <= lambda_i < D.
+    The barycentric coordinates of that point are (D - sum(lambda),
+    lambda) / D.  Raises RuntimeError on a degenerate tetrahedron.
     """
     edges = (sub(a, v0), sub(b, v0), sub(c, v0))
     e = tuple(zip(*edges))
     det = det3(*edges)
     if det == 0:
         raise RuntimeError(f"degenerate tetrahedron {(v0, a, b, c)}")
-    d = abs(det)
     s = 1 if det > 0 else -1
-    adj = _adjugate(e)
-    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = (
-        tuple(s * x for x in row) for row in adj
-    )
+    adj = tuple(tuple(s * x for x in row) for row in _adjugate(e))
+    hnf = hermite_normal_form(edges)
+    return abs(det), e, adj, [range(hnf[i][i]) for i in range(3)]
+
+
+def _tetrahedron_points(v0: IntVec3, a: IntVec3, b: IntVec3, c: IntVec3) -> List[IntVec3]:
+    """Lattice points of the tetrahedron conv(v0, a, b, c), unordered.
+
+    The tetrahedron keeps the coset points of _cosets with sum(lambda)
+    <= D, plus a, b and c (the corners lambda = D e_i).  Cost: D coset
+    steps (Beck-Robins, Computing the Continuous Discretely, ch. 3).
+    """
+    d, e, adj, pivots = _cosets(v0, a, b, c)
+    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = adj
     (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = e
     x0, y0, z0 = v0
-    hnf = hermite_normal_form(edges)
     points = [a, b, c]
-    for r0, r1, r2 in itertools.product(*(range(hnf[i][i]) for i in range(3))):
+    for r0, r1, r2 in itertools.product(*pivots):
         l0 = (c00 * r0 + c01 * r1 + c02 * r2) % d
         l1 = (c10 * r0 + c11 * r1 + c12 * r2) % d
         l2 = (c20 * r0 + c21 * r1 + c22 * r2) % d
@@ -221,6 +231,27 @@ def _tetrahedron_points(v0: IntVec3, a: IntVec3, b: IntVec3, c: IntVec3) -> List
                 z0 + (e20 * l0 + e21 * l1 + e22 * l2) // d,
             ))
     return points
+
+
+def _has_interior_point(v0: IntVec3, a: IntVec3, b: IntVec3, c: IntVec3) -> bool:
+    """Whether a lattice point lies strictly inside the tetrahedron
+    conv(v0, a, b, c): whether some coset of _cosets has all four
+    barycentric coordinates positive, lambda_i > 0 and sum(lambda) < D.
+
+    False at once when D < 4: a lattice point strictly inside cones the
+    tetrahedron into four lattice tetrahedra of normalized volume >= 1.
+    """
+    if abs(det4(v0, a, b, c)) < 4:
+        return False
+    d, _, adj, pivots = _cosets(v0, a, b, c)
+    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = adj
+    for r0, r1, r2 in itertools.product(*pivots):
+        l0 = (c00 * r0 + c01 * r1 + c02 * r2) % d
+        l1 = (c10 * r0 + c11 * r1 + c12 * r2) % d
+        l2 = (c20 * r0 + c21 * r1 + c22 * r2) % d
+        if l0 and l1 and l2 and l0 + l1 + l2 < d:
+            return True
+    return False
 
 
 def _hull_points(

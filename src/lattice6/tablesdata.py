@@ -5,8 +5,9 @@ The package ships its ground truth as checksummed JSON resources under
 the 55-entry oriented-matroid cell grid, the width-one families, the label
 map from grid labels to catalog record keys, and the expected count tables.
 `load_tables` parses and checksums the ones the library reads and checks
-their shape (row counts, distinct ids, the keys of every class row,
-size-5 row and grid cell, 3-vectors, a label map covering the grid),
+their shape (row counts, distinct ids, lists of objects holding the
+keys of every class row, size-5 row and grid cell, vectors of ints of
+the right length, a label map covering the grid),
 raising CorruptData, which names the resource, otherwise.  The count
 tables, the grid's never-realized and Howe width-one columns, and the
 derivable columns of the stored representatives are read and recomputed
@@ -130,19 +131,37 @@ def _check_keys(what: str, row: dict, keys: set) -> None:
         raise CorruptData(f"{what} has unexpected {', '.join(extra)}")
 
 
-def _vec(seq, where: str) -> IntVec3:
-    if len(seq) != 3:
+def _rows(name: str, payload, key: str) -> list:
+    """payload[key] of resource name, once the payload is an object whose
+    key holds a list of objects; else CorruptData naming the resource."""
+    rows = payload.get(key) if isinstance(payload, dict) else None
+    if not isinstance(rows, list):
+        raise CorruptData(f"{name}: no {key} list")
+    for k, row in enumerate(rows, 1):
+        if not isinstance(row, dict):
+            raise CorruptData(f"{name}: {key} entry {k} is not an object")
+    return rows
+
+
+def _vec(seq, where: str, n: int = 3) -> tuple:
+    """seq as a tuple of n ints (a bool is not one); else CorruptData
+    naming where."""
+    if not isinstance(seq, list):
+        raise CorruptData(f"{where}: not a list")
+    if len(seq) != n:
         raise CorruptData(f"{where}: {len(seq)} coordinates")
-    x, y, z = seq
-    return (int(x), int(y), int(z))
+    for x in seq:
+        if type(x) is not int:
+            raise CorruptData(f"{where}: coordinate {x!r} is not an integer")
+    return tuple(seq)
 
 
 @lru_cache(maxsize=1)
 def load_tables() -> TableBundle:
-    classes = _load_resource("classes76")["classes"]
-    cells = _load_resource("om_cells")
+    classes = _rows("classes76", _load_resource("classes76"), "classes")
+    cells = _rows("om_cells", _load_resource("om_cells"), "cells")
     labels = _load_resource("om_labels")
-    size5 = _load_resource("size5")["rows"]
+    size5 = _rows("size5", _load_resource("size5"), "rows")
     families = _load_resource("width1_families")
 
     class_rows = []
@@ -150,10 +169,10 @@ def load_tables() -> TableBundle:
         _check_keys(f"classes76: row {row.get('id')}", row, _CLASS_KEYS)
         where = f"classes76: bad row {row['id']}"
         pts = tuple(_vec(p, where) for p in row["representative"])
-        if len(pts) != 6 or len(row["volume_vector"]) != 15:
+        if len(pts) != 6:
             raise CorruptData(where)
         class_rows.append(ClassRow(**{
-            **row, "volume_vector": tuple(row["volume_vector"]),
+            **row, "volume_vector": _vec(row["volume_vector"], where, 15),
             "functional": _vec(row["functional"], where), "representative": pts}))
     if len(class_rows) != 76 or len({r.id for r in class_rows}) != 76:
         raise CorruptData("classes76: expected 76 distinct rows")
@@ -162,9 +181,9 @@ def load_tables() -> TableBundle:
         keys = _SIZE5_KEYS if "representative" in row else _FAMILY_KEYS
         _check_keys(f"size5: row {k}", row, keys)
 
-    for cell in cells["cells"]:
+    for cell in cells:
         _check_keys(f"om_cells: cell {cell.get('label')}", cell, _CELL_KEYS)
-    om_cells = tuple(OMCell(**cell) for cell in cells["cells"])
+    om_cells = tuple(OMCell(**cell) for cell in cells)
     if len(om_cells) != 55:
         raise CorruptData("om_cells: expected 55 rows")
 

@@ -39,7 +39,7 @@ from lattice6.invariants import (
     width,
 )
 from lattice6.omcatalog import chirotope, match_circuits
-from lattice6.polytope import PointConfig, hull_facets, lattice_points, size
+from lattice6.polytope import PointConfig, hull_facets, hull_summary, lattice_points, size
 from lattice6.size5 import catalog41
 from omcatalog_oracles import match_om
 from table_checks import key_candidates, no_octahedron_check
@@ -386,12 +386,60 @@ def test_orbit_verdict_count_and_no_carry_over(monkeypatch, case_reports):
     assert first == second == tuple(by_case(case_reports)[c] for c in "GH")
 
 
+def hull_verdict(cfg, glued_interior):
+    """Oracle for classify6._glued_verdict: the verdict of every gluing that
+    is not coplanar read off its hull, the interior set first, then the
+    hull count cross-checked against the caps."""
+    if 0 in cfg.volumes().values():
+        return "shared", "coplanarity present"
+    lattice, inner, _ = hull_summary(cfg)
+    six = len(lattice) == 6
+    inner = set(inner)
+    if inner == {cfg.points[0]}:
+        case, reason = "G", "cut tetrahedron is not empty"
+    elif inner == {cfg.points[0], glued_interior}:
+        case, reason = "H", "a triangulation tetrahedron is not empty"
+    else:
+        return "shared", "extra interior lattice point"
+    caps = classify6._caps(cfg.points, classify6._BASE41_FACETS, 6)
+    argued = classify6._all_empty(cfg.points, caps)
+    return case, None if classify6._cross_check(six, argued, case) else reason
+
+
+def test_glued_verdict_matches_hull_oracle(monkeypatch):
+    """On the 426 verdict configurations of one run_case_gh call,
+    _glued_verdict gives hull_verdict's verdict.  It decides 286 of them
+    by a cap with a lattice point strictly inside, with no hull and no
+    emptiness test; the other 140 (79 coplanar, 61 read off the hull)
+    count the hulls and emptiness tests the oracle counts."""
+    verdict = classify6._glued_verdict
+    work = count_calls(monkeypatch, hull_summary, _is_empty)
+    made = []
+
+    def recorded(cfg, glued):
+        before = dict(work)
+        made.append((cfg, glued, verdict(cfg, glued), work == before))
+        return made[-1][2]
+
+    monkeypatch.setattr(classify6, "_glued_verdict", recorded)
+    classify6.run_case_gh()
+    assert len(made) == 426
+    assert all(got == hull_verdict(cfg, glued) for cfg, glued, got, _ in made)
+    unhulled = Counter(got for _, _, got, no_work in made if no_work)
+    assert unhulled == {("shared", "extra interior lattice point"): 286,
+                        ("shared", "coplanarity present"): 79}
+    assert sum(got[1] == "extra interior lattice point" for _, _, got, _ in made) == 286
+
+
 def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     """One warm classify_all: 40 automorphism maps plus one witness map per
-    class (the check stops at the first), 457 hull computations (
+    class (the check stops at the first), 171 hull computations (
     the B, C, D, E and F sites count only the hulls their cap rule keeps:
     B's two rejections, C's edge rejection and D's 32 rejections count
-    none), 426 gluing verdicts, 52 circuit computations (no gluing
+    none; of the 426 gluing verdicts, only the 61 that are not coplanar
+    and whose caps hold no lattice point strictly inside count one, since
+    the 286 with such a cap are rejected without a hull, which took the
+    count from 457), 426 gluing verdicts, 52 circuit computations (no gluing
     verdict computes any: its size argument is the cap rule; case F checks
     its one (2,1)-circuit on the circuits of its coplanarity test), 1,109
     emptiness tests of tetrahedra (each site evaluates its size argument
@@ -418,7 +466,7 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
                         match_circuits, check_point, circuits, _normal_form, quad_volumes,
                         _is_empty)
     classify6.classify_all()
-    assert calls == {"unimodular_map": 116, "hull_facets": 457, "_glued_verdict": 426,
+    assert calls == {"unimodular_map": 116, "hull_facets": 171, "_glued_verdict": 426,
                      "match_circuits": 0, "check_point": 3880, "circuits": 52,
                      "_normal_form": 129, "quad_volumes": 922, "_is_empty": 1109}
 

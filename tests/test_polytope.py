@@ -2,11 +2,12 @@
 
 import itertools
 import random
+from collections import Counter
 from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import fraction_oracles
 from conftest import apply_map, count_calls, random_unimodular
@@ -25,6 +26,7 @@ from lattice6.polytope import (
     parse_points,
     size,
 )
+from lattice6.size5 import catalog41
 from lattice6.tablesdata import load_tables
 
 UNIT = PointConfig([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
@@ -376,3 +378,80 @@ def test_enumeration_matches_box_scan_oracle(c):
         assert {t[0] for t in tetrahedra} == {v}
         assert sum(abs(det4(*t)) for t in tetrahedra) == volume
         assert lattice_points(recentred) == expected
+
+
+def _det(u, v, w):
+    return (u[0] * (v[1] * w[2] - v[2] * w[1]) - u[1] * (v[0] * w[2] - v[2] * w[0])
+            + u[2] * (v[0] * w[1] - v[1] * w[0]))
+
+
+def _brute_force_has_interior_point(tet):
+    """Whether some bounding-box point lies strictly inside the tetrahedron:
+    for each face, on the same side as the opposite vertex and off the
+    face's plane."""
+    faces = []
+    for i in range(4):
+        a, b, c = (tet[j] for j in range(4) if j != i)
+        u = tuple(x - y for x, y in zip(b, a))
+        v = tuple(x - y for x, y in zip(c, a))
+        faces.append((a, u, v, _det(u, v, tuple(x - y for x, y in zip(tet[i], a)))))
+    box = [range(min(p[k] for p in tet), max(p[k] for p in tet) + 1) for k in range(3)]
+    return any(
+        all(_det(u, v, tuple(x - y for x, y in zip(q, a))) * side > 0 for a, u, v, side in faces)
+        for q in itertools.product(*box))
+
+
+_SMALL_TETRAHEDRA = st.lists(
+    st.tuples(*[st.integers(-4, 4)] * 3), min_size=4, max_size=4, unique=True).filter(
+    lambda tet: det4(*tet) != 0)
+
+
+@given(tet=_SMALL_TETRAHEDRA)
+@settings(max_examples=300, deadline=None)
+@example(tet=[(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3)])
+def test_has_interior_point_matches_box_scan(tet):
+    """_has_interior_point agrees with a scan of the bounding box, with each
+    vertex taken first.  The example has (1, 1, 1) in the relative interior
+    of a facet and no lattice point strictly inside."""
+    expected = _brute_force_has_interior_point(tet)
+    for i in range(4):
+        assert polytope._has_interior_point(*tet[i:], *tet[:i]) == expected
+
+
+@given(tet=_SMALL_TETRAHEDRA, seed=st.integers(0, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_has_interior_point_is_unimodular_invariant(tet, seed):
+    """On images under products of three random unimodular maps, whose
+    coordinates run to the thousands and beyond, the answer is the box
+    scan's of the small preimage."""
+    rng = random.Random(seed)
+    image = tet
+    for _ in range(3):
+        m = random_unimodular(rng, 10**6)
+        image = [m.apply(p) for p in image]
+    assert polytope._has_interior_point(*image) == _brute_force_has_interior_point(tet)
+
+
+def test_tetrahedra_of_volume_below_four_have_no_interior_point():
+    """The early exit of _has_interior_point: no tetrahedron of normalized
+    volume 1, 2 or 3 among 400 random small ones holds a lattice point
+    strictly inside, by the box scan."""
+    rng = random.Random(4)
+    seen = Counter()
+    while sum(seen.values()) < 400:
+        tet = [tuple(rng.randrange(-3, 4) for _ in range(3)) for _ in range(4)]
+        volume = abs(det4(*tet))
+        if 0 < volume < 4:
+            seen[volume] += 1
+            assert not _brute_force_has_interior_point(tet), tet
+    assert set(seen) == {1, 2, 3}
+
+
+def test_signature_41_bases_have_an_interior_point():
+    """Each of the eight catalog41() bases is a tetrahedron on p2..p5 with
+    the lattice point p1 strictly inside, at normalized volumes 4 to 20."""
+    bases = [cls5.representative.points for cls5 in catalog41()]
+    assert sorted(abs(det4(*pts[1:])) for pts in bases) == [4, 5, 7, 11, 13, 17, 19, 20]
+    for pts in bases:
+        assert polytope._has_interior_point(*pts[1:])
+        assert _brute_force_has_interior_point(pts[1:])

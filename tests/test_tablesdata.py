@@ -197,6 +197,19 @@ def _rechecksum(path, edit):
     path.write_text(json.dumps(blob))
 
 
+def _setting(path, value):
+    """A tampering that sets the payload entry at path (keys and indices)
+    to value."""
+    *head, last = path
+
+    def edit(payload):
+        for key in head:
+            payload = payload[key]
+        payload[last] = value
+
+    return lambda p: _rechecksum(p, edit)
+
+
 #: CorruptData message: (resource, how its file is tampered with).
 TAMPERINGS = {
     "checksum mismatch": ("om_cells", lambda p: p.write_text(p.read_text().replace("true", "false", 1))),
@@ -219,6 +232,16 @@ TAMPERINGS = {
                               lambda p: _rechecksum(p, lambda pl: pl["rows"][0].pop("signature"))),
     "row 2 lacks constraints": ("size5",
                                 lambda p: _rechecksum(p, lambda pl: pl["rows"][1].pop("constraints"))),
+    "bad row A.1: coordinate 0.5 is not an integer": (
+        "classes76", _setting(("classes", 0, "representative", 0, 0), 0.5)),
+    "bad row A.1: coordinate 'x' is not an integer": (
+        "classes76", _setting(("classes", 0, "functional", 0), "x")),
+    "bad row A.1: coordinate True is not an integer": (
+        "classes76", _setting(("classes", 0, "volume_vector", 0), True)),
+    "bad row A.1: not a list": ("classes76", _setting(("classes", 0, "functional"), 5)),
+    "classes entry 1 is not an object": ("classes76", _setting(("classes", 0), ["A.1"])),
+    "no classes list": ("classes76", lambda p: _rechecksum(p, lambda pl: pl.pop("classes"))),
+    "no rows list": ("size5", lambda p: _rechecksum(p, lambda pl: pl.pop("rows"))),
 }
 
 
