@@ -33,13 +33,14 @@ is such an extension: of the (3,1) pyramid over _B_BASE
 (_PYRAMID31_FACETS: B and C's edge and "both vertices" subcases), of D's
 square pyramid (_D_FACETS) or of a (4,1) base (_EMBEDDED41_FACETS in the
 embedding searches, _BASE41_FACETS in F, G and H), so the caps are its
-size argument.  In B to F, _six_by_caps rejects a candidate with a
+size argument.  In B to H, _six_by_caps rejects a candidate with a
 non-empty cap without a hull and counts the hull of each other
-candidate once, to cross-check the argument; in G and H a cap with a
-lattice point strictly inside rejects without a hull, the hull decides
-the other verdicts and the caps are cross-checked against it.  Only
-case A, whose five coplanar points have no caps, counts its hulls
-directly.
+candidate once, to cross-check the argument; G and H first reject a
+gluing whose caps hold a lattice point strictly inside, an extra
+interior point.  Only case A, whose five coplanar points have no caps,
+counts its hulls directly.  No runner reads a hull's interior points:
+a gluing names its case G or H by whether its two interior points
+coincide.
 
 The G/H gluing examines 24,576 vertex matchings of subtetrahedra.  A
 matching glues when an integral unimodular map realizes it, which is
@@ -50,10 +51,11 @@ barycentric coordinates, so each hit's glued point is placed without
 solving the map.  The symmetries of the base polytopes, and the swap of
 a gluing's source and target, make many matchings glue the same
 configuration up to a unimodular map: the 1,532 distinct verdict keys
-fall into 426 gluing groups.  A verdict (coplanarity, interior points,
-hull size with its cap cross-check) is made once per group in each
-run_case_gh call and replayed into the G and H funnels on every repeat;
-an accepted group contributes one configuration to identify.
+fall into 426 gluing groups.  A verdict (coplanarity, a cap's interior
+point, and the cap rule's size with its hull cross-check) is made once
+per group in each run_case_gh call and replayed into the G and H
+funnels on every repeat; an accepted group contributes one
+configuration to identify.
 """
 
 import csv
@@ -73,7 +75,7 @@ from .exactlinalg import (
     det4,
     edge_form,
 )
-from .polytope import PointConfig, _has_interior_point, hull_summary, size
+from .polytope import PointConfig, _has_interior_point, size
 from .invariants import (
     C21,
     C31,
@@ -254,15 +256,15 @@ def _all_empty(points: Sequence[IntVec3], quads) -> bool:
     return all(_is_empty([points[i - 1] for i in quad]) for quad in quads)
 
 
-def _cross_check(six: bool, argued: bool, site: str, at: str = "") -> bool:
-    """six, once it agrees with the case's size argument.
+def _cross_check(six: bool, site: str, at: str = "") -> bool:
+    """six, once it agrees with the size argument at that site.
 
-    six says whether the hull has exactly six lattice points, and argued
-    is the outcome of the size argument at that site: every cap (_caps)
-    is empty (_all_empty).  Raises ClassificationError "<site>
-    triangulation check failed<at>" when the two disagree.
+    six says whether the hull has exactly six lattice points, counted
+    after the size argument found every cap (_caps) empty (_all_empty),
+    so it must hold.  Raises ClassificationError "<site> triangulation
+    check failed<at>" when it does not.
     """
-    if argued != six:
+    if not six:
         raise ClassificationError(f"{site} triangulation check failed{at}")
     return six
 
@@ -294,11 +296,10 @@ def _six_by_caps(cfg: PointConfig, facets, new: int, site: str, at: str = "") ->
     """Whether the hull of cfg, a one-point extension as _caps takes it, has
     exactly six lattice points, decided by the cap rule: False, with no
     hull, when some cap is not empty; else the hull is counted once and
-    must have six points (_cross_check).  Cases B to F decide size here;
-    G and H cross-check their hull count with the caps (_glued_verdict)."""
+    must have six points (_cross_check).  Cases B to H decide size here."""
     if not _all_empty(cfg.points, _caps(cfg.points, facets, new)):
         return False
-    return _cross_check(size(cfg) == 6, True, site, at)
+    return _cross_check(size(cfg) == 6, site, at)
 
 
 #: The facets of a catalog41() base, as _caps takes them: empty triangles
@@ -697,14 +698,13 @@ def run_case_f() -> CaseReport:
 # cases G and H: no coplanarity, glued from two signature-(4,1) polytopes
 
 
-def _base_automorphisms(base: PointConfig) -> List[Tuple[Tuple[int, ...], AffineMap]]:
-    """The symmetries (perm, map) of a signature-(4,1) base: the witnesses
+def _base_automorphisms(base: PointConfig) -> List[AffineMap]:
+    """The symmetries of a signature-(4,1) base, as maps: the witnesses
     base -> base of _witnesses, one per key order of its normal form (they
-    match one to one), with map(base[i]) = base[perm[i]].  Raises
-    ClassificationError unless every key order gives one that fixes the
-    interior point base[0]."""
+    match one to one).  Raises ClassificationError unless every key order
+    gives one that fixes the interior point base[0]."""
     _, orders = _normal_form(base)
-    autos = [(perm, g) for perm, g in _witnesses(base, orders[0], base, orders) if perm[0] == 0]
+    autos = [g for perm, g in _witnesses(base, orders[0], base, orders) if perm[0] == 0]
     if len(autos) != len(orders):
         raise ClassificationError("a key order gives no symmetry of its base polytope")
     return autos
@@ -725,30 +725,28 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
     point to the target's first point, and its left-out vertex to the
     _barycentric_image of that vertex's numerators over the target.  The
     union is six points; coinciding interior points give one interior
-    point (case G), otherwise two (case H).  A gluing is accepted when its
-    hull has six lattice points; the configuration is the target base
-    plus one point, so its caps are case F's (_caps over _BASE41_FACETS).
-    A cap with a lattice point strictly inside rejects the gluing for an
-    extra interior point without a hull (286 of the 426 verdicts); on the
-    others the caps are the size argument cross-checked against the hull
-    count (_glued_verdict).
+    point (case G), otherwise two (case H), and the gluing names its case
+    so.  A gluing is accepted when its hull has six lattice points; the
+    configuration is the target base plus one point, so its caps are
+    case F's (_caps over _BASE41_FACETS).  A cap with a lattice point
+    strictly inside rejects the gluing for an extra interior point
+    without a hull (286 of the 426 verdicts); on the others the caps are
+    the size argument, as in case F (_glued_verdict).
 
     The 3,572 six-point gluings have 1,532 distinct verdict keys (target
-    polytope, new point, left-out target vertex, glued interior point).
-    A verdict depends only on whether some four points are coplanar,
-    whether the interior lattice points are {base interior}, {both
-    interior points} or another set, and whether the hull has six lattice
-    points (_cross_check ties the G and H reasons to that), and each of
-    these is kept by a unimodular map that carries the two interior
-    points onto each other's roles.  Two kinds of map give a key the same
-    verdict: a symmetry of the target, which fixes its interior point
-    and relabels the key; and the inverse of the gluing map, which
+    polytope, new point, whether the interior points coincide).  A
+    verdict depends only on the configuration and on that role, and both
+    are kept by a unimodular map that carries the two interior points
+    onto each other's roles.  Two kinds of map give a key the same
+    verdict: a symmetry of the target, which fixes its interior point and
+    moves the new point; and the inverse of the gluing map, which
     carries the configuration onto the reverse gluing (_swap_key: the
     target's left-out vertex glued onto the source base), with the
-    interior points swapped.  So the first key of each gluing group, its
-    images under the target's symmetries and those of its reverse key
-    under the source's, gets a verdict, which is stored under the whole
-    group: 426 verdicts.  The first hit of a group is the one that makes
+    interior points swapped, so that they coincide there exactly when
+    they do here.  So the first key of each gluing group, its images
+    under the target's symmetries and those of its reverse key under the
+    source's, gets a verdict, which is stored under the whole group: 426
+    verdicts.  The first hit of a group is the one that makes
     its verdict, and only its configuration is kept when the verdict
     accepts.  The gluings of a group are equivalent, so the first gluing
     of each class is the first of its group, and _dedupe identifies 32
@@ -797,15 +795,15 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
                         for funnel in funnels["shared"]:
                             funnel.reject("gluing yields fewer than six points")
                         continue
-                    key = (si, new_pt, ex_s, dst[0])
-                    verdict = verdicts.get(key)
+                    same = dst[0] == spts[0]
+                    verdict = verdicts.get((si, new_pt, same))
                     if verdict is None:
                         cfg = PointConfig._of_checked(spts + (check_point(new_pt),))
                         verdict = _glued_verdict(cfg, dst[0])
                         swap = _swap_key(sources, sb, ex, si, ex_s, dst)
-                        for base, pt, left, glued in (key, swap):
-                            for perm, g in autos[base]:
-                                verdicts[base, g.apply(pt), perm[left], g.apply(glued)] = verdict
+                        for base, pt in ((si, new_pt), swap):
+                            for g in autos[base]:
+                                verdicts[base, g.apply(pt), same] = verdict
                         if verdict[1] is None:
                             funnels[verdict[0]][0].accepted.append(cfg)
                     case, reason = verdict
@@ -819,20 +817,22 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
 
 
 def _swap_key(sources, sb, ex, si, ex_s, dst) -> tuple:
-    """Verdict key of the reverse of a gluing: base si's vertex ex_s glued
-    onto base sb.
+    """(target base, new point) of the reverse of a gluing: base si's
+    vertex ex_s glued onto base sb.
 
     The gluing's map sends sb's subtetrahedron without vertex ex, in base
     order, onto dst, an ordering of si's subtetrahedron without ex_s; its
     inverse sends si's subtetrahedron back, so the reverse gluing's new
     point is the _barycentric_image of ex_s's numerators over those
-    images, and its glued interior point is the image of si's interior
-    point.  sources holds run_case_gh's subtetrahedra per base.
+    images.  The inverse carries each interior point onto the other's
+    role, so the two interior points coincide in the reverse gluing
+    exactly when they do in the gluing, and the key's last entry carries
+    over.  sources holds run_case_gh's subtetrahedra per base.
     """
     src = sources[sb][ex - 1][3]
     weights, vol, _, tet = sources[si][ex_s - 1]
     back = [src[dst.index(p)] for p in tet]
-    return sb, _barycentric_image(weights, vol, back), ex, back[0]
+    return sb, _barycentric_image(weights, vol, back)
 
 
 def _barycentric_image(weights, vol: int, dst) -> IntVec3:
@@ -867,11 +867,14 @@ def _glued_verdict(cfg: PointConfig, glued_interior: IntVec3):
     cfg (the cap's vertices are its corners, and the other two points
     lie on the base's side of its facet), so it is an interior point
     other than the base interior and the glued interior: the verdict is
-    "extra interior lattice point" with no hull.  Otherwise the hull
-    decides: its interior lattice points are {base interior} in case G
-    and {base interior, glued interior} in case H, and the gluing is
-    accepted when it has six lattice points, which _cross_check compares
-    with the caps' emptiness, the size argument.
+    "extra interior lattice point" with no hull.  Otherwise the gluing
+    names its case: G when the two interior points coincide, H when they
+    do not, and the cap rule decides its size (_six_by_caps).
+
+    Both interior points are interior lattice points of the hull, each
+    strictly inside a base the hull contains; that the hull has no other
+    is not proved here.  tests/test_classify6.py checks the verdict
+    against one read off the hull's interior points on every verdict key.
     """
     if 0 in cfg.volumes().values():
         return "shared", "coplanarity present"
@@ -879,16 +882,11 @@ def _glued_verdict(cfg: PointConfig, glued_interior: IntVec3):
     caps = _caps(pts, _BASE41_FACETS, 6)
     if any(_has_interior_point(*(pts[i - 1] for i in cap)) for cap in caps):
         return "shared", "extra interior lattice point"
-    lattice, inner, _ = hull_summary(cfg)
-    six = len(lattice) == 6
-    inner = set(inner)
-    if inner == {pts[0]}:
+    if glued_interior == pts[0]:
         case, reason = "G", "cut tetrahedron is not empty"
-    elif inner == {pts[0], glued_interior}:
-        case, reason = "H", "a triangulation tetrahedron is not empty"
     else:
-        return "shared", "extra interior lattice point"
-    return case, None if _cross_check(six, _all_empty(pts, caps), case) else reason
+        case, reason = "H", "a triangulation tetrahedron is not empty"
+    return case, None if _six_by_caps(cfg, _BASE41_FACETS, 6, case) else reason
 
 
 # ---------------------------------------------------------------------------

@@ -230,9 +230,6 @@ class AffineMap:
     def apply(self, p: Sequence[int]) -> IntVec3:
         return add(_mat_vec(self.matrix, p), self.translation)
 
-    def __call__(self, p: Sequence[int]) -> IntVec3:
-        return self.apply(p)
-
 
 def unimodular_map(src: Sequence[Sequence[int]], dst: Sequence[Sequence[int]]) -> Optional[AffineMap]:
     """Integer affine map of determinant +-1 sending src[i] -> dst[i], or None.

@@ -6,8 +6,9 @@ the 55-entry oriented-matroid cell grid, the width-one families, the label
 map from grid labels to catalog record keys, and the expected count tables.
 `load_tables` parses and checksums the ones the library reads and checks
 their shape (row counts, distinct ids, lists of objects holding the
-keys of every class row, size-5 row and grid cell, vectors of ints of
-the right length, a label map covering the grid),
+keys of every class row, size-5 row, grid cell and ambiguous label
+pair, vectors of ints of the right length, a label map object covering
+the grid),
 raising CorruptData, which names the resource, otherwise.  The count
 tables, the grid's never-realized and Howe width-one columns, and the
 derivable columns of the stored representatives are read and recomputed
@@ -161,6 +162,7 @@ def load_tables() -> TableBundle:
     classes = _rows("classes76", _load_resource("classes76"), "classes")
     cells = _rows("om_cells", _load_resource("om_cells"), "cells")
     labels = _load_resource("om_labels")
+    ambiguous = tuple(_rows("om_labels", labels, "ambiguous"))
     size5 = _rows("size5", _load_resource("size5"), "rows")
     families = _load_resource("width1_families")
 
@@ -187,8 +189,11 @@ def load_tables() -> TableBundle:
     if len(om_cells) != 55:
         raise CorruptData("om_cells: expected 55 rows")
 
-    label_map = dict(labels["map"])
-    ambiguous = tuple(labels["ambiguous"])
+    for k, pair in enumerate(ambiguous, 1):
+        _check_keys(f"om_labels: ambiguous entry {k}", pair, {"keys", "labels"})
+    label_map = labels.get("map")
+    if not isinstance(label_map, dict):
+        raise CorruptData("om_labels: no map object")
     covered = set(label_map) | {l for p in ambiguous for l in p["labels"]}
     if covered != {c.label for c in om_cells}:
         raise CorruptData("om_labels: map does not cover the grid")

@@ -272,16 +272,14 @@ def _brute_force_symmetries(pts):
 
 
 def test_base_automorphisms_match_brute_force():
-    """The symmetries read off each (4,1) base's key orders are exactly
-    those a search over all point permutations finds, each permutation
-    the one its map realizes."""
+    """The symmetries read off each (4,1) base's key orders carry the base
+    onto itself, each by a point permutation of its own, and those
+    permutations are exactly the ones a search over all 120 finds."""
     counts = []
     for cls5 in catalog41():
         pts = cls5.representative.points
         autos = classify6._base_automorphisms(cls5.representative)
-        for perm, g in autos:
-            assert perm == tuple(pts.index(g.apply(p)) for p in pts)
-        perms = {perm for perm, _ in autos}
+        perms = {tuple(pts.index(g.apply(p)) for p in pts) for g in autos}
         assert len(perms) == len(autos)
         assert perms == _brute_force_symmetries(pts), cls5
         counts.append(len(autos))
@@ -344,13 +342,15 @@ def test_orbit_verdicts_match_literal_oracle(monkeypatch, literal_gh):
 
 
 def test_swap_keys_match_inverse_gluing_oracle(monkeypatch, literal_gh):
-    """The key run_case_gh stores for the reverse of a gluing is the one
-    the solved inverse map gives: the images of the target's left-out
-    vertex and of its interior point, over the source base with its
-    left-out vertex.  Checked on the first hit of each of the 1,532
-    distinct keys, whose reverse key is a distinct key with the same
-    _glued_verdict, and on every swap run_case_gh computes (one per
-    verdict)."""
+    """The (base, new point) run_case_gh stores for the reverse of a
+    gluing is the one the solved inverse map gives: the source base and
+    the image of the target's left-out vertex.  The inverse sends the
+    target's interior point onto the source's exactly when the gluing
+    sends the source's onto the target's, so the reverse gluing keeps the
+    role that ends run_case_gh's key.  Checked on the first hit of each of
+    the 1,532 distinct literal keys, whose literal reverse key is a
+    distinct key with the same _glued_verdict, and on every swap
+    run_case_gh computes (one per verdict)."""
     swaps = []
     swap_key = classify6._swap_key
 
@@ -368,9 +368,10 @@ def test_swap_keys_match_inverse_gluing_oracle(monkeypatch, literal_gh):
         inverse = unimodular_map(dst, sub_r)
         assert inverse is not None
         swap = (rb, inverse.apply(reps[si][ex_s]), ex_r, inverse.apply(reps[si][0]))
-        assert swap_key(sources, rb, ex_r, si, ex_s, dst) == swap
+        assert swap_key(sources, rb, ex_r, si, ex_s, dst) == swap[:2]
+        assert (swap[3] == reps[rb][0]) == (key[3] == reps[si][0]), key
         assert verdicts[swap][:2] == verdicts[key][:2], key
-        expected[rb, ex_r, si, ex_s, tuple(dst)] = swap
+        expected[rb, ex_r, si, ex_s, tuple(dst)] = swap[:2]
     for (_, *hit, dst), swap in swaps:
         assert expected.get((*hit, tuple(dst))) == swap
 
@@ -388,12 +389,17 @@ def test_orbit_verdict_count_and_no_carry_over(monkeypatch, case_reports):
 
 def hull_verdict(cfg, glued_interior):
     """Oracle for classify6._glued_verdict: the verdict of every gluing that
-    is not coplanar read off its hull, the interior set first, then the
-    hull count cross-checked against the caps."""
+    is not coplanar read off its hull.  The case is G when the hull's
+    interior lattice points are {base interior}, H when they are {base
+    interior, glued interior}, and any other set is an extra interior
+    point; the hull's size decides the rest.  The size must agree with
+    the caps' emptiness, also where the interior points reject."""
     if 0 in cfg.volumes().values():
         return "shared", "coplanarity present"
     lattice, inner, _ = hull_summary(cfg)
     six = len(lattice) == 6
+    caps = classify6._caps(cfg.points, classify6._BASE41_FACETS, 6)
+    assert classify6._all_empty(cfg.points, caps) == six, cfg
     inner = set(inner)
     if inner == {cfg.points[0]}:
         case, reason = "G", "cut tetrahedron is not empty"
@@ -401,45 +407,54 @@ def hull_verdict(cfg, glued_interior):
         case, reason = "H", "a triangulation tetrahedron is not empty"
     else:
         return "shared", "extra interior lattice point"
-    caps = classify6._caps(cfg.points, classify6._BASE41_FACETS, 6)
-    argued = classify6._all_empty(cfg.points, caps)
-    return case, None if classify6._cross_check(six, argued, case) else reason
+    return case, None if six else reason
 
 
-def test_glued_verdict_matches_hull_oracle(monkeypatch):
-    """On the 426 verdict configurations of one run_case_gh call,
-    _glued_verdict gives hull_verdict's verdict.  It decides 286 of them
-    by a cap with a lattice point strictly inside, with no hull and no
-    emptiness test; the other 140 (79 coplanar, 61 read off the hull)
-    count the hulls and emptiness tests the oracle counts."""
+def test_glued_verdict_matches_hull_oracle(monkeypatch, literal_gh):
+    """_glued_verdict names the case by whether the interior points
+    coincide; that the hull has no third interior point where no cap
+    holds one strictly inside is checked here, not proved.  On every one
+    of the 1,532 literal keys, the verdict the literal-keyed loop made
+    with the key's glued point is hull_verdict's.  In one run_case_gh
+    call, 286 of the 426 verdicts are decided by a cap with a lattice
+    point strictly inside and 79 by coplanarity, with no hull and no
+    emptiness test, and a hull is counted only for the 32 gluings it
+    accepts."""
+    assert len(literal_gh.verdicts) == 1532
+    for key, (case, reason, cfg) in literal_gh.verdicts.items():
+        assert (case, reason) == hull_verdict(cfg, key[3]), key
     verdict = classify6._glued_verdict
-    work = count_calls(monkeypatch, hull_summary, _is_empty)
+    work = count_calls(monkeypatch, hull_facets, _is_empty)
     made = []
 
     def recorded(cfg, glued):
         before = dict(work)
-        made.append((cfg, glued, verdict(cfg, glued), work == before))
-        return made[-1][2]
+        got = verdict(cfg, glued)
+        made.append((got, work["hull_facets"] > before["hull_facets"], work == before))
+        return got
 
     monkeypatch.setattr(classify6, "_glued_verdict", recorded)
     classify6.run_case_gh()
     assert len(made) == 426
-    assert all(got == hull_verdict(cfg, glued) for cfg, glued, got, _ in made)
-    unhulled = Counter(got for _, _, got, no_work in made if no_work)
-    assert unhulled == {("shared", "extra interior lattice point"): 286,
-                        ("shared", "coplanarity present"): 79}
-    assert sum(got[1] == "extra interior lattice point" for _, _, got, _ in made) == 286
+    hulled = [got for got, hull, _ in made if hull]
+    assert len(hulled) == 32 and all(reason is None for _, reason in hulled)
+    assert sum(reason is None for (_, reason), _, _ in made) == 32
+    idle = Counter(got for got, _, no_work in made if no_work)
+    assert idle == {("shared", "extra interior lattice point"): 286,
+                    ("shared", "coplanarity present"): 79}
+    assert sum(got[1] == "extra interior lattice point" for got, _, _ in made) == 286
 
 
 def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     """One warm classify_all: 40 automorphism maps plus one witness map per
-    class (the check stops at the first), 171 hull computations (
-    the B, C, D, E and F sites count only the hulls their cap rule keeps:
-    B's two rejections, C's edge rejection and D's 32 rejections count
-    none; of the 426 gluing verdicts, only the 61 that are not coplanar
-    and whose caps hold no lattice point strictly inside count one, since
-    the 286 with such a cap are rejected without a hull, which took the
-    count from 457), 426 gluing verdicts, 52 circuit computations (no gluing
+    class (the check stops at the first), 142 hull computations (every
+    site of cases B to H counts only the hulls its cap rule keeps: B's two
+    rejections, C's edge rejection and D's 32 rejections count none; of
+    the 426 gluing verdicts, only the 32 accepted ones count one, since
+    the 286 whose caps hold a lattice point strictly inside and the 29
+    with a non-empty cap are rejected without a hull, which took the
+    count from 457 to 171 and then to 142), 426 gluing verdicts, 52
+    circuit computations (no gluing
     verdict computes any: its size argument is the cap rule; case F checks
     its one (2,1)-circuit on the circuits of its coplanarity test), 1,109
     emptiness tests of tetrahedra (each site evaluates its size argument
@@ -466,7 +481,7 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
                         match_circuits, check_point, circuits, _normal_form, quad_volumes,
                         _is_empty)
     classify6.classify_all()
-    assert calls == {"unimodular_map": 116, "hull_facets": 171, "_glued_verdict": 426,
+    assert calls == {"unimodular_map": 116, "hull_facets": 142, "_glued_verdict": 426,
                      "match_circuits": 0, "check_point": 3880, "circuits": 52,
                      "_normal_form": 129, "quad_volumes": 922, "_is_empty": 1109}
 
@@ -676,9 +691,9 @@ def test_classify_all_cross_checks_at_every_site(monkeypatch):
     sites = set()
     check = classify6._cross_check
 
-    def recorded(six, argued, site, at=""):
+    def recorded(six, site, at=""):
         sites.add(site)
-        return check(six, argued, site, at)
+        return check(six, site, at)
 
     monkeypatch.setattr(classify6, "_cross_check", recorded)
     classify6.classify_all()
@@ -692,8 +707,8 @@ def test_cross_check_site_raises_on_disagreement(monkeypatch, site):
     runner, message = CROSS_CHECK_SITES[site]
     check = classify6._cross_check
 
-    def flipped(six, argued, at_site, at=""):
-        return check(six != (at_site == site), argued, at_site, at)
+    def flipped(six, at_site, at=""):
+        return check(six != (at_site == site), at_site, at)
 
     monkeypatch.setattr(classify6, "_cross_check", flipped)
     with pytest.raises(classify6.ClassificationError) as err:
@@ -721,7 +736,7 @@ INVERTED_EMPTINESS = {
     "run_case_d": "D survivors []",
     "run_case_e": "E triangulation check failed",
     "run_case_f": "F triangulation check failed in group 4.11",
-    "run_case_gh": "H triangulation check failed",
+    "run_case_gh": "G triangulation check failed",
 }
 
 

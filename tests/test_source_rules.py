@@ -342,9 +342,7 @@ def test_counter_outside_the_funnel_is_a_violation(tmp_path):
 #: hull, each with the reason: the size arguments of the cases, and the two
 #: functions that count the hull of a configuration no case runner built.
 HULL_COUNTERS = {
-    "_six_by_caps": "the cap rule's cross-check of cases B-F",
-    "_glued_verdict": ("the G/H interior points where no cap holds a lattice point strictly "
-                       "inside, checked against the caps"),
+    "_six_by_caps": "the cap rule's cross-check of cases B-H",
     "run_case_a": "the midpoint rule's check; a planar base has no caps",
     "width1_family": "the construction check of a width-one family member",
     "identify": "the size gate of a table lookup on any configuration",

@@ -242,6 +242,12 @@ TAMPERINGS = {
     "classes entry 1 is not an object": ("classes76", _setting(("classes", 0), ["A.1"])),
     "no classes list": ("classes76", lambda p: _rechecksum(p, lambda pl: pl.pop("classes"))),
     "no rows list": ("size5", lambda p: _rechecksum(p, lambda pl: pl.pop("rows"))),
+    "no map object": ("om_labels", lambda p: _rechecksum(p, lambda pl: pl.pop("map"))),
+    "no ambiguous list": ("om_labels", lambda p: _rechecksum(p, lambda pl: pl.pop("ambiguous"))),
+    "ambiguous entry 1 is not an object": (
+        "om_labels", _setting(("ambiguous", 0), [["c4.18", "c4.19"], ["4.16", "4.7"]])),
+    "ambiguous entry 2 lacks labels": (
+        "om_labels", lambda p: _rechecksum(p, lambda pl: pl["ambiguous"][1].pop("labels"))),
 }
 
 
