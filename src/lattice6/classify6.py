@@ -33,14 +33,19 @@ is such an extension: of the (3,1) pyramid over _B_BASE
 (_PYRAMID31_FACETS: B and C's edge and "both vertices" subcases), of D's
 square pyramid (_D_FACETS) or of a (4,1) base (_EMBEDDED41_FACETS in the
 embedding searches, _BASE41_FACETS in F, G and H), so the caps are its
-size argument.  In B to H, _six_by_caps rejects a candidate with a
-non-empty cap without a hull and counts the hull of each other
-candidate once, to cross-check the argument; G and H first reject a
-gluing whose caps hold a lattice point strictly inside, an extra
-interior point.  Only case A, whose five coplanar points have no caps,
-counts its hulls directly.  No runner reads a hull's interior points:
-a gluing names its case G or H by whether its two interior points
-coincide.
+size argument.  _caps reads each facet triangle in its unimodular frame
+(emptytetra._facet_frame), built once per runner call in a dict the
+runner owns, so a candidate's new point maps to (x, y, h) by one 3 x 3
+product per facet: the sign of h says whether it sees the facet, and
+White's congruence on (x, y, h) whether its cap is empty, with no det4
+and no lattice point enumerated.  In B to H, _six_by_caps rejects a
+candidate with a non-empty cap without a hull and counts the hull of
+each other candidate once, to cross-check the argument; G and H first
+reject a gluing whose caps hold a lattice point strictly inside, an
+extra interior point, by the level test on the same caps.  Only case A,
+whose five coplanar points have no caps, counts its hulls directly.  No
+runner reads a hull's interior points: a gluing names its case G or H by
+whether its two interior points coincide.
 
 The G/H gluing examines 24,576 vertex matchings of subtetrahedra.  A
 matching glues when an integral unimodular map realizes it, which is
@@ -73,9 +78,11 @@ from .exactlinalg import (
     IntVec3,
     check_point,
     det4,
+    dot,
     edge_form,
+    sub,
 )
-from .polytope import PointConfig, _has_interior_point, size
+from .polytope import PointConfig, size
 from .invariants import (
     C21,
     C31,
@@ -87,7 +94,7 @@ from .invariants import (
     width,
 )
 from .equivalence import _normal_form, _witnesses, canonical_key
-from .emptytetra import _is_empty
+from .emptytetra import _facet_frame, _framed_empty, _framed_has_interior_point
 from .size5 import admissible_apex_31, catalog41
 from .omcatalog import chirotope, chirotope_orbit
 from .tablesdata import ClassRow, load_tables
@@ -250,54 +257,77 @@ class _Funnel:
         return _finish(self.case, self.examined, self.rejected, firsts, notes)
 
 
-def _all_empty(points: Sequence[IntVec3], quads) -> bool:
-    """Whether every tetrahedron of quads (1-based labels into points, as
-    in the tables) holds no lattice point besides its vertices."""
-    return all(_is_empty([points[i - 1] for i in quad]) for quad in quads)
-
-
 def _cross_check(six: bool, site: str, at: str = "") -> bool:
     """six, once it agrees with the size argument at that site.
 
     six says whether the hull has exactly six lattice points, counted
-    after the size argument found every cap (_caps) empty (_all_empty),
-    so it must hold.  Raises ClassificationError "<site> triangulation
-    check failed<at>" when it does not.
+    after the size argument found every cap (_caps) empty, so it must
+    hold.  Raises ClassificationError "<site> triangulation check
+    failed<at>" when it does not.
     """
     if not six:
         raise ClassificationError(f"{site} triangulation check failed{at}")
     return six
 
 
-def _caps(points: Sequence[IntVec3], facets, new: int) -> Tuple[Tuple[int, ...], ...]:
-    """The label quadruples of the cap tetrahedra of a one-point extension.
+#: A cap of _caps: its label quadruple and the new point's coordinates
+#: (x, y, h) in the frame of its facet triangle.
+Cap = Tuple[Tuple[int, int, int, int], IntVec3]
+
+
+def _caps(points: Sequence[IntVec3], facets, new: int, frames: dict) -> Tuple[Cap, ...]:
+    """The cap tetrahedra of a one-point extension, each as (labels,
+    (x, y, h)).
 
     P is the polytope on the points other than p = points[new - 1] (1-based
-    labels, as _all_empty takes), and its lattice points are all among
+    labels, as in the tables), and its lattice points are all among
     them.  facets covers the boundary of P that p can see, as label
     quadruples (a, b, c, ref): an empty triangle abc on a facet of P, and
     a label ref of P off that facet's plane, so strictly on P's side of
-    it.  p strictly sees abc when det4(a, b, c, p) and det4(a, b, c, ref)
-    have opposite signs.  Then conv(P + p) is P plus the caps
-    conv(abc + p) over the triangles p strictly sees, so the hull has no
-    further lattice point exactly when each cap is empty (_all_empty): the
-    caps are the size argument of _six_by_caps.
+    it.  Each facet is read in its unimodular frame (_facet_frame), built
+    on the facet's first use and kept in frames, the caller's dict for
+    one runner call, with the ref's height; ClassificationError when abc
+    is not a unimodular triangle.  p maps to (x, y, h) in that frame, and
+    p strictly sees abc when h and the ref's height have opposite signs.
+    Then conv(P + p) is P plus the caps conv(abc + p) over the triangles p
+    strictly sees, each unimodularly equivalent to conv(0, e1, e2,
+    (x, y, h)).  So the hull has no further lattice point exactly when
+    each cap is empty (_framed_empty): the caps are the size argument of
+    _six_by_caps.
     """
-    p = points[new - 1]
+    px, py, pz = points[new - 1]
     caps = []
-    for a, b, c, ref in facets:
-        corners = (points[a - 1], points[b - 1], points[c - 1])
-        if det4(*corners, p) * det4(*corners, points[ref - 1]) < 0:
-            caps.append((a, b, c, new))
+    for facet in facets:
+        i, j, k, r = facet
+        key = (points[i - 1], points[j - 1], points[k - 1], points[r - 1])
+        frame = frames.get(key)
+        if frame is None:
+            frame = frames[key] = _cap_frame(*key, facet)
+        (ax, ay, az), (x0, x1, x2), (y0, y1, y2), (h0, h1, h2), side = frame
+        dx, dy, dz = px - ax, py - ay, pz - az
+        h = h0 * dx + h1 * dy + h2 * dz
+        if h * side < 0:
+            caps.append(((i, j, k, new),
+                         (x0 * dx + x1 * dy + x2 * dz, y0 * dx + y1 * dy + y2 * dz, h)))
     return tuple(caps)
 
 
-def _six_by_caps(cfg: PointConfig, facets, new: int, site: str, at: str = "") -> bool:
-    """Whether the hull of cfg, a one-point extension as _caps takes it, has
-    exactly six lattice points, decided by the cap rule: False, with no
-    hull, when some cap is not empty; else the hull is counted once and
-    must have six points (_cross_check).  Cases B to H decide size here."""
-    if not _all_empty(cfg.points, _caps(cfg.points, facets, new)):
+def _cap_frame(a, b, c, ref, facet):
+    """a, the rows of the frame of the facet triangle abc, and the height
+    of ref in it; ClassificationError unless abc is a unimodular triangle."""
+    frame = _facet_frame(a, b, c)
+    if frame is None:
+        raise ClassificationError(f"facet triangle {facet[:3]} is not unimodular")
+    return (a, *frame, dot(frame[2], sub(ref, a)))
+
+
+def _six_by_caps(cfg: PointConfig, caps: Sequence[Cap], site: str, at: str = "") -> bool:
+    """Whether the hull of cfg, a one-point extension with the given _caps,
+    has exactly six lattice points, decided by the cap rule: False, with
+    no hull, when some cap is not empty (_framed_empty); else the hull is
+    counted once and must have six points (_cross_check).  Cases B to H
+    decide size here."""
+    if not all(_framed_empty(*xyh) for _, xyh in caps):
         return False
     return _cross_check(size(cfg) == 6, site, at)
 
@@ -477,6 +507,7 @@ def run_case_b() -> CaseReport:
     funnel = _Funnel("B")
     notes = []
     ids = {}
+    frames = {}
     for tag, p5, h6, region, filters, extra_points, printed in _B_SUBCASES:
         raw = 0
         for a, b in _scan_box():
@@ -490,7 +521,8 @@ def run_case_b() -> CaseReport:
                 funnel.reject(reason)
                 continue
             cfg = PointConfig(_B_BASE + [p5, (a, b, h6)])
-            if not _six_by_caps(cfg, _PYRAMID31_FACETS[5], 6, f"B.{tag}", f" at {(a, b)}"):
+            caps = _caps(cfg.points, _PYRAMID31_FACETS[5], 6, frames)
+            if not _six_by_caps(cfg, caps, f"B.{tag}", f" at {(a, b)}"):
                 if extra_points is None:
                     raise ClassificationError(f"B.{tag} candidate {(a, b)} has extra points")
                 funnel.reject(extra_points)
@@ -528,15 +560,16 @@ def run_case_c() -> CaseReport:
     counted and must have six points.
     """
     funnel = _Funnel("C")
+    frames = {}
 
     # p5 along an edge: p6 = 2 p5 - p2 or 2 p5 - p1, p5 at height 1 or 3
-    facets = _PYRAMID31_FACETS[5]
     for p5, p6 in (((0, 0, 1), (-1, 0, 2)), ((1, 2, 3), (1, 4, 6)),
                    ((0, 0, 1), (0, 0, 2)), ((1, 2, 3), (2, 4, 6))):
         funnel.examined += 1
         cfg = PointConfig(_B_BASE + [p5, p6])
-        if not _six_by_caps(cfg, facets, 6, "C edge", f" at {p6}"):
-            full = next(t for t in _caps(cfg.points, facets, 6) if not _all_empty(cfg.points, (t,)))
+        caps = _caps(cfg.points, _PYRAMID31_FACETS[5], 6, frames)
+        if not _six_by_caps(cfg, caps, "C edge", f" at {p6}"):
+            full = next(labels for labels, xyh in caps if not _framed_empty(*xyh))
             funnel.reject(f"T{''.join(map(str, full))} is not empty")
             continue
         funnel.accepted.append(cfg)
@@ -548,7 +581,8 @@ def run_case_c() -> CaseReport:
         if abs(det4(p1, p2, p3, p5)) not in (1, 3):
             funnel.reject("subtetrahedron p1p2p3p5 volume is not 1 or 3")
             continue
-        if not _six_by_caps(cfg, _EMBEDDED41_FACETS, 4, "C interior"):
+        caps = _caps(cfg.points, _EMBEDDED41_FACETS, 4, frames)
+        if not _six_by_caps(cfg, caps, "C interior"):
             funnel.reject("a triangulation tetrahedron is not empty")
             continue
         funnel.accepted.append(cfg)
@@ -558,7 +592,8 @@ def run_case_c() -> CaseReport:
     for a, b in itertools.product(range(1, SCAN_BOUND + 1), repeat=2):
         funnel.examined += 1
         cfg = PointConfig(_B_BASE + [(a, b, 1), (1, 2, 3)])
-        if not _six_by_caps(cfg, _PYRAMID31_FACETS[6], 5, "C vertices"):
+        caps = _caps(cfg.points, _PYRAMID31_FACETS[6], 5, frames)
+        if not _six_by_caps(cfg, caps, "C vertices"):
             funnel.reject("extra lattice points in the convex hull")
             continue
         survivors.append((a, b))
@@ -592,6 +627,7 @@ def run_case_d() -> CaseReport:
     """
     funnel = _Funnel("D")
     survivors = []
+    frames = {}
     for a, b in _scan_box():
         funnel.examined += 1
         if not (1 <= a <= b and (a < 2 or b < a + 2)):
@@ -603,7 +639,8 @@ def run_case_d() -> CaseReport:
                 raise ClassificationError(f"D candidate {(a, b)} should be width one")
             funnel.reject("width one (functional x+z)")
             continue
-        if not _six_by_caps(cfg, _D_FACETS, 6, "D", f" at {(a, b)}"):
+        caps = _caps(cfg.points, _D_FACETS, 6, frames)
+        if not _six_by_caps(cfg, caps, "D", f" at {(a, b)}"):
             funnel.reject("extra lattice points in the convex hull")
             continue
         survivors.append((a, b))
@@ -634,8 +671,10 @@ def run_case_e() -> CaseReport:
     the hull (_six_by_caps).
     """
     funnel = _Funnel("E")
+    frames = {}
     for cfg in _embeddings41("5.5", (-1, 1, 1), funnel):
-        if not _six_by_caps(cfg, _EMBEDDED41_FACETS, 4, "E"):
+        caps = _caps(cfg.points, _EMBEDDED41_FACETS, 4, frames)
+        if not _six_by_caps(cfg, caps, "E"):
             funnel.reject("tetrahedron p2p3p4p6 is not empty")
             continue
         funnel.accepted.append(cfg)
@@ -662,6 +701,7 @@ def run_case_f() -> CaseReport:
     """
     funnel = _Funnel("F")
     groups: Dict[str, List[PointConfig]] = {"4.21": [], "4.22": [], "4.11": []}
+    frames = {}
     for cls5 in catalog41():
         pts = cls5.representative.points
         for i, j in itertools.permutations(range(5), 2):
@@ -673,7 +713,8 @@ def run_case_f() -> CaseReport:
                 continue
             cfg = PointConfig._of_checked(pts + (check_point(r3),))
             group = "4.21" if i == 0 else ("4.22" if j == 0 else "4.11")
-            if not _six_by_caps(cfg, _BASE41_FACETS, 6, "F", f" in group {group}"):
+            caps = _caps(cfg.points, _BASE41_FACETS, 6, frames)
+            if not _six_by_caps(cfg, caps, "F", f" in group {group}"):
                 funnel.reject("extra lattice points in the convex hull")
                 continue
             circs = circuits(cfg)
@@ -723,8 +764,9 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
     3,732 hits among the 24,576 matchings are visited, in enumeration
     order.  No map is solved: a hit's map sends the source's interior
     point to the target's first point, and its left-out vertex to the
-    _barycentric_image of that vertex's numerators over the target.  The
-    union is six points; coinciding interior points give one interior
+    _barycentric_image of that vertex's numerators over the target,
+    whose |volume| is filed with it and checked against the source's.
+    The union is six points; coinciding interior points give one interior
     point (case G), otherwise two (case H), and the gluing names its case
     so.  A gluing is accepted when its hull has six lattice points; the
     configuration is the target base plus one point, so its caps are
@@ -767,9 +809,9 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
     orders = list(itertools.permutations(range(4)))
     # per base polytope: its subtetrahedra (left-out vertex's barycentric
     # numerators and their denominator, edge form, the points in base
-    # order), and its ordered ones by edge form.  With v the affine
-    # dependence volume_vector5 of the base, the left-out vertex is
-    # sum_k (-v_k / v_ex) p_k over the others.
+    # order), and its ordered ones by edge form, each with its |volume|.
+    # With v the affine dependence volume_vector5 of the base, the
+    # left-out vertex is sum_k (-v_k / v_ex) p_k over the others.
     sources, targets = [], []
     for pts, base in zip(reps, bases):
         v = volume_vector5(base)
@@ -779,18 +821,18 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
             subs.append(([-v[k] for k in range(5) if k != ex], v[ex], edge_form(tet), tet))
             for sigma in orders:
                 dst = [tet[t] for t in sigma]
-                by_form.setdefault(edge_form(dst), []).append((ex, dst))
+                by_form.setdefault(edge_form(dst), []).append((ex, dst, abs(det4(*dst))))
         sources.append(subs)
         targets.append(by_form)
     funnel_g.examined = funnel_h.examined = (4 * len(reps)) ** 2 * len(orders)
     hits = 0
-    verdicts = {}
+    verdicts, frames = {}, {}
     for sb, subs in enumerate(sources):
         for si, (spts, by_form) in enumerate(zip(reps, targets)):
             for ex, (weights, vol, form_r, _) in enumerate(subs, 1):
-                for ex_s, dst in by_form.get(form_r, ()):
+                for ex_s, dst, dst_vol in by_form.get(form_r, ()):
                     hits += 1
-                    new_pt = _barycentric_image(weights, vol, dst)
+                    new_pt = _barycentric_image(weights, vol, dst, dst_vol)
                     if new_pt in spts:
                         for funnel in funnels["shared"]:
                             funnel.reject("gluing yields fewer than six points")
@@ -799,7 +841,7 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
                     verdict = verdicts.get((si, new_pt, same))
                     if verdict is None:
                         cfg = PointConfig._of_checked(spts + (check_point(new_pt),))
-                        verdict = _glued_verdict(cfg, dst[0])
+                        verdict = _glued_verdict(cfg, dst[0], frames)
                         swap = _swap_key(sources, sb, ex, si, ex_s, dst)
                         for base, pt in ((si, new_pt), swap):
                             for g in autos[base]:
@@ -832,15 +874,17 @@ def _swap_key(sources, sb, ex, si, ex_s, dst) -> tuple:
     src = sources[sb][ex - 1][3]
     weights, vol, _, tet = sources[si][ex_s - 1]
     back = [src[dst.index(p)] for p in tet]
-    return sb, _barycentric_image(weights, vol, back)
+    return sb, _barycentric_image(weights, vol, back, abs(det4(*back)))
 
 
-def _barycentric_image(weights, vol: int, dst) -> IntVec3:
+def _barycentric_image(weights, vol: int, dst, dst_vol: int) -> IntVec3:
     """sum(weights[t] * dst[t]) / vol: the image of the point of barycentric
     numerators weights over a source tetrahedron of volume +-vol under the
-    affine map onto dst.  That map is unimodular and integral only if dst
-    has volume +-vol and the image is integral; else ClassificationError."""
-    if abs(det4(*dst)) != abs(vol):
+    affine map onto dst, whose |volume| the caller gives as dst_vol
+    (run_case_gh files it with each ordered subtetrahedron).  That map is
+    unimodular and integral only if dst_vol is |vol| and the image is
+    integral; else ClassificationError."""
+    if dst_vol != abs(vol):
         raise ClassificationError("glued subtetrahedra have different volumes")
     w0, w1, w2, w3 = weights
     (a0, a1, a2), (b0, b1, b2), (c0, c1, c2), (d0, d1, d2) = dst
@@ -852,24 +896,27 @@ def _barycentric_image(weights, vol: int, dst) -> IntVec3:
     return (x // vol, y // vol, z // vol)
 
 
-def _glued_verdict(cfg: PointConfig, glued_interior: IntVec3):
+def _glued_verdict(cfg: PointConfig, glued_interior: IntVec3, frames: dict):
     """(case, rejection reason or None) of one gluing: cfg is the target
-    base's five points followed by the new point, and glued_interior is
-    the point the source's interior point lands on.
+    base's five points followed by the new point, glued_interior is the
+    point the source's interior point lands on, and frames is run_case_gh's
+    dict of facet frames (_caps).
 
     case is "shared" for the rejections common to G and H.  The points
     contain a full-dimensional base, so some four of them are coplanar
     (some circuit has at most four points) exactly when one of the 15
     quadruple volumes is 0.  cfg is a (4,1) base plus one point, as in
     case F, so its hull is the base plus the caps over the base facets
-    the new point sees (_caps).  A lattice point strictly inside a cap
-    (_has_interior_point) is strictly inside the hull and is no point of
-    cfg (the cap's vertices are its corners, and the other two points
-    lie on the base's side of its facet), so it is an interior point
-    other than the base interior and the glued interior: the verdict is
-    "extra interior lattice point" with no hull.  Otherwise the gluing
-    names its case: G when the two interior points coincide, H when they
-    do not, and the cap rule decides its size (_six_by_caps).
+    the new point sees, computed once (_caps) with the new point's
+    coordinates (x, y, h) in each facet's frame.  A lattice point strictly
+    inside a cap (_framed_has_interior_point) is strictly inside the hull
+    and is no point of cfg (the cap's vertices are its corners, and the
+    other two points lie on the base's side of its facet), so it is an
+    interior point other than the base interior and the glued interior:
+    the verdict is "extra interior lattice point" with no hull.
+    Otherwise the gluing names its case: G when the two interior points
+    coincide, H when they do not, and the cap rule decides its size on
+    the same caps (_six_by_caps).
 
     Both interior points are interior lattice points of the hull, each
     strictly inside a base the hull contains; that the hull has no other
@@ -878,15 +925,14 @@ def _glued_verdict(cfg: PointConfig, glued_interior: IntVec3):
     """
     if 0 in cfg.volumes().values():
         return "shared", "coplanarity present"
-    pts = cfg.points
-    caps = _caps(pts, _BASE41_FACETS, 6)
-    if any(_has_interior_point(*(pts[i - 1] for i in cap)) for cap in caps):
+    caps = _caps(cfg.points, _BASE41_FACETS, 6, frames)
+    if any(_framed_has_interior_point(*xyh) for _, xyh in caps):
         return "shared", "extra interior lattice point"
-    if glued_interior == pts[0]:
+    if glued_interior == cfg.points[0]:
         case, reason = "G", "cut tetrahedron is not empty"
     else:
         case, reason = "H", "a triangulation tetrahedron is not empty"
-    return case, None if _six_by_caps(cfg, _BASE41_FACETS, 6, case) else reason
+    return case, None if _six_by_caps(cfg, caps, case) else reason
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,19 @@ vertices.  By White's theorem every empty tetrahedron is equivalent to
 T(p,q) = conv{(0,0,0), (1,0,0), (0,0,1), (p,q,1)} with q = its volume and
 gcd(p,q) = 1, and T(p,q) ~ T(p',q) iff p' = +-p^{+-1} (mod q).
 
-Emptiness is decided without point enumeration: a nondegenerate
-tetrahedron is empty iff some pair of opposite edges is primitive and
-admits an integer functional constant on each edge of the pair with the
-two values differing by 1 (then every lattice point lies on one of the
-two edges).
+Emptiness is decided without point enumeration, in the unimodular frame
+of a facet.  A lattice triangle abc is empty exactly when its normal
+n = (b - a) x (c - a) is primitive; then some integer t has n.t = 1, the
+matrix [b - a, c - a, t] has determinant 1, and its integer inverse U
+(_facet_frame) is an affine unimodular map that sends a, b, c to 0, e1, e2
+and a fourth point p to (x, y, h) = U (p - a), with h = n.(p - a) =
+det4(a, b, c, p).  By White ("Lattice tetrahedra", 1964), conv(0, e1, e2,
+(x, y, h)) with q = |h| > 0 is empty iff, modulo q, x = 1 with
+gcd(y, q) = 1, or y = 1 with gcd(x, q) = 1, or x + y = 0 with
+gcd(x, q) = 1 (_framed_empty); and a lattice point at height k lies
+strictly inside it iff (-k x) mod q and (-k y) mod q are both nonzero and
+their sum is below q - k (_framed_has_interior_point).  A tetrahedron
+whose first facet is not a unimodular triangle is not empty.
 
 The type is read off the row Hermite normal form of the edge matrix
 (columns v_i - v_0).  Every facet of an empty tetrahedron is a unimodular
@@ -27,37 +35,71 @@ from math import gcd
 from typing import Optional, Sequence, Tuple
 
 from .exactlinalg import (
+    IntVec3,
+    _adjugate,
+    _mat_vec,
+    _xgcd,
     check_point,
     cross,
-    det4,
-    dot,
     edge_form,
-    gcd_all,
-    is_primitive,
     sub,
 )
 
-_EDGE_PAIRS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
+#: A facet frame: the rows of the integer inverse U of [b - a, c - a, t].
+Frame = Tuple[IntVec3, IntVec3, IntVec3]
+
+
+def _facet_frame(a: IntVec3, b: IntVec3, c: IntVec3) -> Optional[Frame]:
+    """The unimodular frame U of the triangle abc, so that U (p - a) is
+    (x, y, h) with p = a + x (b - a) + y (c - a) + h t; None unless abc is
+    a unimodular triangle (n = (b - a) x (c - a) primitive).
+
+    t solves n.t = 1 by two extended gcds, so [b - a, c - a, t] has
+    determinant n.t = 1 and its adjugate is its inverse; the last row of
+    that inverse is n, so h = det4(a, b, c, p).
+    """
+    u, v = sub(b, a), sub(c, a)
+    n = cross(u, v)
+    g01, s0, s1 = _xgcd(n[0], n[1])
+    g, r01, r2 = _xgcd(g01, n[2])
+    if g != 1:
+        return None
+    return _adjugate(tuple(zip(u, v, (r01 * s0, r01 * s1, r2))))
+
+
+def _framed_empty(x: int, y: int, h: int) -> bool:
+    """Whether conv(0, e1, e2, (x, y, h)) is an empty tetrahedron: h != 0
+    and White's congruence modulo q = |h| holds (x = 1 with gcd(y, q) = 1,
+    y = 1 with gcd(x, q) = 1, or x + y = 0 with gcd(x, q) = 1)."""
+    q = abs(h)
+    if q == 0:
+        return False
+    return ((x - 1) % q == 0 and gcd(y, q) == 1
+            or (y - 1) % q == 0 and gcd(x, q) == 1
+            or (x + y) % q == 0 and gcd(x, q) == 1)
+
+
+def _framed_has_interior_point(x: int, y: int, h: int) -> bool:
+    """Whether a lattice point lies strictly inside conv(0, e1, e2,
+    (x, y, h)).  With q = |h|, the points at height k (1 <= k <= q - 2)
+    have barycentric coordinates (q - k - a - b, a, b, k) / q with
+    a = -k x and b = -k y modulo q, so the least positive choice is
+    strictly inside iff a and b are nonzero and a + b + k < q."""
+    q = abs(h)
+    for k in range(1, q - 1):
+        a, b = -k * x % q, -k * y % q
+        if a and b and a + b + k < q:
+            return True
+    return False
 
 
 def _is_empty(pts) -> bool:
     """is_empty_tetrahedron of four points that check_point has accepted:
-    nondegenerate, and some opposite-edge pair is primitive with a
-    width-1 functional."""
-    if det4(*pts) == 0:
-        return False
-    for (i, j), (k, l) in _EDGE_PAIRS:
-        e1 = sub(pts[j], pts[i])
-        e2 = sub(pts[l], pts[k])
-        if not (is_primitive(e1) and is_primitive(e2)):
-            continue
-        n = cross(e1, e2)
-        g = gcd_all(n)
-        if g == 0:
-            continue  # parallel edges: degenerate tetrahedron
-        if abs(dot(n, sub(pts[k], pts[i]))) == g:
-            return True
-    return False
+    the fourth point in the frame of the first three (_facet_frame) passes
+    White's congruence (_framed_empty).  A first facet that is not a
+    unimodular triangle, degenerate ones included, means not empty."""
+    frame = _facet_frame(pts[0], pts[1], pts[2])
+    return frame is not None and _framed_empty(*_mat_vec(frame, sub(pts[3], pts[0])))
 
 
 def is_empty_tetrahedron(points: Sequence[Sequence[int]]) -> bool:

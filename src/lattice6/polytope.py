@@ -14,8 +14,7 @@ plus its three far vertices.  So the cost is the hull's normalized volume
 plus the points found, whatever the size of the coordinates; the union
 is returned lexicographically sorted.  lattice_points, size and
 hull_summary (which adds the interior points and the vertices) are the
-entry points to that one enumeration; _has_interior_point walks the same
-cosets of one tetrahedron (_cosets) for a point strictly inside it.
+entry points to that one enumeration.
 Hull computations need affine rank 4 and raise NotFullDimensional
 otherwise.
 """
@@ -34,7 +33,6 @@ from .exactlinalg import (
     _adjugate,
     check_point,
     det3,
-    det4,
     hermite_normal_form,
     quad_volumes,
     sub,
@@ -231,27 +229,6 @@ def _tetrahedron_points(v0: IntVec3, a: IntVec3, b: IntVec3, c: IntVec3) -> List
                 z0 + (e20 * l0 + e21 * l1 + e22 * l2) // d,
             ))
     return points
-
-
-def _has_interior_point(v0: IntVec3, a: IntVec3, b: IntVec3, c: IntVec3) -> bool:
-    """Whether a lattice point lies strictly inside the tetrahedron
-    conv(v0, a, b, c): whether some coset of _cosets has all four
-    barycentric coordinates positive, lambda_i > 0 and sum(lambda) < D.
-
-    False at once when D < 4: a lattice point strictly inside cones the
-    tetrahedron into four lattice tetrahedra of normalized volume >= 1.
-    """
-    if abs(det4(v0, a, b, c)) < 4:
-        return False
-    d, _, adj, pivots = _cosets(v0, a, b, c)
-    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = adj
-    for r0, r1, r2 in itertools.product(*pivots):
-        l0 = (c00 * r0 + c01 * r1 + c02 * r2) % d
-        l1 = (c10 * r0 + c11 * r1 + c12 * r2) % d
-        l2 = (c20 * r0 + c21 * r1 + c22 * r2) % d
-        if l0 and l1 and l2 and l0 + l1 + l2 < d:
-            return True
-    return False
 
 
 def _hull_points(

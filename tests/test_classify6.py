@@ -19,7 +19,12 @@ from lattice6.classify6 import (
     identify,
     width1_family,
 )
-from lattice6.emptytetra import _is_empty
+from lattice6.emptytetra import (
+    _facet_frame,
+    _framed_empty,
+    _framed_has_interior_point,
+    _is_empty,
+)
 from lattice6.equivalence import _normal_form
 from lattice6.exactlinalg import (
     COORD_BOUND,
@@ -41,6 +46,7 @@ from lattice6.invariants import (
 from lattice6.omcatalog import chirotope, match_circuits
 from lattice6.polytope import PointConfig, hull_facets, hull_summary, lattice_points, size
 from lattice6.size5 import catalog41
+from emptytetra_oracles import is_empty_by_edges
 from omcatalog_oracles import match_om
 from table_checks import key_candidates, no_octahedron_check
 
@@ -154,7 +160,8 @@ def test_gluing_form_match_agrees_with_unimodular_map():
             assert (dst_form == form) == (m is not None), (src, dst)
             if m is not None:
                 hits += 1
-                assert classify6._barycentric_image(weights, det4(*src), dst) == m.apply(left_out)
+                image = classify6._barycentric_image(weights, det4(*src), dst, abs(det4(*dst)))
+                assert image == m.apply(left_out)
                 assert dst[0] == m.apply(interior)
     assert hits == 24576 - 20844 == 3732
 
@@ -169,7 +176,8 @@ def test_barycentric_image_places_the_midpoint():
     for order in ((0, 1, 2, 3), (1, 0, 2, 3)):  # volume 2, then -2
         src = [_SRC2[t] for t in order]
         weights = [det4(*src[:t], (1, 0, 0), *src[t + 1:]) for t in range(4)]
-        image = classify6._barycentric_image(weights, det4(*src), [dst[t] for t in order])
+        ordered = [dst[t] for t in order]
+        image = classify6._barycentric_image(weights, det4(*src), ordered, abs(det4(*ordered)))
         assert image == (0, 0, 1)
 
 
@@ -182,7 +190,17 @@ def test_barycentric_image_places_the_midpoint():
 ])
 def test_barycentric_image_is_checked(dst, message):
     with pytest.raises(classify6.ClassificationError, match=message):
-        classify6._barycentric_image([1, 1, 0, 0], 2, dst)
+        classify6._barycentric_image([1, 1, 0, 0], 2, dst, abs(det4(*dst)))
+
+
+def test_filed_volumes_are_checked(monkeypatch):
+    """The |volume| run_case_gh files with each ordered subtetrahedron is
+    compared with the source's on every hit: filed one too large, the
+    first hit raises."""
+    monkeypatch.setattr(classify6, "det4", lambda *points: det4(*points) + 1)
+    with pytest.raises(classify6.ClassificationError,
+                       match="^glued subtetrahedra have different volumes$"):
+        classify6.run_case_gh()
 
 
 @pytest.fixture(scope="module")
@@ -209,7 +227,7 @@ def literal_gh():
             ordered = [[tet[t] for t in sigma] for sigma in orders]
             per_ex.append((ex, [(dst, edge_form(dst)) for dst in ordered]))
         tetras.append(per_ex)
-    verdicts, first_hits = {}, {}
+    verdicts, first_hits, frames = {}, {}, {}
     for rb, (rpts, r_tetras) in enumerate(zip(reps, tetras)):
         for si, (spts, s_tetras) in enumerate(zip(reps, tetras)):
             for ex_r, r_ordered in r_tetras:
@@ -228,7 +246,7 @@ def literal_gh():
                         key = (si, new_pt, ex_s, m.apply(rpts[0]))
                         if key not in verdicts:
                             cfg = PointConfig(list(spts) + [new_pt])
-                            verdicts[key] = (*classify6._glued_verdict(cfg, key[3]), cfg)
+                            verdicts[key] = (*classify6._glued_verdict(cfg, key[3], frames), cfg)
                             first_hits[key] = (rb, ex_r, si, ex_s, dst, sub_r)
                         case, reason, cfg = verdicts[key]
                         if reason is None:
@@ -398,8 +416,7 @@ def hull_verdict(cfg, glued_interior):
         return "shared", "coplanarity present"
     lattice, inner, _ = hull_summary(cfg)
     six = len(lattice) == 6
-    caps = classify6._caps(cfg.points, classify6._BASE41_FACETS, 6)
-    assert classify6._all_empty(cfg.points, caps) == six, cfg
+    assert _cap_rule(cfg.points, classify6._BASE41_FACETS, 6)[1] == six, cfg
     inner = set(inner)
     if inner == {cfg.points[0]}:
         case, reason = "G", "cut tetrahedron is not empty"
@@ -419,23 +436,26 @@ def test_glued_verdict_matches_hull_oracle(monkeypatch, literal_gh):
     call, 286 of the 426 verdicts are decided by a cap with a lattice
     point strictly inside and 79 by coplanarity, with no hull and no
     emptiness test, and a hull is counted only for the 32 gluings it
-    accepts."""
+    accepts.  The caps of each of the 347 other verdicts are computed
+    once, for both the interior-point test and the cap rule."""
     assert len(literal_gh.verdicts) == 1532
     for key, (case, reason, cfg) in literal_gh.verdicts.items():
         assert (case, reason) == hull_verdict(cfg, key[3]), key
     verdict = classify6._glued_verdict
-    work = count_calls(monkeypatch, hull_facets, _is_empty)
+    work = count_calls(monkeypatch, hull_facets, _framed_empty, classify6._caps)
     made = []
 
-    def recorded(cfg, glued):
+    def recorded(cfg, glued, frames):
         before = dict(work)
-        got = verdict(cfg, glued)
-        made.append((got, work["hull_facets"] > before["hull_facets"], work == before))
+        got = verdict(cfg, glued, frames)
+        idle = all(work[k] == before[k] for k in ("hull_facets", "_framed_empty"))
+        made.append((got, work["hull_facets"] > before["hull_facets"], idle))
         return got
 
     monkeypatch.setattr(classify6, "_glued_verdict", recorded)
     classify6.run_case_gh()
     assert len(made) == 426
+    assert work["_caps"] == 426 - 79 == 347
     hulled = [got for got, hull, _ in made if hull]
     assert len(hulled) == 32 and all(reason is None for _, reason in hulled)
     assert sum(reason is None for (_, reason), _, _ in made) == 32
@@ -456,11 +476,20 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     count from 457 to 171 and then to 142), 426 gluing verdicts, 52
     circuit computations (no gluing
     verdict computes any: its size argument is the cap rule; case F checks
-    its one (2,1)-circuit on the circuits of its coplanarity test), 1,109
-    emptiness tests of tetrahedra (each site evaluates its size argument
-    once; C's one rejected edge candidate tests its cap again, to name
-    it), 129 normal forms (one per distinct point set in _dedupe, which
-    for G and H is one per class, whose key orders the witness check
+    its one (2,1)-circuit on the circuits of its coplanarity test), 1,156
+    cap computations (one per candidate that reaches the cap rule, and one
+    per gluing verdict that is not coplanar, shared by its interior-point
+    test and its cap rule) over 298 facet frames (each ordered facet
+    triangle once per runner call), 1,109 emptiness tests of caps by
+    White's congruence in the frame (_framed_empty; each site evaluates
+    its size argument once, and C's one rejected edge candidate tests its
+    caps again, to name the first that is not empty; the opposite-edge
+    _is_empty it replaced ran as often), 522 interior-point tests of caps
+    (_framed_has_interior_point), 15,152 det4 calls (15 per quad_volumes,
+    768 for the filed subtetrahedra of the gluing loop, 426 for the
+    reverse gluings and 128 for C's interior subtetrahedra; none in the
+    cap rule), 129 normal forms (one per distinct point set in _dedupe,
+    which for G and H is one per class, whose key orders the witness check
     reuses, and one per base for its symmetries; the rows' key orders come
     from _row_key_index), no catalog match (a class takes its oriented
     matroid from its row, and cases C and E test their embeddings by
@@ -479,11 +508,14 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     classify6._row_key_index()
     calls = count_calls(monkeypatch, unimodular_map, hull_facets, classify6._glued_verdict,
                         match_circuits, check_point, circuits, _normal_form, quad_volumes,
-                        _is_empty)
+                        classify6._caps, _facet_frame, _framed_empty,
+                        _framed_has_interior_point, det4)
     classify6.classify_all()
     assert calls == {"unimodular_map": 116, "hull_facets": 142, "_glued_verdict": 426,
                      "match_circuits": 0, "check_point": 3880, "circuits": 52,
-                     "_normal_form": 129, "quad_volumes": 922, "_is_empty": 1109}
+                     "_normal_form": 129, "quad_volumes": 922, "_caps": 1156,
+                     "_facet_frame": 298, "_framed_empty": 1109,
+                     "_framed_has_interior_point": 522, "det4": 15152}
 
 
 def test_finish_rejects_a_row_of_another_case(bundle):
@@ -634,10 +666,10 @@ def test_embedded41_caps_are_the_printed_triangulations():
         printed = sorted(map(sorted, PRINTED_TRIANGULATIONS[case]))
         funnel = classify6._Funnel(case)
         for cfg in classify6._embeddings41(cell, coeffs, funnel):
-            caps = classify6._caps(cfg.points, classify6._EMBEDDED41_FACETS, 4)
+            caps, kept = _cap_rule(cfg.points, classify6._EMBEDDED41_FACETS, 4)
             assert sorted(map(sorted, caps)) == printed, (case, cfg)
             six = size(cfg) == 6
-            assert classify6._all_empty(cfg.points, caps) == six, (case, cfg)
+            assert kept == six, (case, cfg)
             seen[case, six] += 1
         assert funnel.examined == 192 == 128 + sum(funnel.rejected.values()), case
     assert seen == {("C", True): 16, ("C", False): 112, ("E", True): 16, ("E", False): 112}
@@ -657,7 +689,7 @@ def test_glued_points_are_bound_checked(monkeypatch, accept_all):
     where its configuration is built before the verdict, also when the
     verdict would accept it."""
     far = (COORD_BOUND + 1, 0, 0)
-    monkeypatch.setattr(classify6, "_barycentric_image", lambda weights, vol, dst: far)
+    monkeypatch.setattr(classify6, "_barycentric_image", lambda weights, vol, dst, dst_vol: far)
     if accept_all:
         monkeypatch.setattr(classify6, "_glued_verdict", lambda *args: ("G", None))
     with pytest.raises(ValueError, match="exceeds bound"):
@@ -719,14 +751,16 @@ def test_cross_check_site_raises_on_disagreement(monkeypatch, site):
 def test_case_b_11_hull_with_extra_points_raises(monkeypatch):
     """Subcase (1,1) has no rejection for extra lattice points: its region
     leaves none, so a non-empty cap there is an error, not a rejection.
-    Every cap of its first candidate, p6 = (0, 0, -1), is made non-empty."""
-    monkeypatch.setattr(classify6, "_is_empty", lambda points: (0, 0, -1) not in points)
+    Every cap is made non-empty, so its first candidate, p6 = (0, 0, -1),
+    raises."""
+    monkeypatch.setattr(classify6, "_framed_empty", lambda x, y, h: False)
     with pytest.raises(classify6.ClassificationError,
                        match=re.escape("B.i candidate (0, 0) has extra points")):
         classify6.run_case_b()
 
 
-#: The error of each runner when every emptiness test is inverted.  A cap
+#: The error of each runner when every emptiness test of a cap (White's
+#: congruence in its facet's frame, _framed_empty) is inverted.  A cap
 #: that is empty is then rejected before any hull is counted, so B and D,
 #: whose first caps are empty, end in their own checks; the others reach
 #: a cross-check with a non-empty cap first.
@@ -742,20 +776,32 @@ INVERTED_EMPTINESS = {
 
 @pytest.mark.parametrize("runner", sorted(INVERTED_EMPTINESS))
 def test_inverted_emptiness_fails_the_cross_checks(monkeypatch, runner):
-    def inverted(points):
-        return not _is_empty(points)
+    def inverted(x, y, h):
+        return not _framed_empty(x, y, h)
 
-    monkeypatch.setattr(classify6, "_is_empty", inverted)
+    monkeypatch.setattr(classify6, "_framed_empty", inverted)
     with pytest.raises(classify6.ClassificationError) as err:
         getattr(classify6, runner)()
     assert str(err.value) == INVERTED_EMPTINESS[runner]
 
 
 def _cap_rule(points, facets, new):
-    """The caps classify6._caps lists when all of them are empty, else
-    None: what the cap rule keeps."""
-    caps = classify6._caps(points, facets, new)
-    return caps if classify6._all_empty(points, caps) else None
+    """classify6._caps on fresh frames, as the caps' label quadruples and
+    whether the cap rule finds every cap empty.  Each cap's frame
+    coordinates (x, y, h) are checked against its points: h is the cap's
+    det4, and White's congruence says what the opposite-edge oracle says."""
+    caps = classify6._caps(points, facets, new, {})
+    for labels, (x, y, h) in caps:
+        quad = [points[i - 1] for i in labels]
+        assert h == det4(*quad), labels
+        assert _framed_empty(x, y, h) == is_empty_by_edges(quad), labels
+    return tuple(labels for labels, _ in caps), all(_framed_empty(*xyh) for _, xyh in caps)
+
+
+def _all_empty(points, quads):
+    """Whether every tetrahedron of quads (1-based labels into points) holds
+    no lattice point besides its vertices."""
+    return all(_is_empty([points[i - 1] for i in quad]) for quad in quads)
 
 
 def _value(plane, p):
@@ -882,6 +928,19 @@ def test_facet_table_check_rejects_a_bad_table(tampering):
         _check_facet_table(labelled, table)
 
 
+@pytest.mark.parametrize("runner", ["run_case_b", "run_case_c"])
+def test_non_unimodular_facet_triangle_raises(monkeypatch, runner):
+    """A facet table whose triangle is not unimodular has no frame: the
+    (3,1) pyramid's base triangle p2p3p4, listed whole instead of split
+    around p1, raises from the first runner that reads it."""
+    whole = {**classify6._PYRAMID31_FACETS,
+             5: ((2, 3, 4, 5),) + classify6._PYRAMID31_FACETS[5][3:]}
+    monkeypatch.setattr(classify6, "_PYRAMID31_FACETS", whole)
+    with pytest.raises(classify6.ClassificationError,
+                       match=re.escape("facet triangle (2, 3, 4) is not unimodular")):
+        getattr(classify6, runner)()
+
+
 def test_cap_rule_matches_size_on_case_c():
     """On all 400 "both vertices" candidates the cap rule keeps exactly
     the hulls of six points: only (1, 1), whose one cap is T2356."""
@@ -889,9 +948,9 @@ def test_cap_rule_matches_size_on_case_c():
     for a in range(1, classify6.SCAN_BOUND + 1):
         for b in range(1, classify6.SCAN_BOUND + 1):
             points = tuple(classify6._B_BASE + [(a, b, 1), (1, 2, 3)])
-            caps = _cap_rule(points, classify6._PYRAMID31_FACETS[6], 5)
-            assert (caps is not None) == (size(PointConfig(points)) == 6), (a, b)
-            if caps is not None:
+            caps, six = _cap_rule(points, classify6._PYRAMID31_FACETS[6], 5)
+            assert six == (size(PointConfig(points)) == 6), (a, b)
+            if six:
                 kept.append(((a, b), caps))
     assert kept == [((1, 1), ((2, 3, 6, 5),))]
 
@@ -919,9 +978,8 @@ def test_case_b_caps_are_the_printed_triangulations():
             if not region(a, b) or not all(test(a, b) for test, _ in filters):
                 continue
             points = tuple(classify6._B_BASE + [p5, (a, b, h6)])
-            caps = classify6._caps(points, classify6._PYRAMID31_FACETS[5], 6)
+            caps, six = _cap_rule(points, classify6._PYRAMID31_FACETS[5], 6)
             assert caps[:3] == base_split, (tag, a, b)
-            six = classify6._all_empty(points, caps)
             assert six == (size(PointConfig(points)) == 6), (tag, a, b)
             seen, kept = seen + 1, kept + six
             if (tag, a, b) in B_PRINTED_TETRAS:
@@ -947,9 +1005,8 @@ def test_case_c_edge_caps_are_the_printed_tetrahedra():
     kept = []
     for p5, p6, printed in C_EDGE_PRINTED:
         points = tuple(classify6._B_BASE + [p5, p6])
-        caps = classify6._caps(points, classify6._PYRAMID31_FACETS[5], 6)
+        caps, six = _cap_rule(points, classify6._PYRAMID31_FACETS[5], 6)
         assert sorted(map(sorted, caps)) == sorted(map(sorted, printed)), p6
-        six = classify6._all_empty(points, caps)
         assert six == (size(PointConfig(points)) == 6), p6
         kept += [p6] if six else []
     assert kept == [(-1, 0, 2), (0, 0, 2), (2, 4, 6)]
@@ -965,9 +1022,9 @@ def test_cap_rule_matches_size_on_case_d():
             continue
         seen += 1
         points = tuple(classify6._D_BASE + [(0, 0, 1), (a, b, -1)])
-        caps = _cap_rule(points, classify6._D_FACETS, 6)
-        assert (caps is not None) == (size(PointConfig(points)) == 6), (a, b)
-        kept += [(a, b)] if caps is not None else []
+        _, six = _cap_rule(points, classify6._D_FACETS, 6)
+        assert six == (size(PointConfig(points)) == 6), (a, b)
+        kept += [(a, b)] if six else []
     assert seen == 35 and kept == [(3, 3), (3, 4), (4, 5)]
 
 
@@ -994,9 +1051,9 @@ def test_cap_rule_matches_size_on_case_f():
         for i, j in permutations(range(5), 2):
             r3 = tuple(2 * pts[j][t] - pts[i][t] for t in range(3))
             points = pts + (r3,)
-            caps = _cap_rule(points, facets, 6)
-            assert (caps is not None) == (size(PointConfig(points)) == 6), points
-            if caps is not None:
+            caps, six = _cap_rule(points, facets, 6)
+            assert six == (size(PointConfig(points)) == 6), points
+            if six:
                 kept += 1
                 assert sorted(map(sorted, caps)) == sorted(map(sorted, _f_group_triangulation(i, j)))
     assert kept == 49
@@ -1021,9 +1078,9 @@ def test_cap_rule_matches_size_on_base_extensions():
                 continue
             points = pts + (p,)
             on_plane += any(det4(*(pts[k - 1] for k in tri[:3]), p) == 0 for tri in facets)
-            caps = _cap_rule(points, facets, 6)
-            assert (caps is not None) == (size(PointConfig(points)) == 6), points
-            kept += caps is not None
+            _, six = _cap_rule(points, facets, 6)
+            assert six == (size(PointConfig(points)) == 6), points
+            kept += six
     assert kept > 0 and on_plane >= 8 * 4 * 7
 
 
@@ -1080,10 +1137,10 @@ def test_gh_cap_rule_matches_printed_triangulations(literal_gh):
         if case == "shared":
             continue
         printed = _gh_printed_triangulation(cfg, case, ex_s, glued)
-        caps = classify6._caps(cfg.points, classify6._BASE41_FACETS, 6)
+        caps, kept = _cap_rule(cfg.points, classify6._BASE41_FACETS, 6)
         six = size(cfg) == 6
-        assert classify6._all_empty(cfg.points, printed) == six, (case, cfg)
-        assert classify6._all_empty(cfg.points, caps) == six, (case, cfg)
+        assert _all_empty(cfg.points, printed) == six, (case, cfg)
+        assert kept == six, (case, cfg)
         assert (reason is None) == six
         if case == "G":
             assert (set(printed[0]) in map(set, caps)) == (len(caps) == 1), cfg

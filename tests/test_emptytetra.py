@@ -1,17 +1,36 @@
-"""Empty tetrahedra: emptiness test, (p,q) types and their equivalence rule."""
+"""Empty tetrahedra: emptiness test, (p,q) types and their equivalence rule,
+and the frame kernels (_facet_frame, _framed_empty,
+_framed_has_interior_point) against the oracles they replaced."""
 
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_unimodular
-from emptytetra_oracles import standard_tetrahedron, type_orbit, types_equivalent, white_classes
-from lattice6.emptytetra import canonical_type, is_empty_tetrahedron, white_type
-from lattice6.exactlinalg import AffineMap, det4
+from emptytetra_oracles import (
+    has_interior_point,
+    is_empty_by_edges,
+    standard_tetrahedron,
+    type_orbit,
+    types_equivalent,
+    white_classes,
+)
+from lattice6.emptytetra import (
+    _facet_frame,
+    _framed_empty,
+    _framed_has_interior_point,
+    _is_empty,
+    canonical_type,
+    is_empty_tetrahedron,
+    white_type,
+)
+from lattice6.exactlinalg import AffineMap, _mat_vec, cross, det3, det4, sub
 from lattice6.polytope import PointConfig, lattice_points
+from test_polytope import _brute_force_has_interior_point
 
 UNIT = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
@@ -126,3 +145,96 @@ def test_white_type_far_coordinates():
     m = AffineMap(((1, -33, 58), (22, -725, 1291), (27, -835, 2407)), (100, 2000, 1000))
     assert m.det in (1, -1)
     assert white_type([m.apply(v) for v in standard_tetrahedron(2, 5)]) == (2, 5)
+
+
+def _framed(x, y, h):
+    return [(0, 0, 0), (1, 0, 0), (0, 1, 0), (x, y, h)]
+
+
+def test_framed_kernels_match_oracles_exhaustively():
+    """For every residue pair (x, y) modulo q <= 40 and both signs of h =
+    +-q, White's congruence says what the opposite-edge test says, and
+    the level test what the coset walk says, on conv(0, e1, e2, (x, y, h)).
+    On the shifted representatives in [-q, 2q)^2, images of those under
+    shears that fix the triangle 0, e1, e2, the congruence again matches
+    the opposite-edge test, and for q <= 12 the level test the coset
+    walk."""
+    counts = Counter()
+    for q in range(1, 41):
+        for x, y in itertools.product(range(q), repeat=2):
+            for h in (q, -q):
+                tet = _framed(x, y, h)
+                empty = _framed_empty(x, y, h)
+                inner = _framed_has_interior_point(x, y, h)
+                assert empty == is_empty_by_edges(tet), (x, y, h)
+                assert inner == has_interior_point(*tet), (x, y, h)
+                assert not (empty and inner)
+                counts[empty, inner] += 1
+        for x, y in itertools.product(range(-q, 2 * q), repeat=2):
+            tet = _framed(x, y, -q)
+            assert _framed_empty(x, y, -q) == is_empty_by_edges(tet), (x, y, q)
+            if q <= 12:
+                assert _framed_has_interior_point(x, y, -q) == has_interior_point(*tet), (x, y, q)
+    assert min(counts.values()) > 1000 and len(counts) == 3
+    assert not _framed_empty(1, 0, 0) and not _framed_has_interior_point(1, 1, 0)
+
+
+def test_level_test_matches_box_scan():
+    """The level test agrees with the bounding-box scan of
+    tests/test_polytope.py on every residue pair modulo q <= 7, and on
+    the shifted representatives in [-q, 2q)^2 for q <= 4."""
+    for q in range(1, 8):
+        span = range(-q, 2 * q) if q <= 4 else range(q)
+        for x, y in itertools.product(span, repeat=2):
+            expected = _brute_force_has_interior_point(_framed(x, y, q))
+            assert _framed_has_interior_point(x, y, q) == expected, (x, y, q)
+            assert _framed_has_interior_point(x, y, -q) == expected, (x, y, q)
+
+
+def test_frame_kernels_match_oracles_on_random_tetrahedra():
+    """Seeded random tetrahedra of a small box, degenerate ones and ones
+    whose first facet is not a unimodular triangle included: _is_empty,
+    which reads the fourth point in the frame of the first three, says
+    what the opposite-edge test says, and in every vertex rotation with a
+    frame, the frame's height is det4 and the level test says what the
+    coset walk says."""
+    rng = random.Random(33)
+    seen = Counter()
+    for _ in range(4000):
+        tet = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(4)]
+        empty = is_empty_by_edges(tet)
+        assert _is_empty(tet) == empty, tet
+        volume = det4(*tet)
+        inner = volume != 0 and has_interior_point(*tet)
+        for i in range(4):
+            rot = tet[i:] + tet[:i]
+            frame = _facet_frame(*rot[:3])
+            if frame is None:
+                seen["no frame"] += 1
+                continue
+            x, y, h = _mat_vec(frame, sub(rot[3], rot[0]))
+            assert h == det4(*rot), rot
+            assert _framed_empty(x, y, h) == empty, rot
+            assert _framed_has_interior_point(x, y, h) == inner, rot
+        seen["degenerate" if volume == 0 else ("empty" if empty else "not empty")] += 1
+        seen["inner"] += inner
+    assert min(seen.values()) > 100, seen
+
+
+def test_facet_frame_is_an_inverse():
+    """The frame U of a unimodular triangle abc is an integer matrix of
+    determinant 1 that sends b - a and c - a to e1 and e2; a triangle
+    that is not unimodular, collinear ones included, has none."""
+    rng = random.Random(34)
+    framed = 0
+    for _ in range(500):
+        a, b, c = (tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(3))
+        frame = _facet_frame(a, b, c)
+        if frame is None:
+            assert math.gcd(*cross(sub(b, a), sub(c, a))) != 1, (a, b, c)
+            continue
+        framed += 1
+        assert det3(*frame) == 1
+        assert _mat_vec(frame, sub(b, a)) == (1, 0, 0)
+        assert _mat_vec(frame, sub(c, a)) == (0, 1, 0)
+    assert 100 < framed < 500

@@ -11,8 +11,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import fraction_oracles
 from conftest import apply_map, count_calls, random_unimodular
+from emptytetra_oracles import has_interior_point
 from fraction_oracles import point_in_hull
-from lattice6.exactlinalg import cross, det4, dot, gcd_all, quad_volumes, sub
+from lattice6.emptytetra import _facet_frame, _framed_has_interior_point
+from lattice6.exactlinalg import _mat_vec, cross, det4, dot, gcd_all, quad_volumes, sub
 from lattice6 import polytope
 from lattice6.polytope import (
     NotFullDimensional,
@@ -401,6 +403,14 @@ def _brute_force_has_interior_point(tet):
         for q in itertools.product(*box))
 
 
+def _level_test(tet):
+    """_framed_has_interior_point of tet's fourth point in the frame of its
+    first three, or None when they are not a unimodular triangle."""
+    frame = _facet_frame(*tet[:3])
+    return None if frame is None else _framed_has_interior_point(
+        *_mat_vec(frame, sub(tet[3], tet[0])))
+
+
 _SMALL_TETRAHEDRA = st.lists(
     st.tuples(*[st.integers(-4, 4)] * 3), min_size=4, max_size=4, unique=True).filter(
     lambda tet: det4(*tet) != 0)
@@ -410,12 +420,16 @@ _SMALL_TETRAHEDRA = st.lists(
 @settings(max_examples=300, deadline=None)
 @example(tet=[(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3)])
 def test_has_interior_point_matches_box_scan(tet):
-    """_has_interior_point agrees with a scan of the bounding box, with each
-    vertex taken first.  The example has (1, 1, 1) in the relative interior
-    of a facet and no lattice point strictly inside."""
+    """The coset walk (emptytetra_oracles.has_interior_point) agrees with a
+    scan of the bounding box, with each vertex taken first, and so does
+    the level test in the frame of each first facet that is a unimodular
+    triangle.  The example has (1, 1, 1) in the relative interior of a
+    facet and no lattice point strictly inside."""
     expected = _brute_force_has_interior_point(tet)
     for i in range(4):
-        assert polytope._has_interior_point(*tet[i:], *tet[:i]) == expected
+        rot = tet[i:] + tet[:i]
+        assert has_interior_point(*rot) == expected
+        assert _level_test(rot) in (None, expected)
 
 
 @given(tet=_SMALL_TETRAHEDRA, seed=st.integers(0, 10**6))
@@ -429,11 +443,13 @@ def test_has_interior_point_is_unimodular_invariant(tet, seed):
     for _ in range(3):
         m = random_unimodular(rng, 10**6)
         image = [m.apply(p) for p in image]
-    assert polytope._has_interior_point(*image) == _brute_force_has_interior_point(tet)
+    expected = _brute_force_has_interior_point(tet)
+    assert has_interior_point(*image) == expected
+    assert _level_test(image) in (None, expected)
 
 
 def test_tetrahedra_of_volume_below_four_have_no_interior_point():
-    """The early exit of _has_interior_point: no tetrahedron of normalized
+    """The early exit of has_interior_point: no tetrahedron of normalized
     volume 1, 2 or 3 among 400 random small ones holds a lattice point
     strictly inside, by the box scan."""
     rng = random.Random(4)
@@ -453,5 +469,5 @@ def test_signature_41_bases_have_an_interior_point():
     bases = [cls5.representative.points for cls5 in catalog41()]
     assert sorted(abs(det4(*pts[1:])) for pts in bases) == [4, 5, 7, 11, 13, 17, 19, 20]
     for pts in bases:
-        assert polytope._has_interior_point(*pts[1:])
+        assert has_interior_point(*pts[1:])
         assert _brute_force_has_interior_point(pts[1:])

@@ -21,6 +21,9 @@ A case's candidates, rejections and survivors are kept in one record: in
 classify6.py, a Counter is constructed only inside the _Funnel class.
 A case decides "exactly six lattice points" by one size argument: in
 classify6.py, size and hull_summary are called only from HULL_COUNTERS.
+The cap rule reads each cap in its facet's unimodular frame: no function
+of CAP_PATH calls det4.  The tests that the frame kernels replaced are
+test oracles: no library module defines REPLACED_KERNELS.
 """
 
 import ast
@@ -383,3 +386,47 @@ def test_hull_count_outside_the_size_arguments_is_a_violation(tmp_path):
         "sample.py:6: calls size outside the size arguments",
         "sample.py:8: calls hull_summary outside the size arguments",
         "sample.py:8: calls size outside the size arguments"]
+
+
+#: The functions of classify6.py that decide caps: their seen, empty and
+#: interior-point tests read the new point in a facet frame, not det4.
+CAP_PATH = ("_caps", "_cap_frame", "_six_by_caps", "_glued_verdict")
+
+#: The names of the tests the frame kernels of emptytetra.py replaced,
+#: now oracles in tests/emptytetra_oracles.py.
+REPLACED_KERNELS = {"_EDGE_PAIRS", "_has_interior_point"}
+
+
+def _calls_inside(path, functions, callee):
+    """Calls of callee, as a bare name or an attribute, inside the
+    top-level functions of path named in functions."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    return [f"{path.name}:{node.lineno}: {fn.name} calls {callee}"
+            for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name in functions
+            for node in ast.walk(fn) if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == callee]
+
+
+def test_cap_path_computes_no_det4():
+    path = next(path for path in SOURCES if path.name == "classify6.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    defined = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    assert defined >= set(CAP_PATH)
+    found = _calls_inside(path, CAP_PATH, "det4")
+    assert not found, "\n".join(found)
+
+
+def test_det4_call_in_the_cap_path_is_a_violation(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("from . import exactlinalg\nfrom .exactlinalg import det4\n"
+                    "def _caps(p):\n    return det4(*p) * exactlinalg.det4(*p)\n"
+                    "def run_case_c(p):\n    return det4(*p)\n", encoding="utf-8")
+    assert _calls_inside(path, CAP_PATH, "det4") == ["sample.py:4: _caps calls det4",
+                                                     "sample.py:4: _caps calls det4"]
+
+
+def test_replaced_kernels_are_not_in_the_library():
+    found = [f"{path.name}:{stmt.lineno}: defines {name}"
+             for path in SOURCES for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+             for name in _defined_names(stmt) if name in REPLACED_KERNELS]
+    assert not found, "\n".join(found)
