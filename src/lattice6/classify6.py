@@ -589,9 +589,11 @@ def run_case_c() -> CaseReport:
 
     # both vertices: p6 = (1,2,3) at distance 3, p5 = (a,b,1) at distance 1
     survivors = []
+    base = tuple(map(check_point, _B_BASE))
+    p6 = check_point((1, 2, 3))
     for a, b in itertools.product(range(1, SCAN_BOUND + 1), repeat=2):
         funnel.examined += 1
-        cfg = PointConfig(_B_BASE + [(a, b, 1), (1, 2, 3)])
+        cfg = PointConfig._of_checked(base + (check_point((a, b, 1)), p6))
         caps = _caps(cfg.points, _PYRAMID31_FACETS[6], 5, frames)
         if not _six_by_caps(cfg, caps, "C vertices"):
             funnel.reject("extra lattice points in the convex hull")

@@ -19,6 +19,21 @@ the 24 orders of one quadruple permute the columns of one table, so a
 The orders that reach the key are the images of any one of them under
 the symmetries of the configuration, so the witnesses of an equivalence
 a -> b are the maps from a's first such order onto each of b's.
+
+A table is sorted only for the orders that can reach the least one.
+Under every order the quadruple's own points give the same four rows,
+(0,0,0), (V,0,0), (0,V,0) and (0,0,V).  Of two different sorted
+sequences of equal length, the one holding the least element of their
+multiset symmetric difference is lexicographically smaller, and adding
+the same rows to both leaves that difference as it was; so tables
+compare exactly as the sorted rows of the points off the quadruple do,
+and the vertex rows are written down, not computed.  The first such row of the least table is R*, the least over
+maximal quadruples and points off them of the point's three smallest
+numerators in ascending order; only an order that reads R* off one of
+those points can reach the least table.  Four points leave no point off
+the quadruple, and all 24 orders stay candidates.  The candidates keep
+the (quadruple, order) order of the full search, so the orders that
+reach the key come out in the same order.
 """
 
 from __future__ import annotations
@@ -45,6 +60,11 @@ Key = Tuple[Tuple[IntVec3, ...], Tuple[IntVec3, IntVec3, IntVec3]]
 _ORDERS = [(order, itemgetter(*order[1:])) for order in itertools.permutations(range(4))]
 
 
+def _table(last3, rows) -> Tuple[IntVec3, ...]:
+    """The sorted rows of one vertex order: one call per table built."""
+    return tuple(sorted(map(last3, rows)))
+
+
 def _normal_form(config: PointConfig) -> Tuple[Key, List[Tuple[int, ...]]]:
     """canonical_key of config and the ordered index quadruples reaching it."""
     pts = config.points
@@ -52,7 +72,7 @@ def _normal_form(config: PointConfig) -> Tuple[Key, List[Tuple[int, ...]]]:
     top = max(map(abs, vols.values()))
     if top == 0:
         raise NotFullDimensional("configuration spans no 3-dimensional volume")
-    tables = {}
+    quads = []
     for quad, vol in vols.items():
         if abs(vol) != top:
             continue
@@ -61,19 +81,29 @@ def _normal_form(config: PointConfig) -> Tuple[Key, List[Tuple[int, ...]]]:
         adj = _adjugate(e)
         if vol < 0:
             adj = tuple(tuple(-x for x in row) for row in adj)
-        coords = []
-        for p in pts:
-            l1, l2, l3 = _mat_vec(adj, sub(p, q0))
-            coords.append((top - l1 - l2 - l3, l1, l2, l3))
+        off = []  # the quadruple's own rows are the same under every order
+        for i, p in enumerate(pts):
+            if i not in quad:
+                l1, l2, l3 = _mat_vec(adj, sub(p, q0))
+                off.append((top - l1 - l2 - l3, l1, l2, l3))
+        quads.append((quad, off, [tuple(sorted(row)[:3]) for row in off]))
+    # R*, the least first row off the quadruple of any table; None for four points
+    first = min((low for _, _, lows in quads for low in lows), default=None)
+    tables = {}
+    for quad, off, lows in quads:
+        hits = [row for row, low in zip(off, lows) if low == first]
         for order, last3 in _ORDERS:
-            tables[tuple(quad[i] for i in order)] = tuple(sorted(map(last3, coords)))
+            if off and first not in map(last3, hits):
+                continue
+            tables[tuple(quad[i] for i in order)] = _table(last3, off)
     least = min(tables.values())
     forms = {
         order: edge_form([pts[i] for i in order])
         for order, table in tables.items() if table == least
     }
     h = min(forms.values())
-    return (least, h), [order for order, form in forms.items() if form == h]
+    table = tuple(sorted(least + ((0, 0, 0), (top, 0, 0), (0, top, 0), (0, 0, top))))
+    return (table, h), [order for order, form in forms.items() if form == h]
 
 
 def canonical_key(config: PointConfig) -> Key:

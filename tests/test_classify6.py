@@ -25,7 +25,7 @@ from lattice6.emptytetra import (
     _framed_has_interior_point,
     _is_empty,
 )
-from lattice6.equivalence import _normal_form
+from lattice6.equivalence import _normal_form, _table
 from lattice6.exactlinalg import (
     COORD_BOUND,
     AffineMap,
@@ -493,8 +493,12 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     reuses, and one per base for its symmetries; the rows' key orders come
     from _row_key_index), no catalog match (a class takes its oriented
     matroid from its row, and cases C and E test their embeddings by
-    chirotope), and 3,880 check_point calls: configurations built from
-    checked points check only the point they add, the triangulation
+    chirotope), 502 sorted barycentric tables in those normal forms (only
+    for the vertex orders that can reach the least table; the unpruned
+    search built 24 per maximal quadruple, 3,864), and 1,885 check_point
+    calls: configurations built from checked points check only the point
+    they add (C's "both vertices" scan checks its base and p6 once and
+    then one point per candidate), the triangulation
     checks test the emptiness of those points without checking them
     again, and the rows' configurations come from _row_key_index.
     quad_volumes runs 922 times, once per configuration whose volumes are
@@ -509,13 +513,13 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     calls = count_calls(monkeypatch, unimodular_map, hull_facets, classify6._glued_verdict,
                         match_circuits, check_point, circuits, _normal_form, quad_volumes,
                         classify6._caps, _facet_frame, _framed_empty,
-                        _framed_has_interior_point, det4)
+                        _framed_has_interior_point, det4, _table)
     classify6.classify_all()
     assert calls == {"unimodular_map": 116, "hull_facets": 142, "_glued_verdict": 426,
-                     "match_circuits": 0, "check_point": 3880, "circuits": 52,
+                     "match_circuits": 0, "check_point": 1885, "circuits": 52,
                      "_normal_form": 129, "quad_volumes": 922, "_caps": 1156,
                      "_facet_frame": 298, "_framed_empty": 1109,
-                     "_framed_has_interior_point": 522, "det4": 15152}
+                     "_framed_has_interior_point": 522, "det4": 15152, "_table": 502}
 
 
 def test_finish_rejects_a_row_of_another_case(bundle):

@@ -6,9 +6,10 @@ import random
 from hypothesis import given, settings, strategies as st
 
 import fraction_oracles
-from conftest import APEX31_BASE, apply_map, random_unimodular, shuffled
+from conftest import APEX31_BASE, apply_map, count_calls, random_unimodular, shuffled, sporadic5
 from emptytetra_oracles import standard_tetrahedron
-from lattice6.equivalence import _normal_form, canonical_key, equivalence_witness
+from equivalence_oracles import all_orders_normal_form
+from lattice6.equivalence import _normal_form, _table, canonical_key, equivalence_witness
 from lattice6.exactlinalg import det4, edge_form
 from lattice6.invariants import volume_vector5, volume_vector6
 from lattice6.polytope import PointConfig
@@ -307,17 +308,28 @@ def _full_search_normal_form(config):
 
 
 def test_canonical_key_matches_full_search(bundle):
-    """The pruned search (a Hermite form only for the orders whose table is
-    least) returns the full search's key and key orders on the rows,
-    relabeled unimodular images of them, random spanning sets of 6 to 8
-    points, inputs with many tied |volumes| and one whose key needs the
-    later of two tied quadruples."""
+    """The pruned search (a table only for the orders that can reach the
+    least first row off the quadruple, a Hermite form only for the orders
+    whose table is least) returns the unpruned search's key and key orders,
+    in the same order, and the full search's key and key orders, on the
+    rows, relabeled unimodular images of them, random spanning sets of 6
+    to 8 points, inputs with many tied |volumes|, one whose key needs the
+    later of two tied quadruples, and 4- and 5-point inputs.  The White
+    tetrahedra have no point off the quadruple, so all 24 orders stay
+    candidates.  Several orders, points or quadruples reach the least first
+    row of the 24-automorphism (4,1) base (one point, 24 orders), the (2,2)
+    size-5 row and the octahedron (several quadruples)."""
     rng = random.Random(13)
     rows = [row.config() for row in bundle.class_rows]
     inputs = rows + [_image(rng, c) for c in rows]
     for size, count in ((6, 120), (7, 20), (8, 10)):
         inputs += list(_spanning_sets(rng, count, size))
     inputs += HIGH_TIE + [SECOND_QUAD_WINS, COLLINEAR_FIRST, CUBE, LIFTED_CUBE]
+    tetrahedra = [PointConfig(standard_tetrahedron(p, q))
+                  for p, q in ((0, 1), (1, 2), (1, 3), (2, 5), (2, 7), (3, 8))]
+    size5 = [PointConfig(r["representative"]) for r in bundle.size5_rows
+             if "representative" in r]
+    inputs += tetrahedra + size5 + [_image(rng, c) for c in tetrahedra + size5]
     for c in HIGH_TIE:
         assert _abs_volumes(c)[-6] == _abs_volumes(c)[-1], c.points
     pts = SECOND_QUAD_WINS.points
@@ -325,6 +337,26 @@ def test_canonical_key_matches_full_search(bundle):
            if abs(det4(*(pts[i] for i in q))) == _abs_volumes(SECOND_QUAD_WINS)[-1]]
     assert len(top) == 2
     assert {tuple(sorted(order)) for order in _normal_form(SECOND_QUAD_WINS)[1]} == {top[1]}
+    assert len(_normal_form(catalog41()[0].representative)[1]) == 24
+    for c in (sporadic5((2, 2), 1), HIGH_TIE[0]):
+        assert len({frozenset(order) for order in _normal_form(c)[1]}) > 1, c.points
     for c in inputs:
         key, orders = _normal_form(c)
+        assert (key, orders) == all_orders_normal_form(c), c.points
         assert (key, sorted(orders)) == _full_search_normal_form(c), c.points
+
+
+def test_normal_form_tables_are_pinned(bundle, monkeypatch):
+    """_normal_form sorts a table only for the orders that can reach the
+    least one: 224 tables over the 76 rows, where the unpruned search
+    builds 24 per maximal quadruple, 2,160."""
+    rows = [row.config() for row in bundle.class_rows]
+    quads = 0
+    for c in rows:
+        vols = [abs(v) for v in c.volumes().values()]
+        quads += vols.count(max(vols))
+    assert 24 * quads == 2160
+    calls = count_calls(monkeypatch, _table)
+    for c in rows:
+        _normal_form(c)
+    assert calls == {"_table": 224}
