@@ -17,8 +17,18 @@ So the key is the least (table, H) over those quadruples.  The tables of
 the 24 orders of one quadruple permute the columns of one table, so a
 3x3 Hermite form is taken only for the orders whose table is least.
 The orders that reach the key are the images of any one of them under
-the symmetries of the configuration, so the witnesses of an equivalence
-a -> b are the maps from a's first such order onto each of b's.
+the symmetries of the configuration.
+
+The witness search needs only the table stage, _least_orders: the least
+table, the orders that read it and V.  Barycentric numerators are
+affine invariants, so every equivalence a -> b sends a's least-table
+orders onto b's, and the witnesses are among the affine maps from a's
+first least-table order onto each of b's.  A map between two orders
+whose Hermite forms differ is exactly one that is not integral
+unimodular, which unimodular_map rejects, and the point check rejects
+the maps that do not send a onto b.  So the witnesses, and the least of
+them, are those that the maps between key orders give, and
+equivalence_witness builds no Hermite form.
 
 A table is sorted only for the orders that can reach the least one.
 Under every order the quadruple's own points give the same four rows,
@@ -65,8 +75,9 @@ def _table(last3, rows) -> Tuple[IntVec3, ...]:
     return tuple(sorted(map(last3, rows)))
 
 
-def _normal_form(config: PointConfig) -> Tuple[Key, List[Tuple[int, ...]]]:
-    """canonical_key of config and the ordered index quadruples reaching it."""
+def _least_orders(config: PointConfig) -> Tuple[Tuple[IntVec3, ...], List[Tuple[int, ...]], int]:
+    """The least table of the rows off a maximal quadruple, the ordered
+    index quadruples that read it, and the maximal |volume| V."""
     pts = config.points
     vols = config.volumes()
     top = max(map(abs, vols.values()))
@@ -97,10 +108,14 @@ def _normal_form(config: PointConfig) -> Tuple[Key, List[Tuple[int, ...]]]:
                 continue
             tables[tuple(quad[i] for i in order)] = _table(last3, off)
     least = min(tables.values())
-    forms = {
-        order: edge_form([pts[i] for i in order])
-        for order, table in tables.items() if table == least
-    }
+    return least, [order for order, table in tables.items() if table == least], top
+
+
+def _normal_form(config: PointConfig) -> Tuple[Key, List[Tuple[int, ...]]]:
+    """canonical_key of config and the ordered index quadruples reaching it."""
+    least, orders, top = _least_orders(config)
+    pts = config.points
+    forms = {order: edge_form([pts[i] for i in order]) for order in orders}
     h = min(forms.values())
     table = tuple(sorted(least + ((0, 0, 0), (top, 0, 0), (0, top, 0), (0, 0, top))))
     return (table, h), [order for order, form in forms.items() if form == h]
@@ -121,16 +136,20 @@ def equivalence_witness(
 
     Returns None when the configurations are not equivalent.  The witness
     is the lexicographically first valid permutation; determinant -1 maps
-    count as equivalences.  Every witness sends a's first key order onto
-    one of b's, so one integer solve per key order of b lists them all.
-    Each map is checked to be unimodular and to send a onto b, so equal
-    keys alone never yield a witness.
+    count as equivalences.  Only the table part of the key is compared:
+    barycentric numerators are affine invariants, so every witness sends
+    a's first least-table order onto one of b's, and one integer solve
+    per least-table order of b lists them all.  No Hermite form is
+    needed, since a map between orders whose Hermite forms differ is not
+    integral unimodular and unimodular_map rejects it.  Each map is
+    checked to be unimodular and to send a onto b, so equal tables alone
+    never yield a witness.
     """
     if len(a) != len(b):
         return None
-    key_a, orders_a = _normal_form(a)
-    key_b, orders_b = _normal_form(b)
-    if key_a != key_b:
+    table_a, orders_a, top_a = _least_orders(a)
+    table_b, orders_b, top_b = _least_orders(b)
+    if (table_a, top_a) != (table_b, top_b):
         return None
     return min(_witnesses(a, orders_a[0], b, orders_b), key=itemgetter(0), default=None)
 

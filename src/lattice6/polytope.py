@@ -29,6 +29,7 @@ from types import MappingProxyType
 from typing import List, Mapping, Sequence, Tuple
 
 from .exactlinalg import (
+    COORD_BOUND,
     IntVec3,
     _adjugate,
     check_point,
@@ -39,7 +40,15 @@ from .exactlinalg import (
 )
 
 
-_INTEGER = re.compile(r"[+-]?[0-9]+")
+#: A signed decimal integer; the second group is its significant digits.
+_INTEGER = re.compile(r"([+-]?)0*([0-9]+)")
+#: The digits of COORD_BOUND; a token with more significant digits is out
+#: of bound.
+_BOUND_DIGITS = len(str(COORD_BOUND))
+#: A data line of three integer tokens of at most _BOUND_DIGITS digits,
+#: which int() reads directly; other lines take the split path.
+_POINT_LINE = re.compile(
+    r"\s*([+-]?[0-9]{1,%d})\s+([+-]?[0-9]{1,%d})\s+([+-]?[0-9]{1,%d})\s*" % ((_BOUND_DIGITS,) * 3))
 
 #: A facet plane (a, b, c, o): a x + b y + c z >= o on the hull.
 Plane = Tuple[int, int, int, int]
@@ -273,21 +282,39 @@ def parse_points(text: str) -> PointConfig:
     """Parse a points file: one 'x y z' triple per line.
 
     Blank lines and lines starting with '#' are ignored; coordinates are
-    signed decimal integers in ASCII digits ([+-]?[0-9]+).
+    signed decimal integers in ASCII digits ([+-]?[0-9]+) with
+    |coordinate| <= COORD_BOUND.  A data line is read by one match of
+    _POINT_LINE; only a line it rejects is split, to skip a comment or
+    name the fault.  A token with more significant digits than the bound
+    is rejected before int() reads it.
     """
     pts: List[IntVec3] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
+        m = _POINT_LINE.fullmatch(raw)
+        if m:
+            pts.append((int(m[1]), int(m[2]), int(m[3])))
+            continue
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected 3 coordinates, got {len(parts)}")
+        coords = []
         for part in parts:
-            if not _INTEGER.fullmatch(part):
+            m = _INTEGER.fullmatch(part)
+            if not m:
                 raise ValueError(f"line {lineno}: not a decimal integer: {part!r}")
-        pts.append(tuple(int(s) for s in parts))
-    return PointConfig(pts)
+            sign, digits = m.groups()
+            if len(digits) > _BOUND_DIGITS:
+                raise ValueError(f"line {lineno}: coordinate of {len(digits)} digits "
+                                 f"exceeds bound {COORD_BOUND}")
+            coords.append(int(sign + digits))
+        pts.append(tuple(coords))
+    if max(map(abs, itertools.chain.from_iterable(pts)), default=0) > COORD_BOUND:
+        for p in pts:
+            check_point(p)  # raises the bound error of the first coordinate out of bound
+    return PointConfig._of_checked(pts)
 
 
 def format_points(points: Sequence[Sequence[int]]) -> str:

@@ -324,6 +324,20 @@ def test_raw_point_entry_points_validate_coordinates(tmp_path, capsys, bad, erro
     assert parse_points(format_points(edge)) == PointConfig(edge)
 
 
+def test_huge_coordinate_is_a_bound_error(tmp_path, capsys):
+    """A coordinate of more than 4,300 digits, past int()'s limit on string
+    conversion, is the parser's bound error naming its line, on analyze
+    and on either side of equiv."""
+    huge = tmp_path / "huge.txt"
+    huge.write_text("0 0 0\n1 0 0\n0 1 0\n0 0 " + "7" * 4301 + "\n")
+    tet = write_config(tmp_path, "tet.txt", [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    for argv in (["analyze", str(huge)], ["equiv", str(huge), tet], ["equiv", tet, str(huge)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 4: coordinate of 4301 digits exceeds bound 10000\n"
+
+
 def test_analyze_missing_file(capsys):
     rc = main(["analyze", "/nonexistent/points.txt"])
     assert rc == 2
@@ -428,6 +442,37 @@ def test_equiv_inequivalent_exits_one(tmp_path, bundle, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "inequivalent" in out
+
+
+#: Row B.3 relabeled and moved by a unimodular map, as in the CI workflow.
+B3_IMAGE = [(5, 1, -2), (2, 1, 0), (0, -1, -1), (3, 1, -1), (3, 0, -1), (2, 0, -1)]
+#: Six points and their image under diag(1/2, 2, 1): equal tables and
+#: maximal |volume|, different Hermite forms (test_equivalence._halved).
+HALVED_PAIR = (
+    [(-2, -2, 2), (0, 2, -1), (0, 2, 1), (2, 0, 1), (2, 1, -2), (4, -1, 0)],
+    [(-1, -4, 2), (0, 4, -1), (0, 4, 1), (1, 0, 1), (1, 2, -2), (2, -2, 0)],
+)
+
+
+def test_equiv_work_is_pinned(tmp_path, bundle, capsys, monkeypatch):
+    """equiv compares least tables and builds no Hermite form: no
+    edge_form call, and one unimodular_map solve per least-table order of
+    the second input when the tables agree.  B.3 and an image of it: two
+    solves.  F.1 and F.3 share the least table off the quadruple but not
+    the maximal |volume|: no solve.  The halved pair shares both and
+    differs in the Hermite form: its one solve is not integral."""
+    calls = count_calls(monkeypatch, equivalence.edge_form, equivalence.unimodular_map)
+    cases = [
+        (bundle.class_by_id("B.3").config().points, B3_IMAGE, 0, 2),
+        (bundle.class_by_id("F.1").config().points, bundle.class_by_id("F.3").config().points, 1, 0),
+        (*HALVED_PAIR, 1, 1),
+    ]
+    for a, b, rc, solves in cases:
+        calls.update(edge_form=0, unimodular_map=0)
+        assert main(["equiv", write_config(tmp_path, "a.txt", a),
+                     write_config(tmp_path, "b.txt", b)]) == rc
+        capsys.readouterr()
+        assert calls == {"edge_form": 0, "unimodular_map": solves}, (a, b)
 
 
 def test_equiv_size_mismatch_is_usage_error(tmp_path, bundle, capsys):

@@ -9,7 +9,9 @@ import fraction_oracles
 from conftest import APEX31_BASE, apply_map, count_calls, random_unimodular, shuffled, sporadic5
 from emptytetra_oracles import standard_tetrahedron
 from equivalence_oracles import all_orders_normal_form
-from lattice6.equivalence import _normal_form, _table, canonical_key, equivalence_witness
+from lattice6.equivalence import (
+    _least_orders, _normal_form, _table, canonical_key, equivalence_witness,
+)
 from lattice6.exactlinalg import det4, edge_form
 from lattice6.invariants import volume_vector5, volume_vector6
 from lattice6.polytope import PointConfig
@@ -85,12 +87,12 @@ def test_random_images_are_equivalent(seed):
 
 
 def test_witness_is_checked_not_read_off_the_key(monkeypatch):
-    """With every key made equal, equivalence_witness still returns None
-    when the map between key orders is not unimodular or does not send a
-    onto b."""
+    """With every least table made equal, equivalence_witness still
+    returns None when the map between least-table orders is not
+    unimodular or does not send a onto b."""
     import lattice6.equivalence as equivalence
 
-    monkeypatch.setattr(equivalence, "_normal_form", lambda c: ((), [(0, 1, 2, 3)]))
+    monkeypatch.setattr(equivalence, "_least_orders", lambda c: ((), [(0, 1, 2, 3)], 1))
     tet = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert equivalence_witness(PointConfig(tet), PointConfig(tet[:3] + [(1, 1, 2)])) is None
     a = PointConfig(tet + [(1, 1, 1)])
@@ -191,6 +193,16 @@ LIFTED_CUBE = PointConfig(CUBE.points[:7] + ((1, 1, 2),))
 COLLINEAR_FIRST = PointConfig([(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 2)])
 
 
+#: Pairs of rows with the same least table off the quadruple,
+#: ((1,1,1), (2,2,2)), ((1,1,2), (2,2,4)) and ((1,2,3), (2,4,6)), and
+#: different maximal |volume|: inequivalent.
+SHARED_LEAST_TABLE = [("F.1", "F.3"), ("F.2", "F.5"), ("F.4", "F.6")]
+
+
+def _rows(bundle, id_pairs):
+    return [(bundle.class_by_id(x).config(), bundle.class_by_id(y).config()) for x, y in id_pairs]
+
+
 def _with_extra_points(rng, config, k):
     pts = list(config.points)
     while len(pts) < len(config) + k:
@@ -216,14 +228,17 @@ def test_key_equality_matches_witness_search(bundle):
     (the cube has 48 witnesses), table rows whose |volume| multisets
     agree, inputs with many tied maximal |volumes| (HIGH_TIE has six or
     more, SECOND_QUAD_WINS reaches its key only through the second of its
-    two; both are checked in test_canonical_key_matches_full_search) and
-    pairs with equal volume vectors."""
+    two; both are checked in test_canonical_key_matches_full_search),
+    pairs with equal volume vectors, and rows that share the least table
+    off the quadruple (SHARED_LEAST_TABLE).  The halved pairs, the White
+    tetrahedra T(1,5) and T(2,5) and the two APEX31_BASE inputs share the
+    key's table and differ in H, so equivalence_witness decides them by
+    unimodular_map alone."""
     rng = random.Random(5)
     rows = [row.config() for row in bundle.class_rows]
     pairs = [(c, _image(rng, c)) for c in rows]
     pairs += [(pairs[i][0], pairs[i + 1][1]) for i in range(0, len(pairs) - 1, 3)]
-    pairs += [(bundle.class_by_id(x).config(), bundle.class_by_id(y).config())
-              for x, y in (("G.5", "G.12"), ("G.6", "G.9"))]
+    pairs += _rows(bundle, [("G.5", "G.12"), ("G.6", "G.9")])
     example = PointConfig([(-2, -2, 2), (0, 2, -1), (0, 2, 1), (2, 0, 1), (2, 1, -2), (4, -1, 0)])
     halved = [(x, _halved(x)) for x in [example] + [_random_even_config(rng) for _ in range(40)]]
     halved += [(x, _image(rng, y)) for x, y in halved[:10]]
@@ -242,6 +257,7 @@ def test_key_equality_matches_witness_search(bundle):
     seven = [_with_extra_points(rng, c, 1) for c in (rows[3], rows[40], COLLINEAR_FIRST)]
     pairs += [(c, _image(rng, c)) for c in seven] + [(seven[0], seven[1])]
     pairs += [(CUBE, _image(rng, CUBE)), (CUBE, _image(rng, CUBE)), (CUBE, LIFTED_CUBE)]
+    pairs += _rows(bundle, SHARED_LEAST_TABLE)
     outcomes = set()
     for a, b in pairs:
         expected = fraction_oracles.equivalence_witness(a, b)
@@ -268,14 +284,22 @@ def test_witness_matches_per_permutation_search(seed, extra):
 
 def test_witness_matches_oracle_on_symmetric_and_degenerate_inputs(bundle):
     """Many valid permutations (a cube), an independent quadruple that is
-    not 0,1,2,3 (three collinear points first), and inequivalent pairs
-    that share the multiset of volumes."""
+    not 0,1,2,3 (three collinear points first), inequivalent pairs that
+    share the multiset of volumes, rows that share the least table off
+    the quadruple (SHARED_LEAST_TABLE), and an inequivalent pair that
+    shares the key's table and differs in H (a halved pair)."""
     rng = random.Random(3)
     pairs = [(CUBE, _image(rng, CUBE)), (COLLINEAR_FIRST, _image(rng, COLLINEAR_FIRST))]
-    pairs += [(bundle.class_by_id(x).config(), bundle.class_by_id(y).config())
-              for x, y in (("G.5", "G.12"), ("G.6", "G.9"))]
+    pairs += _rows(bundle, [("G.5", "G.12"), ("G.6", "G.9")])
+    pairs += _rows(bundle, SHARED_LEAST_TABLE)
+    example = PointConfig([(-2, -2, 2), (0, 2, -1), (0, 2, 1), (2, 0, 1), (2, 1, -2), (4, -1, 0)])
+    pairs.append((example, _halved(example)))
     for a, b in pairs:
         assert equivalence_witness(a, b) == fraction_oracles.equivalence_witness(a, b)
+    for a, b in _rows(bundle, SHARED_LEAST_TABLE) + pairs[-1:]:
+        assert equivalence_witness(a, b) is None
+        assert _least_orders(a)[0] == _least_orders(b)[0]
+        assert canonical_key(a) != canonical_key(b)
 
 
 def _spanning_sets(rng, count, size=6):

@@ -249,6 +249,43 @@ def test_parse_points_skips_comments_and_blanks():
     assert parse_points(text).points == UNIT.points
 
 
+@pytest.mark.parametrize("text", [
+    "0 0 0\r\n1 0 0\r\n0 1 0\r\n0 0 1\r\n",
+    "0 0 0\r1 0 0\r0 1 0\r0 0 1",
+    "\t0\t0 0\n1  0\t\t0 \n 0 1 0\n0 0 1\t\n",
+    "+0 -0 00\n+1 0 -000\n0 +01 0\n00000 0 0001\n",
+    "# unit\r\n\n0 0 0\n  # 1 2 3\n1 0 0\n \t\n0 1 0\r\n#\n0 0 1\n\n",
+    # the split path: a token of more than five digits with leading zeros
+    "0 0 0\n1 0 0\n0 000001 0\n0 0 " + "0" * 5000 + "1\n",
+])
+def test_parse_points_line_endings_signs_and_zeros(text):
+    """CRLF and lone CR line endings, tabs, '+' signs, leading zeros,
+    comment and blank lines all read as the unit tetrahedron, on the
+    one-regex path and on the split path."""
+    assert parse_points(text).points == UNIT.points
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0 0 0\n1 0\n", "line 2: expected 3 coordinates, got 2"),
+    ("0 0 0\n1 0 0\n0 x 0\n", "line 3: not a decimal integer: 'x'"),
+    ("0 0 0\n1 0 0\n0 1 0\n0 0 10001\n", "coordinate 10001 exceeds bound 10000"),
+    ("0 0 0\n1 0 0\n0 -010001 0\n0 0 1\n", "coordinate -10001 exceeds bound 10000"),
+    # the first line at fault is named, an out-of-bound point or not
+    ("0 0 10001\n1 0 0\n0 1\n", "line 3: expected 3 coordinates, got 2"),
+    # more significant digits than the bound: rejected before int() reads them
+    ("0 0 0\n1 0 0\n0 1 0\n0 0 123456\n", "line 4: coordinate of 6 digits exceeds bound 10000"),
+    ("0 0 0\n1 0 0\n0 1 0\n0 0 -" + "9" * 5000 + "\n",
+     "line 4: coordinate of 5000 digits exceeds bound 10000"),
+])
+def test_parse_points_error_messages(text, message):
+    """The messages name the line of a malformed line; a coordinate out of
+    bound is reported after the whole file is read, as PointConfig reports
+    it, unless it has more digits than the bound."""
+    with pytest.raises(ValueError) as exc:
+        parse_points(text)
+    assert str(exc.value) == message
+
+
 @given(seed=st.integers(0, 10**6))
 @settings(max_examples=40, deadline=None)
 def test_hull_data_is_unimodular_invariant(seed):
