@@ -19,16 +19,17 @@ the 24 orders of one quadruple permute the columns of one table, so a
 The orders that reach the key are the images of any one of them under
 the symmetries of the configuration.
 
-The witness search needs only the table stage, _least_orders: the least
-table, the orders that read it and V.  Barycentric numerators are
-affine invariants, so every equivalence a -> b sends a's least-table
-orders onto b's, and the witnesses are among the affine maps from a's
-first least-table order onto each of b's.  A map between two orders
-whose Hermite forms differ is exactly one that is not integral
-unimodular, which unimodular_map rejects, and the point check rejects
-the maps that do not send a onto b.  So the witnesses, and the least of
-them, are those that the maps between key orders give, and
-equivalence_witness builds no Hermite form.
+The witness search needs only V (_top_volume) and the table stage,
+_least_orders: the least table and the orders that read it.  V is
+compared first, so two configurations of different V build no table.
+Barycentric numerators are affine invariants, so every equivalence
+a -> b sends a's least-table orders onto b's, and the witnesses are
+among the affine maps from a's first least-table order onto each of
+b's.  A map between two orders whose Hermite forms differ is exactly
+one that is not integral unimodular, which unimodular_map rejects, and
+the point check rejects the maps that do not send a onto b.  So the
+witnesses, and the least of them, are those that the maps between key
+orders give, and equivalence_witness builds no Hermite form.
 
 A table is sorted only for the orders that can reach the least one.
 Under every order the quadruple's own points give the same four rows,
@@ -75,14 +76,19 @@ def _table(last3, rows) -> Tuple[IntVec3, ...]:
     return tuple(sorted(map(last3, rows)))
 
 
-def _least_orders(config: PointConfig) -> Tuple[Tuple[IntVec3, ...], List[Tuple[int, ...]], int]:
-    """The least table of the rows off a maximal quadruple, the ordered
-    index quadruples that read it, and the maximal |volume| V."""
-    pts = config.points
-    vols = config.volumes()
-    top = max(map(abs, vols.values()))
+def _top_volume(config: PointConfig) -> int:
+    """The maximal |volume| V of a quadruple of the configuration."""
+    top = max(map(abs, config.volumes().values()))
     if top == 0:
         raise NotFullDimensional("configuration spans no 3-dimensional volume")
+    return top
+
+
+def _least_orders(config: PointConfig, top: int) -> Tuple[Tuple[IntVec3, ...], List[Tuple[int, ...]]]:
+    """The least table of the rows off a quadruple of |volume| top, the
+    maximal one, and the ordered index quadruples that read it."""
+    pts = config.points
+    vols = config.volumes()
     quads = []
     for quad, vol in vols.items():
         if abs(vol) != top:
@@ -108,12 +114,13 @@ def _least_orders(config: PointConfig) -> Tuple[Tuple[IntVec3, ...], List[Tuple[
                 continue
             tables[tuple(quad[i] for i in order)] = _table(last3, off)
     least = min(tables.values())
-    return least, [order for order, table in tables.items() if table == least], top
+    return least, [order for order, table in tables.items() if table == least]
 
 
 def _normal_form(config: PointConfig) -> Tuple[Key, List[Tuple[int, ...]]]:
     """canonical_key of config and the ordered index quadruples reaching it."""
-    least, orders, top = _least_orders(config)
+    top = _top_volume(config)
+    least, orders = _least_orders(config, top)
     pts = config.points
     forms = {order: edge_form([pts[i] for i in order]) for order in orders}
     h = min(forms.values())
@@ -136,20 +143,23 @@ def equivalence_witness(
 
     Returns None when the configurations are not equivalent.  The witness
     is the lexicographically first valid permutation; determinant -1 maps
-    count as equivalences.  Only the table part of the key is compared:
-    barycentric numerators are affine invariants, so every witness sends
-    a's first least-table order onto one of b's, and one integer solve
-    per least-table order of b lists them all.  No Hermite form is
-    needed, since a map between orders whose Hermite forms differ is not
-    integral unimodular and unimodular_map rejects it.  Each map is
-    checked to be unimodular and to send a onto b, so equal tables alone
-    never yield a witness.
+    count as equivalences.  Only V and the table part of the key are
+    compared, V first and from the volumes alone: barycentric numerators
+    are affine invariants, so every witness sends a's first least-table
+    order onto one of b's, and one integer solve per least-table order of
+    b lists them all.  No Hermite form is needed, since a map between
+    orders whose Hermite forms differ is not integral unimodular and
+    unimodular_map rejects it.  Each map is checked to be unimodular and
+    to send a onto b, so equal tables alone never yield a witness.
     """
     if len(a) != len(b):
         return None
-    table_a, orders_a, top_a = _least_orders(a)
-    table_b, orders_b, top_b = _least_orders(b)
-    if (table_a, top_a) != (table_b, top_b):
+    top = _top_volume(a)
+    if _top_volume(b) != top:
+        return None
+    table_a, orders_a = _least_orders(a, top)
+    table_b, orders_b = _least_orders(b, top)
+    if table_a != table_b:
         return None
     return min(_witnesses(a, orders_a[0], b, orders_b), key=itemgetter(0), default=None)
 

@@ -18,8 +18,8 @@ volume of their tetrahedron normalized so that a unimodular simplex has
 volume 1.  det3, det4 and _mat_vec are closed-form expressions: the hot
 loops call them tens of thousands of times per classification.
 quad_volumes is the one loop of det4 over the index quadruples of a
-configuration; volume vectors, chirotopes, circuits, the width's base
-quadruple and the equivalence normal form all read it.
+configuration; hull facets, volume vectors, chirotopes, circuits, the
+width's base quadruple and the equivalence normal form all read it.
 """
 
 from __future__ import annotations

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence, Tuple
 
-from .exactlinalg import IntVec3, _adjugate, _mat_vec, dot, gcd_all, sub
+from .exactlinalg import IntVec3, _adjugate, _mat_vec, dot, gcd_all, hermite_normal_form, sub
 from .polytope import NotFullDimensional, PointConfig
 
 
@@ -75,6 +76,15 @@ class SignedCircuit:
         return (self.positive, self.negative)
 
 
+@lru_cache(maxsize=None)
+def _five_minors(n: int) -> Tuple[Tuple[Tuple[int, ...], Tuple[Tuple[int, int, int, int], ...]], ...]:
+    """Per 5-subset of range(n), in combinations order: the subset and the
+    volume keys of its five 4-subsets, the k-th without its k-th point;
+    built once per point count n."""
+    return tuple((five, tuple(five[:k] + five[k + 1:] for k in range(5)))
+                 for five in itertools.combinations(range(n), 5))
+
+
 def circuits(config: PointConfig) -> Tuple[SignedCircuit, ...]:
     """All circuits (minimal affine dependences) of the configuration.
 
@@ -84,22 +94,23 @@ def circuits(config: PointConfig) -> Tuple[SignedCircuit, ...]:
     rank 4, whose only affine dependence is, by Cramer's rule, its vector
     of signed minors (-1)^k det4(subset without its k-th point); the
     circuit is that vector's support and signs.  Cost: the C(n,4) det4
-    values of config.volumes() and C(n,5) sign vectors, integers only.
+    values of config.volumes(), read through _five_minors, and C(n,5)
+    sign vectors, integers only.
     """
-    pts = config.points
     dets = config.volumes()
     if not any(dets.values()):
         raise NotFullDimensional("circuits need a full-dimensional configuration")
     found = {}
-    for five in itertools.combinations(range(len(pts)), 5):
-        vec = [dets[five[:k] + five[k + 1:]] for k in range(5)]
-        vec[1], vec[3] = -vec[1], -vec[3]
-        support = tuple(i for i, v in zip(five, vec) if v)
+    for five, minors in _five_minors(len(config.points)):
+        w0, w1, w2, w3, w4 = map(dets.__getitem__, minors)
+        vec = (w0, -w1, w2, -w3, w4)
+        support = tuple(itertools.compress(five, vec))
         if not support or support in found:
             continue
-        lead = next(v for v in vec if v)
-        pos = tuple(i for i, v in zip(five, vec) if v * lead > 0)
-        neg = tuple(i for i, v in zip(five, vec) if v * lead < 0)
+        if next(filter(None, vec)) < 0:  # the least index of the support is positive
+            vec = (-w0, w1, -w2, w3, -w4)
+        pos = tuple(i for i, v in zip(five, vec) if v > 0)
+        neg = tuple(i for i, v in zip(five, vec) if v < 0)
         found[support] = SignedCircuit(pos, neg)
     return tuple(found[s] for s in sorted(found))
 
@@ -164,51 +175,84 @@ def _normalize_sign(f: IntVec3) -> IntVec3:
     return f if lead >= 0 else (-f[0], -f[1], -f[2])
 
 
-def _shell(s: int) -> Iterator[IntVec3]:
-    """Each t in Z^3 with max(0, t) - min(0, t) == s >= 1, once: per (t1, t2),
-    t3 fills [min(0, t1, t2), max(0, t1, t2)] when that is s long, else
-    takes the two values that stretch it to length s."""
-    for t1 in range(-s, s + 1):
-        for t2 in range(-s, s + 1):
-            lo, hi = min(0, t1, t2), max(0, t1, t2)
-            if hi - lo == s:
-                for t3 in range(lo, hi + 1):
-                    yield t1, t2, t3
-            elif hi - lo < s:
-                yield t1, t2, lo + s
-                yield t1, t2, hi - s
+def _target_rows(basis, s: int) -> Iterator[Tuple[int, int, int, int, range]]:
+    """The nonzero targets t = u1 r1 + u2 r2 + u3 r3 of spread
+    max(0, t) - min(0, t) <= s whose first nonzero u is positive, one row
+    (t1, t2, min(0, t1, t2), max(0, t1, t2), the t3 values) per visited
+    (u1, u2).
+
+    basis is the row Hermite basis r1 = (a, b, e), r2 = (0, c, h),
+    r3 = (0, 0, g) of the target lattice, so t1 = u1 a, t2 = u1 b + u2 c
+    and t3 = u1 e + u2 h + u3 g.  Each next coordinate must keep the
+    spread of (0, t1, ...) within s, which bounds its u to an interval
+    taken by exact floor division.  A positive pivot keeps the sign of u's
+    first nonzero entry in t, so of t and -t exactly one is visited.
+    """
+    (a, b, e), (_, c, h), (_, _, g) = basis
+    for u1 in range(s // a + 1):
+        t1 = u1 * a
+        # t2 in [t1 - s, s], and u2 >= 0 when u1 == 0
+        for u2 in range(-((s - t1 + u1 * b) // c) if u1 else 0, (s - u1 * b) // c + 1):
+            t2 = u1 * b + u2 * c
+            lo = t2 if t2 < 0 else 0
+            hi = t2 if t2 > t1 else t1
+            base = u1 * e + u2 * h
+            # t3 in [hi - s, lo + s], and u3 >= 1 when u1 == u2 == 0
+            first = -((s - hi + base) // g) if u1 or u2 else 1
+            yield t1, t2, lo, hi, range(base + first * g, base + ((lo + s - base) // g) * g + 1, g)
 
 
 def width(config: PointConfig) -> Tuple[int, IntVec3]:
     """Lattice width and a primitive witness functional.
 
     With d_k = q_k - q0 on a quadruple of maximal |volume| D, a functional
-    f is fixed by its targets t_k = f . d_k, as f = adj(d) t / D.  One of
-    range W takes the values (0, t1, t2, t3) within W of each other, so one
-    pass over the targets in shells of spread s = 1, 2, ... has met every
-    functional of the least range once s passes it.  The witness is the
-    least of them, sign-normalized (leading coefficient positive).
+    f is fixed by its targets t_k = f . d_k, as f = adj(d) t / D, and the
+    targets of the integer functionals are the lattice spanned by the
+    columns of the edge matrix d (rows d_k): _target_rows walks it in its
+    row Hermite basis.  On a point p off the quadruple, f takes
+    f . q0 + lambda . t / D, where lambda = adj(d)^T (p - q0) holds p's
+    barycentric numerators, so a target's range is read without f, and f
+    is built only for a range that ties or beats the best so far.  A
+    functional of range W has targets of spread at most W, so a pass over
+    the spreads up to s meets every functional of range <= s: the passes
+    run at s = 1, then at the best range found (doubling s while a pass
+    finds none), and stop once the best range is <= s.  The witness is
+    the least functional of least range, sign-normalized (leading
+    coefficient positive); f and -f normalize alike, so one of them is
+    enough.
     """
     pts = config.points
     vols = config.volumes()
-    quad = max(vols, key=lambda q: abs(vols[q]))
-    rows = tuple(sub(pts[i], pts[quad[0]]) for i in quad[1:])
-    D = vols[quad]
-    if D == 0:
+    top = max(map(abs, vols.values()))
+    if top == 0:
         raise NotFullDimensional("width needs a full-dimensional configuration")
+    quad, D = next((q, v) for q, v in vols.items() if v == top or v == -top)
+    q0 = pts[quad[0]]
+    rows = tuple(sub(pts[i], q0) for i in quad[1:])
     adj = _adjugate(rows)
-    best = None
-    for s in itertools.count(1):
-        if best is not None and s > best[0]:
+    adj_t = tuple(zip(*adj))
+    lams = [_mat_vec(adj_t, sub(p, q0)) for i, p in enumerate(pts) if i not in quad]
+    basis = hermite_normal_form(tuple(zip(*rows)))
+    best, s = None, 1
+    while True:
+        for t1, t2, lo2, hi2, t3s in _target_rows(basis, s):
+            for t3 in t3s:
+                lo = t3 if t3 < lo2 else lo2
+                hi = t3 if t3 > hi2 else hi2
+                for l1, l2, l3 in lams:
+                    v = (l1 * t1 + l2 * t2 + l3 * t3) // D
+                    if v < lo:
+                        lo = v
+                    elif v > hi:
+                        hi = v
+                if best is None or hi - lo <= best[0]:
+                    x, y, z = _mat_vec(adj, (t1, t2, t3))
+                    candidate = (hi - lo, _normalize_sign((x // D, y // D, z // D)))
+                    if best is None or candidate < best:
+                        best = candidate
+        if best is not None and best[0] <= s:
             break
-        for t in _shell(s):
-            x, y, z = _mat_vec(adj, t)
-            if x % D or y % D or z % D:
-                continue
-            f = _normalize_sign((x // D, y // D, z // D))
-            candidate = (functional_range(f, pts), f)
-            if best is None or candidate < best:
-                best = candidate
+        s = 2 * s if best is None else best[0]
     if gcd_all(best[1]) != 1:
         raise RuntimeError(f"width witness {best[1]} is not primitive")
     return best

@@ -2,9 +2,12 @@
 
 A PointConfig is an ordered tuple of 4..8 distinct lattice points.  Hulls
 are computed in one pass over the point triples (C(n,3) candidate planes;
-fine at these sizes), which also decides full dimensionality.  A facet is
-a plane tuple (a, b, c, o), all predicates are integer-exact, and the
-vertices are read off the facets through each point, once per hull.
+fine at these sizes).  Each point's side of a triple's plane is read off
+the configuration's quadruple volumes, so the facets share the one det4
+pass of PointConfig.volumes(), which also decides full dimensionality.
+A facet is a plane tuple (a, b, c, o), all predicates are integer-exact,
+and the vertices are read off the facets through each point, once per
+hull.
 Lattice points of the hull are enumerated per tetrahedron: the hull is
 coned from its first vertex over a fan triangulation of every facet not
 through it, and a tetrahedron of normalized volume D contributes the
@@ -23,8 +26,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 from math import gcd
+from operator import itemgetter
 from types import MappingProxyType
 from typing import List, Mapping, Sequence, Tuple
 
@@ -32,9 +36,9 @@ from .exactlinalg import (
     COORD_BOUND,
     IntVec3,
     _adjugate,
+    _quadruples,
     check_point,
     det3,
-    hermite_normal_form,
     quad_volumes,
     sub,
 )
@@ -62,9 +66,9 @@ class PointConfig:
     """Ordered configuration of 4..8 distinct lattice points.
 
     volumes() is quad_volumes of the points, computed on its first call
-    and kept in the configuration as a read-only view, so that the
-    circuits, volume vectors, width and normal form of one configuration
-    share one det4 pass.
+    and kept in the configuration as a read-only view, so that the hull
+    facets, circuits, volume vectors, width and normal form of one
+    configuration share one det4 pass.
     """
 
     __slots__ = ("points", "_volumes")
@@ -117,37 +121,59 @@ class PointConfig:
         return any(self.volumes().values())
 
 
+@lru_cache(maxsize=None)
+def _triple_sides(n: int) -> Tuple[Tuple[Tuple[int, int, int], itemgetter], ...]:
+    """Per index triple i < j < k of n points, in combinations order: the
+    triple and a getter of det4(p_i, p_j, p_k, p_l) for the other points
+    l, read from the volumes in _quadruples(n) order followed by their
+    negatives.  That det4 is the volume of the sorted quadruple times
+    (-1)^m, m the number of triple entries above l.  The getter repeats
+    its first entry, so that it returns a tuple also for n = 4.  Built
+    once per point count n."""
+    index = {quad: m for m, quad in enumerate(_quadruples(n))}
+    sides = []
+    for tri in itertools.combinations(range(n), 3):
+        at = [index[tuple(sorted(tri + (l,)))] + len(index) * (sum(x > l for x in tri) % 2)
+              for l in range(n) if l not in tri]
+        sides.append((tri, itemgetter(*at, at[0])))
+    return tuple(sides)
+
+
 def hull_facets(config: PointConfig) -> Tuple[Plane, ...]:
     """Facets of conv(config) as sorted planes (a, b, c, o): the primitive
     inward normal (a, b, c) and the offset o, so that a x + b y + c z >= o
     on the hull, with equality on at least three configuration points.
 
-    One pass over the point triples: each spans a plane, which is a facet
-    when no two points lie strictly on opposite sides of it (the scan stops
-    at the first such pair; only facets are reduced by the gcd).  The
-    points span 3-space iff one lies off some triple's plane; otherwise
-    NotFullDimensional is raised.
+    A point triple spans a facet when no two points lie strictly on
+    opposite sides of its plane.  Point l lies on triple (i, j, k)'s side
+    given by the sign of det4(p_i, p_j, p_k, p_l), which _triple_sides
+    reads off the volumes config.volumes() keeps.  So the facets share the
+    configuration's one det4 pass, and only the triples that pass take a
+    cross product, and the facets a gcd; a collinear triple passes with
+    all its sides zero and has a zero normal.  NotFullDimensional is
+    raised when every volume is zero.
     """
+    if not config.is_full_dimensional():
+        raise NotFullDimensional("configuration spans no 3-dimensional volume")
     pts = config.points
-    full, facets = False, set()
-    for (ax, ay, az), (bx, by, bz), (cx, cy, cz) in itertools.combinations(pts, 3):
+    signed = list(config.volumes().values())
+    signed += [-v for v in signed]
+    facets = set()
+    for (i, j, k), sides in _triple_sides(len(pts)):
+        dets = sides(signed)
+        if min(dets) >= 0:
+            inward = 1
+        elif max(dets) <= 0:
+            inward = -1
+        else:
+            continue
+        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = pts[i], pts[j], pts[k]
         ux, uy, uz = bx - ax, by - ay, bz - az
         vx, vy, vz = cx - ax, cy - ay, cz - az
         nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
-        base = nx * ax + ny * ay + nz * az
-        pos = neg = False
-        for x, y, z in pts:
-            v = nx * x + ny * y + nz * z - base
-            pos = pos or v > 0
-            neg = neg or v < 0
-            if pos and neg:
-                break
-        full = full or pos or neg
-        if pos != neg:
-            g = gcd(gcd(nx, ny), nz) * (-1 if neg else 1)
-            facets.add((nx // g, ny // g, nz // g, base // g))
-    if not full:
-        raise NotFullDimensional("configuration spans no 3-dimensional volume")
+        if nx or ny or nz:
+            g = gcd(nx, ny, nz) * inward
+            facets.add((nx // g, ny // g, nz // g, (nx * ax + ny * ay + nz * az) // g))
     return tuple(sorted(facets))
 
 
@@ -196,13 +222,18 @@ def _cosets(v0: IntVec3, a: IntVec3, b: IntVec3, c: IntVec3):
     """The coset set-up of the tetrahedron conv(v0, a, b, c): (D, E, L,
     pivots) with E the edge matrix (columns a - v0, b - v0, c - v0),
     D = |det E|, L = sign(det E) adj(E), and pivots the ranges of the
-    diagonal of the Hermite normal form of the edge vectors.
+    diagonal of the row Hermite normal form of the edge vectors.
 
-    Their product runs over one representative r of each of the D cosets
-    of Z^3 / E Z^3, and lambda = L r mod D places the coset's point
-    v0 + E (lambda / D) in the half-open parallelepiped 0 <= lambda_i < D.
-    The barycentric coordinates of that point are (D - sum(lambda),
-    lambda) / D.  Raises RuntimeError on a degenerate tetrahedron.
+    That diagonal is read off the determinantal divisors of the edge
+    vectors as rows, which unimodular row operations keep: g1, the gcd of
+    their first coordinates, g2, the gcd of their three 2x2 minors in the
+    first two coordinates, and D give the pivots g1, g2 / g1 and D / g2
+    (Cohen, GTM 138, 2.4).  Their product runs over one representative r
+    of each of the D cosets of Z^3 / E Z^3, and lambda = L r mod D places
+    the coset's point v0 + E (lambda / D) in the half-open parallelepiped
+    0 <= lambda_i < D.  The barycentric coordinates of that point are
+    (D - sum(lambda), lambda) / D.  Raises RuntimeError on a degenerate
+    tetrahedron.
     """
     edges = (sub(a, v0), sub(b, v0), sub(c, v0))
     e = tuple(zip(*edges))
@@ -211,8 +242,10 @@ def _cosets(v0: IntVec3, a: IntVec3, b: IntVec3, c: IntVec3):
         raise RuntimeError(f"degenerate tetrahedron {(v0, a, b, c)}")
     s = 1 if det > 0 else -1
     adj = tuple(tuple(s * x for x in row) for row in _adjugate(e))
-    hnf = hermite_normal_form(edges)
-    return abs(det), e, adj, [range(hnf[i][i]) for i in range(3)]
+    (x0, y0, _), (x1, y1, _), (x2, y2, _) = edges
+    g1 = gcd(x0, x1, x2)
+    g2 = gcd(x0 * y1 - x1 * y0, x0 * y2 - x2 * y0, x1 * y2 - x2 * y1)
+    return abs(det), e, adj, [range(g1), range(g2 // g1), range(abs(det) // g2)]
 
 
 def _tetrahedron_points(v0: IntVec3, a: IntVec3, b: IntVec3, c: IntVec3) -> List[IntVec3]:
@@ -289,10 +322,12 @@ def parse_points(text: str) -> PointConfig:
     is rejected before int() reads it.
     """
     pts: List[IntVec3] = []
+    linenos: List[int] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         m = _POINT_LINE.fullmatch(raw)
         if m:
             pts.append((int(m[1]), int(m[2]), int(m[3])))
+            linenos.append(lineno)
             continue
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -311,9 +346,13 @@ def parse_points(text: str) -> PointConfig:
                                  f"exceeds bound {COORD_BOUND}")
             coords.append(int(sign + digits))
         pts.append(tuple(coords))
+        linenos.append(lineno)
     if max(map(abs, itertools.chain.from_iterable(pts)), default=0) > COORD_BOUND:
-        for p in pts:
-            check_point(p)  # raises the bound error of the first coordinate out of bound
+        for lineno, p in zip(linenos, pts):
+            try:
+                check_point(p)
+            except ValueError as exc:  # the first coordinate out of bound
+                raise ValueError(f"line {lineno}: {exc}") from None
     return PointConfig._of_checked(pts)
 
 

@@ -485,7 +485,7 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     its size argument once, and C's one rejected edge candidate tests its
     caps again, to name the first that is not empty; the opposite-edge
     _is_empty it replaced ran as often), 522 interior-point tests of caps
-    (_framed_has_interior_point), 15,152 det4 calls (15 per quad_volumes,
+    (_framed_has_interior_point), 15,452 det4 calls (15 per quad_volumes,
     768 for the filed subtetrahedra of the gluing loop, 426 for the
     reverse gluings and 128 for C's interior subtetrahedra; none in the
     cap rule), 129 normal forms (one per distinct point set in _dedupe,
@@ -501,12 +501,16 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     then one point per candidate), the triangulation
     checks test the emptiness of those points without checking them
     again, and the rows' configurations come from _row_key_index.
-    quad_volumes runs 922 times, once per configuration whose volumes are
+    quad_volumes runs 942 times, once per configuration whose volumes are
     read (PointConfig.volumes) and once per chirotope: 426 verdicts (the
     normal forms of the accepted verdicts' configurations reuse them), 384
     embedding chirotopes, 38 normal forms of survivors no earlier step
-    measured, 52 circuits and 22 widths of case D; the rows' volume
-    vectors reuse the volumes of their normal forms."""
+    measured, 52 circuits, 22 widths of case D, and 20 hulled
+    configurations whose volumes nothing read before hull_facets came to
+    read each point's side of a triple's plane off them (the triple scan
+    it replaced took cross products instead: 922 runs and 15,152 det4
+    calls); the rows' volume vectors reuse the volumes of their normal
+    forms."""
     for cell in ("5.4", "5.5"):  # warm: the orbits are built once per process
         classify6._cell_orbit(cell)
     classify6._row_key_index()
@@ -517,9 +521,9 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     classify6.classify_all()
     assert calls == {"unimodular_map": 116, "hull_facets": 142, "_glued_verdict": 426,
                      "match_circuits": 0, "check_point": 1885, "circuits": 52,
-                     "_normal_form": 129, "quad_volumes": 922, "_caps": 1156,
+                     "_normal_form": 129, "quad_volumes": 942, "_caps": 1156,
                      "_facet_frame": 298, "_framed_empty": 1109,
-                     "_framed_has_interior_point": 522, "det4": 15152, "_table": 502}
+                     "_framed_has_interior_point": 522, "det4": 15452, "_table": 502}
 
 
 def test_finish_rejects_a_row_of_another_case(bundle):

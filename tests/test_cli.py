@@ -455,24 +455,28 @@ HALVED_PAIR = (
 
 
 def test_equiv_work_is_pinned(tmp_path, bundle, capsys, monkeypatch):
-    """equiv compares least tables and builds no Hermite form: no
-    edge_form call, and one unimodular_map solve per least-table order of
-    the second input when the tables agree.  B.3 and an image of it: two
-    solves.  F.1 and F.3 share the least table off the quadruple but not
-    the maximal |volume|: no solve.  The halved pair shares both and
-    differs in the Hermite form: its one solve is not integral."""
-    calls = count_calls(monkeypatch, equivalence.edge_form, equivalence.unimodular_map)
+    """equiv compares the maximal |volumes|, then least tables, and
+    builds no Hermite form: no edge_form call, and one unimodular_map
+    solve per least-table order of the second input when the tables
+    agree.  B.3 and an image of it: four sorted tables and two solves.
+    F.1 and F.3 share the least table off the quadruple but not the
+    maximal |volume| (7 against 8): no table and no solve (the tables were
+    built before the volumes were compared, 12 of them).  The halved pair
+    shares both and differs in the Hermite form: two tables, and its one
+    solve is not integral."""
+    calls = count_calls(monkeypatch, equivalence.edge_form, equivalence.unimodular_map,
+                        equivalence._table)
     cases = [
-        (bundle.class_by_id("B.3").config().points, B3_IMAGE, 0, 2),
-        (bundle.class_by_id("F.1").config().points, bundle.class_by_id("F.3").config().points, 1, 0),
-        (*HALVED_PAIR, 1, 1),
+        (bundle.class_by_id("B.3").config().points, B3_IMAGE, 0, 4, 2),
+        (bundle.class_by_id("F.1").config().points, bundle.class_by_id("F.3").config().points, 1, 0, 0),
+        (*HALVED_PAIR, 1, 2, 1),
     ]
-    for a, b, rc, solves in cases:
-        calls.update(edge_form=0, unimodular_map=0)
+    for a, b, rc, tables, solves in cases:
+        calls.update(edge_form=0, unimodular_map=0, _table=0)
         assert main(["equiv", write_config(tmp_path, "a.txt", a),
                      write_config(tmp_path, "b.txt", b)]) == rc
         capsys.readouterr()
-        assert calls == {"edge_form": 0, "unimodular_map": solves}, (a, b)
+        assert calls == {"edge_form": 0, "unimodular_map": solves, "_table": tables}, (a, b)
 
 
 def test_equiv_size_mismatch_is_usage_error(tmp_path, bundle, capsys):

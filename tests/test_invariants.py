@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import fraction_oracles
 from conftest import apply_map, random_unimodular, shuffled, sporadic5
+from lattice6 import invariants
 from lattice6.invariants import (
     C21,
     C22,
@@ -15,7 +16,7 @@ from lattice6.invariants import (
     FIVE_COPLANAR,
     NO_COPLANARITY,
     WrongSize,
-    _shell,
+    _target_rows,
     circuits,
     coplanarity_class,
     pair_sums_distinct,
@@ -27,6 +28,7 @@ from lattice6.invariants import (
 from lattice6.exactlinalg import COORD_BOUND, det3, dot, sub
 from lattice6.polytope import NotFullDimensional, PointConfig, hull_summary, lattice_points
 from lattice6.size5 import rep32
+from width_oracles import shell, shell_width
 
 VV_A1 = (0, 0, 2, 0, 0, 4, 0, 2, 0, -4, 0, 4, -2, -8, -2)
 VV_H12 = (-5, 2, -11, -3, -1, 7, 1, 2, -3, 1, 11, -3, -23, -4, 5)
@@ -137,35 +139,114 @@ def _far_image(rng, config):
             return shuffled(rng, PointConfig(far))
 
 
+def _random_sets(rng, radii, count):
+    """count full-dimensional sets of 4-8 distinct points of [-r, r]^3 per
+    radius r."""
+    for r in radii:
+        made = 0
+        while made < count:
+            pts = list({tuple(rng.randint(-r, r) for _ in range(3)) for _ in range(rng.randrange(4, 9))})
+            if len(pts) >= 4 and PointConfig(pts).is_full_dimensional():
+                made += 1
+                yield PointConfig(pts)
+
+
 def test_width_matches_all_target_search(bundle):
-    """The pass over spread shells keeps the width and the witness of the
-    unpruned search: the rows, k times the standard simplex plus (1,1,1)
-    for k = 4..8 (width k, so many shells), unimodular images of both,
-    near the origin and near the coordinate bound, and random 4-8 point
-    sets."""
+    """The walk over the target lattice keeps the width and the witness of
+    the shell scan it replaced and of the unpruned search: the rows, k
+    times the standard simplex plus (1,1,1) for k = 4..8 (width k, so many
+    passes), unimodular images of both, near the origin and near the
+    coordinate bound, and random 4-8 point sets; and those of the shell
+    scan on 3,000 more random sets, 1,000 in each of [-r, r]^3 for
+    r = 2, 3, 5."""
     rng = random.Random(17)
     rows = [row.config() for row in bundle.class_rows]
     simplices = [PointConfig([(0, 0, 0), (k, 0, 0), (0, k, 0), (0, 0, k), (1, 1, 1)])
                  for k in range(4, 9)]
-    randoms = []
-    while len(randoms) < 80:
-        pts = list({tuple(rng.randrange(-3, 4) for _ in range(3)) for _ in range(rng.randrange(4, 9))})
-        if len(pts) >= 4 and PointConfig(pts).is_full_dimensional():
-            randoms.append(PointConfig(pts))
+    randoms = list(_random_sets(rng, (3,), 80))
     images = [shuffled(rng, apply_map(random_unimodular(rng), c)) for c in rows[::4] + simplices]
     far = [_far_image(rng, c) for c in rows[::8] + simplices]
     for c in rows + simplices + images + far + randoms:
-        assert width(c) == _width_all_targets(c), c.points
+        assert width(c) == shell_width(c) == _width_all_targets(c), c.points
     assert [width(c)[0] for c in simplices] == [4, 5, 6, 7, 8]
+    for c in _random_sets(random.Random(36), (2, 3, 5), 1000):
+        assert width(c) == shell_width(c), c.points
 
 
 @pytest.mark.parametrize("s", range(1, 9))
 def test_shell_is_the_targets_of_one_spread(s):
     cube = itertools.product(range(-s, s + 1), repeat=3)
     expected = sorted(t for t in cube if max(0, *t) - min(0, *t) == s)
-    got = list(_shell(s))
+    got = list(shell(s))
     assert len(set(got)) == len(got)
     assert sorted(got) == expected
+
+
+@pytest.mark.parametrize("basis", [
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ((2, 1, 3), (0, 3, 2), (0, 0, 5)),
+    ((1, 0, 4), (0, 1, 7), (0, 0, 9)),
+    ((3, 2, 1), (0, 1, 0), (0, 0, 2)),
+])
+@pytest.mark.parametrize("s", range(1, 8))
+def test_target_rows_are_the_lattice_targets_of_spread_at_most_s(basis, s):
+    """Each nonzero lattice target of spread <= s, of t and -t the one
+    whose first nonzero entry is positive, once."""
+    (a, b, e), (_, c, h), (_, _, g) = basis
+
+    def in_lattice(t):
+        u1, r1 = divmod(t[0], a)
+        u2, r2 = divmod(t[1] - u1 * b, c)
+        return not r1 and not r2 and (t[2] - u1 * e - u2 * h) % g == 0
+
+    got = [(t1, t2, t3) for t1, t2, _, _, t3s in _target_rows(basis, s) for t3 in t3s]
+    expected = sorted(t for t in itertools.product(range(-s, s + 1), repeat=3)
+                      if 0 < max(0, *t) - min(0, *t) <= s and next(v for v in t if v) > 0
+                      and in_lattice(t))
+    assert len(set(got)) == len(got)
+    assert sorted(got) == expected
+
+
+def _counted_rows(monkeypatch):
+    """Wrap invariants._target_rows; returns [rows, targets] visited."""
+    counts = [0, 0]
+    rows = invariants._target_rows
+
+    def counted(basis, s):
+        for row in rows(basis, s):
+            counts[0] += 1
+            counts[1] += len(row[-1])
+            yield row
+
+    monkeypatch.setattr(invariants, "_target_rows", counted)
+    return counts
+
+
+def test_width_work_is_pinned(bundle, monkeypatch):
+    """Over the 76 rows, width visits 999 (u1, u2) rows and 250 targets,
+    about 13 rows and 3.3 targets per call; the shell scan it replaced
+    (width_oracles.shell_width) visits 5,084 targets on the same rows."""
+    counts = _counted_rows(monkeypatch)
+    for row in bundle.class_rows:
+        width(row.config())
+    assert counts == [999, 250]
+
+
+@pytest.mark.parametrize("points, expected, work", [
+    # conv(0, 10^4 e_i): the shell scan did not finish in 5 s
+    ([(0, 0, 0), (10000, 0, 0), (0, 10000, 0), (0, 0, 10000)], (10000, (0, 0, 1)), [18, 7]),
+    # the needle
+    ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (10000, 10000, 9999)], (1, (0, 1, -1)), [4, 2]),
+    # the thin hull of volume 199,960,000
+    ([(0, 0, 0), (9999, 10000, 0), (-9999, -10000, 0), (0, 0, 1), (1, 10000, 1)],
+     (1, (0, 0, 1)), [2, 1]),
+], ids=["dilated-simplex", "needle", "thin-hull"])
+def test_width_at_the_coordinate_bound_is_pinned(points, expected, work, monkeypatch):
+    """Width, witness and [rows, targets] visited, on inputs at the
+    coordinate bound."""
+    counts = _counted_rows(monkeypatch)
+    assert width(PointConfig(points)) == expected
+    assert counts == work
 
 
 def test_interior_point_forces_width_two(bundle):

@@ -13,13 +13,15 @@ import fraction_oracles
 from conftest import apply_map, count_calls, random_unimodular
 from emptytetra_oracles import has_interior_point
 from fraction_oracles import point_in_hull
+from hull_oracles import triple_scan_facets
 from lattice6.emptytetra import _facet_frame, _framed_has_interior_point
-from lattice6.exactlinalg import _mat_vec, cross, det4, dot, gcd_all, quad_volumes, sub
+from lattice6.exactlinalg import _mat_vec, cross, det4, dot, gcd_all, hermite_normal_form, quad_volumes, sub
 from lattice6 import polytope
 from lattice6.polytope import (
     NotFullDimensional,
     PointConfig,
     _cone_triangulation,
+    _cosets,
     _vertices,
     format_points,
     hull_facets,
@@ -187,6 +189,67 @@ def test_hull_facets_match_brute_force_oracle(c):
     assert _hull_or_flat(hull_facets, c) == _hull_or_flat(_brute_force_hull_facets, c)
 
 
+def _degenerate_sets(rng, count):
+    """count sets of 4-8 distinct points: a few random points of [-3, 3]^3,
+    then points on the lines (a + k (b - a)) and planes (a + j (b - a) +
+    k (c - a)) of earlier ones, so collinear triples, points on edges and
+    facets and coplanar sets (flat ones among them) are common."""
+    made = 0
+    while made < count:
+        pts = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(rng.randint(2, 4))]
+        for _ in range(rng.randint(1, 5)):
+            a, b, c = (rng.choice(pts) for _ in range(3))
+            j, k = rng.randint(-2, 2), rng.randint(-2, 2)
+            if rng.random() < 0.5:
+                pts.append(tuple(x + k * (y - x) for x, y in zip(a, b)))
+            else:
+                pts.append(tuple(x + j * (y - x) + k * (z - x) for x, y, z in zip(a, b, c)))
+        pts = list(dict.fromkeys(pts))
+        if 4 <= len(pts) <= 8:
+            made += 1
+            yield PointConfig(pts)
+
+
+def test_hull_facets_match_triple_scan_oracle(bundle):
+    """hull_facets, which reads the sides off the configuration's volumes,
+    gives the facets of the triple scan it replaced, or NotFullDimensional
+    with it: on the rows and the eight (4,1) bases, 2,000 random
+    4-8 point sets in [-3, 3]^3 and 2,000 sets with collinear triples,
+    points on edges and facets, and coplanar sets."""
+    rng = random.Random(36)
+    randoms = []
+    while len(randoms) < 2000:
+        pts = list({tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(rng.randint(4, 8))})
+        if len(pts) >= 4:
+            randoms.append(PointConfig(pts))
+    configs = [row.config() for row in bundle.class_rows] + [c.representative for c in catalog41()]
+    configs += randoms + list(_degenerate_sets(rng, 2000))
+    flat = 0
+    for c in configs:
+        got = _hull_or_flat(hull_facets, c)
+        assert got == _hull_or_flat(triple_scan_facets, c), c.points
+        flat += got is NotFullDimensional
+    assert flat > 100
+
+
+def test_coset_pivots_are_the_hermite_diagonal():
+    """_cosets' pivots, read off the determinantal divisors, are the
+    diagonal of the row Hermite normal form of the edge vectors, on
+    random tetrahedra of both orientations (two vertices swapped)."""
+    rng = random.Random(36)
+    seen = set()
+    for _ in range(3000):
+        v0, a, b, c = (tuple(rng.randint(-6, 6) for _ in range(3)) for _ in range(4))
+        det = det4(v0, a, b, c)
+        if det == 0:
+            continue
+        for tet in ((v0, a, b, c), (v0, b, a, c)):
+            h = hermite_normal_form([sub(p, tet[0]) for p in tet[1:]])
+            assert [len(r) for r in _cosets(*tet)[3]] == [h[0][0], h[1][1], h[2][2]], tet
+        seen.add(det > 0)
+    assert seen == {True, False}
+
+
 @pytest.mark.parametrize("points", [
     [(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)],  # collinear
     [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 5, 0)],  # coplanar
@@ -268,8 +331,10 @@ def test_parse_points_line_endings_signs_and_zeros(text):
 @pytest.mark.parametrize("text, message", [
     ("0 0 0\n1 0\n", "line 2: expected 3 coordinates, got 2"),
     ("0 0 0\n1 0 0\n0 x 0\n", "line 3: not a decimal integer: 'x'"),
-    ("0 0 0\n1 0 0\n0 1 0\n0 0 10001\n", "coordinate 10001 exceeds bound 10000"),
-    ("0 0 0\n1 0 0\n0 -010001 0\n0 0 1\n", "coordinate -10001 exceeds bound 10000"),
+    ("0 0 0\n1 0 0\n0 1 0\n0 0 10001\n", "line 4: coordinate 10001 exceeds bound 10000"),
+    ("0 0 0\n1 0 0\n0 -010001 0\n0 0 1\n", "line 3: coordinate -10001 exceeds bound 10000"),
+    ("# two out of bound\n0 0 0\n\n1 0 -10001\n0 10002 0\n0 0 1\n",
+     "line 4: coordinate -10001 exceeds bound 10000"),
     # the first line at fault is named, an out-of-bound point or not
     ("0 0 10001\n1 0 0\n0 1\n", "line 3: expected 3 coordinates, got 2"),
     # more significant digits than the bound: rejected before int() reads them
@@ -278,9 +343,10 @@ def test_parse_points_line_endings_signs_and_zeros(text):
      "line 4: coordinate of 5000 digits exceeds bound 10000"),
 ])
 def test_parse_points_error_messages(text, message):
-    """The messages name the line of a malformed line; a coordinate out of
-    bound is reported after the whole file is read, as PointConfig reports
-    it, unless it has more digits than the bound."""
+    """The messages name the line at fault.  A coordinate out of bound is
+    reported after the whole file is read, with PointConfig's message and
+    the line of the first point out of bound, unless it has more digits
+    than the bound."""
     with pytest.raises(ValueError) as exc:
         parse_points(text)
     assert str(exc.value) == message

@@ -22,8 +22,9 @@ classify6.py, a Counter is constructed only inside the _Funnel class.
 A case decides "exactly six lattice points" by one size argument: in
 classify6.py, size and hull_summary are called only from HULL_COUNTERS.
 The cap rule reads each cap in its facet's unimodular frame: no function
-of CAP_PATH calls det4.  The tests that the frame kernels replaced are
-test oracles: no library module defines REPLACED_KERNELS.
+of CAP_PATH calls det4.  Replaced kernels, such as the tests that the
+frame kernels replaced, are test oracles: no library module defines
+REPLACED_KERNELS.
 """
 
 import ast
@@ -392,9 +393,10 @@ def test_hull_count_outside_the_size_arguments_is_a_violation(tmp_path):
 #: interior-point tests read the new point in a facet frame, not det4.
 CAP_PATH = ("_caps", "_cap_frame", "_six_by_caps", "_glued_verdict")
 
-#: The names of the tests the frame kernels of emptytetra.py replaced,
-#: now oracles in tests/emptytetra_oracles.py.
-REPLACED_KERNELS = {"_EDGE_PAIRS", "_has_interior_point"}
+#: The names of replaced kernels, now oracles in tests/: the tests the
+#: frame kernels of emptytetra.py replaced (emptytetra_oracles.py), and
+#: the target shells of the width scan (width_oracles.py).
+REPLACED_KERNELS = {"_EDGE_PAIRS", "_has_interior_point", "_shell"}
 
 
 def _calls_inside(path, functions, callee):
