@@ -53,8 +53,11 @@ exactly when the two ordered subtetrahedra have the same edge form (row
 Hermite normal form of the edge vectors), so a dict from edge form to
 ordered subtetrahedra yields the 3,732 hits directly; an affine map keeps
 barycentric coordinates, so each hit's glued point is placed without
-solving the map.  The symmetries of the base polytopes, and the swap of
-a gluing's source and target, make many matchings glue the same
+solving the map.  The numerators and volumes it reads are entries of
+each base's volume vector v: a subtetrahedron's |volume| is |v_ex|, the
+entry of its left-out vertex, in any vertex order, so the gluing
+computes no determinant.  The symmetries of the base polytopes, and the
+swap of a gluing's source and target, make many matchings glue the same
 configuration up to a unimodular map: the 1,532 distinct verdict keys
 fall into 426 gluing groups.  A verdict (coplanarity, a cap's interior
 point, and the cap rule's size with its hull cross-check) is made once
@@ -77,7 +80,6 @@ from .exactlinalg import (
     AffineMap,
     IntVec3,
     check_point,
-    det4,
     dot,
     edge_form,
     sub,
@@ -358,7 +360,7 @@ def _cell_orbit(cell: str):
     row = next((r for r in load_tables().class_rows if r.om_label == cell), None)
     if row is None:
         raise ClassificationError(f"no table row realizes cell {cell}")
-    return chirotope_orbit(row.config().points)
+    return chirotope_orbit(row.config())
 
 
 def _embeddings41(cell: str, coeffs, funnel: _Funnel):
@@ -376,8 +378,9 @@ def _embeddings41(cell: str, coeffs, funnel: _Funnel):
     the oriented matroid up to a global sign, and the orbit holds every
     relabeling with both signs, so the test is complete.  It agrees with
     the catalog record of each of the 384 embeddings of cases C and E
-    (match_om in tests/omcatalog_oracles.py), and costs 15 determinants
-    instead of circuits and a canonical circuit form.
+    (match_om in tests/omcatalog_oracles.py), and reads the embedding's
+    volumes, which its caller reads again, instead of computing circuits
+    and a canonical circuit form.
     """
     orbit = _cell_orbit(cell)
     c1, c2, c3 = coeffs
@@ -391,10 +394,11 @@ def _embeddings41(cell: str, coeffs, funnel: _Funnel):
                 funnel.reject("degenerate embedding")
                 continue
             check_point(p4)
-            if chirotope(points) not in orbit:
+            cfg = PointConfig._of_checked(points)
+            if chirotope(cfg) not in orbit:
                 funnel.reject(f"oriented matroid is not {cell}")
                 continue
-            yield PointConfig._of_checked(points)
+            yield cfg
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +581,7 @@ def run_case_c() -> CaseReport:
     # p5 interior: remove p4 and embed the rest as a size-5 signature-(4,1)
     # polytope, with p5 in the interior-point role and p4 = 3 p1 - p2 - p3
     for cfg in _embeddings41("5.4", (3, -1, -1), funnel):
-        p1, p2, p3, _, p5, _ = cfg.points
-        if abs(det4(p1, p2, p3, p5)) not in (1, 3):
+        if abs(cfg.volumes()[0, 1, 2, 4]) not in (1, 3):
             funnel.reject("subtetrahedron p1p2p3p5 volume is not 1 or 3")
             continue
         caps = _caps(cfg.points, _EMBEDDED41_FACETS, 4, frames)
@@ -766,8 +769,10 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
     3,732 hits among the 24,576 matchings are visited, in enumeration
     order.  No map is solved: a hit's map sends the source's interior
     point to the target's first point, and its left-out vertex to the
-    _barycentric_image of that vertex's numerators over the target,
-    whose |volume| is filed with it and checked against the source's.
+    _barycentric_image of that vertex's numerators over the target.  The
+    target's |volume| is filed with it, as |v_ex| of its base's volume
+    vector v (its |det4| in any vertex order), and checked against the
+    source's on every hit.
     The union is six points; coinciding interior points give one interior
     point (case G), otherwise two (case H), and the gluing names its case
     so.  A gluing is accepted when its hull has six lattice points; the
@@ -813,7 +818,8 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
     # numerators and their denominator, edge form, the points in base
     # order), and its ordered ones by edge form, each with its |volume|.
     # With v the affine dependence volume_vector5 of the base, the
-    # left-out vertex is sum_k (-v_k / v_ex) p_k over the others.
+    # left-out vertex is sum_k (-v_k / v_ex) p_k over the others, and
+    # v_ex is the subtetrahedron's volume up to sign.
     sources, targets = [], []
     for pts, base in zip(reps, bases):
         v = volume_vector5(base)
@@ -823,7 +829,7 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
             subs.append(([-v[k] for k in range(5) if k != ex], v[ex], edge_form(tet), tet))
             for sigma in orders:
                 dst = [tet[t] for t in sigma]
-                by_form.setdefault(edge_form(dst), []).append((ex, dst, abs(det4(*dst))))
+                by_form.setdefault(edge_form(dst), []).append((ex, dst, abs(v[ex])))
         sources.append(subs)
         targets.append(by_form)
     funnel_g.examined = funnel_h.examined = (4 * len(reps)) ** 2 * len(orders)
@@ -868,24 +874,28 @@ def _swap_key(sources, sb, ex, si, ex_s, dst) -> tuple:
     order, onto dst, an ordering of si's subtetrahedron without ex_s; its
     inverse sends si's subtetrahedron back, so the reverse gluing's new
     point is the _barycentric_image of ex_s's numerators over those
-    images.  The inverse carries each interior point onto the other's
-    role, so the two interior points coincide in the reverse gluing
-    exactly when they do in the gluing, and the key's last entry carries
-    over.  sources holds run_case_gh's subtetrahedra per base.
+    images, whose |volume| is the source's filed one.  The inverse
+    carries each interior point onto the other's role, so the two
+    interior points coincide in the reverse gluing exactly when they do
+    in the gluing, and the key's last entry carries over.  sources holds
+    run_case_gh's subtetrahedra per base.
     """
-    src = sources[sb][ex - 1][3]
+    _, src_vol, _, src = sources[sb][ex - 1]
     weights, vol, _, tet = sources[si][ex_s - 1]
     back = [src[dst.index(p)] for p in tet]
-    return sb, _barycentric_image(weights, vol, back, abs(det4(*back)))
+    return sb, _barycentric_image(weights, vol, back, abs(src_vol))
 
 
 def _barycentric_image(weights, vol: int, dst, dst_vol: int) -> IntVec3:
     """sum(weights[t] * dst[t]) / vol: the image of the point of barycentric
     numerators weights over a source tetrahedron of volume +-vol under the
     affine map onto dst, whose |volume| the caller gives as dst_vol
-    (run_case_gh files it with each ordered subtetrahedron).  That map is
-    unimodular and integral only if dst_vol is |vol| and the image is
-    integral; else ClassificationError."""
+    (run_case_gh files it with each ordered subtetrahedron, read off its
+    base's volume vector, and _swap_key passes the source's).  That map
+    is unimodular and integral only if dst_vol is |vol| and the image is
+    integral; else ClassificationError.  The edge forms of a hit are
+    equal, so a volume that differs here means a volume vector that
+    disagrees with the edge forms."""
     if dst_vol != abs(vol):
         raise ClassificationError("glued subtetrahedra have different volumes")
     w0, w1, w2, w3 = weights

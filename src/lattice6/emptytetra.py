@@ -19,14 +19,14 @@ strictly inside it iff (-k x) mod q and (-k y) mod q are both nonzero and
 their sum is below q - k (_framed_has_interior_point).  A tetrahedron
 whose first facet is not a unimodular triangle is not empty.
 
-The type is read off the row Hermite normal form of the edge matrix
-(columns v_i - v_0).  Every facet of an empty tetrahedron is a unimodular
-triangle, so that form is [[1,0,a],[0,1,b],[0,0,q]] whatever the vertex
-order, and the tetrahedron is equivalent to conv{0, e1, e2, (a,b,q)}.
-There e3 has barycentric coordinates (a+b-1, -a, -b, 1)/q, which for an
-empty tetrahedron pair up as (p, -p, 1, -1)/q: the vertex with 1 pairs
-with e1 when a = 1 (mod q), leaving p = b, and otherwise with e2 or 0,
-leaving p = a.
+The type is read off the same frame.  The reflection z -> -z and the
+shears (x, y, z) -> (x + s z, y + t z, z) are unimodular and fix 0, e1
+and e2, so an empty tetrahedron, whose first facet is a unimodular
+triangle, is equivalent to conv{0, e1, e2, (a,b,q)} with a = x mod q and
+b = y mod q.  There e3 has barycentric coordinates (a+b-1, -a, -b, 1)/q,
+which for an empty tetrahedron pair up as (p, -p, 1, -1)/q: the vertex
+with 1 pairs with e1 when a = 1 (mod q), leaving p = b, and otherwise
+with e2 or 0, leaving p = a.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .exactlinalg import (
     _xgcd,
     check_point,
     cross,
-    edge_form,
     sub,
 )
 
@@ -93,22 +92,24 @@ def _framed_has_interior_point(x: int, y: int, h: int) -> bool:
     return False
 
 
-def _is_empty(pts) -> bool:
-    """is_empty_tetrahedron of four points that check_point has accepted:
-    the fourth point in the frame of the first three (_facet_frame) passes
-    White's congruence (_framed_empty).  A first facet that is not a
-    unimodular triangle, degenerate ones included, means not empty."""
+def _framed(points: Sequence[Sequence[int]]) -> Optional[IntVec3]:
+    """The fourth of four points as (x, y, h) in the frame of the first
+    three (_facet_frame), checked by check_point; None when the first
+    facet is not a unimodular triangle, degenerate ones included."""
+    pts = [check_point(p) for p in points]
+    if len(pts) != 4:
+        raise ValueError(f"need 4 points, got {len(pts)}")
     frame = _facet_frame(pts[0], pts[1], pts[2])
-    return frame is not None and _framed_empty(*_mat_vec(frame, sub(pts[3], pts[0])))
+    return None if frame is None else _mat_vec(frame, sub(pts[3], pts[0]))
 
 
 def is_empty_tetrahedron(points: Sequence[Sequence[int]]) -> bool:
     """True iff the four points span a tetrahedron whose only lattice
-    points are its vertices."""
-    pts = [check_point(p) for p in points]
-    if len(pts) != 4:
-        raise ValueError(f"need 4 points, got {len(pts)}")
-    return _is_empty(pts)
+    points are its vertices: the fourth point in the frame of the first
+    three passes White's congruence (_framed_empty).  A first facet that
+    is not a unimodular triangle means not empty."""
+    xyh = _framed(points)
+    return xyh is not None and _framed_empty(*xyh)
 
 
 def white_type(points: Sequence[Sequence[int]]) -> Optional[Tuple[int, int]]:
@@ -116,16 +117,15 @@ def white_type(points: Sequence[Sequence[int]]) -> Optional[Tuple[int, int]]:
 
     q is the volume; p is reduced to the canonical representative
     min{p, q-p, p^{-1} mod q, q - (p^{-1} mod q)}.  Degenerate or
-    non-empty input gives None.
+    non-empty input gives None.  The type is read off the fourth point's
+    (x, y, h) in the first facet's frame (see the module docstring).
     """
     if not is_empty_tetrahedron(points):
         return None
-    h = edge_form(points)
-    if [row[:2] for row in h] != [(1, 0), (0, 1), (0, 0)]:
-        raise RuntimeError(f"edge matrix Hermite form {h} is not [[1,0,a],[0,1,b],[0,0,q]]")
-    a, b, q = h[0][2], h[1][2], h[2][2]
-    # 0 <= a, b < q, so a = 1 (mod q) is a == 1 for q > 1; for q = 1, a = b = 0
-    return canonical_type(b if a == 1 else a, q)
+    x, y, h = _framed(points)
+    q = abs(h)
+    # the type of conv{0, e1, e2, (x mod q, y mod q, q)}; canonical_type reduces p mod q
+    return canonical_type(y if x % q == 1 else x, q)
 
 
 def canonical_type(p: int, q: int) -> Tuple[int, int]:

@@ -8,14 +8,17 @@ Grinis-Kasprzyk (arXiv:1301.6641) and PALP (math/0204356).
 An equivalence permutes the ordered quadruples of maximal |det4| = V
 among themselves.  For one such quadruple (q0..q3), every point p has
 barycentric coordinates lambda / V with integer lambda (V e_i at q_i),
-which no affine bijection changes; and the edge matrix E (columns
-q_i - q0) has a row Hermite normal form H, which a map changes exactly
-when it is not unimodular.  If two ordered quadruples share the sorted
-table of (lambda_1, lambda_2, lambda_3) over all points and H, the affine
-map between them is unimodular and carries one point set onto the other.
-So the key is the least (table, H) over those quadruples.  The tables of
-the 24 orders of one quadruple permute the columns of one table, so a
-3x3 Hermite form is taken only for the orders whose table is least.
+which no affine bijection changes: by Cramer's rule, lambda_i is det4 of
+the quadruple with p in place of q_i, times the sign of the quadruple's
+volume, so it is read off the configuration's volumes (_slots).  And
+the edge matrix E (columns q_i - q0) has a row Hermite normal form H,
+which a map changes exactly when it is not unimodular.  If two ordered
+quadruples share the sorted table of (lambda_1, lambda_2, lambda_3) over
+all points and H, the affine map between them is unimodular and carries
+one point set onto the other.  So the key is the least (table, H) over
+those quadruples.  The tables of the 24 orders of one quadruple permute
+the columns of one table, so a 3x3 Hermite form is taken only for the
+orders whose table is least.
 The orders that reach the key are the images of any one of them under
 the symmetries of the configuration.
 
@@ -56,10 +59,9 @@ from typing import Iterator, List, Optional, Tuple
 from .exactlinalg import (
     AffineMap,
     IntVec3,
-    _adjugate,
-    _mat_vec,
+    _signed,
+    _slots,
     edge_form,
-    sub,
     unimodular_map,
 )
 from .polytope import NotFullDimensional, PointConfig
@@ -86,23 +88,24 @@ def _top_volume(config: PointConfig) -> int:
 
 def _least_orders(config: PointConfig, top: int) -> Tuple[Tuple[IntVec3, ...], List[Tuple[int, ...]]]:
     """The least table of the rows off a quadruple of |volume| top, the
-    maximal one, and the ordered index quadruples that read it."""
-    pts = config.points
+    maximal one, and the ordered index quadruples that read it.  A row is
+    a point's numerators over the sorted quadruple, read through _slots
+    from the volumes when the quadruple's volume is positive, and from
+    their negatives when it is negative."""
     vols = config.volumes()
+    slots = _slots(len(config))
+    signed = _signed(vols)
+    flipped = signed[len(vols):] + signed[:len(vols)]  # the same slots, negated
     quads = []
     for quad, vol in vols.items():
         if abs(vol) != top:
             continue
-        q0 = pts[quad[0]]
-        e = tuple(zip(*(sub(pts[i], q0) for i in quad[1:])))
-        adj = _adjugate(e)
-        if vol < 0:
-            adj = tuple(tuple(-x for x in row) for row in adj)
-        off = []  # the quadruple's own rows are the same under every order
-        for i, p in enumerate(pts):
-            if i not in quad:
-                l1, l2, l3 = _mat_vec(adj, sub(p, q0))
-                off.append((top - l1 - l2 - l3, l1, l2, l3))
+        a, b, c, d = quad
+        read = signed if vol > 0 else flipped
+        # the quadruple's own rows are the same under every order
+        off = [(read[slots[i, b, c, d]], read[slots[a, i, c, d]],
+                read[slots[a, b, i, d]], read[slots[a, b, c, i]])
+               for i in range(len(config)) if i not in quad]
         quads.append((quad, off, [tuple(sorted(row)[:3]) for row in off]))
     # R*, the least first row off the quadruple of any table; None for four points
     first = min((low for _, _, lows in quads for low in lows), default=None)

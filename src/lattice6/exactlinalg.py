@@ -18,17 +18,21 @@ volume of their tetrahedron normalized so that a unimodular simplex has
 volume 1.  det3, det4 and _mat_vec are closed-form expressions: the hot
 loops call them tens of thousands of times per classification.
 quad_volumes is the one loop of det4 over the index quadruples of a
-configuration; hull facets, volume vectors, chirotopes, circuits, the
-width's base quadruple and the equivalence normal form all read it.
+configuration, and PointConfig.volumes() its one caller.  Every other
+determinant of configuration points is read from those volumes through
+_slots: det4 of an ordered label quadruple is the volume of its sorted
+quadruple, negated when the order is odd.  Hull facets, volume vectors,
+chirotopes, circuits and barycentric numerators (the width's and the
+equivalence normal form's) all read the volumes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 IntVec3 = Tuple[int, int, int]
 
@@ -102,6 +106,27 @@ def det4(p1, p2, p3, p4) -> int:
 def _quadruples(n: int) -> Tuple[Tuple[int, int, int, int], ...]:
     """combinations(range(n), 4), built once per point count n."""
     return tuple(combinations(range(n), 4))
+
+
+@lru_cache(maxsize=None)
+def _slots(n: int) -> Dict[Tuple[int, int, int, int], int]:
+    """Per ordered quadruple of distinct labels in range(n), its slot in
+    the volumes of _quadruples(n) followed by their negatives (_signed).
+    det4 is alternating, so an even order reads its sorted quadruple's
+    volume, at that quadruple's place m in _quadruples(n), and an odd
+    order its negative, at m + C(n, 4).  The one place where a
+    quadruple's parity is worked out; built once per point count n."""
+    quads = _quadruples(n)
+    orders = [(order, len(quads) * (sum(a > b for a, b in combinations(order, 2)) % 2))
+              for order in permutations(range(4))]
+    return {tuple(quad[t] for t in order): m + odd
+            for m, quad in enumerate(quads) for order, odd in orders}
+
+
+def _signed(volumes: Mapping[Tuple[int, int, int, int], int]) -> List[int]:
+    """The volumes followed by their negatives: the list _slots indexes."""
+    signed = list(volumes.values())
+    return signed + [-v for v in signed]
 
 
 def quad_volumes(points: Sequence[IntVec3]) -> Dict[Tuple[int, int, int, int], int]:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence, Tuple
 
-from .exactlinalg import IntVec3, _adjugate, _mat_vec, dot, gcd_all, hermite_normal_form, sub
+from .exactlinalg import (IntVec3, _adjugate, _mat_vec, _signed, _slots, dot, gcd_all,
+                          hermite_normal_form, sub)
 from .polytope import NotFullDimensional, PointConfig
 
 
@@ -210,16 +211,17 @@ def width(config: PointConfig) -> Tuple[int, IntVec3]:
     targets of the integer functionals are the lattice spanned by the
     columns of the edge matrix d (rows d_k): _target_rows walks it in its
     row Hermite basis.  On a point p off the quadruple, f takes
-    f . q0 + lambda . t / D, where lambda = adj(d)^T (p - q0) holds p's
-    barycentric numerators, so a target's range is read without f, and f
-    is built only for a range that ties or beats the best so far.  A
-    functional of range W has targets of spread at most W, so a pass over
-    the spreads up to s meets every functional of range <= s: the passes
-    run at s = 1, then at the best range found (doubling s while a pass
-    finds none), and stop once the best range is <= s.  The witness is
-    the least functional of least range, sign-normalized (leading
-    coefficient positive); f and -f normalize alike, so one of them is
-    enough.
+    f . q0 + lambda . t / D, where lambda holds p's barycentric
+    numerators: lambda_k is det4 of the quadruple with p in place of q_k,
+    read off the volumes through _slots.  So a target's range is read
+    without f, and f is built only for a range that ties or beats the
+    best so far; the adjugate serves only to build f.  A functional of
+    range W has targets of spread at most W, so a pass over the spreads
+    up to s meets every functional of range <= s: the passes run at
+    s = 1, then at the best range found (doubling s while a pass finds
+    none), and stop once the best range is <= s.  The witness is the
+    least functional of least range, sign-normalized (leading coefficient
+    positive); f and -f normalize alike, so one of them is enough.
     """
     pts = config.points
     vols = config.volumes()
@@ -227,11 +229,13 @@ def width(config: PointConfig) -> Tuple[int, IntVec3]:
     if top == 0:
         raise NotFullDimensional("width needs a full-dimensional configuration")
     quad, D = next((q, v) for q, v in vols.items() if v == top or v == -top)
-    q0 = pts[quad[0]]
-    rows = tuple(sub(pts[i], q0) for i in quad[1:])
+    a, b, c, d = quad
+    rows = tuple(sub(pts[i], pts[a]) for i in quad[1:])
     adj = _adjugate(rows)
-    adj_t = tuple(zip(*adj))
-    lams = [_mat_vec(adj_t, sub(p, q0)) for i, p in enumerate(pts) if i not in quad]
+    slots = _slots(len(pts))
+    signed = _signed(vols)
+    lams = [(signed[slots[a, i, c, d]], signed[slots[a, b, i, d]], signed[slots[a, b, c, i]])
+            for i in range(len(pts)) if i not in quad]
     basis = hermite_normal_form(tuple(zip(*rows)))
     best, s = None, 1
     while True:

@@ -46,8 +46,9 @@ worst case.  A configuration costs #candidates x #circuits lookups and
 #candidates sorts of small ints.
 
 Whether a configuration has one given record needs no canonical form.
-The chirotope of six points is the tuple of det4 signs over the 15
-quadruples of combinations(range(6), 4).  A rank-4 oriented matroid is
+The chirotope of six points is the tuple of the signs of their volumes
+(PointConfig.volumes()), the det4 of the 15 quadruples of
+combinations(range(6), 4).  A rank-4 oriented matroid is
 fixed by its chirotope up to a global sign (Bjorner et al., Oriented
 Matroids, ch. 3): the circuits are read off the signs, and the signs off
 the circuits.  So two configurations share a record exactly when some
@@ -57,9 +58,10 @@ realization with both signs, holds exactly the chirotopes of the
 configurations with the realization's record.  A relabeling only
 permutes the 15 quadruple volumes and flips the signs of some, so the
 orbit is read off the realization's one chirotope, by one index table
-per relabeling built once per process.  Membership costs 15
-determinants and one set lookup.  match_circuits stays the general path,
-for any configuration and any record.
+per relabeling built once per process from the slot table of
+exactlinalg._slots.  Membership costs the configuration's volumes, which
+its later steps read again, and one set lookup.  match_circuits stays
+the general path, for any configuration and any record.
 """
 
 from __future__ import annotations
@@ -70,8 +72,9 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .exactlinalg import IntVec3, quad_volumes
+from .exactlinalg import _quadruples, _slots
 from .invariants import SignedCircuit
+from .polytope import PointConfig
 
 
 class NoMatch(Exception):
@@ -317,17 +320,17 @@ def match_circuits(circs: Sequence[SignedCircuit]) -> OMRecord:
 # chirotopes
 
 
-def chirotope(points: Sequence[IntVec3]) -> Tuple[int, ...]:
-    """Signs (-1, 0 or 1) of the quad_volumes of six checked points."""
-    return tuple([(d > 0) - (d < 0) for d in quad_volumes(points).values()])
+def chirotope(config: PointConfig) -> Tuple[int, ...]:
+    """Signs (-1, 0 or 1) of the volumes of a six-point configuration."""
+    return tuple([(d > 0) - (d < 0) for d in config.volumes().values()])
 
 
-def chirotope_orbit(points: Sequence[IntVec3]) -> FrozenSet[Tuple[int, ...]]:
-    """The chirotopes of all 720 relabelings of six points, each with both
-    global signs: exactly the chirotopes of the six-point configurations
-    whose oriented matroid is the points' one (see the module docstring).
-    They are read off the points' one chirotope (_relabeling_getters)."""
-    chi = chirotope(points)
+def chirotope_orbit(config: PointConfig) -> FrozenSet[Tuple[int, ...]]:
+    """The chirotopes of all 720 relabelings of a six-point configuration,
+    each with both global signs: exactly the chirotopes of the six-point
+    configurations whose oriented matroid is its one (see the module
+    docstring).  They are read off its one chirotope (_relabeling_getters)."""
+    chi = chirotope(config)
     flipped = tuple(-s for s in chi)
     sources = (chi + flipped, flipped + chi)
     return frozenset(get(signs) for get in _relabeling_getters() for signs in sources)
@@ -339,18 +342,13 @@ def _relabeling_getters() -> List[itemgetter]:
     itertools.permutations order, the getter of its chirotope from a
     chirotope chi followed by -chi.
 
-    The relabeling sends the quadruple (i, j, k, l) to the points
-    perm[i], perm[j], perm[k], perm[l], whose det4 is that of their sorted
-    quadruple times the sign of the sort: entry q of chi when the sort is
-    even, entry q of -chi (index q + 15) when it is odd.
+    The relabeling sends the quadruple (i, j, k, l) to the ordered
+    quadruple (perm[i], perm[j], perm[k], perm[l]), whose det4 sits at its
+    _slots entry in the volumes followed by their negatives; so its sign
+    sits at the same entry of chi followed by -chi.
     """
-    quads = list(itertools.combinations(range(6), 4))
-    where = {}
-    for q, quad in enumerate(quads):
-        for order in itertools.permutations(range(4)):
-            odd = sum(a > b for a, b in itertools.combinations(order, 2)) % 2
-            where[tuple(quad[t] for t in order)] = q + 15 * odd
+    slots = _slots(6)
     return [
-        itemgetter(*[where[perm[i], perm[j], perm[k], perm[l]] for i, j, k, l in quads])
+        itemgetter(*[slots[perm[i], perm[j], perm[k], perm[l]] for i, j, k, l in _quadruples(6)])
         for perm in itertools.permutations(range(6))
     ]

@@ -36,7 +36,8 @@ from .exactlinalg import (
     COORD_BOUND,
     IntVec3,
     _adjugate,
-    _quadruples,
+    _signed,
+    _slots,
     check_point,
     det3,
     quad_volumes,
@@ -67,8 +68,8 @@ class PointConfig:
 
     volumes() is quad_volumes of the points, computed on its first call
     and kept in the configuration as a read-only view, so that the hull
-    facets, circuits, volume vectors, width and normal form of one
-    configuration share one det4 pass.
+    facets, circuits, volume vectors, chirotope, width and normal form of
+    one configuration share one det4 pass.
     """
 
     __slots__ = ("points", "_volumes")
@@ -125,16 +126,13 @@ class PointConfig:
 def _triple_sides(n: int) -> Tuple[Tuple[Tuple[int, int, int], itemgetter], ...]:
     """Per index triple i < j < k of n points, in combinations order: the
     triple and a getter of det4(p_i, p_j, p_k, p_l) for the other points
-    l, read from the volumes in _quadruples(n) order followed by their
-    negatives.  That det4 is the volume of the sorted quadruple times
-    (-1)^m, m the number of triple entries above l.  The getter repeats
-    its first entry, so that it returns a tuple also for n = 4.  Built
-    once per point count n."""
-    index = {quad: m for m, quad in enumerate(_quadruples(n))}
+    l, at their _slots in the signed volumes (_signed).  The getter
+    repeats its first entry, so that it returns a tuple also for n = 4.
+    Built once per point count n."""
+    slots = _slots(n)
     sides = []
     for tri in itertools.combinations(range(n), 3):
-        at = [index[tuple(sorted(tri + (l,)))] + len(index) * (sum(x > l for x in tri) % 2)
-              for l in range(n) if l not in tri]
+        at = [slots[tri + (l,)] for l in range(n) if l not in tri]
         sides.append((tri, itemgetter(*at, at[0])))
     return tuple(sides)
 
@@ -156,8 +154,7 @@ def hull_facets(config: PointConfig) -> Tuple[Plane, ...]:
     if not config.is_full_dimensional():
         raise NotFullDimensional("configuration spans no 3-dimensional volume")
     pts = config.points
-    signed = list(config.volumes().values())
-    signed += [-v for v in signed]
+    signed = _signed(config.volumes())
     facets = set()
     for (i, j, k), sides in _triple_sides(len(pts)):
         dets = sides(signed)
@@ -319,40 +316,35 @@ def parse_points(text: str) -> PointConfig:
     |coordinate| <= COORD_BOUND.  A data line is read by one match of
     _POINT_LINE; only a line it rejects is split, to skip a comment or
     name the fault.  A token with more significant digits than the bound
-    is rejected before int() reads it.
+    is rejected before int() reads it, and each point is checked against
+    the bound as its line is read, so the first line at fault is named.
     """
     pts: List[IntVec3] = []
-    linenos: List[int] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         m = _POINT_LINE.fullmatch(raw)
         if m:
-            pts.append((int(m[1]), int(m[2]), int(m[3])))
-            linenos.append(lineno)
-            continue
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"line {lineno}: expected 3 coordinates, got {len(parts)}")
-        coords = []
-        for part in parts:
-            m = _INTEGER.fullmatch(part)
-            if not m:
-                raise ValueError(f"line {lineno}: not a decimal integer: {part!r}")
-            sign, digits = m.groups()
-            if len(digits) > _BOUND_DIGITS:
-                raise ValueError(f"line {lineno}: coordinate of {len(digits)} digits "
-                                 f"exceeds bound {COORD_BOUND}")
-            coords.append(int(sign + digits))
-        pts.append(tuple(coords))
-        linenos.append(lineno)
-    if max(map(abs, itertools.chain.from_iterable(pts)), default=0) > COORD_BOUND:
-        for lineno, p in zip(linenos, pts):
-            try:
-                check_point(p)
-            except ValueError as exc:  # the first coordinate out of bound
-                raise ValueError(f"line {lineno}: {exc}") from None
+            p = (int(m[1]), int(m[2]), int(m[3]))
+        else:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 3:
+                raise ValueError(f"line {lineno}: expected 3 coordinates, got {len(parts)}")
+            p = []
+            for part in parts:
+                m = _INTEGER.fullmatch(part)
+                if not m:
+                    raise ValueError(f"line {lineno}: not a decimal integer: {part!r}")
+                sign, digits = m.groups()
+                if len(digits) > _BOUND_DIGITS:
+                    raise ValueError(f"line {lineno}: coordinate of {len(digits)} digits "
+                                     f"exceeds bound {COORD_BOUND}")
+                p.append(int(sign + digits))
+        try:
+            pts.append(check_point(p))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return PointConfig._of_checked(pts)
 
 

@@ -3,7 +3,8 @@
 The library computes canonical circuit forms with bitmask table lookups
 and generates dual line sequences directly.  These are the versions they
 replaced: relabel every circuit as index tuples and sort, under each of
-the 720 permutations; compute one chirotope per relabeling for an orbit;
+the 720 permutations; compute one chirotope per relabeling, from det4
+directly, for an orbit;
 filter every product of per-line vector counts by its total; and sign a
 dual's circuits by 2x2 determinants against one direction per line.  A
 record's vertex, interior, coplanarity and dps statistics are read off
@@ -22,7 +23,8 @@ from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple
 
 from lattice6.invariants import SignedCircuit, circuits, coplanarity_from_circuits
-from lattice6.omcatalog import OMRecord, chirotope, enumerate_oms, match_circuits
+from lattice6.exactlinalg import det4
+from lattice6.omcatalog import OMRecord, enumerate_oms, match_circuits
 from lattice6.polytope import PointConfig
 
 
@@ -49,10 +51,12 @@ def canonical_circuit_form(circs: Sequence[SignedCircuit]) -> Tuple:
 
 def chirotope_orbit(points):
     """The chirotopes of all 720 relabelings of six points with both
-    global signs, one chirotope computed per relabeling."""
+    global signs, one chirotope computed per relabeling, each from the
+    det4 signs of its 15 quadruples."""
     orbit = set()
     for relabeled in itertools.permutations(points):
-        chi = chirotope(relabeled)
+        dets = [det4(*quad) for quad in itertools.combinations(relabeled, 4)]
+        chi = tuple((d > 0) - (d < 0) for d in dets)
         orbit.add(chi)
         orbit.add(tuple(-s for s in chi))
     return frozenset(orbit)

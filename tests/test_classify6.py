@@ -23,7 +23,7 @@ from lattice6.emptytetra import (
     _facet_frame,
     _framed_empty,
     _framed_has_interior_point,
-    _is_empty,
+    is_empty_tetrahedron,
 )
 from lattice6.equivalence import _normal_form, _table
 from lattice6.exactlinalg import (
@@ -194,10 +194,20 @@ def test_barycentric_image_is_checked(dst, message):
 
 
 def test_filed_volumes_are_checked(monkeypatch):
-    """The |volume| run_case_gh files with each ordered subtetrahedron is
-    compared with the source's on every hit: filed one too large, the
-    first hit raises."""
-    monkeypatch.setattr(classify6, "det4", lambda *points: det4(*points) + 1)
+    """The |volume| run_case_gh files with each ordered subtetrahedron,
+    read off its base's volume vector, is compared with the source's on
+    every hit.  With one base's volume vector doubled (still an affine
+    dependence, so every glued point stays where it was), its filed
+    volumes disagree with those of the other bases, and the first hit
+    between it and another base raises."""
+    doubled = catalog41()[1].representative.points
+    real = classify6.volume_vector5
+
+    def vector(config):
+        v = real(config)
+        return tuple(2 * x for x in v) if config.points == doubled else v
+
+    monkeypatch.setattr(classify6, "volume_vector5", vector)
     with pytest.raises(classify6.ClassificationError,
                        match="^glued subtetrahedra have different volumes$"):
         classify6.run_case_gh()
@@ -484,11 +494,14 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     White's congruence in the frame (_framed_empty; each site evaluates
     its size argument once, and C's one rejected edge candidate tests its
     caps again, to name the first that is not empty; the opposite-edge
-    _is_empty it replaced ran as often), 522 interior-point tests of caps
-    (_framed_has_interior_point), 15,452 det4 calls (15 per quad_volumes,
-    768 for the filed subtetrahedra of the gluing loop, 426 for the
-    reverse gluings and 128 for C's interior subtetrahedra; none in the
-    cap rule), 129 normal forms (one per distinct point set in _dedupe,
+    emptiness test it replaced ran as often), 522 interior-point tests
+    of caps (_framed_has_interior_point), 13,650 det4 calls, 15 per
+    quad_volumes and none elsewhere (the gluing loop files its
+    subtetrahedra with |volumes| read off the bases' volume vectors, the
+    reverse gluings pass the source's, and C's interior subcase reads its
+    subtetrahedron off the configuration's volumes; with det4 calls of
+    their own these took 768, 426 and 128 more, 15,452 in all), 129
+    normal forms (one per distinct point set in _dedupe,
     which for G and H is one per class, whose key orders the witness check
     reuses, and one per base for its symmetries; the rows' key orders come
     from _row_key_index), no catalog match (a class takes its oriented
@@ -501,16 +514,16 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     then one point per candidate), the triangulation
     checks test the emptiness of those points without checking them
     again, and the rows' configurations come from _row_key_index.
-    quad_volumes runs 942 times, once per configuration whose volumes are
-    read (PointConfig.volumes) and once per chirotope: 426 verdicts (the
-    normal forms of the accepted verdicts' configurations reuse them), 384
-    embedding chirotopes, 38 normal forms of survivors no earlier step
-    measured, 52 circuits, 22 widths of case D, and 20 hulled
-    configurations whose volumes nothing read before hull_facets came to
-    read each point's side of a triple's plane off them (the triple scan
-    it replaced took cross products instead: 922 runs and 15,152 det4
-    calls); the rows' volume vectors reuse the volumes of their normal
-    forms."""
+    quad_volumes runs 910 times, once per configuration whose volumes are
+    read (PointConfig.volumes), here by its first reader: 426 gluing
+    verdicts (the normal forms of the accepted verdicts' configurations
+    reuse them), 384 embeddings of cases C and E (their chirotope; the
+    hulls and normal forms of the accepted ones reuse them), 22 widths of
+    case D and 78 hulls (A 6, B 16, C 4, D 3, F 49), whose circuits and
+    normal forms reuse them; the rows' volume vectors reuse the volumes
+    of their normal forms.  It ran 942 times while chirotope computed
+    volumes of its own from the points: the 32 accepted embeddings whose
+    hulls are counted (16 in C, 16 in E) computed theirs twice."""
     for cell in ("5.4", "5.5"):  # warm: the orbits are built once per process
         classify6._cell_orbit(cell)
     classify6._row_key_index()
@@ -521,9 +534,9 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     classify6.classify_all()
     assert calls == {"unimodular_map": 116, "hull_facets": 142, "_glued_verdict": 426,
                      "match_circuits": 0, "check_point": 1885, "circuits": 52,
-                     "_normal_form": 129, "quad_volumes": 942, "_caps": 1156,
+                     "_normal_form": 129, "quad_volumes": 910, "_caps": 1156,
                      "_facet_frame": 298, "_framed_empty": 1109,
-                     "_framed_has_interior_point": 522, "det4": 15452, "_table": 502}
+                     "_framed_has_interior_point": 522, "det4": 13650, "_table": 502}
 
 
 def test_finish_rejects_a_row_of_another_case(bundle):
@@ -633,7 +646,7 @@ def test_cell_orbits_match_the_catalog_on_every_embedding(bundle):
         for points in _embeddings(coeffs):
             key = match_om(PointConfig(points)).key
             for cell, cell_key in keys.items():
-                found = chirotope(points) in classify6._cell_orbit(cell)
+                found = chirotope(PointConfig(points)) in classify6._cell_orbit(cell)
                 assert found == (key == cell_key), (cell, points)
                 hits[case, cell] += found
             hits[case] += 1
@@ -654,7 +667,7 @@ def test_cell_orbits_match_the_catalog_on_row_images(bundle):
         for cfg in (img, mirror):
             key = match_om(cfg).key
             for cell, cell_key in keys.items():
-                found = chirotope(cfg.points) in classify6._cell_orbit(cell)
+                found = chirotope(cfg) in classify6._cell_orbit(cell)
                 assert found == (key == cell_key), (row.id, cell)
                 if found:
                     hits.append((row.id, cell))
@@ -809,7 +822,7 @@ def _cap_rule(points, facets, new):
 def _all_empty(points, quads):
     """Whether every tetrahedron of quads (1-based labels into points) holds
     no lattice point besides its vertices."""
-    return all(_is_empty([points[i - 1] for i in quad]) for quad in quads)
+    return all(is_empty_tetrahedron([points[i - 1] for i in quad]) for quad in quads)
 
 
 def _value(plane, p):

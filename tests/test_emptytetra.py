@@ -23,7 +23,6 @@ from lattice6.emptytetra import (
     _facet_frame,
     _framed_empty,
     _framed_has_interior_point,
-    _is_empty,
     canonical_type,
     is_empty_tetrahedron,
     white_type,
@@ -129,15 +128,22 @@ def test_white_type_is_unimodular_invariant(seed, p, q):
 
 
 def test_white_type_ignores_vertex_order():
-    """The Hermite read-off takes p from a or b depending on which facet
-    lands on the coordinate plane, so every vertex order must agree."""
+    """The frame read-off takes p from x or y depending on which vertex
+    pairs with e1, and the frame's x and y are reduced modulo q only
+    there, so every vertex order must agree: of T(p,q) and, for q <= 20,
+    of a seeded random unimodular image of it, whose frames leave x and y
+    outside [0, q)."""
+    rng = random.Random(37)
     for q in range(1, 41):
         for p in range(q):
             if math.gcd(p, q) != 1 and q > 1:
                 continue
             expected = canonical_type(p, q)
-            for order in itertools.permutations(standard_tetrahedron(p, q)):
-                assert white_type(order) == expected, (order, expected)
+            t = standard_tetrahedron(p, q)
+            m = random_unimodular(rng)
+            for tet in (t, [m.apply(x) for x in t]) if q <= 20 else (t,):
+                for order in itertools.permutations(tet):
+                    assert white_type(order) == expected, (order, expected)
 
 
 def test_white_type_far_coordinates():
@@ -193,17 +199,17 @@ def test_level_test_matches_box_scan():
 
 def test_frame_kernels_match_oracles_on_random_tetrahedra():
     """Seeded random tetrahedra of a small box, degenerate ones and ones
-    whose first facet is not a unimodular triangle included: _is_empty,
-    which reads the fourth point in the frame of the first three, says
-    what the opposite-edge test says, and in every vertex rotation with a
-    frame, the frame's height is det4 and the level test says what the
-    coset walk says."""
+    whose first facet is not a unimodular triangle included:
+    is_empty_tetrahedron, which reads the fourth point in the frame of
+    the first three, says what the opposite-edge test says, and in every
+    vertex rotation with a frame, the frame's height is det4 and the
+    level test says what the coset walk says."""
     rng = random.Random(33)
     seen = Counter()
     for _ in range(4000):
         tet = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(4)]
         empty = is_empty_by_edges(tet)
-        assert _is_empty(tet) == empty, tet
+        assert is_empty_tetrahedron(tet) == empty, tet
         volume = det4(*tet)
         inner = volume != 0 and has_interior_point(*tet)
         for i in range(4):

@@ -14,6 +14,8 @@ from lattice6.exactlinalg import (
     COORD_BOUND,
     AffineMap,
     DegenerateSource,
+    _signed,
+    _slots,
     det3,
     det4,
     edge_form,
@@ -81,6 +83,32 @@ def test_quad_volumes_lists_every_quadruple_in_order(n):
         assert all(v == det4(*(pts[i] for i in q)) for q, v in vols.items())
     assert any(quad_volumes(spread).values())
     assert not any(quad_volumes(coplanar).values())
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_slots_read_det4_of_every_ordered_quadruple(n):
+    """On seeded random configurations of n points: every ordered
+    quadruple of distinct labels, and no other key, has a slot, and that
+    slot of the signed volumes is det4 of its points in that order.  Read
+    through the slots, the barycentric numerators of a point off a sorted
+    quadruple (det4 with the point in place of each vertex) sum to the
+    quadruple's volume and weight its vertices to volume times the
+    point."""
+    rng = random.Random(400 + n)
+    slots = _slots(n)
+    assert sorted(slots) == sorted(itertools.permutations(range(n), 4))
+    for _ in range(20):
+        pts = [tuple(rng.randint(-6, 6) for _ in range(3)) for _ in range(n)]
+        signed = _signed(quad_volumes(pts))
+        for order, slot in slots.items():
+            assert signed[slot] == det4(*(pts[i] for i in order)), (pts, order)
+        for quad in itertools.combinations(range(n), 4):
+            vol = signed[slots[quad]]
+            for i in set(range(n)).difference(quad):
+                lams = [signed[slots[quad[:k] + (i,) + quad[k + 1:]]] for k in range(4)]
+                assert sum(lams) == vol, (pts, quad, i)
+                assert tuple(sum(lam * pts[j][t] for lam, j in zip(lams, quad)) for t in range(3)) \
+                    == tuple(vol * c for c in pts[i]), (pts, quad, i)
 
 
 def test_gcd_all():

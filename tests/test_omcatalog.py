@@ -103,7 +103,7 @@ def test_chirotope_orbit_matches_oracle(bundle):
         points = bundle.class_by_id(rid).config().points
         mirror = tuple((-x, y, z) for x, y, z in points)
         for pts in (points, mirror):
-            assert omcatalog.chirotope_orbit(pts) == oracle.chirotope_orbit(pts), rid
+            assert omcatalog.chirotope_orbit(PointConfig(pts)) == oracle.chirotope_orbit(pts), rid
 
 
 def test_dual_circuits_match_determinant_oracle():

@@ -336,17 +336,17 @@ def test_parse_points_line_endings_signs_and_zeros(text):
     ("# two out of bound\n0 0 0\n\n1 0 -10001\n0 10002 0\n0 0 1\n",
      "line 4: coordinate -10001 exceeds bound 10000"),
     # the first line at fault is named, an out-of-bound point or not
-    ("0 0 10001\n1 0 0\n0 1\n", "line 3: expected 3 coordinates, got 2"),
+    ("0 0 10001\n1 0 0\n0 1\n", "line 1: coordinate 10001 exceeds bound 10000"),
     # more significant digits than the bound: rejected before int() reads them
     ("0 0 0\n1 0 0\n0 1 0\n0 0 123456\n", "line 4: coordinate of 6 digits exceeds bound 10000"),
     ("0 0 0\n1 0 0\n0 1 0\n0 0 -" + "9" * 5000 + "\n",
      "line 4: coordinate of 5000 digits exceeds bound 10000"),
 ])
 def test_parse_points_error_messages(text, message):
-    """The messages name the line at fault.  A coordinate out of bound is
-    reported after the whole file is read, with PointConfig's message and
-    the line of the first point out of bound, unless it has more digits
-    than the bound."""
+    """The messages name the line at fault, the first one in the file.
+    Each point is checked against the bound as its line is read, with
+    PointConfig's message, or before int() reads a coordinate with more
+    digits than the bound."""
     with pytest.raises(ValueError) as exc:
         parse_points(text)
     assert str(exc.value) == message

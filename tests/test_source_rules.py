@@ -15,8 +15,9 @@ classes: a member whose name no library module reads as an attribute
 goes, unless MEMBER_UNREAD_ALLOWED keeps it.  Key orders become
 unimodular maps in one place: equivalence.py is the only module that
 calls unimodular_map.  A configuration's quadruple volumes are computed
-once, by PointConfig.volumes(): outside the PointConfig class, no call
-quad_volumes(<expr>.points), nor one on a name assigned from <expr>.points.
+once, by PointConfig.volumes(), and every other determinant of
+configuration points is read off them: in the library, det4 is called
+only by quad_volumes, and quad_volumes only by PointConfig.volumes.
 A case's candidates, rejections and survivors are kept in one record: in
 classify6.py, a Counter is constructed only inside the _Funnel class.
 A case decides "exactly six lattice points" by one size argument: in
@@ -262,32 +263,35 @@ def test_unimodular_map_call_is_a_violation(tmp_path):
                                        "sample.py:4: calls unimodular_map"]
 
 
+#: The one caller of each determinant kernel: every det4 of configuration
+#: points is a volume of PointConfig.volumes(), or read off those volumes.
+DETERMINANT_CALLERS = {"det4": "quad_volumes", "quad_volumes": "PointConfig.volumes"}
+
+
 def _volume_passes(path):
-    """Calls of quad_volumes, as a bare name or an attribute, outside the
-    PointConfig class in path whose argument is <expr>.points or a name
-    that the enclosing function assigns from <expr>.points."""
+    """Calls of det4 or quad_volumes, as a bare name or an attribute, in
+    path outside their one caller in DETERMINANT_CALLERS (a top-level
+    function, or a method named Class.method)."""
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-    inside = {id(node) for cls in ast.walk(tree)
-              if isinstance(cls, ast.ClassDef) and cls.name == "PointConfig"
-              for node in ast.walk(cls)}
-    found = {}
-    for fn in ast.walk(tree):
-        if id(fn) in inside or not isinstance(fn, ast.FunctionDef):
-            continue
-        aliases = {t.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
-                   and isinstance(node.value, ast.Attribute) and node.value.attr == "points"
-                   for t in node.targets if isinstance(t, ast.Name)}
-        for node in ast.walk(fn):
-            if not isinstance(node, ast.Call) or not node.args:
-                continue
-            func, arg = node.func, node.args[0]
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "quad_volumes" and (
-                    (isinstance(arg, ast.Attribute) and arg.attr == "points")
-                    or (isinstance(arg, ast.Name) and arg.id in aliases)):
-                found[id(node)] = (node.lineno, f"{path.name}:{node.lineno}: "
-                                                "calls quad_volumes on .points")
-    return [message for _, message in sorted(found.values())]
+    owner = {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef):
+            defs = [(stmt.name, stmt)]
+        elif isinstance(stmt, ast.ClassDef):
+            defs = [(f"{stmt.name}.{fn.name}", fn) for fn in stmt.body
+                    if isinstance(fn, ast.FunctionDef)]
+        else:
+            defs = []
+        for name, fn in defs:
+            owner.update((id(node), name) for node in ast.walk(fn))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            caller = DETERMINANT_CALLERS.get(name)
+            if caller is not None and owner.get(id(node)) != caller:
+                found.append((node.lineno, f"{path.name}:{node.lineno}: calls {name} outside {caller}"))
+    return [message for _, message in sorted(found)]
 
 
 def test_only_point_config_computes_its_volumes():
@@ -297,18 +301,22 @@ def test_only_point_config_computes_its_volumes():
 
 def test_quad_volumes_of_config_points_is_a_violation(tmp_path):
     path = tmp_path / "sample.py"
-    path.write_text("from . import exactlinalg\nfrom .exactlinalg import quad_volumes\n"
+    path.write_text("from . import exactlinalg\nfrom .exactlinalg import det4, quad_volumes\n"
                     "class PointConfig:\n    def volumes(self):\n"
                     "        return quad_volumes(self.points)\n"
                     "def chirotope(points):\n    return quad_volumes(points)\n"
                     "def width(config):\n    return quad_volumes(config.points)\n"
                     "def circuits(cfg):\n    return exactlinalg.quad_volumes(cfg.points)\n"
                     "def normal_form(config):\n    pts = config.points\n"
-                    "    return quad_volumes(pts)\n",
+                    "    return quad_volumes(pts)\n"
+                    "def quad_volumes(points):\n    return [det4(*points)]\n"
+                    "def _swap_key(back):\n    return exactlinalg.det4(*back)\n",
                     encoding="utf-8")
-    assert _volume_passes(path) == ["sample.py:9: calls quad_volumes on .points",
-                                    "sample.py:11: calls quad_volumes on .points",
-                                    "sample.py:14: calls quad_volumes on .points"]
+    assert _volume_passes(path) == ["sample.py:7: calls quad_volumes outside PointConfig.volumes",
+                                    "sample.py:9: calls quad_volumes outside PointConfig.volumes",
+                                    "sample.py:11: calls quad_volumes outside PointConfig.volumes",
+                                    "sample.py:14: calls quad_volumes outside PointConfig.volumes",
+                                    "sample.py:18: calls det4 outside quad_volumes"]
 
 
 def _counters_outside(path, owner):
