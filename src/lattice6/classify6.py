@@ -79,6 +79,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .exactlinalg import (
     AffineMap,
     IntVec3,
+    _slots,
     check_point,
     dot,
     edge_form,
@@ -252,11 +253,10 @@ class _Funnel:
     def reject(self, reason: str, count: int = 1) -> None:
         self.rejected[reason] += count
 
-    def report(self, notes=(), firsts=None) -> CaseReport:
+    def report(self, notes=()) -> CaseReport:
         """_finish on the record, with the _dedupe representatives of the
-        accepted configurations unless firsts gives them."""
-        firsts = _dedupe(self.accepted) if firsts is None else firsts
-        return _finish(self.case, self.examined, self.rejected, firsts, notes)
+        accepted configurations."""
+        return _finish(self.case, self.examined, self.rejected, _dedupe(self.accepted), notes)
 
 
 def _cross_check(six: bool, site: str, at: str = "") -> bool:
@@ -581,7 +581,7 @@ def run_case_c() -> CaseReport:
     # p5 interior: remove p4 and embed the rest as a size-5 signature-(4,1)
     # polytope, with p5 in the interior-point role and p4 = 3 p1 - p2 - p3
     for cfg in _embeddings41("5.4", (3, -1, -1), funnel):
-        if abs(cfg.volumes()[0, 1, 2, 4]) not in (1, 3):
+        if abs(cfg.volumes()[_slots(6)[0, 1, 2, 4]]) not in (1, 3):
             funnel.reject("subtetrahedron p1p2p3p5 volume is not 1 or 3")
             continue
         caps = _caps(cfg.points, _EMBEDDED41_FACETS, 4, frames)
@@ -702,10 +702,13 @@ def run_case_f() -> CaseReport:
     (_six_by_caps): a candidate with a nonempty one is rejected without a
     hull, and the hull of each other candidate is counted and must have
     six points.  Each survivor's circuits, read once for the coplanarity
-    test, must hold exactly one (2,1)-circuit.
+    test, must hold exactly one (2,1)-circuit.  The oriented matroid is
+    an equivalence invariant, so each class lies in one group, and after
+    the report every class's group must be its row's oriented matroid
+    label, with 6, 6 and 5 classes in the three groups.
     """
     funnel = _Funnel("F")
-    groups: Dict[str, List[PointConfig]] = {"4.21": [], "4.22": [], "4.11": []}
+    groups: Dict[PointConfig, str] = {}
     frames = {}
     for cls5 in catalog41():
         pts = cls5.representative.points
@@ -728,16 +731,17 @@ def run_case_f() -> CaseReport:
                 continue
             if sum(c.signature == (2, 1) for c in circs) != 1:
                 raise ClassificationError(f"F candidate {r3}: expected exactly one (2,1)-circuit")
-            groups[group].append(cfg)
-    firsts = [_dedupe(groups[g]) for g in ("4.21", "4.22", "4.11")]
-    counts = tuple(map(len, firsts))
+            funnel.accepted.append(cfg)
+            groups[cfg] = group
+    report = funnel.report()
+    labels = [groups[cls.generated] for cls in report.classes_found]
+    for cls, label in zip(report.classes_found, labels):
+        if label != cls.om_label:
+            raise ClassificationError(f"{cls.id}: group {label} is not its oriented matroid {cls.om_label}")
+    counts = tuple(map(labels.count, ("4.21", "4.22", "4.11")))
     if counts != (6, 6, 5):
         raise ClassificationError(f"F group counts {counts}")
-    merged: Dict[tuple, tuple] = {}
-    for group in firsts:
-        for key, first in group.items():
-            merged.setdefault(key, first)
-    return funnel.report(firsts=merged)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -935,7 +939,7 @@ def _glued_verdict(cfg: PointConfig, glued_interior: IntVec3, frames: dict):
     is not proved here.  tests/test_classify6.py checks the verdict
     against one read off the hull's interior points on every verdict key.
     """
-    if 0 in cfg.volumes().values():
+    if 0 in cfg.volumes():
         return "shared", "coplanarity present"
     caps = _caps(cfg.points, _BASE41_FACETS, 6, frames)
     if any(_framed_has_interior_point(*xyh) for _, xyh in caps):

@@ -120,9 +120,9 @@ def white_type(points: Sequence[Sequence[int]]) -> Optional[Tuple[int, int]]:
     non-empty input gives None.  The type is read off the fourth point's
     (x, y, h) in the first facet's frame (see the module docstring).
     """
-    if not is_empty_tetrahedron(points):
+    x, y, h = _framed(points) or (0, 0, 0)  # no unimodular first facet: h = 0, not empty
+    if not _framed_empty(x, y, h):
         return None
-    x, y, h = _framed(points)
     q = abs(h)
     # the type of conv{0, e1, e2, (x mod q, y mod q, q)}; canonical_type reduces p mod q
     return canonical_type(y if x % q == 1 else x, q)

@@ -10,7 +10,8 @@ among themselves.  For one such quadruple (q0..q3), every point p has
 barycentric coordinates lambda / V with integer lambda (V e_i at q_i),
 which no affine bijection changes: by Cramer's rule, lambda_i is det4 of
 the quadruple with p in place of q_i, times the sign of the quadruple's
-volume, so it is read off the configuration's volumes (_slots).  And
+volume, so it is an entry of the configuration's volume table, read at
+its slot (_slots).  And
 the edge matrix E (columns q_i - q0) has a row Hermite normal form H,
 which a map changes exactly when it is not unimodular.  If two ordered
 quadruples share the sorted table of (lambda_1, lambda_2, lambda_3) over
@@ -22,9 +23,10 @@ orders whose table is least.
 The orders that reach the key are the images of any one of them under
 the symmetries of the configuration.
 
-The witness search needs only V (_top_volume) and the table stage,
-_least_orders: the least table and the orders that read it.  V is
-compared first, so two configurations of different V build no table.
+The witness search needs only V, the maximum of the volume table
+(PointConfig.top_volume), and the table stage, _least_orders: the least
+table and the orders that read it.  V is compared first, so two
+configurations of different V build no table.
 Barycentric numerators are affine invariants, so every equivalence
 a -> b sends a's least-table orders onto b's, and the witnesses are
 among the affine maps from a's first least-table order onto each of
@@ -59,12 +61,12 @@ from typing import Iterator, List, Optional, Tuple
 from .exactlinalg import (
     AffineMap,
     IntVec3,
-    _signed,
+    _quadruples,
     _slots,
     edge_form,
     unimodular_map,
 )
-from .polytope import NotFullDimensional, PointConfig
+from .polytope import PointConfig
 
 Key = Tuple[Tuple[IntVec3, ...], Tuple[IntVec3, IntVec3, IntVec3]]
 
@@ -78,33 +80,23 @@ def _table(last3, rows) -> Tuple[IntVec3, ...]:
     return tuple(sorted(map(last3, rows)))
 
 
-def _top_volume(config: PointConfig) -> int:
-    """The maximal |volume| V of a quadruple of the configuration."""
-    top = max(map(abs, config.volumes().values()))
-    if top == 0:
-        raise NotFullDimensional("configuration spans no 3-dimensional volume")
-    return top
-
-
 def _least_orders(config: PointConfig, top: int) -> Tuple[Tuple[IntVec3, ...], List[Tuple[int, ...]]]:
     """The least table of the rows off a quadruple of |volume| top, the
     maximal one, and the ordered index quadruples that read it.  A row is
-    a point's numerators over the sorted quadruple, read through _slots
-    from the volumes when the quadruple's volume is positive, and from
-    their negatives when it is negative."""
+    a point's numerators over the sorted quadruple, det4 with the point in
+    place of each vertex (_slots), times the sign of the quadruple's
+    volume."""
     vols = config.volumes()
     slots = _slots(len(config))
-    signed = _signed(vols)
-    flipped = signed[len(vols):] + signed[:len(vols)]  # the same slots, negated
     quads = []
-    for quad, vol in vols.items():
-        if abs(vol) != top:
+    for quad, vol in zip(_quadruples(len(config)), vols):
+        if vol != top and vol != -top:
             continue
         a, b, c, d = quad
-        read = signed if vol > 0 else flipped
+        s = 1 if vol > 0 else -1
         # the quadruple's own rows are the same under every order
-        off = [(read[slots[i, b, c, d]], read[slots[a, i, c, d]],
-                read[slots[a, b, i, d]], read[slots[a, b, c, i]])
+        off = [(s * vols[slots[i, b, c, d]], s * vols[slots[a, i, c, d]],
+                s * vols[slots[a, b, i, d]], s * vols[slots[a, b, c, i]])
                for i in range(len(config)) if i not in quad]
         quads.append((quad, off, [tuple(sorted(row)[:3]) for row in off]))
     # R*, the least first row off the quadruple of any table; None for four points
@@ -122,7 +114,7 @@ def _least_orders(config: PointConfig, top: int) -> Tuple[Tuple[IntVec3, ...], L
 
 def _normal_form(config: PointConfig) -> Tuple[Key, List[Tuple[int, ...]]]:
     """canonical_key of config and the ordered index quadruples reaching it."""
-    top = _top_volume(config)
+    top = config.top_volume()
     least, orders = _least_orders(config, top)
     pts = config.points
     forms = {order: edge_form([pts[i] for i in order]) for order in orders}
@@ -157,8 +149,8 @@ def equivalence_witness(
     """
     if len(a) != len(b):
         return None
-    top = _top_volume(a)
-    if _top_volume(b) != top:
+    top = a.top_volume()
+    if b.top_volume() != top:
         return None
     table_a, orders_a = _least_orders(a, top)
     table_b, orders_b = _least_orders(b, top)

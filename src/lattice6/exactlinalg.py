@@ -18,12 +18,14 @@ volume of their tetrahedron normalized so that a unimodular simplex has
 volume 1.  det3, det4 and _mat_vec are closed-form expressions: the hot
 loops call them tens of thousands of times per classification.
 quad_volumes is the one loop of det4 over the index quadruples of a
-configuration, and PointConfig.volumes() its one caller.  Every other
-determinant of configuration points is read from those volumes through
-_slots: det4 of an ordered label quadruple is the volume of its sorted
-quadruple, negated when the order is odd.  Hull facets, volume vectors,
-chirotopes, circuits and barycentric numerators (the width's and the
-equivalence normal form's) all read the volumes.
+configuration, and PointConfig.volumes() its one caller.  It returns one
+table: the volumes of the sorted quadruples, then their negatives.
+Every other determinant of configuration points is an entry of that
+table, at its _slots entry: det4 of an ordered label quadruple is the
+volume of its sorted quadruple, negated when the order is odd.  Hull
+facets, volume vectors, chirotopes, circuits, the maximal |volume| and
+barycentric numerators (the width's and the equivalence normal form's)
+all index the table.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import gcd
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 IntVec3 = Tuple[int, int, int]
 
@@ -111,11 +113,12 @@ def _quadruples(n: int) -> Tuple[Tuple[int, int, int, int], ...]:
 @lru_cache(maxsize=None)
 def _slots(n: int) -> Dict[Tuple[int, int, int, int], int]:
     """Per ordered quadruple of distinct labels in range(n), its slot in
-    the volumes of _quadruples(n) followed by their negatives (_signed).
-    det4 is alternating, so an even order reads its sorted quadruple's
-    volume, at that quadruple's place m in _quadruples(n), and an odd
-    order its negative, at m + C(n, 4).  The one place where a
-    quadruple's parity is worked out; built once per point count n."""
+    the table of quad_volumes: the volumes of _quadruples(n) followed by
+    their negatives.  det4 is alternating, so an even order reads its
+    sorted quadruple's volume, at that quadruple's place m in
+    _quadruples(n), and an odd order its negative, at m + C(n, 4).  The
+    one place where a quadruple's parity is worked out; built once per
+    point count n."""
     quads = _quadruples(n)
     orders = [(order, len(quads) * (sum(a > b for a, b in combinations(order, 2)) % 2))
               for order in permutations(range(4))]
@@ -123,20 +126,14 @@ def _slots(n: int) -> Dict[Tuple[int, int, int, int], int]:
             for m, quad in enumerate(quads) for order, odd in orders}
 
 
-def _signed(volumes: Mapping[Tuple[int, int, int, int], int]) -> List[int]:
-    """The volumes followed by their negatives: the list _slots indexes."""
-    signed = list(volumes.values())
-    return signed + [-v for v in signed]
-
-
-def quad_volumes(points: Sequence[IntVec3]) -> Dict[Tuple[int, int, int, int], int]:
+def quad_volumes(points: Sequence[IntVec3]) -> Tuple[int, ...]:
     """det4 of every index quadruple (i, j, k, l), i < j < k < l, of the
-    points, keyed in itertools.combinations(range(n), 4) order.  Results
-    for n points share their key tuples (_quadruples), so the volumes a
-    PointConfig keeps cost a dict and its values."""
+    points, in itertools.combinations(range(n), 4) order (_quadruples),
+    followed by their negatives: the table that _slots(n) indexes, so
+    that det4 of any ordered quadruple of the points is one entry."""
     quads = _quadruples(len(points))
-    return dict(zip(quads, [det4(points[i], points[j], points[k], points[l])
-                            for i, j, k, l in quads]))
+    vols = [det4(points[i], points[j], points[k], points[l]) for i, j, k, l in quads]
+    return tuple(vols + [-v for v in vols])
 
 
 def gcd_all(values: Iterable[int]) -> int:

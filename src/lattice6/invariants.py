@@ -11,9 +11,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterator, Sequence, Tuple
 
-from .exactlinalg import (IntVec3, _adjugate, _mat_vec, _signed, _slots, dot, gcd_all,
+from .exactlinalg import (IntVec3, _adjugate, _mat_vec, _quadruples, _slots, dot, gcd_all,
                           hermite_normal_form, sub)
 from .polytope import NotFullDimensional, PointConfig
 
@@ -26,7 +27,7 @@ def volume_vector6(config: PointConfig) -> Tuple[int, ...]:
     """15-entry volume vector (w_1234, w_1235, ..., w_3456), lex order."""
     if len(config) != 6:
         raise WrongSize(f"need 6 points, got {len(config)}")
-    return tuple(config.volumes().values())
+    return config.volumes()[:15]
 
 
 def volume_vector5(config: PointConfig) -> Tuple[int, ...]:
@@ -37,7 +38,7 @@ def volume_vector5(config: PointConfig) -> Tuple[int, ...]:
     """
     if len(config) != 5:
         raise WrongSize(f"need 5 points, got {len(config)}")
-    w = tuple(config.volumes().values())  # w_1234, w_1235, ..., w_2345
+    w = config.volumes()[:5]  # w_1234, w_1235, ..., w_2345
     return (w[4], -w[3], w[2], -w[1], w[0])
 
 
@@ -78,11 +79,15 @@ class SignedCircuit:
 
 
 @lru_cache(maxsize=None)
-def _five_minors(n: int) -> Tuple[Tuple[Tuple[int, ...], Tuple[Tuple[int, int, int, int], ...]], ...]:
+def _five_minors(n: int) -> Tuple[Tuple[Tuple[int, ...], itemgetter], ...]:
     """Per 5-subset of range(n), in combinations order: the subset and the
-    volume keys of its five 4-subsets, the k-th without its k-th point;
-    built once per point count n."""
-    return tuple((five, tuple(five[:k] + five[k + 1:] for k in range(5)))
+    getter of its signed minors (-1)^k det4(subset without its k-th
+    point) from the volume table.  The k-th minor is det4 of the other
+    four in cyclic order from the (k+1)-th, a rotation of their sorted
+    order by k places, whose sign is (-1)^k; so its slot is that ordered
+    quadruple's (_slots).  Built once per point count n."""
+    slots = _slots(n)
+    return tuple((five, itemgetter(*[slots[five[k + 1:] + five[:k]] for k in range(5)]))
                  for five in itertools.combinations(range(n), 5))
 
 
@@ -98,20 +103,18 @@ def circuits(config: PointConfig) -> Tuple[SignedCircuit, ...]:
     values of config.volumes(), read through _five_minors, and C(n,5)
     sign vectors, integers only.
     """
-    dets = config.volumes()
-    if not any(dets.values()):
-        raise NotFullDimensional("circuits need a full-dimensional configuration")
+    config.top_volume()  # NotFullDimensional unless some volume is nonzero
+    vols = config.volumes()
     found = {}
     for five, minors in _five_minors(len(config.points)):
-        w0, w1, w2, w3, w4 = map(dets.__getitem__, minors)
-        vec = (w0, -w1, w2, -w3, w4)
+        vec = minors(vols)
         support = tuple(itertools.compress(five, vec))
         if not support or support in found:
             continue
-        if next(filter(None, vec)) < 0:  # the least index of the support is positive
-            vec = (-w0, w1, -w2, w3, -w4)
         pos = tuple(i for i, v in zip(five, vec) if v > 0)
         neg = tuple(i for i, v in zip(five, vec) if v < 0)
+        if support[0] in neg:  # the least index of the support is positive
+            pos, neg = neg, pos
         found[support] = SignedCircuit(pos, neg)
     return tuple(found[s] for s in sorted(found))
 
@@ -206,14 +209,15 @@ def _target_rows(basis, s: int) -> Iterator[Tuple[int, int, int, int, range]]:
 def width(config: PointConfig) -> Tuple[int, IntVec3]:
     """Lattice width and a primitive witness functional.
 
-    With d_k = q_k - q0 on a quadruple of maximal |volume| D, a functional
-    f is fixed by its targets t_k = f . d_k, as f = adj(d) t / D, and the
+    With d_k = q_k - q0 on the first quadruple, in _quadruples order, whose
+    |volume| |D| is maximal (PointConfig.top_volume), a functional f is
+    fixed by its targets t_k = f . d_k, as f = adj(d) t / D, and the
     targets of the integer functionals are the lattice spanned by the
     columns of the edge matrix d (rows d_k): _target_rows walks it in its
     row Hermite basis.  On a point p off the quadruple, f takes
     f . q0 + lambda . t / D, where lambda holds p's barycentric
     numerators: lambda_k is det4 of the quadruple with p in place of q_k,
-    read off the volumes through _slots.  So a target's range is read
+    read off the volume table through _slots.  So a target's range is read
     without f, and f is built only for a range that ties or beats the
     best so far; the adjugate serves only to build f.  A functional of
     range W has targets of spread at most W, so a pass over the spreads
@@ -225,16 +229,15 @@ def width(config: PointConfig) -> Tuple[int, IntVec3]:
     """
     pts = config.points
     vols = config.volumes()
-    top = max(map(abs, vols.values()))
-    if top == 0:
-        raise NotFullDimensional("width needs a full-dimensional configuration")
-    quad, D = next((q, v) for q, v in vols.items() if v == top or v == -top)
-    a, b, c, d = quad
+    top = config.top_volume()
+    # the first quadruple of |volume| top: both signs are in the table
+    m = min(vols.index(top), vols.index(-top))
+    D = vols[m]
+    quad = a, b, c, d = _quadruples(len(pts))[m]
     rows = tuple(sub(pts[i], pts[a]) for i in quad[1:])
     adj = _adjugate(rows)
     slots = _slots(len(pts))
-    signed = _signed(vols)
-    lams = [(signed[slots[a, i, c, d]], signed[slots[a, b, i, d]], signed[slots[a, b, c, i]])
+    lams = [(vols[slots[a, i, c, d]], vols[slots[a, b, i, d]], vols[slots[a, b, c, i]])
             for i in range(len(pts)) if i not in quad]
     basis = hermite_normal_form(tuple(zip(*rows)))
     best, s = None, 1

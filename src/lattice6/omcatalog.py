@@ -46,9 +46,10 @@ worst case.  A configuration costs #candidates x #circuits lookups and
 #candidates sorts of small ints.
 
 Whether a configuration has one given record needs no canonical form.
-The chirotope of six points is the tuple of the signs of their volumes
-(PointConfig.volumes()), the det4 of the 15 quadruples of
-combinations(range(6), 4).  A rank-4 oriented matroid is
+The chirotope of six points is the tuple of the signs of their volumes,
+the det4 of the 15 quadruples of combinations(range(6), 4): the first
+half of the configuration's volume table (PointConfig.volumes()), whose
+second half holds their negatives.  A rank-4 oriented matroid is
 fixed by its chirotope up to a global sign (Bjorner et al., Oriented
 Matroids, ch. 3): the circuits are read off the signs, and the signs off
 the circuits.  So two configurations share a record exactly when some
@@ -57,8 +58,9 @@ other, and chirotope_orbit, taken over all 720 relabelings of one
 realization with both signs, holds exactly the chirotopes of the
 configurations with the realization's record.  A relabeling only
 permutes the 15 quadruple volumes and flips the signs of some, so the
-orbit is read off the realization's one chirotope, by one index table
-per relabeling built once per process from the slot table of
+orbit is read off the signs of the realization's volume table, chi
+followed by -chi, and of that table negated, by one index table per
+relabeling built once per process from the slot table of
 exactlinalg._slots.  Membership costs the configuration's volumes, which
 its later steps read again, and one set lookup.  match_circuits stays
 the general path, for any configuration and any record.
@@ -320,20 +322,24 @@ def match_circuits(circs: Sequence[SignedCircuit]) -> OMRecord:
 # chirotopes
 
 
+def _signs(volumes: Sequence[int]) -> Tuple[int, ...]:
+    """Signs (-1, 0 or 1) of the volumes."""
+    return tuple([(d > 0) - (d < 0) for d in volumes])
+
+
 def chirotope(config: PointConfig) -> Tuple[int, ...]:
-    """Signs (-1, 0 or 1) of the volumes of a six-point configuration."""
-    return tuple([(d > 0) - (d < 0) for d in config.volumes().values()])
+    """Signs of the 15 volumes of a six-point configuration."""
+    return _signs(config.volumes()[:15])
 
 
 def chirotope_orbit(config: PointConfig) -> FrozenSet[Tuple[int, ...]]:
     """The chirotopes of all 720 relabelings of a six-point configuration,
     each with both global signs: exactly the chirotopes of the six-point
     configurations whose oriented matroid is its one (see the module
-    docstring).  They are read off its one chirotope (_relabeling_getters)."""
-    chi = chirotope(config)
-    flipped = tuple(-s for s in chi)
-    sources = (chi + flipped, flipped + chi)
-    return frozenset(get(signs) for get in _relabeling_getters() for signs in sources)
+    docstring).  They are read off the signs of its volume table, chi
+    followed by -chi, and of that table negated (_relabeling_getters)."""
+    signs = _signs(config.volumes())
+    return frozenset(get(t) for get in _relabeling_getters() for t in (signs, signs[15:] + signs[:15]))
 
 
 @lru_cache(maxsize=1)
@@ -344,8 +350,8 @@ def _relabeling_getters() -> List[itemgetter]:
 
     The relabeling sends the quadruple (i, j, k, l) to the ordered
     quadruple (perm[i], perm[j], perm[k], perm[l]), whose det4 sits at its
-    _slots entry in the volumes followed by their negatives; so its sign
-    sits at the same entry of chi followed by -chi.
+    _slots entry in the volume table, the volumes followed by their
+    negatives; so its sign sits at the same entry of chi followed by -chi.
     """
     slots = _slots(6)
     return [

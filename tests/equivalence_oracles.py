@@ -16,7 +16,7 @@ from operator import itemgetter
 from typing import List, Tuple
 
 from lattice6.equivalence import Key
-from lattice6.exactlinalg import _adjugate, _mat_vec, edge_form, sub
+from lattice6.exactlinalg import _adjugate, _mat_vec, _quadruples, edge_form, sub
 from lattice6.polytope import NotFullDimensional, PointConfig
 
 #: Per order of a quadruple's labels 0-3, the getter of its last three
@@ -27,7 +27,7 @@ _ORDERS = [(order, itemgetter(*order[1:])) for order in itertools.permutations(r
 def all_orders_normal_form(config: PointConfig) -> Tuple[Key, List[Tuple[int, ...]]]:
     """canonical_key of config and the ordered index quadruples reaching it."""
     pts = config.points
-    vols = config.volumes()
+    vols = dict(zip(_quadruples(len(pts)), config.volumes()))
     top = max(map(abs, vols.values()))
     if top == 0:
         raise NotFullDimensional("configuration spans no 3-dimensional volume")

@@ -422,7 +422,7 @@ def hull_verdict(cfg, glued_interior):
     interior, glued interior}, and any other set is an extra interior
     point; the hull's size decides the rest.  The size must agree with
     the caps' emptiness, also where the interior points reject."""
-    if 0 in cfg.volumes().values():
+    if 0 in cfg.volumes():
         return "shared", "coplanarity present"
     lattice, inner, _ = hull_summary(cfg)
     six = len(lattice) == 6
@@ -1183,7 +1183,7 @@ def test_quad_volume_coplanarity_matches_circuits(literal_gh):
         cfg = PointConfig(glued.points)
         expected = coplanarity_from_circuits(circuits(cfg)) != NO_COPLANARITY
         assert (reason == "coplanarity present") == expected
-        assert (0 in quad_volumes(cfg.points).values()) == expected
+        assert (0 in quad_volumes(cfg.points)) == expected
         coplanar += expected
     assert 0 < coplanar < 1532
     rng = random.Random(21)
@@ -1194,7 +1194,7 @@ def test_quad_volume_coplanarity_matches_circuits(literal_gh):
         if cfg is None or not cfg.is_full_dimensional():
             continue
         expected = coplanarity_from_circuits(circuits(cfg)) != NO_COPLANARITY
-        assert (0 in quad_volumes(cfg.points).values()) == expected, cfg
+        assert (0 in quad_volumes(cfg.points)) == expected, cfg
         seen[expected] += 1
     assert min(seen.values()) > 50
 
@@ -1227,6 +1227,34 @@ def test_case_f_splits_by_catalog_label(case_reports):
         groups.setdefault(cls.om_label, 0)
         groups[cls.om_label] += 1
     assert sorted(groups.values(), reverse=True) == [6, 6, 5]
+
+
+def _relabeled_case_f(monkeypatch, change):
+    """Make _finish hand run_case_f its report with the classes changed."""
+    finish = classify6._finish
+
+    def changed(*args):
+        report = finish(*args)
+        return dataclasses.replace(report, classes_found=change(report.classes_found))
+
+    monkeypatch.setattr(classify6, "_finish", changed)
+
+
+def test_case_f_checks_each_class_against_its_group(monkeypatch):
+    """A case F class listed under another group's oriented matroid, or a
+    group short of a class, fails the run."""
+    def swap_first(classes):
+        first, *rest = classes
+        other = next(c.om_label for c in rest if c.om_label != first.om_label)
+        return (dataclasses.replace(first, om_label=other), *rest)
+
+    _relabeled_case_f(monkeypatch, swap_first)
+    with pytest.raises(classify6.ClassificationError, match=r"^F\.1: group 4\.\d+ is not its oriented matroid"):
+        classify6.run_case_f()
+    monkeypatch.undo()
+    _relabeled_case_f(monkeypatch, lambda classes: classes[1:])
+    with pytest.raises(classify6.ClassificationError, match=re.escape("F group counts")):
+        classify6.run_case_f()
 
 
 def test_identify(bundle):

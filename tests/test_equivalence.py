@@ -10,7 +10,7 @@ from conftest import APEX31_BASE, apply_map, count_calls, random_unimodular, shu
 from emptytetra_oracles import standard_tetrahedron
 from equivalence_oracles import all_orders_normal_form
 from lattice6.equivalence import (
-    _least_orders, _normal_form, _top_volume, _table, canonical_key, equivalence_witness,
+    _least_orders, _normal_form, _table, canonical_key, equivalence_witness,
 )
 from lattice6.exactlinalg import det4, edge_form
 from lattice6.invariants import volume_vector5, volume_vector6
@@ -92,7 +92,7 @@ def test_witness_is_checked_not_read_off_the_key(monkeypatch):
     unimodular or does not send a onto b."""
     import lattice6.equivalence as equivalence
 
-    monkeypatch.setattr(equivalence, "_top_volume", lambda c: 1)
+    monkeypatch.setattr(PointConfig, "top_volume", lambda c: 1)
     monkeypatch.setattr(equivalence, "_least_orders", lambda c, top: ((), [(0, 1, 2, 3)]))
     tet = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert equivalence_witness(PointConfig(tet), PointConfig(tet[:3] + [(1, 1, 2)])) is None
@@ -299,7 +299,7 @@ def test_witness_matches_oracle_on_symmetric_and_degenerate_inputs(bundle):
         assert equivalence_witness(a, b) == fraction_oracles.equivalence_witness(a, b)
     for a, b in _rows(bundle, SHARED_LEAST_TABLE) + pairs[-1:]:
         assert equivalence_witness(a, b) is None
-        assert _least_orders(a, _top_volume(a))[0] == _least_orders(b, _top_volume(b))[0]
+        assert _least_orders(a, a.top_volume())[0] == _least_orders(b, b.top_volume())[0]
         assert canonical_key(a) != canonical_key(b)
 
 
@@ -378,7 +378,7 @@ def test_normal_form_tables_are_pinned(bundle, monkeypatch):
     rows = [row.config() for row in bundle.class_rows]
     quads = 0
     for c in rows:
-        vols = [abs(v) for v in c.volumes().values()]
+        vols = [abs(v) for v in c.volumes()[:len(c.volumes()) // 2]]
         quads += vols.count(max(vols))
     assert 24 * quads == 2160
     calls = count_calls(monkeypatch, _table)

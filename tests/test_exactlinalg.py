@@ -14,7 +14,6 @@ from lattice6.exactlinalg import (
     COORD_BOUND,
     AffineMap,
     DegenerateSource,
-    _signed,
     _slots,
     det3,
     det4,
@@ -72,17 +71,18 @@ def test_det4_multiplies_by_map_determinant(p1, p2, p3, p4, seed):
 
 @pytest.mark.parametrize("n", range(4, 9))
 def test_quad_volumes_lists_every_quadruple_in_order(n):
-    """Keys in combinations(range(n), 4) order, each valued det4 of its
-    points; all 0 for coplanar points."""
+    """det4 of each quadruple's points in combinations(range(n), 4)
+    order, then their negatives in the same order; all 0 for coplanar
+    points."""
     rng = random.Random(n)
     spread = [tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(n)]
     coplanar = [(x, y, 2 * x - y + 5) for x, y, _ in spread]
     for pts in (spread, coplanar):
         vols = quad_volumes(pts)
-        assert list(vols) == list(itertools.combinations(range(n), 4))
-        assert all(v == det4(*(pts[i] for i in q)) for q, v in vols.items())
-    assert any(quad_volumes(spread).values())
-    assert not any(quad_volumes(coplanar).values())
+        expected = [det4(*(pts[i] for i in q)) for q in itertools.combinations(range(n), 4)]
+        assert vols == tuple(expected + [-v for v in expected])
+    assert any(quad_volumes(spread))
+    assert not any(quad_volumes(coplanar))
 
 
 @pytest.mark.parametrize("n", range(4, 9))
@@ -99,7 +99,7 @@ def test_slots_read_det4_of_every_ordered_quadruple(n):
     assert sorted(slots) == sorted(itertools.permutations(range(n), 4))
     for _ in range(20):
         pts = [tuple(rng.randint(-6, 6) for _ in range(3)) for _ in range(n)]
-        signed = _signed(quad_volumes(pts))
+        signed = quad_volumes(pts)
         for order, slot in slots.items():
             assert signed[slot] == det4(*(pts[i] for i in order)), (pts, order)
         for quad in itertools.combinations(range(n), 4):

@@ -25,7 +25,7 @@ from lattice6.invariants import (
     volume_vector6,
     width,
 )
-from lattice6.exactlinalg import COORD_BOUND, det3, dot, sub
+from lattice6.exactlinalg import COORD_BOUND, det3, det4, dot, sub
 from lattice6.polytope import NotFullDimensional, PointConfig, hull_summary, lattice_points
 from lattice6.size5 import rep32
 from width_oracles import shell, shell_width
@@ -230,6 +230,31 @@ def test_width_work_is_pinned(bundle, monkeypatch):
     for row in bundle.class_rows:
         width(row.config())
     assert counts == [999, 250]
+
+
+def test_width_reads_the_first_quadruple_of_maximal_volume(monkeypatch):
+    """width walks the target lattice of the first quadruple, in
+    combinations order, whose |volume| is maximal, whatever its sign: on
+    seeded random sets, the edge matrix it hands hermite_normal_form is
+    that quadruple's, also where a later quadruple has the opposite sign."""
+    seen = []
+    hnf = invariants.hermite_normal_form
+    monkeypatch.setattr(invariants, "hermite_normal_form", lambda rows: seen.append(rows) or hnf(rows))
+    rng = random.Random(38)
+    box = list(itertools.product(range(-2, 3), repeat=3))
+    both_signs = 0
+    for _ in range(300):
+        c = PointConfig(rng.sample(box, rng.randint(5, 8)))
+        vols = {q: det4(*(c[i] for i in q)) for q in itertools.combinations(range(len(c)), 4)}
+        top = max(map(abs, vols.values()))
+        if top == 0:
+            continue
+        quad = next(q for q, v in vols.items() if abs(v) == top)
+        both_signs += -vols[quad] in vols.values()
+        seen.clear()
+        width(c)
+        assert seen == [tuple(zip(*(sub(c[i], c[quad[0]]) for i in quad[1:])))], c
+    assert both_signs > 20
 
 
 @pytest.mark.parametrize("points, expected, work", [

@@ -45,7 +45,7 @@ def test_unit_tetrahedron():
 
 def test_volumes_are_computed_once_and_read_only(bundle, monkeypatch):
     """PointConfig.volumes() is quad_volumes of the points, computed on the
-    first call and kept; the view refuses writes, so no reader can change
+    first call and kept; the tuple refuses writes, so no reader can change
     what the others read."""
     c = bundle.class_by_id("H.12").config()
     expected = quad_volumes(c.points)
@@ -54,7 +54,23 @@ def test_volumes_are_computed_once_and_read_only(bundle, monkeypatch):
     assert vols is c.volumes() and vols == expected
     assert calls == {"quad_volumes": 1}
     with pytest.raises(TypeError):
-        vols[0, 1, 2, 3] = 0
+        vols[0] = 0
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_top_volume_is_the_maximal_absolute_det4(n):
+    """On seeded random n-point sets of a small box, top_volume is the
+    maximal |det4| over the quadruples of points; on a flat set it raises
+    the message analyze and equiv print."""
+    rng = random.Random(3800 + n)
+    for _ in range(60):
+        c = PointConfig(rng.sample(list(itertools.product(range(-2, 3), repeat=3)), n))
+        top = max(abs(det4(*quad)) for quad in combinations(c.points, 4))
+        if top:
+            assert c.top_volume() == top, c
+    flat = PointConfig([(x, y, 2 * x - 3 * y + 1) for x, y in itertools.product(range(3), repeat=2)][:n])
+    with pytest.raises(NotFullDimensional, match="^configuration spans no 3-dimensional volume$"):
+        flat.top_volume()
 
 
 def test_dilated_simplex_has_ten_points():

@@ -40,6 +40,7 @@ UNREAD_ALLOWED = {
     "classify6.identify": "the table lookup of one configuration; the README example calls it",
     "size5.classify5": "the size-5 entry point with its size and dimension gates",
     "classify6.width1_family": "the width-one constructors; the width-one identification will call them",
+    "emptytetra.is_empty_tetrahedron": "the emptiness test of four points; white_type frames its facet once itself",
 }
 
 #: Class members kept in the library although no library module reads them.

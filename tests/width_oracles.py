@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Tuple
 
-from lattice6.exactlinalg import IntVec3, _adjugate, _mat_vec, gcd_all, sub
+from lattice6.exactlinalg import IntVec3, _adjugate, _mat_vec, _quadruples, gcd_all, sub
 from lattice6.invariants import _normalize_sign, functional_range
 from lattice6.polytope import NotFullDimensional, PointConfig
 
@@ -44,8 +44,9 @@ def shell_width(config: PointConfig) -> Tuple[int, IntVec3]:
     least of them, sign-normalized (leading coefficient positive).
     """
     pts = config.points
-    vols = config.volumes()
-    quad = max(vols, key=lambda q: abs(vols[q]))
+    quads = _quadruples(len(pts))
+    vols = dict(zip(quads, config.volumes()))
+    quad = max(quads, key=lambda q: abs(vols[q]))
     rows = tuple(sub(pts[i], pts[quad[0]]) for i in quad[1:])
     D = vols[quad]
     if D == 0:
