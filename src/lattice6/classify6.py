@@ -10,9 +10,9 @@ Each ``run_case_*`` function enumerates the candidates of one branch by
 bounded scans or embedding searches, rejects candidates with recorded
 reasons, cross-checks the triangulation-emptiness size arguments against
 direct lattice-point counts, and identifies the survivors against the
-bundled tables: one normal form per distinct survivor (_dedupe) names its
+bundled tables (_finish): one normal form per distinct survivor names its
 table row, and an integer unimodular map, checked point by point, carries
-its points onto the row's (_finish).  A class is that row: its width,
+its points onto the row's.  A class is that row: its width,
 oriented matroid label and dps flag are invariant under the map, so they
 are read from the row, and tests/table_checks.py checks once per data
 file that each row's columns hold for its points.  ``classify_all`` runs
@@ -24,7 +24,7 @@ candidates examined, rejections by reason and survivors, which reports
 through _finish; _embeddings41, the one search over the 8 x 4!
 embeddings of the signature-(4,1) bases (case C's interior subcase and
 case E), which counts each embedding in its caller's _Funnel;
-_cross_check, the one comparison of a size argument's outcome with the
+_six_by_caps, the one comparison of a size argument's outcome with the
 hull count (B.i, B.ii, B.iii, the three C subcases, D, E, F, G and H),
 where each site evaluates its argument once per candidate; and _caps,
 the cap rule for a one-point extension of a polytope whose boundary a
@@ -40,7 +40,8 @@ product per facet: the sign of h says whether it sees the facet, and
 White's congruence on (x, y, h) whether its cap is empty, with no det4
 and no lattice point enumerated.  In B to H, _six_by_caps rejects a
 candidate with a non-empty cap without a hull and counts the hull of
-each other candidate once, to cross-check the argument; G and H first
+each other candidate once, to cross-check the argument, raising
+"<site> triangulation check failed<at>" when they disagree; G and H first
 reject a gluing whose caps hold a lattice point strictly inside, an
 extra interior point, by the level test on the same caps.  Only case A,
 whose five coplanar points have no caps, counts its hulls directly.  No
@@ -184,43 +185,38 @@ def _row_key_index():
     return index
 
 
-def _dedupe(configs: Sequence[PointConfig]) -> Dict[tuple, tuple]:
-    """First-seen representatives up to equivalence, by canonical key, each
-    with the key orders of its points: (config, orders) from one
-    _normal_form per distinct point set."""
-    seen_sets = set()
-    firsts: Dict[tuple, tuple] = {}
-    for cfg in configs:
-        fs = frozenset(cfg.points)
-        if fs in seen_sets:
-            continue
-        seen_sets.add(fs)
-        key, orders = _normal_form(cfg)
-        firsts.setdefault(key, (cfg, orders))
-    return firsts
+def _finish(case, examined, rejected, accepted: Sequence[PointConfig], notes=()) -> CaseReport:
+    """Report of one case from its accepted configurations, in order; the
+    runners reach it through _Funnel.report.
 
-
-def _finish(case, examined, rejected, firsts, notes=()) -> CaseReport:
-    """Report of one case from its _dedupe representatives; the runners
-    reach it through _Funnel.report.
-
-    Each representative's key must name a row of this case in
-    _row_key_index, and _witnesses, from the representative's first key
-    order onto the row's key orders, must give a unimodular map that
-    carries its points onto the row's points; the first such map is the
-    check, so equal keys alone identify nothing.  The class is then the
-    row: width, oriented matroid up to sign and dps are invariant under
-    that map, so they are the row's columns (tests/table_checks.py checks
-    them on every row's points, and a test on the generated
-    configurations).  Only the volume vector is computed, from the index's
-    configuration of the row, whose volumes are not computed again.  The
-    rows are pairwise inequivalent: _row_key_index checks that their
-    complete keys differ.  The classes found must be exactly the case's
-    rows.
+    The representatives are the first-seen configurations up to
+    equivalence: one _normal_form per distinct point set gives the
+    canonical key and its key orders, and a configuration whose key came
+    earlier is a repeat.  Each representative's key must name a row of
+    this case in _row_key_index, and _witnesses, from the
+    representative's first key order onto the row's key orders, must give
+    a unimodular map that carries its points onto the row's points; the
+    first such map is the check, so equal keys alone identify nothing.
+    The class is then the row: width, oriented matroid up to sign and dps
+    are invariant under that map, so they are the row's columns
+    (tests/table_checks.py checks them on every row's points, and a test
+    on the generated configurations).  Only the volume vector is
+    computed, from the index's configuration of the row, whose volumes
+    are not computed again.  The rows are pairwise inequivalent:
+    _row_key_index checks that their complete keys differ.  The classes
+    found must be exactly the case's rows.
     """
     index = _row_key_index()
-    classes = []
-    for key, (cfg, orders) in firsts.items():
+    point_sets, keys, classes = set(), set(), []
+    for cfg in accepted:
+        points = frozenset(cfg.points)
+        if points in point_sets:
+            continue
+        point_sets.add(points)
+        key, orders = _normal_form(cfg)
+        if key in keys:
+            continue
+        keys.add(key)
         row, rep, row_orders = index.get(key, (None, None, None))
         if row is None:
             raise ClassificationError("generated configuration matches no table row")
@@ -254,22 +250,8 @@ class _Funnel:
         self.rejected[reason] += count
 
     def report(self, notes=()) -> CaseReport:
-        """_finish on the record, with the _dedupe representatives of the
-        accepted configurations."""
-        return _finish(self.case, self.examined, self.rejected, _dedupe(self.accepted), notes)
-
-
-def _cross_check(six: bool, site: str, at: str = "") -> bool:
-    """six, once it agrees with the size argument at that site.
-
-    six says whether the hull has exactly six lattice points, counted
-    after the size argument found every cap (_caps) empty, so it must
-    hold.  Raises ClassificationError "<site> triangulation check
-    failed<at>" when it does not.
-    """
-    if not six:
-        raise ClassificationError(f"{site} triangulation check failed{at}")
-    return six
+        """_finish on the record."""
+        return _finish(self.case, self.examined, self.rejected, self.accepted, notes)
 
 
 #: A cap of _caps: its label quadruple and the new point's coordinates
@@ -327,11 +309,14 @@ def _six_by_caps(cfg: PointConfig, caps: Sequence[Cap], site: str, at: str = "")
     """Whether the hull of cfg, a one-point extension with the given _caps,
     has exactly six lattice points, decided by the cap rule: False, with
     no hull, when some cap is not empty (_framed_empty); else the hull is
-    counted once and must have six points (_cross_check).  Cases B to H
-    decide size here."""
+    counted once and must have six points, or ClassificationError
+    "<site> triangulation check failed<at>".  Cases B to H decide size
+    here."""
     if not all(_framed_empty(*xyh) for _, xyh in caps):
         return False
-    return _cross_check(size(cfg) == 6, site, at)
+    if size(cfg) != 6:
+        raise ClassificationError(f"{site} triangulation check failed{at}")
+    return True
 
 
 #: The facets of a catalog41() base, as _caps takes them: empty triangles
@@ -557,8 +542,13 @@ def run_case_c() -> CaseReport:
     rejection names the first cap that is not empty.  In the second, p4
     extends the (4,1) base on p1, p2, p3, p5, p6, and its caps over
     _EMBEDDED41_FACETS, the printed T1246 and T1346, decide the hull.  In
-    the last, p5 at height 1 extends the pyramid conv(_B_BASE + p6) and
-    sees only its side facets, so the caps over those decide the hull.
+    the last, p6 = (1, 2, 3) and p5 = (a, b, 1) with a, b >= 1, the
+    quadrant of the paper's normalization, scanned over its part with
+    a, b <= SCAN_BOUND: every (a, b) but (1, 1) puts the seventh point
+    (1, 1, 1) in the hull (tests/test_scan_regions.py proves it by a
+    witness affine in (a, b)), so the scan must find (1, 1) alone.  p5
+    extends the pyramid conv(_B_BASE + p6) and sees only its side facets,
+    so the caps over those decide the hull.
     All three use _six_by_caps: a candidate with a nonempty cap is
     rejected without a hull, and the hull of each other candidate is
     counted and must have six points.
@@ -802,7 +792,7 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
     verdicts.  The first hit of a group is the one that makes
     its verdict, and only its configuration is kept when the verdict
     accepts.  The gluings of a group are equivalent, so the first gluing
-    of each class is the first of its group, and _dedupe identifies 32
+    of each class is the first of its group, and _finish identifies 32
     configurations, the first of each class in enumeration order.  The
     symmetries and verdicts are computed per call.
 
@@ -954,26 +944,13 @@ def _glued_verdict(cfg: PointConfig, glued_interior: IntVec3, frames: dict):
 # ---------------------------------------------------------------------------
 # assembly and global verification
 
-_RUNNERS = (
-    run_case_a,
-    run_case_b,
-    run_case_c,
-    run_case_d,
-    run_case_e,
-    run_case_f,
-    run_case_gh,
-)
-
-
-def _reports(runner) -> Tuple[CaseReport, ...]:
-    """A runner's reports as a tuple: run_case_gh returns G's and H's."""
-    res = runner()
-    return res if isinstance(res, tuple) else (res,)
+#: The runners of cases A to F, one report each; run_case_gh reports G and H.
+_RUNNERS = (run_case_a, run_case_b, run_case_c, run_case_d, run_case_e, run_case_f)
 
 
 def run_reports() -> List[CaseReport]:
     """All eight case reports, in case order; runners are independent."""
-    return [report for runner in _RUNNERS for report in _reports(runner)]
+    return [runner() for runner in _RUNNERS] + list(run_case_gh())
 
 
 def run_case(case: str) -> CaseReport:
@@ -981,8 +958,9 @@ def run_case(case: str) -> CaseReport:
     the one gluing pass, run_case_gh.  Raises ValueError for other letters."""
     if case not in tuple("ABCDEFGH"):
         raise ValueError(f"unknown case {case!r}")
-    runner = _RUNNERS[min("ABCDEFGH".index(case), 6)]
-    return next(r for r in _reports(runner) if r.case == case)
+    if case in "GH":
+        return run_case_gh()["GH".index(case)]
+    return _RUNNERS["ABCDEF".index(case)]()
 
 
 def classify_all() -> Tuple[CaseReport, ...]:
@@ -995,23 +973,13 @@ def classify_all() -> Tuple[CaseReport, ...]:
     return reports
 
 
-def in_classification(nsize: int, w: int) -> bool:
-    """identify's gate: the table covers size six and width at least two."""
-    return nsize == 6 and w >= 2
-
-
-def table_id(config: PointConfig) -> Optional[str]:
-    """Id of the table row with config's canonical key, or None; callers
-    apply in_classification first."""
+def identify(config: PointConfig) -> Optional[str]:
+    """Id of the table row with config's canonical key, or None.  Equal
+    keys mean equivalent configurations, so a configuration outside the
+    classification (not six lattice points, or width one) has no row's
+    key and needs no gate.  A flat config raises NotFullDimensional."""
     row, _, _ = _row_key_index().get(canonical_key(config), (None, None, None))
     return None if row is None else row.id
-
-
-def identify(config: PointConfig) -> Optional[str]:
-    """Table id of a configuration, or None when out of classification."""
-    if not in_classification(size(config), width(config)[0]):
-        return None
-    return table_id(config)
 
 
 # ---------------------------------------------------------------------------

@@ -82,8 +82,8 @@ def cmd_analyze(args) -> int:
     # hull_summary rejected rank < 4, so the circuits exist
     circs = circuits(config) if n == 6 else ()
     w, functional = width(config)
-    in_table = n == 6 and classify6.in_classification(nsize, w)
-    class_id = classify6.table_id(config) if in_table else None
+    # only six lattice points of width >= 2 can be a table row: others take no normal form
+    class_id = classify6.identify(config) if n == nsize == 6 and w >= 2 else None
     row = None if class_id is None else load_tables().class_by_id(class_id)
     # show the published witness when it is one for these coordinates
     if row is not None and functional_range(row.functional, config.points) == w:

@@ -187,25 +187,20 @@ def canonical_circuit_form(circs: Sequence[SignedCircuit]) -> Tuple:
     return tuple((ranked[k >> 6], ranked[k & 63]) for k in best)
 
 
-def _swap(ab):
-    return (ab[1], ab[0])
-
-
-def _rot1(seq):
-    return seq[1:] + (_swap(seq[0]),)
-
-
 def _canonical_dual(lines, loops):
-    """Canonical form of a cyclic line sequence under rotations/reflections."""
+    """Canonical form of a cyclic line sequence under rotations/reflections.
+
+    A rotation by one line moves the first line to the end with its rays
+    swapped, so the 2n rotations of n lines are the length-n windows of
+    the sequence followed by its ray-swapped copy, doubled; the same
+    windows of its reflection give the others."""
     seq = tuple(lines)
     n = len(seq)
-    refl = (seq[0],) + tuple(_swap(s) for s in reversed(seq[1:]))
+    refl = seq[:1] + tuple((b, a) for a, b in reversed(seq[1:]))
     cands = []
     for start in (seq, refl):
-        cur = start
-        for _ in range(2 * n):
-            cands.append(cur)
-            cur = _rot1(cur)
+        ring = (start + tuple((b, a) for a, b in start)) * 2
+        cands.extend(ring[k:k + n] for k in range(2 * n))
     return (min(cands), loops)
 
 

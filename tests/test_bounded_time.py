@@ -5,14 +5,19 @@ item 2), polytope._hull_points sums the normalized volumes of its cone
 tetrahedra first and refuses a hull over ENUMERATION_BUDGET with
 EnumerationBudgetExceeded, which analyze reports as an input error.  A
 refusal is asserted by a work count, no tetrahedron enumerated, and not
-by a time.
+by a time.  So is the work of the inputs at the bound that finish: long
+empty tetrahedra, which analyze enumerates in one tetrahedron; equiv of
+an input and a relabeled image, which enumerates none; and the thin
+hulls, which classify5 and identify answer without any hull.
 """
 
 import pytest
 
 from conftest import count_calls
-from lattice6 import polytope
+from lattice6 import invariants, polytope
+from lattice6.classify6 import identify
 from lattice6.cli import main
+from lattice6.size5 import classify5
 from lattice6.polytope import (
     ENUMERATION_BUDGET,
     EnumerationBudgetExceeded,
@@ -71,3 +76,56 @@ def test_budget_bounds_the_summed_volume(monkeypatch):
     monkeypatch.setattr(polytope, "ENUMERATION_BUDGET", 11)
     with pytest.raises(EnumerationBudgetExceeded, match="normalized volume 12 exceeds"):
         lattice_points(config)
+
+
+#: The thin hull's five points plus (-1, -10000, 1): a six-point hull of
+#: width one, outside the classification.
+THIN_HULL6 = OVER_BUDGET[2][0] + [(-1, -10000, 1)]
+
+#: Empty tetrahedra at the bound, with the summary line analyze ends with.
+LONG_TETRAHEDRA = [
+    ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (10000, 10000, 9999)], "size 4, width 1, White type (1,9999)"),
+    ([(0, 0, 0), (1, 0, 0), (0, 0, 1), (2, 9999, 1)], "size 4, width 1, White type (2,9999)"),
+]
+
+
+@pytest.mark.parametrize("points, summary", LONG_TETRAHEDRA, ids=["needle", "white-2-9999"])
+def test_analyze_of_a_long_empty_tetrahedron(points, summary, tmp_path, capsys, monkeypatch):
+    """analyze enumerates the one tetrahedron of the hull once, and takes
+    one hull and one width."""
+    calls = count_calls(monkeypatch, polytope._tetrahedron_points, polytope.hull_facets,
+                        invariants.width)
+    path = tmp_path / "points.txt"
+    path.write_text(format_points(points))
+    assert main(["analyze", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == summary
+    assert calls == {"_tetrahedron_points": 1, "hull_facets": 1, "width": 1}
+
+
+def _signed_swap(points):
+    """A relabeled unimodular image that keeps every |coordinate|:
+    (x, y, z) -> (y, -z, x), with the points in reverse order."""
+    return [(y, -z, x) for x, y, z in reversed(points)]
+
+
+@pytest.mark.parametrize("points", [points for points, _ in LONG_TETRAHEDRA] + [THIN_HULL6],
+                         ids=["needle", "white-2-9999", "thin-hull-6"])
+def test_equiv_of_an_image_at_the_bound(points, tmp_path, capsys, monkeypatch):
+    """equiv finds the witness without a hull or a lattice point."""
+    calls = count_calls(monkeypatch, polytope.hull_facets, polytope._tetrahedron_points)
+    path_a, path_b = tmp_path / "a.txt", tmp_path / "b.txt"
+    path_a.write_text(format_points(points))
+    path_b.write_text(format_points(_signed_swap(points)))
+    assert main(["equiv", str(path_a), str(path_b)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "equivalent"
+    assert calls == {"hull_facets": 0, "_tetrahedron_points": 0}
+
+
+def test_thin_hulls_are_answered_without_a_hull(monkeypatch):
+    """classify5 names the five-point thin hull's class by the emptiness of
+    its triangulation's cells, and identify finds no row for the six-point
+    one by its canonical key; neither takes a hull."""
+    calls = count_calls(monkeypatch, polytope.hull_facets, polytope._tetrahedron_points)
+    assert classify5(PointConfig(OVER_BUDGET[2][0])).label == "21(9999, 99980000)"
+    assert identify(PointConfig(THIN_HULL6)) is None
+    assert calls == {"hull_facets": 0, "_tetrahedron_points": 0}

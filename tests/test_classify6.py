@@ -268,7 +268,7 @@ def literal_gh():
         for reason, n in rejected["shared"].items():
             rejected[case][reason] += n
     reports = tuple(
-        classify6._finish(case, examined, rejected[case], classify6._dedupe(accepted[case]), (note,))
+        classify6._finish(case, examined, rejected[case], accepted[case], (note,))
         for case in ("G", "H")
     )
     return types.SimpleNamespace(reports=reports, accepted=accepted, verdicts=verdicts,
@@ -345,24 +345,23 @@ def test_orbit_verdicts_match_literal_oracle(monkeypatch, literal_gh):
     a verdict, with its triangulation cross-checks, on each of the 1,532
     distinct keys, run_case_gh on 426.  Each accepted list is the oracle's
     with the repeats of a gluing group left out, in order, and identifies
-    the same first-seen configurations under the same keys."""
+    the same first-seen configurations: the reports, whose classes carry
+    them, are equal."""
     assert len(literal_gh.verdicts) == 1532
     calls = _counting_verdicts(monkeypatch)
     accepted = []
-    dedupe = classify6._dedupe
+    finish = classify6._finish
 
-    def recorded(configs):
+    def recorded(case, examined, rejected, configs, notes=()):
         accepted.append(list(configs))
-        return dedupe(configs)
+        return finish(case, examined, rejected, configs, notes)
 
-    monkeypatch.setattr(classify6, "_dedupe", recorded)
+    monkeypatch.setattr(classify6, "_finish", recorded)
     report_g, report_h = classify6.run_case_gh()
     assert len(calls) == 426
     assert [len(configs) for configs in accepted] == [20, 12]
     for configs, case in zip(accepted, "GH"):
-        oracle = literal_gh.accepted[case]
-        assert _is_subsequence(configs, oracle), case
-        assert list(dedupe(configs).items()) == list(dedupe(oracle).items()), case
+        assert _is_subsequence(configs, literal_gh.accepted[case]), case
     for report, oracle in zip((report_g, report_h), literal_gh.reports):
         assert report.rejected == oracle.rejected
         assert report.candidates_examined == oracle.candidates_examined
@@ -501,7 +500,7 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     reverse gluings pass the source's, and C's interior subcase reads its
     subtetrahedron off the configuration's volumes; with det4 calls of
     their own these took 768, 426 and 128 more, 15,452 in all), 129
-    normal forms (one per distinct point set in _dedupe,
+    normal forms (one per distinct point set in _finish,
     which for G and H is one per class, whose key orders the witness check
     reuses, and one per base for its symmetries; the rows' key orders come
     from _row_key_index), no catalog match (a class takes its oriented
@@ -543,28 +542,25 @@ def test_finish_rejects_a_row_of_another_case(bundle):
     """A representative whose key names a row of another case fails the
     case check, before its witness map or the case's row list is looked at."""
     row = next(r for r in bundle.class_rows if r.case == "B")
-    firsts = classify6._dedupe([row.config()])
     with pytest.raises(classify6.ClassificationError,
                        match=rf"^case A produced table row {re.escape(row.id)}$"):
-        classify6._finish("A", 1, Counter(), firsts)
+        classify6._finish("A", 1, Counter(), [row.config()])
 
 
 def test_finish_rejects_a_configuration_outside_the_table():
     """A six-point configuration of width one has no row, so its key names
     none and _finish fails before looking for a witness."""
-    firsts = classify6._dedupe([width1_family("(5,1)/3.2")])
     with pytest.raises(classify6.ClassificationError,
                        match="^generated configuration matches no table row$"):
-        classify6._finish("A", 1, Counter(), firsts)
+        classify6._finish("A", 1, Counter(), [width1_family("(5,1)/3.2")])
 
 
 def test_finish_rejects_a_case_with_missing_rows(bundle):
     """Every representative identifies, but the case lists a row none of
     them reaches, so the found ids differ from the case's rows."""
-    firsts = classify6._dedupe([bundle.class_by_id("A.1").config()])
     with pytest.raises(classify6.ClassificationError,
                        match=re.escape("case A: found ['A.1'], expected ['A.1', 'A.2']")):
-        classify6._finish("A", 1, Counter(), firsts)
+        classify6._finish("A", 1, Counter(), [bundle.class_by_id("A.1").config()])
 
 
 def test_classify_all_checks_the_case_order(monkeypatch, case_reports):
@@ -740,17 +736,34 @@ CROSS_CHECK_SITES = {
 }
 
 
+def _count_hulls_by_site(monkeypatch, count):
+    """Patch classify6.size so that a hull count made inside _six_by_caps
+    returns count(site, cfg) for its site; other counts are unchanged."""
+    sites = []
+    six_by_caps, hull_size = classify6._six_by_caps, classify6.size
+
+    def at_site(cfg, caps, site, at=""):
+        sites.append(site)
+        try:
+            return six_by_caps(cfg, caps, site, at)
+        finally:
+            sites.pop()
+
+    monkeypatch.setattr(classify6, "_six_by_caps", at_site)
+    monkeypatch.setattr(classify6, "size",
+                        lambda cfg: count(sites[-1], cfg) if sites else hull_size(cfg))
+
+
 def test_classify_all_cross_checks_at_every_site(monkeypatch):
     sites = set()
-    check = classify6._cross_check
 
-    def recorded(six, site, at=""):
+    def recorded(site, cfg):
         sites.add(site)
-        return check(six, site, at)
+        return size(cfg)
 
-    monkeypatch.setattr(classify6, "_cross_check", recorded)
+    _count_hulls_by_site(monkeypatch, recorded)
     classify6.classify_all()
-    assert set(sites) == set(CROSS_CHECK_SITES)
+    assert sites == set(CROSS_CHECK_SITES)
 
 
 @pytest.mark.parametrize("site", sorted(CROSS_CHECK_SITES))
@@ -758,12 +771,7 @@ def test_cross_check_site_raises_on_disagreement(monkeypatch, site):
     """A hull count that disagrees with the triangulation at one site
     raises that site's message."""
     runner, message = CROSS_CHECK_SITES[site]
-    check = classify6._cross_check
-
-    def flipped(six, at_site, at=""):
-        return check(six != (at_site == site), at_site, at)
-
-    monkeypatch.setattr(classify6, "_cross_check", flipped)
+    _count_hulls_by_site(monkeypatch, lambda at_site, cfg: 7 if at_site == site else size(cfg))
     with pytest.raises(classify6.ClassificationError) as err:
         getattr(classify6, runner)()
     assert str(err.value) == message

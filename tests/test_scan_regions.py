@@ -1,5 +1,5 @@
-"""The scan boxes of cases B and D hold every point of their normalized
-regions that could survive.
+"""The scan boxes of cases B, C and D hold every point of their
+normalized regions that could survive.
 
 Both runners scan the apex (a, b) over the box |a|, |b| <= SCAN_BOUND and
 keep the points of the paper's normalized region.  B's three regions are
@@ -9,8 +9,10 @@ unbounded.  On each unbounded piece every candidate fails, by a width-one
 functional or by a seventh lattice point whose convex weights are affine
 in a; those are checked as identities in a, not by sampling.  The points
 no witness covers are D's three survivors, and they lie inside the box.
-Case C's "both vertices" quadrant is not covered: its normalization rests
-on an argument of the paper that the runner does not state.
+Case C's "both vertices" subcase scans p5 = (a, b, 1) over the part
+1 <= a, b <= SCAN_BOUND of the quadrant a, b >= 1; one witness affine in
+(a, b) puts a seventh lattice point in the hull of every other point of
+the quadrant, so its one survivor (1, 1) lies inside the box.
 """
 
 import pytest
@@ -138,3 +140,57 @@ def test_case_d_uncovered_points_are_its_survivors():
                  for a in range(2, start) if a not in D_WIDTH_ONE}
     assert uncovered == {(3, 3), (3, 4), (4, 5)}
     assert all(max(map(abs, p)) <= SCAN_BOUND for p in uncovered)
+
+
+# ---------------------------------------------------------------------------
+# case C: the "both vertices" quadrant, covered by one witness affine in (a, b)
+
+#: The points of C's witness: p5 = (a, b, 1), p6 = (1, 2, 3) and two
+#: points of _B_BASE.  Only p5 moves: (1, 1, 1) + (a - 1, b - 1, 0).
+C_POINTS = {"p5": ((1, 1, 1), (1, 0, 0), (0, 1, 0)), "p6": ((1, 2, 3), (0, 0, 0), (0, 0, 0)),
+            "e1": ((1, 0, 0), (0, 0, 0), (0, 0, 0)), "e2": ((0, 1, 0), (0, 0, 0), (0, 0, 0))}
+
+#: m (1, 1, 1) = sum c_i p_i with m and each c_i affine in (a, b), as
+#: (value at (1, 1), slope in a, slope in b): with U = 3(a - 1) + 6(b - 1)
+#: and V = 3(a - 1), m = 3(2 + U + V), c_p5 = 6, c_p6 = U + V,
+#: c_e1 = 2U and c_e2 = 2V.
+C_M = (6, 18, 18)
+C_WEIGHTS = {"p5": (6, 0, 0), "p6": (0, 6, 6), "e1": (0, 6, 12), "e2": (0, 6, 0)}
+
+
+def _affine(f, a, b):
+    return f[0] + f[1] * (a - 1) + f[2] * (b - 1)
+
+
+def test_case_c_quadrant_has_a_seventh_point():
+    """For every a, b >= 1, m (1, 1, 1) is a nonnegative combination of
+    p5, p6 and two base points with weights summing to m > 0, so
+    (1, 1, 1) lies in the hull; it is none of the six points unless
+    p5 = (1, 1, 1), as p6 and the base are not (1, 1, 1).
+
+    The weights of the moving p5 do not move, so both sides are affine in
+    (a, b) and agree everywhere once they agree at (1, 1), (2, 1) and
+    (1, 2).  An affine weight is nonnegative on the quadrant when its
+    value at (1, 1) and both slopes are."""
+    assert {(1, 0, 0), (0, 1, 0)} <= set(classify6._B_BASE)
+    assert (1, 1, 1) not in classify6._B_BASE and C_POINTS["p6"][0] != (1, 1, 1)
+    assert all(f[1:] == (0, 0) or C_POINTS[name][1:] == ((0, 0, 0),) * 2
+               for name, f in C_WEIGHTS.items())
+    for a, b in ((1, 1), (2, 1), (1, 2)):
+        at = {name: tuple(p + (a - 1) * da + (b - 1) * db for p, da, db in zip(*pts))
+              for name, pts in C_POINTS.items()}
+        combination = tuple(sum(_affine(f, a, b) * at[name][t] for name, f in C_WEIGHTS.items())
+                            for t in range(3))
+        assert combination == (_affine(C_M, a, b),) * 3
+    assert tuple(map(sum, zip(*C_WEIGHTS.values()))) == C_M
+    assert all(min(f) >= 0 for f in (C_M, *C_WEIGHTS.values())) and C_M[0] > 0
+
+
+def test_case_c_quadrant_survivor_lies_in_the_scan_box():
+    """The witness leaves (1, 1) alone in the quadrant, and it lies in the
+    box: the runner examines the SCAN_BOUND ** 2 points of
+    [1, SCAN_BOUND] ** 2 and rejects all but that one for extra lattice
+    points."""
+    assert 1 <= SCAN_BOUND
+    report = classify6.run_case_c()
+    assert report.rejected["extra lattice points in the convex hull"] == SCAN_BOUND ** 2 - 1

@@ -37,10 +37,8 @@ SOURCES = sorted(Path(lattice6.__file__).parent.glob("*.py"))
 
 #: Top-level names kept in the library although no library module reads them.
 UNREAD_ALLOWED = {
-    "classify6.identify": "the table lookup of one configuration; the README example calls it",
     "size5.classify5": "the size-5 entry point with its size and dimension gates",
     "classify6.width1_family": "the width-one constructors; the width-one identification will call them",
-    "emptytetra.is_empty_tetrahedron": "the emptiness test of four points; white_type frames its facet once itself",
 }
 
 #: Class members kept in the library although no library module reads them.
@@ -352,13 +350,12 @@ def test_counter_outside_the_funnel_is_a_violation(tmp_path):
 
 
 #: The functions of classify6.py that may count the lattice points of a
-#: hull, each with the reason: the size arguments of the cases, and the two
-#: functions that count the hull of a configuration no case runner built.
+#: hull, each with the reason: the size arguments of the cases, and the
+#: function that counts the hull of a configuration no case runner built.
 HULL_COUNTERS = {
     "_six_by_caps": "the cap rule's cross-check of cases B-H",
     "run_case_a": "the midpoint rule's check; a planar base has no caps",
     "width1_family": "the construction check of a width-one family member",
-    "identify": "the size gate of a table lookup on any configuration",
 }
 
 
