@@ -10,7 +10,7 @@ Each ``run_case_*`` function enumerates the candidates of one branch by
 bounded scans or embedding searches, rejects candidates with recorded
 reasons, cross-checks the triangulation-emptiness size arguments against
 direct lattice-point counts, and identifies the survivors against the
-bundled tables (_finish): one normal form per distinct survivor names its
+bundled tables (_Funnel.report): one normal form per distinct survivor names its
 table row, and an integer unimodular map, checked point by point, carries
 its points onto the row's.  A class is that row: its width,
 oriented matroid label and dps flag are invariant under the map, so they
@@ -20,8 +20,8 @@ every branch and checks that the classes come out in table order.  All
 arithmetic is exact.
 
 The runners share four steps: _Funnel, the one record of a case's
-candidates examined, rejections by reason and survivors, which reports
-through _finish; _embeddings41, the one search over the 8 x 4!
+candidates examined, rejections by reason and survivors, whose report
+identifies them; _embeddings41, the one search over the 8 x 4!
 embeddings of the signature-(4,1) bases (case C's interior subcase and
 case E), which counts each embedding in its caller's _Funnel;
 _six_by_caps, the one comparison of a size argument's outcome with the
@@ -185,55 +185,6 @@ def _row_key_index():
     return index
 
 
-def _finish(case, examined, rejected, accepted: Sequence[PointConfig], notes=()) -> CaseReport:
-    """Report of one case from its accepted configurations, in order; the
-    runners reach it through _Funnel.report.
-
-    The representatives are the first-seen configurations up to
-    equivalence: one _normal_form per distinct point set gives the
-    canonical key and its key orders, and a configuration whose key came
-    earlier is a repeat.  Each representative's key must name a row of
-    this case in _row_key_index, and _witnesses, from the
-    representative's first key order onto the row's key orders, must give
-    a unimodular map that carries its points onto the row's points; the
-    first such map is the check, so equal keys alone identify nothing.
-    The class is then the row: width, oriented matroid up to sign and dps
-    are invariant under that map, so they are the row's columns
-    (tests/table_checks.py checks them on every row's points, and a test
-    on the generated configurations).  Only the volume vector is
-    computed, from the index's configuration of the row, whose volumes
-    are not computed again.  The rows are pairwise inequivalent:
-    _row_key_index checks that their complete keys differ.  The classes
-    found must be exactly the case's rows.
-    """
-    index = _row_key_index()
-    point_sets, keys, classes = set(), set(), []
-    for cfg in accepted:
-        points = frozenset(cfg.points)
-        if points in point_sets:
-            continue
-        point_sets.add(points)
-        key, orders = _normal_form(cfg)
-        if key in keys:
-            continue
-        keys.add(key)
-        row, rep, row_orders = index.get(key, (None, None, None))
-        if row is None:
-            raise ClassificationError("generated configuration matches no table row")
-        if row.case != case:
-            raise ClassificationError(f"case {case} produced table row {row.id}")
-        if next(_witnesses(cfg, orders[0], rep, row_orders), None) is None:
-            raise ClassificationError(f"{row.id}: witness is not equivalent")
-        classes.append(PolytopeClass(row.id, row.om_label, volume_vector6(rep), row.width,
-                                     row.functional, rep, row.dps, generated=cfg))
-    classes.sort(key=lambda c: int(c.id.split(".")[1]))
-    found = [c.id for c in classes]
-    expected = [r.id for r in load_tables().class_rows if r.case == case]
-    if found != expected:
-        raise ClassificationError(f"case {case}: found {found}, expected {expected}")
-    return CaseReport(case, examined, tuple(classes), dict(rejected), tuple(notes))
-
-
 class _Funnel:
     """The funnel of one case: how many candidates it examined, its
     rejections counted by reason, and the configurations it accepted, in
@@ -250,8 +201,51 @@ class _Funnel:
         self.rejected[reason] += count
 
     def report(self, notes=()) -> CaseReport:
-        """_finish on the record."""
-        return _finish(self.case, self.examined, self.rejected, self.accepted, notes)
+        """Report of the case from its accepted configurations, in order.
+
+        The representatives are the first-seen configurations up to
+        equivalence: one _normal_form per distinct point set gives the
+        canonical key and its key orders, and a configuration whose key
+        came earlier is a repeat.  Each representative's key must name a
+        row of this case in _row_key_index, and _witnesses, from the
+        representative's first key order onto the row's key orders, must
+        give a unimodular map that carries its points onto the row's
+        points; the first such map is the check, so equal keys alone
+        identify nothing.  The class is then the row: width, oriented
+        matroid up to sign and dps are invariant under that map, so they
+        are the row's columns (tests/table_checks.py checks them on every
+        row's points, and a test on the generated configurations).  Only
+        the volume vector is computed, from the index's configuration of
+        the row, whose volumes are not computed again.  The rows are
+        pairwise inequivalent: _row_key_index checks that their complete
+        keys differ.  The classes found must be exactly the case's rows.
+        """
+        case, index = self.case, _row_key_index()
+        point_sets, keys, classes = set(), set(), []
+        for cfg in self.accepted:
+            points = frozenset(cfg.points)
+            if points in point_sets:
+                continue
+            point_sets.add(points)
+            key, orders = _normal_form(cfg)
+            if key in keys:
+                continue
+            keys.add(key)
+            row, rep, row_orders = index.get(key, (None, None, None))
+            if row is None:
+                raise ClassificationError("generated configuration matches no table row")
+            if row.case != case:
+                raise ClassificationError(f"case {case} produced table row {row.id}")
+            if next(_witnesses(cfg, orders[0], rep, row_orders), None) is None:
+                raise ClassificationError(f"{row.id}: witness is not equivalent")
+            classes.append(PolytopeClass(row.id, row.om_label, volume_vector6(rep), row.width,
+                                         row.functional, rep, row.dps, generated=cfg))
+        classes.sort(key=lambda c: int(c.id.split(".")[1]))
+        found = [c.id for c in classes]
+        expected = [r.id for r in load_tables().class_rows if r.case == case]
+        if found != expected:
+            raise ClassificationError(f"case {case}: found {found}, expected {expected}")
+        return CaseReport(case, self.examined, tuple(classes), dict(self.rejected), tuple(notes))
 
 
 #: A cap of _caps: its label quadruple and the new point's coordinates
@@ -792,7 +786,7 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
     verdicts.  The first hit of a group is the one that makes
     its verdict, and only its configuration is kept when the verdict
     accepts.  The gluings of a group are equivalent, so the first gluing
-    of each class is the first of its group, and _finish identifies 32
+    of each class is the first of its group, and the report identifies 32
     configurations, the first of each class in enumeration order.  The
     symmetries and verdicts are computed per call.
 
@@ -965,7 +959,7 @@ def run_case(case: str) -> CaseReport:
 
 def classify_all() -> Tuple[CaseReport, ...]:
     """Run every case and check that the 76 classes come out in table
-    order; each runner has checked its classes' witness maps (_finish)."""
+    order; each runner has checked its classes' witness maps (_Funnel.report)."""
     reports = tuple(run_reports())
     found = [c.id for r in reports for c in r.classes_found]
     if found != [row.id for row in load_tables().class_rows]:

@@ -2,8 +2,10 @@
 
 Exit codes: 0 success (or "equivalent"), 1 verification failure or
 "inequivalent", 2 usage and input errors.  main maps a verification
-failure, a failed check of the classification or corrupt bundled data,
-to "verification failed: <message>" on stderr, whatever the command.
+failure, a failed check of the classification, corrupt bundled data or
+a catalog miss (NoMatch: six distinct full-dimensional points have an
+oriented matroid among the catalog's records), to "verification failed:
+<message>" on stderr, whatever the command.
 
 A process builds its argument parser once: build_parser is cached and
 first called by main, not at import.  parse_args makes a fresh Namespace
@@ -105,10 +107,7 @@ def cmd_analyze(args) -> int:
     if row is not None:
         print(f"oriented matroid: {row.om_label}")
     elif n == 6:
-        try:
-            print(f"oriented matroid: {_om_label(circs)}")
-        except NoMatch:
-            print("oriented matroid: unmatched")
+        print(f"oriented matroid: {_om_label(circs)}")
     summary = None
     if n == 4 and nsize == 4:
         p, q = white_type(config.points)
@@ -275,7 +274,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CorruptData, classify6.ClassificationError) as exc:
+    except (CorruptData, classify6.ClassificationError, NoMatch) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

@@ -22,10 +22,12 @@ configuration, and PointConfig.volumes() its one caller.  It returns one
 table: the volumes of the sorted quadruples, then their negatives.
 Every other determinant of configuration points is an entry of that
 table, at its _slots entry: det4 of an ordered label quadruple is the
-volume of its sorted quadruple, negated when the order is odd.  Hull
-facets, volume vectors, chirotopes, circuits, the maximal |volume| and
-barycentric numerators (the width's and the equivalence normal form's)
-all index the table.
+volume of its sorted quadruple, negated when the order is odd.  The
+hull's placing triangulation (the sides it tests and its tetrahedra's
+signed volumes), volume vectors, chirotopes, circuits, the maximal
+|volume| and barycentric numerators (the width's and the equivalence
+normal form's) all index the table.  det3 is left to the matrices of
+affine maps (AffineMap.det, unimodular_map); no other module calls it.
 """
 
 from __future__ import annotations

@@ -1,27 +1,29 @@
 """Small lattice point configurations in Z^3 and their convex hulls.
 
-A PointConfig is an ordered tuple of 4..8 distinct lattice points.  Hulls
-are computed in one pass over the point triples (C(n,3) candidate planes;
-fine at these sizes).  Each point's side of a triple's plane is an
-entry of the configuration's volume table, PointConfig.volumes(): the
-quadruple volumes followed by their negatives, indexed by
-exactlinalg._slots.  So the facets share the one det4 pass of the
-configuration, whose maximum, PointConfig.top_volume(), is the maximal
-|volume| and decides full dimensionality.
-A facet is a plane tuple (a, b, c, o), all predicates are integer-exact,
-and the vertices are read off the facets through each point, once per
-hull.
-Lattice points of the hull are enumerated per tetrahedron: the hull is
-coned from its first vertex over a fan triangulation of every facet not
-through it, and a tetrahedron of normalized volume D contributes the
-points of its half-open fundamental parallelepiped (one per coset of the
-edge lattice, D in all) whose barycentric numerators sum to at most D,
-plus its three far vertices.  So the cost is the hull's normalized volume
-plus the points found, whatever the size of the coordinates; the union
-is returned lexicographically sorted.  lattice_points, size and
-hull_summary (which adds the interior points and the vertices) are the
-entry points to that one enumeration.  The normalized volumes of the
-cone tetrahedra are summed before any is enumerated, and a hull over
+A PointConfig is an ordered tuple of 4..8 distinct lattice points.  A
+hull is one placing triangulation (_placing): it starts from the first
+quadruple of maximal |volume| and cones each further point over the
+boundary faces it strictly sees.  Every side it tests is an entry of
+the configuration's volume table, PointConfig.volumes(): the quadruple
+volumes followed by their negatives, indexed by exactlinalg._slots.  So
+the hull shares the one det4 pass of the configuration, whose maximum,
+PointConfig.top_volume(), is the maximal |volume| and decides full
+dimensionality.
+The placing's boundary faces give the facets: a plane tuple (a, b, c, o)
+per face, by a cross product and a gcd, and all predicates are
+integer-exact.  The vertices are read off the facets through each
+point, once per hull_summary.
+Lattice points of the hull are enumerated per placing tetrahedron: a
+tetrahedron of normalized volume D, its signed volume a table entry,
+contributes the points of its half-open fundamental parallelepiped (one
+per coset of the edge lattice, D in all) whose barycentric numerators
+sum to at most D, plus its three far vertices.  So the cost is the
+hull's normalized volume plus the points found, whatever the size of
+the coordinates; the union is returned lexicographically sorted.
+lattice_points, size and hull_summary (which adds the interior points
+and the vertices) are the entry points to that one enumeration; only
+hull_summary and hull_facets read facets.  The normalized volumes of
+the tetrahedra are summed before any is enumerated, and a hull over
 ENUMERATION_BUDGET raises EnumerationBudgetExceeded, an input error.
 The budget is interim: it turns away thin hulls with few points too,
 until an enumerator whose cost follows the points found replaces this
@@ -32,20 +34,17 @@ otherwise.
 
 from __future__ import annotations
 
-import itertools
 import re
-from functools import cmp_to_key, lru_cache
 from math import gcd
-from operator import itemgetter
 from typing import List, Sequence, Tuple
 
 from .exactlinalg import (
     COORD_BOUND,
     IntVec3,
     _adjugate,
+    _quadruples,
     _slots,
     check_point,
-    det3,
     quad_volumes,
     sub,
 )
@@ -69,7 +68,7 @@ class NotFullDimensional(ValueError):
     """Raised when an operation needs a full-dimensional configuration."""
 
 
-#: The most normalized volume, summed over the cone tetrahedra, that
+#: The most normalized volume, summed over the placing tetrahedra, that
 #: _hull_points enumerates: at the 0.5-0.75 us per unit measured on a
 #: 2-vCPU host with Python 3.11, under about 10 s.
 ENUMERATION_BUDGET = 10**7
@@ -86,7 +85,7 @@ class PointConfig:
     volumes() is quad_volumes of the points, computed on its first call
     and kept in the configuration: one tuple, the volumes of the sorted
     quadruples followed by their negatives, indexed by _slots.  So the
-    hull facets, circuits, volume vectors, chirotope, width and normal
+    hull, circuits, volume vectors, chirotope, width and normal
     form of one configuration share one det4 pass, and top_volume, the
     maximal |volume|, is its maximum.
     """
@@ -150,55 +149,78 @@ class PointConfig:
         return top
 
 
-@lru_cache(maxsize=None)
-def _triple_sides(n: int) -> Tuple[Tuple[Tuple[int, int, int], itemgetter], ...]:
-    """Per index triple i < j < k of n points, in combinations order: the
-    triple and a getter of det4(p_i, p_j, p_k, p_l) for the other points
-    l, at their _slots in the volume table.  The getter
-    repeats its first entry, so that it returns a tuple also for n = 4.
-    Built once per point count n."""
+#: A label quadruple: a tetrahedron (i, j, k, p), or a boundary face
+#: (i, j, k, ref), the triangle ijk with a label ref of the hull strictly
+#: off its plane.
+Quad = Tuple[int, int, int, int]
+
+
+def _placing(config: PointConfig) -> Tuple[List[Quad], List[Quad]]:
+    """The placing triangulation of conv(config): its tetrahedra and its
+    boundary faces, as label quadruples.
+
+    It starts from the first quadruple of maximal |volume| (top_volume,
+    which raises NotFullDimensional on a flat configuration) and places
+    the other labels in order.  Label p strictly sees face (i, j, k, ref)
+    when det4 of (i, j, k, p) and of (i, j, k, ref) have opposite signs;
+    p is coned over every face it sees, those faces leave the boundary,
+    and each horizon edge uv, an edge of exactly one seen face (u, v, w),
+    closes it with the face (u, v, p) and ref w.  A label that sees no
+    face lies in the hull so far and is skipped.  Every sign is an entry
+    of the volume table, so the placing computes no determinant (De
+    Loera, Rambau and Santos, Triangulations, Springer 2010, 4.3).  Faces
+    keep their triangle's labels sorted, so a shared edge reads the same
+    from both faces.
+    """
+    top = config.top_volume()
+    vols = config.volumes()
+    n = len(config.points)
     slots = _slots(n)
-    sides = []
-    for tri in itertools.combinations(range(n), 3):
-        at = [slots[tri + (l,)] for l in range(n) if l not in tri]
-        sides.append((tri, itemgetter(*at, at[0])))
-    return tuple(sides)
+    first = _quadruples(n)[next(m for m, v in enumerate(vols) if abs(v) == top)]
+    a, b, c, d = first
+    tetrahedra = [first]
+    faces = [(a, b, c, d), (a, b, d, c), (a, c, d, b), (b, c, d, a)]
+    for p in range(n):
+        if p in first:
+            continue
+        seen = [f for f in faces if vols[slots[f[:3] + (p,)]] * vols[slots[f]] < 0]
+        horizon = {}
+        for i, j, k, _ in seen:
+            tetrahedra.append((i, j, k, p))
+            for edge, w in (((i, j), k), ((i, k), j), ((j, k), i)):
+                horizon[edge] = None if edge in horizon else w
+        faces = [f for f in faces if f not in seen]
+        faces += [(*sorted((u, v, p)), w) for (u, v), w in horizon.items() if w is not None]
+    return tetrahedra, faces
+
+
+def _planes(config: PointConfig, faces: Sequence[Quad]) -> Tuple[Plane, ...]:
+    """The sorted facet planes of the boundary faces of a placing: per
+    face (i, j, k, ref), the cross product of its edges from p_i, divided
+    by its gcd and oriented towards p_ref by the sign of the table entry
+    det4(i, j, k, ref).  The faces on one facet give one plane."""
+    pts = config.points
+    vols = config.volumes()
+    slots = _slots(len(pts))
+    planes = set()
+    for face in faces:
+        i, j, k, _ = face
+        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = pts[i], pts[j], pts[k]
+        ux, uy, uz = bx - ax, by - ay, bz - az
+        vx, vy, vz = cx - ax, cy - ay, cz - az
+        nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+        g = gcd(nx, ny, nz) if vols[slots[face]] > 0 else -gcd(nx, ny, nz)
+        planes.add((nx // g, ny // g, nz // g, (nx * ax + ny * ay + nz * az) // g))
+    return tuple(sorted(planes))
 
 
 def hull_facets(config: PointConfig) -> Tuple[Plane, ...]:
     """Facets of conv(config) as sorted planes (a, b, c, o): the primitive
     inward normal (a, b, c) and the offset o, so that a x + b y + c z >= o
     on the hull, with equality on at least three configuration points.
-
-    A point triple spans a facet when no two points lie strictly on
-    opposite sides of its plane.  Point l lies on triple (i, j, k)'s side
-    given by the sign of det4(p_i, p_j, p_k, p_l), which _triple_sides
-    reads off the table config.volumes() keeps.  So the facets share the
-    configuration's one det4 pass, and only the triples that pass take a
-    cross product, and the facets a gcd; a collinear triple passes with
-    all its sides zero and has a zero normal.  NotFullDimensional is
-    raised when every volume is zero (top_volume).
-    """
-    config.top_volume()  # NotFullDimensional unless some volume is nonzero
-    pts = config.points
-    vols = config.volumes()
-    facets = set()
-    for (i, j, k), sides in _triple_sides(len(pts)):
-        dets = sides(vols)
-        if min(dets) >= 0:
-            inward = 1
-        elif max(dets) <= 0:
-            inward = -1
-        else:
-            continue
-        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = pts[i], pts[j], pts[k]
-        ux, uy, uz = bx - ax, by - ay, bz - az
-        vx, vy, vz = cx - ax, cy - ay, cz - az
-        nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
-        if nx or ny or nz:
-            g = gcd(nx, ny, nz) * inward
-            facets.add((nx // g, ny // g, nz // g, (nx * ax + ny * ay + nz * az) // g))
-    return tuple(sorted(facets))
+    They are the planes of the boundary faces of one placing (_planes),
+    which raises NotFullDimensional when every volume is zero."""
+    return _planes(config, _placing(config)[1])
 
 
 def _vertices(config: PointConfig, planes: Sequence[Plane]) -> Tuple[IntVec3, ...]:
@@ -215,38 +237,12 @@ def _vertices(config: PointConfig, planes: Sequence[Plane]) -> Tuple[IntVec3, ..
     )
 
 
-def _cone_triangulation(
-    verts: Sequence[IntVec3], planes: Sequence[Plane]
-) -> List[Tuple[IntVec3, IntVec3, IntVec3, IntVec3]]:
-    """Tetrahedra (v0, p0, q, r) that triangulate the hull with vertices
-    verts and facets planes.
-
-    v0 is verts[0].  Every facet not through v0 is a convex polygon; it is
-    fanned from its first vertex p0 into triangles (p0, q, r) and each is
-    coned from v0.  A polygon with more than three vertices is first
-    sorted by angle around p0: q precedes r when det3(normal, q - p0,
-    r - p0) > 0.  That is a total order because p0 is a vertex of the
-    polygon, so every other vertex lies within an angle below pi at p0
-    and no two of them are collinear with it.
-    """
-    v0 = verts[0]
-    tetrahedra = []
-    for a, b, c, o in planes:
-        if a * v0[0] + b * v0[1] + c * v0[2] == o:
-            continue
-        p0, *ring = [p for p in verts if a * p[0] + b * p[1] + c * p[2] == o]
-        if len(ring) > 2:
-            normal = (a, b, c)
-            ring.sort(key=cmp_to_key(lambda q, r: det3(normal, sub(r, p0), sub(q, p0))))
-        tetrahedra += [(v0, p0, ring[i], ring[i + 1]) for i in range(len(ring) - 1)]
-    return tetrahedra
-
-
-def _cosets(v0: IntVec3, a: IntVec3, b: IntVec3, c: IntVec3):
-    """The coset set-up of the tetrahedron conv(v0, a, b, c): (D, E, L,
-    pivots) with E the edge matrix (columns a - v0, b - v0, c - v0),
-    D = |det E|, L = sign(det E) adj(E), and pivots the ranges of the
-    diagonal of the row Hermite normal form of the edge vectors.
+def _cosets(volume: int, v0: IntVec3, a: IntVec3, b: IntVec3, c: IntVec3):
+    """The coset set-up of the tetrahedron conv(v0, a, b, c) of signed
+    volume det4(v0, a, b, c): (D, E, L, pivots) with E the edge
+    matrix (columns a - v0, b - v0, c - v0), D = |volume| = |det E|,
+    L = sign(volume) adj(E), and pivots the ranges of the diagonal of the
+    row Hermite normal form of the edge vectors.
 
     That diagonal is read off the determinantal divisors of the edge
     vectors as rows, which unimodular row operations keep: g1, the gcd of
@@ -259,27 +255,27 @@ def _cosets(v0: IntVec3, a: IntVec3, b: IntVec3, c: IntVec3):
     (D - sum(lambda), lambda) / D.  Raises RuntimeError on a degenerate
     tetrahedron.
     """
+    if volume == 0:
+        raise RuntimeError(f"degenerate tetrahedron {(v0, a, b, c)}")
     edges = (sub(a, v0), sub(b, v0), sub(c, v0))
     e = tuple(zip(*edges))
-    det = det3(*edges)
-    if det == 0:
-        raise RuntimeError(f"degenerate tetrahedron {(v0, a, b, c)}")
-    s = 1 if det > 0 else -1
+    s = 1 if volume > 0 else -1
     adj = tuple(tuple(s * x for x in row) for row in _adjugate(e))
     (x0, y0, _), (x1, y1, _), (x2, y2, _) = edges
     g1 = gcd(x0, x1, x2)
     g2 = gcd(x0 * y1 - x1 * y0, x0 * y2 - x2 * y0, x1 * y2 - x2 * y1)
-    return abs(det), e, adj, [range(g1), range(g2 // g1), range(abs(det) // g2)]
+    return abs(volume), e, adj, [range(g1), range(g2 // g1), range(abs(volume) // g2)]
 
 
-def _tetrahedron_points(v0: IntVec3, a: IntVec3, b: IntVec3, c: IntVec3) -> List[IntVec3]:
-    """Lattice points of the tetrahedron conv(v0, a, b, c), unordered.
+def _tetrahedron_points(volume: int, v0: IntVec3, a: IntVec3, b: IntVec3, c: IntVec3) -> List[IntVec3]:
+    """Lattice points of the tetrahedron conv(v0, a, b, c) of signed
+    volume det4(v0, a, b, c), unordered.
 
     The tetrahedron keeps the coset points of _cosets with sum(lambda)
     <= D, plus a, b and c (the corners lambda = D e_i).  Cost: D coset
     steps (Beck-Robins, Computing the Continuous Discretely, ch. 3).
     """
-    d, e, adj, (range0, range1, range2) = _cosets(v0, a, b, c)
+    d, e, adj, (range0, range1, range2) = _cosets(volume, v0, a, b, c)
     (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = adj
     (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = e
     x0, y0, z0 = v0
@@ -300,20 +296,21 @@ def _tetrahedron_points(v0: IntVec3, a: IntVec3, b: IntVec3, c: IntVec3) -> List
     return points
 
 
-def _hull_points(
-    config: PointConfig, planes: Sequence[Plane], verts: Sequence[IntVec3]
-) -> Tuple[IntVec3, ...]:
+def _hull_points(config: PointConfig, tetrahedra: Sequence[Quad]) -> Tuple[IntVec3, ...]:
     """Lattice points of conv(config), lexicographically sorted: the union
-    of the points of the tetrahedra of _cone_triangulation.  Their
-    normalized volumes are summed first, and a sum over
-    ENUMERATION_BUDGET raises EnumerationBudgetExceeded before any
-    tetrahedron is enumerated."""
-    tetrahedra = _cone_triangulation(verts, planes)
-    volume = sum(abs(det3(sub(a, v0), sub(b, v0), sub(c, v0))) for v0, a, b, c in tetrahedra)
+    of the points of the tetrahedra of its placing, whose signed volumes
+    are table entries.  Their normalized volumes are summed first, and a
+    sum over ENUMERATION_BUDGET raises EnumerationBudgetExceeded before
+    any tetrahedron is enumerated."""
+    pts = config.points
+    vols = config.volumes()
+    slots = _slots(len(pts))
+    signed = [(vols[slots[t]], *(pts[label] for label in t)) for t in tetrahedra]
+    volume = sum(abs(t[0]) for t in signed)
     if volume > ENUMERATION_BUDGET:
         raise EnumerationBudgetExceeded(
             f"hull of normalized volume {volume} exceeds the enumeration budget {ENUMERATION_BUDGET}")
-    points = {p for tetrahedron in tetrahedra for p in _tetrahedron_points(*tetrahedron)}
+    points = {p for t in signed for p in _tetrahedron_points(*t)}
     if not points.issuperset(config.points):
         raise RuntimeError(f"triangulation of {config!r} misses configuration points")
     return tuple(sorted(points))
@@ -321,8 +318,7 @@ def _hull_points(
 
 def lattice_points(config: PointConfig) -> Tuple[IntVec3, ...]:
     """All lattice points of conv(config), lexicographically sorted."""
-    planes = hull_facets(config)
-    return _hull_points(config, planes, _vertices(config, planes))
+    return _hull_points(config, _placing(config)[0])
 
 
 def size(config: PointConfig) -> int:
@@ -335,13 +331,13 @@ def hull_summary(
 ) -> Tuple[Tuple[IntVec3, ...], Tuple[IntVec3, ...], Tuple[IntVec3, ...]]:
     """The lattice points of conv(config), those strictly inside it (both
     lexicographically sorted) and its vertices (_vertices), from one
-    hull_facets call and one _vertices pass."""
-    planes = hull_facets(config)
-    verts = _vertices(config, planes)
-    points = _hull_points(config, planes, verts)
+    placing, its facet planes and one _vertices pass."""
+    tetrahedra, faces = _placing(config)
+    planes = _planes(config, faces)
+    points = _hull_points(config, tetrahedra)
     inner = tuple(
         p for p in points if all(a * p[0] + b * p[1] + c * p[2] > o for a, b, c, o in planes))
-    return points, inner, verts
+    return points, inner, _vertices(config, planes)
 
 
 def parse_points(text: str) -> PointConfig:

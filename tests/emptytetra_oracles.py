@@ -49,9 +49,10 @@ def has_interior_point(v0, a, b, c) -> bool:
     False at once when D < 4: a lattice point strictly inside cones the
     tetrahedron into four lattice tetrahedra of normalized volume >= 1.
     """
-    if abs(det4(v0, a, b, c)) < 4:
+    volume = det4(v0, a, b, c)
+    if abs(volume) < 4:
         return False
-    d, _, adj, pivots = _cosets(v0, a, b, c)
+    d, _, adj, pivots = _cosets(volume, v0, a, b, c)
     (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = adj
     for r0, r1, r2 in itertools.product(*pivots):
         l0 = (c00 * r0 + c01 * r1 + c02 * r2) % d

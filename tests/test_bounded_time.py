@@ -1,7 +1,7 @@
 """Inputs at the coordinate bound finish or fail by name.
 
 Until the lattice-point enumerator follows the points it finds (ROADMAP
-item 2), polytope._hull_points sums the normalized volumes of its cone
+item 2), polytope._hull_points sums the normalized volumes of its placing
 tetrahedra first and refuses a hull over ENUMERATION_BUDGET with
 EnumerationBudgetExceeded, which analyze reports as an input error.  A
 refusal is asserted by a work count, no tetrahedron enumerated, and not
@@ -27,7 +27,7 @@ from lattice6.polytope import (
 )
 
 #: Inputs the parser accepts whose hulls exceed the budget, with their
-#: normalized volumes (the sum of |det4| over the cone triangulation).
+#: normalized volumes (the sum of |det4| over the placing triangulation).
 OVER_BUDGET = [
     # the 8-point set whose enumeration raised MemoryError
     ([(10000, -10000, 9999), (-10000, 10000, -9999), (9999, 9998, -10000), (-1, 2, 3),
@@ -69,7 +69,8 @@ def test_analyze_over_budget_is_an_input_error(points, volume, tmp_path, capsys,
 def test_budget_bounds_the_summed_volume(monkeypatch):
     """A hull of normalized volume exactly the budget is enumerated, one
     unit over it is refused: here 2 * simplex plus (1, 1, 1), volume 12
-    summed over three cone tetrahedra of volume 4."""
+    summed over the placing's tetrahedra, the simplex (8) and the cone of
+    (1, 1, 1) over the face it sees (4)."""
     config = PointConfig([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)])
     monkeypatch.setattr(polytope, "ENUMERATION_BUDGET", 12)
     assert len(lattice_points(config)) == 11
@@ -92,14 +93,14 @@ LONG_TETRAHEDRA = [
 @pytest.mark.parametrize("points, summary", LONG_TETRAHEDRA, ids=["needle", "white-2-9999"])
 def test_analyze_of_a_long_empty_tetrahedron(points, summary, tmp_path, capsys, monkeypatch):
     """analyze enumerates the one tetrahedron of the hull once, and takes
-    one hull and one width."""
-    calls = count_calls(monkeypatch, polytope._tetrahedron_points, polytope.hull_facets,
+    one hull (one placing) and one width."""
+    calls = count_calls(monkeypatch, polytope._tetrahedron_points, polytope._placing,
                         invariants.width)
     path = tmp_path / "points.txt"
     path.write_text(format_points(points))
     assert main(["analyze", str(path)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == summary
-    assert calls == {"_tetrahedron_points": 1, "hull_facets": 1, "width": 1}
+    assert calls == {"_tetrahedron_points": 1, "_placing": 1, "width": 1}
 
 
 def _signed_swap(points):
@@ -112,20 +113,20 @@ def _signed_swap(points):
                          ids=["needle", "white-2-9999", "thin-hull-6"])
 def test_equiv_of_an_image_at_the_bound(points, tmp_path, capsys, monkeypatch):
     """equiv finds the witness without a hull or a lattice point."""
-    calls = count_calls(monkeypatch, polytope.hull_facets, polytope._tetrahedron_points)
+    calls = count_calls(monkeypatch, polytope._placing, polytope._tetrahedron_points)
     path_a, path_b = tmp_path / "a.txt", tmp_path / "b.txt"
     path_a.write_text(format_points(points))
     path_b.write_text(format_points(_signed_swap(points)))
     assert main(["equiv", str(path_a), str(path_b)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "equivalent"
-    assert calls == {"hull_facets": 0, "_tetrahedron_points": 0}
+    assert calls == {"_placing": 0, "_tetrahedron_points": 0}
 
 
 def test_thin_hulls_are_answered_without_a_hull(monkeypatch):
     """classify5 names the five-point thin hull's class by the emptiness of
     its triangulation's cells, and identify finds no row for the six-point
     one by its canonical key; neither takes a hull."""
-    calls = count_calls(monkeypatch, polytope.hull_facets, polytope._tetrahedron_points)
+    calls = count_calls(monkeypatch, polytope._placing, polytope._tetrahedron_points)
     assert classify5(PointConfig(OVER_BUDGET[2][0])).label == "21(9999, 99980000)"
     assert identify(PointConfig(THIN_HULL6)) is None
-    assert calls == {"hull_facets": 0, "_tetrahedron_points": 0}
+    assert calls == {"_placing": 0, "_tetrahedron_points": 0}

@@ -44,7 +44,7 @@ from lattice6.invariants import (
     width,
 )
 from lattice6.omcatalog import chirotope, match_circuits
-from lattice6.polytope import PointConfig, hull_facets, hull_summary, lattice_points, size
+from lattice6.polytope import PointConfig, _placing, hull_facets, hull_summary, lattice_points, size
 from lattice6.size5 import catalog41
 from emptytetra_oracles import is_empty_by_edges
 from omcatalog_oracles import match_om
@@ -213,6 +213,14 @@ def test_filed_volumes_are_checked(monkeypatch):
         classify6.run_case_gh()
 
 
+def _funnel_report(case, examined, rejected, accepted, notes=()):
+    """The report of a _Funnel of case that examined examined candidates,
+    with these rejections and accepted configurations."""
+    funnel = classify6._Funnel(case)
+    funnel.examined, funnel.rejected, funnel.accepted = examined, rejected, list(accepted)
+    return funnel.report(notes)
+
+
 @pytest.fixture(scope="module")
 def literal_gh():
     """Oracle for run_case_gh: the G/H loop before the verdict cache, which
@@ -268,7 +276,7 @@ def literal_gh():
         for reason, n in rejected["shared"].items():
             rejected[case][reason] += n
     reports = tuple(
-        classify6._finish(case, examined, rejected[case], accepted[case], (note,))
+        _funnel_report(case, examined, rejected[case], accepted[case], (note,))
         for case in ("G", "H")
     )
     return types.SimpleNamespace(reports=reports, accepted=accepted, verdicts=verdicts,
@@ -350,13 +358,13 @@ def test_orbit_verdicts_match_literal_oracle(monkeypatch, literal_gh):
     assert len(literal_gh.verdicts) == 1532
     calls = _counting_verdicts(monkeypatch)
     accepted = []
-    finish = classify6._finish
+    report = classify6._Funnel.report
 
-    def recorded(case, examined, rejected, configs, notes=()):
-        accepted.append(list(configs))
-        return finish(case, examined, rejected, configs, notes)
+    def recorded(funnel, *args):
+        accepted.append(list(funnel.accepted))
+        return report(funnel, *args)
 
-    monkeypatch.setattr(classify6, "_finish", recorded)
+    monkeypatch.setattr(classify6._Funnel, "report", recorded)
     report_g, report_h = classify6.run_case_gh()
     assert len(calls) == 426
     assert [len(configs) for configs in accepted] == [20, 12]
@@ -451,14 +459,14 @@ def test_glued_verdict_matches_hull_oracle(monkeypatch, literal_gh):
     for key, (case, reason, cfg) in literal_gh.verdicts.items():
         assert (case, reason) == hull_verdict(cfg, key[3]), key
     verdict = classify6._glued_verdict
-    work = count_calls(monkeypatch, hull_facets, _framed_empty, classify6._caps)
+    work = count_calls(monkeypatch, size, _framed_empty, classify6._caps)
     made = []
 
     def recorded(cfg, glued, frames):
         before = dict(work)
         got = verdict(cfg, glued, frames)
-        idle = all(work[k] == before[k] for k in ("hull_facets", "_framed_empty"))
-        made.append((got, work["hull_facets"] > before["hull_facets"], idle))
+        idle = all(work[k] == before[k] for k in ("size", "_framed_empty"))
+        made.append((got, work["size"] > before["size"], idle))
         return got
 
     monkeypatch.setattr(classify6, "_glued_verdict", recorded)
@@ -476,7 +484,8 @@ def test_glued_verdict_matches_hull_oracle(monkeypatch, literal_gh):
 
 def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     """One warm classify_all: 40 automorphism maps plus one witness map per
-    class (the check stops at the first), 142 hull computations (every
+    class (the check stops at the first), 142 hull computations, each one
+    placing with no facet planes (every
     site of cases B to H counts only the hulls its cap rule keeps: B's two
     rejections, C's edge rejection and D's 32 rejections count none; of
     the 426 gluing verdicts, only the 32 accepted ones count one, since
@@ -500,7 +509,7 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     reverse gluings pass the source's, and C's interior subcase reads its
     subtetrahedron off the configuration's volumes; with det4 calls of
     their own these took 768, 426 and 128 more, 15,452 in all), 129
-    normal forms (one per distinct point set in _finish,
+    normal forms (one per distinct point set in _Funnel.report,
     which for G and H is one per class, whose key orders the witness check
     reuses, and one per base for its symmetries; the rows' key orders come
     from _row_key_index), no catalog match (a class takes its oriented
@@ -526,12 +535,12 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     for cell in ("5.4", "5.5"):  # warm: the orbits are built once per process
         classify6._cell_orbit(cell)
     classify6._row_key_index()
-    calls = count_calls(monkeypatch, unimodular_map, hull_facets, classify6._glued_verdict,
+    calls = count_calls(monkeypatch, unimodular_map, hull_facets, _placing, classify6._glued_verdict,
                         match_circuits, check_point, circuits, _normal_form, quad_volumes,
                         classify6._caps, _facet_frame, _framed_empty,
                         _framed_has_interior_point, det4, _table)
     classify6.classify_all()
-    assert calls == {"unimodular_map": 116, "hull_facets": 142, "_glued_verdict": 426,
+    assert calls == {"unimodular_map": 116, "hull_facets": 0, "_placing": 142, "_glued_verdict": 426,
                      "match_circuits": 0, "check_point": 1885, "circuits": 52,
                      "_normal_form": 129, "quad_volumes": 910, "_caps": 1156,
                      "_facet_frame": 298, "_framed_empty": 1109,
@@ -544,15 +553,15 @@ def test_finish_rejects_a_row_of_another_case(bundle):
     row = next(r for r in bundle.class_rows if r.case == "B")
     with pytest.raises(classify6.ClassificationError,
                        match=rf"^case A produced table row {re.escape(row.id)}$"):
-        classify6._finish("A", 1, Counter(), [row.config()])
+        _funnel_report("A", 1, Counter(), [row.config()])
 
 
 def test_finish_rejects_a_configuration_outside_the_table():
     """A six-point configuration of width one has no row, so its key names
-    none and _finish fails before looking for a witness."""
+    none and the report fails before looking for a witness."""
     with pytest.raises(classify6.ClassificationError,
                        match="^generated configuration matches no table row$"):
-        classify6._finish("A", 1, Counter(), [width1_family("(5,1)/3.2")])
+        _funnel_report("A", 1, Counter(), [width1_family("(5,1)/3.2")])
 
 
 def test_finish_rejects_a_case_with_missing_rows(bundle):
@@ -560,7 +569,7 @@ def test_finish_rejects_a_case_with_missing_rows(bundle):
     them reaches, so the found ids differ from the case's rows."""
     with pytest.raises(classify6.ClassificationError,
                        match=re.escape("case A: found ['A.1'], expected ['A.1', 'A.2']")):
-        classify6._finish("A", 1, Counter(), [bundle.class_by_id("A.1").config()])
+        _funnel_report("A", 1, Counter(), [bundle.class_by_id("A.1").config()])
 
 
 def test_classify_all_checks_the_case_order(monkeypatch, case_reports):
@@ -585,7 +594,7 @@ def test_generated_configurations_are_their_own_lattice_points(case_reports):
 
 
 def test_generated_configurations_have_their_rows_columns(case_reports, bundle):
-    """The oracle of _finish, which takes these columns from the row:
+    """The oracle of _Funnel.report, which takes these columns from the row:
     on each of the 76 generated configurations, the width, the catalog
     record (match_om) and the dps flag (pair sums of its six points) are
     the row's columns."""
@@ -1238,14 +1247,14 @@ def test_case_f_splits_by_catalog_label(case_reports):
 
 
 def _relabeled_case_f(monkeypatch, change):
-    """Make _finish hand run_case_f its report with the classes changed."""
-    finish = classify6._finish
+    """Make _Funnel.report hand run_case_f its report with the classes changed."""
+    report = classify6._Funnel.report
 
     def changed(*args):
-        report = finish(*args)
-        return dataclasses.replace(report, classes_found=change(report.classes_found))
+        made = report(*args)
+        return dataclasses.replace(made, classes_found=change(made.classes_found))
 
-    monkeypatch.setattr(classify6, "_finish", changed)
+    monkeypatch.setattr(classify6._Funnel, "report", changed)
 
 
 def test_case_f_checks_each_class_against_its_group(monkeypatch):

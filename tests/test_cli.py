@@ -98,21 +98,21 @@ def test_analyze_five_points_enumerates_once(tmp_path, capsys, monkeypatch):
 
 
 def test_analyze_six_points_computes_circuits_and_facets_once(tmp_path, bundle, capsys, monkeypatch):
-    """One circuits call, one hull_facets call and one quad_volumes call
+    """One circuits call, one placing (_placing) and one quad_volumes call
     per six-point analyze, wherever the lattice6 modules look the
     functions up: the circuits, volume vector, width and normal form read
     the configuration's one PointConfig.volumes().  The input is a table
     row, so its oriented-matroid label, a class invariant, is read off
     the row without a canonical circuit form."""
     classify6._row_key_index()  # built with the tables, before counting
-    calls = count_calls(monkeypatch, invariants.circuits, polytope.hull_facets, quad_volumes,
+    calls = count_calls(monkeypatch, invariants.circuits, polytope._placing, quad_volumes,
                         omcatalog.canonical_circuit_form)
     rc = main(["analyze", rep_file(tmp_path, bundle, "H.7")])
     assert rc == 0
     out = capsys.readouterr().out
     assert "class: H.7" in out
     assert f"oriented matroid: {bundle.class_by_id('H.7').om_label}\n" in out
-    assert calls == {"circuits": 1, "hull_facets": 1, "quad_volumes": 1,
+    assert calls == {"circuits": 1, "_placing": 1, "quad_volumes": 1,
                      "canonical_circuit_form": 0}
 
 
@@ -389,6 +389,24 @@ def test_corrupt_bundled_data_is_a_verification_failure(capsys, monkeypatch, arg
     captured = capsys.readouterr()
     assert (rc, captured.out) == (1, "")
     assert captured.err == "verification failed: classes76: checksum mismatch\n"
+
+
+def test_catalog_miss_in_analyze_is_a_verification_failure(tmp_path, capsys, monkeypatch):
+    """Six distinct full-dimensional points have rank + 2 points, so their
+    oriented matroid is among the catalog's records, and a miss is a
+    catalog bug: analyze of a six-point input outside the table fails
+    with one line on stderr and exit code 1, after the lines it printed."""
+    def miss(circs):
+        raise omcatalog.NoMatch("circuits match no catalog record")
+
+    monkeypatch.setattr(cli, "match_circuits", miss)
+    path = tmp_path / "w1.txt"
+    path.write_text(format_points(width1_family("(5,1)/3.2").points))
+    rc = main(["analyze", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out.startswith("points: 6\n") and "oriented matroid" not in captured.out
+    assert captured.err == "verification failed: circuits match no catalog record\n"
 
 
 def test_classify_writes_json(tmp_path, capsys):

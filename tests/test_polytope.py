@@ -13,15 +13,17 @@ import fraction_oracles
 from conftest import apply_map, count_calls, random_unimodular
 from emptytetra_oracles import has_interior_point
 from fraction_oracles import point_in_hull
-from hull_oracles import triple_scan_facets
+from hull_oracles import cone_triangulation, triple_scan_facets
 from lattice6.emptytetra import _facet_frame, _framed_has_interior_point
-from lattice6.exactlinalg import _mat_vec, cross, det4, dot, gcd_all, hermite_normal_form, quad_volumes, sub
+from lattice6.exactlinalg import (
+    _mat_vec, _slots, cross, det4, dot, gcd_all, hermite_normal_form, quad_volumes, sub)
 from lattice6 import polytope
 from lattice6.polytope import (
     NotFullDimensional,
     PointConfig,
-    _cone_triangulation,
     _cosets,
+    _placing,
+    _tetrahedron_points,
     _vertices,
     format_points,
     hull_facets,
@@ -248,6 +250,40 @@ def test_hull_facets_match_triple_scan_oracle(bundle):
     assert flat > 100
 
 
+def test_placing_matches_cone_triangulation_oracle(bundle):
+    """The placing against the triangulation it replaced
+    (hull_oracles.cone_triangulation, over the triple-scan facets and the
+    vertices they give): its facets are the triple scan's, every placing
+    tetrahedron has a nonzero volume in the table and those volumes sum
+    to the cone tetrahedra's, and lattice_points is the union of the cone
+    tetrahedra's points; on a flat set all of them raise
+    NotFullDimensional.  On the 76 rows and 900 sets with collinear
+    triples, points on edges and facets and coplanar sets, over 400 of
+    them flat and over 100 of those collinear."""
+    rng = random.Random(40)
+    configs = [row.config() for row in bundle.class_rows] + list(_degenerate_sets(rng, 900))
+    flat = collinear = 0
+    for c in configs:
+        try:
+            facets = triple_scan_facets(c)
+        except NotFullDimensional:
+            flat += 1
+            collinear += all(cross(sub(q, p), sub(r, p)) == (0, 0, 0) for p, q, r in combinations(c, 3))
+            for hull in (hull_facets, lattice_points, _placing):
+                with pytest.raises(NotFullDimensional):
+                    hull(c)
+            continue
+        tetrahedra = _placing(c)[0]
+        assert hull_facets(c) == facets, c.points
+        vols, slots = c.volumes(), _slots(len(c))
+        assert all(vols[slots[t]] for t in tetrahedra), c.points
+        cones = cone_triangulation(_vertices(c, facets), facets)
+        assert sum(abs(vols[slots[t]]) for t in tetrahedra) == sum(abs(det4(*t)) for t in cones)
+        expected = {p for t in cones for p in _tetrahedron_points(det4(*t), *t)}
+        assert lattice_points(c) == tuple(sorted(expected)), c.points
+    assert flat > 400 and collinear > 100
+
+
 def test_coset_pivots_are_the_hermite_diagonal():
     """_cosets' pivots, read off the determinantal divisors, are the
     diagonal of the row Hermite normal form of the edge vectors, on
@@ -261,7 +297,7 @@ def test_coset_pivots_are_the_hermite_diagonal():
             continue
         for tet in ((v0, a, b, c), (v0, b, a, c)):
             h = hermite_normal_form([sub(p, tet[0]) for p in tet[1:]])
-            assert [len(r) for r in _cosets(*tet)[3]] == [h[0][0], h[1][1], h[2][2]], tet
+            assert [len(r) for r in _cosets(det4(*tet), *tet)[3]] == [h[0][0], h[1][1], h[2][2]], tet
         seen.add(det > 0)
     assert seen == {True, False}
 
@@ -492,10 +528,10 @@ def test_enumeration_matches_box_scan_oracle(c):
     assert hull_summary(c)[1] == tuple(
         p for p in expected if all(dot(f[:3], p) > f[3] for f in facets))
     verts = hull_summary(c)[2]
-    volume = sum(abs(det4(*t)) for t in _cone_triangulation(verts, facets))
+    volume = sum(abs(det4(*t)) for t in cone_triangulation(verts, facets))
     for v in verts[1:]:
         recentred = PointConfig([v] + [p for p in c.points if p != v])
-        tetrahedra = _cone_triangulation(_vertices(recentred, facets), facets)
+        tetrahedra = cone_triangulation(_vertices(recentred, facets), facets)
         assert {t[0] for t in tetrahedra} == {v}
         assert sum(abs(det4(*t)) for t in tetrahedra) == volume
         assert lattice_points(recentred) == expected

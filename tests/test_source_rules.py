@@ -17,7 +17,8 @@ unimodular maps in one place: equivalence.py is the only module that
 calls unimodular_map.  A configuration's quadruple volumes are computed
 once, by PointConfig.volumes(), and every other determinant of
 configuration points is read off them: in the library, det4 is called
-only by quad_volumes, and quad_volumes only by PointConfig.volumes.
+only by quad_volumes, quad_volumes only by PointConfig.volumes, and
+det3 only inside exactlinalg.py.
 A case's candidates, rejections and survivors are kept in one record: in
 classify6.py, a Counter is constructed only inside the _Funnel class.
 A case decides "exactly six lattice points" by one size argument: in
@@ -37,6 +38,7 @@ SOURCES = sorted(Path(lattice6.__file__).parent.glob("*.py"))
 
 #: Top-level names kept in the library although no library module reads them.
 UNREAD_ALLOWED = {
+    "polytope.hull_facets": "the facet entry point; hull_summary reads the planes off its own placing",
     "size5.classify5": "the size-5 entry point with its size and dimension gates",
     "classify6.width1_family": "the width-one constructors; the width-one identification will call them",
 }
@@ -238,18 +240,19 @@ def test_unread_member_is_a_violation(tmp_path):
         "shapes.py:10: Cell.volume is read by no library module"]
 
 
-def _map_solves(path):
-    """Calls of unimodular_map, as a bare name or an attribute, in path."""
+def _calls(path, callee):
+    """Calls of callee, as a bare name or an attribute, in path."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "unimodular_map":
-                yield f"{path.name}:{node.lineno}: calls unimodular_map"
+            if name == callee:
+                yield f"{path.name}:{node.lineno}: calls {callee}"
 
 
 def test_only_equivalence_solves_unimodular_maps():
-    found = [v for path in SOURCES if path.name != "equivalence.py" for v in _map_solves(path)]
+    found = [v for path in SOURCES if path.name != "equivalence.py"
+             for v in _calls(path, "unimodular_map")]
     assert not found, "\n".join(found)
 
 
@@ -258,8 +261,15 @@ def test_unimodular_map_call_is_a_violation(tmp_path):
     path.write_text("from . import exactlinalg\nfrom .exactlinalg import unimodular_map\n"
                     "def f(a, b):\n    return unimodular_map(a, b) or exactlinalg.unimodular_map(b, a)\n",
                     encoding="utf-8")
-    assert list(_map_solves(path)) == ["sample.py:4: calls unimodular_map",
-                                       "sample.py:4: calls unimodular_map"]
+    assert list(_calls(path, "unimodular_map")) == ["sample.py:4: calls unimodular_map",
+                                                    "sample.py:4: calls unimodular_map"]
+
+
+def test_only_exactlinalg_computes_det3():
+    """det3 is exactlinalg's kernel, for the matrices of affine maps; a
+    determinant of configuration points elsewhere is a table entry."""
+    found = [v for path in SOURCES if path.name != "exactlinalg.py" for v in _calls(path, "det3")]
+    assert not found, "\n".join(found)
 
 
 #: The one caller of each determinant kernel: every det4 of configuration
