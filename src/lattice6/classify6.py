@@ -97,7 +97,7 @@ from .invariants import (
     volume_vector6,
     width,
 )
-from .equivalence import _normal_form, _witnesses, canonical_key
+from .equivalence import normal_form, _witnesses
 from .emptytetra import _facet_frame, _framed_empty, _framed_has_interior_point
 from .size5 import admissible_apex_31, catalog41
 from .omcatalog import chirotope, chirotope_orbit
@@ -169,20 +169,50 @@ class CaseReport:
 # identification against the bundled tables
 
 
+def _volume_profile(config: PointConfig) -> Tuple[int, ...]:
+    """The sorted |volume| of config's quadruples, an invariant of
+    unimodular maps and relabelings: the first half of its volume table,
+    so one entry per quadruple, 15 for six points."""
+    vols = config.volumes()
+    return tuple(sorted(map(abs, vols[:len(vols) // 2])))
+
+
+@lru_cache(maxsize=1)
+def _row_profiles() -> frozenset:
+    """The rows' _volume_profile, 74 over the 76 rows, read off their
+    volume vectors (tests/table_checks.py checks each against its points
+    up to sign), so the gate of identify takes no normal form of a row."""
+    return frozenset(tuple(sorted(map(abs, row.volume_vector))) for row in load_tables().class_rows)
+
+
 @lru_cache(maxsize=1)
 def _row_key_index():
     """(row, config, orders) by canonical key: each table row with the
-    configuration of its points, whose volumes its _normal_form has
+    configuration of its points, whose volumes its normal_form has
     computed, and their key orders.  The keys are complete, so two rows
     with one key would be one class listed twice."""
     index = {}
     for row in load_tables().class_rows:
         cfg = row.config()
-        key, orders = _normal_form(cfg)
+        key, orders = normal_form(cfg)
         other, _, _ = index.setdefault(key, (row, cfg, orders))
         if other is not row:
             raise ClassificationError(f"{other.id} and {row.id} coincide")
     return index
+
+
+def _checked_row(config: PointConfig, form) -> Tuple[Optional[ClassRow], Optional[PointConfig]]:
+    """The table row named by config's normal form, form = (key, orders),
+    with the row's configuration; (None, None) when no row has the key.
+    _witnesses, from config's first key order onto the row's key orders,
+    must give a unimodular map that carries config's points onto the
+    row's points, else ClassificationError: equal keys alone identify
+    nothing.  The one identification of _Funnel.report and identify."""
+    key, orders = form
+    row, rep, row_orders = _row_key_index().get(key, (None, None, None))
+    if row is not None and next(_witnesses(config, orders[0], rep, row_orders), None) is None:
+        raise ClassificationError(f"{row.id}: witness is not equivalent")
+    return row, rep
 
 
 class _Funnel:
@@ -204,40 +234,36 @@ class _Funnel:
         """Report of the case from its accepted configurations, in order.
 
         The representatives are the first-seen configurations up to
-        equivalence: one _normal_form per distinct point set gives the
+        equivalence: one normal_form per distinct point set gives the
         canonical key and its key orders, and a configuration whose key
-        came earlier is a repeat.  Each representative's key must name a
-        row of this case in _row_key_index, and _witnesses, from the
-        representative's first key order onto the row's key orders, must
-        give a unimodular map that carries its points onto the row's
-        points; the first such map is the check, so equal keys alone
-        identify nothing.  The class is then the row: width, oriented
-        matroid up to sign and dps are invariant under that map, so they
-        are the row's columns (tests/table_checks.py checks them on every
-        row's points, and a test on the generated configurations).  Only
-        the volume vector is computed, from the index's configuration of
-        the row, whose volumes are not computed again.  The rows are
-        pairwise inequivalent: _row_key_index checks that their complete
-        keys differ.  The classes found must be exactly the case's rows.
+        came earlier is a repeat.  Each representative must name a row of
+        this case through _checked_row, which checks a witness map onto
+        the row's points, so equal keys alone identify nothing.  The class
+        is then the row: width, oriented matroid up to sign and dps are
+        invariant under that map, so they are the row's columns
+        (tests/table_checks.py checks them on every row's points, and a
+        test on the generated configurations).  Only the volume vector is
+        computed, from the index's configuration of the row, whose volumes
+        are not computed again.  The rows are pairwise inequivalent:
+        _row_key_index checks that their complete keys differ.  The
+        classes found must be exactly the case's rows.
         """
-        case, index = self.case, _row_key_index()
+        case = self.case
         point_sets, keys, classes = set(), set(), []
         for cfg in self.accepted:
             points = frozenset(cfg.points)
             if points in point_sets:
                 continue
             point_sets.add(points)
-            key, orders = _normal_form(cfg)
-            if key in keys:
+            form = normal_form(cfg)
+            if form[0] in keys:
                 continue
-            keys.add(key)
-            row, rep, row_orders = index.get(key, (None, None, None))
+            keys.add(form[0])
+            row, rep = _checked_row(cfg, form)
             if row is None:
                 raise ClassificationError("generated configuration matches no table row")
             if row.case != case:
                 raise ClassificationError(f"case {case} produced table row {row.id}")
-            if next(_witnesses(cfg, orders[0], rep, row_orders), None) is None:
-                raise ClassificationError(f"{row.id}: witness is not equivalent")
             classes.append(PolytopeClass(row.id, row.om_label, volume_vector6(rep), row.width,
                                          row.functional, rep, row.dps, generated=cfg))
         classes.sort(key=lambda c: int(c.id.split(".")[1]))
@@ -737,7 +763,7 @@ def _base_automorphisms(base: PointConfig) -> List[AffineMap]:
     base -> base of _witnesses, one per key order of its normal form (they
     match one to one).  Raises ClassificationError unless every key order
     gives one that fixes the interior point base[0]."""
-    _, orders = _normal_form(base)
+    _, orders = normal_form(base)
     autos = [g for perm, g in _witnesses(base, orders[0], base, orders) if perm[0] == 0]
     if len(autos) != len(orders):
         raise ClassificationError("a key order gives no symmetry of its base polytope")
@@ -968,11 +994,18 @@ def classify_all() -> Tuple[CaseReport, ...]:
 
 
 def identify(config: PointConfig) -> Optional[str]:
-    """Id of the table row with config's canonical key, or None.  Equal
-    keys mean equivalent configurations, so a configuration outside the
-    classification (not six lattice points, or width one) has no row's
-    key and needs no gate.  A flat config raises NotFullDimensional."""
-    row, _, _ = _row_key_index().get(canonical_key(config), (None, None, None))
+    """Id of the table row that config is an image of, or None.
+
+    A gate from the volumes alone comes first: config's _volume_profile
+    must be a row's (_row_profiles), which only six points can give (a
+    profile has one entry per quadruple), and which a flat config, of
+    profile all zeros, never gives.  Only then is the normal form taken,
+    and _checked_row names the row by its key and checks a witness map
+    onto its points.  A configuration outside the classification (not
+    six lattice points, or width one) has no row's key."""
+    if _volume_profile(config) not in _row_profiles():
+        return None
+    row, _ = _checked_row(config, normal_form(config))
     return None if row is None else row.id
 
 

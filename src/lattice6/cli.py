@@ -10,9 +10,18 @@ oriented matroid among the catalog's records), to "verification failed:
 A process builds its argument parser once: build_parser is cached and
 first called by main, not at import.  parse_args makes a fresh Namespace
 on each call and leaves the parser unchanged, so every main call parses
-as a fresh parser would.  analyze of a six-point input that is a table
-row prints the row's oriented-matroid label, a class invariant; only an
-input outside the table pays for the canonical circuit form.
+as a fresh parser would.
+
+analyze of six points first asks classify6.identify for their table
+row: a gate on the sorted |volumes| of the quadruples, then the normal
+form and a checked witness map.  A named row's hull holds only its six
+points, so none is enumerated: the placing's facet planes give the
+vertices and interior points, and the coplanarity, dps flag and
+oriented-matroid label are class invariants read off the row and its
+grid cell, with no circuits, pair sums or canonical circuit form; the
+width is computed.  Every other input takes the hull first, with its
+enumeration budget, then the circuits of six points and the width, and
+a six-point one the canonical circuit form of its oriented matroid.
 """
 
 import argparse
@@ -79,14 +88,14 @@ def _om_label(circs) -> str:
 def cmd_analyze(args) -> int:
     config = _read_config(args.points_file)
     n = len(config.points)
-    lattice, inner, verts = hull_summary(config)
+    # a table row is named first; its hull holds only its six points
+    class_id = classify6.identify(config) if n == 6 else None
+    row = None if class_id is None else load_tables().class_by_id(class_id)
+    lattice, inner, verts = hull_summary(config, exhaustive=row is not None)
     nsize = len(lattice)
     # hull_summary rejected rank < 4, so the circuits exist
-    circs = circuits(config) if n == 6 else ()
+    circs = circuits(config) if n == 6 and row is None else ()
     w, functional = width(config)
-    # only six lattice points of width >= 2 can be a table row: others take no normal form
-    class_id = classify6.identify(config) if n == nsize == 6 and w >= 2 else None
-    row = None if class_id is None else load_tables().class_by_id(class_id)
     # show the published witness when it is one for these coordinates
     if row is not None and functional_range(row.functional, config.points) == w:
         functional = row.functional
@@ -100,9 +109,11 @@ def cmd_analyze(args) -> int:
     if n == 5:
         print("volume vector:", " ".join(map(str, volume_vector5(config))))
     elif n == 6:
-        print(f"coplanarity: {coplanarity_from_circuits(circs)}")
+        coplanarity = (coplanarity_from_circuits(circs) if row is None
+                       else load_tables().cell(row.om_label).coplanarity)
+        print(f"coplanarity: {coplanarity}")
         print("volume vector:", " ".join(map(str, volume_vector6(config))))
-    dps = pair_sums_distinct(lattice)
+    dps = pair_sums_distinct(lattice) if row is None else row.dps
     print(f"dps: {'dps' if dps else 'non-dps'}")
     if row is not None:
         print(f"oriented matroid: {row.om_label}")
@@ -247,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="invariants of a points file")
+    p = sub.add_parser("analyze", help="invariants of a points file; an image of a "
+                       "table row is named first and enumerates no lattice point")
     p.add_argument("points_file", help="path to a points file, or - for stdin")
     p.set_defaults(func=cmd_analyze)
 

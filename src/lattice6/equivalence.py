@@ -112,8 +112,13 @@ def _least_orders(config: PointConfig, top: int) -> Tuple[Tuple[IntVec3, ...], L
     return least, [order for order, table in tables.items() if table == least]
 
 
-def _normal_form(config: PointConfig) -> Tuple[Key, List[Tuple[int, ...]]]:
-    """canonical_key of config and the ordered index quadruples reaching it."""
+def normal_form(config: PointConfig) -> Tuple[Key, List[Tuple[int, ...]]]:
+    """canonical_key of config and the ordered index quadruples reaching
+    it, its key orders, from which _witnesses builds the maps onto another
+    configuration of the same key.
+
+    Raises NotFullDimensional for a configuration of affine rank < 4.
+    """
     top = config.top_volume()
     least, orders = _least_orders(config, top)
     pts = config.points
@@ -128,7 +133,7 @@ def canonical_key(config: PointConfig) -> Key:
 
     Raises NotFullDimensional for a configuration of affine rank < 4.
     """
-    return _normal_form(config)[0]
+    return normal_form(config)[0]
 
 
 def equivalence_witness(

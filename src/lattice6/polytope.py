@@ -22,9 +22,11 @@ hull's normalized volume plus the points found, whatever the size of
 the coordinates; the union is returned lexicographically sorted.
 lattice_points, size and hull_summary (which adds the interior points
 and the vertices) are the entry points to that one enumeration; only
-hull_summary and hull_facets read facets.  The normalized volumes of
-the tetrahedra are summed before any is enumerated, and a hull over
-ENUMERATION_BUDGET raises EnumerationBudgetExceeded, an input error.
+hull_summary and hull_facets read facets, and hull_summary of a hull
+known to hold only the configuration's points enumerates nothing.  The
+normalized volumes of the tetrahedra are summed before any is
+enumerated, and a hull over ENUMERATION_BUDGET raises
+EnumerationBudgetExceeded, an input error.
 The budget is interim: it turns away thin hulls with few points too,
 until an enumerator whose cost follows the points found replaces this
 one.
@@ -327,14 +329,17 @@ def size(config: PointConfig) -> int:
 
 
 def hull_summary(
-    config: PointConfig,
+    config: PointConfig, exhaustive: bool = False,
 ) -> Tuple[Tuple[IntVec3, ...], Tuple[IntVec3, ...], Tuple[IntVec3, ...]]:
     """The lattice points of conv(config), those strictly inside it (both
     lexicographically sorted) and its vertices (_vertices), from one
-    placing, its facet planes and one _vertices pass."""
+    placing, its facet planes and one _vertices pass.  exhaustive says
+    that the caller knows conv(config) to hold no lattice point besides
+    config's own, as for an image of a table row: then the points are
+    config's, and none is enumerated."""
     tetrahedra, faces = _placing(config)
     planes = _planes(config, faces)
-    points = _hull_points(config, tetrahedra)
+    points = tuple(sorted(config.points)) if exhaustive else _hull_points(config, tetrahedra)
     inner = tuple(
         p for p in points if all(a * p[0] + b * p[1] + c * p[2] > o for a, b, c, o in planes))
     return points, inner, _vertices(config, planes)

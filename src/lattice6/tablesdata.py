@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from importlib import resources
 from typing import Dict, Tuple
@@ -68,28 +68,42 @@ class OMCell:
 
 @dataclass(frozen=True)
 class TableBundle:
+    """The bundled tables, with one dict per key the library looks up:
+    class rows by id, grid cells by label, and the grid labels of each
+    catalog record key, built once when the bundle is."""
+
     size5_rows: Tuple[dict, ...]
     class_rows: Tuple[ClassRow, ...]
     om_cells: Tuple[OMCell, ...]
     width1_families: dict
     om_label_map: Dict[str, str]
     ambiguous_labels: Tuple[dict, ...]
+    _rows_by_id: Dict[str, ClassRow] = field(init=False, repr=False, compare=False)
+    _cells_by_label: Dict[str, OMCell] = field(init=False, repr=False, compare=False)
+    _labels_by_key: Dict[str, Tuple[str, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        labels: Dict[str, list] = {}
+        for label, key in self.om_label_map.items():
+            labels.setdefault(key, []).append(label)
+        by_key = {key: tuple(hits) for key, hits in labels.items()}
+        for pair in self.ambiguous_labels:
+            for key in pair["keys"]:
+                by_key.setdefault(key, tuple(pair["labels"]))
+        object.__setattr__(self, "_rows_by_id", {row.id: row for row in self.class_rows})
+        object.__setattr__(self, "_cells_by_label", {cell.label: cell for cell in self.om_cells})
+        object.__setattr__(self, "_labels_by_key", by_key)
 
     def class_by_id(self, cid: str) -> ClassRow:
-        for row in self.class_rows:
-            if row.id == cid:
-                return row
-        raise KeyError(cid)
+        return self._rows_by_id[cid]
+
+    def cell(self, label: str) -> OMCell:
+        """The grid cell of an oriented-matroid label, such as a row's."""
+        return self._cells_by_label[label]
 
     def label_candidates(self, key: str) -> Tuple[str, ...]:
         """Grid labels a catalog record key may carry (two when ambiguous)."""
-        hits = tuple(l for l, k in self.om_label_map.items() if k == key)
-        if hits:
-            return hits
-        for pair in self.ambiguous_labels:
-            if key in pair["keys"]:
-                return tuple(pair["labels"])
-        raise KeyError(key)
+        return self._labels_by_key[key]
 
 
 def _canonical(payload) -> str:

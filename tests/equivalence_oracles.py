@@ -1,5 +1,5 @@
 """The unpruned canonical normal form, kept as a test oracle for
-equivalence._normal_form.
+equivalence.normal_form.
 
 The library builds a sorted barycentric table only for the vertex orders
 whose first row off the quadruple can be least.  This is the search it

@@ -25,7 +25,7 @@ from lattice6.emptytetra import (
     _framed_has_interior_point,
     is_empty_tetrahedron,
 )
-from lattice6.equivalence import _normal_form, _table
+from lattice6.equivalence import normal_form, _table
 from lattice6.exactlinalg import (
     COORD_BOUND,
     AffineMap,
@@ -536,20 +536,21 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
         classify6._cell_orbit(cell)
     classify6._row_key_index()
     calls = count_calls(monkeypatch, unimodular_map, hull_facets, _placing, classify6._glued_verdict,
-                        match_circuits, check_point, circuits, _normal_form, quad_volumes,
+                        match_circuits, check_point, circuits, normal_form, quad_volumes,
                         classify6._caps, _facet_frame, _framed_empty,
                         _framed_has_interior_point, det4, _table)
     classify6.classify_all()
     assert calls == {"unimodular_map": 116, "hull_facets": 0, "_placing": 142, "_glued_verdict": 426,
                      "match_circuits": 0, "check_point": 1885, "circuits": 52,
-                     "_normal_form": 129, "quad_volumes": 910, "_caps": 1156,
+                     "normal_form": 129, "quad_volumes": 910, "_caps": 1156,
                      "_facet_frame": 298, "_framed_empty": 1109,
                      "_framed_has_interior_point": 522, "det4": 13650, "_table": 502}
 
 
 def test_finish_rejects_a_row_of_another_case(bundle):
     """A representative whose key names a row of another case fails the
-    case check, before its witness map or the case's row list is looked at."""
+    case check, after its witness map and before the case's row list is
+    looked at."""
     row = next(r for r in bundle.class_rows if r.case == "B")
     with pytest.raises(classify6.ClassificationError,
                        match=rf"^case A produced table row {re.escape(row.id)}$"):

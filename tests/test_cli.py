@@ -97,23 +97,118 @@ def test_analyze_five_points_enumerates_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
-def test_analyze_six_points_computes_circuits_and_facets_once(tmp_path, bundle, capsys, monkeypatch):
-    """One circuits call, one placing (_placing) and one quad_volumes call
-    per six-point analyze, wherever the lattice6 modules look the
-    functions up: the circuits, volume vector, width and normal form read
-    the configuration's one PointConfig.volumes().  The input is a table
-    row, so its oriented-matroid label, a class invariant, is read off
-    the row without a canonical circuit form."""
+def test_analyze_table_row_takes_no_hull_points_and_no_circuits(tmp_path, bundle, capsys, monkeypatch):
+    """A six-point table row (H.7) is named before its hull: one normal
+    form, whose key the gate of |volumes| lets through and whose row a
+    witness map checks, then one placing, whose facet planes give the
+    vertices and interior points of the row's own six points, so no
+    lattice point is enumerated (_tetrahedron_points).  One quad_volumes
+    call serves the gate, the normal form, the placing, the volume vector
+    and width.  Coplanarity, dps and the oriented-matroid label are class
+    invariants read off the row, so there are no circuits, no pair sums
+    and no canonical circuit form."""
     classify6._row_key_index()  # built with the tables, before counting
-    calls = count_calls(monkeypatch, invariants.circuits, polytope._placing, quad_volumes,
-                        omcatalog.canonical_circuit_form)
+    calls = count_calls(monkeypatch, invariants.circuits, polytope._placing,
+                        polytope._tetrahedron_points, quad_volumes, equivalence.normal_form,
+                        invariants.pair_sums_distinct, omcatalog.canonical_circuit_form)
     rc = main(["analyze", rep_file(tmp_path, bundle, "H.7")])
     assert rc == 0
     out = capsys.readouterr().out
     assert "class: H.7" in out
     assert f"oriented matroid: {bundle.class_by_id('H.7').om_label}\n" in out
-    assert calls == {"circuits": 1, "_placing": 1, "quad_volumes": 1,
-                     "canonical_circuit_form": 0}
+    assert calls == {"circuits": 0, "_placing": 1, "_tetrahedron_points": 0, "quad_volumes": 1,
+                     "normal_form": 1, "pair_sums_distinct": 0, "canonical_circuit_form": 0}
+
+
+def test_analyze_outside_the_table_takes_the_full_path(tmp_path, capsys, monkeypatch):
+    """The twin of the pin above: a six-point input outside the table (a
+    width-one hexagon) is turned away by the gate of |volumes| before any
+    normal form, and takes one hull enumeration, one circuits call and one
+    pair-sum scan, as before the row-first path.  A fresh process that
+    analyzes it builds no row-key index."""
+    c = width1_family("(3,3)/6.4", (1, 1, 2, 3))
+    path = write_config(tmp_path, "hex.txt", c.points)
+    classify6._row_profiles()  # built with the tables, before counting
+    calls = count_calls(monkeypatch, invariants.circuits, polytope._placing, polytope._hull_points,
+                        quad_volumes, equivalence.normal_form, invariants.pair_sums_distinct)
+    assert main(["analyze", path]) == 0
+    assert "class: not in classification" in capsys.readouterr().out
+    assert calls == {"circuits": 1, "_placing": 1, "_hull_points": 1, "quad_volumes": 1,
+                     "normal_form": 0, "pair_sums_distinct": 1}
+    code = ("import sys; from lattice6 import classify6, cli; rc = cli.main(['analyze', sys.argv[1]]); "
+            "print(rc, classify6._row_key_index.cache_info().currsize, file=sys.stderr)")
+    proc = _python(["-c", code, path])
+    assert (proc.stderr, proc.returncode) == ("0 0\n", 0)
+
+
+def test_analyze_checks_the_witness_map_of_a_row(tmp_path, bundle, capsys, monkeypatch):
+    """analyze names a row only through a witness map, as the case reports
+    do: a map that does not carry the input onto the row's points is a
+    verification failure, before any line is printed, although the key
+    matched."""
+    shift = AffineMap(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (1, 0, 0))
+    monkeypatch.setattr(equivalence, "unimodular_map", lambda src, dst: shift)
+    rc, out, err = _outcome(["analyze", rep_file(tmp_path, bundle, "H.7")], capsys)
+    assert (rc, out, err) == (1, "", "verification failed: H.7: witness is not equivalent\n")
+
+
+def _analysis(tmp_path, points, capsys):
+    """(exit code, the "key: value" lines of stdout as a dict, stderr) of
+    analyze on points."""
+    rc = main(["analyze", write_config(tmp_path, "in.txt", points)])
+    out = capsys.readouterr()
+    lines = dict(line.split(": ", 1) for line in out.out.splitlines() if ": " in line)
+    return rc, lines, out.err
+
+
+def _full_path_lines(config):
+    """The size, vertices, interior points, coplanarity and dps lines of
+    analyze, from the enumerating hull, the circuits and the pair sums."""
+    lattice, inner, verts = polytope.hull_summary(config)
+    return {"size": str(len(lattice)), "vertices": str(len(verts)),
+            "interior points": f"{len(inner)}" + (f"  {list(inner)}" if inner else ""),
+            "coplanarity": invariants.coplanarity_from_circuits(circuits(config)),
+            "dps": "dps" if invariants.pair_sums_distinct(lattice) else "non-dps"}
+
+
+def test_analyze_rows_agree_with_the_full_path(tmp_path, bundle, capsys):
+    """Every table row and three seeded relabeled unimodular images of each
+    print the lines that the enumerating hull, the circuits and the pair
+    sums give, and name their row.  The twins G.5/G.12 and G.6/G.9 share
+    their |volume| profile, so the gate passes both and the key decides."""
+    profile = classify6._volume_profile
+    for a, b in (("G.5", "G.12"), ("G.6", "G.9")):
+        assert profile(bundle.class_by_id(a).config()) == profile(bundle.class_by_id(b).config())
+    rng = random.Random(41)
+    for row in bundle.class_rows:
+        cfg = row.config()
+        for img in [cfg] + [shuffled(rng, apply_map(random_unimodular(rng), cfg)) for _ in range(3)]:
+            rc, lines, _ = _analysis(tmp_path, img.points, capsys)
+            assert rc == 0 and lines["class"] == row.id, (row.id, img)
+            assert {k: lines[k] for k in _full_path_lines(img)} == _full_path_lines(img), (row.id, img)
+
+
+#: Six points whose |volume| profile is a row's, with a seventh lattice
+#: point in their hull: the gate lets it through and the key names no row.
+SIZE7_IN_GATE = [(-1, 2, 0), (-1, 2, 1), (0, -1, -1), (0, 1, 0), (1, 1, 0), (2, -1, 0)]
+
+
+def test_analyze_six_points_outside_the_table_keep_their_answers(tmp_path, capsys, monkeypatch):
+    """A six-point input of size 7 whose profile passes the gate takes one
+    normal form, finds no row and prints the full path's lines; a flat
+    six-point input fails the gate and is refused by the hull, exit 2."""
+    classify6._row_key_index()  # built with the tables, before counting
+    assert classify6._volume_profile(PointConfig(SIZE7_IN_GATE)) in classify6._row_profiles()
+    calls = count_calls(monkeypatch, equivalence.normal_form, invariants.circuits)
+    rc, lines, err = _analysis(tmp_path, SIZE7_IN_GATE, capsys)
+    assert (rc, err, calls) == (0, "", {"normal_form": 1, "circuits": 1})
+    assert lines["class"] == "not in classification (width 1 or size != 6)"
+    full = _full_path_lines(PointConfig(SIZE7_IN_GATE))
+    assert {k: lines[k] for k in full} == full and full["size"] == "7"
+    flat = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0), (1, 2, 0)]
+    rc, lines, err = _analysis(tmp_path, flat, capsys)
+    assert (rc, lines, err) == (2, {}, "error: configuration spans no 3-dimensional volume\n")
+    assert calls == {"normal_form": 1, "circuits": 1}
 
 
 def _python(args):
@@ -248,10 +343,10 @@ def test_analyze_large_family_parameters(tmp_path, capsys, points, expected):
 def test_analyze_five_points_normal_forms(tmp_path, capsys, monkeypatch, config, normal_forms):
     """Family parameters take no canonical key; a sporadic class takes one."""
     size5._sporadic_index()  # built once, before counting
-    calls = count_calls(monkeypatch, equivalence._normal_form)
+    calls = count_calls(monkeypatch, equivalence.normal_form)
     assert main(["analyze", write_config(tmp_path, "p5.txt", config.points)]) == 0
     assert "size-5 class:" in capsys.readouterr().out
-    assert calls == {"_normal_form": normal_forms}
+    assert calls == {"normal_form": normal_forms}
 
 
 def test_analyze_volume_3001_tetrahedron(tmp_path, capsys):

@@ -10,7 +10,7 @@ from conftest import APEX31_BASE, apply_map, count_calls, random_unimodular, shu
 from emptytetra_oracles import standard_tetrahedron
 from equivalence_oracles import all_orders_normal_form
 from lattice6.equivalence import (
-    _least_orders, _normal_form, _table, canonical_key, equivalence_witness,
+    _least_orders, normal_form, _table, canonical_key, equivalence_witness,
 )
 from lattice6.exactlinalg import det4, edge_form
 from lattice6.invariants import volume_vector5, volume_vector6
@@ -361,18 +361,18 @@ def test_canonical_key_matches_full_search(bundle):
     top = [q for q in itertools.combinations(range(6), 4)
            if abs(det4(*(pts[i] for i in q))) == _abs_volumes(SECOND_QUAD_WINS)[-1]]
     assert len(top) == 2
-    assert {tuple(sorted(order)) for order in _normal_form(SECOND_QUAD_WINS)[1]} == {top[1]}
-    assert len(_normal_form(catalog41()[0].representative)[1]) == 24
+    assert {tuple(sorted(order)) for order in normal_form(SECOND_QUAD_WINS)[1]} == {top[1]}
+    assert len(normal_form(catalog41()[0].representative)[1]) == 24
     for c in (sporadic5((2, 2), 1), HIGH_TIE[0]):
-        assert len({frozenset(order) for order in _normal_form(c)[1]}) > 1, c.points
+        assert len({frozenset(order) for order in normal_form(c)[1]}) > 1, c.points
     for c in inputs:
-        key, orders = _normal_form(c)
+        key, orders = normal_form(c)
         assert (key, orders) == all_orders_normal_form(c), c.points
         assert (key, sorted(orders)) == _full_search_normal_form(c), c.points
 
 
 def test_normal_form_tables_are_pinned(bundle, monkeypatch):
-    """_normal_form sorts a table only for the orders that can reach the
+    """normal_form sorts a table only for the orders that can reach the
     least one: 224 tables over the 76 rows, where the unpruned search
     builds 24 per maximal quadruple, 2,160."""
     rows = [row.config() for row in bundle.class_rows]
@@ -383,5 +383,5 @@ def test_normal_form_tables_are_pinned(bundle, monkeypatch):
     assert 24 * quads == 2160
     calls = count_calls(monkeypatch, _table)
     for c in rows:
-        _normal_form(c)
+        normal_form(c)
     assert calls == {"_table": 224}
