@@ -43,10 +43,12 @@ candidate with a non-empty cap without a hull and counts the hull of
 each other candidate once, to cross-check the argument, raising
 "<site> triangulation check failed<at>" when they disagree; G and H first
 reject a gluing whose caps hold a lattice point strictly inside, an
-extra interior point, by the level test on the same caps.  Only case A,
-whose five coplanar points have no caps, counts its hulls directly.  No
-runner reads a hull's interior points: a gluing names its case G or H by
-whether its two interior points coincide.
+extra interior point, by the level test on the same caps.  Case A, whose
+five coplanar points have no caps, checks its midpoint rule with
+polytope.holds_only_its_points, the emptiness of a fine triangulation's
+cells, and counts no hull.  No runner reads a hull's interior points: a
+gluing names its case G or H by whether its two interior points
+coincide.
 
 The G/H gluing examines 24,576 vertex matchings of subtetrahedra.  A
 matching glues when an integral unimodular map realizes it, which is
@@ -86,7 +88,7 @@ from .exactlinalg import (
     edge_form,
     sub,
 )
-from .polytope import PointConfig, size
+from .polytope import PointConfig, holds_only_its_points, size
 from .invariants import (
     C21,
     C31,
@@ -416,7 +418,9 @@ def run_case_a() -> CaseReport:
     Only three of the six 5-point polygons can support width > 1; for
     those the apex is forced (mod the plane) to (1,b,2) with b in {0,1}.
     A candidate dies exactly when some edge to the apex has an integer
-    midpoint, i.e. a seventh lattice point.
+    midpoint, i.e. a seventh lattice point.  The planar base has no caps,
+    so polytope.holds_only_its_points checks the midpoint rule on each
+    candidate, with no lattice point enumerated.
     """
     shapes = {1: (0, 0), 2: (1, 1), 5: (0, -1)}  # polygon id -> (c, d)
     funnel = _Funnel("A")
@@ -434,11 +438,11 @@ def run_case_a() -> CaseReport:
             )
             cfg = PointConfig(base + [p6])
             if bad is not None:
-                if size(cfg) <= 6:
+                if holds_only_its_points(cfg):
                     raise ClassificationError("integer midpoint but no extra point")
                 funnel.reject(f"midpoint of p{bad + 1}p6 is integer")
                 continue
-            if size(cfg) != 6:
+            if not holds_only_its_points(cfg):
                 raise ClassificationError(f"case A candidate {p6} has extra points")
             funnel.accepted.append(cfg)
     return funnel.report()

@@ -2,10 +2,11 @@
 
 Exit codes: 0 success (or "equivalent"), 1 verification failure or
 "inequivalent", 2 usage and input errors.  main maps a verification
-failure, a failed check of the classification, corrupt bundled data or
-a catalog miss (NoMatch: six distinct full-dimensional points have an
-oriented matroid among the catalog's records), to "verification failed:
-<message>" on stderr, whatever the command.
+failure, a failed check of the classification, corrupt bundled data, a
+catalog miss (NoMatch: six distinct full-dimensional points have an
+oriented matroid among the catalog's records) or a size-5 miss
+(UnknownSize5Class: five points whose hull holds only them fit a class),
+to "verification failed: <message>" on stderr, whatever the command.
 
 A process builds its argument parser once: build_parser is cached and
 first called by main, not at import.  parse_args makes a fresh Namespace
@@ -19,9 +20,11 @@ points, so none is enumerated: the placing's facet planes give the
 vertices and interior points, and the coplanarity, dps flag and
 oriented-matroid label are class invariants read off the row and its
 grid cell, with no circuits, pair sums or canonical circuit form; the
-width is computed.  Every other input takes the hull first, with its
-enumeration budget, then the circuits of six points and the width, and
-a six-point one the canonical circuit form of its oriented matroid.
+width is computed.  Every other input takes the hull first: one whose
+fine triangulation has only empty cells holds only its own points and
+enumerates none, and any other is enumerated within the enumeration
+budget.  Then come the circuits of six points and the width, and for a
+six-point input the canonical circuit form of its oriented matroid.
 """
 
 import argparse
@@ -46,7 +49,7 @@ from .invariants import (
 from .equivalence import equivalence_witness
 from .emptytetra import white_type
 from .omcatalog import NoMatch, match_circuits
-from .size5 import size5_class
+from .size5 import UnknownSize5Class, size5_class
 from .tablesdata import CorruptData, load_tables
 from . import classify6
 
@@ -286,7 +289,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CorruptData, classify6.ClassificationError, NoMatch) as exc:
+    except (CorruptData, classify6.ClassificationError, NoMatch, UnknownSize5Class) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

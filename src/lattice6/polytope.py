@@ -20,16 +20,23 @@ per coset of the edge lattice, D in all) whose barycentric numerators
 sum to at most D, plus its three far vertices.  So the cost is the
 hull's normalized volume plus the points found, whatever the size of
 the coordinates; the union is returned lexicographically sorted.
-lattice_points, size and hull_summary (which adds the interior points
-and the vertices) are the entry points to that one enumeration; only
-hull_summary and hull_facets read facets, and hull_summary of a hull
-known to hold only the configuration's points enumerates nothing.  The
-normalized volumes of the tetrahedra are summed before any is
-enumerated, and a hull over ENUMERATION_BUDGET raises
-EnumerationBudgetExceeded, an input error.
-The budget is interim: it turns away thin hulls with few points too,
-until an enumerator whose cost follows the points found replaces this
-one.
+Whether the hull holds only the configuration's points is decided
+without enumeration (holds_only_its_points): the placing, refined by a
+stellar insertion of each label it skipped, is a fine triangulation
+(_fine_cells), and the hull holds only its points exactly when every
+cell is an empty tetrahedron, which White's congruence decides in the
+frame of one facet (emptytetra).  So its cost follows the point count,
+not the volume or the coordinates.
+lattice_points and size are the enumeration alone, the independent
+count that tests and the cap rule's cross-check compare against;
+hull_summary (which adds the interior points and the vertices)
+enumerates only a hull whose cells are not all empty.  Only hull_summary
+and hull_facets read facets.  The normalized volumes of the tetrahedra
+are summed before any is enumerated, and a hull over ENUMERATION_BUDGET
+raises EnumerationBudgetExceeded, an input error.
+The budget is interim: it turns away large hulls with few points
+besides the configuration's too, until an enumerator whose cost follows
+the points found replaces this one.
 Hull computations need affine rank 4 and raise NotFullDimensional
 otherwise.
 """
@@ -40,10 +47,12 @@ import re
 from math import gcd
 from typing import List, Sequence, Tuple
 
+from .emptytetra import _facet_frame, _framed_empty
 from .exactlinalg import (
     COORD_BOUND,
     IntVec3,
     _adjugate,
+    _mat_vec,
     _quadruples,
     _slots,
     check_point,
@@ -318,6 +327,57 @@ def _hull_points(config: PointConfig, tetrahedra: Sequence[Quad]) -> Tuple[IntVe
     return tuple(sorted(points))
 
 
+def _fine_cells(config: PointConfig, tetrahedra: Sequence[Quad]) -> List[Quad]:
+    """A triangulation of conv(config) with every label as a vertex: the
+    placing's tetrahedra, into which each label the placing skipped is
+    inserted in turn.  A skipped label p lies in the closed hull; a cell
+    holds it when each of its four barycentric numerators, the volume of
+    the cell with p in place of one vertex, has the cell's sign or is
+    zero.  p lies in the relative interior of the face spanned by the
+    vertices of nonzero numerator, so each cell that holds it is replaced
+    by the cells with p in place of one of those vertices (a stellar
+    subdivision).  Every sign is a volume table entry (De Loera, Rambau
+    and Santos, Triangulations, Springer 2010, 4.3)."""
+    vols, slots = config.volumes(), _slots(len(config.points))
+    cells = list(tetrahedra)
+    for p in sorted(set(range(len(config.points))).difference(*tetrahedra)):
+        refined = []
+        for cell in cells:
+            moved = [cell[:i] + (p,) + cell[i + 1:] for i in range(4)]
+            holds = all(vols[slots[m]] * vols[slots[cell]] >= 0 for m in moved)
+            refined += [m for m in moved if vols[slots[m]]] if holds else [cell]
+        cells = refined
+    return cells
+
+
+def _cells_empty(config: PointConfig, tetrahedra: Sequence[Quad]) -> bool:
+    """Whether every cell of _fine_cells over the placing tetrahedra is
+    an empty tetrahedron: one of |volume| 1 is, and any other is decided
+    by White's congruence in the frame of its first facet (a facet that
+    is not a unimodular triangle holds a lattice point besides its
+    vertices)."""
+    pts, vols, slots = config.points, config.volumes(), _slots(len(config.points))
+    for cell in _fine_cells(config, tetrahedra):
+        if abs(vols[slots[cell]]) > 1:
+            a, b, c, d = (pts[label] for label in cell)
+            frame = _facet_frame(a, b, c)
+            if frame is None or not _framed_empty(*_mat_vec(frame, sub(d, a))):
+                return False
+    return True
+
+
+def holds_only_its_points(config: PointConfig) -> bool:
+    """Whether conv(config) holds no lattice point besides config's own,
+    with no lattice point enumerated: a lattice point of the hull lies in
+    a cell of a fine triangulation (_fine_cells), and a point of config
+    lies in a cell only as its vertex, so the hull holds only config's
+    points exactly when every cell is empty (White, "Lattice tetrahedra",
+    Canad. J. Math. 16, 1964).  The cost follows the point count, not the
+    volume or the coordinates.  Raises NotFullDimensional on a flat
+    configuration."""
+    return _cells_empty(config, _placing(config)[0])
+
+
 def lattice_points(config: PointConfig) -> Tuple[IntVec3, ...]:
     """All lattice points of conv(config), lexicographically sorted."""
     return _hull_points(config, _placing(config)[0])
@@ -333,12 +393,17 @@ def hull_summary(
 ) -> Tuple[Tuple[IntVec3, ...], Tuple[IntVec3, ...], Tuple[IntVec3, ...]]:
     """The lattice points of conv(config), those strictly inside it (both
     lexicographically sorted) and its vertices (_vertices), from one
-    placing, its facet planes and one _vertices pass.  exhaustive says
-    that the caller knows conv(config) to hold no lattice point besides
-    config's own, as for an image of a table row: then the points are
-    config's, and none is enumerated."""
+    placing, its facet planes and one _vertices pass.  A hull that holds
+    only config's points (_cells_empty on the placing) has config's
+    points as its points, and none is enumerated; any other is
+    enumerated, within ENUMERATION_BUDGET.  exhaustive says that the
+    caller already knows the hull to hold only config's points, as for an
+    image of a table row, which holds only its six points: then the
+    cells are not read either, which would cost a row query about an
+    eighth of its time."""
     tetrahedra, faces = _placing(config)
     planes = _planes(config, faces)
+    exhaustive = exhaustive or _cells_empty(config, tetrahedra)
     points = tuple(sorted(config.points)) if exhaustive else _hull_points(config, tetrahedra)
     inner = tuple(
         p for p in points if all(a * p[0] + b * p[1] + c * p[2] > o for a, b, c, o in planes))

@@ -26,11 +26,10 @@ from functools import lru_cache
 from math import gcd
 from typing import Tuple
 
-from .emptytetra import is_empty_tetrahedron
 from .equivalence import canonical_key
 from .exactlinalg import edge_form
 from .invariants import signature5, volume_vector5
-from .polytope import PointConfig
+from .polytope import PointConfig, holds_only_its_points
 from .tablesdata import load_tables
 
 
@@ -109,24 +108,15 @@ def classify5(config: PointConfig) -> Size5Class:
     Raises NotSize5 unless the configuration has five distinct points
     whose hull is full-dimensional with exactly five lattice points.
 
-    The size is decided by a triangulation, with no lattice point
-    enumerated.  With v the affine dependence (volume_vector5), the cells
-    A minus p_j, for the j on one side of v, triangulate the hull; on a
-    side with at least two points (there is one, as no two points
-    coincide) every point is a vertex of some cell.  A lattice point of
-    the hull lies in a cell, and a point of A lies in a cell only as its
-    vertex, so the hull has no other lattice point exactly when every
-    cell is an empty tetrahedron.
+    The size is decided by polytope.holds_only_its_points, the emptiness
+    of the cells of a fine triangulation, with no lattice point
+    enumerated.
     """
     if len(config) != 5:
         raise NotSize5(f"need 5 points, got {len(config)}")
     if not config.is_full_dimensional():
         raise NotSize5("configuration is not full-dimensional")
-    dep = volume_vector5(config)
-    side = [j for j in range(5) if dep[j] > 0]
-    if len(side) < 2:
-        side = [j for j in range(5) if dep[j] < 0]
-    if not all(is_empty_tetrahedron(config.points[:j] + config.points[j + 1:]) for j in side):
+    if not holds_only_its_points(config):
         raise NotSize5("hull contains extra lattice points")
     return size5_class(config)
 

@@ -484,8 +484,9 @@ def test_glued_verdict_matches_hull_oracle(monkeypatch, literal_gh):
 
 def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     """One warm classify_all: 40 automorphism maps plus one witness map per
-    class (the check stops at the first), 142 hull computations, each one
-    placing with no facet planes (every
+    class (the check stops at the first), 142 placings with no facet
+    planes (case A's six candidates take one each for
+    holds_only_its_points, and every hull count takes one: every
     site of cases B to H counts only the hulls its cap rule keeps: B's two
     rejections, C's edge rejection and D's 32 rejections count none; of
     the 426 gluing verdicts, only the 32 accepted ones count one, since
@@ -497,12 +498,15 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     its one (2,1)-circuit on the circuits of its coplanarity test), 1,156
     cap computations (one per candidate that reaches the cap rule, and one
     per gluing verdict that is not coplanar, shared by its interior-point
-    test and its cap rule) over 298 facet frames (each ordered facet
-    triangle once per runner call), 1,109 emptiness tests of caps by
-    White's congruence in the frame (_framed_empty; each site evaluates
-    its size argument once, and C's one rejected edge candidate tests its
-    caps again, to name the first that is not empty; the opposite-edge
-    emptiness test it replaced ran as often), 522 interior-point tests
+    test and its cap rule) over 312 facet frames (each ordered facet
+    triangle once per runner call, and 14 cells of case A's fine
+    triangulations, those of |volume| above 1, which
+    polytope.holds_only_its_points reads), 1,123 emptiness tests by
+    White's congruence in the frame (_framed_empty: those 14 cells, and
+    caps, where each site evaluates its size argument once, and C's one
+    rejected edge candidate tests its caps again, to name the first that
+    is not empty; the opposite-edge emptiness test it replaced ran as
+    often), 522 interior-point tests
     of caps (_framed_has_interior_point), 13,650 det4 calls, 15 per
     quad_volumes and none elsewhere (the gluing loop files its
     subtetrahedra with |volumes| read off the bases' volume vectors, the
@@ -543,7 +547,7 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     assert calls == {"unimodular_map": 116, "hull_facets": 0, "_placing": 142, "_glued_verdict": 426,
                      "match_circuits": 0, "check_point": 1885, "circuits": 52,
                      "normal_form": 129, "quad_volumes": 910, "_caps": 1156,
-                     "_facet_frame": 298, "_framed_empty": 1109,
+                     "_facet_frame": 312, "_framed_empty": 1123,
                      "_framed_has_interior_point": 522, "det4": 13650, "_table": 502}
 
 

@@ -81,20 +81,15 @@ def test_analyze_five_points(tmp_path, capsys):
     assert "volume vector" in out
 
 
-def test_analyze_five_points_enumerates_once(tmp_path, capsys, monkeypatch):
-    """cmd_analyze has the size already, so classify5's size gate is skipped."""
-    calls = []
-    hull_points = polytope._hull_points
-
-    def counted(*args):
-        calls.append(args)
-        return hull_points(*args)
-
-    monkeypatch.setattr(polytope, "_hull_points", counted)
+def test_analyze_five_points_enumerates_nothing(tmp_path, capsys, monkeypatch):
+    """hull_summary finds the fine cells of a size-5 input empty, so no
+    lattice point is enumerated, and cmd_analyze has the size already, so
+    classify5's size gate, a second placing, is skipped."""
+    calls = count_calls(monkeypatch, polytope._placing, polytope._hull_points)
     rc = main(["analyze", write_config(tmp_path, "r41.txt", catalog41()[0].representative.points)])
     assert rc == 0
     assert "size-5 class: 41(1,)" in capsys.readouterr().out
-    assert len(calls) == 1
+    assert calls == {"_placing": 1, "_hull_points": 0}
 
 
 def test_analyze_table_row_takes_no_hull_points_and_no_circuits(tmp_path, bundle, capsys, monkeypatch):
@@ -123,9 +118,10 @@ def test_analyze_table_row_takes_no_hull_points_and_no_circuits(tmp_path, bundle
 def test_analyze_outside_the_table_takes_the_full_path(tmp_path, capsys, monkeypatch):
     """The twin of the pin above: a six-point input outside the table (a
     width-one hexagon) is turned away by the gate of |volumes| before any
-    normal form, and takes one hull enumeration, one circuits call and one
-    pair-sum scan, as before the row-first path.  A fresh process that
-    analyzes it builds no row-key index."""
+    normal form, and takes one placing, whose fine cells are all empty, so
+    no lattice point is enumerated (_hull_points), one circuits call and
+    one pair-sum scan.  A fresh process that analyzes it builds no
+    row-key index."""
     c = width1_family("(3,3)/6.4", (1, 1, 2, 3))
     path = write_config(tmp_path, "hex.txt", c.points)
     classify6._row_profiles()  # built with the tables, before counting
@@ -133,7 +129,7 @@ def test_analyze_outside_the_table_takes_the_full_path(tmp_path, capsys, monkeyp
                         quad_volumes, equivalence.normal_form, invariants.pair_sums_distinct)
     assert main(["analyze", path]) == 0
     assert "class: not in classification" in capsys.readouterr().out
-    assert calls == {"circuits": 1, "_placing": 1, "_hull_points": 1, "quad_volumes": 1,
+    assert calls == {"circuits": 1, "_placing": 1, "_hull_points": 0, "quad_volumes": 1,
                      "normal_form": 0, "pair_sums_distinct": 1}
     code = ("import sys; from lattice6 import classify6, cli; rc = cli.main(['analyze', sys.argv[1]]); "
             "print(rc, classify6._row_key_index.cache_info().currsize, file=sys.stderr)")
@@ -502,6 +498,22 @@ def test_catalog_miss_in_analyze_is_a_verification_failure(tmp_path, capsys, mon
     assert rc == 1
     assert captured.out.startswith("points: 6\n") and "oriented matroid" not in captured.out
     assert captured.err == "verification failed: circuits match no catalog record\n"
+
+
+def test_size5_miss_in_analyze_is_a_verification_failure(tmp_path, capsys, monkeypatch):
+    """Five points whose hull holds only them fit a size-5 class, so a
+    miss (UnknownSize5Class) is a bug of the classification: analyze
+    fails with one line on stderr and exit code 1, after the lines it
+    printed, and no traceback."""
+    def miss(config):
+        raise size5.UnknownSize5Class("signature (4, 1), volume vector (0,) fit no class")
+
+    monkeypatch.setattr(cli, "size5_class", miss)
+    rc = main(["analyze", write_config(tmp_path, "r41.txt", catalog41()[0].representative.points)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out.startswith("points: 5\n") and "size-5 class" not in captured.out
+    assert captured.err == "verification failed: signature (4, 1), volume vector (0,) fit no class\n"
 
 
 def test_classify_writes_json(tmp_path, capsys):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import fraction_oracles
-from conftest import apply_map, count_calls, random_unimodular
+from conftest import apply_map, count_calls, random_unimodular, shuffled, sporadic5
 from emptytetra_oracles import has_interior_point
 from fraction_oracles import point_in_hull
 from hull_oracles import cone_triangulation, triple_scan_facets
@@ -22,17 +22,19 @@ from lattice6.polytope import (
     NotFullDimensional,
     PointConfig,
     _cosets,
+    _fine_cells,
     _placing,
     _tetrahedron_points,
     _vertices,
     format_points,
     hull_facets,
+    holds_only_its_points,
     hull_summary,
     lattice_points,
     parse_points,
     size,
 )
-from lattice6.size5 import catalog41
+from lattice6.size5 import NotSize5, catalog41, classify5, rep21, rep32
 from lattice6.tablesdata import load_tables
 
 UNIT = PointConfig([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
@@ -282,6 +284,67 @@ def test_placing_matches_cone_triangulation_oracle(bundle):
         expected = {p for t in cones for p in _tetrahedron_points(det4(*t), *t)}
         assert lattice_points(c) == tuple(sorted(expected)), c.points
     assert flat > 400 and collinear > 100
+
+
+def _full_dimensional_draws(rng, per_bound):
+    """per_bound seeded full-dimensional sets of 4-8 distinct points of
+    [-b, b]^3 for each b in 1, 2, 3, 5."""
+    for bound in (1, 2, 3, 5):
+        made = 0
+        while made < per_bound:
+            pts = {tuple(rng.randint(-bound, bound) for _ in range(3)) for _ in range(rng.randint(4, 8))}
+            c = PointConfig(sorted(pts)) if len(pts) >= 4 else None
+            if c is not None and c.is_full_dimensional():
+                made += 1
+                yield c
+
+
+def test_holds_only_its_points_matches_the_enumerator(bundle):
+    """holds_only_its_points, the emptiness of the fine triangulation's
+    cells, against the enumerator, size(c) == len(c): on 20,000 seeded
+    full-dimensional draws, the full-dimensional ones among 3,000 sets
+    with collinear triples, coplanar sets and points on edges and facets,
+    three relabeled unimodular images of each of the 76 rows, and the
+    size-5 classes (the eleven sporadic rows, the nine of width 2 among
+    them, and family members).  Over 1,000 draws hold only their points.
+    The fine cells have every label as a vertex, no zero volume, and
+    |volumes| that sum to the placing's.  classify5's size gate is the
+    predicate: it raises NotSize5 on the five-point draws it rejects.
+    hull_summary's points are the enumerator's on the degenerate sets,
+    whichever way it takes, and a flat set raises NotFullDimensional."""
+    rng = random.Random(42)
+    draws = list(_full_dimensional_draws(rng, 5000))
+    degenerate = [c for c in _degenerate_sets(rng, 3000) if c.is_full_dimensional()]
+    images = [shuffled(rng, apply_map(random_unimodular(rng), row.config()))
+              for row in bundle.class_rows for _ in range(3)]
+    size5 = ([sporadic5((2, 2), 1), sporadic5((3, 1), 1), sporadic5((3, 1), 2)]
+             + [cls.representative for cls in catalog41()]
+             + [rep21(p, q) for p, q in ((0, 1), (1, 2), (2, 5), (13, 31))]
+             + [rep32(a, b) for a, b in ((1, 1), (2, 3), (5, 8))])
+    exhaustive = 0
+    for c in draws + degenerate + images + size5:
+        holds = holds_only_its_points(c)
+        assert holds == (size(c) == len(c)), c.points
+        exhaustive += holds
+        tetrahedra = _placing(c)[0]
+        cells = _fine_cells(c, tetrahedra)
+        vols, slots = c.volumes(), _slots(len(c))
+        assert {label for cell in cells for label in cell} == set(range(len(c))), c.points
+        assert all(vols[slots[cell]] for cell in cells), c.points
+        assert sum(abs(vols[slots[t]]) for t in cells) == sum(abs(vols[slots[t]]) for t in tetrahedra)
+        if len(c) == 5:
+            try:
+                gate = classify5(c) is not None
+            except NotSize5:
+                gate = False
+            assert gate == holds, c.points
+    assert len(draws) == 20000 and len(degenerate) > 1000 and exhaustive > 1000
+    assert all(holds_only_its_points(c) for c in images + size5)
+    for c in degenerate:
+        assert hull_summary(c)[0] == lattice_points(c), c.points
+    flat = PointConfig([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 3, 0)])
+    with pytest.raises(NotFullDimensional, match="^configuration spans no 3-dimensional volume$"):
+        holds_only_its_points(flat)
 
 
 def test_coset_pivots_are_the_hermite_diagonal():

@@ -114,30 +114,6 @@ def test_classify5_rejects_wrong_sizes(bundle):
         classify5(PointConfig(APEX31_BASE + [(0, 0, 3)]))
 
 
-def test_classify5_size_gate_matches_the_hull_count():
-    """classify5 decides "exactly five lattice points" by the emptiness of
-    its circuit triangulation's cells; it agrees with the enumerated hull
-    on seeded random full-dimensional five-point sets, a few hundred of
-    each verdict."""
-    rng = random.Random(55)
-    verdicts = {True: 0, False: 0}
-    for bound in (1, 2, 3, 5):
-        for _ in range(1500):
-            points = {tuple(rng.randint(-bound, bound) for _ in range(3)) for _ in range(5)}
-            if len(points) < 5:
-                continue
-            cfg = PointConfig(sorted(points))
-            if not cfg.is_full_dimensional():
-                continue
-            try:
-                gate = classify5(cfg) is not None
-            except NotSize5:
-                gate = False
-            assert gate == (size(cfg) == 5), cfg
-            verdicts[gate] += 1
-    assert min(verdicts.values()) >= 100, verdicts
-
-
 def test_admissible_apex_31_matches_size_oracle():
     for a in range(-6, 7):
         for b in range(-6, 7):

@@ -39,6 +39,8 @@ SOURCES = sorted(Path(lattice6.__file__).parent.glob("*.py"))
 #: Top-level names kept in the library although no library module reads them.
 UNREAD_ALLOWED = {
     "polytope.hull_facets": "the facet entry point; hull_summary reads the planes off its own placing",
+    "emptytetra.is_empty_tetrahedron": "the emptiness entry point on unchecked points; "
+                                       "holds_only_its_points reads the frame kernels on checked ones",
     "size5.classify5": "the size-5 entry point with its size and dimension gates",
     "classify6.width1_family": "the width-one constructors; the width-one identification will call them",
 }
@@ -360,11 +362,11 @@ def test_counter_outside_the_funnel_is_a_violation(tmp_path):
 
 
 #: The functions of classify6.py that may count the lattice points of a
-#: hull, each with the reason: the size arguments of the cases, and the
+#: hull, each with the reason: the cross-check of the cap rule, and the
 #: function that counts the hull of a configuration no case runner built.
+#: Case A decides its candidates with polytope.holds_only_its_points.
 HULL_COUNTERS = {
     "_six_by_caps": "the cap rule's cross-check of cases B-H",
-    "run_case_a": "the midpoint rule's check; a planar base has no caps",
     "width1_family": "the construction check of a width-one family member",
 }
 
