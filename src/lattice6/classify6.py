@@ -34,11 +34,11 @@ is such an extension: of the (3,1) pyramid over _B_BASE
 square pyramid (_D_FACETS) or of a (4,1) base (_EMBEDDED41_FACETS in the
 embedding searches, _BASE41_FACETS in F, G and H), so the caps are its
 size argument.  _caps reads each facet triangle in its unimodular frame
-(emptytetra._facet_frame), built once per runner call in a dict the
-runner owns, so a candidate's new point maps to (x, y, h) by one 3 x 3
-product per facet: the sign of h says whether it sees the facet, and
-White's congruence on (x, y, h) whether its cap is empty, with no det4
-and no lattice point enumerated.  In B to H, _six_by_caps rejects a
+(emptytetra._facet_frame), built once per process by _cap_frame, which
+is memoized on the facet's points, so a candidate's new point maps to
+(x, y, h) by one 3 x 3 product per facet: the sign of h says whether it
+sees the facet, and White's congruence on (x, y, h) whether its cap is
+empty, with no det4 and no lattice point enumerated.  In B to H, _six_by_caps rejects a
 candidate with a non-empty cap without a hull and counts the hull of
 each other candidate once, to cross-check the argument, raising
 "<site> triangulation check failed<at>" when they disagree; G and H first
@@ -82,6 +82,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .exactlinalg import (
     AffineMap,
     IntVec3,
+    VerificationFailed,
     _slots,
     check_point,
     dot,
@@ -134,7 +135,7 @@ class BadParameters(ValueError):
     """Family parameters violate the family's constraints."""
 
 
-class ClassificationError(RuntimeError):
+class ClassificationError(VerificationFailed):
     """An internal cross-check of the case analysis failed."""
 
 
@@ -281,7 +282,7 @@ class _Funnel:
 Cap = Tuple[Tuple[int, int, int, int], IntVec3]
 
 
-def _caps(points: Sequence[IntVec3], facets, new: int, frames: dict) -> Tuple[Cap, ...]:
+def _caps(points: Sequence[IntVec3], facets, new: int) -> Tuple[Cap, ...]:
     """The cap tetrahedra of a one-point extension, each as (labels,
     (x, y, h)).
 
@@ -290,25 +291,23 @@ def _caps(points: Sequence[IntVec3], facets, new: int, frames: dict) -> Tuple[Ca
     them.  facets covers the boundary of P that p can see, as label
     quadruples (a, b, c, ref): an empty triangle abc on a facet of P, and
     a label ref of P off that facet's plane, so strictly on P's side of
-    it.  Each facet is read in its unimodular frame (_facet_frame), built
-    on the facet's first use and kept in frames, the caller's dict for
-    one runner call, with the ref's height; ClassificationError when abc
-    is not a unimodular triangle.  p maps to (x, y, h) in that frame, and
-    p strictly sees abc when h and the ref's height have opposite signs.
-    Then conv(P + p) is P plus the caps conv(abc + p) over the triangles p
-    strictly sees, each unimodularly equivalent to conv(0, e1, e2,
-    (x, y, h)).  So the hull has no further lattice point exactly when
-    each cap is empty (_framed_empty): the caps are the size argument of
-    _six_by_caps.
+    it.  Each facet is read in its unimodular frame with the ref's height
+    (_cap_frame, memoized on the four points); ClassificationError when
+    abc is not a unimodular triangle.  p maps to (x, y, h) in that frame,
+    and p strictly sees abc when h and the ref's height have opposite
+    signs.  Then conv(P + p) is P plus the caps conv(abc + p) over the
+    triangles p strictly sees, each unimodularly equivalent to
+    conv(0, e1, e2, (x, y, h)).  So the hull has no further lattice point
+    exactly when each cap is empty (_framed_empty): the caps are the size
+    argument of _six_by_caps.
     """
     px, py, pz = points[new - 1]
     caps = []
     for facet in facets:
         i, j, k, r = facet
-        key = (points[i - 1], points[j - 1], points[k - 1], points[r - 1])
-        frame = frames.get(key)
+        frame = _cap_frame(points[i - 1], points[j - 1], points[k - 1], points[r - 1])
         if frame is None:
-            frame = frames[key] = _cap_frame(*key, facet)
+            raise ClassificationError(f"facet triangle {facet[:3]} is not unimodular")
         (ax, ay, az), (x0, x1, x2), (y0, y1, y2), (h0, h1, h2), side = frame
         dx, dy, dz = px - ax, py - ay, pz - az
         h = h0 * dx + h1 * dy + h2 * dz
@@ -318,13 +317,14 @@ def _caps(points: Sequence[IntVec3], facets, new: int, frames: dict) -> Tuple[Ca
     return tuple(caps)
 
 
-def _cap_frame(a, b, c, ref, facet):
-    """a, the rows of the frame of the facet triangle abc, and the height
-    of ref in it; ClassificationError unless abc is a unimodular triangle."""
+@lru_cache(maxsize=None)
+def _cap_frame(a, b, c, ref):
+    """a, the rows of the frame of the facet triangle abc
+    (emptytetra._facet_frame), and the height of ref in it; None unless
+    abc is a unimodular triangle.  A pure function of the four points,
+    so each facet's frame is built once per process."""
     frame = _facet_frame(a, b, c)
-    if frame is None:
-        raise ClassificationError(f"facet triangle {facet[:3]} is not unimodular")
-    return (a, *frame, dot(frame[2], sub(ref, a)))
+    return None if frame is None else (a, *frame, dot(frame[2], sub(ref, a)))
 
 
 def _six_by_caps(cfg: PointConfig, caps: Sequence[Cap], site: str, at: str = "") -> bool:
@@ -520,7 +520,6 @@ def run_case_b() -> CaseReport:
     funnel = _Funnel("B")
     notes = []
     ids = {}
-    frames = {}
     for tag, p5, h6, region, filters, extra_points, printed in _B_SUBCASES:
         raw = 0
         for a, b in _scan_box():
@@ -534,7 +533,7 @@ def run_case_b() -> CaseReport:
                 funnel.reject(reason)
                 continue
             cfg = PointConfig(_B_BASE + [p5, (a, b, h6)])
-            caps = _caps(cfg.points, _PYRAMID31_FACETS[5], 6, frames)
+            caps = _caps(cfg.points, _PYRAMID31_FACETS[5], 6)
             if not _six_by_caps(cfg, caps, f"B.{tag}", f" at {(a, b)}"):
                 if extra_points is None:
                     raise ClassificationError(f"B.{tag} candidate {(a, b)} has extra points")
@@ -578,14 +577,13 @@ def run_case_c() -> CaseReport:
     counted and must have six points.
     """
     funnel = _Funnel("C")
-    frames = {}
 
     # p5 along an edge: p6 = 2 p5 - p2 or 2 p5 - p1, p5 at height 1 or 3
     for p5, p6 in (((0, 0, 1), (-1, 0, 2)), ((1, 2, 3), (1, 4, 6)),
                    ((0, 0, 1), (0, 0, 2)), ((1, 2, 3), (2, 4, 6))):
         funnel.examined += 1
         cfg = PointConfig(_B_BASE + [p5, p6])
-        caps = _caps(cfg.points, _PYRAMID31_FACETS[5], 6, frames)
+        caps = _caps(cfg.points, _PYRAMID31_FACETS[5], 6)
         if not _six_by_caps(cfg, caps, "C edge", f" at {p6}"):
             full = next(labels for labels, xyh in caps if not _framed_empty(*xyh))
             funnel.reject(f"T{''.join(map(str, full))} is not empty")
@@ -598,7 +596,7 @@ def run_case_c() -> CaseReport:
         if abs(cfg.volumes()[_slots(6)[0, 1, 2, 4]]) not in (1, 3):
             funnel.reject("subtetrahedron p1p2p3p5 volume is not 1 or 3")
             continue
-        caps = _caps(cfg.points, _EMBEDDED41_FACETS, 4, frames)
+        caps = _caps(cfg.points, _EMBEDDED41_FACETS, 4)
         if not _six_by_caps(cfg, caps, "C interior"):
             funnel.reject("a triangulation tetrahedron is not empty")
             continue
@@ -611,7 +609,7 @@ def run_case_c() -> CaseReport:
     for a, b in itertools.product(range(1, SCAN_BOUND + 1), repeat=2):
         funnel.examined += 1
         cfg = PointConfig._of_checked(base + (check_point((a, b, 1)), p6))
-        caps = _caps(cfg.points, _PYRAMID31_FACETS[6], 5, frames)
+        caps = _caps(cfg.points, _PYRAMID31_FACETS[6], 5)
         if not _six_by_caps(cfg, caps, "C vertices"):
             funnel.reject("extra lattice points in the convex hull")
             continue
@@ -646,7 +644,6 @@ def run_case_d() -> CaseReport:
     """
     funnel = _Funnel("D")
     survivors = []
-    frames = {}
     for a, b in _scan_box():
         funnel.examined += 1
         if not (1 <= a <= b and (a < 2 or b < a + 2)):
@@ -658,7 +655,7 @@ def run_case_d() -> CaseReport:
                 raise ClassificationError(f"D candidate {(a, b)} should be width one")
             funnel.reject("width one (functional x+z)")
             continue
-        caps = _caps(cfg.points, _D_FACETS, 6, frames)
+        caps = _caps(cfg.points, _D_FACETS, 6)
         if not _six_by_caps(cfg, caps, "D", f" at {(a, b)}"):
             funnel.reject("extra lattice points in the convex hull")
             continue
@@ -690,9 +687,8 @@ def run_case_e() -> CaseReport:
     the hull (_six_by_caps).
     """
     funnel = _Funnel("E")
-    frames = {}
     for cfg in _embeddings41("5.5", (-1, 1, 1), funnel):
-        caps = _caps(cfg.points, _EMBEDDED41_FACETS, 4, frames)
+        caps = _caps(cfg.points, _EMBEDDED41_FACETS, 4)
         if not _six_by_caps(cfg, caps, "E"):
             funnel.reject("tetrahedron p2p3p4p6 is not empty")
             continue
@@ -723,7 +719,6 @@ def run_case_f() -> CaseReport:
     """
     funnel = _Funnel("F")
     groups: Dict[PointConfig, str] = {}
-    frames = {}
     for cls5 in catalog41():
         pts = cls5.representative.points
         for i, j in itertools.permutations(range(5), 2):
@@ -735,7 +730,7 @@ def run_case_f() -> CaseReport:
                 continue
             cfg = PointConfig._of_checked(pts + (check_point(r3),))
             group = "4.21" if i == 0 else ("4.22" if j == 0 else "4.11")
-            caps = _caps(cfg.points, _BASE41_FACETS, 6, frames)
+            caps = _caps(cfg.points, _BASE41_FACETS, 6)
             if not _six_by_caps(cfg, caps, "F", f" in group {group}"):
                 funnel.reject("extra lattice points in the convex hull")
                 continue
@@ -852,7 +847,7 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
         targets.append(by_form)
     funnel_g.examined = funnel_h.examined = (4 * len(reps)) ** 2 * len(orders)
     hits = 0
-    verdicts, frames = {}, {}
+    verdicts = {}
     for sb, subs in enumerate(sources):
         for si, (spts, by_form) in enumerate(zip(reps, targets)):
             for ex, (weights, vol, form_r, _) in enumerate(subs, 1):
@@ -867,7 +862,7 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
                     verdict = verdicts.get((si, new_pt, same))
                     if verdict is None:
                         cfg = PointConfig._of_checked(spts + (check_point(new_pt),))
-                        verdict = _glued_verdict(cfg, dst[0], frames)
+                        verdict = _glued_verdict(cfg, dst[0])
                         swap = _swap_key(sources, sb, ex, si, ex_s, dst)
                         for base, pt in ((si, new_pt), swap):
                             for g in autos[base]:
@@ -926,11 +921,10 @@ def _barycentric_image(weights, vol: int, dst, dst_vol: int) -> IntVec3:
     return (x // vol, y // vol, z // vol)
 
 
-def _glued_verdict(cfg: PointConfig, glued_interior: IntVec3, frames: dict):
+def _glued_verdict(cfg: PointConfig, glued_interior: IntVec3):
     """(case, rejection reason or None) of one gluing: cfg is the target
     base's five points followed by the new point, glued_interior is the
-    point the source's interior point lands on, and frames is run_case_gh's
-    dict of facet frames (_caps).
+    point the source's interior point lands on.
 
     case is "shared" for the rejections common to G and H.  The points
     contain a full-dimensional base, so some four of them are coplanar
@@ -955,7 +949,7 @@ def _glued_verdict(cfg: PointConfig, glued_interior: IntVec3, frames: dict):
     """
     if 0 in cfg.volumes():
         return "shared", "coplanarity present"
-    caps = _caps(cfg.points, _BASE41_FACETS, 6, frames)
+    caps = _caps(cfg.points, _BASE41_FACETS, 6)
     if any(_framed_has_interior_point(*xyh) for _, xyh in caps):
         return "shared", "extra interior lattice point"
     if glued_interior == cfg.points[0]:

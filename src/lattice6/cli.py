@@ -1,12 +1,14 @@
 """Command-line front end: analyze, classify, equiv, catalog.
 
 Exit codes: 0 success (or "equivalent"), 1 verification failure or
-"inequivalent", 2 usage and input errors.  main maps a verification
-failure, a failed check of the classification, corrupt bundled data, a
-catalog miss (NoMatch: six distinct full-dimensional points have an
-oriented matroid among the catalog's records) or a size-5 miss
-(UnknownSize5Class: five points whose hull holds only them fit a class),
-to "verification failed: <message>" on stderr, whatever the command.
+"inequivalent", 2 usage and input errors.  main maps every failed
+internal check, exactlinalg.VerificationFailed, to "verification
+failed: <message>" on stderr, whatever the command: a failed check of
+the classification, corrupt bundled data, a catalog miss (NoMatch: six
+distinct full-dimensional points have an oriented matroid among the
+catalog's records), a size-5 miss (UnknownSize5Class: five points whose
+hull holds only them fit a class), and a failed invariant of a hull
+enumeration or a width witness.
 
 A process builds its argument parser once: build_parser is cached and
 first called by main, not at import.  parse_args makes a fresh Namespace
@@ -48,9 +50,10 @@ from .invariants import (
 )
 from .equivalence import equivalence_witness
 from .emptytetra import white_type
-from .omcatalog import NoMatch, match_circuits
-from .size5 import UnknownSize5Class, size5_class
-from .tablesdata import CorruptData, load_tables
+from .exactlinalg import VerificationFailed
+from .omcatalog import match_circuits
+from .size5 import size5_class
+from .tablesdata import load_tables
 from . import classify6
 
 _FMT_CHOICES = ("json", "csv")
@@ -85,7 +88,7 @@ def _read_config(path: str) -> PointConfig:
 
 def _om_label(circs) -> str:
     record = match_circuits(circs)
-    return " or ".join(load_tables().label_candidates(record.key))
+    return " or ".join(load_tables().labels_by_key[record.key])
 
 
 def cmd_analyze(args) -> int:
@@ -93,7 +96,7 @@ def cmd_analyze(args) -> int:
     n = len(config.points)
     # a table row is named first; its hull holds only its six points
     class_id = classify6.identify(config) if n == 6 else None
-    row = None if class_id is None else load_tables().class_by_id(class_id)
+    row = None if class_id is None else load_tables().rows_by_id[class_id]
     lattice, inner, verts = hull_summary(config, exhaustive=row is not None)
     nsize = len(lattice)
     # hull_summary rejected rank < 4, so the circuits exist
@@ -113,7 +116,7 @@ def cmd_analyze(args) -> int:
         print("volume vector:", " ".join(map(str, volume_vector5(config))))
     elif n == 6:
         coplanarity = (coplanarity_from_circuits(circs) if row is None
-                       else load_tables().cell(row.om_label).coplanarity)
+                       else load_tables().cells_by_label[row.om_label].coplanarity)
         print(f"coplanarity: {coplanarity}")
         print("volume vector:", " ".join(map(str, volume_vector6(config))))
     dps = pair_sums_distinct(lattice) if row is None else row.dps
@@ -289,7 +292,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CorruptData, classify6.ClassificationError, NoMatch, UnknownSize5Class) as exc:
+    except VerificationFailed as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

@@ -50,6 +50,13 @@ class DegenerateSource(ValueError):
     """Raised when solving an affine map from a coplanar source quadruple."""
 
 
+class VerificationFailed(Exception):
+    """An internal check of the library failed: a cross-check of the
+    classification, a bundled table, a catalog lookup or an invariant of
+    a computation.  The library's named failures derive from it, and the
+    command line reports each as "verification failed"."""
+
+
 def check_point(p: Sequence[int]) -> IntVec3:
     """Validate one lattice point: three ints with |coordinate| <= 10^4."""
     if len(p) != 3:

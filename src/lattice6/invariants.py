@@ -14,8 +14,8 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Iterator, Sequence, Tuple
 
-from .exactlinalg import (IntVec3, _adjugate, _mat_vec, _quadruples, _slots, dot, gcd_all,
-                          hermite_normal_form, sub)
+from .exactlinalg import (IntVec3, VerificationFailed, _adjugate, _mat_vec, _quadruples, _slots,
+                          dot, gcd_all, hermite_normal_form, sub)
 from .polytope import NotFullDimensional, PointConfig
 
 
@@ -261,7 +261,7 @@ def width(config: PointConfig) -> Tuple[int, IntVec3]:
             break
         s = 2 * s if best is None else best[0]
     if gcd_all(best[1]) != 1:
-        raise RuntimeError(f"width witness {best[1]} is not primitive")
+        raise VerificationFailed(f"width witness {best[1]} is not primitive")
     return best
 
 

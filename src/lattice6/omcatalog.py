@@ -74,12 +74,12 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .exactlinalg import _quadruples, _slots
+from .exactlinalg import VerificationFailed, _quadruples, _slots
 from .invariants import SignedCircuit
 from .polytope import PointConfig
 
 
-class NoMatch(Exception):
+class NoMatch(VerificationFailed):
     """A configuration's circuits match no catalog record (catalog bug)."""
 
 

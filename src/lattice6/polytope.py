@@ -51,6 +51,7 @@ from .emptytetra import _facet_frame, _framed_empty
 from .exactlinalg import (
     COORD_BOUND,
     IntVec3,
+    VerificationFailed,
     _adjugate,
     _mat_vec,
     _quadruples,
@@ -263,11 +264,11 @@ def _cosets(volume: int, v0: IntVec3, a: IntVec3, b: IntVec3, c: IntVec3):
     of each of the D cosets of Z^3 / E Z^3, and lambda = L r mod D places
     the coset's point v0 + E (lambda / D) in the half-open parallelepiped
     0 <= lambda_i < D.  The barycentric coordinates of that point are
-    (D - sum(lambda), lambda) / D.  Raises RuntimeError on a degenerate
-    tetrahedron.
+    (D - sum(lambda), lambda) / D.  Raises VerificationFailed on a
+    degenerate tetrahedron.
     """
     if volume == 0:
-        raise RuntimeError(f"degenerate tetrahedron {(v0, a, b, c)}")
+        raise VerificationFailed(f"degenerate tetrahedron {(v0, a, b, c)}")
     edges = (sub(a, v0), sub(b, v0), sub(c, v0))
     e = tuple(zip(*edges))
     s = 1 if volume > 0 else -1
@@ -323,7 +324,7 @@ def _hull_points(config: PointConfig, tetrahedra: Sequence[Quad]) -> Tuple[IntVe
             f"hull of normalized volume {volume} exceeds the enumeration budget {ENUMERATION_BUDGET}")
     points = {p for t in signed for p in _tetrahedron_points(*t)}
     if not points.issuperset(config.points):
-        raise RuntimeError(f"triangulation of {config!r} misses configuration points")
+        raise VerificationFailed(f"triangulation of {config!r} misses configuration points")
     return tuple(sorted(points))
 
 

@@ -27,7 +27,7 @@ from math import gcd
 from typing import Tuple
 
 from .equivalence import canonical_key
-from .exactlinalg import edge_form
+from .exactlinalg import VerificationFailed, edge_form
 from .invariants import signature5, volume_vector5
 from .polytope import PointConfig, holds_only_its_points
 from .tablesdata import load_tables
@@ -37,7 +37,7 @@ class NotSize5(ValueError):
     """Raised when the hull does not have exactly five lattice points."""
 
 
-class UnknownSize5Class(RuntimeError):
+class UnknownSize5Class(VerificationFailed):
     """Raised when a configuration that passed the gates fits no class."""
 
 

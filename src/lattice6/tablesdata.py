@@ -7,28 +7,29 @@ map from grid labels to catalog record keys, and the expected count tables.
 `load_tables` parses and checksums the ones the library reads and checks
 their shape (row counts, distinct ids, lists of objects holding the
 keys of every class row, size-5 row, grid cell and ambiguous label
-pair, vectors of ints of the right length, a label map object covering
-the grid),
-raising CorruptData, which names the resource, otherwise.  The count
-tables, the grid's never-realized and Howe width-one columns, and the
-derivable columns of the stored representatives are read and recomputed
-by tests (tests/table_checks.py), not by a library step.
+pair, vectors of ints of the right length, a grid cell for each class
+row's label, a label map object covering the grid), raising CorruptData,
+which names the resource, otherwise.  It builds the bundle's lookup
+dicts beside those checks.  The count tables, the grid's never-realized
+and Howe width-one columns, and the derivable columns of the stored
+representatives are read and recomputed by tests (tests/table_checks.py),
+not by a library step.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from importlib import resources
 from typing import Dict, Tuple
 
-from .exactlinalg import IntVec3
+from .exactlinalg import IntVec3, VerificationFailed
 from .polytope import PointConfig
 
 
-class CorruptData(Exception):
+class CorruptData(VerificationFailed):
     """A bundled table resource failed its checksum or schema check."""
 
 
@@ -69,41 +70,17 @@ class OMCell:
 @dataclass(frozen=True)
 class TableBundle:
     """The bundled tables, with one dict per key the library looks up:
-    class rows by id, grid cells by label, and the grid labels of each
-    catalog record key, built once when the bundle is."""
+    class rows by id, grid cells by label, and the grid labels a catalog
+    record key may carry (two when ambiguous).  load_tables builds each
+    dict beside the checks of the payload it comes from."""
 
     size5_rows: Tuple[dict, ...]
     class_rows: Tuple[ClassRow, ...]
     om_cells: Tuple[OMCell, ...]
     width1_families: dict
-    om_label_map: Dict[str, str]
-    ambiguous_labels: Tuple[dict, ...]
-    _rows_by_id: Dict[str, ClassRow] = field(init=False, repr=False, compare=False)
-    _cells_by_label: Dict[str, OMCell] = field(init=False, repr=False, compare=False)
-    _labels_by_key: Dict[str, Tuple[str, ...]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        labels: Dict[str, list] = {}
-        for label, key in self.om_label_map.items():
-            labels.setdefault(key, []).append(label)
-        by_key = {key: tuple(hits) for key, hits in labels.items()}
-        for pair in self.ambiguous_labels:
-            for key in pair["keys"]:
-                by_key.setdefault(key, tuple(pair["labels"]))
-        object.__setattr__(self, "_rows_by_id", {row.id: row for row in self.class_rows})
-        object.__setattr__(self, "_cells_by_label", {cell.label: cell for cell in self.om_cells})
-        object.__setattr__(self, "_labels_by_key", by_key)
-
-    def class_by_id(self, cid: str) -> ClassRow:
-        return self._rows_by_id[cid]
-
-    def cell(self, label: str) -> OMCell:
-        """The grid cell of an oriented-matroid label, such as a row's."""
-        return self._cells_by_label[label]
-
-    def label_candidates(self, key: str) -> Tuple[str, ...]:
-        """Grid labels a catalog record key may carry (two when ambiguous)."""
-        return self._labels_by_key[key]
+    rows_by_id: Dict[str, ClassRow]
+    cells_by_label: Dict[str, OMCell]
+    labels_by_key: Dict[str, Tuple[str, ...]]
 
 
 def _canonical(payload) -> str:
@@ -176,7 +153,7 @@ def load_tables() -> TableBundle:
     classes = _rows("classes76", _load_resource("classes76"), "classes")
     cells = _rows("om_cells", _load_resource("om_cells"), "cells")
     labels = _load_resource("om_labels")
-    ambiguous = tuple(_rows("om_labels", labels, "ambiguous"))
+    ambiguous = _rows("om_labels", labels, "ambiguous")
     size5 = _rows("size5", _load_resource("size5"), "rows")
     families = _load_resource("width1_families")
 
@@ -190,7 +167,8 @@ def load_tables() -> TableBundle:
         class_rows.append(ClassRow(**{
             **row, "volume_vector": _vec(row["volume_vector"], where, 15),
             "functional": _vec(row["functional"], where), "representative": pts}))
-    if len(class_rows) != 76 or len({r.id for r in class_rows}) != 76:
+    rows_by_id = {row.id: row for row in class_rows}
+    if len(class_rows) != 76 or len(rows_by_id) != 76:
         raise CorruptData("classes76: expected 76 distinct rows")
 
     for k, row in enumerate(size5, 1):
@@ -202,6 +180,10 @@ def load_tables() -> TableBundle:
     om_cells = tuple(OMCell(**cell) for cell in cells)
     if len(om_cells) != 55:
         raise CorruptData("om_cells: expected 55 rows")
+    cells_by_label = {cell.label: cell for cell in om_cells}
+    for row in class_rows:
+        if row.om_label not in cells_by_label:
+            raise CorruptData(f"classes76: row {row.id}: om_label {row.om_label!r} names no grid cell")
 
     for k, pair in enumerate(ambiguous, 1):
         _check_keys(f"om_labels: ambiguous entry {k}", pair, {"keys", "labels"})
@@ -209,14 +191,21 @@ def load_tables() -> TableBundle:
     if not isinstance(label_map, dict):
         raise CorruptData("om_labels: no map object")
     covered = set(label_map) | {l for p in ambiguous for l in p["labels"]}
-    if covered != {c.label for c in om_cells}:
+    if covered != set(cells_by_label):
         raise CorruptData("om_labels: map does not cover the grid")
+    labels_by_key: Dict[str, Tuple[str, ...]] = {}
+    for label, key in label_map.items():
+        labels_by_key[key] = labels_by_key.get(key, ()) + (label,)
+    for pair in ambiguous:
+        for key in pair["keys"]:
+            labels_by_key.setdefault(key, tuple(pair["labels"]))
 
     return TableBundle(
         size5_rows=tuple(size5),
         class_rows=tuple(class_rows),
         om_cells=om_cells,
         width1_families=families,
-        om_label_map=label_map,
-        ambiguous_labels=ambiguous,
+        rows_by_id=rows_by_id,
+        cells_by_label=cells_by_label,
+        labels_by_key=labels_by_key,
     )

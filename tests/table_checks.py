@@ -74,12 +74,14 @@ def result2_histogram(configs) -> Dict[str, int]:
     return hist
 
 
-def key_candidates(bundle: TableBundle, label: str) -> Tuple[str, ...]:
-    """Catalog record keys a grid label may denote (two when ambiguous):
-    the inverse of bundle.label_candidates, which the library reads."""
-    if label in bundle.om_label_map:
-        return (bundle.om_label_map[label],)
-    for pair in bundle.ambiguous_labels:
+def key_candidates(label: str) -> Tuple[str, ...]:
+    """Catalog record keys a grid label may denote (two when ambiguous),
+    read off the om_labels resource: the inverse of the bundle's
+    labels_by_key, which the library reads."""
+    labels = _load_resource("om_labels")
+    if label in labels["map"]:
+        return (labels["map"][label],)
+    for pair in labels["ambiguous"]:
         if label in pair["labels"]:
             return tuple(pair["keys"])
     raise KeyError(label)
@@ -133,13 +135,13 @@ def validate_tables(bundle: TableBundle) -> ValidationReport:
             bad.append(f"{row.id}: dps flag mismatch")
         record = match_om(config)
         keys_by_label.setdefault(row.om_label, set()).add(record.key)
-        if key_candidates(bundle, row.om_label) != (record.key,):
+        if key_candidates(row.om_label) != (record.key,):
             bad.append(f"{row.id}: matched {record.key}, label map disagrees")
         # analyze prints row.om_label for an identified input: the record's
         # labels must name that row's label alone
-        if bundle.label_candidates(record.key) != (row.om_label,):
+        if bundle.labels_by_key[record.key] != (row.om_label,):
             bad.append(f"{row.id}: {record.key} carries labels "
-                       f"{bundle.label_candidates(record.key)}, not only {row.om_label}")
+                       f"{bundle.labels_by_key[record.key]}, not only {row.om_label}")
 
     for label, keys in keys_by_label.items():
         if len(keys) != 1:

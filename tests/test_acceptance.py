@@ -46,7 +46,7 @@ def test_classification_regenerates_all_76_classes(case_reports, bundle):
     assert widths == {2: 74, 3: 2}
     assert sum(1 for cls in classes if cls.dps) == 45
     for cls in classes:
-        row = bundle.class_by_id(cls.id)
+        row = bundle.rows_by_id[cls.id]
         assert canonical_key(cls.generated) == canonical_key(row.config()), cls.id
 
 
@@ -78,7 +78,7 @@ def test_oriented_matroid_catalog_is_complete(bundle):
             and stats[k]["nvertices"] == cell.vertices
             and stats[k]["ninterior"] == cell.interior
             and len(by_key[k].circuits) == cell.n_circuits
-            for k in key_candidates(bundle, cell.label)
+            for k in key_candidates(cell.label)
         ), cell.label
     realized = {match_om(row.config()).key for row in bundle.class_rows}
     assert len(realized) == 22
@@ -89,7 +89,7 @@ def test_width_three_classes_have_certificates(bundle):
     """C.3 and H.12 have width 3: a witness functional attains 3, and a
     search over all primitive functionals in a box finds nothing smaller."""
     for cid in ("C.3", "H.12"):
-        c = bundle.class_by_id(cid).config()
+        c = bundle.rows_by_id[cid].config()
         w, f = width(c)
         assert w == 3
         vals = [sum(a * b for a, b in zip(f, p)) for p in c.points]

@@ -79,7 +79,7 @@ def test_found_ids_match_table(case_reports, bundle):
 def test_classes_carry_table_data(case_reports, bundle):
     for r in by_case(case_reports).values():
         for cls in r.classes_found:
-            row = bundle.class_by_id(cls.id)
+            row = bundle.rows_by_id[cls.id]
             assert cls.om_label == row.om_label
             # the class carries the vector as computed from its representative,
             # which matches the printed one up to overall orientation sign
@@ -245,7 +245,7 @@ def literal_gh():
             ordered = [[tet[t] for t in sigma] for sigma in orders]
             per_ex.append((ex, [(dst, edge_form(dst)) for dst in ordered]))
         tetras.append(per_ex)
-    verdicts, first_hits, frames = {}, {}, {}
+    verdicts, first_hits = {}, {}
     for rb, (rpts, r_tetras) in enumerate(zip(reps, tetras)):
         for si, (spts, s_tetras) in enumerate(zip(reps, tetras)):
             for ex_r, r_ordered in r_tetras:
@@ -264,7 +264,7 @@ def literal_gh():
                         key = (si, new_pt, ex_s, m.apply(rpts[0]))
                         if key not in verdicts:
                             cfg = PointConfig(list(spts) + [new_pt])
-                            verdicts[key] = (*classify6._glued_verdict(cfg, key[3], frames), cfg)
+                            verdicts[key] = (*classify6._glued_verdict(cfg, key[3]), cfg)
                             first_hits[key] = (rb, ex_r, si, ex_s, dst, sub_r)
                         case, reason, cfg = verdicts[key]
                         if reason is None:
@@ -462,9 +462,9 @@ def test_glued_verdict_matches_hull_oracle(monkeypatch, literal_gh):
     work = count_calls(monkeypatch, size, _framed_empty, classify6._caps)
     made = []
 
-    def recorded(cfg, glued, frames):
+    def recorded(cfg, glued):
         before = dict(work)
-        got = verdict(cfg, glued, frames)
+        got = verdict(cfg, glued)
         idle = all(work[k] == before[k] for k in ("size", "_framed_empty"))
         made.append((got, work["size"] > before["size"], idle))
         return got
@@ -498,9 +498,10 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     its one (2,1)-circuit on the circuits of its coplanarity test), 1,156
     cap computations (one per candidate that reaches the cap rule, and one
     per gluing verdict that is not coplanar, shared by its interior-point
-    test and its cap rule) over 312 facet frames (each ordered facet
-    triangle once per runner call, and 14 cells of case A's fine
-    triangulations, those of |volume| above 1, which
+    test and its cap rule) over 159 facet frames (145 facet triangles
+    with their refs, each built once per process by the memoized
+    _cap_frame, whose cache this test clears first, and 14 cells of case
+    A's fine triangulations, those of |volume| above 1, which
     polytope.holds_only_its_points reads), 1,123 emptiness tests by
     White's congruence in the frame (_framed_empty: those 14 cells, and
     caps, where each site evaluates its size argument once, and C's one
@@ -539,6 +540,7 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     for cell in ("5.4", "5.5"):  # warm: the orbits are built once per process
         classify6._cell_orbit(cell)
     classify6._row_key_index()
+    classify6._cap_frame.cache_clear()
     calls = count_calls(monkeypatch, unimodular_map, hull_facets, _placing, classify6._glued_verdict,
                         match_circuits, check_point, circuits, normal_form, quad_volumes,
                         classify6._caps, _facet_frame, _framed_empty,
@@ -547,8 +549,21 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     assert calls == {"unimodular_map": 116, "hull_facets": 0, "_placing": 142, "_glued_verdict": 426,
                      "match_circuits": 0, "check_point": 1885, "circuits": 52,
                      "normal_form": 129, "quad_volumes": 910, "_caps": 1156,
-                     "_facet_frame": 312, "_framed_empty": 1123,
+                     "_facet_frame": 159, "_framed_empty": 1123,
                      "_framed_has_interior_point": 522, "det4": 13650, "_table": 502}
+
+
+def test_a_second_classify_all_builds_no_cap_frame(monkeypatch):
+    """The cap frames are memoized on their points, so once one
+    classify_all has run, the next builds none: its only facet frames
+    are the 14 cells of case A's fine triangulations, which
+    polytope.holds_only_its_points reads on every call."""
+    classify6.classify_all()
+    calls = count_calls(monkeypatch, _facet_frame)
+    misses = classify6._cap_frame.cache_info().misses
+    classify6.classify_all()
+    assert classify6._cap_frame.cache_info().misses == misses
+    assert calls == {"_facet_frame": 14}
 
 
 def test_finish_rejects_a_row_of_another_case(bundle):
@@ -574,7 +589,7 @@ def test_finish_rejects_a_case_with_missing_rows(bundle):
     them reaches, so the found ids differ from the case's rows."""
     with pytest.raises(classify6.ClassificationError,
                        match=re.escape("case A: found ['A.1'], expected ['A.1', 'A.2']")):
-        _funnel_report("A", 1, Counter(), [bundle.class_by_id("A.1").config()])
+        _funnel_report("A", 1, Counter(), [bundle.rows_by_id["A.1"].config()])
 
 
 def test_classify_all_checks_the_case_order(monkeypatch, case_reports):
@@ -606,10 +621,10 @@ def test_generated_configurations_have_their_rows_columns(case_reports, bundle):
     classes = [cls for r in by_case(case_reports).values() for cls in r.classes_found]
     assert len(classes) == 76
     for cls in classes:
-        row = bundle.class_by_id(cls.id)
+        row = bundle.rows_by_id[cls.id]
         g = cls.generated
         assert width(g)[0] == row.width, cls.id
-        assert key_candidates(bundle, row.om_label) == (match_om(g).key,), cls.id
+        assert key_candidates(row.om_label) == (match_om(g).key,), cls.id
         assert pair_sums_distinct(g.points) == row.dps, cls.id
 
 
@@ -650,7 +665,7 @@ def test_cell_orbits_match_the_catalog_on_every_embedding(bundle):
     chirotope lookup against either cell's orbit agrees with the match_om
     oracle; 128 embeddings of each search have its own cell, none the
     other's."""
-    keys = {cell: key_candidates(bundle, cell)[0] for _, cell, _ in EMBEDDING_SEARCHES}
+    keys = {cell: key_candidates(cell)[0] for _, cell, _ in EMBEDDING_SEARCHES}
     hits = Counter()
     for case, _, coeffs in EMBEDDING_SEARCHES:
         for points in _embeddings(coeffs):
@@ -669,7 +684,7 @@ def test_cell_orbits_match_the_catalog_on_row_images(bundle):
     mirror image, the lookup against the 5.4 and 5.5 orbits agrees with
     match_om; the rows of those cells are the hits."""
     rng = random.Random(17)
-    keys = {cell: key_candidates(bundle, cell)[0] for _, cell, _ in EMBEDDING_SEARCHES}
+    keys = {cell: key_candidates(cell)[0] for _, cell, _ in EMBEDDING_SEARCHES}
     hits = []
     for row in bundle.class_rows:
         img = shuffled(rng, apply_map(random_unimodular(rng), row.config()))
@@ -829,11 +844,11 @@ def test_inverted_emptiness_fails_the_cross_checks(monkeypatch, runner):
 
 
 def _cap_rule(points, facets, new):
-    """classify6._caps on fresh frames, as the caps' label quadruples and
+    """classify6._caps, as the caps' label quadruples and
     whether the cap rule finds every cap empty.  Each cap's frame
     coordinates (x, y, h) are checked against its points: h is the cap's
     det4, and White's congruence says what the opposite-edge oracle says."""
-    caps = classify6._caps(points, facets, new, {})
+    caps = classify6._caps(points, facets, new)
     for labels, (x, y, h) in caps:
         quad = [points[i - 1] for i in labels]
         assert h == det4(*quad), labels
@@ -1280,8 +1295,8 @@ def test_case_f_checks_each_class_against_its_group(monkeypatch):
 
 
 def test_identify(bundle):
-    assert identify(bundle.class_by_id("A.1").config()) == "A.1"
-    assert identify(bundle.class_by_id("H.12").config()) == "H.12"
+    assert identify(bundle.rows_by_id["A.1"].config()) == "A.1"
+    assert identify(bundle.rows_by_id["H.12"].config()) == "H.12"
     # width one: outside the classification
     assert identify(width1_family("(3,3)/6.4", (1, 1, 2, 3))) is None
     assert identify(sporadic5((2, 2), 1)) is None
@@ -1297,7 +1312,7 @@ def test_row_key_index_rejects_equivalent_rows(bundle, monkeypatch):
     """A table row that is an image of another row has the same complete
     key, so building the index fails instead of listing one class twice."""
     rng = random.Random(14)
-    row = bundle.class_by_id("B.14")
+    row = bundle.rows_by_id["B.14"]
     img = shuffled(rng, apply_map(random_unimodular(rng), row.config()))
     twin = dataclasses.replace(row, id="B.16", representative=img.points)
     monkeypatch.setattr(classify6, "load_tables",

@@ -33,7 +33,7 @@ def write_config(tmp_path, name, points):
 
 def rep_file(tmp_path, bundle, cid):
     return write_config(tmp_path, cid.replace(".", "_") + ".txt",
-                        bundle.class_by_id(cid).config().points)
+                        bundle.rows_by_id[cid].config().points)
 
 
 def test_analyze_classified_polytope(tmp_path, bundle, capsys):
@@ -110,7 +110,7 @@ def test_analyze_table_row_takes_no_hull_points_and_no_circuits(tmp_path, bundle
     assert rc == 0
     out = capsys.readouterr().out
     assert "class: H.7" in out
-    assert f"oriented matroid: {bundle.class_by_id('H.7').om_label}\n" in out
+    assert f"oriented matroid: {bundle.rows_by_id['H.7'].om_label}\n" in out
     assert calls == {"circuits": 0, "_placing": 1, "_tetrahedron_points": 0, "quad_volumes": 1,
                      "normal_form": 1, "pair_sums_distinct": 0, "canonical_circuit_form": 0}
 
@@ -174,7 +174,7 @@ def test_analyze_rows_agree_with_the_full_path(tmp_path, bundle, capsys):
     their |volume| profile, so the gate passes both and the key decides."""
     profile = classify6._volume_profile
     for a, b in (("G.5", "G.12"), ("G.6", "G.9")):
-        assert profile(bundle.class_by_id(a).config()) == profile(bundle.class_by_id(b).config())
+        assert profile(bundle.rows_by_id[a].config()) == profile(bundle.rows_by_id[b].config())
     rng = random.Random(41)
     for row in bundle.class_rows:
         cfg = row.config()
@@ -234,7 +234,7 @@ def test_parser_is_built_once_and_reused(tmp_path, bundle, capsys, monkeypatch):
     assert proc.stdout == "0\n"
     assert cli.build_parser() is cli.build_parser()
     rng = random.Random(7)
-    h12 = bundle.class_by_id("H.12").config()
+    h12 = bundle.rows_by_id["H.12"].config()
     image = shuffled(rng, apply_map(random_unimodular(rng), h12))
     hexagon = width1_family("(3,3)/6.4", (1, 1, 2, 3))
     argvs = [
@@ -302,7 +302,7 @@ FAR_MAP = AffineMap(((1, -33, 58), (22, -725, 1291), (27, -835, 2407)), (100, 20
 def test_analyze_far_image_finishes(tmp_path, bundle, capsys, source, expected):
     """Enumeration cost follows normalized volume, not coordinate size."""
     config = {
-        "H.12": bundle.class_by_id("H.12").config(),
+        "H.12": bundle.rows_by_id["H.12"].config(),
         "41(1,)": catalog41()[0].representative,
         "T(2,5)": PointConfig([(0, 0, 0), (1, 0, 0), (0, 0, 1), (2, 5, 1)]),
     }[source]
@@ -516,6 +516,79 @@ def test_size5_miss_in_analyze_is_a_verification_failure(tmp_path, capsys, monke
     assert captured.err == "verification failed: signature (4, 1), volume vector (0,) fit no class\n"
 
 
+def _raising(exc):
+    """A stand-in for a library function that raises exc."""
+    def raiser(*args):
+        raise exc
+    return raiser
+
+
+def _corrupt_tables(monkeypatch):
+    monkeypatch.setattr(tablesdata, "_load_resource",
+                        _raising(tablesdata.CorruptData("classes76: checksum mismatch")))
+    tablesdata.load_tables.cache_clear()
+
+
+def _shifted_witness(monkeypatch):
+    shift = AffineMap(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (1, 0, 0))
+    monkeypatch.setattr(equivalence, "unimodular_map", lambda src, dst: shift)
+
+
+def _dropped_point(monkeypatch):
+    points = polytope._tetrahedron_points
+    monkeypatch.setattr(polytope, "_tetrahedron_points", lambda *tet: points(*tet)[1:])
+
+
+def _flat_coset_tetrahedron(monkeypatch):
+    cosets = polytope._cosets
+    monkeypatch.setattr(polytope, "_cosets", lambda volume, *corners: cosets(0, *corners))
+
+
+def _imprimitive_witness(monkeypatch):
+    normalize = invariants._normalize_sign
+    monkeypatch.setattr(invariants, "_normalize_sign", lambda f: tuple(2 * c for c in normalize(f)))
+
+
+#: conv(0, 2e1, 2e2, 2e3): its hull holds six points besides its own four,
+#: so analyze enumerates it.
+TETRA2 = ((0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2))
+
+#: Library failures that reach cli.main, each as (points analyzed, or
+#: None for classify --case A; a patch that makes it happen; the start of
+#: its message): the four named kinds, and the three internal checks of
+#: the hull enumeration and the width, each made to fire at its own site.
+LIBRARY_FAILURES = {
+    "CorruptData": (None, _corrupt_tables, "classes76: checksum mismatch"),
+    "ClassificationError": (None, _shifted_witness, "A.1: witness is not equivalent"),
+    "NoMatch": (width1_family("(5,1)/3.2").points, lambda monkeypatch: monkeypatch.setattr(
+        cli, "match_circuits", _raising(omcatalog.NoMatch("circuits match no catalog record"))),
+        "circuits match no catalog record"),
+    "UnknownSize5Class": (catalog41()[0].representative.points, lambda monkeypatch: monkeypatch.setattr(
+        cli, "size5_class", _raising(size5.UnknownSize5Class("fit no class"))), "fit no class"),
+    "_hull_points": (TETRA2, _dropped_point, "triangulation of PointConfig("),
+    "_cosets": (TETRA2, _flat_coset_tetrahedron, "degenerate tetrahedron"),
+    "width": (TETRA2, _imprimitive_witness, "width witness (0, 0, 2) is not primitive"),
+}
+
+
+@pytest.mark.parametrize("failure", LIBRARY_FAILURES)
+def test_library_failure_is_a_verification_failure(tmp_path, capsys, monkeypatch, failure):
+    """Every failed internal check is a VerificationFailed, which main
+    reports as one line on stderr with exit code 1, not a traceback."""
+    points, patch, message = LIBRARY_FAILURES[failure]
+    argv = (["classify", "--case", "A"] if points is None
+            else ["analyze", write_config(tmp_path, "in.txt", points)])
+    patch(monkeypatch)
+    try:
+        rc = main(argv)
+    finally:
+        tablesdata.load_tables.cache_clear()
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"verification failed: {message}") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
 def test_classify_writes_json(tmp_path, capsys):
     target = tmp_path / "b.json"
     rc = main(["classify", "--case", "B", "--out", str(target)])
@@ -538,7 +611,7 @@ def test_classify_writes_csv(tmp_path, capsys):
 
 def test_equiv_reports_witness(tmp_path, bundle, capsys):
     rng = random.Random(2)
-    c = bundle.class_by_id("E.1").config()
+    c = bundle.rows_by_id["E.1"].config()
     img = shuffled(rng, apply_map(random_unimodular(rng), c))
     fa = write_config(tmp_path, "a.txt", c.points)
     fb = write_config(tmp_path, "b.txt", img.points)
@@ -592,8 +665,8 @@ def test_equiv_work_is_pinned(tmp_path, bundle, capsys, monkeypatch):
     calls = count_calls(monkeypatch, equivalence.edge_form, equivalence.unimodular_map,
                         equivalence._table)
     cases = [
-        (bundle.class_by_id("B.3").config().points, B3_IMAGE, 0, 4, 2),
-        (bundle.class_by_id("F.1").config().points, bundle.class_by_id("F.3").config().points, 1, 0, 0),
+        (bundle.rows_by_id["B.3"].config().points, B3_IMAGE, 0, 4, 2),
+        (bundle.rows_by_id["F.1"].config().points, bundle.rows_by_id["F.3"].config().points, 1, 0, 0),
         (*HALVED_PAIR, 1, 2, 1),
     ]
     for a, b, rc, tables, solves in cases:

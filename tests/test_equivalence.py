@@ -28,14 +28,14 @@ def check_witness(a, b, witness):
 
 
 def test_reflexive(bundle):
-    c = bundle.class_by_id("A.1").config()
+    c = bundle.rows_by_id["A.1"].config()
     w = equivalence_witness(c, c)
     assert w is not None
     check_witness(c, c, w)
 
 
 def test_reversal_is_equivalent(bundle):
-    c = bundle.class_by_id("A.1").config()
+    c = bundle.rows_by_id["A.1"].config()
     r = PointConfig(list(c.points)[::-1])
     w = equivalence_witness(c, r)
     assert w is not None
@@ -43,8 +43,8 @@ def test_reversal_is_equivalent(bundle):
 
 
 def test_distinct_classes_are_inequivalent(bundle):
-    b3 = bundle.class_by_id("B.3").config()
-    b4 = bundle.class_by_id("B.4").config()
+    b3 = bundle.rows_by_id["B.3"].config()
+    b4 = bundle.rows_by_id["B.4"].config()
     assert equivalence_witness(b3, b4) is None
     assert canonical_key(b3) != canonical_key(b4)
 
@@ -58,7 +58,7 @@ def test_white_tetrahedra_with_inverse_parameters():
 
 
 def test_mismatched_sizes_are_inequivalent(bundle):
-    c = bundle.class_by_id("A.1").config()
+    c = bundle.rows_by_id["A.1"].config()
     assert equivalence_witness(c, PointConfig(c.points[:5])) is None
     # A.1's first five points are coplanar, so the last five carry a key
     assert canonical_key(c) != canonical_key(PointConfig(c.points[1:]))
@@ -79,7 +79,7 @@ def test_random_images_are_equivalent(seed):
 
     rng = random.Random(seed)
     bundle = load_tables()
-    c = bundle.class_by_id(rng.choice(["A.2", "B.9", "D.2", "E.1", "F.12", "G.17", "H.5"])).config()
+    c = bundle.rows_by_id[rng.choice(["A.2", "B.9", "D.2", "E.1", "F.12", "G.17", "H.5"])].config()
     img = shuffled(rng, apply_map(random_unimodular(rng), c))
     w = equivalence_witness(c, img)
     assert w is not None
@@ -104,7 +104,7 @@ def test_witness_is_checked_not_read_off_the_key(monkeypatch):
 def test_canonical_key_is_invariant(bundle):
     rng = random.Random(11)
     for cid in ("A.1", "C.3", "G.20"):
-        c = bundle.class_by_id(cid).config()
+        c = bundle.rows_by_id[cid].config()
         key = canonical_key(c)
         img = shuffled(rng, apply_map(random_unimodular(rng), c))
         assert canonical_key(img) == key
@@ -140,16 +140,16 @@ def test_flagged_keys_confirmed_by_search(bundle):
     inequivalent by the per-permutation search."""
     ids = sorted(GCD_EXCEPTIONS)
     for i, a in enumerate(ids):
-        ca = bundle.class_by_id(a).config()
+        ca = bundle.rows_by_id[a].config()
         for b in ids[i + 1:]:
-            cb = bundle.class_by_id(b).config()
+            cb = bundle.rows_by_id[b].config()
             assert canonical_key(ca) != canonical_key(cb), (a, b)
             assert fraction_oracles.equivalence_witness(ca, cb) is None, (a, b)
 
 
 def test_sibling_keys_differ(bundle):
-    c2 = canonical_key(bundle.class_by_id("C.2").config())
-    c3 = canonical_key(bundle.class_by_id("C.3").config())
+    c2 = canonical_key(bundle.rows_by_id["C.2"].config())
+    c3 = canonical_key(bundle.rows_by_id["C.3"].config())
     assert c2 != c3
 
 
@@ -201,7 +201,7 @@ SHARED_LEAST_TABLE = [("F.1", "F.3"), ("F.2", "F.5"), ("F.4", "F.6")]
 
 
 def _rows(bundle, id_pairs):
-    return [(bundle.class_by_id(x).config(), bundle.class_by_id(y).config()) for x, y in id_pairs]
+    return [(bundle.rows_by_id[x].config(), bundle.rows_by_id[y].config()) for x, y in id_pairs]
 
 
 def _with_extra_points(rng, config, k):

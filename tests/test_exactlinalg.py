@@ -164,8 +164,8 @@ def test_solve_affine_detects_index_three_sublattice(bundle):
     map the other way; neither configuration is unimodularly equivalent
     to the other.
     """
-    a = bundle.class_by_id("B.2").config().points
-    b = bundle.class_by_id("B.14").config().points
+    a = bundle.rows_by_id["B.2"].config().points
+    b = bundle.rows_by_id["B.14"].config().points
     idx = (0, 1, 2, 4)
     assert det4(*[a[i] for i in idx]) != 0
     fwd = fraction_oracles.solve_affine([a[i] for i in idx], [b[i] for i in idx])
@@ -214,8 +214,8 @@ def test_unimodular_map_matches_solve_affine(p1, p2, p3, p4, seed, kind):
 
 
 def test_unimodular_map_rejects_index_three_sublattice(bundle):
-    a = bundle.class_by_id("B.2").config().points
-    b = bundle.class_by_id("B.14").config().points
+    a = bundle.rows_by_id["B.2"].config().points
+    b = bundle.rows_by_id["B.14"].config().points
     idx = (0, 1, 2, 4)
     assert unimodular_map([a[i] for i in idx], [b[i] for i in idx]) is None
     assert unimodular_map([b[i] for i in idx], [a[i] for i in idx]) is None

@@ -35,8 +35,8 @@ VV_H12 = (-5, 2, -11, -3, -1, 7, 1, 2, -3, 1, 11, -3, -23, -4, 5)
 
 
 def test_volume_vector6_frozen_values(bundle):
-    assert volume_vector6(bundle.class_by_id("A.1").config()) == VV_A1
-    assert volume_vector6(bundle.class_by_id("H.12").config()) == VV_H12
+    assert volume_vector6(bundle.rows_by_id["A.1"].config()) == VV_A1
+    assert volume_vector6(bundle.rows_by_id["H.12"].config()) == VV_H12
 
 
 def test_volume_vector6_matches_table_up_to_orientation(bundle):
@@ -87,7 +87,7 @@ def test_width_examples(bundle):
     w, f = width(PointConfig([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]))
     assert w == 1
     for cid, expected in (("A.1", 2), ("C.3", 3), ("H.12", 3), ("G.1", 2)):
-        c = bundle.class_by_id(cid).config()
+        c = bundle.rows_by_id[cid].config()
         w, f = width(c)
         assert w == expected
         spread = [sum(a * b for a, b in zip(f, p)) for p in c.points]
@@ -282,8 +282,8 @@ def test_interior_point_forces_width_two(bundle):
 
 
 def test_is_dps(bundle):
-    assert not pair_sums_distinct(lattice_points(bundle.class_by_id("A.1").config()))
-    assert pair_sums_distinct(lattice_points(bundle.class_by_id("G.1").config()))
+    assert not pair_sums_distinct(lattice_points(bundle.rows_by_id["A.1"].config()))
+    assert pair_sums_distinct(lattice_points(bundle.rows_by_id["G.1"].config()))
 
 
 def test_dps_iff_no_proper_coplanarity(bundle):
@@ -299,9 +299,9 @@ def test_dps_iff_no_proper_coplanarity(bundle):
 
 
 def test_circuit_counts(bundle):
-    assert len(circuits(bundle.class_by_id("A.1").config())) == 3
-    assert len(circuits(bundle.class_by_id("D.1").config())) == 5
-    g1 = circuits(bundle.class_by_id("G.1").config())
+    assert len(circuits(bundle.rows_by_id["A.1"].config())) == 3
+    assert len(circuits(bundle.rows_by_id["D.1"].config())) == 5
+    g1 = circuits(bundle.rows_by_id["G.1"].config())
     assert len(g1) == 6
     assert all(len(c.positive) + len(c.negative) == 5 for c in g1)
 
@@ -346,7 +346,7 @@ def test_circuits_need_full_dimension():
 
 
 def test_coplanarity_classes(bundle):
-    get = lambda cid: coplanarity_class(bundle.class_by_id(cid).config())
+    get = lambda cid: coplanarity_class(bundle.rows_by_id[cid].config())
     assert get("A.2") == FIVE_COPLANAR
     assert get("B.1") == C31
     assert get("D.1") == C22

@@ -100,7 +100,7 @@ def test_chirotope_orbit_matches_oracle(bundle):
     relabeling, on C.4 and E.1 (the realizations of cells 5.4 and 5.5)
     and on their mirror images."""
     for rid in ("C.4", "E.1"):
-        points = bundle.class_by_id(rid).config().points
+        points = bundle.rows_by_id[rid].config().points
         mirror = tuple((-x, y, z) for x, y, z in points)
         for pts in (points, mirror):
             assert omcatalog.chirotope_orbit(PointConfig(pts)) == oracle.chirotope_orbit(pts), rid
@@ -155,7 +155,7 @@ def test_match_agrees_with_geometry(bundle):
 def test_match_is_invariant(bundle):
     rng = random.Random(3)
     for cid in ("A.1", "F.4", "G.19"):
-        c = bundle.class_by_id(cid).config()
+        c = bundle.rows_by_id[cid].config()
         key = match_om(c).key
         img = shuffled(rng, apply_map(random_unimodular(rng), c))
         assert match_om(img).key == key

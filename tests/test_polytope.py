@@ -51,7 +51,7 @@ def test_volumes_are_computed_once_and_read_only(bundle, monkeypatch):
     """PointConfig.volumes() is quad_volumes of the points, computed on the
     first call and kept; the tuple refuses writes, so no reader can change
     what the others read."""
-    c = bundle.class_by_id("H.12").config()
+    c = bundle.rows_by_id["H.12"].config()
     expected = quad_volumes(c.points)
     calls = count_calls(monkeypatch, quad_volumes)
     vols = c.volumes()
@@ -92,7 +92,7 @@ def test_lattice_points_sorted_and_exact():
 
 
 def test_six_point_representative_is_its_own_hull(bundle):
-    a1 = bundle.class_by_id("A.1").config()
+    a1 = bundle.rows_by_id["A.1"].config()
     assert size(a1) == 6
     assert set(lattice_points(a1)) == set(a1.points)
     # A-case representatives keep their five coplanar points first.
@@ -100,17 +100,17 @@ def test_six_point_representative_is_its_own_hull(bundle):
 
 
 def test_vertex_and_interior_counts(bundle):
-    g1 = bundle.class_by_id("G.1").config()
+    g1 = bundle.rows_by_id["G.1"].config()
     assert len(hull_summary(g1)[2]) == 5
     assert len(hull_summary(g1)[1]) == 1
-    h12 = bundle.class_by_id("H.12").config()
+    h12 = bundle.rows_by_id["H.12"].config()
     assert len(hull_summary(h12)[2]) == 4
     assert len(hull_summary(h12)[1]) == 2
 
 
 def test_hull_points_partition(bundle):
     for cid in ("A.1", "B.7", "C.3", "D.1", "E.2", "F.9", "G.14", "H.12"):
-        c = bundle.class_by_id(cid).config()
+        c = bundle.rows_by_id[cid].config()
         lp = set(lattice_points(c))
         vs = set(hull_summary(c)[2])
         inner = set(hull_summary(c)[1])
@@ -122,7 +122,7 @@ def test_hull_points_partition(bundle):
 
 def test_facets_support_the_hull(bundle):
     """Facets are inner descriptions: a x + b y + c z >= o with equality on the face."""
-    c = bundle.class_by_id("D.1").config()
+    c = bundle.rows_by_id["D.1"].config()
     lp = lattice_points(c)
     for *normal, offset in hull_facets(c):
         evals = [sum(n * x for n, x in zip(normal, p)) for p in lp]
@@ -390,7 +390,7 @@ def test_planar_input_is_rejected():
 
 
 def test_parse_format_round_trip(bundle):
-    c = bundle.class_by_id("E.1").config()
+    c = bundle.rows_by_id["E.1"].config()
     assert parse_points(format_points(c.points)).points == c.points
 
 
@@ -474,7 +474,7 @@ def test_hull_data_is_unimodular_invariant(seed):
 
     rng = random.Random(seed)
     bundle = load_tables()
-    c = bundle.class_by_id(rng.choice(["A.1", "C.2", "F.5", "G.3"])).config()
+    c = bundle.rows_by_id[rng.choice(["A.1", "C.2", "F.5", "G.3"])].config()
     m = random_unimodular(rng)
     img = apply_map(m, c)
     assert size(img) == size(c)

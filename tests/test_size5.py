@@ -108,7 +108,7 @@ def test_dependence_is_an_affine_relation():
 
 def test_classify5_rejects_wrong_sizes(bundle):
     with pytest.raises(NotSize5):
-        classify5(bundle.class_by_id("A.1").config())
+        classify5(bundle.rows_by_id["A.1"].config())
     with pytest.raises(NotSize5):
         # hull picks up extra points
         classify5(PointConfig(APEX31_BASE + [(0, 0, 3)]))

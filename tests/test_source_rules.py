@@ -2,7 +2,10 @@
 no unused imports, and no top-level name that only tests reach.
 
 An ``assert`` disappears under ``python -O``, so invariants raise instead,
-and they raise a named exception rather than ``AssertionError``.
+and they raise a named exception rather than ``AssertionError``, or a
+bare ``RuntimeError`` or ``Exception``, which the command line would
+not report as a failed check (exactlinalg.VerificationFailed is the
+base of those).
 Fraction arithmetic lives in tests/fraction_oracles.py as a reference;
 the library computes in integers only.  A name a module imports and never
 uses is dead weight; ``from __future__`` imports and names the module
@@ -51,6 +54,10 @@ MEMBER_UNREAD_ALLOWED = {
 }
 
 
+#: Exceptions the library does not raise: an invariant's failure is named.
+UNNAMED_FAILURES = {"AssertionError", "RuntimeError", "Exception"}
+
+
 def _raised_name(exc):
     """Name of the exception class in ``raise X`` or ``raise X(...)``."""
     if isinstance(exc, ast.Call):
@@ -84,8 +91,8 @@ def _violations(path):
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
         if isinstance(node, ast.Assert):
             yield f"{path.name}:{node.lineno}: assert statement"
-        elif isinstance(node, ast.Raise) and _raised_name(node.exc) == "AssertionError":
-            yield f"{path.name}:{node.lineno}: raises AssertionError"
+        elif isinstance(node, ast.Raise) and _raised_name(node.exc) in UNNAMED_FAILURES:
+            yield f"{path.name}:{node.lineno}: raises {_raised_name(node.exc)}"
         elif isinstance(node, ast.Import):
             if any(a.name.split(".")[0] == "fractions" for a in node.names):
                 yield f"{path.name}:{node.lineno}: imports fractions"
@@ -111,6 +118,15 @@ def test_raising_assertion_error_is_a_violation(tmp_path):
                     "    raise AssertionError\n", encoding="utf-8")
     assert sorted(_violations(path)) == ["sample.py:3: raises AssertionError",
                                        "sample.py:4: raises AssertionError"]
+
+
+def test_raising_runtime_error_or_exception_is_a_violation(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("def f(x):\n    if x:\n        raise RuntimeError('x')\n"
+                    "    if x < 0:\n        raise Exception\n"
+                    "    raise ValueError(x)\n", encoding="utf-8")
+    assert sorted(_violations(path)) == ["sample.py:3: raises RuntimeError",
+                                       "sample.py:5: raises Exception"]
 
 
 def test_unused_import_is_a_violation(tmp_path):

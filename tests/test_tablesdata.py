@@ -56,7 +56,7 @@ def test_validation_catches_a_changed_column(bundle, column, value, mismatches):
     flag from its row, so these checks are what catch a row whose column
     disagrees with its points: one changed column of G.1 (width 2,
     label 6.2, dps) gives its own mismatches."""
-    row = bundle.class_by_id("G.1")
+    row = bundle.rows_by_id["G.1"]
     changed = dataclasses.replace(row, **{column: value})
     rows = tuple(changed if r is row else r for r in bundle.class_rows)
     report = validate_tables(dataclasses.replace(bundle, class_rows=rows))
@@ -100,38 +100,39 @@ def test_result2_histogram_recomputes(bundle):
 
 
 def test_shape_helpers(bundle):
-    h12 = bundle.class_by_id("H.12").config()
+    h12 = bundle.rows_by_id["H.12"].config()
     assert shape_of(h12) == "tetrahedron"
     assert interior_count(h12) == 2
-    g1 = bundle.class_by_id("G.1").config()
+    g1 = bundle.rows_by_id["G.1"].config()
     assert shape_of(g1) == "bipyramid"
     assert interior_count(g1) == 1
 
 
 def test_lookup_helpers(bundle):
-    row = bundle.class_by_id("F.3")
+    row = bundle.rows_by_id["F.3"]
     assert row.id == "F.3" and row.case == "F"
     with pytest.raises(KeyError):
-        bundle.class_by_id("F.99")
-    cell = {c.label: c for c in bundle.om_cells}[row.om_label]
+        bundle.rows_by_id["F.99"]
+    cell = bundle.cells_by_label[row.om_label]
     assert cell.label == row.om_label
     assert cell.realized
 
 
 def test_ambiguous_labels(bundle):
-    assert len(bundle.ambiguous_labels) == 3
-    for pair in bundle.ambiguous_labels:
+    ambiguous = tablesdata._load_resource("om_labels")["ambiguous"]
+    assert len(ambiguous) == 3
+    for pair in ambiguous:
         assert len(pair["keys"]) == 2 and len(pair["labels"]) == 2
         for key in pair["keys"]:
-            assert set(bundle.label_candidates(key)) == set(pair["labels"])
+            assert set(bundle.labels_by_key[key]) == set(pair["labels"])
         for label in pair["labels"]:
-            assert set(key_candidates(bundle, label)) == set(pair["keys"])
+            assert set(key_candidates(label)) == set(pair["keys"])
 
 
 def test_unambiguous_label_resolves_to_one_key(bundle):
-    keys = key_candidates(bundle, "3.2")
+    keys = key_candidates("3.2")
     assert len(keys) == 1
-    assert bundle.label_candidates(keys[0]) == ("3.2",)
+    assert bundle.labels_by_key[keys[0]] == ("3.2",)
 
 
 def test_never_realized_labels(bundle):
@@ -167,7 +168,7 @@ def test_cells_match_catalog_records(bundle):
     by_key = {r.key: r for r in enumerate_oms()}
     stats = record_statistics()
     for cell in bundle.om_cells:
-        keys = key_candidates(bundle, cell.label)
+        keys = key_candidates(cell.label)
         assert keys
         assert any(
             stats[k]["coplanarity"] == cell.coplanarity
@@ -246,6 +247,9 @@ TAMPERINGS = {
     "no ambiguous list": ("om_labels", lambda p: _rechecksum(p, lambda pl: pl.pop("ambiguous"))),
     "ambiguous entry 1 is not an object": (
         "om_labels", _setting(("ambiguous", 0), [["c4.18", "c4.19"], ["4.16", "4.7"]])),
+    "row B.3: om_label '9.9' names no grid cell": (
+        "classes76", lambda p: _rechecksum(p, lambda pl: next(
+            row for row in pl["classes"] if row["id"] == "B.3").update(om_label="9.9"))),
     "ambiguous entry 2 lacks labels": (
         "om_labels", lambda p: _rechecksum(p, lambda pl: pl["ambiguous"][1].pop("labels"))),
 }
