@@ -96,6 +96,7 @@ from .invariants import (
     circuits,
     coplanarity_class,
     coplanarity_from_circuits,
+    functional_range,
     volume_vector5,
     volume_vector6,
     width,
@@ -627,9 +628,10 @@ def run_case_c() -> CaseReport:
 _D_BASE = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
 
 #: The boundary of the square pyramid conv(_D_BASE + p5), p5 = (0, 0, 1),
-#: as _caps takes it: the base square split along p1p4, with p5 as ref,
-#: and the four side triangles, each with a base vertex off its plane.
-_D_FACETS = ((1, 2, 4, 5), (1, 4, 3, 5), (1, 2, 5, 4), (2, 4, 5, 1), (4, 3, 5, 1), (3, 1, 5, 2))
+#: as _caps takes it: the four side triangles, each with a base vertex off
+#: its plane, and then the base square split along p1p4, with p5 as ref.
+#: A rejected p6 sees a full cap over a side first, so the sides lead.
+_D_FACETS = ((1, 2, 5, 4), (2, 4, 5, 1), (4, 3, 5, 1), (3, 1, 5, 2), (1, 2, 4, 5), (1, 4, 3, 5))
 
 
 def run_case_d() -> CaseReport:
@@ -637,10 +639,11 @@ def run_case_d() -> CaseReport:
 
     The midpoint (a/2, b/2) is normalized into the cone 1/2 <= x <= y with
     the strip condition x < 1 or y < x + 1; apexes with a in {1, 2} give
-    width one, and the survivor (3,3) re-routes to case B via its
-    (3,1)-circuit.  p6 extends the pyramid conv(_D_BASE + p5), and the
-    caps over the _D_FACETS it sees decide the hull of every other
-    candidate (_six_by_caps).
+    width one (x + z takes two values on the six points), and the
+    survivor (3,3) re-routes to case B via its (3,1)-circuit.  p6
+    extends the pyramid conv(_D_BASE + p5), and the caps over the
+    _D_FACETS it sees decide the hull of every other candidate
+    (_six_by_caps).
     """
     funnel = _Funnel("D")
     survivors = []
@@ -651,7 +654,8 @@ def run_case_d() -> CaseReport:
             continue
         cfg = PointConfig(_D_BASE + [(0, 0, 1), (a, b, -1)])
         if a in (1, 2):
-            if width(cfg)[0] != 1:
+            # a full-dimensional hull has width >= 1, so range 1 is width one
+            if functional_range((1, 0, 1), cfg.points) != 1:
                 raise ClassificationError(f"D candidate {(a, b)} should be width one")
             funnel.reject("width one (functional x+z)")
             continue

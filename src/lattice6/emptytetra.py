@@ -17,7 +17,9 @@ gcd(y, q) = 1, or y = 1 with gcd(x, q) = 1, or x + y = 0 with
 gcd(x, q) = 1 (_framed_empty); and a lattice point at height k lies
 strictly inside it iff (-k x) mod q and (-k y) mod q are both nonzero and
 their sum is below q - k (_framed_has_interior_point).  A tetrahedron
-whose first facet is not a unimodular triangle is not empty.
+whose first facet is not a unimodular triangle is not empty.  white_type
+applies this to four unchecked points, and is the one public emptiness
+test: it returns None exactly for a tetrahedron that is not empty.
 
 The type is read off the same frame.  The reflection z -> -z and the
 shears (x, y, z) -> (x + s z, y + t z, z) are unimodular and fix 0, e1
@@ -92,35 +94,23 @@ def _framed_has_interior_point(x: int, y: int, h: int) -> bool:
     return False
 
 
-def _framed(points: Sequence[Sequence[int]]) -> Optional[IntVec3]:
-    """The fourth of four points as (x, y, h) in the frame of the first
-    three (_facet_frame), checked by check_point; None when the first
-    facet is not a unimodular triangle, degenerate ones included."""
+def white_type(points: Sequence[Sequence[int]]) -> Optional[Tuple[int, int]]:
+    """Normal form (p, q) of an empty tetrahedron, None if not empty.
+
+    The four points are checked by check_point.  The fourth is read as
+    (x, y, h) in the frame of the first three (_facet_frame), and the
+    tetrahedron is empty iff that frame exists and White's congruence
+    holds (_framed_empty); so white_type(points) is not None is the
+    emptiness test.  q is the volume; p is read off the same (x, y, h)
+    (see the module docstring) and reduced to the canonical
+    representative min{p, q-p, p^{-1} mod q, q - (p^{-1} mod q)}.
+    """
     pts = [check_point(p) for p in points]
     if len(pts) != 4:
         raise ValueError(f"need 4 points, got {len(pts)}")
     frame = _facet_frame(pts[0], pts[1], pts[2])
-    return None if frame is None else _mat_vec(frame, sub(pts[3], pts[0]))
-
-
-def is_empty_tetrahedron(points: Sequence[Sequence[int]]) -> bool:
-    """True iff the four points span a tetrahedron whose only lattice
-    points are its vertices: the fourth point in the frame of the first
-    three passes White's congruence (_framed_empty).  A first facet that
-    is not a unimodular triangle means not empty."""
-    xyh = _framed(points)
-    return xyh is not None and _framed_empty(*xyh)
-
-
-def white_type(points: Sequence[Sequence[int]]) -> Optional[Tuple[int, int]]:
-    """Normal form (p, q) of an empty tetrahedron, None if not empty.
-
-    q is the volume; p is reduced to the canonical representative
-    min{p, q-p, p^{-1} mod q, q - (p^{-1} mod q)}.  Degenerate or
-    non-empty input gives None.  The type is read off the fourth point's
-    (x, y, h) in the first facet's frame (see the module docstring).
-    """
-    x, y, h = _framed(points) or (0, 0, 0)  # no unimodular first facet: h = 0, not empty
+    # no unimodular first facet, degenerate ones included: h = 0, not empty
+    x, y, h = _mat_vec(frame, sub(pts[3], pts[0])) if frame else (0, 0, 0)
     if not _framed_empty(x, y, h):
         return None
     q = abs(h)

@@ -5,12 +5,12 @@ Python ints.  No floats and no rationals anywhere.  unimodular_map finds
 the affine map fixed by four point pairs in integers, when that map is
 integral with determinant +-1 (a determinant comparison, an adjugate
 product and a divisibility test).  hermite_normal_form is the normal form
-of a 3x3 integer matrix, of any rank, under left multiplication by
-GL_3(Z); edge_form applies it to the edge vectors of an ordered point
-quadruple, so equal forms mean exactly that an integral unimodular map
-sends one quadruple onto the other.  Coordinates are validated once,
-where points enter (check_point, called by PointConfig); det4 and
-unimodular_map trust their input.
+of a nonsingular 3x3 integer matrix under left multiplication by GL_3(Z)
+(a singular one raises DegenerateSource); edge_form applies it to the
+edge vectors of an ordered point quadruple, so equal forms mean exactly
+that an integral unimodular map sends one quadruple onto the other.
+Coordinates are validated once, where points enter (check_point, called
+by PointConfig); det4 and unimodular_map trust their input.
 
 The basic quantity is the normalized 4x4 determinant of four lattice
 points (top row of ones, points as columns), which equals the signed
@@ -35,8 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import gcd
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 IntVec3 = Tuple[int, int, int]
 
@@ -47,7 +46,8 @@ COORD_BOUND = 10**4
 
 
 class DegenerateSource(ValueError):
-    """Raised when solving an affine map from a coplanar source quadruple."""
+    """Raised on affinely dependent input: a coplanar source quadruple of
+    unimodular_map, or a singular matrix given to hermite_normal_form."""
 
 
 class VerificationFailed(Exception):
@@ -145,19 +145,6 @@ def quad_volumes(points: Sequence[IntVec3]) -> Tuple[int, ...]:
     return tuple(vols + [-v for v in vols])
 
 
-def gcd_all(values: Iterable[int]) -> int:
-    """gcd of arbitrarily many integers; 0 for an empty or all-zero input."""
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-    return g
-
-
-def is_primitive(v: Iterable[int]) -> bool:
-    """True for an integer vector whose entries have gcd 1 (never for 0)."""
-    return gcd_all(v) == 1
-
-
 def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
     """(g, x, y) with g = gcd(a, b) >= 0 and x a + y b = g."""
     x0, y0, x1, y1 = 1, 0, 0, 1
@@ -170,20 +157,21 @@ def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
 
 
 def hermite_normal_form(rows: Sequence[Sequence[int]]) -> Tuple[IntVec3, IntVec3, IntVec3]:
-    """Row Hermite normal form of a 3x3 integer matrix of any rank.
+    """Row Hermite normal form of a nonsingular 3x3 integer matrix.
 
-    The unique U @ rows, U in GL_3(Z), in row echelon form with positive
-    pivots, zero rows last and entries above each pivot in [0, pivot); so
-    two matrices share it iff one is U @ the other.  Per column, each row
-    below the pivot row is cleared against it by the unimodular 2x2 step
-    of the extended gcd of their entries (Cohen, GTM 138, 2.4).
+    The unique U @ rows, U in GL_3(Z), that is upper triangular with
+    positive pivots and entries above each pivot in [0, pivot); so two
+    matrices share it iff one is U @ the other.  Per column, each row
+    below the diagonal is cleared against the diagonal row by the
+    unimodular 2x2 step of the extended gcd of their entries (Cohen,
+    GTM 138, 2.4).  A zero pivot means the matrix is singular: it raises
+    DegenerateSource.
     """
     (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
     h = [(a0, a1, a2), (b0, b1, b2), (c0, c1, c2)]
-    top = 0
     for col in range(3):
-        t = h[top]
-        for i in range(top + 1, 3):
+        t = h[col]
+        for i in range(col + 1, 3):
             r = h[i]
             v = r[col]
             if v:
@@ -193,17 +181,14 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> Tuple[IntVec3, IntVec3
                 t = (x * t[0] + y * r[0], x * t[1] + y * r[1], x * t[2] + y * r[2])
         p = t[col]
         if not p:
-            continue
+            raise DegenerateSource(f"matrix {tuple(map(tuple, rows))} is singular")
         if p < 0:
             t, p = (-t[0], -t[1], -t[2]), -p
-        h[top] = t
-        for i in range(top):
+        h[col] = t
+        for i in range(col):
             r = h[i]
             q = r[col] // p
             h[i] = (r[0] - q * t[0], r[1] - q * t[1], r[2] - q * t[2])
-        top += 1
-        if top == 3:
-            break
     return tuple(h)
 
 

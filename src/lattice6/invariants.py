@@ -11,11 +11,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 from operator import itemgetter
 from typing import Iterator, Sequence, Tuple
 
 from .exactlinalg import (IntVec3, VerificationFailed, _adjugate, _mat_vec, _quadruples, _slots,
-                          dot, gcd_all, hermite_normal_form, sub)
+                          dot, hermite_normal_form, sub)
 from .polytope import NotFullDimensional, PointConfig
 
 
@@ -260,7 +261,7 @@ def width(config: PointConfig) -> Tuple[int, IntVec3]:
         if best is not None and best[0] <= s:
             break
         s = 2 * s if best is None else best[0]
-    if gcd_all(best[1]) != 1:
+    if gcd(*best[1]) != 1:
         raise VerificationFailed(f"width witness {best[1]} is not primitive")
     return best
 

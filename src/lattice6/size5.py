@@ -45,7 +45,6 @@ class UnknownSize5Class(VerificationFailed):
 class Size5Class:
     kind: str                      # "22" | "21" | "32" | "31u" | "31w2" | "41"
     params: Tuple[int, ...]        # family parameters, (k,) for the k-th (4,1) row
-    dependence: Tuple[int, ...]    # affine dependence coefficients, table sign
     width: int
 
     @property
@@ -74,7 +73,7 @@ def _sporadic() -> dict:
         kind = _KINDS.get((tuple(row["signature"]), row["width"]))
         if kind is not None:  # the other rows are the (2,1) and (3,2) families
             params = (sum(k == "41" for k, _ in out) + 1,) if kind == "41" else ()
-            cls = Size5Class(kind, params, tuple(row["volume_vector"]), row["width"])
+            cls = Size5Class(kind, params, row["width"])
             out[kind, params] = (cls, PointConfig(row["representative"]))
     return out
 
@@ -145,11 +144,11 @@ def size5_class(config: PointConfig) -> Size5Class:
             h = edge_form([config[i] for i in (a, b, c, d)])
             x = h[0][2]
             if h == ((1, 0, x), (0, 1, 1 % q), (0, 0, q)):
-                return Size5Class("21", (min(x, q - x), q), (-2 * q, q, 0, q, 0), 1)
+                return Size5Class("21", (min(x, q - x), q), 1)
     elif sig == (3, 2):
         one, other_one, a, b, total = sorted(map(abs, dep))
         if (one, other_one, a + b) == (1, 1, total):
-            return Size5Class("32", (a, b), (-a - b, a, b, 1, -1), 1)
+            return Size5Class("32", (a, b), 1)
     else:
         cls = _sporadic_index().get(canonical_key(config))
         if cls is not None:

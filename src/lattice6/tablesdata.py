@@ -107,8 +107,9 @@ def _load_resource(name: str):
 #: The keys of a class row and of a grid cell: their fields.
 _CLASS_KEYS = {f.name for f in fields(ClassRow)}
 _CELL_KEYS = {f.name for f in fields(OMCell)}
-#: The keys of a concrete size-5 row, all of which size5 reads, and of a
-#: family row; a row is concrete when it has a representative.
+#: The keys of a concrete size-5 row and of a family row; a row is
+#: concrete when it has a representative.  cli catalog prints every key;
+#: size5 reads a concrete row's signature, width and representative.
 _SIZE5_KEYS = {"signature", "width", "volume_vector", "representative"}
 _FAMILY_KEYS = {"signature", "width", "volume_vector_formula", "representative_formula",
                 "constraints"}

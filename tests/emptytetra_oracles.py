@@ -14,7 +14,7 @@ from math import gcd
 from typing import Tuple
 
 from lattice6.emptytetra import canonical_type
-from lattice6.exactlinalg import cross, det4, dot, gcd_all, is_primitive, sub
+from lattice6.exactlinalg import cross, det4, dot, sub
 from lattice6.polytope import _cosets
 
 _EDGE_PAIRS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
@@ -30,10 +30,10 @@ def is_empty_by_edges(pts) -> bool:
     for (i, j), (k, l) in _EDGE_PAIRS:
         e1 = sub(pts[j], pts[i])
         e2 = sub(pts[l], pts[k])
-        if not (is_primitive(e1) and is_primitive(e2)):
+        if not (gcd(*e1) == 1 and gcd(*e2) == 1):
             continue
         n = cross(e1, e2)
-        g = gcd_all(n)
+        g = gcd(*n)
         if g == 0:
             continue  # parallel edges: degenerate tetrahedron
         if abs(dot(n, sub(pts[k], pts[i]))) == g:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from lattice6.exactlinalg import (
@@ -25,7 +25,6 @@ from lattice6.exactlinalg import (
     check_point,
     det3,
     det4,
-    gcd_all,
     sub,
 )
 from lattice6.invariants import SignedCircuit
@@ -67,7 +66,7 @@ def _affine_kernel(points: Sequence[IntVec3]) -> List[List[Fraction]]:
 def _primitive_signed(vec: Sequence[Fraction]) -> List[int]:
     mult = lcm(*(f.denominator for f in vec))
     ints = [int(f * mult) for f in vec]
-    g = gcd_all(ints)
+    g = gcd(*ints)
     ints = [v // g for v in ints]
     lead = next(v for v in ints if v != 0)
     if lead < 0:

@@ -11,9 +11,9 @@ import random
 import time
 
 from lattice6 import classify6
-from lattice6.emptytetra import canonical_type, is_empty_tetrahedron, white_type
+from lattice6.emptytetra import canonical_type, white_type
 from lattice6.equivalence import canonical_key
-from lattice6.exactlinalg import det4, is_primitive
+from lattice6.exactlinalg import det4
 from lattice6.invariants import (
     circuits,
     coplanarity_class,
@@ -57,7 +57,7 @@ def test_bundled_tables_are_internally_consistent(bundle):
     assert report.mismatches == ()
     for row in bundle.class_rows:
         assert report.gcds[row.id] == GCD_EXCEPTIONS.get(row.id, 1)
-        assert is_primitive(row.volume_vector) == (row.id not in GCD_EXCEPTIONS)
+        assert (math.gcd(*row.volume_vector) == 1) == (row.id not in GCD_EXCEPTIONS)
 
 
 def test_oriented_matroid_catalog_is_complete(bundle):
@@ -97,7 +97,7 @@ def test_width_three_classes_have_certificates(bundle):
         best = min(
             max(vals) - min(vals)
             for fx in range(-4, 5) for fy in range(-4, 5) for fz in range(-4, 5)
-            if is_primitive((fx, fy, fz))
+            if math.gcd(fx, fy, fz) == 1
             for vals in [[fx * x + fy * y + fz * z for x, y, z in c.points]]
         )
         assert best == 3, cid
@@ -110,10 +110,8 @@ def test_empty_tetrahedra_match_lattice_point_oracle():
         pts = [tuple(rng.randrange(-4, 5) for _ in range(3)) for _ in range(4)]
         if det4(*pts) == 0:
             continue
-        empty = is_empty_tetrahedron(pts)
-        assert empty == (len(lattice_points(PointConfig(pts))) == 4)
         t = white_type(pts)
-        assert (t is not None) == empty
+        assert (t is not None) == (len(lattice_points(PointConfig(pts))) == 4)
         if t is not None:
             assert t[1] == abs(det4(*pts))
         checked += 1
@@ -122,7 +120,6 @@ def test_empty_tetrahedra_match_lattice_point_oracle():
         orbits = set()
         for p in ps:
             t = standard_tetrahedron(p, q)
-            assert is_empty_tetrahedron(t)
             assert white_type(t) == canonical_type(p, q)
             orbits.add(frozenset(type_orbit(p, q)))
         assert len(white_classes(q)) == len(orbits)

@@ -23,7 +23,7 @@ from lattice6.emptytetra import (
     _facet_frame,
     _framed_empty,
     _framed_has_interior_point,
-    is_empty_tetrahedron,
+    white_type,
 )
 from lattice6.equivalence import normal_form, _table
 from lattice6.exactlinalg import (
@@ -502,13 +502,15 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     with their refs, each built once per process by the memoized
     _cap_frame, whose cache this test clears first, and 14 cells of case
     A's fine triangulations, those of |volume| above 1, which
-    polytope.holds_only_its_points reads), 1,123 emptiness tests by
+    polytope.holds_only_its_points reads), 1,059 emptiness tests by
     White's congruence in the frame (_framed_empty: those 14 cells, and
     caps, where each site evaluates its size argument once, and C's one
     rejected edge candidate tests its caps again, to name the first that
     is not empty; the opposite-edge emptiness test it replaced ran as
-    often), 522 interior-point tests
-    of caps (_framed_has_interior_point), 13,650 det4 calls, 15 per
+    often; D's 32 rejections take 44 of them, as _D_FACETS lists the
+    side triangles, where a rejected apex meets its full cap, before the
+    base square: base first, they took 108), 522 interior-point tests
+    of caps (_framed_has_interior_point), 13,320 det4 calls, 15 per
     quad_volumes and none elsewhere (the gluing loop files its
     subtetrahedra with |volumes| read off the bases' volume vectors, the
     reverse gluings pass the source's, and C's interior subcase reads its
@@ -527,16 +529,18 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     then one point per candidate), the triangulation
     checks test the emptiness of those points without checking them
     again, and the rows' configurations come from _row_key_index.
-    quad_volumes runs 910 times, once per configuration whose volumes are
+    quad_volumes runs 888 times, once per configuration whose volumes are
     read (PointConfig.volumes), here by its first reader: 426 gluing
     verdicts (the normal forms of the accepted verdicts' configurations
     reuse them), 384 embeddings of cases C and E (their chirotope; the
-    hulls and normal forms of the accepted ones reuse them), 22 widths of
-    case D and 78 hulls (A 6, B 16, C 4, D 3, F 49), whose circuits and
-    normal forms reuse them; the rows' volume vectors reuse the volumes
-    of their normal forms.  It ran 942 times while chirotope computed
-    volumes of its own from the points: the 32 accepted embeddings whose
-    hulls are counted (16 in C, 16 in E) computed theirs twice."""
+    hulls and normal forms of the accepted ones reuse them) and 78 hulls
+    (A 6, B 16, C 4, D 3, F 49), whose circuits and normal forms reuse
+    them; the rows' volume vectors reuse the volumes of their normal
+    forms.  It ran 942 times while chirotope computed volumes of its own
+    from the points: the 32 accepted embeddings whose hulls are counted
+    (16 in C, 16 in E) computed theirs twice; and 910 times while case
+    D's 22 width-one candidates each took a width, which now read the
+    range of x + z off their points, so no case runner calls width."""
     for cell in ("5.4", "5.5"):  # warm: the orbits are built once per process
         classify6._cell_orbit(cell)
     classify6._row_key_index()
@@ -544,13 +548,14 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     calls = count_calls(monkeypatch, unimodular_map, hull_facets, _placing, classify6._glued_verdict,
                         match_circuits, check_point, circuits, normal_form, quad_volumes,
                         classify6._caps, _facet_frame, _framed_empty,
-                        _framed_has_interior_point, det4, _table)
+                        _framed_has_interior_point, det4, _table, width)
     classify6.classify_all()
     assert calls == {"unimodular_map": 116, "hull_facets": 0, "_placing": 142, "_glued_verdict": 426,
                      "match_circuits": 0, "check_point": 1885, "circuits": 52,
-                     "normal_form": 129, "quad_volumes": 910, "_caps": 1156,
-                     "_facet_frame": 159, "_framed_empty": 1123,
-                     "_framed_has_interior_point": 522, "det4": 13650, "_table": 502}
+                     "normal_form": 129, "quad_volumes": 888, "_caps": 1156,
+                     "_facet_frame": 159, "_framed_empty": 1059,
+                     "_framed_has_interior_point": 522, "det4": 13320, "_table": 502,
+                     "width": 0}
 
 
 def test_a_second_classify_all_builds_no_cap_frame(monkeypatch):
@@ -817,6 +822,18 @@ def test_case_b_11_hull_with_extra_points_raises(monkeypatch):
         classify6.run_case_b()
 
 
+def test_case_d_width_one_check_reads_x_plus_z(monkeypatch):
+    """Case D rejects its apexes with a in {1, 2} as "width one (functional
+    x+z)" on the range of x + z over the six points, with no width: a
+    range other than 1 raises at the first such candidate, (1, 1)."""
+    seen = []
+    monkeypatch.setattr(classify6, "functional_range", lambda f, pts: seen.append(f) or 2)
+    with pytest.raises(classify6.ClassificationError,
+                       match=re.escape("D candidate (1, 1) should be width one")):
+        classify6.run_case_d()
+    assert seen == [(1, 0, 1)]
+
+
 #: The error of each runner when every emptiness test of a cap (White's
 #: congruence in its facet's frame, _framed_empty) is inverted.  A cap
 #: that is empty is then rejected before any hull is counted, so B and D,
@@ -859,7 +876,7 @@ def _cap_rule(points, facets, new):
 def _all_empty(points, quads):
     """Whether every tetrahedron of quads (1-based labels into points) holds
     no lattice point besides its vertices."""
-    return all(is_empty_tetrahedron([points[i - 1] for i in quad]) for quad in quads)
+    return all(white_type([points[i - 1] for i in quad]) is not None for quad in quads)
 
 
 def _value(plane, p):
@@ -967,12 +984,15 @@ def test_pyramid_facets_cover_the_boundary(pyramid):
 
 
 #: Tampered copies of D's facet table, each with the failure it raises:
-#: a base triangle left out (a free interior edge p1p4), one listed twice
-#: (an overlap), and a ref in its triangle's plane.
+#: the base triangle p1p2p4 left out (a free interior edge p1p4), listed
+#: twice (an overlap), or with a ref in its plane.
+D_BASE_TRIANGLE = (1, 2, 4, 5)
 BAD_FACET_TABLES = {
-    "gap": (classify6._D_FACETS[1:], r"\(0, 0, 1, 0\), \[1, 4\]"),
-    "overlap": (classify6._D_FACETS[:1] + classify6._D_FACETS, r"\[1, 2, 4\], \[1, 2, 4\]"),
-    "ref in plane": (((1, 2, 4, 3),) + classify6._D_FACETS[1:], r"\[1, 2, 4\], 3"),
+    "gap": (tuple(f for f in classify6._D_FACETS if f != D_BASE_TRIANGLE),
+            r"\(0, 0, 1, 0\), \[1, 4\]"),
+    "overlap": ((D_BASE_TRIANGLE,) + classify6._D_FACETS, r"\[1, 2, 4\], \[1, 2, 4\]"),
+    "ref in plane": (tuple((1, 2, 4, 3) if f == D_BASE_TRIANGLE else f for f in classify6._D_FACETS),
+                     r"\[1, 2, 4\], 3"),
 }
 
 

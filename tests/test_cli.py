@@ -18,7 +18,7 @@ import lattice6
 from lattice6 import classify6, cli, equivalence, invariants, omcatalog, polytope, size5, tablesdata
 from lattice6.classify6 import width1_family
 from lattice6.cli import _om_label, main
-from lattice6.emptytetra import is_empty_tetrahedron, white_type
+from lattice6.emptytetra import white_type
 from lattice6.exactlinalg import AffineMap, quad_volumes
 from lattice6.invariants import circuits
 from lattice6.polytope import PointConfig, format_points, parse_points
@@ -399,8 +399,6 @@ def test_raw_point_entry_points_validate_coordinates(tmp_path, capsys, bad, erro
     tet = [(0, 0, 0), (1, 0, 0), (0, 1, 0), bad]
     with pytest.raises(error):
         PointConfig(tet)
-    with pytest.raises(error):
-        is_empty_tetrahedron(tet)
     with pytest.raises(error):
         white_type(tet)
     text = format_points(tet)  # bools print as True, floats with a point

@@ -24,7 +24,6 @@ from lattice6.emptytetra import (
     _framed_empty,
     _framed_has_interior_point,
     canonical_type,
-    is_empty_tetrahedron,
     white_type,
 )
 from lattice6.exactlinalg import AffineMap, _mat_vec, cross, det3, det4, sub
@@ -42,16 +41,15 @@ def direct_orbit(p, q):
 
 
 def test_standard_tetrahedra_are_empty():
-    assert is_empty_tetrahedron(standard_tetrahedron(1, 2))
-    assert is_empty_tetrahedron(UNIT)
-    assert is_empty_tetrahedron([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)])
+    assert white_type(standard_tetrahedron(1, 2)) is not None
+    assert white_type(UNIT) is not None
+    assert white_type([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)]) is not None
 
 
 def test_non_empty_tetrahedra():
     halved = [(0, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1)]
-    assert not is_empty_tetrahedron(halved)
-    assert (1, 0, 0) in lattice_points(PointConfig(halved))
     assert white_type(halved) is None
+    assert (1, 0, 0) in lattice_points(PointConfig(halved))
     # imprimitive parameters give a lattice point on the top edge
     assert white_type(standard_tetrahedron(2, 4)) is None
 
@@ -108,9 +106,8 @@ def test_empty_iff_four_lattice_points_sampled():
         pts = [tuple(rng.randrange(-4, 5) for _ in range(3)) for _ in range(4)]
         if det4(*pts) == 0:
             continue
-        empty = is_empty_tetrahedron(pts)
+        empty = white_type(pts) is not None
         assert empty == (len(lattice_points(PointConfig(pts))) == 4)
-        assert (white_type(pts) is not None) == empty
         seen_empty += empty
         seen_full += not empty
 
@@ -200,16 +197,16 @@ def test_level_test_matches_box_scan():
 def test_frame_kernels_match_oracles_on_random_tetrahedra():
     """Seeded random tetrahedra of a small box, degenerate ones and ones
     whose first facet is not a unimodular triangle included:
-    is_empty_tetrahedron, which reads the fourth point in the frame of
-    the first three, says what the opposite-edge test says, and in every
-    vertex rotation with a frame, the frame's height is det4 and the
-    level test says what the coset walk says."""
+    white_type, which reads the fourth point in the frame of the first
+    three, finds an empty tetrahedron where the opposite-edge test does,
+    and in every vertex rotation with a frame, the frame's height is
+    det4 and the level test says what the coset walk says."""
     rng = random.Random(33)
     seen = Counter()
     for _ in range(4000):
         tet = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(4)]
         empty = is_empty_by_edges(tet)
-        assert is_empty_tetrahedron(tet) == empty, tet
+        assert (white_type(tet) is not None) == empty, tet
         volume = det4(*tet)
         inner = volume != 0 and has_interior_point(*tet)
         for i in range(4):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,9 +19,7 @@ from lattice6.exactlinalg import (
     det3,
     det4,
     edge_form,
-    gcd_all,
     hermite_normal_form,
-    is_primitive,
     quad_volumes,
     unimodular_map,
 )
@@ -109,20 +108,6 @@ def test_slots_read_det4_of_every_ordered_quadruple(n):
                 assert sum(lams) == vol, (pts, quad, i)
                 assert tuple(sum(lam * pts[j][t] for lam, j in zip(lams, quad)) for t in range(3)) \
                     == tuple(vol * c for c in pts[i]), (pts, quad, i)
-
-
-def test_gcd_all():
-    assert gcd_all([6, -9, 15]) == 3
-    assert gcd_all([1, 0, 0]) == 1
-    assert gcd_all([0, 0, 0]) == 0
-    assert gcd_all([]) == 0
-
-
-def test_is_primitive():
-    assert is_primitive((1, 2, 3))
-    assert not is_primitive((2, 4, 6))
-    assert not is_primitive((0, 0, 2))
-    assert not is_primitive((0, 0, 0))
 
 
 def test_solve_affine_identity():
@@ -287,9 +272,13 @@ def test_hermite_normal_form_examples():
     assert hnf([[0, 2, 4], [0, 3, 6]]) == ((0, 1, 2), (0, 0, 0))
     assert hnf([[0, 0], [0, 0]]) == ((0, 0), (0, 0))
     assert hnf([]) == ()
-    assert hermite_normal_form([[0, 2, 4], [0, 3, 6], [0, 0, 0]]) == (
-        (0, 1, 2), (0, 0, 0), (0, 0, 0))
-    assert hermite_normal_form([[0, 0, 0]] * 3) == ((0, 0, 0),) * 3
+    assert hermite_normal_form([[0, 2, 4], [1, 3, 6], [0, 0, 5]]) == (
+        (1, 1, 2), (0, 2, 4), (0, 0, 5))
+    with pytest.raises(DegenerateSource,
+                       match=re.escape("matrix ((0, 2, 4), (0, 3, 6), (0, 0, 0)) is singular")):
+        hermite_normal_form([[0, 2, 4], [0, 3, 6], [0, 0, 0]])
+    with pytest.raises(DegenerateSource):
+        hermite_normal_form([[0, 0, 0]] * 3)
 
 
 def _random_matrix(rng, rank):
@@ -303,11 +292,16 @@ def _random_matrix(rng, rank):
 
 
 def test_hermite_normal_form_is_a_normal_form():
-    """The form is Hermite, fixed by itself, unchanged by GL_3(Z) on the
-    left, and its pivots multiply to +- the determinant."""
+    """On a nonsingular matrix the form is Hermite, fixed by itself,
+    unchanged by GL_3(Z) on the left, and its pivots multiply to +- the
+    determinant; a singular one raises DegenerateSource."""
     rng = random.Random(8)
     for trial in range(300):
         a = _random_matrix(rng, 3 - trial % 3)
+        if not det3(*a):
+            with pytest.raises(DegenerateSource):
+                hermite_normal_form(a)
+            continue
         h = hermite_normal_form(a)
         assert _is_hermite(h), (a, h)
         assert hermite_normal_form(h) == h
@@ -318,12 +312,18 @@ def test_hermite_normal_form_is_a_normal_form():
 
 
 def test_hermite_normal_form_matches_generic_oracle():
-    """The 3x3 form equals the generic one on random matrices of rank 3,
-    2, 1 and 0, with small and large entries."""
+    """The 3x3 form equals the generic one on random nonsingular matrices,
+    with small and large entries; on the singular ones, of rank 2, 1 and
+    0, it raises DegenerateSource where the generic form has a zero row."""
     rng = random.Random(21)
     for trial in range(2000):
         a = _random_matrix(rng, trial % 4)
-        assert hermite_normal_form(a) == generic_hermite_normal_form(a), a
+        if det3(*a):
+            assert hermite_normal_form(a) == generic_hermite_normal_form(a), a
+        else:
+            assert generic_hermite_normal_form(a)[2] == (0, 0, 0), a
+            with pytest.raises(DegenerateSource):
+                hermite_normal_form(a)
 
 
 def test_edge_form_separates_equal_volume_tetrahedra():

@@ -16,7 +16,7 @@ from fraction_oracles import point_in_hull
 from hull_oracles import cone_triangulation, triple_scan_facets
 from lattice6.emptytetra import _facet_frame, _framed_has_interior_point
 from lattice6.exactlinalg import (
-    _mat_vec, _slots, cross, det4, dot, gcd_all, hermite_normal_form, quad_volumes, sub)
+    _mat_vec, _slots, cross, det4, dot, hermite_normal_form, quad_volumes, sub)
 from lattice6 import polytope
 from lattice6.polytope import (
     NotFullDimensional,
@@ -159,7 +159,7 @@ def _brute_force_hull_facets(config):
         n = cross(sub(b, a), sub(c, a))
         if n == (0, 0, 0):
             continue
-        g = gcd_all(n)
+        g = gcd(*n)
         n = (n[0] // g, n[1] // g, n[2] // g)
         base = dot(n, a)
         values = [dot(n, p) - base for p in pts]

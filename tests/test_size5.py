@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import APEX31_BASE, apply_map, random_unimodular, shuffled, sporadic5
 from lattice6.equivalence import canonical_key
 from lattice6.exactlinalg import unimodular_map
-from lattice6.invariants import signature5
+from lattice6.invariants import signature5, volume_vector5
 from lattice6.polytope import PointConfig, hull_summary, size
 from lattice6.size5 import (
     NotSize5,
@@ -97,12 +97,14 @@ def test_rep41_round_trip():
 
 
 def test_dependence_is_an_affine_relation():
+    """volume_vector5, which size5_class reads as the affine dependence of
+    the five points, is one: nonzero, its entries sum to zero and it
+    weights the points to the origin."""
     for rep in (sporadic5((2, 2), 1), sporadic5((3, 1), 2), catalog41()[2].representative,
-                rep32(2, 3)):
-        cls = classify5(rep)
-        dep = cls.dependence
-        pts = cls.representative.points
-        assert sum(dep) == 0
+                rep32(2, 3), rep21(2, 5)):
+        dep = volume_vector5(rep)
+        pts = rep.points
+        assert any(dep) and sum(dep) == 0
         assert all(sum(d * p[i] for d, p in zip(dep, pts)) == 0 for i in range(3))
 
 

@@ -11,8 +11,10 @@ the library computes in integers only.  A name a module imports and never
 uses is dead weight; ``from __future__`` imports and names the module
 re-exports through ``__all__`` (as ``__init__.py`` does) are exempt.
 A top-level name that no library module reads (``__all__`` aside) serves
-no command: it goes, or moves into tests/ as a check or an oracle.
-Dunders are exempt, and UNREAD_ALLOWED keeps a few public entry points.
+no command: it goes, or moves into tests/ as a check or an oracle.  The
+imports of ``__init__.py`` are the package surface, not reads, so a
+re-export alone does not keep a name.  Dunders are exempt, and
+UNREAD_ALLOWED keeps a few public entry points.
 The same holds for the fields, methods and properties of library
 classes: a member whose name no library module reads as an attribute
 goes, unless MEMBER_UNREAD_ALLOWED keeps it.  Key orders become
@@ -42,16 +44,12 @@ SOURCES = sorted(Path(lattice6.__file__).parent.glob("*.py"))
 #: Top-level names kept in the library although no library module reads them.
 UNREAD_ALLOWED = {
     "polytope.hull_facets": "the facet entry point; hull_summary reads the planes off its own placing",
-    "emptytetra.is_empty_tetrahedron": "the emptiness entry point on unchecked points; "
-                                       "holds_only_its_points reads the frame kernels on checked ones",
     "size5.classify5": "the size-5 entry point with its size and dimension gates",
     "classify6.width1_family": "the width-one constructors; the width-one identification will call them",
 }
 
 #: Class members kept in the library although no library module reads them.
-MEMBER_UNREAD_ALLOWED = {
-    "size5.Size5Class.dependence": "the affine dependence column of the size-5 table, carried with its class",
-}
+MEMBER_UNREAD_ALLOWED = {}
 
 
 #: Exceptions the library does not raise: an invariant's failure is named.
@@ -159,7 +157,8 @@ def _unread_definitions(paths):
 
     Module m reads its own name n as a bare n outside n's definition;
     another module reads it by ``from .m import n`` or, after
-    ``from . import m``, as ``m.n`` (so ``cell.n`` does not count).
+    ``from . import m``, as ``m.n`` (so ``cell.n`` does not count).  The
+    imports of ``__init__`` re-export the package surface and read nothing.
     """
     defined, read = {}, set()
     for path in paths:
@@ -173,7 +172,7 @@ def _unread_definitions(paths):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 if own.get(id(node)) != node.id:
                     read.add((mod, node.id))
-            elif isinstance(node, ast.ImportFrom) and node.level:
+            elif isinstance(node, ast.ImportFrom) and node.level and mod != "__init__":
                 for a in node.names:
                     if node.module:
                         read.add((node.module, a.name))
@@ -214,6 +213,16 @@ def test_unread_definition_is_a_violation(tmp_path):
         "shapes.py:7: defines volume and no library module reads it"]
 
 
+def test_name_only_init_reexports_is_a_violation(tmp_path):
+    (tmp_path / "shapes.py").write_text("def area(x):\n    return x\ndef volume(x):\n    return x\n",
+                                        encoding="utf-8")
+    (tmp_path / "__init__.py").write_text("from .shapes import area, volume\n"
+                                          "__all__ = ['area', 'volume']\n", encoding="utf-8")
+    (tmp_path / "cli.py").write_text("from .shapes import area\n", encoding="utf-8")
+    assert list(_unread_definitions(sorted(tmp_path.glob("*.py")))) == [
+        "shapes.py:3: defines volume and no library module reads it"]
+
+
 def _unread_members(paths):
     """Fields, methods and properties of the top-level classes of the
     modules in paths whose name none of them reads as an attribute
@@ -237,7 +246,7 @@ def test_library_classes_have_no_member_only_tests_read():
     allowlisted member is still unread."""
     unread = {}
     for v in _unread_members(SOURCES):
-        where, member = v.split()[:2]  # "size5.py:48:", "Size5Class.dependence"
+        where, member = v.split()[:2]  # "size5.py:48:", "Size5Class.width"
         unread[f"{where.split('.')[0]}.{member}"] = v
     assert sorted(unread) == sorted(MEMBER_UNREAD_ALLOWED), "\n".join(unread.values())
 

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import shutil
 import types
 from pathlib import Path
@@ -10,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from lattice6 import tablesdata
-from lattice6.exactlinalg import gcd_all
 from lattice6.omcatalog import enumerate_oms
 from lattice6.polytope import hull_summary, size
 from lattice6.tablesdata import CorruptData, load_tables
@@ -68,7 +68,7 @@ def test_volume_vector_gcds(bundle):
     assert GCD_EXCEPTIONS == {"A.1": 2, "A.2": 2, "B.14": 3, "B.15": 3, "C.3": 3}
     for row in bundle.class_rows:
         expected = GCD_EXCEPTIONS.get(row.id, 1)
-        assert gcd_all(row.volume_vector) == expected, row.id
+        assert math.gcd(*row.volume_vector) == expected, row.id
         assert report.gcds[row.id] == expected
 
 

@@ -11,9 +11,10 @@ and the same sign-normalized witness.
 from __future__ import annotations
 
 import itertools
+from math import gcd
 from typing import Iterator, Tuple
 
-from lattice6.exactlinalg import IntVec3, _adjugate, _mat_vec, _quadruples, gcd_all, sub
+from lattice6.exactlinalg import IntVec3, _adjugate, _mat_vec, _quadruples, sub
 from lattice6.invariants import _normalize_sign, functional_range
 from lattice6.polytope import NotFullDimensional, PointConfig
 
@@ -64,6 +65,6 @@ def shell_width(config: PointConfig) -> Tuple[int, IntVec3]:
             candidate = (functional_range(f, pts), f)
             if best is None or candidate < best:
                 best = candidate
-    if gcd_all(best[1]) != 1:
+    if gcd(*best[1]) != 1:
         raise RuntimeError(f"width witness {best[1]} is not primitive")
     return best
