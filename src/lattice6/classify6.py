@@ -10,14 +10,15 @@ Each ``run_case_*`` function enumerates the candidates of one branch by
 bounded scans or embedding searches, rejects candidates with recorded
 reasons, cross-checks the triangulation-emptiness size arguments against
 direct lattice-point counts, and identifies the survivors against the
-bundled tables (_Funnel.report): one normal form per distinct survivor names its
-table row, and an integer unimodular map, checked point by point, carries
-its points onto the row's.  A class is that row: its width,
-oriented matroid label and dps flag are invariant under the map, so they
-are read from the row, and tests/table_checks.py checks once per data
-file that each row's columns hold for its points.  ``classify_all`` runs
-every branch and checks that the classes come out in table order.  All
-arithmetic is exact.
+bundled tables (_Funnel.report): _named_row names the table row of each
+distinct survivor, by its |volume| profile, its least barycentric table
+and an integer unimodular map, checked point by point, that carries its
+points onto the row's; it takes no normal form.  A class is that row:
+its width, oriented matroid label and dps flag are invariant under the
+map, so they are read from the row, and tests/table_checks.py checks
+once per data file that each row's columns hold for its points.
+``classify_all`` runs every branch and checks that the classes come out
+in table order.  All arithmetic is exact.
 
 The runners share four steps: _Funnel, the one record of a case's
 candidates examined, rejections by reason and survivors, whose report
@@ -101,7 +102,7 @@ from .invariants import (
     volume_vector6,
     width,
 )
-from .equivalence import normal_form, _witnesses
+from .equivalence import _least_orders, _witnesses, equivalence_witness, normal_form
 from .emptytetra import _facet_frame, _framed_empty, _framed_has_interior_point
 from .size5 import admissible_apex_31, catalog41
 from .omcatalog import chirotope, chirotope_orbit
@@ -182,41 +183,72 @@ def _volume_profile(config: PointConfig) -> Tuple[int, ...]:
 
 
 @lru_cache(maxsize=1)
-def _row_profiles() -> frozenset:
-    """The rows' _volume_profile, 74 over the 76 rows, read off their
-    volume vectors (tests/table_checks.py checks each against its points
-    up to sign), so the gate of identify takes no normal form of a row."""
-    return frozenset(tuple(sorted(map(abs, row.volume_vector))) for row in load_tables().class_rows)
+def _row_profiles() -> Dict[Tuple[int, ...], List[str]]:
+    """The row ids by _volume_profile, 74 profiles over the 76 rows (G.5
+    and G.12 share one, as do G.6 and G.9), read off their volume vectors
+    (tests/table_checks.py checks each against its points up to sign), so
+    the gate of _named_row takes no table of a row."""
+    ids = {}
+    for row in load_tables().class_rows:
+        ids.setdefault(tuple(sorted(map(abs, row.volume_vector))), []).append(row.id)
+    return ids
 
 
 @lru_cache(maxsize=1)
-def _row_key_index():
-    """(row, config, orders) by canonical key: each table row with the
-    configuration of its points, whose volumes its normal_form has
-    computed, and their key orders.  The keys are complete, so two rows
-    with one key would be one class listed twice."""
+def _row_index() -> Dict[str, Tuple[PointConfig, tuple, List[Tuple[int, ...]]]]:
+    """(config, (V, least table), least-table orders) by row id: each
+    table row's configuration of its points and the table stage of its
+    key (equivalence._least_orders), with no Hermite form.  Rows of
+    different profiles are inequivalent; two rows of one profile that
+    equivalence_witness joins would be one class listed twice, so they
+    raise ClassificationError."""
+    rows = load_tables().rows_by_id
     index = {}
-    for row in load_tables().class_rows:
-        cfg = row.config()
-        key, orders = normal_form(cfg)
-        other, _, _ = index.setdefault(key, (row, cfg, orders))
-        if other is not row:
-            raise ClassificationError(f"{other.id} and {row.id} coincide")
+    for ids in _row_profiles().values():
+        for k, rid in enumerate(ids):
+            cfg = rows[rid].config()
+            top = cfg.top_volume()
+            least, orders = _least_orders(cfg, top)
+            index[rid] = cfg, (top, least), orders
+            for other in ids[:k]:
+                if equivalence_witness(index[other][0], cfg) is not None:
+                    raise ClassificationError(f"{other} and {rid} coincide")
     return index
 
 
-def _checked_row(config: PointConfig, form) -> Tuple[Optional[ClassRow], Optional[PointConfig]]:
-    """The table row named by config's normal form, form = (key, orders),
-    with the row's configuration; (None, None) when no row has the key.
-    _witnesses, from config's first key order onto the row's key orders,
-    must give a unimodular map that carries config's points onto the
-    row's points, else ClassificationError: equal keys alone identify
-    nothing.  The one identification of _Funnel.report and identify."""
-    key, orders = form
-    row, rep, row_orders = _row_key_index().get(key, (None, None, None))
-    if row is not None and next(_witnesses(config, orders[0], rep, row_orders), None) is None:
-        raise ClassificationError(f"{row.id}: witness is not equivalent")
-    return row, rep
+def _named_row(config: PointConfig) -> Optional[Tuple[ClassRow, PointConfig, tuple]]:
+    """The table row that config is an image of, with the row's
+    configuration and a witness (perm, map), map(config[i]) =
+    rep[perm[i]]; None when there is none.  The one naming of identify,
+    _Funnel.report and cli.cmd_analyze.
+
+    config's _volume_profile must be a row's (_row_profiles), which only
+    six points can give (a profile has one entry per quadruple), and
+    which a flat config, of profile all zeros, never gives.  Then V and
+    the least table of config are compared with those of the one or two
+    rows of its profile (_row_index), and a row of the same table names
+    config when _witnesses, from config's first least-table order onto
+    the row's, gives a map onto its points: every equivalence sends
+    least-table orders onto least-table orders, so an equivalent row
+    always gives one, and no Hermite form is taken.  A row whose table
+    matched but gave no witness is checked on that miss path alone: if
+    config's normal-form key is the row's, the maps have failed, a
+    ClassificationError."""
+    ids = _row_profiles().get(_volume_profile(config))
+    if ids is None:
+        return None
+    top = config.top_volume()
+    least, orders = _least_orders(config, top)
+    for rid in ids:
+        rep, table, rep_orders = _row_index()[rid]
+        if table != (top, least):
+            continue
+        witness = next(_witnesses(config, orders[0], rep, rep_orders), None)
+        if witness is not None:
+            return load_tables().rows_by_id[rid], rep, witness
+        if normal_form(config)[0] == normal_form(rep)[0]:
+            raise ClassificationError(f"{rid}: witness is not equivalent")
+    return None
 
 
 class _Funnel:
@@ -238,39 +270,37 @@ class _Funnel:
         """Report of the case from its accepted configurations, in order.
 
         The representatives are the first-seen configurations up to
-        equivalence: one normal_form per distinct point set gives the
-        canonical key and its key orders, and a configuration whose key
-        came earlier is a repeat.  Each representative must name a row of
-        this case through _checked_row, which checks a witness map onto
-        the row's points, so equal keys alone identify nothing.  The class
-        is then the row: width, oriented matroid up to sign and dps are
-        invariant under that map, so they are the row's columns
-        (tests/table_checks.py checks them on every row's points, and a
-        test on the generated configurations).  Only the volume vector is
-        computed, from the index's configuration of the row, whose volumes
-        are not computed again.  The rows are pairwise inequivalent:
-        _row_key_index checks that their complete keys differ.  The
-        classes found must be exactly the case's rows.
+        equivalence: _named_row names the row of each distinct point set
+        through a witness map onto the row's points, so equal tables
+        alone identify nothing, and a configuration whose row came
+        earlier is a repeat.  Each representative must name a row of this
+        case.  The class is then the row: width, oriented matroid up to
+        sign and dps are invariant under that map, so they are the row's
+        columns (tests/table_checks.py checks them on every row's points,
+        and a test on the generated configurations).  Only the volume
+        vector is computed, from the index's configuration of the row,
+        whose volumes are not computed again.  The rows are pairwise
+        inequivalent: _row_index checks that no witness joins two rows of
+        one profile.  The classes found must be exactly the case's rows.
         """
         case = self.case
-        point_sets, keys, classes = set(), set(), []
+        point_sets, by_row = set(), {}
         for cfg in self.accepted:
             points = frozenset(cfg.points)
             if points in point_sets:
                 continue
             point_sets.add(points)
-            form = normal_form(cfg)
-            if form[0] in keys:
-                continue
-            keys.add(form[0])
-            row, rep = _checked_row(cfg, form)
-            if row is None:
+            named = _named_row(cfg)
+            if named is None:
                 raise ClassificationError("generated configuration matches no table row")
+            row, rep, _ = named
+            if row.id in by_row:
+                continue
             if row.case != case:
                 raise ClassificationError(f"case {case} produced table row {row.id}")
-            classes.append(PolytopeClass(row.id, row.om_label, volume_vector6(rep), row.width,
-                                         row.functional, rep, row.dps, generated=cfg))
-        classes.sort(key=lambda c: int(c.id.split(".")[1]))
+            by_row[row.id] = PolytopeClass(row.id, row.om_label, volume_vector6(rep), row.width,
+                                           row.functional, rep, row.dps, generated=cfg)
+        classes = sorted(by_row.values(), key=lambda c: int(c.id.split(".")[1]))
         found = [c.id for c in classes]
         expected = [r.id for r in load_tables().class_rows if r.case == case]
         if found != expected:
@@ -996,19 +1026,13 @@ def classify_all() -> Tuple[CaseReport, ...]:
 
 
 def identify(config: PointConfig) -> Optional[str]:
-    """Id of the table row that config is an image of, or None.
-
-    A gate from the volumes alone comes first: config's _volume_profile
-    must be a row's (_row_profiles), which only six points can give (a
-    profile has one entry per quadruple), and which a flat config, of
-    profile all zeros, never gives.  Only then is the normal form taken,
-    and _checked_row names the row by its key and checks a witness map
-    onto its points.  A configuration outside the classification (not
-    six lattice points, or width one) has no row's key."""
-    if _volume_profile(config) not in _row_profiles():
-        return None
-    row, _ = _checked_row(config, normal_form(config))
-    return None if row is None else row.id
+    """Id of the table row that config is an image of, or None: the row
+    that _named_row names through a witness map onto its points.  A
+    configuration outside the classification (not six lattice points,
+    or width one) fails the gate of |volumes| or matches no row's table
+    with a witness."""
+    named = _named_row(config)
+    return None if named is None else named[0].id
 
 
 # ---------------------------------------------------------------------------

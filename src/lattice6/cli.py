@@ -15,18 +15,23 @@ first called by main, not at import.  parse_args makes a fresh Namespace
 on each call and leaves the parser unchanged, so every main call parses
 as a fresh parser would.
 
-analyze of six points first asks classify6.identify for their table
-row: a gate on the sorted |volumes| of the quadruples, then the normal
-form and a checked witness map.  A named row's hull holds only its six
-points, so none is enumerated: the placing's facet planes give the
-vertices and interior points, and the coplanarity, dps flag and
-oriented-matroid label are class invariants read off the row and its
-grid cell, with no circuits, pair sums or canonical circuit form; the
-width is computed.  Every other input takes the hull first: one whose
-fine triangulation has only empty cells holds only its own points and
-enumerates none, and any other is enumerated within the enumeration
-budget.  Then come the circuits of six points and the width, and for a
-six-point input the canonical circuit form of its oriented matroid.
+analyze of six points first names their table row
+(classify6._named_row): a gate on the sorted |volumes| of the
+quadruples, then V and the least barycentric table against the one or
+two rows of that profile, and a witness map onto the row's points, with
+no normal form.  A named row's hull holds only its six points, so none
+is enumerated and no placing of the input is made: its vertices and
+interior points are the input points whose witness images are the
+row's, whose labels one placing of the row's points gives on the
+first query that names the row in a process (_hull_labels).  The
+coplanarity, dps flag and oriented-matroid label are class invariants
+read off the row and its grid cell, with no circuits, pair sums or
+canonical circuit form; the width is computed.  Every other input
+takes the hull first: one whose fine triangulation has only empty
+cells holds only its own points and enumerates none, and any other is
+enumerated within the enumeration budget.  Then come the circuits of
+six points and the width, and for a six-point input the canonical
+circuit form of its oriented matroid.
 """
 
 import argparse
@@ -91,14 +96,31 @@ def _om_label(circs) -> str:
     return " or ".join(load_tables().labels_by_key[record.key])
 
 
+@lru_cache(maxsize=None)
+def _hull_labels(rep: PointConfig):
+    """The labels of the interior points of a table row's configuration
+    rep, and its number of vertices, from one hull_summary per row and
+    process; rep holds only its six points, so none is enumerated."""
+    _, inner, verts = hull_summary(rep, exhaustive=True)
+    return frozenset(map(rep.points.index, inner)), len(verts)
+
+
 def cmd_analyze(args) -> int:
     config = _read_config(args.points_file)
     n = len(config.points)
-    # a table row is named first; its hull holds only its six points
-    class_id = classify6.identify(config) if n == 6 else None
-    row = None if class_id is None else load_tables().rows_by_id[class_id]
-    lattice, inner, verts = hull_summary(config, exhaustive=row is not None)
-    nsize = len(lattice)
+    # a table row is named first: its hull holds only its six points, and
+    # a witness, a bijection onto the row's points, gives its vertices and
+    # interior points
+    named = classify6._named_row(config) if n == 6 else None
+    if named is None:
+        row = None
+        lattice, inner, verts = hull_summary(config)
+        nsize, nverts = len(lattice), len(verts)
+    else:
+        row, rep, (perm, _) = named
+        inner_labels, nverts = _hull_labels(rep)
+        nsize = 6
+        inner = tuple(sorted(p for p, j in zip(config.points, perm) if j in inner_labels))
     # hull_summary rejected rank < 4, so the circuits exist
     circs = circuits(config) if n == 6 and row is None else ()
     w, functional = width(config)
@@ -108,7 +130,7 @@ def cmd_analyze(args) -> int:
     fstr = _functional_str(functional)
     print(f"points: {n}")
     print(f"size: {nsize}")
-    print(f"vertices: {len(verts)}")
+    print(f"vertices: {nverts}")
     print(f"interior points: {len(inner)}" + (f"  {list(inner)}" if inner else ""))
     print(f"width: {w}")
     print(f"functional: {fstr}")
@@ -132,12 +154,12 @@ def cmd_analyze(args) -> int:
     elif n == 5 and nsize == 5:
         print(f"size-5 class: {size5_class(config).label}")
     elif n == 6:
-        if class_id is None:
+        if row is None:
             print("class: not in classification (width 1 or size != 6)")
         else:
-            print(f"class: {class_id}")
+            print(f"class: {row.id}")
             summary = (
-                f"class {class_id}, width {w}, functional {fstr}, "
+                f"class {row.id}, width {w}, functional {fstr}, "
                 f"{'dps' if dps else 'non-dps'}"
             )
     if summary is None:

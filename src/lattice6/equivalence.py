@@ -34,7 +34,9 @@ b's.  A map between two orders whose Hermite forms differ is exactly
 one that is not integral unimodular, which unimodular_map rejects, and
 the point check rejects the maps that do not send a onto b.  So the
 witnesses, and the least of them, are those that the maps between key
-orders give, and equivalence_witness builds no Hermite form.
+orders give, and equivalence_witness builds no Hermite form.  Nor does
+classify6's naming of a table row, which takes the same table stage
+and one witness.
 
 A table is sorted only for the orders that can reach the least one.
 Under every order the quadruple's own points give the same four rows,

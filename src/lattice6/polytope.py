@@ -398,10 +398,9 @@ def hull_summary(
     only config's points (_cells_empty on the placing) has config's
     points as its points, and none is enumerated; any other is
     enumerated, within ENUMERATION_BUDGET.  exhaustive says that the
-    caller already knows the hull to hold only config's points, as for an
-    image of a table row, which holds only its six points: then the
-    cells are not read either, which would cost a row query about an
-    eighth of its time."""
+    caller already knows the hull to hold only config's points, as for a
+    table row's points (cli._hull_labels), which are its only lattice
+    points: then the cells are not read either."""
     tetrahedra, faces = _placing(config)
     planes = _planes(config, faces)
     exhaustive = exhaustive or _cells_empty(config, tetrahedra)

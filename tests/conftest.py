@@ -36,6 +36,12 @@ def apply_map(m: AffineMap, config: PointConfig) -> PointConfig:
     return PointConfig([m.apply(p) for p in config.points])
 
 
+#: Six points whose |volume| profile is a row's, with a seventh lattice
+#: point in their hull: the gate of |volumes| lets it through and no row
+#: is named.
+SIZE7_IN_GATE = [(-1, 2, 0), (-1, 2, 1), (0, -1, -1), (0, 1, 0), (1, 1, 0), (2, -1, 0)]
+
+
 #: The (3,1) base conv{o, e1, e2, -e1-e2} of the apex configurations
 #: that size5.admissible_apex_31 decides.
 APEX31_BASE = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (-1, -1, 0)]

@@ -1,5 +1,6 @@
 """The unpruned canonical normal form, kept as a test oracle for
-equivalence.normal_form.
+equivalence.normal_form, and the naming of table rows by canonical key,
+kept as a test oracle for classify6._named_row.
 
 The library builds a sorted barycentric table only for the vertex orders
 whose first row off the quadruple can be least.  This is the search it
@@ -7,17 +8,26 @@ replaced: for each ordered quadruple of maximal |volume|, all 24 vertex
 orders get a table, and a Hermite form is taken for the orders whose
 table is least.  It returns the same key and the same order list, in the
 same order.
+
+The key naming looks config's normal_form key up among the keys of the
+76 rows, which are complete and so pairwise distinct, and checks a
+witness map from config's first key order onto the row's key orders:
+equal keys without a witness are a failure of the maps.  It is the
+naming that the table stage (V, the least table and its orders) and one
+witness replaced.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from operator import itemgetter
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
-from lattice6.equivalence import Key
+from lattice6.equivalence import Key, _witnesses, normal_form
 from lattice6.exactlinalg import _adjugate, _mat_vec, _quadruples, edge_form, sub
 from lattice6.polytope import NotFullDimensional, PointConfig
+from lattice6.tablesdata import load_tables
 
 #: Per order of a quadruple's labels 0-3, the getter of its last three
 #: barycentric numerators.
@@ -53,3 +63,28 @@ def all_orders_normal_form(config: PointConfig) -> Tuple[Key, List[Tuple[int, ..
     }
     h = min(forms.values())
     return (least, h), [order for order, form in forms.items() if form == h]
+
+
+@lru_cache(maxsize=1)
+def row_key_index():
+    """(row, config, key orders) by the normal_form key of each table row;
+    two rows of one key would be one class listed twice."""
+    index = {}
+    for row in load_tables().class_rows:
+        cfg = row.config()
+        key, orders = normal_form(cfg)
+        if index.setdefault(key, (row, cfg, orders))[0] is not row:
+            raise AssertionError(f"{index[key][0].id} and {row.id} coincide")
+    return index
+
+
+def key_named_row(config: PointConfig) -> Optional[str]:
+    """Id of the row whose normal_form key config has, or None; the key's
+    witness must exist, from config's first key order onto the row's."""
+    if len(config) != 6 or not config.is_full_dimensional():
+        return None
+    key, orders = normal_form(config)
+    row, rep, row_orders = row_key_index().get(key, (None, None, None))
+    if row is not None and next(_witnesses(config, orders[0], rep, row_orders), None) is None:
+        raise AssertionError(f"{row.id}: witness is not equivalent")
+    return None if row is None else row.id

@@ -6,11 +6,12 @@ import random
 import re
 import types
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
+from operator import add
 
 import pytest
 
-from conftest import apply_map, count_calls, random_unimodular, shuffled, sporadic5
+from conftest import SIZE7_IN_GATE, apply_map, count_calls, random_unimodular, shuffled, sporadic5
 from lattice6 import classify6, equivalence
 from lattice6.classify6 import (
     BadParameters,
@@ -47,6 +48,8 @@ from lattice6.omcatalog import chirotope, match_circuits
 from lattice6.polytope import PointConfig, _placing, hull_facets, hull_summary, lattice_points, size
 from lattice6.size5 import catalog41
 from emptytetra_oracles import is_empty_by_edges
+from equivalence_oracles import (all_orders_normal_form as oracle_normal_form, key_named_row,
+                                 row_key_index)
 from omcatalog_oracles import match_om
 from table_checks import key_candidates, no_octahedron_check
 
@@ -483,76 +486,76 @@ def test_glued_verdict_matches_hull_oracle(monkeypatch, literal_gh):
 
 
 def test_classify_all_work_is_pinned(monkeypatch, case_reports):
-    """One warm classify_all: 40 automorphism maps plus one witness map per
-    class (the check stops at the first), 142 placings with no facet
-    planes (case A's six candidates take one each for
-    holds_only_its_points, and every hull count takes one: every
-    site of cases B to H counts only the hulls its cap rule keeps: B's two
-    rejections, C's edge rejection and D's 32 rejections count none; of
-    the 426 gluing verdicts, only the 32 accepted ones count one, since
-    the 286 whose caps hold a lattice point strictly inside and the 29
-    with a non-empty cap are rejected without a hull, which took the
-    count from 457 to 171 and then to 142), 426 gluing verdicts, 52
-    circuit computations (no gluing
-    verdict computes any: its size argument is the cap rule; case F checks
-    its one (2,1)-circuit on the circuits of its coplanarity test), 1,156
-    cap computations (one per candidate that reaches the cap rule, and one
-    per gluing verdict that is not coplanar, shared by its interior-point
-    test and its cap rule) over 159 facet frames (145 facet triangles
-    with their refs, each built once per process by the memoized
-    _cap_frame, whose cache this test clears first, and 14 cells of case
-    A's fine triangulations, those of |volume| above 1, which
-    polytope.holds_only_its_points reads), 1,059 emptiness tests by
-    White's congruence in the frame (_framed_empty: those 14 cells, and
-    caps, where each site evaluates its size argument once, and C's one
-    rejected edge candidate tests its caps again, to name the first that
-    is not empty; the opposite-edge emptiness test it replaced ran as
-    often; D's 32 rejections take 44 of them, as _D_FACETS lists the
-    side triangles, where a rejected apex meets its full cap, before the
-    base square: base first, they took 108), 522 interior-point tests
-    of caps (_framed_has_interior_point), 13,320 det4 calls, 15 per
-    quad_volumes and none elsewhere (the gluing loop files its
-    subtetrahedra with |volumes| read off the bases' volume vectors, the
-    reverse gluings pass the source's, and C's interior subcase reads its
-    subtetrahedron off the configuration's volumes; with det4 calls of
-    their own these took 768, 426 and 128 more, 15,452 in all), 129
-    normal forms (one per distinct point set in _Funnel.report,
-    which for G and H is one per class, whose key orders the witness check
-    reuses, and one per base for its symmetries; the rows' key orders come
-    from _row_key_index), no catalog match (a class takes its oriented
-    matroid from its row, and cases C and E test their embeddings by
-    chirotope), 502 sorted barycentric tables in those normal forms (only
-    for the vertex orders that can reach the least table; the unpruned
-    search built 24 per maximal quadruple, 3,864), and 1,885 check_point
-    calls: configurations built from checked points check only the point
-    they add (C's "both vertices" scan checks its base and p6 once and
-    then one point per candidate), the triangulation
-    checks test the emptiness of those points without checking them
-    again, and the rows' configurations come from _row_key_index.
-    quad_volumes runs 888 times, once per configuration whose volumes are
-    read (PointConfig.volumes), here by its first reader: 426 gluing
-    verdicts (the normal forms of the accepted verdicts' configurations
-    reuse them), 384 embeddings of cases C and E (their chirotope; the
-    hulls and normal forms of the accepted ones reuse them) and 78 hulls
-    (A 6, B 16, C 4, D 3, F 49), whose circuits and normal forms reuse
-    them; the rows' volume vectors reuse the volumes of their normal
-    forms.  It ran 942 times while chirotope computed volumes of its own
-    from the points: the 32 accepted embeddings whose hulls are counted
-    (16 in C, 16 in E) computed theirs twice; and 910 times while case
-    D's 22 width-one candidates each took a width, which now read the
-    range of x + z off their points, so no case runner calls width."""
+    """One warm classify_all: 40 automorphism maps plus 122 witness maps, from
+    _Funnel.report's 121 distinct point sets onto their rows' least-table
+    orders (the search stops at the first witness, and one set takes two
+    tries; a key-order witness per class took 76), 142 placings with no
+    facet planes (case A's six candidates take one each for
+    holds_only_its_points, and every hull count takes one: every site of
+    cases B to H counts only the hulls its cap rule keeps: B's two
+    rejections, C's edge rejection and D's 32 rejections count none; of the
+    426 gluing verdicts, only the 32 accepted ones count one, since the 286
+    whose caps hold a lattice point strictly inside and the 29 with a non-
+    empty cap are rejected without a hull, which took the count from 457 to
+    171 and then to 142), 426 gluing verdicts, 52 circuit computations (no
+    gluing verdict computes any: its size argument is the cap rule; case F
+    checks its one (2,1)-circuit on the circuits of its coplanarity test),
+    1,156 cap computations (one per candidate that reaches the cap rule, and
+    one per gluing verdict that is not coplanar, shared by its interior-
+    point test and its cap rule) over 159 facet frames (145 facet triangles
+    with their refs, each built once per process by the memoized _cap_frame,
+    whose cache this test clears first, and 14 cells of case A's fine
+    triangulations, those of |volume| above 1, which
+    polytope.holds_only_its_points reads), 1,059 emptiness tests by White's
+    congruence in the frame (_framed_empty: those 14 cells, and caps, where
+    each site evaluates its size argument once, and C's one rejected edge
+    candidate tests its caps again, to name the first that is not empty; the
+    opposite-edge emptiness test it replaced ran as often; D's 32 rejections
+    take 44 of them, as _D_FACETS lists the side triangles, where a rejected
+    apex meets its full cap, before the base square: base first, they took
+    108), 522 interior-point tests of caps (_framed_has_interior_point),
+    13,320 det4 calls, 15 per quad_volumes and none elsewhere (the gluing
+    loop files its subtetrahedra with |volumes| read off the bases' volume
+    vectors, the reverse gluings pass the source's, and C's interior subcase
+    reads its subtetrahedron off the configuration's volumes; with det4
+    calls of their own these took 768, 426 and 128 more, 15,452 in all), 8
+    normal forms, one per base for its symmetries (_Funnel.report names each
+    distinct point set's row by its least table and a witness, _named_row,
+    and takes none: with one per point set, 121 more, they were 129), no
+    catalog match (a class takes its oriented matroid from its row, and
+    cases C and E test their embeddings by chirotope), 502 sorted
+    barycentric tables in the least tables of those 8 normal forms and of
+    the 121 point sets (only for the vertex orders that can reach the least
+    table; the unpruned search built 24 per maximal quadruple, 3,864), and
+    1,885 check_point calls: configurations built from checked points check
+    only the point they add (C's "both vertices" scan checks its base and p6
+    once and then one point per candidate), the triangulation checks test
+    the emptiness of those points without checking them again, and the rows'
+    configurations come from _row_index. quad_volumes runs 888 times, once
+    per configuration whose volumes are read (PointConfig.volumes), here by
+    its first reader: 426 gluing verdicts (the least tables of the accepted
+    verdicts' configurations reuse them), 384 embeddings of cases C and E
+    (their chirotope; the hulls and least tables of the accepted ones reuse
+    them) and 78 hulls (A 6, B 16, C 4, D 3, F 49), whose circuits and least
+    tables reuse them; the rows' volume vectors reuse the volumes of their
+    least tables in _row_index. It ran 942 times while chirotope computed
+    volumes of its own from the points: the 32 accepted embeddings whose
+    hulls are counted (16 in C, 16 in E) computed theirs twice; and 910
+    times while case D's 22 width-one candidates each took a width, which
+    now read the range of x + z off their points, so no case runner calls
+    width."""
     for cell in ("5.4", "5.5"):  # warm: the orbits are built once per process
         classify6._cell_orbit(cell)
-    classify6._row_key_index()
+    classify6._row_index()
     classify6._cap_frame.cache_clear()
     calls = count_calls(monkeypatch, unimodular_map, hull_facets, _placing, classify6._glued_verdict,
                         match_circuits, check_point, circuits, normal_form, quad_volumes,
                         classify6._caps, _facet_frame, _framed_empty,
                         _framed_has_interior_point, det4, _table, width)
     classify6.classify_all()
-    assert calls == {"unimodular_map": 116, "hull_facets": 0, "_placing": 142, "_glued_verdict": 426,
+    assert calls == {"unimodular_map": 162, "hull_facets": 0, "_placing": 142, "_glued_verdict": 426,
                      "match_circuits": 0, "check_point": 1885, "circuits": 52,
-                     "normal_form": 129, "quad_volumes": 888, "_caps": 1156,
+                     "normal_form": 8, "quad_volumes": 888, "_caps": 1156,
                      "_facet_frame": 159, "_framed_empty": 1059,
                      "_framed_has_interior_point": 522, "det4": 13320, "_table": 502,
                      "width": 0}
@@ -572,7 +575,7 @@ def test_a_second_classify_all_builds_no_cap_frame(monkeypatch):
 
 
 def test_finish_rejects_a_row_of_another_case(bundle):
-    """A representative whose key names a row of another case fails the
+    """A representative that names a row of another case fails the
     case check, after its witness map and before the case's row list is
     looked at."""
     row = next(r for r in bundle.class_rows if r.case == "B")
@@ -582,8 +585,9 @@ def test_finish_rejects_a_row_of_another_case(bundle):
 
 
 def test_finish_rejects_a_configuration_outside_the_table():
-    """A six-point configuration of width one has no row, so its key names
-    none and the report fails before looking for a witness."""
+    """A six-point configuration of width one has no row: the gate of
+    |volumes| turns it away, and the report fails before looking for a
+    witness."""
     with pytest.raises(classify6.ClassificationError,
                        match="^generated configuration matches no table row$"):
         _funnel_report("A", 1, Counter(), [width1_family("(5,1)/3.2")])
@@ -637,8 +641,9 @@ def test_generated_configurations_have_their_rows_columns(case_reports, bundle):
                          ids=["classify_all", "run_case"])
 def test_classify_all_checks_each_witness_map(monkeypatch, classify):
     """A map from the witness loop that does not carry the generated
-    points onto the row's points fails the verification, although every
-    key matched; a single case checks its classes as the full run does."""
+    points onto the row's points fails the verification, although the
+    least table matched and the normal-form keys of that miss path are
+    equal; a single case checks its classes as the full run does."""
     shift = AffineMap(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (1, 0, 0))
     monkeypatch.setattr(equivalence, "unimodular_map", lambda src, dst: shift)
     with pytest.raises(classify6.ClassificationError, match="A.1: witness is not equivalent"):
@@ -1328,22 +1333,97 @@ def test_identify_generated_configs(case_reports, bundle):
             assert identify(cls.generated) == cls.id
 
 
-def test_row_key_index_rejects_equivalent_rows(bundle, monkeypatch):
-    """A table row that is an image of another row has the same complete
-    key, so building the index fails instead of listing one class twice."""
+def _gate_passers(bundle):
+    """The rows, four seeded relabeled unimodular images of each, and
+    every six-point set that moves one point of those by a unit vector
+    and passes the gate of |volumes|, each point set once."""
+    rng = random.Random(45)
+    images = [img for row in bundle.class_rows for img in [row.config()] + [
+        shuffled(rng, apply_map(random_unimodular(rng), row.config())) for _ in range(4)]]
+    units = [u for u in product((-1, 0, 1), repeat=3) if any(u)]
+    seen, moved = set(), []
+    for img in images:
+        for i, u in product(range(6), units):
+            pts = list(img.points)
+            pts[i] = tuple(map(add, pts[i], u))
+            if len(set(pts)) == 6 and frozenset(pts) not in seen:
+                seen.add(frozenset(pts))
+                cfg = PointConfig(pts)
+                if classify6._volume_profile(cfg) in classify6._row_profiles():
+                    moved.append(cfg)
+    return images, moved
+
+
+def test_named_row_matches_the_key_index_oracle(bundle, monkeypatch):
+    """identify and _named_row name the row that the normal-form key names
+    (equivalence_oracles.key_named_row), with a witness map onto the
+    row's points, on the rows and four seeded images of each (the twins
+    G.5/G.12 and G.6/G.9 share their profile, so the least table
+    decides), on SIZE7_IN_GATE, and on over 2,000 unit moves of those
+    that pass the gate: some are images of a row, some of none, and some
+    have the least table of a row they are not an image of.  Normal
+    forms are taken on that miss path alone, two per such row."""
+    images, moved = _gate_passers(bundle)
+    assert len(moved) >= 2000
+    profile = classify6._volume_profile
+    for a, b in (("G.5", "G.12"), ("G.6", "G.9")):
+        assert profile(bundle.rows_by_id[a].config()) == profile(bundle.rows_by_id[b].config())
+    keys = {row.id: key for key, (row, _, _) in row_key_index().items()}
+    calls = count_calls(monkeypatch, normal_form)
+    misses, named = 0, Counter()
+    for cfg in images + [PointConfig(SIZE7_IN_GATE)] + moved:
+        expected = key_named_row(cfg)
+        assert identify(cfg) == expected, cfg
+        got = classify6._named_row(cfg)
+        if expected is None:
+            assert got is None, cfg
+        else:
+            row, rep, (perm, m) = got
+            assert row.id == expected and rep.points == row.representative, cfg
+            assert abs(m.det) == 1 and [m.apply(p) for p in cfg] == [rep[j] for j in perm], cfg
+        named[expected is not None] += 1
+        key = oracle_normal_form(cfg)[0]
+        for rid in classify6._row_profiles()[profile(cfg)]:
+            if rid == expected:
+                break
+            misses += keys[rid][0] == key[0]
+    assert named[True] > len(images) and named[False] > 100 and misses > 10, (named, misses)
+    assert calls == {"normal_form": 2 * 2 * misses}
+
+
+def test_row_index_rejects_equivalent_rows(bundle, monkeypatch):
+    """A table row that is a relabeled image of another row has its
+    profile, its least table and a witness map onto it, so building the
+    row index fails instead of listing one class twice."""
     rng = random.Random(14)
     row = bundle.rows_by_id["B.14"]
     img = shuffled(rng, apply_map(random_unimodular(rng), row.config()))
     twin = dataclasses.replace(row, id="B.16", representative=img.points)
-    monkeypatch.setattr(classify6, "load_tables",
-                        lambda: types.SimpleNamespace(class_rows=(*bundle.class_rows, twin)))
-    classify6._row_key_index.cache_clear()
+    rows = (*bundle.class_rows, twin)
+    tampered = types.SimpleNamespace(class_rows=rows, rows_by_id={r.id: r for r in rows})
+    monkeypatch.setattr(classify6, "load_tables", lambda: tampered)
+    caches = (classify6._row_profiles, classify6._row_index)
+    for cache in caches:
+        cache.cache_clear()
     try:
-        with pytest.raises(classify6.ClassificationError, match="B.14 and B.16 coincide"):
-            classify6._row_key_index()
+        with pytest.raises(classify6.ClassificationError, match="^B.14 and B.16 coincide$"):
+            classify6._row_index()
     finally:
         monkeypatch.undo()
-        classify6._row_key_index.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
+
+
+def test_set_up_identify_builds_the_row_index_without_edge_forms(bundle, monkeypatch):
+    """The first identify of a process builds the row index: 76 least
+    tables and their orders, with no Hermite form (edge_form) and no
+    normal form, and the witness that names A.1."""
+    for cache in (classify6._row_profiles, classify6._row_index):
+        cache.cache_clear()
+    calls = count_calls(monkeypatch, edge_form, normal_form)
+    assert identify(bundle.class_rows[0].config()) == "A.1"
+    assert classify6._row_index.cache_info().currsize == 1
+    assert calls == {"edge_form": 0, "normal_form": 0}
 
 
 def test_width1_family_members():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import apply_map, count_calls, random_unimodular, shuffled
+from conftest import SIZE7_IN_GATE, apply_map, count_calls, random_unimodular, shuffled
 import random
 
 import lattice6
@@ -93,55 +93,64 @@ def test_analyze_five_points_enumerates_nothing(tmp_path, capsys, monkeypatch):
 
 
 def test_analyze_table_row_takes_no_hull_points_and_no_circuits(tmp_path, bundle, capsys, monkeypatch):
-    """A six-point table row (H.7) is named before its hull: one normal
-    form, whose key the gate of |volumes| lets through and whose row a
-    witness map checks, then one placing, whose facet planes give the
-    vertices and interior points of the row's own six points, so no
-    lattice point is enumerated (_tetrahedron_points).  One quad_volumes
-    call serves the gate, the normal form, the placing, the volume vector
+    """A six-point table row (H.7) is named before its hull, with no normal
+    form: the gate of |volumes| lets it through, its least table is the
+    row's, and a witness map carries it onto the row's points.  Its hull
+    is read off that map: its lattice points are its own six, and its
+    vertices and interior points are those whose images are the row's.
+    The row's labels come from one placing of the row's points, on the
+    first query that names the row in a process, and from none after.
+    So no lattice point is enumerated (_tetrahedron_points).  One
+    quad_volumes call serves the gate, the least table, the volume vector
     and width.  Coplanarity, dps and the oriented-matroid label are class
     invariants read off the row, so there are no circuits, no pair sums
     and no canonical circuit form."""
-    classify6._row_key_index()  # built with the tables, before counting
+    classify6._row_index()  # built with the tables, before counting
+    cli._hull_labels.cache_clear()
     calls = count_calls(monkeypatch, invariants.circuits, polytope._placing,
                         polytope._tetrahedron_points, quad_volumes, equivalence.normal_form,
                         invariants.pair_sums_distinct, omcatalog.canonical_circuit_form)
-    rc = main(["analyze", rep_file(tmp_path, bundle, "H.7")])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "class: H.7" in out
-    assert f"oriented matroid: {bundle.rows_by_id['H.7'].om_label}\n" in out
-    assert calls == {"circuits": 0, "_placing": 1, "_tetrahedron_points": 0, "quad_volumes": 1,
-                     "normal_form": 1, "pair_sums_distinct": 0, "canonical_circuit_form": 0}
+    path = rep_file(tmp_path, bundle, "H.7")
+    for placings in (1, 0):
+        calls.update(dict.fromkeys(calls, 0))
+        assert main(["analyze", path]) == 0
+        out = capsys.readouterr().out
+        assert "class: H.7" in out
+        assert f"oriented matroid: {bundle.rows_by_id['H.7'].om_label}\n" in out
+        assert calls == {"circuits": 0, "_placing": placings, "_tetrahedron_points": 0,
+                         "quad_volumes": 1, "normal_form": 0, "pair_sums_distinct": 0,
+                         "canonical_circuit_form": 0}
 
 
 def test_analyze_outside_the_table_takes_the_full_path(tmp_path, capsys, monkeypatch):
     """The twin of the pin above: a six-point input outside the table (a
     width-one hexagon) is turned away by the gate of |volumes| before any
-    normal form, and takes one placing, whose fine cells are all empty, so
-    no lattice point is enumerated (_hull_points), one circuits call and
-    one pair-sum scan.  A fresh process that analyzes it builds no
-    row-key index."""
+    table of its own or of a row, and takes one placing, whose fine cells
+    are all empty, so no lattice point is enumerated (_hull_points), one
+    circuits call and one pair-sum scan.  A fresh process that analyzes
+    it builds no row stage (_row_index) and no row's hull labels."""
     c = width1_family("(3,3)/6.4", (1, 1, 2, 3))
     path = write_config(tmp_path, "hex.txt", c.points)
     classify6._row_profiles()  # built with the tables, before counting
     calls = count_calls(monkeypatch, invariants.circuits, polytope._placing, polytope._hull_points,
-                        quad_volumes, equivalence.normal_form, invariants.pair_sums_distinct)
+                        quad_volumes, equivalence.normal_form, equivalence._table,
+                        invariants.pair_sums_distinct)
     assert main(["analyze", path]) == 0
     assert "class: not in classification" in capsys.readouterr().out
     assert calls == {"circuits": 1, "_placing": 1, "_hull_points": 0, "quad_volumes": 1,
-                     "normal_form": 0, "pair_sums_distinct": 1}
+                     "normal_form": 0, "_table": 0, "pair_sums_distinct": 1}
     code = ("import sys; from lattice6 import classify6, cli; rc = cli.main(['analyze', sys.argv[1]]); "
-            "print(rc, classify6._row_key_index.cache_info().currsize, file=sys.stderr)")
+            "print(rc, classify6._row_index.cache_info().currsize, "
+            "cli._hull_labels.cache_info().currsize, file=sys.stderr)")
     proc = _python(["-c", code, path])
-    assert (proc.stderr, proc.returncode) == ("0 0\n", 0)
+    assert (proc.stderr, proc.returncode) == ("0 0 0\n", 0)
 
 
 def test_analyze_checks_the_witness_map_of_a_row(tmp_path, bundle, capsys, monkeypatch):
     """analyze names a row only through a witness map, as the case reports
     do: a map that does not carry the input onto the row's points is a
-    verification failure, before any line is printed, although the key
-    matched."""
+    verification failure, before any line is printed, although the table
+    matched: the normal-form keys of that miss path are equal."""
     shift = AffineMap(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (1, 0, 0))
     monkeypatch.setattr(equivalence, "unimodular_map", lambda src, dst: shift)
     rc, out, err = _outcome(["analyze", rep_file(tmp_path, bundle, "H.7")], capsys)
@@ -171,7 +180,9 @@ def test_analyze_rows_agree_with_the_full_path(tmp_path, bundle, capsys):
     """Every table row and three seeded relabeled unimodular images of each
     print the lines that the enumerating hull, the circuits and the pair
     sums give, and name their row.  The twins G.5/G.12 and G.6/G.9 share
-    their |volume| profile, so the gate passes both and the key decides."""
+    their |volume| profile, so the gate passes both and the least table
+    decides.  Each image's vertices and interior points are read off its
+    witness map onto the row."""
     profile = classify6._volume_profile
     for a, b in (("G.5", "G.12"), ("G.6", "G.9")):
         assert profile(bundle.rows_by_id[a].config()) == profile(bundle.rows_by_id[b].config())
@@ -184,27 +195,26 @@ def test_analyze_rows_agree_with_the_full_path(tmp_path, bundle, capsys):
             assert {k: lines[k] for k in _full_path_lines(img)} == _full_path_lines(img), (row.id, img)
 
 
-#: Six points whose |volume| profile is a row's, with a seventh lattice
-#: point in their hull: the gate lets it through and the key names no row.
-SIZE7_IN_GATE = [(-1, 2, 0), (-1, 2, 1), (0, -1, -1), (0, 1, 0), (1, 1, 0), (2, -1, 0)]
-
-
 def test_analyze_six_points_outside_the_table_keep_their_answers(tmp_path, capsys, monkeypatch):
-    """A six-point input of size 7 whose profile passes the gate takes one
-    normal form, finds no row and prints the full path's lines; a flat
-    six-point input fails the gate and is refused by the hull, exit 2."""
-    classify6._row_key_index()  # built with the tables, before counting
+    """A six-point input of size 7 whose profile passes the gate takes its
+    least table (two sorted tables), which is no row's, so it takes no
+    normal form and no witness map, finds no row and prints the full
+    path's lines; a flat six-point input fails the gate and is refused
+    by the hull, exit 2."""
+    classify6._row_index()  # built with the tables, before counting
     assert classify6._volume_profile(PointConfig(SIZE7_IN_GATE)) in classify6._row_profiles()
-    calls = count_calls(monkeypatch, equivalence.normal_form, invariants.circuits)
+    calls = count_calls(monkeypatch, equivalence.normal_form, equivalence.unimodular_map,
+                        equivalence._table, invariants.circuits)
     rc, lines, err = _analysis(tmp_path, SIZE7_IN_GATE, capsys)
-    assert (rc, err, calls) == (0, "", {"normal_form": 1, "circuits": 1})
+    pinned = {"normal_form": 0, "unimodular_map": 0, "_table": 2, "circuits": 1}
+    assert (rc, err, calls) == (0, "", pinned)
     assert lines["class"] == "not in classification (width 1 or size != 6)"
     full = _full_path_lines(PointConfig(SIZE7_IN_GATE))
     assert {k: lines[k] for k in full} == full and full["size"] == "7"
     flat = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0), (1, 2, 0)]
     rc, lines, err = _analysis(tmp_path, flat, capsys)
     assert (rc, lines, err) == (2, {}, "error: configuration spans no 3-dimensional volume\n")
-    assert calls == {"normal_form": 1, "circuits": 1}
+    assert calls == pinned
 
 
 def _python(args):
