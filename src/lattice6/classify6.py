@@ -60,14 +60,20 @@ barycentric coordinates, so each hit's glued point is placed without
 solving the map.  The numerators and volumes it reads are entries of
 each base's volume vector v: a subtetrahedron's |volume| is |v_ex|, the
 entry of its left-out vertex, in any vertex order, so the gluing
-computes no determinant.  The symmetries of the base polytopes, and the
-swap of a gluing's source and target, make many matchings glue the same
-configuration up to a unimodular map: the 1,532 distinct verdict keys
-fall into 426 gluing groups.  A verdict (coplanarity, a cap's interior
-point, and the cap rule's size with its hull cross-check) is made once
-per group in each run_case_gh call and replayed into the G and H
-funnels on every repeat; an accepted group contributes one
-configuration to identify.
+computes no determinant.  The bases' points, symmetries, subtetrahedra
+and hits depend only on the eight bases, so _gluing_tables builds them
+once per process.  A symmetry of the source base maps a matching onto
+one that glues the same point onto the same target, and only the
+identity fixes a subtetrahedron, so the walk visits the first matching
+of each such orbit (_orbit_minima), 1,564 hits, and counts each with
+the source's number of symmetries.  The symmetries of the base
+polytopes, and the swap of a gluing's source and target, make many
+matchings glue the same configuration up to a unimodular map: the 1,532
+distinct verdict keys fall into 426 gluing groups.  A verdict
+(coplanarity, a cap's interior point, and the cap rule's size with its
+hull cross-check) is made once per group in each run_case_gh call and
+replayed into the G and H funnels, with its weight, on every visited
+repeat; an accepted group contributes one configuration to identify.
 """
 
 import csv
@@ -803,6 +809,81 @@ def _base_automorphisms(base: PointConfig) -> List[AffineMap]:
     return autos
 
 
+def _orbit_minima(pts, autos) -> frozenset:
+    """The matchings (ex, sigma) of a base's subtetrahedra that come first
+    in their orbit under the base's symmetries, in the order of ex and then
+    of sigma (itertools.permutations order).
+
+    (ex, sigma) matches the subtetrahedron without vertex ex, in base
+    order, onto a target ordered by sigma: source position t goes to
+    target position sigma[t].  A symmetry with point permutation pi sends
+    it to (pi(ex), sigma'), where sigma' puts the image of source position
+    t at sigma[t]; the composed map glues the same point onto the same
+    target.  Only the identity fixes the four points of a subtetrahedron,
+    so every orbit has len(autos) matchings.  Each orbit is marked once,
+    from its first matching."""
+    perms = [tuple(pts.index(g.apply(p)) for p in pts) for g in autos]
+    rest = [[k for k in range(5) if k != ex] for ex in range(5)]
+    seen, minima = set(), set()
+    for ex in range(1, 5):
+        for sigma in itertools.permutations(range(4)):
+            if (ex, sigma) in seen:
+                continue
+            minima.add((ex, sigma))
+            for pi in perms:
+                image = rest[pi[ex]]
+                moved = [0] * 4
+                for t, k in enumerate(rest[ex]):
+                    moved[image.index(pi[k])] = sigma[t]
+                seen.add((pi[ex], tuple(moved)))
+    return frozenset(minima)
+
+
+@lru_cache(maxsize=1)
+def _gluing_tables():
+    """(reps, autos, sources, walk): the tables of the G/H gluing, which
+    depend only on catalog41(), so they are built once per process.
+
+    reps holds the eight bases' points and autos their symmetries
+    (_base_automorphisms).  sources[b][ex - 1] is base b's subtetrahedron
+    without vertex ex, in base order, as (barycentric numerators of the
+    left-out vertex, their denominator, the points): with v the affine
+    dependence volume_vector5 of the base, the left-out vertex is
+    sum_k (-v_k / v_ex) p_k over the others, and v_ex is the
+    subtetrahedron's volume up to sign.  walk[sb][si] lists, in
+    enumeration order, the hits of source base sb on target base si that
+    _orbit_minima keeps: (ex, ex_s, dst, dst_vol) for the source's
+    left-out vertex ex, the target's ex_s, the target subtetrahedron
+    ordered as matched, and its |volume| |v_ex_s|.  A hit is a pair of
+    equal edge forms, found through a dict of the 768 ordered target
+    subtetrahedra by edge form."""
+    bases = [cls5.representative for cls5 in catalog41()]
+    reps = tuple(base.points for base in bases)
+    autos = tuple(tuple(_base_automorphisms(base)) for base in bases)
+    sources, forms, by_form = [], {}, {}
+    for b, (pts, base) in enumerate(zip(reps, bases)):
+        v = volume_vector5(base)
+        subs = []
+        for ex in range(1, 5):
+            tet = tuple(pts[k] for k in range(5) if k != ex)
+            subs.append((tuple(-v[k] for k in range(5) if k != ex), v[ex], tet))
+            forms[b, ex] = edge_form(tet)
+            for sigma in itertools.permutations(range(4)):
+                dst = tuple(tet[t] for t in sigma)
+                by_form.setdefault((b, edge_form(dst)), []).append((ex, sigma, dst, abs(v[ex])))
+        sources.append(tuple(subs))
+    walk = []
+    for sb, pts in enumerate(reps):
+        minima = _orbit_minima(pts, autos[sb])
+        walk.append(tuple(
+            tuple((ex, ex_s, dst, dst_vol)
+                  for ex in range(1, 5)
+                  for ex_s, sigma, dst, dst_vol in by_form.get((si, forms[sb, ex]), ())
+                  if (ex, sigma) in minima)
+            for si in range(len(reps))))
+    return reps, autos, tuple(sources), tuple(walk)
+
+
 def run_case_gh() -> Tuple[CaseReport, CaseReport]:
     """Glue two signature-(4,1) polytopes along empty subtetrahedra.
 
@@ -811,15 +892,23 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
     in each, and every vertex matching of the two subtetrahedra is
     examined; a matching survives when the affine map it defines is
     integral and unimodular.  That holds exactly when the two ordered
-    subtetrahedra have the same edge form, so each target base's ordered
-    subtetrahedra (4 x 24) are filed in a dict by edge form, and only the
-    3,732 hits among the 24,576 matchings are visited, in enumeration
-    order.  No map is solved: a hit's map sends the source's interior
-    point to the target's first point, and its left-out vertex to the
-    _barycentric_image of that vertex's numerators over the target.  The
-    target's |volume| is filed with it, as |v_ex| of its base's volume
-    vector v (its |det4| in any vertex order), and checked against the
-    source's on every hit.
+    subtetrahedra have the same edge form, so the 3,732 hits among the
+    24,576 matchings are read off a dict of the ordered target
+    subtetrahedra (8 x 4 x 24) by edge form, once per process
+    (_gluing_tables).  A symmetry of the source base, which fixes its
+    interior point, maps a hit onto a hit that glues the same new point
+    onto the same target subtetrahedron, and only the identity fixes a
+    subtetrahedron, so each orbit of matchings under the source's
+    symmetries has exactly len(autos[sb]) members, all of one key.  The
+    walk visits the first of each orbit in enumeration order
+    (_orbit_minima), 1,564 hits, and counts each, in the funnels and in
+    the hits, with that weight.  No map is solved: a hit's map sends the
+    source's interior point to the target's first point, and its
+    left-out vertex to the _barycentric_image of that vertex's numerators
+    over the target.  The target's |volume| is filed with it, as |v_ex|
+    of its base's volume vector v (its |det4| in any vertex order), and
+    checked against the source's on every visited hit; the literal
+    oracle in the tests checks all of them.
     The union is six points; coinciding interior points give one interior
     point (case G), otherwise two (case H), and the gluing names its case
     so.  A gluing is accepted when its hull has six lattice points; the
@@ -842,71 +931,56 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
     they do here.  So the first key of each gluing group, its images
     under the target's symmetries and those of its reverse key under the
     source's, gets a verdict, which is stored under the whole group: 426
-    verdicts.  The first hit of a group is the one that makes
-    its verdict, and only its configuration is kept when the verdict
-    accepts.  The gluings of a group are equivalent, so the first gluing
-    of each class is the first of its group, and the report identifies 32
-    configurations, the first of each class in enumeration order.  The
-    symmetries and verdicts are computed per call.
+    verdicts.  The first hit of a group is the one that makes its
+    verdict, and only its configuration is kept when the verdict accepts;
+    it is the first of its orbit, so the walk visits it.  The gluings of
+    a group are equivalent, so the first gluing of each class is the
+    first of its group, and the report identifies 32 configurations, the
+    first of each class in enumeration order.  The verdicts are made per
+    call.
 
     Every matching counts as examined in both the G and the H funnel.  A
     rejection common to both cases (verdict case "shared", or a gluing of
-    fewer than six points) goes to both funnels where it is made, and a G
-    or H rejection to its own; the matchings that are not integral
-    unimodular, which the loop never visits, go to both after it.
+    fewer than six points) goes to both funnels where it is made, with
+    its orbit's weight, and a G or H rejection to its own; the matchings
+    that are not integral unimodular, which the loop never visits, go to
+    both after it.
     """
     funnel_g, funnel_h = _Funnel("G"), _Funnel("H")
     funnels = {"G": (funnel_g,), "H": (funnel_h,), "shared": (funnel_g, funnel_h)}
-    bases = [cls5.representative for cls5 in catalog41()]
-    reps = [base.points for base in bases]
-    autos = [_base_automorphisms(base) for base in bases]
-    orders = list(itertools.permutations(range(4)))
-    # per base polytope: its subtetrahedra (left-out vertex's barycentric
-    # numerators and their denominator, edge form, the points in base
-    # order), and its ordered ones by edge form, each with its |volume|.
-    # With v the affine dependence volume_vector5 of the base, the
-    # left-out vertex is sum_k (-v_k / v_ex) p_k over the others, and
-    # v_ex is the subtetrahedron's volume up to sign.
-    sources, targets = [], []
-    for pts, base in zip(reps, bases):
-        v = volume_vector5(base)
-        subs, by_form = [], {}
-        for ex in range(1, 5):
-            tet = [pts[k] for k in range(5) if k != ex]
-            subs.append(([-v[k] for k in range(5) if k != ex], v[ex], edge_form(tet), tet))
-            for sigma in orders:
-                dst = [tet[t] for t in sigma]
-                by_form.setdefault(edge_form(dst), []).append((ex, dst, abs(v[ex])))
-        sources.append(subs)
-        targets.append(by_form)
-    funnel_g.examined = funnel_h.examined = (4 * len(reps)) ** 2 * len(orders)
+    reps, autos, sources, walk = _gluing_tables()
+    # every pair of subtetrahedra, each with its 4! vertex matchings
+    funnel_g.examined = funnel_h.examined = (4 * len(reps)) ** 2 * 24
     hits = 0
     verdicts = {}
-    for sb, subs in enumerate(sources):
-        for si, (spts, by_form) in enumerate(zip(reps, targets)):
-            for ex, (weights, vol, form_r, _) in enumerate(subs, 1):
-                for ex_s, dst, dst_vol in by_form.get(form_r, ()):
-                    hits += 1
-                    new_pt = _barycentric_image(weights, vol, dst, dst_vol)
-                    if new_pt in spts:
-                        for funnel in funnels["shared"]:
-                            funnel.reject("gluing yields fewer than six points")
-                        continue
-                    same = dst[0] == spts[0]
-                    verdict = verdicts.get((si, new_pt, same))
-                    if verdict is None:
-                        cfg = PointConfig._of_checked(spts + (check_point(new_pt),))
-                        verdict = _glued_verdict(cfg, dst[0])
-                        swap = _swap_key(sources, sb, ex, si, ex_s, dst)
-                        for base, pt in ((si, new_pt), swap):
-                            for g in autos[base]:
-                                verdicts[base, g.apply(pt), same] = verdict
-                        if verdict[1] is None:
-                            funnels[verdict[0]][0].accepted.append(cfg)
-                    case, reason = verdict
-                    if reason is not None:
-                        for funnel in funnels[case]:
-                            funnel.reject(reason)
+    for sb, per_target in enumerate(walk):
+        w = len(autos[sb])
+        subs = sources[sb]
+        for si, matched in enumerate(per_target):
+            spts = reps[si]
+            for ex, ex_s, dst, dst_vol in matched:
+                hits += w
+                weights, vol, _ = subs[ex - 1]
+                new_pt = _barycentric_image(weights, vol, dst, dst_vol)
+                if new_pt in spts:
+                    for funnel in funnels["shared"]:
+                        funnel.reject("gluing yields fewer than six points", w)
+                    continue
+                same = dst[0] == spts[0]
+                verdict = verdicts.get((si, new_pt, same))
+                if verdict is None:
+                    cfg = PointConfig._of_checked(spts + (check_point(new_pt),))
+                    verdict = _glued_verdict(cfg, dst[0])
+                    swap = _swap_key(sources, sb, ex, si, ex_s, dst)
+                    for base, pt in ((si, new_pt), swap):
+                        for g in autos[base]:
+                            verdicts[base, g.apply(pt), same] = verdict
+                    if verdict[1] is None:
+                        funnels[verdict[0]][0].accepted.append(cfg)
+                case, reason = verdict
+                if reason is not None:
+                    for funnel in funnels[case]:
+                        funnel.reject(reason, w)
     note = "candidate enumeration shared with the other gluing case"
     for funnel in funnels["shared"]:
         funnel.reject("identification is not integral unimodular", funnel.examined - hits)
@@ -925,10 +999,10 @@ def _swap_key(sources, sb, ex, si, ex_s, dst) -> tuple:
     carries each interior point onto the other's role, so the two
     interior points coincide in the reverse gluing exactly when they do
     in the gluing, and the key's last entry carries over.  sources holds
-    run_case_gh's subtetrahedra per base.
+    the subtetrahedra per base of _gluing_tables.
     """
-    _, src_vol, _, src = sources[sb][ex - 1]
-    weights, vol, _, tet = sources[si][ex_s - 1]
+    _, src_vol, src = sources[sb][ex - 1]
+    weights, vol, tet = sources[si][ex_s - 1]
     back = [src[dst.index(p)] for p in tet]
     return sb, _barycentric_image(weights, vol, back, abs(src_vol))
 
@@ -937,8 +1011,8 @@ def _barycentric_image(weights, vol: int, dst, dst_vol: int) -> IntVec3:
     """sum(weights[t] * dst[t]) / vol: the image of the point of barycentric
     numerators weights over a source tetrahedron of volume +-vol under the
     affine map onto dst, whose |volume| the caller gives as dst_vol
-    (run_case_gh files it with each ordered subtetrahedron, read off its
-    base's volume vector, and _swap_key passes the source's).  That map
+    (_gluing_tables files it with each ordered subtetrahedron, read off
+    its base's volume vector, and _swap_key passes the source's).  That map
     is unimodular and integral only if dst_vol is |vol| and the image is
     integral; else ClassificationError.  The edge forms of a hit are
     equal, so a volume that differs here means a volume vector that

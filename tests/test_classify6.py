@@ -1,6 +1,7 @@
 """The case-by-case classification drivers and their reports."""
 
 import dataclasses
+import hashlib
 import json
 import random
 import re
@@ -196,13 +197,23 @@ def test_barycentric_image_is_checked(dst, message):
         classify6._barycentric_image([1, 1, 0, 0], 2, dst, abs(det4(*dst)))
 
 
-def test_filed_volumes_are_checked(monkeypatch):
-    """The |volume| run_case_gh files with each ordered subtetrahedron,
+@pytest.fixture
+def fresh_gluing_tables():
+    """Clears the per-process gluing tables before and after the test: a
+    test that patches what they are built from builds its own, and leaves
+    none of them to later tests."""
+    classify6._gluing_tables.cache_clear()
+    yield
+    classify6._gluing_tables.cache_clear()
+
+
+def test_filed_volumes_are_checked(monkeypatch, fresh_gluing_tables):
+    """The |volume| _gluing_tables files with each ordered subtetrahedron,
     read off its base's volume vector, is compared with the source's on
-    every hit.  With one base's volume vector doubled (still an affine
-    dependence, so every glued point stays where it was), its filed
-    volumes disagree with those of the other bases, and the first hit
-    between it and another base raises."""
+    every hit run_case_gh visits.  With one base's volume vector doubled
+    (still an affine dependence, so every glued point stays where it
+    was), its filed volumes disagree with those of the other bases, and
+    the first visited hit between it and another base raises."""
     doubled = catalog41()[1].representative.points
     real = classify6.volume_vector5
 
@@ -346,6 +357,60 @@ def test_base_automorphisms_fix_the_first_point():
         classify6._base_automorphisms(PointConfig(pts[1:] + pts[:1]))
 
 
+def _brute_force_orbit_minima(pts):
+    """The least matching (ex, sigma) of each orbit of a base's matchings
+    under the point permutations of _brute_force_symmetries.  A matching
+    is read as the map from the point indices of the subtetrahedron
+    without vertex ex to target positions: index k at source position t
+    goes to sigma[t], and a permutation moves index k to perm[k]."""
+    perms = _brute_force_symmetries(pts)
+    minima = set()
+    for ex in range(1, 5):
+        rest = [k for k in range(5) if k != ex]
+        for sigma in permutations(range(4)):
+            orbit = []
+            for perm in perms:
+                moved = {perm[k]: pos for k, pos in zip(rest, sigma)}
+                left_out = next(k for k in range(5) if k not in moved)
+                orbit.append((left_out, tuple(moved[k] for k in sorted(moved))))
+            assert len(set(orbit)) == len(perms), (pts, ex, sigma)
+            if min(orbit) == (ex, sigma):
+                minima.add((ex, sigma))
+    return minima
+
+
+def test_gluing_walk_visits_the_least_matching_of_each_orbit():
+    """The orbit domain of run_case_gh's walk against brute force.  For
+    each base, _orbit_minima of its symmetries is the set of least
+    matchings of the orbits under _brute_force_symmetries' permutations,
+    each orbit holding one matching per symmetry.  For each (source,
+    target) pair of bases, the walk's hits are exactly the matchings of
+    equal edge forms (as in test_gluing_form_match_agrees_with_unimodular_map)
+    that are such a least matching, in enumeration order: 1,564 visited
+    hits, whose weights |Aut(source)| sum to the 3,732 hits."""
+    reps, autos, _, walk = classify6._gluing_tables()
+    minima = [_brute_force_orbit_minima(pts) for pts in reps]
+    for pts, sym, least in zip(reps, autos, minima):
+        assert classify6._orbit_minima(pts, sym) == least
+        assert len(least) * len(sym) == 4 * 24
+    tetras = [[[pts[k] for k in range(5) if k != ex] for ex in range(1, 5)] for pts in reps]
+    ordered = [[[(sigma, tuple(tet[t] for t in sigma)) for sigma in permutations(range(4))]
+                for tet in per_base] for per_base in tetras]
+    forms = {dst: edge_form(dst) for per_base in ordered for per_ex in per_base for _, dst in per_ex}
+    visited = weighted = 0
+    for sb, least in enumerate(minima):
+        for si in range(len(reps)):
+            expected = [(ex, ex_s, dst)
+                        for ex, src in enumerate(tetras[sb], 1)
+                        for ex_s, per_ex in enumerate(ordered[si], 1)
+                        for sigma, dst in per_ex
+                        if forms[dst] == forms[tuple(src)] and (ex, sigma) in least]
+            assert [hit[:3] for hit in walk[sb][si]] == expected, (sb, si)
+            visited += len(expected)
+            weighted += len(expected) * len(autos[sb])
+    assert (visited, weighted) == (1564, 3732)
+
+
 def _is_subsequence(part, whole) -> bool:
     rest = iter(whole)
     return all(any(x == y for y in rest) for x in part)
@@ -486,10 +551,13 @@ def test_glued_verdict_matches_hull_oracle(monkeypatch, literal_gh):
 
 
 def test_classify_all_work_is_pinned(monkeypatch, case_reports):
-    """One warm classify_all: 40 automorphism maps plus 122 witness maps, from
-    _Funnel.report's 121 distinct point sets onto their rows' least-table
-    orders (the search stops at the first witness, and one set takes two
-    tries; a key-order witness per class took 76), 142 placings with no
+    """One warm classify_all: 122 witness maps, from _Funnel.report's 121
+    distinct point sets onto their rows' least-table orders (the search
+    stops at the first witness, and one set takes two tries; a key-order
+    witness per class took 76; the bases' 40 automorphism maps are built
+    once per process with the gluing tables, _gluing_tables, which this
+    test builds first, and took the count to 162 when every run_case_gh
+    built them), 142 placings with no
     facet planes (case A's six candidates take one each for
     holds_only_its_points, and every hull count takes one: every site of
     cases B to H counts only the hulls its cap rule keeps: B's two
@@ -518,15 +586,18 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     loop files its subtetrahedra with |volumes| read off the bases' volume
     vectors, the reverse gluings pass the source's, and C's interior subcase
     reads its subtetrahedron off the configuration's volumes; with det4
-    calls of their own these took 768, 426 and 128 more, 15,452 in all), 8
-    normal forms, one per base for its symmetries (_Funnel.report names each
-    distinct point set's row by its least table and a witness, _named_row,
-    and takes none: with one per point set, 121 more, they were 129), no
-    catalog match (a class takes its oriented matroid from its row, and
-    cases C and E test their embeddings by chirotope), 502 sorted
-    barycentric tables in the least tables of those 8 normal forms and of
-    the 121 point sets (only for the vertex orders that can reach the least
-    table; the unpruned search built 24 per maximal quadruple, 3,864), and
+    calls of their own these took 768, 426 and 128 more, 15,452 in all), no
+    normal form (_Funnel.report names each distinct point set's row by its
+    least table and a witness, _named_row, and takes none: with one per
+    point set, 121 more, they were 129; the 8 of the bases' symmetries are
+    taken once per process with the gluing tables, and were 8 while each
+    run_case_gh took them), no catalog match (a class takes its oriented
+    matroid from its row, and cases C and E test their embeddings by
+    chirotope), 442 sorted barycentric tables in the least tables of the
+    121 point sets (only for the vertex orders that can reach the least
+    table; the unpruned search built 24 per maximal quadruple, 3,864; the
+    bases' 8 normal forms took 60 more, 502, while each run_case_gh took
+    them), and
     1,885 check_point calls: configurations built from checked points check
     only the point they add (C's "both vertices" scan checks its base and p6
     once and then one point per candidate), the triangulation checks test
@@ -547,17 +618,18 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     for cell in ("5.4", "5.5"):  # warm: the orbits are built once per process
         classify6._cell_orbit(cell)
     classify6._row_index()
+    classify6._gluing_tables()
     classify6._cap_frame.cache_clear()
     calls = count_calls(monkeypatch, unimodular_map, hull_facets, _placing, classify6._glued_verdict,
                         match_circuits, check_point, circuits, normal_form, quad_volumes,
                         classify6._caps, _facet_frame, _framed_empty,
                         _framed_has_interior_point, det4, _table, width)
     classify6.classify_all()
-    assert calls == {"unimodular_map": 162, "hull_facets": 0, "_placing": 142, "_glued_verdict": 426,
+    assert calls == {"unimodular_map": 122, "hull_facets": 0, "_placing": 142, "_glued_verdict": 426,
                      "match_circuits": 0, "check_point": 1885, "circuits": 52,
-                     "normal_form": 8, "quad_volumes": 888, "_caps": 1156,
+                     "normal_form": 0, "quad_volumes": 888, "_caps": 1156,
                      "_facet_frame": 159, "_framed_empty": 1059,
-                     "_framed_has_interior_point": 522, "det4": 13320, "_table": 502,
+                     "_framed_has_interior_point": 522, "det4": 13320, "_table": 442,
                      "width": 0}
 
 
@@ -572,6 +644,18 @@ def test_a_second_classify_all_builds_no_cap_frame(monkeypatch):
     classify6.classify_all()
     assert classify6._cap_frame.cache_info().misses == misses
     assert calls == {"_facet_frame": 14}
+
+
+def test_a_second_run_case_gh_builds_no_gluing_tables(monkeypatch):
+    """The bases' symmetries, subtetrahedra and edge forms depend only on
+    catalog41(), so _gluing_tables builds them once per process: once one
+    run_case_gh has run, the next takes no edge form, no normal form and
+    no symmetry map, while its verdicts are made again (426 per call,
+    test_orbit_verdict_count_and_no_carry_over)."""
+    classify6.run_case_gh()
+    calls = count_calls(monkeypatch, edge_form, normal_form, classify6._base_automorphisms)
+    classify6.run_case_gh()
+    assert calls == {"edge_form": 0, "normal_form": 0, "_base_automorphisms": 0}
 
 
 def test_finish_rejects_a_row_of_another_case(bundle):
@@ -620,6 +704,21 @@ def test_generated_configurations_are_their_own_lattice_points(case_reports):
     assert len(generated) == 76
     for g in generated:
         assert lattice_points(g) == tuple(sorted(g.points)), g
+
+
+#: sha256 of repr([(class id, generated points), ...]) over the 76 classes
+#: in report order.
+GENERATED_DIGEST = "5c3723a7d931c4d2151ec35503fa2dd16cb21fe274af5371b0c002f36c032b3a"
+
+
+def test_generated_points_match_recorded_digest(case_reports):
+    """Each class's generated configuration is the first one of its class
+    that its runner accepts, in enumeration order, with its points in the
+    runner's order; no output file shows them, so they are pinned here."""
+    generated = [(cls.id, cls.generated.points)
+                 for r in by_case(case_reports).values() for cls in r.classes_found]
+    assert len(generated) == 76
+    assert hashlib.sha256(repr(generated).encode()).hexdigest() == GENERATED_DIGEST
 
 
 def test_generated_configurations_have_their_rows_columns(case_reports, bundle):
