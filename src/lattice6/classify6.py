@@ -10,13 +10,14 @@ Each ``run_case_*`` function enumerates the candidates of one branch by
 bounded scans or embedding searches, rejects candidates with recorded
 reasons, cross-checks the triangulation-emptiness size arguments against
 direct lattice-point counts, and identifies the survivors against the
-bundled tables (_Funnel.report): _named_row names the table row of each
-distinct survivor, by its |volume| profile, its least barycentric table
-and an integer unimodular map, checked point by point, that carries its
-points onto the row's; it takes no normal form.  A class is that row:
-its width, oriented matroid label and dps flag are invariant under the
-map, so they are read from the row, and tests/table_checks.py checks
-once per data file that each row's columns hold for its points.
+bundled tables (_Funnel.report): _class_rows, the row set of the 76 rows
+(equivalence.RowSet), names the table row of each distinct survivor by
+its |volume| profile, its least barycentric table and an integer
+unimodular map, checked point by point, that carries its points onto the
+row's; it takes no normal form.  A class is that row: its width,
+oriented matroid label and dps flag are invariant under the map, so they
+are read from the row, and tests/table_checks.py checks once per data
+file that each row's columns hold for its points.
 ``classify_all`` runs every branch and checks that the classes come out
 in table order.  All arithmetic is exact.
 
@@ -108,7 +109,7 @@ from .invariants import (
     volume_vector6,
     width,
 )
-from .equivalence import _least_orders, _witnesses, equivalence_witness, normal_form
+from .equivalence import RowSet, symmetries
 from .emptytetra import _facet_frame, _framed_empty, _framed_has_interior_point
 from .size5 import admissible_apex_31, catalog41
 from .omcatalog import chirotope, chirotope_orbit
@@ -180,81 +181,18 @@ class CaseReport:
 # identification against the bundled tables
 
 
-def _volume_profile(config: PointConfig) -> Tuple[int, ...]:
-    """The sorted |volume| of config's quadruples, an invariant of
-    unimodular maps and relabelings: the first half of its volume table,
-    so one entry per quadruple, 15 for six points."""
-    vols = config.volumes()
-    return tuple(sorted(map(abs, vols[:len(vols) // 2])))
-
-
 @lru_cache(maxsize=1)
-def _row_profiles() -> Dict[Tuple[int, ...], List[str]]:
-    """The row ids by _volume_profile, 74 profiles over the 76 rows (G.5
-    and G.12 share one, as do G.6 and G.9), read off their volume vectors
-    (tests/table_checks.py checks each against its points up to sign), so
-    the gate of _named_row takes no table of a row."""
-    ids = {}
-    for row in load_tables().class_rows:
-        ids.setdefault(tuple(sorted(map(abs, row.volume_vector))), []).append(row.id)
-    return ids
-
-
-@lru_cache(maxsize=1)
-def _row_index() -> Dict[str, Tuple[PointConfig, tuple, List[Tuple[int, ...]]]]:
-    """(config, (V, least table), least-table orders) by row id: each
-    table row's configuration of its points and the table stage of its
-    key (equivalence._least_orders), with no Hermite form.  Rows of
-    different profiles are inequivalent; two rows of one profile that
-    equivalence_witness joins would be one class listed twice, so they
-    raise ClassificationError."""
-    rows = load_tables().rows_by_id
-    index = {}
-    for ids in _row_profiles().values():
-        for k, rid in enumerate(ids):
-            cfg = rows[rid].config()
-            top = cfg.top_volume()
-            least, orders = _least_orders(cfg, top)
-            index[rid] = cfg, (top, least), orders
-            for other in ids[:k]:
-                if equivalence_witness(index[other][0], cfg) is not None:
-                    raise ClassificationError(f"{other} and {rid} coincide")
-    return index
-
-
-def _named_row(config: PointConfig) -> Optional[Tuple[ClassRow, PointConfig, tuple]]:
-    """The table row that config is an image of, with the row's
-    configuration and a witness (perm, map), map(config[i]) =
-    rep[perm[i]]; None when there is none.  The one naming of identify,
-    _Funnel.report and cli.cmd_analyze.
-
-    config's _volume_profile must be a row's (_row_profiles), which only
-    six points can give (a profile has one entry per quadruple), and
-    which a flat config, of profile all zeros, never gives.  Then V and
-    the least table of config are compared with those of the one or two
-    rows of its profile (_row_index), and a row of the same table names
-    config when _witnesses, from config's first least-table order onto
-    the row's, gives a map onto its points: every equivalence sends
-    least-table orders onto least-table orders, so an equivalent row
-    always gives one, and no Hermite form is taken.  A row whose table
-    matched but gave no witness is checked on that miss path alone: if
-    config's normal-form key is the row's, the maps have failed, a
+def _class_rows() -> RowSet:
+    """The 76 table rows as a row set (equivalence.RowSet), under their
+    ids: the one naming of identify, _Funnel.report and cli.cmd_analyze.
+    Its gate has 74 |volume| profiles (G.5 and G.12 share one, as do G.6
+    and G.9), which only six points can pass (a profile has one entry per
+    quadruple) and a flat configuration, of profile all zeros, never
+    does.  The first query that passes it builds each row's least table
+    and checks that no two rows of one profile coincide; a row whose
+    table matched but whose maps failed, or two rows that coincide, raise
     ClassificationError."""
-    ids = _row_profiles().get(_volume_profile(config))
-    if ids is None:
-        return None
-    top = config.top_volume()
-    least, orders = _least_orders(config, top)
-    for rid in ids:
-        rep, table, rep_orders = _row_index()[rid]
-        if table != (top, least):
-            continue
-        witness = next(_witnesses(config, orders[0], rep, rep_orders), None)
-        if witness is not None:
-            return load_tables().rows_by_id[rid], rep, witness
-        if normal_form(config)[0] == normal_form(rep)[0]:
-            raise ClassificationError(f"{rid}: witness is not equivalent")
-    return None
+    return RowSet([(row.id, row.config()) for row in load_tables().class_rows], ClassificationError)
 
 
 class _Funnel:
@@ -276,7 +214,7 @@ class _Funnel:
         """Report of the case from its accepted configurations, in order.
 
         The representatives are the first-seen configurations up to
-        equivalence: _named_row names the row of each distinct point set
+        equivalence: _class_rows names the row of each distinct point set
         through a witness map onto the row's points, so equal tables
         alone identify nothing, and a configuration whose row came
         earlier is a repeat.  Each representative must name a row of this
@@ -284,9 +222,9 @@ class _Funnel:
         sign and dps are invariant under that map, so they are the row's
         columns (tests/table_checks.py checks them on every row's points,
         and a test on the generated configurations).  Only the volume
-        vector is computed, from the index's configuration of the row,
+        vector is computed, from the row set's configuration of the row,
         whose volumes are not computed again.  The rows are pairwise
-        inequivalent: _row_index checks that no witness joins two rows of
+        inequivalent: _class_rows checks that no witness joins two rows of
         one profile.  The classes found must be exactly the case's rows.
         """
         case = self.case
@@ -296,10 +234,11 @@ class _Funnel:
             if points in point_sets:
                 continue
             point_sets.add(points)
-            named = _named_row(cfg)
+            named = _class_rows().name(cfg)
             if named is None:
                 raise ClassificationError("generated configuration matches no table row")
-            row, rep, _ = named
+            rid, rep, _ = named
+            row = load_tables().rows_by_id[rid]
             if row.id in by_row:
                 continue
             if row.case != case:
@@ -797,19 +736,17 @@ def run_case_f() -> CaseReport:
 # cases G and H: no coplanarity, glued from two signature-(4,1) polytopes
 
 
-def _base_automorphisms(base: PointConfig) -> List[AffineMap]:
-    """The symmetries of a signature-(4,1) base, as maps: the witnesses
-    base -> base of _witnesses, one per key order of its normal form (they
-    match one to one).  Raises ClassificationError unless every key order
-    gives one that fixes the interior point base[0]."""
-    _, orders = normal_form(base)
-    autos = [g for perm, g in _witnesses(base, orders[0], base, orders) if perm[0] == 0]
-    if len(autos) != len(orders):
-        raise ClassificationError("a key order gives no symmetry of its base polytope")
+def _base_automorphisms(base: PointConfig) -> List[Tuple[Tuple[int, ...], AffineMap]]:
+    """The symmetries of a signature-(4,1) base (equivalence.symmetries),
+    as (point permutation, map).  Raises ClassificationError unless there
+    is one (the identity) and each fixes the interior point base[0]."""
+    autos = symmetries(base)
+    if not autos or any(perm[0] != 0 for perm, _ in autos):
+        raise ClassificationError("no symmetry of a base, or one that moves its interior point")
     return autos
 
 
-def _orbit_minima(pts, autos) -> frozenset:
+def _orbit_minima(autos) -> frozenset:
     """The matchings (ex, sigma) of a base's subtetrahedra that come first
     in their orbit under the base's symmetries, in the order of ex and then
     of sigma (itertools.permutations order).
@@ -822,7 +759,6 @@ def _orbit_minima(pts, autos) -> frozenset:
     target.  Only the identity fixes the four points of a subtetrahedron,
     so every orbit has len(autos) matchings.  Each orbit is marked once,
     from its first matching."""
-    perms = [tuple(pts.index(g.apply(p)) for p in pts) for g in autos]
     rest = [[k for k in range(5) if k != ex] for ex in range(5)]
     seen, minima = set(), set()
     for ex in range(1, 5):
@@ -830,7 +766,7 @@ def _orbit_minima(pts, autos) -> frozenset:
             if (ex, sigma) in seen:
                 continue
             minima.add((ex, sigma))
-            for pi in perms:
+            for pi, _ in autos:
                 image = rest[pi[ex]]
                 moved = [0] * 4
                 for t, k in enumerate(rest[ex]):
@@ -844,8 +780,8 @@ def _gluing_tables():
     """(reps, autos, sources, walk): the tables of the G/H gluing, which
     depend only on catalog41(), so they are built once per process.
 
-    reps holds the eight bases' points and autos their symmetries
-    (_base_automorphisms).  sources[b][ex - 1] is base b's subtetrahedron
+    reps holds the eight bases' points and autos their symmetries as
+    (point permutation, map) (_base_automorphisms).  sources[b][ex - 1] is base b's subtetrahedron
     without vertex ex, in base order, as (barycentric numerators of the
     left-out vertex, their denominator, the points): with v the affine
     dependence volume_vector5 of the base, the left-out vertex is
@@ -873,8 +809,8 @@ def _gluing_tables():
                 by_form.setdefault((b, edge_form(dst)), []).append((ex, sigma, dst, abs(v[ex])))
         sources.append(tuple(subs))
     walk = []
-    for sb, pts in enumerate(reps):
-        minima = _orbit_minima(pts, autos[sb])
+    for sb, sym in enumerate(autos):
+        minima = _orbit_minima(sym)
         walk.append(tuple(
             tuple((ex, ex_s, dst, dst_vol)
                   for ex in range(1, 5)
@@ -973,7 +909,7 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
                     verdict = _glued_verdict(cfg, dst[0])
                     swap = _swap_key(sources, sb, ex, si, ex_s, dst)
                     for base, pt in ((si, new_pt), swap):
-                        for g in autos[base]:
+                        for _, g in autos[base]:
                             verdicts[base, g.apply(pt), same] = verdict
                     if verdict[1] is None:
                         funnels[verdict[0]][0].accepted.append(cfg)
@@ -1101,12 +1037,12 @@ def classify_all() -> Tuple[CaseReport, ...]:
 
 def identify(config: PointConfig) -> Optional[str]:
     """Id of the table row that config is an image of, or None: the row
-    that _named_row names through a witness map onto its points.  A
+    that _class_rows names through a witness map onto its points.  A
     configuration outside the classification (not six lattice points,
     or width one) fails the gate of |volumes| or matches no row's table
     with a witness."""
-    named = _named_row(config)
-    return None if named is None else named[0].id
+    named = _class_rows().name(config)
+    return None if named is None else named[0]
 
 
 # ---------------------------------------------------------------------------

@@ -16,17 +16,18 @@ on each call and leaves the parser unchanged, so every main call parses
 as a fresh parser would.
 
 analyze of six points first names their table row
-(classify6._named_row): a gate on the sorted |volumes| of the
-quadruples, then V and the least barycentric table against the one or
-two rows of that profile, and a witness map onto the row's points, with
-no normal form.  A named row's hull holds only its six points, so none
-is enumerated and no placing of the input is made: its vertices and
-interior points are the input points whose witness images are the
-row's, whose labels one placing of the row's points gives on the
-first query that names the row in a process (_hull_labels).  The
-coplanarity, dps flag and oriented-matroid label are class invariants
-read off the row and its grid cell, with no circuits, pair sums or
-canonical circuit form; the width is computed.  Every other input
+(classify6._class_rows, an equivalence.RowSet): a gate on the sorted
+|volumes| of the quadruples, then the least barycentric table against
+the one or two rows of that profile, and a witness map onto the row's
+points, with no normal form; the row is read off the tables' rows_by_id.
+A named row's hull holds only its six points, so none is enumerated and
+no placing of the input is made: its vertices and interior points are
+the input points whose witness images are the row's, whose labels one
+placing of the row's points gives on the first query that names the row
+in a process (_hull_labels).  The coplanarity, dps flag and
+oriented-matroid label are class invariants read off the row and its
+grid cell, with no circuits, pair sums or canonical circuit form; the
+width is computed.  Every other input
 takes the hull first: one whose fine triangulation has only empty
 cells holds only its own points and enumerates none, and any other is
 enumerated within the enumeration budget.  Then come the circuits of
@@ -111,13 +112,14 @@ def cmd_analyze(args) -> int:
     # a table row is named first: its hull holds only its six points, and
     # a witness, a bijection onto the row's points, gives its vertices and
     # interior points
-    named = classify6._named_row(config) if n == 6 else None
+    named = classify6._class_rows().name(config) if n == 6 else None
     if named is None:
         row = None
         lattice, inner, verts = hull_summary(config)
         nsize, nverts = len(lattice), len(verts)
     else:
-        row, rep, (perm, _) = named
+        rid, rep, (perm, _) = named
+        row = load_tables().rows_by_id[rid]
         inner_labels, nverts = _hull_labels(rep)
         nsize = 6
         inner = tuple(sorted(p for p, j in zip(config.points, perm) if j in inner_labels))

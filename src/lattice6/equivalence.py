@@ -1,8 +1,8 @@
 """Unimodular (Z-) equivalence of lattice point configurations.
 
 Two configurations are equivalent when an integer affine map with
-determinant +-1 sends one point set onto the other.  canonical_key is a
-normal form of 4..8 points (equal keys iff equivalent), after
+determinant +-1 sends one point set onto the other.  normal_form gives a
+complete key of 4..8 points (equal keys iff equivalent), after
 Grinis-Kasprzyk (arXiv:1301.6641) and PALP (math/0204356).
 
 An equivalence permutes the ordered quadruples of maximal |det4| = V
@@ -34,9 +34,12 @@ b's.  A map between two orders whose Hermite forms differ is exactly
 one that is not integral unimodular, which unimodular_map rejects, and
 the point check rejects the maps that do not send a onto b.  So the
 witnesses, and the least of them, are those that the maps between key
-orders give, and equivalence_witness builds no Hermite form.  Nor does
-classify6's naming of a table row, which takes the same table stage
-and one witness.
+orders give, and equivalence_witness builds no Hermite form.  Nor do
+symmetries, the witnesses of a configuration onto itself, and RowSet,
+the one naming of a configuration against stored rows (the 76 table
+rows, the sporadic size-5 classes): a gate on the |volume| profile, then
+the same table stage and one witness.  Only RowSet's miss path, a row
+whose table matched but gave no witness, takes normal forms.
 
 A table is sorted only for the orders that can reach the least one.
 Under every order the quadruple's own points give the same four rows,
@@ -57,8 +60,9 @@ reach the key come out in the same order.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from operator import itemgetter
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple, Type
 
 from .exactlinalg import (
     AffineMap,
@@ -115,9 +119,8 @@ def _least_orders(config: PointConfig, top: int) -> Tuple[Tuple[IntVec3, ...], L
 
 
 def normal_form(config: PointConfig) -> Tuple[Key, List[Tuple[int, ...]]]:
-    """canonical_key of config and the ordered index quadruples reaching
-    it, its key orders, from which _witnesses builds the maps onto another
-    configuration of the same key.
+    """The key (table, H) of config and the ordered index quadruples
+    reaching it, its key orders; see the module docstring.
 
     Raises NotFullDimensional for a configuration of affine rank < 4.
     """
@@ -128,14 +131,6 @@ def normal_form(config: PointConfig) -> Tuple[Key, List[Tuple[int, ...]]]:
     h = min(forms.values())
     table = tuple(sorted(least + ((0, 0, 0), (top, 0, 0), (0, top, 0), (0, 0, top))))
     return (table, h), [order for order, form in forms.items() if form == h]
-
-
-def canonical_key(config: PointConfig) -> Key:
-    """Complete invariant (table, H) of 4..8 points; see the module docstring.
-
-    Raises NotFullDimensional for a configuration of affine rank < 4.
-    """
-    return normal_form(config)[0]
 
 
 def equivalence_witness(
@@ -172,9 +167,8 @@ def _witnesses(
     """The witnesses (perm, map) of a -> b, at most one per order of
     orders_b, in that order: map is unimodular_map's integral unimodular
     map from a's points in order_a onto b's in the order, kept when it
-    sends every point of a onto one of b, map(a[i]) = b[perm[i]].  With
-    b = a and a's key orders, it lists the automorphisms a -> a, one per
-    key order.  This is the only place where key orders become maps."""
+    sends every point of a onto one of b, map(a[i]) = b[perm[i]].  This
+    is the only place where orders become maps."""
     src = [a[i] for i in order_a]
     where = {p: j for j, p in enumerate(b.points)}
     for order in orders_b:
@@ -184,3 +178,87 @@ def _witnesses(
         perm = tuple(where.get(m.apply(p)) for p in a.points)
         if None not in perm:
             yield perm, m
+
+
+def symmetries(config: PointConfig) -> List[Tuple[Tuple[int, ...], AffineMap]]:
+    """The symmetries config -> config as witnesses (perm, map), from
+    config's first least-table order onto each of its least-table orders:
+    every symmetry sends the first onto one of them, and two symmetries
+    that send it onto the same order are one map, so each is listed once.
+    There can be fewer symmetries than least-table orders.
+
+    Raises NotFullDimensional for a configuration of affine rank < 4.
+    """
+    _, orders = _least_orders(config, config.top_volume())
+    return list(_witnesses(config, orders[0], config, orders))
+
+
+def _profile(config: PointConfig) -> Tuple[int, ...]:
+    """The sorted |volume| of config's quadruples, an invariant of
+    unimodular maps and relabelings: the first half of its volume table,
+    one entry per quadruple, so configurations of different sizes never
+    share one, and a flat one has all zeros."""
+    vols = config.volumes()
+    return tuple(sorted(map(abs, vols[:len(vols) // 2])))
+
+
+class RowSet:
+    """Stored configurations, the rows, each under an id, and the naming of
+    a configuration by the row it is an image of.
+
+    Construction reads only the rows' volumes, into the gate: the rows by
+    _profile, whose last entry is V, so the rows of one profile share it.
+    The first lookup that passes the gate builds every row's least table
+    and its orders (_stages).  error is the type raised when the rows or
+    the maps fail: the callers' failures differ (a failed check of the
+    classification, a size-5 miss), so it is the caller's.
+    """
+
+    def __init__(self, rows: Sequence[Tuple[Hashable, PointConfig]], error: Type[Exception]):
+        self.error = error
+        self.gate: Dict[Tuple[int, ...], List[Tuple[Hashable, PointConfig]]] = {}
+        for rid, cfg in rows:
+            self.gate.setdefault(_profile(cfg), []).append((rid, cfg))
+
+    @cached_property
+    def _stages(self) -> Dict[Hashable, Tuple[tuple, List[Tuple[int, ...]]]]:
+        """(least table, least-table orders) by row id, with no Hermite
+        form.  Rows of different profiles are inequivalent; two rows of
+        one profile that equivalence_witness joins would be one class
+        listed twice, so they raise error."""
+        stages = {}
+        for rows in self.gate.values():
+            for k, (rid, cfg) in enumerate(rows):
+                stages[rid] = _least_orders(cfg, cfg.top_volume())
+                for other, earlier in rows[:k]:
+                    if equivalence_witness(earlier, cfg) is not None:
+                        raise self.error(f"{other} and {rid} coincide")
+        return stages
+
+    def name(self, config: PointConfig) -> Optional[Tuple[Hashable, PointConfig, tuple]]:
+        """(id, rep, (perm, map)) of the row rep that config is an image
+        of, map(config[i]) = rep[perm[i]]; None when there is none.
+
+        config's profile must be a row's (gate), which fixes V.  Then the
+        least table of config is compared with those of the rows of its
+        profile, and a row of the same table names config when _witnesses,
+        from config's first least-table order onto the row's, gives a map
+        onto its points: every equivalence sends least-table orders onto
+        least-table orders, so an equivalent row always gives one, and no
+        Hermite form is taken.  A row whose table matched but gave no
+        witness is checked on that miss path alone: if config's
+        normal-form key is the row's, the maps have failed, and error is
+        raised."""
+        rows = self.gate.get(_profile(config))
+        if rows is None:
+            return None
+        least, orders = _least_orders(config, config.top_volume())
+        for rid, rep in rows:
+            table, rep_orders = self._stages[rid]
+            if table == least:
+                witness = next(_witnesses(config, orders[0], rep, rep_orders), None)
+                if witness is not None:
+                    return rid, rep, witness
+                if normal_form(config)[0] == normal_form(rep)[0]:
+                    raise self.error(f"{rid}: witness is not equivalent")
+        return None

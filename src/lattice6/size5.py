@@ -13,8 +13,11 @@ indexed by the signature of its unique affine dependence:
 The eleven sporadic classes are the concrete rows of data/size5.json;
 each (4,1) representative has its first point as the unique interior
 lattice point.  size5_class reads the family parameters off the volume
-vector (and one edge form) and looks the sporadic classes up by
-canonical key, so it builds no representative.  admissible_apex_31
+vector (and one edge form), so it builds no family representative, and
+names the sporadic classes through a row set of their eleven
+representatives (equivalence.RowSet: the |volume| profile, eleven
+distinct ones, then the least barycentric table and a witness map), with
+no Hermite form.  admissible_apex_31
 decides when an apex over the (3,1) circuit base closes up without extra
 lattice points; classify6's case B uses it to reject apex candidates.
 """
@@ -26,7 +29,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Tuple
 
-from .equivalence import canonical_key
+from .equivalence import RowSet
 from .exactlinalg import VerificationFailed, edge_form
 from .invariants import signature5, volume_vector5
 from .polytope import PointConfig, holds_only_its_points
@@ -96,9 +99,9 @@ def catalog41() -> Tuple[Size5Class, ...]:
 
 
 @lru_cache(maxsize=1)
-def _sporadic_index() -> dict:
-    """The eleven sporadic classes by the canonical key of their representative."""
-    return {canonical_key(rep): cls for cls, rep in _sporadic().values()}
+def _sporadic_rows() -> RowSet:
+    """The eleven sporadic classes as a row set, each under its class."""
+    return RowSet(list(_sporadic().values()), UnknownSize5Class)
 
 
 def classify5(config: PointConfig) -> Size5Class:
@@ -131,8 +134,8 @@ def size5_class(config: PointConfig) -> Size5Class:
     the dependence +-(-a-b, a, b, 1, -1), the pair balancing the triple.
     The tetrahedron without E (entry -1) is unimodular, and mapping its
     points of entries -a-b, a, b, 1 to o, e1, e2, e3 sends E to (a, b, 1).
-    Other shapes, and sporadic keys outside the index, raise
-    UnknownSize5Class.
+    Other shapes, and configurations that _sporadic_rows names no row of,
+    raise UnknownSize5Class.
     """
     sig = signature5(config)
     dep = volume_vector5(config)
@@ -150,9 +153,9 @@ def size5_class(config: PointConfig) -> Size5Class:
         if (one, other_one, a + b) == (1, 1, total):
             return Size5Class("32", (a, b), 1)
     else:
-        cls = _sporadic_index().get(canonical_key(config))
-        if cls is not None:
-            return cls
+        named = _sporadic_rows().name(config)
+        if named is not None:
+            return named[0]
     raise UnknownSize5Class(f"signature {sig}, volume vector {dep} fit no class")
 
 

@@ -1,6 +1,8 @@
 """The unpruned canonical normal form, kept as a test oracle for
-equivalence.normal_form, and the naming of table rows by canonical key,
-kept as a test oracle for classify6._named_row.
+equivalence.normal_form; canonical_key, its key alone; and the naming of
+stored rows by canonical key, kept as a test oracle for the row sets
+(equivalence.RowSet) of the 76 table rows and of the eleven sporadic
+size-5 classes.
 
 The library builds a sorted barycentric table only for the vertex orders
 whose first row off the quadruple can be least.  This is the search it
@@ -14,7 +16,9 @@ The key naming looks config's normal_form key up among the keys of the
 witness map from config's first key order onto the row's key orders:
 equal keys without a witness are a failure of the maps.  It is the
 naming that the table stage (V, the least table and its orders) and one
-witness replaced.
+witness replaced.  The sporadic size-5 classes were named the same way,
+by the canonical key of the input among those of their eleven
+representatives, with no witness.
 """
 
 from __future__ import annotations
@@ -27,11 +31,20 @@ from typing import List, Optional, Tuple
 from lattice6.equivalence import Key, _witnesses, normal_form
 from lattice6.exactlinalg import _adjugate, _mat_vec, _quadruples, edge_form, sub
 from lattice6.polytope import NotFullDimensional, PointConfig
+from lattice6.size5 import Size5Class, _sporadic
 from lattice6.tablesdata import load_tables
 
 #: Per order of a quadruple's labels 0-3, the getter of its last three
 #: barycentric numerators.
 _ORDERS = [(order, itemgetter(*order[1:])) for order in itertools.permutations(range(4))]
+
+
+def canonical_key(config: PointConfig) -> Key:
+    """Complete invariant (table, H) of 4..8 points: normal_form's key.
+
+    Raises NotFullDimensional for a configuration of affine rank < 4.
+    """
+    return normal_form(config)[0]
 
 
 def all_orders_normal_form(config: PointConfig) -> Tuple[Key, List[Tuple[int, ...]]]:
@@ -88,3 +101,16 @@ def key_named_row(config: PointConfig) -> Optional[str]:
     if row is not None and next(_witnesses(config, orders[0], rep, row_orders), None) is None:
         raise AssertionError(f"{row.id}: witness is not equivalent")
     return None if row is None else row.id
+
+
+@lru_cache(maxsize=1)
+def sporadic_key_index():
+    """The eleven sporadic size-5 classes by the canonical key of their
+    representative."""
+    return {canonical_key(rep): cls for cls, rep in _sporadic().values()}
+
+
+def key_named_sporadic(config: PointConfig) -> Optional[Size5Class]:
+    """The sporadic size-5 class whose representative has config's
+    canonical key, or None."""
+    return sporadic_key_index().get(canonical_key(config))

@@ -13,10 +13,10 @@ from functools import lru_cache
 from math import gcd
 from typing import Dict, Optional, Tuple
 
-from lattice6.equivalence import canonical_key
 from lattice6.invariants import signature5, volume_vector5
 from lattice6.polytope import PointConfig
 from lattice6.size5 import rep21, rep32
+from equivalence_oracles import canonical_key
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,6 @@ import time
 
 from lattice6 import classify6
 from lattice6.emptytetra import canonical_type, white_type
-from lattice6.equivalence import canonical_key
 from lattice6.exactlinalg import det4
 from lattice6.invariants import (
     circuits,
@@ -27,6 +26,7 @@ from lattice6.size5 import admissible_apex_31, classify5, rep21, rep32
 
 from conftest import APEX31_BASE, random_unimodular
 from emptytetra_oracles import standard_tetrahedron, type_orbit, white_classes
+from equivalence_oracles import canonical_key
 from omcatalog_oracles import match_om, record_statistics
 from table_checks import GCD_EXCEPTIONS, key_candidates, no_octahedron_check, validate_tables
 

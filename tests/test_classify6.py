@@ -27,7 +27,7 @@ from lattice6.emptytetra import (
     _framed_has_interior_point,
     white_type,
 )
-from lattice6.equivalence import normal_form, _table
+from lattice6.equivalence import _least_orders, _profile, _table, normal_form, symmetries
 from lattice6.exactlinalg import (
     COORD_BOUND,
     AffineMap,
@@ -322,28 +322,43 @@ def _brute_force_symmetries(pts):
 
 
 def test_base_automorphisms_match_brute_force():
-    """The symmetries read off each (4,1) base's key orders carry the base
-    onto itself, each by a point permutation of its own, and those
-    permutations are exactly the ones a search over all 120 finds."""
-    counts = []
+    """The symmetries read off each (4,1) base's least-table orders
+    (equivalence.symmetries) carry the base onto itself, each by a point
+    permutation of its own, and those permutations are exactly the ones a
+    search over all 120 finds.  The rule that _base_automorphisms checks
+    holds: there is at least one, and each fixes the interior point
+    base[0].  There can be fewer symmetries than least-table orders: the
+    last base has 24 orders and 4 symmetries, so the rule does not ask
+    for one per order.  Listed with a vertex first, the first base has
+    all 24 symmetries, and 18 of them move base[0]."""
+    counts, orders = [], []
     for cls5 in catalog41():
-        pts = cls5.representative.points
-        autos = classify6._base_automorphisms(cls5.representative)
-        perms = {tuple(pts.index(g.apply(p)) for p in pts) for g in autos}
-        assert len(perms) == len(autos)
+        base = cls5.representative
+        pts = base.points
+        autos = classify6._base_automorphisms(base)
+        perms = {tuple(pts.index(g.apply(p)) for p in pts) for _, g in autos}
+        assert perms == {perm for perm, _ in autos} and len(perms) == len(autos)
         assert perms == _brute_force_symmetries(pts), cls5
+        assert perms == {perm for perm, _ in symmetries(base)}
+        assert autos and all(perm[0] == 0 for perm in perms)
         counts.append(len(autos))
+        orders.append(len(_least_orders(base, base.top_volume())[1]))
     assert counts == [24, 6, 2, 1, 1, 1, 1, 4]
+    assert orders[-1] == 24
+    pts = catalog41()[0].representative.points
+    moved = [perm for perm, _ in symmetries(PointConfig(pts[1:] + pts[:1])) if perm[0] != 0]
+    assert len(moved) == 18
 
 
 @pytest.mark.parametrize("bad_map", [
-    None,  # the key order is not an image of the first one
+    None,  # no order is an image of the first one
     AffineMap(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (1, 0, 0)),  # moves the interior point
     AffineMap(((1, 1, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 0)),  # fixes it, moves a vertex off
 ])
 def test_base_automorphisms_are_checked(monkeypatch, bad_map):
-    """A key order whose map is no symmetry of the base raises instead of
-    being used."""
+    """Maps that are no symmetry of the base are not listed, so when every
+    least-table order gives one, the base has no symmetry, not even the
+    identity, and raises instead of being used."""
     monkeypatch.setattr(equivalence, "unimodular_map", lambda src, dst: bad_map)
     with pytest.raises(classify6.ClassificationError, match="no symmetry"):
         classify6._base_automorphisms(catalog41()[0].representative)
@@ -391,7 +406,7 @@ def test_gluing_walk_visits_the_least_matching_of_each_orbit():
     reps, autos, _, walk = classify6._gluing_tables()
     minima = [_brute_force_orbit_minima(pts) for pts in reps]
     for pts, sym, least in zip(reps, autos, minima):
-        assert classify6._orbit_minima(pts, sym) == least
+        assert classify6._orbit_minima(sym) == least
         assert len(least) * len(sym) == 4 * 24
     tetras = [[[pts[k] for k in range(5) if k != ex] for ex in range(1, 5)] for pts in reps]
     ordered = [[[(sigma, tuple(tet[t] for t in sigma)) for sigma in permutations(range(4))]
@@ -588,10 +603,10 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     reads its subtetrahedron off the configuration's volumes; with det4
     calls of their own these took 768, 426 and 128 more, 15,452 in all), no
     normal form (_Funnel.report names each distinct point set's row by its
-    least table and a witness, _named_row, and takes none: with one per
-    point set, 121 more, they were 129; the 8 of the bases' symmetries are
-    taken once per process with the gluing tables, and were 8 while each
-    run_case_gh took them), no catalog match (a class takes its oriented
+    least table and a witness, _class_rows, and takes none: with one per
+    point set, 121 more, they were 129; the bases' symmetries take none,
+    as equivalence.symmetries reads their least-table orders, once per
+    process with the gluing tables), no catalog match (a class takes its oriented
     matroid from its row, and cases C and E test their embeddings by
     chirotope), 442 sorted barycentric tables in the least tables of the
     121 point sets (only for the vertex orders that can reach the least
@@ -602,14 +617,14 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     only the point they add (C's "both vertices" scan checks its base and p6
     once and then one point per candidate), the triangulation checks test
     the emptiness of those points without checking them again, and the rows'
-    configurations come from _row_index. quad_volumes runs 888 times, once
+    configurations come from _class_rows. quad_volumes runs 888 times, once
     per configuration whose volumes are read (PointConfig.volumes), here by
     its first reader: 426 gluing verdicts (the least tables of the accepted
     verdicts' configurations reuse them), 384 embeddings of cases C and E
     (their chirotope; the hulls and least tables of the accepted ones reuse
     them) and 78 hulls (A 6, B 16, C 4, D 3, F 49), whose circuits and least
     tables reuse them; the rows' volume vectors reuse the volumes of their
-    least tables in _row_index. It ran 942 times while chirotope computed
+    least tables in _class_rows. It ran 942 times while chirotope computed
     volumes of its own from the points: the 32 accepted embeddings whose
     hulls are counted (16 in C, 16 in E) computed theirs twice; and 910
     times while case D's 22 width-one candidates each took a width, which
@@ -617,7 +632,7 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     width."""
     for cell in ("5.4", "5.5"):  # warm: the orbits are built once per process
         classify6._cell_orbit(cell)
-    classify6._row_index()
+    classify6._class_rows()._stages
     classify6._gluing_tables()
     classify6._cap_frame.cache_clear()
     calls = count_calls(monkeypatch, unimodular_map, hull_facets, _placing, classify6._glued_verdict,
@@ -653,9 +668,10 @@ def test_a_second_run_case_gh_builds_no_gluing_tables(monkeypatch):
     no symmetry map, while its verdicts are made again (426 per call,
     test_orbit_verdict_count_and_no_carry_over)."""
     classify6.run_case_gh()
-    calls = count_calls(monkeypatch, edge_form, normal_form, classify6._base_automorphisms)
+    calls = count_calls(monkeypatch, edge_form, normal_form, symmetries,
+                        classify6._base_automorphisms)
     classify6.run_case_gh()
-    assert calls == {"edge_form": 0, "normal_form": 0, "_base_automorphisms": 0}
+    assert calls == {"edge_form": 0, "normal_form": 0, "symmetries": 0, "_base_automorphisms": 0}
 
 
 def test_finish_rejects_a_row_of_another_case(bundle):
@@ -1448,13 +1464,13 @@ def _gate_passers(bundle):
             if len(set(pts)) == 6 and frozenset(pts) not in seen:
                 seen.add(frozenset(pts))
                 cfg = PointConfig(pts)
-                if classify6._volume_profile(cfg) in classify6._row_profiles():
+                if _profile(cfg) in classify6._class_rows().gate:
                     moved.append(cfg)
     return images, moved
 
 
 def test_named_row_matches_the_key_index_oracle(bundle, monkeypatch):
-    """identify and _named_row name the row that the normal-form key names
+    """identify and _class_rows name the row that the normal-form key names
     (equivalence_oracles.key_named_row), with a witness map onto the
     row's points, on the rows and four seeded images of each (the twins
     G.5/G.12 and G.6/G.9 share their profile, so the least table
@@ -1464,25 +1480,25 @@ def test_named_row_matches_the_key_index_oracle(bundle, monkeypatch):
     forms are taken on that miss path alone, two per such row."""
     images, moved = _gate_passers(bundle)
     assert len(moved) >= 2000
-    profile = classify6._volume_profile
+    gate = classify6._class_rows().gate
     for a, b in (("G.5", "G.12"), ("G.6", "G.9")):
-        assert profile(bundle.rows_by_id[a].config()) == profile(bundle.rows_by_id[b].config())
+        assert [rid for rid, _ in gate[_profile(bundle.rows_by_id[a].config())]] == [a, b]
     keys = {row.id: key for key, (row, _, _) in row_key_index().items()}
     calls = count_calls(monkeypatch, normal_form)
     misses, named = 0, Counter()
     for cfg in images + [PointConfig(SIZE7_IN_GATE)] + moved:
         expected = key_named_row(cfg)
         assert identify(cfg) == expected, cfg
-        got = classify6._named_row(cfg)
+        got = classify6._class_rows().name(cfg)
         if expected is None:
             assert got is None, cfg
         else:
-            row, rep, (perm, m) = got
-            assert row.id == expected and rep.points == row.representative, cfg
+            rid, rep, (perm, m) = got
+            assert rid == expected and rep.points == bundle.rows_by_id[rid].representative, cfg
             assert abs(m.det) == 1 and [m.apply(p) for p in cfg] == [rep[j] for j in perm], cfg
         named[expected is not None] += 1
         key = oracle_normal_form(cfg)[0]
-        for rid in classify6._row_profiles()[profile(cfg)]:
+        for rid, _ in gate[_profile(cfg)]:
             if rid == expected:
                 break
             misses += keys[rid][0] == key[0]
@@ -1492,8 +1508,9 @@ def test_named_row_matches_the_key_index_oracle(bundle, monkeypatch):
 
 def test_row_index_rejects_equivalent_rows(bundle, monkeypatch):
     """A table row that is a relabeled image of another row has its
-    profile, its least table and a witness map onto it, so building the
-    row index fails instead of listing one class twice."""
+    profile, its least table and a witness map onto it, so the first
+    query that passes the row set's gate, which builds the rows' stages,
+    fails instead of listing one class twice."""
     rng = random.Random(14)
     row = bundle.rows_by_id["B.14"]
     img = shuffled(rng, apply_map(random_unimodular(rng), row.config()))
@@ -1501,27 +1518,24 @@ def test_row_index_rejects_equivalent_rows(bundle, monkeypatch):
     rows = (*bundle.class_rows, twin)
     tampered = types.SimpleNamespace(class_rows=rows, rows_by_id={r.id: r for r in rows})
     monkeypatch.setattr(classify6, "load_tables", lambda: tampered)
-    caches = (classify6._row_profiles, classify6._row_index)
-    for cache in caches:
-        cache.cache_clear()
+    classify6._class_rows.cache_clear()
     try:
         with pytest.raises(classify6.ClassificationError, match="^B.14 and B.16 coincide$"):
-            classify6._row_index()
+            identify(row.config())
     finally:
         monkeypatch.undo()
-        for cache in caches:
-            cache.cache_clear()
+        classify6._class_rows.cache_clear()
 
 
 def test_set_up_identify_builds_the_row_index_without_edge_forms(bundle, monkeypatch):
-    """The first identify of a process builds the row index: 76 least
-    tables and their orders, with no Hermite form (edge_form) and no
-    normal form, and the witness that names A.1."""
-    for cache in (classify6._row_profiles, classify6._row_index):
-        cache.cache_clear()
+    """The first identify of a process builds the row set and its stages:
+    76 least tables and their orders, with no Hermite form (edge_form)
+    and no normal form, and the witness that names A.1."""
+    classify6._class_rows.cache_clear()
     calls = count_calls(monkeypatch, edge_form, normal_form)
     assert identify(bundle.class_rows[0].config()) == "A.1"
-    assert classify6._row_index.cache_info().currsize == 1
+    rows = classify6._class_rows()
+    assert "_stages" in vars(rows) and len(rows._stages) == 76
     assert calls == {"edge_form": 0, "normal_form": 0}
 
 

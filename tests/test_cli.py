@@ -105,7 +105,7 @@ def test_analyze_table_row_takes_no_hull_points_and_no_circuits(tmp_path, bundle
     and width.  Coplanarity, dps and the oriented-matroid label are class
     invariants read off the row, so there are no circuits, no pair sums
     and no canonical circuit form."""
-    classify6._row_index()  # built with the tables, before counting
+    classify6._class_rows()._stages  # built with the tables, before counting
     cli._hull_labels.cache_clear()
     calls = count_calls(monkeypatch, invariants.circuits, polytope._placing,
                         polytope._tetrahedron_points, quad_volumes, equivalence.normal_form,
@@ -128,10 +128,11 @@ def test_analyze_outside_the_table_takes_the_full_path(tmp_path, capsys, monkeyp
     table of its own or of a row, and takes one placing, whose fine cells
     are all empty, so no lattice point is enumerated (_hull_points), one
     circuits call and one pair-sum scan.  A fresh process that analyzes
-    it builds no row stage (_row_index) and no row's hull labels."""
+    it builds the row set's gate but no row stage (_stages), and no row's
+    hull labels."""
     c = width1_family("(3,3)/6.4", (1, 1, 2, 3))
     path = write_config(tmp_path, "hex.txt", c.points)
-    classify6._row_profiles()  # built with the tables, before counting
+    classify6._class_rows()  # built with the tables, before counting
     calls = count_calls(monkeypatch, invariants.circuits, polytope._placing, polytope._hull_points,
                         quad_volumes, equivalence.normal_form, equivalence._table,
                         invariants.pair_sums_distinct)
@@ -140,10 +141,11 @@ def test_analyze_outside_the_table_takes_the_full_path(tmp_path, capsys, monkeyp
     assert calls == {"circuits": 1, "_placing": 1, "_hull_points": 0, "quad_volumes": 1,
                      "normal_form": 0, "_table": 0, "pair_sums_distinct": 1}
     code = ("import sys; from lattice6 import classify6, cli; rc = cli.main(['analyze', sys.argv[1]]); "
-            "print(rc, classify6._row_index.cache_info().currsize, "
+            "print(rc, classify6._class_rows.cache_info().currsize, "
+            "'_stages' in vars(classify6._class_rows()), "
             "cli._hull_labels.cache_info().currsize, file=sys.stderr)")
     proc = _python(["-c", code, path])
-    assert (proc.stderr, proc.returncode) == ("0 0 0\n", 0)
+    assert (proc.stderr, proc.returncode) == ("0 1 False 0\n", 0)
 
 
 def test_analyze_checks_the_witness_map_of_a_row(tmp_path, bundle, capsys, monkeypatch):
@@ -183,9 +185,10 @@ def test_analyze_rows_agree_with_the_full_path(tmp_path, bundle, capsys):
     their |volume| profile, so the gate passes both and the least table
     decides.  Each image's vertices and interior points are read off its
     witness map onto the row."""
-    profile = classify6._volume_profile
+    gate = classify6._class_rows().gate
     for a, b in (("G.5", "G.12"), ("G.6", "G.9")):
-        assert profile(bundle.rows_by_id[a].config()) == profile(bundle.rows_by_id[b].config())
+        ids = [rid for rid, _ in gate[equivalence._profile(bundle.rows_by_id[a].config())]]
+        assert ids == [a, b]
     rng = random.Random(41)
     for row in bundle.class_rows:
         cfg = row.config()
@@ -201,8 +204,8 @@ def test_analyze_six_points_outside_the_table_keep_their_answers(tmp_path, capsy
     normal form and no witness map, finds no row and prints the full
     path's lines; a flat six-point input fails the gate and is refused
     by the hull, exit 2."""
-    classify6._row_index()  # built with the tables, before counting
-    assert classify6._volume_profile(PointConfig(SIZE7_IN_GATE)) in classify6._row_profiles()
+    classify6._class_rows()._stages  # built with the tables, before counting
+    assert equivalence._profile(PointConfig(SIZE7_IN_GATE)) in classify6._class_rows().gate
     calls = count_calls(monkeypatch, equivalence.normal_form, equivalence.unimodular_map,
                         equivalence._table, invariants.circuits)
     rc, lines, err = _analysis(tmp_path, SIZE7_IN_GATE, capsys)
@@ -344,11 +347,13 @@ def test_analyze_large_family_parameters(tmp_path, capsys, points, expected):
 
 
 @pytest.mark.parametrize("config, normal_forms", [
-    (rep21(2, 5), 0), (rep32(2, 3), 0), (catalog41()[0].representative, 1),
+    (rep21(2, 5), 0), (rep32(2, 3), 0), (catalog41()[0].representative, 0),
 ])
 def test_analyze_five_points_normal_forms(tmp_path, capsys, monkeypatch, config, normal_forms):
-    """Family parameters take no canonical key; a sporadic class takes one."""
-    size5._sporadic_index()  # built once, before counting
+    """Family parameters take no canonical key, and neither does a
+    sporadic class: the row set of the sporadic classes names it by its
+    least table and a witness map."""
+    size5._sporadic_rows()._stages  # built once, before counting
     calls = count_calls(monkeypatch, equivalence.normal_form)
     assert main(["analyze", write_config(tmp_path, "p5.txt", config.points)]) == 0
     assert "size-5 class:" in capsys.readouterr().out

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 import fraction_oracles
 from conftest import APEX31_BASE, apply_map, count_calls, random_unimodular, shuffled, sporadic5
 from emptytetra_oracles import standard_tetrahedron
-from equivalence_oracles import all_orders_normal_form
+from equivalence_oracles import all_orders_normal_form, canonical_key
 from lattice6.equivalence import (
-    _least_orders, normal_form, _table, canonical_key, equivalence_witness,
+    _least_orders, normal_form, _table, equivalence_witness,
 )
 from lattice6.exactlinalg import det4, edge_form
 from lattice6.invariants import volume_vector5, volume_vector6

@@ -172,12 +172,15 @@ def _scaled(m: AffineMap, k: int) -> AffineMap:
        kind=st.sampled_from(["unimodular", "stretched", "arbitrary"]))
 @settings(max_examples=150)
 @example(p1=(0, 0, 0), p2=(0, 0, 1), p3=(0, 1, 0), p4=(1, 9, 2), seed=4843, kind="stretched")
+@example(p1=(0, 0, 0), p2=(0, 0, 1), p3=(0, 1, 0), p4=(1, 0, 0), seed=6329, kind="arbitrary")
 def test_unimodular_map_matches_solve_affine(p1, p2, p3, p4, seed, kind):
     """Integer solver against the Fraction one on unimodular images, integer
     maps of determinant +-2 and +-3, and arbitrary (mostly non-integral)
     targets; equal edge forms exactly when there is a map.  Both solvers
     take points within the coordinate bound only, and a stretched image
-    can leave it (a coordinate of -10071 in the example)."""
+    can leave it (a coordinate of -10071 in the example).  An arbitrary
+    target can be flat (the second example): it has no edge form, which
+    raises DegenerateSource, and no map reaches it."""
     src = [p1, p2, p3, p4]
     assume(det4(*src) != 0)
     rng = random.Random(seed)
@@ -191,7 +194,12 @@ def test_unimodular_map_matches_solve_affine(p1, p2, p3, p4, seed, kind):
     assume(all(abs(c) <= COORD_BOUND for p in dst for c in p))
     expected = fraction_oracles.unimodular_map(src, dst)
     assert unimodular_map(src, dst) == expected
-    assert (edge_form(src) == edge_form(dst)) == (expected is not None)
+    if det4(*dst) == 0:
+        assert expected is None
+        with pytest.raises(DegenerateSource):
+            edge_form(dst)
+    else:
+        assert (edge_form(src) == edge_form(dst)) == (expected is not None)
     if kind == "unimodular":
         assert expected == m
     if kind == "stretched":

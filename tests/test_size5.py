@@ -1,16 +1,20 @@
 """The size-5 classification and the (3,1) apex admissibility predicate."""
 
 import random
+from collections import Counter
+from itertools import product
 from math import gcd
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import APEX31_BASE, apply_map, random_unimodular, shuffled, sporadic5
-from lattice6.equivalence import canonical_key
+from lattice6 import size5
+from lattice6.equivalence import _profile
 from lattice6.exactlinalg import unimodular_map
 from lattice6.invariants import signature5, volume_vector5
-from lattice6.polytope import PointConfig, hull_summary, size
+from lattice6.polytope import PointConfig, holds_only_its_points, hull_summary, size
 from lattice6.size5 import (
     NotSize5,
     UnknownSize5Class,
@@ -21,6 +25,7 @@ from lattice6.size5 import (
     rep32,
     size5_class,
 )
+from equivalence_oracles import canonical_key, key_named_sporadic
 from size5_oracles import search_family_params
 
 
@@ -184,3 +189,45 @@ def test_size5_class_rejects_invariants_of_no_class():
         assert signature5(config) == sig and size(config) > 5
         with pytest.raises(UnknownSize5Class):
             size5_class(config)
+
+
+def _sporadic_named(config):
+    """size5_class of config, or None where it raises UnknownSize5Class."""
+    try:
+        return size5_class(config)
+    except UnknownSize5Class:
+        return None
+
+
+def test_sporadic_naming_matches_the_key_oracle():
+    """size5_class names the sporadic classes through a row set of their
+    eleven representatives (eleven distinct |volume| profiles), by least
+    table and witness map; it agrees with the canonical-key lookup it
+    replaced (equivalence_oracles.key_named_sporadic), and raises
+    UnknownSize5Class exactly where that lookup misses.  The inputs: the
+    eleven rows, 2,200 seeded relabeled unimodular images of them, and
+    every full-dimensional unit move of one point of a row whose signature
+    is no family's, both those that pass classify5's gates and those
+    whose hull holds more lattice points."""
+    reps = [rep for _, rep in size5._sporadic().values()]
+    assert len({_profile(rep) for rep in reps}) == len(reps) == 11
+    rng = random.Random(47)
+    images = [_image(rng, rep) for rep in reps for _ in range(200)]
+    units = [u for u in product((-1, 0, 1), repeat=3) if any(u)]
+    seen, moved = set(), []
+    for rep in reps:
+        for i, u in product(range(5), units):
+            pts = list(rep.points)
+            pts[i] = tuple(map(add, pts[i], u))
+            cfg = PointConfig(pts) if len(set(pts)) == 5 else None
+            if cfg is not None and frozenset(pts) not in seen and cfg.is_full_dimensional():
+                seen.add(frozenset(pts))
+                if signature5(cfg) not in ((2, 1), (3, 2)):
+                    moved.append(cfg)
+    outcomes = Counter()
+    for cfg in reps + images + moved:
+        expected = key_named_sporadic(cfg)
+        assert _sporadic_named(cfg) == expected, cfg
+        outcomes[holds_only_its_points(cfg), expected is not None] += 1
+    assert outcomes[True, True] >= 11 + 2200 + 100 and outcomes[False, False] > 500, outcomes
+    assert set(outcomes) == {(True, True), (False, False)}, outcomes

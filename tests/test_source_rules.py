@@ -17,9 +17,11 @@ re-export alone does not keep a name.  Dunders are exempt, and
 UNREAD_ALLOWED keeps a few public entry points.
 The same holds for the fields, methods and properties of library
 classes: a member whose name no library module reads as an attribute
-goes, unless MEMBER_UNREAD_ALLOWED keeps it.  Key orders become
+goes, unless MEMBER_UNREAD_ALLOWED keeps it.  Orders become names and
 unimodular maps in one place: equivalence.py is the only module that
-calls unimodular_map.  A configuration's quadruple volumes are computed
+calls unimodular_map, _least_orders, _witnesses or normal_form
+(EQUIVALENCE_ONLY); the others name configurations through its RowSet
+and symmetries.  A configuration's quadruple volumes are computed
 once, by PointConfig.volumes(), and every other determinant of
 configuration points is read off them: in the library, det4 is called
 only by quad_volumes, quad_volumes only by PointConfig.volumes, and
@@ -46,7 +48,7 @@ UNREAD_ALLOWED = {
     "polytope.hull_facets": "the facet entry point; hull_summary reads the planes off its own placing",
     "size5.classify5": "the size-5 entry point with its size and dimension gates",
     "classify6.width1_family": "the width-one constructors; the width-one identification will call them",
-    "classify6.identify": "the row-naming entry point; the library names rows through _named_row",
+    "classify6.identify": "the row-naming entry point; the library names rows through _class_rows",
 }
 
 #: Class members kept in the library although no library module reads them.
@@ -278,9 +280,14 @@ def _calls(path, callee):
                 yield f"{path.name}:{node.lineno}: calls {callee}"
 
 
+#: The functions that turn orders into names and maps, called only
+#: inside equivalence.py.
+EQUIVALENCE_ONLY = ("unimodular_map", "_least_orders", "_witnesses", "normal_form")
+
+
 def test_only_equivalence_solves_unimodular_maps():
     found = [v for path in SOURCES if path.name != "equivalence.py"
-             for v in _calls(path, "unimodular_map")]
+             for callee in EQUIVALENCE_ONLY for v in _calls(path, callee)]
     assert not found, "\n".join(found)
 
 
@@ -291,6 +298,20 @@ def test_unimodular_map_call_is_a_violation(tmp_path):
                     encoding="utf-8")
     assert list(_calls(path, "unimodular_map")) == ["sample.py:4: calls unimodular_map",
                                                     "sample.py:4: calls unimodular_map"]
+
+
+def test_key_order_call_outside_equivalence_is_a_violation(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("from . import equivalence\n"
+                    "from .equivalence import _least_orders, _witnesses, normal_form\n"
+                    "def named(a, rep):\n    _, orders = _least_orders(a, a.top_volume())\n"
+                    "    if normal_form(a)[0] != equivalence.normal_form(rep)[0]:\n"
+                    "        return None\n"
+                    "    return next(_witnesses(a, orders[0], rep, orders), None)\n",
+                    encoding="utf-8")
+    assert [v for callee in EQUIVALENCE_ONLY for v in _calls(path, callee)] == [
+        "sample.py:4: calls _least_orders", "sample.py:7: calls _witnesses",
+        "sample.py:5: calls normal_form", "sample.py:5: calls normal_form"]
 
 
 def test_only_exactlinalg_computes_det3():
