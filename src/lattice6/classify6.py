@@ -21,12 +21,15 @@ file that each row's columns hold for its points.
 ``classify_all`` runs every branch and checks that the classes come out
 in table order.  All arithmetic is exact.
 
-The runners share four steps: _Funnel, the one record of a case's
+The runners share five steps: _Funnel, the one record of a case's
 candidates examined, rejections by reason and survivors, whose report
-identifies them; _embeddings41, the one search over the 8 x 4!
-embeddings of the signature-(4,1) bases (case C's interior subcase and
-case E), which counts each embedding in its caller's _Funnel;
-_six_by_caps, the one comparison of a size argument's outcome with the
+identifies them; _bases, the per-process table of the eight
+signature-(4,1) bases of cases C, E, F, G and H: their points, their
+symmetries and their volume tables (polytope.Extension), which give the
+15 volumes of a base plus one point as the base's 5 and 10 affine
+functionals of the new point, with no det4 (PointConfig._extended);
+_embeddings41, the one search over the 8 x 4! embeddings of the bases
+(case C's interior subcase and case E); _six_by_caps, the one comparison of a size argument's outcome with the
 hull count (B.i, B.ii, B.iii, the three C subcases, D, E, F, G and H),
 where each site evaluates its argument once per candidate; and _caps,
 the cap rule for a one-point extension of a polytope whose boundary a
@@ -52,6 +55,18 @@ cells, and counts no hull.  No runner reads a hull's interior points: a
 gluing names its case G or H by whether its two interior points
 coincide.
 
+A symmetry of a base fixes its interior point and maps a candidate built
+on it onto an equivalent candidate, label by label, with the same
+verdict.  So cases C, E and F visit one candidate per orbit of the
+base's symmetries (_orbit_walk, isomorph rejection after Read 1978 and
+McKay 1998): the first in enumeration order, which keeps the first
+configuration of each class where it was, counted, as examined and in
+its rejections, with its orbit's size.  _embeddings41 visits 119 of the
+192 vertex orders, each of an orbit of |Aut| orders, as only the
+identity fixes an order of the four vertices; run_case_f visits 108 of
+the 160 ordered point pairs, where a symmetry can fix a pair, so each
+counts with its own orbit's size.
+
 The G/H gluing examines 24,576 vertex matchings of subtetrahedra.  A
 matching glues when an integral unimodular map realizes it, which is
 exactly when the two ordered subtetrahedra have the same edge form (row
@@ -63,11 +78,11 @@ each base's volume vector v: a subtetrahedron's |volume| is |v_ex|, the
 entry of its left-out vertex, in any vertex order, so the gluing
 computes no determinant.  The bases' points, symmetries, subtetrahedra
 and hits depend only on the eight bases, so _gluing_tables builds them
-once per process.  A symmetry of the source base maps a matching onto
-one that glues the same point onto the same target, and only the
-identity fixes a subtetrahedron, so the walk visits the first matching
-of each such orbit (_orbit_minima), 1,564 hits, and counts each with
-the source's number of symmetries.  The symmetries of the base
+once per process, with 504 Hermite forms.  A symmetry of the source
+base maps a matching onto one that glues the same point onto the same
+target, and only the identity fixes a subtetrahedron, so the walk
+visits the first matching of each such orbit (_orbit_walk), 1,564 hits,
+and counts each with the source's number of symmetries.  The symmetries of the base
 polytopes, and the swap of a gluing's source and target, make many
 matchings glue the same configuration up to a unimodular map: the 1,532
 distinct verdict keys fall into 426 gluing groups.  A verdict
@@ -83,7 +98,7 @@ import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -97,7 +112,7 @@ from .exactlinalg import (
     edge_form,
     sub,
 )
-from .polytope import PointConfig, holds_only_its_points, size
+from .polytope import Extension, PointConfig, holds_only_its_points, size
 from .invariants import (
     C21,
     C31,
@@ -346,15 +361,96 @@ def _cell_orbit(cell: str):
     return chirotope_orbit(row.config())
 
 
+def _base_automorphisms(base: PointConfig) -> List[Tuple[Tuple[int, ...], AffineMap]]:
+    """The symmetries of a signature-(4,1) base (equivalence.symmetries),
+    as (point permutation, map).  Raises ClassificationError unless there
+    is one (the identity) and each fixes the interior point base[0]."""
+    autos = symmetries(base)
+    if not autos or any(perm[0] != 0 for perm, _ in autos):
+        raise ClassificationError("no symmetry of a base, or one that moves its interior point")
+    return autos
+
+
+def _relabeled(pi, labels) -> tuple:
+    """A tuple of base point indices moved by the point permutation pi."""
+    return tuple(map(pi.__getitem__, labels))
+
+
+def _orbit_walk(perms, items, act=_relabeled) -> tuple:
+    """(item, orbit size) for the first item of each orbit of items under
+    a base's symmetries, in the order of items: perms are their point
+    permutations, act(pi, item) is the image of item under pi, and items
+    holds every image.  A walk that visits these items, each counted with
+    its orbit's size, counts every item once (isomorph rejection: Read,
+    Ann. Discrete Math. 2, 1978; McKay, J. Algorithms 26, 1998)."""
+    seen, walk = set(), []
+    for item in items:
+        if item not in seen:
+            orbit = {act(pi, item) for pi in perms}
+            seen |= orbit
+            walk.append((item, len(orbit)))
+    return tuple(walk)
+
+
+class _Base:
+    """A catalog41() base as _bases holds it.
+
+    config is its representative, interior point first, and autos its
+    symmetries (_base_automorphisms).  extension is the volume table of
+    config plus a new last point (polytope.Extension), the configurations
+    of cases F, G and H.  The walks are built on first use, each by the
+    cases that read it.  embeddings lists, per vertex order (a, b, c, d)
+    that _orbit_walk visits, its orbit's size and the volume table of the
+    configuration p1, p2, p3 = pts[a], pts[b], pts[c], a new p4,
+    p5 = pts[0] and p6 = pts[d] (_embeddings41: cases C and E).  pairs
+    lists, per ordered pair (i, j) of its points that _orbit_walk visits,
+    its orbit's size (case F)."""
+
+    def __init__(self, config: PointConfig):
+        self.config = config
+        self.autos = tuple(_base_automorphisms(config))
+        self.extension = Extension(config)
+
+    @cached_property
+    def embeddings(self) -> Tuple[Tuple[Tuple[int, ...], int, Extension], ...]:
+        orders = _orbit_walk([perm for perm, _ in self.autos], itertools.permutations(range(1, 5)))
+        moved = self.extension.moved([(*order[:3], 0, order[3]) for order, _ in orders], 3)
+        return tuple((order, w, ext) for (order, w), ext in zip(orders, moved))
+
+    @cached_property
+    def pairs(self) -> Tuple[Tuple[Tuple[int, int], int], ...]:
+        return _orbit_walk([perm for perm, _ in self.autos], itertools.permutations(range(5), 2))
+
+
+@lru_cache(maxsize=1)
+def _bases() -> Tuple[_Base, ...]:
+    """The eight catalog41() bases (_Base) of cases C, E, F, G and H,
+    built once per process, as they depend only on the catalog.  Their
+    symmetries take no normal form, and their volume tables no det4 but
+    each base's own pass."""
+    return tuple(_Base(cls5.representative) for cls5 in catalog41())
+
+
 def _embeddings41(cell: str, coeffs, funnel: _Funnel):
-    """Embeddings of the catalog41() bases with the oriented matroid cell.
+    """Embeddings of the catalog41() bases with the oriented matroid cell,
+    one per orbit of the base's symmetries.
 
     Each base's interior point becomes p5 and its vertices p1, p2, p3, p6
-    in every order, and p4 = c1 p1 + c2 p2 + c3 p3 for coeffs (c1, c2, c3).
-    Each of the 8 x 4! embeddings counts as examined in funnel.  Yields
-    the configurations p1..p6 whose oriented matroid is the grid cell's,
-    in enumeration order; funnel rejects the others as a "degenerate
-    embedding" (two points coincide) or by their matroid.
+    in every order, and p4 = c1 p1 + c2 p2 + c3 p3 for coeffs (c1, c2, c3),
+    an affine combination (c1 + c2 + c3 = 1).  A symmetry of the base
+    fixes its interior point and permutes its vertices, so it maps an
+    embedding, p4 included, onto the embedding of the permuted order:
+    the two are equivalent, label by label, and every verdict of the
+    search and of its callers is the same on both.  Only the identity
+    fixes an order of the four vertices, so each orbit has |Aut| orders.
+    The walk visits the first order of each orbit (_Base.embeddings), 119
+    of the 8 x 4! = 192, and counts each in funnel, as examined and in
+    its rejections, with its orbit's size, which the callers' rejections
+    take too.  Yields (configuration p1..p6, weight) for the embeddings
+    whose oriented matroid is the grid cell's, in enumeration order;
+    funnel rejects the others as a "degenerate embedding" (p4 is a base
+    point) or by their matroid.  A configuration is the base plus p4
+    (PointConfig._extended), so its volumes are read off the base's.
 
     An embedding has the cell's oriented matroid exactly when its
     chirotope lies in the cell's orbit (_cell_orbit): the chirotope fixes
@@ -367,21 +463,20 @@ def _embeddings41(cell: str, coeffs, funnel: _Funnel):
     """
     orbit = _cell_orbit(cell)
     c1, c2, c3 = coeffs
-    for cls5 in catalog41():
-        pts = cls5.representative.points
-        for p1, p2, p3, p6 in itertools.permutations(pts[1:]):
-            funnel.examined += 1
+    for base in _bases():
+        pts = base.config.points
+        for (a, b, c, _), w, ext in base.embeddings:
+            funnel.examined += w
+            p1, p2, p3 = pts[a], pts[b], pts[c]
             p4 = tuple(c1 * p1[t] + c2 * p2[t] + c3 * p3[t] for t in range(3))
-            points = (p1, p2, p3, p4, pts[0], p6)
-            if len(set(points)) != 6:
-                funnel.reject("degenerate embedding")
+            if p4 in pts:
+                funnel.reject("degenerate embedding", w)
                 continue
-            check_point(p4)
-            cfg = PointConfig._of_checked(points)
+            cfg = PointConfig._extended(ext, p4)
             if chirotope(cfg) not in orbit:
-                funnel.reject(f"oriented matroid is not {cell}")
+                funnel.reject(f"oriented matroid is not {cell}", w)
                 continue
-            yield cfg
+            yield cfg, w
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +635,9 @@ def run_case_c() -> CaseReport:
     _PYRAMID31_FACETS, the printed tetrahedra, decide the hull; a
     rejection names the first cap that is not empty.  In the second, p4
     extends the (4,1) base on p1, p2, p3, p5, p6, and its caps over
-    _EMBEDDED41_FACETS, the printed T1246 and T1346, decide the hull.  In
+    _EMBEDDED41_FACETS, the printed T1246 and T1346, decide the hull; the
+    search visits one embedding per orbit of the base's symmetries, and
+    its rejections count with the orbit's size (_embeddings41).  In
     the last, p6 = (1, 2, 3) and p5 = (a, b, 1) with a, b >= 1, the
     quadrant of the paper's normalization, scanned over its part with
     a, b <= SCAN_BOUND: every (a, b) but (1, 1) puts the seventh point
@@ -568,13 +665,13 @@ def run_case_c() -> CaseReport:
 
     # p5 interior: remove p4 and embed the rest as a size-5 signature-(4,1)
     # polytope, with p5 in the interior-point role and p4 = 3 p1 - p2 - p3
-    for cfg in _embeddings41("5.4", (3, -1, -1), funnel):
+    for cfg, w in _embeddings41("5.4", (3, -1, -1), funnel):
         if abs(cfg.volumes()[_slots(6)[0, 1, 2, 4]]) not in (1, 3):
-            funnel.reject("subtetrahedron p1p2p3p5 volume is not 1 or 3")
+            funnel.reject("subtetrahedron p1p2p3p5 volume is not 1 or 3", w)
             continue
         caps = _caps(cfg.points, _EMBEDDED41_FACETS, 4)
         if not _six_by_caps(cfg, caps, "C interior"):
-            funnel.reject("a triangulation tetrahedron is not empty")
+            funnel.reject("a triangulation tetrahedron is not empty", w)
             continue
         funnel.accepted.append(cfg)
 
@@ -659,17 +756,19 @@ def run_case_e() -> CaseReport:
 
     Here p5 must be the interior point of the size-5 signature-(4,1)
     polytope on {p1, p2, p3, p5, p6}, and p4 = p2 + p3 - p1 completes the
-    unit parallelogram.  All 8 x 4! embeddings are tried; survivors carry
-    the oriented matroid 5.5, whose relabeling symmetry (12)(34) is
-    absorbed by the label-free deduplication.  p4 extends the (4,1) base,
-    and its one cap over _EMBEDDED41_FACETS, the printed T2346, decides
-    the hull (_six_by_caps).
+    unit parallelogram.  All 8 x 4! embeddings are examined, one per
+    orbit of the base's symmetries visited and counted with its orbit's
+    size (_embeddings41); survivors carry the oriented matroid 5.5, whose
+    relabeling symmetry (12)(34) is absorbed by the label-free
+    deduplication.  p4 extends the (4,1) base, and its one cap over
+    _EMBEDDED41_FACETS, the printed T2346, decides the hull
+    (_six_by_caps).
     """
     funnel = _Funnel("E")
-    for cfg in _embeddings41("5.5", (-1, 1, 1), funnel):
+    for cfg, w in _embeddings41("5.5", (-1, 1, 1), funnel):
         caps = _caps(cfg.points, _EMBEDDED41_FACETS, 4)
         if not _six_by_caps(cfg, caps, "E"):
-            funnel.reject("tetrahedron p2p3p4p6 is not empty")
+            funnel.reject("tetrahedron p2p3p4p6 is not empty", w)
             continue
         funnel.accepted.append(cfg)
     return funnel.report()
@@ -684,38 +783,47 @@ def run_case_f() -> CaseReport:
 
     Ordered point pairs (r1, r2) of each of the eight base polytopes fall
     into three oriented-matroid groups: r1 interior (4.21), r2 interior
-    (4.22), both vertices (4.11).  Survivors keep size 6 and have the
-    (2,1)-circuit as their only coplanarity.  The base is a tetrahedron
-    whose four facets are empty triangles around its interior point, so
-    the cap tetrahedra over the facets r3 sees decide the hull
-    (_six_by_caps): a candidate with a nonempty one is rejected without a
-    hull, and the hull of each other candidate is counted and must have
-    six points.  Each survivor's circuits, read once for the coplanarity
-    test, must hold exactly one (2,1)-circuit.  The oriented matroid is
-    an equivalence invariant, so each class lies in one group, and after
-    the report every class's group must be its row's oriented matroid
-    label, with 6, 6 and 5 classes in the three groups.
+    (4.22), both vertices (4.11).  A symmetry of the base fixes its
+    interior point, so it keeps a pair's group, and maps the pair's
+    candidate onto an equivalent one, r3 included, as r3 is an affine
+    combination of r1 and r2.  The walk visits the first pair of each
+    orbit (_Base.pairs, from _orbit_walk), 108 of the 160, and counts it,
+    as examined and in its rejections, with its orbit's size: a symmetry
+    can fix a pair (one that fixes r2 fixes every pair (interior, r2)),
+    so the size is not always |Aut|.  Each candidate is the base plus r3,
+    whose volumes PointConfig._extended reads off the base's table.
+    Survivors keep size 6 and have the (2,1)-circuit as their only
+    coplanarity.  The base is a tetrahedron whose four facets are empty
+    triangles around its interior point, so the cap tetrahedra over the
+    facets r3 sees decide the hull (_six_by_caps): a candidate with a
+    nonempty one is rejected without a hull, and the hull of each other
+    candidate is counted and must have six points.  Each survivor's
+    circuits, read once for the coplanarity test, must hold exactly one
+    (2,1)-circuit.  The oriented matroid is an equivalence invariant, so
+    each class lies in one group, and after the report every class's group
+    must be its row's oriented matroid label, with 6, 6 and 5 classes in
+    the three groups.
     """
     funnel = _Funnel("F")
     groups: Dict[PointConfig, str] = {}
-    for cls5 in catalog41():
-        pts = cls5.representative.points
-        for i, j in itertools.permutations(range(5), 2):
-            funnel.examined += 1
+    for base in _bases():
+        pts = base.config.points
+        for (i, j), w in base.pairs:
+            funnel.examined += w
             r1, r2 = pts[i], pts[j]
             r3 = tuple(2 * r2[t] - r1[t] for t in range(3))
             if r3 in pts:
-                funnel.reject("degenerate extension")
+                funnel.reject("degenerate extension", w)
                 continue
-            cfg = PointConfig._of_checked(pts + (check_point(r3),))
+            cfg = PointConfig._extended(base.extension, r3)
             group = "4.21" if i == 0 else ("4.22" if j == 0 else "4.11")
             caps = _caps(cfg.points, _BASE41_FACETS, 6)
             if not _six_by_caps(cfg, caps, "F", f" in group {group}"):
-                funnel.reject("extra lattice points in the convex hull")
+                funnel.reject("extra lattice points in the convex hull", w)
                 continue
             circs = circuits(cfg)
             if coplanarity_from_circuits(circs) != C21:
-                funnel.reject("additional coplanarity")
+                funnel.reject("additional coplanarity", w)
                 continue
             if sum(c.signature == (2, 1) for c in circs) != 1:
                 raise ClassificationError(f"F candidate {r3}: expected exactly one (2,1)-circuit")
@@ -736,88 +844,81 @@ def run_case_f() -> CaseReport:
 # cases G and H: no coplanarity, glued from two signature-(4,1) polytopes
 
 
-def _base_automorphisms(base: PointConfig) -> List[Tuple[Tuple[int, ...], AffineMap]]:
-    """The symmetries of a signature-(4,1) base (equivalence.symmetries),
-    as (point permutation, map).  Raises ClassificationError unless there
-    is one (the identity) and each fixes the interior point base[0]."""
-    autos = symmetries(base)
-    if not autos or any(perm[0] != 0 for perm, _ in autos):
-        raise ClassificationError("no symmetry of a base, or one that moves its interior point")
-    return autos
+#: Per left-out vertex ex of a base, its subtetrahedron's point indices,
+#: in base order.
+_REST = tuple(tuple(k for k in range(5) if k != ex) for ex in range(5))
+
+#: The matchings (ex, sigma) of a source base's subtetrahedra, in
+#: enumeration order: the subtetrahedron without vertex ex, in base order,
+#: goes onto a target ordered by sigma, source position t to target
+#: position sigma[t].
+_MATCHINGS = tuple((ex, sigma) for ex in range(1, 5) for sigma in itertools.permutations(range(4)))
 
 
-def _orbit_minima(autos) -> frozenset:
-    """The matchings (ex, sigma) of a base's subtetrahedra that come first
-    in their orbit under the base's symmetries, in the order of ex and then
-    of sigma (itertools.permutations order).
+def _matching_image(pi, matching) -> tuple:
+    """The image of a matching (ex, sigma) under a symmetry of the source
+    base with point permutation pi: (pi(ex), sigma'), where sigma' puts the
+    image of source position t at sigma[t].  The composed map glues the
+    same point onto the same target."""
+    ex, sigma = matching
+    image = _REST[pi[ex]]
+    moved = [0] * 4
+    for t, k in enumerate(_REST[ex]):
+        moved[image.index(pi[k])] = sigma[t]
+    return pi[ex], tuple(moved)
 
-    (ex, sigma) matches the subtetrahedron without vertex ex, in base
-    order, onto a target ordered by sigma: source position t goes to
-    target position sigma[t].  A symmetry with point permutation pi sends
-    it to (pi(ex), sigma'), where sigma' puts the image of source position
-    t at sigma[t]; the composed map glues the same point onto the same
-    target.  Only the identity fixes the four points of a subtetrahedron,
-    so every orbit has len(autos) matchings.  Each orbit is marked once,
-    from its first matching."""
-    rest = [[k for k in range(5) if k != ex] for ex in range(5)]
-    seen, minima = set(), set()
-    for ex in range(1, 5):
-        for sigma in itertools.permutations(range(4)):
-            if (ex, sigma) in seen:
-                continue
-            minima.add((ex, sigma))
-            for pi, _ in autos:
-                image = rest[pi[ex]]
-                moved = [0] * 4
-                for t, k in enumerate(rest[ex]):
-                    moved[image.index(pi[k])] = sigma[t]
-                seen.add((pi[ex], tuple(moved)))
-    return frozenset(minima)
+
+#: The identity matrix: the edge form of every ordered tetrahedron of
+#: volume +-1, whose edge matrix is unimodular.
+_UNIT_FORM = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 @lru_cache(maxsize=1)
 def _gluing_tables():
-    """(reps, autos, sources, walk): the tables of the G/H gluing, which
-    depend only on catalog41(), so they are built once per process.
+    """(sources, walk): the tables of the G/H gluing, which depend only on
+    the bases (_bases), so they are built once per process.
 
-    reps holds the eight bases' points and autos their symmetries as
-    (point permutation, map) (_base_automorphisms).  sources[b][ex - 1] is base b's subtetrahedron
-    without vertex ex, in base order, as (barycentric numerators of the
-    left-out vertex, their denominator, the points): with v the affine
-    dependence volume_vector5 of the base, the left-out vertex is
-    sum_k (-v_k / v_ex) p_k over the others, and v_ex is the
-    subtetrahedron's volume up to sign.  walk[sb][si] lists, in
-    enumeration order, the hits of source base sb on target base si that
-    _orbit_minima keeps: (ex, ex_s, dst, dst_vol) for the source's
-    left-out vertex ex, the target's ex_s, the target subtetrahedron
-    ordered as matched, and its |volume| |v_ex_s|.  A hit is a pair of
-    equal edge forms, found through a dict of the 768 ordered target
-    subtetrahedra by edge form."""
-    bases = [cls5.representative for cls5 in catalog41()]
-    reps = tuple(base.points for base in bases)
-    autos = tuple(tuple(_base_automorphisms(base)) for base in bases)
+    sources[b][ex - 1] is base b's subtetrahedron without vertex ex, in
+    base order, as (barycentric numerators of the left-out vertex, their
+    denominator, the points): with v the affine dependence volume_vector5
+    of the base, the left-out vertex is sum_k (-v_k / v_ex) p_k over the
+    others, and v_ex is the subtetrahedron's volume up to sign.
+    walk[sb][si] lists, in enumeration order, the hits of source base sb
+    on target base si whose matching comes first in its orbit under sb's
+    symmetries (_orbit_walk of _MATCHINGS): (ex, ex_s, dst, dst_vol) for
+    the source's left-out vertex ex, the target's ex_s, the target
+    subtetrahedron ordered as matched, and its |volume| |v_ex_s|.  A hit
+    is a pair of equal edge forms, found through a dict of the 768
+    ordered target subtetrahedra by edge form.  A source's form is its
+    first order's, the identity, and every order of a subtetrahedron of
+    |volume| 1 has the form _UNIT_FORM, so 504 Hermite forms are taken,
+    not 800."""
+    bases = _bases()
     sources, forms, by_form = [], {}, {}
-    for b, (pts, base) in enumerate(zip(reps, bases)):
-        v = volume_vector5(base)
+    for b, base in enumerate(bases):
+        pts = base.config.points
+        v = volume_vector5(base.config)
         subs = []
         for ex in range(1, 5):
-            tet = tuple(pts[k] for k in range(5) if k != ex)
-            subs.append((tuple(-v[k] for k in range(5) if k != ex), v[ex], tet))
-            forms[b, ex] = edge_form(tet)
+            tet = tuple(pts[k] for k in _REST[ex])
+            subs.append((tuple(-v[k] for k in _REST[ex]), v[ex], tet))
             for sigma in itertools.permutations(range(4)):
                 dst = tuple(tet[t] for t in sigma)
-                by_form.setdefault((b, edge_form(dst)), []).append((ex, sigma, dst, abs(v[ex])))
+                form = _UNIT_FORM if abs(v[ex]) == 1 else edge_form(dst)
+                forms.setdefault((b, ex), form)  # the identity order comes first
+                by_form.setdefault((b, form), []).append((ex, sigma, dst, abs(v[ex])))
         sources.append(tuple(subs))
     walk = []
-    for sb, sym in enumerate(autos):
-        minima = _orbit_minima(sym)
+    for sb, base in enumerate(bases):
+        perms = [perm for perm, _ in base.autos]
+        minima = {m for m, _ in _orbit_walk(perms, _MATCHINGS, _matching_image)}
         walk.append(tuple(
             tuple((ex, ex_s, dst, dst_vol)
                   for ex in range(1, 5)
                   for ex_s, sigma, dst, dst_vol in by_form.get((si, forms[sb, ex]), ())
                   if (ex, sigma) in minima)
-            for si in range(len(reps))))
-    return reps, autos, tuple(sources), tuple(walk)
+            for si in range(len(bases))))
+    return tuple(sources), tuple(walk)
 
 
 def run_case_gh() -> Tuple[CaseReport, CaseReport]:
@@ -837,8 +938,8 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
     subtetrahedron, so each orbit of matchings under the source's
     symmetries has exactly len(autos[sb]) members, all of one key.  The
     walk visits the first of each orbit in enumeration order
-    (_orbit_minima), 1,564 hits, and counts each, in the funnels and in
-    the hits, with that weight.  No map is solved: a hit's map sends the
+    (_orbit_walk of _MATCHINGS), 1,564 hits, and counts each, in the
+    funnels and in the hits, with that weight.  No map is solved: a hit's map sends the
     source's interior point to the target's first point, and its
     left-out vertex to the _barycentric_image of that vertex's numerators
     over the target.  The target's |volume| is filed with it, as |v_ex|
@@ -848,7 +949,8 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
     The union is six points; coinciding interior points give one interior
     point (case G), otherwise two (case H), and the gluing names its case
     so.  A gluing is accepted when its hull has six lattice points; the
-    configuration is the target base plus one point, so its caps are
+    configuration is the target base plus one point, whose volumes
+    PointConfig._extended reads off the target's table, so its caps are
     case F's (_caps over _BASE41_FACETS).  A cap with a lattice point
     strictly inside rejects the gluing for an extra interior point
     without a hull (286 of the 426 verdicts); on the others the caps are
@@ -884,16 +986,18 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
     """
     funnel_g, funnel_h = _Funnel("G"), _Funnel("H")
     funnels = {"G": (funnel_g,), "H": (funnel_h,), "shared": (funnel_g, funnel_h)}
-    reps, autos, sources, walk = _gluing_tables()
+    bases = _bases()
+    sources, walk = _gluing_tables()
     # every pair of subtetrahedra, each with its 4! vertex matchings
-    funnel_g.examined = funnel_h.examined = (4 * len(reps)) ** 2 * 24
+    funnel_g.examined = funnel_h.examined = (4 * len(bases)) ** 2 * 24
     hits = 0
     verdicts = {}
     for sb, per_target in enumerate(walk):
-        w = len(autos[sb])
+        w = len(bases[sb].autos)
         subs = sources[sb]
         for si, matched in enumerate(per_target):
-            spts = reps[si]
+            target = bases[si]
+            spts = target.config.points
             for ex, ex_s, dst, dst_vol in matched:
                 hits += w
                 weights, vol, _ = subs[ex - 1]
@@ -905,11 +1009,11 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
                 same = dst[0] == spts[0]
                 verdict = verdicts.get((si, new_pt, same))
                 if verdict is None:
-                    cfg = PointConfig._of_checked(spts + (check_point(new_pt),))
+                    cfg = PointConfig._extended(target.extension, new_pt)
                     verdict = _glued_verdict(cfg, dst[0])
                     swap = _swap_key(sources, sb, ex, si, ex_s, dst)
                     for base, pt in ((si, new_pt), swap):
-                        for _, g in autos[base]:
+                        for _, g in bases[base].autos:
                             verdicts[base, g.apply(pt), same] = verdict
                     if verdict[1] is None:
                         funnels[verdict[0]][0].accepted.append(cfg)

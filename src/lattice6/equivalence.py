@@ -19,9 +19,10 @@ all points and H, the affine map between them is unimodular and carries
 one point set onto the other.  So the key is the least (table, H) over
 those quadruples.  The tables of the 24 orders of one quadruple permute
 the columns of one table, so a 3x3 Hermite form is taken only for the
-orders whose table is least.
-The orders that reach the key are the images of any one of them under
-the symmetries of the configuration.
+orders whose table is least.  normal_form returns the key alone; the
+orders that reach it, the images of any one of them under the
+symmetries of the configuration, are listed by a test oracle
+(tests/equivalence_oracles.py).
 
 The witness search needs only V, the maximum of the volume table
 (PointConfig.top_volume), and the table stage, _least_orders: the least
@@ -118,19 +119,17 @@ def _least_orders(config: PointConfig, top: int) -> Tuple[Tuple[IntVec3, ...], L
     return least, [order for order, table in tables.items() if table == least]
 
 
-def normal_form(config: PointConfig) -> Tuple[Key, List[Tuple[int, ...]]]:
-    """The key (table, H) of config and the ordered index quadruples
-    reaching it, its key orders; see the module docstring.
+def normal_form(config: PointConfig) -> Key:
+    """The key (table, H) of config; see the module docstring.  A Hermite
+    form is taken only for the orders of the least table.
 
     Raises NotFullDimensional for a configuration of affine rank < 4.
     """
     top = config.top_volume()
     least, orders = _least_orders(config, top)
     pts = config.points
-    forms = {order: edge_form([pts[i] for i in order]) for order in orders}
-    h = min(forms.values())
-    table = tuple(sorted(least + ((0, 0, 0), (top, 0, 0), (0, top, 0), (0, 0, top))))
-    return (table, h), [order for order, form in forms.items() if form == h]
+    h = min(edge_form([pts[i] for i in order]) for order in orders)
+    return tuple(sorted(least + ((0, 0, 0), (top, 0, 0), (0, top, 0), (0, 0, top)))), h
 
 
 def equivalence_witness(
@@ -259,6 +258,6 @@ class RowSet:
                 witness = next(_witnesses(config, orders[0], rep, rep_orders), None)
                 if witness is not None:
                     return rid, rep, witness
-                if normal_form(config)[0] == normal_form(rep)[0]:
+                if normal_form(config) == normal_form(rep):
                     raise self.error(f"{rid}: witness is not equivalent")
         return None

@@ -15,19 +15,24 @@ by PointConfig); det4 and unimodular_map trust their input.
 The basic quantity is the normalized 4x4 determinant of four lattice
 points (top row of ones, points as columns), which equals the signed
 volume of their tetrahedron normalized so that a unimodular simplex has
-volume 1.  det3, det4 and _mat_vec are closed-form expressions: the hot
-loops call them tens of thousands of times per classification.
+volume 1.  det3, det4 and _mat_vec are closed-form expressions, for the
+hot loops.
 quad_volumes is the one loop of det4 over the index quadruples of a
 configuration, and PointConfig.volumes() its one caller.  It returns one
-table: the volumes of the sorted quadruples, then their negatives.
+table: the volumes of the sorted quadruples, then their negatives (a
+base plus one point gets the same table from polytope.Extension, with no
+det4).
 Every other determinant of configuration points is an entry of that
 table, at its _slots entry: det4 of an ordered label quadruple is the
 volume of its sorted quadruple, negated when the order is odd.  The
 hull's placing triangulation (the sides it tests and its tetrahedra's
 signed volumes), volume vectors, chirotopes, circuits, the maximal
 |volume| and barycentric numerators (the width's and the equivalence
-normal form's) all index the table.  det3 is left to the matrices of
-affine maps (AffineMap.det, unimodular_map); no other module calls it.
+normal form's) all index the table, and _relabelings reads the table
+of a relabeled configuration off it (the chirotope orbits, and the
+relabeled one-point extension tables of polytope.Extension).  det3 is
+left to the matrices of affine maps (AffineMap.det, unimodular_map); no
+other module calls it.
 """
 
 from __future__ import annotations
@@ -35,7 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Dict, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 IntVec3 = Tuple[int, int, int]
 
@@ -133,6 +139,24 @@ def _slots(n: int) -> Dict[Tuple[int, int, int, int], int]:
               for order in permutations(range(4))]
     return {tuple(quad[t] for t in order): m + odd
             for m, quad in enumerate(quads) for order, odd in orders}
+
+
+def _relabelings(perms: Sequence[Tuple[int, ...]]) -> List[itemgetter]:
+    """Per relabeling perm of n points, new point k being old point
+    perm[k], the getter, from the table of quad_volumes of the points, of
+    the table of the relabeled points: per quadruple (i, j, k, l) of
+    _quadruples(n), the _slots entry of (perm[i], perm[j], perm[k],
+    perm[l]).  It reads any table indexed like the volumes, such as their
+    signs.  All perms relabel the same number of points."""
+    slots, quads = _slots(len(perms[0])), _quadruples(len(perms[0]))
+    return [itemgetter(*[slots[perm[i], perm[j], perm[k], perm[l]] for i, j, k, l in quads])
+            for perm in perms]
+
+
+@lru_cache(maxsize=None)
+def _relabeling(perm: Tuple[int, ...]) -> itemgetter:
+    """The _relabelings getter of one relabeling, built once per process."""
+    return _relabelings([perm])[0]
 
 
 def quad_volumes(points: Sequence[IntVec3]) -> Tuple[int, ...]:

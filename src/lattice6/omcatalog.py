@@ -74,7 +74,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .exactlinalg import VerificationFailed, _quadruples, _slots
+from .exactlinalg import VerificationFailed, _relabelings
 from .invariants import SignedCircuit
 from .polytope import PointConfig
 
@@ -341,15 +341,11 @@ def chirotope_orbit(config: PointConfig) -> FrozenSet[Tuple[int, ...]]:
 def _relabeling_getters() -> List[itemgetter]:
     """Per relabeling k -> points[perm[k]] of six points, in
     itertools.permutations order, the getter of its chirotope from a
-    chirotope chi followed by -chi.
+    chirotope chi followed by -chi (exactlinalg._relabelings).
 
     The relabeling sends the quadruple (i, j, k, l) to the ordered
     quadruple (perm[i], perm[j], perm[k], perm[l]), whose det4 sits at its
     _slots entry in the volume table, the volumes followed by their
     negatives; so its sign sits at the same entry of chi followed by -chi.
     """
-    slots = _slots(6)
-    return [
-        itemgetter(*[slots[perm[i], perm[j], perm[k], perm[l]] for i, j, k, l in _quadruples(6)])
-        for perm in itertools.permutations(range(6))
-    ]
+    return _relabelings(list(itertools.permutations(range(6))))

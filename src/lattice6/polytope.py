@@ -8,7 +8,10 @@ the configuration's volume table, PointConfig.volumes(): the quadruple
 volumes followed by their negatives, indexed by exactlinalg._slots.  So
 the hull shares the one det4 pass of the configuration, whose maximum,
 PointConfig.top_volume(), is the maximal |volume| and decides full
-dimensionality.
+dimensionality.  A base plus one new point (PointConfig._extended)
+takes no det4 pass of its own: its Extension table holds the base's
+volumes and, for each quadruple with the new point, an affine
+functional of that point, from the normal of a base triangle.
 The placing's boundary faces give the facets: a plane tuple (a, b, c, o)
 per face, by a cross product and a gcd, and all predicates are
 integer-exact.  The vertices are read off the facets through each
@@ -45,7 +48,7 @@ from __future__ import annotations
 
 import re
 from math import gcd
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .emptytetra import _facet_frame, _framed_empty
 from .exactlinalg import (
@@ -55,8 +58,11 @@ from .exactlinalg import (
     _adjugate,
     _mat_vec,
     _quadruples,
+    _relabeling,
     _slots,
     check_point,
+    cross,
+    dot,
     quad_volumes,
     sub,
 )
@@ -142,6 +148,18 @@ class PointConfig:
     def __repr__(self):
         return f"PointConfig({list(self.points)!r})"
 
+    @classmethod
+    def _extended(cls, ext: "Extension", point: Sequence[int]) -> "PointConfig":
+        """The configuration of ext's base points with point inserted at
+        ext's index, point checked by check_point.  Its volume table is
+        ext's affine functionals evaluated at point, with no det4."""
+        x, y, z = check_point(point)
+        cfg = object.__new__(cls)
+        cfg._set_points(ext.head + ((x, y, z),) + ext.tail)
+        vols = [a * x + b * y + c * z + o for a, b, c, o in ext.functionals]
+        cfg._volumes = tuple(vols + [-v for v in vols])
+        return cfg
+
     def volumes(self) -> Tuple[int, ...]:
         """quad_volumes(self.points), computed once per configuration."""
         if self._volumes is None:
@@ -159,6 +177,59 @@ class PointConfig:
         if top == 0:
             raise NotFullDimensional("configuration spans no 3-dimensional volume")
         return top
+
+
+class Extension:
+    """The volume tables of the one-point extensions of a base
+    configuration: head, the base points before the new point, and tail,
+    those after it, and per quadruple of _quadruples(n + 1), n base
+    points, the affine functional (a, b, c, o) whose value
+    a x + b y + c z + o at the new point (x, y, z) is that quadruple's
+    volume.  PointConfig._extended evaluates it.
+
+    Extension(base) puts the new point last.  A quadruple of base points
+    keeps its volume, read off the base's own table (_slots), as the
+    constant functional (0, 0, 0, volume); the others are (i, j, k, new)
+    with i < j < k, and det4(p_i, p_j, p_k, p) = nrm . (p - p_i) for the
+    normal nrm = (p_j - p_i) x (p_k - p_i) of the base triangle ijk.  So
+    the table takes the base's one det4 pass and ten cross products.
+    """
+
+    __slots__ = ("head", "tail", "functionals")
+
+    def __init__(self, base: PointConfig):
+        pts = base.points
+        n = len(pts)
+        vols, slots = base.volumes(), _slots(n)
+        functionals = []
+        for quad in _quadruples(n + 1):
+            if quad[3] < n:
+                functionals.append((0, 0, 0, vols[slots[quad]]))
+                continue
+            a, b, c = (pts[k] for k in quad[:3])
+            nrm = cross(sub(b, a), sub(c, a))
+            functionals.append((*nrm, -dot(nrm, a)))
+        self.head, self.tail, self.functionals = pts, (), tuple(functionals)
+
+    def moved(self, orders: Iterable[Sequence[int]], at: int) -> Tuple["Extension", ...]:
+        """Per order in orders, the extensions of the base points listed in
+        that order, by their indices in this table's base, with the new
+        point at index at.  A relabeling permutes the volume table and
+        negates the entries of odd orders, so each functional is this
+        table's, or its negative, at the relabeled quadruple's _slots entry
+        (exactlinalg._relabeling)."""
+        base = self.head + self.tail
+        new = len(self.head)
+        signed = self.functionals + tuple((-a, -b, -c, -o) for a, b, c, o in self.functionals)
+        moved = []
+        for order in orders:
+            label = (*(k + (k >= new) for k in order[:at]), new, *(k + (k >= new) for k in order[at:]))
+            ext = object.__new__(Extension)
+            ext.head = tuple(base[k] for k in order[:at])
+            ext.tail = tuple(base[k] for k in order[at:])
+            ext.functionals = _relabeling(label)(signed)
+            moved.append(ext)
+        return tuple(moved)
 
 
 #: A label quadruple: a tetrahedron (i, j, k, p), or a boundary face

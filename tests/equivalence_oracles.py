@@ -1,5 +1,8 @@
 """The unpruned canonical normal form, kept as a test oracle for
-equivalence.normal_form; canonical_key, its key alone; and the naming of
+equivalence.normal_form; key_orders, the library's pruned normal form
+with the ordered quadruples that reach its key, which
+equivalence.normal_form no longer lists; canonical_key, the key alone;
+and the naming of
 stored rows by canonical key, kept as a test oracle for the row sets
 (equivalence.RowSet) of the 76 table rows and of the eleven sporadic
 size-5 classes.
@@ -28,7 +31,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import List, Optional, Tuple
 
-from lattice6.equivalence import Key, _witnesses, normal_form
+from lattice6.equivalence import Key, _least_orders, _witnesses, normal_form
 from lattice6.exactlinalg import _adjugate, _mat_vec, _quadruples, edge_form, sub
 from lattice6.polytope import NotFullDimensional, PointConfig
 from lattice6.size5 import Size5Class, _sporadic
@@ -44,7 +47,20 @@ def canonical_key(config: PointConfig) -> Key:
 
     Raises NotFullDimensional for a configuration of affine rank < 4.
     """
-    return normal_form(config)[0]
+    return normal_form(config)
+
+
+def key_orders(config: PointConfig) -> Tuple[Key, List[Tuple[int, ...]]]:
+    """normal_form's key of config and its key orders: the least-table
+    orders (equivalence._least_orders) whose Hermite form is the least,
+    in the order _least_orders lists them."""
+    top = config.top_volume()
+    least, orders = _least_orders(config, top)
+    pts = config.points
+    forms = {order: edge_form([pts[i] for i in order]) for order in orders}
+    h = min(forms.values())
+    table = tuple(sorted(least + ((0, 0, 0), (top, 0, 0), (0, top, 0), (0, 0, top))))
+    return (table, h), [order for order, form in forms.items() if form == h]
 
 
 def all_orders_normal_form(config: PointConfig) -> Tuple[Key, List[Tuple[int, ...]]]:
@@ -85,7 +101,7 @@ def row_key_index():
     index = {}
     for row in load_tables().class_rows:
         cfg = row.config()
-        key, orders = normal_form(cfg)
+        key, orders = key_orders(cfg)
         if index.setdefault(key, (row, cfg, orders))[0] is not row:
             raise AssertionError(f"{index[key][0].id} and {row.id} coincide")
     return index
@@ -96,7 +112,7 @@ def key_named_row(config: PointConfig) -> Optional[str]:
     witness must exist, from config's first key order onto the row's."""
     if len(config) != 6 or not config.is_full_dimensional():
         return None
-    key, orders = normal_form(config)
+    key, orders = key_orders(config)
     row, rep, row_orders = row_key_index().get(key, (None, None, None))
     if row is not None and next(_witnesses(config, orders[0], rep, row_orders), None) is None:
         raise AssertionError(f"{row.id}: witness is not equivalent")

@@ -38,6 +38,7 @@ from lattice6.exactlinalg import (
     unimodular_map,
 )
 from lattice6.invariants import (
+    C21,
     NO_COPLANARITY,
     circuits,
     coplanarity_from_circuits,
@@ -396,18 +397,24 @@ def _brute_force_orbit_minima(pts):
 
 def test_gluing_walk_visits_the_least_matching_of_each_orbit():
     """The orbit domain of run_case_gh's walk against brute force.  For
-    each base, _orbit_minima of its symmetries is the set of least
-    matchings of the orbits under _brute_force_symmetries' permutations,
-    each orbit holding one matching per symmetry.  For each (source,
-    target) pair of bases, the walk's hits are exactly the matchings of
-    equal edge forms (as in test_gluing_form_match_agrees_with_unimodular_map)
-    that are such a least matching, in enumeration order: 1,564 visited
-    hits, whose weights |Aut(source)| sum to the 3,732 hits."""
-    reps, autos, _, walk = classify6._gluing_tables()
+    each base, the matchings that _orbit_walk visits under its symmetries
+    are the least matchings of the orbits under _brute_force_symmetries'
+    permutations, each orbit holding one matching per symmetry.  For each
+    (source, target) pair of bases, the walk's hits are exactly the
+    matchings of equal edge forms (as in
+    test_gluing_form_match_agrees_with_unimodular_map) that are such a
+    least matching, in enumeration order: 1,564 visited hits, whose
+    weights |Aut(source)| sum to the 3,732 hits."""
+    bases = classify6._bases()
+    reps = [base.config.points for base in bases]
+    _, walk = classify6._gluing_tables()
     minima = [_brute_force_orbit_minima(pts) for pts in reps]
-    for pts, sym, least in zip(reps, autos, minima):
-        assert classify6._orbit_minima(sym) == least
-        assert len(least) * len(sym) == 4 * 24
+    for base, least in zip(bases, minima):
+        perms = [perm for perm, _ in base.autos]
+        visited = classify6._orbit_walk(perms, classify6._MATCHINGS, classify6._matching_image)
+        assert {m for m, _ in visited} == least
+        assert {w for _, w in visited} == {len(perms)}
+        assert len(least) * len(perms) == 4 * 24
     tetras = [[[pts[k] for k in range(5) if k != ex] for ex in range(1, 5)] for pts in reps]
     ordered = [[[(sigma, tuple(tet[t] for t in sigma)) for sigma in permutations(range(4))]
                 for tet in per_base] for per_base in tetras]
@@ -422,8 +429,32 @@ def test_gluing_walk_visits_the_least_matching_of_each_orbit():
                         if forms[dst] == forms[tuple(src)] and (ex, sigma) in least]
             assert [hit[:3] for hit in walk[sb][si]] == expected, (sb, si)
             visited += len(expected)
-            weighted += len(expected) * len(autos[sb])
+            weighted += len(expected) * len(bases[sb].autos)
     assert (visited, weighted) == (1564, 3732)
+
+
+def test_gluing_tables_take_504_edge_forms(monkeypatch, fresh_gluing_tables):
+    """The first _gluing_tables build takes 504 edge forms, where one per
+    source and one per ordered target subtetrahedron took 800: a source's
+    form is its identity order's, and each of the 11 subtetrahedra of
+    |volume| 1 has the identity form in all 24 orders.  Its 768 ordered
+    targets fall under 81 distinct (base, form) keys."""
+    classify6._bases()
+    calls = count_calls(monkeypatch, edge_form)
+    classify6._gluing_tables()
+    assert calls == {"edge_form": 504}
+    reps = [base.config.points for base in classify6._bases()]
+    tetras = [(b, [pts[k] for k in range(5) if k != ex]) for b, pts in enumerate(reps) for ex in range(1, 5)]
+    assert sum(abs(det4(*tet)) == 1 for _, tet in tetras) == 11
+    keys = {(b, edge_form([tet[t] for t in sigma])) for b, tet in tetras for sigma in permutations(range(4))}
+    assert len(keys) == 81
+
+
+def test_case_c_alone_builds_no_gluing_tables(fresh_gluing_tables):
+    """Case C, E and F read the bases' table (_bases), not the G/H hit
+    table, so a run of case C alone leaves _gluing_tables unbuilt."""
+    classify6.run_case("C")
+    assert classify6._gluing_tables.cache_info().currsize == 0
 
 
 def _is_subsequence(part, whole) -> bool:
@@ -566,70 +597,68 @@ def test_glued_verdict_matches_hull_oracle(monkeypatch, literal_gh):
 
 
 def test_classify_all_work_is_pinned(monkeypatch, case_reports):
-    """One warm classify_all: 122 witness maps, from _Funnel.report's 121
-    distinct point sets onto their rows' least-table orders (the search
-    stops at the first witness, and one set takes two tries; a key-order
-    witness per class took 76; the bases' 40 automorphism maps are built
-    once per process with the gluing tables, _gluing_tables, which this
-    test builds first, and took the count to 162 when every run_case_gh
-    built them), 142 placings with no
-    facet planes (case A's six candidates take one each for
-    holds_only_its_points, and every hull count takes one: every site of
-    cases B to H counts only the hulls its cap rule keeps: B's two
-    rejections, C's edge rejection and D's 32 rejections count none; of the
-    426 gluing verdicts, only the 32 accepted ones count one, since the 286
-    whose caps hold a lattice point strictly inside and the 29 with a non-
-    empty cap are rejected without a hull, which took the count from 457 to
-    171 and then to 142), 426 gluing verdicts, 52 circuit computations (no
-    gluing verdict computes any: its size argument is the cap rule; case F
-    checks its one (2,1)-circuit on the circuits of its coplanarity test),
-    1,156 cap computations (one per candidate that reaches the cap rule, and
-    one per gluing verdict that is not coplanar, shared by its interior-
-    point test and its cap rule) over 159 facet frames (145 facet triangles
-    with their refs, each built once per process by the memoized _cap_frame,
-    whose cache this test clears first, and 14 cells of case A's fine
+    """One warm classify_all: 78 witness maps, from _Funnel.report's 77
+    distinct point sets (A 2, B 16, C 6, D 2, E 2, F 17, G 20, H 12) onto
+    their rows' least-table orders (the search stops at the first
+    witness, and one set takes two tries; a key-order witness per class
+    took 76; the bases' 40 automorphism maps are built once per process
+    with the bases' table, _bases, which this test builds first, and took
+    the count to 162 when every run_case_gh built them; cases C, E and F
+    accepted every candidate of an orbit before they walked one per
+    orbit of the base's symmetries, 121 point sets and 122 maps).
+    86 placings with no facet planes (case A's six candidates take one
+    each for holds_only_its_points, and every hull count takes one:
+    every site of cases B to H counts only the hulls its cap rule keeps,
+    B 16, C 8, D 3, E 4, F 17 and the 32 accepted gluing verdicts; the
+    286 verdicts whose caps hold a lattice point strictly inside and the
+    29 with a non-empty cap are rejected without a hull, which took the
+    count from 457 to 171 and then to 142, and the orbit walks from 142
+    to 86, as C's interior subcase and E counted 16 hulls each and F 49).
+    426 gluing verdicts.  20 circuit computations (no gluing verdict
+    computes any: its size argument is the cap rule; D's three survivors
+    and F's 17, which checks its one (2,1)-circuit on the circuits of its
+    coplanarity test; 52 before the orbit walks).  1,066 cap computations
+    (one per candidate that reaches the cap rule, and one per gluing
+    verdict that is not coplanar, shared by its interior-point test and
+    its cap rule; 1,156 before the orbit walks) over 144 facet frames
+    (130 facet triangles with their refs, each built once per process by
+    the memoized _cap_frame, whose cache this test clears first, 145
+    before the orbit walks, and 14 cells of case A's fine
     triangulations, those of |volume| above 1, which
-    polytope.holds_only_its_points reads), 1,059 emptiness tests by White's
-    congruence in the frame (_framed_empty: those 14 cells, and caps, where
-    each site evaluates its size argument once, and C's one rejected edge
-    candidate tests its caps again, to name the first that is not empty; the
-    opposite-edge emptiness test it replaced ran as often; D's 32 rejections
-    take 44 of them, as _D_FACETS lists the side triangles, where a rejected
-    apex meets its full cap, before the base square: base first, they took
-    108), 522 interior-point tests of caps (_framed_has_interior_point),
-    13,320 det4 calls, 15 per quad_volumes and none elsewhere (the gluing
-    loop files its subtetrahedra with |volumes| read off the bases' volume
-    vectors, the reverse gluings pass the source's, and C's interior subcase
-    reads its subtetrahedron off the configuration's volumes; with det4
-    calls of their own these took 768, 426 and 128 more, 15,452 in all), no
-    normal form (_Funnel.report names each distinct point set's row by its
-    least table and a witness, _class_rows, and takes none: with one per
-    point set, 121 more, they were 129; the bases' symmetries take none,
-    as equivalence.symmetries reads their least-table orders, once per
-    process with the gluing tables), no catalog match (a class takes its oriented
-    matroid from its row, and cases C and E test their embeddings by
-    chirotope), 442 sorted barycentric tables in the least tables of the
-    121 point sets (only for the vertex orders that can reach the least
-    table; the unpruned search built 24 per maximal quadruple, 3,864; the
-    bases' 8 normal forms took 60 more, 502, while each run_case_gh took
-    them), and
-    1,885 check_point calls: configurations built from checked points check
-    only the point they add (C's "both vertices" scan checks its base and p6
-    once and then one point per candidate), the triangulation checks test
-    the emptiness of those points without checking them again, and the rows'
-    configurations come from _class_rows. quad_volumes runs 888 times, once
-    per configuration whose volumes are read (PointConfig.volumes), here by
-    its first reader: 426 gluing verdicts (the least tables of the accepted
-    verdicts' configurations reuse them), 384 embeddings of cases C and E
-    (their chirotope; the hulls and least tables of the accepted ones reuse
-    them) and 78 hulls (A 6, B 16, C 4, D 3, F 49), whose circuits and least
-    tables reuse them; the rows' volume vectors reuse the volumes of their
-    least tables in _class_rows. It ran 942 times while chirotope computed
-    volumes of its own from the points: the 32 accepted embeddings whose
-    hulls are counted (16 in C, 16 in E) computed theirs twice; and 910
-    times while case D's 22 width-one candidates each took a width, which
-    now read the range of x + z off their points, so no case runner calls
-    width."""
+    polytope.holds_only_its_points reads).  941 emptiness tests by
+    White's congruence in the frame (_framed_empty: those 14 cells, and
+    caps, where each site evaluates its size argument once, and C's one
+    rejected edge candidate tests its caps again, to name the first that
+    is not empty; D's 32 rejections take 44 of them, as _D_FACETS lists
+    the side triangles, where a rejected apex meets its full cap, before
+    the base square: base first, they took 108; 1,059 before the orbit
+    walks).  522 interior-point tests of caps
+    (_framed_has_interior_point).  435 det4 calls, 15 per quad_volumes
+    and none elsewhere.  No normal form (_Funnel.report names each
+    distinct point set's row by its least table and a witness,
+    _class_rows, and takes none; the bases' symmetries take none, as
+    equivalence.symmetries reads their least-table orders, once per
+    process).  No catalog match (a class takes its oriented matroid from
+    its row, and cases C and E test their embeddings by chirotope).  232
+    sorted barycentric tables in the least tables of the 77 point sets
+    (only for the vertex orders that can reach the least table; 442 for
+    the 121 point sets before the orbit walks).  1,687 check_point calls:
+    configurations built from checked points check only the point they
+    add (C's "both vertices" scan checks its base and p6 once and then
+    one point per candidate, and PointConfig._extended its new point),
+    the triangulation checks test the emptiness of those points without
+    checking them again, and the rows' configurations come from
+    _class_rows; the orbit walks visit 198 fewer candidates in C, E and
+    F, from 1,885.  quad_volumes runs 29 times, for the hulls of the
+    configurations of cases A (6), B (16), C's edge and "both vertices"
+    subcases (4) and D (3): the configurations of C's interior subcase,
+    E, F, G and H are a (4,1) base plus one point, whose volumes
+    PointConfig._extended evaluates off the base's Extension table with
+    no det4.  It ran 888 times, 13,320 det4, while those configurations
+    computed their own volumes (384 embeddings, 49 F hulls, 426 gluing
+    verdicts), 942 while chirotope computed volumes of its own from the
+    points, and 910 while case D's 22 width-one candidates each took a
+    width; no case runner calls width."""
     for cell in ("5.4", "5.5"):  # warm: the orbits are built once per process
         classify6._cell_orbit(cell)
     classify6._class_rows()._stages
@@ -640,11 +669,11 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
                         classify6._caps, _facet_frame, _framed_empty,
                         _framed_has_interior_point, det4, _table, width)
     classify6.classify_all()
-    assert calls == {"unimodular_map": 122, "hull_facets": 0, "_placing": 142, "_glued_verdict": 426,
-                     "match_circuits": 0, "check_point": 1885, "circuits": 52,
-                     "normal_form": 0, "quad_volumes": 888, "_caps": 1156,
-                     "_facet_frame": 159, "_framed_empty": 1059,
-                     "_framed_has_interior_point": 522, "det4": 13320, "_table": 442,
+    assert calls == {"unimodular_map": 78, "hull_facets": 0, "_placing": 86, "_glued_verdict": 426,
+                     "match_circuits": 0, "check_point": 1687, "circuits": 20,
+                     "normal_form": 0, "quad_volumes": 29, "_caps": 1066,
+                     "_facet_frame": 144, "_framed_empty": 941,
+                     "_framed_has_interior_point": 522, "det4": 435, "_table": 232,
                      "width": 0}
 
 
@@ -827,23 +856,198 @@ def test_cell_orbits_match_the_catalog_on_row_images(bundle):
 
 
 def test_embedded41_caps_are_the_printed_triangulations():
-    """On each of the 128 embeddings of either search that have its cell,
-    the caps over _EMBEDDED41_FACETS are the printed triangulation's
-    tetrahedra, and the cap rule keeps exactly the hulls of six points,
-    16 in either search.  Each search counts its 192 embeddings as
-    examined in the funnel, and rejects the 64 it does not yield."""
+    """On each embedding of either search that has its cell, the caps
+    over _EMBEDDED41_FACETS are the printed triangulation's tetrahedra,
+    and the cap rule keeps exactly the hulls of six points.  The search
+    visits one embedding per orbit of the base's symmetries and yields it
+    with its orbit's size: weighted so, 128 embeddings of either search
+    have its cell, and 16 of them six points.  Each search counts its 192
+    embeddings as examined in the funnel: the weighted yields and the 64
+    it rejects.  literal_cef checks the caps of all 128 of each search."""
     seen = Counter()
     for case, cell, coeffs in EMBEDDING_SEARCHES:
         printed = sorted(map(sorted, PRINTED_TRIANGULATIONS[case]))
         funnel = classify6._Funnel(case)
-        for cfg in classify6._embeddings41(cell, coeffs, funnel):
+        yielded = 0
+        for cfg, w in classify6._embeddings41(cell, coeffs, funnel):
             caps, kept = _cap_rule(cfg.points, classify6._EMBEDDED41_FACETS, 4)
             assert sorted(map(sorted, caps)) == printed, (case, cfg)
             six = size(cfg) == 6
             assert kept == six, (case, cfg)
-            seen[case, six] += 1
+            seen[case, six] += w
+            yielded += w
         assert funnel.examined == 192 == 128 + sum(funnel.rejected.values()), case
+        assert yielded == 128, case
     assert seen == {("C", True): 16, ("C", False): 112, ("E", True): 16, ("E", False): 112}
+
+
+def _first_of_orbit(labels, perms) -> bool:
+    """Whether the tuple of base point indices labels comes first, in
+    lexicographic order, among its images under the point permutations
+    perms."""
+    return labels == min(tuple(perm[k] for k in labels) for perm in perms)
+
+
+@pytest.fixture(scope="module")
+def literal_cef():
+    """Oracle for the orbit walks of cases C, E and F: the loops before
+    them, over all 8 x 4! embeddings of either (4,1) search and all
+    8 x 20 ordered point pairs of case F, each candidate counted once and
+    decided by its hull (size) and, in F, its circuits, with det4 volumes
+    of its own.  Built once per module.
+
+    Per search, "C" (C's interior subcase), "E" and "F": a namespace
+    with examined, rejected (a Counter by reason) and accepted, the
+    accepted configurations in enumeration order, each as (configuration,
+    whether its vertex order or pair comes first in its orbit under the
+    base's _brute_force_symmetries).  On each embedding with the search's
+    cell, the caps are the printed triangulation's tetrahedra and the cap
+    rule agrees with the hull."""
+    found = {}
+    for case, cell, (c1, c2, c3) in EMBEDDING_SEARCHES:
+        got = types.SimpleNamespace(examined=0, rejected=Counter(), accepted=[])
+        printed = sorted(map(sorted, PRINTED_TRIANGULATIONS[case]))
+        for cls5 in catalog41():
+            pts = cls5.representative.points
+            perms = _brute_force_symmetries(pts)
+            for order in permutations(range(1, 5)):
+                got.examined += 1
+                p1, p2, p3, p6 = (pts[k] for k in order)
+                p4 = tuple(c1 * p1[t] + c2 * p2[t] + c3 * p3[t] for t in range(3))
+                points = (p1, p2, p3, p4, pts[0], p6)
+                if len(set(points)) != 6:
+                    got.rejected["degenerate embedding"] += 1
+                    continue
+                cfg = PointConfig(points)
+                if chirotope(cfg) not in classify6._cell_orbit(cell):
+                    got.rejected[f"oriented matroid is not {cell}"] += 1
+                    continue
+                caps, kept = _cap_rule(points, classify6._EMBEDDED41_FACETS, 4)
+                six = size(cfg) == 6
+                assert sorted(map(sorted, caps)) == printed and kept == six, (case, points)
+                if case == "C" and abs(det4(p1, p2, p3, pts[0])) not in (1, 3):
+                    got.rejected["subtetrahedron p1p2p3p5 volume is not 1 or 3"] += 1
+                elif not six:
+                    got.rejected["a triangulation tetrahedron is not empty" if case == "C"
+                                 else "tetrahedron p2p3p4p6 is not empty"] += 1
+                else:
+                    got.accepted.append((cfg, _first_of_orbit(order, perms)))
+        found[case] = got
+    got = types.SimpleNamespace(examined=0, rejected=Counter(), accepted=[])
+    for cls5 in catalog41():
+        pts = cls5.representative.points
+        perms = _brute_force_symmetries(pts)
+        for i, j in permutations(range(5), 2):
+            got.examined += 1
+            r3 = tuple(2 * pts[j][t] - pts[i][t] for t in range(3))
+            if r3 in pts:
+                got.rejected["degenerate extension"] += 1
+                continue
+            cfg = PointConfig(pts + (r3,))
+            if size(cfg) != 6:
+                got.rejected["extra lattice points in the convex hull"] += 1
+            elif coplanarity_from_circuits(circuits(cfg)) != C21:
+                got.rejected["additional coplanarity"] += 1
+            else:
+                got.accepted.append((cfg, _first_of_orbit((i, j), perms)))
+    found["F"] = got
+    return found
+
+
+def _accepted_by_report(monkeypatch):
+    """Record each _Funnel's accepted configurations as it reports: the
+    returned dict maps its case to the list."""
+    accepted = {}
+    report = classify6._Funnel.report
+
+    def recorded(funnel, *args):
+        accepted[funnel.case] = list(funnel.accepted)
+        return report(funnel, *args)
+
+    monkeypatch.setattr(classify6._Funnel, "report", recorded)
+    return accepted
+
+
+#: The rejection reasons of case C's edge and "both vertices" subcases;
+#: every other reason of case C is its interior subcase's.
+C_OUTER_REASONS = ("T3456 is not empty", "extra lattice points in the convex hull")
+
+
+def test_orbit_walks_match_the_literal_oracle(monkeypatch, literal_cef):
+    """run_case_c's interior subcase, run_case_e and run_case_f against the
+    full loops (literal_cef): the same examined count and per-reason
+    rejection counts, each walk's rejections weighted by orbit size; the
+    accepted configurations are the oracle's that come first in their
+    orbit, in the same order, and the reports, which identify the first
+    accepted configuration of each class, are those of the oracle's
+    accepted lists.  Case C's accepted list is its three edge
+    configurations, the interior subcase's and the one "both vertices"
+    configuration."""
+    accepted = _accepted_by_report(monkeypatch)
+    reports = {"C": classify6.run_case_c(), "E": classify6.run_case_e(), "F": classify6.run_case_f()}
+    interior = accepted["C"][3:-1]
+    outer = accepted["C"][:3], accepted["C"][-1:]
+    counts = {}
+    for case, got in literal_cef.items():
+        report = reports[case]
+        walked = interior if case == "C" else accepted[case]
+        assert walked == [cfg for cfg, first in got.accepted if first], case
+        oracle = [cfg for cfg, _ in got.accepted]
+        rejected = Counter(report.rejected)
+        if case == "C":
+            rejected = Counter({r: n for r, n in rejected.items() if r not in C_OUTER_REASONS})
+            oracle = outer[0] + oracle + outer[1]
+        else:
+            assert report.candidates_examined == got.examined
+        assert rejected == got.rejected, case
+        assert report == _funnel_report(case, report.candidates_examined, report.rejected, oracle)
+        counts[case] = (got.examined, len(walked), len(got.accepted))
+    assert counts == {"C": (192, 4, 16), "E": (192, 4, 16), "F": (160, 17, 49)}
+
+
+def test_base_walks_visit_the_first_of_each_orbit():
+    """The vertex orders and point pairs of each base that _bases keeps
+    for the walks are the first of their orbits under
+    _brute_force_symmetries, in enumeration order, each with its orbit's
+    size: 119 of the 192 embedding orders, all of weight |Aut| (only the
+    identity fixes an order of the four vertices), and 108 of the 160
+    pairs, where a symmetry can fix a pair."""
+    orders = pairs = 0
+    stabilized = False
+    for base in classify6._bases():
+        perms = _brute_force_symmetries(base.config.points)
+
+        def orbit_size(labels):
+            return len({tuple(perm[k] for k in labels) for perm in perms})
+
+        expected = [(o, orbit_size(o)) for o in permutations(range(1, 5)) if _first_of_orbit(o, perms)]
+        assert [(order, w) for order, w, _ in base.embeddings] == expected
+        assert {w for _, w in expected} == {len(perms)}
+        expected = [(p, orbit_size(p)) for p in permutations(range(5), 2) if _first_of_orbit(p, perms)]
+        assert list(base.pairs) == expected
+        stabilized |= any(w < len(perms) for _, w in expected)
+        orders += len(base.embeddings)
+        pairs += len(base.pairs)
+    assert (orders, pairs) == (119, 108) and stabilized
+
+
+def test_extension_tables_match_quad_volumes(monkeypatch):
+    """Every configuration that cases C, E, F, G and H build as a base plus
+    one point (PointConfig._extended), in one classify_all, has the volume
+    table that quad_volumes computes from its points: 119 embeddings in
+    either search, 108 F candidates and 426 gluing verdicts."""
+    built = []
+    extended = PointConfig._extended.__func__
+
+    def recorded(cls, ext, point):
+        built.append(extended(cls, ext, point))
+        return built[-1]
+
+    monkeypatch.setattr(PointConfig, "_extended", classmethod(recorded))
+    classify6.classify_all()
+    assert len(built) == 2 * 119 + 108 + 426
+    for cfg in built:
+        assert cfg.volumes() == quad_volumes(cfg.points), cfg
 
 
 def test_cell_orbit_sizes():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import fraction_oracles
 from conftest import APEX31_BASE, apply_map, count_calls, random_unimodular, shuffled, sporadic5
 from emptytetra_oracles import standard_tetrahedron
-from equivalence_oracles import all_orders_normal_form, canonical_key
+from equivalence_oracles import all_orders_normal_form, canonical_key, key_orders
 from lattice6.equivalence import (
     _least_orders, normal_form, _table, equivalence_witness,
 )
@@ -335,7 +335,9 @@ def _full_search_normal_form(config):
 def test_canonical_key_matches_full_search(bundle):
     """The pruned search (a table only for the orders that can reach the
     least first row off the quadruple, a Hermite form only for the orders
-    whose table is least) returns the unpruned search's key and key orders,
+    whose table is least: normal_form's key, with the key orders that
+    key_orders lists from the same least-table orders) returns the
+    unpruned search's key and key orders,
     in the same order, and the full search's key and key orders, on the
     rows, relabeled unimodular images of them, random spanning sets of 6
     to 8 points, inputs with many tied |volumes|, one whose key needs the
@@ -361,12 +363,13 @@ def test_canonical_key_matches_full_search(bundle):
     top = [q for q in itertools.combinations(range(6), 4)
            if abs(det4(*(pts[i] for i in q))) == _abs_volumes(SECOND_QUAD_WINS)[-1]]
     assert len(top) == 2
-    assert {tuple(sorted(order)) for order in normal_form(SECOND_QUAD_WINS)[1]} == {top[1]}
-    assert len(normal_form(catalog41()[0].representative)[1]) == 24
+    assert {tuple(sorted(order)) for order in key_orders(SECOND_QUAD_WINS)[1]} == {top[1]}
+    assert len(key_orders(catalog41()[0].representative)[1]) == 24
     for c in (sporadic5((2, 2), 1), HIGH_TIE[0]):
-        assert len({frozenset(order) for order in normal_form(c)[1]}) > 1, c.points
+        assert len({frozenset(order) for order in key_orders(c)[1]}) > 1, c.points
     for c in inputs:
-        key, orders = normal_form(c)
+        key, orders = key_orders(c)
+        assert normal_form(c) == key, c.points
         assert (key, orders) == all_orders_normal_form(c), c.points
         assert (key, sorted(orders)) == _full_search_normal_form(c), c.points
 

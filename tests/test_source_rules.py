@@ -25,7 +25,9 @@ and symmetries.  A configuration's quadruple volumes are computed
 once, by PointConfig.volumes(), and every other determinant of
 configuration points is read off them: in the library, det4 is called
 only by quad_volumes, quad_volumes only by PointConfig.volumes, and
-det3 only inside exactlinalg.py.
+det3 only inside exactlinalg.py.  A volume table is set only by
+PointConfig's own methods (volumes, and _extended, which evaluates a
+polytope.Extension): no other code assigns _volumes.
 A case's candidates, rejections and survivors are kept in one record: in
 classify6.py, a Counter is constructed only inside the _Funnel class.
 A case decides "exactly six lattice points" by one size argument: in
@@ -305,7 +307,7 @@ def test_key_order_call_outside_equivalence_is_a_violation(tmp_path):
     path.write_text("from . import equivalence\n"
                     "from .equivalence import _least_orders, _witnesses, normal_form\n"
                     "def named(a, rep):\n    _, orders = _least_orders(a, a.top_volume())\n"
-                    "    if normal_form(a)[0] != equivalence.normal_form(rep)[0]:\n"
+                    "    if normal_form(a) != equivalence.normal_form(rep):\n"
                     "        return None\n"
                     "    return next(_witnesses(a, orders[0], rep, orders), None)\n",
                     encoding="utf-8")
@@ -375,6 +377,51 @@ def test_quad_volumes_of_config_points_is_a_violation(tmp_path):
                                     "sample.py:11: calls quad_volumes outside PointConfig.volumes",
                                     "sample.py:14: calls quad_volumes outside PointConfig.volumes",
                                     "sample.py:18: calls det4 outside quad_volumes"]
+
+
+def _volume_assignments(path, owner="PointConfig"):
+    """Assignments of a _volumes attribute in path, as an assignment target
+    (x._volumes = ...) or by name (setattr or __setattr__ with the string
+    "_volumes"), outside the methods of the class owner."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    inside = {id(node) for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == owner
+              for fn in cls.body if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+    lines = set()
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Attribute) and t.attr == "_volumes"
+                   for target in targets for t in ast.walk(target)):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in ("setattr", "__setattr__") and any(
+                    isinstance(arg, ast.Constant) and arg.value == "_volumes" for arg in node.args):
+                lines.add(node.lineno)
+    return [f"{path.name}:{lineno}: assigns _volumes outside {owner}" for lineno in sorted(lines)]
+
+
+def test_only_point_config_sets_its_volume_table():
+    found = [v for path in SOURCES for v in _volume_assignments(path)]
+    assert not found, "\n".join(found)
+
+
+def test_volume_table_assignment_outside_point_config_is_a_violation(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("class PointConfig:\n    def volumes(self):\n        self._volumes = ()\n"
+                    "        object.__setattr__(self, '_volumes', ())\n"
+                    "    _volumes = None\n"
+                    "def extend(cfg, vols):\n    cfg._volumes = vols\n"
+                    "    setattr(cfg, '_volumes', vols)\n"
+                    "    object.__setattr__(cfg, '_volumes', vols)\n"
+                    "    cfg.points, cfg._volumes = (), vols\n"
+                    "    return cfg._volumes\n", encoding="utf-8")
+    assert _volume_assignments(path) == ["sample.py:7: assigns _volumes outside PointConfig",
+                                         "sample.py:8: assigns _volumes outside PointConfig",
+                                         "sample.py:9: assigns _volumes outside PointConfig",
+                                         "sample.py:10: assigns _volumes outside PointConfig"]
 
 
 def _counters_outside(path, owner):
