@@ -128,8 +128,8 @@ def test_gluing_cases_share_enumeration(case_reports):
 
 
 def test_gluing_funnel_is_pinned(case_reports):
-    """The whole G/H candidate funnel, counter by counter: the per-candidate
-    verdicts are replayed once per repeat of a glued configuration."""
+    """The whole G/H candidate funnel, counter by counter: each visited
+    hit's verdict counts with the size of its orbit."""
     r = by_case(case_reports)
     shared = {
         "identification is not integral unimodular": 20844,
@@ -209,12 +209,12 @@ def fresh_gluing_tables():
 
 
 def test_filed_volumes_are_checked(monkeypatch, fresh_gluing_tables):
-    """The |volume| _gluing_tables files with each ordered subtetrahedron,
-    read off its base's volume vector, is compared with the source's on
-    every hit run_case_gh visits.  With one base's volume vector doubled
-    (still an affine dependence, so every glued point stays where it
-    was), its filed volumes disagree with those of the other bases, and
-    the first visited hit between it and another base raises."""
+    """The target |volume| that _gluing_tables reads off its base's volume
+    vector is compared with the source's on every hit the walk visits.
+    With one base's volume vector doubled (still an affine dependence, so
+    every glued point stays where it was), its volumes disagree with
+    those of the other bases, and the first visited hit between it and
+    another base raises while run_case_gh builds the tables."""
     doubled = catalog41()[1].representative.points
     real = classify6.volume_vector5
 
@@ -238,7 +238,7 @@ def _funnel_report(case, examined, rejected, accepted, notes=()):
 
 @pytest.fixture(scope="module")
 def literal_gh():
-    """Oracle for run_case_gh: the G/H loop before the verdict cache, which
+    """Oracle for run_case_gh: the G/H loop before the orbit walk, which
     compares the edge forms of all 24,576 matchings, solves each hit's map
     and makes one verdict per distinct literal key.  Built once per module.
 
@@ -373,64 +373,104 @@ def test_base_automorphisms_fix_the_first_point():
         classify6._base_automorphisms(PointConfig(pts[1:] + pts[:1]))
 
 
-def _brute_force_orbit_minima(pts):
-    """The least matching (ex, sigma) of each orbit of a base's matchings
-    under the point permutations of _brute_force_symmetries.  A matching
-    is read as the map from the point indices of the subtetrahedron
-    without vertex ex to target positions: index k at source position t
-    goes to sigma[t], and a permutation moves index k to perm[k]."""
-    perms = _brute_force_symmetries(pts)
-    minima = set()
-    for ex in range(1, 5):
-        rest = [k for k in range(5) if k != ex]
-        for sigma in permutations(range(4)):
-            orbit = []
-            for perm in perms:
-                moved = {perm[k]: pos for k, pos in zip(rest, sigma)}
-                left_out = next(k for k in range(5) if k not in moved)
-                orbit.append((left_out, tuple(moved[k] for k in sorted(moved))))
-            assert len(set(orbit)) == len(perms), (pts, ex, sigma)
-            if min(orbit) == (ex, sigma):
-                minima.add((ex, sigma))
-    return minima
+@pytest.fixture(scope="module")
+def gluing_orbits():
+    """Oracle for the orbits of run_case_gh's walk, by brute force.  Built
+    once per module.
+
+    hits lists the 3,732 matchings that unimodular_map realizes, in
+    enumeration order (source base, target base, the source's left-out
+    vertex ex, the target's, the vertex matching), each as (source base,
+    target base, ex, dst), dst the target points that the source
+    subtetrahedron without ex, in base order, goes to; maps holds each
+    hit's solved map.  orbits lists the orbits, as sets of hit indices, of
+    the group generated by the point permutations of
+    _brute_force_symmetries on either base, and the swap of source and
+    target, which the solved inverse map carries out: the target's
+    left-out vertex glued onto the source base.  A source symmetry g maps
+    the map m of a hit onto m o g^-1, a target symmetry h onto h o m;
+    each acts freely on the hits, as only the identity fixes a
+    subtetrahedron, which is checked on every hit."""
+    reps = [cls5.representative.points for cls5 in catalog41()]
+    perms = [sorted(_brute_force_symmetries(pts)) for pts in reps]
+    tetras = [[tuple(pts[k] for k in range(5) if k != ex) for ex in range(1, 5)] for pts in reps]
+    hits, maps = [], []
+    for sb, si in product(range(len(reps)), repeat=2):
+        for ex, src in enumerate(tetras[sb], 1):
+            for tet in tetras[si]:
+                for sigma in permutations(range(4)):
+                    dst = tuple(tet[t] for t in sigma)
+                    m = unimodular_map(src, dst)
+                    if m is not None:
+                        hits.append((sb, si, ex, dst))
+                        maps.append(m)
+    index = {hit: i for i, hit in enumerate(hits)}
+
+    def images(i):
+        sb, si, ex, dst = hits[i]
+        spts, tpts = reps[sb], reps[si]
+        source = []
+        for perm in perms[sb]:
+            moved = dict(zip((spts[perm[k]] for k in range(5) if k != ex), dst))
+            source.append((sb, si, perm[ex], tuple(moved[p] for p in tetras[sb][perm[ex] - 1])))
+        target = [(sb, si, ex, tuple(tpts[perm[tpts.index(q)]] for q in dst)) for perm in perms[si]]
+        for moved in (source, target):
+            assert sum(image == hits[i] for image in moved) == 1, hits[i]
+        ex_s = next(k for k in range(1, 5) if tpts[k] not in dst)
+        inverse = unimodular_map(dst, tetras[sb][ex - 1])
+        swap = (si, sb, ex_s, tuple(map(inverse.apply, tetras[si][ex_s - 1])))
+        return [index[image] for image in source + target + [swap]]
+
+    orbits, seen = [], set()
+    for i in range(len(hits)):
+        if i not in seen:
+            orbit, todo = {i}, [i]
+            while todo:
+                for j in images(todo.pop()):
+                    if j not in orbit:
+                        orbit.add(j)
+                        todo.append(j)
+            seen |= orbit
+            orbits.append(orbit)
+    return types.SimpleNamespace(reps=reps, hits=hits, maps=maps, orbits=orbits)
 
 
-def test_gluing_walk_visits_the_least_matching_of_each_orbit():
-    """The orbit domain of run_case_gh's walk against brute force.  For
-    each base, the matchings that _orbit_walk visits under its symmetries
-    are the least matchings of the orbits under _brute_force_symmetries'
-    permutations, each orbit holding one matching per symmetry.  For each
-    (source, target) pair of bases, the walk's hits are exactly the
-    matchings of equal edge forms (as in
-    test_gluing_form_match_agrees_with_unimodular_map) that are such a
-    least matching, in enumeration order: 1,564 visited hits, whose
-    weights |Aut(source)| sum to the 3,732 hits."""
-    bases = classify6._bases()
-    reps = [base.config.points for base in bases]
-    _, walk = classify6._gluing_tables()
-    minima = [_brute_force_orbit_minima(pts) for pts in reps]
-    for base, least in zip(bases, minima):
-        perms = [perm for perm, _ in base.autos]
-        visited = classify6._orbit_walk(perms, classify6._MATCHINGS, classify6._matching_image)
-        assert {m for m, _ in visited} == least
-        assert {w for _, w in visited} == {len(perms)}
-        assert len(least) * len(perms) == 4 * 24
-    tetras = [[[pts[k] for k in range(5) if k != ex] for ex in range(1, 5)] for pts in reps]
-    ordered = [[[(sigma, tuple(tet[t] for t in sigma)) for sigma in permutations(range(4))]
-                for tet in per_base] for per_base in tetras]
-    forms = {dst: edge_form(dst) for per_base in ordered for per_ex in per_base for _, dst in per_ex}
-    visited = weighted = 0
-    for sb, least in enumerate(minima):
-        for si in range(len(reps)):
-            expected = [(ex, ex_s, dst)
-                        for ex, src in enumerate(tetras[sb], 1)
-                        for ex_s, per_ex in enumerate(ordered[si], 1)
-                        for sigma, dst in per_ex
-                        if forms[dst] == forms[tuple(src)] and (ex, sigma) in least]
-            assert [hit[:3] for hit in walk[sb][si]] == expected, (sb, si)
-            visited += len(expected)
-            weighted += len(expected) * len(bases[sb].autos)
-    assert (visited, weighted) == (1564, 3732)
+def test_gluing_walk_visits_the_least_matching_of_each_orbit(gluing_orbits, literal_gh):
+    """The walk of run_case_gh (_gluing_tables) against the brute-force
+    orbits (gluing_orbits): it visits the least hit of each orbit in
+    enumeration order, in that order, with its orbit's size and the point
+    its solved map glues: 449 visited hits, whose weights sum to the
+    3,732 hits.  The 160 hits that glue fewer than six points fill 23
+    orbits, and the other 426 orbits partition the 1,532 distinct keys of
+    literal_gh, one verdict group each."""
+    reps, hits, maps, orbits = (gluing_orbits.reps, gluing_orbits.hits, gluing_orbits.maps,
+                                gluing_orbits.orbits)
+    index = {hit: i for i, hit in enumerate(hits)}
+    walked = []
+    for sb, si, visited in classify6._gluing_tables():
+        for hit, new_pt, w in visited:
+            ex = max(range(5), key=hit.__getitem__)
+            i = index[sb, si, ex, tuple(reps[si][j] for j in hit if j < 5)]
+            assert new_pt == maps[i].apply(reps[sb][ex]), hits[i]
+            walked.append((i, w))
+    assert walked == sorted((min(orbit), len(orbit)) for orbit in orbits)
+    assert (len(walked), sum(w for _, w in walked)) == (449, 3732)
+    groups, fewer = [], []
+    for orbit in orbits:
+        keys = set()
+        for i in orbit:
+            sb, si, ex, dst = hits[i]
+            new_pt = maps[i].apply(reps[sb][ex])
+            ex_s = next(k for k in range(1, 5) if reps[si][k] not in dst)
+            keys.add(None if new_pt in reps[si] else (si, new_pt, ex_s, maps[i].apply(reps[sb][0])))
+        assert None not in keys or len(keys) == 1, orbit
+        if None in keys:
+            fewer.append(len(orbit))
+        else:
+            groups.append(keys)
+    assert (len(groups), len(fewer), sum(fewer)) == (426, 23, 160)
+    assert sum(map(len, groups)) == len(set().union(*groups)) == 1532
+    assert set().union(*groups) == set(literal_gh.verdicts)
 
 
 def test_gluing_tables_take_504_edge_forms(monkeypatch, fresh_gluing_tables):
@@ -490,39 +530,43 @@ def test_orbit_verdicts_match_literal_oracle(monkeypatch, literal_gh):
         assert report == oracle
 
 
-def test_swap_keys_match_inverse_gluing_oracle(monkeypatch, literal_gh):
-    """The (base, new point) run_case_gh stores for the reverse of a
-    gluing is the one the solved inverse map gives: the source base and
-    the image of the target's left-out vertex.  The inverse sends the
-    target's interior point onto the source's exactly when the gluing
-    sends the source's onto the target's, so the reverse gluing keeps the
-    role that ends run_case_gh's key.  Checked on the first hit of each of
-    the 1,532 distinct literal keys, whose literal reverse key is a
-    distinct key with the same _glued_verdict, and on every swap
-    run_case_gh computes (one per verdict)."""
-    swaps = []
-    swap_key = classify6._swap_key
-
-    def recorded(*args):
-        swaps.append((args, swap_key(*args)))
-        return swaps[-1][1]
-
-    monkeypatch.setattr(classify6, "_swap_key", recorded)
-    classify6.run_case_gh()
-    assert len(swaps) == 426
-    sources = swaps[0][0][0]
+def test_swap_keys_match_inverse_gluing_oracle(monkeypatch, literal_gh, fresh_gluing_tables):
+    """The swap in the action of run_case_gh's walk (classify6._swapped,
+    on a hit read as labels: hit[k] is the target label that source label
+    k goes to, plus 5 on the source's left-out vertex) is the reverse
+    gluing that the solved inverse map gives: the target's left-out
+    vertex glued onto the source base, whose other points go back to the
+    source points they came from.  The inverse sends the target's
+    interior point onto the source's exactly when the gluing sends the
+    source's onto the target's, so the reverse gluing keeps the role that
+    ends a literal key.  Checked on the first hit of each of the 1,532
+    distinct literal keys, whose literal reverse key is a distinct key
+    with the same _glued_verdict, and on every swap the walk takes (one
+    per visited hit of a base on itself): each is undone by a second."""
     reps, verdicts = literal_gh.reps, literal_gh.verdicts
-    expected = {}
     for key, (rb, ex_r, si, ex_s, dst, sub_r) in literal_gh.first_hits.items():
         inverse = unimodular_map(dst, sub_r)
         assert inverse is not None
         swap = (rb, inverse.apply(reps[si][ex_s]), ex_r, inverse.apply(reps[si][0]))
-        assert swap_key(sources, rb, ex_r, si, ex_s, dst) == swap[:2]
+        hit = [reps[si].index(q) for q in dst]
+        hit.insert(ex_r, ex_s + 5)
+        back = classify6._swapped(tuple(hit))
+        assert back[ex_s] == ex_r + 5 and max(back) == ex_r + 5, key
+        tet = [p for k, p in enumerate(reps[si]) if k != ex_s]
+        assert [reps[rb][j] for j in back if j < 5] == list(map(inverse.apply, tet)), key
         assert (swap[3] == reps[rb][0]) == (key[3] == reps[si][0]), key
         assert verdicts[swap][:2] == verdicts[key][:2], key
-        expected[rb, ex_r, si, ex_s, tuple(dst)] = swap[:2]
-    for (_, *hit, dst), swap in swaps:
-        assert expected.get((*hit, tuple(dst))) == swap
+    swaps = []
+    swapped = classify6._swapped
+
+    def recorded(hit):
+        swaps.append((hit, swapped(hit)))
+        return swaps[-1][1]
+
+    monkeypatch.setattr(classify6, "_swapped", recorded)
+    walk = classify6._gluing_tables()
+    assert len(swaps) == sum(len(visited) for sb, si, visited in walk if sb == si) == 169
+    assert all(swapped(back) == hit for hit, back in swaps)
 
 
 def test_orbit_verdict_count_and_no_carry_over(monkeypatch, case_reports):
@@ -1059,10 +1103,12 @@ def test_cell_orbit_sizes():
 
 
 @pytest.mark.parametrize("accept_all", [False, True])
-def test_glued_points_are_bound_checked(monkeypatch, accept_all):
+def test_glued_points_are_bound_checked(monkeypatch, fresh_gluing_tables, accept_all):
     """A glued point past the coordinate bound raises from run_case_gh,
     where its configuration is built before the verdict, also when the
-    verdict would accept it."""
+    verdict would accept it.  The glued points are placed once per
+    process, with the walk (_gluing_tables), so the tables are built
+    afresh here."""
     far = (COORD_BOUND + 1, 0, 0)
     monkeypatch.setattr(classify6, "_barycentric_image", lambda weights, vol, dst, dst_vol: far)
     if accept_all:
