@@ -29,31 +29,33 @@ symmetries and their volume tables (polytope.Extension), which give the
 15 volumes of a base plus one point as the base's 5 and 10 affine
 functionals of the new point, with no det4 (PointConfig._extended);
 _embeddings41, the one search over the 8 x 4! embeddings of the bases
-(case C's interior subcase and case E); _six_by_caps, the one comparison of a size argument's outcome with the
-hull count (B.i, B.ii, B.iii, the three C subcases, D, E, F, G and H),
-where each site evaluates its argument once per candidate; and _caps,
-the cap rule for a one-point extension of a polytope whose boundary a
-facet table lists as empty triangles.  Every candidate of cases B to H
-is such an extension: of the (3,1) pyramid over _B_BASE
-(_PYRAMID31_FACETS: B and C's edge and "both vertices" subcases), of D's
-square pyramid (_D_FACETS) or of a (4,1) base (_EMBEDDED41_FACETS in the
-embedding searches, _BASE41_FACETS in F, G and H), so the caps are its
-size argument.  _caps reads each facet triangle in its unimodular frame
-(emptytetra._facet_frame), built once per process by _cap_frame, which
-is memoized on the facet's points, so a candidate's new point maps to
-(x, y, h) by one 3 x 3 product per facet: the sign of h says whether it
-sees the facet, and White's congruence on (x, y, h) whether its cap is
-empty, with no det4 and no lattice point enumerated.  In B to H, _six_by_caps rejects a
-candidate with a non-empty cap without a hull and counts the hull of
-each other candidate once, to cross-check the argument, raising
-"<site> triangulation check failed<at>" when they disagree; G and H first
-reject a gluing whose caps hold a lattice point strictly inside, an
-extra interior point, by the level test on the same caps.  Case A, whose
-five coplanar points have no caps, checks its midpoint rule with
-polytope.holds_only_its_points, the emptiness of a fine triangulation's
-cells, and counts no hull.  No runner reads a hull's interior points: a
-gluing names its case G or H by whether its two interior points
-coincide.
+(case C's interior subcase and case E); _six_by_caps, the one comparison
+of a size argument's outcome with the hull count (B.i, B.ii, B.iii, the
+three C subcases, D, E, F, G and H), where each site evaluates its
+argument once per candidate; and _caps, the cap rule for a one-point
+extension, its new point last, of a polytope whose boundary a facet
+table lists as empty triangles.  Every candidate of cases B to H is such
+an extension, in one layout: the polytope's points in its own order,
+then the new point.  It extends the (3,1) pyramid over _B_BASE with its
+apex as label 5 (_PYRAMID31_FACETS: B and C's edge and "both vertices"
+subcases), D's square pyramid (_D_FACETS) or a (4,1) base in its own
+order (_BASE41_FACETS: C's interior subcase, E, F, G and H), so the caps
+are its size argument.  _caps reads each facet triangle in its
+unimodular frame (emptytetra._facet_frame), built once per process by
+_cap_frame, which is memoized on the facet's points, so a candidate's
+new point maps to (x, y, h) by one 3 x 3 product per facet: the sign of
+h says whether it sees the facet, and White's congruence on (x, y, h)
+whether its cap is empty, with no det4 and no lattice point enumerated.
+In B to H, _six_by_caps rejects a candidate with a non-empty cap without
+a hull and counts the hull of each other candidate once, to cross-check
+the argument, raising "<site> triangulation check failed<at>" when they
+disagree; G and H first reject a gluing whose caps hold a lattice point
+strictly inside, an extra interior point, by the level test on the same
+caps.  Case A, whose five coplanar points have no caps, checks its
+midpoint rule with polytope.holds_only_its_points, the emptiness of a
+fine triangulation's cells, and counts no hull.  No runner reads a
+hull's interior points: a gluing names its case G or H by whether its
+two interior points coincide.
 
 A symmetry of a base fixes its interior point and maps a candidate built
 on it onto an equivalent candidate, label by label, with the same
@@ -61,11 +63,12 @@ verdict.  So cases C, E and F visit one candidate per orbit of the
 base's symmetries (_orbit_walk, isomorph rejection after Read 1978 and
 McKay 1998): the first in enumeration order, which keeps the first
 configuration of each class where it was, counted, as examined and in
-its rejections, with its orbit's size.  _embeddings41 visits 119 of the
-192 vertex orders, each of an orbit of |Aut| orders, as only the
-identity fixes an order of the four vertices; run_case_f visits 108 of
-the 160 ordered point pairs, where a symmetry can fix a pair, so each
-counts with its own orbit's size.
+its rejections, with its orbit's size.  _embeddings41 also walks the
+swap of the second and third vertex of an order, which builds the
+identical configuration, and visits 62 of the 192 vertex orders;
+run_case_f visits 108 of the 160 ordered point pairs.  A symmetry can
+fix a pair, or meet the swap on an order, so each counts with its own
+orbit's size.
 
 The G/H gluing examines 24,576 vertex matchings of subtetrahedra.  A
 matching glues when an integral unimodular map realizes it, which is
@@ -271,26 +274,27 @@ class _Funnel:
 Cap = Tuple[Tuple[int, int, int, int], IntVec3]
 
 
-def _caps(points: Sequence[IntVec3], facets, new: int) -> Tuple[Cap, ...]:
+def _caps(points: Sequence[IntVec3], facets) -> Tuple[Cap, ...]:
     """The cap tetrahedra of a one-point extension, each as (labels,
     (x, y, h)).
 
-    P is the polytope on the points other than p = points[new - 1] (1-based
-    labels, as in the tables), and its lattice points are all among
-    them.  facets covers the boundary of P that p can see, as label
-    quadruples (a, b, c, ref): an empty triangle abc on a facet of P, and
-    a label ref of P off that facet's plane, so strictly on P's side of
-    it.  Each facet is read in its unimodular frame with the ref's height
-    (_cap_frame, memoized on the four points); ClassificationError when
-    abc is not a unimodular triangle.  p maps to (x, y, h) in that frame,
-    and p strictly sees abc when h and the ref's height have opposite
-    signs.  Then conv(P + p) is P plus the caps conv(abc + p) over the
-    triangles p strictly sees, each unimodularly equivalent to
+    P is the polytope on the points before the last, p (1-based labels, as
+    in the tables, so p's label is len(points)), and its lattice points
+    are all among them.  facets covers the boundary of P that p can see,
+    as label quadruples (a, b, c, ref): an empty triangle abc on a facet
+    of P, and a label ref of P off that facet's plane, so strictly on P's
+    side of it.  Each facet is read in its unimodular frame with the ref's
+    height (_cap_frame, memoized on the four points); ClassificationError
+    when abc is not a unimodular triangle.  p maps to (x, y, h) in that
+    frame, and p strictly sees abc when h and the ref's height have
+    opposite signs.  Then conv(P + p) is P plus the caps conv(abc + p)
+    over the triangles p strictly sees, each unimodularly equivalent to
     conv(0, e1, e2, (x, y, h)).  So the hull has no further lattice point
     exactly when each cap is empty (_framed_empty): the caps are the size
     argument of _six_by_caps.
     """
-    px, py, pz = points[new - 1]
+    new = len(points)
+    px, py, pz = points[-1]
     caps = []
     for facet in facets:
         i, j, k, r = facet
@@ -332,14 +336,9 @@ def _six_by_caps(cfg: PointConfig, caps: Sequence[Cap], site: str, at: str = "")
 
 #: The facets of a catalog41() base, as _caps takes them: empty triangles
 #: on its vertices p2..p5, each with the interior point p1 as ref.  The
-#: cap facets of cases F, G and H.
+#: cap facets of case C's interior subcase and of cases E, F, G and H,
+#: whose configurations are a base in its own order plus one point.
 _BASE41_FACETS = tuple((*tri, 1) for tri in itertools.combinations(range(2, 6), 3))
-
-#: The same facets in an _embeddings41 configuration, where the base's
-#: vertices are p1, p2, p3, p6 around its interior point p5.  The cap
-#: facets of case C's interior subcase and of case E, whose new point is
-#: p4; p4 lies in the plane of p1, p2, p3, so that facet is never a cap.
-_EMBEDDED41_FACETS = tuple((*tri, 5) for tri in itertools.combinations((1, 2, 3, 6), 3))
 
 
 def _scan_box():
@@ -400,13 +399,13 @@ class _Base:
     config is its representative, interior point first, and autos its
     symmetries (_base_automorphisms).  extension is the volume table of
     config plus a new last point (polytope.Extension), the configurations
-    of cases F, G and H.  The walks are built on first use, each by the
-    cases that read it.  embeddings lists, per vertex order (a, b, c, d)
-    that _orbit_walk visits, its orbit's size and the volume table of the
-    configuration p1, p2, p3 = pts[a], pts[b], pts[c], a new p4,
-    p5 = pts[0] and p6 = pts[d] (_embeddings41: cases C and E).  pairs
-    lists, per ordered pair (i, j) of its points that _orbit_walk visits,
-    its orbit's size (case F)."""
+    of cases C (interior subcase), E, F, G and H.  The walks are built on
+    first use, each by the cases that read it.  embeddings lists, per
+    vertex order (a, b, c, d) that _orbit_walk visits, its orbit's size
+    under the base's symmetries and the swap of b and c (_embeddings41:
+    cases C and E).  pairs lists, per ordered pair (i, j) of its points
+    that _orbit_walk visits, its orbit's size under the symmetries (case
+    F)."""
 
     def __init__(self, config: PointConfig):
         self.config = config
@@ -414,10 +413,9 @@ class _Base:
         self.extension = Extension(config)
 
     @cached_property
-    def embeddings(self) -> Tuple[Tuple[Tuple[int, ...], int, Extension], ...]:
-        orders = _orbit_walk(itertools.permutations(range(1, 5)), self._orbit)
-        moved = self.extension.moved([(*order[:3], 0, order[3]) for order, _ in orders], 3)
-        return tuple((order, w, ext) for (order, w), ext in zip(orders, moved))
+    def embeddings(self) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
+        return _orbit_walk(itertools.permutations(range(1, 5)),
+                           lambda o: self._orbit(o) | self._orbit((o[0], o[2], o[1], o[3])))
 
     @cached_property
     def pairs(self) -> Tuple[Tuple[Tuple[int, int], int], ...]:
@@ -440,24 +438,27 @@ def _bases() -> Tuple[_Base, ...]:
 
 def _embeddings41(cell: str, coeffs, funnel: _Funnel):
     """Embeddings of the catalog41() bases with the oriented matroid cell,
-    one per orbit of the base's symmetries.
+    one per orbit of the base's symmetries and the swap of p2 and p3.
 
-    Each base's interior point becomes p5 and its vertices p1, p2, p3, p6
-    in every order, and p4 = c1 p1 + c2 p2 + c3 p3 for coeffs (c1, c2, c3),
-    an affine combination (c1 + c2 + c3 = 1).  A symmetry of the base
-    fixes its interior point and permutes its vertices, so it maps an
-    embedding, p4 included, onto the embedding of the permuted order:
-    the two are equivalent, label by label, and every verdict of the
-    search and of its callers is the same on both.  Only the identity
-    fixes an order of the four vertices, so each orbit has |Aut| orders.
-    The walk visits the first order of each orbit (_Base.embeddings), 119
-    of the 8 x 4! = 192, and counts each in funnel, as examined and in
-    its rejections, with its orbit's size, which the callers' rejections
-    take too.  Yields (configuration p1..p6, weight) for the embeddings
-    whose oriented matroid is the grid cell's, in enumeration order;
-    funnel rejects the others as a "degenerate embedding" (p4 is a base
-    point) or by their matroid.  A configuration is the base plus p4
-    (PointConfig._extended), so its volumes are read off the base's.
+    Each base's interior point plays p5 and its vertices p1, p2, p3, p6
+    in every order (a, b, c, d), and p4 = c1 p1 + c2 p2 + c3 p3 for
+    coeffs (c1, c2, c3), an affine combination (c1 + c2 + c3 = 1), with
+    c2 = c3 in both searches.  The configuration is the base in its own
+    order plus p4 (PointConfig._extended), so its volumes are read off
+    the base's, and p1, p2, p3, p5, p6 are its labels a + 1, b + 1,
+    c + 1, 1, d + 1.  A symmetry of the base fixes its interior point
+    and permutes its vertices, so it maps an embedding, p4 included,
+    onto the embedding of the permuted order: the two are equivalent,
+    and every verdict of the search and of its callers is the same on
+    both.  The orders (a, b, c, d) and (a, c, b, d) give p4 alike, so they
+    build the identical configuration.  The walk visits the first order
+    of each orbit under both (_Base.embeddings), 62 of the 8 x 4! = 192,
+    and counts each in funnel, as examined and in its rejections, with
+    its orbit's size, which the callers' rejections take too.  Yields
+    (configuration, order, weight) for the embeddings whose oriented
+    matroid is the grid cell's, in enumeration order; funnel rejects the
+    others as a "degenerate embedding" (p4 is a base point) or by their
+    matroid.
 
     An embedding has the cell's oriented matroid exactly when its
     chirotope lies in the cell's orbit (_cell_orbit): the chirotope fixes
@@ -472,18 +473,18 @@ def _embeddings41(cell: str, coeffs, funnel: _Funnel):
     c1, c2, c3 = coeffs
     for base in _bases():
         pts = base.config.points
-        for (a, b, c, _), w, ext in base.embeddings:
+        for order, w in base.embeddings:
             funnel.examined += w
-            p1, p2, p3 = pts[a], pts[b], pts[c]
+            p1, p2, p3 = (pts[k] for k in order[:3])
             p4 = tuple(c1 * p1[t] + c2 * p2[t] + c3 * p3[t] for t in range(3))
             if p4 in pts:
                 funnel.reject("degenerate embedding", w)
                 continue
-            cfg = PointConfig._extended(ext, p4)
+            cfg = PointConfig._extended(base.extension, p4)
             if chirotope(cfg) not in orbit:
                 funnel.reject(f"oriented matroid is not {cell}", w)
                 continue
-            yield cfg, w
+            yield cfg, order, w
 
 
 # ---------------------------------------------------------------------------
@@ -541,16 +542,14 @@ _B_IDS = {
     ("iii", -1, 1): "B.14", ("iii", -1, -2): "B.15",
 }
 
-#: The boundary of the (3,1) pyramid conv(_B_BASE + apex) by the apex's
-#: label, as _caps takes it: the base triangle p2p3p4 split around its
-#: interior point p1, with the apex as ref, and the three side triangles,
-#: with p1 as ref.  Cases B and C's edge subcase extend the pyramid with
-#: apex p5 by p6; C's "both vertices" subcase the one with apex p6 by p5.
-_PYRAMID31_FACETS = {
-    apex: ((1, 2, 3, apex), (1, 3, 4, apex), (1, 4, 2, apex),
-           (2, 3, apex, 1), (3, 4, apex, 1), (2, 4, apex, 1))
-    for apex in (5, 6)
-}
+#: The boundary of the (3,1) pyramid conv(_B_BASE + apex), the apex
+#: labelled 5, as _caps takes it: the base triangle p2p3p4 split around
+#: its interior point p1, with the apex as ref, and the three side
+#: triangles, with p1 as ref.  Cases B and C's edge subcase extend the
+#: pyramid with apex p5 by p6; C's "both vertices" subcase lists its
+#: points as p1..p4, p6, p5, so that its apex p6 is label 5 and p5 the
+#: new point.
+_PYRAMID31_FACETS = ((1, 2, 3, 5), (1, 3, 4, 5), (1, 4, 2, 5), (2, 3, 5, 1), (3, 4, 5, 1), (2, 4, 5, 1))
 
 
 def _in_strip(x, y, d) -> bool:
@@ -609,7 +608,7 @@ def run_case_b() -> CaseReport:
                 funnel.reject(reason)
                 continue
             cfg = PointConfig(_B_BASE + [p5, (a, b, h6)])
-            caps = _caps(cfg.points, _PYRAMID31_FACETS[5], 6)
+            caps = _caps(cfg.points, _PYRAMID31_FACETS)
             if not _six_by_caps(cfg, caps, f"B.{tag}", f" at {(a, b)}"):
                 if extra_points is None:
                     raise ClassificationError(f"B.{tag} candidate {(a, b)} has extra points")
@@ -639,18 +638,22 @@ def run_case_c() -> CaseReport:
     both p5, p6 vertices (a bounded plane scan at height 1).  In the
     first, p6 extends the pyramid conv(_B_BASE + p5), and its caps over
     _PYRAMID31_FACETS, the printed tetrahedra, decide the hull; a
-    rejection names the first cap that is not empty.  In the second, p4
-    extends the (4,1) base on p1, p2, p3, p5, p6, and its caps over
-    _EMBEDDED41_FACETS, the printed T1246 and T1346, decide the hull; the
-    search visits one embedding per orbit of the base's symmetries, and
-    its rejections count with the orbit's size (_embeddings41).  In
-    the last, p6 = (1, 2, 3) and p5 = (a, b, 1) with a, b >= 1, the
-    quadrant of the paper's normalization, scanned over its part with
-    a, b <= SCAN_BOUND: every (a, b) but (1, 1) puts the seventh point
-    (1, 1, 1) in the hull (tests/test_scan_regions.py proves it by a
-    witness affine in (a, b)), so the scan must find (1, 1) alone.  p5
-    extends the pyramid conv(_B_BASE + p6) and sees only its side facets,
-    so the caps over those decide the hull.
+    rejection names the first cap that is not empty.  In the second, the
+    configuration is the (4,1) base on p1, p2, p3, p5, p6, in the base's
+    own order, plus p4 = 3 p1 - p2 - p3 last; the search visits one
+    embedding per orbit of the base's symmetries and the swap of p2 and
+    p3, and its rejections count with the orbit's size (_embeddings41).
+    p4 lies in the plane of p1, p2 and p3, so that facet is never a cap,
+    and its caps over _BASE41_FACETS, the printed T1246 and T1346, decide
+    the hull.  In the last, p6 = (1, 2, 3) and p5 = (a, b, 1) with
+    a, b >= 1, the quadrant of the paper's normalization, scanned over its
+    part with a, b <= SCAN_BOUND: every (a, b) but (1, 1) puts the
+    seventh point (1, 1, 1) in the hull (tests/test_scan_regions.py
+    proves it by a witness affine in (a, b)), so the scan must find
+    (1, 1) alone.  The points are listed as p1..p4, p6, p5: p5 extends
+    the pyramid conv(_B_BASE + p6), whose apex is label 5 as in
+    _PYRAMID31_FACETS, and sees only its side facets, so the caps over
+    those decide the hull.
     All three use _six_by_caps: a candidate with a nonempty cap is
     rejected without a hull, and the hull of each other candidate is
     counted and must have six points.
@@ -662,7 +665,7 @@ def run_case_c() -> CaseReport:
                    ((0, 0, 1), (0, 0, 2)), ((1, 2, 3), (2, 4, 6))):
         funnel.examined += 1
         cfg = PointConfig(_B_BASE + [p5, p6])
-        caps = _caps(cfg.points, _PYRAMID31_FACETS[5], 6)
+        caps = _caps(cfg.points, _PYRAMID31_FACETS)
         if not _six_by_caps(cfg, caps, "C edge", f" at {p6}"):
             full = next(labels for labels, xyh in caps if not _framed_empty(*xyh))
             funnel.reject(f"T{''.join(map(str, full))} is not empty")
@@ -671,24 +674,24 @@ def run_case_c() -> CaseReport:
 
     # p5 interior: remove p4 and embed the rest as a size-5 signature-(4,1)
     # polytope, with p5 in the interior-point role and p4 = 3 p1 - p2 - p3
-    for cfg, w in _embeddings41("5.4", (3, -1, -1), funnel):
-        if abs(cfg.volumes()[_slots(6)[0, 1, 2, 4]]) not in (1, 3):
+    for cfg, (a, b, c, _), w in _embeddings41("5.4", (3, -1, -1), funnel):
+        if abs(cfg.volumes()[_slots(6)[a, b, c, 0]]) not in (1, 3):
             funnel.reject("subtetrahedron p1p2p3p5 volume is not 1 or 3", w)
             continue
-        caps = _caps(cfg.points, _EMBEDDED41_FACETS, 4)
+        caps = _caps(cfg.points, _BASE41_FACETS)
         if not _six_by_caps(cfg, caps, "C interior"):
             funnel.reject("a triangulation tetrahedron is not empty", w)
             continue
         funnel.accepted.append(cfg)
 
-    # both vertices: p6 = (1,2,3) at distance 3, p5 = (a,b,1) at distance 1
+    # both vertices: p6 = (1,2,3) at distance 3, p5 = (a,b,1) at distance 1,
+    # listed as p1..p4, p6, p5
     survivors = []
-    base = tuple(map(check_point, _B_BASE))
-    p6 = check_point((1, 2, 3))
+    pyramid = tuple(map(check_point, _B_BASE + [(1, 2, 3)]))
     for a, b in itertools.product(range(1, SCAN_BOUND + 1), repeat=2):
         funnel.examined += 1
-        cfg = PointConfig._of_checked(base + (check_point((a, b, 1)), p6))
-        caps = _caps(cfg.points, _PYRAMID31_FACETS[6], 5)
+        cfg = PointConfig._of_checked(pyramid + (check_point((a, b, 1)),))
+        caps = _caps(cfg.points, _PYRAMID31_FACETS)
         if not _six_by_caps(cfg, caps, "C vertices"):
             funnel.reject("extra lattice points in the convex hull")
             continue
@@ -737,7 +740,7 @@ def run_case_d() -> CaseReport:
                 raise ClassificationError(f"D candidate {(a, b)} should be width one")
             funnel.reject("width one (functional x+z)")
             continue
-        caps = _caps(cfg.points, _D_FACETS, 6)
+        caps = _caps(cfg.points, _D_FACETS)
         if not _six_by_caps(cfg, caps, "D", f" at {(a, b)}"):
             funnel.reject("extra lattice points in the convex hull")
             continue
@@ -764,16 +767,15 @@ def run_case_e() -> CaseReport:
     Here p5 must be the interior point of the size-5 signature-(4,1)
     polytope on {p1, p2, p3, p5, p6}, and p4 = p2 + p3 - p1 completes the
     unit parallelogram.  All 8 x 4! embeddings are examined, one per
-    orbit of the base's symmetries visited and counted with its orbit's
-    size (_embeddings41); survivors carry the oriented matroid 5.5, whose
-    relabeling symmetry (12)(34) is absorbed by the label-free
-    deduplication.  p4 extends the (4,1) base, and its one cap over
-    _EMBEDDED41_FACETS, the printed T2346, decides the hull
-    (_six_by_caps).
+    orbit of the base's symmetries and the swap of p2 and p3 visited and
+    counted with its orbit's size (_embeddings41); survivors carry the
+    oriented matroid 5.5.  The configuration is the base in its own order
+    plus p4 last, and p4's one cap over _BASE41_FACETS, the printed
+    T2346, decides the hull (_six_by_caps).
     """
     funnel = _Funnel("E")
-    for cfg, w in _embeddings41("5.5", (-1, 1, 1), funnel):
-        caps = _caps(cfg.points, _EMBEDDED41_FACETS, 4)
+    for cfg, _, w in _embeddings41("5.5", (-1, 1, 1), funnel):
+        caps = _caps(cfg.points, _BASE41_FACETS)
         if not _six_by_caps(cfg, caps, "E"):
             funnel.reject("tetrahedron p2p3p4p6 is not empty", w)
             continue
@@ -824,7 +826,7 @@ def run_case_f() -> CaseReport:
                 continue
             cfg = PointConfig._extended(base.extension, r3)
             group = "4.21" if i == 0 else ("4.22" if j == 0 else "4.11")
-            caps = _caps(cfg.points, _BASE41_FACETS, 6)
+            caps = _caps(cfg.points, _BASE41_FACETS)
             if not _six_by_caps(cfg, caps, "F", f" in group {group}"):
                 funnel.reject("extra lattice points in the convex hull", w)
                 continue
@@ -1072,7 +1074,7 @@ def _glued_verdict(cfg: PointConfig, glued_interior: IntVec3):
     """
     if 0 in cfg.volumes():
         return "shared", "coplanarity present"
-    caps = _caps(cfg.points, _BASE41_FACETS, 6)
+    caps = _caps(cfg.points, _BASE41_FACETS)
     if any(_framed_has_interior_point(*xyh) for _, xyh in caps):
         return "shared", "extra interior lattice point"
     if glued_interior == cfg.points[0]:

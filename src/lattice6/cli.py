@@ -101,8 +101,9 @@ def _om_label(circs) -> str:
 def _hull_labels(rep: PointConfig):
     """The labels of the interior points of a table row's configuration
     rep, and its number of vertices, from one hull_summary per row and
-    process; rep holds only its six points, so none is enumerated."""
-    _, inner, verts = hull_summary(rep, exhaustive=True)
+    process; rep holds only its six points, so its fine cells are empty
+    and none is enumerated."""
+    _, inner, verts = hull_summary(rep)
     return frozenset(map(rep.points.index, inner)), len(verts)
 
 

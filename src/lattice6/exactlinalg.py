@@ -29,8 +29,7 @@ hull's placing triangulation (the sides it tests and its tetrahedra's
 signed volumes), volume vectors, chirotopes, circuits, the maximal
 |volume| and barycentric numerators (the width's and the equivalence
 normal form's) all index the table, and _relabelings reads the table
-of a relabeled configuration off it (the chirotope orbits, and the
-relabeled one-point extension tables of polytope.Extension).  det3 is
+of a relabeled configuration off it (the chirotope orbits).  det3 is
 left to the matrices of affine maps (AffineMap.det, unimodular_map); no
 other module calls it.
 """
@@ -151,12 +150,6 @@ def _relabelings(perms: Sequence[Tuple[int, ...]]) -> List[itemgetter]:
     slots, quads = _slots(len(perms[0])), _quadruples(len(perms[0]))
     return [itemgetter(*[slots[perm[i], perm[j], perm[k], perm[l]] for i, j, k, l in quads])
             for perm in perms]
-
-
-@lru_cache(maxsize=None)
-def _relabeling(perm: Tuple[int, ...]) -> itemgetter:
-    """The _relabelings getter of one relabeling, built once per process."""
-    return _relabelings([perm])[0]
 
 
 def quad_volumes(points: Sequence[IntVec3]) -> Tuple[int, ...]:

@@ -8,10 +8,11 @@ the configuration's volume table, PointConfig.volumes(): the quadruple
 volumes followed by their negatives, indexed by exactlinalg._slots.  So
 the hull shares the one det4 pass of the configuration, whose maximum,
 PointConfig.top_volume(), is the maximal |volume| and decides full
-dimensionality.  A base plus one new point (PointConfig._extended)
-takes no det4 pass of its own: its Extension table holds the base's
-volumes and, for each quadruple with the new point, an affine
-functional of that point, from the normal of a base triangle.
+dimensionality.  A base plus one new point, always listed last
+(PointConfig._extended), takes no det4 pass of its own: its Extension
+table holds the base's volumes and, for each quadruple with the new
+point, an affine functional of that point, from the normal of a base
+triangle.
 The placing's boundary faces give the facets: a plane tuple (a, b, c, o)
 per face, by a cross product and a gcd, and all predicates are
 integer-exact.  The vertices are read off the facets through each
@@ -33,7 +34,8 @@ not the volume or the coordinates.
 lattice_points and size are the enumeration alone, the independent
 count that tests and the cap rule's cross-check compare against;
 hull_summary (which adds the interior points and the vertices)
-enumerates only a hull whose cells are not all empty.  Only hull_summary
+decides the cells' emptiness on every call and enumerates only a hull
+whose cells are not all empty.  Only hull_summary
 and hull_facets read facets.  The normalized volumes of the tetrahedra
 are summed before any is enumerated, and a hull over ENUMERATION_BUDGET
 raises EnumerationBudgetExceeded, an input error.
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 import re
 from math import gcd
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .emptytetra import _facet_frame, _framed_empty
 from .exactlinalg import (
@@ -58,7 +60,6 @@ from .exactlinalg import (
     _adjugate,
     _mat_vec,
     _quadruples,
-    _relabeling,
     _slots,
     check_point,
     cross,
@@ -150,12 +151,12 @@ class PointConfig:
 
     @classmethod
     def _extended(cls, ext: "Extension", point: Sequence[int]) -> "PointConfig":
-        """The configuration of ext's base points with point inserted at
-        ext's index, point checked by check_point.  Its volume table is
-        ext's affine functionals evaluated at point, with no det4."""
+        """The configuration of ext's base points followed by point,
+        checked by check_point.  Its volume table is ext's affine
+        functionals evaluated at point, with no det4."""
         x, y, z = check_point(point)
         cfg = object.__new__(cls)
-        cfg._set_points(ext.head + ((x, y, z),) + ext.tail)
+        cfg._set_points(ext.points + ((x, y, z),))
         vols = [a * x + b * y + c * z + o for a, b, c, o in ext.functionals]
         cfg._volumes = tuple(vols + [-v for v in vols])
         return cfg
@@ -181,21 +182,21 @@ class PointConfig:
 
 class Extension:
     """The volume tables of the one-point extensions of a base
-    configuration: head, the base points before the new point, and tail,
-    those after it, and per quadruple of _quadruples(n + 1), n base
-    points, the affine functional (a, b, c, o) whose value
-    a x + b y + c z + o at the new point (x, y, z) is that quadruple's
-    volume.  PointConfig._extended evaluates it.
+    configuration, the new point last: points, the base points, and per
+    quadruple of _quadruples(n + 1), n base points, the affine functional
+    (a, b, c, o) whose value a x + b y + c z + o at the new point
+    (x, y, z) is that quadruple's volume.  PointConfig._extended
+    evaluates it.
 
-    Extension(base) puts the new point last.  A quadruple of base points
-    keeps its volume, read off the base's own table (_slots), as the
-    constant functional (0, 0, 0, volume); the others are (i, j, k, new)
-    with i < j < k, and det4(p_i, p_j, p_k, p) = nrm . (p - p_i) for the
-    normal nrm = (p_j - p_i) x (p_k - p_i) of the base triangle ijk.  So
-    the table takes the base's one det4 pass and ten cross products.
+    A quadruple of base points keeps its volume, read off the base's own
+    table (_slots), as the constant functional (0, 0, 0, volume); the
+    others are (i, j, k, new) with i < j < k, and det4(p_i, p_j, p_k, p)
+    = nrm . (p - p_i) for the normal nrm = (p_j - p_i) x (p_k - p_i) of
+    the base triangle ijk.  So the table takes the base's one det4 pass
+    and ten cross products.
     """
 
-    __slots__ = ("head", "tail", "functionals")
+    __slots__ = ("points", "functionals")
 
     def __init__(self, base: PointConfig):
         pts = base.points
@@ -209,27 +210,7 @@ class Extension:
             a, b, c = (pts[k] for k in quad[:3])
             nrm = cross(sub(b, a), sub(c, a))
             functionals.append((*nrm, -dot(nrm, a)))
-        self.head, self.tail, self.functionals = pts, (), tuple(functionals)
-
-    def moved(self, orders: Iterable[Sequence[int]], at: int) -> Tuple["Extension", ...]:
-        """Per order in orders, the extensions of the base points listed in
-        that order, by their indices in this table's base, with the new
-        point at index at.  A relabeling permutes the volume table and
-        negates the entries of odd orders, so each functional is this
-        table's, or its negative, at the relabeled quadruple's _slots entry
-        (exactlinalg._relabeling)."""
-        base = self.head + self.tail
-        new = len(self.head)
-        signed = self.functionals + tuple((-a, -b, -c, -o) for a, b, c, o in self.functionals)
-        moved = []
-        for order in orders:
-            label = (*(k + (k >= new) for k in order[:at]), new, *(k + (k >= new) for k in order[at:]))
-            ext = object.__new__(Extension)
-            ext.head = tuple(base[k] for k in order[:at])
-            ext.tail = tuple(base[k] for k in order[at:])
-            ext.functionals = _relabeling(label)(signed)
-            moved.append(ext)
-        return tuple(moved)
+        self.points, self.functionals = pts, tuple(functionals)
 
 
 #: A label quadruple: a tetrahedron (i, j, k, p), or a boundary face
@@ -460,22 +441,18 @@ def size(config: PointConfig) -> int:
     return len(lattice_points(config))
 
 
-def hull_summary(
-    config: PointConfig, exhaustive: bool = False,
-) -> Tuple[Tuple[IntVec3, ...], Tuple[IntVec3, ...], Tuple[IntVec3, ...]]:
+def hull_summary(config: PointConfig) -> Tuple[Tuple[IntVec3, ...], Tuple[IntVec3, ...],
+                                              Tuple[IntVec3, ...]]:
     """The lattice points of conv(config), those strictly inside it (both
     lexicographically sorted) and its vertices (_vertices), from one
     placing, its facet planes and one _vertices pass.  A hull that holds
     only config's points (_cells_empty on the placing) has config's
     points as its points, and none is enumerated; any other is
-    enumerated, within ENUMERATION_BUDGET.  exhaustive says that the
-    caller already knows the hull to hold only config's points, as for a
-    table row's points (cli._hull_labels), which are its only lattice
-    points: then the cells are not read either."""
+    enumerated, within ENUMERATION_BUDGET."""
     tetrahedra, faces = _placing(config)
     planes = _planes(config, faces)
-    exhaustive = exhaustive or _cells_empty(config, tetrahedra)
-    points = tuple(sorted(config.points)) if exhaustive else _hull_points(config, tetrahedra)
+    empty = _cells_empty(config, tetrahedra)
+    points = tuple(sorted(config.points)) if empty else _hull_points(config, tetrahedra)
     inner = tuple(
         p for p in points if all(a * p[0] + b * p[1] + c * p[2] > o for a, b, c, o in planes))
     return points, inner, _vertices(config, planes)

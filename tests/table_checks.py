@@ -1,6 +1,7 @@
 """Checks of the bundled tables.  validate_tables recomputes every
 derivable column from the stored representatives and reports mismatches,
-instead of trusting the transcription; no_octahedron_check scans for a
+instead of trusting the transcription, the width-one singles' and
+families' oriented matroids included; no_octahedron_check scans for a
 width-one configuration with the octahedral oriented matroid, which the
 width-one classification excludes.
 """
@@ -14,6 +15,7 @@ from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from lattice6.classify6 import BadParameters, ClassificationError, width1_family
+from lattice6.equivalence import equivalence_witness
 from lattice6.exactlinalg import dot
 from lattice6.invariants import (
     NO_COPLANARITY,
@@ -31,6 +33,11 @@ from lattice6.tablesdata import TableBundle, _load_resource
 from omcatalog_oracles import match_om, record_statistics
 
 GCD_EXCEPTIONS = {"A.1": 2, "A.2": 2, "B.14": 3, "B.15": 3, "C.3": 3}
+
+#: The catalog records of the width-one families: the paper's eight
+#: infinite classes, which the ten stored families (some classes in two
+#: shapes) make up.
+WIDTH1_FAMILY_RECORDS = {"c2.01", "c4.01", "c4.07", "c4.10", "c5.07", "c5.13", "c5.14", "c6.04"}
 
 
 def shape_of(config: PointConfig) -> str:
@@ -87,6 +94,40 @@ def key_candidates(label: str) -> Tuple[str, ...]:
     raise KeyError(label)
 
 
+def family_members(family: dict):
+    """The members of a width-one family row whose parameters lie in
+    [0, 4]^n, as width1_family builds them."""
+    for params in itertools.product(range(5), repeat=family["n_params"]):
+        try:
+            yield width1_family(family["family_id"], params)
+        except BadParameters:
+            continue
+
+
+def width1_mismatches(bundle: TableBundle) -> List[str]:
+    """The width-one table's mismatches: two singles that one unimodular
+    map joins (equivalence_witness) although their oriented matroid labels
+    differ, a single whose catalog record's labels (labels_by_key) do not
+    hold its label, and family records other than WIDTH1_FAMILY_RECORDS,
+    read off the families' members with parameters up to 4
+    (family_members)."""
+    bad: List[str] = []
+    singles = [(f"{r['table']}/{r['om_label']}", r["om_label"], PointConfig(r["points"]))
+               for r in bundle.width1_families["singles"]]
+    for (name1, label1, cfg1), (name2, label2, cfg2) in itertools.combinations(singles, 2):
+        if label1 != label2 and equivalence_witness(cfg1, cfg2) is not None:
+            bad.append(f"width-one singles {name1} and {name2} are one class")
+    for name, label, cfg in singles:
+        key = match_om(cfg).key
+        if label not in bundle.labels_by_key[key]:
+            bad.append(f"width-one single {name}: {key} carries labels {bundle.labels_by_key[key]}")
+    records = {match_om(cfg).key
+               for family in bundle.width1_families["families"] for cfg in family_members(family)}
+    if records != WIDTH1_FAMILY_RECORDS:
+        bad.append(f"width-one family records {sorted(records)}")
+    return bad
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     rows_checked: int
@@ -102,8 +143,9 @@ def validate_tables(bundle: TableBundle) -> ValidationReport:
     Checks, per class row: size, volume vector (up to global sign, stored
     with positive leading entry), its gcd, width, that the stored functional
     witnesses the width, the dps flag, and the matched catalog record.  Rows
-    sharing a grid label must match the same record, and all count tables
-    must agree with the rows.
+    sharing a grid label must match the same record, all count tables
+    must agree with the rows, and the width-one table must pass
+    width1_mismatches.
     """
     bad: List[str] = []
     notes: List[str] = []
@@ -202,6 +244,8 @@ def validate_tables(bundle: TableBundle) -> ValidationReport:
                 if counts["result1_printed"][k] != counts["result1_grid"][k]]
         notes.append("headline count table deviates from grid in: "
                      + ", ".join(sorted(diff)))
+
+    bad += width1_mismatches(bundle)
 
     return ValidationReport(
         rows_checked=len(bundle.class_rows) + len(bundle.size5_rows),

@@ -591,7 +591,7 @@ def hull_verdict(cfg, glued_interior):
         return "shared", "coplanarity present"
     lattice, inner, _ = hull_summary(cfg)
     six = len(lattice) == 6
-    assert _cap_rule(cfg.points, classify6._BASE41_FACETS, 6)[1] == six, cfg
+    assert _cap_rule(cfg.points, classify6._BASE41_FACETS)[1] == six, cfg
     inner = set(inner)
     if inner == {cfg.points[0]}:
         case, reason = "G", "cut tetrahedron is not empty"
@@ -644,39 +644,33 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     """One warm classify_all: 78 witness maps, from _Funnel.report's 77
     distinct point sets (A 2, B 16, C 6, D 2, E 2, F 17, G 20, H 12) onto
     their rows' least-table orders (the search stops at the first
-    witness, and one set takes two tries; a key-order witness per class
-    took 76; the bases' 40 automorphism maps are built once per process
-    with the bases' table, _bases, which this test builds first, and took
-    the count to 162 when every run_case_gh built them; cases C, E and F
-    accepted every candidate of an orbit before they walked one per
-    orbit of the base's symmetries, 121 point sets and 122 maps).
-    86 placings with no facet planes (case A's six candidates take one
-    each for holds_only_its_points, and every hull count takes one:
-    every site of cases B to H counts only the hulls its cap rule keeps,
-    B 16, C 8, D 3, E 4, F 17 and the 32 accepted gluing verdicts; the
-    286 verdicts whose caps hold a lattice point strictly inside and the
-    29 with a non-empty cap are rejected without a hull, which took the
-    count from 457 to 171 and then to 142, and the orbit walks from 142
-    to 86, as C's interior subcase and E counted 16 hulls each and F 49).
-    426 gluing verdicts.  20 circuit computations (no gluing verdict
-    computes any: its size argument is the cap rule; D's three survivors
-    and F's 17, which checks its one (2,1)-circuit on the circuits of its
-    coplanarity test; 52 before the orbit walks).  1,066 cap computations
-    (one per candidate that reaches the cap rule, and one per gluing
-    verdict that is not coplanar, shared by its interior-point test and
-    its cap rule; 1,156 before the orbit walks) over 144 facet frames
-    (130 facet triangles with their refs, each built once per process by
-    the memoized _cap_frame, whose cache this test clears first, 145
-    before the orbit walks, and 14 cells of case A's fine
+    witness, and one set takes two tries); the bases' 40 automorphism
+    maps are built once per process with the bases' table, _bases, which
+    this test builds first.  82 placings with no facet planes (case A's
+    six candidates take one each for holds_only_its_points, and every
+    hull count takes one: every site of cases B to H counts only the
+    hulls its cap rule keeps, B 16, C 6, D 3, E 2, F 17 and the 32
+    accepted gluing verdicts; the 286 verdicts whose caps hold a lattice
+    point strictly inside and the 29 with a non-empty cap are rejected
+    without a hull).  426 gluing verdicts.  20 circuit computations (no
+    gluing verdict computes any: its size argument is the cap rule; D's
+    three survivors and F's 17, which checks its one (2,1)-circuit on the
+    circuits of its coplanarity test).  989 cap computations (one per
+    candidate that reaches the cap rule, and one per gluing verdict that
+    is not coplanar, shared by its interior-point test and its cap rule)
+    over 59 facet frames: 45 facet triangles with their refs, each built
+    once per process by the memoized _cap_frame, whose cache this test
+    clears first (12 of the two (3,1) pyramids of cases B and C, 6 of
+    D's square pyramid, and 27 of the bases' 32, which C's interior
+    subcase and E share with F, G and H), and 14 cells of case A's fine
     triangulations, those of |volume| above 1, which
-    polytope.holds_only_its_points reads).  941 emptiness tests by
-    White's congruence in the frame (_framed_empty: those 14 cells, and
-    caps, where each site evaluates its size argument once, and C's one
+    polytope.holds_only_its_points reads.  856 emptiness tests by White's
+    congruence in the frame (_framed_empty: those 14 cells, and caps,
+    where each site evaluates its size argument once, and C's one
     rejected edge candidate tests its caps again, to name the first that
     is not empty; D's 32 rejections take 44 of them, as _D_FACETS lists
     the side triangles, where a rejected apex meets its full cap, before
-    the base square: base first, they took 108; 1,059 before the orbit
-    walks).  522 interior-point tests of caps
+    the base square).  522 interior-point tests of caps
     (_framed_has_interior_point).  435 det4 calls, 15 per quad_volumes
     and none elsewhere.  No normal form (_Funnel.report names each
     distinct point set's row by its least table and a witness,
@@ -685,24 +679,18 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     process).  No catalog match (a class takes its oriented matroid from
     its row, and cases C and E test their embeddings by chirotope).  232
     sorted barycentric tables in the least tables of the 77 point sets
-    (only for the vertex orders that can reach the least table; 442 for
-    the 121 point sets before the orbit walks).  1,687 check_point calls:
-    configurations built from checked points check only the point they
-    add (C's "both vertices" scan checks its base and p6 once and then
-    one point per candidate, and PointConfig._extended its new point),
-    the triangulation checks test the emptiness of those points without
-    checking them again, and the rows' configurations come from
-    _class_rows; the orbit walks visit 198 fewer candidates in C, E and
-    F, from 1,885.  quad_volumes runs 29 times, for the hulls of the
-    configurations of cases A (6), B (16), C's edge and "both vertices"
-    subcases (4) and D (3): the configurations of C's interior subcase,
-    E, F, G and H are a (4,1) base plus one point, whose volumes
+    (only for the vertex orders that can reach the least table).  1,573
+    check_point calls: configurations built from checked points check
+    only the point they add (C's "both vertices" scan checks its pyramid
+    once and then one point per candidate, and PointConfig._extended its
+    new point), the triangulation checks test the emptiness of those
+    points without checking them again, and the rows' configurations
+    come from _class_rows.  quad_volumes runs 29 times, for the hulls of
+    the configurations of cases A (6), B (16), C's edge and "both
+    vertices" subcases (4) and D (3): the configurations of C's interior
+    subcase, E, F, G and H are a (4,1) base plus one point, whose volumes
     PointConfig._extended evaluates off the base's Extension table with
-    no det4.  It ran 888 times, 13,320 det4, while those configurations
-    computed their own volumes (384 embeddings, 49 F hulls, 426 gluing
-    verdicts), 942 while chirotope computed volumes of its own from the
-    points, and 910 while case D's 22 width-one candidates each took a
-    width; no case runner calls width."""
+    no det4.  No case runner calls width."""
     for cell in ("5.4", "5.5"):  # warm: the orbits are built once per process
         classify6._cell_orbit(cell)
     classify6._class_rows()._stages
@@ -713,10 +701,10 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
                         classify6._caps, _facet_frame, _framed_empty,
                         _framed_has_interior_point, det4, _table, width)
     classify6.classify_all()
-    assert calls == {"unimodular_map": 78, "hull_facets": 0, "_placing": 86, "_glued_verdict": 426,
-                     "match_circuits": 0, "check_point": 1687, "circuits": 20,
-                     "normal_form": 0, "quad_volumes": 29, "_caps": 1066,
-                     "_facet_frame": 144, "_framed_empty": 941,
+    assert calls == {"unimodular_map": 78, "hull_facets": 0, "_placing": 82, "_glued_verdict": 426,
+                     "match_circuits": 0, "check_point": 1573, "circuits": 20,
+                     "normal_form": 0, "quad_volumes": 29, "_caps": 989,
+                     "_facet_frame": 59, "_framed_empty": 856,
                      "_framed_has_interior_point": 522, "det4": 435, "_table": 232,
                      "width": 0}
 
@@ -797,17 +785,24 @@ def test_generated_configurations_are_their_own_lattice_points(case_reports):
 
 #: sha256 of repr([(class id, generated points), ...]) over the 76 classes
 #: in report order.
-GENERATED_DIGEST = "5c3723a7d931c4d2151ec35503fa2dd16cb21fe274af5371b0c002f36c032b3a"
+GENERATED_DIGEST = "a842610f7d72a75f16d0a75805e6f714d7c6ba3aea9512a5acb454ee71b7fd7c"
+
+#: The same digest with each class's points sorted: the generated point
+#: sets, whatever order a runner lists them in.
+GENERATED_POINT_SETS_DIGEST = "4d830aea303dacc78af1e84c97afd5b09358951d862ea157af2313041bd7dbe4"
 
 
 def test_generated_points_match_recorded_digest(case_reports):
     """Each class's generated configuration is the first one of its class
     that its runner accepts, in enumeration order, with its points in the
-    runner's order; no output file shows them, so they are pinned here."""
+    runner's order; no output file shows them, so they are pinned here,
+    in that order and as point sets."""
     generated = [(cls.id, cls.generated.points)
                  for r in by_case(case_reports).values() for cls in r.classes_found]
     assert len(generated) == 76
     assert hashlib.sha256(repr(generated).encode()).hexdigest() == GENERATED_DIGEST
+    point_sets = [(cid, tuple(sorted(points))) for cid, points in generated]
+    assert hashlib.sha256(repr(point_sets).encode()).hexdigest() == GENERATED_POINT_SETS_DIGEST
 
 
 def test_generated_configurations_have_their_rows_columns(case_reports, bundle):
@@ -843,19 +838,33 @@ def test_classify_all_checks_each_witness_map(monkeypatch, classify):
 EMBEDDING_SEARCHES = (("C", "5.4", (3, -1, -1)), ("E", "5.5", (-1, 1, 1)))
 
 #: The printed size argument of each search's candidates: the tetrahedra,
-#: as label quadruples of p1..p6, that triangulate the hull beyond the
-#: (4,1) base on p1, p2, p3, p5, p6.
+#: as label quadruples of the paper's p1..p6, that triangulate the hull
+#: beyond the (4,1) base on p1, p2, p3, p5, p6.
 PRINTED_TRIANGULATIONS = {"C": ((1, 2, 4, 6), (1, 3, 4, 6)), "E": ((2, 3, 4, 6),)}
 
 
+def _paper_labels(order):
+    """The labels of the paper's p1..p6 in the configuration of the vertex
+    order (a, b, c, d): p1, p2, p3 and p6 are the base points a, b, c and
+    d, p5 the interior point, and p4 the new point, last."""
+    a, b, c, d = order
+    return {1: a + 1, 2: b + 1, 3: c + 1, 4: 6, 5: 1, 6: d + 1}
+
+
+def _printed_caps(case, order):
+    """PRINTED_TRIANGULATIONS[case] on the configuration's labels, sorted."""
+    labels = _paper_labels(order)
+    return sorted(sorted(labels[k] for k in quad) for quad in PRINTED_TRIANGULATIONS[case])
+
+
 def _embeddings(coeffs):
-    """The 8 x 24 embeddings p1..p6 of one search, as _embeddings41 lists them."""
+    """The 8 x 24 embeddings of one search, as _embeddings41 builds them:
+    the base's points in their own order, then p4."""
     c1, c2, c3 = coeffs
     for cls5 in catalog41():
         pts = cls5.representative.points
-        for p1, p2, p3, p6 in permutations(pts[1:]):
-            p4 = tuple(c1 * p1[t] + c2 * p2[t] + c3 * p3[t] for t in range(3))
-            yield (p1, p2, p3, p4, pts[0], p6)
+        for p1, p2, p3, _ in permutations(pts[1:]):
+            yield pts + (tuple(c1 * p1[t] + c2 * p2[t] + c3 * p3[t] for t in range(3)),)
 
 
 def test_cell_orbits_match_the_catalog_on_every_embedding(bundle):
@@ -901,21 +910,22 @@ def test_cell_orbits_match_the_catalog_on_row_images(bundle):
 
 def test_embedded41_caps_are_the_printed_triangulations():
     """On each embedding of either search that has its cell, the caps
-    over _EMBEDDED41_FACETS are the printed triangulation's tetrahedra,
+    over _BASE41_FACETS are the printed triangulation's tetrahedra, their
+    labels p1..p6 read through the vertex order onto the base's labels,
     and the cap rule keeps exactly the hulls of six points.  The search
-    visits one embedding per orbit of the base's symmetries and yields it
-    with its orbit's size: weighted so, 128 embeddings of either search
-    have its cell, and 16 of them six points.  Each search counts its 192
-    embeddings as examined in the funnel: the weighted yields and the 64
-    it rejects.  literal_cef checks the caps of all 128 of each search."""
+    visits one embedding per orbit of the base's symmetries and the swap
+    of p2 and p3 and yields it with its orbit's size: weighted so, 128
+    embeddings of either search have its cell, and 16 of them six points.
+    Each search counts its 192 embeddings as examined in the funnel: the
+    weighted yields and the 64 it rejects.  literal_cef checks the caps
+    of all 128 of each search."""
     seen = Counter()
     for case, cell, coeffs in EMBEDDING_SEARCHES:
-        printed = sorted(map(sorted, PRINTED_TRIANGULATIONS[case]))
         funnel = classify6._Funnel(case)
         yielded = 0
-        for cfg, w in classify6._embeddings41(cell, coeffs, funnel):
-            caps, kept = _cap_rule(cfg.points, classify6._EMBEDDED41_FACETS, 4)
-            assert sorted(map(sorted, caps)) == printed, (case, cfg)
+        for cfg, order, w in classify6._embeddings41(cell, coeffs, funnel):
+            caps, kept = _cap_rule(cfg.points, classify6._BASE41_FACETS)
+            assert sorted(map(sorted, caps)) == _printed_caps(case, order), (case, cfg)
             six = size(cfg) == 6
             assert kept == six, (case, cfg)
             seen[case, six] += w
@@ -925,11 +935,18 @@ def test_embedded41_caps_are_the_printed_triangulations():
     assert seen == {("C", True): 16, ("C", False): 112, ("E", True): 16, ("E", False): 112}
 
 
-def _first_of_orbit(labels, perms) -> bool:
-    """Whether the tuple of base point indices labels comes first, in
-    lexicographic order, among its images under the point permutations
-    perms."""
-    return labels == min(tuple(perm[k] for k in labels) for perm in perms)
+def _orbit_of(labels, perms, swap=False) -> set:
+    """The images of the tuple of base point indices labels under the
+    point permutations perms and, when swap, the swap of its second and
+    third entries."""
+    starts = (labels, (labels[0], labels[2], labels[1], *labels[3:])) if swap else (labels,)
+    return {tuple(perm[k] for k in start) for start in starts for perm in perms}
+
+
+def _first_of_orbit(labels, perms, swap=False) -> bool:
+    """Whether labels comes first, in lexicographic order, in its orbit
+    (_orbit_of)."""
+    return labels == min(_orbit_of(labels, perms, swap))
 
 
 @pytest.fixture(scope="module")
@@ -944,21 +961,24 @@ def literal_cef():
     with examined, rejected (a Counter by reason) and accepted, the
     accepted configurations in enumeration order, each as (configuration,
     whether its vertex order or pair comes first in its orbit under the
-    base's _brute_force_symmetries).  On each embedding with the search's
-    cell, the caps are the printed triangulation's tetrahedra and the cap
-    rule agrees with the hull."""
+    base's _brute_force_symmetries and, for a vertex order, the swap of
+    p2 and p3, which builds the same configuration, as both searches give
+    p2 and p3 one coefficient in p4).  A configuration is the base's
+    points in their own order, then the new point.  On each embedding with
+    the search's cell, the caps are the printed triangulation's tetrahedra
+    and the cap rule agrees with the hull."""
     found = {}
     for case, cell, (c1, c2, c3) in EMBEDDING_SEARCHES:
+        assert c2 == c3
         got = types.SimpleNamespace(examined=0, rejected=Counter(), accepted=[])
-        printed = sorted(map(sorted, PRINTED_TRIANGULATIONS[case]))
         for cls5 in catalog41():
             pts = cls5.representative.points
             perms = _brute_force_symmetries(pts)
             for order in permutations(range(1, 5)):
                 got.examined += 1
-                p1, p2, p3, p6 = (pts[k] for k in order)
+                p1, p2, p3 = (pts[k] for k in order[:3])
                 p4 = tuple(c1 * p1[t] + c2 * p2[t] + c3 * p3[t] for t in range(3))
-                points = (p1, p2, p3, p4, pts[0], p6)
+                points = pts + (p4,)
                 if len(set(points)) != 6:
                     got.rejected["degenerate embedding"] += 1
                     continue
@@ -966,16 +986,17 @@ def literal_cef():
                 if chirotope(cfg) not in classify6._cell_orbit(cell):
                     got.rejected[f"oriented matroid is not {cell}"] += 1
                     continue
-                caps, kept = _cap_rule(points, classify6._EMBEDDED41_FACETS, 4)
+                caps, kept = _cap_rule(points, classify6._BASE41_FACETS)
                 six = size(cfg) == 6
-                assert sorted(map(sorted, caps)) == printed and kept == six, (case, points)
+                assert sorted(map(sorted, caps)) == _printed_caps(case, order), (case, points)
+                assert kept == six, (case, points)
                 if case == "C" and abs(det4(p1, p2, p3, pts[0])) not in (1, 3):
                     got.rejected["subtetrahedron p1p2p3p5 volume is not 1 or 3"] += 1
                 elif not six:
                     got.rejected["a triangulation tetrahedron is not empty" if case == "C"
                                  else "tetrahedron p2p3p4p6 is not empty"] += 1
                 else:
-                    got.accepted.append((cfg, _first_of_orbit(order, perms)))
+                    got.accepted.append((cfg, _first_of_orbit(order, perms, swap=True)))
         found[case] = got
     got = types.SimpleNamespace(examined=0, rejected=Counter(), accepted=[])
     for cls5 in catalog41():
@@ -1046,39 +1067,40 @@ def test_orbit_walks_match_the_literal_oracle(monkeypatch, literal_cef):
         assert rejected == got.rejected, case
         assert report == _funnel_report(case, report.candidates_examined, report.rejected, oracle)
         counts[case] = (got.examined, len(walked), len(got.accepted))
-    assert counts == {"C": (192, 4, 16), "E": (192, 4, 16), "F": (160, 17, 49)}
+    assert counts == {"C": (192, 2, 16), "E": (192, 2, 16), "F": (160, 17, 49)}
 
 
 def test_base_walks_visit_the_first_of_each_orbit():
     """The vertex orders and point pairs of each base that _bases keeps
-    for the walks are the first of their orbits under
+    for the walks are the first of their orbits (_orbit_of) under
     _brute_force_symmetries, in enumeration order, each with its orbit's
-    size: 119 of the 192 embedding orders, all of weight |Aut| (only the
-    identity fixes an order of the four vertices), and 108 of the 160
-    pairs, where a symmetry can fix a pair."""
+    size: 62 of the 192 embedding orders, under the symmetries and the
+    swap of the second and third vertex, of weight 2 |Aut| or, where a
+    symmetry that swaps those two vertices meets the swap, |Aut|; and
+    108 of the 160 pairs, under the symmetries, where a symmetry can fix
+    a pair."""
     orders = pairs = 0
-    stabilized = False
+    stabilized = Counter()
     for base in classify6._bases():
         perms = _brute_force_symmetries(base.config.points)
-
-        def orbit_size(labels):
-            return len({tuple(perm[k] for k in labels) for perm in perms})
-
-        expected = [(o, orbit_size(o)) for o in permutations(range(1, 5)) if _first_of_orbit(o, perms)]
-        assert [(order, w) for order, w, _ in base.embeddings] == expected
-        assert {w for _, w in expected} == {len(perms)}
-        expected = [(p, orbit_size(p)) for p in permutations(range(5), 2) if _first_of_orbit(p, perms)]
+        expected = [(o, len(_orbit_of(o, perms, swap=True)))
+                    for o in permutations(range(1, 5)) if _first_of_orbit(o, perms, swap=True)]
+        assert list(base.embeddings) == expected
+        assert {w for _, w in expected} <= {len(perms), 2 * len(perms)}
+        stabilized["orders"] += any(w < 2 * len(perms) for _, w in expected)
+        expected = [(p, len(_orbit_of(p, perms)))
+                    for p in permutations(range(5), 2) if _first_of_orbit(p, perms)]
         assert list(base.pairs) == expected
-        stabilized |= any(w < len(perms) for _, w in expected)
+        stabilized["pairs"] += any(w < len(perms) for _, w in expected)
         orders += len(base.embeddings)
         pairs += len(base.pairs)
-    assert (orders, pairs) == (119, 108) and stabilized
+    assert (orders, pairs) == (62, 108) and min(stabilized.values()) > 0
 
 
 def test_extension_tables_match_quad_volumes(monkeypatch):
     """Every configuration that cases C, E, F, G and H build as a base plus
     one point (PointConfig._extended), in one classify_all, has the volume
-    table that quad_volumes computes from its points: 119 embeddings in
+    table that quad_volumes computes from its points: 62 embeddings in
     either search, 108 F candidates and 426 gluing verdicts."""
     built = []
     extended = PointConfig._extended.__func__
@@ -1089,7 +1111,7 @@ def test_extension_tables_match_quad_volumes(monkeypatch):
 
     monkeypatch.setattr(PointConfig, "_extended", classmethod(recorded))
     classify6.classify_all()
-    assert len(built) == 2 * 119 + 108 + 426
+    assert len(built) == 2 * 62 + 108 + 426
     for cfg in built:
         assert cfg.volumes() == quad_volumes(cfg.points), cfg
 
@@ -1230,12 +1252,12 @@ def test_inverted_emptiness_fails_the_cross_checks(monkeypatch, runner):
     assert str(err.value) == INVERTED_EMPTINESS[runner]
 
 
-def _cap_rule(points, facets, new):
+def _cap_rule(points, facets):
     """classify6._caps, as the caps' label quadruples and
     whether the cap rule finds every cap empty.  Each cap's frame
     coordinates (x, y, h) are checked against its points: h is the cap's
     det4, and White's congruence says what the opposite-edge oracle says."""
-    caps = classify6._caps(points, facets, new)
+    caps = classify6._caps(points, facets)
     for labels, (x, y, h) in caps:
         quad = [points[i - 1] for i in labels]
         assert h == det4(*quad), labels
@@ -1321,26 +1343,35 @@ def test_base41_facets_are_empty_around_the_interior_point():
 
 
 def test_embedded41_facets_are_the_base_facets():
-    """What the cap rule of the embedding searches relies on: on every
-    embedding of either search, _EMBEDDED41_FACETS covers the boundary of
-    the (4,1) base on p1, p2, p3, p5, p6 (_check_facet_table), with the
-    interior point p5 as every ref."""
-    assert {ref for *_, ref in classify6._EMBEDDED41_FACETS} == {5}
-    for _, _, coeffs in EMBEDDING_SEARCHES:
-        for points in _embeddings(coeffs):
-            _check_facet_table({i: points[i - 1] for i in (1, 2, 3, 5, 6)},
-                               classify6._EMBEDDED41_FACETS)
+    """What the cap rule of the embedding searches relies on: every
+    embedding either search yields is a catalog41() base, in its own
+    order, followed by p4, so _BASE41_FACETS cover the boundary of its
+    first five points (test_base41_facets_are_empty_around_the_interior_point);
+    and p4 lies in the plane of the base facet on p1, p2 and p3, the base
+    points a, b and c of the vertex order, so that facet is never a cap.
+    Each search yields 54 of its 62 visited orders."""
+    bases = {cls5.representative.points for cls5 in catalog41()}
+    yielded = Counter()
+    for case, cell, coeffs in EMBEDDING_SEARCHES:
+        for cfg, (a, b, c, _), _ in classify6._embeddings41(cell, coeffs, classify6._Funnel(case)):
+            assert cfg.points[:5] in bases
+            assert det4(*(cfg.points[k] for k in (a, b, c, 5))) == 0
+            caps = classify6._caps(cfg.points, classify6._BASE41_FACETS)
+            assert {a + 1, b + 1, c + 1} not in [set(labels[:3]) for labels, _ in caps]
+            yielded[case] += 1
+    assert yielded == {"C": 54, "E": 54}
 
 
 B_LABELS = dict(enumerate(classify6._B_BASE, 1))
 
 #: The pyramids that cases B, C and D extend by one point: their labelled
 #: points and their facet table.  B and C's edge subcase put p5 at (0, 0, 1)
-#: or (1, 2, 3); C's "both vertices" subcase puts p6 at (1, 2, 3).
+#: or (1, 2, 3); C's "both vertices" subcase lists p6 = (1, 2, 3) as label
+#: 5, so its pyramid is the second one's, labels included.
 PYRAMIDS = {
-    "B-i-ii-C-edge": ({**B_LABELS, 5: (0, 0, 1)}, classify6._PYRAMID31_FACETS[5]),
-    "B-iii-C-edge": ({**B_LABELS, 5: (1, 2, 3)}, classify6._PYRAMID31_FACETS[5]),
-    "C-vertices": ({**B_LABELS, 6: (1, 2, 3)}, classify6._PYRAMID31_FACETS[6]),
+    "B-i-ii-C-edge": ({**B_LABELS, 5: (0, 0, 1)}, classify6._PYRAMID31_FACETS),
+    "B-iii-C-edge": ({**B_LABELS, 5: (1, 2, 3)}, classify6._PYRAMID31_FACETS),
+    "C-vertices": ({**B_LABELS, 5: (1, 2, 3)}, classify6._PYRAMID31_FACETS),
     "D": ({**dict(enumerate(classify6._D_BASE, 1)), 5: (0, 0, 1)}, classify6._D_FACETS),
 }
 
@@ -1381,8 +1412,7 @@ def test_non_unimodular_facet_triangle_raises(monkeypatch, runner):
     """A facet table whose triangle is not unimodular has no frame: the
     (3,1) pyramid's base triangle p2p3p4, listed whole instead of split
     around p1, raises from the first runner that reads it."""
-    whole = {**classify6._PYRAMID31_FACETS,
-             5: ((2, 3, 4, 5),) + classify6._PYRAMID31_FACETS[5][3:]}
+    whole = ((2, 3, 4, 5),) + classify6._PYRAMID31_FACETS[3:]
     monkeypatch.setattr(classify6, "_PYRAMID31_FACETS", whole)
     with pytest.raises(classify6.ClassificationError,
                        match=re.escape("facet triangle (2, 3, 4) is not unimodular")):
@@ -1390,17 +1420,18 @@ def test_non_unimodular_facet_triangle_raises(monkeypatch, runner):
 
 
 def test_cap_rule_matches_size_on_case_c():
-    """On all 400 "both vertices" candidates the cap rule keeps exactly
-    the hulls of six points: only (1, 1), whose one cap is T2356."""
+    """On all 400 "both vertices" candidates, listed as p1..p4, p6, p5,
+    the cap rule keeps exactly the hulls of six points: only (1, 1),
+    whose one cap is T2356, labels 2, 3, 5 and 6 in that order."""
     kept = []
     for a in range(1, classify6.SCAN_BOUND + 1):
         for b in range(1, classify6.SCAN_BOUND + 1):
-            points = tuple(classify6._B_BASE + [(a, b, 1), (1, 2, 3)])
-            caps, six = _cap_rule(points, classify6._PYRAMID31_FACETS[6], 5)
+            points = tuple(classify6._B_BASE + [(1, 2, 3), (a, b, 1)])
+            caps, six = _cap_rule(points, classify6._PYRAMID31_FACETS)
             assert six == (size(PointConfig(points)) == 6), (a, b)
             if six:
                 kept.append(((a, b), caps))
-    assert kept == [((1, 1), ((2, 3, 6, 5),))]
+    assert kept == [((1, 1), ((2, 3, 5, 6),))]
 
 
 #: The printed triangulation tetrahedra of seven of case B's candidates,
@@ -1426,7 +1457,7 @@ def test_case_b_caps_are_the_printed_triangulations():
             if not region(a, b) or not all(test(a, b) for test, _ in filters):
                 continue
             points = tuple(classify6._B_BASE + [p5, (a, b, h6)])
-            caps, six = _cap_rule(points, classify6._PYRAMID31_FACETS[5], 6)
+            caps, six = _cap_rule(points, classify6._PYRAMID31_FACETS)
             assert caps[:3] == base_split, (tag, a, b)
             assert six == (size(PointConfig(points)) == 6), (tag, a, b)
             seen, kept = seen + 1, kept + six
@@ -1453,7 +1484,7 @@ def test_case_c_edge_caps_are_the_printed_tetrahedra():
     kept = []
     for p5, p6, printed in C_EDGE_PRINTED:
         points = tuple(classify6._B_BASE + [p5, p6])
-        caps, six = _cap_rule(points, classify6._PYRAMID31_FACETS[5], 6)
+        caps, six = _cap_rule(points, classify6._PYRAMID31_FACETS)
         assert sorted(map(sorted, caps)) == sorted(map(sorted, printed)), p6
         assert six == (size(PointConfig(points)) == 6), p6
         kept += [p6] if six else []
@@ -1470,7 +1501,7 @@ def test_cap_rule_matches_size_on_case_d():
             continue
         seen += 1
         points = tuple(classify6._D_BASE + [(0, 0, 1), (a, b, -1)])
-        _, six = _cap_rule(points, classify6._D_FACETS, 6)
+        _, six = _cap_rule(points, classify6._D_FACETS)
         assert six == (size(PointConfig(points)) == 6), (a, b)
         kept += [(a, b)] if six else []
     assert seen == 35 and kept == [(3, 3), (3, 4), (4, 5)]
@@ -1499,7 +1530,7 @@ def test_cap_rule_matches_size_on_case_f():
         for i, j in permutations(range(5), 2):
             r3 = tuple(2 * pts[j][t] - pts[i][t] for t in range(3))
             points = pts + (r3,)
-            caps, six = _cap_rule(points, facets, 6)
+            caps, six = _cap_rule(points, facets)
             assert six == (size(PointConfig(points)) == 6), points
             if six:
                 kept += 1
@@ -1526,7 +1557,7 @@ def test_cap_rule_matches_size_on_base_extensions():
                 continue
             points = pts + (p,)
             on_plane += any(det4(*(pts[k - 1] for k in tri[:3]), p) == 0 for tri in facets)
-            _, six = _cap_rule(points, facets, 6)
+            _, six = _cap_rule(points, facets)
             assert six == (size(PointConfig(points)) == 6), points
             kept += six
     assert kept > 0 and on_plane >= 8 * 4 * 7
@@ -1585,7 +1616,7 @@ def test_gh_cap_rule_matches_printed_triangulations(literal_gh):
         if case == "shared":
             continue
         printed = _gh_printed_triangulation(cfg, case, ex_s, glued)
-        caps, kept = _cap_rule(cfg.points, classify6._BASE41_FACETS, 6)
+        caps, kept = _cap_rule(cfg.points, classify6._BASE41_FACETS)
         six = size(cfg) == 6
         assert _all_empty(cfg.points, printed) == six, (case, cfg)
         assert kept == six, (case, cfg)

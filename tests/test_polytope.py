@@ -695,9 +695,7 @@ def test_signature_41_bases_have_an_interior_point():
 def test_extension_tables_match_quad_volumes():
     """PointConfig._extended gives the volume table quad_volumes computes:
     for bases of four, five and seven points, with the new point last
-    (Extension(base)) and, for the five-point base, with its points in
-    each of the 120 orders and the new point at each of the six places
-    (Extension.moved), at seeded points of a box, coplanar ones among
+    (Extension(base)), at seeded points of a box, coplanar ones among
     them.  A point past the coordinate bound, or one of the base's, is
     refused as PointConfig refuses it."""
     rng = random.Random(48)
@@ -705,18 +703,16 @@ def test_extension_tables_match_quad_volumes():
     bases = [UNIT, base5, PointConfig([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
                                        (1, 1, 0), (1, 0, 1), (0, 1, 1)])]
     tables = [(base, Extension(base)) for base in bases]
-    orders = list(itertools.permutations(range(5)))
-    tables += [(base5, ext) for at in range(6) for ext in tables[1][1].moved(orders, at)]
     zero = 0
     for base, ext in tables:
-        assert sorted(ext.head + ext.tail) == sorted(base.points)
-        for _ in range(4):
+        assert ext.points == base.points
+        for _ in range(40):
             p = tuple(rng.randint(-3, 3) for _ in range(3))
             if p in base.points:
                 continue
             cfg = PointConfig._extended(ext, p)
-            assert cfg.points == ext.head + (p,) + ext.tail
-            assert cfg.volumes() == quad_volumes(cfg.points), (ext.head, p, ext.tail)
+            assert cfg.points == base.points + (p,)
+            assert cfg.volumes() == quad_volumes(cfg.points), (base, p)
             zero += 0 in cfg.volumes()
     assert zero > 0
     with pytest.raises(ValueError, match="exceeds bound"):

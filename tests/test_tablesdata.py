@@ -1,5 +1,6 @@
 """Bundled classification tables: integrity checks and cross-statistics."""
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -61,6 +62,18 @@ def test_validation_catches_a_changed_column(bundle, column, value, mismatches):
     rows = tuple(changed if r is row else r for r in bundle.class_rows)
     report = validate_tables(dataclasses.replace(bundle, class_rows=rows))
     assert report.mismatches == mismatches
+
+
+def test_validation_catches_a_duplicate_width_one_single(bundle):
+    """The width-one single (4,2)/4.7 once held a second image of
+    (4,2)/4.16's class, c4.19, where the c4.18 representative now stands:
+    those points give the one mismatch that one map joins two singles of
+    different labels."""
+    families = copy.deepcopy(bundle.width1_families)
+    (single,) = [r for r in families["singles"] if (r["table"], r["om_label"]) == ("(4,2)", "4.7")]
+    single["points"] = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [-1, -1, 0], [0, 0, 1], [1, 1, 1]]
+    report = validate_tables(dataclasses.replace(bundle, width1_families=families))
+    assert report.mismatches == ("width-one singles (4,2)/4.16 and (4,2)/4.7 are one class",)
 
 
 def test_volume_vector_gcds(bundle):
