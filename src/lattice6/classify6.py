@@ -68,29 +68,35 @@ swap of the second and third vertex of an order, which builds the
 identical configuration, and visits 62 of the 192 vertex orders;
 run_case_f visits 108 of the 160 ordered point pairs.  A symmetry can
 fix a pair, or meet the swap on an order, so each counts with its own
-orbit's size.
+orbit's size.  _embeddings41 tests a visited embedding's oriented matroid
+by its chirotope in the paper's roles p1..p6 against four chirotopes of
+the cell's table row (_cell_chirotopes), with no orbit of relabelings.
 
 The G/H gluing examines 24,576 vertex matchings of subtetrahedra.  A
 matching glues when an integral unimodular map realizes it, which is
-exactly when the two ordered subtetrahedra have the same edge form (row
-Hermite normal form of the edge vectors), so a dict from edge form to
-ordered subtetrahedra yields the 3,732 hits directly; an affine map keeps
-barycentric coordinates, so each hit's glued point is placed without
-solving the map.  The numerators and volumes it reads are entries of
-each base's volume vector v: a subtetrahedron's |volume| is |v_ex|, the
-entry of its left-out vertex, in any vertex order, so the gluing
-computes no determinant.  A symmetry of the source base, a symmetry of
-the target base and the swap of source and target (the inverse map)
-each carry a hit onto one that glues an equivalent configuration, with
-the same verdict.  So the walk visits the first hit of each orbit of the
-group they generate (_orbit_walk of _gluing_orbit, on the hits read as
-bijections of the bases' labels), 449 hits, and counts each with its
-orbit's size.  The hits, the walk and its glued points depend only on
-the eight bases, so _gluing_tables builds them once per process, with
-504 Hermite forms.  Each run_case_gh call makes one verdict (coplanarity,
-a cap's interior point, and the cap rule's size with its hull
-cross-check) per visited hit of six points, 426 of them, and an accepted
-one contributes one configuration to identify.
+exactly when the two ordered subtetrahedra have the same gluing key
+(_gluing_keys: the |volume| and the group of the lattice points'
+barycentric numerators, one generator per subtetrahedron, permuted per
+order), and 3,732 of them do; an affine map keeps barycentric
+coordinates, so each hit's glued point is placed without solving the
+map.  The numerators and volumes it reads are entries of each base's
+volume vector v: a subtetrahedron's |volume| is |v_ex|, the entry of its
+left-out vertex, in any vertex order.  A symmetry of the source base, a
+symmetry of the target base and the swap of source and target (the
+inverse map) each carry a hit onto one that glues an equivalent
+configuration, with the same verdict.  So the walk visits the first hit
+of each orbit of the group they generate, 449 hits, and counts each with
+its orbit's size.  It generates them, orderly, with no hit's orbit under
+the whole group: the first hit of an orbit leaves out the least vertex
+of its orbit in either base, so only those subtetrahedra are keyed and
+matched, each such block of hits is walked under the symmetries that fix
+both left-out vertices (_orbit_walk of _block_orbit), and the swap joins
+blocks or doubles weights.  The walk and its glued points depend only on
+the eight bases, so _gluing_tables builds them once per process, with no
+Hermite form.  Each run_case_gh call makes one verdict (coplanarity, a
+cap's interior point, and the cap rule's size with its hull cross-check)
+per visited hit of six points, 426 of them, and an accepted one
+contributes one configuration to identify.
 """
 
 import csv
@@ -101,18 +107,11 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache, partial
 from math import gcd
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactlinalg import (
-    AffineMap,
-    IntVec3,
-    VerificationFailed,
-    _slots,
-    check_point,
-    dot,
-    edge_form,
-    sub,
-)
+from .exactlinalg import (AffineMap, IntVec3, VerificationFailed, _adjugate, _relabelings, _slots, _xgcd,
+                          check_point, dot, sub)
 from .polytope import Extension, PointConfig, holds_only_its_points, size
 from .invariants import (
     C21,
@@ -128,7 +127,7 @@ from .invariants import (
 from .equivalence import RowSet, symmetries
 from .emptytetra import _facet_frame, _framed_empty, _framed_has_interior_point
 from .size5 import admissible_apex_31, catalog41
-from .omcatalog import chirotope, chirotope_orbit
+from .omcatalog import chirotope
 from .tablesdata import ClassRow, load_tables
 
 __all__ = [
@@ -356,15 +355,19 @@ def _count_scan(funnel: _Funnel, inside: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _cell_orbit(cell: str):
-    """chirotope_orbit of the oriented matroid cell, built on first use from
-    the points of the first table row labelled cell.  That every row
-    labelled cell has the cell's one catalog record is a check of the
-    tables (validate_tables), not of each run."""
+def _cell_chirotopes(cell: str) -> frozenset:
+    """The chirotopes, in the roles p1..p6, of the embeddings of
+    _embeddings41 with the oriented matroid cell: those of the first table
+    row labelled cell, whose points are stored in those roles, as stored
+    and with p2 and p3 swapped, each with both signs; built on first use.
+    That every row labelled cell has the cell's one catalog record is a
+    check of the tables (validate_tables), not of each run."""
     row = next((r for r in load_tables().class_rows if r.om_label == cell), None)
     if row is None:
         raise ClassificationError(f"no table row realizes cell {cell}")
-    return chirotope_orbit(row.config())
+    vols = row.config().volumes()  # the volumes, then their negatives
+    return frozenset(chirotope(get(table)) for get in _relabelings([tuple(range(6)), (0, 2, 1, 3, 4, 5)])
+                     for table in (vols, vols[15:] + vols[:15]))
 
 
 def _base_automorphisms(base: PointConfig) -> List[Tuple[Tuple[int, ...], AffineMap]]:
@@ -403,9 +406,12 @@ class _Base:
     first use, each by the cases that read it.  embeddings lists, per
     vertex order (a, b, c, d) that _orbit_walk visits, its orbit's size
     under the base's symmetries and the swap of b and c (_embeddings41:
-    cases C and E).  pairs lists, per ordered pair (i, j) of its points
-    that _orbit_walk visits, its orbit's size under the symmetries (case
-    F)."""
+    cases C and E), and roles, per such order, the getter of its
+    embedding's volume table in the roles p1..p6, the labels a + 1,
+    b + 1, c + 1, 6, 1, d + 1 (exactlinalg._relabelings).  pairs lists,
+    per ordered pair (i, j) of its points that _orbit_walk visits, its
+    orbit's size under the symmetries (case F).  The G/H gluing reads
+    config and autos (_gluing_tables)."""
 
     def __init__(self, config: PointConfig):
         self.config = config
@@ -416,6 +422,10 @@ class _Base:
     def embeddings(self) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
         return _orbit_walk(itertools.permutations(range(1, 5)),
                            lambda o: self._orbit(o) | self._orbit((o[0], o[2], o[1], o[3])))
+
+    @cached_property
+    def roles(self) -> list:
+        return _relabelings([(a, b, c, 5, 0, d) for (a, b, c, d), _ in self.embeddings])
 
     @cached_property
     def pairs(self) -> Tuple[Tuple[Tuple[int, int], int], ...]:
@@ -460,20 +470,25 @@ def _embeddings41(cell: str, coeffs, funnel: _Funnel):
     others as a "degenerate embedding" (p4 is a base point) or by their
     matroid.
 
-    An embedding has the cell's oriented matroid exactly when its
-    chirotope lies in the cell's orbit (_cell_orbit): the chirotope fixes
-    the oriented matroid up to a global sign, and the orbit holds every
-    relabeling with both signs, so the test is complete.  It agrees with
-    the catalog record of each of the 384 embeddings of cases C and E
-    (match_om in tests/omcatalog_oracles.py), and reads the embedding's
-    volumes, which its caller reads again, instead of computing circuits
-    and a canonical circuit form.
+    The cell test reads the embedding's chirotope in the roles p1..p6
+    (_Base.roles) and asks for one of the four of _cell_chirotopes.  The
+    chirotope fixes the oriented matroid up to a global sign, so the
+    complete test is the orbit of the cell row's chirotope under all 720
+    relabelings, with both signs.  The construction gives each point its
+    role, p5 inside the base and p4 on the plane of p1, p2 and p3, up to
+    the swap of p2 and p3, which get one coefficient; the test keeps the
+    relabelings that keep those roles, the identity and that swap.  It
+    agrees with the whole orbit (tests/omcatalog_oracles.py) and with the
+    catalog record of each embedding (match_om) on every one of the
+    2 x 192 vertex orders of the two searches, which the tests check.  It
+    reads the embedding's volumes, which its caller reads again, with no
+    circuits, no canonical circuit form and no orbit.
     """
-    orbit = _cell_orbit(cell)
+    cells = _cell_chirotopes(cell)
     c1, c2, c3 = coeffs
     for base in _bases():
         pts = base.config.points
-        for order, w in base.embeddings:
+        for (order, w), role in zip(base.embeddings, base.roles):
             funnel.examined += w
             p1, p2, p3 = (pts[k] for k in order[:3])
             p4 = tuple(c1 * p1[t] + c2 * p2[t] + c3 * p3[t] for t in range(3))
@@ -481,7 +496,7 @@ def _embeddings41(cell: str, coeffs, funnel: _Funnel):
                 funnel.reject("degenerate embedding", w)
                 continue
             cfg = PointConfig._extended(base.extension, p4)
-            if chirotope(cfg) not in orbit:
+            if chirotope(role(cfg.volumes())) not in cells:
                 funnel.reject(f"oriented matroid is not {cell}", w)
                 continue
             yield cfg, order, w
@@ -870,27 +885,54 @@ def _swapped(hit) -> tuple:
     return tuple(back)
 
 
-def _gluing_orbit(src, tgt, swap, hit) -> set:
-    """The orbit of a hit (_gluing_tables) under the source base's
-    symmetries, the target base's and, when swap (the two are one base),
-    the reverse gluing (_swapped).  src holds the inverses of the source's
-    point permutations and tgt the target's on the marked labels 0..9.  A
-    source symmetry pi_s maps hit to hit o pi_s^-1, a target symmetry pi_t
-    to pi_t o hit: the composed maps glue an equivalent configuration.
-    The two commute, and only the identity fixes a subtetrahedron, so
-    each acts freely: the orbit is the union of the source orbits of the
-    target images, and an image already in it adds nothing."""
-    orbit = set()
-    for start in (hit, _swapped(hit)) if swap else (hit,):
-        for moved in [tuple(map(perm.__getitem__, start)) for perm in tgt]:
-            if moved not in orbit:
-                orbit.update([tuple(map(moved.__getitem__, inverse)) for inverse in src])
-    return orbit
+#: Per vertex order of a tetrahedron, in itertools.permutations order, its
+#: first vertex and the getter of a 4-tuple's entries in that order.
+_ORDER_GETTERS = tuple((order[0], itemgetter(*order)) for order in itertools.permutations(range(4)))
 
 
-#: The identity matrix: the edge form of every ordered tetrahedron of
-#: volume +-1, whose edge matrix is unimodular.
-_UNIT_FORM = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+def _gluing_keys(tet) -> list:
+    """Per vertex order of the empty tetrahedron tet, in
+    itertools.permutations(range(4)) order, its gluing key: two ordered
+    empty tetrahedra have the same key exactly when an integral
+    unimodular map carries the one onto the other, vertex by vertex, as
+    when their edge forms (exactlinalg.edge_form) are equal.
+
+    An affine map keeps barycentric coordinates, so such a map exists
+    exactly when the two have the same |volume| V and their lattice points
+    the same barycentric numerators mod V, vertex by vertex.  Those form
+    a group of order V, the lattice modulo the edge lattice: the
+    numerators of q0 + u at q1, q2 and q3 are the rows of the edge
+    matrix's adjugate times u, and at q0 minus their sum.  An extended gcd
+    of the q0 row gives an element whose q0 entry h is that row's gcd.
+    When every entry of it is a unit mod V, as in an empty tetrahedron
+    (White), it generates the group, and for each vertex one generator
+    has entry 1 there.  The key of an order is V and that generator for
+    its first vertex, read in the order.  So one adjugate and four
+    generators give the 24 keys, with no Hermite form.  A tetrahedron
+    with an entry that is no unit raises ClassificationError."""
+    rows = _adjugate(tuple(zip(*(sub(q, tet[0]) for q in tet[1:]))))
+    vol = abs(dot(rows[0], sub(tet[1], tet[0])))
+    linear = (tuple(-sum(col) for col in zip(*rows)), *rows)
+    g, s, t = _xgcd(*linear[0][:2])
+    _, u, w = _xgcd(g, linear[0][2])
+    elem = [dot(row, (u * s, u * t, w)) % vol for row in linear]
+    if any(gcd(e, vol) != 1 for e in elem):
+        raise ClassificationError(f"tetrahedron {tuple(tet)} is not empty")
+    gens = [tuple(e * inverse % vol for e in elem) for inverse in [pow(f, -1, vol) for f in elem]]
+    return [(vol, get(gens[first])) for first, get in _ORDER_GETTERS]
+
+
+def _block_orbit(src, tgt, swap, hit) -> set:
+    """The images of a hit (_gluing_tables) under the symmetries src of
+    the source base that fix its left-out vertex, tgt of the target base
+    that fix its own, each as (getter of the inverse permutation, the
+    permutation on the marked labels 0..9), and, when swap (one base, one
+    left-out vertex), the reverse gluing (_swapped).  A source symmetry
+    pi_s maps hit to hit o pi_s^-1, a target symmetry pi_t to pi_t o hit:
+    the composed maps glue an equivalent configuration."""
+    moved = [tuple(map(marked, start)) for start in ((hit, _swapped(hit)) if swap else (hit,))
+             for _, marked in tgt]
+    return {inverse(m) for inverse, _ in src for m in moved}
 
 
 @lru_cache(maxsize=1)
@@ -903,50 +945,65 @@ def _gluing_tables():
     onto base si's without ex_s by an integral unimodular map.  It is
     read on labels: hit[k] is the target label that source label k goes
     to, and hit[ex] = ex_s + 5 marks the left-out vertex, whose image is
-    the glued point.  A hit is a pair of equal edge forms, found through
-    a dict of the 768 ordered target subtetrahedra by edge form.  A
-    source's form is its first order's, the identity, and every order of
-    a subtetrahedron of |volume| 1 has the form _UNIT_FORM, so 504
-    Hermite forms are taken, not 800.
+    the glued point.  A hit is a pair of equal gluing keys
+    (_gluing_keys): the source's in its base order, the target's in the
+    hit's order.  The hits come in enumeration order: by ex, then ex_s,
+    then the target order.
 
-    visited lists, in enumeration order, the hit that comes first in its
-    orbit (_orbit_walk of _gluing_orbit) under sb's symmetries, si's and
-    the swap of source and target, as (hit, glued point, weight): 449
-    of the 3,732 hits.  The swap maps a hit of sb on si onto one of si on
-    sb, which comes later when sb < si, so the orbits of such a pair
-    count twice their members there, and those of a base on itself hold
-    their swaps.  No map is solved: with v the affine dependence
-    volume_vector5 of a base, its left-out vertex ex is
-    sum_k (-v_k / v_ex) p_k over the others, and an affine map keeps
-    those coordinates, so the glued point is their _barycentric_image
-    over the target subtetrahedron, whose |volume| is |v_ex_s|.
+    visited lists, in that order, the first hit of each orbit under sb's
+    symmetries, si's and the swap of source and target, as (hit, glued
+    point, weight): 449 hits, with no orbit under the whole group listed.
+    A source symmetry moves ex, a target one ex_s, so the first hit of an
+    orbit leaves out the least vertex of each one's orbit under its base,
+    its representative; the gluing keys are taken for the 23
+    representatives' subtetrahedra alone.  Per pair of representatives,
+    the target orders with the source's key make one block of hits,
+    walked under the symmetries that fix both left-out vertices
+    (_orbit_walk of _block_orbit; where only the identity fixes both and
+    no swap applies, every hit is its own orbit and is visited), and a
+    first hit counts with its block orbit's size times the sizes of the
+    two vertex orbits.  The swap (_swapped) maps a hit of sb on si
+    without ex and ex_s onto one of si on sb without ex_s and ex, which
+    comes later when sb < si, or on one base when ex < ex_s: such an
+    orbit counts twice its members there, and the later blocks of a base
+    on itself are not walked.  In a block of one base and one left-out
+    vertex the swap joins the block orbits.
+    No map is solved: with v the affine dependence volume_vector5 of a
+    base, its left-out vertex ex is sum_k (-v_k / v_ex) p_k over the
+    others, and an affine map keeps those coordinates, so the glued point
+    is their _barycentric_image over the target subtetrahedron, whose
+    |volume| is |v_ex_s|.
     """
-    bases = _bases()
-    subs, forms, by_form = {}, {}, {}
+    bases, by_key, reps = _bases(), {}, []
     for b, base in enumerate(bases):
-        pts = base.config.points
-        v = volume_vector5(base.config)
+        pts, v = base.config.points, volume_vector5(base.config)
+        reps.append({})
         for ex in range(1, 5):
-            rest = _REST[ex]
-            subs[b, ex] = tuple(-v[k] for k in rest), v[ex]
-            for order in itertools.permutations(rest):
-                form = _UNIT_FORM if abs(v[ex]) == 1 else edge_form([pts[k] for k in order])
-                forms.setdefault((b, ex), form)  # the identity order comes first
-                by_form.setdefault((b, form), []).append((ex, order))
-    src = [[tuple(sorted(range(5), key=perm.__getitem__)) for perm, _ in base.autos] for base in bases]
-    tgt = [[(*perm, *(k + 5 for k in perm)) for perm, _ in base.autos] for base in bases]
+            images = {perm[ex] for perm, _ in base.autos}
+            if min(images) != ex:
+                continue
+            stab = [(itemgetter(*map(perm.index, range(5))), (*perm, *(k + 5 for k in perm)).__getitem__)
+                    for perm, _ in base.autos if perm[ex] == ex]
+            keys = _gluing_keys([pts[k] for k in _REST[ex]])
+            reps[b][ex] = len(images), stab, tuple(-v[k] for k in _REST[ex]), v[ex], keys[0]
+            for order, key in zip(itertools.permutations(_REST[ex]), keys):
+                by_key.setdefault((b, key), {}).setdefault(ex, []).append(order)
     walk = []
     for sb, si in itertools.combinations_with_replacement(range(len(bases)), 2):
-        spts = bases[si].config.points
-        hits = [(*order[:ex], ex_s + 5, *order[ex:])
-                for ex in range(1, 5) for ex_s, order in by_form.get((si, forms[sb, ex]), ())]
-        visited = []
-        for hit, size in _orbit_walk(hits, partial(_gluing_orbit, src[sb], tgt[si], sb == si)):
-            mark = max(hit)
-            weights, vol = subs[sb, hit.index(mark)]
-            dst = [spts[k] for k in hit if k < 5]
-            new_pt = _barycentric_image(weights, vol, dst, abs(subs[si, mark - 5][1]))
-            visited.append((hit, new_pt, size if sb == si else 2 * size))
+        spts, visited = bases[si].config.points, []
+        for ex, (s_size, s_stab, weights, vol, key) in reps[sb].items():
+            for ex_s, orders in by_key.get((si, key), {}).items():
+                if sb == si and ex_s < ex:
+                    continue
+                t_size, t_stab, _, t_vol, _ = reps[si][ex_s]
+                swap = sb == si and ex == ex_s
+                hits = [(*order[:ex], ex_s + 5, *order[ex:]) for order in orders]
+                # under the identity alone, each hit is its own orbit
+                walked = (_orbit_walk(hits, partial(_block_orbit, s_stab, t_stab, swap))
+                          if swap or len(s_stab) * len(t_stab) > 1 else [(hit, 1) for hit in hits])
+                for hit, size in walked:
+                    new_pt = _barycentric_image(weights, vol, [spts[k] for k in hit if k < 5], abs(t_vol))
+                    visited.append((hit, new_pt, size * s_size * t_size * (1 if swap else 2)))
         walk.append((sb, si, tuple(visited)))
     return tuple(walk)
 
@@ -959,15 +1016,15 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
     in each, and every vertex matching of the two subtetrahedra is
     examined; a matching survives when the affine map it defines is
     integral and unimodular.  That holds exactly when the two ordered
-    subtetrahedra have the same edge form, so the 3,732 hits among the
-    24,576 matchings are read off a dict of the ordered target
-    subtetrahedra (8 x 4 x 24) by edge form, once per process
-    (_gluing_tables).  The union is six points; coinciding interior
-    points give one interior point (case G), otherwise two (case H), and
-    the gluing names its case so.  A gluing is accepted when its hull has
-    six lattice points; the configuration is the target base plus one
-    point, whose volumes PointConfig._extended reads off the target's
-    table, so its caps are case F's (_caps over _BASE41_FACETS).  A cap
+    subtetrahedra have the same gluing key (_gluing_keys), which 3,732 of
+    the 24,576 matchings do; _gluing_tables generates, once per process,
+    the first hit of each of their orbits below.  The union is six
+    points; coinciding interior points give one interior point (case G),
+    otherwise two (case H), and the gluing names its case so.  A gluing
+    is accepted when its hull has six lattice points; the configuration
+    is the target base plus one point, whose volumes
+    PointConfig._extended reads off the target's table, so its caps are
+    case F's (_caps over _BASE41_FACETS).  A cap
     with a lattice point strictly inside rejects the gluing for an extra
     interior point without a hull (286 of the 426 verdicts); on the
     others the caps are the size argument, as in case F (_glued_verdict).
@@ -1166,8 +1223,8 @@ def _w33_top(name, params):
     a, b, c, d = params
     if a * d - b * c not in (1, -1):
         raise BadParameters(f"{name}: ad - bc must be +-1")
-    if min(a, b, c, d) <= 0 or c + d <= a + b:
-        raise BadParameters(f"{name}: need a,b,c,d > 0 and c + d > a + b")
+    if min(a, b, c, d) <= 0 or c + d <= a + b or a == c or b == d:
+        raise BadParameters(f"{name}: need a,b,c,d > 0, c + d > a + b, a != c and b != d")
     return ((0, 0), (a, b), (c, d))
 
 

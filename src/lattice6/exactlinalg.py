@@ -29,7 +29,8 @@ hull's placing triangulation (the sides it tests and its tetrahedra's
 signed volumes), volume vectors, chirotopes, circuits, the maximal
 |volume| and barycentric numerators (the width's and the equivalence
 normal form's) all index the table, and _relabelings reads the table
-of a relabeled configuration off it (the chirotope orbits).  det3 is
+of a relabeled configuration off it (the chirotopes of cases C and E in
+their points' roles).  det3 is
 left to the matrices of affine maps (AffineMap.det, unimodular_map); no
 other module calls it.
 """

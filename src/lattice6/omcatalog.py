@@ -49,21 +49,18 @@ Whether a configuration has one given record needs no canonical form.
 The chirotope of six points is the tuple of the signs of their volumes,
 the det4 of the 15 quadruples of combinations(range(6), 4): the first
 half of the configuration's volume table (PointConfig.volumes()), whose
-second half holds their negatives.  A rank-4 oriented matroid is
-fixed by its chirotope up to a global sign (Bjorner et al., Oriented
-Matroids, ch. 3): the circuits are read off the signs, and the signs off
-the circuits.  So two configurations share a record exactly when some
-relabeling sends the chirotope of one to plus or minus that of the
-other, and chirotope_orbit, taken over all 720 relabelings of one
-realization with both signs, holds exactly the chirotopes of the
-configurations with the realization's record.  A relabeling only
-permutes the 15 quadruple volumes and flips the signs of some, so the
-orbit is read off the signs of the realization's volume table, chi
-followed by -chi, and of that table negated, by one index table per
-relabeling built once per process from the slot table of
-exactlinalg._slots.  Membership costs the configuration's volumes, which
-its later steps read again, and one set lookup.  match_circuits stays
-the general path, for any configuration and any record.
+second half holds their negatives.  A relabeling only permutes those
+volumes and flips the signs of some, so the chirotope of a relabeled
+configuration is read off the table through exactlinalg._relabelings,
+with no det4.  A rank-4 oriented matroid is fixed by its chirotope up to
+a global sign (Bjorner et al., Oriented Matroids, ch. 3): the circuits
+are read off the signs, and the signs off the circuits.  So two
+configurations share a record exactly when some relabeling sends the
+chirotope of one to plus or minus that of the other; the embedding
+searches of classify6 fix the relabeling by the points' roles and
+compare four chirotopes, and tests/omcatalog_oracles.py keeps the orbit
+of all 720 relabelings as their oracle.  match_circuits stays the
+general path, for any configuration and any record.
 """
 
 from __future__ import annotations
@@ -71,12 +68,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
-from .exactlinalg import VerificationFailed, _relabelings
+from .exactlinalg import VerificationFailed
 from .invariants import SignedCircuit
-from .polytope import PointConfig
 
 
 class NoMatch(VerificationFailed):
@@ -317,35 +312,9 @@ def match_circuits(circs: Sequence[SignedCircuit]) -> OMRecord:
 # chirotopes
 
 
-def _signs(volumes: Sequence[int]) -> Tuple[int, ...]:
-    """Signs (-1, 0 or 1) of the volumes."""
-    return tuple([(d > 0) - (d < 0) for d in volumes])
-
-
-def chirotope(config: PointConfig) -> Tuple[int, ...]:
-    """Signs of the 15 volumes of a six-point configuration."""
-    return _signs(config.volumes()[:15])
-
-
-def chirotope_orbit(config: PointConfig) -> FrozenSet[Tuple[int, ...]]:
-    """The chirotopes of all 720 relabelings of a six-point configuration,
-    each with both global signs: exactly the chirotopes of the six-point
-    configurations whose oriented matroid is its one (see the module
-    docstring).  They are read off the signs of its volume table, chi
-    followed by -chi, and of that table negated (_relabeling_getters)."""
-    signs = _signs(config.volumes())
-    return frozenset(get(t) for get in _relabeling_getters() for t in (signs, signs[15:] + signs[:15]))
-
-
-@lru_cache(maxsize=1)
-def _relabeling_getters() -> List[itemgetter]:
-    """Per relabeling k -> points[perm[k]] of six points, in
-    itertools.permutations order, the getter of its chirotope from a
-    chirotope chi followed by -chi (exactlinalg._relabelings).
-
-    The relabeling sends the quadruple (i, j, k, l) to the ordered
-    quadruple (perm[i], perm[j], perm[k], perm[l]), whose det4 sits at its
-    _slots entry in the volume table, the volumes followed by their
-    negatives; so its sign sits at the same entry of chi followed by -chi.
-    """
-    return _relabelings(list(itertools.permutations(range(6))))
+def chirotope(volumes: Sequence[int]) -> Tuple[int, ...]:
+    """Signs (-1, 0 or 1) of the first 15 entries of a six-point volume
+    table: the chirotope of the configuration whose table it is
+    (PointConfig.volumes()), or of a relabeling of it, read through
+    exactlinalg._relabelings."""
+    return tuple([(d > 0) - (d < 0) for d in volumes[:15]])

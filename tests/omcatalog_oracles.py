@@ -4,7 +4,8 @@ The library computes canonical circuit forms with bitmask table lookups
 and generates dual line sequences directly.  These are the versions they
 replaced: relabel every circuit as index tuples and sort, under each of
 the 720 permutations; compute one chirotope per relabeling, from det4
-directly, for an orbit;
+directly, for the orbit that classify6's cell test of the embedding
+searches narrows to the points' roles;
 filter every product of per-line vector counts by its total; and sign a
 dual's circuits by 2x2 determinants against one direction per line.  A
 record's vertex, interior, coplanarity and dps statistics are read off

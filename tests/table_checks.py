@@ -95,11 +95,12 @@ def key_candidates(label: str) -> Tuple[str, ...]:
 
 
 def family_members(family: dict):
-    """The members of a width-one family row whose parameters lie in
-    [0, 4]^n, as width1_family builds them."""
+    """(parameters, member) for the members of a width-one family row
+    whose parameters lie in [0, 4]^n, as width1_family builds them: those
+    that satisfy the family's constraints."""
     for params in itertools.product(range(5), repeat=family["n_params"]):
         try:
-            yield width1_family(family["family_id"], params)
+            yield params, width1_family(family["family_id"], params)
         except BadParameters:
             continue
 
@@ -108,9 +109,12 @@ def width1_mismatches(bundle: TableBundle) -> List[str]:
     """The width-one table's mismatches: two singles that one unimodular
     map joins (equivalence_witness) although their oriented matroid labels
     differ, a single whose catalog record's labels (labels_by_key) do not
-    hold its label, and family records other than WIDTH1_FAMILY_RECORDS,
+    hold its label, a family member whose record's labels do not hold its
+    family's label, and family records other than WIDTH1_FAMILY_RECORDS,
     read off the families' members with parameters up to 4
-    (family_members)."""
+    (family_members).  The per-member check is what sees a family whose
+    constraints admit members of another record: the records of all
+    members can still be the eight."""
     bad: List[str] = []
     singles = [(f"{r['table']}/{r['om_label']}", r["om_label"], PointConfig(r["points"]))
                for r in bundle.width1_families["singles"]]
@@ -121,8 +125,14 @@ def width1_mismatches(bundle: TableBundle) -> List[str]:
         key = match_om(cfg).key
         if label not in bundle.labels_by_key[key]:
             bad.append(f"width-one single {name}: {key} carries labels {bundle.labels_by_key[key]}")
-    records = {match_om(cfg).key
-               for family in bundle.width1_families["families"] for cfg in family_members(family)}
+    records = set()
+    for family in bundle.width1_families["families"]:
+        for params, cfg in family_members(family):
+            key = match_om(cfg).key
+            records.add(key)
+            if family["om_label"] not in bundle.labels_by_key[key]:
+                bad.append(f"width-one family {family['family_id']} member {params}: "
+                           f"{key} carries labels {bundle.labels_by_key[key]}")
     if records != WIDTH1_FAMILY_RECORDS:
         bad.append(f"width-one family records {sorted(records)}")
     return bad

@@ -153,7 +153,7 @@ def test_width_one_configurations_exist_but_no_sixth_point_extends_octahedron():
     """A width-one configuration with six vertices exists; no width-one 3+3
     configuration up to coordinate 8 has the octahedral oriented matroid."""
     start = time.monotonic()
-    hexa = classify6.width1_family("(3,3)/6.4", (1, 2, 1, 3))
+    hexa = classify6.width1_family("(3,3)/6.4", (2, 1, 3, 2))
     assert size(hexa) == 6
     assert width(hexa)[0] == 1
     assert len(hull_summary(hexa)[2]) == 6

@@ -52,7 +52,7 @@ from lattice6.size5 import catalog41
 from emptytetra_oracles import is_empty_by_edges
 from equivalence_oracles import (all_orders_normal_form as oracle_normal_form, key_named_row,
                                  row_key_index)
-from omcatalog_oracles import match_om
+from omcatalog_oracles import chirotope_orbit, match_om
 from table_checks import key_candidates, no_octahedron_check
 
 EXPECTED_COUNTS = {"A": 2, "B": 15, "C": 6, "D": 2, "E": 2, "F": 17, "G": 20, "H": 12}
@@ -473,21 +473,53 @@ def test_gluing_walk_visits_the_least_matching_of_each_orbit(gluing_orbits, lite
     assert set().union(*groups) == set(literal_gh.verdicts)
 
 
-def test_gluing_tables_take_504_edge_forms(monkeypatch, fresh_gluing_tables):
-    """The first _gluing_tables build takes 504 edge forms, where one per
-    source and one per ordered target subtetrahedron took 800: a source's
-    form is its identity order's, and each of the 11 subtetrahedra of
-    |volume| 1 has the identity form in all 24 orders.  Its 768 ordered
-    targets fall under 81 distinct (base, form) keys."""
-    classify6._bases()
-    calls = count_calls(monkeypatch, edge_form)
-    classify6._gluing_tables()
-    assert calls == {"edge_form": 504}
+def _subtetrahedra():
+    """(base index, subtetrahedron) for the 32 subtetrahedra of the
+    bases, each the base's points without one vertex, in base order."""
     reps = [base.config.points for base in classify6._bases()]
-    tetras = [(b, [pts[k] for k in range(5) if k != ex]) for b, pts in enumerate(reps) for ex in range(1, 5)]
+    return [(b, [pts[k] for k in range(5) if k != ex]) for b, pts in enumerate(reps) for ex in range(1, 5)]
+
+
+def test_gluing_tables_take_no_edge_form(monkeypatch, fresh_gluing_tables):
+    """The first _gluing_tables build takes no edge form, where it took
+    504 (one per source and one per ordered target subtetrahedron, but
+    the 11 of |volume| 1, whose forms are all the identity).  It takes the
+    gluing keys (_gluing_keys) of the 23 subtetrahedra that leave out the
+    least vertex of its orbit under the base's symmetries, 24 keys each,
+    from one adjugate each.  As under edge forms, the 768 ordered
+    subtetrahedra fall under 81 distinct (base, key) pairs."""
+    classify6._bases()
+    calls = count_calls(monkeypatch, edge_form, classify6._gluing_keys)
+    classify6._gluing_tables()
+    assert calls == {"edge_form": 0, "_gluing_keys": 23}
+    tetras = _subtetrahedra()
     assert sum(abs(det4(*tet)) == 1 for _, tet in tetras) == 11
-    keys = {(b, edge_form([tet[t] for t in sigma])) for b, tet in tetras for sigma in permutations(range(4))}
-    assert len(keys) == 81
+    assert len({(b, key) for b, tet in tetras for key in classify6._gluing_keys(tet)}) == 81
+
+
+def test_gluing_keys_partition_like_edge_forms():
+    """On all 768 ordered subtetrahedra of the bases (32 subtetrahedra,
+    each in its 24 vertex orders), two have the same gluing key
+    (_gluing_keys) exactly when they have the same edge form: both say
+    that an integral unimodular map carries the one onto the other,
+    vertex by vertex.  29 classes."""
+    by_key, by_form = {}, {}
+    for b, tet in _subtetrahedra():
+        for sigma, key in zip(permutations(range(4)), classify6._gluing_keys(tet)):
+            ordered = [tet[t] for t in sigma]
+            by_key.setdefault(key, set()).add((b, *ordered))
+            by_form.setdefault(edge_form(ordered), set()).add((b, *ordered))
+    assert sum(map(len, by_key.values())) == 768
+    assert sorted(map(sorted, by_key.values())) == sorted(map(sorted, by_form.values()))
+    assert len(by_key) == 29
+
+
+def test_gluing_keys_reject_a_tetrahedron_that_is_not_empty():
+    """A tetrahedron of volume 2 with the midpoint of an edge: its
+    numerators' group has an entry that is no unit mod 2, so it has no
+    gluing key."""
+    with pytest.raises(classify6.ClassificationError, match="is not empty"):
+        classify6._gluing_keys(_SRC2)
 
 
 def test_case_c_alone_builds_no_gluing_tables(fresh_gluing_tables):
@@ -691,8 +723,8 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     subcase, E, F, G and H are a (4,1) base plus one point, whose volumes
     PointConfig._extended evaluates off the base's Extension table with
     no det4.  No case runner calls width."""
-    for cell in ("5.4", "5.5"):  # warm: the orbits are built once per process
-        classify6._cell_orbit(cell)
+    for cell in ("5.4", "5.5"):  # warm: the cells' chirotopes are read once per process
+        classify6._cell_chirotopes(cell)
     classify6._class_rows()._stages
     classify6._gluing_tables()
     classify6._cap_frame.cache_clear()
@@ -858,27 +890,47 @@ def _printed_caps(case, order):
 
 
 def _embeddings(coeffs):
-    """The 8 x 24 embeddings of one search, as _embeddings41 builds them:
-    the base's points in their own order, then p4."""
+    """The 8 x 24 embeddings of one search, as _embeddings41 builds them,
+    each as its points, the base's in their own order, then p4, and its
+    vertex order (a, b, c, d)."""
     c1, c2, c3 = coeffs
     for cls5 in catalog41():
         pts = cls5.representative.points
-        for p1, p2, p3, _ in permutations(pts[1:]):
-            yield pts + (tuple(c1 * p1[t] + c2 * p2[t] + c3 * p3[t] for t in range(3)),)
+        for order in permutations(range(1, 5)):
+            p1, p2, p3 = (pts[k] for k in order[:3])
+            yield pts + (tuple(c1 * p1[t] + c2 * p2[t] + c3 * p3[t] for t in range(3)),), order
+
+
+def _role_chirotope(points, order):
+    """The chirotope of an embedding's points in the roles p1..p6
+    (_paper_labels), from det4 of the points relabeled so."""
+    labels = _paper_labels(order)
+    return chirotope(PointConfig([points[labels[k] - 1] for k in range(1, 7)]).volumes())
+
+
+@pytest.fixture(scope="module")
+def cell_orbits(bundle):
+    """Per cell of the embedding searches, the chirotopes of all 720
+    relabelings of its first table row, each with both signs, one det4
+    pass per relabeling (omcatalog_oracles.chirotope_orbit): the oracle of
+    the cell test of _embeddings41.  Built once per module."""
+    return {cell: chirotope_orbit(next(r for r in bundle.class_rows if r.om_label == cell).config().points)
+            for _, cell, _ in EMBEDDING_SEARCHES}
 
 
 def test_cell_orbits_match_the_catalog_on_every_embedding(bundle):
-    """On all 384 embeddings of cases C and E (none degenerate), the
-    chirotope lookup against either cell's orbit agrees with the match_om
+    """On all 384 embeddings of cases C and E (none degenerate), the cell
+    test of _embeddings41, the chirotope in the roles p1..p6 against the
+    four of either cell (_cell_chirotopes), agrees with the match_om
     oracle; 128 embeddings of each search have its own cell, none the
     other's."""
     keys = {cell: key_candidates(cell)[0] for _, cell, _ in EMBEDDING_SEARCHES}
     hits = Counter()
     for case, _, coeffs in EMBEDDING_SEARCHES:
-        for points in _embeddings(coeffs):
+        for points, order in _embeddings(coeffs):
             key = match_om(PointConfig(points)).key
             for cell, cell_key in keys.items():
-                found = chirotope(PointConfig(points)) in classify6._cell_orbit(cell)
+                found = _role_chirotope(points, order) in classify6._cell_chirotopes(cell)
                 assert found == (key == cell_key), (cell, points)
                 hits[case, cell] += found
             hits[case] += 1
@@ -886,9 +938,37 @@ def test_cell_orbits_match_the_catalog_on_every_embedding(bundle):
                     ("E", "5.4"): 0, ("E", "5.5"): 128}
 
 
-def test_cell_orbits_match_the_catalog_on_row_images(bundle):
+def test_cell_test_matches_the_orbit_oracle_on_every_order(cell_orbits):
+    """The cell test of _embeddings41 against its oracle, the orbit of all
+    720 relabelings of the cell's row (cell_orbits), on every one of the
+    2 x 192 vertex orders of the two searches, walked or not, for either
+    cell: an embedding's chirotope in the roles p1..p6 is one of the four
+    of _cell_chirotopes exactly when its own chirotope lies in the orbit.
+    128 orders of each search have its own cell and none the other's.  On
+    the walked orders, the chirotope that the search reads off the volume
+    table through _Base.roles is the one of the relabeled points."""
+    hits = Counter()
+    for case, _, coeffs in EMBEDDING_SEARCHES:
+        for points, order in _embeddings(coeffs):
+            role, chi = _role_chirotope(points, order), chirotope(PointConfig(points).volumes())
+            for cell, orbit in cell_orbits.items():
+                found = role in classify6._cell_chirotopes(cell)
+                assert found == (chi in orbit), (case, cell, points)
+                hits[case, cell] += found
+    assert hits == {("C", "5.4"): 128, ("C", "5.5"): 0, ("E", "5.4"): 0, ("E", "5.5"): 128}
+    for _, _, coeffs in EMBEDDING_SEARCHES:
+        built = {(points[:5], order): points for points, order in _embeddings(coeffs)}
+        for base in classify6._bases():
+            for (order, _), role in zip(base.embeddings, base.roles):
+                points = built[base.config.points, order]
+                cfg = PointConfig._extended(base.extension, points[-1])
+                assert chirotope(role(cfg.volumes())) == _role_chirotope(points, order), order
+
+
+def test_cell_orbits_match_the_catalog_on_row_images(bundle, cell_orbits):
     """On a relabeled unimodular image of every table row and on its
-    mirror image, the lookup against the 5.4 and 5.5 orbits agrees with
+    mirror image, the oracle orbits of cells 5.4 and 5.5 (cell_orbits),
+    which the cell test of _embeddings41 is checked against, agree with
     match_om; the rows of those cells are the hits."""
     rng = random.Random(17)
     keys = {cell: key_candidates(cell)[0] for _, cell, _ in EMBEDDING_SEARCHES}
@@ -899,7 +979,7 @@ def test_cell_orbits_match_the_catalog_on_row_images(bundle):
         for cfg in (img, mirror):
             key = match_om(cfg).key
             for cell, cell_key in keys.items():
-                found = chirotope(cfg) in classify6._cell_orbit(cell)
+                found = chirotope(cfg.volumes()) in cell_orbits[cell]
                 assert found == (key == cell_key), (row.id, cell)
                 if found:
                     hits.append((row.id, cell))
@@ -950,12 +1030,13 @@ def _first_of_orbit(labels, perms, swap=False) -> bool:
 
 
 @pytest.fixture(scope="module")
-def literal_cef():
+def literal_cef(cell_orbits):
     """Oracle for the orbit walks of cases C, E and F: the loops before
     them, over all 8 x 4! embeddings of either (4,1) search and all
     8 x 20 ordered point pairs of case F, each candidate counted once and
     decided by its hull (size) and, in F, its circuits, with det4 volumes
-    of its own.  Built once per module.
+    of its own; an embedding has its search's cell when its chirotope lies
+    in the cell's orbit (cell_orbits).  Built once per module.
 
     Per search, "C" (C's interior subcase), "E" and "F": a namespace
     with examined, rejected (a Counter by reason) and accepted, the
@@ -983,7 +1064,7 @@ def literal_cef():
                     got.rejected["degenerate embedding"] += 1
                     continue
                 cfg = PointConfig(points)
-                if chirotope(cfg) not in classify6._cell_orbit(cell):
+                if chirotope(cfg.volumes()) not in cell_orbits[cell]:
                     got.rejected[f"oriented matroid is not {cell}"] += 1
                     continue
                 caps, kept = _cap_rule(points, classify6._BASE41_FACETS)
@@ -1116,12 +1197,16 @@ def test_extension_tables_match_quad_volumes(monkeypatch):
         assert cfg.volumes() == quad_volumes(cfg.points), cfg
 
 
-def test_cell_orbit_sizes():
+def test_cell_orbit_sizes(cell_orbits):
     """720 relabelings times two signs: 5.4 has no relabeling that flips
-    the sign, 5.5 has one for every chirotope."""
-    assert len(classify6._cell_orbit("5.4")) == 1440
-    assert len(classify6._cell_orbit("5.5")) == 720
-    assert {len(chi) for cell in ("5.4", "5.5") for chi in classify6._cell_orbit(cell)} == {15}
+    the sign, 5.5 has one for every chirotope.  The cell test keeps four
+    chirotopes of each orbit (_cell_chirotopes): the row's, as stored and
+    with p2 and p3 swapped, each with both signs."""
+    assert len(cell_orbits["5.4"]) == 1440
+    assert len(cell_orbits["5.5"]) == 720
+    assert {len(chi) for orbit in cell_orbits.values() for chi in orbit} == {15}
+    for cell, orbit in cell_orbits.items():
+        assert len(classify6._cell_chirotopes(cell)) == 4 and classify6._cell_chirotopes(cell) <= orbit
 
 
 @pytest.mark.parametrize("accept_all", [False, True])
@@ -1846,7 +1931,7 @@ def test_width1_family_all_members(bundle):
         "(3,3)/4.15": [(1, 1), (2, 1)],
         "(3,3)/5.8": [(2,), (5,)],
         "(3,3)/5.15": [(4,), (6,)],
-        "(3,3)/6.4": [(1, 1, 2, 3), (1, 2, 1, 3)],
+        "(3,3)/6.4": [(1, 1, 2, 3), (2, 1, 3, 2)],
     }
     family_ids = [f["family_id"] for f in bundle.width1_families["families"]]
     assert sorted(samples) == sorted(family_ids)
@@ -1865,6 +1950,10 @@ def test_width1_family_rejects_bad_input():
         width1_family("(4,2)/5.6", (2, 1))  # the excluded 2b = a line
     with pytest.raises(BadParameters):
         width1_family("(3,3)/5.15", (2,))  # below the allowed range
+    with pytest.raises(BadParameters):
+        width1_family("(3,3)/6.4", (1, 2, 1, 3))  # a = c: the top edge is parallel to a base edge
+    with pytest.raises(BadParameters):
+        width1_family("(3,3)/6.4", (1, 1, 2, 1))  # b = d: likewise
 
 
 def test_no_octahedron_smoke():

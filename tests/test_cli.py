@@ -275,6 +275,38 @@ def test_classify_process_builds_no_oriented_matroid_catalog():
     assert (proc.stdout, proc.stderr, proc.returncode) == ("0 0\n", "", 0)
 
 
+def test_classify_process_relabels_no_orbit_and_lists_no_gluing_orbit():
+    """A fresh process that runs classify_all never reads a chirotope
+    through the 720 relabelings of six points, and walks no orbit of a
+    gluing hit under both bases' symmetries.  exactlinalg._relabelings
+    takes 66 permutations in 10 calls, at most 12 in one: the roles of the
+    62 vertex orders that the C/E walk visits (_Base.roles) and two per
+    cell (_cell_chirotopes).  The only orbit walks (_orbit_walk) are the
+    bases' 24 vertex orders and 20 point pairs each, and 39 of the
+    gluing's 57 blocks (_gluing_tables): 620 hits walked under the
+    symmetries that fix both left-out vertices, of which 271 are visited.
+    The other 178 visited hits lie in blocks that only the identity
+    fixes, each its own orbit.  The walk once listed the 3,732 hits and
+    the orbit of each one it visited."""
+    code = ("from lattice6 import classify6\n"
+            "relabeled, walked = [], []\n"
+            "relabelings, orbit_walk = classify6._relabelings, classify6._orbit_walk\n"
+            "def counted_relabelings(perms):\n"
+            "    relabeled.append(len(perms))\n"
+            "    return relabelings(perms)\n"
+            "def counted_walk(items, orbit):\n"
+            "    walked.append(orbit_walk(items, orbit))\n"
+            "    return walked[-1]\n"
+            "classify6._relabelings, classify6._orbit_walk = counted_relabelings, counted_walk\n"
+            "classify6.classify_all()\n"
+            "sizes = [sum(size for _, size in walk) for walk in walked]\n"
+            "print(len(relabeled), sum(relabeled), max(relabeled), sizes[:16], len(walked) - 16, "
+            "sum(sizes[16:]), sum(map(len, walked[16:])))\n")
+    proc = _python(["-c", code])
+    expected = f"10 66 12 {[24] * 8 + [20] * 8} 39 620 271\n"
+    assert (proc.stdout, proc.stderr, proc.returncode) == (expected, "", 0)
+
+
 @pytest.mark.parametrize("cid", ["H.12", None])
 def test_python_m_lattice6_matches_main(tmp_path, bundle, capsys, cid):
     """python -m lattice6 analyze prints what main prints and exits with

@@ -95,17 +95,6 @@ def test_candidate_relabelings_per_record():
     assert max(counts) == 96
 
 
-def test_chirotope_orbit_matches_oracle(bundle):
-    """The orbit read off one chirotope equals the one computed per
-    relabeling, on C.4 and E.1 (the realizations of cells 5.4 and 5.5)
-    and on their mirror images."""
-    for rid in ("C.4", "E.1"):
-        points = bundle.rows_by_id[rid].config().points
-        mirror = tuple((-x, y, z) for x, y, z in points)
-        for pts in (points, mirror):
-            assert omcatalog.chirotope_orbit(PointConfig(pts)) == oracle.chirotope_orbit(pts), rid
-
-
 def test_dual_circuits_match_determinant_oracle():
     """Sides read off the line order and the ray sign are those of the
     determinants against increasing directions, on every line sequence;

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from lattice6 import tablesdata
+from lattice6 import classify6, tablesdata
 from lattice6.omcatalog import enumerate_oms
 from lattice6.polytope import hull_summary, size
 from lattice6.tablesdata import CorruptData, load_tables
@@ -23,6 +23,7 @@ from table_checks import (
     result2_histogram,
     shape_of,
     validate_tables,
+    width1_mismatches,
 )
 
 EXPECTED_RESULT2 = {
@@ -74,6 +75,28 @@ def test_validation_catches_a_duplicate_width_one_single(bundle):
     single["points"] = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [-1, -1, 0], [0, 0, 1], [1, 1, 1]]
     report = validate_tables(dataclasses.replace(bundle, width1_families=families))
     assert report.mismatches == ("width-one singles (4,2)/4.16 and (4,2)/4.7 are one class",)
+
+
+def test_width_one_check_catches_a_member_of_another_record(bundle, monkeypatch):
+    """(3,3)/6.4 once admitted members with a = c or b = d, whose top edge
+    is parallel to a base edge: their record is c5.13, not the family's
+    c6.04, while the records of all members were still the eight family
+    records.  With those constraints back, the check of each member's
+    record names the six such members with parameters up to 4."""
+    top = classify6._w33_top
+
+    def lax_top(name, params):
+        if name == "(3,3)/6.4":
+            a, b, c, d = params
+            if a * d - b * c in (1, -1) and min(params) > 0 and c + d > a + b:
+                return ((0, 0), (a, b), (c, d))
+        return top(name, params)
+
+    monkeypatch.setattr(classify6, "_w33_top", lax_top)
+    members = [(1, 1, 1, 2), (1, 1, 2, 1), (1, 2, 1, 3), (1, 3, 1, 4), (2, 1, 3, 1), (3, 1, 4, 1)]
+    labels = bundle.labels_by_key["c5.13"]
+    assert width1_mismatches(bundle) == [f"width-one family (3,3)/6.4 member {params}: c5.13 carries labels {labels}"
+                                         for params in members]
 
 
 def test_volume_vector_gcds(bundle):
