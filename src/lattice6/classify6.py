@@ -110,8 +110,18 @@ from math import gcd
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactlinalg import (AffineMap, IntVec3, VerificationFailed, _adjugate, _relabelings, _slots, _xgcd,
-                          check_point, dot, sub)
+from .exactlinalg import (
+    AffineMap,
+    IntVec3,
+    VerificationFailed,
+    _adjugate,
+    _relabelings,
+    _slots,
+    _xgcd,
+    check_point,
+    dot,
+    sub,
+)
 from .polytope import Extension, PointConfig, holds_only_its_points, size
 from .invariants import (
     C21,
@@ -908,8 +918,9 @@ def _gluing_keys(tet) -> list:
     (White), it generates the group, and for each vertex one generator
     has entry 1 there.  The key of an order is V and that generator for
     its first vertex, read in the order.  So one adjugate and four
-    generators give the 24 keys, with no Hermite form.  A tetrahedron
-    with an entry that is no unit raises ClassificationError."""
+    generators give the 24 keys, with no Hermite form.  When an entry of
+    that element is no unit, no generator of the group has unit entries,
+    and ClassificationError is raised."""
     rows = _adjugate(tuple(zip(*(sub(q, tet[0]) for q in tet[1:]))))
     vol = abs(dot(rows[0], sub(tet[1], tet[0])))
     linear = (tuple(-sum(col) for col in zip(*rows)), *rows)
@@ -917,7 +928,7 @@ def _gluing_keys(tet) -> list:
     _, u, w = _xgcd(g, linear[0][2])
     elem = [dot(row, (u * s, u * t, w)) % vol for row in linear]
     if any(gcd(e, vol) != 1 for e in elem):
-        raise ClassificationError(f"tetrahedron {tuple(tet)} is not empty")
+        raise ClassificationError(f"tetrahedron {tuple(tet)}: its numerators' group has no generator with unit entries")
     gens = [tuple(e * inverse % vol for e in elem) for inverse in [pow(f, -1, vol) for f in elem]]
     return [(vol, get(gens[first])) for first, get in _ORDER_GETTERS]
 
@@ -959,10 +970,8 @@ def _gluing_tables():
     representatives' subtetrahedra alone.  Per pair of representatives,
     the target orders with the source's key make one block of hits,
     walked under the symmetries that fix both left-out vertices
-    (_orbit_walk of _block_orbit; where only the identity fixes both and
-    no swap applies, every hit is its own orbit and is visited), and a
-    first hit counts with its block orbit's size times the sizes of the
-    two vertex orbits.  The swap (_swapped) maps a hit of sb on si
+    (_orbit_walk of _block_orbit), and a first hit counts with its block
+    orbit's size times the sizes of the two vertex orbits.  The swap (_swapped) maps a hit of sb on si
     without ex and ex_s onto one of si on sb without ex_s and ex, which
     comes later when sb < si, or on one base when ex < ex_s: such an
     orbit counts twice its members there, and the later blocks of a base
@@ -998,10 +1007,7 @@ def _gluing_tables():
                 t_size, t_stab, _, t_vol, _ = reps[si][ex_s]
                 swap = sb == si and ex == ex_s
                 hits = [(*order[:ex], ex_s + 5, *order[ex:]) for order in orders]
-                # under the identity alone, each hit is its own orbit
-                walked = (_orbit_walk(hits, partial(_block_orbit, s_stab, t_stab, swap))
-                          if swap or len(s_stab) * len(t_stab) > 1 else [(hit, 1) for hit in hits])
-                for hit, size in walked:
+                for hit, size in _orbit_walk(hits, partial(_block_orbit, s_stab, t_stab, swap)):
                     new_pt = _barycentric_image(weights, vol, [spts[k] for k in hit if k < 5], abs(t_vol))
                     visited.append((hit, new_pt, size * s_size * t_size * (1 if swap else 2)))
         walk.append((sb, si, tuple(visited)))

@@ -514,11 +514,11 @@ def test_gluing_keys_partition_like_edge_forms():
     assert len(by_key) == 29
 
 
-def test_gluing_keys_reject_a_tetrahedron_that_is_not_empty():
-    """A tetrahedron of volume 2 with the midpoint of an edge: its
-    numerators' group has an entry that is no unit mod 2, so it has no
-    gluing key."""
-    with pytest.raises(classify6.ClassificationError, match="is not empty"):
+def test_gluing_keys_reject_a_group_with_no_unit_generator():
+    """A tetrahedron of volume 2 with the midpoint of an edge: every
+    generator of its numerators' group has an entry that is no unit mod 2,
+    so it has no gluing key."""
+    with pytest.raises(classify6.ClassificationError, match="no generator with unit entries"):
         classify6._gluing_keys(_SRC2)
 
 

@@ -282,12 +282,10 @@ def test_classify_process_relabels_no_orbit_and_lists_no_gluing_orbit():
     takes 66 permutations in 10 calls, at most 12 in one: the roles of the
     62 vertex orders that the C/E walk visits (_Base.roles) and two per
     cell (_cell_chirotopes).  The only orbit walks (_orbit_walk) are the
-    bases' 24 vertex orders and 20 point pairs each, and 39 of the
-    gluing's 57 blocks (_gluing_tables): 620 hits walked under the
-    symmetries that fix both left-out vertices, of which 271 are visited.
-    The other 178 visited hits lie in blocks that only the identity
-    fixes, each its own orbit.  The walk once listed the 3,732 hits and
-    the orbit of each one it visited."""
+    bases' 24 vertex orders and 20 point pairs each, and the gluing's 57
+    blocks (_gluing_tables): 798 hits walked under the symmetries that
+    fix both left-out vertices, of which 449 are visited.  The walk once
+    listed the 3,732 hits and the orbit of each one it visited."""
     code = ("from lattice6 import classify6\n"
             "relabeled, walked = [], []\n"
             "relabelings, orbit_walk = classify6._relabelings, classify6._orbit_walk\n"
@@ -303,7 +301,7 @@ def test_classify_process_relabels_no_orbit_and_lists_no_gluing_orbit():
             "print(len(relabeled), sum(relabeled), max(relabeled), sizes[:16], len(walked) - 16, "
             "sum(sizes[16:]), sum(map(len, walked[16:])))\n")
     proc = _python(["-c", code])
-    expected = f"10 66 12 {[24] * 8 + [20] * 8} 39 620 271\n"
+    expected = f"10 66 12 {[24] * 8 + [20] * 8} 57 798 449\n"
     assert (proc.stdout, proc.stderr, proc.returncode) == (expected, "", 0)
 
 
