@@ -74,17 +74,15 @@ the cell's table row (_cell_chirotopes), with no orbit of relabelings.
 
 The G/H gluing examines 24,576 vertex matchings of subtetrahedra.  A
 matching glues when an integral unimodular map realizes it, which is
-exactly when the two ordered subtetrahedra have the same gluing key
-(_gluing_keys: the |volume| and the group of the lattice points'
-barycentric numerators, one generator per subtetrahedron, permuted per
-order), and 3,732 of them do; an affine map keeps barycentric
-coordinates, so each hit's glued point is placed without solving the
-map.  The numerators and volumes it reads are entries of each base's
-volume vector v: a subtetrahedron's |volume| is |v_ex|, the entry of its
-left-out vertex, in any vertex order.  A symmetry of the source base, a
-symmetry of the target base and the swap of source and target (the
-inverse map) each carry a hit onto one that glues an equivalent
-configuration, with the same verdict.  So the walk visits the first hit
+exactly when the two ordered subtetrahedra have the same key
+(emptytetra._ordered_key), and 3,732 of them do.  An affine map keeps
+barycentric coordinates, so each hit's glued point is placed without
+solving the map, from entries of each base's volume vector v: a
+subtetrahedron's |volume| is |v_ex|, the entry of its left-out vertex,
+in any vertex order.  A symmetry of the source base, a symmetry of the
+target base and the swap of source and target (the inverse map) each
+carry a hit onto one that glues an equivalent configuration, with the
+same verdict.  So the walk visits the first hit
 of each orbit of the group they generate, 449 hits, and counts each with
 its orbit's size.  It generates them, orderly, with no hit's orbit under
 the whole group: the first hit of an orbit leaves out the least vertex
@@ -92,11 +90,11 @@ of its orbit in either base, so only those subtetrahedra are keyed and
 matched, each such block of hits is walked under the symmetries that fix
 both left-out vertices (_orbit_walk of _block_orbit), and the swap joins
 blocks or doubles weights.  The walk and its glued points depend only on
-the eight bases, so _gluing_tables builds them once per process, with no
-Hermite form.  Each run_case_gh call makes one verdict (coplanarity, a
-cap's interior point, and the cap rule's size with its hull cross-check)
-per visited hit of six points, 426 of them, and an accepted one
-contributes one configuration to identify.
+the eight bases, so _gluing_tables builds them once per process.  Each
+run_case_gh call makes one verdict (coplanarity, a cap's interior point,
+and the cap rule's size with its hull cross-check) per visited hit of
+six points, 426 of them, and an accepted one contributes one
+configuration to identify.
 """
 
 import csv
@@ -114,10 +112,8 @@ from .exactlinalg import (
     AffineMap,
     IntVec3,
     VerificationFailed,
-    _adjugate,
     _relabelings,
     _slots,
-    _xgcd,
     check_point,
     dot,
     sub,
@@ -135,7 +131,7 @@ from .invariants import (
     width,
 )
 from .equivalence import RowSet, symmetries
-from .emptytetra import _facet_frame, _framed_empty, _framed_has_interior_point
+from .emptytetra import _facet_frame, _framed_empty, _framed_has_interior_point, _ordered_key
 from .size5 import admissible_apex_31, catalog41
 from .omcatalog import chirotope
 from .tablesdata import ClassRow, load_tables
@@ -895,44 +891,6 @@ def _swapped(hit) -> tuple:
     return tuple(back)
 
 
-#: Per vertex order of a tetrahedron, in itertools.permutations order, its
-#: first vertex and the getter of a 4-tuple's entries in that order.
-_ORDER_GETTERS = tuple((order[0], itemgetter(*order)) for order in itertools.permutations(range(4)))
-
-
-def _gluing_keys(tet) -> list:
-    """Per vertex order of the empty tetrahedron tet, in
-    itertools.permutations(range(4)) order, its gluing key: two ordered
-    empty tetrahedra have the same key exactly when an integral
-    unimodular map carries the one onto the other, vertex by vertex, as
-    when their edge forms (exactlinalg.edge_form) are equal.
-
-    An affine map keeps barycentric coordinates, so such a map exists
-    exactly when the two have the same |volume| V and their lattice points
-    the same barycentric numerators mod V, vertex by vertex.  Those form
-    a group of order V, the lattice modulo the edge lattice: the
-    numerators of q0 + u at q1, q2 and q3 are the rows of the edge
-    matrix's adjugate times u, and at q0 minus their sum.  An extended gcd
-    of the q0 row gives an element whose q0 entry h is that row's gcd.
-    When every entry of it is a unit mod V, as in an empty tetrahedron
-    (White), it generates the group, and for each vertex one generator
-    has entry 1 there.  The key of an order is V and that generator for
-    its first vertex, read in the order.  So one adjugate and four
-    generators give the 24 keys, with no Hermite form.  When an entry of
-    that element is no unit, no generator of the group has unit entries,
-    and ClassificationError is raised."""
-    rows = _adjugate(tuple(zip(*(sub(q, tet[0]) for q in tet[1:]))))
-    vol = abs(dot(rows[0], sub(tet[1], tet[0])))
-    linear = (tuple(-sum(col) for col in zip(*rows)), *rows)
-    g, s, t = _xgcd(*linear[0][:2])
-    _, u, w = _xgcd(g, linear[0][2])
-    elem = [dot(row, (u * s, u * t, w)) % vol for row in linear]
-    if any(gcd(e, vol) != 1 for e in elem):
-        raise ClassificationError(f"tetrahedron {tuple(tet)}: its numerators' group has no generator with unit entries")
-    gens = [tuple(e * inverse % vol for e in elem) for inverse in [pow(f, -1, vol) for f in elem]]
-    return [(vol, get(gens[first])) for first, get in _ORDER_GETTERS]
-
-
 def _block_orbit(src, tgt, swap, hit) -> set:
     """The images of a hit (_gluing_tables) under the symmetries src of
     the source base that fix its left-out vertex, tgt of the target base
@@ -956,18 +914,20 @@ def _gluing_tables():
     onto base si's without ex_s by an integral unimodular map.  It is
     read on labels: hit[k] is the target label that source label k goes
     to, and hit[ex] = ex_s + 5 marks the left-out vertex, whose image is
-    the glued point.  A hit is a pair of equal gluing keys
-    (_gluing_keys): the source's in its base order, the target's in the
-    hit's order.  The hits come in enumeration order: by ex, then ex_s,
-    then the target order.
+    the glued point.  A hit is a pair of equal keys
+    (emptytetra._ordered_key): the source's in its base order, the
+    target's in the hit's order.  The hits come in enumeration order: by
+    ex, then ex_s, then the target order.
 
     visited lists, in that order, the first hit of each orbit under sb's
     symmetries, si's and the swap of source and target, as (hit, glued
     point, weight): 449 hits, with no orbit under the whole group listed.
     A source symmetry moves ex, a target one ex_s, so the first hit of an
     orbit leaves out the least vertex of each one's orbit under its base,
-    its representative; the gluing keys are taken for the 23
-    representatives' subtetrahedra alone.  Per pair of representatives,
+    its representative; the keys are taken for the 23 representatives'
+    subtetrahedra alone, in their 24 vertex orders.  Each of those is an
+    empty tetrahedron, whose every facet is a unimodular triangle, so a
+    missing key raises ClassificationError.  Per pair of representatives,
     the target orders with the source's key make one block of hits,
     walked under the symmetries that fix both left-out vertices
     (_orbit_walk of _block_orbit), and a first hit counts with its block
@@ -993,9 +953,12 @@ def _gluing_tables():
                 continue
             stab = [(itemgetter(*map(perm.index, range(5))), (*perm, *(k + 5 for k in perm)).__getitem__)
                     for perm, _ in base.autos if perm[ex] == ex]
-            keys = _gluing_keys([pts[k] for k in _REST[ex]])
+            orders = list(itertools.permutations(_REST[ex]))
+            keys = [_ordered_key(*(pts[k] for k in order)) for order in orders]
+            if None in keys:
+                raise ClassificationError(f"base {b} without vertex {ex}: a facet is not a unimodular triangle")
             reps[b][ex] = len(images), stab, tuple(-v[k] for k in _REST[ex]), v[ex], keys[0]
-            for order, key in zip(itertools.permutations(_REST[ex]), keys):
+            for order, key in zip(orders, keys):
                 by_key.setdefault((b, key), {}).setdefault(ex, []).append(order)
     walk = []
     for sb, si in itertools.combinations_with_replacement(range(len(bases)), 2):
@@ -1022,9 +985,9 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
     in each, and every vertex matching of the two subtetrahedra is
     examined; a matching survives when the affine map it defines is
     integral and unimodular.  That holds exactly when the two ordered
-    subtetrahedra have the same gluing key (_gluing_keys), which 3,732 of
-    the 24,576 matchings do; _gluing_tables generates, once per process,
-    the first hit of each of their orbits below.  The union is six
+    subtetrahedra have the same key (emptytetra._ordered_key), which
+    3,732 of the 24,576 matchings do; _gluing_tables generates, once per
+    process, the first hit of each of their orbits below.  The union is six
     points; coinciding interior points give one interior point (case G),
     otherwise two (case H), and the gluing names its case so.  A gluing
     is accepted when its hull has six lattice points; the configuration
@@ -1094,9 +1057,9 @@ def _barycentric_image(weights, vol: int, dst, dst_vol: int) -> IntVec3:
     affine map onto dst, whose |volume| the caller gives as dst_vol
     (_gluing_tables reads it off the target base's volume vector).  That
     map is unimodular and integral only if dst_vol is |vol| and the image
-    is integral; else ClassificationError.  The edge forms of a hit are
-    equal, so a volume that differs here means a volume vector that
-    disagrees with the edge forms."""
+    is integral; else ClassificationError.  The keys of a hit are equal,
+    so a volume that differs here means a volume vector that disagrees
+    with the keys."""
     if dst_vol != abs(vol):
         raise ClassificationError("glued subtetrahedra have different volumes")
     w0, w1, w2, w3 = weights
@@ -1246,11 +1209,14 @@ def width1_family(name: str, params: Sequence[int] = ()) -> PointConfig:
     """Construct a width-one representative from its family name.
 
     Families are keyed "(shape)/om"; parameterless entries reject params.
-    Raises BadParameters for unknown names, wrong arity, or parameter
-    values outside the family's constraints.
+    Raises BadParameters for unknown names, wrong arity, parameters that
+    are not ints (a bool is not one), or parameter values outside the
+    family's constraints.
     """
     singles, families = _family_rows()
-    params = tuple(int(x) for x in params)
+    params = tuple(params)
+    if not all(type(x) is int for x in params):
+        raise BadParameters(f"{name}: parameters {params!r} are not all integers")
     if name in singles:
         if params:
             raise BadParameters(f"{name} takes no parameters")

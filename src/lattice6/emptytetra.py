@@ -16,19 +16,30 @@ det4(a, b, c, p).  By White ("Lattice tetrahedra", 1964), conv(0, e1, e2,
 gcd(y, q) = 1, or y = 1 with gcd(x, q) = 1, or x + y = 0 with
 gcd(x, q) = 1 (_framed_empty); and a lattice point at height k lies
 strictly inside it iff (-k x) mod q and (-k y) mod q are both nonzero and
-their sum is below q - k (_framed_has_interior_point).  A tetrahedron
-whose first facet is not a unimodular triangle is not empty.  white_type
-applies this to four unchecked points, and is the one public emptiness
-test: it returns None exactly for a tetrahedron that is not empty.
+their sum is below q - k (_framed_has_interior_point).
 
-The type is read off the same frame.  The reflection z -> -z and the
-shears (x, y, z) -> (x + s z, y + t z, z) are unimodular and fix 0, e1
-and e2, so an empty tetrahedron, whose first facet is a unimodular
-triangle, is equivalent to conv{0, e1, e2, (a,b,q)} with a = x mod q and
-b = y mod q.  There e3 has barycentric coordinates (a+b-1, -a, -b, 1)/q,
-which for an empty tetrahedron pair up as (p, -p, 1, -1)/q: the vertex
-with 1 pairs with e1 when a = 1 (mod q), leaving p = b, and otherwise
-with e2 or 0, leaving p = a.
+The key of an ordered tetrahedron abcd (_ordered_key) is
+(x mod q, y mod q, q) for d = (x, y, h) in the frame of abc and q = |h|,
+or None unless abc is a unimodular triangle and d lies off its plane.
+Two ordered tetrahedra with keys have equal keys exactly when an
+integral unimodular map carries the one onto the other, vertex by
+vertex: in the frames such a map fixes 0, e1 and e2, so it is linear
+with columns e1, e2 and (s, t, +-1), a shear (x, y, z) -> (x + s z,
+y + t z, z), possibly after the reflection z -> -z, which sends
+(x, y, h) to (x + s h, y + t h, +-h); those maps keep the key and reach
+every point with it.  Every facet of an empty tetrahedron is a
+unimodular triangle, so each of its 24 orders has a key; a tetrahedron
+whose first facet is not unimodular is not empty.  white_type, the fine
+cells of polytope.holds_only_its_points, size5's (2,1) read-off and the
+G/H gluing of classify6 read this key.  white_type is the one public
+emptiness test: it returns None exactly for a tetrahedron that is not
+empty.
+
+The type is read off the key (a, b, q): conv{0, e1, e2, (a, b, q)} has
+e3 at barycentric coordinates (a+b-1, -a, -b, 1)/q, which for an empty
+tetrahedron pair up as (p, -p, 1, -1)/q: the vertex with 1 pairs with e1
+when a = 1 (mod q), leaving p = b, and otherwise with e2 or 0, leaving
+p = a.
 """
 
 from __future__ import annotations
@@ -68,6 +79,18 @@ def _facet_frame(a: IntVec3, b: IntVec3, c: IntVec3) -> Optional[Frame]:
     return _adjugate(tuple(zip(u, v, (r01 * s0, r01 * s1, r2))))
 
 
+def _ordered_key(a: IntVec3, b: IntVec3, c: IntVec3, d: IntVec3) -> Optional[Tuple[int, int, int]]:
+    """The key (x mod q, y mod q, q) of the ordered tetrahedron abcd, with
+    (x, y, h) = U (d - a) in the frame of abc (_facet_frame) and q = |h|;
+    None unless abc is a unimodular triangle and d lies off its plane.
+    Equal keys say that an integral unimodular map carries the one
+    tetrahedron onto the other, vertex by vertex (module docstring)."""
+    frame = _facet_frame(a, b, c)
+    x, y, h = _mat_vec(frame, sub(d, a)) if frame else (0, 0, 0)
+    q = abs(h)
+    return (x % q, y % q, q) if q else None
+
+
 def _framed_empty(x: int, y: int, h: int) -> bool:
     """Whether conv(0, e1, e2, (x, y, h)) is an empty tetrahedron: h != 0
     and White's congruence modulo q = |h| holds (x = 1 with gcd(y, q) = 1,
@@ -97,25 +120,21 @@ def _framed_has_interior_point(x: int, y: int, h: int) -> bool:
 def white_type(points: Sequence[Sequence[int]]) -> Optional[Tuple[int, int]]:
     """Normal form (p, q) of an empty tetrahedron, None if not empty.
 
-    The four points are checked by check_point.  The fourth is read as
-    (x, y, h) in the frame of the first three (_facet_frame), and the
-    tetrahedron is empty iff that frame exists and White's congruence
-    holds (_framed_empty); so white_type(points) is not None is the
-    emptiness test.  q is the volume; p is read off the same (x, y, h)
-    (see the module docstring) and reduced to the canonical
-    representative min{p, q-p, p^{-1} mod q, q - (p^{-1} mod q)}.
+    The four points are checked by check_point.  The tetrahedron is empty
+    iff its key (_ordered_key) exists and White's congruence holds on it
+    (_framed_empty); so white_type(points) is not None is the emptiness
+    test.  q is the volume; p is read off the key (see the module
+    docstring) and reduced to the canonical representative
+    min{p, q-p, p^{-1} mod q, q - (p^{-1} mod q)}.
     """
     pts = [check_point(p) for p in points]
     if len(pts) != 4:
         raise ValueError(f"need 4 points, got {len(pts)}")
-    frame = _facet_frame(pts[0], pts[1], pts[2])
-    # no unimodular first facet, degenerate ones included: h = 0, not empty
-    x, y, h = _mat_vec(frame, sub(pts[3], pts[0])) if frame else (0, 0, 0)
-    if not _framed_empty(x, y, h):
+    key = _ordered_key(*pts)
+    if key is None or not _framed_empty(*key):
         return None
-    q = abs(h)
-    # the type of conv{0, e1, e2, (x mod q, y mod q, q)}; canonical_type reduces p mod q
-    return canonical_type(y if x % q == 1 else x, q)
+    x, y, q = key
+    return canonical_type(y if x == 1 else x, q)
 
 
 def canonical_type(p: int, q: int) -> Tuple[int, int]:

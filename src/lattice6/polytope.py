@@ -52,13 +52,12 @@ import re
 from math import gcd
 from typing import List, Sequence, Tuple
 
-from .emptytetra import _facet_frame, _framed_empty
+from .emptytetra import _framed_empty, _ordered_key
 from .exactlinalg import (
     COORD_BOUND,
     IntVec3,
     VerificationFailed,
     _adjugate,
-    _mat_vec,
     _quadruples,
     _slots,
     check_point,
@@ -406,15 +405,14 @@ def _fine_cells(config: PointConfig, tetrahedra: Sequence[Quad]) -> List[Quad]:
 def _cells_empty(config: PointConfig, tetrahedra: Sequence[Quad]) -> bool:
     """Whether every cell of _fine_cells over the placing tetrahedra is
     an empty tetrahedron: one of |volume| 1 is, and any other is decided
-    by White's congruence in the frame of its first facet (a facet that
-    is not a unimodular triangle holds a lattice point besides its
-    vertices)."""
+    by White's congruence on its key (emptytetra._ordered_key), which a
+    cell whose first facet is not a unimodular triangle, and so holds a
+    lattice point besides its vertices, does not have."""
     pts, vols, slots = config.points, config.volumes(), _slots(len(config.points))
     for cell in _fine_cells(config, tetrahedra):
         if abs(vols[slots[cell]]) > 1:
-            a, b, c, d = (pts[label] for label in cell)
-            frame = _facet_frame(a, b, c)
-            if frame is None or not _framed_empty(*_mat_vec(frame, sub(d, a))):
+            key = _ordered_key(*(pts[label] for label in cell))
+            if key is None or not _framed_empty(*key):
                 return False
     return True
 

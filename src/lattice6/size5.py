@@ -13,13 +13,14 @@ indexed by the signature of its unique affine dependence:
 The eleven sporadic classes are the concrete rows of data/size5.json;
 each (4,1) representative has its first point as the unique interior
 lattice point.  size5_class reads the family parameters off the volume
-vector (and one edge form), so it builds no family representative, and
+vector (and, for (2,1), the key of one ordered empty tetrahedron,
+emptytetra._ordered_key), so it builds no family representative, and
 names the sporadic classes through a row set of their eleven
 representatives (equivalence.RowSet: the |volume| profile, eleven
-distinct ones, then the least barycentric table and a witness map), with
-no Hermite form.  admissible_apex_31
-decides when an apex over the (3,1) circuit base closes up without extra
-lattice points; classify6's case B uses it to reject apex candidates.
+distinct ones, then the least barycentric table and a witness map).
+admissible_apex_31 decides when an apex over the (3,1) circuit base
+closes up without extra lattice points; classify6's case B uses it to
+reject apex candidates.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ from functools import lru_cache
 from math import gcd
 from typing import Tuple
 
+from .emptytetra import _ordered_key
 from .equivalence import RowSet
-from .exactlinalg import VerificationFailed, edge_form
+from .exactlinalg import VerificationFailed
 from .invariants import signature5, volume_vector5
 from .polytope import PointConfig, holds_only_its_points
 from .tablesdata import load_tables
@@ -127,15 +129,15 @@ def size5_class(config: PointConfig) -> Size5Class:
     """classify5 for a configuration that passed its gates.
 
     (2,1): the dependence is +-(-2q, q, q, 0, 0), so A (entry 2q) is the
-    midpoint of B and E (entries q).  When (A, B, C, D) has the edge form
-    [[1,0,x],[0,1,1 mod q],[0,0,q]] of (o, e1, e3, (x,q,1)), a unimodular
-    map sends it there and E to -e1; (X,Y,Z) -> (Y-X,Y,Z) swaps e1 and -e1
-    and sends x to q - x.  (3,2): sorted |entries| (1, 1, a, b, a+b) force
-    the dependence +-(-a-b, a, b, 1, -1), the pair balancing the triple.
-    The tetrahedron without E (entry -1) is unimodular, and mapping its
-    points of entries -a-b, a, b, 1 to o, e1, e2, e3 sends E to (a, b, 1).
-    Other shapes, and configurations that _sporadic_rows names no row of,
-    raise UnknownSize5Class.
+    midpoint of B and E (entries q).  When (A, B, C, D) has the key
+    (x, 1 mod q, q) (emptytetra._ordered_key) of (o, e1, e3, (x,q,1)), a
+    unimodular map sends it there and E to -e1; (X,Y,Z) -> (Y-X,Y,Z)
+    swaps e1 and -e1 and sends x to q - x.  (3,2): sorted |entries|
+    (1, 1, a, b, a+b) force the dependence +-(-a-b, a, b, 1, -1), the
+    pair balancing the triple.  The tetrahedron without E (entry -1) is
+    unimodular, and mapping its points of entries -a-b, a, b, 1 to o, e1,
+    e2, e3 sends E to (a, b, 1).  Other shapes, and configurations that
+    _sporadic_rows names no row of, raise UnknownSize5Class.
     """
     sig = signature5(config)
     dep = volume_vector5(config)
@@ -144,10 +146,9 @@ def size5_class(config: PointConfig) -> Size5Class:
         q = nonzero[-1] // 2
         if nonzero == [q, q, 2 * q]:
             a, b, _, c, d = sorted(range(5), key=lambda i: -abs(dep[i]))
-            h = edge_form([config[i] for i in (a, b, c, d)])
-            x = h[0][2]
-            if h == ((1, 0, x), (0, 1, 1 % q), (0, 0, q)):
-                return Size5Class("21", (min(x, q - x), q), 1)
+            key = _ordered_key(*(config[i] for i in (a, b, c, d)))
+            if key is not None and key[1] == 1 % q:
+                return Size5Class("21", (min(key[0], q - key[0]), q), 1)
     elif sig == (3, 2):
         one, other_one, a, b, total = sorted(map(abs, dep))
         if (one, other_one, a + b) == (1, 1, total):

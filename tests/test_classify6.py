@@ -25,6 +25,7 @@ from lattice6.emptytetra import (
     _facet_frame,
     _framed_empty,
     _framed_has_interior_point,
+    _ordered_key,
     white_type,
 )
 from lattice6.equivalence import _least_orders, _profile, _table, normal_form, symmetries
@@ -480,32 +481,37 @@ def _subtetrahedra():
     return [(b, [pts[k] for k in range(5) if k != ex]) for b, pts in enumerate(reps) for ex in range(1, 5)]
 
 
+def _ordered_keys(tet):
+    """The key (emptytetra._ordered_key) of tet in each of its 24 vertex
+    orders, in permutations(range(4)) order."""
+    return [_ordered_key(*(tet[t] for t in sigma)) for sigma in permutations(range(4))]
+
+
 def test_gluing_tables_take_no_edge_form(monkeypatch, fresh_gluing_tables):
-    """The first _gluing_tables build takes no edge form, where it took
-    504 (one per source and one per ordered target subtetrahedron, but
-    the 11 of |volume| 1, whose forms are all the identity).  It takes the
-    gluing keys (_gluing_keys) of the 23 subtetrahedra that leave out the
-    least vertex of its orbit under the base's symmetries, 24 keys each,
-    from one adjugate each.  As under edge forms, the 768 ordered
-    subtetrahedra fall under 81 distinct (base, key) pairs."""
+    """The first _gluing_tables build takes no edge form.  It takes the
+    keys (_ordered_key) of the 23 subtetrahedra that leave out the least
+    vertex of its orbit under the base's symmetries, in their 24 vertex
+    orders: 552 keys.  11 of the 32 subtetrahedra have |volume| 1.  As
+    under edge forms, the 768 ordered subtetrahedra fall under 81
+    distinct (base, key) pairs."""
     classify6._bases()
-    calls = count_calls(monkeypatch, edge_form, classify6._gluing_keys)
+    calls = count_calls(monkeypatch, edge_form, _ordered_key)
     classify6._gluing_tables()
-    assert calls == {"edge_form": 0, "_gluing_keys": 23}
+    assert calls == {"edge_form": 0, "_ordered_key": 23 * 24}
     tetras = _subtetrahedra()
     assert sum(abs(det4(*tet)) == 1 for _, tet in tetras) == 11
-    assert len({(b, key) for b, tet in tetras for key in classify6._gluing_keys(tet)}) == 81
+    assert len({(b, key) for b, tet in tetras for key in _ordered_keys(tet)}) == 81
 
 
 def test_gluing_keys_partition_like_edge_forms():
     """On all 768 ordered subtetrahedra of the bases (32 subtetrahedra,
-    each in its 24 vertex orders), two have the same gluing key
-    (_gluing_keys) exactly when they have the same edge form: both say
-    that an integral unimodular map carries the one onto the other,
-    vertex by vertex.  29 classes."""
+    each in its 24 vertex orders), two have the same key (_ordered_key)
+    exactly when they have the same edge form: both say that an integral
+    unimodular map carries the one onto the other, vertex by vertex.
+    29 classes."""
     by_key, by_form = {}, {}
     for b, tet in _subtetrahedra():
-        for sigma, key in zip(permutations(range(4)), classify6._gluing_keys(tet)):
+        for sigma, key in zip(permutations(range(4)), _ordered_keys(tet)):
             ordered = [tet[t] for t in sigma]
             by_key.setdefault(key, set()).add((b, *ordered))
             by_form.setdefault(edge_form(ordered), set()).add((b, *ordered))
@@ -514,12 +520,17 @@ def test_gluing_keys_partition_like_edge_forms():
     assert len(by_key) == 29
 
 
-def test_gluing_keys_reject_a_group_with_no_unit_generator():
-    """A tetrahedron of volume 2 with the midpoint of an edge: every
-    generator of its numerators' group has an entry that is no unit mod 2,
-    so it has no gluing key."""
-    with pytest.raises(classify6.ClassificationError, match="no generator with unit entries"):
-        classify6._gluing_keys(_SRC2)
+def test_gluing_tables_reject_a_subtetrahedron_without_a_key(monkeypatch, fresh_gluing_tables):
+    """A base whose subtetrahedron without vertex 1 is _SRC2, a tetrahedron
+    of volume 2 with the midpoint of an edge: its first facet, in base
+    order, holds that midpoint and is not a unimodular triangle, so that
+    order has no key, and _gluing_tables raises."""
+    points = [_SRC2[0], (1, 1, 1), *_SRC2[1:]]
+    base = types.SimpleNamespace(config=PointConfig(points), autos=[((0, 1, 2, 3, 4), None)])
+    monkeypatch.setattr(classify6, "_bases", lambda: [base])
+    with pytest.raises(classify6.ClassificationError,
+                       match=r"^base 0 without vertex 1: a facet is not a unimodular triangle$"):
+        classify6._gluing_tables()
 
 
 def test_case_c_alone_builds_no_gluing_tables(fresh_gluing_tables):
@@ -1954,6 +1965,10 @@ def test_width1_family_rejects_bad_input():
         width1_family("(3,3)/6.4", (1, 2, 1, 3))  # a = c: the top edge is parallel to a base edge
     with pytest.raises(BadParameters):
         width1_family("(3,3)/6.4", (1, 1, 2, 1))  # b = d: likewise
+    with pytest.raises(BadParameters, match="not all integers"):
+        width1_family("(4,2)/4.1", (2.9, 1.2))  # int() would truncate to (2, 1)
+    with pytest.raises(BadParameters, match="not all integers"):
+        width1_family("(4,2)/4.1", ("2", True))  # int() would read (2, 1)
 
 
 def test_no_octahedron_smoke():

@@ -1,6 +1,7 @@
 """Empty tetrahedra: emptiness test, (p,q) types and their equivalence rule,
-and the frame kernels (_facet_frame, _framed_empty,
-_framed_has_interior_point) against the oracles they replaced."""
+the frame kernels (_facet_frame, _framed_empty,
+_framed_has_interior_point) against the oracles they replaced, and the
+key of an ordered tetrahedron (_ordered_key) against unimodular_map."""
 
 import itertools
 import math
@@ -23,10 +24,11 @@ from lattice6.emptytetra import (
     _facet_frame,
     _framed_empty,
     _framed_has_interior_point,
+    _ordered_key,
     canonical_type,
     white_type,
 )
-from lattice6.exactlinalg import AffineMap, _mat_vec, cross, det3, det4, sub
+from lattice6.exactlinalg import AffineMap, _mat_vec, cross, det3, det4, sub, unimodular_map
 from lattice6.polytope import PointConfig, lattice_points
 from test_polytope import _brute_force_has_interior_point
 
@@ -241,3 +243,52 @@ def test_facet_frame_is_an_inverse():
         assert _mat_vec(frame, sub(b, a)) == (1, 0, 0)
         assert _mat_vec(frame, sub(c, a)) == (0, 1, 0)
     assert 100 < framed < 500
+
+
+def test_ordered_key_matches_unimodular_map():
+    """Per q <= 40, three pairs of seeded unimodular images of T(p, q) and
+    T(p', q), p and p' random units mod q, each in its 24 vertex orders:
+    two ordered tetrahedra have equal keys (_ordered_key) exactly when
+    unimodular_map finds an integral unimodular map from the one onto the
+    other, vertex by vertex.  Every order of an empty tetrahedron has a
+    key."""
+    rng = random.Random(52)
+    seen = Counter()
+    for q in range(1, 41):
+        units = [p for p in range(q) if math.gcd(p, q) == 1]
+        for _ in range(3):
+            src, dst = ([m.apply(v) for v in standard_tetrahedron(rng.choice(units), q)]
+                        for m in (random_unimodular(rng), random_unimodular(rng)))
+            dst_keys = [(order, _ordered_key(*order)) for order in itertools.permutations(dst)]
+            for order in itertools.permutations(src):
+                key = _ordered_key(*order)
+                assert key is not None and key[2] == q, order
+                for target, target_key in dst_keys:
+                    mapped = unimodular_map(order, target) is not None
+                    assert (key == target_key) == mapped, (order, target)
+                    seen[mapped] += 1
+    assert min(seen.values()) > 1000, seen
+
+
+def test_ordered_key_is_none_exactly_without_a_unimodular_first_facet():
+    """Seeded random ordered tetrahedra of a small box: the key is None
+    exactly when the first facet is not a unimodular triangle or the
+    four points are coplanar; otherwise it is (x, y, q) with q = |det4|
+    and 0 <= x, y < q.  One in four fourth points is put in the plane of
+    the first three."""
+    rng = random.Random(53)
+    seen = Counter()
+    for i in range(4000):
+        a, b, c, d = (tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(4))
+        if i % 4 == 0:
+            r, t = rng.randint(-2, 2), rng.randint(-2, 2)
+            d = tuple(u + r * (v - u) + t * (w - u) for u, v, w in zip(a, b, c))
+        key = _ordered_key(a, b, c, d)
+        unimodular = math.gcd(*cross(sub(b, a), sub(c, a))) == 1
+        volume = abs(det4(a, b, c, d))
+        assert (key is None) == (not unimodular or volume == 0), (a, b, c, d)
+        if key is not None:
+            x, y, q = key
+            assert q == volume and 0 <= x < q and 0 <= y < q, (a, b, c, d)
+        seen["keyed" if key else ("coplanar" if unimodular else "no frame")] += 1
+    assert min(seen.values()) > 100, seen

@@ -19,10 +19,14 @@ The same holds for the fields, methods and properties of library
 classes: a member whose name no library module reads as an attribute
 goes, unless MEMBER_UNREAD_ALLOWED keeps it.  Orders become names and
 unimodular maps in one place: equivalence.py is the only module that
-calls unimodular_map, _least_orders, _witnesses or normal_form
-(EQUIVALENCE_ONLY); the others name configurations through its RowSet
-and symmetries.  A configuration's quadruple volumes are computed
-once, by PointConfig.volumes(), and every other determinant of
+calls unimodular_map, _least_orders, _witnesses, normal_form or
+edge_form (EQUIVALENCE_ONLY); the others name configurations through its
+RowSet and symmetries.  An ordered empty tetrahedron has one key,
+emptytetra._ordered_key, read in the frame of its first facet: outside
+emptytetra.py only classify6._cap_frame, which memoizes the cap rule's
+frames, calls _facet_frame (FRAME_CALLERS).  A configuration's
+quadruple volumes are computed once, by PointConfig.volumes(), and
+every other determinant of
 configuration points is read off them: in the library, det4 is called
 only by quad_volumes, quad_volumes only by PointConfig.volumes, and
 det3 only inside exactlinalg.py.  A volume table is set only by
@@ -284,7 +288,7 @@ def _calls(path, callee):
 
 #: The functions that turn orders into names and maps, called only
 #: inside equivalence.py.
-EQUIVALENCE_ONLY = ("unimodular_map", "_least_orders", "_witnesses", "normal_form")
+EQUIVALENCE_ONLY = ("unimodular_map", "_least_orders", "_witnesses", "normal_form", "edge_form")
 
 
 def test_only_equivalence_solves_unimodular_maps():
@@ -314,6 +318,49 @@ def test_key_order_call_outside_equivalence_is_a_violation(tmp_path):
     assert [v for callee in EQUIVALENCE_ONLY for v in _calls(path, callee)] == [
         "sample.py:4: calls _least_orders", "sample.py:7: calls _witnesses",
         "sample.py:5: calls normal_form", "sample.py:5: calls normal_form"]
+
+
+def test_edge_form_call_outside_equivalence_is_a_violation(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("from . import exactlinalg\nfrom .exactlinalg import edge_form\n"
+                    "def same(a, b):\n    return edge_form(a) == exactlinalg.edge_form(b)\n",
+                    encoding="utf-8")
+    assert [v for callee in EQUIVALENCE_ONLY for v in _calls(path, callee)] == [
+        "sample.py:4: calls edge_form", "sample.py:4: calls edge_form"]
+
+
+#: The one function outside emptytetra.py, per module, that reads a facet
+#: frame itself: the cap rule's memoized frames.  Every other reader takes
+#: the key of an ordered tetrahedron (emptytetra._ordered_key).
+FRAME_CALLERS = {"classify6.py": "_cap_frame"}
+
+
+def _frames_outside(path):
+    """Calls of _facet_frame, as a bare name or an attribute, in path
+    outside its module's function in FRAME_CALLERS."""
+    allowed = FRAME_CALLERS.get(path.name)
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    inside = {id(node) for fn in tree.body
+              if isinstance(fn, ast.FunctionDef) and fn.name == allowed for node in ast.walk(fn)}
+    return [f"{path.name}:{node.lineno}: calls _facet_frame" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in inside
+            and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "_facet_frame"]
+
+
+def test_only_the_cap_frame_calls_the_facet_frame():
+    found = [v for path in SOURCES if path.name != "emptytetra.py" for v in _frames_outside(path)]
+    assert not found, "\n".join(found)
+
+
+def test_facet_frame_call_outside_the_cap_frame_is_a_violation(tmp_path):
+    source = ("from . import emptytetra\nfrom .emptytetra import _facet_frame\n"
+              "def _cap_frame(a, b, c):\n    return _facet_frame(a, b, c)\n"
+              "def _cells_empty(a, b, c):\n    return emptytetra._facet_frame(a, b, c)\n")
+    for name in ("classify6.py", "polytope.py"):
+        (tmp_path / name).write_text(source, encoding="utf-8")
+    assert _frames_outside(tmp_path / "classify6.py") == ["classify6.py:6: calls _facet_frame"]
+    assert _frames_outside(tmp_path / "polytope.py") == ["polytope.py:4: calls _facet_frame",
+                                                         "polytope.py:6: calls _facet_frame"]
 
 
 def test_only_exactlinalg_computes_det3():
