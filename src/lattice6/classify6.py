@@ -25,9 +25,10 @@ The runners share five steps: _Funnel, the one record of a case's
 candidates examined, rejections by reason and survivors, whose report
 identifies them; _bases, the per-process table of the eight
 signature-(4,1) bases of cases C, E, F, G and H: their points, their
-symmetries and their volume tables (polytope.Extension), which give the
+symmetries, their volume tables (polytope.Extension), which give the
 15 volumes of a base plus one point as the base's 5 and 10 affine
-functionals of the new point, with no det4 (PointConfig._extended);
+functionals of the new point, with no det4 (PointConfig._extended), and
+their facet tables;
 _embeddings41, the one search over the 8 x 4! embeddings of the bases
 (case C's interior subcase and case E); _six_by_caps, the one comparison
 of a size argument's outcome with the hull count (B.i, B.ii, B.iii, the
@@ -40,22 +41,27 @@ then the new point.  It extends the (3,1) pyramid over _B_BASE with its
 apex as label 5 (_PYRAMID31_FACETS: B and C's edge and "both vertices"
 subcases), D's square pyramid (_D_FACETS) or a (4,1) base in its own
 order (_BASE41_FACETS: C's interior subcase, E, F, G and H), so the caps
-are its size argument.  _caps reads each facet triangle in its
-unimodular frame (emptytetra._facet_frame), built once per process by
-_cap_frame, which is memoized on the facet's points, so a candidate's
-new point maps to (x, y, h) by one 3 x 3 product per facet: the sign of
-h says whether it sees the facet, and White's congruence on (x, y, h)
-whether its cap is empty, with no det4 and no lattice point enumerated.
-In B to H, _six_by_caps rejects a candidate with a non-empty cap without
-a hull and counts the hull of each other candidate once, to cross-check
+are its size argument.  Each such polytope has one facet table
+(_facet_table), built once per process: per facet triangle, its anchor,
+the rows of its unimodular frame (emptytetra._facet_frame) and the
+height of the facet's ref in it; a base keeps its own (_Base.facets).
+_caps maps a candidate's new point to (x, y, h) by one 3 x 3 product per
+facet, read off the table alone: the sign of h says whether it sees the
+facet, and White's congruence on (x, y, h) whether its cap is empty,
+with no det4 and no lattice point enumerated.  The new point is checked
+by check_point first, and the candidate's configuration is built only
+once its caps are empty: in B to H, _six_by_caps rejects a candidate
+with a non-empty cap with no configuration and no hull, and builds each
+other candidate's configuration and counts its hull once, to cross-check
 the argument, raising "<site> triangulation check failed<at>" when they
-disagree; G and H first reject a gluing whose caps hold a lattice point
-strictly inside, an extra interior point, by the level test on the same
-caps.  Case A, whose five coplanar points have no caps, checks its
-midpoint rule with polytope.holds_only_its_points, the emptiness of a
-fine triangulation's cells, and counts no hull.  No runner reads a
-hull's interior points: a gluing names its case G or H by whether its
-two interior points coincide.
+disagree; G and H first reject a gluing whose volumes off the target's
+Extension have a zero, a coplanarity, and then one whose caps hold a
+lattice point strictly inside, an extra interior point, by the level
+test on the same caps.  Case A, whose five coplanar points have no caps,
+checks its midpoint rule with polytope.holds_only_its_points, the
+emptiness of a fine triangulation's cells, and counts no hull.  No
+runner reads a hull's interior points: a gluing names its case G or H by
+whether its two interior points coincide.
 
 A symmetry of a base fixes its interior point and maps a candidate built
 on it onto an equivalent candidate, label by label, with the same
@@ -93,8 +99,8 @@ blocks or doubles weights.  The walk and its glued points depend only on
 the eight bases, so _gluing_tables builds them once per process.  Each
 run_case_gh call makes one verdict (coplanarity, a cap's interior point,
 and the cap rule's size with its hull cross-check) per visited hit of
-six points, 426 of them, and an accepted one contributes one
-configuration to identify.
+six points, 426 of them, and an accepted one builds one configuration
+to identify.
 """
 
 import csv
@@ -279,67 +285,70 @@ class _Funnel:
 Cap = Tuple[Tuple[int, int, int, int], IntVec3]
 
 
-def _caps(points: Sequence[IntVec3], facets) -> Tuple[Cap, ...]:
-    """The cap tetrahedra of a one-point extension, each as (labels,
-    (x, y, h)).
+@lru_cache(maxsize=None)
+def _facet_table(points: Tuple[IntVec3, ...], facets) -> tuple:
+    """The facet table of the polytope P on points, as _caps reads it,
+    built once per process for each polytope the runners extend.
 
-    P is the polytope on the points before the last, p (1-based labels, as
-    in the tables, so p's label is len(points)), and its lattice points
-    are all among them.  facets covers the boundary of P that p can see,
-    as label quadruples (a, b, c, ref): an empty triangle abc on a facet
-    of P, and a label ref of P off that facet's plane, so strictly on P's
-    side of it.  Each facet is read in its unimodular frame with the ref's
-    height (_cap_frame, memoized on the four points); ClassificationError
-    when abc is not a unimodular triangle.  p maps to (x, y, h) in that
-    frame, and p strictly sees abc when h and the ref's height have
-    opposite signs.  Then conv(P + p) is P plus the caps conv(abc + p)
-    over the triangles p strictly sees, each unimodularly equivalent to
-    conv(0, e1, e2, (x, y, h)).  So the hull has no further lattice point
-    exactly when each cap is empty (_framed_empty): the caps are the size
-    argument of _six_by_caps.
-    """
-    new = len(points)
-    px, py, pz = points[-1]
-    caps = []
+    facets covers the boundary of P that the new points can see, as label
+    quadruples (a, b, c, ref) (1-based labels, as in the tables): an
+    empty triangle abc on a facet of P, and a label ref of P off that
+    facet's plane, so strictly on P's side of it.  Each row holds the
+    cap's labels (a, b, c, new), new the label of a point added last, the
+    anchor a, the three rows of the triangle's unimodular frame
+    (emptytetra._facet_frame) and the ref's height in it;
+    ClassificationError when abc is not a unimodular triangle."""
+    rows = []
     for facet in facets:
         i, j, k, r = facet
-        frame = _cap_frame(points[i - 1], points[j - 1], points[k - 1], points[r - 1])
+        a = points[i - 1]
+        frame = _facet_frame(a, points[j - 1], points[k - 1])
         if frame is None:
             raise ClassificationError(f"facet triangle {facet[:3]} is not unimodular")
-        (ax, ay, az), (x0, x1, x2), (y0, y1, y2), (h0, h1, h2), side = frame
+        rows.append(((i, j, k, len(points) + 1), a, *frame, dot(frame[2], sub(points[r - 1], a))))
+    return tuple(rows)
+
+
+def _caps(table, p: IntVec3) -> Tuple[Cap, ...]:
+    """The cap tetrahedra of the one-point extension of a polytope P by p,
+    each as (labels, (x, y, h)), from P's _facet_table.
+
+    The lattice points of P are all among its points.  p maps to
+    (x, y, h) in each facet's frame, one 3 x 3 product, and strictly sees
+    the facet's triangle when h and the ref's height have opposite signs.
+    Then conv(P + p) is P plus the caps conv(abc + p) over the triangles
+    p strictly sees, each unimodularly equivalent to conv(0, e1, e2,
+    (x, y, h)).  So the hull has no further lattice point exactly when
+    each cap is empty (_framed_empty): the caps are the size argument of
+    _six_by_caps.
+    """
+    px, py, pz = p
+    caps = []
+    for labels, (ax, ay, az), (x0, x1, x2), (y0, y1, y2), (h0, h1, h2), side in table:
         dx, dy, dz = px - ax, py - ay, pz - az
         h = h0 * dx + h1 * dy + h2 * dz
         if h * side < 0:
-            caps.append(((i, j, k, new),
-                         (x0 * dx + x1 * dy + x2 * dz, y0 * dx + y1 * dy + y2 * dz, h)))
+            caps.append((labels, (x0 * dx + x1 * dy + x2 * dz, y0 * dx + y1 * dy + y2 * dz, h)))
     return tuple(caps)
 
 
-@lru_cache(maxsize=None)
-def _cap_frame(a, b, c, ref):
-    """a, the rows of the frame of the facet triangle abc
-    (emptytetra._facet_frame), and the height of ref in it; None unless
-    abc is a unimodular triangle.  A pure function of the four points,
-    so each facet's frame is built once per process."""
-    frame = _facet_frame(a, b, c)
-    return None if frame is None else (a, *frame, dot(frame[2], sub(ref, a)))
-
-
-def _six_by_caps(cfg: PointConfig, caps: Sequence[Cap], site: str, at: str = "") -> bool:
-    """Whether the hull of cfg, a one-point extension with the given _caps,
-    has exactly six lattice points, decided by the cap rule: False, with
-    no hull, when some cap is not empty (_framed_empty); else the hull is
-    counted once and must have six points, or ClassificationError
-    "<site> triangulation check failed<at>".  Cases B to H decide size
-    here."""
+def _six_by_caps(extend, caps: Sequence[Cap], site: str, at: str = "") -> Optional[PointConfig]:
+    """The configuration of a one-point extension with the given _caps if
+    its hull has exactly six lattice points, decided by the cap rule, else
+    None: None, with no configuration and no hull, when some cap is not
+    empty (_framed_empty); else extend() builds the configuration, whose
+    hull is counted once and must have six points, or
+    ClassificationError "<site> triangulation check failed<at>".  Cases
+    B to H decide size here."""
     if not all(_framed_empty(*xyh) for _, xyh in caps):
-        return False
+        return None
+    cfg = extend()
     if size(cfg) != 6:
         raise ClassificationError(f"{site} triangulation check failed{at}")
-    return True
+    return cfg
 
 
-#: The facets of a catalog41() base, as _caps takes them: empty triangles
+#: The facets of a catalog41() base, as _facet_table takes them: empty triangles
 #: on its vertices p2..p5, each with the interior point p1 as ref.  The
 #: cap facets of case C's interior subcase and of cases E, F, G and H,
 #: whose configurations are a base in its own order plus one point.
@@ -408,8 +417,9 @@ class _Base:
     config is its representative, interior point first, and autos its
     symmetries (_base_automorphisms).  extension is the volume table of
     config plus a new last point (polytope.Extension), the configurations
-    of cases C (interior subcase), E, F, G and H.  The walks are built on
-    first use, each by the cases that read it.  embeddings lists, per
+    of cases C (interior subcase), E, F, G and H, and facets the
+    _facet_table of their caps, over _BASE41_FACETS.  The walks are built
+    on first use, each by the cases that read it.  embeddings lists, per
     vertex order (a, b, c, d) that _orbit_walk visits, its orbit's size
     under the base's symmetries and the swap of b and c (_embeddings41:
     cases C and E), and roles, per such order, the getter of its
@@ -423,6 +433,7 @@ class _Base:
         self.config = config
         self.autos = tuple(_base_automorphisms(config))
         self.extension = Extension(config)
+        self.facets = _facet_table(config.points, _BASE41_FACETS)
 
     @cached_property
     def embeddings(self) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
@@ -461,20 +472,22 @@ def _embeddings41(cell: str, coeffs, funnel: _Funnel):
     coeffs (c1, c2, c3), an affine combination (c1 + c2 + c3 = 1), with
     c2 = c3 in both searches.  The configuration is the base in its own
     order plus p4 (PointConfig._extended), so its volumes are read off
-    the base's, and p1, p2, p3, p5, p6 are its labels a + 1, b + 1,
-    c + 1, 1, d + 1.  A symmetry of the base fixes its interior point
-    and permutes its vertices, so it maps an embedding, p4 included,
-    onto the embedding of the permuted order: the two are equivalent,
-    and every verdict of the search and of its callers is the same on
-    both.  The orders (a, b, c, d) and (a, c, b, d) give p4 alike, so they
-    build the identical configuration.  The walk visits the first order
-    of each orbit under both (_Base.embeddings), 62 of the 8 x 4! = 192,
-    and counts each in funnel, as examined and in its rejections, with
-    its orbit's size, which the callers' rejections take too.  Yields
-    (configuration, order, weight) for the embeddings whose oriented
-    matroid is the grid cell's, in enumeration order; funnel rejects the
-    others as a "degenerate embedding" (p4 is a base point) or by their
-    matroid.
+    the base's (polytope.Extension), and p1, p2, p3, p5, p6 are its
+    labels a + 1, b + 1, c + 1, 1, d + 1.  A symmetry of the base fixes
+    its interior point and permutes its vertices, so it maps an
+    embedding, p4 included, onto the embedding of the permuted order:
+    the two are equivalent, and every verdict of the search and of its
+    callers is the same on both.  The orders (a, b, c, d) and
+    (a, c, b, d) give p4 alike, so they build the identical
+    configuration.  The walk visits the first order of each orbit under
+    both (_Base.embeddings), 62 of the 8 x 4! = 192, and counts each in
+    funnel, as examined and in its rejections, with its orbit's size,
+    which the callers' rejections take too.  Yields
+    (base, p4, order, weight) for the embeddings whose oriented matroid
+    is the grid cell's, in enumeration order, p4 checked by check_point;
+    funnel rejects the others as a "degenerate embedding" (p4 is a base
+    point) or by their matroid.  A caller builds the configuration only
+    for an embedding its cap rule keeps.
 
     The cell test reads the embedding's chirotope in the roles p1..p6
     (_Base.roles) and asks for one of the four of _cell_chirotopes.  The
@@ -487,7 +500,7 @@ def _embeddings41(cell: str, coeffs, funnel: _Funnel):
     agrees with the whole orbit (tests/omcatalog_oracles.py) and with the
     catalog record of each embedding (match_om) on every one of the
     2 x 192 vertex orders of the two searches, which the tests check.  It
-    reads the embedding's volumes, which its caller reads again, with no
+    reads the embedding's volume table off the base's Extension, with no
     circuits, no canonical circuit form and no orbit.
     """
     cells = _cell_chirotopes(cell)
@@ -501,11 +514,11 @@ def _embeddings41(cell: str, coeffs, funnel: _Funnel):
             if p4 in pts:
                 funnel.reject("degenerate embedding", w)
                 continue
-            cfg = PointConfig._extended(base.extension, p4)
-            if chirotope(role(cfg.volumes())) not in cells:
+            vols = base.extension.volumes(check_point(p4))
+            if chirotope(role(vols + tuple([-v for v in vols]))) not in cells:
                 funnel.reject(f"oriented matroid is not {cell}", w)
                 continue
-            yield cfg, order, w
+            yield base, p4, order, w
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +577,8 @@ _B_IDS = {
 }
 
 #: The boundary of the (3,1) pyramid conv(_B_BASE + apex), the apex
-#: labelled 5, as _caps takes it: the base triangle p2p3p4 split around
-#: its interior point p1, with the apex as ref, and the three side
+#: labelled 5, as _facet_table takes it: the base triangle p2p3p4 split
+#: around its interior point p1, with the apex as ref, and the three side
 #: triangles, with p1 as ref.  Cases B and C's edge subcase extend the
 #: pyramid with apex p5 by p6; C's "both vertices" subcase lists its
 #: points as p1..p4, p6, p5, so that its apex p6 is label 5 and p5 the
@@ -573,28 +586,26 @@ _B_IDS = {
 _PYRAMID31_FACETS = ((1, 2, 3, 5), (1, 3, 4, 5), (1, 4, 2, 5), (2, 3, 5, 1), (3, 4, 5, 1), (2, 4, 5, 1))
 
 
-def _in_strip(x, y, d) -> bool:
-    """0 <= x < 1 and 0 <= y < 3x + 2 for the point (x, y) / d."""
-    return 0 <= x < d and 0 <= y < 3 * x + 2 * d
-
-
 #: Per subcase: the tag of its _B_IDS keys, p5, the height h of
-#: p6 = (a, b, h), the test that the edge p5p6 crosses the circuit plane
-#: inside the normalized region, the filters run before the cap rule as
-#: (test, rejection reason), the rejection reason for a non-empty cap
-#: (None where the region leaves none, so that one is an error), and the
-#: length of the printed candidate list.
+#: p6 = (a, b, h), the apexes (a, b) whose edge p5p6 crosses the circuit
+#: plane inside the normalized region, as (a, range of b) in the order of
+#: _scan_box, the filters run before the cap rule as (test, rejection
+#: reason), the rejection reason for a non-empty cap (None where the
+#: region leaves none, so that one is an error), and the length of the
+#: printed candidate list.  The region is the strip 0 <= x < d,
+#: 0 <= y < 3x + 2d of the crossing point (x, y) / d.
 _B_SUBCASES = (
     # (1,1): crossing (a, b) / 2, in the cone 0 <= x <= y
-    ("i", (0, 0, 1), -1, lambda a, b: a <= b and _in_strip(a, b, 2), (), None, 10),
+    ("i", (0, 0, 1), -1, tuple((a, range(a, 3 * a + 4)) for a in range(2)), (), None, 10),
     # (1,3): crossing (a, b) / 4, in the cone 0 <= x <= y
-    ("ii", (0, 0, 1), -3, lambda a, b: a <= b and _in_strip(a, b, 4),
+    ("ii", (0, 0, 1), -3, tuple((a, range(a, 3 * a + 8)) for a in range(4)),
      ((admissible_apex_31, "apex residues are not +-1 mod 3"),
       (lambda a, b: gcd(gcd(a, b), 4) == 1, "edge p5p6 is not primitive")),
      "a triangulation tetrahedron is not empty", 44),
-    # (3,3): crossing (a + 1, b + 2) / 2, either way round
+    # (3,3): crossing (a + 1, b + 2) / 2, either way round: x = a + 1 in
+    # the strip for a <= 0, else y = a + 1 with x = b + 2 in {0, 1}
     ("iii", (1, 2, 3), -3,
-     lambda a, b: _in_strip(a + 1, b + 2, 2) or _in_strip(b + 2, a + 1, 2),
+     tuple((a, range(-2, 3 * a + 5) if a <= 0 else range((a - 6) // 3, 0)) for a in range(-1, 6)),
      ((admissible_apex_31, "apex residues are not +-1 mod 3"),
       (lambda a, b: gcd(gcd(a - 1, b - 2), 6) % 3 != 0,
        "edge p5p6 has lattice points at heights +-1")),
@@ -608,35 +619,38 @@ def run_case_b() -> CaseReport:
     Both off-plane points sit at lattice distance 1 or 3, giving three
     subcases (1,1), (1,3) and (3,3) (_B_SUBCASES).  Each scans the apex
     over a box and keeps candidates whose edge p5p6 crosses the circuit
-    plane inside the printed region; distance-3 apexes must also satisfy
-    the residue condition a = -b = +-1 (mod 3) and a primitivity
-    constraint.  p6 extends the pyramid conv(_B_BASE + p5), and the caps
-    over the _PYRAMID31_FACETS it sees decide the hull (_six_by_caps):
-    beyond the base split, they are the printed triangulation, which
-    tests/test_classify6.py keeps as their oracle.
+    plane inside the printed region, enumerated row by row; distance-3
+    apexes must also satisfy the residue condition a = -b = +-1 (mod 3)
+    and a primitivity constraint.  p6 extends the pyramid
+    conv(_B_BASE + p5), and the caps over the _PYRAMID31_FACETS it sees
+    decide the hull (_six_by_caps): beyond the base split, they are the
+    printed triangulation, which tests/test_classify6.py keeps as their
+    oracle.
     """
     funnel = _Funnel("B")
     notes = []
     ids = {}
     for tag, p5, h6, region, filters, extra_points, printed in _B_SUBCASES:
+        pyramid = tuple(map(check_point, _B_BASE + [p5]))
+        table = _facet_table(pyramid, _PYRAMID31_FACETS)
         raw = 0
-        for a, b in _scan_box():
-            if not region(a, b):
-                continue
-            raw += 1
-            reason = next((reason for test, reason in filters if not test(a, b)), None)
-            if reason is not None:
-                funnel.reject(reason)
-                continue
-            cfg = PointConfig(_B_BASE + [p5, (a, b, h6)])
-            caps = _caps(cfg.points, _PYRAMID31_FACETS)
-            if not _six_by_caps(cfg, caps, f"B.{tag}", f" at {(a, b)}"):
-                if extra_points is None:
-                    raise ClassificationError(f"B.{tag} candidate {(a, b)} has extra points")
-                funnel.reject(extra_points)
-                continue
-            funnel.accepted.append(cfg)
-            ids[cfg] = _B_IDS.get((tag, a, b))
+        for a, bs in region:
+            for b in bs:
+                raw += 1
+                reason = next((reason for test, reason in filters if not test(a, b)), None)
+                if reason is not None:
+                    funnel.reject(reason)
+                    continue
+                p6 = check_point((a, b, h6))
+                cfg = _six_by_caps(partial(PointConfig._of_checked, pyramid + (p6,)), _caps(table, p6),
+                                   f"B.{tag}", f" at {(a, b)}")
+                if cfg is None:
+                    if extra_points is None:
+                        raise ClassificationError(f"B.{tag} candidate {(a, b)} has extra points")
+                    funnel.reject(extra_points)
+                    continue
+                funnel.accepted.append(cfg)
+                ids[cfg] = _B_IDS.get((tag, a, b))
         _count_scan(funnel, raw)
         notes.append(f"subcase ({p5[2]},{-h6}): {raw} raw candidates (printed list has {printed})")
 
@@ -676,8 +690,9 @@ def run_case_c() -> CaseReport:
     _PYRAMID31_FACETS, and sees only its side facets, so the caps over
     those decide the hull.
     All three use _six_by_caps: a candidate with a nonempty cap is
-    rejected without a hull, and the hull of each other candidate is
-    counted and must have six points.
+    rejected with no configuration and no hull, and each other
+    candidate's configuration is built and its hull counted, and must
+    have six points.
     """
     funnel = _Funnel("C")
 
@@ -685,9 +700,10 @@ def run_case_c() -> CaseReport:
     for p5, p6 in (((0, 0, 1), (-1, 0, 2)), ((1, 2, 3), (1, 4, 6)),
                    ((0, 0, 1), (0, 0, 2)), ((1, 2, 3), (2, 4, 6))):
         funnel.examined += 1
-        cfg = PointConfig(_B_BASE + [p5, p6])
-        caps = _caps(cfg.points, _PYRAMID31_FACETS)
-        if not _six_by_caps(cfg, caps, "C edge", f" at {p6}"):
+        pyramid, p6 = tuple(map(check_point, _B_BASE + [p5])), check_point(p6)
+        caps = _caps(_facet_table(pyramid, _PYRAMID31_FACETS), p6)
+        cfg = _six_by_caps(partial(PointConfig._of_checked, pyramid + (p6,)), caps, "C edge", f" at {p6}")
+        if cfg is None:
             full = next(labels for labels, xyh in caps if not _framed_empty(*xyh))
             funnel.reject(f"T{''.join(map(str, full))} is not empty")
             continue
@@ -695,12 +711,13 @@ def run_case_c() -> CaseReport:
 
     # p5 interior: remove p4 and embed the rest as a size-5 signature-(4,1)
     # polytope, with p5 in the interior-point role and p4 = 3 p1 - p2 - p3
-    for cfg, (a, b, c, _), w in _embeddings41("5.4", (3, -1, -1), funnel):
-        if abs(cfg.volumes()[_slots(6)[a, b, c, 0]]) not in (1, 3):
+    for base, p4, (a, b, c, _), w in _embeddings41("5.4", (3, -1, -1), funnel):
+        if abs(base.config.volumes()[_slots(5)[a, b, c, 0]]) not in (1, 3):
             funnel.reject("subtetrahedron p1p2p3p5 volume is not 1 or 3", w)
             continue
-        caps = _caps(cfg.points, _BASE41_FACETS)
-        if not _six_by_caps(cfg, caps, "C interior"):
+        cfg = _six_by_caps(partial(PointConfig._extended, base.extension, p4), _caps(base.facets, p4),
+                           "C interior")
+        if cfg is None:
             funnel.reject("a triangulation tetrahedron is not empty", w)
             continue
         funnel.accepted.append(cfg)
@@ -709,11 +726,12 @@ def run_case_c() -> CaseReport:
     # listed as p1..p4, p6, p5
     survivors = []
     pyramid = tuple(map(check_point, _B_BASE + [(1, 2, 3)]))
+    table = _facet_table(pyramid, _PYRAMID31_FACETS)
     for a, b in itertools.product(range(1, SCAN_BOUND + 1), repeat=2):
         funnel.examined += 1
-        cfg = PointConfig._of_checked(pyramid + (check_point((a, b, 1)),))
-        caps = _caps(cfg.points, _PYRAMID31_FACETS)
-        if not _six_by_caps(cfg, caps, "C vertices"):
+        p5 = check_point((a, b, 1))
+        cfg = _six_by_caps(partial(PointConfig._of_checked, pyramid + (p5,)), _caps(table, p5), "C vertices")
+        if cfg is None:
             funnel.reject("extra lattice points in the convex hull")
             continue
         survivors.append((a, b))
@@ -730,8 +748,9 @@ def run_case_c() -> CaseReport:
 _D_BASE = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
 
 #: The boundary of the square pyramid conv(_D_BASE + p5), p5 = (0, 0, 1),
-#: as _caps takes it: the four side triangles, each with a base vertex off
-#: its plane, and then the base square split along p1p4, with p5 as ref.
+#: as _facet_table takes it: the four side triangles, each with a base
+#: vertex off its plane, and then the base square split along p1p4, with
+#: p5 as ref.
 #: A rejected p6 sees a full cap over a side first, so the sides lead.
 _D_FACETS = ((1, 2, 5, 4), (2, 4, 5, 1), (4, 3, 5, 1), (3, 1, 5, 2), (1, 2, 4, 5), (1, 4, 3, 5))
 
@@ -750,19 +769,22 @@ def run_case_d() -> CaseReport:
     funnel = _Funnel("D")
     survivors = []
     inside = 0
+    pyramid = tuple(map(check_point, _D_BASE + [(0, 0, 1)]))
+    table = _facet_table(pyramid, _D_FACETS)
     for a, b in _scan_box():
         if not (1 <= a <= b and (a < 2 or b < a + 2)):
             continue
         inside += 1
-        cfg = PointConfig(_D_BASE + [(0, 0, 1), (a, b, -1)])
+        p6 = check_point((a, b, -1))
         if a in (1, 2):
             # a full-dimensional hull has width >= 1, so range 1 is width one
-            if functional_range((1, 0, 1), cfg.points) != 1:
+            if functional_range((1, 0, 1), pyramid + (p6,)) != 1:
                 raise ClassificationError(f"D candidate {(a, b)} should be width one")
             funnel.reject("width one (functional x+z)")
             continue
-        caps = _caps(cfg.points, _D_FACETS)
-        if not _six_by_caps(cfg, caps, "D", f" at {(a, b)}"):
+        cfg = _six_by_caps(partial(PointConfig._of_checked, pyramid + (p6,)), _caps(table, p6),
+                           "D", f" at {(a, b)}")
+        if cfg is None:
             funnel.reject("extra lattice points in the convex hull")
             continue
         survivors.append((a, b))
@@ -795,9 +817,9 @@ def run_case_e() -> CaseReport:
     T2346, decides the hull (_six_by_caps).
     """
     funnel = _Funnel("E")
-    for cfg, _, w in _embeddings41("5.5", (-1, 1, 1), funnel):
-        caps = _caps(cfg.points, _BASE41_FACETS)
-        if not _six_by_caps(cfg, caps, "E"):
+    for base, p4, _, w in _embeddings41("5.5", (-1, 1, 1), funnel):
+        cfg = _six_by_caps(partial(PointConfig._extended, base.extension, p4), _caps(base.facets, p4), "E")
+        if cfg is None:
             funnel.reject("tetrahedron p2p3p4p6 is not empty", w)
             continue
         funnel.accepted.append(cfg)
@@ -821,14 +843,16 @@ def run_case_f() -> CaseReport:
     as examined and in its rejections, with its orbit's size: a symmetry
     can fix a pair (one that fixes r2 fixes every pair (interior, r2)),
     so the size is not always |Aut|.  Each candidate is the base plus r3,
-    whose volumes PointConfig._extended reads off the base's table.
-    Survivors keep size 6 and have the (2,1)-circuit as their only
-    coplanarity.  The base is a tetrahedron whose four facets are empty
-    triangles around its interior point, so the cap tetrahedra over the
-    facets r3 sees decide the hull (_six_by_caps): a candidate with a
-    nonempty one is rejected without a hull, and the hull of each other
-    candidate is counted and must have six points.  Each survivor's
-    circuits, read once for the coplanarity test, must hold exactly one
+    checked by check_point.  Survivors keep size 6 and have the
+    (2,1)-circuit as their only coplanarity.  The base is a tetrahedron
+    whose four facets are empty triangles around its interior point, so
+    the cap tetrahedra over the facets r3 sees, read off the base's facet
+    table, decide the hull (_six_by_caps): a candidate with a nonempty one
+    is rejected with no configuration and no hull, and each other
+    candidate's configuration is built, its volumes read off the base's
+    table (PointConfig._extended), and its hull counted, and must have six
+    points.  Each survivor's circuits, read once for the coplanarity test,
+    must hold exactly one
     (2,1)-circuit.  The oriented matroid is an equivalence invariant, so
     each class lies in one group, and after the report every class's group
     must be its row's oriented matroid label, with 6, 6 and 5 classes in
@@ -841,14 +865,14 @@ def run_case_f() -> CaseReport:
         for (i, j), w in base.pairs:
             funnel.examined += w
             r1, r2 = pts[i], pts[j]
-            r3 = tuple(2 * r2[t] - r1[t] for t in range(3))
+            r3 = check_point(tuple(2 * r2[t] - r1[t] for t in range(3)))
             if r3 in pts:
                 funnel.reject("degenerate extension", w)
                 continue
-            cfg = PointConfig._extended(base.extension, r3)
             group = "4.21" if i == 0 else ("4.22" if j == 0 else "4.11")
-            caps = _caps(cfg.points, _BASE41_FACETS)
-            if not _six_by_caps(cfg, caps, "F", f" in group {group}"):
+            cfg = _six_by_caps(partial(PointConfig._extended, base.extension, r3), _caps(base.facets, r3),
+                               "F", f" in group {group}")
+            if cfg is None:
                 funnel.reject("extra lattice points in the convex hull", w)
                 continue
             circs = circuits(cfg)
@@ -990,13 +1014,16 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
     process, the first hit of each of their orbits below.  The union is six
     points; coinciding interior points give one interior point (case G),
     otherwise two (case H), and the gluing names its case so.  A gluing
-    is accepted when its hull has six lattice points; the configuration
-    is the target base plus one point, whose volumes
-    PointConfig._extended reads off the target's table, so its caps are
-    case F's (_caps over _BASE41_FACETS).  A cap
-    with a lattice point strictly inside rejects the gluing for an extra
-    interior point without a hull (286 of the 426 verdicts); on the
-    others the caps are the size argument, as in case F (_glued_verdict).
+    is accepted when its hull has six lattice points.  Its points are the
+    target base plus the glued point, which check_point reads before the
+    verdict, so its volumes are the target's Extension at that point, and
+    its caps are case F's, read off the target's facet table (_caps over
+    _Base.facets).  A zero volume rejects the gluing for a coplanarity
+    (79 of the 426 verdicts), and a cap with a lattice point strictly
+    inside for an extra interior point (286), with no configuration and
+    no hull; on the others the caps are the size argument, as in case F,
+    and the configuration is built only when they are all empty
+    (_glued_verdict).
 
     A verdict depends only on the configuration and on the roles of its
     two interior points, and both are kept by a unimodular map that
@@ -1038,8 +1065,8 @@ def run_case_gh() -> Tuple[CaseReport, CaseReport]:
                 for funnel in funnels["shared"]:
                     funnel.reject("gluing yields fewer than six points", w)
                 continue
-            cfg = PointConfig._extended(target.extension, new_pt)
-            case, reason = _glued_verdict(cfg, spts[hit[0]])  # the source's interior point
+            # the source's interior point lands on spts[hit[0]]
+            case, reason, cfg = _glued_verdict(target, check_point(new_pt), spts[hit[0]])
             if reason is None:
                 funnels[case][0].accepted.append(cfg)
             else:
@@ -1072,23 +1099,26 @@ def _barycentric_image(weights, vol: int, dst, dst_vol: int) -> IntVec3:
     return (x // vol, y // vol, z // vol)
 
 
-def _glued_verdict(cfg: PointConfig, glued_interior: IntVec3):
-    """(case, rejection reason or None) of one gluing: cfg is the target
-    base's five points followed by the new point, glued_interior is the
-    point the source's interior point lands on.
+def _glued_verdict(target: _Base, point: IntVec3, glued_interior: IntVec3):
+    """(case, rejection reason or None, configuration or None) of one
+    gluing: the configuration is the target base's five points followed
+    by point, the glued point, which check_point has accepted, and
+    glued_interior is the point the source's interior point lands on.
+    The configuration is built only for an accepted gluing.
 
     case is "shared" for the rejections common to G and H.  The points
     contain a full-dimensional base, so some four of them are coplanar
     (some circuit has at most four points) exactly when one of the 15
-    quadruple volumes is 0.  cfg is a (4,1) base plus one point, as in
-    case F, so its hull is the base plus the caps over the base facets
-    the new point sees, computed once (_caps) with the new point's
+    quadruple volumes, the target's Extension at point, is 0.  The
+    configuration is a (4,1) base plus one point, as in case F, so its
+    hull is the base plus the caps over the base facets point sees,
+    computed once from the target's facet table (_caps) with point's
     coordinates (x, y, h) in each facet's frame.  A lattice point strictly
     inside a cap (_framed_has_interior_point) is strictly inside the hull
-    and is no point of cfg (the cap's vertices are its corners, and the
-    other two points lie on the base's side of its facet), so it is an
-    interior point other than the base interior and the glued interior:
-    the verdict is "extra interior lattice point" with no hull.
+    and is none of the six points (the cap's vertices are its corners,
+    and the other two points lie on the base's side of its facet), so it
+    is an interior point other than the base interior and the glued
+    interior: the verdict is "extra interior lattice point" with no hull.
     Otherwise the gluing names its case: G when the two interior points
     coincide, H when they do not, and the cap rule decides its size on
     the same caps (_six_by_caps).
@@ -1098,16 +1128,17 @@ def _glued_verdict(cfg: PointConfig, glued_interior: IntVec3):
     is not proved here.  tests/test_classify6.py checks the verdict
     against one read off the hull's interior points on every verdict key.
     """
-    if 0 in cfg.volumes():
-        return "shared", "coplanarity present"
-    caps = _caps(cfg.points, _BASE41_FACETS)
+    if 0 in target.extension.volumes(point):
+        return "shared", "coplanarity present", None
+    caps = _caps(target.facets, point)
     if any(_framed_has_interior_point(*xyh) for _, xyh in caps):
-        return "shared", "extra interior lattice point"
-    if glued_interior == cfg.points[0]:
+        return "shared", "extra interior lattice point", None
+    if glued_interior == target.config.points[0]:
         case, reason = "G", "cut tetrahedron is not empty"
     else:
         case, reason = "H", "a triangulation tetrahedron is not empty"
-    return case, None if _six_by_caps(cfg, caps, case) else reason
+    cfg = _six_by_caps(partial(PointConfig._extended, target.extension, point), caps, case)
+    return case, reason if cfg is None else None, cfg
 
 
 # ---------------------------------------------------------------------------

@@ -64,10 +64,17 @@ class VerificationFailed(Exception):
 
 
 def check_point(p: Sequence[int]) -> IntVec3:
-    """Validate one lattice point: three ints with |coordinate| <= 10^4."""
+    """Validate one lattice point: three ints with |coordinate| <= 10^4.
+
+    Three exact ints within the bound pass at once; any other coordinate
+    (a bool, an int subclass, a non-int) takes the per-coordinate checks,
+    which accept an int subclass other than bool and name the fault."""
     if len(p) != 3:
         raise ValueError(f"expected 3 coordinates, got {len(p)}")
     x, y, z = p
+    if (type(x) is type(y) is type(z) is int and -COORD_BOUND <= x <= COORD_BOUND
+            and -COORD_BOUND <= y <= COORD_BOUND and -COORD_BOUND <= z <= COORD_BOUND):
+        return (x, y, z)
     for c in (x, y, z):
         if not isinstance(c, int) or isinstance(c, bool):
             raise TypeError(f"non-integer coordinate {c!r}")

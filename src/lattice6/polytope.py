@@ -151,13 +151,13 @@ class PointConfig:
     @classmethod
     def _extended(cls, ext: "Extension", point: Sequence[int]) -> "PointConfig":
         """The configuration of ext's base points followed by point,
-        checked by check_point.  Its volume table is ext's affine
-        functionals evaluated at point, with no det4."""
-        x, y, z = check_point(point)
+        checked by check_point.  Its volume table is ext's volumes at
+        point, then their negatives, with no det4."""
+        point = check_point(point)
         cfg = object.__new__(cls)
-        cfg._set_points(ext.points + ((x, y, z),))
-        vols = [a * x + b * y + c * z + o for a, b, c, o in ext.functionals]
-        cfg._volumes = tuple(vols + [-v for v in vols])
+        cfg._set_points(ext.points + (point,))
+        vols = ext.volumes(point)
+        cfg._volumes = vols + tuple([-v for v in vols])
         return cfg
 
     def volumes(self) -> Tuple[int, ...]:
@@ -184,8 +184,9 @@ class Extension:
     configuration, the new point last: points, the base points, and per
     quadruple of _quadruples(n + 1), n base points, the affine functional
     (a, b, c, o) whose value a x + b y + c z + o at the new point
-    (x, y, z) is that quadruple's volume.  PointConfig._extended
-    evaluates it.
+    (x, y, z) is that quadruple's volume.  volumes evaluates them at a
+    point; PointConfig._extended takes them, with their negatives, as the
+    volume table of the base plus that point.
 
     A quadruple of base points keeps its volume, read off the base's own
     table (_slots), as the constant functional (0, 0, 0, volume); the
@@ -210,6 +211,12 @@ class Extension:
             nrm = cross(sub(b, a), sub(c, a))
             functionals.append((*nrm, -dot(nrm, a)))
         self.points, self.functionals = pts, tuple(functionals)
+
+    def volumes(self, point: IntVec3) -> Tuple[int, ...]:
+        """The volumes of the quadruples of the base plus point, in
+        quad_volumes order, without their negatives."""
+        x, y, z = point
+        return tuple([a * x + b * y + c * z + o for a, b, c, o in self.functionals])
 
 
 #: A label quadruple: a tetrahedron (i, j, k, p), or a boundary face
@@ -466,9 +473,11 @@ def parse_points(text: str) -> PointConfig:
     name the fault.  A token with more significant digits than the bound
     is rejected before int() reads it, and each point is checked against
     the bound as its line is read, so the first line at fault is named.
+    One leading byte-order mark (U+FEFF), which some editors save at the
+    start of a UTF-8 file, is dropped.
     """
     pts: List[IntVec3] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), 1):
         m = _POINT_LINE.fullmatch(raw)
         if m:
             p = (int(m[1]), int(m[2]), int(m[3]))

@@ -48,8 +48,10 @@ from lattice6.invariants import (
     width,
 )
 from lattice6.omcatalog import chirotope, match_circuits
-from lattice6.polytope import PointConfig, _placing, hull_facets, hull_summary, lattice_points, size
+from lattice6.polytope import (Extension, PointConfig, _placing, hull_facets, hull_summary,
+                               lattice_points, size)
 from lattice6.size5 import catalog41
+from cap_oracles import caps_by_frames
 from emptytetra_oracles import is_empty_by_edges
 from equivalence_oracles import (all_orders_normal_form as oracle_normal_form, key_named_row,
                                  row_key_index)
@@ -245,13 +247,17 @@ def literal_gh():
 
     Holds the two reports, the accepted configurations per case in order,
     the verdicts by key as (case, reason, configuration), one
-    _glued_verdict call each, and each key's first hit as (source base, its
-    left-out vertex, target base, its left-out vertex, ordered target
-    subtetrahedron, source subtetrahedron in base order)."""
+    _glued_verdict call each, which builds the configuration, with its
+    volume table, exactly when it accepts, and each key's first hit as
+    (source base, its left-out vertex, target base, its left-out vertex,
+    ordered target subtetrahedron, source subtetrahedron in base
+    order)."""
     rejected = {"shared": Counter(), "G": Counter(), "H": Counter()}
     accepted = {"G": [], "H": []}
     examined = 0
+    bases = classify6._bases()
     reps = [cls5.representative.points for cls5 in catalog41()]
+    assert reps == [base.config.points for base in bases]
     orders = list(permutations(range(4)))
     tetras = []
     for pts in reps:
@@ -280,7 +286,10 @@ def literal_gh():
                         key = (si, new_pt, ex_s, m.apply(rpts[0]))
                         if key not in verdicts:
                             cfg = PointConfig(list(spts) + [new_pt])
-                            verdicts[key] = (*classify6._glued_verdict(cfg, key[3]), cfg)
+                            case, reason, built = classify6._glued_verdict(bases[si], new_pt, key[3])
+                            assert built == (None if reason else cfg), key
+                            assert built is None or built.volumes() == cfg.volumes(), key
+                            verdicts[key] = (case, reason, cfg)
                             first_hits[key] = (rb, ex_r, si, ex_s, dst, sub_r)
                         case, reason, cfg = verdicts[key]
                         if reason is None:
@@ -663,11 +672,11 @@ def test_glued_verdict_matches_hull_oracle(monkeypatch, literal_gh):
     work = count_calls(monkeypatch, size, _framed_empty, classify6._caps)
     made = []
 
-    def recorded(cfg, glued):
+    def recorded(target, point, glued):
         before = dict(work)
-        got = verdict(cfg, glued)
+        got = verdict(target, point, glued)
         idle = all(work[k] == before[k] for k in ("size", "_framed_empty"))
-        made.append((got, work["size"] > before["size"], idle))
+        made.append((got[:2], work["size"] > before["size"], idle))
         return got
 
     monkeypatch.setattr(classify6, "_glued_verdict", recorded)
@@ -700,15 +709,17 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     three survivors and F's 17, which checks its one (2,1)-circuit on the
     circuits of its coplanarity test).  989 cap computations (one per
     candidate that reaches the cap rule, and one per gluing verdict that
-    is not coplanar, shared by its interior-point test and its cap rule)
-    over 59 facet frames: 45 facet triangles with their refs, each built
-    once per process by the memoized _cap_frame, whose cache this test
-    clears first (12 of the two (3,1) pyramids of cases B and C, 6 of
-    D's square pyramid, and 27 of the bases' 32, which C's interior
-    subcase and E share with F, G and H), and 14 cells of case A's fine
-    triangulations, those of |volume| above 1, which
-    polytope.holds_only_its_points reads.  856 emptiness tests by White's
-    congruence in the frame (_framed_empty: those 14 cells, and caps,
+    is not coplanar, shared by its interior-point test and its cap rule),
+    each read off its polytope's facet table (_facet_table, memoized,
+    whose cache this test clears first), and 32 facet frames: the 18
+    rows of the tables of the two (3,1) pyramids of cases B and C (6
+    each; C's "both vertices" pyramid is the second) and of D's square
+    pyramid, and 14 cells of case A's fine triangulations, those of
+    |volume| above 1, which polytope.holds_only_its_points reads.  The
+    bases' 32 rows, which C's interior subcase and E share with F, G and
+    H, are built with the bases, _bases, once per process.  856
+    emptiness tests by White's congruence in the frame (_framed_empty:
+    those 14 cells, and caps,
     where each site evaluates its size argument once, and C's one
     rejected edge candidate tests its caps again, to name the first that
     is not empty; D's 32 rejections take 44 of them, as _D_FACETS lists
@@ -722,47 +733,104 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     process).  No catalog match (a class takes its oriented matroid from
     its row, and cases C and E test their embeddings by chirotope).  232
     sorted barycentric tables in the least tables of the 77 point sets
-    (only for the vertex orders that can reach the least table).  1,573
-    check_point calls: configurations built from checked points check
-    only the point they add (C's "both vertices" scan checks its pyramid
-    once and then one point per candidate, and PointConfig._extended its
-    new point), the triangulation checks test the emptiness of those
-    points without checking them again, and the rows' configurations
-    come from _class_rows.  quad_volumes runs 29 times, for the hulls of
-    the configurations of cases A (6), B (16), C's edge and "both
-    vertices" subcases (4) and D (3): the configurations of C's interior
-    subcase, E, F, G and H are a (4,1) base plus one point, whose volumes
-    PointConfig._extended evaluates off the base's Extension table with
-    no det4.  No case runner calls width."""
+    (only for the vertex orders that can reach the least table).  1,271
+    check_point calls: each extended pyramid is checked once per scan
+    (5 points: B's three subcases, C's four edge candidates and "both
+    vertices" scan, and D), then each new point once, before its cap rule
+    or width test (B 18, C 4 + 62 + 400, D 57, E 62, F 108 and the 426
+    gluing verdicts), and PointConfig._extended checks the new point of
+    each configuration it builds again (C 2, E 2, F 17, G and H 32);
+    case A's six candidates take 6 each.  No configuration is built for
+    a candidate its cap rule rejects, the triangulation checks test the
+    emptiness of the points without checking them again, and the rows'
+    configurations come from _class_rows.  quad_volumes runs 29 times,
+    for the hulls of the configurations of cases A (6), B (16), C's edge
+    and "both vertices" subcases (4) and D (3): the configurations of C's
+    interior subcase, E, F, G and H are a (4,1) base plus one point,
+    whose volumes PointConfig._extended evaluates off the base's
+    Extension table with no det4.  No case runner calls width."""
     for cell in ("5.4", "5.5"):  # warm: the cells' chirotopes are read once per process
         classify6._cell_chirotopes(cell)
     classify6._class_rows()._stages
     classify6._gluing_tables()
-    classify6._cap_frame.cache_clear()
+    classify6._facet_table.cache_clear()
     calls = count_calls(monkeypatch, unimodular_map, hull_facets, _placing, classify6._glued_verdict,
                         match_circuits, check_point, circuits, normal_form, quad_volumes,
                         classify6._caps, _facet_frame, _framed_empty,
                         _framed_has_interior_point, det4, _table, width)
     classify6.classify_all()
     assert calls == {"unimodular_map": 78, "hull_facets": 0, "_placing": 82, "_glued_verdict": 426,
-                     "match_circuits": 0, "check_point": 1573, "circuits": 20,
+                     "match_circuits": 0, "check_point": 1271, "circuits": 20,
                      "normal_form": 0, "quad_volumes": 29, "_caps": 989,
-                     "_facet_frame": 59, "_framed_empty": 856,
+                     "_facet_frame": 32, "_framed_empty": 856,
                      "_framed_has_interior_point": 522, "det4": 435, "_table": 232,
                      "width": 0}
 
 
 def test_a_second_classify_all_builds_no_cap_frame(monkeypatch):
-    """The cap frames are memoized on their points, so once one
-    classify_all has run, the next builds none: its only facet frames
-    are the 14 cells of case A's fine triangulations, which
-    polytope.holds_only_its_points reads on every call."""
+    """The facet tables are memoized on their polytope's points and
+    facets, so once one classify_all has run, the next builds none: its
+    only facet frames are the 14 cells of case A's fine triangulations,
+    which polytope.holds_only_its_points reads on every call."""
     classify6.classify_all()
     calls = count_calls(monkeypatch, _facet_frame)
-    misses = classify6._cap_frame.cache_info().misses
+    misses = classify6._facet_table.cache_info().misses
     classify6.classify_all()
-    assert classify6._cap_frame.cache_info().misses == misses
+    assert classify6._facet_table.cache_info().misses == misses
     assert calls == {"_facet_frame": 14}
+
+
+def test_facet_table_caps_match_the_frame_oracle(monkeypatch):
+    """On every candidate of one classify_all that reaches the cap rule,
+    989 of them, the caps read off its polytope's facet table
+    (_facet_table) are those of the oracle that builds each facet's frame
+    from the candidate's own points (caps_by_frames): the same labels and
+    (x, y, h), in the same order, with the same verdict.  The verdict is
+    the cap rule's (_six_by_caps), which builds the configuration of the
+    76 candidates whose caps are all empty and of no other, or, for 286
+    gluing verdicts, a cap with a lattice point strictly inside.  Once the
+    tables of _class_rows are built, the only other configurations a
+    classify_all builds are case A's six."""
+    classify6.classify_all()
+    polytopes = {id(base.facets): (base.config.points, classify6._BASE41_FACETS)
+                 for base in classify6._bases()}
+    facet_table, caps_of, six_by_caps = classify6._facet_table, classify6._caps, classify6._six_by_caps
+    made, built = [], []
+    set_points = PointConfig._set_points
+
+    def table(points, facets):
+        polytopes[id(facet_table(points, facets))] = (points, facets)
+        return facet_table(points, facets)
+
+    def caps(tab, p):
+        points, facets = polytopes[id(tab)]
+        made.append([points + (p,), facets, caps_of(tab, p), "no rule"])
+        return made[-1][2]
+
+    def rule(extend, caps, site, at=""):
+        assert caps is made[-1][2]
+        made[-1][3] = six_by_caps(extend, caps, site, at)
+        return made[-1][3]
+
+    monkeypatch.setattr(classify6, "_facet_table", table)
+    monkeypatch.setattr(classify6, "_caps", caps)
+    monkeypatch.setattr(classify6, "_six_by_caps", rule)
+    monkeypatch.setattr(PointConfig, "_set_points", lambda cfg, pts: built.append(pts) or set_points(cfg, pts))
+    classify6.classify_all()
+    verdicts = Counter()
+    for points, facets, got, cfg in made:
+        oracle = caps_by_frames(points, facets)
+        assert got == oracle, points
+        empty = all(_framed_empty(*xyh) for _, xyh in oracle)
+        if cfg == "no rule":
+            assert any(_framed_has_interior_point(*xyh) for _, xyh in oracle), points
+            verdicts["interior point"] += 1
+        else:
+            assert (cfg is not None) == empty and (cfg is None or cfg.points == points), points
+            verdicts["kept" if empty else "not empty"] += 1
+    assert verdicts == {"kept": 76, "not empty": 627, "interior point": 286}
+    kept = [points for points, _, _, cfg in made if cfg not in (None, "no rule")]
+    assert len(built) == 6 + 76 and built[6:] == kept
 
 
 def test_a_second_run_case_gh_builds_no_gluing_tables(monkeypatch):
@@ -1014,11 +1082,12 @@ def test_embedded41_caps_are_the_printed_triangulations():
     for case, cell, coeffs in EMBEDDING_SEARCHES:
         funnel = classify6._Funnel(case)
         yielded = 0
-        for cfg, order, w in classify6._embeddings41(cell, coeffs, funnel):
-            caps, kept = _cap_rule(cfg.points, classify6._BASE41_FACETS)
-            assert sorted(map(sorted, caps)) == _printed_caps(case, order), (case, cfg)
-            six = size(cfg) == 6
-            assert kept == six, (case, cfg)
+        for base, p4, order, w in classify6._embeddings41(cell, coeffs, funnel):
+            points = base.config.points + (p4,)
+            caps, kept = _cap_rule(points, classify6._BASE41_FACETS)
+            assert sorted(map(sorted, caps)) == _printed_caps(case, order), (case, points)
+            six = size(PointConfig(points)) == 6
+            assert kept == six, (case, points)
             seen[case, six] += w
             yielded += w
         assert funnel.examined == 192 == 128 + sum(funnel.rejected.values()), case
@@ -1190,20 +1259,33 @@ def test_base_walks_visit_the_first_of_each_orbit():
 
 
 def test_extension_tables_match_quad_volumes(monkeypatch):
-    """Every configuration that cases C, E, F, G and H build as a base plus
-    one point (PointConfig._extended), in one classify_all, has the volume
-    table that quad_volumes computes from its points: 62 embeddings in
-    either search, 108 F candidates and 426 gluing verdicts."""
-    built = []
-    extended = PointConfig._extended.__func__
+    """Every volume table that cases C, E, F, G and H read off a base's
+    Extension in one classify_all is the one quad_volumes computes from
+    the base's points and the new point: the volumes (Extension.volumes)
+    at p4 of 62 embeddings in either search, whose cell test reads their
+    table, and at the glued point of 426 gluing verdicts, whose
+    coplanarity test reads them, and the table of each configuration built
+    as a base plus one point (PointConfig._extended) once the cap rule
+    keeps it: 2 in either search, 17 of F's 108 candidates and 32 of the
+    gluing verdicts."""
+    evaluated, built = [], []
+    volumes, extended = Extension.volumes, PointConfig._extended.__func__
+
+    def evaluate(ext, point):
+        evaluated.append((ext.points + (point,), volumes(ext, point)))
+        return evaluated[-1][1]
 
     def recorded(cls, ext, point):
         built.append(extended(cls, ext, point))
         return built[-1]
 
+    monkeypatch.setattr(Extension, "volumes", evaluate)
     monkeypatch.setattr(PointConfig, "_extended", classmethod(recorded))
     classify6.classify_all()
-    assert len(built) == 2 * 62 + 108 + 426
+    assert len(built) == 2 + 2 + 17 + 32
+    assert len(evaluated) == 2 * 62 + 426 + len(built)
+    for points, vols in evaluated:
+        assert vols == quad_volumes(points)[:15], points
     for cfg in built:
         assert cfg.volumes() == quad_volumes(cfg.points), cfg
 
@@ -1223,22 +1305,34 @@ def test_cell_orbit_sizes(cell_orbits):
 @pytest.mark.parametrize("accept_all", [False, True])
 def test_glued_points_are_bound_checked(monkeypatch, fresh_gluing_tables, accept_all):
     """A glued point past the coordinate bound raises from run_case_gh,
-    where its configuration is built before the verdict, also when the
-    verdict would accept it.  The glued points are placed once per
-    process, with the walk (_gluing_tables), so the tables are built
-    afresh here."""
+    where check_point reads it before its verdict, also when the verdict
+    would accept it: no verdict is made.  The glued points are placed
+    once per process, with the walk (_gluing_tables), so the tables are
+    built afresh here."""
     far = (COORD_BOUND + 1, 0, 0)
     monkeypatch.setattr(classify6, "_barycentric_image", lambda weights, vol, dst, dst_vol: far)
-    if accept_all:
-        monkeypatch.setattr(classify6, "_glued_verdict", lambda *args: ("G", None))
+    verdict, made = classify6._glued_verdict, []
+
+    def recorded(target, point, glued):
+        made.append(point)
+        return ("G", None, PointConfig._of_checked(target.config.points + (point,))) if accept_all \
+            else verdict(target, point, glued)
+
+    monkeypatch.setattr(classify6, "_glued_verdict", recorded)
     with pytest.raises(ValueError, match="exceeds bound"):
         classify6.run_case_gh()
+    assert made == []
 
 
-def test_embedded_points_are_bound_checked():
-    """p4 past the coordinate bound raises from the embedding search."""
+def test_embedded_points_are_bound_checked(monkeypatch):
+    """p4 past the coordinate bound raises from the embedding search
+    before its cell test reads the point's volumes."""
+    calls = count_calls(monkeypatch, chirotope)
+    read, volumes = [], Extension.volumes
+    monkeypatch.setattr(Extension, "volumes", lambda ext, point: read.append(point) or volumes(ext, point))
     with pytest.raises(ValueError, match="exceeds bound"):
         list(classify6._embeddings41("5.4", (COORD_BOUND + 1, 0, 0), classify6._Funnel("C")))
+    assert calls == {"chirotope": 0} and read == []
 
 
 #: The eleven size-argument cross-check sites: runner, and the message its
@@ -1349,11 +1443,15 @@ def test_inverted_emptiness_fails_the_cross_checks(monkeypatch, runner):
 
 
 def _cap_rule(points, facets):
-    """classify6._caps, as the caps' label quadruples and
-    whether the cap rule finds every cap empty.  Each cap's frame
+    """classify6._caps of the last point over the _facet_table of the
+    polytope on the others, as the caps' label quadruples and whether the
+    cap rule finds every cap empty.  The caps are their oracle's, read in
+    frames built from the points (caps_by_frames), and each cap's frame
     coordinates (x, y, h) are checked against its points: h is the cap's
     det4, and White's congruence says what the opposite-edge oracle says."""
-    caps = classify6._caps(points, facets)
+    points = tuple(points)
+    caps = classify6._caps(classify6._facet_table(points[:-1], facets), points[-1])
+    assert caps == caps_by_frames(points, facets), points
     for labels, (x, y, h) in caps:
         quad = [points[i - 1] for i in labels]
         assert h == det4(*quad), labels
@@ -1441,18 +1539,21 @@ def test_base41_facets_are_empty_around_the_interior_point():
 def test_embedded41_facets_are_the_base_facets():
     """What the cap rule of the embedding searches relies on: every
     embedding either search yields is a catalog41() base, in its own
-    order, followed by p4, so _BASE41_FACETS cover the boundary of its
-    first five points (test_base41_facets_are_empty_around_the_interior_point);
+    order, followed by p4, and the base's facet table is the one over
+    _BASE41_FACETS, which cover the boundary of its first five points
+    (test_base41_facets_are_empty_around_the_interior_point);
     and p4 lies in the plane of the base facet on p1, p2 and p3, the base
     points a, b and c of the vertex order, so that facet is never a cap.
     Each search yields 54 of its 62 visited orders."""
     bases = {cls5.representative.points for cls5 in catalog41()}
     yielded = Counter()
     for case, cell, coeffs in EMBEDDING_SEARCHES:
-        for cfg, (a, b, c, _), _ in classify6._embeddings41(cell, coeffs, classify6._Funnel(case)):
-            assert cfg.points[:5] in bases
-            assert det4(*(cfg.points[k] for k in (a, b, c, 5))) == 0
-            caps = classify6._caps(cfg.points, classify6._BASE41_FACETS)
+        for base, p4, (a, b, c, _), _ in classify6._embeddings41(cell, coeffs, classify6._Funnel(case)):
+            points = base.config.points + (p4,)
+            assert points[:5] in bases
+            assert base.facets == classify6._facet_table(points[:5], classify6._BASE41_FACETS)
+            assert det4(*(points[k] for k in (a, b, c, 5))) == 0
+            caps = classify6._caps(base.facets, p4)
             assert {a + 1, b + 1, c + 1} not in [set(labels[:3]) for labels, _ in caps]
             yielded[case] += 1
     assert yielded == {"C": 54, "E": 54}
@@ -1549,8 +1650,8 @@ def test_case_b_caps_are_the_printed_triangulations():
     base_split = ((1, 2, 3, 6), (1, 3, 4, 6), (1, 4, 2, 6))
     seen, kept, printed = 0, 0, set()
     for tag, p5, h6, region, filters, _, _ in classify6._B_SUBCASES:
-        for a, b in classify6._scan_box():
-            if not region(a, b) or not all(test(a, b) for test, _ in filters):
+        for a, b in ((a, b) for a, bs in region for b in bs):
+            if not all(test(a, b) for test, _ in filters):
                 continue
             points = tuple(classify6._B_BASE + [p5, (a, b, h6)])
             caps, six = _cap_rule(points, classify6._PYRAMID31_FACETS)

@@ -56,6 +56,26 @@ def test_analyze_reads_points_from_stdin(tmp_path, bundle, capsys, monkeypatch):
     assert capsys.readouterr().out == from_file
 
 
+def test_analyze_reads_a_file_with_a_byte_order_mark(tmp_path, bundle, capsys, monkeypatch):
+    """A points file saved as UTF-8 with a byte-order mark, and the same
+    text on stdin, analyze as the file without it; a second mark is no
+    part of the format and names its line."""
+    path = rep_file(tmp_path, bundle, "F.7")
+    assert main(["analyze", path]) == 0
+    plain = capsys.readouterr().out
+    marked = tmp_path / "f7_bom.txt"
+    marked.write_text(Path(path).read_text(), encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert main(["analyze", str(marked)]) == 0
+    assert capsys.readouterr().out == plain
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeff" + Path(path).read_text()))
+    assert main(["analyze", "-"]) == 0
+    assert capsys.readouterr().out == plain
+    marked.write_text("\ufeff" + Path(path).read_text(), encoding="utf-8-sig")
+    assert main(["analyze", str(marked)]) == 2
+    assert capsys.readouterr().err == "error: line 1: not a decimal integer: '\\ufeff0'\n"
+
+
 def test_analyze_width_three_class(tmp_path, bundle, capsys):
     rc = main(["analyze", rep_file(tmp_path, bundle, "H.12")])
     out = capsys.readouterr().out

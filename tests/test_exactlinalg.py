@@ -1,8 +1,10 @@
 """Exact integer linear algebra, against the Fraction affine solve."""
 
+import enum
 import itertools
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from lattice6.exactlinalg import (
     AffineMap,
     DegenerateSource,
     _slots,
+    check_point,
     det3,
     det4,
     edge_form,
@@ -27,6 +30,59 @@ from lattice6.exactlinalg import (
 points = st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9))
 
 UNIT = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+def check_point_by_coordinates(p):
+    """The per-coordinate check_point, the oracle of its fast path: three
+    coordinates, each an int but not a bool, with |coordinate| <=
+    COORD_BOUND."""
+    if len(p) != 3:
+        raise ValueError(f"expected 3 coordinates, got {len(p)}")
+    x, y, z = p
+    for c in (x, y, z):
+        if not isinstance(c, int) or isinstance(c, bool):
+            raise TypeError(f"non-integer coordinate {c!r}")
+        if abs(c) > COORD_BOUND:
+            raise ValueError(f"coordinate {c} exceeds bound {COORD_BOUND}")
+    return (x, y, z)
+
+
+class Level(enum.IntEnum):
+    LOW = 2
+
+
+#: Coordinates at and past the bound, and coordinates that are not exact
+#: ints: a bool, an int subclass, a float, a string and None.
+COORDINATES = (COORD_BOUND, -COORD_BOUND, COORD_BOUND + 1, -COORD_BOUND - 1, 0, True, Level.LOW,
+               1.0, "1", None)
+
+#: Each coordinate at each place of a point, as a tuple and as a list, and
+#: points of two and of four coordinates.
+CHECKED_POINTS = ([kind(c if k == t else 1 for k in range(3)) for c in COORDINATES
+                   for t in range(3) for kind in (tuple, list)]
+                  + [(0, 0), [0, 0], (0, 0, 0, 0), [0, 0, 0, 0]])
+
+
+def _outcome(check, p):
+    """check(p) as ("ok", the point, its coordinates' types) or ("raised",
+    the exception's type, its message)."""
+    try:
+        got = check(p)
+    except Exception as exc:  # the outcome compared is the exception itself
+        return "raised", type(exc), str(exc)
+    return "ok", got, type(got), tuple(map(type, got))
+
+
+def test_check_point_matches_the_per_coordinate_check():
+    """On each of CHECKED_POINTS, check_point gives what the
+    per-coordinate check gives: the same tuple, with coordinates of the
+    same types, or the same exception type and message."""
+    outcomes = Counter()
+    for p in CHECKED_POINTS:
+        got = _outcome(check_point, p)
+        assert got == _outcome(check_point_by_coordinates, p), p
+        outcomes[got[0]] += 1
+    assert outcomes == {"ok": 24, "raised": 40}
 
 
 def test_det4_unit_simplex():

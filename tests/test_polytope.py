@@ -436,11 +436,14 @@ def test_parse_points_skips_comments_and_blanks():
     "# unit\r\n\n0 0 0\n  # 1 2 3\n1 0 0\n \t\n0 1 0\r\n#\n0 0 1\n\n",
     # the split path: a token of more than five digits with leading zeros
     "0 0 0\n1 0 0\n0 000001 0\n0 0 " + "0" * 5000 + "1\n",
+    # a byte-order mark before the first point, or before a comment
+    "\ufeff0 0 0\n1 0 0\n0 1 0\n0 0 1\n",
+    "\ufeff# unit\r\n0 0 0\r\n1 0 0\r\n0 1 0\r\n0 0 1\r\n",
 ])
 def test_parse_points_line_endings_signs_and_zeros(text):
     """CRLF and lone CR line endings, tabs, '+' signs, leading zeros,
-    comment and blank lines all read as the unit tetrahedron, on the
-    one-regex path and on the split path."""
+    comment and blank lines, and one leading byte-order mark all read as
+    the unit tetrahedron, on the one-regex path and on the split path."""
     assert parse_points(text).points == UNIT.points
 
 
@@ -457,6 +460,9 @@ def test_parse_points_line_endings_signs_and_zeros(text):
     ("0 0 0\n1 0 0\n0 1 0\n0 0 123456\n", "line 4: coordinate of 6 digits exceeds bound 10000"),
     ("0 0 0\n1 0 0\n0 1 0\n0 0 -" + "9" * 5000 + "\n",
      "line 4: coordinate of 5000 digits exceeds bound 10000"),
+    # only one leading byte-order mark is dropped, and none elsewhere
+    ("\ufeff\ufeff0 0 0\n1 0 0\n0 1 0\n0 0 1\n", "line 1: not a decimal integer: '\\ufeff0'"),
+    ("0 0 0\n\ufeff1 0 0\n0 1 0\n0 0 1\n", "line 2: not a decimal integer: '\\ufeff1'"),
 ])
 def test_parse_points_error_messages(text, message):
     """The messages name the line at fault, the first one in the file.

@@ -4,7 +4,8 @@ normalized regions that could survive.
 Both runners scan the apex (a, b) over the box |a|, |b| <= SCAN_BOUND and
 keep the points of the paper's normalized region.  B's three regions are
 bounded: each is enumerated here from its strip coordinates, must be what
-the runner's filter keeps, and must lie inside the box.  D's region is
+the runner's rows of (a, range of b) enumerate, in the box's order, as a
+filter of the box points keeps them, and must lie inside the box.  D's region is
 unbounded.  On each unbounded piece every candidate fails, by a width-one
 functional or by a seventh lattice point whose convex weights are affine
 in a; those are checked as identities in a, not by sampling.  The points
@@ -40,6 +41,20 @@ B_STRIPS = {
 B_SHAPES = {"i": (10, 6), "ii": (44, 16), "iii": (18, 5)}
 
 
+def _in_strip(x, y, d) -> bool:
+    """0 <= x < 1 and 0 <= y < 3x + 2 for the point (x, y) / d."""
+    return 0 <= x < d and 0 <= y < 3 * x + 2 * d
+
+
+#: Per B subcase: the filter of the box points whose edge p5p6 crosses the
+#: circuit plane inside its region, the oracle of the runner's rows.
+B_REGION_FILTERS = {
+    "i": lambda a, b: a <= b and _in_strip(a, b, 2),
+    "ii": lambda a, b: a <= b and _in_strip(a, b, 4),
+    "iii": lambda a, b: _in_strip(a + 1, b + 2, 2) or _in_strip(b + 2, a + 1, 2),
+}
+
+
 def _b_region(tag):
     d, apexes = B_STRIPS[tag]
     return {p for x in range(d) for y in range(3 * x + 2 * d) for p in apexes(x, y)}
@@ -49,13 +64,16 @@ def _b_region(tag):
 def test_case_b_region_lies_in_the_scan_box(subcase):
     """The strip points, mapped back to apexes, are the printed list's
     length, reach at most SCAN_BOUND, and are exactly what the runner's
-    region filter keeps of its box."""
+    rows enumerate; the rows give them in the order of the box points
+    that the subcase's region filter keeps."""
     tag, _, _, region, _, _, printed = subcase
     points = _b_region(tag)
     reach = max(abs(c) for p in points for c in p)
     assert (len(points), reach) == B_SHAPES[tag]
     assert printed == len(points) and reach <= SCAN_BOUND
-    assert {p for p in classify6._scan_box() if region(*p)} == points
+    rows = [(a, b) for a, bs in region for b in bs]
+    assert rows == [p for p in classify6._scan_box() if B_REGION_FILTERS[tag](*p)]
+    assert set(rows) == points
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,9 @@ calls unimodular_map, _least_orders, _witnesses, normal_form or
 edge_form (EQUIVALENCE_ONLY); the others name configurations through its
 RowSet and symmetries.  An ordered empty tetrahedron has one key,
 emptytetra._ordered_key, read in the frame of its first facet: outside
-emptytetra.py only classify6._cap_frame, which memoizes the cap rule's
-frames, calls _facet_frame (FRAME_CALLERS).  A configuration's
+emptytetra.py only classify6._facet_table, which builds the cap rule's
+facet table of each extended polytope once, calls _facet_frame
+(FRAME_CALLERS).  A configuration's
 quadruple volumes are computed once, by PointConfig.volumes(), and
 every other determinant of
 configuration points is read off them: in the library, det4 is called
@@ -330,9 +331,10 @@ def test_edge_form_call_outside_equivalence_is_a_violation(tmp_path):
 
 
 #: The one function outside emptytetra.py, per module, that reads a facet
-#: frame itself: the cap rule's memoized frames.  Every other reader takes
-#: the key of an ordered tetrahedron (emptytetra._ordered_key).
-FRAME_CALLERS = {"classify6.py": "_cap_frame"}
+#: frame itself: the one that builds the cap rule's facet tables.  Every
+#: other reader takes the key of an ordered tetrahedron
+#: (emptytetra._ordered_key).
+FRAME_CALLERS = {"classify6.py": "_facet_table"}
 
 
 def _frames_outside(path):
@@ -354,7 +356,7 @@ def test_only_the_cap_frame_calls_the_facet_frame():
 
 def test_facet_frame_call_outside_the_cap_frame_is_a_violation(tmp_path):
     source = ("from . import emptytetra\nfrom .emptytetra import _facet_frame\n"
-              "def _cap_frame(a, b, c):\n    return _facet_frame(a, b, c)\n"
+              "def _facet_table(a, b, c):\n    return _facet_frame(a, b, c)\n"
               "def _cells_empty(a, b, c):\n    return emptytetra._facet_frame(a, b, c)\n")
     for name in ("classify6.py", "polytope.py"):
         (tmp_path / name).write_text(source, encoding="utf-8")
@@ -550,7 +552,7 @@ def test_hull_count_outside_the_size_arguments_is_a_violation(tmp_path):
 
 #: The functions of classify6.py that decide caps: their seen, empty and
 #: interior-point tests read the new point in a facet frame, not det4.
-CAP_PATH = ("_caps", "_cap_frame", "_six_by_caps", "_glued_verdict")
+CAP_PATH = ("_caps", "_facet_table", "_six_by_caps", "_glued_verdict")
 
 #: The names of replaced kernels, now oracles in tests/: the tests the
 #: frame kernels of emptytetra.py replaced (emptytetra_oracles.py), and
