@@ -12,9 +12,10 @@ reasons, cross-checks the triangulation-emptiness size arguments against
 direct lattice-point counts, and identifies the survivors against the
 bundled tables (_Funnel.report): _class_rows, the row set of the 76 rows
 (equivalence.RowSet), names the table row of each distinct survivor by
-its |volume| profile, its least barycentric table and an integer
-unimodular map, checked point by point, that carries its points onto the
-row's; it takes no normal form.  A class is that row: its width,
+its |volume| profile and an integer unimodular map, checked point by
+point, that carries its points onto the row's, from one of its orders
+that read the row's least barycentric table's first row; it takes no
+normal form.  A class is that row: its width,
 oriented matroid label and dps flag are invariant under the map, so they
 are read from the row, and tests/table_checks.py checks once per data
 file that each row's columns hold for its points.

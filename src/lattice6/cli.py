@@ -17,17 +17,24 @@ as a fresh parser would.
 
 analyze of six points first names their table row
 (classify6._class_rows, an equivalence.RowSet): a gate on the sorted
-|volumes| of the quadruples, then the least barycentric table against
-the one or two rows of that profile, and a witness map onto the row's
-points, with no normal form; the row is read off the tables' rows_by_id.
+|volumes| of the quadruples, then, per row of that profile, a witness
+map from the input's orders that read the row's R* onto the row's first
+least-table order, with no table of the input's and no normal form; the
+row is read off the tables' rows_by_id.
 A named row's hull holds only its six points, so none is enumerated and
 no placing of the input is made: its vertices and interior points are
 the input points whose witness images are the row's, whose labels one
 placing of the row's points gives on the first query that names the row
-in a process (_hull_labels).  The coplanarity, dps flag and
+in a process (_hull_labels).  The width is read through the witness map
+M too: the same first query walks the row's width once
+(invariants.least_functionals), and f o M, sign-normalized, runs over
+the input's least functionals as f runs over the row's, so the least of
+them is the witness that width gives the input, with no walk of its
+own; the row's published functional is shown instead when it is a
+witness for the input's coordinates.  The coplanarity, dps flag and
 oriented-matroid label are class invariants read off the row and its
-grid cell, with no circuits, pair sums or canonical circuit form; the
-width is computed.  Every other input
+grid cell, with no circuits, pair sums or canonical circuit form.
+Every other input
 takes the hull first: one whose fine triangulation has only empty
 cells holds only its own points and enumerates none, and any other is
 enumerated within the enumeration budget.  Then come the circuits of
@@ -46,9 +53,11 @@ from .polytope import (
     parse_points,
 )
 from .invariants import (
+    _normalize_sign,
     circuits,
     coplanarity_from_circuits,
     functional_range,
+    least_functionals,
     pair_sums_distinct,
     volume_vector5,
     volume_vector6,
@@ -56,7 +65,7 @@ from .invariants import (
 )
 from .equivalence import equivalence_witness
 from .emptytetra import white_type
-from .exactlinalg import VerificationFailed
+from .exactlinalg import VerificationFailed, _mat_vec
 from .omcatalog import match_circuits
 from .size5 import size5_class
 from .tablesdata import load_tables
@@ -100,11 +109,12 @@ def _om_label(circs) -> str:
 @lru_cache(maxsize=None)
 def _hull_labels(rep: PointConfig):
     """The labels of the interior points of a table row's configuration
-    rep, and its number of vertices, from one hull_summary per row and
-    process; rep holds only its six points, so its fine cells are empty
-    and none is enumerated."""
+    rep, its number of vertices, and its width with every functional that
+    attains it (least_functionals), from one hull_summary and one width
+    walk per row and process; rep holds only its six points, so its fine
+    cells are empty and none is enumerated."""
     _, inner, verts = hull_summary(rep)
-    return frozenset(map(rep.points.index, inner)), len(verts)
+    return frozenset(map(rep.points.index, inner)), len(verts), least_functionals(rep)
 
 
 def cmd_analyze(args) -> int:
@@ -118,18 +128,22 @@ def cmd_analyze(args) -> int:
         row = None
         lattice, inner, verts = hull_summary(config)
         nsize, nverts = len(lattice), len(verts)
+        w, functional = width(config)
     else:
-        rid, rep, (perm, _) = named
+        rid, rep, (perm, m) = named
         row = load_tables().rows_by_id[rid]
-        inner_labels, nverts = _hull_labels(rep)
+        inner_labels, nverts, (w, least) = _hull_labels(rep)
         nsize = 6
         inner = tuple(sorted(p for p, j in zip(config.points, perm) if j in inner_labels))
+        # f o m is M^T f plus a constant, M the linear part of m, so these run
+        # over config's least functionals as f runs over rep's
+        mt = tuple(zip(*m.matrix))
+        functional = min(_normalize_sign(_mat_vec(mt, f)) for f in least)
+        # show the published witness when it is one for these coordinates
+        if functional_range(row.functional, config.points) == w:
+            functional = row.functional
     # hull_summary rejected rank < 4, so the circuits exist
     circs = circuits(config) if n == 6 and row is None else ()
-    w, functional = width(config)
-    # show the published witness when it is one for these coordinates
-    if row is not None and functional_range(row.functional, config.points) == w:
-        functional = row.functional
     fstr = _functional_str(functional)
     print(f"points: {n}")
     print(f"size: {nsize}")
@@ -267,7 +281,7 @@ def cmd_catalog(args) -> int:
             sig = tuple(row["signature"])
             if "representative" in row:
                 vv = " ".join(map(str, row["volume_vector"]))
-                pts = format_points(row["representative"]).replace("\n", "; ")
+                pts = "; ".join(format_points(row["representative"]).splitlines())
                 print(f"signature {sig} width {row['width']} vv {vv}  points {pts}")
             else:
                 print(

@@ -39,8 +39,12 @@ orders give, and equivalence_witness builds no Hermite form.  Nor do
 symmetries, the witnesses of a configuration onto itself, and RowSet,
 the one naming of a configuration against stored rows (the 76 table
 rows, the sporadic size-5 classes): a gate on the |volume| profile, then
-the same table stage and one witness.  Only RowSet's miss path, a row
-whose table matched but gave no witness, takes normal forms.
+per row the maps from the configuration's orders that read the row's R*
+(below) onto the row's first least-table order: every equivalence onto
+the row sends one of those orders onto that one, so a witness is found
+with no table of the configuration's.  Only RowSet's miss path, a row
+that gave no witness although an order read its R*, takes the
+configuration's least table and normal forms.
 
 A table is sorted only for the orders that can reach the least one.
 Under every order the quadruple's own points give the same four rows,
@@ -52,7 +56,10 @@ compare exactly as the sorted rows of the points off the quadruple do,
 and the vertex rows are written down, not computed.  The first such row of the least table is R*, the least over
 maximal quadruples and points off them of the point's three smallest
 numerators in ascending order; only an order that reads R* off one of
-those points can reach the least table.  Four points leave no point off
+those points can reach the least table (_reading lists them, for
+_least_orders and RowSet.name alike; which orders read a point's three
+least numerators in ascending order depends only on the ranks of its
+four, _reads_least).  Four points leave no point off
 the quadruple, and all 24 orders stay candidates.  The candidates keep
 the (quadruple, order) order of the full search, so the orders that
 reach the key come out in the same order.
@@ -61,7 +68,7 @@ reach the key come out in the same order.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple, Type
 
@@ -87,12 +94,12 @@ def _table(last3, rows) -> Tuple[IntVec3, ...]:
     return tuple(sorted(map(last3, rows)))
 
 
-def _least_orders(config: PointConfig, top: int) -> Tuple[Tuple[IntVec3, ...], List[Tuple[int, ...]]]:
-    """The least table of the rows off a quadruple of |volume| top, the
-    maximal one, and the ordered index quadruples that read it.  A row is
-    a point's numerators over the sorted quadruple, det4 with the point in
-    place of each vertex (_slots), times the sign of the quadruple's
-    volume."""
+def _maximal_rows(config: PointConfig, top: int) -> List[tuple]:
+    """Per quadruple of |volume| top, the maximal one, in _quadruples
+    order: the sorted quadruple, the rows of the points off it and each
+    row's three least entries in ascending order.  A row is a point's
+    numerators over the quadruple, det4 with the point in place of each
+    vertex (_slots), times the sign of the quadruple's volume."""
     vols = config.volumes()
     slots = _slots(len(config))
     quads = []
@@ -106,15 +113,41 @@ def _least_orders(config: PointConfig, top: int) -> Tuple[Tuple[IntVec3, ...], L
                 s * vols[slots[a, b, i, d]], s * vols[slots[a, b, c, i]])
                for i in range(len(config)) if i not in quad]
         quads.append((quad, off, [tuple(sorted(row)[:3]) for row in off]))
+    return quads
+
+
+@lru_cache(maxsize=None)
+def _reads_least(ranks: Tuple[int, ...]) -> Tuple[Tuple[Tuple[int, ...], itemgetter], ...]:
+    """The entries of _ORDERS under which a row whose entries have the
+    ranks (each entry's index in the sorted row, so at most 4^4 keys)
+    reads its three least entries, in ascending order, as its last three
+    numerators."""
+    least = tuple(sorted(ranks)[:3])
+    return tuple((order, last3) for order, last3 in _ORDERS if last3(ranks) == least)
+
+
+def _reading(maximal, first) -> Iterator[Tuple[Tuple[int, ...], itemgetter, list]]:
+    """(ordered index quadruple, getter of its last three numerators, the
+    rows off its quadruple) for each order of a maximal quadruple
+    (_maximal_rows) that reads first, an ascending triple, as the last
+    three numerators of a point off the quadruple whose three least
+    entries are first; in (quadruple, order) order, and every order when
+    no point is off the quadruple."""
+    for quad, off, lows in maximal:
+        reads = sorted({read for row, low in zip(off, lows) if low == first
+                        for read in _reads_least(tuple(map(sorted(row).index, row)))})
+        for order, last3 in reads if off else _ORDERS:
+            yield tuple([quad[i] for i in order]), last3, off
+
+
+def _least_orders(config: PointConfig, top: int) -> Tuple[Tuple[IntVec3, ...], List[Tuple[int, ...]]]:
+    """The least table of the rows off a quadruple of |volume| top, the
+    maximal one, and the ordered index quadruples that read it: only the
+    orders that read R* (_reading) can."""
+    maximal = _maximal_rows(config, top)
     # R*, the least first row off the quadruple of any table; None for four points
-    first = min((low for _, _, lows in quads for low in lows), default=None)
-    tables = {}
-    for quad, off, lows in quads:
-        hits = [row for row, low in zip(off, lows) if low == first]
-        for order, last3 in _ORDERS:
-            if off and first not in map(last3, hits):
-                continue
-            tables[tuple(quad[i] for i in order)] = _table(last3, off)
+    first = min((low for _, _, lows in maximal for low in lows), default=None)
+    tables = {order: _table(last3, off) for order, last3, off in _reading(maximal, first)}
     least = min(tables.values())
     return least, [order for order, table in tables.items() if table == least]
 
@@ -157,26 +190,29 @@ def equivalence_witness(
     table_b, orders_b = _least_orders(b, top)
     if table_a != table_b:
         return None
-    return min(_witnesses(a, orders_a[0], b, orders_b), key=itemgetter(0), default=None)
+    return min(_witnesses(a, orders_a[:1], b, orders_b), key=itemgetter(0), default=None)
 
 
 def _witnesses(
-    a: PointConfig, order_a: Tuple[int, ...], b: PointConfig, orders_b: List[Tuple[int, ...]]
+    a: PointConfig, orders_a: List[Tuple[int, ...]], b: PointConfig, orders_b: List[Tuple[int, ...]]
 ) -> Iterator[Tuple[Tuple[int, ...], AffineMap]]:
-    """The witnesses (perm, map) of a -> b, at most one per order of
-    orders_b, in that order: map is unimodular_map's integral unimodular
-    map from a's points in order_a onto b's in the order, kept when it
-    sends every point of a onto one of b, map(a[i]) = b[perm[i]].  This
-    is the only place where orders become maps."""
-    src = [a[i] for i in order_a]
-    where = {p: j for j, p in enumerate(b.points)}
-    for order in orders_b:
-        m = unimodular_map(src, [b[j] for j in order])
-        if m is None:
-            continue
-        perm = tuple(where.get(m.apply(p)) for p in a.points)
-        if None not in perm:
-            yield perm, m
+    """The witnesses (perm, map) of a -> b, at most one per pair of an
+    order of orders_a and one of orders_b, in that (product) order: map
+    is unimodular_map's integral unimodular map from a's points in the
+    first order onto b's in the second, kept when it sends every point of
+    a onto one of b, map(a[i]) = b[perm[i]].  This is the only place
+    where orders become maps."""
+    pa, pb = a.points, b.points
+    where = {p: j for j, p in enumerate(pb)}
+    for order_a in orders_a:
+        src = [pa[i] for i in order_a]
+        for order in orders_b:
+            m = unimodular_map(src, [pb[j] for j in order])
+            if m is None:
+                continue
+            perm = tuple([where.get(m.apply(p)) for p in pa])
+            if None not in perm:
+                yield perm, m
 
 
 def symmetries(config: PointConfig) -> List[Tuple[Tuple[int, ...], AffineMap]]:
@@ -189,7 +225,7 @@ def symmetries(config: PointConfig) -> List[Tuple[Tuple[int, ...], AffineMap]]:
     Raises NotFullDimensional for a configuration of affine rank < 4.
     """
     _, orders = _least_orders(config, config.top_volume())
-    return list(_witnesses(config, orders[0], config, orders))
+    return list(_witnesses(config, orders[:1], config, orders))
 
 
 def _profile(config: PointConfig) -> Tuple[int, ...]:
@@ -238,26 +274,31 @@ class RowSet:
         """(id, rep, (perm, map)) of the row rep that config is an image
         of, map(config[i]) = rep[perm[i]]; None when there is none.
 
-        config's profile must be a row's (gate), which fixes V.  Then the
-        least table of config is compared with those of the rows of its
-        profile, and a row of the same table names config when _witnesses,
-        from config's first least-table order onto the row's, gives a map
-        onto its points: every equivalence sends least-table orders onto
-        least-table orders, so an equivalent row always gives one, and no
-        Hermite form is taken.  A row whose table matched but gave no
-        witness is checked on that miss path alone: if config's
-        normal-form key is the row's, the maps have failed, and error is
-        raised."""
+        config's profile must be a row's (gate), which fixes V.  Then,
+        per row of its profile, config's orders that read the row's R*,
+        the first row of its least table, off a point off a maximal
+        quadruple (_reading) are mapped onto the row's first least-table
+        order, and the first map onto the row's points names it (a
+        witness, _witnesses).  Every equivalence sends least-table orders
+        onto least-table orders, so the preimage of the row's first order
+        is among them, and an equivalent row always gives a witness with
+        no table of config's and no Hermite form.  A row that gave none
+        is checked on the miss path alone: if config's least table is the
+        row's and so is its normal-form key, the maps have failed, and
+        error is raised."""
         rows = self.gate.get(_profile(config))
         if rows is None:
             return None
-        least, orders = _least_orders(config, config.top_volume())
+        top = config.top_volume()
+        maximal = _maximal_rows(config, top)
         for rid, rep in rows:
             table, rep_orders = self._stages[rid]
-            if table == least:
-                witness = next(_witnesses(config, orders[0], rep, rep_orders), None)
-                if witness is not None:
-                    return rid, rep, witness
-                if normal_form(config) == normal_form(rep):
-                    raise self.error(f"{rid}: witness is not equivalent")
+            orders = [order for order, _, _ in _reading(maximal, table[0] if table else None)]
+            witness = next(_witnesses(config, orders, rep, rep_orders[:1]), None)
+            if witness is not None:
+                return rid, rep, witness
+            # with no order reading R*, no table of config's is the row's
+            if (orders and _least_orders(config, top)[0] == table
+                    and normal_form(config) == normal_form(rep)):
+                raise self.error(f"{rid}: witness is not equivalent")
         return None

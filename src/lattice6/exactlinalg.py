@@ -4,7 +4,7 @@ Everything here is exact: points are integer triples and determinants are
 Python ints.  No floats and no rationals anywhere.  unimodular_map finds
 the affine map fixed by four point pairs in integers, when that map is
 integral with determinant +-1 (a determinant comparison, an adjugate
-product and a divisibility test).  hermite_normal_form is the normal form
+product and a divisibility test, written out in closed form).  hermite_normal_form is the normal form
 of a nonsingular 3x3 integer matrix under left multiplication by GL_3(Z)
 (a singular one raises DegenerateSource); edge_form applies it to the
 edge vectors of an ordered point quadruple, so equal forms mean exactly
@@ -31,8 +31,8 @@ signed volumes), volume vectors, chirotopes, circuits, the maximal
 normal form's) all index the table, and _relabelings reads the table
 of a relabeled configuration off it (the chirotopes of cases C and E in
 their points' roles).  det3 is
-left to the matrices of affine maps (AffineMap.det, unimodular_map); no
-other module calls it.
+left to the matrices of affine maps (AffineMap.det; unimodular_map
+writes its determinants out); no other module calls it.
 """
 
 from __future__ import annotations
@@ -85,10 +85,6 @@ def check_point(p: Sequence[int]) -> IntVec3:
 
 def sub(p: Sequence[int], q: Sequence[int]) -> IntVec3:
     return (p[0] - q[0], p[1] - q[1], p[2] - q[2])
-
-
-def add(p: Sequence[int], q: Sequence[int]) -> IntVec3:
-    return (p[0] + q[0], p[1] + q[1], p[2] + q[2])
 
 
 def dot(p: Sequence[int], q: Sequence[int]) -> int:
@@ -269,35 +265,47 @@ class AffineMap:
         return det3(*self.matrix)
 
     def apply(self, p: Sequence[int]) -> IntVec3:
-        return add(_mat_vec(self.matrix, p), self.translation)
+        (a, b, c), (d, e, f), (g, h, i) = self.matrix
+        x, y, z = p
+        s, t, u = self.translation
+        return (a * x + b * y + c * z + s, d * x + e * y + f * z + t, g * x + h * y + i * z + u)
 
 
 def unimodular_map(src: Sequence[Sequence[int]], dst: Sequence[Sequence[int]]) -> Optional[AffineMap]:
     """Integer affine map of determinant +-1 sending src[i] -> dst[i], or None.
 
-    With S and D the matrices of difference vectors of src and dst, the
-    linear part is D @ adj(S) / det S: it has determinant +-1 iff
-    |det D| == |det S|, and integer entries iff det S divides every entry
-    of D @ adj(S); the translation d_0 - M s_0 is then integral too.  The
-    source quadruple must be affinely independent (else DegenerateSource).
-    The points are not validated here: callers pass points that
-    check_point has accepted, such as PointConfig points.
+    With S and D the matrices of difference vectors (columns u, v, w of
+    src and their images du, dv, dw), the linear part is
+    D @ adj(S) / det S, whose entry (i, j) is du_i a_j + dv_i b_j + dw_i c_j
+    for the rows a = v x w, b = w x u, c = u x v of adj(S): it has
+    determinant +-1 iff |det D| == |det S|, and integer entries iff det S
+    divides all nine; the translation d_0 - M s_0 is then integral too.
+    All of it is written out in closed form.  The source quadruple must be
+    affinely independent (else DegenerateSource).  The points are not
+    validated here: callers pass points that check_point has accepted,
+    such as PointConfig points.
     """
     if len(src) != 4 or len(dst) != 4:
         raise ValueError("unimodular_map needs exactly 4 source and 4 destination points")
-    S = tuple(zip(*(sub(src[i], src[0]) for i in (1, 2, 3))))  # columns s_i - s_0
-    det_s = det3(*S)
-    if det_s == 0:
+    (x, y, z), (u0, u1, u2), (v0, v1, v2), (w0, w1, w2) = src
+    u0, u1, u2, v0, v1, v2, w0, w1, w2 = u0 - x, u1 - y, u2 - z, v0 - x, v1 - y, v2 - z, w0 - x, w1 - y, w2 - z
+    a0, a1, a2 = v1 * w2 - v2 * w1, v2 * w0 - v0 * w2, v0 * w1 - v1 * w0
+    det = u0 * a0 + u1 * a1 + u2 * a2
+    if not det:
         raise DegenerateSource("source points are coplanar")
-    D = tuple(zip(*(sub(dst[i], dst[0]) for i in (1, 2, 3))))
-    if abs(det3(*D)) != abs(det_s):
+    (X, Y, Z), (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = dst
+    p0, p1, p2, q0, q1, q2, r0, r1, r2 = p0 - X, p1 - Y, p2 - Z, q0 - X, q1 - Y, q2 - Z, r0 - X, r1 - Y, r2 - Z
+    if abs(p0 * (q1 * r2 - q2 * r1) + p1 * (q2 * r0 - q0 * r2) + p2 * (q0 * r1 - q1 * r0)) != abs(det):
         return None
-    adj = _adjugate(S)
-    mat = []
-    for row in D:
-        num = tuple(row[0] * adj[0][j] + row[1] * adj[1][j] + row[2] * adj[2][j] for j in range(3))
-        if any(v % det_s for v in num):
+    b0, b1, b2 = w1 * u2 - w2 * u1, w2 * u0 - w0 * u2, w0 * u1 - w1 * u0
+    c0, c1, c2 = u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
+    m = (p0 * a0 + q0 * b0 + r0 * c0, p0 * a1 + q0 * b1 + r0 * c1, p0 * a2 + q0 * b2 + r0 * c2,
+         p1 * a0 + q1 * b0 + r1 * c0, p1 * a1 + q1 * b1 + r1 * c1, p1 * a2 + q1 * b2 + r1 * c2,
+         p2 * a0 + q2 * b0 + r2 * c0, p2 * a1 + q2 * b1 + r2 * c1, p2 * a2 + q2 * b2 + r2 * c2)
+    for e in m:
+        if e % det:
             return None
-        mat.append(tuple(v // det_s for v in num))
-    mat = tuple(mat)
-    return AffineMap(mat, sub(dst[0], _mat_vec(mat, src[0])))
+    m00, m01, m02, m10, m11, m12, m20, m21, m22 = [e // det for e in m]
+    return AffineMap(((m00, m01, m02), (m10, m11, m12), (m20, m21, m22)),
+                     (X - m00 * x - m01 * y - m02 * z, Y - m10 * x - m11 * y - m12 * z,
+                      Z - m20 * x - m21 * y - m22 * z))

@@ -207,8 +207,9 @@ def _target_rows(basis, s: int) -> Iterator[Tuple[int, int, int, int, range]]:
             yield t1, t2, lo, hi, range(base + first * g, base + ((lo + s - base) // g) * g + 1, g)
 
 
-def width(config: PointConfig) -> Tuple[int, IntVec3]:
-    """Lattice width and a primitive witness functional.
+def least_functionals(config: PointConfig) -> Tuple[int, Tuple[IntVec3, ...]]:
+    """Lattice width and every functional that attains it, primitive and
+    sign-normalized (leading coefficient positive), in ascending order.
 
     With d_k = q_k - q0 on the first quadruple, in _quadruples order, whose
     |volume| |D| is maximal (PointConfig.top_volume), a functional f is
@@ -224,9 +225,9 @@ def width(config: PointConfig) -> Tuple[int, IntVec3]:
     range W has targets of spread at most W, so a pass over the spreads
     up to s meets every functional of range <= s: the passes run at
     s = 1, then at the best range found (doubling s while a pass finds
-    none), and stop once the best range is <= s.  The witness is the
-    least functional of least range, sign-normalized (leading coefficient
-    positive); f and -f normalize alike, so one of them is enough.
+    none), and stop once the best range is <= s.  The last pass builds
+    every functional of the least range, f or -f, and f and -f normalize
+    alike.  A least functional that is not primitive is a failed check.
     """
     pts = config.points
     vols = config.volumes()
@@ -241,7 +242,7 @@ def width(config: PointConfig) -> Tuple[int, IntVec3]:
     lams = [(vols[slots[a, i, c, d]], vols[slots[a, b, i, d]], vols[slots[a, b, c, i]])
             for i in range(len(pts)) if i not in quad]
     basis = hermite_normal_form(tuple(zip(*rows)))
-    best, s = None, 1
+    best, least, s = None, set(), 1
     while True:
         for t1, t2, lo2, hi2, t3s in _target_rows(basis, s):
             for t3 in t3s:
@@ -253,17 +254,26 @@ def width(config: PointConfig) -> Tuple[int, IntVec3]:
                         lo = v
                     elif v > hi:
                         hi = v
-                if best is None or hi - lo <= best[0]:
+                if best is None or hi - lo <= best:
+                    if best is None or hi - lo < best:
+                        best, least = hi - lo, set()
                     x, y, z = _mat_vec(adj, (t1, t2, t3))
-                    candidate = (hi - lo, _normalize_sign((x // D, y // D, z // D)))
-                    if best is None or candidate < best:
-                        best = candidate
-        if best is not None and best[0] <= s:
+                    least.add(_normalize_sign((x // D, y // D, z // D)))
+        if best is not None and best <= s:
             break
-        s = 2 * s if best is None else best[0]
-    if gcd(*best[1]) != 1:
-        raise VerificationFailed(f"width witness {best[1]} is not primitive")
-    return best
+        s = 2 * s if best is None else best
+    least = tuple(sorted(least))
+    for f in least:
+        if gcd(*f) != 1:
+            raise VerificationFailed(f"width witness {f} is not primitive")
+    return best, least
+
+
+def width(config: PointConfig) -> Tuple[int, IntVec3]:
+    """Lattice width and a primitive witness functional: the least of the
+    least functionals (least_functionals), of one walk."""
+    w, least = least_functionals(config)
+    return w, least[0]
 
 
 # ---------------------------------------------------------------------------

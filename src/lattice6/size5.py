@@ -17,7 +17,8 @@ vector (and, for (2,1), the key of one ordered empty tetrahedron,
 emptytetra._ordered_key), so it builds no family representative, and
 names the sporadic classes through a row set of their eleven
 representatives (equivalence.RowSet: the |volume| profile, eleven
-distinct ones, then the least barycentric table and a witness map).
+distinct ones, then a witness map onto the row's first least-table
+order).
 admissible_apex_31 decides when an apex over the (3,1) circuit base
 closes up without extra lattice points; classify6's case B uses it to
 reject apex candidates.

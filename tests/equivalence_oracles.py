@@ -114,7 +114,7 @@ def key_named_row(config: PointConfig) -> Optional[str]:
         return None
     key, orders = key_orders(config)
     row, rep, row_orders = row_key_index().get(key, (None, None, None))
-    if row is not None and next(_witnesses(config, orders[0], rep, row_orders), None) is None:
+    if row is not None and next(_witnesses(config, orders[:1], rep, row_orders), None) is None:
         raise AssertionError(f"{row.id}: witness is not equivalent")
     return None if row is None else row.id
 

@@ -693,10 +693,12 @@ def test_glued_verdict_matches_hull_oracle(monkeypatch, literal_gh):
 
 
 def test_classify_all_work_is_pinned(monkeypatch, case_reports):
-    """One warm classify_all: 78 witness maps, from _Funnel.report's 77
-    distinct point sets (A 2, B 16, C 6, D 2, E 2, F 17, G 20, H 12) onto
-    their rows' least-table orders (the search stops at the first
-    witness, and one set takes two tries); the bases' 40 automorphism
+    """One warm classify_all: 89 witness maps, from the orders of each of
+    _Funnel.report's 77 distinct point sets (A 2, B 16, C 6, D 2, E 2,
+    F 17, G 20, H 12) that read its row's R* onto the row's first
+    least-table order (the search stops at the first witness: 71 sets
+    take one try, and two sets each two, three and four tries, 78 when
+    the maps went from a set's first least-table order); the bases' 40 automorphism
     maps are built once per process with the bases' table, _bases, which
     this test builds first.  82 placings with no facet planes (case A's
     six candidates take one each for holds_only_its_points, and every
@@ -731,9 +733,10 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
     _class_rows, and takes none; the bases' symmetries take none, as
     equivalence.symmetries reads their least-table orders, once per
     process).  No catalog match (a class takes its oriented matroid from
-    its row, and cases C and E test their embeddings by chirotope).  232
-    sorted barycentric tables in the least tables of the 77 point sets
-    (only for the vertex orders that can reach the least table).  1,271
+    its row, and cases C and E test their embeddings by chirotope).  No
+    sorted barycentric table (_table): every point set is named by a
+    witness before any least table of its own, where 232 were sorted
+    when each set's least table came first.  1,271
     check_point calls: each extended pyramid is checked once per scan
     (5 points: B's three subcases, C's four edge candidates and "both
     vertices" scan, and D), then each new point once, before its cap rule
@@ -759,11 +762,11 @@ def test_classify_all_work_is_pinned(monkeypatch, case_reports):
                         classify6._caps, _facet_frame, _framed_empty,
                         _framed_has_interior_point, det4, _table, width)
     classify6.classify_all()
-    assert calls == {"unimodular_map": 78, "hull_facets": 0, "_placing": 82, "_glued_verdict": 426,
+    assert calls == {"unimodular_map": 89, "hull_facets": 0, "_placing": 82, "_glued_verdict": 426,
                      "match_circuits": 0, "check_point": 1271, "circuits": 20,
                      "normal_form": 0, "quad_volumes": 29, "_caps": 989,
                      "_facet_frame": 32, "_framed_empty": 856,
-                     "_framed_has_interior_point": 522, "det4": 435, "_table": 232,
+                     "_framed_has_interior_point": 522, "det4": 435, "_table": 0,
                      "width": 0}
 
 

@@ -118,28 +118,32 @@ def test_analyze_table_row_takes_no_hull_points_and_no_circuits(tmp_path, bundle
     row's, and a witness map carries it onto the row's points.  Its hull
     is read off that map: its lattice points are its own six, and its
     vertices and interior points are those whose images are the row's.
-    The row's labels come from one placing of the row's points, on the
-    first query that names the row in a process, and from none after.
-    So no lattice point is enumerated (_tetrahedron_points).  One
-    quad_volumes call serves the gate, the least table, the volume vector
-    and width.  Coplanarity, dps and the oriented-matroid label are class
-    invariants read off the row, so there are no circuits, no pair sums
-    and no canonical circuit form."""
+    The row's labels come from one placing of the row's points, and its
+    width and least functionals from one width walk of them
+    (least_functionals), on the first query that names the row in a
+    process, and from none after; the input's width is read through the
+    witness map, with no walk of its own (width).  So no lattice point
+    is enumerated (_tetrahedron_points).  One quad_volumes call serves
+    the gate, the witness search and the volume vector.  Coplanarity,
+    dps and the oriented-matroid label are class invariants read off the
+    row, so there are no circuits, no pair sums and no canonical circuit
+    form."""
     classify6._class_rows()._stages  # built with the tables, before counting
     cli._hull_labels.cache_clear()
     calls = count_calls(monkeypatch, invariants.circuits, polytope._placing,
                         polytope._tetrahedron_points, quad_volumes, equivalence.normal_form,
-                        invariants.pair_sums_distinct, omcatalog.canonical_circuit_form)
+                        invariants.pair_sums_distinct, omcatalog.canonical_circuit_form,
+                        invariants.least_functionals, invariants.width)
     path = rep_file(tmp_path, bundle, "H.7")
-    for placings in (1, 0):
+    for first in (1, 0):
         calls.update(dict.fromkeys(calls, 0))
         assert main(["analyze", path]) == 0
         out = capsys.readouterr().out
         assert "class: H.7" in out
         assert f"oriented matroid: {bundle.rows_by_id['H.7'].om_label}\n" in out
-        assert calls == {"circuits": 0, "_placing": placings, "_tetrahedron_points": 0,
+        assert calls == {"circuits": 0, "_placing": first, "_tetrahedron_points": 0,
                          "quad_volumes": 1, "normal_form": 0, "pair_sums_distinct": 0,
-                         "canonical_circuit_form": 0}
+                         "canonical_circuit_form": 0, "least_functionals": first, "width": 0}
 
 
 def test_analyze_outside_the_table_takes_the_full_path(tmp_path, capsys, monkeypatch):
@@ -204,32 +208,45 @@ def test_analyze_rows_agree_with_the_full_path(tmp_path, bundle, capsys):
     sums give, and name their row.  The twins G.5/G.12 and G.6/G.9 share
     their |volume| profile, so the gate passes both and the least table
     decides.  Each image's vertices and interior points are read off its
-    witness map onto the row."""
+    witness map onto the row.  So are its width and functional: the
+    printed functional is the witness that width gives the image's own
+    coordinates, the least of the row's least functionals pulled back
+    through the map, unless the row's published functional is a witness
+    for those coordinates, which is printed instead; and some images are
+    ones where it is not."""
     gate = classify6._class_rows().gate
     for a, b in (("G.5", "G.12"), ("G.6", "G.9")):
         ids = [rid for rid, _ in gate[equivalence._profile(bundle.rows_by_id[a].config())]]
         assert ids == [a, b]
     rng = random.Random(41)
+    unpublished = 0
     for row in bundle.class_rows:
         cfg = row.config()
         for img in [cfg] + [shuffled(rng, apply_map(random_unimodular(rng), cfg)) for _ in range(3)]:
             rc, lines, _ = _analysis(tmp_path, img.points, capsys)
             assert rc == 0 and lines["class"] == row.id, (row.id, img)
             assert {k: lines[k] for k in _full_path_lines(img)} == _full_path_lines(img), (row.id, img)
+            w, f = invariants.width(img)
+            published = invariants.functional_range(row.functional, img.points) == w
+            shown = cli._functional_str(row.functional if published else f)
+            assert (lines["width"], lines["functional"]) == (str(w), shown), (row.id, img)
+            unpublished += not published
+    assert unpublished > 100, unpublished
 
 
 def test_analyze_six_points_outside_the_table_keep_their_answers(tmp_path, capsys, monkeypatch):
-    """A six-point input of size 7 whose profile passes the gate takes its
-    least table (two sorted tables), which is no row's, so it takes no
-    normal form and no witness map, finds no row and prints the full
-    path's lines; a flat six-point input fails the gate and is refused
-    by the hull, exit 2."""
+    """A six-point input of size 7 whose profile passes the gate reads the
+    R* of its profile's row off no point (no order is a candidate), so
+    no least table of it can be the row's: it takes no witness map, no
+    sorted table (two when its least table was built first) and no
+    normal form, finds no row and prints the full path's lines; a flat
+    six-point input fails the gate and is refused by the hull, exit 2."""
     classify6._class_rows()._stages  # built with the tables, before counting
     assert equivalence._profile(PointConfig(SIZE7_IN_GATE)) in classify6._class_rows().gate
     calls = count_calls(monkeypatch, equivalence.normal_form, equivalence.unimodular_map,
                         equivalence._table, invariants.circuits)
     rc, lines, err = _analysis(tmp_path, SIZE7_IN_GATE, capsys)
-    pinned = {"normal_form": 0, "unimodular_map": 0, "_table": 2, "circuits": 1}
+    pinned = {"normal_form": 0, "unimodular_map": 0, "_table": 0, "circuits": 1}
     assert (rc, err, calls) == (0, "", pinned)
     assert lines["class"] == "not in classification (width 1 or size != 6)"
     full = _full_path_lines(PointConfig(SIZE7_IN_GATE))
@@ -847,10 +864,15 @@ def test_catalog_classes(capsys):
 
 
 def test_catalog_size5(capsys):
+    """Each concrete row lists its points joined by "; ", with no separator
+    after the last point, and no line ends in whitespace."""
     rc = main(["catalog", "--what", "size5"])
-    out = capsys.readouterr().out.strip().splitlines()
+    out = capsys.readouterr().out.splitlines()
     assert rc == 0
     assert out[-1] == "13 size-5 rows"
+    assert out[0] == ("signature (2, 2) width 1 vv -1 1 1 -1 0  "
+                      "points 0 0 0; 1 0 0; 0 1 0; 1 1 0; 0 0 1")
+    assert [line for line in out if line != line.rstrip()] == []
 
 
 def test_bad_subcommand_exits_two():

@@ -17,6 +17,8 @@ from lattice6.exactlinalg import (
     COORD_BOUND,
     AffineMap,
     DegenerateSource,
+    _adjugate,
+    _mat_vec,
     _slots,
     check_point,
     det3,
@@ -24,6 +26,7 @@ from lattice6.exactlinalg import (
     edge_form,
     hermite_normal_form,
     quad_volumes,
+    sub,
     unimodular_map,
 )
 
@@ -274,6 +277,80 @@ def test_unimodular_map_rejects_coplanar_source():
     flat = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
     with pytest.raises(DegenerateSource):
         unimodular_map(flat, UNIT)
+
+
+def unimodular_map_by_adjugate(src, dst):
+    """unimodular_map as the library had it before its closed form, kept
+    as its oracle: the linear part D @ adj(S) / det S from the matrices S
+    and D of difference vectors (columns s_i - s_0 and d_i - d_0), None
+    unless |det D| == |det S| and det S divides every entry of D @ adj(S),
+    and the translation d_0 - M s_0."""
+    if len(src) != 4 or len(dst) != 4:
+        raise ValueError("unimodular_map needs exactly 4 source and 4 destination points")
+    S = tuple(zip(*(sub(src[i], src[0]) for i in (1, 2, 3))))
+    det_s = det3(*S)
+    if det_s == 0:
+        raise DegenerateSource("source points are coplanar")
+    D = tuple(zip(*(sub(dst[i], dst[0]) for i in (1, 2, 3))))
+    if abs(det3(*D)) != abs(det_s):
+        return None
+    adj = _adjugate(S)
+    mat = []
+    for row in D:
+        num = tuple(row[0] * adj[0][j] + row[1] * adj[1][j] + row[2] * adj[2][j] for j in range(3))
+        if any(v % det_s for v in num):
+            return None
+        mat.append(tuple(v // det_s for v in num))
+    mat = tuple(mat)
+    return AffineMap(mat, sub(dst[0], _mat_vec(mat, src[0])))
+
+
+def _outcome_of(solve, src, dst):
+    """solve(src, dst), or the type and message of what it raised."""
+    try:
+        return solve(src, dst)
+    except (ValueError, DegenerateSource) as exc:
+        return type(exc), str(exc)
+
+
+def test_closed_form_unimodular_map_matches_the_adjugate_oracle():
+    """The closed-form unimodular_map gives the oracle's map, None or
+    exception on 10,000 seeded pairs of four points each: coplanar
+    sources (DegenerateSource), targets of another |det| (None), targets
+    of the same |det| that no integral map reaches (None), unimodular
+    images, relabeled or not (the map), and shears of the source quadruple
+    moved by a unimodular map; and on three or five points (ValueError)."""
+    rng = random.Random(55)
+    kinds = Counter()
+    box = lambda r: tuple(rng.randint(-r, r) for _ in range(3))
+    for k in range(10000):
+        src = [box(4) for _ in range(4)]
+        if k % 5 == 0:
+            src[3] = tuple(a + b - c for a, b, c in zip(src[1], src[2], src[0]))  # coplanar
+        m = random_unimodular(rng)
+        dst = [m.apply(p) for p in src]
+        if k % 5 == 1:
+            dst = [box(6) for _ in range(4)]
+        elif k % 5 == 2:
+            rng.shuffle(dst)
+        elif k % 5 == 3:
+            shear = AffineMap(((1, 0, 0), (0, 1, 0), (rng.randint(-3, 3), rng.randint(-3, 3), 1)),
+                              (0, 0, 0))
+            dst = [m.apply(shear.apply(p)) for p in src]
+        expected = _outcome_of(unimodular_map_by_adjugate, src, dst)
+        assert _outcome_of(unimodular_map, src, dst) == expected, (src, dst)
+        if isinstance(expected, tuple):
+            kinds["coplanar"] += 1
+        elif expected is not None:
+            kinds["map"] += 1
+        elif abs(det4(*src)) != abs(det4(*dst)):
+            kinds["other |det|"] += 1
+        else:
+            kinds["not integral"] += 1
+    assert min(kinds.values()) > 500 and len(kinds) == 4, kinds
+    for src in (UNIT[:3], UNIT + [(1, 1, 1)]):
+        assert (_outcome_of(unimodular_map, src, UNIT) == _outcome_of(unimodular_map_by_adjugate, src, UNIT)
+                == (ValueError, "unimodular_map needs exactly 4 source and 4 destination points"))
 
 
 def _is_hermite(h):

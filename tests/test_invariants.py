@@ -19,6 +19,7 @@ from lattice6.invariants import (
     _target_rows,
     circuits,
     coplanarity_class,
+    least_functionals,
     pair_sums_distinct,
     signature5,
     volume_vector5,
@@ -28,7 +29,7 @@ from lattice6.invariants import (
 from lattice6.exactlinalg import COORD_BOUND, det3, det4, dot, sub
 from lattice6.polytope import NotFullDimensional, PointConfig, hull_summary, lattice_points
 from lattice6.size5 import rep32
-from width_oracles import shell, shell_width
+from width_oracles import shell, shell_least_functionals, shell_width
 
 VV_A1 = (0, 0, 2, 0, 0, 4, 0, 2, 0, -4, 0, 4, -2, -8, -2)
 VV_H12 = (-5, 2, -11, -3, -1, 7, 1, 2, -3, 1, 11, -3, -23, -4, 5)
@@ -156,9 +157,9 @@ def test_width_matches_all_target_search(bundle):
     the shell scan it replaced and of the unpruned search: the rows, k
     times the standard simplex plus (1,1,1) for k = 4..8 (width k, so many
     passes), unimodular images of both, near the origin and near the
-    coordinate bound, and random 4-8 point sets; and those of the shell
-    scan on 3,000 more random sets, 1,000 in each of [-r, r]^3 for
-    r = 2, 3, 5."""
+    coordinate bound, and random 4-8 point sets.  3,000 more random sets
+    are checked against the shell scan in
+    test_least_functionals_match_the_shell_scan."""
     rng = random.Random(17)
     rows = [row.config() for row in bundle.class_rows]
     simplices = [PointConfig([(0, 0, 0), (k, 0, 0), (0, k, 0), (0, 0, k), (1, 1, 1)])
@@ -169,8 +170,25 @@ def test_width_matches_all_target_search(bundle):
     for c in rows + simplices + images + far + randoms:
         assert width(c) == shell_width(c) == _width_all_targets(c), c.points
     assert [width(c)[0] for c in simplices] == [4, 5, 6, 7, 8]
-    for c in _random_sets(random.Random(36), (2, 3, 5), 1000):
-        assert width(c) == shell_width(c), c.points
+
+
+def test_least_functionals_match_the_shell_scan(bundle):
+    """The walk of width collects every functional of least range
+    (least_functionals), sign-normalized and in ascending order, as the
+    shell scan finds them, and width returns the least of them, the
+    witness of shell_width: on the 76 rows, three seeded
+    relabeled unimodular images of each, and 3,000 random sets, 1,000 in
+    each of [-r, r]^3 for r = 2, 3, 5.  Many have more than one."""
+    rng = random.Random(55)
+    rows = [row.config() for row in bundle.class_rows]
+    images = [shuffled(rng, apply_map(random_unimodular(rng), c)) for c in rows for _ in range(3)]
+    several = 0
+    for c in rows + images + list(_random_sets(random.Random(36), (2, 3, 5), 1000)):
+        w, least = shell_least_functionals(c)
+        assert least_functionals(c) == (w, least), c.points
+        assert width(c) == (w, least[0]), c.points
+        several += len(least) > 1
+    assert several > 1000, several
 
 
 @pytest.mark.parametrize("s", range(1, 9))
